@@ -1,6 +1,6 @@
 """Join-kernel and plan-cache gates. Writes ``BENCH_join.json`` at repo root.
 
-Three claims from the plan/kernel work are held to numbers here:
+Two claims from the plan/kernel work are held to numbers here:
 
 * ``kernel_speedup`` — on a dense synthetic graph, expanding a pool through
   one bitset AND (``joinable_kernel`` + ``bitset_members``) must be at least
@@ -8,12 +8,8 @@ Three claims from the plan/kernel work are held to numbers here:
 * ``compile_speedup`` — a warm ``PlanCache.get_or_compile`` (dict probe on
   the memoized canonical key) must be at least 10x faster than a cold
   ``compile_plan``.
-* ``aa_overhead_pct`` — an interleaved A/A run on the DBLP stand-in: plans
-  enabled with a *cold* plan cache (cleared per run, so every query pays a
-  fresh compile) vs the pre-PR path (``use_plans=False``) must stay within
-  5%. Plan compilation may not tax single-shot queries.
 
-Every timed comparison is also checked for result identity (``mismatches``
+The kernel comparison is also checked for result identity (``mismatches``
 must be 0) so a fast-but-wrong kernel cannot pass.
 
 Runs standalone (``python benchmarks/bench_join_kernels.py``) or under
@@ -25,11 +21,9 @@ from __future__ import annotations
 import json
 import random
 import timeit
-from dataclasses import replace
 from pathlib import Path
 
-from common import bench_graph, bench_queries, dsql_config
-from repro.core.dsql import DSQL
+from common import bench_graph, bench_queries
 from repro.experiments.report import render_table
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
@@ -41,7 +35,6 @@ OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_join.json"
 DATASET = "dblp"
 NUM_QUERIES = 20
 QUERY_EDGES = 4
-K = 10
 REPEATS = 5
 
 DENSE_N = 3000
@@ -50,7 +43,6 @@ DENSE_PAIRS = 200
 
 KERNEL_GATE_X = 2.0
 COMPILE_GATE_X = 10.0
-AA_GATE_PCT = 5.0
 
 
 def dense_graph() -> LabeledGraph:
@@ -136,53 +128,6 @@ def _compile_cold_vs_warm(graph, queries):
     }
 
 
-def _aa_overhead(graph, queries):
-    """Interleaved A/A: plans on (cold cache each run) vs plans off."""
-    config = dsql_config(K)
-    off_config = replace(config, use_plans=False)
-    plan_cache = graph.index_cache().plan_cache
-
-    def run_off():
-        session = DSQL(graph, config=off_config)
-        for query in queries:
-            session.query(query)
-
-    def run_on_cold():
-        plan_cache.clear()
-        session = DSQL(graph, config=config)
-        for query in queries:
-            session.query(query)
-
-    # Result identity on the exact benchmark workload.
-    on = DSQL(graph, config=config)
-    off = DSQL(graph, config=off_config)
-    mismatches = 0
-    for query in queries:
-        r1, r2 = on.query(query), off.query(query)
-        if (r1.embeddings, r1.coverage, r1.optimal, r1.level) != (
-            r2.embeddings,
-            r2.coverage,
-            r2.optimal,
-            r2.level,
-        ):
-            mismatches += 1
-
-    run_off()
-    run_on_cold()  # warm every code path before timing
-    series_off, series_on = [], []
-    for _ in range(REPEATS):
-        series_off.append(timeit.timeit(run_off, number=1))
-        series_on.append(timeit.timeit(run_on_cold, number=1))
-    baseline = min(series_off)
-    return {
-        "aa_batch": len(queries),
-        "aa_plans_off_seconds": baseline,
-        "aa_plans_on_cold_seconds": min(series_on),
-        "aa_overhead_pct": 100.0 * (min(series_on) - baseline) / baseline,
-        "aa_mismatches": mismatches,
-    }
-
-
 def run_join_bench():
     graph = bench_graph(DATASET)
     graph.index_cache()
@@ -193,16 +138,13 @@ def run_join_bench():
         "dataset": DATASET,
         "dense_vertices": dense.num_vertices,
         "dense_edges": dense.num_edges,
-        "k": K,
         "repeats": REPEATS,
         "gate_kernel_speedup_x": KERNEL_GATE_X,
         "gate_compile_speedup_x": COMPILE_GATE_X,
-        "gate_aa_overhead_pct": AA_GATE_PCT,
     }
     payload.update(_kernel_vs_scalar(dense))
     payload.update(_compile_cold_vs_warm(graph, queries))
-    payload.update(_aa_overhead(graph, queries))
-    payload["mismatches"] = payload["kernel_mismatches"] + payload["aa_mismatches"]
+    payload["mismatches"] = payload["kernel_mismatches"]
     OUT_PATH.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
     return payload
 
@@ -221,7 +163,6 @@ def _report(payload) -> str:
             f"{payload['compile_cold_us']:.1f}us / {payload['compile_warm_us']:.1f}us",
         ],
         ["compile speedup", f"{payload['compile_speedup_x']:.1f}x (gate >= 10x)"],
-        ["A/A cold-plan overhead", f"{payload['aa_overhead_pct']:+.2f}% (gate < 5%)"],
         ["mismatches", str(payload["mismatches"])],
     ]
     return render_table(["metric", "value"], rows)
@@ -235,7 +176,6 @@ def test_join_kernels(benchmark):
     assert payload["mismatches"] == 0
     assert payload["kernel_speedup_x"] >= KERNEL_GATE_X
     assert payload["compile_speedup_x"] >= COMPILE_GATE_X
-    assert payload["aa_overhead_pct"] < AA_GATE_PCT
 
 
 if __name__ == "__main__":

@@ -97,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     q.add_argument("--no-phase2", action="store_true", help="disable DSQL-P2")
     _add_objective_flag(q)
-    _add_plan_flags(q)
+    _add_compression_flag(q)
     _add_executor_flags(q)
     _add_observability_flags(q)
 
@@ -217,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     v.add_argument("--seed", type=int, default=0, help="seed for dataset stand-in builds")
     _add_objective_flag(v, help_extra=" (requests may override per call)")
-    _add_plan_flags(v)
+    _add_compression_flag(v)
     _add_observability_flags(v)
 
     m = sub.add_parser(
@@ -286,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--queries", type=int, default=10)
     e.add_argument("--seed", type=int, default=0)
     _add_objective_flag(e)
-    _add_plan_flags(e)
+    _add_compression_flag(e)
     _add_executor_flags(e)
     _add_observability_flags(e)
     return parser
@@ -302,13 +302,7 @@ def _add_objective_flag(parser: argparse.ArgumentParser, help_extra: str = "") -
     )
 
 
-def _add_plan_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--no-plan-cache",
-        action="store_true",
-        help="recompile the query plan per query instead of memoizing it "
-        "(escape hatch; see docs/performance.md)",
-    )
+def _add_compression_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--compression",
         action="store_true",
@@ -401,7 +395,6 @@ def _cmd_query(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
             args.k,
             run_phase2=not args.no_phase2,
             time_budget_ms=args.time_budget_ms,
-            plan_cache=not args.no_plan_cache,
             use_compression=args.compression,
             objective=args.objective,
         )
@@ -519,7 +512,6 @@ def _cmd_serve(
     config = DSQLConfig(
         k=args.k,
         time_budget_ms=args.time_budget_ms,
-        plan_cache=not args.no_plan_cache,
         use_compression=args.compression,
         objective=args.objective,
         auto_time_budget=args.auto_time_budget,
@@ -655,7 +647,7 @@ def _cmd_estimate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     from repro.core.dsql import DSQL
 
     graph = make_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    config = DSQLConfig(k=args.k, plan_cache=True)
+    config = DSQLConfig(k=args.k)
     session = DSQL(graph, config=config)
     queries = list(query_set(graph, args.edges, args.queries, seed=args.seed))
 
@@ -730,7 +722,6 @@ def _cmd_experiment(parser: argparse.ArgumentParser, args: argparse.Namespace) -
         config = DSQLConfig(
             k=args.k,
             time_budget_ms=args.time_budget_ms,
-            plan_cache=not args.no_plan_cache,
             use_compression=args.compression,
             objective=args.objective,
         )

@@ -26,6 +26,10 @@ from repro.exceptions import ConfigError
 class DSQLConfig:
     """All knobs of the DSQL solver.
 
+    Compiled plans are unconditional: every query runs through a
+    :class:`~repro.indexes.plans.QueryPlan` memoized in the graph's shared
+    :class:`~repro.indexes.plans.PlanCache`.
+
     Parameters
     ----------
     k:
@@ -80,28 +84,16 @@ class DSQLConfig:
         LRU cap on the :meth:`repro.core.dsql.DSQL.query_many` result memo
         (keyed by :meth:`QueryGraph.canonical_key`). ``None`` means
         unbounded, ``0`` disables memoization.
-    use_plans:
-        Compile a :class:`~repro.indexes.plans.QueryPlan` per query and run
-        the plan-driven engines (bitset/merge join kernels, precomputed
-        search order). Results are bit-identical to the plan-free path; the
-        toggle exists as an escape hatch and for the A/A benchmarks.
-    plan_cache:
-        Memoize compiled plans in the graph's shared
-        :class:`~repro.indexes.plans.PlanCache`. Off = recompile per query
-        (the ``--no-plan-cache`` CLI escape hatch); only meaningful when
-        ``use_plans`` is on.
     use_compression:
         Compile plans against the graph's twin-class partition (BoostIso
         [24]-style structural equivalence — see :mod:`repro.isomorphism.
         compression`): class-level candidate pools, the ``cbitset`` join
         kernel over class ids, and the compressed per-frame join test in
         the level engine. Results are bit-identical with the toggle on or
-        off (the compression analogue of the plans-on/off contract, pinned
-        by ``tests/property/test_compression_equivalence.py``); the win is
-        on structurally redundant graphs and the cost is bounded on
-        redundancy-free ones by the per-depth
-        :data:`~repro.kernels.CBITSET_MAX_RATIO` gate. Requires
-        ``use_plans``. Off by default.
+        off (pinned by ``tests/property/test_compression_equivalence.py``);
+        the win is on structurally redundant graphs and the cost is bounded
+        on redundancy-free ones by the per-depth
+        :data:`~repro.kernels.CBITSET_MAX_RATIO` gate. Off by default.
     seed:
         Seed for the random candidate retention of Section 5.2. Fixed by
         default so runs are reproducible; set ``None`` for entropy.
@@ -129,7 +121,7 @@ class DSQLConfig:
         machinery while normal queries never notice (the derived budget
         is the estimate's band-upper times a headroom factor, floored at
         :data:`repro.cost.DEFAULT_AUTO_BUDGET_FLOOR_MS`). An explicit
-        ``time_budget_ms`` always wins. Requires ``use_plans``.
+        ``time_budget_ms`` always wins.
     work_unit_rate:
         Assumed engine throughput in work units (candidate expansions)
         per millisecond, used to convert cost estimates into auto time
@@ -151,8 +143,6 @@ class DSQLConfig:
     time_budget_ms: Optional[float] = None
     validate_results: bool = False
     query_cache_size: Optional[int] = 128
-    use_plans: bool = True
-    plan_cache: bool = True
     use_compression: bool = False
     seed: Optional[int] = 0
     objective: str = "vertex"
@@ -230,16 +220,6 @@ class DSQLConfig:
         if self.work_unit_rate <= 0:
             raise ConfigError(
                 f"work_unit_rate must be positive, got {self.work_unit_rate}"
-            )
-        if self.auto_time_budget and not self.use_plans:
-            raise ConfigError(
-                "auto_time_budget derives deadlines from compiled plans; "
-                "it requires use_plans"
-            )
-        if self.use_compression and not self.use_plans:
-            raise ConfigError(
-                "use_compression rides on compiled plans (class pools, "
-                "cbitset kernel); it requires use_plans"
             )
 
     # ------------------------------------------------------------------

@@ -51,12 +51,10 @@ from repro.core.phase2 import run_phase2
 from repro.core.result import DSQResult
 from repro.core.state import SearchStats
 from repro.coverage.objectives import build_weight_profile, make_objective
-from repro.exceptions import ConfigError
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.graph.validation import validate_embedding
 from repro.indexes.candidates import CandidateIndex
-from repro.indexes.plans import compile_plan
 from repro.observability import (
     Instrumentation,
     get_default_instrumentation,
@@ -181,24 +179,19 @@ class DSQL:
             self._weight_version = self.index_cache.version
         return self._weight_profile
 
+    def _plan(self, query: QueryGraph):
+        """The compiled plan for ``query``, memoized in the graph's shared cache."""
+        return self.index_cache.plan_cache.get_or_compile(
+            query, self.index_cache, use_compression=self.config.use_compression
+        )
+
     def _query_impl(
         self, query: QueryGraph, instr: Optional[Instrumentation], query_id: Optional[int]
     ) -> DSQResult:
         config = self.config
         graph = self.graph
         stats = SearchStats()
-        # Plan acquisition: memoized in the graph's shared PlanCache unless
-        # the --no-plan-cache escape hatch asked for a per-query recompile.
-        plan = None
-        if config.use_plans:
-            if config.plan_cache:
-                plan = self.index_cache.plan_cache.get_or_compile(
-                    query, self.index_cache, use_compression=config.use_compression
-                )
-            else:
-                plan = compile_plan(
-                    query, self.index_cache, use_compression=config.use_compression
-                )
+        plan = self._plan(query)
         if instr is not None:
             with instr.span("candidate_build", query_id=query_id):
                 candidates = CandidateIndex(
@@ -216,7 +209,7 @@ class DSQL:
         cost_estimate = None
         if config.time_budget_ms is not None:
             deadline = time.monotonic() + config.time_budget_ms / 1000.0
-        elif config.auto_time_budget and plan is not None:
+        elif config.auto_time_budget:
             from repro.cost.estimator import derive_time_budget_ms
 
             cost_estimate = self.index_cache.cost_estimator().estimate(plan, k=config.k)
@@ -334,20 +327,11 @@ class DSQL:
         Compiles (or fetches from the shared plan cache) the same
         :class:`~repro.indexes.plans.QueryPlan` a real ``query()`` call
         would use, and folds the session's ``k`` into the plan's memoized
-        cost profile — see :mod:`repro.cost`. Requires ``use_plans``.
+        cost profile — see :mod:`repro.cost`.
         """
-        config = self.config
-        if not config.use_plans:
-            raise ConfigError("cost estimation requires use_plans")
-        if config.plan_cache:
-            plan = self.index_cache.plan_cache.get_or_compile(
-                query, self.index_cache, use_compression=config.use_compression
-            )
-        else:
-            plan = compile_plan(
-                query, self.index_cache, use_compression=config.use_compression
-            )
-        return self.index_cache.cost_estimator().estimate(plan, k=config.k)
+        return self.index_cache.cost_estimator().estimate(
+            self._plan(query), k=self.config.k
+        )
 
     def memo_key(self, query: QueryGraph) -> tuple:
         """The ``query_many`` memo key: graph version + canonical structure.

@@ -22,7 +22,7 @@ element exhaustion) are handled where the certificates are issued, in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import AbstractSet, Dict, FrozenSet, List, Optional
 
 from repro.core.config import DSQLConfig
 from repro.core.search import LevelSearchEngine
@@ -32,7 +32,6 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.indexes.candidates import CandidateIndex
 from repro.isomorphism.match import Mapping
-from repro.queries.ordering import selectivity_order
 
 
 @dataclass
@@ -58,20 +57,11 @@ class Phase1Output:
     qlist: List[int]
 
 
-def tcand_snapshot(
-    candidates: CandidateIndex, covered: Set[int], q: int
-) -> Dict[int, Set[int]]:
-    """``TcandS[u] = candS(u) ∩ V(T)`` for every query node (Alg. 3 line 9)."""
-    return {u: candidates.candidate_set(u) & covered for u in range(q)}
+def tcand_snapshot(plan, covered: AbstractSet[int], q: int) -> Dict[int, FrozenSet[int]]:
+    """``TcandS[u] = candS(u) ∩ V(T)`` for every query node (Alg. 3 line 9).
 
-
-def tcand_snapshot_scan(plan, covered: Set[int], q: int) -> Dict[int, Set[int]]:
-    """Plan-mode ``TcandS``: the same sets, from the plan's pool views.
-
-    Identical values to :func:`tcand_snapshot`, but intersecting against the
-    plan's memoized pool frozensets — no per-query ``candS(u)`` set view is
-    ever materialized, which keeps the lazy-set invariant of the plan-driven
-    engine while staying ``O(min(|pool|, |cover|))`` per node.
+    Intersects against the plan's memoized pool frozensets — no per-query
+    set view is ever materialized — at ``O(min(|pool|, |cover|))`` per node.
     """
     return {u: plan.pool_set(u) & covered for u in range(q)}
 
@@ -96,11 +86,13 @@ def run_phase1(
     ``instrumentation`` brackets every level (``phase1.level`` spans, the
     ``phase1.level_expansions`` histogram, ``on_level_start``) and reports
     accepted embeddings through ``on_embedding_emitted``. ``plan`` is the
-    compiled :class:`~repro.indexes.plans.QueryPlan` when plans are enabled:
-    its precomputed selectivity ranking replaces the per-call
-    ``selectivity_order`` and the engine runs the kernel fast paths.
+    compiled :class:`~repro.indexes.plans.QueryPlan` that ``candidates``
+    views — callers already holding it may hand it in, it is never a
+    different plan — and supplies the selectivity ranking (``qList``) and
+    the cover snapshots.
     """
-    qlist = list(plan.qlist) if plan is not None else selectivity_order(query, candidates)
+    plan = plan or candidates.plan
+    qlist = list(plan.qlist)
     state = SolutionState()
     engine = LevelSearchEngine(
         graph,
@@ -112,7 +104,6 @@ def run_phase1(
         deadline=deadline,
         instrumentation=instrumentation,
         query_id=query_id,
-        plan=plan,
     )
     q = query.size
     instr = instrumentation
@@ -151,10 +142,7 @@ def run_phase1(
             try:
                 while True:
                     before = len(state)
-                    if plan is not None:
-                        tcand = tcand_snapshot_scan(plan, state.covered, q)
-                    else:
-                        tcand = tcand_snapshot(candidates, state.covered, q)
+                    tcand = tcand_snapshot(plan, state.covered, q)
                     keep = engine.run_level(level, qlist, tcand, on_embedding)
                     if not keep:
                         return Phase1Output(

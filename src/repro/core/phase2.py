@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional
 
 from repro.core.config import DSQLConfig
-from repro.core.phase1 import Phase1Output, tcand_snapshot, tcand_snapshot_scan
+from repro.core.phase1 import Phase1Output, tcand_snapshot
 from repro.core.search import LevelSearchEngine
 from repro.core.state import SearchStats
 from repro.coverage.core import CoverageTracker
@@ -78,7 +78,8 @@ def run_phase2(
     Precondition (checked by the dispatcher): ``|T| == k`` — Phase 1 only
     hands over a full collection; undersized collections are already optimal.
     ``objective`` selects the coverage objective (``None`` = the paper's
-    vertex coverage, bound to this query's ``q``).
+    vertex coverage, bound to this query's ``q``). ``plan`` is the plan
+    ``candidates`` views, as in :func:`~repro.core.phase1.run_phase1`.
     ``instrumentation`` brackets every level (``phase2.level`` spans and the
     ``phase2.level_expansions`` histogram) and reports every generated
     embedding (``on_embedding_emitted``) and every SWAPα decision on a
@@ -108,13 +109,9 @@ def run_phase2(
         deadline=deadline,
         instrumentation=instrumentation,
         query_id=query_id,
-        plan=plan,
     )
     # TcandS comes from T1 for the entire phase (Algorithm 5 line 5).
-    if plan is not None:
-        tcand = tcand_snapshot_scan(plan, set(t1_cover), q)
-    else:
-        tcand = tcand_snapshot(candidates, set(t1_cover), q)
+    tcand = tcand_snapshot(plan or candidates.plan, t1_cover, q)
 
     out = Phase2Output(
         embeddings=list(phase1.state.embeddings), coverage=tracker.coverage

@@ -91,14 +91,13 @@ class LevelSearchEngine:
         phases, so the disabled path adds no per-expansion work.
     query_id:
         Session-assigned id stamped onto this engine's trace events/hooks.
-    plan:
-        Optional compiled :class:`~repro.indexes.plans.QueryPlan`. When
-        given, candidate generation and the joinability test run through the
-        :mod:`repro.kernels` fast paths (sorted-slice intersection, bitset
-        AND over matched-neighbor adjacency masks). The plan changes *how*
-        the same candidate pools are computed, never which candidates are
-        iterated or in what order, so results — including budget/deadline
-        trip points — are bit-identical to the plan-free engine.
+
+    Candidate generation and the joinability test run through the
+    :mod:`repro.kernels` paths against ``candidates.plan`` (the plan's
+    memoized pool sets, bitset AND over matched-neighbor adjacency masks).
+    The kernels decide *how* a candidate pool is computed, never which
+    candidates are iterated or in what order, so results — including
+    budget/deadline trip points — do not depend on the kernel chosen.
     """
 
     def __init__(
@@ -112,7 +111,6 @@ class LevelSearchEngine:
         deadline: Optional[float] = None,
         instrumentation=None,
         query_id: Optional[int] = None,
-        plan=None,
     ) -> None:
         self.graph = graph
         self.query = query
@@ -123,18 +121,12 @@ class LevelSearchEngine:
         self.deadline = deadline
         self.instrumentation = instrumentation
         self.query_id = query_id
-        self._plan = plan
+        self._plan = candidates.plan
         self._cache = candidates.cache
-        # Twin-class partition for the compressed join test: only wired up
-        # when compression is on AND a plan/cache exists (the partition is
-        # per-graph state owned by the index cache). The compressed branch
-        # changes the join *mechanism*, never which candidates are iterated
-        # or charged, so the bit-identity contract below is preserved.
-        self._compressed = (
-            self._cache.compressed()
-            if (config.use_compression and plan is not None and self._cache is not None)
-            else None
-        )
+        # Twin-class partition for the compressed join test (per-graph state
+        # owned by the index cache). The compressed branch changes the join
+        # *mechanism*, never which candidates are iterated or charged.
+        self._compressed = self._cache.compressed() if config.use_compression else None
         self.rng = random.Random(config.seed)
         q = query.size
         self._assignment: List[int] = [UNMATCHED] * q
@@ -164,11 +156,10 @@ class LevelSearchEngine:
 
         ``tcand`` maps each query node to ``candS(u) ∩ V(T)`` for the
         relevant solution snapshot (see
-        :func:`~repro.core.phase1.tcand_snapshot` and its plan-mode twin
-        :func:`~repro.core.phase1.tcand_snapshot_scan`). Returns ``False``
-        when the callback asked
-        to stop (k reached / early termination), ``True`` when the level was
-        exhausted. Raises :class:`BudgetExceeded` if the node budget trips.
+        :func:`~repro.core.phase1.tcand_snapshot`). Returns ``False`` when
+        the callback asked to stop (k reached / early termination), ``True``
+        when the level was exhausted. Raises :class:`BudgetExceeded` if the
+        node budget trips.
         """
         self._tcand = tcand
         self._on_embedding = on_embedding
@@ -192,42 +183,25 @@ class LevelSearchEngine:
     def _rcand(self, u: int, father: int, is_overlap: bool) -> List[int]:
         """``Rcand`` for node ``u``: localized, then overlap-restricted.
 
-        Plan-free path: membership filters against the candidate *set* view
-        the index materializes per query. Plan path: the same intersection
-        against the plan's memoized pool sets — built once per cached plan
-        and shared across sessions, so repeated queries pay no per-query set
-        construction at all. Same vertices, same ascending order.
+        Localized: the father's neighbor row filtered against the plan's
+        memoized pool set — built once per cached plan and shared across
+        sessions, so repeated queries pay no per-query set construction.
+        Neighbor rows and pools are ascending, so the result is too.
         """
-        localized = (
+        stats = self.stats
+        if (
             self.config.localized_search
             and father != NO_FATHER
             and self._assignment[father] != UNMATCHED
-        )
-        if self._plan is not None:
-            stats = self.stats
-            if localized:
-                stats.kernel_merge += 1
-                pool = self._plan.pool_set(u)
-                base = [
-                    w
-                    for w in self.graph.neighbors(self._assignment[father])
-                    if w in pool
-                ]
-            else:
-                stats.kernel_scan += 1
-                base = list(self.candidates.candidates(u))
-            if is_overlap:
-                allowed = self._tcand[u]
-                return [v for v in base if v in allowed]
-            return base
-        if localized:
-            vf = self._assignment[father]
-            is_candidate = self.candidates.is_candidate
-            # Neighbor rows are sorted tuples, so the filtered list stays
-            # sorted without an explicit sort.
-            base = [w for w in self.graph.neighbors(vf) if is_candidate(u, w)]
+        ):
+            stats.kernel_merge += 1
+            pool = self._plan.pool_set(u)
+            base = [
+                w for w in self.graph.neighbors(self._assignment[father]) if w in pool
+            ]
         else:
-            base = list(self.candidates.candidates(u))
+            stats.kernel_scan += 1
+            base = list(self._plan.pools[u])
         if is_overlap:
             allowed = self._tcand[u]
             return [v for v in base if v in allowed]
@@ -278,15 +252,13 @@ class LevelSearchEngine:
         next candidate is tried), so the bitset AND of their adjacency masks
         can be folded **once per frame** instead of per candidate. Dispatch:
 
-        * no plan, or exactly one assigned neighbor — ``None``; the caller
-          keeps the scalar :meth:`_joinable` loop (one ``has_edge`` probe
-          beats a big-int bit test);
+        * exactly one assigned neighbor — ``None``; the caller keeps the
+          scalar :meth:`_joinable` loop (one ``has_edge`` probe beats a
+          big-int bit test);
         * zero assigned neighbors — injectivity is the whole test;
         * two or more — one mask AND per frame, then a single
           ``(mask >> v) & 1`` probe per candidate.
         """
-        if self._plan is None:
-            return None
         assignment = self._assignment
         matched = [
             assignment[u2]

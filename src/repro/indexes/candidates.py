@@ -2,29 +2,21 @@
 
 "Before running DSQL, we first generate a candidate set candS(u) for each
 u in V_Q based on these filters" — label, degree and neighborhood signature.
-:class:`CandidateIndex` is split into two layers:
+That preprocessing is the compiled :class:`~repro.indexes.plans.QueryPlan`
+(resolved filter profiles and pools, the ``qList`` ranking, the search
+order); :class:`CandidateIndex` is the per-query *view* the search phases
+and baselines read it through:
 
-* the **per-graph part** lives in the shared
-  :class:`~repro.indexes.graph_cache.GraphIndexCache` — label inverted
-  index, degree array, signature bitmasks, and a memo of candidate pools
-  keyed by filter profile ``(label, min_degree, signature_mask)``;
-* the **per-query part** (this class) is a cheap restriction: each query
-  node's filter profile is computed from the query graph alone and resolved
-  against the cached pools — or taken straight from a compiled
-  :class:`~repro.indexes.plans.QueryPlan`, which has already resolved both.
-
-The search phases get the same derived views as before:
-
-* ``candS[u]`` as an ordered list (iteration order is deterministic);
-* membership tests (set form) for dynamic validity checks — materialized
-  **lazily**, since plan-driven engines intersect sorted pools directly and
-  never need a set;
+* ``candS[u]`` as an ordered tuple (iteration order is deterministic);
+* membership tests against the plan's memoized pool sets — built lazily,
+  once per cached plan, since the kernel paths intersect sorted pools
+  directly and never need a set;
 * ``TcandS[u] = candS[u] & V(T)`` restriction used at each DSQL level.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
@@ -33,7 +25,7 @@ from repro.kernels import intersect_sorted
 
 
 class CandidateIndex:
-    """Per-query candidate sets with list and (lazy) set views.
+    """Per-query candidate sets: a list/set view over a compiled plan.
 
     Parameters
     ----------
@@ -47,11 +39,18 @@ class CandidateIndex:
         The per-graph :class:`GraphIndexCache` to resolve pools against;
         defaults to the graph's pinned cache.
     plan:
-        Optional compiled :class:`~repro.indexes.plans.QueryPlan` for this
-        (graph, query, filters) triple; when given, its resolved profiles
-        and pools are adopted directly instead of being recomputed. The
-        caller is responsible for key consistency (the plan must have been
-        compiled with the same filter toggles).
+        The compiled :class:`~repro.indexes.plans.QueryPlan` for this
+        (graph, query, filters) triple. A caller that already holds it
+        (``DSQL.query`` fetches it once per call) hands it in and is
+        responsible for key consistency; otherwise it is fetched from the
+        cache's shared :class:`~repro.indexes.plans.PlanCache` under this
+        index's filter toggles.
+
+    Attributes
+    ----------
+    plan:
+        The plan this index views; engines take their search order,
+        backward lists and join kernels from it.
     """
 
     def __init__(
@@ -68,79 +67,36 @@ class CandidateIndex:
         self.use_degree_filter = use_degree_filter
         self.use_signature_filter = use_signature_filter
         self.cache = cache if cache is not None else graph.index_cache()
-        self.set_views_built = 0
-        if plan is not None:
-            self._profiles = list(plan.profiles)
-            self._lists = list(plan.pools)
-            self._sets: List[Optional[Set[int]]] = [None] * query.size
-            return
-        # Per-node full filter profile (label, query degree, signature mask);
-        # mask is None when the query requires a label absent from the graph.
-        self._profiles: List[Tuple[object, int, Optional[int]]] = []
-        self._lists: List[Tuple[int, ...]] = []
-        self._sets = [None] * query.size
-        c = self.cache
-        for u in range(query.size):
-            label = query.label(u)
-            qdeg = query.degree(u)
-            mask = c.mask_for(query.neighborhood_signature(u))
-            self._profiles.append((label, qdeg, mask))
-            if use_signature_filter and mask is None:
-                pool: Tuple[int, ...] = ()
-            else:
-                pool = c.candidate_pool(
-                    label,
-                    min_degree=qdeg if use_degree_filter else 0,
-                    signature_mask=mask if use_signature_filter else 0,
-                )
-            self._lists.append(pool)
+        self.plan = plan or self.cache.plan_cache.get_or_compile(
+            query,
+            self.cache,
+            use_degree_filter=use_degree_filter,
+            use_signature_filter=use_signature_filter,
+        )
 
     def candidates(self, u: int) -> Tuple[int, ...]:
         """``candS(u)`` in deterministic (label-index) order."""
-        return self._lists[u]
+        return self.plan.pools[u]
 
-    def _set_view(self, u: int) -> Set[int]:
-        """The set form of ``candS(u)``, materialized on first use.
+    def candidate_set(self, u: int) -> FrozenSet[int]:
+        """``candS(u)`` as a set for O(1) membership tests.
 
-        Plan-driven engines intersect the sorted list views instead, so a
-        whole query can run without building a single set;
-        :attr:`set_views_built` counts materializations for the regression
-        test that pins this.
+        The plan's memoized view: one build amortized across every session
+        and repeated query sharing the cached plan.
         """
-        s = self._sets[u]
-        if s is None:
-            s = self._sets[u] = set(self._lists[u])
-            self.set_views_built += 1
-        return s
-
-    def candidate_set(self, u: int) -> Set[int]:
-        """``candS(u)`` as a set for O(1) membership tests."""
-        return self._set_view(u)
+        return self.plan.pool_set(u)
 
     def size(self, u: int) -> int:
-        """``|candS(u)|`` — used by the qList selectivity ranking."""
-        return len(self._lists[u])
+        """``|candS(u)|`` — the numerator of the qList selectivity score."""
+        return len(self.plan.pools[u])
 
     def sizes(self) -> List[int]:
         """All candidate-set sizes, indexed by query node."""
-        return [len(c) for c in self._lists]
+        return [len(pool) for pool in self.plan.pools]
 
     def is_candidate(self, u: int, v: int) -> bool:
-        """Whether ``v`` is in ``candS(u)``.
-
-        This is the *static* filter view; a vertex dropped by in-search
-        refinement (Algorithm 4 line 10) is removed from the set too.
-        """
-        return v in self._set_view(u)
-
-    def discard(self, u: int, v: int) -> None:
-        """Remove a vertex that failed a dynamic re-check (Algorithm 4 l.10).
-
-        Only the set view is updated — the frozen list view preserves the
-        original iteration order; the search consults :meth:`is_candidate`
-        before using a listed vertex.
-        """
-        self._set_view(u).discard(v)
+        """Whether ``v`` is in ``candS(u)`` (the static filter view)."""
+        return v in self.plan.pool_set(u)
 
     def restricted(self, u: int, allowed) -> List[int]:
         """``candS(u)`` intersected with ``allowed`` (builds ``TcandS[u]``).
@@ -153,14 +109,14 @@ class CandidateIndex:
         """
         if not isinstance(allowed, (list, tuple)):
             allowed = sorted(allowed)
-        return intersect_sorted(self._lists[u], allowed)
+        return intersect_sorted(self.plan.pools[u], allowed)
 
     def any_empty(self) -> bool:
         """Whether some query node has no candidates (query is unsatisfiable)."""
-        return any(not c for c in self._lists)
+        return any(not pool for pool in self.plan.pools)
 
     def full_check(self, u: int, v: int) -> bool:
-        """Complete filter predicate, independent of the materialized sets.
+        """Complete filter predicate, independent of the materialized pools.
 
         Used to build *dynamic conflict tables* (Section 5.3), where we must
         ask "would ``v`` have been a valid candidate for ``u_i``?" even for
@@ -168,7 +124,7 @@ class CandidateIndex:
         full label + degree + signature stack regardless of the per-instance
         filter toggles, matching the seed semantics.
         """
-        label, qdeg, mask = self._profiles[u]
+        label, qdeg, mask = self.plan.profiles[u]
         if mask is None:
             return False
         c = self.cache

@@ -3,9 +3,9 @@
 TurboISO-family search orders are stable per ``(graph, query, filters)``:
 the selectivity ranking, the connectivity-aware search order, the per-depth
 matched-neighbor lists, and the filter profiles all depend only on inputs
-that do not change between repeated queries — yet the seed engines recompute
-every one of them per ``query()`` call. :class:`QueryPlan` captures that
-work once; :class:`PlanCache` memoizes plans behind a bounded LRU keyed by
+that do not change between repeated queries. :class:`QueryPlan` is that
+preprocessing, and the only route from a query to its candidates — every
+engine reads its pools, order and kernels; :class:`PlanCache` memoizes plans behind a bounded LRU keyed by
 ``(graph epoch, query canonical key, filter toggles)`` and lives on the
 shared :class:`~repro.indexes.graph_cache.GraphIndexCache`, so DSQL
 sessions, the :class:`~repro.parallel.executor.BatchExecutor`, and the
@@ -133,10 +133,10 @@ class QueryPlan:
     def pool_set(self, u: int) -> frozenset:
         """Frozenset view of ``pool(u)``, built lazily and memoized.
 
-        Unlike the per-query set views :class:`CandidateIndex` used to
-        materialize, these live on the plan — one build amortized across
-        every session and repeated query sharing the cached plan. Benign
-        under races (equal values; last store wins).
+        The view lives on the plan — one build amortized across every
+        session and repeated query sharing the cached plan; it is what
+        :class:`CandidateIndex` answers membership from. Benign under
+        races (equal values; last store wins).
         """
         view = self._pool_sets[u]
         if view is None:
@@ -228,9 +228,10 @@ def compile_plan(
 ) -> QueryPlan:
     """Compile a :class:`QueryPlan` against a graph's index cache.
 
-    Reproduces the seed's per-query preprocessing exactly — same pools,
-    same selectivity scores and tie-breaks, same connectivity-aware order —
-    so plan-driven engines are bit-identical to plan-free ones. Raises
+    This is the per-query preprocessing of Sections 4 and 5.1, done once:
+    the filter profiles and candidate pools, the selectivity ranking, the
+    connectivity-aware search order with its per-depth backward lists, and
+    a join kernel per depth. Every engine reads these off the plan. Raises
     :class:`~repro.exceptions.InvalidQueryError` on disconnected queries
     (via the search-order construction).
 
@@ -246,6 +247,7 @@ def compile_plan(
     # Late import: the isomorphism package imports repro.indexes.candidates,
     # which imports graph_cache, which lazily imports this module.
     from repro.isomorphism.qsearch import connected_search_order
+    from repro.queries.ordering import selectivity_ranking
 
     q = query.size
     profiles = []
@@ -265,13 +267,7 @@ def compile_plan(
             )
         pools.append(pool)
 
-    # Selectivity ranking: |candS(u)| / degree(u), ties by node id
-    # (matches repro.queries.ordering.selectivity_order).
-    def score(u: int) -> float:
-        deg = query.degree(u)
-        return len(pools[u]) / deg if deg else float(len(pools[u]))
-
-    qlist = sorted(range(q), key=lambda u: (score(u), u))
+    qlist = selectivity_ranking(query, [len(pool) for pool in pools])
     order = connected_search_order(query, qlist)
     position = {u: i for i, u in enumerate(order)}
     backward = [
@@ -329,10 +325,9 @@ def compile_plan(
 def expand_pool(plan: QueryPlan, depth: int, assignment, cache):
     """Candidate pool at ``depth`` via the plan's chosen kernel.
 
-    Returns ``(kind, pool)`` where ``pool`` is the ascending candidate list —
-    the same vertices in the same order as the seed engines' set-intersection
-    path (``sorted(∩ neighbor rows)`` filtered by candidate membership), so
-    plan-driven enumeration is bit-identical. ``assignment`` maps query nodes
+    Returns ``(kind, pool)`` where ``pool`` is the ascending candidate list:
+    ``sorted(∩ backward-neighbor rows)`` filtered by candidate membership,
+    whichever kernel computes it. ``assignment`` maps query nodes
     to matched data vertices; every backward neighbor at ``depth`` must
     already be assigned.
     """
@@ -427,13 +422,13 @@ class PlanCache:
         memo = self._memo
         metrics = self._metrics
         with self._lock:
-            plan = memo.get(key)
-            if plan is not None:
+            hit = memo.get(key)
+            if hit is not None:
                 self.hits += 1
                 if metrics is not None:
                     metrics.counter("plan.cache.hits").inc()
                 memo.move_to_end(key)
-                return plan
+                return hit
             self.misses += 1
             if metrics is not None:
                 metrics.counter("plan.cache.misses").inc()

@@ -57,8 +57,6 @@ from repro.graph.query_graph import QueryGraph
 from repro.indexes.candidates import CandidateIndex
 from repro.isomorphism.joinable import UNMATCHED
 from repro.isomorphism.match import Mapping
-from repro.isomorphism.qsearch import connected_search_order
-from repro.queries.ordering import selectivity_order
 
 
 class CompressedGraph:
@@ -275,10 +273,10 @@ class CompressedGraph:
 class _ClassSearch:
     """Backtracking over classes with per-class usage counting.
 
-    With a compiled :class:`~repro.indexes.plans.QueryPlan` (compression
-    variant), the search order, backward lists, and class-level candidate
-    pools come straight off the plan; otherwise they are derived per query
-    exactly as the seed did.
+    The search order and backward lists come off the plan ``candidates``
+    views; the class-level candidate pools are its vertex pools re-encoded
+    in ``compressed``'s class ids (twins share degree and signature, so a
+    class is a candidate iff any member is).
     """
 
     def __init__(
@@ -287,33 +285,19 @@ class _ClassSearch:
         query: QueryGraph,
         candidates: CandidateIndex,
         node_budget: Optional[int] = None,
-        plan=None,
     ) -> None:
         self.compressed = compressed
         self.query = query
         self.node_budget = node_budget
         self.nodes_expanded = 0
         self.budget_exhausted = False
-        if plan is not None and getattr(plan, "class_pools", None) is not None:
-            self.order = list(plan.order)
-            self._backward = [list(b) for b in plan.backward]
-            self.class_candidates: List[Set[int]] = [
-                set(pool) for pool in plan.class_pools
-            ]
-            return
-        qlist = selectivity_order(query, candidates)
-        self.order = connected_search_order(query, qlist)
-        position = {u: i for i, u in enumerate(self.order)}
-        self._backward = [
-            [w for w in query.neighbors(u) if position[w] < position[u]]
-            for u in self.order
+        plan = candidates.plan
+        self.order = plan.order
+        self._backward = plan.backward
+        class_of = compressed.class_of
+        self.class_candidates: List[Set[int]] = [
+            {class_of[v] for v in pool} for pool in plan.pools
         ]
-        # Class candidates per query node: classes whose representative is a
-        # filter-passing candidate (twins share degree and signature).
-        self.class_candidates = []
-        for u in range(query.size):
-            cands = {compressed.class_of[v] for v in candidates.candidates(u)}
-            self.class_candidates.append(cands)
 
     def assignments(self) -> Iterator[List[int]]:
         """Yield query-node -> class-id assignments satisfying all edges."""
@@ -369,20 +353,17 @@ def count_embeddings_compressed(
     compressed: Optional[CompressedGraph] = None,
     node_budget: Optional[int] = None,
     candidates: Optional[CandidateIndex] = None,
-    plan=None,
 ) -> Tuple[int, bool]:
     """``(count, complete)`` via class search + falling factorials.
 
     ``complete`` mirrors :func:`repro.isomorphism.qsearch.count_embeddings`:
     ``False`` when ``node_budget`` tripped and the count is a lower bound.
     """
-    candidates = candidates or CandidateIndex(graph, query, plan=plan)
+    candidates = candidates or CandidateIndex(graph, query)
     if candidates.any_empty():
         return 0, True
     compressed = compressed or CompressedGraph(graph)
-    search = _ClassSearch(
-        compressed, query, candidates, node_budget=node_budget, plan=plan
-    )
+    search = _ClassSearch(compressed, query, candidates, node_budget=node_budget)
     total = 0
     for assignment in search.assignments():
         counts: Dict[int, int] = {}
@@ -403,7 +384,6 @@ def iter_embeddings_compressed(
     compressed: Optional[CompressedGraph] = None,
     node_budget: Optional[int] = None,
     candidates: Optional[CandidateIndex] = None,
-    plan=None,
 ) -> Iterator[Mapping]:
     """Lazily expand class frames into concrete embeddings.
 
@@ -414,13 +394,11 @@ def iter_embeddings_compressed(
     cross product — the collapse-then-expand shape of [24] with the
     expansion on demand.
     """
-    candidates = candidates or CandidateIndex(graph, query, plan=plan)
+    candidates = candidates or CandidateIndex(graph, query)
     if candidates.any_empty():
         return
     compressed = compressed or CompressedGraph(graph)
-    search = _ClassSearch(
-        compressed, query, candidates, node_budget=node_budget, plan=plan
-    )
+    search = _ClassSearch(compressed, query, candidates, node_budget=node_budget)
     for assignment in search.assignments():
         groups: Dict[int, List[int]] = {}
         for u, cid in enumerate(assignment):
@@ -466,7 +444,6 @@ def enumerate_embeddings_compressed(
     limit: Optional[int] = None,
     compressed: Optional[CompressedGraph] = None,
     candidates: Optional[CandidateIndex] = None,
-    plan=None,
 ) -> List[Mapping]:
     """Concrete embeddings by expanding each class assignment.
 
@@ -478,11 +455,11 @@ def enumerate_embeddings_compressed(
     truncation check runs *before* an embedding is recorded, so a zero
     limit can never over-report).
     """
-    candidates = candidates or CandidateIndex(graph, query, plan=plan)
+    candidates = candidates or CandidateIndex(graph, query)
     if candidates.any_empty():
         return []
     compressed = compressed or CompressedGraph(graph)
-    search = _ClassSearch(compressed, query, candidates, plan=plan)
+    search = _ClassSearch(compressed, query, candidates)
     out: List[Mapping] = []
     if limit is not None and limit <= 0:
         return out

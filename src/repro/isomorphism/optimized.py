@@ -20,6 +20,7 @@ enumeration remains exact — verified against brute force in the test suite.
 from __future__ import annotations
 
 import time
+from itertools import islice
 from typing import Dict, Iterator, List, Optional, Set
 
 from repro.exceptions import BudgetExceeded, DeadlineExceeded
@@ -29,9 +30,7 @@ from repro.indexes.candidates import CandidateIndex
 from repro.indexes.plans import expand_pool
 from repro.isomorphism.joinable import UNMATCHED
 from repro.isomorphism.match import Mapping
-from repro.isomorphism.qsearch import connected_search_order
 from repro.kernels import KERNEL_KINDS
-from repro.queries.ordering import selectivity_order
 
 
 class OptimizedQSearchEngine:
@@ -80,19 +79,9 @@ class OptimizedQSearchEngine:
         self.bad_vertex_skips = 0
         self.budget_exhausted = False
         self.deadline_exhausted = False
-        self._plan = plan
+        self._plan = plan or self.candidates.plan
         self.kernel_dispatch: Dict[str, int] = dict.fromkeys(KERNEL_KINDS, 0)
-        if plan is not None:
-            self.order = list(plan.order)
-            self._backward: List[List[int]] = [list(b) for b in plan.backward]
-        else:
-            qlist = selectivity_order(query, self.candidates)
-            self.order = connected_search_order(query, qlist)
-            position = {u: i for i, u in enumerate(self.order)}
-            self._backward = [
-                [w for w in query.neighbors(u) if position[w] < position[u]]
-                for u in self.order
-            ]
+        self.order = list(self._plan.order)
         q = query.size
         self._assignment: List[int] = [UNMATCHED] * q
         self._used: Set[int] = set()
@@ -169,37 +158,11 @@ class OptimizedQSearchEngine:
                     )
 
     def _pool(self, depth: int) -> List[int]:
-        if self._plan is not None:
-            kind, pool = expand_pool(
-                self._plan, depth, self._assignment, self.candidates.cache
-            )
-            self.kernel_dispatch[kind] += 1
-            return pool
-        u = self.order[depth]
-        backward = self._backward[depth]
-        if not backward:
-            return list(self.candidates.candidates(u))
-        neighbor_rows = sorted(
-            (self.graph.neighbors(self._assignment[w]) for w in backward), key=len
+        kind, pool = expand_pool(
+            self._plan, depth, self._assignment, self.candidates.cache
         )
-        pool: Set[int] = set(neighbor_rows[0])
-        for row in neighbor_rows[1:]:
-            pool.intersection_update(row)
-            if not pool:
-                return []
-        is_candidate = self.candidates.is_candidate
-        return [v for v in sorted(pool) if is_candidate(u, v)]
-
-    def _joinable(self, u: int, v: int) -> bool:
-        if v in self._used:
-            return False
-        assignment = self._assignment
-        has_edge = self.graph.has_edge
-        for u2 in self.query.neighbors(u):
-            v2 = assignment[u2]
-            if v2 != UNMATCHED and not has_edge(v, v2):
-                return False
-        return True
+        self.kernel_dispatch[kind] += 1
+        return pool
 
     def _conflict_set(self, u: int) -> Set[int]:
         conflicts: Set[int] = set(self.query.neighbors(u))
@@ -228,7 +191,9 @@ class OptimizedQSearchEngine:
                 self.bad_vertex_skips += 1
                 inherited |= mark
                 continue
-            if not self._joinable(u, v):
+            # expand_pool already intersected every matched neighbor's row,
+            # so injectivity is the whole join test.
+            if v in used:
                 continue
             assignment[u] = v
             used.add(v)
@@ -270,13 +235,11 @@ def enumerate_embeddings_optimized(
     node_budget: Optional[int] = None,
     time_budget_ms: Optional[float] = None,
 ) -> List[Mapping]:
-    """Drop-in optimized counterpart of ``enumerate_embeddings``."""
+    """Drop-in optimized counterpart of ``enumerate_embeddings``.
+
+    ``limit <= 0`` returns ``[]``.
+    """
     engine = OptimizedQSearchEngine(
         graph, query, node_budget=node_budget, time_budget_ms=time_budget_ms
     )
-    out: List[Mapping] = []
-    for mapping in engine.embeddings():
-        out.append(mapping)
-        if limit is not None and len(out) >= limit:
-            break
-    return out
+    return list(islice(engine.embeddings(), None if limit is None else max(limit, 0)))

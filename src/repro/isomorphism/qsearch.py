@@ -24,6 +24,7 @@ Design choices that matter for fidelity and speed:
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator, List, Optional, Sequence, Set
 
 from repro.exceptions import BudgetExceeded, InvalidQueryError
@@ -34,7 +35,6 @@ from repro.indexes.plans import expand_pool
 from repro.isomorphism.joinable import UNMATCHED
 from repro.isomorphism.match import Mapping, distinct_by_vertex_set
 from repro.kernels import KERNEL_KINDS
-from repro.queries.ordering import selectivity_order
 
 
 def connected_search_order(query: QueryGraph, qlist: Sequence[int]) -> List[int]:
@@ -80,10 +80,11 @@ class QSearchEngine:
         engine raises :class:`BudgetExceeded` internally and converts it to a
         clean stop; :attr:`budget_exhausted` records whether it tripped.
     plan:
-        Optional compiled :class:`~repro.indexes.plans.QueryPlan` (default
-        filter toggles). Supplies the precomputed search order and drives
-        candidate expansion through the :mod:`repro.kernels` fast paths;
-        the enumerated embedding stream is bit-identical either way.
+        The compiled :class:`~repro.indexes.plans.QueryPlan` to search with
+        (e.g. a compression-enabled one); defaults to the plan
+        ``candidates`` views. It supplies the search order and drives
+        candidate expansion through the :mod:`repro.kernels` paths — the
+        enumerated stream is the same whichever kernels it picked.
         Per-kind dispatch counts accumulate in :attr:`kernel_dispatch`.
     """
 
@@ -101,21 +102,9 @@ class QSearchEngine:
         self.node_budget = node_budget
         self.nodes_expanded = 0
         self.budget_exhausted = False
-        self._plan = plan
+        self._plan = plan or self.candidates.plan
         self.kernel_dispatch: dict = dict.fromkeys(KERNEL_KINDS, 0)
-        if plan is not None:
-            self.order = list(plan.order)
-            self._backward: List[List[int]] = [list(b) for b in plan.backward]
-            return
-        qlist = selectivity_order(query, self.candidates)
-        self.order = connected_search_order(query, qlist)
-        # Pre-split query adjacency into backward (already matched when the
-        # node is reached) and forward neighbors, per search position.
-        position = {u: i for i, u in enumerate(self.order)}
-        self._backward = [
-            [w for w in query.neighbors(u) if position[w] < position[u]]
-            for u in self.order
-        ]
+        self.order = list(self._plan.order)
 
     def _charge(self) -> None:
         self.nodes_expanded += 1
@@ -134,33 +123,11 @@ class QSearchEngine:
         except BudgetExceeded:
             return
 
-    def _candidate_pool(self, depth: int, assignment: List[int]) -> Iterator[int]:
+    def _candidate_pool(self, depth: int, assignment: List[int]) -> List[int]:
         """Candidates for the node at ``depth`` under the current assignment."""
-        if self._plan is not None:
-            kind, pool = expand_pool(
-                self._plan, depth, assignment, self.candidates.cache
-            )
-            self.kernel_dispatch[kind] += 1
-            yield from pool
-            return
-        u = self.order[depth]
-        backward = self._backward[depth]
-        if not backward:
-            yield from self.candidates.candidates(u)
-            return
-        # Intersect neighborhoods of matched backward neighbors, smallest
-        # adjacency first to keep the working set minimal. Rows are sorted
-        # tuples, so the surviving pool only needs one final sort.
-        neighbor_rows = sorted(
-            (self.graph.neighbors(assignment[w]) for w in backward), key=len
-        )
-        pool: Set[int] = set(neighbor_rows[0])
-        for row in neighbor_rows[1:]:
-            pool.intersection_update(row)
-            if not pool:
-                return
-        is_candidate = self.candidates.is_candidate
-        yield from (v for v in sorted(pool) if is_candidate(u, v))
+        kind, pool = expand_pool(self._plan, depth, assignment, self.candidates.cache)
+        self.kernel_dispatch[kind] += 1
+        return pool
 
     def _recurse(
         self,
@@ -194,21 +161,15 @@ def enumerate_embeddings(
     """All (or the first ``limit``) embeddings of ``query`` in ``graph``.
 
     Set ``distinct_vertex_sets=True`` to collapse embeddings over the same
-    vertex set (the view DSQ works with). ``node_budget`` truncates runaway
-    enumerations; see :class:`QSearchEngine`.
+    vertex set (the view DSQ works with). ``limit <= 0`` returns ``[]``.
+    ``node_budget`` truncates runaway enumerations; see
+    :class:`QSearchEngine`.
     """
     engine = QSearchEngine(graph, query, candidates=candidates, node_budget=node_budget)
     stream: Iterator[Mapping] = engine.embeddings()
     if distinct_vertex_sets:
         stream = distinct_by_vertex_set(stream)
-    if limit is None:
-        return list(stream)
-    out: List[Mapping] = []
-    for mapping in stream:
-        out.append(mapping)
-        if len(out) >= limit:
-            break
-    return out
+    return list(islice(stream, None if limit is None else max(limit, 0)))
 
 
 def count_embeddings(

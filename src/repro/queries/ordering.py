@@ -8,33 +8,46 @@ node id so results are deterministic for a fixed graph and query.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
 from repro.graph.query_graph import QueryGraph
-from repro.indexes.candidates import CandidateIndex
+
+if TYPE_CHECKING:
+    from repro.indexes.candidates import CandidateIndex
 
 
-def selectivity_scores(query: QueryGraph, candidates: CandidateIndex) -> List[float]:
-    """Per-node scores ``|candS(u)| / degree(u)``.
-
-    Isolated nodes cannot occur (queries are connected with >= 1 node; a
-    single-node query has degree 0 and gets score ``|candS(u)|``).
-    """
+def _scores(query: QueryGraph, sizes: Sequence[int]) -> List[float]:
+    # Isolated nodes cannot occur (queries are connected with >= 1 node); a
+    # single-node query has degree 0 and scores its pool size.
     scores: List[float] = []
-    for u in range(query.size):
+    for u, size in enumerate(sizes):
         deg = query.degree(u)
-        size = candidates.size(u)
         scores.append(size / deg if deg else float(size))
     return scores
 
 
-def selectivity_order(query: QueryGraph, candidates: CandidateIndex) -> List[int]:
+def selectivity_scores(query: QueryGraph, candidates: "CandidateIndex") -> List[float]:
+    """Per-node scores ``|candS(u)| / degree(u)``."""
+    return _scores(query, candidates.sizes())
+
+
+def selectivity_ranking(query: QueryGraph, sizes: Sequence[int]) -> List[int]:
+    """Query nodes ascending by ``sizes[u] / degree(u)``, ties by node id.
+
+    The one implementation of the ranking: plan compilation calls it with
+    the resolved pool sizes and stores the result as ``QueryPlan.qlist``.
+    """
+    scores = _scores(query, sizes)
+    return sorted(range(query.size), key=lambda u: (scores[u], u))
+
+
+def selectivity_order(query: QueryGraph, candidates: "CandidateIndex") -> List[int]:
     """``qList``: query nodes sorted ascending by selectivity score.
 
-    Lower score = more selective = searched earlier.
+    Lower score = more selective = searched earlier. Read off the compiled
+    plan ``candidates`` views, which ranked the nodes once at compile time.
     """
-    scores = selectivity_scores(query, candidates)
-    return sorted(range(query.size), key=lambda u: (scores[u], u))
+    return list(candidates.plan.qlist)
 
 
 def rank_of(qlist: Sequence[int]) -> List[int]:

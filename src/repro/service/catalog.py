@@ -233,17 +233,11 @@ class CatalogEntry:
 
     # -- cost estimation -----------------------------------------------
     def estimate_cost(self, query: QueryGraph, config: Optional[DSQLConfig] = None):
-        """The :class:`~repro.cost.CostEstimate` for ``query``, or ``None``.
+        """The :class:`~repro.cost.CostEstimate` for ``query``.
 
-        ``None`` means no estimate is available (plan compilation disabled
-        on this config) — callers must treat that as "cost unknown" and
-        fall back to count-style accounting, never as "free". Runs
-        *before* admission by design: estimation is a memoized fold over
-        the compiled plan, and the plan is needed to answer anyway.
+        Runs *before* admission by design: estimation is a memoized fold
+        over the compiled plan, and the plan is needed to answer anyway.
         """
-        config = config if config is not None else self.default_config
-        if not config.use_plans:
-            return None
         return self.session(config).estimate(query)
 
     def observe_cost(
@@ -256,7 +250,7 @@ class CatalogEntry:
         auto-budget configs (``DSQL._query_impl`` observes those itself on
         the estimate it derived the deadline from).
         """
-        if estimate is None or result.from_cache:
+        if result.from_cache:
             return
         config = config if config is not None else self.default_config
         if config.auto_time_budget and config.time_budget_ms is None:

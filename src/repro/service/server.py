@@ -135,9 +135,9 @@ class _Probe:
 
     Built by :meth:`QueryService._probe_cost` *before* the admission gate
     so the gate can price the request; the request/config/estimate carry
-    through to the handler so nothing is parsed or estimated twice.
-    ``cost`` falls back to 1.0 (count semantics) whenever no estimate is
-    available — "unknown" must never be priced as "free".
+    through to the handler so nothing is parsed or estimated twice. Query
+    and batch probes always carry an estimate; mutation probes carry only
+    the nominal ``cost``.
     """
 
     cost: float = 1.0
@@ -147,7 +147,7 @@ class _Probe:
     request: Optional[object] = None
     config: Optional[object] = None
     estimate: Optional[CostEstimate] = None
-    estimates: Optional[List[Optional[CostEstimate]]] = field(default=None)
+    estimates: Optional[List[CostEstimate]] = field(default=None)
 
 
 class QueryService:
@@ -255,17 +255,15 @@ class QueryService:
                 use_compression=request.use_compression,
             )
             estimate = entry.estimate_cost(request.query, config)
-            probe = _Probe(
+            return _Probe(
+                cost=estimate.work_units,
                 graph=request.graph,
                 query_key=_query_key(request.query),
+                wire=estimate.to_wire(),
                 request=request,
                 config=config,
                 estimate=estimate,
             )
-            if estimate is not None:
-                probe.cost = estimate.work_units
-                probe.wire = estimate.to_wire()
-            return probe
         if path == "/v1/batch":
             request = parse_batch_request(payload)
             entry = self.catalog.get(request.graph)
@@ -277,22 +275,15 @@ class QueryService:
                 use_compression=request.use_compression,
             )
             estimates = [entry.estimate_cost(q, config) for q in request.queries]
-            probe = _Probe(
+            total = sum(e.work_units for e in estimates)
+            return _Probe(
+                cost=total,
                 graph=request.graph,
+                wire={"work_units": round(total, 3), "queries": len(estimates)},
                 request=request,
                 config=config,
                 estimates=estimates,
             )
-            if all(e is not None for e in estimates):
-                total = sum(e.work_units for e in estimates)
-                probe.cost = total
-                probe.wire = {
-                    "work_units": round(total, 3),
-                    "queries": len(estimates),
-                }
-            else:
-                probe.cost = float(len(request.queries))
-            return probe
         # Mutation routes: nominal count-style cost; the graph name is the
         # path segment (already vetted by _match_graph_route).
         parts = path.strip("/").split("/")
@@ -322,8 +313,7 @@ class QueryService:
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         entry.observe_cost(estimate, result, config)
         body = result_to_json(result, graph=request.graph, elapsed_ms=elapsed_ms)
-        if estimate is not None:
-            body["estimated_cost"] = estimate.to_wire()
+        body["estimated_cost"] = estimate.to_wire()
         return body
 
     def handle_batch(
@@ -333,14 +323,13 @@ class QueryService:
         if probe is None or probe.request is None:
             probe = self._probe_cost("/v1/batch", payload)
         request, config = probe.request, probe.config
-        estimates = probe.estimates or [None] * len(request.queries)
         entry = self.catalog.get(request.graph)
         start = time.perf_counter()
         results, report = entry.answer_batch(
             request.queries, config, strategy=request.strategy, jobs=request.jobs
         )
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        for estimate, result in zip(estimates, results):
+        for estimate, result in zip(probe.estimates, results):
             entry.observe_cost(estimate, result, config)
         body = {
             "graph": request.graph,
@@ -359,8 +348,7 @@ class QueryService:
                 "per_worker": [list(row) for row in report.per_worker],
             },
         }
-        if probe.wire is not None:
-            body["estimated_cost"] = dict(probe.wire)
+        body["estimated_cost"] = dict(probe.wire)
         return body
 
     def handle_mutate_edge(self, graph: str, payload: Dict[str, object]) -> Dict[str, object]:

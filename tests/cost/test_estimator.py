@@ -122,11 +122,6 @@ class TestEstimateShape:
 
 
 class TestEstimateApi:
-    def test_estimate_requires_plans(self, graph):
-        session = DSQL(graph, config=DSQLConfig(k=5, use_plans=False))
-        with pytest.raises(ConfigError):
-            session.estimate(_some_query(graph))
-
     def test_estimator_shared_across_sessions(self, graph):
         # Calibration is per *graph*: two sessions over one graph must
         # share the estimator (and therefore the calibration state).
@@ -164,8 +159,6 @@ class TestAutoBudget:
             derive_time_budget_ms(self._estimate(10.0), work_unit_rate=0.0)
 
     def test_config_validates_auto_budget(self):
-        with pytest.raises(ConfigError):
-            DSQLConfig(k=5, auto_time_budget=True, use_plans=False)
         with pytest.raises(ConfigError):
             DSQLConfig(k=5, work_unit_rate=0.0)
 

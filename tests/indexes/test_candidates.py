@@ -55,14 +55,6 @@ class TestMembership:
         assert idx.is_candidate(1, 1)
         assert not idx.is_candidate(1, 4)
 
-    def test_discard(self, setting):
-        graph, query = setting
-        idx = CandidateIndex(graph, query)
-        idx.discard(1, 1)
-        assert not idx.is_candidate(1, 1)
-        # The frozen list view keeps its order; only the set view changes.
-        assert 1 in idx.candidates(1)
-
     def test_restricted(self, setting):
         graph, query = setting
         idx = CandidateIndex(graph, query)
@@ -77,10 +69,14 @@ class TestMembership:
         query = QueryGraph(["a", "z"], [(0, 1)])
         assert CandidateIndex(graph, query).any_empty()
 
-    def test_full_check_independent_of_discard(self, setting):
+    def test_full_check_independent_of_filter_toggles(self, setting):
         graph, query = setting
-        idx = CandidateIndex(graph, query)
-        idx.discard(1, 1)
+        idx = CandidateIndex(
+            graph, query, use_degree_filter=False, use_signature_filter=False
+        )
+        # v4 is a label-only candidate, but the full stack still rejects it.
+        assert idx.is_candidate(1, 4)
+        assert not idx.full_check(1, 4)
         assert idx.full_check(1, 1)
 
 

@@ -18,7 +18,7 @@ from repro.isomorphism.qsearch import connected_search_order
 from repro.kernels import KERNEL_KINDS, SCAN
 from repro.observability.metrics import MetricsRegistry
 from repro.queries.generator import query_set
-from repro.queries.ordering import selectivity_order
+from repro.queries.ordering import selectivity_order, selectivity_scores
 
 
 @pytest.fixture(scope="module")
@@ -32,16 +32,21 @@ def queries(graph):
 
 
 def test_compile_plan_matches_seed_preprocessing(graph, queries):
-    """Plan order/pools must equal what the engines compute per call."""
+    """Plan pools/ranking/order must equal the Section 4 + 5.1 definitions."""
     cache = graph.index_cache()
     for query in queries:
         plan = compile_plan(query, cache)
-        candidates = CandidateIndex(graph, query, cache=cache)
-        assert list(plan.qlist) == selectivity_order(query, candidates)
+        for u in range(query.size):
+            assert plan.pools[u] == cache.candidate_pool(
+                query.label(u),
+                min_degree=query.degree(u),
+                signature_mask=cache.mask_for(query.neighborhood_signature(u)),
+            )
+        candidates = CandidateIndex(graph, query, cache=cache, plan=plan)
+        scores = selectivity_scores(query, candidates)
+        assert list(plan.qlist) == sorted(range(query.size), key=lambda u: (scores[u], u))
+        assert selectivity_order(query, candidates) == list(plan.qlist)
         assert list(plan.order) == connected_search_order(query, list(plan.qlist))
-        assert [list(p) for p in plan.pools] == [
-            list(candidates.candidates(u)) for u in range(query.size)
-        ]
         position = {u: i for i, u in enumerate(plan.order)}
         for depth, u in enumerate(plan.order):
             assert sorted(plan.backward[depth]) == sorted(
@@ -120,6 +125,7 @@ def test_session_shares_plan_cache_through_index_cache(graph, queries):
     s1 = DSQL(graph, config=config)
     s2 = DSQL(graph, config=config)
     assert s1.index_cache.plan_cache is s2.index_cache.plan_cache
+    s1.index_cache.plan_cache.clear()  # earlier tests share the module graph
     before = s1.index_cache.plan_cache.info()["misses"]
     s1.query(queries[0])
     s2.query(queries[0])
@@ -128,46 +134,33 @@ def test_session_shares_plan_cache_through_index_cache(graph, queries):
     assert info["hits"] >= 1
 
 
-def test_no_plan_cache_escape_hatch_recompiles(graph, queries):
-    config = DSQLConfig(k=2, node_budget=50_000, plan_cache=False)
-    session = DSQL(graph, config=config)
-    before = session.index_cache.plan_cache.info()
-    session.query(queries[0])
-    session.query(queries[0])
-    after = session.index_cache.plan_cache.info()
-    assert (after["hits"], after["misses"]) == (before["hits"], before["misses"])
-
-
 # ----------------------------------------------------------------------
-# Lazy candidate set views
+# Candidate set views live on the plan, never per query
 # ----------------------------------------------------------------------
 def test_candidate_index_construction_builds_no_sets(graph, queries):
-    ci = CandidateIndex(graph, queries[0])
-    assert ci.set_views_built == 0
-    ci.candidate_set(0)
-    assert ci.set_views_built == 1
-    ci.is_candidate(0, 0)
-    assert ci.set_views_built == 1  # same node, memoized
+    cache = GraphIndexCache(graph)
+    ci = CandidateIndex(graph, queries[0], cache=cache)
+    assert ci.plan._pool_sets == [None] * queries[0].size
+    view = ci.candidate_set(0)
+    assert view == set(ci.candidates(0))
+    assert ci.is_candidate(0, ci.candidates(0)[0])
+    # Memoized on the cached plan: a second index over the same query
+    # shares the very same set object.
+    assert CandidateIndex(graph, queries[0], cache=cache).candidate_set(0) is view
 
 
-def test_plan_driven_query_materializes_no_set_views(graph, queries, monkeypatch):
-    """The kernel paths never touch the set views — pinned end to end."""
-    import repro.core.dsql as dsql_mod
-
-    built = []
-    orig = dsql_mod.CandidateIndex
-
-    def capture(*args, **kwargs):
-        ci = orig(*args, **kwargs)
-        built.append(ci)
-        return ci
-
-    monkeypatch.setattr(dsql_mod, "CandidateIndex", capture)
+def test_plan_driven_query_materializes_no_set_views(graph, queries):
+    """A repeated query builds no set: the views ride on the cached plan."""
     config = DSQLConfig(k=4, node_budget=200_000)
-    session = DSQL(graph, config=config)
+    plan_cache = graph.index_cache().plan_cache
     for query in queries:
-        session.query(query)
-    assert built and all(ci.set_views_built == 0 for ci in built)
+        DSQL(graph, config=config).query(query)
+    plans = [plan_cache.get_or_compile(q, graph.index_cache()) for q in queries]
+    views = [list(plan._pool_sets) for plan in plans]
+    for query in queries:
+        DSQL(graph, config=config).query(query)
+    for plan, before in zip(plans, views):
+        assert all(a is b for a, b in zip(plan._pool_sets, before))
 
 
 def test_restricted_accepts_sorted_and_unordered_input():
@@ -176,7 +169,7 @@ def test_restricted_accepts_sorted_and_unordered_input():
     ci = CandidateIndex(graph, query)
     assert ci.restricted(0, [0, 2]) == [0, 2]
     assert ci.restricted(0, {2, 0}) == [0, 2]
-    assert ci.set_views_built == 0
+    assert ci.plan._pool_sets == [None, None]
 
 
 # ----------------------------------------------------------------------

@@ -46,6 +46,13 @@ class TestExactness:
         full = enumerate_embeddings_optimized(graph, query)
         assert enumerate_embeddings_optimized(graph, query, limit=2) == full[:2]
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_non_positive_limit_returns_nothing(self, limit):
+        graph = random_labeled_graph(25, 2, 0.25, seed=3)
+        query = connected_query_from(graph, 2, seed=3)
+        assert enumerate_embeddings_optimized(graph, query)
+        assert enumerate_embeddings_optimized(graph, query, limit=limit) == []
+
 
 class TestPruningPower:
     def test_fewer_expansions_on_conflict_fixture(self):

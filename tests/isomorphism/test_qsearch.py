@@ -92,6 +92,14 @@ class TestLimitsAndBudgets:
         full = enumerate_embeddings(graph, query)
         assert len(enumerate_embeddings(graph, query, limit=3)) == min(3, len(full))
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_non_positive_limit_returns_nothing(self, limit):
+        graph = random_labeled_graph(20, 2, 0.3, seed=2)
+        query = connected_query_from(graph, 2, seed=3)
+        assert enumerate_embeddings(graph, query)  # the instance has embeddings
+        assert enumerate_embeddings(graph, query, limit=limit) == []
+        assert first_k_embeddings(graph, query, limit) == []
+
     def test_first_k(self):
         graph = random_labeled_graph(20, 2, 0.3, seed=2)
         query = connected_query_from(graph, 2, seed=3)

@@ -1,7 +1,7 @@
 """Compression on vs off: every engine must be result-*identical*.
 
 The twin-class integration (``DSQLConfig.use_compression``) is a pure
-mechanism change, exactly like plans-on/off: the class-level join masks and
+mechanism change: the class-level join masks and
 the ``cbitset`` expansion kernel may change *how* candidate pools and join
 tests are computed, but never which candidates are iterated, in what order,
 or when budget charges fire. These tests pin that contract — DSQL end to
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.core.config import DSQLConfig
 from repro.core.dsql import DSQL
 from repro.datasets.registry import dataset_names, make_dataset
-from repro.exceptions import ConfigError, DatasetError
+from repro.exceptions import DatasetError
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.indexes.plans import compile_plan
@@ -72,11 +72,6 @@ def test_compression_identical_across_objectives(objective):
         r_on, r_off = on.query(query), off.query(query)
         assert_results_identical(r_on, r_off)
         assert_stats_parity(r_on, r_off)
-
-
-def test_use_compression_requires_plans():
-    with pytest.raises(ConfigError):
-        DSQLConfig(k=3, use_plans=False, use_compression=True)
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,8 @@ mutation script, querying the *mutated* graph — through warm caches,
 delta-repaired indexes, version-qualified memos, and surviving plans —
 must produce bit-identical :class:`DSQResult`\\ s to querying a graph
 *rebuilt from scratch* with the post-mutation topology. Runs across the
-registry datasets, both backends, plans on and off, and across an
-explicit compaction (the epoch-bump path).
+registry datasets, both backends, repeated mutation rounds, and across
+an explicit compaction (the epoch-bump path).
 """
 
 from __future__ import annotations
@@ -90,11 +90,10 @@ def test_mutate_equals_rebuild(dataset, backend):
         assert_results_identical(got, want)
 
 
-@pytest.mark.parametrize("plans", [True, False], ids=["plans-on", "plans-off"])
-def test_mutate_equals_rebuild_plans_toggle(plans):
+def test_mutate_equals_rebuild_over_rounds():
     graph = make_dataset("yeast", scale=0.02, seed=3)
     queries = list(query_set(graph, 3, 4, seed=5))
-    config = DSQLConfig(k=5, plan_cache=plans, node_budget=200_000)
+    config = DSQLConfig(k=5, node_budget=200_000)
     session = DSQL(graph, config=config)
     session.query_many(queries)
 

@@ -4,10 +4,12 @@ Two pins:
 
 1. **Golden gate** — ``tests/data/objective_vertex_goldens.json`` holds one
    digest per (registry dataset × backend × plans on/off × query), captured
-   on the pre-seam pipeline. The default-objective pipeline must reproduce
-   every digest bit-for-bit: embeddings, coverage, level, optimality
+   on the pre-seam pipeline, when the engines still had a plan-free fork.
+   The single remaining (plans-only) pipeline must reproduce **both** rows
+   of every pair bit-for-bit: embeddings, coverage, level, optimality
    *reason*, node expansions, and Phase-2 activity all feed the hash, so a
-   single off-by-one anywhere in the refactored dispatch trips the gate.
+   single off-by-one anywhere in the dispatch trips the gate — and the
+   ``plans=off`` rows keep the retired path's behaviour pinned as data.
 
 2. **Scratch-helper property** — the module-level ``coverage``/``benefit``/
    ``loss`` helpers and :class:`CoverageTracker` are two implementations of
@@ -72,13 +74,12 @@ def test_vertex_objective_matches_preseam_goldens(dataset):
     queries = query_set(base, 3, 3, seed=11)
     for backend in ("csr", "set"):
         graph = base.with_backend(backend)
-        for plans in (True, False):
-            session = DSQL(
-                graph, config=DSQLConfig(k=4, node_budget=200_000, use_plans=plans)
-            )
-            for i, query in enumerate(queries):
-                key = f"{dataset}|{backend}|plans={'on' if plans else 'off'}|q{i}"
-                assert result_digest(session.query(query)) == GOLDENS[key], key
+        session = DSQL(graph, config=DSQLConfig(k=4, node_budget=200_000))
+        for i, query in enumerate(queries):
+            digest = result_digest(session.query(query))
+            for plans in ("on", "off"):
+                key = f"{dataset}|{backend}|plans={plans}|q{i}"
+                assert digest == GOLDENS[key], key
 
 
 # ----------------------------------------------------------------------

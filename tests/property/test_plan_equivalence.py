@@ -1,17 +1,29 @@
-"""Plans on vs off: every engine must be result-*identical*.
+"""The plans-only engines reproduce the retired plan-free path, as data.
 
-The compiled-plan / join-kernel path is a pure mechanism change: it may
-alter how candidate pools are computed (bitset AND, sorted-slice merges)
-but never which candidates are iterated, in what order, or when the budget
-charges fire. These tests pin that contract — DSQL end to end across every
-registry dataset and both storage backends, the plain and optimized SQ
-engines stream-for-stream, and random hypothesis instances.
+Until PR 12 every engine carried two routes from a query to its candidates
+— the compiled :class:`~repro.indexes.plans.QueryPlan` and a plan-free
+fork — and this module compared them live. The fork is gone; what it
+computed survives as frozen digests captured from it at the parent commit
+(``tests/data/sq_stream_goldens.json``, recipe in ``tests/data/README.md``):
+the *ordered* embedding stream, ``nodes_expanded``, the budget flag, and
+(optimized engine) the skip counters of :class:`QSearchEngine` and
+:class:`OptimizedQSearchEngine` over every registry dataset × backend × 3
+queries, plus one pinned instance per join-kernel regime (``bitset``,
+``cbitset``, the gallop side of ``merge``). The single remaining path must
+reproduce each digest stream-for-stream, and — independently of any frozen
+data — the embedding *set* of ``brute_force_embeddings``.
+
+DSQL end to end is pinned the same way by the ``plans=on`` **and**
+``plans=off`` rows of ``objective_vertex_goldens.json``
+(``test_objective_equivalence.py``).
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
-from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,60 +38,56 @@ from repro.graph.query_graph import QueryGraph
 from repro.indexes.plans import compile_plan
 from repro.isomorphism.optimized import OptimizedQSearchEngine
 from repro.isomorphism.qsearch import QSearchEngine
-from repro.kernels import BITSET
+from repro.kernels import BITSET, CBITSET, GALLOP_RATIO, MERGE
 from repro.queries.generator import query_set
+from tests.conftest import brute_force_embeddings
+from tests.property.test_compression_equivalence import casting_instance
 
-PLANS_OFF = {"use_plans": False}
+GOLDENS = json.loads(
+    (Path(__file__).resolve().parent.parent / "data" / "sq_stream_goldens.json")
+    .read_text(encoding="utf-8")
+)["digests"]
 
-
-def assert_results_identical(r1, r2):
-    assert r1.embeddings == r2.embeddings
-    assert r1.coverage == r2.coverage
-    assert r1.optimal == r2.optimal
-    assert r1.optimal_reason == r2.optimal_reason
-    assert r1.level == r2.level
-
-
-@pytest.mark.parametrize("dataset", dataset_names())
-@pytest.mark.parametrize("backend", ["csr", "set"])
-def test_plans_identical_on_registry_dataset(dataset, backend):
-    graph = make_dataset(dataset, scale=0.001, seed=7)
-    if backend != graph.backend_name:
-        graph = graph.with_backend(backend)
-    queries = query_set(graph, 3, 3, seed=11)
-    config = DSQLConfig(k=4, node_budget=200_000)
-    on = DSQL(graph, config=config)
-    off = DSQL(graph, config=replace(config, **PLANS_OFF))
-    for query in queries:
-        r_on, r_off = on.query(query), off.query(query)
-        assert_results_identical(r_on, r_off)
-        # The kernel counters separate the two paths beyond the result view.
-        s_on, s_off = r_on.stats, r_off.stats
-        assert s_on.nodes_expanded == s_off.nodes_expanded
-        assert s_on.kernel_scan + s_on.kernel_merge + s_on.kernel_bitset > 0
-        assert (
-            s_off.kernel_scan
-            + s_off.kernel_merge
-            + s_off.kernel_bitset
-            + s_off.kernel_scalar
-            == 0
-        )
+SQ_ENGINES = (QSearchEngine, OptimizedQSearchEngine)
+SQ_BUDGET = 100_000
+BACKENDS = ("csr", "set")
 
 
-@pytest.mark.parametrize("engine_cls", [QSearchEngine, OptimizedQSearchEngine])
-def test_sq_engines_identical_with_plan(engine_cls):
+def stream_digest(engine) -> str:
+    """The capture-time recipe, frozen: change it and every golden lies."""
+    stream = list(engine.embeddings())
+    counters = [engine.nodes_expanded, engine.budget_exhausted]
+    if isinstance(engine, OptimizedQSearchEngine):
+        counters += [engine.conflict_skips, engine.bad_vertex_skips]
+    return hashlib.sha256(repr((stream, counters)).encode()).hexdigest()[:16]
+
+
+def golden_key(case: str, engine_cls) -> str:
+    return f"{case}|{engine_cls.__name__}"
+
+
+def assert_matches_golden(case: str, engine) -> None:
+    key = golden_key(case, type(engine))
+    assert stream_digest(engine) == GOLDENS[key], key
+
+
+# ----------------------------------------------------------------------
+# The frozen instances (shared with the capture recipe in tests/data/README.md)
+# ----------------------------------------------------------------------
+def registry_cases(dataset: str, backend: str):
+    """``(case, graph, query)`` for one registry dataset on one backend."""
+    graph = make_dataset(dataset, scale=0.001, seed=7).with_backend(backend)
+    for i, query in enumerate(query_set(graph, 3, 3, seed=11)):
+        yield f"{dataset}|{backend}|q{i}", graph, query
+
+
+def yeast_cases():
     graph = make_dataset("yeast", scale=0.001, seed=3)
-    cache = graph.index_cache()
-    for query in query_set(graph, 3, 3, seed=5):
-        plan = compile_plan(query, cache)
-        plain = list(engine_cls(graph, query).embeddings())
-        planned_engine = engine_cls(graph, query, plan=plan)
-        planned = list(planned_engine.embeddings())
-        assert planned == plain
-        assert sum(planned_engine.kernel_dispatch.values()) > 0
+    for i, query in enumerate(query_set(graph, 3, 3, seed=5)):
+        yield f"yeast-seed3|q{i}", graph, query
 
 
-def _dense_instance():
+def dense_instance():
     """A dense single-label graph whose pools trip the bitset kernel."""
     rng = random.Random(99)
     n = 120
@@ -90,23 +98,136 @@ def _dense_instance():
     return graph, query
 
 
+SKEW_HUB = 0
+
+
+def skewed_instance():
+    """One 300-leaf hub: the merge kernel meets a row 60x its pool.
+
+    The path query ``A - B - C`` roots at its ``B`` node; under the hub the
+    ``A`` depth intersects a ~300-long row with a 6-vertex pool — the gallop
+    regime of ``intersect_sorted`` — and the ``C`` depth intersects the same
+    row with an equally long pool, the hash-merge regime. A second,
+    low-degree ``B`` runs both depths on the other side of the ratio.
+    """
+    labels = ["B"] + ["A"] * 5 + ["C"] * 300 + ["B", "A", "C"]
+    edges = [(SKEW_HUB, v) for v in range(1, 306)]
+    edges += [(306, 307), (306, 308), (306, 1), (306, 6)]
+    graph = LabeledGraph(labels, edges)
+    query = QueryGraph(["A", "B", "C"], [(0, 1), (1, 2)])
+    return graph, query
+
+
+def kernel_regime_cases():
+    yield ("dense-bitset", *dense_instance())
+    yield ("twins-cbitset", *casting_instance())
+    yield ("skew-gallop", *skewed_instance())
+
+
+def all_sq_cases():
+    for dataset in dataset_names():
+        for backend in BACKENDS:
+            yield from registry_cases(dataset, backend)
+    yield from yeast_cases()
+    yield from kernel_regime_cases()
+
+
+def test_sq_goldens_cover_full_matrix():
+    expected = {
+        golden_key(case, cls) for case, _g, _q in all_sq_cases() for cls in SQ_ENGINES
+    }
+    assert set(GOLDENS) == expected
+    assert len(expected) == (len(dataset_names()) * 2 * 3 + 3 + 3) * 2
+
+
+# ----------------------------------------------------------------------
+# Registry datasets: stream-for-stream against the plan-free goldens.
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("dataset", dataset_names())
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_plans_identical_on_registry_dataset(dataset, backend):
+    cases = list(registry_cases(dataset, backend))
+    session = DSQL(cases[0][1], config=DSQLConfig(k=4, node_budget=200_000))
+    for case, graph, query in cases:
+        for engine_cls in SQ_ENGINES:
+            assert_matches_golden(case, engine_cls(graph, query, node_budget=SQ_BUDGET))
+        # DSQL runs the same kernels (its digests live in the objective
+        # goldens); every query dispatches at least its root scan.
+        stats = session.query(query).stats
+        assert stats.kernel_scan + stats.kernel_merge + stats.kernel_bitset > 0
+
+
+@pytest.mark.parametrize("engine_cls", SQ_ENGINES)
+def test_sq_engines_identical_with_plan(engine_cls):
+    """A handed-in plan and the cache-fetched one are the same route."""
+    for case, graph, query in yeast_cases():
+        fetched = engine_cls(graph, query, node_budget=SQ_BUDGET)
+        assert_matches_golden(case, fetched)
+        plan = compile_plan(query, graph.index_cache())
+        handed = engine_cls(graph, query, node_budget=SQ_BUDGET, plan=plan)
+        assert_matches_golden(case, handed)
+        assert sum(handed.kernel_dispatch.values()) > 0
+        # Independent oracle: the same embedding set as brute force.
+        assert sorted(engine_cls(graph, query).embeddings()) == sorted(
+            brute_force_embeddings(graph, query)
+        )
+
+
+# ----------------------------------------------------------------------
+# One pinned instance per join-kernel regime.
+# ----------------------------------------------------------------------
 def test_bitset_kernel_fires_and_stays_identical():
-    graph, query = _dense_instance()
+    graph, query = dense_instance()
     plan = compile_plan(query, graph.index_cache())
     assert BITSET in plan.kernels  # the triangle's last node has 2 backward
-    planned_engine = QSearchEngine(graph, query, plan=plan)
-    planned = list(planned_engine.embeddings())
-    plain = list(QSearchEngine(graph, query).embeddings())
-    assert planned == plain
-    assert planned_engine.kernel_dispatch[BITSET] > 0
-
-    config = DSQLConfig(k=4, node_budget=200_000)
-    r_on = DSQL(graph, config=config).query(query)
-    r_off = DSQL(graph, config=replace(config, **PLANS_OFF)).query(query)
-    assert_results_identical(r_on, r_off)
-    assert r_on.stats.kernel_bitset > 0
+    for engine_cls in SQ_ENGINES:
+        engine = engine_cls(graph, query, node_budget=SQ_BUDGET)
+        assert_matches_golden("dense-bitset", engine)
+        assert engine.kernel_dispatch[BITSET] > 0
+    assert sorted(QSearchEngine(graph, query).embeddings()) == sorted(
+        brute_force_embeddings(graph, query)
+    )
+    result = DSQL(graph, config=DSQLConfig(k=4, node_budget=200_000)).query(query)
+    assert result.stats.kernel_bitset > 0
 
 
+def test_cbitset_kernel_reproduces_plan_free_stream():
+    graph, query = casting_instance()
+    plan = compile_plan(query, graph.index_cache(), use_compression=True)
+    assert CBITSET in plan.kernels
+    for engine_cls in SQ_ENGINES:
+        engine = engine_cls(graph, query, node_budget=SQ_BUDGET, plan=plan)
+        assert_matches_golden("twins-cbitset", engine)
+        assert engine.kernel_dispatch[CBITSET] > 0
+        assert_matches_golden(
+            "twins-cbitset", engine_cls(graph, query, node_budget=SQ_BUDGET)
+        )
+
+
+def test_merge_kernel_gallop_regime_reproduces_plan_free_stream():
+    graph, query = skewed_instance()
+    cache = graph.index_cache()
+    plan = compile_plan(query, cache)
+    hub_row = cache.adjacency_slice(SKEW_HUB)
+    merge_pools = [
+        len(plan.pool(u)) for u, kind in zip(plan.order, plan.kernels) if kind == MERGE
+    ]
+    assert SKEW_HUB in plan.pool(plan.order[0])  # the search roots at the hub
+    # One MERGE depth on each side of the intersect_sorted crossover.
+    assert any(len(hub_row) >= GALLOP_RATIO * size for size in merge_pools)
+    assert any(len(hub_row) < GALLOP_RATIO * size for size in merge_pools)
+    for engine_cls in SQ_ENGINES:
+        engine = engine_cls(graph, query, node_budget=SQ_BUDGET)
+        assert_matches_golden("skew-gallop", engine)
+        assert engine.kernel_dispatch[MERGE] > 0
+    assert sorted(QSearchEngine(graph, query).embeddings()) == sorted(
+        brute_force_embeddings(graph, query)
+    )
+
+
+# ----------------------------------------------------------------------
+# Random instances: both SQ engines against the brute-force oracle.
+# ----------------------------------------------------------------------
 @st.composite
 def instances(draw):
     n = draw(st.integers(min_value=4, max_value=14))
@@ -139,8 +260,13 @@ def instances(draw):
 @given(instances())
 def test_plans_identical_on_random_instances(instance):
     graph, query, k = instance
+    oracle = sorted(brute_force_embeddings(graph, query))
+    plain = list(QSearchEngine(graph, query).embeddings())
+    assert sorted(plain) == oracle
+    # The optimized engine prunes failed subtrees only: same ordered stream.
+    assert list(OptimizedQSearchEngine(graph, query).embeddings()) == plain
     for factory in (DSQLConfig.dsql0, lambda kk: DSQLConfig(k=kk)):
-        config = factory(k)
-        r_on = DSQL(graph, config=config).query(query)
-        r_off = DSQL(graph, config=replace(config, **PLANS_OFF)).query(query)
-        assert_results_identical(r_on, r_off)
+        result = DSQL(graph, config=factory(k)).query(query)
+        assert set(result.embeddings) <= set(oracle)
+        assert len(result.embeddings) <= k
+        assert bool(result.embeddings) == bool(oracle)

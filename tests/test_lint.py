@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import py_compile
 import shutil
 import subprocess
@@ -220,3 +221,29 @@ def test_docs_gate_covers_performance_doc():
     assert performance_doc in DOC_FILES
     # The doc must actually exercise the gate: at least one python block.
     assert extract_python_blocks(performance_doc.read_text(encoding="utf-8"))
+
+
+# ----------------------------------------------------------------------
+# Fork guard: compiled plans are the only engine path. The plan-free
+# fork, its two config knobs and its CLI flag must not grow back.
+# ----------------------------------------------------------------------
+FORK_MARKERS = ("use_plans", "no-plan-cache", "plan is None", "plan is not None")
+
+
+def test_plan_free_fork_stays_deleted():
+    from repro.core.config import DSQLConfig
+
+    fields = {f.name for f in dataclasses.fields(DSQLConfig)}
+    assert not fields & {"use_plans", "plan_cache"}
+    scanned = [REPO / "README.md"]
+    for tree, pattern in (
+        ("src", "*.py"), ("docs", "*.md"), ("benchmarks", "*.py"), ("examples", "*.py"),
+    ):
+        scanned += sorted((REPO / tree).rglob(pattern))
+    offenders = [
+        f"{path.relative_to(REPO)}: {marker!r}"
+        for path in scanned
+        for marker in FORK_MARKERS
+        if marker in path.read_text(encoding="utf-8")
+    ]
+    assert not offenders, offenders
