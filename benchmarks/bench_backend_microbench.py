@@ -1,11 +1,8 @@
-"""Backend-seam micro-benchmarks: scalar edge probes and candidate builds.
+"""Shared-index-cache micro-benchmark: candidate builds, shared vs rebuilt.
 
-Two claims of the CSR + shared-index-cache refactor are measured on the DBLP
+One claim of the shared-index-cache refactor is measured on the DBLP
 stand-in and written to ``BENCH_backend.json`` at the repo root:
 
-* ``has_edge`` — the CSR packed-key probe must be no slower than the seed's
-  adjacency-set membership probe (the hot operation of the backtracking join
-  test);
 * ``candidate_build`` — building :class:`CandidateIndex` for a batch of
   queries against one shared :class:`GraphIndexCache` must amortize to at
   least 2x faster than rebuilding the per-graph index for every query (the
@@ -18,13 +15,11 @@ Runs standalone (``python benchmarks/bench_backend_microbench.py``) or under
 from __future__ import annotations
 
 import json
-import random
 import timeit
 from pathlib import Path
 
 from common import bench_graph, bench_queries, emit
 from repro.experiments.report import render_table
-from repro.graph.csr import SetBackend
 from repro.indexes.candidates import CandidateIndex
 from repro.indexes.graph_cache import GraphIndexCache
 
@@ -33,42 +28,7 @@ OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_backend.json"
 DATASET = "dblp"
 NUM_QUERIES = 12
 QUERY_EDGES = 5
-PROBE_PAIRS = 4096
 REPEATS = 5
-
-
-def _probe_pairs(graph, count: int, seed: int = 0):
-    """Half real edges, half random pairs — both probe branches exercised."""
-    rng = random.Random(seed)
-    n = graph.num_vertices
-    edges = list(graph.edges())
-    pairs = [edges[rng.randrange(len(edges))] for _ in range(count // 2)]
-    pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(count - len(pairs))]
-    rng.shuffle(pairs)
-    return pairs
-
-
-def time_has_edge(graph):
-    """Best-of-repeats seconds for one pass over the probe pairs, per probe."""
-    pairs = _probe_pairs(graph, PROBE_PAIRS)
-    csr_probe = graph.backend.has_edge
-    seed_backend = SetBackend(graph.backend.labels, graph.edges())
-    set_probe = seed_backend.has_edge
-
-    def run(probe):
-        for u, v in pairs:
-            probe(u, v)
-
-    csr = min(timeit.repeat(lambda: run(csr_probe), number=1, repeat=REPEATS))
-    seed = min(timeit.repeat(lambda: run(set_probe), number=1, repeat=REPEATS))
-    return {
-        "pairs": len(pairs),
-        "csr_seconds": csr,
-        "seed_set_seconds": seed,
-        "csr_ns_per_probe": 1e9 * csr / len(pairs),
-        "seed_ns_per_probe": 1e9 * seed / len(pairs),
-        "ratio_csr_over_seed": csr / seed,
-    }
 
 
 def time_candidate_build(graph, queries):
@@ -106,7 +66,6 @@ def run_microbench():
         "dataset": DATASET,
         "num_vertices": graph.num_vertices,
         "num_edges": graph.num_edges,
-        "has_edge": time_has_edge(graph),
         "candidate_build": time_candidate_build(graph, queries),
     }
     OUT_PATH.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
@@ -114,16 +73,12 @@ def run_microbench():
 
 
 def _report(payload) -> str:
-    he = payload["has_edge"]
     cb = payload["candidate_build"]
     return render_table(
         ["metric", "value"],
         [
             ["dataset", payload["dataset"]],
             ["|V| / |E|", f"{payload['num_vertices']} / {payload['num_edges']}"],
-            ["has_edge csr (ns/probe)", f"{he['csr_ns_per_probe']:.1f}"],
-            ["has_edge seed set (ns/probe)", f"{he['seed_ns_per_probe']:.1f}"],
-            ["has_edge ratio (csr/seed)", f"{he['ratio_csr_over_seed']:.3f}"],
             [f"candidate build x{cb['queries']} rebuild (s)", f"{cb['rebuild_seconds']:.4f}"],
             [f"candidate build x{cb['queries']} shared (s)", f"{cb['shared_seconds']:.4f}"],
             ["candidate build speedup", f"{cb['speedup']:.2f}x"],
@@ -134,11 +89,9 @@ def _report(payload) -> str:
 def test_backend_microbench(benchmark):
     payload = benchmark.pedantic(run_microbench, rounds=1, iterations=1)
     emit("backend_microbench", _report(payload))
-    # The refactor's headline claims, as hard gates.
+    # The refactor's headline claim, as a hard gate.
     assert payload["candidate_build"]["queries"] >= 10
     assert payload["candidate_build"]["speedup"] >= 2.0
-    # Allow timer noise; the probe must not regress meaningfully.
-    assert payload["has_edge"]["ratio_csr_over_seed"] <= 1.2
 
 
 if __name__ == "__main__":

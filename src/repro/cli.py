@@ -38,7 +38,6 @@ from repro.core.config import VARIANTS, DSQLConfig, variant_config
 from repro.coverage.bounds import alpha_gamma_schedule
 from repro.coverage.objectives import OBJECTIVE_NAMES
 from repro.datasets.registry import dataset_names, get_profile, make_dataset
-from repro.graph.csr import BACKEND_NAMES, set_default_backend
 from repro.experiments.report import SUMMARY_HEADERS, render_table, summary_row
 from repro.experiments.runner import (
     com_solver,
@@ -73,12 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="version",
         version=f"repro {__version__}",
         help="print the package version and exit",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=BACKEND_NAMES,
-        default=None,
-        help="graph storage backend (default: csr, or $REPRO_GRAPH_BACKEND)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -759,8 +752,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.backend is not None:
-        set_default_backend(args.backend)
     if args.command == "datasets":
         return _cmd_datasets()
     if args.command == "schedule":

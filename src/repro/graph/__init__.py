@@ -1,14 +1,7 @@
 """Graph substrate: labeled graphs, query graphs, builders, I/O, statistics."""
 
 from repro.graph.builder import GraphBuilder, relabel
-from repro.graph.csr import (
-    BACKEND_NAMES,
-    CSRBackend,
-    SetBackend,
-    default_backend,
-    make_backend,
-    set_default_backend,
-)
+from repro.graph.csr import CSRBackend
 from repro.graph.interop import (
     from_networkx,
     query_from_networkx,
@@ -38,12 +31,7 @@ from repro.graph.validation import (
 )
 
 __all__ = [
-    "BACKEND_NAMES",
     "CSRBackend",
-    "SetBackend",
-    "default_backend",
-    "make_backend",
-    "set_default_backend",
     "Edge",
     "Label",
     "LabeledGraph",

@@ -9,7 +9,7 @@ cached signatures, and a frozen label index.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.exceptions import GraphError
 from repro.graph.labeled_graph import Label, LabeledGraph
@@ -81,12 +81,9 @@ class GraphBuilder:
             raise GraphError(f"vertex {v} outside [0, {len(self._labels)})")
         self._labels[v] = label
 
-    def build(self, name: str = "", backend: Optional[str] = None) -> LabeledGraph:
-        """Freeze the accumulated structure into a :class:`LabeledGraph`.
-
-        ``backend`` selects the storage backend (default: process default).
-        """
-        return LabeledGraph(list(self._labels), sorted(self._edges), name=name, backend=backend)
+    def build(self, name: str = "") -> LabeledGraph:
+        """Freeze the accumulated structure into a :class:`LabeledGraph`."""
+        return LabeledGraph(list(self._labels), sorted(self._edges), name=name)
 
 
 def relabel(graph: LabeledGraph, labels: Iterable[Label], name: str = "") -> LabeledGraph:
@@ -100,9 +97,7 @@ def relabel(graph: LabeledGraph, labels: Iterable[Label], name: str = "") -> Lab
         raise GraphError(
             f"label table has {len(label_list)} entries for {graph.num_vertices} vertices"
         )
-    return LabeledGraph(
-        label_list, graph.edges(), name=name or graph.name, backend=graph.backend_name
-    )
+    return LabeledGraph(label_list, graph.edges(), name=name or graph.name)
 
 
 def merge_vertex_maps(maps: Iterable[Dict[int, int]]) -> Dict[int, int]:

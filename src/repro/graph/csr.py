@@ -1,58 +1,46 @@
-"""Storage backends for labeled graphs: CSR arrays and adjacency sets.
+"""CSR storage for labeled graphs: frozen sorted arrays plus a mutation overlay.
 
-This module is the *backend seam* of the graph substrate. A backend owns the
-topology and label storage of one labeled graph; :class:`~repro.graph.
-labeled_graph.LabeledGraph` keeps its public API and delegates every storage
-question here. Two backends exist:
+:class:`CSRBackend` owns the topology and label storage of one labeled
+graph; :class:`~repro.graph.labeled_graph.LabeledGraph` keeps its public API
+and delegates every storage question here. It is a class because it hides a
+format, in three parts:
 
-* :class:`CSRBackend` (default) — compressed sparse row. The bulk adjacency
-  structure lives in two numpy arrays (``indptr``/``indices``) with **sorted**
-  neighbor rows, next to a flat label-id array and a precomputed degree
-  array. This is the standard substrate for subgraph enumeration at scale:
-  neighbor iteration is a contiguous slice, iteration order is deterministic
-  by construction, and batch edge probes vectorize with ``searchsorted``.
-* :class:`SetBackend` — the reference adjacency-set representation the
-  library started from. Retained so equivalence tests can prove the CSR path
-  returns byte-identical results, and as a fallback for workloads that never
-  touch the array views.
+* the **frozen base** — compressed sparse row: two numpy arrays
+  (``indptr``/``indices``) with **sorted** neighbor rows, next to a flat
+  label-id array and a precomputed degree array. Neighbor iteration is a
+  contiguous slice, iteration order is deterministic by construction, and
+  batch edge probes vectorize with ``searchsorted``;
+* the **Python-level views** the join kernels actually iterate — per-vertex
+  sorted neighbor tuples and membership sets;
+* the **mutation overlay** — :meth:`~CSRBackend.add_vertex`,
+  :meth:`~CSRBackend.add_edge` and :meth:`~CSRBackend.remove_edge` update
+  the views in place and record the vertices whose rows diverge from the
+  base, so the array accessors (``neighbors_array``/``has_edges``)
+  transparently serve the overlay row instead of the stale slice.
+  :meth:`~CSRBackend.compact` merges the overlay back into fresh sorted
+  arrays, restoring the invariants the vectorized kernels and the
+  shared-memory publisher rely on; :meth:`~CSRBackend.from_arrays` is the
+  attach half of that publication.
 
-Both backends are mutable through a small, explicit delta surface
-(:meth:`~CSRBackend.add_vertex`, :meth:`~CSRBackend.add_edge`,
-:meth:`~CSRBackend.remove_edge`). The CSR backend keeps the numpy arrays as
-a *frozen base snapshot* and applies mutations to its Python-level views
-(sorted neighbor tuples + membership sets — the accessors the join kernels
-actually iterate); vertices whose rows diverge from the base are tracked in
-an overlay set so the array accessors (``neighbors_array``/``has_edges``)
-transparently serve the overlay row instead of the stale slice. Calling
-:meth:`~CSRBackend.compact` merges the overlay back into fresh sorted CSR
-arrays, restoring the invariants the vectorized kernels and the
-shared-memory publisher rely on.
-
-Both backends expose identical semantics:
+Accessor semantics:
 
 * ``neighbors(v)`` returns the sorted tuple of neighbors (plain Python ints,
   so downstream embeddings never carry numpy scalar types);
-* ``has_edge(u, v)`` is an O(1) expected probe. For the CSR backend the
-  scalar probe goes through per-vertex hash sets because a per-call
-  ``searchsorted`` pays ~20x Python/numpy call overhead for a single lookup;
-  the pure-CSR probes remain available as
+* ``has_edge(u, v)`` is an O(1) expected probe through the per-vertex hash
+  sets, because a per-call ``searchsorted`` pays ~20x Python/numpy call
+  overhead for a single lookup; the pure-array probes remain available as
   :meth:`CSRBackend.has_edge_searchsorted` (scalar, for verification) and
   :meth:`CSRBackend.has_edges` (vectorized batch, the form that actually
   amortizes the numpy call);
-* both intern labels into ``label_table`` / ``label_to_id`` / ``label_ids``
+* labels are interned into ``label_table`` / ``label_to_id`` / ``label_ids``
   in first-appearance order, the id space the per-graph index cache keys its
   signature bitmasks by.
-
-The module-level default backend is ``"csr"``; override per process with
-:func:`set_default_backend` or the ``REPRO_GRAPH_BACKEND`` environment
-variable, or per graph with the ``backend=`` constructor argument.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -61,54 +49,12 @@ from repro.exceptions import GraphError
 Label = Hashable
 Edge = Tuple[int, int]
 
-BACKEND_NAMES: Tuple[str, ...] = ("csr", "set")
-"""Registered backend names, in preference order."""
-
-_ENV_VAR = "REPRO_GRAPH_BACKEND"
-_default_backend: Optional[str] = None
-
-
-def default_backend() -> str:
-    """The process-wide default backend name.
-
-    Resolution order: :func:`set_default_backend` override, then the
-    ``REPRO_GRAPH_BACKEND`` environment variable, then ``"csr"``.
-    """
-    if _default_backend is not None:
-        return _default_backend
-    env = os.environ.get(_ENV_VAR)
-    if env:
-        if env not in BACKEND_NAMES:
-            raise GraphError(
-                f"{_ENV_VAR}={env!r} is not a graph backend; choose from {BACKEND_NAMES}"
-            )
-        return env
-    return "csr"
-
-
-def set_default_backend(name: Optional[str]) -> None:
-    """Set (or with ``None`` reset) the process-wide default backend."""
-    global _default_backend
-    if name is not None and name not in BACKEND_NAMES:
-        raise GraphError(f"unknown graph backend {name!r}; choose from {BACKEND_NAMES}")
-    _default_backend = name
-
-
-def resolve_backend_name(name: Optional[str]) -> str:
-    """Validate an explicit backend name, or fall back to the default."""
-    if name is None:
-        return default_backend()
-    if name not in BACKEND_NAMES:
-        raise GraphError(f"unknown graph backend {name!r}; choose from {BACKEND_NAMES}")
-    return name
-
 
 def normalize_edges(num_vertices: int, edges: Iterable[Edge]) -> List[Edge]:
     """Validate and normalize an edge iterable to sorted unique ``(u, v)``, u < v.
 
-    Rejects self-loops and endpoints outside ``[0, num_vertices)`` with the
-    same diagnostics regardless of backend; duplicate pairs (in either
-    orientation) collapse.
+    Rejects self-loops and endpoints outside ``[0, num_vertices)``; duplicate
+    pairs (in either orientation) collapse.
     """
     n = num_vertices
     seen: Set[Edge] = set()
@@ -121,17 +67,30 @@ def normalize_edges(num_vertices: int, edges: Iterable[Edge]) -> List[Edge]:
     return sorted(seen)
 
 
+def check_label(label: Label) -> None:
+    """Reject a label the interning tables cannot key."""
+    try:
+        hash(label)
+    except TypeError:
+        raise GraphError(f"vertex label {label!r} is not hashable") from None
+
+
 def intern_labels(labels: Sequence[Label]) -> Tuple[List[Label], Dict[Label, int], List[int]]:
     """Intern a label table in first-appearance order.
 
     Returns ``(label_table, label_to_id, label_ids)`` with
-    ``label_table[label_ids[v]] == labels[v]``.
+    ``label_table[label_ids[v]] == labels[v]``. An unhashable label raises
+    :class:`~repro.exceptions.GraphError`.
     """
     table: List[Label] = []
     to_id: Dict[Label, int] = {}
     ids: List[int] = []
     for lab in labels:
-        i = to_id.get(lab)
+        try:
+            i = to_id.get(lab)
+        except TypeError:
+            check_label(lab)  # raises the GraphError naming the label
+            raise
         if i is None:
             i = to_id[lab] = len(table)
             table.append(lab)
@@ -193,8 +152,6 @@ class CSRBackend:
     sorted arrays.
     """
 
-    name = "csr"
-
     __slots__ = (
         "labels",
         "num_edges",
@@ -236,8 +193,7 @@ class CSRBackend:
         self._label_ids_np: Optional[np.ndarray] = np.asarray(ids, dtype=np.int32)
         # Per-vertex membership sets for the scalar probe: searchsorted pays
         # ~20x Python/numpy call overhead per single lookup, and any packed
-        # edge-key scheme pays the packing arithmetic per call; a plain set
-        # probe matches the reference backend exactly.
+        # edge-key scheme pays the packing arithmetic per call.
         self._sets: List[Set[int]] = [set(r) for r in rows]
         self._base_n = n
         self._touched: Set[int] = set()
@@ -383,8 +339,10 @@ class CSRBackend:
         Label interning stays append-only: an unseen label gets the next id,
         existing label ids are untouched (the invariant the signature
         bitmasks in :class:`~repro.indexes.graph_cache.GraphIndexCache`
-        depend on).
+        depend on). An unhashable label raises
+        :class:`~repro.exceptions.GraphError` before anything is appended.
         """
+        check_label(label)
         v = self._n
         self.labels.append(label)
         lid = self.label_to_id.get(label)
@@ -462,165 +420,3 @@ class CSRBackend:
         self._base_n = n
         self._touched = set()
         self._delta_edges = 0
-
-
-class SetBackend:
-    """Reference adjacency-set storage (the library's original substrate).
-
-    Iteration views (``neighbors``/``edges``) are served from sorted tuples
-    so determinism matches the CSR backend; membership goes through the
-    per-vertex sets, exactly as the seed implementation did.
-    """
-
-    name = "set"
-
-    __slots__ = (
-        "labels",
-        "num_edges",
-        "label_table",
-        "label_to_id",
-        "_label_ids",
-        "_n",
-        "_sets",
-        "_rows",
-        "_degrees",
-        "_degree_array",
-        "_touched",
-        "_delta_edges",
-    )
-
-    def __init__(self, labels: Sequence[Label], edges: Iterable[Edge] = ()) -> None:
-        self.labels: List[Label] = list(labels)
-        n = self._n = len(self.labels)
-        pairs = normalize_edges(n, edges)
-        self.num_edges = len(pairs)
-        rows = self._rows = _sorted_rows(n, pairs)
-        self._sets: List[Set[int]] = [set(r) for r in rows]
-        self._degrees = [len(r) for r in rows]
-        self._degree_array: Optional[np.ndarray] = None
-        table, to_id, ids = intern_labels(self.labels)
-        self.label_table = table
-        self.label_to_id = to_id
-        self._label_ids = ids
-        self._touched: Set[int] = set()
-        self._delta_edges = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def num_vertices(self) -> int:
-        return self._n
-
-    @property
-    def label_ids(self) -> np.ndarray:
-        return np.asarray(self._label_ids, dtype=np.int32)
-
-    @property
-    def degree_array(self) -> np.ndarray:
-        if self._degree_array is None:
-            self._degree_array = np.asarray(self._degrees, dtype=np.int64)
-        return self._degree_array
-
-    def label(self, v: int) -> Label:
-        return self.labels[v]
-
-    def neighbors(self, v: int) -> Tuple[int, ...]:
-        """Sorted neighbor tuple of ``v``."""
-        return self._rows[v]
-
-    def degree(self, v: int) -> int:
-        return self._degrees[v]
-
-    def degree_sequence(self) -> List[int]:
-        return list(self._degrees)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """O(1) expected set-membership probe."""
-        return v in self._sets[u]
-
-    def edges(self) -> Iterator[Edge]:
-        for u, row in enumerate(self._rows):
-            for v in row:
-                if v > u:
-                    yield (u, v)
-
-    # ------------------------------------------------------------------
-    # Mutation surface (same contract as the CSR backend)
-    # ------------------------------------------------------------------
-    @property
-    def delta_size(self) -> int:
-        """Edge mutations applied since the last compaction (or build)."""
-        return self._delta_edges
-
-    @property
-    def touched_vertices(self) -> Set[int]:
-        """Vertices mutated since the last compaction (or build)."""
-        return self._touched
-
-    def add_vertex(self, label: Label) -> int:
-        """Append an isolated vertex with ``label``; returns its new id."""
-        v = self._n
-        self.labels.append(label)
-        lid = self.label_to_id.get(label)
-        if lid is None:
-            lid = self.label_to_id[label] = len(self.label_table)
-            self.label_table.append(label)
-        self._label_ids.append(lid)
-        self._rows.append(())
-        self._sets.append(set())
-        self._degrees.append(0)
-        self._degree_array = None
-        self._n = v + 1
-        return v
-
-    def add_edge(self, u: int, v: int) -> bool:
-        """Add undirected edge ``(u, v)``; returns False if already present."""
-        _check_edge_endpoints(self._n, u, v)
-        if v in self._sets[u]:
-            return False
-        self._rows[u] = _tuple_insert(self._rows[u], v)
-        self._rows[v] = _tuple_insert(self._rows[v], u)
-        self._sets[u].add(v)
-        self._sets[v].add(u)
-        self._degrees[u] += 1
-        self._degrees[v] += 1
-        self.num_edges += 1
-        self._degree_array = None
-        self._delta_edges += 1
-        self._touched.update((u, v))
-        return True
-
-    def remove_edge(self, u: int, v: int) -> bool:
-        """Remove undirected edge ``(u, v)``; returns False if absent."""
-        _check_edge_endpoints(self._n, u, v)
-        if v not in self._sets[u]:
-            return False
-        self._rows[u] = _tuple_remove(self._rows[u], v)
-        self._rows[v] = _tuple_remove(self._rows[v], u)
-        self._sets[u].discard(v)
-        self._sets[v].discard(u)
-        self._degrees[u] -= 1
-        self._degrees[v] -= 1
-        self.num_edges -= 1
-        self._degree_array = None
-        self._delta_edges += 1
-        self._touched.update((u, v))
-        return True
-
-    def compact(self) -> None:
-        """Clear the overlay bookkeeping (sets are the live structure here)."""
-        self._degree_array = np.asarray(self._degrees, dtype=np.int64)
-        self._touched = set()
-        self._delta_edges = 0
-
-
-GraphBackend = Union[CSRBackend, SetBackend]
-"""Type alias for any registered backend instance."""
-
-_BACKENDS = {"csr": CSRBackend, "set": SetBackend}
-
-
-def make_backend(
-    name: Optional[str], labels: Sequence[Label], edges: Iterable[Edge] = ()
-) -> GraphBackend:
-    """Construct the named backend (``None`` uses the process default)."""
-    return _BACKENDS[resolve_backend_name(name)](labels, edges)

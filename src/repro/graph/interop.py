@@ -32,7 +32,6 @@ def from_networkx(
     default_label: Optional[Label] = None,
     strict: bool = False,
     name: str = "",
-    backend: Optional[str] = None,
 ) -> Tuple[LabeledGraph, Dict[Hashable, int]]:
     """Convert an undirected networkx graph to a :class:`LabeledGraph`.
 
@@ -63,10 +62,7 @@ def from_networkx(
                 raise GraphError(f"self-loop at {u!r} not representable")
             continue
         edges.append((node_to_id[u], node_to_id[v]))
-    return (
-        LabeledGraph(labels, edges, name=name or str(graph.name or ""), backend=backend),
-        node_to_id,
-    )
+    return LabeledGraph(labels, edges, name=name or str(graph.name or "")), node_to_id
 
 
 def query_from_networkx(

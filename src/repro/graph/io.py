@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 from repro.exceptions import GraphError
 from repro.graph.labeled_graph import LabeledGraph
@@ -42,14 +42,11 @@ def dump_edge_list(graph: LabeledGraph, path: PathLike) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_edge_list(
-    path: PathLike, name: str = "", backend: Optional[str] = None
-) -> LabeledGraph:
+def load_edge_list(path: PathLike, name: str = "") -> LabeledGraph:
     """Parse a labeled-edge-list file into a :class:`LabeledGraph`.
 
     Labels are kept as strings; convert downstream if integer labels are
     needed. Lines that are blank or start with ``#`` are ignored.
-    ``backend`` selects the storage backend (default: process default).
     """
     labels: dict[int, str] = {}
     edges: List[Tuple[int, int]] = []
@@ -79,9 +76,7 @@ def load_edge_list(
         raise GraphError(f"{path}: vertex ids must be dense 0..{n - 1}")
     if declared_vertices is not None and declared_vertices != n:
         raise GraphError(f"{path}: header declares {declared_vertices} vertices, found {n}")
-    graph = LabeledGraph(
-        [labels[v] for v in range(n)], edges, name=name or Path(path).stem, backend=backend
-    )
+    graph = LabeledGraph([labels[v] for v in range(n)], edges, name=name or Path(path).stem)
     if declared_edges is not None and declared_edges != graph.num_edges:
         raise GraphError(
             f"{path}: header declares {declared_edges} edges, found {graph.num_edges}"
@@ -99,7 +94,7 @@ def dump_json(graph: LabeledGraph, path: PathLike) -> None:
     Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
 
 
-def load_json(path: PathLike, backend: Optional[str] = None) -> LabeledGraph:
+def load_json(path: PathLike) -> LabeledGraph:
     """Load a graph previously written by :func:`dump_json`."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
@@ -107,17 +102,11 @@ def load_json(path: PathLike, backend: Optional[str] = None) -> LabeledGraph:
         edges = [tuple(e) for e in payload["edges"]]
     except (KeyError, TypeError) as exc:
         raise GraphError(f"{path}: not a graph JSON object: {exc}") from exc
-    return LabeledGraph(
-        labels, edges, name=payload.get("name", Path(path).stem), backend=backend
-    )
+    return LabeledGraph(labels, edges, name=payload.get("name", Path(path).stem))
 
 
-def load_query(path: PathLike, backend: Optional[str] = None) -> QueryGraph:
+def load_query(path: PathLike) -> QueryGraph:
     """Load a file in either format as a validated :class:`QueryGraph`."""
     path = Path(path)
-    graph = (
-        load_json(path, backend=backend)
-        if path.suffix == ".json"
-        else load_edge_list(path, backend=backend)
-    )
+    graph = load_json(path) if path.suffix == ".json" else load_edge_list(path)
     return QueryGraph.from_graph(graph)

@@ -8,14 +8,12 @@ paper (Section 2): ``G = (V, E, Sigma, L)`` with
 * ``Sigma`` — a set of hashable vertex labels;
 * ``L`` — a total labeling function ``V -> Sigma``.
 
-Storage is delegated to a pluggable backend (see :mod:`repro.graph.csr`):
-the default is an immutable CSR layout (``indptr``/``indices`` numpy arrays
-with sorted neighbor rows, flat label-id array, precomputed degrees), with
-the original adjacency-set representation retained as the ``"set"`` backend
-for equivalence testing. Either way ``has_edge`` is an O(1) expected probe —
-the hot operation inside the backtracking join test — and ``neighbors(v)``
-returns the *sorted* neighbor tuple, so every iteration order in the library
-is deterministic by construction.
+Storage is delegated to :class:`~repro.graph.csr.CSRBackend`: a frozen CSR
+base (``indptr``/``indices`` numpy arrays with sorted neighbor rows, flat
+label-id array, precomputed degrees) under a mutation overlay. ``has_edge``
+is an O(1) expected probe — the hot operation inside the backtracking join
+test — and ``neighbors(v)`` returns the *sorted* neighbor tuple, so every
+iteration order in the library is deterministic by construction.
 
 Per-graph derived state (label inverted index, neighborhood signatures,
 candidate pools) lives in a :class:`~repro.indexes.graph_cache.
@@ -24,7 +22,7 @@ and shared by all queries against it.
 
 Graphs support **live mutation**: :meth:`LabeledGraph.add_vertex`,
 :meth:`~LabeledGraph.add_edge`, :meth:`~LabeledGraph.remove_edge`, and the
-batched :meth:`~LabeledGraph.mutate` apply deltas to the backend and repair
+batched :meth:`~LabeledGraph.mutate` apply deltas to the storage and repair
 the pinned index cache incrementally (only state derived from the touched
 1-hop neighborhoods is recomputed; see ``docs/mutation.md`` for the full
 contract). Bulk construction still goes through
@@ -50,7 +48,7 @@ from typing import (
 )
 
 from repro.exceptions import GraphError
-from repro.graph.csr import GraphBackend, make_backend
+from repro.graph.csr import CSRBackend, check_label
 
 Label = Hashable
 Edge = Tuple[int, int]
@@ -89,9 +87,6 @@ class LabeledGraph:
         are normalized away; self-loops are rejected.
     name:
         Optional display name, propagated through derived graphs.
-    backend:
-        Storage backend name (``"csr"`` or ``"set"``); ``None`` uses the
-        process default (see :func:`repro.graph.csr.default_backend`).
 
     Examples
     --------
@@ -119,24 +114,25 @@ class LabeledGraph:
         labels: Sequence[Label],
         edges: Iterable[Edge] = (),
         name: str = "",
-        backend: Optional[str] = None,
     ) -> None:
-        b = make_backend(backend, labels, edges)
-        self._backend: GraphBackend = b
+        self._adopt(CSRBackend(labels, edges), name)
+
+    def _adopt(self, backend: CSRBackend, name: str) -> None:
+        self._backend = backend
         self._cache = None
         self.name = name
-        # Hot accessors are bound straight to the backend — one attribute
+        # Hot accessors are bound straight to the storage — one attribute
         # lookup instead of a delegating method call on the join path.
-        self.has_edge = b.has_edge
-        self.neighbors = b.neighbors
-        self.degree = b.degree
-        self.label = b.label
+        self.has_edge = backend.has_edge
+        self.neighbors = backend.neighbors
+        self.degree = backend.degree
+        self.label = backend.label
 
     # ------------------------------------------------------------------
-    # Backend & cache access
+    # Storage & cache access
     # ------------------------------------------------------------------
     @classmethod
-    def from_backend(cls, backend: GraphBackend, name: str = "") -> "LabeledGraph":
+    def from_backend(cls, backend: CSRBackend, name: str = "") -> "LabeledGraph":
         """Wrap an already-constructed backend without renormalizing edges.
 
         Used by the shared-memory attach path (:mod:`repro.graph.shared`),
@@ -145,30 +141,13 @@ class LabeledGraph:
         backend is adopted as-is; callers are responsible for its invariants.
         """
         graph = cls.__new__(cls)
-        graph._backend = backend
-        graph._cache = None
-        graph.name = name
-        graph.has_edge = backend.has_edge
-        graph.neighbors = backend.neighbors
-        graph.degree = backend.degree
-        graph.label = backend.label
+        graph._adopt(backend, name)
         return graph
 
     @property
-    def backend(self) -> GraphBackend:
-        """The storage backend instance owning this graph's topology."""
+    def backend(self) -> CSRBackend:
+        """The storage instance owning this graph's topology."""
         return self._backend
-
-    @property
-    def backend_name(self) -> str:
-        """Name of the active storage backend (``"csr"`` or ``"set"``)."""
-        return self._backend.name
-
-    def with_backend(self, backend: str) -> "LabeledGraph":
-        """A copy of this graph stored under a different backend."""
-        return LabeledGraph(
-            self._backend.labels, self._backend.edges(), name=self.name, backend=backend
-        )
 
     def index_cache(self):
         """The per-graph :class:`~repro.indexes.graph_cache.GraphIndexCache`.
@@ -239,8 +218,8 @@ class LabeledGraph:
         ``ops`` are tuples: ``("add_vertex", label)``, ``("add_edge", u, v)``
         or ``("remove_edge", u, v)``. The whole batch is validated before
         any op is applied, so a :class:`~repro.exceptions.GraphError`
-        (malformed op, out-of-range endpoint, self-loop) leaves the graph
-        untouched. Valid ops apply in order; no-ops (duplicate adds, absent
+        (malformed op, unhashable label, out-of-range endpoint, self-loop)
+        leaves the graph untouched. Valid ops apply in order; no-ops (duplicate adds, absent
         removes) are skipped without consuming a delta. After the batch, if
         the backend overlay holds at least ``compaction_threshold`` edge
         deltas (``None`` disables), the graph :meth:`compact`\\ s — the one
@@ -258,6 +237,7 @@ class LabeledGraph:
             if kind == "add_vertex":
                 if len(op) != 2:
                     raise GraphError(f"malformed add_vertex op {op!r}")
+                check_label(op[1])
                 n += 1
             elif kind in ("add_edge", "remove_edge"):
                 if len(op) != 3:
@@ -483,8 +463,7 @@ class LabeledGraph:
 
         The mapping from old to new ids follows the sorted order of the given
         vertex set; useful for extracting query graphs from a data graph.
-        The result keeps this graph's backend and carries its name with an
-        ``/induced`` suffix.
+        The result carries this graph's name with an ``/induced`` suffix.
         """
         vs = sorted(set(vertices))
         remap = {old: new for new, old in enumerate(vs)}
@@ -495,9 +474,4 @@ class LabeledGraph:
             for v in self._backend.neighbors(u)
             if u < v and v in remap
         ]
-        return LabeledGraph(
-            labels,
-            edges,
-            name=f"{self.name}/induced" if self.name else "",
-            backend=self._backend.name,
-        )
+        return LabeledGraph(labels, edges, name=f"{self.name}/induced" if self.name else "")

@@ -15,7 +15,7 @@ vertices of the data graph are called **vertices**.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from repro.exceptions import InvalidQueryError, QueryError
 from repro.graph.labeled_graph import Edge, Label, LabeledGraph
@@ -46,9 +46,8 @@ class QueryGraph(LabeledGraph):
         labels: Sequence[Label],
         edges: Iterable[Edge] = (),
         name: str = "",
-        backend: Optional[str] = None,
     ) -> None:
-        super().__init__(labels, edges, name=name, backend=backend)
+        super().__init__(labels, edges, name=name)
         if self.num_vertices == 0:
             raise QueryError("query graph must have at least one node")
         if not self.is_connected():
@@ -69,12 +68,7 @@ class QueryGraph(LabeledGraph):
     @classmethod
     def from_graph(cls, graph: LabeledGraph, name: str = "") -> "QueryGraph":
         """Promote a plain :class:`LabeledGraph` to a validated query graph."""
-        return cls(
-            list(graph.labels),
-            list(graph.edges()),
-            name=name or graph.name,
-            backend=graph.backend_name,
-        )
+        return cls(list(graph.labels), list(graph.edges()), name=name or graph.name)
 
     def edge_tuples(self) -> Tuple[Edge, ...]:
         """All edges as a deterministic sorted tuple (useful as a cache key)."""

@@ -265,14 +265,9 @@ def publish_graph(graph: LabeledGraph) -> PublishedGraph:
     """Publish ``graph`` (CSR arrays + warm index derivations) to shared memory.
 
     The graph's index cache is built first if it is still cold, so every
-    attacher inherits a warm one. Graphs on the ``set`` backend are
-    published through an equivalent CSR copy (the two backends are
-    equivalence-tested; results are identical either way).
+    attacher inherits a warm one.
     """
     backend = graph.backend
-    if not isinstance(backend, CSRBackend):
-        graph = graph.with_backend("csr")
-        backend = graph.backend
     if backend.num_vertices != backend.indptr.shape[0] - 1 or backend.touched_vertices:
         # A dirty overlay means the numpy base no longer equals the live
         # topology; publication snapshots the arrays, so merge first.

@@ -407,9 +407,8 @@ class GraphIndexCache:
     def adjacency_slice(self, v: int) -> Tuple[int, ...]:
         """The sorted adjacency row of ``v`` (ascending vertex ids).
 
-        This is the backend's own sorted tuple — CSR rows and set-backend
-        rows alike — surfaced here so kernel call sites depend on one
-        accessor with a documented ordering guarantee.
+        This is the storage's own sorted tuple, surfaced here so kernel call
+        sites depend on one accessor with a documented ordering guarantee.
         """
         return self.graph.neighbors(v)
 

@@ -10,7 +10,7 @@
     directly. Every worker reads the same pinned
     :class:`~repro.indexes.graph_cache.GraphIndexCache` (whose candidate-pool
     memo is internally locked); per-query search state is worker-local.
-    Useful when the hot loops release the GIL (numpy-backed backends) or the
+    Useful when the hot loops release the GIL (numpy-backed kernels) or the
     workload is I/O-interleaved; on pure-Python search it degrades gracefully
     to roughly serial throughput.
 ``process``

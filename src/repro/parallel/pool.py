@@ -22,12 +22,14 @@ per-chunk counter snapshot, so the parent can merge ``search.*`` /
 ``kernel.dispatch.*`` metrics that previously died with the worker.
 
 Live mutation rides along as a **catch-up protocol**: every chunk carries a
-sync header ``(epoch, target_seq, ops_tail)`` in the parent graph's version
-numbering. Workers replay the unseen tail onto their attached views (the
-Python-level rows/sets are process-local and mutable; the shared numpy base
-is never written) before answering, so worker results stay bit-identical to
-the parent's live topology without republishing per delta. A *compaction*
-in the parent starts a fresh epoch the workers cannot reach by replay; the
+sync header ``(epoch, target_seq, ops_tail)`` in the graph's version
+numbering, which publisher and attacher share (the attached cache is seeded
+from the published ``(epoch, delta_seq)``). Workers replay the unseen tail
+onto their attached views (the Python-level rows/sets are process-local and
+mutable; the shared numpy base is never written) before answering, so
+worker results stay bit-identical to the parent's live topology without
+republishing per delta. A *compaction* in the parent starts a fresh epoch
+the workers cannot reach by replay; the
 pool then reports :attr:`WorkerPool.stale` and submission raises
 :class:`~repro.exceptions.StaleSegmentError` — the executor's cue to
 discard the pool and build a fresh publication — rather than ever serving
@@ -52,7 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import DSQLConfig
 from repro.core.result import DSQResult
-from repro.exceptions import SharedMemoryError, StaleSegmentError
+from repro.exceptions import GraphError, SharedMemoryError, StaleSegmentError
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.graph.shared import (
@@ -71,10 +73,10 @@ ChunkResult = Tuple[int, List[Tuple[Key, DSQResult]], Dict[str, float]]
 non-zero counter snapshot for the chunk)``."""
 
 SyncHeader = Tuple[int, int, Tuple[Tuple[int, Tuple], ...]]
-"""Per-chunk mutation sync, in the parent graph's version numbering:
-``(epoch, target_seq, ops_tail)`` where ``ops_tail`` is the parent mutation
-log's ``(seq, op)`` entries since the publication baseline. Workers apply
-only the entries beyond what they have already replayed."""
+"""Per-chunk mutation sync: the parent's ``graph.version`` as
+``(epoch, target_seq)`` plus ``ops_tail``, the parent mutation log's
+``(seq, op)`` entries since publication. Workers replay only the entries
+beyond their own ``graph.version``."""
 
 _WORKER_STATE: Optional["_WorkerState"] = None
 """Child-process-only session state, set by the pool initializer.
@@ -88,34 +90,24 @@ state through initargs, so concurrent pools cannot interleave writes.
 class _WorkerState:
     """Everything one worker process keeps warm across batches.
 
-    ``sync_epoch``/``synced_seq`` track mutation catch-up in the *parent's*
-    version numbering (which may differ from the attached cache's own
-    counters when the publisher converted backends): the worker has replayed
-    every parent op up to ``synced_seq`` within ``sync_epoch``.
+    Mutation catch-up keeps no position of its own: the attached graph's
+    ``version`` is the worker's place in the parent's numbering.
     """
 
-    __slots__ = ("attachment", "session", "instrumentation", "sync_epoch", "synced_seq")
+    __slots__ = ("attachment", "session", "instrumentation")
 
-    def __init__(
-        self, attachment: AttachedGraph, session, instrumentation, sync_epoch, synced_seq
-    ) -> None:
+    def __init__(self, attachment: AttachedGraph, session, instrumentation) -> None:
         self.attachment = attachment
         self.session = session
         self.instrumentation = instrumentation
-        self.sync_epoch = sync_epoch
-        self.synced_seq = synced_seq
 
 
-def _init_worker(
-    descriptor: SharedGraphDescriptor, config: DSQLConfig, baseline: Tuple[int, int]
-) -> None:
+def _init_worker(descriptor: SharedGraphDescriptor, config: DSQLConfig) -> None:
     """Pool initializer (runs once in each worker process at spawn).
 
     Attaches the shared segments (zero-copy for the CSR arrays), builds a
     persistent instrumented session over the attached graph, and pins both
-    for the worker's lifetime. ``baseline`` is the parent-side
-    ``(epoch, delta_seq)`` at publication time, the starting point for
-    mutation catch-up.
+    for the worker's lifetime.
     """
     global _WORKER_STATE
     # Late imports keep the module importable in the parent before any
@@ -126,51 +118,36 @@ def _init_worker(
     attachment = attach_graph(descriptor)
     instrumentation = Instrumentation()
     session = DSQL(attachment.graph, config=config, instrumentation=instrumentation)
-    _WORKER_STATE = _WorkerState(
-        attachment, session, instrumentation, baseline[0], baseline[1]
-    )
+    _WORKER_STATE = _WorkerState(attachment, session, instrumentation)
 
 
 def _apply_sync(state: "_WorkerState", sync: SyncHeader) -> None:
     """Catch the worker's attached graph up to the parent's version.
 
-    Replays the unseen suffix of the parent's mutation-log tail through the
-    attached graph's public mutation API (which delta-repairs the worker's
-    own cache). The attached Python views (rows/sets) are process-local and
+    Replays the unseen suffix of the parent's mutation-log tail with
+    :meth:`LabeledGraph.replay` (which delta-repairs the worker's own
+    cache). The attached Python views (rows/sets) are process-local and
     mutable; the shared numpy base is read-only and never written — the CSR
-    overlay serves the divergence. An epoch change or a sequence gap means a
-    compaction severed the replay chain: raise
+    overlay serves the divergence. An epoch change, a sequence gap or an op
+    that does not re-apply cleanly means the replay chain is severed: raise
     :class:`~repro.exceptions.StaleSegmentError` instead of answering from
     a stale view.
     """
     epoch, target_seq, tail = sync
-    if epoch != state.sync_epoch:
+    graph = state.session.graph
+    have_epoch, have_seq = graph.version
+    if epoch != have_epoch:
         raise StaleSegmentError(
-            f"worker attached at epoch {state.sync_epoch} cannot reach epoch "
+            f"worker attached at epoch {have_epoch} cannot reach epoch "
             f"{epoch}: the parent graph compacted; the pool must be rebuilt"
         )
-    graph = state.session.graph
-    for seq, op in tail:
-        if seq <= state.synced_seq:
-            continue
-        if seq != state.synced_seq + 1:
-            raise StaleSegmentError(
-                f"mutation catch-up gap: worker synced to {state.synced_seq}, "
-                f"next shipped op is {seq}"
-            )
-        kind = op[0]
-        if kind == "add_vertex":
-            graph.add_vertex(op[2])
-        elif kind == "add_edge":
-            graph.add_edge(op[1], op[2])
-        elif kind == "remove_edge":
-            graph.remove_edge(op[1], op[2])
-        else:
-            raise StaleSegmentError(f"unknown mutation op {kind!r} in catch-up tail")
-        state.synced_seq = seq
-    if state.synced_seq != target_seq:
+    try:
+        graph.replay(entry for entry in tail if entry[0] > have_seq)
+    except GraphError as exc:
+        raise StaleSegmentError(f"mutation catch-up failed: {exc}") from exc
+    if graph.version[1] != target_seq:
         raise StaleSegmentError(
-            f"mutation catch-up fell short: synced to {state.synced_seq}, "
+            f"mutation catch-up fell short: synced to {graph.version[1]}, "
             f"parent is at {target_seq}"
         )
 
@@ -267,20 +244,16 @@ class WorkerPool:
         # the local-token set so they know they share the parent's resource
         # tracker (see repro.graph.shared._LOCAL_TOKENS).
         self._published = publish_graph(graph)
-        # The sync baseline is the *parent* graph's version at publication
-        # (publish_graph compacts a dirty overlay, so the parent cache is
-        # clean here); chunk sync headers and worker catch-up both count in
-        # this numbering.
-        cache = graph.index_cache()
-        self._sync_epoch = cache.epoch
-        self._base_seq = cache.delta_seq
-        baseline = (cache.epoch, cache.delta_seq)
+        # The graph's version at publication (publish_graph compacts a
+        # dirty overlay first): workers attach at exactly this version, and
+        # chunk sync headers ship the mutation log from here on.
+        self._sync_epoch, self._base_seq = graph.version
         try:
             self._executor = ProcessPoolExecutor(
                 max_workers=jobs,
                 mp_context=context,
                 initializer=_init_worker,
-                initargs=(self._published.descriptor, config, baseline),
+                initargs=(self._published.descriptor, config),
             )
         except Exception:
             self._published.close()

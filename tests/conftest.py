@@ -93,6 +93,32 @@ def random_labeled_graph(
     return LabeledGraph(labels, edges)
 
 
+STORAGE_STATES = ("csr", "set")
+"""Where a graph's rows live inside the one storage class (``CSRBackend``).
+
+``csr`` — every row in the frozen sorted arrays under an empty overlay: what
+the constructor and ``compact()`` leave. ``set`` — every row in the mutation
+overlay's tuples and hash sets over an edgeless array base: the same graph
+grown edge by edge. The ids are those of the retired two-backend axis (the
+overlay's row sets are what the ``set`` backend was), so the ``set`` golden
+rows and test ids now pin the overlay-resident state."""
+
+
+def build_graph(labels, edges=(), name: str = "", storage: str = "csr") -> LabeledGraph:
+    """``LabeledGraph(labels, edges)`` with its rows in the given storage state."""
+    if storage == "csr":
+        return LabeledGraph(labels, edges, name=name)
+    graph = LabeledGraph(labels, name=name)
+    for u, v in edges:
+        graph.add_edge(u, v)
+    return graph
+
+
+def in_storage_state(graph: LabeledGraph, storage: str) -> LabeledGraph:
+    """A copy of ``graph`` with its rows in the given storage state."""
+    return build_graph(list(graph.labels), graph.edges(), name=graph.name, storage=storage)
+
+
 def connected_query_from(graph: LabeledGraph, num_edges: int, seed: int) -> QueryGraph:
     """A random connected query sampled from ``graph`` (test-local copy)."""
     from repro.queries.generator import random_query

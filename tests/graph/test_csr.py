@@ -1,4 +1,4 @@
-"""Unit tests for the storage-backend seam (repro.graph.csr)."""
+"""Unit tests for the one graph storage class (repro.graph.csr)."""
 
 from __future__ import annotations
 
@@ -6,26 +6,16 @@ import numpy as np
 import pytest
 
 from repro.exceptions import GraphError
-from repro.graph.csr import (
-    BACKEND_NAMES,
-    CSRBackend,
-    SetBackend,
-    default_backend,
-    intern_labels,
-    make_backend,
-    normalize_edges,
-    resolve_backend_name,
-    set_default_backend,
-)
-from repro.graph.labeled_graph import LabeledGraph
+from repro.graph.csr import CSRBackend, intern_labels, normalize_edges
+from tests.conftest import STORAGE_STATES, build_graph
 
 LABELS = ["a", "b", "b", "a", "c"]
 EDGES = [(0, 1), (1, 2), (2, 0), (3, 1), (1, 0), (4, 3)]  # (1, 0) duplicates (0, 1)
 
 
-@pytest.fixture(params=BACKEND_NAMES)
+@pytest.fixture(params=STORAGE_STATES)
 def backend(request):
-    return make_backend(request.param, LABELS, EDGES)
+    return build_graph(LABELS, EDGES, storage=request.param).backend
 
 
 # ----------------------------------------------------------------------
@@ -52,8 +42,17 @@ def test_intern_labels_first_appearance_order():
     assert ids == [0, 1, 1, 0, 2]
 
 
+def test_unhashable_label_is_a_graph_error():
+    with pytest.raises(GraphError, match="not hashable"):
+        intern_labels(["a", ["b"]])
+    b = CSRBackend(LABELS, EDGES)
+    with pytest.raises(GraphError, match="not hashable"):
+        b.add_vertex(["x"])
+    assert b.num_vertices == 5 and b.labels == LABELS  # nothing appended
+
+
 # ----------------------------------------------------------------------
-# Shared backend semantics
+# Semantics shared by both storage states
 # ----------------------------------------------------------------------
 def test_basic_accessors(backend):
     assert backend.num_vertices == 5
@@ -89,6 +88,15 @@ def test_label_interning(backend):
 # ----------------------------------------------------------------------
 # CSR specifics
 # ----------------------------------------------------------------------
+def test_storage_states_are_the_two_extremes():
+    frozen = build_graph(LABELS, EDGES, storage="csr").backend
+    assert frozen.indices.size == 2 * frozen.num_edges and not frozen.touched_vertices
+    grown = build_graph(LABELS, EDGES, storage="set").backend
+    assert grown.indices.size == 0 and grown.touched_vertices == set(range(5))
+    for v in range(5):
+        assert list(grown.neighbors_array(v)) == list(frozen.neighbors_array(v))
+
+
 def test_csr_arrays_consistent():
     b = CSRBackend(LABELS, EDGES)
     assert list(b.indptr) == [0, 2, 5, 7, 9, 10]
@@ -123,56 +131,7 @@ def test_csr_has_edges_vectorized():
 
 
 def test_empty_graph():
-    for name in BACKEND_NAMES:
-        b = make_backend(name, [])
-        assert b.num_vertices == 0 and b.num_edges == 0
-        assert list(b.edges()) == []
-        assert list(b.degree_array) == []
-
-
-# ----------------------------------------------------------------------
-# Backend selection
-# ----------------------------------------------------------------------
-def test_default_backend_is_csr(monkeypatch):
-    monkeypatch.delenv("REPRO_GRAPH_BACKEND", raising=False)
-    set_default_backend(None)
-    assert default_backend() == "csr"
-    assert LabeledGraph(["a"]).backend_name == "csr"
-
-
-def test_set_default_backend(monkeypatch):
-    monkeypatch.delenv("REPRO_GRAPH_BACKEND", raising=False)
-    set_default_backend("set")
-    try:
-        assert default_backend() == "set"
-        assert LabeledGraph(["a"]).backend_name == "set"
-    finally:
-        set_default_backend(None)
-
-
-def test_env_var_backend(monkeypatch):
-    set_default_backend(None)
-    monkeypatch.setenv("REPRO_GRAPH_BACKEND", "set")
-    assert default_backend() == "set"
-    monkeypatch.setenv("REPRO_GRAPH_BACKEND", "bogus")
-    with pytest.raises(GraphError, match="REPRO_GRAPH_BACKEND"):
-        default_backend()
-
-
-def test_resolve_backend_name_validates():
-    assert resolve_backend_name("set") == "set"
-    with pytest.raises(GraphError, match="unknown graph backend"):
-        resolve_backend_name("adjacency")
-    with pytest.raises(GraphError):
-        set_default_backend("adjacency")
-
-
-def test_with_backend_round_trip():
-    g = LabeledGraph(LABELS, EDGES, name="toy", backend="csr")
-    h = g.with_backend("set")
-    assert h.backend_name == "set"
-    assert h.name == "toy"
-    assert list(h.edges()) == list(g.edges())
-    assert [h.label(v) for v in h.vertices()] == [g.label(v) for v in g.vertices()]
-    assert isinstance(g.backend, CSRBackend)
-    assert isinstance(h.backend, SetBackend)
+    b = CSRBackend([])
+    assert b.num_vertices == 0 and b.num_edges == 0
+    assert list(b.edges()) == []
+    assert list(b.degree_array) == []

@@ -15,17 +15,17 @@ import pytest
 from repro.core.config import DSQLConfig
 from repro.core.dsql import DSQL
 from repro.datasets.registry import make_dataset
-from repro.graph.csr import BACKEND_NAMES
 from repro.graph.labeled_graph import LabeledGraph
 from repro.queries.generator import query_set
+from tests.conftest import STORAGE_STATES, build_graph
 
 LABELS = ["a", "b", "b", "a", "c", "b"]
 EDGES = [(5, 0), (1, 2), (0, 1), (3, 1), (4, 3), (2, 0), (5, 2)]
 
 
-@pytest.mark.parametrize("backend", BACKEND_NAMES)
-def test_iteration_orders_sorted(backend):
-    g = LabeledGraph(LABELS, EDGES, backend=backend)
+@pytest.mark.parametrize("storage", STORAGE_STATES)
+def test_iteration_orders_sorted(storage):
+    g = build_graph(LABELS, EDGES, storage=storage)
     for v in g.vertices():
         nbrs = g.neighbors(v)
         assert list(nbrs) == sorted(nbrs)
@@ -34,10 +34,10 @@ def test_iteration_orders_sorted(backend):
     assert all(u < v for u, v in edges)
 
 
-@pytest.mark.parametrize("backend", BACKEND_NAMES)
-def test_iteration_independent_of_input_order(backend):
-    g1 = LabeledGraph(LABELS, EDGES, backend=backend)
-    g2 = LabeledGraph(LABELS, list(reversed(EDGES)), backend=backend)
+@pytest.mark.parametrize("storage", STORAGE_STATES)
+def test_iteration_independent_of_input_order(storage):
+    g1 = build_graph(LABELS, EDGES, storage=storage)
+    g2 = build_graph(LABELS, list(reversed(EDGES)), storage=storage)
     assert list(g1.edges()) == list(g2.edges())
     for v in g1.vertices():
         assert g1.neighbors(v) == g2.neighbors(v)

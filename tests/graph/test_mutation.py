@@ -1,4 +1,4 @@
-"""Unit tests for the live-mutation surface of both graph backends.
+"""Unit tests for the live-mutation surface, in both storage states.
 
 The contract under test (docs/mutation.md): ``add_vertex`` / ``add_edge``
 / ``remove_edge`` mutate the live views in place, duplicate adds and
@@ -17,15 +17,14 @@ import pytest
 
 from repro.exceptions import GraphError
 from repro.graph.labeled_graph import LabeledGraph, MutationSummary
+from tests.conftest import STORAGE_STATES, build_graph
 
-BACKENDS = ("csr", "set")
 
-
-def small_graph(backend: str) -> LabeledGraph:
-    return LabeledGraph(
+def small_graph(storage: str = "csr") -> LabeledGraph:
+    return build_graph(
         ["a", "b", "b", "c", "a"],
         [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)],
-        backend=backend,
+        storage=storage,
     )
 
 
@@ -39,10 +38,10 @@ def assert_topology_equal(g: LabeledGraph, h: LabeledGraph) -> None:
         assert g.degree(v) == h.degree(v)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("storage", STORAGE_STATES)
 class TestEdgeMutations:
-    def test_add_edge_updates_all_views(self, backend):
-        g = small_graph(backend)
+    def test_add_edge_updates_all_views(self, storage):
+        g = small_graph(storage)
         assert g.add_edge(0, 2) is True
         assert g.has_edge(0, 2) and g.has_edge(2, 0)
         assert g.num_edges == 6
@@ -50,27 +49,27 @@ class TestEdgeMutations:
         assert g.degree(0) == 3 and g.degree(2) == 3
         assert int(g.backend.degree_array[0]) == 3
 
-    def test_duplicate_add_is_noop(self, backend):
-        g = small_graph(backend)
+    def test_duplicate_add_is_noop(self, storage):
+        g = small_graph(storage)
         assert g.add_edge(0, 1) is False
         assert g.add_edge(1, 0) is False
         assert g.num_edges == 5
 
-    def test_remove_edge_updates_all_views(self, backend):
-        g = small_graph(backend)
+    def test_remove_edge_updates_all_views(self, storage):
+        g = small_graph(storage)
         assert g.remove_edge(1, 2) is True
         assert not g.has_edge(1, 2) and not g.has_edge(2, 1)
         assert g.num_edges == 4
         assert g.neighbors(1) == (0,)
         assert g.degree(2) == 1
 
-    def test_absent_remove_is_noop(self, backend):
-        g = small_graph(backend)
+    def test_absent_remove_is_noop(self, storage):
+        g = small_graph(storage)
         assert g.remove_edge(0, 2) is False
         assert g.num_edges == 5
 
-    def test_self_loop_and_range_reject(self, backend):
-        g = small_graph(backend)
+    def test_self_loop_and_range_reject(self, storage):
+        g = small_graph(storage)
         with pytest.raises(GraphError):
             g.add_edge(1, 1)
         with pytest.raises(GraphError):
@@ -80,10 +79,10 @@ class TestEdgeMutations:
         assert g.num_edges == 5
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("storage", STORAGE_STATES)
 class TestAddVertex:
-    def test_add_vertex_returns_new_id(self, backend):
-        g = small_graph(backend)
+    def test_add_vertex_returns_new_id(self, storage):
+        g = small_graph(storage)
         v = g.add_vertex("z")
         assert v == 5
         assert g.num_vertices == 6
@@ -92,8 +91,8 @@ class TestAddVertex:
         assert g.add_edge(v, 0) is True
         assert g.neighbors(v) == (0,)
 
-    def test_label_interning_is_append_only(self, backend):
-        g = small_graph(backend)
+    def test_label_interning_is_append_only(self, storage):
+        g = small_graph(storage)
         table_before = list(g.backend.label_table)
         g.add_vertex("a")  # existing label: no table growth
         assert list(g.backend.label_table) == table_before
@@ -102,10 +101,10 @@ class TestAddVertex:
         assert g.backend.label_table[-1] == "z"
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("storage", STORAGE_STATES)
 class TestBatchMutate:
-    def test_batch_applies_in_order(self, backend):
-        g = small_graph(backend)
+    def test_batch_applies_in_order(self, storage):
+        g = small_graph(storage)
         summary = g.mutate(
             [
                 ("add_vertex", "z"),
@@ -119,22 +118,39 @@ class TestBatchMutate:
         assert summary.applied == 4
         assert g.has_edge(5, 0) and g.has_edge(0, 1)
 
-    def test_invalid_batch_is_atomic(self, backend):
-        g = small_graph(backend)
-        reference = small_graph(backend)
+    def test_invalid_batch_is_atomic(self, storage):
+        g = small_graph(storage)
+        reference = small_graph(storage)
         for bad in (
             [("add_edge", 0, 1), ("add_edge", 3, 3)],  # self-loop later
             [("remove_edge", 0, 1), ("add_edge", 0, 99)],  # out of range
             [("add_edge", 0, 1), ("frobnicate", 1)],  # unknown kind
             [("add_edge", 0)],  # malformed arity
             [("add_edge", 0, "x")],  # non-int endpoint
+            [("add_edge", 1, 2), ("add_vertex", ["x"])],  # unhashable label later
         ):
             with pytest.raises(GraphError):
                 g.mutate(bad)
             assert_topology_equal(g, reference)
 
-    def test_batch_bounds_account_for_added_vertices(self, backend):
-        g = small_graph(backend)
+    def test_unhashable_label_leaves_graph_and_cache_untouched(self, storage):
+        g = small_graph(storage)
+        g.remove_edge(1, 2)
+        g.index_cache()
+        edges, labels, version = list(g.edges()), list(g.labels), g.version
+        signature = g.neighborhood_signature(2)
+        with pytest.raises(GraphError, match="not hashable"):
+            g.mutate([("add_edge", 1, 2), ("add_vertex", ["x"])])
+        assert list(g.edges()) == edges
+        assert list(g.labels) == labels and g.num_vertices == 5
+        assert g.version == version
+        assert g.neighborhood_signature(2) == signature
+        with pytest.raises(GraphError, match="not hashable"):
+            g.add_vertex(["x"])
+        assert list(g.labels) == labels and g.version == version
+
+    def test_batch_bounds_account_for_added_vertices(self, storage):
+        g = small_graph(storage)
         summary = g.mutate([("add_vertex", "z"), ("add_edge", 5, 1)])
         assert summary.applied == 2
         assert g.has_edge(5, 1)
@@ -142,7 +158,7 @@ class TestBatchMutate:
 
 class TestCSROverlayAndCompaction:
     def test_overlay_tracks_touched_and_delta(self):
-        g = small_graph("csr")
+        g = small_graph()
         b = g.backend
         assert b.delta_size == 0 and not b.touched_vertices
         g.add_edge(0, 2)
@@ -154,7 +170,7 @@ class TestCSROverlayAndCompaction:
         assert tuple(b.neighbors_array(0)) == (1, 2, 4)
 
     def test_compact_restores_pure_arrays(self):
-        g = small_graph("csr")
+        g = small_graph()
         rng = random.Random(5)
         for _ in range(30):
             u, v = rng.randrange(5), rng.randrange(5)
@@ -163,7 +179,7 @@ class TestCSROverlayAndCompaction:
             (g.add_edge if rng.random() < 0.6 else g.remove_edge)(u, v)
         g.add_vertex("z")
         g.add_edge(5, 0)
-        snapshot = LabeledGraph(list(g.labels), list(g.edges()), backend="csr")
+        snapshot = LabeledGraph(list(g.labels), list(g.edges()))
         g.compact()
         b = g.backend
         assert b.delta_size == 0 and not b.touched_vertices
@@ -175,31 +191,23 @@ class TestCSROverlayAndCompaction:
             assert b.has_edge_searchsorted(u, v)
 
     def test_mutate_auto_compacts_at_threshold(self):
-        g = small_graph("csr")
+        g = small_graph()
         ops = [("add_vertex", "z")] + [("add_edge", 5, t) for t in range(4)]
         summary = g.mutate(ops, compaction_threshold=3)
         assert summary.compacted is True
         assert g.backend.delta_size == 0
 
-    def test_set_backend_compact_is_cheap_reset(self):
-        g = small_graph("set")
-        g.add_edge(0, 2)
-        assert g.backend.delta_size == 1
-        g.compact()
-        assert g.backend.delta_size == 0
-        assert g.has_edge(0, 2)
 
-
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("storage", STORAGE_STATES)
 class TestVersioning:
-    def test_version_is_none_before_cache(self, backend):
-        g = small_graph(backend)
+    def test_version_is_none_before_cache(self, storage):
+        g = small_graph(storage)
         assert g.version is None
         g.add_edge(0, 2)  # mutating without a cache is fine
         assert g.version is None
 
-    def test_delta_bumps_seq_compaction_bumps_epoch(self, backend):
-        g = small_graph(backend)
+    def test_delta_bumps_seq_compaction_bumps_epoch(self, storage):
+        g = small_graph(storage)
         cache = g.index_cache()
         epoch0 = cache.epoch
         assert g.version == (epoch0, 0)
@@ -210,8 +218,8 @@ class TestVersioning:
         epoch1, seq = g.version
         assert epoch1 != epoch0 and seq == 0
 
-    def test_noop_does_not_consume_a_delta(self, backend):
-        g = small_graph(backend)
+    def test_noop_does_not_consume_a_delta(self, storage):
+        g = small_graph(storage)
         g.index_cache()
         g.add_edge(0, 1)  # already present
         g.remove_edge(0, 2)  # already absent
@@ -220,8 +228,8 @@ class TestVersioning:
 
 class TestReplay:
     def test_replay_converges_twin_graph(self):
-        g = small_graph("csr")
-        twin = small_graph("csr")
+        g = small_graph()
+        twin = small_graph()
         cache = g.index_cache()
         twin.index_cache()
         g.mutate([("add_vertex", "z"), ("add_edge", 5, 0), ("remove_edge", 1, 2)])
@@ -233,11 +241,11 @@ class TestReplay:
         assert twin.version[1] == g.version[1]
 
     def test_replay_gap_raises(self):
-        g = small_graph("csr")
+        g = small_graph()
         cache = g.index_cache()
         g.add_edge(0, 2)
         g.add_edge(0, 3)
-        twin = small_graph("csr")
+        twin = small_graph()
         twin.index_cache()
         tail = cache.ops_since(1)  # starts at seq 2: a gap for the fresh twin
         with pytest.raises(GraphError, match="gap"):

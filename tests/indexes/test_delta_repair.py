@@ -17,15 +17,14 @@ import pytest
 
 from repro.graph.labeled_graph import LabeledGraph
 from repro.indexes.graph_cache import GraphIndexCache
+from tests.conftest import STORAGE_STATES, build_graph
 
-BACKENDS = ("csr", "set")
 
-
-def small_graph(backend: str = "csr") -> LabeledGraph:
-    return LabeledGraph(
+def small_graph(storage: str = "csr") -> LabeledGraph:
+    return build_graph(
         ["a", "b", "b", "c", "a", "c"],
         [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)],
-        backend=backend,
+        storage=storage,
     )
 
 
@@ -41,17 +40,17 @@ def assert_cache_equivalent(repaired: GraphIndexCache, fresh: GraphIndexCache) -
     assert repaired.label_to_id == fresh.label_to_id
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("storage", STORAGE_STATES)
 class TestDeltaRepairEquivalence:
-    def test_single_edge_ops(self, backend):
-        g = small_graph(backend)
+    def test_single_edge_ops(self, storage):
+        g = small_graph(storage)
         cache = g.index_cache()
         g.add_edge(0, 3)
         g.remove_edge(1, 2)
         assert_cache_equivalent(cache, GraphIndexCache(g))
 
-    def test_add_vertex_repairs_label_index(self, backend):
-        g = small_graph(backend)
+    def test_add_vertex_repairs_label_index(self, storage):
+        g = small_graph(storage)
         cache = g.index_cache()
         v = g.add_vertex("b")
         assert v in cache.label_index["b"]
@@ -62,8 +61,8 @@ class TestDeltaRepairEquivalence:
         assert cache.signature(v) == frozenset({"zz"})
         assert_cache_equivalent(cache, GraphIndexCache(g))
 
-    def test_random_mutation_script(self, backend):
-        g = small_graph(backend)
+    def test_random_mutation_script(self, storage):
+        g = small_graph(storage)
         cache = g.index_cache()
         rng = random.Random(23)
         labels = ["a", "b", "c", "d"]
@@ -85,7 +84,7 @@ class TestDeltaRepairEquivalence:
 
 class TestTargetedInvalidation:
     def test_pool_memo_evicts_only_dirty_labels(self):
-        g = small_graph("csr")
+        g = small_graph()
         cache = g.index_cache()
         lid_a = cache.label_id("a")
         lid_c = cache.label_id("c")
@@ -102,7 +101,7 @@ class TestTargetedInvalidation:
         assert any(k[0] == lid_c for k in keys_after)
 
     def test_adjacency_masks_evict_only_touched_vertices(self):
-        g = small_graph("csr")
+        g = small_graph()
         cache = g.index_cache()
         m3 = cache.adjacency_mask(3)
         m0 = cache.adjacency_mask(0)
@@ -136,7 +135,7 @@ class TestTargetedInvalidation:
 
 class TestVersionAndLog:
     def test_ops_since_returns_contiguous_tail(self):
-        g = small_graph("csr")
+        g = small_graph()
         cache = g.index_cache()
         g.add_edge(0, 3)
         g.add_edge(1, 4)
@@ -147,7 +146,7 @@ class TestVersionAndLog:
         assert cache.ops_since(3) == ()
 
     def test_on_compaction_resets_log_and_epoch(self):
-        g = small_graph("csr")
+        g = small_graph()
         cache = g.index_cache()
         g.add_edge(0, 3)
         epoch0 = cache.epoch
@@ -162,7 +161,7 @@ class TestVersionAndLog:
         from repro.core.dsql import DSQL
         from repro.graph.query_graph import QueryGraph
 
-        g = small_graph("csr")
+        g = small_graph()
         session = DSQL(g, config=DSQLConfig(k=2))
         q = QueryGraph(["a", "b"], [(0, 1)])
         key0 = session.memo_key(q)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.graph.labeled_graph import LabeledGraph
 from repro.indexes.graph_cache import GraphIndexCache
+from tests.conftest import in_storage_state
 
 LABELS = ["a", "b", "b", "a", "c"]
 EDGES = [(0, 1), (1, 2), (0, 2), (1, 3), (3, 4)]
@@ -99,7 +100,8 @@ def test_memo_disabled(graph):
 
 
 def test_cache_agrees_across_backends(graph):
-    other = graph.with_backend("set").index_cache()
+    """A cache built over overlay-resident rows equals one over the frozen base."""
+    other = in_storage_state(graph, "set").index_cache()
     mine = graph.index_cache()
     assert other.label_index == mine.label_index
     assert other.signature_masks == mine.signature_masks

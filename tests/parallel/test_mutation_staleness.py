@@ -54,7 +54,7 @@ class TestWorkerCatchUp:
             # Workers at the old delta_seq must replay the tail and answer
             # against the post-mutation topology.
             _, pairs_after, _ = pool.submit(_chunk_of(session, queries)).result()
-            rebuilt = LabeledGraph(list(graph.labels), list(graph.edges()), backend="csr")
+            rebuilt = LabeledGraph(list(graph.labels), list(graph.edges()))
             reference = DSQL(rebuilt, config=config)
             want = {q.canonical_key(): reference.query(q) for q in queries}
             got = {key[1]: r for key, r in pairs_after}
@@ -121,7 +121,7 @@ class TestCompactionStaleness:
             # answers must match a from-scratch session, with no retries
             # leaking a pre-compaction result.
             results = executor.run(queries)
-            rebuilt = LabeledGraph(list(graph.labels), list(graph.edges()), backend="csr")
+            rebuilt = LabeledGraph(list(graph.labels), list(graph.edges()))
             reference = DSQL(rebuilt, config=config)
             for got, want in zip(results, reference.query_many(queries)):
                 assert got.embeddings == want.embeddings

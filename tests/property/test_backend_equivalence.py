@@ -1,16 +1,24 @@
-"""CSR vs set backend: the full DSQL pipeline must be result-identical.
+"""One storage class, checked two ways.
 
-The ``set`` backend is the seed's reference representation; these tests pin
-the refactoring contract that the CSR storage layer changes *nothing*
-observable — same embeddings in the same order, same coverage, same
-optimality flags — on every registered dataset stand-in and on random
-hypothesis-generated instances.
+1. **A second opinion** — :class:`~repro.graph.csr.CSRBackend` against a
+   ``networkx.Graph`` model under random build → mutate → compact scripts:
+   the tuple/set views, the pure-array probes, the rows ``neighbors_array``
+   serves under a dirty overlay, and the ``indptr``/``indices`` rows a
+   compaction writes must all describe the model's graph.
+
+2. **Where the rows live changes nothing** — two ``CSRBackend`` instances
+   holding the same graph in opposite storage states (``csr``: frozen array
+   base; ``set``: the mutation overlay's row sets — see
+   ``tests/conftest.py::STORAGE_STATES``), plus a third re-attached from
+   the first one's arrays the way a pool worker gets its graph, must give
+   identical structure and bit-identical DSQL results. This is the contract
+   the retired ``set`` backend class was kept to prove.
 """
 
 from __future__ import annotations
 
-import random
-
+import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,79 +26,135 @@ from hypothesis import strategies as st
 from repro.core.config import DSQLConfig
 from repro.core.dsql import DSQL
 from repro.datasets.registry import dataset_names, make_dataset
-from repro.exceptions import DatasetError
+from repro.graph.csr import CSRBackend
 from repro.graph.labeled_graph import LabeledGraph
-from repro.graph.query_graph import QueryGraph
 from repro.queries.generator import query_set
+from tests.conftest import in_storage_state
+from tests.property.test_mutation_equivalence import assert_results_identical
+from tests.property.test_plan_equivalence import instances
 
 
-def assert_results_identical(r1, r2):
-    assert r1.embeddings == r2.embeddings
-    assert r1.coverage == r2.coverage
-    assert r1.optimal == r2.optimal
-    assert r1.optimal_reason == r2.optimal_reason
-    assert r1.level == r2.level
+# ----------------------------------------------------------------------
+# 1. CSRBackend vs a networkx model
+# ----------------------------------------------------------------------
+def assert_matches_model(backend: CSRBackend, model: nx.Graph) -> None:
+    n = model.number_of_nodes()
+    assert backend.num_vertices == n
+    assert backend.num_edges == model.number_of_edges()
+    assert list(backend.edges()) == sorted(tuple(sorted(e)) for e in model.edges())
+    assert backend.degree_sequence() == [model.degree(v) for v in range(n)]
+    assert list(backend.degree_array) == backend.degree_sequence()
+    for u in range(n):
+        row = sorted(model[u])
+        assert list(backend.neighbors(u)) == row
+        assert backend.degree(u) == len(row)
+        # Under a dirty overlay the array accessor must serve the live row.
+        assert list(backend.neighbors_array(u)) == row
+        for v in range(n):
+            want = model.has_edge(u, v)
+            assert backend.has_edge(u, v) == want
+            assert backend.has_edge_searchsorted(u, v) == want
+        if n:
+            assert list(backend.has_edges(u, np.arange(n))) == [v in model[u] for v in range(n)]
+
+
+vertex_pairs = st.tuples(st.integers(0, 40), st.integers(0, 40))
+script_steps = st.one_of(
+    st.tuples(st.just("add_edge"), vertex_pairs),
+    st.tuples(st.just("remove_edge"), vertex_pairs),
+    st.tuples(st.just("add_vertex"), st.sampled_from("abc")),
+    st.tuples(st.just("compact"), st.none()),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    labels=st.lists(st.sampled_from("abc"), min_size=1, max_size=9),
+    initial=st.lists(vertex_pairs, max_size=14),
+    script=st.lists(script_steps, max_size=30),
+)
+def test_storage_matches_networkx_model(labels, initial, script):
+    def pair(raw, n):
+        return raw[0] % n, raw[1] % n
+
+    n = len(labels)
+    built = [pair(raw, n) for raw in initial]
+    built = [(u, v) for u, v in built if u != v]
+    backend = CSRBackend(labels, built)
+    model = nx.Graph()
+    model.add_nodes_from(range(n))
+    model.add_edges_from(built)
+    assert_matches_model(backend, model)
+    for kind, arg in script:
+        n = model.number_of_nodes()
+        if kind == "add_vertex":
+            assert backend.add_vertex(arg) == n
+            model.add_node(n)
+            assert backend.label(n) == arg
+        elif kind == "compact":
+            backend.compact()
+            assert backend.delta_size == 0 and not backend.touched_vertices
+            for v in range(n):
+                row = backend.indices[backend.indptr[v] : backend.indptr[v + 1]]
+                assert list(row) == sorted(model[v])
+        else:
+            u, v = pair(arg, n)
+            if u == v:
+                continue
+            if kind == "add_edge":
+                assert backend.add_edge(u, v) == (not model.has_edge(u, v))
+                model.add_edge(u, v)
+            else:
+                assert backend.remove_edge(u, v) == model.has_edge(u, v)
+                if model.has_edge(u, v):
+                    model.remove_edge(u, v)
+        assert_matches_model(backend, model)
+
+
+# ----------------------------------------------------------------------
+# 2. Frozen base vs overlay-resident vs re-attached arrays
+# ----------------------------------------------------------------------
+def reattached(graph: LabeledGraph) -> LabeledGraph:
+    """``graph`` rebuilt around its own arrays — the shared-memory attach route."""
+    b = graph.backend
+    twin = CSRBackend.from_arrays(b.indptr, b.indices, b.label_ids, b.label_table, b.degree_array)
+    return LabeledGraph.from_backend(twin, name=graph.name)
+
+
+def twins(graph: LabeledGraph):
+    return in_storage_state(graph, "set"), reattached(graph)
 
 
 @pytest.mark.parametrize("dataset", dataset_names())
 def test_backends_identical_on_registry_dataset(dataset):
     graph = make_dataset(dataset, scale=0.001, seed=7)
-    assert graph.backend_name == "csr"
-    twin = graph.with_backend("set")
     queries = query_set(graph, 3, 3, seed=11)
     config = DSQLConfig(k=4, node_budget=200_000)
-    csr_session = DSQL(graph, config=config)
-    set_session = DSQL(twin, config=config)
-    for query in queries:
-        assert_results_identical(csr_session.query(query), set_session.query(query))
+    base_session = DSQL(graph, config=config)
+    for twin in twins(graph):
+        twin_session = DSQL(twin, config=config)
+        for query in queries:
+            assert_results_identical(base_session.query(query), twin_session.query(query))
 
 
 @pytest.mark.parametrize("dataset", dataset_names()[:3])
 def test_backends_identical_structure(dataset):
     graph = make_dataset(dataset, scale=0.001, seed=3)
-    twin = graph.with_backend("set")
-    assert list(graph.edges()) == list(twin.edges())
-    assert graph.degree_sequence() == twin.degree_sequence()
-    for v in range(min(graph.num_vertices, 40)):
-        assert graph.neighbors(v) == twin.neighbors(v)
-        assert graph.neighborhood_signature(v) == twin.neighborhood_signature(v)
-
-
-@st.composite
-def instances(draw):
-    n = draw(st.integers(min_value=4, max_value=14))
-    num_labels = draw(st.integers(min_value=2, max_value=3))
-    seed = draw(st.integers(min_value=0, max_value=10_000))
-    rng = random.Random(seed)
-    labels = [f"L{rng.randrange(num_labels)}" for _ in range(n)]
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.35]
-    graph = LabeledGraph(labels, edges, backend="csr")
-    if graph.num_edges == 0:
-        query = QueryGraph([labels[0]])
-    else:
-        from repro.queries.generator import random_query
-
-        z = min(draw(st.integers(min_value=1, max_value=3)), graph.num_edges)
-        query = None
-        while z >= 1:
-            try:
-                query = random_query(graph, z, rng=rng)
-                break
-            except DatasetError:
-                z -= 1
-        if query is None:
-            query = QueryGraph([labels[0]])
-    k = draw(st.integers(min_value=1, max_value=5))
-    return graph, query, k
+    for twin in twins(graph):
+        assert list(graph.labels) == list(twin.labels)
+        assert list(graph.edges()) == list(twin.edges())
+        assert graph.degree_sequence() == twin.degree_sequence()
+        for v in range(min(graph.num_vertices, 40)):
+            assert graph.neighbors(v) == twin.neighbors(v)
+            assert graph.neighborhood_signature(v) == twin.neighborhood_signature(v)
 
 
 @settings(max_examples=50, deadline=None)
 @given(instances())
 def test_backends_identical_on_random_instances(instance):
     graph, query, k = instance
-    twin = graph.with_backend("set")
     for factory in (DSQLConfig.dsql0, lambda kk: DSQLConfig(k=kk)):
         config = factory(k)
-        r_csr = DSQL(graph, config=config).query(query)
-        r_set = DSQL(twin, config=config).query(query)
-        assert_results_identical(r_csr, r_set)
+        want = DSQL(graph, config=config).query(query)
+        for twin in twins(graph):
+            assert_results_identical(want, DSQL(twin, config=config).query(query))

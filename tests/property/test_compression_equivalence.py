@@ -5,7 +5,7 @@ mechanism change: the class-level join masks and
 the ``cbitset`` expansion kernel may change *how* candidate pools and join
 tests are computed, but never which candidates are iterated, in what order,
 or when budget charges fire. These tests pin that contract — DSQL end to
-end across every registry dataset, both storage backends, both SQ engine
+end across every registry dataset in both storage states, both SQ engine
 families, all objectives, random hypothesis instances, and across mutation
 batches (split-repaired partition ≡ rebuilt-from-scratch graph).
 """
@@ -30,6 +30,7 @@ from repro.isomorphism.optimized import OptimizedQSearchEngine
 from repro.isomorphism.qsearch import QSearchEngine
 from repro.kernels import CBITSET
 from repro.queries.generator import query_set
+from tests.conftest import STORAGE_STATES, in_storage_state
 from tests.property.test_mutation_equivalence import (
     assert_results_identical,
     mutation_script,
@@ -46,11 +47,9 @@ def assert_stats_parity(r_on, r_off):
 
 
 @pytest.mark.parametrize("dataset", dataset_names())
-@pytest.mark.parametrize("backend", ["csr", "set"])
-def test_compression_identical_on_registry_dataset(dataset, backend):
-    graph = make_dataset(dataset, scale=0.002, seed=7)
-    if backend != graph.backend_name:
-        graph = graph.with_backend(backend)
+@pytest.mark.parametrize("storage", STORAGE_STATES)
+def test_compression_identical_on_registry_dataset(dataset, storage):
+    graph = in_storage_state(make_dataset(dataset, scale=0.002, seed=7), storage)
     queries = query_set(graph, 3, 3, seed=11)
     config = DSQLConfig(k=4, node_budget=200_000)
     off = DSQL(graph, config=config)
@@ -164,14 +163,14 @@ def test_compression_mutate_equals_rebuild(dataset):
     for round_seed in (29, 31):
         ops = mutation_script(graph, random.Random(round_seed), count=25)
         graph.mutate(ops, compaction_threshold=None)
-        reference = DSQL(rebuilt_twin(graph, "csr"), config=config)
+        reference = DSQL(rebuilt_twin(graph), config=config)
         for got, want in zip(session.query_many(queries), reference.query_many(queries)):
             assert_results_identical(got, want)
 
     # Cross the compaction boundary: the partition survives (topology is
     # unchanged) and answers must stay bit-identical.
     graph.compact()
-    reference = DSQL(rebuilt_twin(graph, "csr"), config=config)
+    reference = DSQL(rebuilt_twin(graph), config=config)
     for got, want in zip(session.query_many(queries), reference.query_many(queries)):
         assert_results_identical(got, want)
 
@@ -199,9 +198,9 @@ def test_compression_mutation_on_twin_rich_instance():
     assert comp.split_repairs > 0
 
     r_live = session.query(query)
-    r_rebuilt = DSQL(rebuilt_twin(graph, "csr"), config=config).query(query)
+    r_rebuilt = DSQL(rebuilt_twin(graph), config=config).query(query)
     r_off = DSQL(
-        rebuilt_twin(graph, "csr"), config=replace(config, use_compression=False)
+        rebuilt_twin(graph), config=replace(config, use_compression=False)
     ).query(query)
     assert_results_identical(r_live, r_rebuilt)
     assert_results_identical(r_live, r_off)

@@ -5,8 +5,9 @@ mutation script, querying the *mutated* graph — through warm caches,
 delta-repaired indexes, version-qualified memos, and surviving plans —
 must produce bit-identical :class:`DSQResult`\\ s to querying a graph
 *rebuilt from scratch* with the post-mutation topology. Runs across the
-registry datasets, both backends, repeated mutation rounds, and across
-an explicit compaction (the epoch-bump path).
+registry datasets, both storage states (frozen base / overlay-resident),
+repeated mutation rounds, and across an explicit compaction (the epoch-bump
+path).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.core.dsql import DSQL
 from repro.datasets.registry import dataset_names, make_dataset
 from repro.graph.labeled_graph import LabeledGraph
 from repro.queries.generator import query_set
+from tests.conftest import STORAGE_STATES, in_storage_state
 
 SCALE = 0.002
 OPS = 40
@@ -58,16 +60,14 @@ def mutation_script(graph: LabeledGraph, rng: random.Random, count: int = OPS):
     return ops
 
 
-def rebuilt_twin(graph: LabeledGraph, backend: str) -> LabeledGraph:
-    return LabeledGraph(list(graph.labels), list(graph.edges()), backend=backend)
+def rebuilt_twin(graph: LabeledGraph) -> LabeledGraph:
+    return LabeledGraph(list(graph.labels), list(graph.edges()))
 
 
-@pytest.mark.parametrize("backend", ["csr", "set"])
+@pytest.mark.parametrize("storage", STORAGE_STATES)
 @pytest.mark.parametrize("dataset", dataset_names())
-def test_mutate_equals_rebuild(dataset, backend):
-    graph = make_dataset(dataset, scale=SCALE, seed=7)
-    if backend != graph.backend_name:
-        graph = graph.with_backend(backend)
+def test_mutate_equals_rebuild(dataset, storage):
+    graph = in_storage_state(make_dataset(dataset, scale=SCALE, seed=7), storage)
     queries = list(query_set(graph, 3, 3, seed=11))
     config = DSQLConfig(k=4, node_budget=200_000)
     session = DSQL(graph, config=config)
@@ -79,7 +79,7 @@ def test_mutate_equals_rebuild(dataset, backend):
     assert summary.applied > 0
     assert summary.version == graph.version
 
-    reference = DSQL(rebuilt_twin(graph, backend), config=config)
+    reference = DSQL(rebuilt_twin(graph), config=config)
     for got, want in zip(session.query_many(queries), reference.query_many(queries)):
         assert_results_identical(got, want)
 
@@ -100,7 +100,7 @@ def test_mutate_equals_rebuild_over_rounds():
     for round_seed in (1, 2, 3):
         ops = mutation_script(graph, random.Random(round_seed), count=25)
         graph.mutate(ops, compaction_threshold=None)
-        reference = DSQL(rebuilt_twin(graph, "csr"), config=config)
+        reference = DSQL(rebuilt_twin(graph), config=config)
         for got, want in zip(session.query_many(queries), reference.query_many(queries)):
             assert_results_identical(got, want)
 
@@ -122,7 +122,7 @@ def test_incremental_single_ops_equal_rebuild():
             graph.remove_edge(u, v)
         else:
             graph.add_edge(u, v)
-    reference = DSQL(rebuilt_twin(graph, "csr"), config=config)
+    reference = DSQL(rebuilt_twin(graph), config=config)
     for got, want in zip(session.query_many(queries), reference.query_many(queries)):
         assert_results_identical(got, want)
 
@@ -140,6 +140,6 @@ def test_memo_serves_stale_free_answers():
         assert a.embeddings == b.embeddings
     graph.add_edge(0, graph.num_vertices - 1)
     post = session.query_many(queries)
-    reference = DSQL(rebuilt_twin(graph, "csr"), config=config)
+    reference = DSQL(rebuilt_twin(graph), config=config)
     for got, want in zip(post, reference.query_many(queries)):
         assert_results_identical(got, want)

@@ -4,9 +4,11 @@ Two pins:
 
 1. **Golden gate** — ``tests/data/objective_vertex_goldens.json`` holds one
    digest per (registry dataset × backend × plans on/off × query), captured
-   on the pre-seam pipeline, when the engines still had a plan-free fork.
-   The single remaining (plans-only) pipeline must reproduce **both** rows
-   of every pair bit-for-bit: embeddings, coverage, level, optimality
+   on the pre-seam pipeline, when the engines still had a plan-free fork and
+   graphs a second (``set``) storage class. The single remaining pipeline
+   must reproduce **all four** rows of every query bit-for-bit — the ``csr``
+   rows from the frozen array base, the ``set`` rows from the same graph
+   resident in the mutation overlay's row sets: embeddings, coverage, level, optimality
    *reason*, node expansions, and Phase-2 activity all feed the hash, so a
    single off-by-one anywhere in the dispatch trips the gate — and the
    ``plans=off`` rows keep the retired path's behaviour pinned as data.
@@ -33,6 +35,7 @@ from repro.core.dsql import DSQL
 from repro.coverage.core import CoverageTracker, benefit, coverage, loss
 from repro.datasets.registry import dataset_names, make_dataset
 from repro.queries.generator import query_set
+from tests.conftest import STORAGE_STATES, in_storage_state
 
 GOLDENS = json.loads(
     (Path(__file__).resolve().parent.parent / "data" / "objective_vertex_goldens.json")
@@ -72,13 +75,13 @@ def test_goldens_cover_full_matrix():
 def test_vertex_objective_matches_preseam_goldens(dataset):
     base = make_dataset(dataset, scale=0.001, seed=7)
     queries = query_set(base, 3, 3, seed=11)
-    for backend in ("csr", "set"):
-        graph = base.with_backend(backend)
+    for storage in STORAGE_STATES:
+        graph = in_storage_state(base, storage)
         session = DSQL(graph, config=DSQLConfig(k=4, node_budget=200_000))
         for i, query in enumerate(queries):
             digest = result_digest(session.query(query))
             for plans in ("on", "off"):
-                key = f"{dataset}|{backend}|plans={plans}|q{i}"
+                key = f"{dataset}|{storage}|plans={plans}|q{i}"
                 assert digest == GOLDENS[key], key
 
 

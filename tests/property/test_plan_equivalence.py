@@ -7,9 +7,11 @@ computed survives as frozen digests captured from it at the parent commit
 (``tests/data/sq_stream_goldens.json``, recipe in ``tests/data/README.md``):
 the *ordered* embedding stream, ``nodes_expanded``, the budget flag, and
 (optimized engine) the skip counters of :class:`QSearchEngine` and
-:class:`OptimizedQSearchEngine` over every registry dataset × backend × 3
-queries, plus one pinned instance per join-kernel regime (``bitset``,
-``cbitset``, the gallop side of ``merge``). The single remaining path must
+:class:`OptimizedQSearchEngine` over every registry dataset × backend
+(``csr``/``set`` — since PR 14 the two storage states of the one class, see
+``tests/conftest.py::STORAGE_STATES``) × 3 queries, plus one pinned instance
+per join-kernel regime (``bitset``, ``cbitset``, the gallop side of
+``merge``). The single remaining path must
 reproduce each digest stream-for-stream, and — independently of any frozen
 data — the embedding *set* of ``brute_force_embeddings``.
 
@@ -40,7 +42,7 @@ from repro.isomorphism.optimized import OptimizedQSearchEngine
 from repro.isomorphism.qsearch import QSearchEngine
 from repro.kernels import BITSET, CBITSET, GALLOP_RATIO, MERGE
 from repro.queries.generator import query_set
-from tests.conftest import brute_force_embeddings
+from tests.conftest import STORAGE_STATES, brute_force_embeddings, in_storage_state
 from tests.property.test_compression_equivalence import casting_instance
 
 GOLDENS = json.loads(
@@ -50,7 +52,6 @@ GOLDENS = json.loads(
 
 SQ_ENGINES = (QSearchEngine, OptimizedQSearchEngine)
 SQ_BUDGET = 100_000
-BACKENDS = ("csr", "set")
 
 
 def stream_digest(engine) -> str:
@@ -74,11 +75,11 @@ def assert_matches_golden(case: str, engine) -> None:
 # ----------------------------------------------------------------------
 # The frozen instances (shared with the capture recipe in tests/data/README.md)
 # ----------------------------------------------------------------------
-def registry_cases(dataset: str, backend: str):
-    """``(case, graph, query)`` for one registry dataset on one backend."""
-    graph = make_dataset(dataset, scale=0.001, seed=7).with_backend(backend)
+def registry_cases(dataset: str, storage: str):
+    """``(case, graph, query)`` for one registry dataset in one storage state."""
+    graph = in_storage_state(make_dataset(dataset, scale=0.001, seed=7), storage)
     for i, query in enumerate(query_set(graph, 3, 3, seed=11)):
-        yield f"{dataset}|{backend}|q{i}", graph, query
+        yield f"{dataset}|{storage}|q{i}", graph, query
 
 
 def yeast_cases():
@@ -126,8 +127,8 @@ def kernel_regime_cases():
 
 def all_sq_cases():
     for dataset in dataset_names():
-        for backend in BACKENDS:
-            yield from registry_cases(dataset, backend)
+        for storage in STORAGE_STATES:
+            yield from registry_cases(dataset, storage)
     yield from yeast_cases()
     yield from kernel_regime_cases()
 
@@ -144,9 +145,9 @@ def test_sq_goldens_cover_full_matrix():
 # Registry datasets: stream-for-stream against the plan-free goldens.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("dataset", dataset_names())
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_plans_identical_on_registry_dataset(dataset, backend):
-    cases = list(registry_cases(dataset, backend))
+@pytest.mark.parametrize("storage", STORAGE_STATES)
+def test_plans_identical_on_registry_dataset(dataset, storage):
+    cases = list(registry_cases(dataset, storage))
     session = DSQL(cases[0][1], config=DSQLConfig(k=4, node_budget=200_000))
     for case, graph, query in cases:
         for engine_cls in SQ_ENGINES:
@@ -236,7 +237,7 @@ def instances(draw):
     rng = random.Random(seed)
     labels = [f"L{rng.randrange(num_labels)}" for _ in range(n)]
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.35]
-    graph = LabeledGraph(labels, edges, backend="csr")
+    graph = LabeledGraph(labels, edges)
     if graph.num_edges == 0:
         query = QueryGraph([labels[0]])
     else:

@@ -163,7 +163,7 @@ class TestConcurrentReadersWriter:
 
         def reference_answers(g):
             session = DSQL(
-                LabeledGraph(list(g.labels), list(g.edges()), backend="csr"),
+                LabeledGraph(list(g.labels), list(g.edges())),
                 config=config,
             )
             return {

@@ -96,6 +96,13 @@ class TestQueryGraphCodec:
         assert "connected" in info.value.message
         assert "[3]" in info.value.message
 
+    def test_unhashable_label_is_invalid_query(self):
+        # A JSON list is a legal value but not a legal (hashable) label.
+        with pytest.raises(ServiceError) as info:
+            query_graph_from_json({"labels": [["a"], "b"], "edges": [[0, 1]]})
+        assert (info.value.status, info.value.code) == (400, "invalid_query")
+        assert "not hashable" in info.value.message
+
     @pytest.mark.parametrize(
         "bad",
         [

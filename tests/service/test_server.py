@@ -133,6 +133,12 @@ class TestTypedErrors:
             client.query("tiny", {"labels": ["A", "B"], "edges": []})
         assert (info.value.status, info.value.code) == (400, "invalid_query")
 
+    def test_unhashable_label_400_not_500(self, server):
+        payload = {"graph": "tiny", "query": {"labels": [["a"], "b"], "edges": [[0, 1]]}}
+        status, body, _ = server.service.handle_post("/v1/query", lambda: payload)
+        assert status == 400
+        assert body["error"]["code"] == "invalid_query"
+
     def test_unknown_post_endpoint_404(self, client, server):
         with pytest.raises(ServiceClientError) as info:
             client._call("POST", "/v1/nope", {"graph": "tiny"})

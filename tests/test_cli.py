@@ -14,6 +14,16 @@ class TestDatasetsCommand:
         for name in ("yeast", "imdb", "uspatent"):
             assert name in out
 
+    def test_backend_flag_is_gone(self, capsys):
+        for argv in (["--backend", "set", "datasets"], ["--backend=set", "datasets"]):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+        assert "unrecognized arguments: --backend=set" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "--backend" not in capsys.readouterr().out
+
 
 class TestScheduleCommand:
     def test_schedule_values(self, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import py_compile
 import shutil
 import subprocess
@@ -230,20 +231,68 @@ def test_docs_gate_covers_performance_doc():
 FORK_MARKERS = ("use_plans", "no-plan-cache", "plan is None", "plan is not None")
 
 
+def fork_offenders(markers, extra_paths=()):
+    """``path: marker`` for every marker found in shipped code and docs."""
+    scanned = [REPO / "README.md", *extra_paths]
+    for tree, pattern in (
+        ("src", "*.py"), ("docs", "*.md"), ("benchmarks", "*.py"), ("examples", "*.py"),
+    ):
+        scanned += sorted((REPO / tree).rglob(pattern))
+    return [
+        f"{path.relative_to(REPO)}: {marker!r}"
+        for path in scanned
+        for text in [path.read_text(encoding="utf-8")]
+        for marker in markers
+        if marker in text
+    ]
+
+
 def test_plan_free_fork_stays_deleted():
     from repro.core.config import DSQLConfig
 
     fields = {f.name for f in dataclasses.fields(DSQLConfig)}
     assert not fields & {"use_plans", "plan_cache"}
-    scanned = [REPO / "README.md"]
-    for tree, pattern in (
-        ("src", "*.py"), ("docs", "*.md"), ("benchmarks", "*.py"), ("examples", "*.py"),
+    offenders = fork_offenders(FORK_MARKERS)
+    assert not offenders, offenders
+
+
+# ----------------------------------------------------------------------
+# Fork guard: one graph storage class. The ``set`` backend and every way
+# of selecting a backend must not grow back.
+# ----------------------------------------------------------------------
+BACKEND_FORK_MARKERS = (
+    "SetBackend",
+    "make_backend",
+    "default_backend",  # also catches set_default_backend
+    "with_backend",
+    "backend_name",
+    "REPRO_GRAPH_BACKEND",
+    "--backend",
+)
+
+
+def test_backend_fork_stays_deleted():
+    import repro.graph
+    from repro.graph import GraphBuilder, LabeledGraph, QueryGraph
+    from repro.graph.interop import from_networkx
+    from repro.graph.io import load_edge_list, load_json, load_query
+
+    exported = set(repro.graph.__all__)
+    assert "CSRBackend" in exported
+    assert not exported & {
+        "SetBackend", "BACKEND_NAMES", "default_backend", "make_backend", "set_default_backend",
+    }
+    for fn in (
+        LabeledGraph.__init__,
+        QueryGraph.__init__,
+        GraphBuilder.build,
+        load_edge_list,
+        load_json,
+        load_query,
+        from_networkx,
     ):
-        scanned += sorted((REPO / tree).rglob(pattern))
-    offenders = [
-        f"{path.relative_to(REPO)}: {marker!r}"
-        for path in scanned
-        for marker in FORK_MARKERS
-        if marker in path.read_text(encoding="utf-8")
-    ]
+        assert "backend" not in inspect.signature(fn).parameters, fn.__qualname__
+    extra = [REPO / "DESIGN.md"]
+    extra += sorted(p for p in (REPO / ".claude").rglob("*") if p.is_file())
+    offenders = fork_offenders(BACKEND_FORK_MARKERS, extra)
     assert not offenders, offenders
