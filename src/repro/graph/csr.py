@@ -40,6 +40,7 @@ Accessor semantics:
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import chain
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -400,21 +401,48 @@ class CSRBackend:
     def compact(self) -> None:
         """Merge the mutation overlay into fresh sorted CSR arrays.
 
-        Rebuilds ``indptr``/``indices`` (and the lazy ``label_ids``/
-        ``degree_array`` caches) from the live Python views and clears the
-        overlay, restoring the pure-CSR invariants that the shared-memory
-        publisher requires. Attached (read-only, shared-buffer) arrays are
-        replaced, never written in place.
+        The new ``indices`` is spliced from the old one: the rows of
+        untouched vertices sit between the touched ones in unbroken runs
+        whose contents did not change, so each run is one numpy slice copy
+        and only the overlay rows (touched vertices, and vertices added after
+        the base) are converted from the Python views. A compaction that
+        changed twenty rows costs twenty small conversions and a memcpy of
+        the rest, not a walk over every edge. ``indptr`` and the lazy
+        ``label_ids``/``degree_array`` caches are rebuilt from the live
+        views and the overlay is cleared, restoring the pure-CSR invariants
+        that the shared-memory publisher requires. Attached (read-only,
+        shared-buffer) arrays are replaced, never written in place.
         """
         n = self._n
         rows = self._rows
+        base_n = self._base_n
+        old_indptr, old_indices = self.indptr, self.indices
+        index_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+        overlay = sorted(self._touched)
+        overlay.extend(range(base_n, n))
+        pieces: List[np.ndarray] = []
+        run_start = 0  # first base vertex not yet copied
+        i = 0
+        while i < len(overlay):
+            first = last = overlay[i]
+            i += 1
+            while i < len(overlay) and overlay[i] == last + 1:
+                last = overlay[i]
+                i += 1
+            if first > run_start:
+                pieces.append(old_indices[old_indptr[run_start] : old_indptr[first]])
+            pieces.append(
+                np.fromiter(chain.from_iterable(rows[first : last + 1]), dtype=index_dtype)
+            )
+            run_start = last + 1
+        if run_start < base_n:
+            pieces.append(old_indices[old_indptr[run_start] : old_indptr[base_n]])
+        self.indices = (
+            np.concatenate(pieces, dtype=index_dtype) if pieces else np.empty(0, dtype=index_dtype)
+        )
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(self._degrees, out=indptr[1:])
         self.indptr = indptr
-        index_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-        self.indices = np.fromiter(
-            (v for row in rows for v in row), dtype=index_dtype, count=2 * self.num_edges
-        )
         self._degree_np = np.asarray(self._degrees, dtype=np.int64)
         self._label_ids_np = np.asarray(self._label_id_list, dtype=np.int32)
         self._base_n = n

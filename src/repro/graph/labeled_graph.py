@@ -181,8 +181,9 @@ class LabeledGraph:
         """Append an isolated vertex with ``label``; returns its new id.
 
         The pinned index cache (if built) is repaired in place: the label
-        index gains the vertex, its (empty) signature is registered, and
-        pools/plans over its label are evicted.
+        index gains the vertex, its (empty) signature is registered, memoized
+        pools over its label gain it where it qualifies, and plans over its
+        label are evicted.
         """
         v = self._backend.add_vertex(label)
         if self._cache is not None:
@@ -292,28 +293,41 @@ class LabeledGraph:
         the publisher's ops so its views and cache version converge on the
         publisher's. Ops must be contiguous, start right after this graph's
         current ``delta_seq``, and re-apply cleanly; any skew raises
-        :class:`~repro.exceptions.GraphError`.
+        :class:`~repro.exceptions.GraphError`. The ops go to the backend in
+        order and the cache is repaired once for the whole tail — also when
+        an op raises, so cache and backend then agree on exactly the ops
+        before it.
         """
         cache = self.index_cache()
-        for seq, op in entries:
-            if seq != cache.delta_seq + 1:
-                raise GraphError(
-                    f"mutation replay gap: have delta_seq {cache.delta_seq}, next op is {seq}"
-                )
-            kind = op[0]
-            if kind == "add_vertex":
-                v = self._backend.add_vertex(op[2])
-                if v != op[1]:
-                    raise GraphError(f"replay skew: add_vertex produced id {v}, log says {op[1]}")
-            elif kind == "add_edge":
-                if not self._backend.add_edge(op[1], op[2]):
-                    raise GraphError(f"replay skew: edge {op[1:]} already present")
-            elif kind == "remove_edge":
-                if not self._backend.remove_edge(op[1], op[2]):
-                    raise GraphError(f"replay skew: edge {op[1:]} already absent")
-            else:
-                raise GraphError(f"unknown mutation op kind {kind!r}")
-            cache.apply_delta((op,))
+        backend = self._backend
+        applied: List[Tuple] = []
+        try:
+            for seq, op in entries:
+                have = cache.delta_seq + len(applied)
+                if seq != have + 1:
+                    raise GraphError(
+                        f"mutation replay gap: have delta_seq {have}, next op is {seq}"
+                    )
+                kind = op[0]
+                if kind == "add_vertex":
+                    if op[1] != backend.num_vertices:
+                        raise GraphError(
+                            f"replay skew: add_vertex would produce id "
+                            f"{backend.num_vertices}, log says {op[1]}"
+                        )
+                    backend.add_vertex(op[2])
+                elif kind == "add_edge":
+                    if not backend.add_edge(op[1], op[2]):
+                        raise GraphError(f"replay skew: edge {op[1:]} already present")
+                elif kind == "remove_edge":
+                    if not backend.remove_edge(op[1], op[2]):
+                        raise GraphError(f"replay skew: edge {op[1:]} already absent")
+                else:
+                    raise GraphError(f"unknown mutation op kind {kind!r}")
+                applied.append(op)
+        finally:
+            if applied:
+                cache.apply_delta(applied)
 
     # ------------------------------------------------------------------
     # Basic accessors

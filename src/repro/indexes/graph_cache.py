@@ -22,23 +22,29 @@ restriction over these pools instead of a per-query full scan.
 
 Live mutation support is *delta-based* rather than epoch-nuke:
 :meth:`GraphIndexCache.apply_delta` repairs only the state derived from the
-touched edges' 1-hop neighborhoods (the endpoints' degrees, signature masks,
-adjacency bitsets, and the candidate pools of their labels) and evicts only
-the compiled plans whose pools intersect the dirty label set — everything
-else survives at the same logical :attr:`epoch` with a bumped
-:attr:`delta_seq`. The pair ``(epoch, delta_seq)`` is the cache
-:attr:`version` that keys session memos and stamps shared-memory
-publications; a compaction (:meth:`on_compaction`) starts a fresh epoch and
-clears the mutation log, which is what finally invalidates attached
-shared-memory descriptors. See ``docs/mutation.md`` for the full contract.
+touched edges' 1-hop neighborhoods (the endpoints' degrees, signature masks
+and adjacency bitsets) and evicts only the compiled plans whose pools
+intersect the dirty label set — everything else survives at the same logical
+:attr:`epoch` with a bumped :attr:`delta_seq`. The candidate-pool memo is
+*repaired*, not evicted: a pool is exactly the vertices of its label passing
+its degree and signature tests, so each dirty vertex is re-tested against the
+memo entries of its own label and an entry's tuple is rebuilt only when the
+vertex joined or left it. A write therefore touches O(dirty vertices x
+entries of their labels) memo words and leaves no scan for the next read.
+The pair ``(epoch, delta_seq)`` is the cache :attr:`version` that keys
+session memos and stamps shared-memory publications; a compaction
+(:meth:`on_compaction`) starts a fresh epoch and clears the mutation log,
+which is what finally invalidates attached shared-memory descriptors. See
+``docs/mutation.md`` for the full contract.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from collections import OrderedDict
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
+from bisect import bisect_left
+from collections import Counter, OrderedDict
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -90,6 +96,10 @@ class GraphIndexCache:
         "_mask_signatures",
         "_pool_memo",
         "_pool_memo_size",
+        "_pool_keys",
+        "pool_entries_repaired",
+        "pool_entries_rebuilt",
+        "pool_entries_dropped",
         "_pool_lock",
         "_adj_masks",
         "_adj_memo_size",
@@ -160,6 +170,12 @@ class GraphIndexCache:
 
         self._pool_memo: "OrderedDict[Tuple[int, int, int], Tuple[int, ...]]" = OrderedDict()
         self._pool_memo_size = candidate_memo_size
+        # label id -> the memo keys of that label, so a delta walks only the
+        # entries its dirty vertices can join or leave.
+        self._pool_keys: Dict[int, Set[Tuple[int, int, int]]] = {}
+        self.pool_entries_repaired = 0
+        self.pool_entries_rebuilt = 0
+        self.pool_entries_dropped = 0
         # Everything above is immutable after construction and safely shared
         # across threads; the pool memo is the one mutable structure, so its
         # get/move_to_end/evict sequences are serialized for the thread
@@ -383,8 +399,10 @@ class GraphIndexCache:
             pool = self._scan(lid, min_degree, signature_mask)
             if cap != 0:
                 memo[key] = pool
+                self._pool_keys.setdefault(lid, set()).add(key)
                 if cap is not None and len(memo) > cap:
-                    memo.popitem(last=False)
+                    oldest, _ = memo.popitem(last=False)
+                    self._pool_keys[oldest[0]].discard(oldest)
             return pool
 
     def _scan(self, lid: int, min_degree: int, signature_mask: int) -> Tuple[int, ...]:
@@ -462,17 +480,18 @@ class GraphIndexCache:
         else's, so only ``NS(u)``/``NS(v)``, their degrees, their adjacency
         bitsets, and the candidate pools of their labels can change) and a
         vertex op dirties only the new vertex. Candidate-pool memo entries
-        and compiled plans are evicted only when their label ids intersect
-        the dirty set; every other entry survives at the same epoch.
+        are repaired in place (:meth:`_repair_pools`): entries of clean
+        labels keep their tuple objects, entries of a dirty label change
+        only where a dirty vertex joined or left them. Compiled plans are
+        evicted only when their label ids intersect the dirty set; every
+        other plan survives at the same epoch.
         """
-        backend = self.graph.backend
         # Materialized once: the op stream is also replayed into the twin
         # partition's split repair below, and callers may pass a generator.
         ops = [tuple(op) for op in ops]
         dirty_vertices: set = set()
-        dirty_lids: set = set()
         new_labels: set = set()
-        grew = False
+        first_new = len(self.label_ids)
         for op in ops:
             kind = op[0]
             if kind == "add_vertex":
@@ -496,31 +515,43 @@ class GraphIndexCache:
                 else:
                     # v is the largest id, so appending keeps the bucket sorted.
                     self.label_index[label] = bucket + (v,)
-                dirty_lids.add(lid)
-                grew = True
+                dirty_vertices.add(v)
             elif kind in ("add_edge", "remove_edge"):
                 dirty_vertices.add(op[1])
                 dirty_vertices.add(op[2])
             else:
                 raise ValueError(f"unknown mutation op {kind!r}")
             self.delta_seq += 1
-            self._mutation_log.append((self.delta_seq, tuple(op)))
+            self._mutation_log.append((self.delta_seq, op))
 
         # Local bindings keep the per-dirty-vertex loop tight: this path is
         # the whole point of delta repair and is benchmarked against a full
         # rebuild (benchmarks/bench_mutation.py).
         label_ids = self.label_ids
         neighbors = self.graph.neighbors
-        degree = backend.degree
         degrees = self.degrees
         signature_masks = self.signature_masks
         signatures = self._signatures
         mask_signatures = self._mask_signatures
+        dirty_per_label = Counter(map(label_ids.__getitem__, dirty_vertices))
+        dirty_lids = set(dirty_per_label)
+        repairable = self._repairable_labels(dirty_per_label)
+        # label id -> [(v, degree before, mask before)] for the vertices
+        # whose pool membership may have changed. A vertex added by this
+        # batch was in no pool, which a degree of -1 says to every
+        # ``degree >= min_degree`` test.
+        moved: Dict[int, List[Tuple[int, int, int]]] = {}
         for v in dirty_vertices:
-            degrees[v] = degree(v)
+            row = neighbors(v)
             m = 0
-            for w in neighbors(v):
+            for w in row:
                 m |= 1 << label_ids[w]
+            lid = label_ids[v]
+            if lid in repairable:
+                before = (degrees[v], signature_masks[v]) if v < first_new else (-1, 0)
+                if before != (len(row), m):
+                    moved.setdefault(lid, []).append((v, *before))
+            degrees[v] = len(row)
             signature_masks[v] = m
             s = mask_signatures.get(m)
             if s is None:
@@ -528,8 +559,7 @@ class GraphIndexCache:
                     self.label_table[lid] for lid in range(len(self.label_table)) if m >> lid & 1
                 )
             signatures[v] = s
-            dirty_lids.add(label_ids[v])
-        if grew:
+        if len(label_ids) > first_new:
             # Growth needs the array re-materialized at the new length (a
             # trailing add_vertex must extend it by its zero entry even when
             # no edge op follows).
@@ -543,12 +573,9 @@ class GraphIndexCache:
             repaired[idx] = [self.degrees[v] for v in idx]
             self.degree_array = repaired
 
-        if dirty_lids:
-            with self._pool_lock:
-                stale = [k for k in self._pool_memo if k[0] in dirty_lids]
-                for k in stale:
-                    del self._pool_memo[k]
-        if dirty_vertices:
+        if moved:
+            self._repair_pools(moved)
+        if self._adj_masks:
             with self._adj_lock:
                 for v in dirty_vertices:
                     self._adj_masks.pop(v, None)
@@ -561,6 +588,89 @@ class GraphIndexCache:
             if splits and self._metrics is not None:
                 self._metrics.counter("compression.split_repairs").inc(splits)
         return self.version
+
+    def _repairable_labels(self, dirty_per_label: Dict[int, int]) -> Set[int]:
+        """The dirty labels whose memo entries :meth:`_repair_pools` will
+        re-test; a bulk batch's labels have their entries dropped instead.
+
+        An eviction leaves one bucket scan to every entry that is asked for
+        again, and the repair is held to the cheapest case of that: when
+        re-testing a label's entries would take more membership tests (dirty
+        vertices x entries) than one scan of its bucket, the entries are
+        dropped and rescanned on demand. Decided before the vertices are
+        repaired, so a bulk batch (or an empty memo) is not charged for
+        remembering what each vertex looked like before.
+        """
+        repairable: Set[int] = set()
+        dropped = 0
+        with self._pool_lock:
+            memo = self._pool_memo
+            for lid, dirty in dirty_per_label.items():
+                keys = self._pool_keys.get(lid)
+                if not keys:
+                    continue
+                if dirty * len(keys) <= len(self.label_index[self.label_table[lid]]):
+                    repairable.add(lid)
+                    continue
+                for key in keys:
+                    del memo[key]
+                dropped += len(keys)
+                del self._pool_keys[lid]
+        if dropped:
+            self.pool_entries_dropped += dropped
+            if self._metrics is not None:
+                self._metrics.counter("cache.pool.dropped").inc(dropped)
+        return repairable
+
+    def _repair_pools(self, moved: Dict[int, List[Tuple[int, int, int]]]) -> None:
+        """Re-test the moved vertices against the memo entries of their labels.
+
+        ``moved[lid]`` lists ``(v, degree before, mask before)``; degrees and
+        signature masks already hold the repaired values. A memo entry is by
+        invariant exactly the vertices of its label that pass its two tests,
+        so membership before the batch is decided from the old pair and
+        membership after from the new one, and an entry's tuple is rebuilt
+        — copied out, each flipped vertex bisected in or out, copied back,
+        still ascending — only when some vertex flipped. That is at most one
+        test per moved vertex and one O(pool) rebuild per entry.
+        """
+        degrees = self.degrees
+        masks = self.signature_masks
+        repaired = rebuilt = 0
+        with self._pool_lock:
+            memo = self._pool_memo
+            for lid, vertices in moved.items():
+                keys = self._pool_keys[lid]
+                repaired += len(keys)
+                flips: Dict[Tuple[int, int, int], List[Tuple[int, bool]]] = {}
+                for v, old_degree, old_mask in vertices:
+                    degree, mask = degrees[v], masks[v]
+                    for _, min_degree, sig in keys:
+                        joins = degree >= min_degree and mask & sig == sig
+                        if joins != (old_degree >= min_degree and old_mask & sig == sig):
+                            flips.setdefault((lid, min_degree, sig), []).append((v, joins))
+                rebuilt += len(flips)
+                for key, changes in flips.items():
+                    if key[1] == 0 and key[2] == 0:
+                        # The unfiltered pool is the label bucket itself
+                        # (see _scan); stay aliased to it.
+                        memo[key] = self.label_index[self.label_table[lid]]
+                        continue
+                    members = list(memo[key])
+                    for v, joins in changes:
+                        i = bisect_left(members, v)
+                        if joins:
+                            members.insert(i, v)
+                        else:
+                            del members[i]
+                    memo[key] = tuple(members)
+        self.pool_entries_repaired += repaired
+        self.pool_entries_rebuilt += rebuilt
+        metrics = self._metrics
+        if metrics is not None:
+            metrics.counter("cache.pool.repaired").inc(repaired)
+            if rebuilt:
+                metrics.counter("cache.pool.rebuilt").inc(rebuilt)
 
     def ops_since(self, seq: int) -> Tuple[Tuple[int, Tuple], ...]:
         """The ``(seq, op)`` mutation-log tail with sequence numbers > ``seq``.
@@ -619,9 +729,15 @@ class GraphIndexCache:
 
     # ------------------------------------------------------------------
     def memo_info(self) -> Dict[str, int]:
-        """Hit/miss/size counters for the candidate-pool memo."""
+        """Counters of the candidate-pool memo: lookups (``hits``/``misses``),
+        ``size``, and what deltas did to it — entries ``repaired`` (re-tested
+        against a batch's dirty vertices), ``rebuilt`` (their tuple changed)
+        and ``dropped`` (bulk-batch fallback)."""
         return {
             "hits": self.candidate_memo_hits,
             "misses": self.candidate_memo_misses,
             "size": len(self._pool_memo),
+            "repaired": self.pool_entries_repaired,
+            "rebuilt": self.pool_entries_rebuilt,
+            "dropped": self.pool_entries_dropped,
         }

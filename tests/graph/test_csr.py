@@ -135,3 +135,135 @@ def test_empty_graph():
     assert b.num_vertices == 0 and b.num_edges == 0
     assert list(b.edges()) == []
     assert list(b.degree_array) == []
+
+
+# ----------------------------------------------------------------------
+# Compaction: the new arrays are spliced from the old ones
+# ----------------------------------------------------------------------
+RING = 8
+RING_LABELS = list("abcdabcd")
+RING_EDGES = [(v, (v + 1) % RING) for v in range(RING)] + [(0, 4), (2, 6)]
+
+
+def compact_and_check(backend: CSRBackend) -> None:
+    """Compact; the arrays must then spell every live row, and the ones they
+    replace must not have been written."""
+    old_indptr, old_indices = backend.indptr, backend.indices
+    kept_indptr, kept_indices = old_indptr.copy(), old_indices.copy()
+    rows = [backend.neighbors(v) for v in range(backend.num_vertices)]
+    backend.compact()
+    indptr, indices = backend.indptr, backend.indices
+    assert indices is not old_indices and indptr is not old_indptr
+    assert np.array_equal(old_indptr, kept_indptr) and np.array_equal(old_indices, kept_indices)
+    assert indptr.dtype == np.int64 and indices.dtype == np.int32
+    assert len(indptr) == backend.num_vertices + 1
+    assert indptr[0] == 0 and indptr[-1] == 2 * backend.num_edges == len(indices)
+    for v, row in enumerate(rows):
+        assert tuple(indices[indptr[v] : indptr[v + 1]]) == row == backend.neighbors(v)
+        assert backend.neighbors_array(v).base is indices  # served off the base again
+    assert not backend.touched_vertices and backend.delta_size == 0
+    attached = CSRBackend.from_arrays(
+        indptr, indices, backend.label_ids, backend.label_table, backend.degree_array
+    )
+    assert [attached.neighbors(v) for v in range(attached.num_vertices)] == rows
+    assert attached.labels == backend.labels
+
+
+def _touch_first(b):
+    b.add_edge(0, 2)
+
+
+def _touch_last(b):
+    b.remove_edge(RING - 1, 0)
+
+
+def _touch_adjacent(b):
+    b.add_edge(3, 5)
+    b.add_edge(4, 6)  # 3, 4, 5, 6: one unbroken overlay run
+
+
+def _grow_a_row(b):
+    b.add_edge(1, 3)
+    b.add_edge(1, 5)
+    b.add_edge(1, 6)
+
+
+def _shrink_a_row(b):
+    b.remove_edge(0, 4)
+
+
+def _empty_a_row(b):
+    b.remove_edge(1, 0)
+    b.remove_edge(1, 2)
+
+
+def _restore_a_row(b):
+    b.remove_edge(2, 6)
+    b.add_edge(2, 6)  # still in the overlay, equal to its base row
+
+
+def _add_isolated_vertices(b):
+    b.add_vertex("a")
+    b.add_vertex("z")
+
+
+def _add_connected_vertices(b):
+    v = b.add_vertex("a")
+    w = b.add_vertex("b")
+    b.add_edge(v, 3)
+    b.add_edge(v, w)
+    b.add_vertex("c")  # trailing isolated one after rows with edges
+
+
+def _touch_nothing(b):
+    pass
+
+
+def _touch_everything(b):
+    for v in range(RING):
+        b.remove_edge(v, (v + 1) % RING)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _touch_first,
+        _touch_last,
+        _touch_adjacent,
+        _grow_a_row,
+        _shrink_a_row,
+        _empty_a_row,
+        _restore_a_row,
+        _add_isolated_vertices,
+        _add_connected_vertices,
+        _touch_nothing,
+        _touch_everything,
+    ],
+)
+def test_compact_splices_every_row_into_place(mutate):
+    b = CSRBackend(RING_LABELS, RING_EDGES)
+    mutate(b)
+    compact_and_check(b)
+    compact_and_check(b)  # twice in a row: the second has nothing to merge
+    mutate(b)  # and the result is a base the next overlay splices from
+    compact_and_check(b)
+
+
+def test_compact_from_an_edgeless_base():
+    """A graph grown edge by edge: every row is an overlay row."""
+    b = build_graph(RING_LABELS, RING_EDGES, storage="set").backend
+    assert b.indices.size == 0
+    compact_and_check(b)
+
+
+def test_compact_after_attach_leaves_the_shared_arrays_alone():
+    base = CSRBackend(RING_LABELS, RING_EDGES)
+    indptr, indices = base.indptr.copy(), base.indices.copy()
+    indptr.setflags(write=False)
+    indices.setflags(write=False)  # what a shared-memory view looks like to a worker
+    attached = CSRBackend.from_arrays(
+        indptr, indices, base.label_ids, base.label_table, base.degree_array
+    )
+    _touch_adjacent(attached)
+    _add_connected_vertices(attached)
+    compact_and_check(attached)

@@ -250,3 +250,65 @@ class TestReplay:
         tail = cache.ops_since(1)  # starts at seq 2: a gap for the fresh twin
         with pytest.raises(GraphError, match="gap"):
             twin.replay(tail)
+
+    TAIL_OPS = [
+        ("add_vertex", "z"),
+        ("add_edge", 5, 0),
+        ("remove_edge", 1, 2),
+        ("add_vertex", "a"),
+        ("add_edge", 6, 5),
+        ("add_edge", 1, 3),
+    ]
+
+    def published_tail(self):
+        g = small_graph()
+        cache = g.index_cache()
+        g.mutate(self.TAIL_OPS, compaction_threshold=None)
+        return g, cache.ops_since(0)
+
+    def test_a_tail_in_one_call_equals_one_call_per_op(self, monkeypatch):
+        from repro.indexes.graph_cache import GraphIndexCache
+        from tests.indexes.test_delta_repair import assert_cache_equivalent, warm_pool_spread
+
+        g, tail = self.published_tail()
+        whole, stepwise = small_graph(), small_graph()
+        for twin in (whole, stepwise):
+            warm_pool_spread(twin.index_cache())
+        calls = []
+        repair = GraphIndexCache.apply_delta
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                GraphIndexCache, "apply_delta", lambda cache, ops: calls.append(1) or repair(cache, ops)
+            )
+            whole.replay(tail)
+        assert calls == [1]  # one repair pass for the six ops
+        for entry in tail:
+            stepwise.replay([entry])
+        for twin in (whole, stepwise):
+            assert_topology_equal(g, twin)
+            assert twin.version[1] == g.version[1] == len(tail)
+            assert twin.index_cache().ops_since(0) == tail
+            assert_cache_equivalent(twin.index_cache(), GraphIndexCache(twin))
+
+    @pytest.mark.parametrize("bad_at", [0, 2, 5])
+    def test_a_bad_op_mid_tail_keeps_cache_and_backend_agreeing(self, bad_at):
+        from repro.indexes.graph_cache import GraphIndexCache
+        from tests.indexes.test_delta_repair import assert_cache_equivalent, warm_pool_spread
+
+        g, tail = self.published_tail()
+        seq, op = tail[bad_at]
+        bad = {
+            "add_vertex": (seq, ("add_vertex", op[1] + 1, op[2])),  # id skew
+            "add_edge": (seq, ("add_edge", 0, 1)),  # already present
+            "remove_edge": (seq, ("remove_edge", 0, 2)),  # already absent
+        }[op[0]]
+        twin = small_graph()
+        warm_pool_spread(twin.index_cache())
+        with pytest.raises(GraphError, match="replay skew"):
+            twin.replay(tail[:bad_at] + (bad,) + tail[bad_at + 1 :])
+        assert twin.version[1] == bad_at
+        assert twin.index_cache().ops_since(0) == tail[:bad_at]
+        assert twin.num_vertices == len(twin.index_cache().label_ids)
+        assert_cache_equivalent(twin.index_cache(), GraphIndexCache(twin))
+        twin.replay(tail[bad_at:])  # the good tail still applies from there
+        assert_topology_equal(g, twin)

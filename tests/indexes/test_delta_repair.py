@@ -5,7 +5,9 @@ structure of the delta-repaired cache — label index, NS signatures,
 degrees, candidate pools — must equal what a cache *built from scratch*
 over the mutated graph holds. The repair is allowed to differ only in
 bookkeeping (epoch identity, mutation log, memo warmth), never in
-answers.
+answers. The candidate-pool memo is repaired in place, so the invariant
+covers every entry it holds: each must be exactly what a scan of its key
+finds on the mutated graph.
 """
 
 from __future__ import annotations
@@ -28,6 +30,58 @@ def small_graph(storage: str = "csr") -> LabeledGraph:
     )
 
 
+def banded_graph(storage: str = "csr") -> LabeledGraph:
+    """90 vertices, labels a/b/c in turn, a ring plus seeded chords.
+
+    Buckets of 30 are large enough that a one-edge delta is repaired in
+    place rather than taken for a bulk batch (see ``_repairable_labels``).
+    """
+    rng = random.Random(5)
+    n = 90
+    edges = {(v, (v + 1) % n) for v in range(n)}
+    while len(edges) < 150:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((u, v))
+    return build_graph(["abc"[v % 3] for v in range(n)], sorted(edges), storage=storage)
+
+
+def warm_pool_spread(cache: GraphIndexCache, labels=None) -> None:
+    """Memoize, for each label, min_degree 0-3 x {no mask, each single label bit}."""
+    bits = [0] + [1 << lid for lid in range(len(cache.label_table))]
+    for label in labels or list(cache.label_table):
+        for min_degree in range(4):
+            for mask in bits:
+                cache.candidate_pool(label, min_degree, mask)
+
+
+def run_mutation_script(g: LabeledGraph) -> GraphIndexCache:
+    """120 seeded ops over a memo re-warmed every tenth; equivalence checked throughout."""
+    cache = g.index_cache()
+    rng = random.Random(23)
+    labels = ["a", "b", "c", "d"]
+    for step in range(120):
+        if step % 10 == 0:
+            # All labels at first, then 'a'/'b' x every bit there is by now,
+            # the bit of 'd' included once the script has introduced it.
+            warm_pool_spread(cache, labels=["a", "b"] if step else None)
+            assert_cache_equivalent(cache, GraphIndexCache(g))
+        r = rng.random()
+        n = g.num_vertices
+        if r < 0.15:
+            g.add_vertex(rng.choice(labels))
+        elif r < 0.6:
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                g.add_edge(u, v)
+        else:
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                g.remove_edge(u, v)
+    assert_cache_equivalent(cache, GraphIndexCache(g))
+    return cache
+
+
 def assert_cache_equivalent(repaired: GraphIndexCache, fresh: GraphIndexCache) -> None:
     assert repaired.label_index == fresh.label_index
     assert repaired.signature_masks == fresh.signature_masks
@@ -38,6 +92,12 @@ def assert_cache_equivalent(repaired: GraphIndexCache, fresh: GraphIndexCache) -
     assert np.array_equal(repaired.degree_array, fresh.degree_array)
     assert repaired.label_table == fresh.label_table
     assert repaired.label_to_id == fresh.label_to_id
+    # Every memoized pool is exactly what a scan of its key finds now.
+    for key, pool in repaired._pool_memo.items():
+        assert pool == fresh._scan(*key), key
+        assert all(a < b for a, b in zip(pool, pool[1:])), key
+    indexed = [key for keys in repaired._pool_keys.values() for key in keys]
+    assert sorted(indexed) == sorted(repaired._pool_memo)
 
 
 @pytest.mark.parametrize("storage", STORAGE_STATES)
@@ -62,43 +122,149 @@ class TestDeltaRepairEquivalence:
         assert_cache_equivalent(cache, GraphIndexCache(g))
 
     def test_random_mutation_script(self, storage):
-        g = small_graph(storage)
+        # Two-vertex buckets: nearly every delta is a bulk one for its label.
+        cache = run_mutation_script(small_graph(storage))
+        assert cache.memo_info()["dropped"] > 0
+
+    def test_random_mutation_script_repaired_in_place(self, storage):
+        # Thirty-vertex buckets: nearly every delta is repaired.
+        cache = run_mutation_script(banded_graph(storage))
+        assert cache.memo_info()["rebuilt"] > 0
+
+
+class TestPoolRepair:
+    """The candidate-pool memo after a delta: which tuples change, which survive."""
+
+    @staticmethod
+    def star_graph() -> LabeledGraph:
+        """24 'a' hubs-to-be (0-23), 24 'b' (24-47), 24 'c' (48-71).
+
+        Vertex 0 has one 'b' and one 'c' neighbour, vertex 1 one 'b' and two
+        'c'; every other 'a' is isolated.
+        """
+        labels = ["a"] * 24 + ["b"] * 24 + ["c"] * 24
+        return LabeledGraph(labels, [(0, 24), (0, 48), (1, 25), (1, 48), (1, 49)])
+
+    def test_isolated_new_vertex_joins_the_unfiltered_pool(self):
+        g = self.star_graph()
         cache = g.index_cache()
-        rng = random.Random(23)
-        labels = ["a", "b", "c", "d"]
-        for _ in range(120):
-            r = rng.random()
-            n = g.num_vertices
-            if r < 0.15:
-                g.add_vertex(rng.choice(labels))
-            elif r < 0.6:
-                u, v = rng.randrange(n), rng.randrange(n)
-                if u != v:
-                    g.add_edge(u, v)
-            else:
-                u, v = rng.randrange(n), rng.randrange(n)
-                if u != v:
-                    g.remove_edge(u, v)
+        unfiltered = cache.candidate_pool("a")
+        with_degree = cache.candidate_pool("a", 1)
+        assert unfiltered is cache.label_index["a"]
+        v = g.add_vertex("a")
+        assert cache._pool_memo[(cache.label_id("a"), 0, 0)] is cache.label_index["a"]
+        assert cache.candidate_pool("a")[-1] == v
+        assert cache.candidate_pool("a", 1) is with_degree
         assert_cache_equivalent(cache, GraphIndexCache(g))
+
+    def test_new_vertex_with_edges_in_one_batch(self):
+        g = self.star_graph()
+        cache = g.index_cache()
+        warm_pool_spread(cache, labels=["a"])
+        g.mutate([("add_vertex", "a"), ("add_edge", 72, 24), ("add_edge", 72, 30)])
+        assert 72 in cache.candidate_pool("a", 2, cache.mask_for(["b"]))
+        assert 72 not in cache.candidate_pool("a", 1, cache.mask_for(["c"]))
+        assert cache.memo_info()["dropped"] == 0
+        assert_cache_equivalent(cache, GraphIndexCache(g))
+
+    def test_degree_crossing_min_degree_both_ways(self):
+        g = self.star_graph()
+        cache = g.index_cache()
+        assert cache.candidate_pool("a", 3) == (1,)
+        before = cache.memo_info()["rebuilt"]
+        g.add_edge(0, 26)
+        assert cache._pool_memo[(cache.label_id("a"), 3, 0)] == (0, 1)
+        g.remove_edge(0, 26)
+        assert cache._pool_memo[(cache.label_id("a"), 3, 0)] == (1,)
+        assert cache.memo_info()["rebuilt"] == before + 2
+        assert_cache_equivalent(cache, GraphIndexCache(g))
+
+    def test_signature_bit_lost_with_the_last_neighbour_of_a_label(self):
+        g = self.star_graph()
+        cache = g.index_cache()
+        mask_c = cache.mask_for(["c"])
+        pool = cache.candidate_pool("a", 0, mask_c)
+        assert pool == (0, 1)
+        g.remove_edge(1, 49)  # vertex 1 keeps a 'c' neighbour: nothing flips
+        assert cache.candidate_pool("a", 0, mask_c) is pool
+        g.remove_edge(0, 48)  # vertex 0 loses its only one
+        assert cache._pool_memo[(cache.label_id("a"), 0, mask_c)] == (1,)
+        assert_cache_equivalent(cache, GraphIndexCache(g))
+
+    def test_add_then_remove_in_one_batch_rebuilds_nothing(self):
+        g = self.star_graph()
+        cache = g.index_cache()
+        warm_pool_spread(cache, labels=["a", "b"])
+        pools = dict(cache._pool_memo)
+        before = cache.memo_info()
+        g.mutate([("add_edge", 2, 30), ("remove_edge", 2, 30)], compaction_threshold=None)
+        assert all(cache._pool_memo[key] is pool for key, pool in pools.items())
+        after = cache.memo_info()
+        assert (after["rebuilt"], after["dropped"]) == (before["rebuilt"], before["dropped"])
+        assert_cache_equivalent(cache, GraphIndexCache(g))
+
+    def test_repair_at_the_lru_cap_keeps_order_and_index(self):
+        g = self.star_graph()
+        cache = g._cache = GraphIndexCache(g, candidate_memo_size=4)
+        for min_degree in range(3):
+            cache.candidate_pool("a", min_degree)
+            cache.candidate_pool("b", min_degree)
+        order = list(cache._pool_memo)
+        assert len(order) == 4
+        g.add_edge(2, 30)  # 'a' and 'b' vertices both reach degree 1
+        assert list(cache._pool_memo) == order
+        assert_cache_equivalent(cache, GraphIndexCache(g))
+        cache.candidate_pool("c", 1)  # pops the oldest entry and its index row
+        assert_cache_equivalent(cache, GraphIndexCache(g))
+
+    def test_bulk_batch_drops_the_labels_entries(self):
+        g = self.star_graph()
+        cache = g.index_cache()
+        warm_pool_spread(cache, labels=["a", "c"])
+        lid_a, lid_c = cache.label_id("a"), cache.label_id("c")
+        c_pools = {k: p for k, p in cache._pool_memo.items() if k[0] == lid_c}
+        # Four 'a' endpoints x 16 'a' entries > the 24-vertex 'a' bucket.
+        g.mutate([("add_edge", 2, 3), ("add_edge", 4, 5)], compaction_threshold=None)
+        assert all(k[0] != lid_a for k in cache._pool_memo)
+        assert lid_a not in cache._pool_keys
+        assert all(cache._pool_memo[k] is p for k, p in c_pools.items())
+        assert cache.memo_info()["dropped"] == 16
+        assert cache.candidate_pool("a", 1) == (0, 1, 2, 3, 4, 5)
+        assert_cache_equivalent(cache, GraphIndexCache(g))
+
+    def test_counters_are_mirrored_into_an_attached_registry(self):
+        from repro.observability import MetricsRegistry
+
+        g = self.star_graph()
+        cache = g.index_cache()
+        registry = MetricsRegistry()
+        cache.attach_metrics(registry)
+        cache.candidate_pool("a", 3)
+        g.add_edge(0, 26)
+        warm_pool_spread(cache, labels=["a"])
+        g.mutate([("add_edge", 2, 3), ("add_edge", 4, 5)], compaction_threshold=None)
+        info = cache.memo_info()
+        snapshot = registry.snapshot()
+        for name in ("repaired", "rebuilt", "dropped"):
+            assert info[name] > 0
+            assert snapshot["cache.pool." + name] == info[name]
 
 
 class TestTargetedInvalidation:
     def test_pool_memo_evicts_only_dirty_labels(self):
+        """Nothing, in fact: dirty labels' pools are repaired, clean ones untouched."""
         g = small_graph()
         cache = g.index_cache()
-        lid_a = cache.label_id("a")
-        lid_c = cache.label_id("c")
-        # Warm two pools: one over 'a', one over 'c'.
-        pool_a = cache.candidate_pool("a", 1)
         pool_c = cache.candidate_pool("c", 1)
-        assert pool_a and pool_c
-        keys = set(cache._pool_memo)
-        assert any(k[0] == lid_a for k in keys) and any(k[0] == lid_c for k in keys)
-        # Mutating an edge between two 'a'/'b' vertices leaves 'c' pools warm.
-        g.add_edge(0, 2)  # labels 'a' and 'b'
-        keys_after = set(cache._pool_memo)
-        assert all(k[0] != lid_a for k in keys_after)
-        assert any(k[0] == lid_c for k in keys_after)
+        assert cache.candidate_pool("a", 1) and cache.candidate_pool("b", 3) == ()
+        keys = list(cache._pool_memo)
+        g.add_edge(0, 2)  # labels 'a' and 'b'; vertex 2 reaches degree 3
+        assert list(cache._pool_memo) == keys
+        assert cache.candidate_pool("c", 1) is pool_c
+        fresh = GraphIndexCache(g)
+        for key in keys:
+            assert cache._pool_memo[key] == fresh._scan(*key)
+        assert cache._pool_memo[(cache.label_id("b"), 3, 0)] == (2,)
 
     def test_adjacency_masks_evict_only_touched_vertices(self):
         g = small_graph()

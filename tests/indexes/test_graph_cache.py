@@ -96,7 +96,8 @@ def test_memo_disabled(graph):
     cache = GraphIndexCache(graph, candidate_memo_size=0)
     cache.candidate_pool("a")
     cache.candidate_pool("a")
-    assert cache.memo_info() == {"hits": 0, "misses": 2, "size": 0}
+    info = cache.memo_info()
+    assert (info["hits"], info["misses"], info["size"]) == (0, 2, 0)
 
 
 def test_cache_agrees_across_backends(graph):

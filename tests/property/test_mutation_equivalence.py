@@ -8,6 +8,11 @@ must produce bit-identical :class:`DSQResult`\\ s to querying a graph
 registry datasets, both storage states (frozen base / overlay-resident),
 repeated mutation rounds, and across an explicit compaction (the epoch-bump
 path).
+
+The candidate-pool memo is repaired in place by every write, so a second
+property drives random add_vertex / add_edge / remove_edge / compact scripts
+with plans compiled between the steps and holds every memoized pool, and the
+pools of every plan compiled over them, to a cache built from scratch.
 """
 
 from __future__ import annotations
@@ -15,13 +20,18 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import DSQLConfig
 from repro.core.dsql import DSQL
 from repro.datasets.registry import dataset_names, make_dataset
 from repro.graph.labeled_graph import LabeledGraph
+from repro.indexes.graph_cache import GraphIndexCache
+from repro.indexes.plans import compile_plan
 from repro.queries.generator import query_set
 from tests.conftest import STORAGE_STATES, in_storage_state
+from tests.indexes.test_delta_repair import assert_cache_equivalent, banded_graph
 
 SCALE = 0.002
 OPS = 40
@@ -143,3 +153,48 @@ def test_memo_serves_stale_free_answers():
     reference = DSQL(rebuilt_twin(graph), config=config)
     for got, want in zip(post, reference.query_many(queries)):
         assert_results_identical(got, want)
+
+
+# ----------------------------------------------------------------------
+# The repaired pool memo under random scripts
+# ----------------------------------------------------------------------
+BANDED_QUERIES = query_set(banded_graph(), 3, 6, seed=31)
+
+vertex_ids = st.integers(0, 95)  # the banded graph has 90: some ids only exist after adds
+script_steps = st.one_of(
+    st.tuples(st.just("add_edge"), vertex_ids, vertex_ids),
+    st.tuples(st.just("remove_edge"), vertex_ids, vertex_ids),
+    st.tuples(st.just("add_vertex"), st.sampled_from("abcd")),
+    st.tuples(st.just("compact")),
+    # Several edge ops as one batch: one repair pass, sometimes a bulk one.
+    st.lists(
+        st.tuples(st.sampled_from(["add_edge", "remove_edge"]), vertex_ids, vertex_ids),
+        min_size=2,
+        max_size=6,
+    ),
+)
+
+
+def valid_ops(graph: LabeledGraph, ops):
+    n = graph.num_vertices
+    return [op for op in ops if op[0] == "add_vertex" or (op[1] != op[2] and max(op[1:]) < n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(script_steps, st.integers(0, len(BANDED_QUERIES) - 1)), max_size=25))
+def test_repaired_pool_memo_equals_fresh_scans(script):
+    graph = banded_graph()
+    cache = graph.index_cache()
+    for label in "abc":
+        cache.candidate_pool(label)  # no plan asks for the unfiltered pools new vertices join
+    for step, query_index in script:
+        compile_plan(BANDED_QUERIES[query_index], cache)  # warms the pools the step may move
+        if step == ("compact",):
+            graph.compact()
+        else:
+            batch = [step] if isinstance(step, tuple) else step
+            graph.mutate(valid_ops(graph, batch), compaction_threshold=None)
+        fresh = GraphIndexCache(graph)
+        assert_cache_equivalent(cache, fresh)
+        query = BANDED_QUERIES[query_index]
+        assert compile_plan(query, cache).pools == compile_plan(query, fresh).pools
