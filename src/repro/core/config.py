@@ -15,6 +15,7 @@ the Appendix B.4 ablation (Figure 9) can be reproduced:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
@@ -181,9 +182,9 @@ class DSQLConfig:
                     raise ConfigError(
                         f"vertex_weights vertex ids must be non-negative ints, got {v!r}"
                     )
-                if isinstance(w, bool) or not isinstance(w, (int, float)) or w <= 0:
+                if isinstance(w, bool) or not isinstance(w, (int, float)) or not 0 < w < math.inf:
                     raise ConfigError(
-                        f"vertex_weights weights must be positive numbers, got {w!r}"
+                        f"vertex_weights weights must be positive finite numbers, got {w!r}"
                     )
                 normalized.append((v, w))
             normalized.sort()
@@ -191,17 +192,19 @@ class DSQLConfig:
                 if v1 == v2:
                     raise ConfigError(f"vertex_weights lists vertex {v1} twice")
             object.__setattr__(self, "vertex_weights", tuple(normalized))
-        if self.alpha < 0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
+        # NaN fails every comparison, so the numeric ranges below are written
+        # as the condition that must hold, negated: ``nan < 0`` would pass.
+        if not 0 <= self.alpha < math.inf:
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not 0.0 < self.phase2_ratio_target <= 1.0:
             raise ConfigError(
                 f"phase2_ratio_target must be in (0, 1], got {self.phase2_ratio_target}"
             )
         if self.node_budget is not None and self.node_budget < 1:
             raise ConfigError(f"node_budget must be positive, got {self.node_budget}")
-        if self.time_budget_ms is not None and self.time_budget_ms <= 0:
+        if self.time_budget_ms is not None and not 0 < self.time_budget_ms < math.inf:
             raise ConfigError(
-                f"time_budget_ms must be positive, got {self.time_budget_ms}"
+                f"time_budget_ms must be positive and finite, got {self.time_budget_ms}"
             )
         if self.query_cache_size is not None and self.query_cache_size < 0:
             raise ConfigError(
@@ -217,9 +220,9 @@ class DSQLConfig:
             raise ConfigError(
                 f"work_unit_rate must be a number, got {self.work_unit_rate!r}"
             )
-        if self.work_unit_rate <= 0:
+        if not 0 < self.work_unit_rate < math.inf:
             raise ConfigError(
-                f"work_unit_rate must be positive, got {self.work_unit_rate}"
+                f"work_unit_rate must be positive and finite, got {self.work_unit_rate}"
             )
 
     # ------------------------------------------------------------------

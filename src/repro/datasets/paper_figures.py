@@ -17,7 +17,7 @@ This module also hosts the **objective scenario packs**
 (:data:`OBJECTIVE_PACKS`): small adversarial graph+query pairs on which a
 non-default objective (docs/objectives.md) provably selects a *different*
 answer than the paper's vertex objective — the fixtures behind the
-objective divergence tests and ``benchmarks/bench_objectives.py``.
+objective divergence tests (``tests/coverage/test_objectives.py``).
 """
 
 from __future__ import annotations

@@ -525,8 +525,8 @@ class GraphIndexCache:
             self._mutation_log.append((self.delta_seq, op))
 
         # Local bindings keep the per-dirty-vertex loop tight: this path is
-        # the whole point of delta repair and is benchmarked against a full
-        # rebuild (benchmarks/bench_mutation.py).
+        # the whole point of delta repair. It reads one neighbour row per
+        # dirty vertex (tests/indexes/test_delta_repair.py counts them).
         label_ids = self.label_ids
         neighbors = self.graph.neighbors
         degrees = self.degrees

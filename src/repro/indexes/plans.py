@@ -286,7 +286,7 @@ def compile_plan(
         elif len(backward[depth]) >= 2 and len(pools[u]) >= BITSET_MIN_POOL:
             # Upgrade to the class-level kernel only where the pool actually
             # compresses — near ratio 1.0 the class fold plus member merge
-            # costs more than the plain vertex AND (the A/A overhead gate).
+            # costs more than the plain vertex AND.
             if (
                 class_pools is not None
                 and len(class_pools[u]) <= CBITSET_MAX_RATIO * len(pools[u])

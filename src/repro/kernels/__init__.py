@@ -9,8 +9,8 @@ kernels that all emit vertices in ascending id order, so swapping them in
 for the scalar paths changes nothing observable (the bit-identity contract
 pinned by ``tests/property/test_plan_equivalence.py``).
 
-See ``docs/performance.md`` for the selection heuristic and the measured
-speedups (``benchmarks/bench_join_kernels.py`` / ``BENCH_join.json``).
+See ``docs/performance.md`` for the selection heuristic; the measured costs
+are perfbench's ``kernels.*.ns_per_elem`` and ``kernels.dispatch.*_per_op``.
 """
 
 from repro.kernels.join import (

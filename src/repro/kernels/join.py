@@ -35,9 +35,9 @@ BITSET_MIN_POOL = 64
 """Minimum candidate-pool size for a compiled plan to pick the bitset
 kernel for a search depth.
 
-Below this, the fixed cost of fetching and ANDing the neighbor bitsets is
-not amortized over enough candidates; the merge kernel (or a plain scan)
-is cheaper. See ``docs/performance.md`` for the full heuristic.
+Below this the fixed cost of ANDing the neighbor bitsets is not amortized and
+merge (or a scan) is cheaper. Were it wrong, perfbench's ``engine_heavy`` would
+show it: ``kernels.dispatch.bitset_per_op`` and ``core.expansions_per_ms``.
 """
 
 SCAN = "scan"
@@ -69,8 +69,8 @@ to upgrade a :data:`BITSET` depth to :data:`CBITSET`.
 
 Near 1.0 the pool has almost no twins, so folding class masks plus the
 member-merge costs more than the plain vertex-bitset AND; the cutoff keeps
-compiled plans on :data:`BITSET` for low-redundancy graphs, which is what
-bounds the interleaved A/A overhead gate in ``BENCH_compression.json``.
+compiled plans on :data:`BITSET` for low-redundancy graphs. Were it too high,
+``kernels.dispatch.cbitset_per_op`` would turn non-zero on twin-free graphs.
 """
 
 KERNEL_KINDS = (SCAN, MERGE, BITSET, SCALAR, CBITSET)

@@ -14,8 +14,8 @@ what a query actually did:
 :class:`Instrumentation` bundles the three. Engines take an optional
 instance and guard every touch with ``if instr is not None`` — **no
 instrumentation code runs on a per-expansion path**, so the disabled
-default costs nothing measurable (gated by
-``benchmarks/bench_observability_overhead.py``).
+default costs nothing measurable (hook calls are bounded per level, not per
+expansion: ``tests/observability/test_hooks.py``).
 
 A process-wide default (:func:`set_default_instrumentation`) lets entry
 points like the CLI instrument every session created anywhere in the

@@ -1,6 +1,6 @@
 """Stdlib (``urllib``) client for the repro query service.
 
-Used by the test suite and ``benchmarks/bench_service_load.py``; it is also
+Used by the test suite and the ``repro-dsql mutate`` command; it is also
 the reference for what a real client must handle: JSON bodies both ways,
 the ``{"error": {...}}`` failure shape, and the ``Retry-After`` header on
 429 rejections.

@@ -205,6 +205,15 @@ def _optional_objective(payload: Dict[str, object]) -> Optional[str]:
 # ----------------------------------------------------------------------
 # Body / query-graph codecs
 # ----------------------------------------------------------------------
+def _reject_constant(token: str) -> None:
+    """``NaN`` / ``Infinity`` are not JSON, and no comparison rejects a NaN."""
+    raise ValueError(f"non-finite number {token}")
+
+
+# One decoder for every body: ``json.loads(..., parse_constant=)`` builds one per call.
+_STRICT_JSON = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def parse_json_body(raw: bytes) -> Dict[str, object]:
     """Decode a request body into a JSON object (400 on anything else)."""
     if len(raw) > MAX_BODY_BYTES:
@@ -214,8 +223,8 @@ def parse_json_body(raw: bytes) -> Dict[str, object]:
             f"request body of {len(raw)} bytes exceeds the {MAX_BODY_BYTES} byte limit",
         )
     try:
-        payload = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        payload = _STRICT_JSON.decode(raw.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ServiceError(400, "invalid_json", f"request body is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ServiceError(

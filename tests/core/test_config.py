@@ -17,6 +17,18 @@ class TestValidation:
         with pytest.raises(ConfigError):
             DSQLConfig(k=1, alpha=-0.1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["alpha", "time_budget_ms", "work_unit_rate"])
+    def test_non_finite_numbers_rejected(self, field, bad):
+        # NaN passes ``x < 0`` and ``x <= 0`` alike; a NaN budget disarms the deadline.
+        with pytest.raises(ConfigError, match=field):
+            DSQLConfig(k=1, **{field: bad})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_vertex_weight_rejected(self, bad):
+        with pytest.raises(ConfigError, match="vertex_weights"):
+            DSQLConfig(k=1, objective="weighted-vertex", vertex_weights={0: bad})
+
     def test_ratio_target_range(self):
         with pytest.raises(ConfigError):
             DSQLConfig(k=1, phase2_ratio_target=0.0)

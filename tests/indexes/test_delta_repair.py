@@ -17,8 +17,11 @@ import random
 import numpy as np
 import pytest
 
+from repro.datasets.registry import make_dataset
 from repro.graph.labeled_graph import LabeledGraph
 from repro.indexes.graph_cache import GraphIndexCache
+from repro.indexes.plans import compile_plan
+from repro.queries.generator import query_set
 from tests.conftest import STORAGE_STATES, build_graph
 
 
@@ -248,6 +251,59 @@ class TestPoolRepair:
         for name in ("repaired", "rebuilt", "dropped"):
             assert info[name] > 0
             assert snapshot["cache.pool." + name] == info[name]
+
+
+@pytest.mark.parametrize(
+    "churn, path", [(0.01, "dropped"), (8, "rebuilt")], ids=["churn-1pct", "ingest-8"]
+)
+def test_repair_reads_delta_sized_rows(churn, path):
+    """A write reads the rows it touched, a rebuild reads them all.
+
+    The dblp stand-in (9.5k vertices) with the pool memo a served graph has.
+    A 1 % edge-churn batch dirties every label and takes the bulk path; an
+    8-edge ingest is repaired in place and leaves one label clean. Either way
+    every memo entry of a dirty label is accounted for and a clean label's
+    tuples are not so much as copied.
+    """
+    graph = make_dataset("dblp", scale=0.03, seed=2016)
+    cache = graph.index_cache()
+    for query in query_set(graph, 4, 80, seed=2016):
+        compile_plan(query, cache)
+    entries = dict(cache._pool_memo)
+    assert len(entries) >= 200
+
+    rng = random.Random(2016)
+    ops = churn if churn >= 1 else int(graph.num_edges * churn)
+    edges = list(graph.edges())
+    rng.shuffle(edges)
+    script = [("remove_edge", u, v) for u, v in edges[: ops // 2]]
+    while len(script) < ops:
+        u, v = rng.randrange(graph.num_vertices), rng.randrange(graph.num_vertices)
+        if u != v and not graph.has_edge(u, v) and ("add_edge", u, v) not in script:
+            script.append(("add_edge", u, v))
+    dirty = {v for op in script for v in op[1:]}
+    dirty_lids = {cache.label_ids[v] for v in dirty}
+    before = cache.memo_info()
+
+    rows = []
+    read_row = graph.neighbors
+    graph.neighbors = lambda v: rows.append(v) or read_row(v)
+    graph.mutate(script, compaction_threshold=None)
+    repair_rows = len(rows)
+    fresh = GraphIndexCache(graph)
+    rebuild_rows = len(rows) - repair_rows
+    graph.neighbors = read_row
+
+    assert repair_rows <= len(dirty)
+    assert rebuild_rows >= 5 * repair_rows
+    delta = {name: cache.memo_info()[name] - before[name] for name in before}
+    assert delta[path] > 0
+    assert delta["repaired"] + delta["dropped"] == sum(key[0] in dirty_lids for key in entries)
+    assert delta["rebuilt"] <= delta["repaired"]
+    clean = [key for key in entries if key[0] not in dirty_lids]
+    assert clean or path == "dropped"
+    assert all(cache._pool_memo[key] is entries[key] for key in clean)
+    assert_cache_equivalent(cache, fresh)
 
 
 class TestTargetedInvalidation:

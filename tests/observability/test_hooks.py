@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 import repro.core.search as search_mod
 from repro.core.config import DSQLConfig
 from repro.core.dsql import DSQL
+from repro.datasets.registry import make_dataset
+from repro.graph.query_graph import QueryGraph
 from repro.observability import (
     Instrumentation,
     ProfilingHooks,
@@ -127,6 +131,28 @@ def test_default_instrumentation_is_picked_up(swap_case):
         session.query(query)
     assert get_default_instrumentation() is None
     assert hooks.level_starts
+
+
+def test_no_hook_runs_per_expansion():
+    """Instrumentation is free when off because no call site is per-expansion:
+    on a ~23k-expansion 6-cycle with every callback counted and a deadline
+    armed, calls are bounded by levels + embeddings + stride ticks. One call
+    inside ``_charge`` would add ``nodes_expanded`` to the left-hand side."""
+    graph = make_dataset("yeast", scale=0.3, seed=0)
+    a, b, c = (label for label, _ in Counter(graph.labels).most_common(3))
+    cycle = QueryGraph([a, b, a, b, a, c], [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
+    hooks = RecordingHooks()
+    config = DSQLConfig(k=16, time_budget_ms=600_000.0)
+    session = DSQL(graph, config=config, instrumentation=Instrumentation(hooks=hooks))
+    stats = session.query(cycle).stats
+    assert stats.nodes_expanded >= 10_000 and not stats.deadline_exhausted
+    calls = len(hooks.level_starts) + len(hooks.embeddings) + len(hooks.swaps) + len(hooks.ticks)
+    assert len(hooks.ticks) == stats.nodes_expanded // search_mod.DEADLINE_CHECK_STRIDE
+    assert calls <= (
+        stats.phase1_levels + stats.phase2_levels
+        + stats.embeddings_found + 2 * stats.embeddings_generated_phase2
+        + len(hooks.ticks)
+    )
 
 
 def test_disabled_sessions_skip_hooks(swap_case):

@@ -8,6 +8,7 @@ reference implementations.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,10 +20,51 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.graph.validation import embeddings_distinct, validate_embedding
 
-from tests.conftest import (
-    brute_force_distinct_vertex_sets,
-    brute_force_optimal_coverage,
-)
+from tests.conftest import brute_force_distinct_vertex_sets, brute_force_embeddings
+
+OBJECTIVES = ("vertex", "edge", "weighted-vertex")
+
+# docs/objectives.md, "Which guarantees survive": the certificate rows.
+CERTIFICATES = {"vertex": "disjoint exhausted", "edge": "disjoint", "weighted-vertex": "exhausted"}
+
+
+def strict(k, objective):
+    """No candidate cap, exhaustive levels: the paper's maximality argument holds."""
+    return DSQLConfig(k=k, objective=objective, exhaustive_level=True, single_embedding_mode=False)
+
+
+def brute_force_optimum(graph, query, k, objective):
+    """``(measure, best)`` in the objective's own units, without ``repro.coverage``:
+    ``measure`` scores a collection of mappings, ``best`` is the optimum over every
+    <=k-subset of the distinct element sets (None when there are too many to try)."""
+
+    def elements(mapping):
+        if objective == "edge":
+            return frozenset(frozenset((mapping[a], mapping[b])) for a, b in query.edges())
+        return frozenset(mapping)
+
+    def measure(mappings):
+        covered = frozenset().union(*map(elements, mappings))
+        if objective == "weighted-vertex":  # no table given: 1 + degree(v)
+            return sum(1 + graph.degree(v) for v in covered)
+        return len(covered)
+
+    if objective == "edge":
+        # One mapping per distinct edge set; vertex sets forget the edges.
+        sets = list({elements(m): m for m in brute_force_embeddings(graph, query)}.values())
+    else:
+        sets = list(brute_force_distinct_vertex_sets(graph, query))
+    if len(sets) > 40:
+        return measure, None
+    best = max(
+        (
+            measure(combo)
+            for size in range(1, min(k, len(sets)) + 1)
+            for combo in combinations(sets, size)
+        ),
+        default=0,
+    )
+    return measure, best
 
 
 @st.composite
@@ -85,34 +127,40 @@ def test_nonempty_whenever_embeddings_exist(instance):
 @settings(max_examples=40, deadline=None)
 @given(instances())
 def test_theorem4_bound_against_brute_force(instance):
-    """DSQL coverage >= the Theorem 4 fraction of the true optimum.
+    """DSQL (strict mode) coverage >= the documented fraction of the true optimum.
 
-    Uses the strict configuration (no candidate cap, exhaustive levels)
-    under which the paper's maximality argument holds unconditionally.
+    ``vertex`` is held to the Theorem 4 constant; ``edge`` and
+    ``weighted-vertex`` claim no constant, only ``coverage / coverage_bound``,
+    which is a lower bound on the true ratio iff the bound is above the optimum.
     """
     graph, query, k = instance
-    vertex_sets = list(brute_force_distinct_vertex_sets(graph, query))
-    if not vertex_sets or len(vertex_sets) > 40:
-        return
-    config = DSQLConfig(k=k, exhaustive_level=True, single_embedding_mode=False)
-    result = DSQL(graph, config=config).query(query)
-    opt = brute_force_optimal_coverage(vertex_sets, k)
-    assert result.coverage >= overall_ratio_bound(k, query.size) * opt - 1e-9
+    for objective in OBJECTIVES:
+        measure, opt = brute_force_optimum(graph, query, k, objective)
+        if not opt:
+            continue
+        result = DSQL(graph, config=strict(k, objective)).query(query)
+        assert result.coverage == measure(result.embeddings), objective
+        if objective == "vertex":
+            assert result.coverage >= overall_ratio_bound(k, query.size) * opt - 1e-9
+        else:
+            assert opt <= result.coverage_bound, objective
+        assert result.approx_ratio_lower_bound() * opt <= result.coverage + 1e-9, objective
 
 
 @settings(max_examples=40, deadline=None)
 @given(instances())
 def test_optimality_claims_verified(instance):
-    """Whenever DSQL (strict mode) claims optimality, brute force agrees."""
+    """Whenever DSQL (strict mode) claims optimality, brute force agrees, and
+    each objective claims only the certificates docs/objectives.md grants it."""
     graph, query, k = instance
-    vertex_sets = list(brute_force_distinct_vertex_sets(graph, query))
-    if len(vertex_sets) > 40:
-        return
-    config = DSQLConfig(k=k, exhaustive_level=True, single_embedding_mode=False)
-    result = DSQL(graph, config=config).query(query)
-    if result.optimal:
-        opt = brute_force_optimal_coverage(vertex_sets, k)
-        assert result.coverage == opt
+    for objective in OBJECTIVES:
+        _, opt = brute_force_optimum(graph, query, k, objective)
+        if opt is None:
+            continue
+        result = DSQL(graph, config=strict(k, objective)).query(query)
+        if result.optimal:
+            assert result.optimal_reason in CERTIFICATES[objective].split(), objective
+            assert result.coverage == opt, objective
 
 
 @settings(max_examples=30, deadline=None)

@@ -17,14 +17,19 @@ Three layers of coverage:
 
 from __future__ import annotations
 
+import itertools
+import random
 import threading
+from collections import Counter
 
 import pytest
 
 from repro.core.config import DSQLConfig
 from repro.core.dsql import DSQL
+from repro.cost.calibration import CalibrationState
 from repro.datasets.registry import make_dataset
 from repro.exceptions import ConfigError
+from repro.graph.query_graph import QueryGraph
 from repro.observability import MetricsRegistry
 from repro.queries.generator import query_set
 from repro.service import (
@@ -447,3 +452,84 @@ def test_admission_mode_never_changes_results(name, scale):
                 assert body["coverage"] == want.coverage, mode
         finally:
             service.close()
+
+
+# ----------------------------------------------------------------------
+# What each gate sheds under a 10 %-dense stream, in counts: shed requests
+# are the deterministic face of "cheap traffic queues behind dense queries".
+# ----------------------------------------------------------------------
+def _dense_stream():
+    """``(graph, config, stream)`` on the yeast stand-in at bench scale: the
+    15 costliest 6-cycles over the three commonest labels (>= 3 hub-label
+    vertices, raw estimate >= 3000 units) shuffled into the 135 cheapest
+    distinct 3- and 5-edge generator queries. To a counting gate both kinds
+    are "one request"."""
+    graph = make_dataset("yeast", seed=0)
+    config = DSQLConfig(k=16, node_budget=5_000)
+    session = DSQL(graph, config=config)
+
+    def raw(query):
+        return session.estimate(query).raw_expansions
+
+    top = [label for label, _ in Counter(graph.labels).most_common(3)]
+    ring = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
+    dense = {
+        combo: QueryGraph([top[i] for i in combo], ring)
+        for combo in itertools.product(range(3), repeat=6)
+        if combo.count(0) >= 3
+    }
+    dense = sorted((q for q in dense.values() if raw(q) >= 3000.0), key=raw, reverse=True)[:15]
+    cheap = {}
+    for num_edges, seed in [(3, 101), (3, 102), (5, 103), (5, 104)]:
+        for query in query_set(graph, num_edges, 50, seed=seed):
+            cheap.setdefault(query.canonical_key(), query)
+    cheap = sorted(cheap.values(), key=raw)[:135]
+    assert (len(dense), len(cheap)) == (15, 135)
+    stream = [("cheap", q) for q in cheap] + [("dense", q) for q in dense]
+    random.Random(404).shuffle(stream)
+    return graph, config, stream
+
+
+def test_cost_admission_sheds_dense_never_cheap_and_count_the_reverse():
+    graph, config, stream = _dense_stream()
+    reference = DSQL(graph, config=config)
+    want = [reference.query(query) for _, query in stream]
+    slots = sum(kind == "dense" for kind, _ in stream)
+    last_dense = max(i for i, (kind, _) in enumerate(stream) if kind == "dense")
+    # One dense query and the cheap traffic fit the budget; a second dense does not.
+    heaviest = max(reference.estimate(q).work_units for kind, q in stream if kind == "dense")
+    shed = {}
+    for mode, kwargs in (
+        ("count", {"max_queue": 0}),
+        ("cost", {"work_unit_budget": 1.3 * heaviest}),
+    ):
+        catalog = GraphCatalog(default_config=config)
+        catalog.add_graph("bench", graph)
+        service = QueryService(catalog, admission_mode=mode, max_in_flight=slots, **kwargs)
+        held, shed[mode] = [], []
+        try:
+            for i, (kind, query) in enumerate(stream):
+                # Price by the static model, so what is shed does not hinge on feedback order.
+                graph.index_cache().cost_estimator().restore(CalibrationState())
+                payload = {"graph": "bench", "query": query_graph_to_json(query)}
+                status, body, _ = service.handle_post("/v1/query", lambda: payload)
+                if status == 429:
+                    shed[mode].append((i, kind))
+                    continue
+                assert status == 200, body
+                assert body["embeddings"] == [list(e) for e in want[i].embeddings]
+                assert body["coverage"] == want[i].coverage
+                if kind == "dense":
+                    # Still running when the next requests arrive: stays admitted.
+                    held.append(service.admission.try_admit(body["estimated_cost"]["work_units"]))
+            assert None not in held
+        finally:
+            for ticket in held:
+                service.admission.release(ticket)
+            service.close()
+    # Cost mode prices requests: dense ones are shed, cheap ones never.
+    assert {kind for _, kind in shed["cost"]} == {"dense"}
+    # Count mode cannot tell them apart: every dense query gets a slot, and
+    # once the slots are full of them every cheap request is turned away.
+    assert shed["count"] == [(i, "cheap") for i in range(last_dense + 1, len(stream))]
+    assert shed["count"]

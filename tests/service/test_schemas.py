@@ -44,6 +44,14 @@ class TestParseJsonBody:
             parse_json_body(b"{nope")
         assert (info.value.status, info.value.code) == (400, "invalid_json")
 
+    @pytest.mark.parametrize("token", [b"NaN", b"Infinity", b"-Infinity"])
+    def test_non_finite_number_is_400(self, token):
+        # json.loads takes these tokens although they are not JSON, and no
+        # range check downstream turns a NaN away.
+        with pytest.raises(ServiceError) as info:
+            parse_json_body(b'{"graph": "tiny", "alpha": %s}' % token)
+        assert (info.value.status, info.value.code) == (400, "invalid_json")
+
     def test_non_object_is_400(self):
         with pytest.raises(ServiceError) as info:
             parse_json_body(b"[1, 2]")

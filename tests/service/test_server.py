@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import http.client
+import json
 import signal
 import threading
 import time
@@ -18,7 +19,7 @@ from repro.service import (
     ServiceClientError,
     ServiceServer,
 )
-from repro.service.schemas import query_graph_to_json
+from repro.service.schemas import parse_json_body, query_graph_to_json
 from tests.service.conftest import DEFAULT_K, tiny_graph, tiny_queries
 
 
@@ -138,6 +139,27 @@ class TestTypedErrors:
         status, body, _ = server.service.handle_post("/v1/query", lambda: payload)
         assert status == 400
         assert body["error"]["code"] == "invalid_query"
+
+    @pytest.mark.parametrize("field", ["alpha", "time_budget_ms"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_number_400_at_both_doors(self, server, field, value):
+        service = server.service
+        entry = service.catalog.get("tiny")
+        payload = {"graph": "tiny", "query": query_graph_to_json(tiny_queries(count=1)[0])}
+        payload[field] = value
+        raw = json.dumps(payload).encode()  # json.dumps writes NaN / Infinity
+        stats = entry.default_session.stats
+
+        def state():
+            return entry.graph.version, len(entry._sessions), stats.query_cache_misses
+
+        before = state()
+        status, body, _ = service.handle_post("/v1/query", lambda: parse_json_body(raw))
+        assert (status, body["error"]["code"]) == (400, "invalid_json")
+        # A caller that hands handle_post a dict never meets the parser.
+        status, body, _ = service.handle_post("/v1/query", lambda: payload)
+        assert (status, body["error"]["code"]) == (400, "invalid_config")
+        assert state() == before
 
     def test_unknown_post_endpoint_404(self, client, server):
         with pytest.raises(ServiceClientError) as info:
