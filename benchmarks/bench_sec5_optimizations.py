@@ -15,7 +15,6 @@ from repro.core.state import SearchStats
 from repro.datasets.paper_figures import figure4, figure5
 from repro.experiments.report import render_table
 from repro.indexes.candidates import CandidateIndex
-from repro.isomorphism.optimized import OptimizedQSearchEngine
 from repro.isomorphism.qsearch import QSearchEngine
 
 
@@ -76,7 +75,9 @@ def test_sec5_strategies_on_plain_sq(benchmark):
     def run_pair():
         plain = QSearchEngine(graph, query)
         plain_count = sum(1 for _ in plain.embeddings())
-        opt = OptimizedQSearchEngine(graph, query)
+        opt = QSearchEngine(
+            graph, query, conflict_backjumping=True, bad_vertex_skipping=True
+        )
         opt_count = sum(1 for _ in opt.embeddings())
         return plain, plain_count, opt, opt_count
 

@@ -20,7 +20,7 @@ which is exactly the deficiency Figure 6 quantifies.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Set
 
 from repro.coverage.core import coverage as coverage_of
@@ -28,7 +28,8 @@ from repro.exceptions import BudgetExceeded
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.indexes.candidates import CandidateIndex
-from repro.isomorphism.joinable import UNMATCHED
+from repro.isomorphism.backtrack import ExpansionMeter
+from repro.isomorphism.joinable import UNMATCHED, is_joinable
 from repro.isomorphism.match import Mapping
 from repro.queries.ordering import selectivity_order
 from repro.queries.qflist import QFList, resort
@@ -51,21 +52,6 @@ class COMResult:
         return self.coverage / (self.k * self.q) if self.k and self.q else 1.0
 
 
-class _Budget:
-    """Shared expansion counter across all regions of one COM run."""
-
-    __slots__ = ("limit", "spent")
-
-    def __init__(self, limit: Optional[int]) -> None:
-        self.limit = limit
-        self.spent = 0
-
-    def charge(self) -> None:
-        self.spent += 1
-        if self.limit is not None and self.spent > self.limit:
-            raise BudgetExceeded(f"COM node budget {self.limit} exhausted")
-
-
 def com_search(
     graph: LabeledGraph,
     query: QueryGraph,
@@ -81,12 +67,11 @@ def com_search(
 
     qlist = selectivity_order(query, candidates)
     qf = resort(query, qlist)
-    root = qf.entries[0].node
-    budget = _Budget(node_budget)
-
+    # One expansion counter shared across all regions of the run.
+    meter = ExpansionMeter(node_budget=node_budget)
     regions: List[Iterator[Mapping]] = [
-        _region(graph, query, candidates, qf, root, v, budget)
-        for v in candidates.candidates(root)
+        region_embeddings(graph, query, candidates, qf, v, meter)
+        for v in candidates.candidates(qf.entries[0].node)
     ]
     result.regions_opened = len(regions)
 
@@ -116,50 +101,39 @@ def com_search(
     return result
 
 
-def _region(
+def region_embeddings(
     graph: LabeledGraph,
     query: QueryGraph,
     candidates: CandidateIndex,
     qf: QFList,
-    root: int,
     root_vertex: int,
-    budget: _Budget,
+    meter: ExpansionMeter,
 ) -> Iterator[Mapping]:
-    """All embeddings whose root node matches ``root_vertex`` (lazy)."""
+    """All embeddings whose root node matches ``root_vertex`` (lazy).
+
+    The father-localized DFS in ``qfList`` order that COM's regions and the
+    random-start baseline both run: a node's pool is its father's neighbor
+    row filtered by ``candS`` (``resort`` gives every entry after the root a
+    father matched earlier), each pool member is charged to ``meter``
+    before the join test.
+    """
     assignment = [UNMATCHED] * query.size
-    used: Set[int] = set()
-    assignment[root] = root_vertex
-    used.add(root_vertex)
-
-    has_edge = graph.has_edge
-
-    def joinable(u: int, v: int) -> bool:
-        if v in used:
-            return False
-        for u2 in query.neighbors(u):
-            v2 = assignment[u2]
-            if v2 != UNMATCHED and not has_edge(v, v2):
-                return False
-        return True
+    assignment[qf.entries[0].node] = root_vertex
+    used: Set[int] = {root_vertex}
+    charge = meter.charge
 
     def recurse(depth: int) -> Iterator[Mapping]:
         if depth == query.size:
             yield tuple(assignment)
             return
         entry = qf.entries[depth]
-        u, father = entry.node, entry.father
-        if father != UNMATCHED and father >= 0 and assignment[father] != UNMATCHED:
-            # Neighbor rows are sorted tuples, so the pool stays sorted.
-            pool = [
-                w
-                for w in graph.neighbors(assignment[father])
-                if candidates.is_candidate(u, w)
-            ]
-        else:
-            pool = list(candidates.candidates(u))
-        for v in pool:
-            budget.charge()
-            if not joinable(u, v):
+        u = entry.node
+        # Neighbor rows are sorted tuples, so the pool stays sorted.
+        for v in graph.neighbors(assignment[entry.father]):
+            if not candidates.is_candidate(u, v):
+                continue
+            charge()
+            if not is_joinable(graph, query, assignment, used, u, v):
                 continue
             assignment[u] = v
             used.add(v)

@@ -14,15 +14,16 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Set
 
+from repro.baselines.com import region_embeddings
 from repro.coverage.core import coverage as coverage_of
 from repro.exceptions import BudgetExceeded
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.indexes.candidates import CandidateIndex
-from repro.isomorphism.joinable import UNMATCHED
+from repro.isomorphism.backtrack import ExpansionMeter
 from repro.isomorphism.match import Mapping
 from repro.queries.ordering import selectivity_order
-from repro.queries.qflist import NO_FATHER, resort
+from repro.queries.qflist import resort
 
 
 @dataclass
@@ -51,79 +52,28 @@ def random_start_search(
     out = RandomStartResult(embeddings=[], coverage=0, k=k, q=query.size)
     if candidates.any_empty():
         return out
-    qlist = selectivity_order(query, candidates)
-    qf = resort(query, qlist)
-    root = qf.entries[0].node
+    qf = resort(query, selectivity_order(query, candidates))
 
     rng = random.Random(seed)
-    roots = list(candidates.candidates(root))
+    roots = list(candidates.candidates(qf.entries[0].node))
     rng.shuffle(roots)
 
-    spent = 0
+    # ``node_budget`` caps the whole run, not each root.
+    meter = ExpansionMeter(node_budget=node_budget)
     seen: Set[frozenset] = set()
-    for root_vertex in roots:
-        if len(out.embeddings) >= k:
-            break
-        assignment = [UNMATCHED] * query.size
-        used: Set[int] = {root_vertex}
-        assignment[root] = root_vertex
-        try:
-            found = _one_embedding(
-                graph, query, candidates, qf, assignment, used, 1, node_budget, [spent]
+    try:
+        for root_vertex in roots:
+            if len(out.embeddings) >= k:
+                break
+            found = next(
+                region_embeddings(graph, query, candidates, qf, root_vertex, meter), None
             )
-        except BudgetExceeded:
-            break
-        if found is not None:
-            key = frozenset(found)
-            if key not in seen:
-                seen.add(key)
-                out.embeddings.append(found)
+            if found is not None:
+                key = frozenset(found)
+                if key not in seen:
+                    seen.add(key)
+                    out.embeddings.append(found)
+    except BudgetExceeded:
+        pass
     out.coverage = coverage_of(out.embeddings)
     return out
-
-
-def _one_embedding(
-    graph: LabeledGraph,
-    query: QueryGraph,
-    candidates: CandidateIndex,
-    qf,
-    assignment: List[int],
-    used: Set[int],
-    depth: int,
-    node_budget: Optional[int],
-    spent_box: List[int],
-) -> Optional[Mapping]:
-    """First embedding completing the current prefix (depth-first)."""
-    if depth == query.size:
-        return tuple(assignment)
-    entry = qf.entries[depth]
-    u, father = entry.node, entry.father
-    if father != NO_FATHER and assignment[father] != UNMATCHED:
-        # Neighbor rows are sorted tuples, so the pool stays sorted.
-        pool = [
-            w for w in graph.neighbors(assignment[father]) if candidates.is_candidate(u, w)
-        ]
-    else:
-        pool = list(candidates.candidates(u))
-    has_edge = graph.has_edge
-    for v in pool:
-        spent_box[0] += 1
-        if node_budget is not None and spent_box[0] > node_budget:
-            raise BudgetExceeded(f"random-start budget {node_budget} exhausted")
-        if v in used:
-            continue
-        if any(
-            assignment[u2] != UNMATCHED and not has_edge(v, assignment[u2])
-            for u2 in query.neighbors(u)
-        ):
-            continue
-        assignment[u] = v
-        used.add(v)
-        found = _one_embedding(
-            graph, query, candidates, qf, assignment, used, depth + 1, node_budget, spent_box
-        )
-        if found is not None:
-            return found
-        used.discard(v)
-        assignment[u] = UNMATCHED
-    return None

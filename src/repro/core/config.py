@@ -74,8 +74,9 @@ class DSQLConfig:
         experiments by wall-clock time ("> 5 hours" rows); this is the
         per-query equivalent. Enforced on the expansion hot path by a
         stride-checked monotonic clock (one ``time.monotonic()`` call every
-        :data:`repro.core.search.DEADLINE_CHECK_STRIDE` expansions), so the
-        effective deadline overshoots by at most one stride. A tripped
+        :data:`repro.isomorphism.backtrack.DEADLINE_CHECK_STRIDE`
+        expansions), so the effective deadline overshoots by at most one
+        stride. A tripped
         deadline yields a valid truncated result with
         ``stats.deadline_exhausted`` set, exactly like ``node_budget``.
     validate_results:

@@ -28,16 +28,15 @@ generator.
 from __future__ import annotations
 
 import random
-import time
 from itertools import combinations
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import DSQLConfig
 from repro.core.state import SearchStats
-from repro.exceptions import BudgetExceeded, DeadlineExceeded
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.indexes.candidates import CandidateIndex
+from repro.isomorphism.backtrack import ConflictDirectedSearch, ExpansionMeter
 from repro.isomorphism.joinable import UNMATCHED
 from repro.isomorphism.match import Mapping
 from repro.queries.qflist import NO_FATHER, QFList, resort
@@ -45,23 +44,8 @@ from repro.queries.qflist import NO_FATHER, QFList, resort
 OnEmbedding = Callable[[Mapping], bool]
 """Acceptance callback: receives a full embedding, returns False to stop."""
 
-DEADLINE_CHECK_STRIDE = 1024
-"""Expansions between wall-clock deadline checks.
 
-``time.monotonic()`` costs roughly as much as one expansion step, so probing
-it on every ``_charge`` would measurably slow the hot path; probing every
-:data:`DEADLINE_CHECK_STRIDE` expansions keeps the overhead under 0.1% while
-bounding deadline overshoot to one stride's worth of work.
-
-This module global is the **single** stride constant: both this engine and
-:class:`~repro.isomorphism.optimized.OptimizedQSearchEngine` read it live at
-check time (so tests can monkeypatch it), and instrumentation surfaces it as
-the ``deadline.check_stride`` gauge and the ``stride`` field of
-``on_deadline_tick`` / deadline trace events.
-"""
-
-
-class LevelSearchEngine:
+class LevelSearchEngine(ConflictDirectedSearch):
     """Level-wise embedding generator shared by DSQL-P1 and DSQL-P2.
 
     Parameters
@@ -83,12 +67,14 @@ class LevelSearchEngine:
         Absolute ``time.monotonic()`` timestamp after which the search must
         stop (``None`` disables). Shared by both phases of one query so the
         whole query honors ``config.time_budget_ms``; checked every
-        :data:`DEADLINE_CHECK_STRIDE` expansions.
+        :data:`~repro.isomorphism.backtrack.DEADLINE_CHECK_STRIDE`
+        expansions.
     instrumentation:
-        Optional :class:`~repro.observability.Instrumentation`. The engine
-        only touches it on the (rare) deadline-stride branch of
-        :meth:`_charge`; level/embedding events are emitted by the calling
-        phases, so the disabled path adds no per-expansion work.
+        Optional :class:`~repro.observability.Instrumentation`. Only the
+        :class:`~repro.isomorphism.backtrack.ExpansionMeter` touches it, on
+        its (rare) deadline-stride branch; level/embedding events are
+        emitted by the calling phases, so the disabled path adds no
+        per-expansion work.
     query_id:
         Session-assigned id stamped onto this engine's trace events/hooks.
 
@@ -112,15 +98,21 @@ class LevelSearchEngine:
         instrumentation=None,
         query_id: Optional[int] = None,
     ) -> None:
+        super().__init__(
+            query,
+            candidates,
+            stats,
+            config.conflict_skipping,
+            config.bad_vertex_skipping,
+            config.relaxed_bad_vertices,
+        )
         self.graph = graph
-        self.query = query
-        self.candidates = candidates
         self.config = config
         self.stats = stats
         self.matched = matched
-        self.deadline = deadline
-        self.instrumentation = instrumentation
-        self.query_id = query_id
+        self._meter = ExpansionMeter(
+            stats, config.node_budget, deadline, instrumentation, query_id
+        )
         self._plan = candidates.plan
         self._cache = candidates.cache
         # Twin-class partition for the compressed join test (per-graph state
@@ -128,16 +120,9 @@ class LevelSearchEngine:
         # *mechanism*, never which candidates are iterated or charged.
         self._compressed = self._cache.compressed() if config.use_compression else None
         self.rng = random.Random(config.seed)
-        q = query.size
-        self._assignment: List[int] = [UNMATCHED] * q
-        self._used: Set[int] = set()
-        # Bad marks carry the conflict set that justified them (see
-        # ``_single_frame``): a skipped vertex is a failure whose reasons
-        # must still propagate upward, otherwise ancestors compute
-        # understated conflict sets and skip revivable subtrees.
-        self._bad: List[Dict[int, Set[int]]] = [{} for _ in range(q + 1)]
         # Per-Qovp state, installed by run_level.
         self._qf: Optional[QFList] = None
+        self.order: List[int] = []
         self._qovp: FrozenSet[int] = frozenset()
         self._tcand: Dict[int, Set[int]] = {}
         self._on_embedding: Optional[OnEmbedding] = None
@@ -163,15 +148,13 @@ class LevelSearchEngine:
         """
         self._tcand = tcand
         self._on_embedding = on_embedding
-        q = self.query.size
         for qovp_tuple in combinations(qlist, level):
             if any(not tcand[u] for u in qovp_tuple):
                 continue  # some overlap node has no cover-restricted candidate
             self._qovp = frozenset(qovp_tuple)
             self._qf = resort(self.query, list(qlist), set(qovp_tuple))
-            self._assignment = [UNMATCHED] * q
-            self._used = set()
-            self._bad = [{} for _ in range(q + 1)]
+            self.order = self._qf.node_order()
+            self._reset_assignment()
             stop, _carry = self._multi_frame(0)
             if stop:
                 return False
@@ -207,55 +190,17 @@ class LevelSearchEngine:
             return [v for v in base if v in allowed]
         return base
 
-    def _charge(self) -> None:
-        stats = self.stats
-        stats.nodes_expanded += 1
-        budget = self.config.node_budget
-        if budget is not None and stats.nodes_expanded > budget:
-            stats.budget_exhausted = True
-            raise BudgetExceeded(f"node budget {budget} exhausted")
-        if (
-            self.deadline is not None
-            and stats.nodes_expanded % DEADLINE_CHECK_STRIDE == 0
-        ):
-            now = time.monotonic()
-            if self.instrumentation is not None:
-                self.instrumentation.deadline_tick(
-                    stats.nodes_expanded,
-                    (self.deadline - now) * 1000.0,
-                    DEADLINE_CHECK_STRIDE,
-                    self.query_id,
-                )
-            if now >= self.deadline:
-                stats.deadline_exhausted = True
-                raise DeadlineExceeded(
-                    f"time budget {self.config.time_budget_ms} ms exhausted"
-                )
-
-    def _joinable(self, u: int, v: int) -> bool:
-        """Injectivity + edge-consistency of matching ``u -> v``."""
-        if v in self._used:
-            return False
-        assignment = self._assignment
-        has_edge = self.graph.has_edge
-        for u2 in self.query.neighbors(u):
-            v2 = assignment[u2]
-            if v2 != UNMATCHED and not has_edge(v, v2):
-                return False
-        return True
-
-    def _kernel_join_test(self, u: int) -> Optional[Callable[[int], object]]:
-        """A per-frame joinability predicate ``v -> bool-ish`` or ``None``.
+    def _kernel_join_test(self, u: int) -> Callable[[int], object]:
+        """A per-frame joinability predicate ``v -> bool-ish``.
 
         Within one candidate loop at node ``u`` the set of already-assigned
         query neighbors is invariant (deeper assignments unwind before the
-        next candidate is tried), so the bitset AND of their adjacency masks
-        can be folded **once per frame** instead of per candidate. Dispatch:
+        next candidate is tried), so the join constraint is folded **once
+        per frame** instead of per candidate. Dispatch:
 
-        * exactly one assigned neighbor — ``None``; the caller keeps the
-          scalar :meth:`_joinable` loop (one ``has_edge`` probe beats a
-          big-int bit test);
         * zero assigned neighbors — injectivity is the whole test;
+        * exactly one — a single ``has_edge`` probe (it beats a big-int bit
+          test);
         * two or more — one mask AND per frame, then a single
           ``(mask >> v) & 1`` probe per candidate.
         """
@@ -292,51 +237,12 @@ class LevelSearchEngine:
             used = self._used
             return lambda v: v not in used and (mask >> v) & 1
         stats.kernel_scalar += 1
-        if matched:
-            return None
         used = self._used
+        if matched:
+            has_edge = self.graph.has_edge
+            v2 = matched[0]
+            return lambda v: v not in used and has_edge(v, v2)
         return lambda v: v not in used
-
-    # ------------------------------------------------------------------
-    # Conflict tables (Section 5.3)
-    # ------------------------------------------------------------------
-    def _conflict_set(self, u: int) -> Set[int]:
-        """``CT(u, *) ∪ CT(u, beta)`` for a failure at node ``u``.
-
-        Static part: query neighbors of ``u``. Dynamic part: assigned nodes
-        whose matched vertex would pass ``u``'s label/degree/signature
-        filters (it may be exactly the vertex ``u`` needed).
-        """
-        conflicts: Set[int] = set(self.query.neighbors(u))
-        full_check = self.candidates.full_check
-        for u2, v2 in enumerate(self._assignment):
-            if u2 != u and v2 != UNMATCHED and u2 not in conflicts:
-                if full_check(u, v2):
-                    conflicts.add(u2)
-        return conflicts
-
-    def _handle_child_failure(
-        self, depth: int, u: int, v: int, conflict: Set[int]
-    ) -> bool:
-        """Shared failure bookkeeping; returns ``True`` to backjump past ``u``.
-
-        Implements the Section 5.3 skip test and the Section 5.4 bad-vertex
-        marking (with the Appendix B.3 relaxation when configured). Call with
-        ``(u, v)`` still assigned; the caller unassigns afterwards.
-        """
-        cfg = self.config
-        if cfg.conflict_skipping and u not in conflict:
-            self.stats.conflict_skips += 1
-            return True
-        if cfg.bad_vertex_skipping:
-            prev_ok = cfg.relaxed_bad_vertices
-            if not prev_ok and depth > 0:
-                prev_node = self._qf.entries[depth - 1].node
-                prev_ok = prev_node not in conflict
-            if prev_ok:
-                self._bad[depth][v] = set(conflict)
-                self.stats.bad_vertices_marked += 1
-        return False
 
     # ------------------------------------------------------------------
     # Multi-embedding frames (Q1iSearch)
@@ -364,16 +270,14 @@ class LevelSearchEngine:
         assignment, used = self._assignment, self._used
         bad = self._bad[depth]
         rcand = self._rcand(u, father, is_overlap=True)
-        kj = self._kernel_join_test(u)
+        joinable = self._kernel_join_test(u)
+        charge = self._meter.charge
         for v in rcand:
-            self._charge()
+            charge()
             if v in bad:
                 self.stats.bad_vertex_skips += 1
                 continue
-            if kj is not None:
-                if not kj(v):
-                    continue
-            elif not self._joinable(u, v):
+            if not joinable(v):
                 continue
             assignment[u] = v
             used.add(v)
@@ -381,7 +285,7 @@ class LevelSearchEngine:
             if stop:
                 return True, None
             if carry is not None:
-                skip = self._handle_child_failure(depth, u, v, carry)
+                skip = self._child_failed(depth, u, v, carry)
                 assignment[u] = UNMATCHED
                 used.discard(v)
                 if skip:
@@ -399,18 +303,16 @@ class LevelSearchEngine:
         matched = self.matched
         bad = self._bad[depth]
         rcand = self._rcand(u, father, is_overlap=False)
-        kj = self._kernel_join_test(u)
+        joinable = self._kernel_join_test(u)
+        charge = self._meter.charge
         for v in rcand:
-            self._charge()
+            charge()
             if v in matched:
                 continue
             if v in bad:
                 self.stats.bad_vertex_skips += 1
                 continue
-            if kj is not None:
-                if not kj(v):
-                    continue
-            elif not self._joinable(u, v):
+            if not joinable(v):
                 continue
             assignment[u] = v
             used.add(v)
@@ -425,7 +327,7 @@ class LevelSearchEngine:
                 if not keep:
                     return True, None
                 continue
-            skip = self._handle_child_failure(depth, u, v, conflict)
+            skip = self._child_failed(depth, u, v, conflict)
             assignment[u] = UNMATCHED
             used.discard(v)
             if skip:
@@ -471,11 +373,12 @@ class LevelSearchEngine:
         assignment, used = self._assignment, self._used
         matched = self.matched
         bad = self._bad[depth]
-        kj = self._kernel_join_test(u)
+        joinable = self._kernel_join_test(u)
+        charge = self._meter.charge
         tried_valid = 0
         inherited: Set[int] = set()
         for v in rcand:
-            self._charge()
+            charge()
             if not is_overlap and v in matched:
                 continue
             mark = bad.get(v)
@@ -483,10 +386,7 @@ class LevelSearchEngine:
                 self.stats.bad_vertex_skips += 1
                 inherited |= mark
                 continue
-            if kj is not None:
-                if not kj(v):
-                    continue
-            elif not self._joinable(u, v):
+            if not joinable(v):
                 continue
             tried_valid += 1
             assignment[u] = v
@@ -494,7 +394,7 @@ class LevelSearchEngine:
             conflict = self._single_frame(depth + 1)
             if conflict is None:
                 return None
-            skip = self._handle_child_failure(depth, u, v, conflict)
+            skip = self._child_failed(depth, u, v, conflict)
             assignment[u] = UNMATCHED
             used.discard(v)
             if skip:

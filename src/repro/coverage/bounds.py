@@ -88,34 +88,6 @@ def coverage_upper_bound(k: int, q: int) -> int:
     return k * q
 
 
-def edge_coverage_upper_bound(k: int, num_query_edges: int) -> int:
-    """``|C(OPT)| <= k * |E(Q)|`` under the edge objective.
-
-    Injectivity gives every embedding exactly ``|E(Q)|`` distinct data
-    edges, so the no-overlap relaxation caps any ``k``-collection here.
-    """
-    if k < 1 or num_query_edges < 0:
-        raise ConfigError(
-            f"k must be >= 1 and |E(Q)| >= 0, got k={k}, |E(Q)|={num_query_edges}"
-        )
-    return k * num_query_edges
-
-
-def weighted_coverage_upper_bound(k: int, top_q_weight_sum) -> float:
-    """``|C(OPT)| <= k * (sum of the q largest vertex weights)``.
-
-    One embedding covers at most ``q`` vertices, so its weight is at most
-    the sum of the ``q`` heaviest vertices in the graph; ``k`` embeddings
-    cap at ``k`` times that. Reduces to ``k * q`` on unit weights.
-    """
-    if k < 1 or top_q_weight_sum < 0:
-        raise ConfigError(
-            f"k must be >= 1 and the weight sum >= 0, got k={k}, "
-            f"sum={top_q_weight_sum}"
-        )
-    return k * top_q_weight_sum
-
-
 def objective_coverage_bound(objective, k: int):
     """``MAX`` for an arbitrary bound objective: ``objective.max_coverage(k)``.
 

@@ -200,10 +200,6 @@ class CoverageTracker:
         """The element set stored under ``slot``."""
         return self._members[slot]
 
-    def member_embedding(self, slot: int) -> Iterable[int]:
-        """The raw embedding stored under ``slot``."""
-        return self._raw[slot]
-
     @property
     def coverage(self) -> int:
         """``|C(F)|`` (total covered weight) in O(1)."""

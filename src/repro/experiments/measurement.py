@@ -108,14 +108,3 @@ class BatchSummary:
     def cache_hits(self) -> int:
         """How many queries were answered from the session's result memo."""
         return sum(1 for r in self.records if r.from_cache)
-
-    def total_metrics(self) -> Dict[str, float]:
-        """Scalar metric totals summed over every record's snapshot.
-
-        Cache-hit records repeat their originating search's counters, so on
-        memo-heavy batches the totals describe *attributed* work (what the
-        answers cost to produce), not work done during this batch.
-        """
-        from repro.observability import merge_snapshots
-
-        return merge_snapshots(r.metrics for r in self.records)

@@ -171,12 +171,6 @@ class Table4Result:
                 return o.mean_coverage
         raise KeyError(strategy)
 
-    def millis_of(self, strategy: str) -> float:
-        for o in self.outcomes:
-            if o.strategy == strategy:
-                return o.mean_millis
-        raise KeyError(strategy)
-
 
 def table4_strategies(
     graph: LabeledGraph,

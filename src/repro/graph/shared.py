@@ -425,19 +425,6 @@ def attach_graph(descriptor: SharedGraphDescriptor) -> AttachedGraph:
     return AttachedGraph(graph, descriptor, segments)
 
 
-def republish_graph(published: PublishedGraph, graph: LabeledGraph) -> PublishedGraph:
-    """Replace a publication: unlink the old segments, publish fresh ones.
-
-    The new publication gets the graph's current cache epoch, so descriptors
-    from the old generation fail with :class:`StaleSegmentError` (when the
-    meta block is re-read) or :class:`SharedMemoryError` (segment names are
-    fresh, so stale names no longer resolve).
-    """
-    published.close()
-    published.unlink()
-    return publish_graph(graph)
-
-
 __all__ = [
     "ARRAY_FIELDS",
     "SHARED_FORMAT_VERSION",
@@ -446,5 +433,4 @@ __all__ = [
     "SharedGraphDescriptor",
     "attach_graph",
     "publish_graph",
-    "republish_graph",
 ]

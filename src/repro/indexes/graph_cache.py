@@ -10,8 +10,8 @@ session answering many queries against the same graph shares:
 
 * the **label inverted index** (label -> sorted vertex tuple);
 * the **neighborhood-signature table** — per-vertex label-id *bitmasks*
-  (Python ints, so an arbitrary number of labels works) plus interned
-  frozenset views for the public API;
+  (Python ints, so an arbitrary number of labels works); the frozenset
+  view of the public API is derived from a mask on call, interned per mask;
 * the **degree and label arrays** reused from the storage backend;
 * a bounded LRU **candidate-pool memo** keyed by
   ``(label_id, min_degree, signature_mask)`` — distinct query nodes with the
@@ -92,7 +92,6 @@ class GraphIndexCache:
         "delta_seq",
         "plan_cache",
         "_mutation_log",
-        "_signatures",
         "_mask_signatures",
         "_pool_memo",
         "_pool_memo_size",
@@ -142,8 +141,7 @@ class GraphIndexCache:
             self.label_table[lid]: tuple(vs) for lid, vs in enumerate(buckets)
         }
 
-        # Signature table: per-vertex bitmask over label ids, with interned
-        # frozenset views (equal masks share one frozenset object).
+        # Signature table: per-vertex bitmask over label ids.
         bit = [1 << lid for lid in range(len(self.label_table))]
         if signature_masks is not None:
             masks = list(signature_masks)
@@ -156,17 +154,9 @@ class GraphIndexCache:
                     m |= bit[label_ids[w]]
                 masks.append(m)
         self.signature_masks: List[int] = masks
-        interned: Dict[int, FrozenSet[Label]] = {}
-        sigs: List[FrozenSet[Label]] = []
-        for m in masks:
-            s = interned.get(m)
-            if s is None:
-                s = interned[m] = frozenset(
-                    self.label_table[lid] for lid in range(len(bit)) if m >> lid & 1
-                )
-            sigs.append(s)
-        self._signatures: List[FrozenSet[Label]] = sigs
-        self._mask_signatures = interned
+        # mask -> its frozenset view, filled by signature() on demand: no
+        # engine, plan or estimator path reads the frozenset form.
+        self._mask_signatures: Dict[int, FrozenSet[Label]] = {}
 
         self._pool_memo: "OrderedDict[Tuple[int, int, int], Tuple[int, ...]]" = OrderedDict()
         self._pool_memo_size = candidate_memo_size
@@ -341,8 +331,16 @@ class GraphIndexCache:
         return self.label_to_id.get(label)
 
     def signature(self, v: int) -> FrozenSet[Label]:
-        """Interned neighborhood-signature frozenset of data vertex ``v``."""
-        return self._signatures[v]
+        """Neighborhood-signature frozenset of data vertex ``v``, derived
+        from its mask on call and interned (equal masks share one object)."""
+        m = self.signature_masks[v]
+        s = self._mask_signatures.get(m)
+        if s is None:
+            table = self.label_table
+            s = self._mask_signatures.setdefault(
+                m, frozenset(table[lid] for lid in range(len(table)) if m >> lid & 1)
+            )
+        return s
 
     def signature_mask(self, v: int) -> int:
         """Label-id bitmask form of ``v``'s neighborhood signature."""
@@ -504,10 +502,6 @@ class GraphIndexCache:
                 self.label_ids.append(lid)
                 self.degrees.append(0)
                 self.signature_masks.append(0)
-                empty = self._mask_signatures.get(0)
-                if empty is None:
-                    empty = self._mask_signatures[0] = frozenset()
-                self._signatures.append(empty)
                 bucket = self.label_index.get(label)
                 if bucket is None:
                     new_labels.add(label)
@@ -531,8 +525,6 @@ class GraphIndexCache:
         neighbors = self.graph.neighbors
         degrees = self.degrees
         signature_masks = self.signature_masks
-        signatures = self._signatures
-        mask_signatures = self._mask_signatures
         dirty_per_label = Counter(map(label_ids.__getitem__, dirty_vertices))
         dirty_lids = set(dirty_per_label)
         repairable = self._repairable_labels(dirty_per_label)
@@ -553,12 +545,6 @@ class GraphIndexCache:
                     moved.setdefault(lid, []).append((v, *before))
             degrees[v] = len(row)
             signature_masks[v] = m
-            s = mask_signatures.get(m)
-            if s is None:
-                s = mask_signatures[m] = frozenset(
-                    self.label_table[lid] for lid in range(len(self.label_table)) if m >> lid & 1
-                )
-            signatures[v] = s
         if len(label_ids) > first_new:
             # Growth needs the array re-materialized at the new length (a
             # trailing add_vertex must extend it by its zero entry even when

@@ -13,15 +13,12 @@ from repro.isomorphism.compression import (
     count_embeddings_compressed,
     enumerate_embeddings_compressed,
 )
-from repro.isomorphism.optimized import (
-    OptimizedQSearchEngine,
-    enumerate_embeddings_optimized,
-)
 from repro.isomorphism.qsearch import (
     QSearchEngine,
     connected_search_order,
     count_embeddings,
     enumerate_embeddings,
+    enumerate_embeddings_optimized,
     first_k_embeddings,
     has_embedding,
 )
@@ -36,7 +33,6 @@ __all__ = [
     "induced_match_subgraph",
     "distinct_by_vertex_set",
     "QSearchEngine",
-    "OptimizedQSearchEngine",
     "CompressedGraph",
     "count_embeddings_compressed",
     "enumerate_embeddings_compressed",

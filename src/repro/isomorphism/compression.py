@@ -54,7 +54,9 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tupl
 
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
+from repro.exceptions import BudgetExceeded
 from repro.indexes.candidates import CandidateIndex
+from repro.isomorphism.backtrack import ExpansionMeter
 from repro.isomorphism.joinable import UNMATCHED
 from repro.isomorphism.match import Mapping
 
@@ -288,9 +290,9 @@ class _ClassSearch:
     ) -> None:
         self.compressed = compressed
         self.query = query
-        self.node_budget = node_budget
         self.nodes_expanded = 0
         self.budget_exhausted = False
+        self._meter = ExpansionMeter(self, node_budget)
         plan = candidates.plan
         self.order = plan.order
         self._backward = plan.backward
@@ -300,11 +302,15 @@ class _ClassSearch:
         ]
 
     def assignments(self) -> Iterator[List[int]]:
-        """Yield query-node -> class-id assignments satisfying all edges."""
+        """Yield query-node -> class-id assignments satisfying all edges;
+        stops cleanly on budget."""
         q = self.query.size
         assignment = [UNMATCHED] * q
         usage: Dict[int, int] = {}
-        yield from self._recurse(0, assignment, usage)
+        try:
+            yield from self._recurse(0, assignment, usage)
+        except BudgetExceeded:
+            return
 
     def _ok(self, u: int, cid: int, assignment: List[int]) -> bool:
         compressed = self.compressed
@@ -331,11 +337,9 @@ class _ClassSearch:
             pool &= self.class_candidates[u]
         else:
             pool = self.class_candidates[u]
+        charge = self._meter.charge
         for cid in sorted(pool):
-            self.nodes_expanded += 1
-            if self.node_budget is not None and self.nodes_expanded > self.node_budget:
-                self.budget_exhausted = True
-                return
+            charge()
             if usage.get(cid, 0) >= self.compressed.size(cid):
                 continue
             if not self._ok(u, cid, assignment):

@@ -37,14 +37,7 @@ def is_joinable(
     passing it explicitly keeps the injectivity test O(1) instead of scanning
     the assignment array.
     """
-    if v in used:
-        return False
-    has_edge = graph.has_edge
-    for u2 in query.neighbors(u):
-        v2 = assignment[u2]
-        if v2 != UNMATCHED and not has_edge(v, v2):
-            return False
-    return True
+    return v not in used and joinable_ignoring_injectivity(graph, query, assignment, u, v)
 
 
 def joinable_ignoring_injectivity(

@@ -53,8 +53,9 @@ BITSET = "bitset"
 probed bit-by-bit."""
 
 SCALAR = "scalar"
-"""Kernel kind: the seed per-neighbor ``has_edge`` probe loop (the
-fallback when too few query neighbors are matched to amortize a kernel)."""
+"""Kernel kind: the seed per-neighbor ``has_edge`` probing (the fallback
+when too few query neighbors are matched to amortize a kernel: at most one
+probe per candidate in the level engine)."""
 
 CBITSET = "cbitset"
 """Kernel kind: big-int AND over twin-**class** bitsets (compression-enabled

@@ -16,7 +16,7 @@ Callback frequency (what you may do inside them):
 * :meth:`on_swap` — once per Phase-2 swap *decision* (a generated embedding
   with positive benefit), accepted or not.
 * :meth:`on_deadline_tick` — once per deadline stride check, i.e. every
-  :data:`~repro.core.search.DEADLINE_CHECK_STRIDE` expansions while a
+  :data:`~repro.isomorphism.backtrack.DEADLINE_CHECK_STRIDE` expansions while a
   ``time_budget_ms`` is armed; this is the only hook on (a 1/stride
   fraction of) the hot path, so it must stay cheap.
 
@@ -49,8 +49,8 @@ class ProfilingHooks:
 
         In Phase 1 this is an *accepted* member of ``T``; in Phase 2 it is a
         swap candidate (accepted or not — pair with :meth:`on_swap`). For
-        the plain-SQ :class:`~repro.isomorphism.optimized.
-        OptimizedQSearchEngine`, ``phase`` is ``"sq"`` and ``level`` is -1.
+        the plain-SQ :class:`~repro.isomorphism.qsearch.QSearchEngine`,
+        ``phase`` is ``"sq"`` and ``level`` is -1.
         """
 
     def on_swap(

@@ -135,60 +135,6 @@ def query_set(
     return [random_query(graph, num_edges, rng) for _ in range(count)]
 
 
-def scenario_query_set(
-    graph: LabeledGraph,
-    objective: str,
-    num_edges: int,
-    count: int,
-    seed: Optional[int] = None,
-    oversample: int = 4,
-) -> List[QueryGraph]:
-    """A query batch biased toward stressing the given objective.
-
-    Draws ``oversample * count`` candidates with :func:`random_query` and
-    keeps the ``count`` that most exercise the objective's divergence from
-    plain vertex coverage (docs/objectives.md):
-
-    * ``edge`` — keeps the *densest* candidates (most edges per vertex):
-      dense queries are where an embedding's edge count outruns its vertex
-      count, so edge- and vertex-diverse answers can actually differ;
-    * ``weighted-vertex`` — keeps the candidates whose sampled region has
-      the highest total data-vertex degree, biasing toward hub-heavy
-      matches under the degree-derived default weights;
-    * ``vertex`` — no bias; identical to :func:`query_set` (same seed,
-      same batch), so vertex baselines stay comparable.
-
-    The selection is a stable sort over a deterministic candidate stream:
-    fixed ``seed`` means a fixed batch.
-    """
-    if objective == "vertex":
-        return query_set(graph, num_edges, count, seed=seed)
-    if oversample < 1:
-        raise DatasetError(f"oversample must be >= 1, got {oversample}")
-    rng = random.Random(seed)
-    candidates = [random_query(graph, num_edges, rng) for _ in range(oversample * count)]
-    if objective == "edge":
-        score = lambda q: len(q.edges()) / q.size  # noqa: E731 - local key
-    elif objective == "weighted-vertex":
-        label_degree = [0.0] * graph.num_vertices
-        for v in range(graph.num_vertices):
-            label_degree[v] = graph.degree(v)
-        by_label: dict = {}
-        for v in range(graph.num_vertices):
-            lbl = graph.label(v)
-            stats = by_label.setdefault(lbl, [0.0, 0])
-            stats[0] += label_degree[v]
-            stats[1] += 1
-        # A query node's expected match weight ~ its label's mean degree.
-        score = lambda q: sum(  # noqa: E731 - local key
-            by_label[lbl][0] / by_label[lbl][1] for lbl in q.labels if lbl in by_label
-        )
-    else:
-        raise DatasetError(f"unknown objective {objective!r} for scenario queries")
-    ranked = sorted(enumerate(candidates), key=lambda iv: (-score(iv[1]), iv[0]))
-    return [q for _, q in ranked[:count]]
-
-
 def iter_query_sets(
     graph: LabeledGraph,
     sizes: List[int],

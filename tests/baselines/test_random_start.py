@@ -52,3 +52,11 @@ class TestRandomStart:
         query = connected_query_from(graph, 2, seed=15)
         r = random_start_search(graph, query, 5)
         assert r.approx_ratio_lower_bound() == r.coverage / (5 * query.size)
+
+    def test_node_budget_caps_the_whole_run(self):
+        """The budget is one counter across all roots, as in COM."""
+        n = 10
+        graph = LabeledGraph(["a", "b"] * n, [(2 * i, 2 * i + 1) for i in range(n)])
+        query = QueryGraph(["a", "b"], [(0, 1)])
+        assert len(random_start_search(graph, query, n).embeddings) == n
+        assert len(random_start_search(graph, query, n, node_budget=1).embeddings) == 1

@@ -8,6 +8,7 @@ against on small instances.
 from __future__ import annotations
 
 import random
+from functools import partial
 from itertools import combinations, permutations
 from typing import FrozenSet, List, Sequence, Set, Tuple
 
@@ -16,6 +17,10 @@ import pytest
 from repro.datasets.examples import dbpedia_flavor, figure1, figure2, imdb_flavor
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
+from repro.isomorphism.qsearch import QSearchEngine
+
+optimized_engine = partial(QSearchEngine, conflict_backjumping=True, bad_vertex_skipping=True)
+"""``QSearchEngine`` with both Section 5.3/5.4 switches on."""
 
 
 # ----------------------------------------------------------------------

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import pytest
 
-import repro.core.search as search_mod
+import repro.isomorphism.backtrack as search_mod
 from repro.core.config import DSQLConfig
 from repro.core.dsql import DSQL, diversified_search
 from repro.exceptions import BudgetExceeded, ConfigError, DeadlineExceeded
-from repro.isomorphism.optimized import OptimizedQSearchEngine
+from repro.isomorphism.qsearch import QSearchEngine
+from repro.observability import Instrumentation
 
 
 @pytest.fixture()
@@ -62,10 +63,9 @@ class TestQueryDeadline:
 
 
 class TestOptimizedEngineDeadline:
-    def test_tiny_budget_stops_enumeration(self, monkeypatch, imdb_small):
+    def test_tiny_budget_stops_enumeration(self, stride_one, imdb_small):
         graph, query = imdb_small
-        engine = OptimizedQSearchEngine(graph, query, time_budget_ms=1e-6)
-        engine._deadline_stride = 1
+        engine = QSearchEngine(graph, query, time_budget_ms=1e-6)
         embeddings = list(engine.embeddings())
         assert engine.deadline_exhausted
         assert not engine.budget_exhausted
@@ -74,8 +74,17 @@ class TestOptimizedEngineDeadline:
             for a, b in query.edges():
                 assert graph.has_edge(emb[a], emb[b])
 
+    def test_stride_is_read_live(self, monkeypatch, imdb_small):
+        """One constant, one reader: a patch after construction still lands."""
+        graph, query = imdb_small
+        instr = Instrumentation()
+        engine = QSearchEngine(graph, query, time_budget_ms=60_000.0, instrumentation=instr)
+        monkeypatch.setattr(search_mod, "DEADLINE_CHECK_STRIDE", 1)
+        list(engine.embeddings())
+        assert instr.metrics.snapshot()["deadline.ticks"] == engine.nodes_expanded > 0
+
     def test_no_budget_flag_stays_clear(self, fig1):
         graph, query = fig1
-        engine = OptimizedQSearchEngine(graph, query, time_budget_ms=60_000.0)
+        engine = QSearchEngine(graph, query, time_budget_ms=60_000.0)
         list(engine.embeddings())
         assert not engine.deadline_exhausted

@@ -110,10 +110,10 @@ class TestBudget:
     def test_charge_raises_past_budget(self, setting):
         graph, query = setting
         engine = engine_for(graph, query, DSQLConfig(k=5, node_budget=2))
-        engine._charge()
-        engine._charge()
+        engine._meter.charge()
+        engine._meter.charge()
         with pytest.raises(BudgetExceeded):
-            engine._charge()
+            engine._meter.charge()
         assert engine.stats.budget_exhausted
 
 

@@ -116,7 +116,7 @@ class TestRunExecutorBatch:
         assert summary.cache_hits == len(queries)
 
     def test_deadline_recorded(self, setting, monkeypatch):
-        import repro.core.search as search_mod
+        import repro.isomorphism.backtrack as search_mod
 
         monkeypatch.setattr(search_mod, "DEADLINE_CHECK_STRIDE", 1)
         graph, queries = setting

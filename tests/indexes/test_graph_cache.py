@@ -49,6 +49,22 @@ def test_signatures(cache):
         assert cache.signature(v) is cache.signature(0)
 
 
+def test_no_frozenset_built_until_signature_is_read(graph, monkeypatch):
+    """Build and delta repair keep masks only; the frozenset view is on call."""
+    import repro.indexes.graph_cache as mod
+
+    built = []
+    monkeypatch.setattr(
+        mod, "frozenset", lambda it=(): built.append(1) or frozenset(it), raising=False
+    )
+    cache = graph.index_cache()
+    graph.mutate([("add_vertex", "a"), ("add_edge", 5, 4), ("remove_edge", 0, 1)])
+    assert built == []
+    assert cache.signature(5) == frozenset({"c"}) and cache.signature(0) == frozenset({"b"})
+    assert cache.signature(1) is cache.signature(2)  # equal masks, one object
+    assert len(built) == 3
+
+
 def test_signature_masks_match_frozensets(cache):
     for v in range(5):
         labels = {cache.label_table[lid] for lid in range(3) if cache.signature_mask(v) >> lid & 1}

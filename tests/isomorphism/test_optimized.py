@@ -1,19 +1,20 @@
-"""Tests for the conflict-directed SQ engine (:mod:`repro.isomorphism.optimized`)."""
+"""Tests for the Section 5.3/5.4 switches of :class:`QSearchEngine`."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.datasets.paper_figures import figure4, figure5
-from repro.isomorphism.optimized import (
-    OptimizedQSearchEngine,
+from repro.isomorphism.qsearch import (
+    QSearchEngine,
+    enumerate_embeddings,
     enumerate_embeddings_optimized,
 )
-from repro.isomorphism.qsearch import QSearchEngine, enumerate_embeddings
 
 from tests.conftest import (
     brute_force_embeddings,
     connected_query_from,
+    optimized_engine,
     random_labeled_graph,
 )
 
@@ -59,7 +60,7 @@ class TestPruningPower:
         graph, query = figure4(width=60)
         plain = QSearchEngine(graph, query)
         list(plain.embeddings())
-        opt = OptimizedQSearchEngine(graph, query)
+        opt = optimized_engine(graph, query)
         list(opt.embeddings())
         assert opt.nodes_expanded < plain.nodes_expanded
         assert opt.conflict_skips > 0
@@ -70,22 +71,20 @@ class TestPruningPower:
         graph, query = figure5(width=30, teasers=15)
         plain = QSearchEngine(graph, query)
         list(plain.embeddings())
-        opt = OptimizedQSearchEngine(graph, query)
+        opt = optimized_engine(graph, query)
         list(opt.embeddings())
         assert opt.nodes_expanded <= plain.nodes_expanded
 
     def test_strategies_toggleable(self):
         graph, query = figure4(width=40)
-        off = OptimizedQSearchEngine(
-            graph, query, conflict_backjumping=False, bad_vertex_skipping=False
-        )
-        on = OptimizedQSearchEngine(graph, query)
+        off = QSearchEngine(graph, query)
+        on = optimized_engine(graph, query)
         assert set(off.embeddings()) == set(on.embeddings())
         assert on.nodes_expanded <= off.nodes_expanded
 
     def test_budget(self):
         graph = random_labeled_graph(40, 2, 0.3, seed=9)
         query = connected_query_from(graph, 3, seed=9)
-        engine = OptimizedQSearchEngine(graph, query, node_budget=20)
+        engine = optimized_engine(graph, query, node_budget=20)
         list(engine.embeddings())
         assert engine.budget_exhausted

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-import repro.core.search as search_mod
+import repro.isomorphism.backtrack as search_mod
 from repro.core.config import DSQLConfig
 from repro.core.dsql import DSQL
 from repro.datasets.registry import make_dataset
@@ -108,13 +108,11 @@ def test_hook_exception_aborts_query(swap_case):
 
 
 def test_optimized_engine_reports_sq_phase(imdb_small):
-    from repro.isomorphism.optimized import OptimizedQSearchEngine
+    from repro.isomorphism.qsearch import QSearchEngine
 
     graph, query = imdb_small
     hooks = RecordingHooks()
-    engine = OptimizedQSearchEngine(
-        graph, query, instrumentation=Instrumentation(hooks=hooks)
-    )
+    engine = QSearchEngine(graph, query, instrumentation=Instrumentation(hooks=hooks))
     emitted = sum(1 for _ in engine.embeddings())
     assert emitted > 0
     assert len(hooks.embeddings) == emitted

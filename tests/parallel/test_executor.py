@@ -163,7 +163,7 @@ class TestValidation:
 
 class TestDeadlineThroughExecutor:
     def test_tiny_time_budget_truncates_but_stays_valid(self, monkeypatch):
-        import repro.core.search as search_mod
+        import repro.isomorphism.backtrack as search_mod
 
         monkeypatch.setattr(search_mod, "DEADLINE_CHECK_STRIDE", 1)
         graph, queries = _workload("dblp")

@@ -26,11 +26,10 @@ from repro.exceptions import DatasetError
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.indexes.plans import compile_plan
-from repro.isomorphism.optimized import OptimizedQSearchEngine
 from repro.isomorphism.qsearch import QSearchEngine
 from repro.kernels import CBITSET
 from repro.queries.generator import query_set
-from tests.conftest import STORAGE_STATES, in_storage_state
+from tests.conftest import STORAGE_STATES, in_storage_state, optimized_engine
 from tests.property.test_mutation_equivalence import (
     assert_results_identical,
     mutation_script,
@@ -110,7 +109,7 @@ def test_cbitset_kernel_fires_and_stays_identical():
     assert CBITSET in plan.kernels
 
     # SQ engines: stream-for-stream identical, with cbitset dispatched.
-    for engine_cls in (QSearchEngine, OptimizedQSearchEngine):
+    for engine_cls in (QSearchEngine, optimized_engine):
         plain = list(engine_cls(graph, query).embeddings())
         planned_engine = engine_cls(graph, query, plan=plan)
         planned = list(planned_engine.embeddings())

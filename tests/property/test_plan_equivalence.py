@@ -6,8 +6,9 @@ fork — and this module compared them live. The fork is gone; what it
 computed survives as frozen digests captured from it at the parent commit
 (``tests/data/sq_stream_goldens.json``, recipe in ``tests/data/README.md``):
 the *ordered* embedding stream, ``nodes_expanded``, the budget flag, and
-(optimized engine) the skip counters of :class:`QSearchEngine` and
-:class:`OptimizedQSearchEngine` over every registry dataset × backend
+(Section 5.3/5.4 switches on) the skip counters of :class:`QSearchEngine`
+— captured when switches-on was a second class, ``OptimizedQSearchEngine``
+(folded in by PR 17; the key suffixes keep both names) — over every registry dataset × backend
 (``csr``/``set`` — since PR 14 the two storage states of the one class, see
 ``tests/conftest.py::STORAGE_STATES``) × 3 queries, plus one pinned instance
 per join-kernel regime (``bitset``, ``cbitset``, the gallop side of
@@ -38,11 +39,15 @@ from repro.exceptions import DatasetError
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.indexes.plans import compile_plan
-from repro.isomorphism.optimized import OptimizedQSearchEngine
 from repro.isomorphism.qsearch import QSearchEngine
 from repro.kernels import BITSET, CBITSET, GALLOP_RATIO, MERGE
 from repro.queries.generator import query_set
-from tests.conftest import STORAGE_STATES, brute_force_embeddings, in_storage_state
+from tests.conftest import (
+    STORAGE_STATES,
+    brute_force_embeddings,
+    in_storage_state,
+    optimized_engine,
+)
 from tests.property.test_compression_equivalence import casting_instance
 
 GOLDENS = json.loads(
@@ -50,7 +55,8 @@ GOLDENS = json.loads(
     .read_text(encoding="utf-8")
 )["digests"]
 
-SQ_ENGINES = (QSearchEngine, OptimizedQSearchEngine)
+# Golden-key suffix (the capture-time class name) -> switches off / both on.
+SQ_ENGINES = {"QSearchEngine": QSearchEngine, "OptimizedQSearchEngine": optimized_engine}
 SQ_BUDGET = 100_000
 
 
@@ -58,18 +64,18 @@ def stream_digest(engine) -> str:
     """The capture-time recipe, frozen: change it and every golden lies."""
     stream = list(engine.embeddings())
     counters = [engine.nodes_expanded, engine.budget_exhausted]
-    if isinstance(engine, OptimizedQSearchEngine):
+    if engine.conflict_backjumping:
         counters += [engine.conflict_skips, engine.bad_vertex_skips]
     return hashlib.sha256(repr((stream, counters)).encode()).hexdigest()[:16]
 
 
-def golden_key(case: str, engine_cls) -> str:
-    return f"{case}|{engine_cls.__name__}"
+def golden_key(case: str, engine_name: str) -> str:
+    return f"{case}|{engine_name}"
 
 
 def assert_matches_golden(case: str, engine) -> None:
-    key = golden_key(case, type(engine))
-    assert stream_digest(engine) == GOLDENS[key], key
+    name = "OptimizedQSearchEngine" if engine.conflict_backjumping else "QSearchEngine"
+    assert stream_digest(engine) == GOLDENS[golden_key(case, name)], (case, name)
 
 
 # ----------------------------------------------------------------------
@@ -135,7 +141,7 @@ def all_sq_cases():
 
 def test_sq_goldens_cover_full_matrix():
     expected = {
-        golden_key(case, cls) for case, _g, _q in all_sq_cases() for cls in SQ_ENGINES
+        golden_key(case, name) for case, _g, _q in all_sq_cases() for name in SQ_ENGINES
     }
     assert set(GOLDENS) == expected
     assert len(expected) == (len(dataset_names()) * 2 * 3 + 3 + 3) * 2
@@ -150,7 +156,7 @@ def test_plans_identical_on_registry_dataset(dataset, storage):
     cases = list(registry_cases(dataset, storage))
     session = DSQL(cases[0][1], config=DSQLConfig(k=4, node_budget=200_000))
     for case, graph, query in cases:
-        for engine_cls in SQ_ENGINES:
+        for engine_cls in SQ_ENGINES.values():
             assert_matches_golden(case, engine_cls(graph, query, node_budget=SQ_BUDGET))
         # DSQL runs the same kernels (its digests live in the objective
         # goldens); every query dispatches at least its root scan.
@@ -158,9 +164,10 @@ def test_plans_identical_on_registry_dataset(dataset, storage):
         assert stats.kernel_scan + stats.kernel_merge + stats.kernel_bitset > 0
 
 
-@pytest.mark.parametrize("engine_cls", SQ_ENGINES)
-def test_sq_engines_identical_with_plan(engine_cls):
+@pytest.mark.parametrize("engine_name", SQ_ENGINES)
+def test_sq_engines_identical_with_plan(engine_name):
     """A handed-in plan and the cache-fetched one are the same route."""
+    engine_cls = SQ_ENGINES[engine_name]
     for case, graph, query in yeast_cases():
         fetched = engine_cls(graph, query, node_budget=SQ_BUDGET)
         assert_matches_golden(case, fetched)
@@ -181,7 +188,7 @@ def test_bitset_kernel_fires_and_stays_identical():
     graph, query = dense_instance()
     plan = compile_plan(query, graph.index_cache())
     assert BITSET in plan.kernels  # the triangle's last node has 2 backward
-    for engine_cls in SQ_ENGINES:
+    for engine_cls in SQ_ENGINES.values():
         engine = engine_cls(graph, query, node_budget=SQ_BUDGET)
         assert_matches_golden("dense-bitset", engine)
         assert engine.kernel_dispatch[BITSET] > 0
@@ -196,7 +203,7 @@ def test_cbitset_kernel_reproduces_plan_free_stream():
     graph, query = casting_instance()
     plan = compile_plan(query, graph.index_cache(), use_compression=True)
     assert CBITSET in plan.kernels
-    for engine_cls in SQ_ENGINES:
+    for engine_cls in SQ_ENGINES.values():
         engine = engine_cls(graph, query, node_budget=SQ_BUDGET, plan=plan)
         assert_matches_golden("twins-cbitset", engine)
         assert engine.kernel_dispatch[CBITSET] > 0
@@ -217,7 +224,7 @@ def test_merge_kernel_gallop_regime_reproduces_plan_free_stream():
     # One MERGE depth on each side of the intersect_sorted crossover.
     assert any(len(hub_row) >= GALLOP_RATIO * size for size in merge_pools)
     assert any(len(hub_row) < GALLOP_RATIO * size for size in merge_pools)
-    for engine_cls in SQ_ENGINES:
+    for engine_cls in SQ_ENGINES.values():
         engine = engine_cls(graph, query, node_budget=SQ_BUDGET)
         assert_matches_golden("skew-gallop", engine)
         assert engine.kernel_dispatch[MERGE] > 0
@@ -264,8 +271,11 @@ def test_plans_identical_on_random_instances(instance):
     oracle = sorted(brute_force_embeddings(graph, query))
     plain = list(QSearchEngine(graph, query).embeddings())
     assert sorted(plain) == oracle
-    # The optimized engine prunes failed subtrees only: same ordered stream.
-    assert list(OptimizedQSearchEngine(graph, query).embeddings()) == plain
+    # The switches prune failed subtrees only: each alone, and both together,
+    # leave the ordered stream untouched.
+    for backjump, skip_bad in ((True, False), (False, True), (True, True)):
+        switches = {"conflict_backjumping": backjump, "bad_vertex_skipping": skip_bad}
+        assert list(QSearchEngine(graph, query, **switches).embeddings()) == plain
     for factory in (DSQLConfig.dsql0, lambda kk: DSQLConfig(k=kk)):
         result = DSQL(graph, config=factory(k)).query(query)
         assert set(result.embeddings) <= set(oracle)

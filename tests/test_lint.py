@@ -355,3 +355,50 @@ def test_evidence_ledger_names_resolve():
             assert any("::" in name for name in paths), number
         else:
             assert now == "dropped" and names, number
+
+
+# ----------------------------------------------------------------------
+# Fork guard: one backtracking core. The second plain-SQ engine class must
+# not grow back, and src/ pays for an expansion, probes the deadline and
+# spells the scalar join loop in exactly one place each.
+# ----------------------------------------------------------------------
+def core_census(sources):
+    """``{what: [path:line, ...]}`` over ``{path: source}``: every raise of
+    the two budget errors, and every loop over ``query.neighbors(..)`` whose
+    body probes ``has_edge``."""
+    census = {"BudgetExceeded": [], "DeadlineExceeded": [], "probe loop": []}
+    for path, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                name = getattr(node.exc.func, "id", None)
+                if name in census:
+                    census[name].append(f"{path}:{node.lineno}")
+            iters = [node.iter] if isinstance(node, ast.For) else [
+                g.iter for g in getattr(node, "generators", ())
+            ]
+            if "query.neighbors(" in " ".join(ast.unparse(i) for i in iters) and any(
+                getattr(n, "id", getattr(n, "attr", None)) == "has_edge"
+                for n in ast.walk(node)
+            ):
+                census["probe loop"].append(f"{path}:{node.lineno}")
+    return census
+
+
+def test_engine_fork_stays_deleted():
+    src = REPO / "src"
+    assert not (src / "repro" / "isomorphism" / "optimized.py").exists()
+    sources = {
+        str(p.relative_to(src)): p.read_text(encoding="utf-8") for p in src.rglob("*.py")
+    }
+    engines = re.findall(r"^class (\w*SearchEngine)\b", "\n".join(sources.values()), re.M)
+    assert sorted(engines) == ["LevelSearchEngine", "QSearchEngine"]
+    census = {what: [s.split(":")[0] for s in sites] for what, sites in core_census(sources).items()}
+    meter, joinable = ["repro/isomorphism/backtrack.py"], ["repro/isomorphism/joinable.py"]
+    assert census == {"BudgetExceeded": meter, "DeadlineExceeded": meter, "probe loop": joinable}
+    # The census sees a private budget check pasted back into a baseline.
+    pasted = "def charge(spent, limit):\n    if spent > limit:\n        raise BudgetExceeded('x')\n"
+    assert core_census({"com.py": pasted})["BudgetExceeded"] == ["com.py:3"]
+    extra = [REPO / "DESIGN.md"]
+    extra += sorted(p for p in (REPO / ".claude").rglob("*") if p.is_file())
+    offenders = fork_offenders(("OptimizedQSearchEngine", "isomorphism.optimized"), extra)
+    assert not offenders, offenders
