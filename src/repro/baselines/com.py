@@ -112,10 +112,10 @@ def region_embeddings(
     """All embeddings whose root node matches ``root_vertex`` (lazy).
 
     The father-localized DFS in ``qfList`` order that COM's regions and the
-    random-start baseline both run: a node's pool is its father's neighbor
-    row filtered by ``candS`` (``resort`` gives every entry after the root a
-    father matched earlier), each pool member is charged to ``meter``
-    before the join test.
+    random-start baseline both run: a node's pool is
+    ``candidates.localized`` — its father's neighbors within ``candS``
+    (``resort`` gives every entry after the root a father matched earlier) —
+    and each pool member is charged to ``meter`` before the join test.
     """
     assignment = [UNMATCHED] * query.size
     assignment[qf.entries[0].node] = root_vertex
@@ -128,10 +128,7 @@ def region_embeddings(
             return
         entry = qf.entries[depth]
         u = entry.node
-        # Neighbor rows are sorted tuples, so the pool stays sorted.
-        for v in graph.neighbors(assignment[entry.father]):
-            if not candidates.is_candidate(u, v):
-                continue
+        for v in candidates.localized(u, assignment[entry.father]):
             charge()
             if not is_joinable(graph, query, assignment, used, u, v):
                 continue

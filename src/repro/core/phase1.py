@@ -143,7 +143,7 @@ def run_phase1(
                 while True:
                     before = len(state)
                     tcand = tcand_snapshot(plan, state.covered, q)
-                    keep = engine.run_level(level, qlist, tcand, on_embedding)
+                    keep = engine.run_level(level, tcand, on_embedding)
                     if not keep:
                         return Phase1Output(
                             state=state, level=level, exhausted=False, qlist=qlist

@@ -166,7 +166,7 @@ def run_phase2(
                 level_start_ms = instr.level_start("phase2", level, query_id)
                 level_exp = stats.nodes_expanded
             try:
-                keep = engine.run_level(level, phase1.qlist, tcand, on_embedding)
+                keep = engine.run_level(level, tcand, on_embedding)
             finally:
                 if instr is not None:
                     instr.level_end(

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 
 from repro.core.config import DSQLConfig
 from repro.core.state import SearchStats
@@ -39,7 +39,7 @@ from repro.indexes.candidates import CandidateIndex
 from repro.isomorphism.backtrack import ConflictDirectedSearch, ExpansionMeter
 from repro.isomorphism.joinable import UNMATCHED
 from repro.isomorphism.match import Mapping
-from repro.queries.qflist import NO_FATHER, QFList, resort
+from repro.queries.qflist import NO_FATHER
 
 OnEmbedding = Callable[[Mapping], bool]
 """Acceptance callback: receives a full embedding, returns False to stop."""
@@ -79,11 +79,17 @@ class LevelSearchEngine(ConflictDirectedSearch):
         Session-assigned id stamped onto this engine's trace events/hooks.
 
     Candidate generation and the joinability test run through the
-    :mod:`repro.kernels` paths against ``candidates.plan`` (the plan's
-    memoized pool sets, bitset AND over matched-neighbor adjacency masks).
-    The kernels decide *how* a candidate pool is computed, never which
-    candidates are iterated or in what order, so results — including
-    budget/deadline trip points — do not depend on the kernel chosen.
+    :mod:`repro.kernels` paths against ``candidates.plan`` (the view's
+    memoized ``N(father's match) ∩ candS(u)`` lists, bitset AND over
+    matched-neighbor adjacency masks). The kernels decide *how* a candidate
+    pool is computed, never which candidates are iterated or in what order,
+    so results — including budget/deadline trip points — do not depend on
+    the kernel chosen.
+
+    A frame keeps nothing query-static: ``reSort``'s order and, per depth,
+    the node, its father, whether it overlaps, its single-embedding cap and
+    its matched query neighbors come compiled from
+    :meth:`~repro.indexes.plans.QueryPlan.frames`, once per (plan, Qovp).
     """
 
     def __init__(
@@ -107,7 +113,6 @@ class LevelSearchEngine(ConflictDirectedSearch):
             config.relaxed_bad_vertices,
         )
         self.graph = graph
-        self.config = config
         self.stats = stats
         self.matched = matched
         self._meter = ExpansionMeter(
@@ -120,10 +125,13 @@ class LevelSearchEngine(ConflictDirectedSearch):
         # *mechanism*, never which candidates are iterated or charged.
         self._compressed = self._cache.compressed() if config.use_compression else None
         self.rng = random.Random(config.seed)
+        self._q = query.size
+        # The two strategy switches a frame consults, read once.
+        self._localize = config.localized_search
+        self._cap_singles = config.single_embedding_mode
         # Per-Qovp state, installed by run_level.
-        self._qf: Optional[QFList] = None
-        self.order: List[int] = []
-        self._qovp: FrozenSet[int] = frozenset()
+        self.order: Tuple[int, ...] = ()
+        self._frames: Tuple[tuple, ...] = ()
         self._tcand: Dict[int, Set[int]] = {}
         self._on_embedding: Optional[OnEmbedding] = None
 
@@ -133,14 +141,14 @@ class LevelSearchEngine(ConflictDirectedSearch):
     def run_level(
         self,
         level: int,
-        qlist: Sequence[int],
         tcand: Dict[int, Set[int]],
         on_embedding: OnEmbedding,
     ) -> bool:
         """Generate all level-``level`` embeddings, feeding ``on_embedding``.
 
-        ``tcand`` maps each query node to ``candS(u) ∩ V(T)`` for the
-        relevant solution snapshot (see
+        ``Qovp`` ranges over the ``level``-subsets of the plan's ``qlist``,
+        each searched through its compiled frames. ``tcand`` maps each query
+        node to ``candS(u) ∩ V(T)`` for the relevant solution snapshot (see
         :func:`~repro.core.phase1.tcand_snapshot`). Returns ``False`` when
         the callback asked to stop (k reached / early termination), ``True``
         when the level was exhausted. Raises :class:`BudgetExceeded` if the
@@ -148,12 +156,12 @@ class LevelSearchEngine(ConflictDirectedSearch):
         """
         self._tcand = tcand
         self._on_embedding = on_embedding
-        for qovp_tuple in combinations(qlist, level):
-            if any(not tcand[u] for u in qovp_tuple):
+        plan, query = self._plan, self.query
+        for qovp in combinations(plan.qlist, level):
+            if any(not tcand[u] for u in qovp):
                 continue  # some overlap node has no cover-restricted candidate
-            self._qovp = frozenset(qovp_tuple)
-            self._qf = resort(self.query, list(qlist), set(qovp_tuple))
-            self.order = self._qf.node_order()
+            frames = plan.frames(query, qovp)
+            self.order, self._frames = frames[0], frames[1:]
             self._reset_assignment()
             stop, _carry = self._multi_frame(0)
             if stop:
@@ -163,84 +171,74 @@ class LevelSearchEngine(ConflictDirectedSearch):
     # ------------------------------------------------------------------
     # Candidate generation (setCandidates, Section 5.1)
     # ------------------------------------------------------------------
-    def _rcand(self, u: int, father: int, is_overlap: bool) -> List[int]:
+    def _rcand(self, u: int, father: int, is_overlap: bool) -> Sequence[int]:
         """``Rcand`` for node ``u``: localized, then overlap-restricted.
 
-        Localized: the father's neighbor row filtered against the plan's
-        memoized pool set — built once per cached plan and shared across
-        sessions, so repeated queries pay no per-query set construction.
-        Neighbor rows and pools are ascending, so the result is too.
+        Localized: ``N(father's match) ∩ candS(u)`` from the per-query view
+        (:meth:`~repro.indexes.candidates.CandidateIndex.localized`: one set
+        intersection per distinct pair, a memo hit afterwards — either way
+        one ``kernel_merge``). The father precedes ``u`` in ``qfList``
+        order, so it is matched whenever this frame is reached. Ascending,
+        and possibly shared (the view's memo, the plan's pool): iterate it,
+        copy before reordering.
         """
-        stats = self.stats
-        if (
-            self.config.localized_search
-            and father != NO_FATHER
-            and self._assignment[father] != UNMATCHED
-        ):
-            stats.kernel_merge += 1
-            pool = self._plan.pool_set(u)
-            base = [
-                w for w in self.graph.neighbors(self._assignment[father]) if w in pool
-            ]
+        if father != NO_FATHER and self._localize:
+            self.stats.kernel_merge += 1
+            base = self.candidates.localized(u, self._assignment[father])
         else:
-            stats.kernel_scan += 1
-            base = list(self._plan.pools[u])
+            self.stats.kernel_scan += 1
+            base = self._plan.pools[u]
         if is_overlap:
             allowed = self._tcand[u]
             return [v for v in base if v in allowed]
         return base
 
-    def _kernel_join_test(self, u: int) -> Callable[[int], object]:
+    def _kernel_join_test(self, backward: Tuple[int, ...]) -> Callable[[int], object]:
         """A per-frame joinability predicate ``v -> bool-ish``.
 
-        Within one candidate loop at node ``u`` the set of already-assigned
-        query neighbors is invariant (deeper assignments unwind before the
+        ``backward`` is the frame's compiled list of query neighbors matched
+        before it (static per depth: deeper assignments unwind before the
         next candidate is tried), so the join constraint is folded **once
-        per frame** instead of per candidate. Dispatch:
+        per frame** instead of per candidate, and the dispatch is on a
+        length known at compile time:
 
-        * zero assigned neighbors — injectivity is the whole test;
+        * zero matched neighbors — injectivity is the whole test;
         * exactly one — a single ``has_edge`` probe (it beats a big-int bit
           test);
         * two or more — one mask AND per frame, then a single
           ``(mask >> v) & 1`` probe per candidate.
         """
         assignment = self._assignment
-        matched = [
-            assignment[u2]
-            for u2 in self.query.neighbors(u)
-            if assignment[u2] != UNMATCHED
-        ]
+        used = self._used
         stats = self.stats
-        comp = self._compressed
-        if comp is not None and len(matched) >= 2:
-            # Compressed join: fold the matched vertices' class join masks
-            # (num_classes bits instead of num_vertices) and test candidates
-            # by class id. Twin symmetry makes this exactly the vertex-mask
-            # predicate: for v outside `used` (so v differs from every
-            # matched vertex), edge(v, v2) holds iff their classes are
-            # adjacent — or, within one class, iff the class is a clique,
-            # which is precisely the self-bit of the class join mask.
-            stats.kernel_cbitset += 1
-            class_of = comp.class_of
-            join_mask = comp.class_join_mask
-            mask = -1
-            for v2 in matched:
-                mask &= join_mask(class_of[v2])
-            used = self._used
-            return lambda v: v not in used and (mask >> class_of[v]) & 1
-        if len(matched) >= 2:
+        if len(backward) >= 2:
+            comp = self._compressed
+            if comp is not None:
+                # Compressed join: fold the matched vertices' class join
+                # masks (num_classes bits instead of num_vertices) and test
+                # candidates by class id. Twin symmetry makes this exactly
+                # the vertex-mask predicate: for v outside `used` (so v
+                # differs from every matched vertex), edge(v, v2) holds iff
+                # their classes are adjacent — or, within one class, iff the
+                # class is a clique, which is precisely the self-bit of the
+                # class join mask.
+                stats.kernel_cbitset += 1
+                class_of = comp.class_of
+                join_mask = comp.class_join_mask
+                mask = -1
+                for u2 in backward:
+                    mask &= join_mask(class_of[assignment[u2]])
+                return lambda v: v not in used and (mask >> class_of[v]) & 1
             stats.kernel_bitset += 1
             adj_mask = self._cache.adjacency_mask
             mask = -1
-            for v2 in matched:
-                mask &= adj_mask(v2)
-            used = self._used
+            for u2 in backward:
+                mask &= adj_mask(assignment[u2])
             return lambda v: v not in used and (mask >> v) & 1
         stats.kernel_scalar += 1
-        used = self._used
-        if matched:
+        if backward:
             has_edge = self.graph.has_edge
-            v2 = matched[0]
+            v2 = assignment[backward[0]]
             return lambda v: v not in used and has_edge(v, v2)
         return lambda v: v not in used
 
@@ -254,23 +252,20 @@ class LevelSearchEngine(ConflictDirectedSearch):
         callback. ``carry`` propagates a conflict set upward when
         conflict-directed skipping abandons this frame.
         """
-        qf = self._qf
-        entry = qf.entries[depth]
-        u, father = entry.node, entry.father
+        u, father, is_overlap, _cap, backward = self._frames[depth]
         self._bad[depth + 1].clear()
-
-        if u in self._qovp:
-            return self._multi_overlap(depth, u, father)
-        return self._multi_anchor(depth, u, father)
+        if is_overlap:
+            return self._multi_overlap(depth, u, father, backward)
+        return self._multi_anchor(depth, u, father, backward)
 
     def _multi_overlap(
-        self, depth: int, u: int, father: int
+        self, depth: int, u: int, father: int, backward: Tuple[int, ...]
     ) -> Tuple[bool, Optional[Set[int]]]:
         """Overlap node inside the multi regime: recurse per candidate."""
         assignment, used = self._assignment, self._used
         bad = self._bad[depth]
         rcand = self._rcand(u, father, is_overlap=True)
-        joinable = self._kernel_join_test(u)
+        joinable = self._kernel_join_test(backward)
         charge = self._meter.charge
         for v in rcand:
             charge()
@@ -296,14 +291,14 @@ class LevelSearchEngine(ConflictDirectedSearch):
         return False, None
 
     def _multi_anchor(
-        self, depth: int, u: int, father: int
+        self, depth: int, u: int, father: int, backward: Tuple[int, ...]
     ) -> Tuple[bool, Optional[Set[int]]]:
         """The first non-overlap node: each candidate may seed one embedding."""
         assignment, used = self._assignment, self._used
         matched = self.matched
         bad = self._bad[depth]
         rcand = self._rcand(u, father, is_overlap=False)
-        joinable = self._kernel_join_test(u)
+        joinable = self._kernel_join_test(backward)
         charge = self._meter.charge
         for v in rcand:
             charge()
@@ -337,11 +332,11 @@ class LevelSearchEngine(ConflictDirectedSearch):
     def _clear_suffix(self, start_depth: int) -> None:
         """Unassign every node from ``start_depth`` onward (post-acceptance)."""
         assignment, used = self._assignment, self._used
-        for entry in self._qf.entries[start_depth:]:
-            v = assignment[entry.node]
+        for u in self.order[start_depth:]:
+            v = assignment[u]
             if v != UNMATCHED:
                 used.discard(v)
-                assignment[entry.node] = UNMATCHED
+                assignment[u] = UNMATCHED
 
     # ------------------------------------------------------------------
     # Single-embedding frames (QSearchD, Section 5.2)
@@ -352,28 +347,25 @@ class LevelSearchEngine(ConflictDirectedSearch):
         On success the suffix assignments are left in place for the caller to
         read; on failure everything at or below ``depth`` is unassigned.
         """
-        if depth == self.query.size:
+        if depth == self._q:
             return None
-        qf = self._qf
-        entry = qf.entries[depth]
-        u, father = entry.node, entry.father
+        u, father, is_overlap, cap, backward = self._frames[depth]
         self._bad[depth + 1].clear()
-        is_overlap = u in self._qovp
 
-        rcand = self._rcand(u, father, is_overlap=is_overlap)
-        cap: Optional[int] = None
-        if (
-            self.config.single_embedding_mode
-            and not is_overlap
-            and qf.neighbor_rm[u] == 0
-        ):
-            cap = qf.label_rm[u] + 1
+        rcand = self._rcand(u, father, is_overlap)
+        if not self._cap_singles:
+            cap = None
+        elif cap is not None:
+            # Section 5.2 tries a random `cap` of them — on a copy: the list
+            # may be the view's memo (or the plan's pool), read again by
+            # every later frame with the same father match.
+            rcand = list(rcand)
             self.rng.shuffle(rcand)
 
         assignment, used = self._assignment, self._used
         matched = self.matched
         bad = self._bad[depth]
-        joinable = self._kernel_join_test(u)
+        joinable = self._kernel_join_test(backward)
         charge = self._meter.charge
         tried_valid = 0
         inherited: Set[int] = set()

@@ -26,6 +26,8 @@ Accessor semantics:
 
 * ``neighbors(v)`` returns the sorted tuple of neighbors (plain Python ints,
   so downstream embeddings never carry numpy scalar types);
+* ``neighbor_set(v)`` returns the same vertices as the storage's own hash
+  set, for C-level intersection (the localized search of Section 5.1);
 * ``has_edge(u, v)`` is an O(1) expected probe through the per-vertex hash
   sets, because a per-call ``searchsorted`` pays ~20x Python/numpy call
   overhead for a single lookup; the pure-array probes remain available as
@@ -281,6 +283,15 @@ class CSRBackend:
     def neighbors(self, v: int) -> Tuple[int, ...]:
         """Sorted neighbor tuple of ``v`` (plain Python ints)."""
         return self._rows[v]
+
+    def neighbor_set(self, v: int) -> Set[int]:
+        """The neighbors of ``v`` as the storage's own hash set (read-only).
+
+        What ``has_edge`` probes, handed out whole so a caller can intersect
+        it with another set in C — ``O(min)`` of the two sizes — instead of
+        walking the row in the interpreter. Mutations update it in place.
+        """
+        return self._sets[v]
 
     def neighbors_array(self, v: int) -> np.ndarray:
         """CSR row slice for vectorized consumers (zero-copy off the base).

@@ -105,6 +105,7 @@ class LabeledGraph:
         "name",
         "has_edge",
         "neighbors",
+        "neighbor_set",
         "degree",
         "label",
     )
@@ -125,6 +126,7 @@ class LabeledGraph:
         # lookup instead of a delegating method call on the join path.
         self.has_edge = backend.has_edge
         self.neighbors = backend.neighbors
+        self.neighbor_set = backend.neighbor_set
         self.degree = backend.degree
         self.label = backend.label
 
@@ -358,9 +360,10 @@ class LabeledGraph:
         """The full label table (read-only view by convention)."""
         return self._backend.labels
 
-    # ``label``, ``neighbors``, ``degree``, ``has_edge`` are bound in
-    # ``__init__`` directly to the backend; ``neighbors(v)`` returns the
-    # sorted tuple of neighbors (plain Python ints).
+    # ``label``, ``neighbors``, ``neighbor_set``, ``degree``, ``has_edge`` are
+    # bound in ``__init__`` directly to the backend; ``neighbors(v)`` returns
+    # the sorted tuple of neighbors (plain Python ints), ``neighbor_set(v)``
+    # the same vertices as the hash set ``has_edge`` probes (read-only).
 
     def degree_array(self):
         """Per-vertex degrees as a numpy array (precomputed by the backend)."""

@@ -9,19 +9,20 @@ and baselines read it through:
 
 * ``candS[u]`` as an ordered tuple (iteration order is deterministic);
 * membership tests against the plan's memoized pool sets — built lazily,
-  once per cached plan, since the kernel paths intersect sorted pools
-  directly and never need a set;
-* ``TcandS[u] = candS[u] & V(T)`` restriction used at each DSQL level.
+  once per cached plan;
+* the localized candidates of Section 5.1, ``N(v_father) ∩ candS(u)``
+  (:meth:`CandidateIndex.localized`), memoized for the life of the view —
+  one query against one graph version.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.indexes.graph_cache import GraphIndexCache
-from repro.kernels import intersect_sorted
+from repro.kernels import intersect_sets
 
 
 class CandidateIndex:
@@ -51,6 +52,10 @@ class CandidateIndex:
     plan:
         The plan this index views; engines take their search order,
         backward lists and join kernels from it.
+
+    A view serves one query against one graph version: the localized lists
+    it memoizes are not repaired by a mutation, so build a fresh view per
+    query (``DSQL.query`` does) rather than keeping one across writes.
     """
 
     def __init__(
@@ -73,6 +78,7 @@ class CandidateIndex:
             use_degree_filter=use_degree_filter,
             use_signature_filter=use_signature_filter,
         )
+        self._localized: List[Dict[int, List[int]]] = [{} for _ in self.plan.pools]
 
     def candidates(self, u: int) -> Tuple[int, ...]:
         """``candS(u)`` in deterministic (label-index) order."""
@@ -98,18 +104,24 @@ class CandidateIndex:
         """Whether ``v`` is in ``candS(u)`` (the static filter view)."""
         return v in self.plan.pool_set(u)
 
-    def restricted(self, u: int, allowed) -> List[int]:
-        """``candS(u)`` intersected with ``allowed`` (builds ``TcandS[u]``).
+    def localized(self, u: int, fv: int) -> List[int]:
+        """``N(fv) ∩ candS(u)`` ascending — Section 5.1's localized ``Rcand``.
 
-        ``allowed`` may be an ascending sequence (the kernel path: one
-        :func:`~repro.kernels.intersect_sorted` call) or any unordered
-        collection, which is sorted first. Either way the result preserves
-        the pool's ascending order, exactly like the seed's
-        filter-by-membership list.
+        ``fv`` is the vertex matched to ``u``'s father. One C-level
+        intersection of the storage's neighbor set with the plan's pool set
+        (``min`` of the two sizes), computed once per ``(u, fv)`` and
+        memoized on this view: while an anchor enumerates under a fixed
+        overlap prefix, every anchor candidate asks for the same hub rows
+        again. The list is shared — callers iterate it and must not reorder
+        it in place (the Section 5.2 shuffle works on a copy).
         """
-        if not isinstance(allowed, (list, tuple)):
-            allowed = sorted(allowed)
-        return intersect_sorted(self.plan.pools[u], allowed)
+        memo = self._localized[u]
+        hit = memo.get(fv)
+        if hit is None:
+            hit = memo[fv] = intersect_sets(
+                self.graph.neighbor_set(fv), self.plan.pool_set(u)
+            )
+        return hit
 
     def any_empty(self) -> bool:
         """Whether some query node has no candidates (query is unsatisfiable)."""

@@ -14,9 +14,10 @@ candidate pools.
 
 The plan also records a **kernel choice per search depth** (see
 :mod:`repro.kernels` and ``docs/performance.md``): depths with no matched
-backward neighbor scan their pool; depths with one use the sorted-slice
-merge kernel; depths with two or more matched neighbors and a pool large
-enough to amortize the mask work use the bitset kernel.
+backward neighbor scan their pool; depths with one use the merge kernel
+(the anchors' neighbor sets intersected with the pool set); depths with two
+or more matched neighbors and a pool large enough to amortize the mask work
+use the bitset kernel.
 """
 
 from __future__ import annotations
@@ -35,9 +36,10 @@ from repro.kernels import (
     SCAN,
     bitset_members,
     bitset_of,
-    intersect_sorted,
+    intersect_sets,
     joinable_kernel,
 )
+from repro.queries.qflist import resort
 
 DEFAULT_PLAN_CACHE_SIZE = 128
 """LRU cap on memoized plans per graph (each plan is a few tuples)."""
@@ -73,6 +75,10 @@ class QueryPlan:
         filter-uniform (members share label, degree, and signature), so a
         class is in the pool iff all its members are — the class pool is a
         lossless re-encoding of the vertex pool at the compression ratio.
+
+    Beside these the plan memoizes lazily built views (pool sets, bitsets,
+    the cost profile, the per-``Qovp`` frame table of :meth:`frames`); they
+    are dropped on pickling and rebuilt on demand.
     """
 
     __slots__ = (
@@ -90,6 +96,8 @@ class QueryPlan:
         "_pool_sets",
         "_class_masks",
         "_cost_profile",
+        "_frames",
+        "_interned",
     )
 
     def __init__(
@@ -121,10 +129,25 @@ class QueryPlan:
         self.class_pools: Optional[Tuple[Tuple[int, ...], ...]] = (
             None if class_pools is None else tuple(tuple(cp) for cp in class_pools)
         )
+        self._reset_lazies()
+
+    _LAZIES = (
+        "_cand_masks",
+        "_pool_sets",
+        "_class_masks",
+        "_cost_profile",
+        "_frames",
+        "_interned",
+    )
+
+    def _reset_lazies(self) -> None:
+        """Empty every lazily built view (construction and unpickling)."""
         self._cand_masks: List[Optional[int]] = [None] * len(self.pools)
         self._pool_sets: List[Optional[frozenset]] = [None] * len(self.pools)
         self._class_masks: List[Optional[int]] = [None] * len(self.pools)
         self._cost_profile = None
+        self._frames: Dict[int, tuple] = {}
+        self._interned: Dict[tuple, tuple] = {}
 
     def pool(self, u: int) -> Tuple[int, ...]:
         """``candS(u)`` under this plan's filter toggles (ascending)."""
@@ -184,17 +207,55 @@ class QueryPlan:
             self._cost_profile = profile
         return profile
 
+    def frames(self, query, qovp: Tuple[int, ...]) -> tuple:
+        """The level engine's compiled frames for overlap subset ``qovp``.
+
+        ``reSort`` (Section 5.1) and everything a frame would re-derive from
+        it, once per ``(plan, Qovp)``: ``(order, frame_0, ..., frame_{q-1})``
+        with ``order`` the ``qfList`` node order and ``frame_d = (node,
+        father, is_overlap, cap, backward)`` — ``cap`` the Section 5.2 bound
+        ``labelRm + 1`` (``None`` for overlap nodes and ``neighborRm > 0``),
+        ``backward`` the query neighbors of ``node`` matched before depth
+        ``d``. It depends on the query structure, ``qlist`` and ``qovp``
+        only, never on a session's configuration.
+
+        ``query`` is any query with this plan's canonical key, ``qovp`` a
+        combination of ``qlist``. An entry is one tuple of ``q + 1`` pointers
+        keyed by the subset's bitmask — order and frame tuples are interned
+        per plan, so subsets sharing a suffix share its frames — and at most
+        ``2^q`` exist. Lazy like :meth:`pool_set`: benign under races,
+        dropped on pickling.
+        """
+        key = 0
+        for u in qovp:
+            key |= 1 << u
+        entry = self._frames.get(key)
+        if entry is None:
+            overlaps = frozenset(qovp)
+            qf = resort(query, self.qlist, overlaps)
+            pool = self._interned
+
+            def interned(value: tuple) -> tuple:
+                return pool.setdefault(value, value)
+
+            rows = [interned(tuple(qf.node_order()))]
+            for depth, e in enumerate(qf.entries):
+                u = e.node
+                overlap = u in overlaps
+                single = not overlap and qf.neighbor_rm[u] == 0
+                cap = qf.label_rm[u] + 1 if single else None
+                backward = tuple(w for w in query.neighbors(u) if qf.rank[w] < depth)
+                rows.append(interned((u, e.father, overlap, cap, interned(backward))))
+            entry = self._frames[key] = tuple(rows)
+        return entry
+
     def __getstate__(self):
-        lazies = ("_cand_masks", "_pool_sets", "_class_masks", "_cost_profile")
-        return {s: getattr(self, s) for s in self.__slots__ if s not in lazies}
+        return {s: getattr(self, s) for s in self.__slots__ if s not in self._LAZIES}
 
     def __setstate__(self, state):
         for name, value in state.items():
             setattr(self, name, value)
-        self._cand_masks = [None] * len(self.pools)
-        self._pool_sets = [None] * len(self.pools)
-        self._class_masks = [None] * len(self.pools)
-        self._cost_profile = None
+        self._reset_lazies()
 
 
 def plan_key(
@@ -369,13 +430,10 @@ def expand_pool(plan: QueryPlan, depth: int, assignment, cache):
             drop = set(anchors)
             members = [v for v in members if v not in drop]
         return kind, members
-    rows = sorted((cache.adjacency_slice(assignment[w]) for w in backward), key=len)
-    out = rows[0]
-    for row in rows[1:]:
-        out = intersect_sorted(out, row)
-        if not out:
-            return kind, []
-    return kind, intersect_sorted(out, plan.pool(u))
+    neighbor_set = cache.graph.neighbor_set
+    sets = [neighbor_set(assignment[w]) for w in backward]
+    sets.append(plan.pool_set(u))
+    return kind, intersect_sets(*sorted(sets, key=len))
 
 
 class PlanCache:

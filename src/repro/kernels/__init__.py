@@ -26,6 +26,7 @@ from repro.kernels.join import (
     bitset_and_members,
     bitset_members,
     bitset_of,
+    intersect_sets,
     intersect_sorted,
     joinable_kernel,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "bitset_and_members",
     "bitset_members",
     "bitset_of",
+    "intersect_sets",
     "intersect_sorted",
     "joinable_kernel",
 ]

@@ -4,7 +4,8 @@ All kernels operate on the two per-graph adjacency encodings exposed by
 :class:`~repro.indexes.graph_cache.GraphIndexCache`:
 
 * **sorted adjacency slices** — the backend's ascending neighbor tuples
-  (:meth:`~repro.indexes.graph_cache.GraphIndexCache.adjacency_slice`);
+  (:meth:`~repro.indexes.graph_cache.GraphIndexCache.adjacency_slice`), and
+  the same rows as hash sets (:meth:`~repro.graph.csr.CSRBackend.neighbor_set`);
 * **neighbor bitsets** — Python big-int masks with bit ``v`` set per
   neighbor ``v`` (:meth:`~repro.indexes.graph_cache.GraphIndexCache.
   adjacency_mask`). Arbitrary-precision ints make the AND of two masks one
@@ -19,7 +20,7 @@ bit-identity contract.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, List, Sequence
+from typing import AbstractSet, Iterable, List, Sequence
 
 GALLOP_RATIO = 8
 """Size ratio at which :func:`intersect_sorted` switches from the merge
@@ -45,8 +46,9 @@ SCAN = "scan"
 query neighbor — nothing to intersect against)."""
 
 MERGE = "merge"
-"""Kernel kind: sorted-sequence intersection (:func:`intersect_sorted`,
-which itself crosses over to galloping on skewed sizes)."""
+"""Kernel kind: adjacency intersected with the candidate pool, ascending
+(:func:`intersect_sets` over the storage's neighbor sets and the plan's pool
+set; :func:`intersect_sorted` is the sorted-sequence form of the same)."""
 
 BITSET = "bitset"
 """Kernel kind: big-int AND of neighbor bitsets, members enumerated or
@@ -113,6 +115,22 @@ def intersect_sorted(a: Sequence[int], b: Sequence[int]) -> List[int]:
         return out
     bset = set(b)
     return [v for v in a if v in bset]
+
+
+def intersect_sets(first: AbstractSet[int], *rest: AbstractSet[int]) -> List[int]:
+    """Ascending members common to every given set.
+
+    Folds left to right, each step one C-level ``&`` that walks the smaller
+    operand and probes the larger — ``min`` of the two sizes, never the long
+    side — and sorts once at the end (results are a handful of vertices).
+    With more than two sets, pass them smallest first so the running
+    intersection starts small. The sets are the storage's own
+    (:meth:`~repro.graph.csr.CSRBackend.neighbor_set`) and the plan's
+    memoized pool sets; nothing is built per call but the result.
+    """
+    for other in rest:
+        first = first & other
+    return sorted(first)
 
 
 def bitset_of(vertices: Iterable[int]) -> int:

@@ -1,0 +1,196 @@
+"""What a search frame costs, as counts (docs/performance.md § "What a frame costs").
+
+A localized frame reads ``N(father's match) ∩ candS(u)`` from the per-query
+view — one C-level set intersection per *distinct* ``(u, father's match)``,
+a memo hit afterwards — and everything query-static from the plan's
+per-Qovp frame table, compiled once per (plan, Qovp) and shared by every
+session. These tests hold that as counted work on a registry graph; each
+fails at the commit before the view and the table existed.
+"""
+
+from __future__ import annotations
+
+import pickle
+import sys
+
+import pytest
+
+import repro.core.dsql as dsql_module
+import repro.indexes.candidates as candidates_module
+import repro.indexes.plans as plans_module
+from repro.core.config import DSQLConfig
+from repro.core.dsql import DSQL
+from repro.core.phase1 import run_phase1
+from repro.core.state import SearchStats
+from repro.datasets.registry import make_dataset
+from repro.graph.labeled_graph import LabeledGraph
+from repro.graph.query_graph import QueryGraph
+from repro.indexes.candidates import CandidateIndex
+from repro.queries.generator import query_set
+
+CONFIG = DSQLConfig(k=40, node_budget=20_000)
+
+
+@pytest.fixture()
+def workload():
+    """``human`` (average degree 37) and eight 5-edge queries; phase 2 runs on one."""
+    graph = make_dataset("human", scale=1.0, seed=0)
+    return graph, list(query_set(graph, 5, 8, seed=3))
+
+
+@pytest.fixture()
+def views(monkeypatch):
+    """Every ``CandidateIndex`` a ``DSQL.query`` builds while the test runs."""
+    built = []
+
+    class Recorded(CandidateIndex):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(dsql_module, "CandidateIndex", Recorded)
+    return built
+
+
+def test_localization_touches_each_row_once_per_query(workload, views, monkeypatch):
+    """(a) words touched ≤ Σ over distinct (u, fv) of min(|N(fv)|, |candS(u)|)."""
+    graph, queries = workload
+    touched = []  # per intersection: the side C walks
+
+    def counting_intersect(first, *rest):
+        touched.append(min(len(first), *map(len, rest)))
+        return real_intersect(first, *rest)
+
+    real_intersect = candidates_module.intersect_sets
+    monkeypatch.setattr(candidates_module, "intersect_sets", counting_intersect)
+    session = DSQL(graph, CONFIG)  # builds the graph's index cache (which reads every row)
+    # Any row read in the interpreter from here on. The queries are trees, so
+    # no frame has two matched neighbors and no adjacency bitmask is built.
+    rows_walked = []
+    real_neighbors = graph.neighbors
+    graph.neighbors = lambda v: rows_walked.append(v) or real_neighbors(v)
+
+    frames = repeats = 0
+    for query in queries:
+        del touched[:]
+        result = session.query(query)
+        view = views[-1]
+        asked = {(u, fv) for u, memo in enumerate(view._localized) for fv in memo}
+        bound = sum(
+            min(len(real_neighbors(fv)), len(view.candidates(u))) for u, fv in asked
+        )
+        assert len(touched) == len(asked)
+        assert 0 < sum(touched) <= bound
+        frames += result.stats.kernel_merge
+        repeats += result.stats.kernel_merge - len(asked)
+    assert not rows_walked
+    # The memo is exercised: most localized frames re-ask a pair already computed.
+    assert repeats > frames / 2
+
+
+def test_resort_runs_once_per_plan_and_qovp(workload, monkeypatch):
+    """(b) a Qovp is compiled the first time any query of any session enters it."""
+    graph, queries = workload
+    compiled = []
+
+    def counting_resort(query, qlist, qovp):
+        compiled.append((query.canonical_key(), qovp))
+        return real_resort(query, qlist, qovp)
+
+    real_resort = plans_module.resort
+    monkeypatch.setattr(plans_module, "resort", counting_resort)
+
+    first = [DSQL(graph, CONFIG).query(query) for query in queries]
+    assert any(r.stats.phase2_ran for r in first)  # phase 2 re-enters phase 1's Qovps
+    assert len(compiled) == len(set(compiled)) > len(queries)
+    cache = graph.index_cache()
+    entries = sum(len(cache.plan_cache.get_or_compile(q, cache)._frames) for q in queries)
+    assert len(compiled) == entries
+
+    del compiled[:]
+    second = [DSQL(graph, CONFIG).query(query) for query in queries]  # warm plans
+    assert not compiled
+    assert [r.to_dict() for r in second] == [r.to_dict() for r in first]
+
+
+def test_memoized_lists_stay_ascending_and_reruns_identical(workload, views):
+    """(c) the §5.2 shuffle works on a copy: the memo keeps the definition's order."""
+    graph, queries = workload
+    session = DSQL(graph, CONFIG)
+    shuffling_frames = 0
+    for query in queries:
+        first = session.query(query)
+        view = views[-1]
+        lists = [hit for memo in view._localized for hit in memo.values()]
+        assert lists
+        assert all(a < b for hit in lists for a, b in zip(hit, hit[1:]))
+        shuffling_frames += sum(
+            frame[3] is not None
+            for entry in view.plan._frames.values()
+            for frame in entry[1:]
+        )
+        again = session.query(query)
+        assert again.to_dict() == first.to_dict()
+        assert again.stats == first.stats
+    assert shuffling_frames
+
+
+def test_pickled_plan_drops_the_frame_table_and_answers_identically(workload):
+    """(d) the table is a lazy view like ``pool_set``: never shipped, rebuilt on use."""
+    graph, queries = workload
+    cache = graph.index_cache()
+
+    def phase1_through(plan, query):
+        stats = SearchStats()
+        view = CandidateIndex(graph, query, cache=cache, plan=plan)
+        out = run_phase1(graph, query, CONFIG, view, stats, plan=plan)
+        return out.state.embeddings, out.level, out.exhausted, stats
+
+    for query in queries:
+        plan = cache.plan_cache.get_or_compile(query, cache)
+        want = phase1_through(plan, query)
+        assert plan._frames and plan._interned
+        clone = pickle.loads(pickle.dumps(plan))
+        assert clone._frames == {} and clone._interned == {}
+        assert phase1_through(clone, query) == want
+        assert clone._frames == plan._frames
+
+
+def test_frame_table_entry_is_one_small_tuple_of_interned_pointers(workload):
+    """(e) bytes held per entry beyond the plan's interned tuples ≤ 64 + 8·q."""
+    graph, queries = workload
+    cache = graph.index_cache()
+    for query in queries:
+        DSQL(graph, CONFIG).query(query)
+        plan = cache.plan_cache.get_or_compile(query, cache)
+        q = query.size
+        interned = plan._interned
+        assert 0 < len(plan._frames) <= 2**q
+        for key, entry in plan._frames.items():
+            assert type(key) is int and 0 <= key < 2**q  # a bitmask, not a container
+            assert len(entry) == q + 1
+            assert sys.getsizeof(entry) <= 64 + 8 * q
+            assert all(interned[part] is part for part in entry)
+            assert all(interned[frame[4]] is frame[4] for frame in entry[1:])
+        # Interning pays: subsets share frames, so the pool is far smaller
+        # than one tuple per (Qovp, depth).
+        frames = {frame for entry in plan._frames.values() for frame in entry[1:]}
+        assert len(frames) < len(plan._frames) * q / 2
+
+
+def test_localized_memo_dies_with_its_query():
+    """A write between two queries of one session: the second sees the new edge."""
+    #  hub v0(a) - five b's (v1..v5); only v1 reaches a c (v6). Adding v2 - v7
+    #  makes v2 a candidate and opens a second embedding through the hub's row.
+    labels = ["a"] + ["b"] * 5 + ["c"] * 2
+    edges = [(0, b) for b in range(1, 6)] + [(1, 6)]
+    graph = LabeledGraph(labels, edges)
+    query = QueryGraph(["a", "b", "c"], [(0, 1), (1, 2)])
+    session = DSQL(graph, DSQLConfig(k=5))
+    assert session.query(query).embeddings == ((0, 1, 6),)
+    graph.add_edge(2, 7)
+    after = session.query(query)
+    assert sorted(after.embeddings) == [(0, 1, 6), (0, 2, 7)]
+    fresh = DSQL(LabeledGraph(labels, edges + [(2, 7)]), DSQLConfig(k=5)).query(query)
+    assert after.to_dict() == fresh.to_dict()
+    assert after.stats == fresh.stats

@@ -12,7 +12,6 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.indexes.candidates import CandidateIndex
 from repro.isomorphism.joinable import UNMATCHED
-from repro.queries.ordering import selectivity_order
 
 
 def engine_for(graph, query, config=None, matched=None):
@@ -68,17 +67,15 @@ class TestRcand:
     def test_localized_uses_father_neighborhood(self, setting):
         graph, query = setting
         engine = engine_for(graph, query)
-        qlist = selectivity_order(query, engine.candidates)
-        engine._qf = __import__(
-            "repro.queries.qflist", fromlist=["resort"]
-        ).resort(query, qlist)
+        _order, root_frame, child_frame = engine.candidates.plan.frames(query, ())[:3]
+        root, (child, father) = root_frame[0], child_frame[:2]
+        assert father == root
         # Assign the father of some non-root node and check Rcand shrinks.
-        root = engine._qf.entries[0].node
-        child_entry = engine._qf.entries[1]
-        engine._assignment[root] = engine.candidates.candidates(root)[0]
-        rcand = engine._rcand(child_entry.node, child_entry.father, is_overlap=False)
-        vf = engine._assignment[root]
-        assert set(rcand) <= set(graph.neighbors(vf))
+        vf = engine._assignment[root] = engine.candidates.candidates(root)[0]
+        rcand = engine._rcand(child, father, is_overlap=False)
+        assert rcand == [w for w in graph.neighbors(vf) if engine.candidates.is_candidate(child, w)]
+        assert rcand is engine.candidates.localized(child, vf)  # the view's memo, not a copy
+        assert engine.stats.kernel_merge == 1
         engine._assignment[root] = UNMATCHED
 
     def test_non_localized_returns_full_bucket(self, setting):
@@ -86,21 +83,14 @@ class TestRcand:
         engine = engine_for(
             graph, query, DSQLConfig(k=5, localized_search=False)
         )
-        qlist = selectivity_order(query, engine.candidates)
-        from repro.queries.qflist import resort
-
-        engine._qf = resort(query, qlist)
-        entry = engine._qf.entries[1]
-        rcand = engine._rcand(entry.node, entry.father, is_overlap=False)
-        assert set(rcand) == set(engine.candidates.candidates(entry.node))
+        child, father = engine.candidates.plan.frames(query, ())[2][:2]
+        rcand = engine._rcand(child, father, is_overlap=False)
+        assert set(rcand) == set(engine.candidates.candidates(child))
+        assert engine.stats.kernel_scan == 1
 
     def test_overlap_restricts_to_tcand(self, setting):
         graph, query = setting
         engine = engine_for(graph, query, DSQLConfig(k=5, localized_search=False))
-        from repro.queries.qflist import resort
-
-        qlist = selectivity_order(query, engine.candidates)
-        engine._qf = resort(query, qlist, qovp={1})
         engine._tcand = {u: {1} for u in range(query.size)}
         rcand = engine._rcand(1, -1, is_overlap=True)
         assert set(rcand) <= {1}
@@ -122,9 +112,8 @@ class TestRunLevelContract:
         graph, query = setting
         matched = set()
         engine = engine_for(graph, query, matched=matched)
-        qlist = selectivity_order(query, engine.candidates)
         collected = []
-        engine.run_level(0, qlist, {u: set() for u in range(3)}, lambda m: (collected.append(m), True)[1])
+        engine.run_level(0, {u: set() for u in range(3)}, lambda m: (collected.append(m), True)[1])
         flat = [v for m in collected for v in m]
         assert len(flat) == len(set(flat))
         assert matched == set(flat)
@@ -132,13 +121,12 @@ class TestRunLevelContract:
     def test_callback_stop_honored(self, setting):
         graph, query = setting
         engine = engine_for(graph, query)
-        qlist = selectivity_order(query, engine.candidates)
         collected = []
 
         def stop_after_one(mapping):
             collected.append(mapping)
             return False
 
-        keep = engine.run_level(0, qlist, {u: set() for u in range(3)}, stop_after_one)
+        keep = engine.run_level(0, {u: set() for u in range(3)}, stop_after_one)
         assert not keep
         assert len(collected) == 1

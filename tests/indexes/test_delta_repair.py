@@ -101,6 +101,9 @@ def assert_cache_equivalent(repaired: GraphIndexCache, fresh: GraphIndexCache) -
         assert all(a < b for a, b in zip(pool, pool[1:])), key
     indexed = [key for keys in repaired._pool_keys.values() for key in keys]
     assert sorted(indexed) == sorted(repaired._pool_memo)
+    # The hash sets the localized search intersects are the rows, as sets.
+    graph = repaired.graph
+    assert all(graph.neighbor_set(v) == set(graph.neighbors(v)) for v in graph.vertices())
 
 
 @pytest.mark.parametrize("storage", STORAGE_STATES)

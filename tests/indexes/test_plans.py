@@ -167,9 +167,10 @@ def test_restricted_accepts_sorted_and_unordered_input():
     graph = LabeledGraph(["A", "A", "A", "B"], [(0, 3), (1, 3), (2, 3)])
     query = QueryGraph(["A", "B"], [(0, 1)])
     ci = CandidateIndex(graph, query)
-    assert ci.restricted(0, [0, 2]) == [0, 2]
-    assert ci.restricted(0, {2, 0}) == [0, 2]
     assert ci.plan._pool_sets == [None, None]
+    # N(v3) ∩ candS(0) goes through the plan's pool set of node 0 alone.
+    assert ci.localized(0, 3) == [0, 1, 2]
+    assert ci.plan._pool_sets == [{0, 1, 2}, None]
 
 
 # ----------------------------------------------------------------------

@@ -362,6 +362,14 @@ def test_evidence_ledger_names_resolve():
 # not grow back, and src/ pays for an expansion, probes the deadline and
 # spells the scalar join loop in exactly one place each.
 # ----------------------------------------------------------------------
+def loop_iters(node) -> str:
+    """Source of what a ``for`` loop or comprehension iterates ('' for any other node)."""
+    iters = [node.iter] if isinstance(node, ast.For) else [
+        g.iter for g in getattr(node, "generators", ())
+    ]
+    return " ".join(ast.unparse(i) for i in iters)
+
+
 def core_census(sources):
     """``{what: [path:line, ...]}`` over ``{path: source}``: every raise of
     the two budget errors, and every loop over ``query.neighbors(..)`` whose
@@ -373,10 +381,7 @@ def core_census(sources):
                 name = getattr(node.exc.func, "id", None)
                 if name in census:
                     census[name].append(f"{path}:{node.lineno}")
-            iters = [node.iter] if isinstance(node, ast.For) else [
-                g.iter for g in getattr(node, "generators", ())
-            ]
-            if "query.neighbors(" in " ".join(ast.unparse(i) for i in iters) and any(
+            if "query.neighbors(" in loop_iters(node) and any(
                 getattr(n, "id", getattr(n, "attr", None)) == "has_edge"
                 for n in ast.walk(node)
             ):
@@ -402,3 +407,54 @@ def test_engine_fork_stays_deleted():
     extra += sorted(p for p in (REPO / ".claude").rglob("*") if p.is_file())
     offenders = fork_offenders(("OptimizedQSearchEngine", "isomorphism.optimized"), extra)
     assert not offenders, offenders
+
+
+# ----------------------------------------------------------------------
+# Fork guard: one implementation of Section 5.1. ``N(father's match) ∩
+# candS(u)`` is ``CandidateIndex.localized`` — a C-level set intersection,
+# memoized per query; no engine or baseline walks a neighbor row in the
+# interpreter asking pool membership per element.
+# ----------------------------------------------------------------------
+def row_walk_sites(sources):
+    """``path:line`` over ``{path: source}`` of every loop or comprehension
+    that iterates ``graph.neighbors(..)`` and tests membership (``in`` /
+    ``not in`` / ``is_candidate``) inside it."""
+    sites = []
+    for path, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if "graph.neighbors(" in loop_iters(node) and any(
+                isinstance(n, (ast.In, ast.NotIn)) or getattr(n, "attr", None) == "is_candidate"
+                for n in ast.walk(node)
+            ):
+                sites.append(f"{path}:{node.lineno}")
+    return sites
+
+
+def test_localization_stays_in_one_place():
+    from repro.core.config import DSQLConfig
+
+    package = REPO / "src" / "repro"
+    sources = {
+        str(p.relative_to(package)): p.read_text(encoding="utf-8")
+        for tree in ("core", "baselines")
+        for p in (package / tree).rglob("*.py")
+    }
+    assert len(sources) > 10
+    assert not row_walk_sites(sources)
+    # The pass sees both lines this guard replaced, pasted back.
+    engine_line = (
+        "base = [w for w in self.graph.neighbors(self._assignment[father]) if w in pool]\n"
+    )
+    baseline_loop = (
+        "for v in graph.neighbors(assignment[entry.father]):\n"
+        "    if not candidates.is_candidate(u, v):\n"
+        "        continue\n"
+        "    charge()\n"
+    )
+    assert row_walk_sites({"search.py": engine_line}) == ["search.py:1"]
+    assert row_walk_sites({"com.py": baseline_loop}) == ["com.py:1"]
+    # The sorted-list restriction nothing called stays deleted, and neither
+    # memo (localized lists, frame table) grew a switch or a size.
+    offenders = fork_offenders(("def restricted", ".restricted("))
+    assert not offenders, offenders
+    assert len(dataclasses.fields(DSQLConfig)) == 20
