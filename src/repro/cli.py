@@ -247,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="override the server's overlay-size compaction trigger for this batch",
+        help="override the server's delta-count compaction trigger for this batch",
     )
 
     c = sub.add_parser(

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.exceptions import GraphError
+from repro.graph.csr import check_edge
 from repro.graph.labeled_graph import Label, LabeledGraph
 
 
@@ -58,11 +59,7 @@ class GraphBuilder:
         Adding an existing edge is a no-op; self-loops and references to
         unknown vertices raise :class:`~repro.exceptions.GraphError`.
         """
-        n = len(self._labels)
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u}, {v}) references a vertex outside [0, {n})")
-        if u == v:
-            raise GraphError(f"self-loop ({u}, {u}) not allowed")
+        check_edge(len(self._labels), u, v)
         self._edges.add((u, v) if u < v else (v, u))
 
     def add_edges(self, edges: Iterable[Tuple[int, int]]) -> None:

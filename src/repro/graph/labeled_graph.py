@@ -8,12 +8,12 @@ paper (Section 2): ``G = (V, E, Sigma, L)`` with
 * ``Sigma`` — a set of hashable vertex labels;
 * ``L`` — a total labeling function ``V -> Sigma``.
 
-Storage is delegated to :class:`~repro.graph.csr.CSRBackend`: a frozen CSR
-base (``indptr``/``indices`` numpy arrays with sorted neighbor rows, flat
-label-id array, precomputed degrees) under a mutation overlay. ``has_edge``
-is an O(1) expected probe — the hot operation inside the backtracking join
-test — and ``neighbors(v)`` returns the *sorted* neighbor tuple, so every
-iteration order in the library is deterministic by construction.
+Storage is delegated to :class:`~repro.graph.csr.CSRBackend`: per-vertex
+sorted neighbor tuples and membership sets, degrees and interned labels,
+updated in place by writes. ``has_edge`` is an O(1) expected probe — the hot
+operation inside the backtracking join test — and ``neighbors(v)`` returns
+the *sorted* neighbor tuple, so every iteration order in the library is
+deterministic by construction.
 
 Per-graph derived state (label inverted index, neighborhood signatures,
 candidate pools) lives in a :class:`~repro.indexes.graph_cache.
@@ -26,9 +26,10 @@ batched :meth:`~LabeledGraph.mutate` apply deltas to the storage and repair
 the pinned index cache incrementally (only state derived from the touched
 1-hop neighborhoods is recomputed; see ``docs/mutation.md`` for the full
 contract). Bulk construction still goes through
-:class:`repro.graph.builder.GraphBuilder`; the CSR backend's numpy base is
-re-merged by :meth:`~LabeledGraph.compact` once the overlay crosses
-:data:`DEFAULT_COMPACTION_THRESHOLD`.
+:class:`repro.graph.builder.GraphBuilder`. :meth:`~LabeledGraph.compact` is
+the logical checkpoint of that write stream (new cache epoch, empty mutation
+log), taken once :data:`DEFAULT_COMPACTION_THRESHOLD` edge deltas have
+accumulated; it moves no adjacency data.
 """
 
 from __future__ import annotations
@@ -48,16 +49,17 @@ from typing import (
 )
 
 from repro.exceptions import GraphError
-from repro.graph.csr import CSRBackend, check_label
+from repro.graph.csr import CSRBackend, check_edge, check_label
 
 Label = Hashable
 Edge = Tuple[int, int]
 
 DEFAULT_COMPACTION_THRESHOLD = 4096
-"""Edge deltas tolerated in the CSR overlay before :meth:`LabeledGraph.mutate`
-auto-compacts. Compaction restores the pure sorted-array invariants (an
-O(|V| + |E|) merge) and starts a fresh cache epoch, so it is deliberately
-infrequent; explicit :meth:`LabeledGraph.compact` is always available."""
+"""Edge deltas applied before :meth:`LabeledGraph.mutate` auto-compacts.
+Compaction bounds the mutation log that shared-memory workers replay, at the
+price of a fresh cache epoch (compiled plans dropped, publications stale),
+so it is deliberately infrequent; explicit :meth:`LabeledGraph.compact` is
+always available."""
 
 
 class MutationSummary(NamedTuple):
@@ -138,9 +140,9 @@ class LabeledGraph:
         """Wrap an already-constructed backend without renormalizing edges.
 
         Used by the shared-memory attach path (:mod:`repro.graph.shared`),
-        where the backend was rebuilt around published CSR arrays and a
-        second normalization pass would defeat the zero-copy point. The
-        backend is adopted as-is; callers are responsible for its invariants.
+        where the backend was read back from published CSR arrays whose rows
+        are already sorted and symmetric. The backend is adopted as-is;
+        callers are responsible for its invariants.
         """
         graph = cls.__new__(cls)
         graph._adopt(backend, name)
@@ -221,15 +223,22 @@ class LabeledGraph:
         ``ops`` are tuples: ``("add_vertex", label)``, ``("add_edge", u, v)``
         or ``("remove_edge", u, v)``. The whole batch is validated before
         any op is applied, so a :class:`~repro.exceptions.GraphError`
-        (malformed op, unhashable label, out-of-range endpoint, self-loop)
-        leaves the graph untouched. Valid ops apply in order; no-ops (duplicate adds, absent
-        removes) are skipped without consuming a delta. After the batch, if
-        the backend overlay holds at least ``compaction_threshold`` edge
-        deltas (``None`` disables), the graph :meth:`compact`\\ s — the one
-        point where shared-memory descriptors and compiled plans of the old
-        epoch become stale.
+        (malformed op, unhashable label, non-integer or out-of-range
+        endpoint, self-loop, ``compaction_threshold`` below 1) leaves the
+        graph untouched. Valid ops apply in order; no-ops (duplicate adds,
+        absent removes) are skipped without consuming a delta. After the
+        batch, if at least ``compaction_threshold`` edge deltas have
+        accumulated since the last compaction (``None`` disables), the graph
+        :meth:`compact`\\ s — the one point where shared-memory descriptors
+        and compiled plans of the old epoch become stale.
         """
         backend = self._backend
+        if compaction_threshold is not None and compaction_threshold < 1:
+            # The wire's rule (schemas: minimum=1): a threshold of 0 would
+            # compact on every call, an empty batch included.
+            raise GraphError(
+                f"compaction_threshold must be >= 1 or None, got {compaction_threshold!r}"
+            )
         batch = [tuple(op) for op in ops]
         # Validation pass: nothing below may raise once ops start applying,
         # or the pinned cache would diverge from a half-mutated backend.
@@ -245,14 +254,7 @@ class LabeledGraph:
             elif kind in ("add_edge", "remove_edge"):
                 if len(op) != 3:
                     raise GraphError(f"malformed {kind} op {op!r}")
-                u, v = op[1], op[2]
-                for e in (u, v):
-                    if isinstance(e, bool) or not isinstance(e, int):
-                        raise GraphError(f"{kind} endpoints must be integers, got {op!r}")
-                    if not 0 <= e < n:
-                        raise GraphError(f"vertex {e} out of range for graph with {n} vertices")
-                if u == v:
-                    raise GraphError(f"self-loop ({u}, {v}) is not allowed")
+                check_edge(n, op[1], op[2])
             else:
                 raise GraphError(f"unknown mutation op kind {kind!r}")
         applied: List[Tuple] = []
@@ -276,13 +278,14 @@ class LabeledGraph:
         return MutationSummary(len(applied), compacted, self.version)
 
     def compact(self) -> None:
-        """Merge the backend's mutation overlay and start a fresh cache epoch.
+        """Checkpoint the write stream: start a fresh cache epoch.
 
-        Topology and every answer are unchanged; what changes is array
-        identity — shared-memory publications and compiled plans pinned to
-        the old epoch become stale (attached workers raise
-        :class:`~repro.exceptions.StaleSegmentError` rather than serve the
-        old base).
+        Topology and every answer are unchanged, and no adjacency data
+        moves. The delta counter and the mutation log restart — which bounds
+        the tail shared-memory workers replay — and with the log gone,
+        publications and compiled plans pinned to the old epoch become stale
+        (attached workers raise :class:`~repro.exceptions.StaleSegmentError`
+        rather than guess at ops they can no longer fetch).
         """
         self._backend.compact()
         if self._cache is not None:
@@ -364,10 +367,6 @@ class LabeledGraph:
     # bound in ``__init__`` directly to the backend; ``neighbors(v)`` returns
     # the sorted tuple of neighbors (plain Python ints), ``neighbor_set(v)``
     # the same vertices as the hash set ``has_edge`` probes (read-only).
-
-    def degree_array(self):
-        """Per-vertex degrees as a numpy array (precomputed by the backend)."""
-        return self._backend.degree_array
 
     def __contains__(self, v: object) -> bool:
         return isinstance(v, int) and 0 <= v < self._backend.num_vertices

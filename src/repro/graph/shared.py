@@ -1,4 +1,4 @@
-"""Shared-memory publication of graph state for zero-copy multiprocess use.
+"""Shared-memory publication of graph state for multiprocess use.
 
 The process strategy of :class:`~repro.parallel.executor.BatchExecutor` and
 the pre-forked service front (:mod:`repro.service.multiworker`) both need
@@ -7,46 +7,53 @@ batch is what made the old process strategy 3.3x slower than serial; this
 module replaces that with a publish/attach round-trip over
 :mod:`multiprocessing.shared_memory`:
 
-* :func:`publish_graph` copies the CSR backend's numpy arrays
-  (``indptr`` / ``indices`` / ``label_ids`` / ``degree_array``) into named
+* :func:`publish_graph` flattens the live graph to CSR
+  (:meth:`CSRBackend.to_arrays() <repro.graph.csr.CSRBackend.to_arrays>`:
+  ``indptr`` / ``indices`` / ``label_ids``) and writes the arrays into named
   shared-memory segments — once, by the publisher — and serializes the
   per-graph :class:`~repro.indexes.graph_cache.GraphIndexCache` derivations
-  (signature-mask table, warm adjacency bitsets, epoch) plus the label
-  table into a meta segment. It returns a :class:`PublishedGraph` owning
-  the segments and a picklable :class:`SharedGraphDescriptor` that travels
-  to workers through pool initargs.
-* :func:`attach_graph` maps those segments back into a worker and rebuilds
-  a :class:`~repro.graph.labeled_graph.LabeledGraph` whose CSR arrays are
-  zero-copy views of the shared buffers, with a pre-seeded index cache —
-  no edge renormalization, no signature sweep, no candidate scan needed to
-  start searching. Only the Python-level iteration views (neighbor tuples
-  and membership sets) are rebuilt, one O(|V| + |E|) pass per process.
+  (signature-mask table, warm adjacency bitsets, cache version) plus the
+  label table into a meta segment. Publishing is a *read*: the graph, its
+  version and its plan cache are left exactly as found, pending deltas
+  included — the publication is stamped ``(epoch, delta_seq)`` wherever the
+  graph happens to be. It returns a :class:`PublishedGraph` owning the
+  segments and a picklable :class:`SharedGraphDescriptor` that travels to
+  workers through pool initargs.
+* :func:`attach_graph` opens those segments in a worker, copies the graph
+  out (:meth:`CSRBackend.from_arrays() <repro.graph.csr.CSRBackend.
+  from_arrays>`: the neighbor tuples and membership sets the engine reads,
+  one O(|V| + |E|) pass per process), pre-seeds the index cache — no edge
+  renormalization, no signature sweep, no candidate scan needed to start
+  searching — and **closes its mappings before it returns**. The result is
+  an ordinary :class:`~repro.graph.labeled_graph.LabeledGraph` that holds
+  no shared memory, so there is nothing for the attaching side to close.
 
 Lifecycle is explicit and the failure modes are typed:
 
 ``create`` (:func:`publish_graph`) → ``attach`` (:func:`attach_graph`, any
-number of processes) → ``close`` (each attacher / the publisher drops its
-mapping) → ``unlink`` (the publisher frees the segments).
+number of processes, each open-copy-close) → ``close`` + ``unlink`` (the
+publisher drops its mapping and frees the segments).
 
 Attaching segments that were never published — or published and already
 unlinked — raises :class:`~repro.exceptions.SharedMemoryError`; attaching
 with a descriptor whose epoch does not match the meta block (a descriptor
 from a previous publication generation) raises
-:class:`~repro.exceptions.StaleSegmentError`. Closing an attachment whose
-arrays are still referenced raises :class:`~repro.exceptions.
-SharedMemoryError` instead of silently leaking the mapping.
+:class:`~repro.exceptions.StaleSegmentError`. An attach that cannot close
+its mappings — some view of the segments outlived the copy — raises
+:class:`~repro.exceptions.SharedMemoryError` instead of returning a graph
+with a mapping silently pinned behind it.
 """
 
 from __future__ import annotations
 
-import gc
 import logging
+import math
 import os
 import pickle
 import uuid
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -54,7 +61,7 @@ from repro.exceptions import SharedMemoryError, StaleSegmentError
 from repro.graph.csr import CSRBackend
 from repro.graph.labeled_graph import LabeledGraph
 
-SHARED_FORMAT_VERSION = 2
+SHARED_FORMAT_VERSION = 3
 """Bumped whenever the segment layout changes; attach refuses a mismatch.
 
 Version 2 added ``delta_seq`` to the meta block and descriptor: a
@@ -63,10 +70,12 @@ and attached readers catch up to later deltas of the *same* epoch by
 replaying the publisher's mutation-log tail (see
 :meth:`~repro.indexes.graph_cache.GraphIndexCache.ops_since`). Only a
 compaction — which starts a fresh epoch — makes a publication
-unrecoverably stale."""
+unrecoverably stale. Version 3 dropped the ``degree_array`` segment (attach
+derives degrees from the row lengths)."""
 
-ARRAY_FIELDS: Tuple[str, ...] = ("indptr", "indices", "label_ids", "degree_array")
-"""CSR backend arrays published as raw shared-memory segments, in order."""
+ARRAY_FIELDS: Tuple[str, ...] = ("indptr", "indices", "label_ids")
+"""The arrays of :meth:`CSRBackend.to_arrays() <repro.graph.csr.CSRBackend.
+to_arrays>`, published as raw shared-memory segments, in order."""
 
 logger = logging.getLogger("repro.graph.shared")
 
@@ -143,8 +152,8 @@ class PublishedGraph:
 
     Usable as a context manager; leaving the ``with`` block (or calling
     :meth:`unlink`) frees the segments. :meth:`close` alone only drops this
-    process's mapping — live attachments in other processes keep working
-    until :meth:`unlink`, per POSIX shared-memory semantics.
+    process's mapping — other processes can still attach until
+    :meth:`unlink`; graphs already attached hold no mapping and outlive both.
     """
 
     def __init__(
@@ -163,7 +172,7 @@ class PublishedGraph:
         return sum(s.size for s in self._segments)
 
     def close(self) -> None:
-        """Drop this process's mapping (idempotent; attachers unaffected)."""
+        """Drop this process's mapping (idempotent; attached graphs unaffected)."""
         if self._closed:
             return
         self._closed = True
@@ -175,7 +184,7 @@ class PublishedGraph:
 
     def unlink(self) -> None:
         """Free the segments (idempotent). New attaches fail from here on;
-        processes already attached keep their mappings until they close."""
+        graphs already attached are private copies and keep answering."""
         if self._unlinked:
             return
         self._unlinked = True
@@ -200,63 +209,6 @@ class PublishedGraph:
             pass
 
 
-class AttachedGraph:
-    """A worker-side view of a published graph (the attach side).
-
-    ``graph`` is a fully usable :class:`~repro.graph.labeled_graph.
-    LabeledGraph` whose CSR arrays alias the shared segments and whose
-    index cache is pre-seeded from the publisher's. Call :meth:`close`
-    after dropping every reference to ``graph`` (and arrays derived from
-    it); closing while views are live raises :class:`SharedMemoryError`.
-    """
-
-    def __init__(
-        self,
-        graph: LabeledGraph,
-        descriptor: SharedGraphDescriptor,
-        segments: List[shared_memory.SharedMemory],
-    ) -> None:
-        self.graph = graph
-        self.descriptor = descriptor
-        self._segments = segments
-        self._closed = False
-
-    def close(self) -> None:
-        """Drop the mapping (idempotent). The attached ``graph`` must no
-        longer be referenced; its arrays point into the mapped buffers."""
-        if self._closed:
-            return
-        self.graph = None
-        remaining = list(self._segments)
-        for attempt in range(2):
-            failed = []
-            for segment in remaining:
-                try:
-                    segment.close()
-                except BufferError:
-                    failed.append(segment)
-            if not failed:
-                self._closed = True
-                return
-            remaining = failed
-            if attempt == 0:
-                # The attached graph sits in a reference cycle (graph <->
-                # index cache), so dropping self.graph alone does not free
-                # the array views; collect the cycle, then retry the close.
-                gc.collect()
-        raise SharedMemoryError(
-            "cannot close shared attachment: numpy views over segments "
-            f"{sorted(segment.name for segment in remaining)} are still "
-            "alive; drop the attached graph first"
-        )
-
-    def __enter__(self) -> "AttachedGraph":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-
 def _segment_name(token: str, field: str) -> str:
     return f"{token}-{field}"
 
@@ -265,23 +217,19 @@ def publish_graph(graph: LabeledGraph) -> PublishedGraph:
     """Publish ``graph`` (CSR arrays + warm index derivations) to shared memory.
 
     The graph's index cache is built first if it is still cold, so every
-    attacher inherits a warm one.
+    attacher inherits a warm one. Apart from that the graph is only read —
+    pending deltas are published as they stand, never compacted first.
     """
     backend = graph.backend
-    if backend.num_vertices != backend.indptr.shape[0] - 1 or backend.touched_vertices:
-        # A dirty overlay means the numpy base no longer equals the live
-        # topology; publication snapshots the arrays, so merge first.
-        # (This starts a fresh cache epoch — a publication is always a
-        # compaction point.)
-        graph.compact()
     cache = graph.index_cache()
+    arrays = backend.to_arrays()
 
     token = f"repro-{os.getpid()}-{uuid.uuid4().hex[:12]}"
     segments: List[shared_memory.SharedMemory] = []
     array_specs: List[Tuple[str, str, Tuple[int, ...], str]] = []
     try:
         for field in ARRAY_FIELDS:
-            array = np.ascontiguousarray(getattr(backend, field))
+            array = arrays[field]
             name = _segment_name(token, field)
             segment = shared_memory.SharedMemory(
                 name=name, create=True, size=max(1, array.nbytes)
@@ -296,7 +244,6 @@ def publish_graph(graph: LabeledGraph) -> PublishedGraph:
         meta = {
             "format": SHARED_FORMAT_VERSION,
             "graph_name": graph.name,
-            "num_edges": backend.num_edges,
             "label_table": list(backend.label_table),
             **cache.shared_state(),
         }
@@ -331,28 +278,21 @@ def publish_graph(graph: LabeledGraph) -> PublishedGraph:
     return PublishedGraph(descriptor, segments)
 
 
-def attach_graph(descriptor: SharedGraphDescriptor) -> AttachedGraph:
-    """Attach a published graph in this process (zero-copy for the arrays).
+def _copy_out(
+    descriptor: SharedGraphDescriptor, segments: List[shared_memory.SharedMemory]
+) -> LabeledGraph:
+    """Open the descriptor's segments and build a private graph from them.
 
-    Raises :class:`SharedMemoryError` when a segment is missing (never
-    published, or already unlinked) and :class:`StaleSegmentError` when the
-    descriptor's epoch does not match the published meta block.
+    Every segment opened is appended to ``segments`` — also when this
+    raises — so :func:`attach_graph` can close them all. No view of a
+    segment may survive this frame.
     """
-    segments: List[shared_memory.SharedMemory] = []
-
-    def fail(message: str, exc_type=SharedMemoryError) -> Exception:
-        for segment in segments:
-            try:
-                segment.close()
-            except Exception:  # pragma: no cover - best-effort rollback
-                pass
-        return exc_type(message)
 
     def open_segment(name: str) -> shared_memory.SharedMemory:
         try:
             segment = shared_memory.SharedMemory(name=name, create=False)
         except FileNotFoundError:
-            raise fail(
+            raise SharedMemoryError(
                 f"shared segment {name!r} does not exist "
                 "(never published, or already unlinked)"
             ) from None
@@ -364,55 +304,45 @@ def attach_graph(descriptor: SharedGraphDescriptor) -> AttachedGraph:
     try:
         meta = pickle.loads(bytes(meta_segment.buf[: descriptor.meta_size]))
     except Exception as exc:
-        raise fail(f"shared meta block {descriptor.meta_segment!r} is corrupt: {exc}") from exc
+        raise SharedMemoryError(
+            f"shared meta block {descriptor.meta_segment!r} is corrupt: {exc}"
+        ) from exc
     if meta.get("format") != SHARED_FORMAT_VERSION:
-        raise fail(
+        raise SharedMemoryError(
             f"shared segment format {meta.get('format')!r} does not match "
             f"this library's version {SHARED_FORMAT_VERSION}"
         )
     if meta.get("epoch") != descriptor.epoch:
-        raise fail(
+        raise StaleSegmentError(
             f"descriptor epoch {descriptor.epoch} does not match published "
             f"epoch {meta.get('epoch')}: the graph was re-published; "
-            "re-fetch the descriptor",
-            StaleSegmentError,
+            "re-fetch the descriptor"
         )
     if meta.get("delta_seq", 0) != descriptor.delta_seq:
-        raise fail(
+        raise StaleSegmentError(
             f"descriptor delta_seq {descriptor.delta_seq} does not match "
             f"published delta_seq {meta.get('delta_seq')}: the publication "
-            "was refreshed mid-epoch; re-fetch the descriptor",
-            StaleSegmentError,
+            "was refreshed mid-epoch; re-fetch the descriptor"
         )
 
     arrays: Dict[str, np.ndarray] = {}
     for field, name, shape, dtype in descriptor.arrays:
         segment = open_segment(name)
-        dt = np.dtype(dtype)
-        count = 1
-        for dim in shape:
-            count *= dim
         # np.frombuffer keeps a buffer export on the segment's memoryview,
         # so SharedMemory.close() fails loudly (BufferError) while a view
         # is alive. np.ndarray(buffer=...) would NOT register the export —
         # close() would silently unmap under the array and later reads
         # would fault.
-        array = np.frombuffer(segment.buf, dtype=dt, count=count).reshape(shape)
+        array = np.frombuffer(segment.buf, dtype=np.dtype(dtype), count=math.prod(shape))
         array.flags.writeable = False
-        arrays[field] = array
+        arrays[field] = array.reshape(shape)
 
-    backend = CSRBackend.from_arrays(
-        indptr=arrays["indptr"],
-        indices=arrays["indices"],
-        label_ids=arrays["label_ids"],
-        label_table=meta["label_table"],
-        degree_array=arrays["degree_array"],
-    )
+    backend = CSRBackend.from_arrays(label_table=meta["label_table"], **arrays)
     graph = LabeledGraph.from_backend(backend, name=meta["graph_name"])
     # Pre-seed the pinned index cache from the published derivations: the
     # signature sweep and the publisher's warm adjacency bitsets are
-    # inherited, and the shared epoch keeps plan-cache keys consistent
-    # across the publishing and attaching processes.
+    # inherited, and the shared version keeps plan-cache keys and replay
+    # positions consistent across the publishing and attaching processes.
     from repro.indexes.graph_cache import GraphIndexCache
 
     graph._cache = GraphIndexCache(
@@ -422,13 +352,42 @@ def attach_graph(descriptor: SharedGraphDescriptor) -> AttachedGraph:
         epoch=meta["epoch"],
         delta_seq=meta.get("delta_seq", 0),
     )
-    return AttachedGraph(graph, descriptor, segments)
+    return graph
+
+
+def attach_graph(descriptor: SharedGraphDescriptor) -> LabeledGraph:
+    """A private copy of a published graph: open the segments, copy out, close.
+
+    The returned graph holds no mapping — the publisher may ``close()`` and
+    ``unlink()`` the moment this returns — and is mutable like any other
+    (workers replay the publisher's later deltas onto it).
+
+    Raises :class:`SharedMemoryError` when a segment is missing (never
+    published, or already unlinked) or a mapping cannot be closed because a
+    view of it is still alive, and :class:`StaleSegmentError` when the
+    descriptor's version does not match the published meta block.
+    """
+    segments: List[shared_memory.SharedMemory] = []
+    pinned: List[str] = []
+    try:
+        graph = _copy_out(descriptor, segments)
+    finally:
+        for segment in segments:
+            try:
+                segment.close()
+            except BufferError:
+                pinned.append(segment.name)
+    if pinned:
+        raise SharedMemoryError(
+            f"attach could not close segments {sorted(pinned)}: views over them "
+            "are still alive, so the copied-out graph would pin shared memory"
+        )
+    return graph
 
 
 __all__ = [
     "ARRAY_FIELDS",
     "SHARED_FORMAT_VERSION",
-    "AttachedGraph",
     "PublishedGraph",
     "SharedGraphDescriptor",
     "attach_graph",

@@ -59,7 +59,7 @@ def compute_statistics(graph: LabeledGraph) -> GraphStatistics:
         num_edges=graph.num_edges,
         num_labels=num_labels,
         average_degree=graph.average_degree(),
-        max_degree=int(graph.degree_array().max()) if n else 0,
+        max_degree=max(graph.degree_sequence(), default=0),
         label_density=(num_labels / n) if n else 0.0,
     )
 

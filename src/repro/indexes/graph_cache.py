@@ -12,7 +12,9 @@ session answering many queries against the same graph shares:
 * the **neighborhood-signature table** — per-vertex label-id *bitmasks*
   (Python ints, so an arbitrary number of labels works); the frozenset
   view of the public API is derived from a mask on call, interned per mask;
-* the **degree and label arrays** reused from the storage backend;
+* the **degree and label-id tables**, copied from the storage backend and
+  repaired by deltas — ``degree_array`` is the one numpy array derived from
+  a graph that stays resident (the cost estimator fancy-indexes it);
 * a bounded LRU **candidate-pool memo** keyed by
   ``(label_id, min_degree, signature_mask)`` — distinct query nodes with the
   same filter profile (and repeated queries) share one pool computation.
@@ -128,10 +130,11 @@ class GraphIndexCache:
         backend = graph.backend
         self.label_table: List[Label] = backend.label_table
         self.label_to_id: Dict[Label, int] = backend.label_to_id
-        label_ids = [int(i) for i in backend.label_ids]
+        label_ids = backend.label_id_sequence()
         self.label_ids: List[int] = label_ids
         self.degrees: List[int] = backend.degree_sequence()
-        self.degree_array: np.ndarray = backend.degree_array
+        # Always this cache's own array, so deltas may write into it.
+        self.degree_array: np.ndarray = np.asarray(self.degrees, dtype=np.int64)
 
         # Label inverted index: label -> sorted tuple of vertices.
         buckets: List[List[int]] = [[] for _ in self.label_table]
@@ -551,13 +554,9 @@ class GraphIndexCache:
             # no edge op follows).
             self.degree_array = np.asarray(self.degrees, dtype=np.int64)
         elif dirty_vertices:
-            # Copy-and-scatter instead of re-converting the whole Python
-            # list: O(V) memcpy + O(dirty) writes, and the fresh array keeps
-            # previously handed-out references immutable in practice.
-            repaired = self.degree_array.copy()
+            # Scatter the dirty entries in place: O(dirty) writes.
             idx = list(dirty_vertices)
-            repaired[idx] = [self.degrees[v] for v in idx]
-            self.degree_array = repaired
+            self.degree_array[idx] = [degrees[v] for v in idx]
 
         if moved:
             self._repair_pools(moved)
@@ -676,21 +675,20 @@ class GraphIndexCache:
         return tuple(log[start:])
 
     def on_compaction(self) -> Tuple[int, int]:
-        """Start a fresh epoch after the backend compacted its overlay.
+        """Start a fresh epoch: the cache half of a graph's checkpoint.
 
-        Topology is unchanged by compaction, so pools, signatures, and the
-        label index all remain correct and are kept; what changes is the
-        *array identity* that shared-memory publications and plan keys are
+        Topology is unchanged by compaction, so pools, signatures, degrees
+        and the label index all remain correct and are kept; what changes is
+        the *generation* that shared-memory publications and plan keys are
         pinned to. The epoch is re-stamped, ``delta_seq`` resets to 0, the
-        mutation log is cleared (making catch-up impossible — attached
-        readers at the old epoch see :class:`~repro.exceptions.
-        StaleSegmentError`), and compiled plans are dropped since their keys
-        embed the old epoch.
+        mutation log is cleared (bounding what workers replay, and making
+        catch-up across the checkpoint impossible — attached readers at the
+        old epoch see :class:`~repro.exceptions.StaleSegmentError`), and
+        compiled plans are dropped since their keys embed the old epoch.
         """
         self.epoch = next(_EPOCHS)
         self.delta_seq = 0
         self._mutation_log.clear()
-        self.degree_array = self.graph.backend.degree_array
         self.plan_cache.clear()
         return self.version
 

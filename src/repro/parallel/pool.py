@@ -8,10 +8,10 @@ running concurrently clobbered each other), and cold per-worker caches.
 
 * the graph is **published once** to shared memory
   (:func:`~repro.graph.shared.publish_graph`) when the pool is created;
-* workers **attach once** at spawn, through the pool initializer — the
-  descriptor travels as a pickled initarg, so there is no parent-side
-  module global to race on, and a worker's state is scoped to its pool by
-  construction;
+* workers **attach once** at spawn, through the pool initializer — open
+  the segments, copy the graph out, close them — and the descriptor
+  travels as a pickled initarg, so there is no parent-side module global
+  to race on, and a worker's state is scoped to its pool by construction;
 * each worker keeps a **persistent DSQL session** (and with it the
   per-graph plan cache, candidate-pool memo, and adjacency bitsets) warm
   across every batch the pool ever runs.
@@ -24,16 +24,17 @@ per-chunk counter snapshot, so the parent can merge ``search.*`` /
 Live mutation rides along as a **catch-up protocol**: every chunk carries a
 sync header ``(epoch, target_seq, ops_tail)`` in the graph's version
 numbering, which publisher and attacher share (the attached cache is seeded
-from the published ``(epoch, delta_seq)``). Workers replay the unseen tail
-onto their attached views (the Python-level rows/sets are process-local and
-mutable; the shared numpy base is never written) before answering, so
-worker results stay bit-identical to the parent's live topology without
-republishing per delta. A *compaction* in the parent starts a fresh epoch
-the workers cannot reach by replay; the
-pool then reports :attr:`WorkerPool.stale` and submission raises
+from the published ``(epoch, delta_seq)``, wherever in an epoch the graph
+was when the pool was built — publishing compacts nothing). Workers replay
+the unseen tail onto their attached graph (a private copy; the shared
+segments are never written) before answering, so worker results stay
+bit-identical to the parent's live topology without republishing per delta.
+A *compaction* in the parent clears the log and starts a fresh epoch the
+workers cannot reach by replay; the pool then reports
+:attr:`WorkerPool.stale` and submission raises
 :class:`~repro.exceptions.StaleSegmentError` — the executor's cue to
 discard the pool and build a fresh publication — rather than ever serving
-answers from the old base.
+answers from the old topology.
 
 The pool prefers the ``fork`` start method (cheapest, and shares the
 publisher's resource tracker); where fork is unavailable it falls back to
@@ -50,19 +51,14 @@ import os
 import time
 import weakref
 from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.config import DSQLConfig
 from repro.core.result import DSQResult
 from repro.exceptions import GraphError, SharedMemoryError, StaleSegmentError
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
-from repro.graph.shared import (
-    AttachedGraph,
-    SharedGraphDescriptor,
-    attach_graph,
-    publish_graph,
-)
+from repro.graph.shared import SharedGraphDescriptor, attach_graph, publish_graph
 
 logger = logging.getLogger("repro.parallel")
 
@@ -78,63 +74,47 @@ SyncHeader = Tuple[int, int, Tuple[Tuple[int, Tuple], ...]]
 ``(seq, op)`` entries since publication. Workers replay only the entries
 beyond their own ``graph.version``."""
 
-_WORKER_STATE: Optional["_WorkerState"] = None
-"""Child-process-only session state, set by the pool initializer.
+_WORKER_SESSION = None
+"""Child-process-only: the persistent instrumented ``DSQL`` session one worker
+keeps warm across batches, set by the pool initializer.
 
 Unlike the old ``_FORK_SESSION`` hand-off this is never written in the
 parent: each worker process belongs to exactly one pool and receives its
 state through initargs, so concurrent pools cannot interleave writes.
+Mutation catch-up keeps no position of its own: the attached graph's
+``version`` is the worker's place in the parent's numbering.
 """
-
-
-class _WorkerState:
-    """Everything one worker process keeps warm across batches.
-
-    Mutation catch-up keeps no position of its own: the attached graph's
-    ``version`` is the worker's place in the parent's numbering.
-    """
-
-    __slots__ = ("attachment", "session", "instrumentation")
-
-    def __init__(self, attachment: AttachedGraph, session, instrumentation) -> None:
-        self.attachment = attachment
-        self.session = session
-        self.instrumentation = instrumentation
 
 
 def _init_worker(descriptor: SharedGraphDescriptor, config: DSQLConfig) -> None:
     """Pool initializer (runs once in each worker process at spawn).
 
-    Attaches the shared segments (zero-copy for the CSR arrays), builds a
-    persistent instrumented session over the attached graph, and pins both
-    for the worker's lifetime.
+    Copies the published graph out of the shared segments and pins a
+    session over it for the worker's lifetime.
     """
-    global _WORKER_STATE
+    global _WORKER_SESSION
     # Late imports keep the module importable in the parent before any
     # worker exists, and off the child's critical path for repeat batches.
     from repro.core.dsql import DSQL
     from repro.observability import Instrumentation
 
-    attachment = attach_graph(descriptor)
-    instrumentation = Instrumentation()
-    session = DSQL(attachment.graph, config=config, instrumentation=instrumentation)
-    _WORKER_STATE = _WorkerState(attachment, session, instrumentation)
+    _WORKER_SESSION = DSQL(
+        attach_graph(descriptor), config=config, instrumentation=Instrumentation()
+    )
 
 
-def _apply_sync(state: "_WorkerState", sync: SyncHeader) -> None:
+def _apply_sync(graph: LabeledGraph, sync: SyncHeader) -> None:
     """Catch the worker's attached graph up to the parent's version.
 
     Replays the unseen suffix of the parent's mutation-log tail with
     :meth:`LabeledGraph.replay` (which delta-repairs the worker's own
-    cache). The attached Python views (rows/sets) are process-local and
-    mutable; the shared numpy base is read-only and never written — the CSR
-    overlay serves the divergence. An epoch change, a sequence gap or an op
-    that does not re-apply cleanly means the replay chain is severed: raise
+    cache). The attached graph is this process's private copy, written like
+    any other graph. An epoch change, a sequence gap or an op that does
+    not re-apply cleanly means the replay chain is severed: raise
     :class:`~repro.exceptions.StaleSegmentError` instead of answering from
     a stale view.
     """
     epoch, target_seq, tail = sync
-    graph = state.session.graph
     have_epoch, have_seq = graph.version
     if epoch != have_epoch:
         raise StaleSegmentError(
@@ -159,18 +139,18 @@ def _run_chunk(payload: Tuple[SyncHeader, List[ChunkItem]]) -> ChunkResult:
     exactly this chunk's counters; the parent merges them into its own
     registry, keeping process-strategy metrics truthful.
     """
-    state = _WORKER_STATE
-    if state is None:  # pragma: no cover - initializer failure surfaces first
+    session = _WORKER_SESSION
+    if session is None:  # pragma: no cover - initializer failure surfaces first
         raise RuntimeError("worker pool initializer did not run")
     sync, chunk = payload
-    _apply_sync(state, sync)
-    state.instrumentation.metrics.reset()
-    session = state.session
+    _apply_sync(session.graph, sync)
+    metrics = session.instrumentation.metrics
+    metrics.reset()
     out = [
         (key, session.query(QueryGraph(labels, edges)))
         for key, labels, edges in chunk
     ]
-    return os.getpid(), out, state.instrumentation.metrics.counters_snapshot()
+    return os.getpid(), out, metrics.counters_snapshot()
 
 
 def _pool_context():
@@ -244,9 +224,9 @@ class WorkerPool:
         # the local-token set so they know they share the parent's resource
         # tracker (see repro.graph.shared._LOCAL_TOKENS).
         self._published = publish_graph(graph)
-        # The graph's version at publication (publish_graph compacts a
-        # dirty overlay first): workers attach at exactly this version, and
-        # chunk sync headers ship the mutation log from here on.
+        # The graph's version at publication (any delta_seq — publishing
+        # is a read): workers attach at exactly this version, and chunk
+        # sync headers ship the mutation log from here on.
         self._sync_epoch, self._base_seq = graph.version
         try:
             self._executor = ProcessPoolExecutor(
@@ -316,9 +296,8 @@ class WorkerPool:
         unbounded join would park the caller (or interpreter shutdown)
         forever. ``wait=False`` — the discard / GC / interpreter-exit
         path — skips the grace period and kills the workers outright:
-        nobody is waiting on their results. Unlinking while a worker still
-        holds its mapping is safe either way (POSIX keeps the segment alive
-        until the last map closes).
+        nobody is waiting on their results. Unlinking is safe either way:
+        a worker that attached holds a private copy and no mapping.
         """
         if self._closed:
             return

@@ -5,10 +5,12 @@ One :class:`MultiWorkerServer` turns a warm
 answering on a single port:
 
 * the parent **publishes** every catalog graph to shared memory
-  (:func:`~repro.graph.shared.publish_graph`) — CSR arrays, adjacency
-  bitmasks, label index — and forks the workers afterwards, so all of them
-  map the same physical pages instead of copying the graph N times;
-* each worker **attaches** the published segments, builds its own
+  (:func:`~repro.graph.shared.publish_graph`) — CSR arrays, signature and
+  adjacency bitmasks, label table — and forks the workers afterwards, so
+  the graph crosses the process boundary as flat arrays, written once,
+  instead of being pickled per worker;
+* each worker **attaches** the published segments (open, copy the graph
+  out, close — it keeps no mapping), builds its own
   :class:`~repro.service.catalog.GraphCatalog` /
   :class:`~repro.service.server.QueryService` (private plan caches, memo,
   metrics registry), and binds the shared query port with ``SO_REUSEPORT``
@@ -24,7 +26,7 @@ Lifecycle: ``start()`` publishes, forks, and waits for every worker's
 ready message; ``close()`` (or SIGTERM via ``install_signal_handlers``)
 asks each worker to drain over its pipe, joins it, then unlinks the shared
 segments. A worker that lost its parent sees EOF on the pipe and drains
-itself, so orphaned workers cannot leak segments past process exit.
+itself; workers hold no mapping, so only the parent can leak a segment.
 
 Requires ``SO_REUSEPORT`` and the ``fork`` start method (Linux and most
 BSDs); construction raises :class:`~repro.exceptions.ConfigError`
@@ -46,7 +48,7 @@ import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
-from repro.exceptions import ConfigError, SharedMemoryError
+from repro.exceptions import ConfigError
 from repro.graph.shared import PublishedGraph, attach_graph, publish_graph
 from repro.observability import Instrumentation
 from repro.observability.metrics import merge_snapshots
@@ -86,18 +88,15 @@ def _worker_main(
     # (Ctrl-C hits the whole foreground process group) must not kill the
     # worker before the parent's drain message arrives.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    attachments = []
     front = admin = None
     try:
         catalog = GraphCatalog(
             default_config=default_config, instrumentation=Instrumentation()
         )
         for name, descriptor, source in published:
-            attachment = attach_graph(descriptor)
-            attachments.append(attachment)
-            catalog.add_graph(name, attachment.graph, source=source)
-        # Workers serve *attached* shared-memory graphs: a write applied in
-        # one worker would be invisible to its siblings behind the same
+            catalog.add_graph(name, attach_graph(descriptor), source=source)
+        # Workers serve private copies of published graphs: a write applied
+        # in one worker would be invisible to its siblings behind the same
         # port, so the whole front is read-only (501 mutation_unsupported).
         # service_options threads the admission-mode / quota / access-log
         # knobs through verbatim (every worker prices and logs its own
@@ -133,24 +132,11 @@ def _worker_main(
     front.close()
     if admin is not None:
         admin.close()
-    for attachment in attachments:
-        try:
-            attachment.close()
-        except SharedMemoryError:
-            # The drained catalog/service still reference the attached
-            # graph; the mapping dies with this process anyway, and the
-            # parent owns the unlink.
-            logger.debug("worker %d: attachment still referenced at exit", index)
     try:
         conn.send(("closed", index))
     except (BrokenPipeError, OSError):  # pragma: no cover - parent already gone
         pass
     conn.close()
-    # Skip interpreter-shutdown GC: any attachment the live catalog kept
-    # referenced above would emit an ignored BufferError from
-    # SharedMemory.__del__ during teardown. The mappings die with the
-    # process either way, and the parent owns the segment unlink.
-    os._exit(0)
 
 
 # ----------------------------------------------------------------------
@@ -213,7 +199,7 @@ class MultiWorkerServer:
     catalog:
         The warm catalog whose graphs are published; the parent keeps it
         only as the publication source — requests are answered by the
-        workers' attached copies.
+        workers' copies.
     workers:
         Worker-process count (>= 1).
     host, port:
@@ -301,8 +287,7 @@ class MultiWorkerServer:
         self._port = self._placeholder.getsockname()[1]
 
         # Publish every graph BEFORE forking: the children inherit the
-        # publisher's local-token set (shared resource tracker) and the
-        # segments themselves are mapped, not copied.
+        # publisher's local-token set (shared resource tracker).
         for name in self.catalog.names():
             entry = self.catalog.get(name)
             published = publish_graph(entry.graph)

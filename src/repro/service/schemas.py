@@ -388,7 +388,7 @@ def parse_ingest_request(graph: str, payload: Dict[str, object]) -> MutationRequ
     ``ops`` is a list of ``["add_vertex", label]``, ``["add_edge", u, v]``
     or ``["remove_edge", u, v]`` entries, applied in order as *one* write
     (single cache-repair pass, single lock acquisition). The optional
-    ``compaction_threshold`` overrides the server's overlay-size trigger
+    ``compaction_threshold`` overrides the server's delta-count trigger
     for this batch only.
     """
     _reject_unknown(payload, _INGEST_FIELDS, "ingest request")

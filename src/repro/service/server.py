@@ -168,7 +168,7 @@ class QueryService:
         When ``False`` the write surface (``POST /v1/graphs/{g}/edges`` and
         ``/v1/graphs/{g}/ingest``) answers 501 ``mutation_unsupported``.
         The pre-forked multi-worker front sets this: its workers serve
-        *attached* shared-memory graphs, and a write in one worker would be
+        private copies of published graphs, and a write in one worker would be
         invisible to its siblings behind the same port.
     admission_mode:
         ``"count"`` (default, bounded concurrency + queue), ``"cost"``

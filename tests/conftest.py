@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import random
 from functools import partial
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from typing import FrozenSet, List, Sequence, Set, Tuple
 
+import numpy as np
 import pytest
 
 from repro.datasets.examples import dbpedia_flavor, figure1, figure2, imdb_flavor
+from repro.graph.csr import CSRBackend
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.isomorphism.qsearch import QSearchEngine
@@ -99,18 +101,18 @@ def random_labeled_graph(
 
 
 STORAGE_STATES = ("csr", "set")
-"""Where a graph's rows live inside the one storage class (``CSRBackend``).
+"""The two routes to one graph inside the one storage class (``CSRBackend``).
 
-``csr`` — every row in the frozen sorted arrays under an empty overlay: what
-the constructor and ``compact()`` leave. ``set`` — every row in the mutation
-overlay's tuples and hash sets over an edgeless array base: the same graph
-grown edge by edge. The ids are those of the retired two-backend axis (the
-overlay's row sets are what the ``set`` backend was), so the ``set`` golden
-rows and test ids now pin the overlay-resident state."""
+``csr`` — built: every edge handed to the constructor, which normalizes and
+sorts them in bulk. ``set`` — grown: the same graph from an edgeless start,
+edge by edge through ``add_edge``'s in-place row and set updates. The two
+end in the same storage state (``tests/graph/test_csr.py`` pins it); the ids
+are those of the retired two-backend axis, so the ``set`` golden rows and
+test ids now pin the grown route."""
 
 
 def build_graph(labels, edges=(), name: str = "", storage: str = "csr") -> LabeledGraph:
-    """``LabeledGraph(labels, edges)`` with its rows in the given storage state."""
+    """``LabeledGraph(labels, edges)``, built (``csr``) or grown (``set``)."""
     if storage == "csr":
         return LabeledGraph(labels, edges, name=name)
     graph = LabeledGraph(labels, name=name)
@@ -120,8 +122,31 @@ def build_graph(labels, edges=(), name: str = "", storage: str = "csr") -> Label
 
 
 def in_storage_state(graph: LabeledGraph, storage: str) -> LabeledGraph:
-    """A copy of ``graph`` with its rows in the given storage state."""
+    """A copy of ``graph`` made by the given route (see ``STORAGE_STATES``)."""
     return build_graph(list(graph.labels), graph.edges(), name=graph.name, storage=storage)
+
+
+def resident_arrays(backend: CSRBackend) -> List[str]:
+    """The storage slots holding a numpy array between calls (none, by design)."""
+    return [slot for slot in CSRBackend.__slots__ if isinstance(getattr(backend, slot), np.ndarray)]
+
+
+def assert_arrays_match_rebuild(backend: CSRBackend):
+    """``backend.to_arrays()`` is the CSR of a from-scratch rebuild of its
+    graph: sorted rows, ``indptr`` the cumulative degrees, same dtypes.
+    Returns the arrays."""
+    arrays = backend.to_arrays()
+    want = CSRBackend(list(backend.labels), backend.edges()).to_arrays()
+    assert list(arrays) == ["indptr", "indices", "label_ids"] == list(want)
+    for field, array in arrays.items():
+        assert array.dtype == want[field].dtype, field
+        assert array.tolist() == want[field].tolist(), field
+    bounds = arrays["indptr"].tolist()
+    assert bounds == [0, *accumulate(backend.degree_sequence())]
+    flat = arrays["indices"].tolist()
+    for v in range(backend.num_vertices):
+        assert flat[bounds[v] : bounds[v + 1]] == sorted(backend.neighbor_set(v))
+    return arrays
 
 
 def connected_query_from(graph: LabeledGraph, num_edges: int, seed: int) -> QueryGraph:

@@ -7,7 +7,14 @@ import pytest
 
 from repro.exceptions import GraphError
 from repro.graph.csr import CSRBackend, intern_labels, normalize_edges
-from tests.conftest import STORAGE_STATES, build_graph
+from repro.graph.labeled_graph import LabeledGraph
+from repro.graph.shared import attach_graph, publish_graph
+from tests.conftest import (
+    STORAGE_STATES,
+    assert_arrays_match_rebuild,
+    build_graph,
+    resident_arrays,
+)
 
 LABELS = ["a", "b", "b", "a", "c"]
 EDGES = [(0, 1), (1, 2), (2, 0), (3, 1), (1, 0), (4, 3)]  # (1, 0) duplicates (0, 1)
@@ -81,64 +88,125 @@ def test_has_edge_symmetric(backend):
 def test_label_interning(backend):
     assert backend.label_table == ["a", "b", "c"]
     assert backend.label_to_id == {"a": 0, "b": 1, "c": 2}
-    assert list(backend.label_ids) == [0, 1, 1, 0, 2]
-    assert list(backend.degree_array) == [2, 3, 2, 2, 1]
+    assert backend.label_id_sequence() == [0, 1, 1, 0, 2]
+    assert backend.to_arrays()["label_ids"].tolist() == [0, 1, 1, 0, 2]
 
 
 # ----------------------------------------------------------------------
-# CSR specifics
+# CSR is the publication format: to_arrays / from_arrays, nothing resident.
+# The ids below are named after the array base this class used to keep;
+# each docstring says what the behaviour became.
 # ----------------------------------------------------------------------
+def storage_state(b: CSRBackend):
+    """Everything a ``CSRBackend`` holds except ``delta_size``."""
+    n = b.num_vertices
+    return (
+        n,
+        b.num_edges,
+        list(b.labels),
+        list(b.label_table),
+        dict(b.label_to_id),
+        b.label_id_sequence(),
+        [b.neighbors(v) for v in range(n)],
+        [set(b.neighbor_set(v)) for v in range(n)],
+        b.degree_sequence(),
+    )
+
+
+def row_probe(arrays, u: int, targets) -> np.ndarray:
+    """The array probe, as the reference: which ``targets`` sit in row ``u``
+    of a ``to_arrays()`` result, by ``searchsorted`` over the sorted row."""
+    row = arrays["indices"][arrays["indptr"][u] : arrays["indptr"][u + 1]]
+    targets = np.asarray(targets)
+    if row.size == 0:
+        return np.zeros(targets.shape, dtype=bool)
+    pos = np.searchsorted(row, targets)
+    return (pos < row.size) & (row[np.minimum(pos, row.size - 1)] == targets)
+
+
+def test_no_array_is_held_between_calls():
+    b = CSRBackend(LABELS, EDGES)
+    first, second = b.to_arrays(), b.to_arrays()
+    for field in first:
+        assert first[field] is not second[field]
+    first["indices"][:] = 0  # the caller's copy; the storage never sees it
+    assert_arrays_match_rebuild(b)
+    assert not resident_arrays(b)
+
+
 def test_storage_states_are_the_two_extremes():
-    frozen = build_graph(LABELS, EDGES, storage="csr").backend
-    assert frozen.indices.size == 2 * frozen.num_edges and not frozen.touched_vertices
+    """Was: built = all rows in the arrays, grown = all rows in the overlay.
+    Now the two routes are indistinguishable — same state, same arrays."""
+    built = build_graph(LABELS, EDGES, storage="csr").backend
     grown = build_graph(LABELS, EDGES, storage="set").backend
-    assert grown.indices.size == 0 and grown.touched_vertices == set(range(5))
-    for v in range(5):
-        assert list(grown.neighbors_array(v)) == list(frozen.neighbors_array(v))
+    assert storage_state(grown) == storage_state(built)
+    assert (built.delta_size, grown.delta_size) == (0, built.num_edges)
+    want = assert_arrays_match_rebuild(built)
+    got = assert_arrays_match_rebuild(grown)
+    for field in want:
+        assert got[field].dtype == want[field].dtype
+        assert got[field].tolist() == want[field].tolist()
 
 
 def test_csr_arrays_consistent():
+    """The format ``to_arrays()`` writes: ``indptr`` the cumulative degrees
+    (int64), ``indices`` the sorted rows end to end (int32), ``label_ids``
+    indexing ``label_table`` (int32)."""
     b = CSRBackend(LABELS, EDGES)
-    assert list(b.indptr) == [0, 2, 5, 7, 9, 10]
-    # Each row is the sorted neighbor list.
-    for v in range(5):
-        row = b.indices[b.indptr[v] : b.indptr[v + 1]]
-        assert list(row) == list(b.neighbors(v))
-        assert list(row) == sorted(row)
+    arrays = assert_arrays_match_rebuild(b)
+    assert arrays["indptr"].tolist() == [0, 2, 5, 7, 9, 10]
+    assert arrays["indices"].tolist() == [1, 2, 0, 2, 3, 0, 1, 1, 4, 3]
+    assert [arrays[f].dtype for f in arrays] == [np.int64, np.int32, np.int32]
+    assert [b.label_table[i] for i in arrays["label_ids"]] == LABELS
 
 
 def test_csr_neighbors_array_zero_copy():
+    """Was: ``neighbors_array(v)`` is a view of the array base. The view the
+    engine reads without a copy is now ``neighbor_set(v)``: the storage's
+    own object, following writes in place."""
     b = CSRBackend(LABELS, EDGES)
-    row = b.neighbors_array(1)
-    assert row.base is b.indices
-    assert list(row) == [0, 2, 3]
+    row = b.neighbor_set(1)
+    assert row is b.neighbor_set(1) and row == {0, 2, 3}
+    b.add_edge(1, 4)
+    b.remove_edge(1, 0)
+    assert row is b.neighbor_set(1) and row == {2, 3, 4}
+    assert b.neighbors(1) == (2, 3, 4)
 
 
 def test_csr_scalar_probes_agree():
-    b = CSRBackend(LABELS, EDGES)
+    """``has_edge`` against a binary search over the published rows."""
+    b = build_graph(LABELS, EDGES, storage="set").backend
+    b.remove_edge(0, 2)
+    arrays = b.to_arrays()
     for u in range(5):
         for v in range(5):
-            assert b.has_edge(u, v) == b.has_edge_searchsorted(u, v)
+            assert b.has_edge(u, v) == bool(row_probe(arrays, u, [v])[0])
 
 
 def test_csr_has_edges_vectorized():
+    """The batch probe survives as the reference, not as API."""
     b = CSRBackend(LABELS, EDGES)
     targets = np.array([0, 1, 2, 3, 4])
-    assert list(b.has_edges(1, targets)) == [True, False, True, True, False]
+    got = row_probe(b.to_arrays(), 1, targets)
+    assert list(got) == [True, False, True, True, False] == [b.has_edge(1, t) for t in targets]
     # Isolated row: all-false without error.
     iso = CSRBackend(["x", "y"], [])
-    assert list(iso.has_edges(0, targets[:2])) == [False, False]
+    assert list(row_probe(iso.to_arrays(), 0, targets[:2])) == [False, False]
+    assert not iso.has_edge(0, 1)
 
 
 def test_empty_graph():
     b = CSRBackend([])
     assert b.num_vertices == 0 and b.num_edges == 0
     assert list(b.edges()) == []
-    assert list(b.degree_array) == []
+    arrays = assert_arrays_match_rebuild(b)
+    assert arrays["indptr"].tolist() == [0] and arrays["indices"].size == 0
+    assert storage_state(CSRBackend.from_arrays(**arrays, label_table=[])) == storage_state(b)
 
 
 # ----------------------------------------------------------------------
-# Compaction: the new arrays are spliced from the old ones
+# Compaction moves no adjacency data: after any script the arrays a
+# publication would write equal a rebuild's, before and after compact()
 # ----------------------------------------------------------------------
 RING = 8
 RING_LABELS = list("abcdabcd")
@@ -146,27 +214,19 @@ RING_EDGES = [(v, (v + 1) % RING) for v in range(RING)] + [(0, 4), (2, 6)]
 
 
 def compact_and_check(backend: CSRBackend) -> None:
-    """Compact; the arrays must then spell every live row, and the ones they
-    replace must not have been written."""
-    old_indptr, old_indices = backend.indptr, backend.indices
-    kept_indptr, kept_indices = old_indptr.copy(), old_indices.copy()
-    rows = [backend.neighbors(v) for v in range(backend.num_vertices)]
+    """``to_arrays()`` spells a from-scratch rebuild of the live graph,
+    ``compact()`` changes nothing but ``delta_size``, and the arrays read
+    back (``from_arrays``) to the same storage state."""
+    before = storage_state(backend)
+    arrays = assert_arrays_match_rebuild(backend)
     backend.compact()
-    indptr, indices = backend.indptr, backend.indices
-    assert indices is not old_indices and indptr is not old_indptr
-    assert np.array_equal(old_indptr, kept_indptr) and np.array_equal(old_indices, kept_indices)
-    assert indptr.dtype == np.int64 and indices.dtype == np.int32
-    assert len(indptr) == backend.num_vertices + 1
-    assert indptr[0] == 0 and indptr[-1] == 2 * backend.num_edges == len(indices)
-    for v, row in enumerate(rows):
-        assert tuple(indices[indptr[v] : indptr[v + 1]]) == row == backend.neighbors(v)
-        assert backend.neighbors_array(v).base is indices  # served off the base again
-    assert not backend.touched_vertices and backend.delta_size == 0
-    attached = CSRBackend.from_arrays(
-        indptr, indices, backend.label_ids, backend.label_table, backend.degree_array
-    )
-    assert [attached.neighbors(v) for v in range(attached.num_vertices)] == rows
-    assert attached.labels == backend.labels
+    assert backend.delta_size == 0
+    assert storage_state(backend) == before
+    after = assert_arrays_match_rebuild(backend)
+    assert all(after[field].tolist() == arrays[field].tolist() for field in arrays)
+    attached = CSRBackend.from_arrays(**arrays, label_table=backend.label_table)
+    assert storage_state(attached) == before and attached.delta_size == 0
+    assert all(type(v) is int for u in range(attached.num_vertices) for v in attached.neighbors(u))
 
 
 def _touch_first(b):
@@ -179,7 +239,7 @@ def _touch_last(b):
 
 def _touch_adjacent(b):
     b.add_edge(3, 5)
-    b.add_edge(4, 6)  # 3, 4, 5, 6: one unbroken overlay run
+    b.add_edge(4, 6)  # 3, 4, 5, 6: four consecutive rows rewritten
 
 
 def _grow_a_row(b):
@@ -199,7 +259,7 @@ def _empty_a_row(b):
 
 def _restore_a_row(b):
     b.remove_edge(2, 6)
-    b.add_edge(2, 6)  # still in the overlay, equal to its base row
+    b.add_edge(2, 6)  # two deltas, rows back where they started
 
 
 def _add_isolated_vertices(b):
@@ -241,29 +301,35 @@ def _touch_everything(b):
     ],
 )
 def test_compact_splices_every_row_into_place(mutate):
+    """Was: compaction splices overlay rows into fresh arrays. Now: after
+    the script ``to_arrays()`` ≡ a rebuild and ``compact()`` only resets
+    ``delta_size`` — at every point of a write / compact / write sequence."""
     b = CSRBackend(RING_LABELS, RING_EDGES)
     mutate(b)
     compact_and_check(b)
-    compact_and_check(b)  # twice in a row: the second has nothing to merge
-    mutate(b)  # and the result is a base the next overlay splices from
+    compact_and_check(b)  # twice in a row: idempotent
+    mutate(b)  # and writes after a checkpoint behave like writes before it
     compact_and_check(b)
 
 
 def test_compact_from_an_edgeless_base():
-    """A graph grown edge by edge: every row is an overlay row."""
+    """A graph grown edge by edge publishes and checkpoints like a built one."""
     b = build_graph(RING_LABELS, RING_EDGES, storage="set").backend
-    assert b.indices.size == 0
+    assert b.delta_size == len(RING_EDGES)
     compact_and_check(b)
+    assert storage_state(b) == storage_state(CSRBackend(RING_LABELS, RING_EDGES))
 
 
 def test_compact_after_attach_leaves_the_shared_arrays_alone():
-    base = CSRBackend(RING_LABELS, RING_EDGES)
-    indptr, indices = base.indptr.copy(), base.indices.copy()
-    indptr.setflags(write=False)
-    indices.setflags(write=False)  # what a shared-memory view looks like to a worker
-    attached = CSRBackend.from_arrays(
-        indptr, indices, base.label_ids, base.label_table, base.degree_array
-    )
-    _touch_adjacent(attached)
-    _add_connected_vertices(attached)
-    compact_and_check(attached)
+    """Mutating and compacting an attached graph touches only that copy: a
+    second attach of the same descriptor still reads the published graph."""
+    source = LabeledGraph(RING_LABELS, RING_EDGES)
+    want = storage_state(source.backend)
+    with publish_graph(source) as published:
+        first = attach_graph(published.descriptor)
+        _touch_adjacent(first.backend)
+        _add_connected_vertices(first.backend)
+        compact_and_check(first.backend)
+        assert storage_state(first.backend) != want
+        second = attach_graph(published.descriptor)
+        assert storage_state(second.backend) == want == storage_state(source.backend)

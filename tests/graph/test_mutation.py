@@ -1,23 +1,24 @@
-"""Unit tests for the live-mutation surface, in both storage states.
+"""Unit tests for the live-mutation surface, on built and grown graphs.
 
 The contract under test (docs/mutation.md): ``add_vertex`` / ``add_edge``
 / ``remove_edge`` mutate the live views in place, duplicate adds and
 absent removes are no-ops, malformed ops reject *before* anything is
 applied (a failed batch leaves the graph untouched), and ``compact()``
-merges the CSR overlay back into pure sorted arrays without changing any
-observable topology.
+checkpoints the write stream (delta counter reset, fresh epoch) without
+changing any observable topology or moving any adjacency data.
 """
 
 from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.exceptions import GraphError
+from repro.graph.builder import GraphBuilder
+from repro.graph.csr import normalize_edges
 from repro.graph.labeled_graph import LabeledGraph, MutationSummary
-from tests.conftest import STORAGE_STATES, build_graph
+from tests.conftest import STORAGE_STATES, assert_arrays_match_rebuild, build_graph
 
 
 def small_graph(storage: str = "csr") -> LabeledGraph:
@@ -47,7 +48,7 @@ class TestEdgeMutations:
         assert g.num_edges == 6
         assert g.neighbors(0) == (1, 2, 4)  # stays sorted
         assert g.degree(0) == 3 and g.degree(2) == 3
-        assert int(g.backend.degree_array[0]) == 3
+        assert g.backend.degree_sequence()[0] == 3
 
     def test_duplicate_add_is_noop(self, storage):
         g = small_graph(storage)
@@ -156,18 +157,80 @@ class TestBatchMutate:
         assert g.has_edge(5, 1)
 
 
+class TestEndpointRule:
+    """One check (``csr.check_edge``) behind every way an edge arrives."""
+
+    ENTRY_POINTS = {
+        "constructor": lambda g, u, v: LabeledGraph(list(g.labels), [(0, 1), (u, v)]),
+        "normalize_edges": lambda g, u, v: normalize_edges(g.num_vertices, [(u, v)]),
+        "add_edge": lambda g, u, v: g.add_edge(u, v),
+        "remove_edge": lambda g, u, v: g.remove_edge(u, v),
+        "backend.add_edge": lambda g, u, v: g.backend.add_edge(u, v),
+        "mutate": lambda g, u, v: g.mutate([("add_edge", 0, 2), ("add_edge", u, v)]),
+        "builder": lambda g, u, v: builder_of(g).add_edge(u, v),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", [True, 0.0, 2.0, "2", None], ids=repr)
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_non_integer_endpoint_is_a_graph_error(self, entry, bad, slot):
+        g = small_graph()
+        g.index_cache()
+        reference, version = small_graph(), g.version
+        pair = (bad, 3) if slot == 0 else (3, bad)
+        with pytest.raises(GraphError, match="must be integers"):
+            self.ENTRY_POINTS[entry](g, *pair)
+        assert_topology_equal(g, reference)
+        assert g.version == version and g.backend.delta_size == 0
+        assert all(type(w) is int for v in g.vertices() for w in g.neighbors(v))
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_range_and_self_loop_diagnostics_are_shared(self, entry):
+        g = small_graph()
+        with pytest.raises(GraphError, match=r"\(1, 5\) references a vertex outside \[0, 5\)"):
+            self.ENTRY_POINTS[entry](g, 1, 5)
+        with pytest.raises(GraphError, match=r"\(-1, 2\) references a vertex outside"):
+            self.ENTRY_POINTS[entry](g, -1, 2)
+        with pytest.raises(GraphError, match=r"self-loop \(3, 3\)"):
+            self.ENTRY_POINTS[entry](g, 3, 3)
+        assert_topology_equal(g, small_graph())
+
+    def test_int_subclasses_still_pass(self):
+        import enum
+
+        class V(enum.IntEnum):
+            A = 0
+            C = 2
+
+        g = small_graph()
+        assert g.add_edge(V.A, V.C) is True and g.has_edge(0, 2)
+
+
+def builder_of(graph: LabeledGraph) -> GraphBuilder:
+    builder = GraphBuilder()
+    builder.add_vertices(graph.labels)
+    builder.add_edges(graph.edges())
+    return builder
+
+
 class TestCSROverlayAndCompaction:
     def test_overlay_tracks_touched_and_delta(self):
+        """There is no overlay to track: a write leaves rows, sets and
+        degrees live and one number behind — ``delta_size``, the edge ops
+        applied since the last compaction."""
         g = small_graph()
         b = g.backend
-        assert b.delta_size == 0 and not b.touched_vertices
+        assert b.delta_size == 0
         g.add_edge(0, 2)
         assert b.delta_size == 1
-        assert b.touched_vertices == {0, 2}
-        # Untouched rows still serve from the frozen base arrays.
-        base = b.neighbors_array(3)
-        assert isinstance(base, np.ndarray)
-        assert tuple(b.neighbors_array(0)) == (1, 2, 4)
+        assert b.neighbors(0) == (1, 2, 4) and b.neighbor_set(2) == {0, 1, 3}
+        assert g.add_edge(0, 2) is False and g.remove_edge(1, 3) is False
+        assert b.delta_size == 1  # no-ops consume no delta
+        g.add_vertex("z")
+        assert b.delta_size == 1  # the threshold counts edge ops
+        g.remove_edge(0, 2)
+        assert b.delta_size == 2  # a restored row is still two deltas
+        assert_arrays_match_rebuild(b)
 
     def test_compact_restores_pure_arrays(self):
         g = small_graph()
@@ -180,15 +243,18 @@ class TestCSROverlayAndCompaction:
         g.add_vertex("z")
         g.add_edge(5, 0)
         snapshot = LabeledGraph(list(g.labels), list(g.edges()))
-        g.compact()
         b = g.backend
-        assert b.delta_size == 0 and not b.touched_vertices
-        assert b.indptr.shape[0] == g.num_vertices + 1
-        assert b.indices.shape[0] == 2 * g.num_edges
+        before = assert_arrays_match_rebuild(b)
+        assert b.delta_size > 0
+        g.compact()
+        # Nothing to restore: the arrays a publication would write were a
+        # rebuild's before the compaction and are the same ones after it.
+        assert b.delta_size == 0
+        after = assert_arrays_match_rebuild(b)
+        assert all(after[f].tolist() == before[f].tolist() for f in before)
+        assert after["indptr"].shape[0] == g.num_vertices + 1
+        assert after["indices"].shape[0] == 2 * g.num_edges
         assert_topology_equal(g, snapshot)
-        # searchsorted membership works against the rebuilt arrays
-        for u, v in g.edges():
-            assert b.has_edge_searchsorted(u, v)
 
     def test_mutate_auto_compacts_at_threshold(self):
         g = small_graph()
@@ -196,6 +262,21 @@ class TestCSROverlayAndCompaction:
         summary = g.mutate(ops, compaction_threshold=3)
         assert summary.compacted is True
         assert g.backend.delta_size == 0
+
+    @pytest.mark.parametrize("threshold", [0, -1, 0.5, False])
+    def test_threshold_below_one_is_rejected_before_any_op(self, threshold):
+        g = small_graph()
+        g.index_cache()
+        g.add_edge(0, 2)
+        version, plans = g.version, g.index_cache().plan_cache
+        for ops in ([], [("add_edge", 1, 3)]):
+            with pytest.raises(GraphError, match="compaction_threshold must be >= 1"):
+                g.mutate(ops, compaction_threshold=threshold)
+        assert g.version == version and not g.has_edge(1, 3)
+        assert g.backend.delta_size == 1 and g.index_cache().plan_cache is plans
+        # None still disables, 1 still compacts on the first delta.
+        assert g.mutate([], compaction_threshold=None) == (0, False, version)
+        assert g.mutate([], compaction_threshold=1).compacted is True
 
 
 @pytest.mark.parametrize("storage", STORAGE_STATES)

@@ -2,9 +2,9 @@
 
 The contract under test: an attached graph is *equivalent* to the published
 one (same topology, labels, index-cache state, bit-identical query answers),
-its CSR arrays are zero-copy views over the shared segments, and the
-lifecycle fails loudly — stale epochs and unlinked segments raise typed
-errors instead of serving wrong answers.
+it is a private copy holding no mapping (attach = open, copy out, close),
+publishing is a read, and the lifecycle fails loudly — stale epochs and
+unlinked segments raise typed errors instead of serving wrong answers.
 """
 
 from __future__ import annotations
@@ -12,14 +12,16 @@ from __future__ import annotations
 import dataclasses
 import pickle
 
-import numpy as np
 import pytest
 
+import repro.graph.shared as shared
 from repro.core.dsql import DSQL
 from repro.exceptions import SharedMemoryError, StaleSegmentError
+from repro.graph.csr import CSRBackend
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.graph.shared import attach_graph, publish_graph
+from tests.conftest import resident_arrays
 
 K = 3
 
@@ -54,79 +56,92 @@ def published(source_graph):
     pub.unlink()
 
 
-class TestRoundTrip:
-    # Teardown discipline: extract plain-Python facts from the attached
-    # graph, drop every reference to it, then close the attachment —
-    # close() refuses (typed error) while views are still referenced.
+@pytest.fixture
+def opened(monkeypatch):
+    """Every ``SharedMemory`` handle ``repro.graph.shared`` opens from here on."""
+    handles = []
 
+    class Recording(shared.shared_memory.SharedMemory):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            handles.append(self)
+
+    monkeypatch.setattr(shared.shared_memory, "SharedMemory", Recording)
+    return handles
+
+
+class TestRoundTrip:
     def test_topology_and_labels_survive(self, source_graph, published):
-        attachment = attach_graph(published.descriptor)
-        got = attachment.graph
-        facts = {
-            "num_vertices": got.num_vertices,
-            "num_edges": got.num_edges,
-            "labels": list(got.labels),
-            "edges": list(got.edges()),
-            "neighbors": [got.neighbors(v) for v in got.vertices()],
-            "degrees": [got.degree(v) for v in got.vertices()],
-        }
-        del got
-        attachment.close()
-        assert facts["num_vertices"] == source_graph.num_vertices
-        assert facts["num_edges"] == source_graph.num_edges
-        assert facts["labels"] == list(source_graph.labels)
-        assert facts["edges"] == list(source_graph.edges())
-        assert facts["neighbors"] == [
-            source_graph.neighbors(v) for v in source_graph.vertices()
-        ]
-        assert facts["degrees"] == [
-            source_graph.degree(v) for v in source_graph.vertices()
-        ]
+        got = attach_graph(published.descriptor)
+        assert got.name == source_graph.name
+        assert got.num_vertices == source_graph.num_vertices
+        assert got.num_edges == source_graph.num_edges
+        assert list(got.labels) == list(source_graph.labels)
+        assert list(got.edges()) == list(source_graph.edges())
+        for v in source_graph.vertices():
+            assert got.neighbors(v) == source_graph.neighbors(v)
+            assert got.neighbor_set(v) == source_graph.neighbor_set(v)
+            assert got.degree(v) == source_graph.degree(v)
 
     def test_query_results_bit_identical(self, source_graph, published):
-        attachment = attach_graph(published.descriptor)
-        session = DSQL(attachment.graph, k=K)
-        shared = [r.to_dict() for r in session.query_many(_queries())]
-        del session
-        attachment.close()
+        session = DSQL(attach_graph(published.descriptor), k=K)
+        shared_results = [r.to_dict() for r in session.query_many(_queries())]
         serial = [r.to_dict() for r in DSQL(source_graph, k=K).query_many(_queries())]
-        assert shared == serial
+        assert shared_results == serial
 
-    def test_arrays_are_views_not_copies(self, published):
-        attachment = attach_graph(published.descriptor)
-        backend = attachment.graph.backend
-        # A zero-copy view has no owndata flag and is read-only; a
-        # silent copy would defeat the N-workers-one-graph point.
-        flags = [
-            (array.flags.owndata, array.flags.writeable)
-            for array in (backend.indptr, backend.indices, backend.label_ids)
-        ]
-        del backend
-        attachment.close()
-        assert all(flags_pair == (False, False) for flags_pair in flags)
+    def test_arrays_are_views_not_copies(self, published, opened):
+        """Was: the attached arrays alias the segments. Now the opposite
+        holds — the attached graph is plain-``int`` rows and sets, keeps no
+        array and no mapping: every handle attach opened is closed again by
+        the time it returns."""
+        got = attach_graph(published.descriptor)
+        assert len(opened) == 1 + len(shared.ARRAY_FIELDS)  # meta + arrays
+        assert all(handle.buf is None for handle in opened)
+        backend = got.backend
+        assert not resident_arrays(backend)
+        for v in got.vertices():
+            assert all(type(w) is int for w in got.neighbors(v))
+            assert all(type(w) is int for w in got.neighbor_set(v))
+        assert all(type(i) is int for i in backend.label_id_sequence())
+        assert got.index_cache().degree_array.flags.owndata
 
     def test_index_cache_preseeded_with_same_epoch(self, source_graph, published):
         cache = source_graph.index_cache()
-        attachment = attach_graph(published.descriptor)
-        got = attachment.graph.index_cache()
-        facts = {
-            "epoch": got.epoch,
-            "label_index": dict(got.label_index),
-            "signature_masks": list(got.signature_masks),
-        }
-        del got
-        attachment.close()
-        assert facts["epoch"] == cache.epoch == published.descriptor.epoch
-        assert facts["label_index"] == cache.label_index
-        assert facts["signature_masks"] == list(cache.signature_masks)
+        got = attach_graph(published.descriptor).index_cache()
+        assert got.epoch == cache.epoch == published.descriptor.epoch
+        assert got.label_index == cache.label_index
+        assert list(got.signature_masks) == list(cache.signature_masks)
 
     def test_nbytes_accounts_for_arrays(self, published):
-        backend = _graph().backend
-        floor = sum(
-            np.asarray(arr).nbytes
-            for arr in (backend.indptr, backend.indices, backend.label_ids)
+        arrays = _graph().backend.to_arrays()
+        assert sorted(arrays) == sorted(shared.ARRAY_FIELDS)
+        assert published.nbytes >= sum(array.nbytes for array in arrays.values())
+
+    def test_publishing_is_a_read(self, source_graph):
+        """A graph with pending deltas publishes where it stands: version,
+        plan cache and delta counter untouched, descriptor at delta_seq > 0,
+        and the attached copy is the live topology at that version."""
+        session = DSQL(source_graph, k=K)
+        session.query_many(_queries())
+        source_graph.mutate(
+            [("add_vertex", "a"), ("add_edge", 10, 4), ("remove_edge", 0, 9)],
+            compaction_threshold=None,
         )
-        assert published.nbytes >= floor
+        session.query_many(_queries())
+        plans = source_graph.index_cache().plan_cache
+        before = (source_graph.version, plans.info(), source_graph.backend.delta_size)
+        assert before[0][1] == 3 and before[1]["size"] > 0 and before[2] == 2
+        with publish_graph(source_graph) as pub:
+            assert (source_graph.version, plans.info(), source_graph.backend.delta_size) == before
+            assert source_graph.index_cache().plan_cache is plans
+            assert (pub.descriptor.epoch, pub.descriptor.delta_seq) == before[0]
+            got = attach_graph(pub.descriptor)
+        assert got.version == before[0]
+        assert list(got.edges()) == list(source_graph.edges())
+        assert list(got.labels) == list(source_graph.labels)
+        rebuilt = LabeledGraph(list(source_graph.labels), list(source_graph.edges()))
+        want = [r.to_dict() for r in DSQL(rebuilt, k=K).query_many(_queries())]
+        assert [r.to_dict() for r in DSQL(got, k=K).query_many(_queries())] == want
 
 
 class TestLifecycle:
@@ -138,15 +153,21 @@ class TestLifecycle:
         with pytest.raises(SharedMemoryError):
             attach_graph(descriptor)
 
-    def test_stale_epoch_raises(self, published):
+    def test_stale_epoch_raises(self, published, opened):
         forged = dataclasses.replace(
             published.descriptor, epoch=published.descriptor.epoch + 1
         )
         with pytest.raises(StaleSegmentError):
             attach_graph(forged)
+        assert opened and all(handle.buf is None for handle in opened)  # closed on failure too
 
     def test_stale_is_a_shared_memory_error(self):
         assert issubclass(StaleSegmentError, SharedMemoryError)
+
+    def test_old_format_is_refused(self, published, monkeypatch):
+        monkeypatch.setattr(shared, "SHARED_FORMAT_VERSION", 2)
+        with pytest.raises(SharedMemoryError, match="format 3 does not match"):
+            attach_graph(published.descriptor)
 
     def test_publish_close_unlink_idempotent(self):
         pub = publish_graph(_graph())
@@ -155,37 +176,61 @@ class TestLifecycle:
         pub.unlink()
         pub.unlink()
 
-    def test_close_with_live_views_raises_typed_error(self, published):
-        attachment = attach_graph(published.descriptor)
-        backend = attachment.graph.backend
-        indptr = backend.indptr  # keep a live view across the close
-        with pytest.raises(SharedMemoryError):
-            attachment.close()
-        # After the caller drops its views, the same close succeeds.
-        del backend, indptr
-        attachment.close()
+    def test_close_with_live_views_raises_typed_error(self, published, monkeypatch):
+        """Was: ``AttachedGraph.close()`` refuses while views are alive.
+        There is no attachment to close; the same fault — a view of a
+        segment outliving the copy — now fails the attach itself instead of
+        returning a graph with a mapping pinned behind it."""
+        kept = []
+        real = CSRBackend.from_arrays.__func__
 
-    def test_attachment_close_idempotent(self, published):
-        attachment = attach_graph(published.descriptor)
-        attachment.close()
-        attachment.close()
-        assert attachment.graph is None
+        def adopting(cls, indptr, indices, label_ids, label_table):
+            kept.append(indices)  # what the old from_arrays did
+            return real(cls, indptr, indices, label_ids, label_table)
+
+        monkeypatch.setattr(CSRBackend, "from_arrays", classmethod(adopting))
+        with pytest.raises(SharedMemoryError, match="views over them are still alive") as failure:
+            attach_graph(published.descriptor)
+        # The offender's view is intact (the mapping was not pulled from
+        # under it); the handles — alive in the failure's traceback — close
+        # once the view is dropped, and attach works again when nothing adopts.
+        assert kept[0].tolist() == _graph().backend.to_arrays()["indices"].tolist()
+        kept.clear()
+        del failure
+        monkeypatch.undo()
+        assert attach_graph(published.descriptor).num_edges == _graph().num_edges
+
+    def test_attachment_close_idempotent(self, source_graph, published):
+        """Was: closing an attachment twice is harmless. With nothing to
+        close, what remains to pin is that two attaches of one descriptor
+        are independent copies."""
+        first = attach_graph(published.descriptor)
+        second = attach_graph(published.descriptor)
+        assert first is not second and first.backend is not second.backend
+        first.add_edge(0, 5)
+        first.add_vertex("z")
+        first.compact()
+        assert not second.has_edge(0, 5) and not source_graph.has_edge(0, 5)
+        assert second.num_vertices == source_graph.num_vertices
+        assert second.version == source_graph.version != first.version
+        assert list(attach_graph(published.descriptor).edges()) == list(source_graph.edges())
 
     def test_unlink_while_attached_keeps_mapping_alive(self):
-        # POSIX shm: the attached mapping outlives the name. This is what
-        # lets the worker pool unlink eagerly at close() without waiting
-        # for every worker to drop its mapping first.
+        """Was: POSIX keeps an attached mapping alive past the unlink. The
+        attached graph needs no such grace: it holds no mapping, so the
+        publisher may close and unlink the moment ``attach_graph`` returns
+        — which is what lets the worker pool unlink eagerly at close()."""
         graph = _graph()
         pub = publish_graph(graph)
-        attachment = attach_graph(pub.descriptor)
+        attached = attach_graph(pub.descriptor)
         pub.close()
         pub.unlink()
-        try:
-            result = DSQL(attachment.graph, k=K).query(_queries()[0])
-            reference = DSQL(graph, k=K).query(_queries()[0])
-            assert result.to_dict() == reference.to_dict()
-        finally:
-            attachment.close()
+        with pytest.raises(SharedMemoryError):
+            attach_graph(pub.descriptor)
+        result = DSQL(attached, k=K).query(_queries()[0])
+        reference = DSQL(graph, k=K).query(_queries()[0])
+        assert result.to_dict() == reference.to_dict()
+        assert attached.add_edge(0, 5) and attached.has_edge(5, 0)  # and is writable
 
     def test_republish_same_graph_keeps_epoch_changes_token(self, source_graph, published):
         # Segment names must never collide across publications, but the
@@ -201,16 +246,14 @@ class TestLifecycle:
 
 
 def _attach_probe(descriptor_path: str) -> None:
-    """Spawn-context child body: attach, sanity-check, close, exit 0."""
+    """Spawn-context child body: attach, sanity-check, exit 0."""
     import pickle as _pickle
 
     from repro.graph.shared import attach_graph as _attach
 
     with open(descriptor_path, "rb") as fh:
         descriptor = _pickle.load(fh)
-    attachment = _attach(descriptor)
-    assert attachment.graph.num_vertices > 0
-    attachment.close()
+    assert _attach(descriptor).num_vertices > 0
 
 
 class TestForeignTrackerSurvival:
@@ -224,11 +267,7 @@ class TestForeignTrackerSurvival:
     """
 
     def _assert_still_attachable(self, source_graph, published):
-        attachment = attach_graph(published.descriptor)
-        try:
-            assert attachment.graph.num_edges == source_graph.num_edges
-        finally:
-            attachment.close()
+        assert attach_graph(published.descriptor).num_edges == source_graph.num_edges
 
     def test_segments_survive_spawn_worker_exit(
         self, source_graph, published, tmp_path
@@ -266,9 +305,7 @@ class TestForeignTrackerSurvival:
                 "from repro.graph.shared import attach_graph",
                 "with open(sys.argv[1], 'rb') as fh:",
                 "    descriptor = pickle.load(fh)",
-                "attachment = attach_graph(descriptor)",
-                "assert attachment.graph.num_vertices > 0",
-                "attachment.close()",
+                "assert attach_graph(descriptor).num_vertices > 0",
                 "tracker = getattr(resource_tracker, '_resource_tracker', None)",
                 "if tracker is not None and getattr(tracker, '_fd', None) is not None:",
                 "    tracker._stop()",

@@ -2,10 +2,12 @@
 
 Workers attached to a published graph may lag the parent by delta
 mutations (they catch up by replaying the ops tail shipped with each
-chunk) but can never survive a *compaction*: the parent's arrays were
-rebuilt, the worker's segment snapshot is of a dead epoch, and the only
-acceptable outcome is :class:`~repro.exceptions.StaleSegmentError` — a
-wrong answer computed from the old topology is the one forbidden result.
+chunk) but can never survive a *compaction*: the parent's mutation log
+restarted, the worker's copy is of a dead epoch with no tail to replay,
+and the only acceptable outcome is
+:class:`~repro.exceptions.StaleSegmentError` — a wrong answer computed from
+the old topology is the one forbidden result. Publishing itself is a read:
+it happens wherever in an epoch the graph stands and moves nothing.
 """
 
 from __future__ import annotations
@@ -63,22 +65,62 @@ class TestWorkerCatchUp:
             }
 
     def test_publish_compacts_dirty_overlay(self):
-        graph, _ = _workload()
+        """The opposite of its name (id kept): publishing a graph with
+        pending deltas is a read. Version, plan cache and delta counter are
+        left as found, the descriptor carries ``delta_seq > 0``, and the
+        attached copy has the live topology at exactly that version."""
+        graph, queries = _workload()
+        session = DSQL(graph, config=DSQLConfig(k=K))
         u, v = _absent_pair(graph)
-        graph.add_edge(u, v)
-        assert graph.backend.delta_size == 1
-        published = publish_graph(graph)
-        try:
-            # Publication is a compaction point: the overlay was merged so
-            # the published arrays carry the live topology.
-            assert graph.backend.delta_size == 0
-            attachment = attach_graph(published.descriptor)
-            assert attachment.graph.has_edge(u, v)
-            assert attachment.graph.num_edges == graph.num_edges
-            attachment.close()
-        finally:
-            published.close()
-            published.unlink()
+        graph.mutate([("add_edge", u, v)], compaction_threshold=None)
+        session.query_many(queries)
+        plans = graph.index_cache().plan_cache
+        before = (graph.version, plans.info()["size"], graph.backend.delta_size)
+        assert before[0][1] == 1 and before[1] > 0 and before[2] == 1
+        with publish_graph(graph) as published:
+            assert (graph.version, plans.info()["size"], graph.backend.delta_size) == before
+            assert graph.index_cache().plan_cache is plans
+            descriptor = published.descriptor
+            assert (descriptor.epoch, descriptor.delta_seq) == before[0]
+            attached = attach_graph(descriptor)
+        assert attached.version == before[0]
+        assert attached.has_edge(u, v)
+        assert list(attached.edges()) == list(graph.edges())
+
+    def test_process_batches_between_writes_move_nothing(self):
+        """write → process batch → write → process batch: the pool is built
+        on a dirty graph, the second write reaches its workers by replay."""
+        graph, queries = _workload()
+        config = DSQLConfig(k=K)
+        session = DSQL(graph, config=config)
+        session.query_many(queries)
+
+        def reference():
+            rebuilt = LabeledGraph(list(graph.labels), list(graph.edges()))
+            return [r.to_dict() for r in DSQL(rebuilt, config=config).query_many(queries)]
+
+        epoch = graph.version[0]
+        u, v = _absent_pair(graph)
+        with BatchExecutor(session, strategy="process", jobs=2) as executor:
+            graph.mutate([("add_vertex", "zz"), ("add_edge", u, v)], compaction_threshold=None)
+            plans = graph.index_cache().plan_cache
+            state = (graph.version, plans.info()["size"], graph.backend.delta_size)
+            assert state[0] == (epoch, 2)
+            first = executor.run(queries)
+            pool = executor.pool
+            assert pool is not None and pool.descriptor.delta_seq == 2
+            assert (graph.version, graph.backend.delta_size) == (state[0], state[2])
+            assert plans.info()["size"] >= state[1] and graph.index_cache().plan_cache is plans
+            assert [r.to_dict() for r in first] == reference()
+            assert executor.last_report.chunks_retried == 0
+
+            graph.mutate([("remove_edge", u, v)], compaction_threshold=None)
+            assert graph.version == (epoch, 3)
+            second = executor.run(queries)
+            assert executor.pool is pool and not pool.stale  # same workers, caught up by replay
+            assert graph.version == (epoch, 3)
+            assert [r.to_dict() for r in second] == reference()
+            assert executor.last_report.chunks_retried == 0
 
 
 class TestCompactionStaleness:

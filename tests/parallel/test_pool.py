@@ -67,9 +67,7 @@ class TestWorkerPool:
     def test_descriptor_is_attachable_while_pool_lives(self):
         graph, _ = _workload("dblp")
         with WorkerPool(graph, DSQLConfig(k=K), jobs=1) as pool:
-            attachment = attach_graph(pool.descriptor)
-            assert attachment.graph.num_edges == graph.num_edges
-            attachment.close()
+            assert attach_graph(pool.descriptor).num_edges == graph.num_edges
             assert pool.shared_nbytes > 0
 
     def test_close_unlinks_segments(self):

@@ -2,13 +2,13 @@
 
 1. **A second opinion** — :class:`~repro.graph.csr.CSRBackend` against a
    ``networkx.Graph`` model under random build → mutate → compact scripts:
-   the tuple/set views, the pure-array probes, the rows ``neighbors_array``
-   serves under a dirty overlay, and the ``indptr``/``indices`` rows a
-   compaction writes must all describe the model's graph.
+   after every step the tuple/set views, the CSR arrays ``to_arrays()``
+   would publish (≡ a from-scratch rebuild's) and the backend
+   ``from_arrays`` reads back from them must all describe the model's graph.
 
-2. **Where the rows live changes nothing** — two ``CSRBackend`` instances
-   holding the same graph in opposite storage states (``csr``: frozen array
-   base; ``set``: the mutation overlay's row sets — see
+2. **How the graph got there changes nothing** — two ``CSRBackend``
+   instances holding the same graph by opposite routes (``csr``: built in
+   bulk; ``set``: grown edge by edge — see
    ``tests/conftest.py::STORAGE_STATES``), plus a third re-attached from
    the first one's arrays the way a pool worker gets its graph, must give
    identical structure and bit-identical DSQL results. This is the contract
@@ -18,7 +18,6 @@
 from __future__ import annotations
 
 import networkx as nx
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +28,7 @@ from repro.datasets.registry import dataset_names, make_dataset
 from repro.graph.csr import CSRBackend
 from repro.graph.labeled_graph import LabeledGraph
 from repro.queries.generator import query_set
-from tests.conftest import in_storage_state
+from tests.conftest import assert_arrays_match_rebuild, in_storage_state
 from tests.property.test_mutation_equivalence import assert_results_identical
 from tests.property.test_plan_equivalence import instances
 
@@ -43,19 +42,22 @@ def assert_matches_model(backend: CSRBackend, model: nx.Graph) -> None:
     assert backend.num_edges == model.number_of_edges()
     assert list(backend.edges()) == sorted(tuple(sorted(e)) for e in model.edges())
     assert backend.degree_sequence() == [model.degree(v) for v in range(n)]
-    assert list(backend.degree_array) == backend.degree_sequence()
     for u in range(n):
         row = sorted(model[u])
         assert list(backend.neighbors(u)) == row
+        assert backend.neighbor_set(u) == set(row)
         assert backend.degree(u) == len(row)
-        # Under a dirty overlay the array accessor must serve the live row.
-        assert list(backend.neighbors_array(u)) == row
         for v in range(n):
-            want = model.has_edge(u, v)
-            assert backend.has_edge(u, v) == want
-            assert backend.has_edge_searchsorted(u, v) == want
-        if n:
-            assert list(backend.has_edges(u, np.arange(n))) == [v in model[u] for v in range(n)]
+            assert backend.has_edge(u, v) == model.has_edge(u, v)
+
+
+def check_step(backend: CSRBackend, model: nx.Graph) -> None:
+    """The live views, and the round trip through the publication format."""
+    assert_matches_model(backend, model)
+    arrays = assert_arrays_match_rebuild(backend)
+    twin = CSRBackend.from_arrays(**arrays, label_table=backend.label_table)
+    assert_matches_model(twin, model)
+    assert twin.labels == backend.labels and twin.label_to_id == backend.label_to_id
 
 
 vertex_pairs = st.tuples(st.integers(0, 40), st.integers(0, 40))
@@ -84,7 +86,7 @@ def test_storage_matches_networkx_model(labels, initial, script):
     model = nx.Graph()
     model.add_nodes_from(range(n))
     model.add_edges_from(built)
-    assert_matches_model(backend, model)
+    check_step(backend, model)
     for kind, arg in script:
         n = model.number_of_nodes()
         if kind == "add_vertex":
@@ -93,10 +95,7 @@ def test_storage_matches_networkx_model(labels, initial, script):
             assert backend.label(n) == arg
         elif kind == "compact":
             backend.compact()
-            assert backend.delta_size == 0 and not backend.touched_vertices
-            for v in range(n):
-                row = backend.indices[backend.indptr[v] : backend.indptr[v + 1]]
-                assert list(row) == sorted(model[v])
+            assert backend.delta_size == 0
         else:
             u, v = pair(arg, n)
             if u == v:
@@ -108,16 +107,16 @@ def test_storage_matches_networkx_model(labels, initial, script):
                 assert backend.remove_edge(u, v) == model.has_edge(u, v)
                 if model.has_edge(u, v):
                     model.remove_edge(u, v)
-        assert_matches_model(backend, model)
+        check_step(backend, model)
 
 
 # ----------------------------------------------------------------------
-# 2. Frozen base vs overlay-resident vs re-attached arrays
+# 2. Built vs grown vs read back from published arrays
 # ----------------------------------------------------------------------
 def reattached(graph: LabeledGraph) -> LabeledGraph:
-    """``graph`` rebuilt around its own arrays — the shared-memory attach route."""
+    """``graph`` read back from its own arrays — the shared-memory attach route."""
     b = graph.backend
-    twin = CSRBackend.from_arrays(b.indptr, b.indices, b.label_ids, b.label_table, b.degree_array)
+    twin = CSRBackend.from_arrays(**b.to_arrays(), label_table=b.label_table)
     return LabeledGraph.from_backend(twin, name=graph.name)
 
 

@@ -11,6 +11,7 @@ half-applied one.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -30,7 +31,7 @@ from repro.service import (
 )
 from repro.service.client import ServiceClientError
 
-from .conftest import DEFAULT_K, tiny_graph
+from .conftest import DEFAULT_K, tiny_graph, tiny_queries
 
 
 def _absent_pair(graph):
@@ -206,3 +207,98 @@ class TestConcurrentReadersWriter:
             if got != before[i] and got != after[i]
         ]
         assert not bad, bad[:3]
+
+
+class TestPublicationIsARead:
+    """A ``strategy="process"`` batch publishes the graph under the entry's
+    *read* lock, beside in-flight point queries — so publishing a graph
+    with pending deltas must move nothing those queries can see."""
+
+    @staticmethod
+    def _dirty_entry():
+        catalog = GraphCatalog(default_config=DSQLConfig(k=DEFAULT_K))
+        entry = catalog.add_graph("tiny", tiny_graph(), source="fixture")
+        u, v = _absent_pair(entry.graph)
+        entry.mutate([("add_edge", u, v), ("add_vertex", "Z9")], compaction_threshold=None)
+        return entry, (u, v)
+
+    @staticmethod
+    def _rebuilt_answers(entry, queries):
+        graph = entry.graph
+        rebuilt = LabeledGraph(list(graph.labels), list(graph.edges()))
+        reference = DSQL(rebuilt, config=entry.default_config)
+        return [r.to_dict() for r in reference.query_many(queries)]
+
+    def test_process_batch_on_a_dirty_graph_moves_nothing(self):
+        entry, (u, v) = self._dirty_entry()
+        graph, queries = entry.graph, tiny_queries(count=4, seed=31)
+        try:
+            for query in tiny_queries(count=3, seed=32):
+                entry.answer(query)  # plans worth keeping
+            plans = graph.index_cache().plan_cache
+            version, size, deltas = graph.version, plans.info()["size"], graph.backend.delta_size
+            assert version[1] == 2 and size > 0 and deltas == 1
+
+            results, report = entry.answer_batch(queries, strategy="process", jobs=2)
+            assert (graph.version, graph.backend.delta_size) == (version, deltas)
+            assert graph.index_cache().plan_cache is plans and plans.info()["size"] >= size
+            assert report.strategy == "process" and report.chunks_retried == 0
+            assert [r.to_dict() for r in results] == self._rebuilt_answers(entry, queries)
+            executor = next(iter(entry._executors.values()))
+            assert executor.pool.descriptor.delta_seq == 2
+
+            # A later write reaches the same workers by replay.
+            summary = entry.mutate([("remove_edge", u, v)], compaction_threshold=None)
+            assert summary == (1, False, (version[0], 3))
+            results, report = entry.answer_batch(queries, strategy="process", jobs=2)
+            assert report.chunks_retried == 0 and not executor.pool.stale
+            assert graph.version == (version[0], 3)
+            assert [r.to_dict() for r in results] == self._rebuilt_answers(entry, queries)
+        finally:
+            entry.close()
+
+    def test_point_queries_beside_a_publishing_batch_see_one_version(self):
+        entry, _ = self._dirty_entry()
+        graph = entry.graph
+        batch = tiny_queries(count=4, seed=33)
+        points = tiny_queries(count=24, seed=34)
+        version = graph.version
+        plans = graph.index_cache().plan_cache
+        seen, errors = [], []
+        started, done = threading.Barrier(4), threading.Event()
+
+        def reader(tid):
+            try:
+                started.wait(timeout=30)
+                # Distinct queries per thread: misses, so the search itself
+                # (not a memo hit) runs beside the publication.
+                for query in points[tid::3] * 4:
+                    before = graph.version
+                    result = entry.answer(query)
+                    seen.append((before, graph.version, graph.index_cache().plan_cache is plans))
+                    assert result.embeddings is not None
+                    if done.is_set():
+                        break
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append((tid, repr(exc)))
+
+        threads = [threading.Thread(target=reader, args=(t,)) for t in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for thread in threads:
+                thread.start()
+            started.wait(timeout=30)
+            results, report = entry.answer_batch(batch, strategy="process", jobs=2)
+        finally:
+            done.set()
+            for thread in threads:
+                thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+            alive = [thread.name for thread in threads if thread.is_alive()]
+            entry.close()
+        assert not alive and not errors, (alive, errors)
+        assert report.chunks_retried == 0
+        assert [r.to_dict() for r in results] == self._rebuilt_answers(entry, batch)
+        assert len(seen) >= 3 and set(seen) == {(version, version, True)}
+        assert graph.version == version and graph.backend.delta_size == 1

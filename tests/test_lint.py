@@ -231,17 +231,21 @@ def test_docs_gate_covers_performance_doc():
 FORK_MARKERS = ("use_plans", "no-plan-cache", "plan is None", "plan is not None")
 
 
-def fork_offenders(markers, extra_paths=()):
-    """``path: marker`` for every marker found in shipped code and docs."""
-    scanned = [REPO / "README.md", *extra_paths]
-    for tree, pattern in (
-        ("src", "*.py"), ("docs", "*.md"), ("benchmarks", "*.py"), ("examples", "*.py"),
-    ):
-        scanned += sorted((REPO / tree).rglob(pattern))
+def fork_offenders(markers, extra_paths=(), sources=None):
+    """``path: marker`` for every marker found in shipped code and docs — or,
+    given ``sources`` (``{path: text}``), in exactly those texts."""
+    if sources is None:
+        scanned = [REPO / "README.md", *extra_paths]
+        for tree, pattern in (
+            ("src", "*.py"), ("docs", "*.md"), ("benchmarks", "*.py"), ("examples", "*.py"),
+        ):
+            scanned += sorted((REPO / tree).rglob(pattern))
+        sources = {
+            str(path.relative_to(REPO)): path.read_text(encoding="utf-8") for path in scanned
+        }
     return [
-        f"{path.relative_to(REPO)}: {marker!r}"
-        for path in scanned
-        for text in [path.read_text(encoding="utf-8")]
+        f"{path}: {marker!r}"
+        for path, text in sources.items()
         for marker in markers
         if marker in text
     ]
@@ -458,3 +462,68 @@ def test_localization_stays_in_one_place():
     offenders = fork_offenders(("def restricted", ".restricted("))
     assert not offenders, offenders
     assert len(dataclasses.fields(DSQLConfig)) == 20
+
+
+# ----------------------------------------------------------------------
+# Fork guard: no resident array copy of the adjacency. CSR is the
+# publication format — spelled by ``CSRBackend.to_arrays`` /
+# ``from_arrays`` and ``graph/shared.py``, nowhere else in src/ — and the
+# storage holds exactly the views the engine reads.
+# ----------------------------------------------------------------------
+ARRAY_BASE_MARKERS = (
+    "indptr",
+    "indices",
+    "neighbors_array",
+    "has_edges",
+    "has_edge_searchsorted",
+    "touched_vertices",
+    "searchsorted",
+    "AttachedGraph",
+)
+STORAGE_SLOTS = sorted((
+    "labels", "num_edges", "label_table", "label_to_id",
+    "_n", "_rows", "_degrees", "_sets", "_label_id_list", "_delta_edges",
+))
+
+
+def outside_the_format_pair(csr_text: str) -> str:
+    """``graph/csr.py`` with ``CSRBackend.to_arrays`` / ``from_arrays`` cut out."""
+    lines = csr_text.splitlines()
+    (cls,) = [
+        node for node in ast.parse(csr_text).body
+        if isinstance(node, ast.ClassDef) and node.name == "CSRBackend"
+    ]
+    pair = [
+        node for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name in ("to_arrays", "from_arrays")
+    ]
+    assert len(pair) == 2
+    for node in pair:
+        lines[node.lineno - 1 : node.end_lineno] = [""] * (node.end_lineno - node.lineno + 1)
+    return "\n".join(lines)
+
+
+def test_array_base_stays_deleted():
+    from repro.graph.csr import CSRBackend
+
+    package = REPO / "src" / "repro"
+    sources = {
+        str(p.relative_to(package)): p.read_text(encoding="utf-8") for p in package.rglob("*.py")
+    }
+    numpy_importers = sorted(
+        path for path, text in sources.items()
+        if path.startswith("graph/") and re.search(r"^\s*(import|from) numpy\b", text, re.M)
+    )
+    assert numpy_importers == ["graph/csr.py", "graph/shared.py"]
+    assert sorted(CSRBackend.__slots__) == STORAGE_SLOTS
+    del sources["graph/shared.py"]
+    csr_text = sources["graph/csr.py"]
+    sources["graph/csr.py"] = outside_the_format_pair(csr_text)
+    offenders = fork_offenders(ARRAY_BASE_MARKERS, sources=sources)
+    assert not offenders, offenders
+    # The pass sees the array base pasted back into the constructor.
+    anchor = "        self.num_edges = len(pairs)\n"
+    assert csr_text.count(anchor) == 1
+    mutant = csr_text.replace(anchor, anchor + "        self.indices = np.empty(0, dtype=np.int32)\n")
+    mutant_sources = {"graph/csr.py": outside_the_format_pair(mutant)}
+    assert fork_offenders(ARRAY_BASE_MARKERS, sources=mutant_sources) == ["graph/csr.py: 'indices'"]
