@@ -120,8 +120,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="pre-forked worker processes sharing the port via SO_REUSEPORT "
-        "and the graphs via shared memory (1 = single-process server)",
+        help="pre-forked worker processes sharing the port via SO_REUSEPORT, "
+        "each started with the loaded graphs (1 = single-process server)",
     )
     v.add_argument("--k", type=int, default=10, help="default top-k when a request omits k")
     v.add_argument(

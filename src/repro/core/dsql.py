@@ -36,7 +36,6 @@ The default ``vertex`` objective is bit-identical to the pre-seam dispatch.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import logging
 import time
@@ -395,7 +394,7 @@ class DSQL:
             result = compute()
             # The cached entry owns a private stats copy: the object
             # returned to the caller shares nothing mutable with the memo.
-            cache[key] = replace(result, stats=copy.deepcopy(result.stats))
+            cache[key] = replace(result, stats=result.stats.copy())
             if cap is not None and len(cache) > cap:
                 cache.popitem(last=False)
             return result
@@ -404,7 +403,7 @@ class DSQL:
         if instr is not None:
             instr.metrics.counter("cache.query.hit").inc()
             instr.point("memo.lookup", hit=True)
-        return replace(result, from_cache=True, stats=copy.deepcopy(result.stats))
+        return replace(result, from_cache=True, stats=result.stats.copy())
 
 
 def diversified_search(

@@ -45,6 +45,15 @@ class SearchStats:
         self.embeddings_found += 1
         self.per_level_added[level] = self.per_level_added.get(level, 0) + 1
 
+    def copy(self) -> "SearchStats":
+        """An independent copy: every counter, and a ``per_level_added`` of
+        its own — the one mutable field, so the two share nothing a caller
+        can change. What the session memo stores and hands out on a hit."""
+        twin = object.__new__(SearchStats)
+        twin.__dict__.update(self.__dict__)
+        twin.per_level_added = dict(self.per_level_added)
+        return twin
+
     def snapshot(self) -> Dict[str, object]:
         """Plain-dict copy of every counter (JSON-serializable).
 

@@ -73,20 +73,13 @@ class DeadlineExceeded(BudgetExceeded):
     """
 
 
-class SharedMemoryError(ReproError):
-    """Raised when publishing or attaching shared graph segments fails.
+class StaleSegmentError(ReproError):
+    """Raised when a pool worker cannot reach the parent graph's version.
 
-    Covers the whole segment lifecycle: a publish that cannot allocate its
-    blocks, an attach naming segments that were never published (or already
-    unlinked), and an attach after the local handle was closed.
-    """
-
-
-class StaleSegmentError(SharedMemoryError):
-    """Raised when a descriptor's epoch does not match the published segments.
-
-    Segment names are reused only through re-publication, which bumps the
-    epoch stamped inside the meta block; a descriptor from the previous
-    generation therefore fails loudly here instead of silently attaching a
-    different graph.
+    A worker process holds its own copy of the graph at some
+    ``(epoch, delta_seq)`` and catches up by replaying the parent's mutation
+    log. Across a compaction (a new epoch, the log gone), a gap in the log
+    or an op that does not re-apply, there is nothing left to replay: the
+    copy is stale, and this is raised instead of answering from it. The name
+    is from the shared-memory segments such copies once came out of.
     """

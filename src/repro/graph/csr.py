@@ -1,4 +1,4 @@
-"""Storage for labeled graphs: the two views the engine reads, and CSR to publish.
+"""Storage for labeled graphs: the two views the engine reads.
 
 :class:`CSRBackend` owns the topology and label storage of one labeled
 graph; :class:`~repro.graph.labeled_graph.LabeledGraph` keeps its public API
@@ -13,12 +13,12 @@ and delegates every storage question here. It holds exactly what is read:
 :meth:`~CSRBackend.add_vertex`, :meth:`~CSRBackend.add_edge` and
 :meth:`~CSRBackend.remove_edge` update those views in place, so a graph that
 was built and a graph that was grown to the same edges are the same object
-state. There is no second, array-shaped copy of the adjacency to keep in
-step: compressed sparse row is the **publication format**, written by
-:meth:`~CSRBackend.to_arrays` (flattened from the live rows on demand) and
-read back by :meth:`~CSRBackend.from_arrays` — the pair
-:mod:`repro.graph.shared` ships through shared memory. It is a class because
-it hides that format and the view bookkeeping behind one set of accessors.
+state. There is no second, array-shaped copy of the adjacency, resident or
+on demand: the storage is plain Python objects holding no lock, so it
+crosses a process boundary as it is — inherited by a forked worker, pickled
+for a spawned one (:mod:`repro.parallel.pool`). The class keeps the name of
+the compressed-sparse-row arrays it once held; it is a class because it
+hides the view bookkeeping behind one set of accessors.
 
 Accessor semantics:
 
@@ -27,8 +27,8 @@ Accessor semantics:
 * ``neighbor_set(v)`` returns the same vertices as the storage's own hash
   set, for C-level intersection (the localized search of Section 5.1);
 * ``has_edge(u, v)`` is an O(1) expected probe through the per-vertex hash
-  sets (a binary search in an array row pays ~20x Python/numpy call overhead
-  for a single lookup);
+  sets (a binary search in a sorted row pays ~20x call overhead for a
+  single lookup);
 * labels are interned into ``label_table`` / ``label_to_id`` in
   first-appearance order, the id space the per-graph index cache keys its
   signature bitmasks by; ``label_id_sequence()`` is the per-vertex id list.
@@ -37,10 +37,7 @@ Accessor semantics:
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain
 from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Set, Tuple
-
-import numpy as np
 
 from repro.exceptions import GraphError
 
@@ -150,7 +147,7 @@ class CSRBackend:
     Mutations (:meth:`add_vertex` / :meth:`add_edge` / :meth:`remove_edge`)
     update the rows, sets and degrees in place; :attr:`delta_size` counts
     the edge ops applied since the last :meth:`compact`, which is all the
-    bookkeeping a write leaves behind. No numpy array is held between calls.
+    bookkeeping a write leaves behind.
     """
 
     __slots__ = (
@@ -172,69 +169,12 @@ class CSRBackend:
         pairs = normalize_edges(n, edges)
         self.num_edges = len(pairs)
         self.label_table, self.label_to_id, self._label_id_list = intern_labels(self.labels)
-        self._set_rows(_sorted_rows(n, pairs))
-
-    def _set_rows(self, rows: List[Tuple[int, ...]]) -> None:
-        """Install ``rows`` as a fresh adjacency: degrees, sets, no deltas yet."""
-        self._rows = rows
+        rows = self._rows = _sorted_rows(n, pairs)
         self._degrees = [len(r) for r in rows]
         # Per-vertex membership sets for the scalar probe and the C-level
         # intersections of the localized search.
         self._sets: List[Set[int]] = [set(r) for r in rows]
         self._delta_edges = 0
-
-    # ------------------------------------------------------------------
-    # CSR: the publication format
-    # ------------------------------------------------------------------
-    def to_arrays(self) -> Dict[str, np.ndarray]:
-        """The live graph as compressed sparse row, freshly flattened.
-
-        ``indices[indptr[v]:indptr[v + 1]]`` is the sorted neighbor row of
-        ``v`` (``indptr`` the cumulative degrees, ``int64``; ``indices``
-        ``int32`` while vertex ids fit) and ``label_ids[v]`` indexes
-        ``label_table``. The arrays are new on every call and describe the
-        graph as it is now, pending deltas included; nothing keeps them in
-        step afterwards. One O(|V| + |E|) pass.
-        """
-        n = self._n
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(self._degrees, out=indptr[1:])
-        index_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-        indices = np.fromiter(
-            chain.from_iterable(self._rows), dtype=index_dtype, count=2 * self.num_edges
-        )
-        label_ids = np.asarray(self._label_id_list, dtype=np.int32)
-        return {"indptr": indptr, "indices": indices, "label_ids": label_ids}
-
-    @classmethod
-    def from_arrays(
-        cls,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        label_ids: np.ndarray,
-        label_table: Sequence[Label],
-    ) -> "CSRBackend":
-        """A backend holding the graph :meth:`to_arrays` described.
-
-        The attach half of the shared-memory round trip (see
-        :mod:`repro.graph.shared`). Every element is copied out into plain
-        Python ints — nothing of the arrays is kept, so the caller may unmap
-        them the moment this returns — without renormalizing: the arrays
-        must satisfy :meth:`to_arrays`' invariants (sorted rows, each edge
-        stored in both directions), which that method guarantees by
-        construction. One O(|V| + |E|) pass per attaching process.
-        """
-        backend = cls.__new__(cls)
-        ids = backend._label_id_list = label_ids.tolist()
-        n = backend._n = len(ids)
-        table = backend.label_table = list(label_table)
-        backend.label_to_id = {lab: i for i, lab in enumerate(table)}
-        backend.labels = [table[i] for i in ids]
-        backend.num_edges = len(indices) // 2
-        bounds = indptr.tolist()
-        flat = indices.tolist()
-        backend._set_rows([tuple(flat[bounds[v] : bounds[v + 1]]) for v in range(n)])
-        return backend
 
     # ------------------------------------------------------------------
     @property
@@ -344,7 +284,7 @@ class CSRBackend:
 
         Rows, sets and degrees are already the live graph — there is
         nothing to merge. What a compaction *means* (a new epoch, an empty
-        mutation log, a fresh publication generation) lives in
+        mutation log, worker pools to rebuild) lives in
         :meth:`LabeledGraph.compact() <repro.graph.labeled_graph.
         LabeledGraph.compact>`.
         """

@@ -56,10 +56,10 @@ Edge = Tuple[int, int]
 
 DEFAULT_COMPACTION_THRESHOLD = 4096
 """Edge deltas applied before :meth:`LabeledGraph.mutate` auto-compacts.
-Compaction bounds the mutation log that shared-memory workers replay, at the
-price of a fresh cache epoch (compiled plans dropped, publications stale),
-so it is deliberately infrequent; explicit :meth:`LabeledGraph.compact` is
-always available."""
+Compaction bounds the mutation log that pool workers replay, at the price of
+a fresh cache epoch (compiled plans dropped, worker pools rebuilt), so it is
+deliberately infrequent; explicit :meth:`LabeledGraph.compact` is always
+available."""
 
 
 class MutationSummary(NamedTuple):
@@ -139,10 +139,11 @@ class LabeledGraph:
     def from_backend(cls, backend: CSRBackend, name: str = "") -> "LabeledGraph":
         """Wrap an already-constructed backend without renormalizing edges.
 
-        Used by the shared-memory attach path (:mod:`repro.graph.shared`),
-        where the backend was read back from published CSR arrays whose rows
-        are already sorted and symmetric. The backend is adopted as-is;
-        callers are responsible for its invariants.
+        Used by :func:`repro.parallel.pool.worker_graph`, where the backend
+        is the storage a worker process was started with — inherited or
+        unpickled, its rows already sorted and symmetric — and only the
+        derived state is built anew. The backend is adopted as-is; callers
+        are responsible for its invariants.
         """
         graph = cls.__new__(cls)
         graph._adopt(backend, name)
@@ -174,8 +175,9 @@ class LabeledGraph:
         """The pinned cache's ``(epoch, delta_seq)``, or ``None`` pre-build.
 
         This is the logical version stamped onto session memo entries, plan
-        keys, and shared-memory publications; delta mutations bump
-        ``delta_seq`` in place, compaction starts a fresh epoch.
+        keys, and the sync header of every worker-pool chunk; delta
+        mutations bump ``delta_seq`` in place, compaction starts a fresh
+        epoch.
         """
         if self._cache is None:
             return None
@@ -229,8 +231,8 @@ class LabeledGraph:
         absent removes) are skipped without consuming a delta. After the
         batch, if at least ``compaction_threshold`` edge deltas have
         accumulated since the last compaction (``None`` disables), the graph
-        :meth:`compact`\\ s — the one point where shared-memory descriptors
-        and compiled plans of the old epoch become stale.
+        :meth:`compact`\\ s — the one point where worker pools and compiled
+        plans of the old epoch become stale.
         """
         backend = self._backend
         if compaction_threshold is not None and compaction_threshold < 1:
@@ -282,10 +284,10 @@ class LabeledGraph:
 
         Topology and every answer are unchanged, and no adjacency data
         moves. The delta counter and the mutation log restart — which bounds
-        the tail shared-memory workers replay — and with the log gone,
-        publications and compiled plans pinned to the old epoch become stale
-        (attached workers raise :class:`~repro.exceptions.StaleSegmentError`
-        rather than guess at ops they can no longer fetch).
+        the tail pool workers replay — and with the log gone, worker pools
+        and compiled plans pinned to the old epoch become stale (workers
+        raise :class:`~repro.exceptions.StaleSegmentError` rather than guess
+        at ops they can no longer fetch).
         """
         self._backend.compact()
         if self._cache is not None:
@@ -294,9 +296,9 @@ class LabeledGraph:
     def replay(self, entries: Iterable[Tuple[int, Tuple]]) -> None:
         """Re-apply a mutation-log tail (``(seq, op)`` pairs) to this graph.
 
-        The shared-memory catch-up path: an attached worker graph replays
-        the publisher's ops so its views and cache version converge on the
-        publisher's. Ops must be contiguous, start right after this graph's
+        The worker catch-up path: a pool worker's graph replays the
+        parent's ops so its views and cache version converge on the
+        parent's. Ops must be contiguous, start right after this graph's
         current ``delta_seq``, and re-apply cleanly; any skew raises
         :class:`~repro.exceptions.GraphError`. The ops go to the backend in
         order and the cache is repaired once for the whole tail — also when

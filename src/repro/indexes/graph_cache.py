@@ -34,10 +34,10 @@ memo entries of its own label and an entry's tuple is rebuilt only when the
 vertex joined or left it. A write therefore touches O(dirty vertices x
 entries of their labels) memo words and leaves no scan for the next read.
 The pair ``(epoch, delta_seq)`` is the cache :attr:`version` that keys
-session memos and stamps shared-memory publications; a compaction
+session memos and is a pool worker's place in the write stream; a compaction
 (:meth:`on_compaction`) starts a fresh epoch and clears the mutation log,
-which is what finally invalidates attached shared-memory descriptors. See
-``docs/mutation.md`` for the full contract.
+which is what finally makes a worker pool stale. See ``docs/mutation.md``
+for the full contract.
 """
 
 from __future__ import annotations
@@ -116,16 +116,15 @@ class GraphIndexCache:
         candidate_memo_size: Optional[int] = DEFAULT_CANDIDATE_MEMO_SIZE,
         *,
         signature_masks: Optional[List[int]] = None,
-        adjacency_masks: Optional[Dict[int, int]] = None,
         epoch: Optional[int] = None,
         delta_seq: int = 0,
     ):
-        """``signature_masks``/``adjacency_masks``/``epoch`` restore published
-        state on the shared-memory attach path (:mod:`repro.graph.shared`):
-        the signature table is adopted instead of recomputed (skipping the
-        O(|E|) neighbor sweep), the publisher's warm adjacency bitsets seed
-        the memo, and the publisher's epoch is kept so plan-cache keys agree
-        across the publishing and attaching processes."""
+        """``signature_masks`` / ``epoch`` / ``delta_seq`` seed a cache built
+        in a worker process (:func:`repro.parallel.pool.worker_graph`) from
+        the one its parent held: the signature table is copied instead of
+        recomputed (skipping the O(|E|) neighbor sweep) and the parent's
+        version is kept, so memo keys and replay positions agree across the
+        two processes. Every lock and memo is this cache's own."""
         self.graph = graph
         backend = graph.backend
         self.label_table: List[Label] = backend.label_table
@@ -180,7 +179,7 @@ class GraphIndexCache:
         self._metrics = None
 
         # Lazy per-vertex neighbor bitsets (big ints) for the join kernels.
-        self._adj_masks: "OrderedDict[int, int]" = OrderedDict(adjacency_masks or ())
+        self._adj_masks: "OrderedDict[int, int]" = OrderedDict()
         self._adj_memo_size = DEFAULT_ADJACENCY_MEMO_SIZE
         self._adj_lock = threading.Lock()
 
@@ -207,20 +206,29 @@ class GraphIndexCache:
         self._compressed = None
 
     # ------------------------------------------------------------------
-    # Pickling: locks cannot cross process boundaries; a fresh lock is
-    # equivalent because a just-unpickled cache has no concurrent users yet.
-    # An attached metrics registry (which also holds locks) is session
-    # state, not graph state, so it is dropped the same way.
+    # Pickling (what a spawned pool worker's graph arrives with): locks
+    # cannot cross process boundaries; a fresh lock is equivalent because a
+    # just-unpickled cache has no concurrent users yet. An attached metrics
+    # registry (which also holds locks) is session state, not graph state,
+    # so it is dropped the same way.
     def __getstate__(self) -> dict:
-        # The adjacency-mask memo is also dropped: it is a pure cache of big
-        # ints that rebuilds lazily, and shipping megabytes of masks to a
-        # worker is worse than recomputing the few it touches.
+        # Every memo is dropped — candidate pools, mask signatures, compiled
+        # plans, adjacency bitsets: each is a pure cache that refills
+        # lazily, shipping megabytes of masks to a worker is worse than
+        # recomputing the few it touches, and they are the dicts a *read*
+        # inserts into, so a query running beside the pickling (a process
+        # batch starts its workers under the service's read lock) cannot
+        # change anything the pickler iterates.
         # The cost estimator is dropped too (it holds a lock): calibration
         # is session state that each process re-learns from its own traffic.
         # The compressed twin partition is likewise dropped — it is a pure
         # function of the graph and rebuilds lazily on first compressed plan.
         skip = (
             "_pool_lock",
+            "_pool_memo",
+            "_pool_keys",
+            "_mask_signatures",
+            "plan_cache",
             "_adj_lock",
             "_adj_masks",
             "_metrics",
@@ -230,9 +238,15 @@ class GraphIndexCache:
         return {s: getattr(self, s) for s in self.__slots__ if s not in skip}
 
     def __setstate__(self, state: dict) -> None:
+        from repro.indexes.plans import PlanCache
+
         for name, value in state.items():
             setattr(self, name, value)
         self._pool_lock = threading.Lock()
+        self._pool_memo = OrderedDict()
+        self._pool_keys = {}
+        self._mask_signatures = {}
+        self.plan_cache = PlanCache()
         self._adj_lock = threading.Lock()
         self._adj_masks = OrderedDict()
         self._metrics = None
@@ -463,7 +477,7 @@ class GraphIndexCache:
 
         ``delta_seq`` advances by one per applied mutation within an epoch;
         a compaction starts a fresh epoch at ``delta_seq == 0``. Session
-        memos, plan keys, and shared-memory publications are stamped with
+        memos, plan keys, and worker-pool sync headers are stamped with
         this pair, so post-mutation queries never replay pre-mutation
         answers.
         """
@@ -660,11 +674,11 @@ class GraphIndexCache:
     def ops_since(self, seq: int) -> Tuple[Tuple[int, Tuple], ...]:
         """The ``(seq, op)`` mutation-log tail with sequence numbers > ``seq``.
 
-        This is the catch-up payload shipped to shared-memory workers whose
-        attached view lags the publisher within the same epoch. Sequence
-        numbers are contiguous, so the tail for a reader at ``seq`` always
-        starts at ``seq + 1`` — a gap means the reader crossed a compaction
-        and must treat its segment as stale.
+        This is the catch-up payload shipped to pool workers whose graph
+        lags the parent's within the same epoch. Sequence numbers are
+        contiguous, so the tail for a reader at ``seq`` always starts at
+        ``seq + 1`` — a gap means the reader crossed a compaction and must
+        treat its copy as stale.
         """
         log = self._mutation_log
         if not log or seq >= log[-1][0]:
@@ -679,37 +693,18 @@ class GraphIndexCache:
 
         Topology is unchanged by compaction, so pools, signatures, degrees
         and the label index all remain correct and are kept; what changes is
-        the *generation* that shared-memory publications and plan keys are
-        pinned to. The epoch is re-stamped, ``delta_seq`` resets to 0, the
-        mutation log is cleared (bounding what workers replay, and making
-        catch-up across the checkpoint impossible — attached readers at the
-        old epoch see :class:`~repro.exceptions.StaleSegmentError`), and
-        compiled plans are dropped since their keys embed the old epoch.
+        the *generation* that worker pools and plan keys are pinned to. The
+        epoch is re-stamped, ``delta_seq`` resets to 0, the mutation log is
+        cleared (bounding what workers replay, and making catch-up across
+        the checkpoint impossible — workers at the old epoch see
+        :class:`~repro.exceptions.StaleSegmentError`), and compiled plans
+        are dropped since their keys embed the old epoch.
         """
         self.epoch = next(_EPOCHS)
         self.delta_seq = 0
         self._mutation_log.clear()
         self.plan_cache.clear()
         return self.version
-
-    # ------------------------------------------------------------------
-    def shared_state(self) -> Dict[str, object]:
-        """The publishable derived state (see :mod:`repro.graph.shared`).
-
-        Everything here is a plain pickleable value: the signature-mask
-        table (the O(|E|) sweep attachers get to skip), a snapshot of the
-        currently warm adjacency bitsets (so workers inherit the publisher's
-        hot masks instead of re-deriving them), and the epoch that stamps
-        the publication generation.
-        """
-        with self._adj_lock:
-            adj = dict(self._adj_masks)
-        return {
-            "signature_masks": list(self.signature_masks),
-            "adjacency_masks": adj,
-            "epoch": self.epoch,
-            "delta_seq": self.delta_seq,
-        }
 
     # ------------------------------------------------------------------
     def memo_info(self) -> Dict[str, int]:

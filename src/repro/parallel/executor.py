@@ -10,15 +10,15 @@
     directly. Every worker reads the same pinned
     :class:`~repro.indexes.graph_cache.GraphIndexCache` (whose candidate-pool
     memo is internally locked); per-query search state is worker-local.
-    Useful when the hot loops release the GIL (numpy-backed kernels) or the
-    workload is I/O-interleaved; on pure-Python search it degrades gracefully
-    to roughly serial throughput.
+    Useful when the workload is I/O-interleaved; the search itself is pure
+    Python and holds the GIL, so on search-bound batches it degrades
+    gracefully to roughly serial throughput.
 ``process``
     A persistent :class:`~repro.parallel.pool.WorkerPool`, created lazily on
-    the first process batch and **reused for every batch after it**. The
-    graph is published to shared memory once
-    (:mod:`repro.graph.shared`); workers attach at spawn and keep their DSQL
-    sessions — plan caches, candidate pools, adjacency bitsets — warm across
+    the first process batch and **reused for every batch after it**. Each
+    worker is started with the graph (inherited under ``fork``, pickled once
+    under ``spawn``), builds its own index cache over it and keeps its DSQL
+    session — plan cache, candidate pools, adjacency bitsets — warm across
     batches. Queries travel as plain ``(labels, edges)`` payloads; frozen
     :class:`~repro.core.result.DSQResult` objects come back together with
     each worker's counter snapshot, which is merged into the parent's
@@ -36,15 +36,16 @@ one a serial run would have computed in place.
 Failure handling degrades gracefully: a chunk whose worker crashes (e.g. a
 forked child OOM-killed, breaking the whole process pool) is re-run
 serially in the parent, the broken pool is discarded, and the next batch
-builds a fresh one — a batch always completes with full results. Wedges
-are bounded the same way crashes are: chunk waits carry a generous timeout
-(:attr:`BatchExecutor.pool_timeout_s`), and a pool that produces nothing
-inside it — every worker stuck, e.g. on a lock fork captured mid-operation
-from another parent thread — is killed and its chunks re-run serially.
-Platforms where shared memory or multiprocessing is unavailable fall back
-to in-process execution (counted as retried chunks).
+builds a fresh one — a batch always completes with full results. A pool
+found broken (or stale) *before* dispatch — a worker died between batches —
+is replaced first, and a submission the replacement still refuses goes down
+the same serial path. Wedges are bounded the same way crashes are: chunk
+waits carry a generous timeout (:attr:`BatchExecutor.pool_timeout_s`), and
+a pool that produces nothing inside it — every worker stuck — is killed and
+its chunks re-run serially. Platforms without a multiprocessing start
+method fall back to in-process execution (counted as retried chunks).
 
-Executors owning a process pool hold shared-memory segments; call
+Executors owning a process pool own worker processes; call
 :meth:`BatchExecutor.close` (or use the executor as a context manager) when
 done. Serial/thread executors hold nothing and need no teardown.
 """
@@ -56,13 +57,14 @@ import os
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.config import DSQLConfig
 from repro.core.dsql import DSQL
 from repro.core.result import DSQResult
-from repro.exceptions import ConfigError, SharedMemoryError
+from repro.exceptions import ConfigError, StaleSegmentError
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.parallel.pool import WorkerPool
@@ -130,9 +132,8 @@ class BatchExecutor:
 
     #: Seconds to wait for one pool chunk before declaring the pool wedged.
     #: Generous next to real chunk times (milliseconds to seconds here);
-    #: only a pool whose workers are all stuck — e.g. a fork-time lock
-    #: wedge — ever reaches it, and the response is kill-and-retry-serially,
-    #: never a missing answer.
+    #: only a pool whose workers are all stuck ever reaches it, and the
+    #: response is kill-and-retry-serially, never a missing answer.
     pool_timeout_s: float = 120.0
 
     def __init__(
@@ -178,9 +179,9 @@ class BatchExecutor:
     def _ensure_pool(self) -> Optional[WorkerPool]:
         """The persistent pool, created on first use; None when unsupported.
 
-        A failed creation (no multiprocessing context, shared-memory
-        publication error) is remembered so later batches do not re-pay the
-        publication attempt; they run in-process instead.
+        A failed creation (no multiprocessing start method, or none of the
+        primitives a process pool needs) is remembered so later batches do
+        not retry it; they run in-process instead.
         """
         if self._pool is not None:
             return self._pool
@@ -190,7 +191,7 @@ class BatchExecutor:
             self._pool = WorkerPool(
                 self.session.graph, self.session.config, self.jobs
             )
-        except SharedMemoryError:
+        except (OSError, NotImplementedError):
             logger.warning(
                 "worker pool unavailable; process batches will run in-process",
                 exc_info=True,
@@ -206,7 +207,7 @@ class BatchExecutor:
             pool.close(wait=False)
 
     def close(self) -> None:
-        """Release the worker pool and its shared segments (idempotent)."""
+        """Release the worker pool and its processes (idempotent)."""
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.close()
@@ -351,7 +352,7 @@ class BatchExecutor:
         session = self.session
         # Warm the per-graph cache before any worker dispatch, so the
         # expensive one-off index build is shared rather than raced/duplicated
-        # (for the process pool this also feeds the shared-memory publication).
+        # (pool workers start from its signature table).
         session.graph.index_cache()
         if self.strategy == "thread":
             items = list(need.items())
@@ -360,13 +361,10 @@ class BatchExecutor:
             def run_chunk(chunk):
                 return [(key, session.query(query)) for key, query in chunk]
 
-            def retry_chunk(chunk):
-                return [(key, session.query(query)) for key, query in chunk]
-
-            return self._dispatch_threads(chunks, run_chunk, retry_chunk)
+            return self._dispatch_threads(chunks, run_chunk)
 
         # process strategy: ship (labels, edges) payloads to the persistent
-        # pool, whose workers hold warm sessions over the shared graph.
+        # pool, whose workers hold warm sessions over their own copies.
         items = [
             (key, list(query.labels), list(query.edges()))
             for key, query in need.items()
@@ -380,16 +378,20 @@ class BatchExecutor:
             ]
 
         pool = self._ensure_pool()
-        if pool is not None and pool.stale:
-            # A compaction started a fresh epoch the attached workers can
-            # never reach by replay; rebuild the pool (which republishes at
-            # the new epoch) before dispatching.
-            logger.info("published graph went stale (compaction); rebuilding the pool")
+        if pool is not None and (pool.stale or pool.broken):
+            # Stale: a compaction started a fresh epoch the workers can
+            # never reach by replay. Broken: a worker died since the last
+            # batch, and the executor underneath refuses every submission
+            # from then on. Either way, start fresh workers before
+            # dispatching.
+            logger.info(
+                "worker pool is %s; rebuilding it", "stale" if pool.stale else "broken"
+            )
             self._discard_pool()
             pool = self._ensure_pool()
         if pool is None:
-            # No shared memory / multiprocessing on this platform: degrade to
-            # in-process execution, surfaced as retried chunks.
+            # No multiprocessing on this platform: degrade to in-process
+            # execution, surfaced as retried chunks.
             results: Dict[Key, DSQResult] = {}
             for chunk in chunks:
                 results.update(retry_payload(chunk))
@@ -419,12 +421,13 @@ class BatchExecutor:
         for chunk in chunks:
             try:
                 futures.append((pool.submit(chunk), chunk))
-            except SharedMemoryError:
-                # Defensive: submission found the publication stale (e.g. a
-                # compaction raced the pre-dispatch check). The chunk is
-                # intact in the parent; answer it serially.
+            except (StaleSegmentError, BrokenProcessPool, OSError):
+                # The pool went stale or broke after the pre-dispatch check
+                # (a compaction or a worker death raced it), or the OS
+                # refused to start a worker. The chunk is intact in the
+                # parent; answer it serially.
                 logger.warning(
-                    "chunk submission found the publication stale; retrying serially",
+                    "chunk submission refused by the pool; retrying serially",
                     exc_info=True,
                 )
                 failed.append(chunk)
@@ -463,10 +466,7 @@ class BatchExecutor:
         return results, failed
 
     def _dispatch_threads(
-        self,
-        chunks: List[List],
-        worker: Callable,
-        retry: Callable,
+        self, chunks: List[List], worker: Callable
     ) -> Tuple[Dict[Key, DSQResult], int, int]:
         """Submit chunks to a thread pool, re-running failed chunks serially."""
         results: Dict[Key, DSQResult] = {}
@@ -485,7 +485,7 @@ class BatchExecutor:
                     )
                     failed.append(chunk)
         for chunk in failed:
-            results.update(retry(chunk))
+            results.update(worker(chunk))
         return results, len(chunks), len(failed)
 
 

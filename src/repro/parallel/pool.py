@@ -1,4 +1,4 @@
-"""Persistent worker pool over a shared-memory graph publication.
+"""Persistent worker pool: each worker is started with the graph.
 
 This is the process half of the parallel story done right. The old process
 strategy paid, *per batch*: a fresh ``ProcessPoolExecutor`` (fork + interp
@@ -6,12 +6,19 @@ setup per worker), a module-global session hand-off (racy — two executors
 running concurrently clobbered each other), and cold per-worker caches.
 :class:`WorkerPool` replaces all three:
 
-* the graph is **published once** to shared memory
-  (:func:`~repro.graph.shared.publish_graph`) when the pool is created;
-* workers **attach once** at spawn, through the pool initializer — open
-  the segments, copy the graph out, close them — and the descriptor
-  travels as a pickled initarg, so there is no parent-side module global
-  to race on, and a worker's state is scoped to its pool by construction;
+* the graph reaches a worker **as an argument of its start** — the pool
+  initializer's ``initargs=(graph, config)`` — which the start method turns
+  into inheritance under ``fork`` (nothing is copied or serialized) and into
+  one pickle per worker under ``spawn``. There is no parent-side module
+  global to race on, and a worker's state is scoped to its pool by
+  construction;
+* the worker wraps the storage it was given in a graph of its own
+  (:func:`worker_graph`): the index cache, plan cache, estimator and
+  instrumentation are **built in the worker**, at the parent's
+  ``(epoch, delta_seq)``. Nothing that holds a lock is carried across: a
+  fork freezes every lock another parent thread happened to hold — a point
+  query inside ``candidate_pool`` beside a process batch is enough — and a
+  child that waits on one never wakes;
 * each worker keeps a **persistent DSQL session** (and with it the
   per-graph plan cache, candidate-pool memo, and adjacency bitsets) warm
   across every batch the pool ever runs.
@@ -23,23 +30,24 @@ per-chunk counter snapshot, so the parent can merge ``search.*`` /
 
 Live mutation rides along as a **catch-up protocol**: every chunk carries a
 sync header ``(epoch, target_seq, ops_tail)`` in the graph's version
-numbering, which publisher and attacher share (the attached cache is seeded
-from the published ``(epoch, delta_seq)``, wherever in an epoch the graph
-was when the pool was built — publishing compacts nothing). Workers replay
-the unseen tail onto their attached graph (a private copy; the shared
-segments are never written) before answering, so worker results stay
-bit-identical to the parent's live topology without republishing per delta.
-A *compaction* in the parent clears the log and starts a fresh epoch the
-workers cannot reach by replay; the pool then reports
-:attr:`WorkerPool.stale` and submission raises
-:class:`~repro.exceptions.StaleSegmentError` — the executor's cue to
-discard the pool and build a fresh publication — rather than ever serving
-answers from the old topology.
+numbering, which parent and worker share. ``ProcessPoolExecutor`` starts its
+workers at the first ``submit`` (all of them under ``fork``, on demand under
+``spawn``), so a worker's graph is the parent's *as of that moment* — at or
+after the version the pool was built at, never before it. Workers replay the
+part of the tail beyond their own version onto their graph (a private copy:
+copy-on-write pages under ``fork``, an unpickled object under ``spawn``)
+before answering, so worker results stay bit-identical to the parent's live
+topology without restarting per delta. A *compaction* in the parent clears
+the log and starts a fresh epoch the workers cannot reach by replay; the
+pool then reports :attr:`WorkerPool.stale` and submission raises
+:class:`~repro.exceptions.StaleSegmentError` — the executor's cue to discard
+the pool and start a fresh one — rather than ever serving answers from the
+old topology.
 
-The pool prefers the ``fork`` start method (cheapest, and shares the
-publisher's resource tracker); where fork is unavailable it falls back to
-``spawn``, which works because everything workers need arrives via
-initargs and shared memory rather than inherited globals.
+The pool prefers the ``fork`` start method (cheapest: a worker starts with
+the parent's pages); where fork is unavailable it falls back to ``spawn``,
+which works because everything workers need arrives via initargs rather
+than inherited globals.
 """
 
 from __future__ import annotations
@@ -55,10 +63,10 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.core.config import DSQLConfig
 from repro.core.result import DSQResult
-from repro.exceptions import GraphError, SharedMemoryError, StaleSegmentError
+from repro.exceptions import GraphError, StaleSegmentError
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
-from repro.graph.shared import SharedGraphDescriptor, attach_graph, publish_graph
+from repro.indexes.graph_cache import GraphIndexCache
 
 logger = logging.getLogger("repro.parallel")
 
@@ -71,8 +79,8 @@ non-zero counter snapshot for the chunk)``."""
 SyncHeader = Tuple[int, int, Tuple[Tuple[int, Tuple], ...]]
 """Per-chunk mutation sync: the parent's ``graph.version`` as
 ``(epoch, target_seq)`` plus ``ops_tail``, the parent mutation log's
-``(seq, op)`` entries since publication. Workers replay only the entries
-beyond their own ``graph.version``."""
+``(seq, op)`` entries since the pool was built. Workers replay only the
+entries beyond their own ``graph.version``."""
 
 _WORKER_SESSION = None
 """Child-process-only: the persistent instrumented ``DSQL`` session one worker
@@ -81,16 +89,41 @@ keeps warm across batches, set by the pool initializer.
 Unlike the old ``_FORK_SESSION`` hand-off this is never written in the
 parent: each worker process belongs to exactly one pool and receives its
 state through initargs, so concurrent pools cannot interleave writes.
-Mutation catch-up keeps no position of its own: the attached graph's
-``version`` is the worker's place in the parent's numbering.
+Mutation catch-up keeps no position of its own: the graph's ``version`` is
+the worker's place in the parent's numbering.
 """
 
 
-def _init_worker(descriptor: SharedGraphDescriptor, config: DSQLConfig) -> None:
-    """Pool initializer (runs once in each worker process at spawn).
+def worker_graph(graph: LabeledGraph) -> LabeledGraph:
+    """The graph a worker process serves, from the one it was started with.
 
-    Copies the published graph out of the shared segments and pins a
-    session over it for the worker's lifetime.
+    Called in the worker, by the pool initializer here and by the
+    pre-forked service front alike. ``graph`` arrived as a start argument —
+    inherited under ``fork``, unpickled under ``spawn`` — and only its
+    storage (rows, sets, labels: no lock) is kept. The index cache, and with
+    it the plan cache, the estimator and every lock, is built here, seeded
+    with the signature table and ``(epoch, delta_seq)`` of the cache
+    ``graph`` came with: the parent's version at the moment this process
+    started. That cache is only read, never locked: under ``fork`` any of
+    its locks may have been held by another parent thread at the fork and
+    would then stay locked forever in this process. The storage is adopted,
+    not copied, which is right in a process of its own and nowhere else.
+    """
+    seed = graph.index_cache()
+    twin = LabeledGraph.from_backend(graph.backend, name=graph.name)
+    twin._cache = GraphIndexCache(
+        twin,
+        signature_masks=seed.signature_masks,
+        epoch=seed.epoch,
+        delta_seq=seed.delta_seq,
+    )
+    return twin
+
+
+def _init_worker(graph: LabeledGraph, config: DSQLConfig) -> None:
+    """Pool initializer (runs once in each worker process at its start).
+
+    Pins a session over :func:`worker_graph` for the worker's lifetime.
     """
     global _WORKER_SESSION
     # Late imports keep the module importable in the parent before any
@@ -99,16 +132,16 @@ def _init_worker(descriptor: SharedGraphDescriptor, config: DSQLConfig) -> None:
     from repro.observability import Instrumentation
 
     _WORKER_SESSION = DSQL(
-        attach_graph(descriptor), config=config, instrumentation=Instrumentation()
+        worker_graph(graph), config=config, instrumentation=Instrumentation()
     )
 
 
 def _apply_sync(graph: LabeledGraph, sync: SyncHeader) -> None:
-    """Catch the worker's attached graph up to the parent's version.
+    """Catch the worker's graph up to the parent's version.
 
     Replays the unseen suffix of the parent's mutation-log tail with
     :meth:`LabeledGraph.replay` (which delta-repairs the worker's own
-    cache). The attached graph is this process's private copy, written like
+    cache). The worker's graph is this process's private copy, written like
     any other graph. An epoch change, a sequence gap or an op that does
     not re-apply cleanly means the replay chain is severed: raise
     :class:`~repro.exceptions.StaleSegmentError` instead of answering from
@@ -118,7 +151,7 @@ def _apply_sync(graph: LabeledGraph, sync: SyncHeader) -> None:
     have_epoch, have_seq = graph.version
     if epoch != have_epoch:
         raise StaleSegmentError(
-            f"worker attached at epoch {have_epoch} cannot reach epoch "
+            f"worker started at epoch {have_epoch} cannot reach epoch "
             f"{epoch}: the parent graph compacted; the pool must be rebuilt"
         )
     try:
@@ -188,13 +221,14 @@ atexit.register(_reap_live_pools)
 
 
 class WorkerPool:
-    """N persistent workers attached to one published graph.
+    """N persistent workers, each started with one graph.
 
     Parameters
     ----------
     graph:
-        The data graph to publish; its index cache is warmed (if needed)
-        and shipped with the publication.
+        The data graph the workers serve; its index cache is warmed here
+        (if needed), so every worker starts from its signature table and
+        version.
     config:
         The :class:`~repro.core.config.DSQLConfig` every worker session
         uses. Must match the driving session's config for bit-identical
@@ -202,9 +236,8 @@ class WorkerPool:
     jobs:
         Worker-process count.
 
-    Raises :class:`~repro.exceptions.SharedMemoryError` when the platform
-    cannot support the pool (no multiprocessing context, or shared-memory
-    publication failed); callers degrade to in-process execution.
+    Raises :class:`OSError` when the platform has no usable multiprocessing
+    start method; callers degrade to in-process execution.
     """
 
     #: Seconds a graceful :meth:`close` waits for workers to drain before
@@ -217,47 +250,35 @@ class WorkerPool:
     def __init__(self, graph: LabeledGraph, config: DSQLConfig, jobs: int) -> None:
         context = _pool_context()
         if context is None:  # pragma: no cover - platform-dependent
-            raise SharedMemoryError("no usable multiprocessing start method")
+            raise OSError("no usable multiprocessing start method")
         self.jobs = jobs
         self._graph = graph
-        # Publish BEFORE creating the executor: fork children must inherit
-        # the local-token set so they know they share the parent's resource
-        # tracker (see repro.graph.shared._LOCAL_TOKENS).
-        self._published = publish_graph(graph)
-        # The graph's version at publication (any delta_seq — publishing
-        # is a read): workers attach at exactly this version, and chunk
-        # sync headers ship the mutation log from here on.
-        self._sync_epoch, self._base_seq = graph.version
-        try:
-            self._executor = ProcessPoolExecutor(
-                max_workers=jobs,
-                mp_context=context,
-                initializer=_init_worker,
-                initargs=(self._published.descriptor, config),
-            )
-        except Exception:
-            self._published.close()
-            self._published.unlink()
-            raise
+        # The graph's version now (any delta_seq — building a pool is a
+        # read): no worker starts before this point, so chunk sync headers
+        # ship the mutation log from here on.
+        self._sync_epoch, self._base_seq = graph.index_cache().version
+        self._executor = ProcessPoolExecutor(
+            max_workers=jobs,
+            mp_context=context,
+            initializer=_init_worker,
+            initargs=(graph, config),
+        )
         self._closed = False
         _LIVE_POOLS.add(self)
 
     @property
-    def descriptor(self) -> SharedGraphDescriptor:
-        return self._published.descriptor
-
-    @property
     def shared_nbytes(self) -> int:
-        """Bytes of shared memory backing the published graph."""
-        return self._published.nbytes
+        """Bytes of shared memory the pool holds: none. Kept for the frozen
+        benchmark harness, which records it."""
+        return 0
 
     @property
     def stale(self) -> bool:
-        """Whether the parent graph compacted since publication.
+        """Whether the parent graph compacted since the pool was built.
 
         A stale pool's workers can never catch up by replay (the mutation
         log restarted with the new epoch); the owner should discard the
-        pool and build a fresh one, which republishes at the new epoch.
+        pool and build a fresh one, whose workers start at the new epoch.
         """
         return self._graph.index_cache().epoch != self._sync_epoch
 
@@ -265,17 +286,19 @@ class WorkerPool:
         """Dispatch one chunk to the pool.
 
         Each chunk carries a sync header with the parent's current version
-        and the mutation-log tail since publication, so workers catch up to
-        live deltas before answering. Raises
+        and the mutation-log tail since the pool was built, so workers catch
+        up to live deltas before answering. Raises
         :class:`~repro.exceptions.StaleSegmentError` when the parent
-        compacted after publication (see :attr:`stale`).
+        compacted since (see :attr:`stale`); the executor underneath raises
+        ``BrokenProcessPool`` once a worker has died and :class:`OSError`
+        when the OS refuses to start one.
         """
         cache = self._graph.index_cache()
         if cache.epoch != self._sync_epoch:
             raise StaleSegmentError(
-                f"published graph is pinned to epoch {self._sync_epoch} but the "
-                f"parent is at epoch {cache.epoch}: compaction invalidated the "
-                "publication; rebuild the pool"
+                f"the pool's workers are pinned to epoch {self._sync_epoch} but "
+                f"the parent is at epoch {cache.epoch}: compaction cut the "
+                "replay chain; rebuild the pool"
             )
         sync: SyncHeader = (cache.epoch, cache.delta_seq, cache.ops_since(self._base_seq))
         return self._executor.submit(_run_chunk, (sync, chunk))
@@ -287,7 +310,7 @@ class WorkerPool:
         return bool(getattr(self._executor, "_broken", False))
 
     def close(self, wait: bool = True) -> None:
-        """Shut the workers down and free the shared segments (idempotent).
+        """Shut the workers down (idempotent).
 
         ``wait=True`` (the default) drains gracefully but with a *bounded*
         join: workers get :attr:`shutdown_grace_s` seconds to pick up their
@@ -296,8 +319,8 @@ class WorkerPool:
         unbounded join would park the caller (or interpreter shutdown)
         forever. ``wait=False`` — the discard / GC / interpreter-exit
         path — skips the grace period and kills the workers outright:
-        nobody is waiting on their results. Unlinking is safe either way:
-        a worker that attached holds a private copy and no mapping.
+        nobody is waiting on their results. The pool owns nothing but its
+        processes, so there is nothing else to release.
         """
         if self._closed:
             return
@@ -318,8 +341,6 @@ class WorkerPool:
                 except Exception:  # pragma: no cover - already dead / no perms
                     pass
         self._executor.shutdown(wait=wait, cancel_futures=not wait)
-        self._published.close()
-        self._published.unlink()
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -334,4 +355,4 @@ class WorkerPool:
             pass
 
 
-__all__ = ["ChunkItem", "ChunkResult", "WorkerPool"]
+__all__ = ["ChunkItem", "ChunkResult", "WorkerPool", "worker_graph"]

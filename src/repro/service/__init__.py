@@ -23,8 +23,8 @@ Pieces (all stdlib; no web framework):
 * :class:`QueryService` / :class:`ServiceServer` — request handling and
   the ``ThreadingHTTPServer`` transport with graceful SIGTERM drain
   (:mod:`repro.service.server`);
-* :class:`MultiWorkerServer` — N pre-forked worker processes sharing
-  published graph memory behind one ``SO_REUSEPORT`` port, with merged
+* :class:`MultiWorkerServer` — N pre-forked worker processes, each started
+  with the catalog's graphs, behind one ``SO_REUSEPORT`` port, with merged
   ``/healthz`` + ``/metrics`` views (:mod:`repro.service.multiworker`);
 * :class:`ServiceClient` — a ``urllib`` client
   (:mod:`repro.service.client`);

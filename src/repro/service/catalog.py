@@ -72,8 +72,8 @@ DEFAULT_EXECUTOR_CACHE = 4
 """Per-entry cap on live batch executors (LRU evicted, closed on eviction).
 
 Executors are cached so the ``process`` strategy's persistent
-:class:`~repro.parallel.pool.WorkerPool` — shared-memory graph publication
-plus warm per-worker sessions — survives across ``/v1/batch`` requests
+:class:`~repro.parallel.pool.WorkerPool` — worker processes holding the
+graph and warm sessions — survives across ``/v1/batch`` requests
 instead of being rebuilt per request."""
 
 DEFAULT_WRITE_TIMEOUT_S = 10.0
@@ -303,7 +303,7 @@ class CatalogEntry:
         batch work can pile up.
 
         Executors are cached per ``(config, strategy, jobs)`` so the
-        process strategy's worker pool (shared graph segments, warm worker
+        process strategy's worker pool (worker processes, their warm
         sessions) persists across requests; a lease held for the duration
         of the run keeps a concurrent LRU eviction from closing the
         executor mid-batch.

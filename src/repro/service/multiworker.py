@@ -1,16 +1,16 @@
-"""Pre-forked multi-worker service front over shared graph memory.
+"""Pre-forked multi-worker service front: each worker is started with the graphs.
 
 One :class:`MultiWorkerServer` turns a warm
 :class:`~repro.service.catalog.GraphCatalog` into ``N`` worker *processes*
 answering on a single port:
 
-* the parent **publishes** every catalog graph to shared memory
-  (:func:`~repro.graph.shared.publish_graph`) — CSR arrays, signature and
-  adjacency bitmasks, label table — and forks the workers afterwards, so
-  the graph crosses the process boundary as flat arrays, written once,
-  instead of being pickled per worker;
-* each worker **attaches** the published segments (open, copy the graph
-  out, close — it keeps no mapping), builds its own
+* the parent forks the workers with its catalog's graphs as start
+  arguments, so every worker **inherits** them — nothing is copied,
+  serialized or written anywhere for a graph to cross the process boundary;
+* each worker wraps the storage it inherited in graphs of its own
+  (:func:`~repro.parallel.pool.worker_graph`, the rule the worker pool
+  follows too: index cache and every lock built in the worker, at the
+  parent's version), builds its own
   :class:`~repro.service.catalog.GraphCatalog` /
   :class:`~repro.service.server.QueryService` (private plan caches, memo,
   metrics registry), and binds the shared query port with ``SO_REUSEPORT``
@@ -22,11 +22,11 @@ answering on a single port:
   ``GET /metrics`` fan out to all workers and aggregate (scalar metrics are
   summed via :func:`~repro.observability.metrics.merge_snapshots`).
 
-Lifecycle: ``start()`` publishes, forks, and waits for every worker's
-ready message; ``close()`` (or SIGTERM via ``install_signal_handlers``)
-asks each worker to drain over its pipe, joins it, then unlinks the shared
-segments. A worker that lost its parent sees EOF on the pipe and drains
-itself; workers hold no mapping, so only the parent can leak a segment.
+Lifecycle: ``start()`` warms every graph's index cache, forks, and waits for
+every worker's ready message; ``close()`` (or SIGTERM via
+``install_signal_handlers``) asks each worker to drain over its pipe and
+joins it. A worker that lost its parent sees EOF on the pipe and drains
+itself; the front owns nothing but its processes, pipes and two sockets.
 
 Requires ``SO_REUSEPORT`` and the ``fork`` start method (Linux and most
 BSDs); construction raises :class:`~repro.exceptions.ConfigError`
@@ -49,9 +49,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import ConfigError
-from repro.graph.shared import PublishedGraph, attach_graph, publish_graph
+from repro.graph.labeled_graph import LabeledGraph
 from repro.observability import Instrumentation
 from repro.observability.metrics import merge_snapshots
+from repro.parallel.pool import worker_graph
 from repro.service.catalog import GraphCatalog
 from repro.service.server import (
     DEFAULT_MAX_IN_FLIGHT,
@@ -75,7 +76,7 @@ def _worker_main(
     index: int,
     host: str,
     port: int,
-    published: List[Tuple[str, object, str]],
+    graphs: List[Tuple[str, LabeledGraph, str]],
     default_config,
     max_in_flight: int,
     max_queue: int,
@@ -83,7 +84,7 @@ def _worker_main(
     service_options: Dict[str, object],
     conn,
 ) -> None:
-    """One pre-forked worker: attach, serve on the shared port, drain on demand."""
+    """One pre-forked worker: serve its graphs on the shared port, drain on demand."""
     # The parent coordinates shutdown through the pipe; a terminal SIGINT
     # (Ctrl-C hits the whole foreground process group) must not kill the
     # worker before the parent's drain message arrives.
@@ -93,9 +94,9 @@ def _worker_main(
         catalog = GraphCatalog(
             default_config=default_config, instrumentation=Instrumentation()
         )
-        for name, descriptor, source in published:
-            catalog.add_graph(name, attach_graph(descriptor), source=source)
-        # Workers serve private copies of published graphs: a write applied
+        for name, graph, source in graphs:
+            catalog.add_graph(name, worker_graph(graph), source=source)
+        # Workers serve private copies of the parent's graphs: a write applied
         # in one worker would be invisible to its siblings behind the same
         # port, so the whole front is read-only (501 mutation_unsupported).
         # service_options threads the admission-mode / quota / access-log
@@ -197,9 +198,8 @@ class MultiWorkerServer:
     Parameters
     ----------
     catalog:
-        The warm catalog whose graphs are published; the parent keeps it
-        only as the publication source — requests are answered by the
-        workers' copies.
+        The warm catalog whose graphs the workers are started with; the
+        parent answers no request from it — the workers' copies do.
     workers:
         Worker-process count (>= 1).
     host, port:
@@ -245,7 +245,6 @@ class MultiWorkerServer:
         # Extra QueryService kwargs shipped to every worker (admission
         # mode, work-unit budget, per-client quotas, access-log path).
         self._service_options = dict(service_options or {})
-        self._published: List[Tuple[str, PublishedGraph]] = []
         self._placeholder: Optional[socket.socket] = None
         self._port: Optional[int] = None
         self._processes: List = []
@@ -270,7 +269,7 @@ class MultiWorkerServer:
 
     # -- startup -------------------------------------------------------
     def start(self) -> "MultiWorkerServer":
-        """Publish, fork the workers, await readiness, start the control server."""
+        """Fork the workers, await readiness, start the control server."""
         try:
             return self._start()
         except Exception:
@@ -286,20 +285,14 @@ class MultiWorkerServer:
         self._placeholder.bind((self.host, self._requested_port))
         self._port = self._placeholder.getsockname()[1]
 
-        # Publish every graph BEFORE forking: the children inherit the
-        # publisher's local-token set (shared resource tracker).
+        # Warm every index cache BEFORE forking: each worker then starts
+        # from the parent's signature table and version instead of sweeping
+        # the edges itself.
+        shipped = []
         for name in self.catalog.names():
             entry = self.catalog.get(name)
-            published = publish_graph(entry.graph)
-            self._published.append((name, published))
-            logger.info(
-                "published %s: %d bytes shared (epoch %d)",
-                name, published.nbytes, published.descriptor.epoch,
-            )
-        shipped = [
-            (name, published.descriptor, self.catalog.get(name).source)
-            for name, published in self._published
-        ]
+            entry.graph.index_cache()
+            shipped.append((name, entry.graph, entry.source))
 
         for index in range(self.workers):
             parent_conn, child_conn = self._context.Pipe()
@@ -385,7 +378,6 @@ class MultiWorkerServer:
             "workers": len(bodies),
             "metrics": merged,
             "per_worker": bodies,
-            "shared_bytes": sum(published.nbytes for _, published in self._published),
         }
 
     # -- serving / shutdown --------------------------------------------
@@ -405,7 +397,7 @@ class MultiWorkerServer:
         return previous
 
     def close(self) -> None:
-        """Drain the workers, stop the control server, free shared segments."""
+        """Drain the workers and stop the control server (idempotent)."""
         with self._close_lock:
             if self._closed:
                 return
@@ -429,10 +421,6 @@ class MultiWorkerServer:
         if self._control is not None:
             self._control.shutdown()
             self._control.server_close()
-        for _, published in self._published:
-            published.close()
-            published.unlink()
-        self._published = []
         if self._placeholder is not None:
             self._placeholder.close()
             self._placeholder = None

@@ -463,7 +463,7 @@ def mutation_to_json(
     """Encode a :class:`~repro.graph.labeled_graph.MutationSummary` response.
 
     ``version`` is the graph's post-batch ``[epoch, delta_seq]`` — the same
-    pair stamped on memo entries and shared-memory publications, so a
+    pair stamped on memo entries and worker-pool sync headers, so a
     client can correlate a mutation with subsequent answers and metrics.
     """
     body: Dict[str, object] = {

@@ -168,7 +168,7 @@ class QueryService:
         When ``False`` the write surface (``POST /v1/graphs/{g}/edges`` and
         ``/v1/graphs/{g}/ingest``) answers 501 ``mutation_unsupported``.
         The pre-forked multi-worker front sets this: its workers serve
-        private copies of published graphs, and a write in one worker would be
+        private copies of the parent's graphs, and a write in one worker would be
         invisible to its siblings behind the same port.
     admission_mode:
         ``"count"`` (default, bounded concurrency + queue), ``"cost"``
@@ -365,7 +365,7 @@ class QueryService:
             raise ServiceError(
                 501,
                 "mutation_unsupported",
-                "this deployment serves read-only shared-memory graphs "
+                "this deployment serves read-only graphs "
                 "(pre-forked workers cannot see each other's writes); "
                 "use the single-process server for mutations",
             )
@@ -561,7 +561,7 @@ class QueryService:
         self.draining = True
 
     def close(self) -> None:
-        """Release catalog executors (worker pools, shared segments), then
+        """Release catalog executors (and their worker pools), then
         flush instrumentation (the trace sink, when one is attached) and
         the access log."""
         self.catalog.close()

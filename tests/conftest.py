@@ -7,9 +7,14 @@ against on small instances.
 
 from __future__ import annotations
 
+import gc
+import os
 import random
+import threading
+import time
+from contextlib import ExitStack, contextmanager
 from functools import partial
-from itertools import accumulate, combinations, permutations
+from itertools import combinations, permutations
 from typing import FrozenSet, List, Sequence, Set, Tuple
 
 import numpy as np
@@ -132,21 +137,117 @@ def resident_arrays(backend: CSRBackend) -> List[str]:
 
 
 def assert_arrays_match_rebuild(backend: CSRBackend):
-    """``backend.to_arrays()`` is the CSR of a from-scratch rebuild of its
-    graph: sorted rows, ``indptr`` the cumulative degrees, same dtypes.
-    Returns the arrays."""
-    arrays = backend.to_arrays()
-    want = CSRBackend(list(backend.labels), backend.edges()).to_arrays()
-    assert list(arrays) == ["indptr", "indices", "label_ids"] == list(want)
-    for field, array in arrays.items():
-        assert array.dtype == want[field].dtype, field
-        assert array.tolist() == want[field].tolist(), field
-    bounds = arrays["indptr"].tolist()
-    assert bounds == [0, *accumulate(backend.degree_sequence())]
-    flat = arrays["indices"].tolist()
-    for v in range(backend.num_vertices):
-        assert flat[bounds[v] : bounds[v + 1]] == sorted(backend.neighbor_set(v))
-    return arrays
+    """The live storage is what a from-scratch rebuild of its graph holds:
+    same sorted rows, membership sets, degrees, label ids and edge count
+    (the name is from the CSR arrays this once compared). Returns the rows."""
+    want = CSRBackend(list(backend.labels), backend.edges())
+    n = backend.num_vertices
+    assert (n, backend.num_edges) == (want.num_vertices, want.num_edges)
+    rows = [backend.neighbors(v) for v in range(n)]
+    assert rows == [want.neighbors(v) for v in range(n)]
+    assert [backend.neighbor_set(v) for v in range(n)] == [set(row) for row in rows]
+    assert backend.degree_sequence() == want.degree_sequence() == [len(row) for row in rows]
+    assert backend.label_id_sequence() == want.label_id_sequence()
+    assert all(type(w) is int for row in rows for w in row)
+    return rows
+
+
+# ----------------------------------------------------------------------
+# Process census: what a worker pool or a multi-worker front may leave behind
+# ----------------------------------------------------------------------
+def wait_until(predicate, timeout: float = 30.0) -> bool:
+    """Poll ``predicate`` until it holds; False if ``timeout`` seconds pass first."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+@contextmanager
+def held_by_another_thread(locks, bound_s: float = 60.0):
+    """Run the block while a second thread holds every lock in ``locks`` —
+    what a fork in the block captures locked for good. The holder lets go
+    when the block ends, or after ``bound_s`` so that a block waiting on one
+    of the locks fails late instead of hanging."""
+    held, release = threading.Event(), threading.Event()
+
+    def hold() -> None:
+        with ExitStack() as stack:
+            for lock in locks:
+                stack.enter_context(lock)
+            held.set()
+            release.wait(bound_s)
+
+    holder = threading.Thread(target=hold, name="lock-holder")
+    holder.start()
+    try:
+        assert held.wait(10)
+        yield
+    finally:
+        release.set()
+        holder.join(30)
+    assert not holder.is_alive()
+
+
+def dev_shm() -> Set[str]:
+    """Every name under ``/dev/shm`` (empty where there is no such directory)."""
+    try:
+        return set(os.listdir("/dev/shm"))
+    except OSError:
+        return set()
+
+
+def child_pids() -> Set[int]:
+    """Processes whose parent is this one, zombies included, from ``/proc`` —
+    the census ``perfbench/harness/env.py::stop_children`` takes."""
+    me = os.getpid()
+    found = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii", errors="replace") as fh:
+                stat = fh.read()
+        except OSError:  # gone in the meantime
+            continue
+        if int(stat.rsplit(")", 1)[1].split()[1]) == me:
+            found.add(int(entry))
+    return found
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+class ProcessCensus:
+    """``/dev/shm`` names, child pids and open fds at construction, to hold
+    later states against. ``settled()`` waits (bounded) for executor threads
+    and reaped children to let go before it compares."""
+
+    def __init__(self) -> None:
+        gc.collect()
+        self.shm, self.children, self.fds = dev_shm(), child_pids(), open_fds()
+
+    def new_shm(self) -> Set[str]:
+        return dev_shm() - self.shm
+
+    def new_children(self) -> Set[int]:
+        return child_pids() - self.children
+
+    def settled(self, timeout: float = 10.0) -> bool:
+        def quiet() -> bool:
+            gc.collect()
+            return not self.new_shm() and not self.new_children() and open_fds() <= self.fds
+
+        return wait_until(quiet, timeout)
+
+    def report(self) -> str:
+        return (
+            f"new /dev/shm {sorted(self.new_shm())}, new children "
+            f"{sorted(self.new_children())}, fds {self.fds} -> {open_fds()}"
+        )
 
 
 def connected_query_from(graph: LabeledGraph, num_edges: int, seed: int) -> QueryGraph:

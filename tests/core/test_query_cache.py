@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import DSQLConfig
 from repro.core.dsql import DSQL
+from repro.core.state import SearchStats
 from repro.exceptions import ConfigError
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
@@ -151,6 +154,33 @@ def test_cache_hit_stats_are_independent_copies(graph):
     hit1.stats.nodes_expanded = 10**9
     (hit2,) = session.query_many([q])
     assert hit2.stats.nodes_expanded != 10**9
+
+
+def test_hit_shares_nothing_mutable_with_the_memo(graph):
+    """The isolation ``SearchStats.copy`` keeps, dict included: scribbling on
+    a hit's counters *and* on its ``per_level_added`` moves neither the
+    stored entry nor the next hit — and a copy is a full copy."""
+    session = DSQL(graph, k=3)
+    q = _query()
+    (first,) = session.query_many([q])
+    pristine = dataclasses.asdict(first.stats)
+    assert pristine["per_level_added"] and pristine["nodes_expanded"] > 0
+    first.stats.per_level_added[99] = 7  # the miss's own object is not the stored one
+    (hit,) = session.query_many([q])
+    assert dataclasses.asdict(hit.stats) == pristine
+    hit.stats.per_level_added.clear()
+    hit.stats.per_level_added[99] = 7
+    hit.stats.nodes_expanded = hit.stats.embeddings_found = -1
+    hit.stats.budget_exhausted = True
+    (stored,) = session._query_cache.values()
+    assert dataclasses.asdict(stored.stats) == pristine
+    (again,) = session.query_many([q])
+    assert dataclasses.asdict(again.stats) == pristine
+    assert again.stats is not stored.stats
+    assert again.stats.per_level_added is not stored.stats.per_level_added
+    twin = stored.stats.copy()
+    assert type(twin) is SearchStats and twin == stored.stats
+    assert [f.name for f in dataclasses.fields(twin)] == list(vars(twin))
 
 
 def test_session_pins_index_cache(graph):

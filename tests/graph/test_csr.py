@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-import numpy as np
+import pickle
+from bisect import bisect_left
+
 import pytest
 
 from repro.exceptions import GraphError
 from repro.graph.csr import CSRBackend, intern_labels, normalize_edges
 from repro.graph.labeled_graph import LabeledGraph
-from repro.graph.shared import attach_graph, publish_graph
+from repro.parallel import worker_graph
 from tests.conftest import (
     STORAGE_STATES,
     assert_arrays_match_rebuild,
@@ -89,13 +91,13 @@ def test_label_interning(backend):
     assert backend.label_table == ["a", "b", "c"]
     assert backend.label_to_id == {"a": 0, "b": 1, "c": 2}
     assert backend.label_id_sequence() == [0, 1, 1, 0, 2]
-    assert backend.to_arrays()["label_ids"].tolist() == [0, 1, 1, 0, 2]
 
 
 # ----------------------------------------------------------------------
-# CSR is the publication format: to_arrays / from_arrays, nothing resident.
-# The ids below are named after the array base this class used to keep;
-# each docstring says what the behaviour became.
+# The storage is rows and sets of plain ints, nothing array-shaped, and it
+# crosses a process boundary as it is (pickled for a spawned worker). The
+# ids below are named after the array base and the CSR publication format
+# this class used to keep; each docstring says what the behaviour became.
 # ----------------------------------------------------------------------
 def storage_state(b: CSRBackend):
     """Everything a ``CSRBackend`` holds except ``delta_size``."""
@@ -113,51 +115,61 @@ def storage_state(b: CSRBackend):
     )
 
 
-def row_probe(arrays, u: int, targets) -> np.ndarray:
-    """The array probe, as the reference: which ``targets`` sit in row ``u``
-    of a ``to_arrays()`` result, by ``searchsorted`` over the sorted row."""
-    row = arrays["indices"][arrays["indptr"][u] : arrays["indptr"][u + 1]]
-    targets = np.asarray(targets)
-    if row.size == 0:
-        return np.zeros(targets.shape, dtype=bool)
-    pos = np.searchsorted(row, targets)
-    return (pos < row.size) & (row[np.minimum(pos, row.size - 1)] == targets)
+def pickled(b: CSRBackend) -> CSRBackend:
+    """``b`` the way a spawned worker receives it."""
+    return pickle.loads(pickle.dumps(b))
+
+
+def row_probe(b: CSRBackend, u: int, targets):
+    """The sorted-row probe, as the reference: which ``targets`` sit in row
+    ``u``, by binary search over ``neighbors(u)``."""
+    row = b.neighbors(u)
+    found = []
+    for t in targets:
+        i = bisect_left(row, t)
+        found.append(i < len(row) and row[i] == t)
+    return found
 
 
 def test_no_array_is_held_between_calls():
+    """No array at all now, between calls or during one: every slot is a
+    plain container, a handed-out row is an immutable tuple the caller
+    cannot write through, and writes leave it that way."""
     b = CSRBackend(LABELS, EDGES)
-    first, second = b.to_arrays(), b.to_arrays()
-    for field in first:
-        assert first[field] is not second[field]
-    first["indices"][:] = 0  # the caller's copy; the storage never sees it
-    assert_arrays_match_rebuild(b)
     assert not resident_arrays(b)
+    row = b.neighbors(1)
+    assert type(row) is tuple
+    b.add_edge(1, 4)
+    b.add_vertex("z")
+    assert row == (0, 2, 3) and b.neighbors(1) == (0, 2, 3, 4)
+    assert_arrays_match_rebuild(b)
+    assert not resident_arrays(b) and not resident_arrays(pickled(b))
 
 
 def test_storage_states_are_the_two_extremes():
     """Was: built = all rows in the arrays, grown = all rows in the overlay.
-    Now the two routes are indistinguishable — same state, same arrays."""
+    Now the two routes are indistinguishable — same state, same rows."""
     built = build_graph(LABELS, EDGES, storage="csr").backend
     grown = build_graph(LABELS, EDGES, storage="set").backend
     assert storage_state(grown) == storage_state(built)
     assert (built.delta_size, grown.delta_size) == (0, built.num_edges)
-    want = assert_arrays_match_rebuild(built)
-    got = assert_arrays_match_rebuild(grown)
-    for field in want:
-        assert got[field].dtype == want[field].dtype
-        assert got[field].tolist() == want[field].tolist()
+    assert assert_arrays_match_rebuild(grown) == assert_arrays_match_rebuild(built)
 
 
 def test_csr_arrays_consistent():
-    """The format ``to_arrays()`` writes: ``indptr`` the cumulative degrees
-    (int64), ``indices`` the sorted rows end to end (int32), ``label_ids``
-    indexing ``label_table`` (int32)."""
+    """Was: the format ``to_arrays()`` wrote. What that format spelled is
+    read off the storage itself: the sorted rows end to end, the degrees
+    their lengths, the label ids indexing ``label_table`` — and a pickled
+    backend holds the same, in plain ints."""
     b = CSRBackend(LABELS, EDGES)
-    arrays = assert_arrays_match_rebuild(b)
-    assert arrays["indptr"].tolist() == [0, 2, 5, 7, 9, 10]
-    assert arrays["indices"].tolist() == [1, 2, 0, 2, 3, 0, 1, 1, 4, 3]
-    assert [arrays[f].dtype for f in arrays] == [np.int64, np.int32, np.int32]
-    assert [b.label_table[i] for i in arrays["label_ids"]] == LABELS
+    rows = assert_arrays_match_rebuild(b)
+    assert [w for row in rows for w in row] == [1, 2, 0, 2, 3, 0, 1, 1, 4, 3]
+    assert b.degree_sequence() == [2, 3, 2, 2, 1]
+    assert [b.label_table[i] for i in b.label_id_sequence()] == LABELS
+    twin = pickled(b)
+    assert storage_state(twin) == storage_state(b) and twin.delta_size == b.delta_size
+    assert_arrays_match_rebuild(twin)
+    assert all(type(w) is int for v in range(5) for w in twin.neighbor_set(v))
 
 
 def test_csr_neighbors_array_zero_copy():
@@ -174,24 +186,23 @@ def test_csr_neighbors_array_zero_copy():
 
 
 def test_csr_scalar_probes_agree():
-    """``has_edge`` against a binary search over the published rows."""
+    """``has_edge`` against a binary search over the sorted rows."""
     b = build_graph(LABELS, EDGES, storage="set").backend
     b.remove_edge(0, 2)
-    arrays = b.to_arrays()
     for u in range(5):
         for v in range(5):
-            assert b.has_edge(u, v) == bool(row_probe(arrays, u, [v])[0])
+            assert b.has_edge(u, v) == row_probe(b, u, [v])[0]
 
 
 def test_csr_has_edges_vectorized():
     """The batch probe survives as the reference, not as API."""
     b = CSRBackend(LABELS, EDGES)
-    targets = np.array([0, 1, 2, 3, 4])
-    got = row_probe(b.to_arrays(), 1, targets)
-    assert list(got) == [True, False, True, True, False] == [b.has_edge(1, t) for t in targets]
+    targets = [0, 1, 2, 3, 4]
+    got = row_probe(b, 1, targets)
+    assert got == [True, False, True, True, False] == [b.has_edge(1, t) for t in targets]
     # Isolated row: all-false without error.
     iso = CSRBackend(["x", "y"], [])
-    assert list(row_probe(iso.to_arrays(), 0, targets[:2])) == [False, False]
+    assert row_probe(iso, 0, targets[:2]) == [False, False]
     assert not iso.has_edge(0, 1)
 
 
@@ -199,14 +210,13 @@ def test_empty_graph():
     b = CSRBackend([])
     assert b.num_vertices == 0 and b.num_edges == 0
     assert list(b.edges()) == []
-    arrays = assert_arrays_match_rebuild(b)
-    assert arrays["indptr"].tolist() == [0] and arrays["indices"].size == 0
-    assert storage_state(CSRBackend.from_arrays(**arrays, label_table=[])) == storage_state(b)
+    assert assert_arrays_match_rebuild(b) == []
+    assert storage_state(pickled(b)) == storage_state(b)
 
 
 # ----------------------------------------------------------------------
-# Compaction moves no adjacency data: after any script the arrays a
-# publication would write equal a rebuild's, before and after compact()
+# Compaction moves no adjacency data: after any script the storage equals
+# a rebuild's, before and after compact()
 # ----------------------------------------------------------------------
 RING = 8
 RING_LABELS = list("abcdabcd")
@@ -214,19 +224,18 @@ RING_EDGES = [(v, (v + 1) % RING) for v in range(RING)] + [(0, 4), (2, 6)]
 
 
 def compact_and_check(backend: CSRBackend) -> None:
-    """``to_arrays()`` spells a from-scratch rebuild of the live graph,
-    ``compact()`` changes nothing but ``delta_size``, and the arrays read
-    back (``from_arrays``) to the same storage state."""
+    """The live storage is a from-scratch rebuild of its graph,
+    ``compact()`` changes nothing but ``delta_size``, and a pickled copy —
+    what a spawned worker starts with — is in the same storage state."""
     before = storage_state(backend)
-    arrays = assert_arrays_match_rebuild(backend)
+    rows = assert_arrays_match_rebuild(backend)
     backend.compact()
     assert backend.delta_size == 0
     assert storage_state(backend) == before
-    after = assert_arrays_match_rebuild(backend)
-    assert all(after[field].tolist() == arrays[field].tolist() for field in arrays)
-    attached = CSRBackend.from_arrays(**arrays, label_table=backend.label_table)
-    assert storage_state(attached) == before and attached.delta_size == 0
-    assert all(type(v) is int for u in range(attached.num_vertices) for v in attached.neighbors(u))
+    assert assert_arrays_match_rebuild(backend) == rows
+    copied = pickled(backend)
+    assert storage_state(copied) == before and copied.delta_size == 0
+    assert_arrays_match_rebuild(copied)
 
 
 def _touch_first(b):
@@ -302,7 +311,7 @@ def _touch_everything(b):
 )
 def test_compact_splices_every_row_into_place(mutate):
     """Was: compaction splices overlay rows into fresh arrays. Now: after
-    the script ``to_arrays()`` ≡ a rebuild and ``compact()`` only resets
+    the script the storage ≡ a rebuild and ``compact()`` only resets
     ``delta_size`` — at every point of a write / compact / write sequence."""
     b = CSRBackend(RING_LABELS, RING_EDGES)
     mutate(b)
@@ -313,7 +322,7 @@ def test_compact_splices_every_row_into_place(mutate):
 
 
 def test_compact_from_an_edgeless_base():
-    """A graph grown edge by edge publishes and checkpoints like a built one."""
+    """A graph grown edge by edge pickles and checkpoints like a built one."""
     b = build_graph(RING_LABELS, RING_EDGES, storage="set").backend
     assert b.delta_size == len(RING_EDGES)
     compact_and_check(b)
@@ -321,15 +330,18 @@ def test_compact_from_an_edgeless_base():
 
 
 def test_compact_after_attach_leaves_the_shared_arrays_alone():
-    """Mutating and compacting an attached graph touches only that copy: a
-    second attach of the same descriptor still reads the published graph."""
+    """There are no shared arrays: a spawned worker's graph (pickle, then
+    ``worker_graph``) is a copy of its own. Mutating and compacting it
+    touches only that copy — the source, and a second worker's copy made
+    afterwards, still hold the graph as it was."""
     source = LabeledGraph(RING_LABELS, RING_EDGES)
+    source.index_cache()
     want = storage_state(source.backend)
-    with publish_graph(source) as published:
-        first = attach_graph(published.descriptor)
-        _touch_adjacent(first.backend)
-        _add_connected_vertices(first.backend)
-        compact_and_check(first.backend)
-        assert storage_state(first.backend) != want
-        second = attach_graph(published.descriptor)
-        assert storage_state(second.backend) == want == storage_state(source.backend)
+    first = worker_graph(pickle.loads(pickle.dumps(source)))
+    assert first.version == source.version
+    _touch_adjacent(first.backend)
+    _add_connected_vertices(first.backend)
+    compact_and_check(first.backend)
+    assert storage_state(first.backend) != want
+    second = worker_graph(pickle.loads(pickle.dumps(source)))
+    assert storage_state(second.backend) == want == storage_state(source.backend)

@@ -1,27 +1,38 @@
-"""Tests for :mod:`repro.graph.shared` — the shared-memory publish/attach layer.
+"""How a graph reaches a worker process, now that nothing is published.
 
-The contract under test: an attached graph is *equivalent* to the published
-one (same topology, labels, index-cache state, bit-identical query answers),
-it is a private copy holding no mapping (attach = open, copy out, close),
-publishing is a read, and the lifecycle fails loudly — stale epochs and
-unlinked segments raise typed errors instead of serving wrong answers.
+This file tested ``repro.graph.shared`` — publish a graph to shared-memory
+segments, attach it in a worker. That transport is deleted: a worker is
+*started with the graph* (inherited under ``fork``, pickled under ``spawn``)
+and wraps its storage with :func:`repro.parallel.worker_graph`. Every test id
+is kept; each docstring says what the id pins now. The contract is the same
+one: the worker's graph is *equivalent* to the parent's (same topology,
+labels, version, bit-identical query answers), it is a private copy,
+handing it over is a read, and a worker that cannot reach the parent's
+version fails loudly with a typed error instead of serving wrong answers.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import importlib.util
+import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-import repro.graph.shared as shared
+import repro.exceptions
+import repro.parallel.pool as pool_mod
+from repro.core.config import DSQLConfig
 from repro.core.dsql import DSQL
-from repro.exceptions import SharedMemoryError, StaleSegmentError
+from repro.exceptions import ReproError, StaleSegmentError
 from repro.graph.csr import CSRBackend
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
-from repro.graph.shared import attach_graph, publish_graph
-from tests.conftest import resident_arrays
+from repro.parallel import WorkerPool, worker_graph
+from tests.conftest import ProcessCensus, resident_arrays
 
 K = 3
 
@@ -43,36 +54,30 @@ def _queries():
     ]
 
 
+def _answers(graph: LabeledGraph):
+    return [r.to_dict() for r in DSQL(graph, k=K).query_many(_queries())]
+
+
+def _chunk():
+    return [(q.canonical_key(), list(q.labels), list(q.edges())) for q in _queries()]
+
+
+def spawned(graph: LabeledGraph) -> LabeledGraph:
+    """``graph`` as a spawned worker serves it: unpickled, then the helper."""
+    return worker_graph(pickle.loads(pickle.dumps(graph)))
+
+
 @pytest.fixture
 def source_graph():
-    return _graph()
-
-
-@pytest.fixture
-def published(source_graph):
-    pub = publish_graph(source_graph)
-    yield pub
-    pub.close()
-    pub.unlink()
-
-
-@pytest.fixture
-def opened(monkeypatch):
-    """Every ``SharedMemory`` handle ``repro.graph.shared`` opens from here on."""
-    handles = []
-
-    class Recording(shared.shared_memory.SharedMemory):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            handles.append(self)
-
-    monkeypatch.setattr(shared.shared_memory, "SharedMemory", Recording)
-    return handles
+    graph = _graph()
+    graph.index_cache()
+    return graph
 
 
 class TestRoundTrip:
-    def test_topology_and_labels_survive(self, source_graph, published):
-        got = attach_graph(published.descriptor)
+    def test_topology_and_labels_survive(self, source_graph):
+        """The pickle round trip a spawned worker's graph makes."""
+        got = spawned(source_graph)
         assert got.name == source_graph.name
         assert got.num_vertices == source_graph.num_vertices
         assert got.num_edges == source_graph.num_edges
@@ -83,44 +88,89 @@ class TestRoundTrip:
             assert got.neighbor_set(v) == source_graph.neighbor_set(v)
             assert got.degree(v) == source_graph.degree(v)
 
-    def test_query_results_bit_identical(self, source_graph, published):
-        session = DSQL(attach_graph(published.descriptor), k=K)
-        shared_results = [r.to_dict() for r in session.query_many(_queries())]
-        serial = [r.to_dict() for r in DSQL(source_graph, k=K).query_many(_queries())]
-        assert shared_results == serial
+    def test_query_results_bit_identical(self, source_graph):
+        """A worker's graph — by pickle, and by the helper alone as a forked
+        worker gets it — answers exactly like the parent's."""
+        serial = _answers(source_graph)
+        assert _answers(spawned(source_graph)) == serial
+        assert _answers(worker_graph(source_graph)) == serial
 
-    def test_arrays_are_views_not_copies(self, published, opened):
-        """Was: the attached arrays alias the segments. Now the opposite
-        holds — the attached graph is plain-``int`` rows and sets, keeps no
-        array and no mapping: every handle attach opened is closed again by
-        the time it returns."""
-        got = attach_graph(published.descriptor)
-        assert len(opened) == 1 + len(shared.ARRAY_FIELDS)  # meta + arrays
-        assert all(handle.buf is None for handle in opened)
+    def test_arrays_are_views_not_copies(self, source_graph):
+        """Was: the attached arrays alias the segments. There are no arrays:
+        a pickled graph is plain-``int`` rows and sets, and the helper adopts
+        the storage it is given (under ``fork`` the worker's inherited pages)
+        instead of copying it."""
+        assert worker_graph(source_graph).backend is source_graph.backend
+        got = spawned(source_graph)
         backend = got.backend
-        assert not resident_arrays(backend)
+        assert backend is not source_graph.backend and not resident_arrays(backend)
         for v in got.vertices():
             assert all(type(w) is int for w in got.neighbors(v))
             assert all(type(w) is int for w in got.neighbor_set(v))
         assert all(type(i) is int for i in backend.label_id_sequence())
         assert got.index_cache().degree_array.flags.owndata
 
-    def test_index_cache_preseeded_with_same_epoch(self, source_graph, published):
+    def test_index_cache_preseeded_with_same_epoch(self, source_graph):
+        """The helper's graph, by either route: a cache of its own at the
+        parent's version, seeded with the signature table, and every lock a
+        new object."""
+        source_graph.add_edge(0, 5)
         cache = source_graph.index_cache()
-        got = attach_graph(published.descriptor).index_cache()
-        assert got.epoch == cache.epoch == published.descriptor.epoch
-        assert got.label_index == cache.label_index
-        assert list(got.signature_masks) == list(cache.signature_masks)
+        cache.cost_estimator()
+        for route in (worker_graph, spawned):
+            got = route(source_graph).index_cache()
+            assert got is not cache and got.graph is not source_graph
+            assert got.version == cache.version == (cache.epoch, 1)
+            assert got.label_index == cache.label_index
+            assert got.signature_masks == cache.signature_masks
+            assert got.signature_masks is not cache.signature_masks
+            assert got._pool_lock is not cache._pool_lock
+            assert got._adj_lock is not cache._adj_lock
+            assert got.plan_cache is not cache.plan_cache
+            assert got.plan_cache._lock is not cache.plan_cache._lock
+            assert got._cost_estimator is None and got._metrics is None
+            assert got._mutation_log == [] and not got._pool_memo
 
-    def test_nbytes_accounts_for_arrays(self, published):
-        arrays = _graph().backend.to_arrays()
-        assert sorted(arrays) == sorted(shared.ARRAY_FIELDS)
-        assert published.nbytes >= sum(array.nbytes for array in arrays.values())
+    def test_pickle_ships_no_memo_a_read_can_touch(self, source_graph):
+        """Under ``spawn`` a worker's start pickles the graph from the
+        submitting thread, under the service's *read* lock — beside point
+        queries that insert into the cache's memos. None of those dicts is
+        in the pickled state (a dict that grows while the pickler iterates
+        it raises), and the unpickled cache starts with empty ones."""
+        session = DSQL(source_graph, k=K)
+        session.query_many(_queries())
+        cache = source_graph.index_cache()
+        cache.signature(0)
+        cache.adjacency_mask(0)
+        assert cache._pool_memo and cache._mask_signatures and cache._adj_masks
+        assert cache.plan_cache.info()["size"] > 0
+        state = cache.__getstate__()
+        read_mutated = {"_pool_memo", "_pool_keys", "_mask_signatures", "_adj_masks", "plan_cache"}
+        assert not read_mutated & set(state)
+        got = pickle.loads(pickle.dumps(source_graph)).index_cache()
+        assert got.version == cache.version and got.signature_masks == cache.signature_masks
+        assert not got._pool_memo and not got._pool_keys and not got._mask_signatures
+        assert not got._adj_masks and got.plan_cache.info()["size"] == 0
+        assert _answers(got.graph) == _answers(source_graph)
+
+    def test_nbytes_accounts_for_arrays(self, source_graph):
+        """Was: the segments are at least as big as the arrays. A pool holds
+        no shared memory at all — ``shared_nbytes`` is the constant the
+        frozen benchmark harness still reads — and what crosses under
+        ``spawn`` is one pickle that carries the whole graph."""
+        census = ProcessCensus()
+        with WorkerPool(source_graph, DSQLConfig(k=K), jobs=1) as pool:
+            pool.submit(_chunk()).result(timeout=60)
+            assert pool.shared_nbytes == 0
+            assert not census.new_shm()
+        blob = pickle.dumps(source_graph)
+        assert pickle.loads(blob).num_edges == source_graph.num_edges
+        assert len(blob) > 8 * source_graph.num_edges
 
     def test_publishing_is_a_read(self, source_graph):
-        """A graph with pending deltas publishes where it stands: version,
-        plan cache and delta counter untouched, descriptor at delta_seq > 0,
-        and the attached copy is the live topology at that version."""
+        """Building a pool on a graph with pending deltas, and answering on
+        it, is a read: version, plan cache and delta counter untouched, and
+        a worker's graph is the live topology at exactly that version."""
         session = DSQL(source_graph, k=K)
         session.query_many(_queries())
         source_graph.mutate(
@@ -131,81 +181,123 @@ class TestRoundTrip:
         plans = source_graph.index_cache().plan_cache
         before = (source_graph.version, plans.info(), source_graph.backend.delta_size)
         assert before[0][1] == 3 and before[1]["size"] > 0 and before[2] == 2
-        with publish_graph(source_graph) as pub:
+        rebuilt = LabeledGraph(list(source_graph.labels), list(source_graph.edges()))
+        want = _answers(rebuilt)
+        with WorkerPool(source_graph, session.config, jobs=1) as pool:
+            _, pairs, _ = pool.submit(_chunk()).result(timeout=60)
+            assert [r.to_dict() for _, r in pairs] == want
             assert (source_graph.version, plans.info(), source_graph.backend.delta_size) == before
             assert source_graph.index_cache().plan_cache is plans
-            assert (pub.descriptor.epoch, pub.descriptor.delta_seq) == before[0]
-            got = attach_graph(pub.descriptor)
+        got = spawned(source_graph)
         assert got.version == before[0]
         assert list(got.edges()) == list(source_graph.edges())
         assert list(got.labels) == list(source_graph.labels)
-        rebuilt = LabeledGraph(list(source_graph.labels), list(source_graph.edges()))
-        want = [r.to_dict() for r in DSQL(rebuilt, k=K).query_many(_queries())]
-        assert [r.to_dict() for r in DSQL(got, k=K).query_many(_queries())] == want
+        assert _answers(got) == want
+
+
+def _serve_and_scribble(graph: LabeledGraph, conn) -> None:
+    """Child body: answer on the worker graph, then write all over it."""
+    twin = worker_graph(graph)
+    answers = _answers(twin)
+    twin.add_edge(0, 5)
+    twin.add_vertex("z")
+    twin.compact()
+    conn.send((answers, twin.num_edges))
+    conn.close()
+
+
+def _worker_exit(method: str, graph: LabeledGraph):
+    """Start one worker process with ``graph``, let it answer, mutate its
+    copy and exit; returns what it sent back."""
+    ctx = multiprocessing.get_context(method)
+    parent_conn, child_conn = ctx.Pipe()
+    process = ctx.Process(target=_serve_and_scribble, args=(graph, child_conn))
+    process.start()
+    child_conn.close()
+    assert parent_conn.poll(120)
+    sent = parent_conn.recv()
+    process.join(60)
+    assert process.exitcode == 0
+    parent_conn.close()
+    return sent
 
 
 class TestLifecycle:
-    def test_attach_after_unlink_raises(self):
-        pub = publish_graph(_graph())
-        descriptor = pub.descriptor
-        pub.close()
-        pub.unlink()
-        with pytest.raises(SharedMemoryError):
-            attach_graph(descriptor)
+    def test_attach_after_unlink_raises(self, source_graph):
+        """Was: attaching unlinked segments raises. There is nothing to
+        unlink or attach: the module is gone, and a forked worker's exit
+        leaves the parent's graph answering and ``/dev/shm`` as found."""
+        assert importlib.util.find_spec("repro.graph.shared") is None
+        want, edges = _answers(source_graph), source_graph.num_edges
+        census = ProcessCensus()
+        answers, worker_edges = _worker_exit("fork", source_graph)
+        assert answers == want and worker_edges == edges + 1
+        assert _answers(source_graph) == want and source_graph.num_edges == edges
+        assert not source_graph.has_edge(0, 5)
+        assert census.settled(), census.report()
 
-    def test_stale_epoch_raises(self, published, opened):
-        forged = dataclasses.replace(
-            published.descriptor, epoch=published.descriptor.epoch + 1
-        )
-        with pytest.raises(StaleSegmentError):
-            attach_graph(forged)
-        assert opened and all(handle.buf is None for handle in opened)  # closed on failure too
+    def test_stale_epoch_raises(self, source_graph):
+        """A worker whose graph is of another epoch than the chunk's sync
+        header refuses to answer — the check the forged descriptor tripped."""
+        twin = worker_graph(source_graph)
+        epoch, seq = twin.version
+        pool_mod._apply_sync(twin, (epoch, seq, ()))
+        with pytest.raises(StaleSegmentError, match="cannot reach epoch"):
+            pool_mod._apply_sync(twin, (epoch + 1, seq, ()))
+        assert twin.version == (epoch, seq)
 
     def test_stale_is_a_shared_memory_error(self):
-        assert issubclass(StaleSegmentError, SharedMemoryError)
+        """Was: ``StaleSegmentError`` subclasses the segment-lifecycle error.
+        That class went with its raisers; staleness is its own error,
+        directly under the library's base."""
+        assert StaleSegmentError.__bases__ == (ReproError,)
+        assert not hasattr(repro.exceptions, "SharedMemoryError")
 
-    def test_old_format_is_refused(self, published, monkeypatch):
-        monkeypatch.setattr(shared, "SHARED_FORMAT_VERSION", 2)
-        with pytest.raises(SharedMemoryError, match="format 3 does not match"):
-            attach_graph(published.descriptor)
+    def test_old_format_is_refused(self, source_graph):
+        """Was: a segment of another format version is refused. There is no
+        format to version — the storage crosses as the objects it is — and a
+        spawned worker's exit leaves the parent's graph answering and no
+        segment behind."""
+        assert not hasattr(CSRBackend, "to_arrays") and not hasattr(CSRBackend, "from_arrays")
+        want = _answers(source_graph)
+        before = ProcessCensus()
+        answers, _ = _worker_exit("spawn", source_graph)
+        assert answers == want == _answers(source_graph)
+        leftovers = {name for name in before.new_shm() if not name.startswith("sem.mp-")}
+        assert not leftovers
 
-    def test_publish_close_unlink_idempotent(self):
-        pub = publish_graph(_graph())
-        pub.close()
-        pub.close()
-        pub.unlink()
-        pub.unlink()
+    def test_publish_close_unlink_idempotent(self, source_graph):
+        """Closing a pool twice is harmless, whether or not it ever started
+        a worker."""
+        census = ProcessCensus()
+        idle = WorkerPool(source_graph, DSQLConfig(k=K), jobs=1)
+        idle.close()
+        idle.close()
+        used = WorkerPool(source_graph, DSQLConfig(k=K), jobs=1)
+        used.submit(_chunk()).result(timeout=60)
+        used.close()
+        used.close()
+        assert census.settled(), census.report()
 
-    def test_close_with_live_views_raises_typed_error(self, published, monkeypatch):
-        """Was: ``AttachedGraph.close()`` refuses while views are alive.
-        There is no attachment to close; the same fault — a view of a
-        segment outliving the copy — now fails the attach itself instead of
-        returning a graph with a mapping pinned behind it."""
-        kept = []
-        real = CSRBackend.from_arrays.__func__
+    def test_close_with_live_views_raises_typed_error(self, source_graph):
+        """Was: a view of a segment outliving the copy fails the attach. A
+        view cannot outlive anything now: the parent may keep any row or set
+        of its graph across a worker's whole life, and finds them untouched
+        after the worker wrote to its own copy and exited."""
+        rows = [source_graph.neighbors(v) for v in source_graph.vertices()]
+        sets = [source_graph.neighbor_set(v) for v in source_graph.vertices()]
+        kept = [set(s) for s in sets]
+        _worker_exit("fork", source_graph)
+        for v in source_graph.vertices():
+            assert source_graph.neighbors(v) is rows[v]
+            assert source_graph.neighbor_set(v) is sets[v] and sets[v] == kept[v]
 
-        def adopting(cls, indptr, indices, label_ids, label_table):
-            kept.append(indices)  # what the old from_arrays did
-            return real(cls, indptr, indices, label_ids, label_table)
-
-        monkeypatch.setattr(CSRBackend, "from_arrays", classmethod(adopting))
-        with pytest.raises(SharedMemoryError, match="views over them are still alive") as failure:
-            attach_graph(published.descriptor)
-        # The offender's view is intact (the mapping was not pulled from
-        # under it); the handles — alive in the failure's traceback — close
-        # once the view is dropped, and attach works again when nothing adopts.
-        assert kept[0].tolist() == _graph().backend.to_arrays()["indices"].tolist()
-        kept.clear()
-        del failure
-        monkeypatch.undo()
-        assert attach_graph(published.descriptor).num_edges == _graph().num_edges
-
-    def test_attachment_close_idempotent(self, source_graph, published):
+    def test_attachment_close_idempotent(self, source_graph):
         """Was: closing an attachment twice is harmless. With nothing to
-        close, what remains to pin is that two attaches of one descriptor
-        are independent copies."""
-        first = attach_graph(published.descriptor)
-        second = attach_graph(published.descriptor)
+        close, what remains to pin is that two workers' copies of one graph
+        are independent."""
+        first = spawned(source_graph)
+        second = spawned(source_graph)
         assert first is not second and first.backend is not second.backend
         first.add_edge(0, 5)
         first.add_vertex("z")
@@ -213,102 +305,79 @@ class TestLifecycle:
         assert not second.has_edge(0, 5) and not source_graph.has_edge(0, 5)
         assert second.num_vertices == source_graph.num_vertices
         assert second.version == source_graph.version != first.version
-        assert list(attach_graph(published.descriptor).edges()) == list(source_graph.edges())
+        assert list(spawned(source_graph).edges()) == list(source_graph.edges())
 
     def test_unlink_while_attached_keeps_mapping_alive(self):
-        """Was: POSIX keeps an attached mapping alive past the unlink. The
-        attached graph needs no such grace: it holds no mapping, so the
-        publisher may close and unlink the moment ``attach_graph`` returns
-        — which is what lets the worker pool unlink eagerly at close()."""
+        """Was: POSIX keeps an attached mapping alive past the unlink. A
+        worker's copy needs no such grace: it depends on nothing of the
+        graph it was made from, which may change or go away at once."""
         graph = _graph()
-        pub = publish_graph(graph)
-        attached = attach_graph(pub.descriptor)
-        pub.close()
-        pub.unlink()
-        with pytest.raises(SharedMemoryError):
-            attach_graph(pub.descriptor)
-        result = DSQL(attached, k=K).query(_queries()[0])
-        reference = DSQL(graph, k=K).query(_queries()[0])
-        assert result.to_dict() == reference.to_dict()
-        assert attached.add_edge(0, 5) and attached.has_edge(5, 0)  # and is writable
+        reference = DSQL(graph, k=K).query(_queries()[0]).to_dict()
+        copied = spawned(graph)
+        graph.mutate([("remove_edge", 0, 1), ("remove_edge", 1, 2)])
+        del graph
+        assert DSQL(copied, k=K).query(_queries()[0]).to_dict() == reference
+        assert copied.add_edge(0, 5) and copied.has_edge(5, 0)  # and is writable
 
-    def test_republish_same_graph_keeps_epoch_changes_token(self, source_graph, published):
-        # Segment names must never collide across publications, but the
-        # epoch is the index cache's identity — republishing the same live
-        # graph keeps it, so existing descriptors stay attachable-by-epoch.
-        second = publish_graph(source_graph)
-        try:
-            assert second.descriptor.token != published.descriptor.token
-            assert second.descriptor.epoch == published.descriptor.epoch
-        finally:
-            second.close()
-            second.unlink()
-
-
-def _attach_probe(descriptor_path: str) -> None:
-    """Spawn-context child body: attach, sanity-check, exit 0."""
-    import pickle as _pickle
-
-    from repro.graph.shared import attach_graph as _attach
-
-    with open(descriptor_path, "rb") as fh:
-        descriptor = _pickle.load(fh)
-    assert _attach(descriptor).num_vertices > 0
+    def test_republish_same_graph_keeps_epoch_changes_token(self, source_graph):
+        """Two pools on one live graph share its epoch — it is the index
+        cache's identity, not a pool's — and nothing else: each has its own
+        workers, and closing one leaves the other answering."""
+        config = DSQLConfig(k=K)
+        with WorkerPool(source_graph, config, jobs=1) as first:
+            second = WorkerPool(source_graph, config, jobs=1)
+            try:
+                assert first._sync_epoch == second._sync_epoch == source_graph.version[0]
+                pid_a, pairs_a, _ = first.submit(_chunk()).result(timeout=60)
+                pid_b, pairs_b, _ = second.submit(_chunk()).result(timeout=60)
+                assert pid_a != pid_b
+            finally:
+                second.close()
+            _, again, _ = first.submit(_chunk()).result(timeout=60)
+        want = _answers(source_graph)
+        for pairs in (pairs_a, pairs_b, again):
+            assert [r.to_dict() for _, r in pairs] == want
 
 
 class TestForeignTrackerSurvival:
-    """A worker's exit must never unlink the publisher's segments.
+    """A worker's exit must never cost the parent its graph.
 
-    Python's shared-memory resource tracker registers *attachments* too;
-    in a process with its own tracker, that registration would unlink the
-    segments at process exit unless the attach undoes it
-    (``_unregister_attachment``). These tests fail loudly if a Python
-    tracker-behavior change ever restores the unlink-on-exit behavior.
+    The class guarded the resource-tracker workaround: a process with its
+    own tracker used to unlink the publisher's segments when it exited.
+    With no segment there is no tracker entry to get wrong; the ids keep
+    the scenario — a process that is not a fork child takes the graph,
+    serves it, exits — and assert what must hold after it.
     """
 
-    def _assert_still_attachable(self, source_graph, published):
-        assert attach_graph(published.descriptor).num_edges == source_graph.num_edges
+    def test_segments_survive_spawn_worker_exit(self, source_graph):
+        want = _answers(source_graph)
+        answers, _ = _worker_exit("spawn", source_graph)
+        assert answers == want
+        assert _answers(source_graph) == want
+        with WorkerPool(source_graph, DSQLConfig(k=K), jobs=1) as pool:
+            _, pairs, _ = pool.submit(_chunk()).result(timeout=60)
+        assert [r.to_dict() for _, r in pairs] == want
 
-    def test_segments_survive_spawn_worker_exit(
-        self, source_graph, published, tmp_path
-    ):
-        import multiprocessing
-
-        path = tmp_path / "descriptor.pkl"
-        path.write_bytes(pickle.dumps(published.descriptor))
-        ctx = multiprocessing.get_context("spawn")
-        proc = ctx.Process(target=_attach_probe, args=(str(path),))
-        proc.start()
-        proc.join(120)
-        assert proc.exitcode == 0
-        self._assert_still_attachable(source_graph, published)
-
-    def test_segments_survive_independent_process_exit(
-        self, source_graph, published, tmp_path
-    ):
-        # An independently launched interpreter runs its OWN resource
-        # tracker — the exact process shape whose exit would unlink the
-        # publisher's segments without the attach-side unregister. The
-        # child stops its tracker synchronously so any cleanup it would
-        # do has happened before the parent re-attaches.
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        path = tmp_path / "descriptor.pkl"
-        path.write_bytes(pickle.dumps(published.descriptor))
+    def test_segments_survive_independent_process_exit(self, source_graph, tmp_path):
+        """An independently launched interpreter — its own resource tracker,
+        nothing inherited — loads the pickled graph, serves it through the
+        helper and exits: no tracker noise, nothing left under ``/dev/shm``,
+        the parent's graph answering."""
+        want = _answers(source_graph)
+        census = ProcessCensus()
+        path = tmp_path / "graph.pkl"
+        path.write_bytes(pickle.dumps(source_graph))
         script = "\n".join(
             [
                 "import pickle, sys",
-                "from multiprocessing import resource_tracker",
-                "from repro.graph.shared import attach_graph",
+                "from repro.core.dsql import DSQL",
+                "from repro.graph.query_graph import QueryGraph",
+                "from repro.parallel import worker_graph",
                 "with open(sys.argv[1], 'rb') as fh:",
-                "    descriptor = pickle.load(fh)",
-                "assert attach_graph(descriptor).num_vertices > 0",
-                "tracker = getattr(resource_tracker, '_resource_tracker', None)",
-                "if tracker is not None and getattr(tracker, '_fd', None) is not None:",
-                "    tracker._stop()",
+                "    graph = worker_graph(pickle.load(fh))",
+                "assert graph.num_vertices > 0 and graph.version is not None",
+                "result = DSQL(graph, k=3).query(QueryGraph(['a', 'b'], [(0, 1)]))",
+                "print(result.coverage)",
             ]
         )
         env = dict(os.environ)
@@ -325,4 +394,6 @@ class TestForeignTrackerSurvival:
         )
         assert proc.returncode == 0, proc.stderr
         assert "resource_tracker" not in proc.stderr, proc.stderr
-        self._assert_still_attachable(source_graph, published)
+        assert int(proc.stdout) == DSQL(source_graph, k=K).query(_queries()[0]).coverage
+        assert _answers(source_graph) == want
+        assert census.settled(), census.report()

@@ -1,29 +1,29 @@
-"""Shared-memory staleness under live mutation: fail loudly, never lie.
+"""Worker staleness under live mutation: fail loudly, never lie.
 
-Workers attached to a published graph may lag the parent by delta
-mutations (they catch up by replaying the ops tail shipped with each
+Pool workers hold their own copy of the graph and may lag the parent by
+delta mutations (they catch up by replaying the ops tail shipped with each
 chunk) but can never survive a *compaction*: the parent's mutation log
 restarted, the worker's copy is of a dead epoch with no tail to replay,
 and the only acceptable outcome is
 :class:`~repro.exceptions.StaleSegmentError` — a wrong answer computed from
-the old topology is the one forbidden result. Publishing itself is a read:
-it happens wherever in an epoch the graph stands and moves nothing.
+the old topology is the one forbidden result. Building a pool is a read: it
+happens wherever in an epoch the graph stands and moves nothing. The
+catch-up cases run under both start methods (``TestEitherStartMethod``).
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
+import repro.parallel.pool as pool_mod
 from repro.core.config import DSQLConfig
 from repro.core.dsql import DSQL
 from repro.datasets.registry import make_dataset
 from repro.exceptions import StaleSegmentError
 from repro.graph.labeled_graph import LabeledGraph
-from repro.graph.shared import attach_graph, publish_graph
-from repro.parallel import BatchExecutor, WorkerPool
+from repro.parallel import BatchExecutor, WorkerPool, worker_graph
 from repro.queries.generator import query_set
+from tests.parallel.conftest import START_METHODS
 
 K = 4
 
@@ -43,84 +43,110 @@ def _absent_pair(graph):
     return u, v
 
 
+def check_workers_replay_delta_tail():
+    graph, queries = _workload()
+    config = DSQLConfig(k=K)
+    session = DSQL(graph, config=config)
+    with WorkerPool(graph, config, jobs=2) as pool:
+        pid, pairs, _ = pool.submit(_chunk_of(session, queries)).result(timeout=120)
+        u, v = _absent_pair(graph)
+        graph.add_edge(u, v)
+        graph.add_vertex("zz")
+        # Workers at the old delta_seq must replay the tail and answer
+        # against the post-mutation topology.
+        _, pairs_after, _ = pool.submit(_chunk_of(session, queries)).result(timeout=120)
+        rebuilt = LabeledGraph(list(graph.labels), list(graph.edges()))
+        reference = DSQL(rebuilt, config=config)
+        want = {q.canonical_key(): reference.query(q) for q in queries}
+        got = {key[1]: r for key, r in pairs_after}
+        assert {k: r.to_dict() for k, r in got.items()} == {
+            k: r.to_dict() for k, r in want.items()
+        }
+
+
+def check_process_batches_between_writes_move_nothing():
+    """write → process batch → write → process batch: the pool is built
+    on a dirty graph, the second write reaches its workers by replay."""
+    graph, queries = _workload()
+    config = DSQLConfig(k=K)
+    session = DSQL(graph, config=config)
+    session.query_many(queries)
+
+    def reference():
+        rebuilt = LabeledGraph(list(graph.labels), list(graph.edges()))
+        return [r.to_dict() for r in DSQL(rebuilt, config=config).query_many(queries)]
+
+    epoch = graph.version[0]
+    u, v = _absent_pair(graph)
+    with BatchExecutor(session, strategy="process", jobs=2) as executor:
+        graph.mutate([("add_vertex", "zz"), ("add_edge", u, v)], compaction_threshold=None)
+        plans = graph.index_cache().plan_cache
+        state = (graph.version, plans.info()["size"], graph.backend.delta_size)
+        assert state[0] == (epoch, 2)
+        first = executor.run(queries)
+        pool = executor.pool
+        assert pool is not None and (pool._sync_epoch, pool._base_seq) == (epoch, 2)
+        assert (graph.version, graph.backend.delta_size) == (state[0], state[2])
+        assert plans.info()["size"] >= state[1] and graph.index_cache().plan_cache is plans
+        assert [r.to_dict() for r in first] == reference()
+        assert executor.last_report.chunks_retried == 0
+
+        graph.mutate([("remove_edge", u, v)], compaction_threshold=None)
+        assert graph.version == (epoch, 3)
+        second = executor.run(queries)
+        assert executor.pool is pool and not pool.stale  # same workers, caught up by replay
+        assert graph.version == (epoch, 3)
+        assert [r.to_dict() for r in second] == reference()
+        assert executor.last_report.chunks_retried == 0
+
+
 class TestWorkerCatchUp:
+    """On the start method the platform selects."""
+
     def test_workers_replay_delta_tail(self):
+        check_workers_replay_delta_tail()
+
+    def test_publish_compacts_dirty_overlay(self):
+        """The opposite of its name (id kept): building a pool on a graph
+        with pending deltas is a read. Version, plan-cache object and size,
+        and delta counter are left as found, the pool is pinned at
+        ``delta_seq > 0``, and its workers answer on the live topology at
+        exactly that version."""
         graph, queries = _workload()
         config = DSQLConfig(k=K)
         session = DSQL(graph, config=config)
-        with WorkerPool(graph, config, jobs=2) as pool:
-            pid, pairs, _ = pool.submit(_chunk_of(session, queries)).result()
-            u, v = _absent_pair(graph)
-            graph.add_edge(u, v)
-            graph.add_vertex("zz")
-            # Workers at the old delta_seq must replay the tail and answer
-            # against the post-mutation topology.
-            _, pairs_after, _ = pool.submit(_chunk_of(session, queries)).result()
-            rebuilt = LabeledGraph(list(graph.labels), list(graph.edges()))
-            reference = DSQL(rebuilt, config=config)
-            want = {q.canonical_key(): reference.query(q) for q in queries}
-            got = {key[1]: r for key, r in pairs_after}
-            assert {k: r.to_dict() for k, r in got.items()} == {
-                k: r.to_dict() for k, r in want.items()
-            }
-
-    def test_publish_compacts_dirty_overlay(self):
-        """The opposite of its name (id kept): publishing a graph with
-        pending deltas is a read. Version, plan cache and delta counter are
-        left as found, the descriptor carries ``delta_seq > 0``, and the
-        attached copy has the live topology at exactly that version."""
-        graph, queries = _workload()
-        session = DSQL(graph, config=DSQLConfig(k=K))
         u, v = _absent_pair(graph)
         graph.mutate([("add_edge", u, v)], compaction_threshold=None)
         session.query_many(queries)
         plans = graph.index_cache().plan_cache
         before = (graph.version, plans.info()["size"], graph.backend.delta_size)
         assert before[0][1] == 1 and before[1] > 0 and before[2] == 1
-        with publish_graph(graph) as published:
+        with WorkerPool(graph, config, jobs=1) as pool:
+            assert (pool._sync_epoch, pool._base_seq) == before[0]
+            _, pairs, _ = pool.submit(_chunk_of(session, queries)).result(timeout=120)
             assert (graph.version, plans.info()["size"], graph.backend.delta_size) == before
             assert graph.index_cache().plan_cache is plans
-            descriptor = published.descriptor
-            assert (descriptor.epoch, descriptor.delta_seq) == before[0]
-            attached = attach_graph(descriptor)
-        assert attached.version == before[0]
-        assert attached.has_edge(u, v)
-        assert list(attached.edges()) == list(graph.edges())
+        rebuilt = DSQL(LabeledGraph(list(graph.labels), list(graph.edges())), config=config)
+        assert [r.to_dict() for _, r in pairs] == [rebuilt.query(q).to_dict() for q in queries]
+        started = worker_graph(graph)
+        assert started.version == before[0] and started.has_edge(u, v)
+        assert list(started.edges()) == list(graph.edges())
 
     def test_process_batches_between_writes_move_nothing(self):
-        """write → process batch → write → process batch: the pool is built
-        on a dirty graph, the second write reaches its workers by replay."""
-        graph, queries = _workload()
-        config = DSQLConfig(k=K)
-        session = DSQL(graph, config=config)
-        session.query_many(queries)
+        check_process_batches_between_writes_move_nothing()
 
-        def reference():
-            rebuilt = LabeledGraph(list(graph.labels), list(graph.edges()))
-            return [r.to_dict() for r in DSQL(rebuilt, config=config).query_many(queries)]
 
-        epoch = graph.version[0]
-        u, v = _absent_pair(graph)
-        with BatchExecutor(session, strategy="process", jobs=2) as executor:
-            graph.mutate([("add_vertex", "zz"), ("add_edge", u, v)], compaction_threshold=None)
-            plans = graph.index_cache().plan_cache
-            state = (graph.version, plans.info()["size"], graph.backend.delta_size)
-            assert state[0] == (epoch, 2)
-            first = executor.run(queries)
-            pool = executor.pool
-            assert pool is not None and pool.descriptor.delta_seq == 2
-            assert (graph.version, graph.backend.delta_size) == (state[0], state[2])
-            assert plans.info()["size"] >= state[1] and graph.index_cache().plan_cache is plans
-            assert [r.to_dict() for r in first] == reference()
-            assert executor.last_report.chunks_retried == 0
+@pytest.mark.parametrize("start_method", START_METHODS, indirect=True)
+class TestEitherStartMethod:
+    """Catch-up on both sides of the platform choice: a spawned worker gets
+    its graph by pickle at *its* start, a forked one by inheritance at the
+    first submit; each finds its place from its own ``graph.version``."""
 
-            graph.mutate([("remove_edge", u, v)], compaction_threshold=None)
-            assert graph.version == (epoch, 3)
-            second = executor.run(queries)
-            assert executor.pool is pool and not pool.stale  # same workers, caught up by replay
-            assert graph.version == (epoch, 3)
-            assert [r.to_dict() for r in second] == reference()
-            assert executor.last_report.chunks_retried == 0
+    def test_workers_replay_delta_tail(self, start_method):
+        check_workers_replay_delta_tail()
+
+    def test_process_batches_between_writes_move_nothing(self, start_method):
+        check_process_batches_between_writes_move_nothing()
 
 
 class TestCompactionStaleness:
@@ -139,15 +165,22 @@ class TestCompactionStaleness:
                 pool.submit(_chunk_of(session, queries))
 
     def test_attach_rejects_delta_seq_mismatch(self):
+        """Was: a descriptor with a skewed ``delta_seq`` does not attach.
+        The same skew now arrives in a chunk's sync header: a tail that does
+        not start right after the worker's version, or ends short of the
+        target, severs the replay chain — ``StaleSegmentError``, and the
+        worker's graph is left where it was."""
         graph, _ = _workload()
-        published = publish_graph(graph)
-        try:
-            skewed = dataclasses.replace(published.descriptor, delta_seq=7)
-            with pytest.raises(StaleSegmentError):
-                attach_graph(skewed)
-        finally:
-            published.close()
-            published.unlink()
+        u, v = _absent_pair(graph)
+        graph.index_cache()
+        twin = worker_graph(graph)
+        epoch, seq = twin.version
+        gap = ((seq + 2, ("add_edge", u, v)),)
+        with pytest.raises(StaleSegmentError, match="catch-up failed"):
+            pool_mod._apply_sync(twin, (epoch, seq + 2, gap))
+        with pytest.raises(StaleSegmentError, match="fell short"):
+            pool_mod._apply_sync(twin, (epoch, seq + 7, ()))
+        assert twin.version == (epoch, seq) and not twin.has_edge(u, v)
 
     def test_executor_rebuilds_pool_after_compaction(self):
         graph, queries = _workload()
@@ -159,7 +192,7 @@ class TestCompactionStaleness:
             u, v = _absent_pair(graph)
             graph.add_edge(u, v)
             graph.compact()
-            # The executor notices the stale pool, republisher included —
+            # The executor notices the stale pool and starts fresh workers —
             # answers must match a from-scratch session, with no retries
             # leaking a pre-compaction result.
             results = executor.run(queries)

@@ -2,20 +2,23 @@
 
 1. **A second opinion** — :class:`~repro.graph.csr.CSRBackend` against a
    ``networkx.Graph`` model under random build → mutate → compact scripts:
-   after every step the tuple/set views, the CSR arrays ``to_arrays()``
-   would publish (≡ a from-scratch rebuild's) and the backend
-   ``from_arrays`` reads back from them must all describe the model's graph.
+   after every step the tuple/set views (≡ a from-scratch rebuild's) and
+   the pickled copy a spawned worker would start with must all describe the
+   model's graph.
 
 2. **How the graph got there changes nothing** — two ``CSRBackend``
    instances holding the same graph by opposite routes (``csr``: built in
    bulk; ``set``: grown edge by edge — see
-   ``tests/conftest.py::STORAGE_STATES``), plus a third re-attached from
-   the first one's arrays the way a pool worker gets its graph, must give
-   identical structure and bit-identical DSQL results. This is the contract
+   ``tests/conftest.py::STORAGE_STATES``), plus a third made from the first
+   the way a spawned pool worker gets its graph (pickle, then
+   ``worker_graph``), must give identical structure and bit-identical DSQL
+   results. This is the contract
    the retired ``set`` backend class was kept to prove.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import networkx as nx
 import pytest
@@ -27,6 +30,7 @@ from repro.core.dsql import DSQL
 from repro.datasets.registry import dataset_names, make_dataset
 from repro.graph.csr import CSRBackend
 from repro.graph.labeled_graph import LabeledGraph
+from repro.parallel import worker_graph
 from repro.queries.generator import query_set
 from tests.conftest import assert_arrays_match_rebuild, in_storage_state
 from tests.property.test_mutation_equivalence import assert_results_identical
@@ -52,10 +56,10 @@ def assert_matches_model(backend: CSRBackend, model: nx.Graph) -> None:
 
 
 def check_step(backend: CSRBackend, model: nx.Graph) -> None:
-    """The live views, and the round trip through the publication format."""
+    """The live views, and the round trip across a process boundary."""
     assert_matches_model(backend, model)
-    arrays = assert_arrays_match_rebuild(backend)
-    twin = CSRBackend.from_arrays(**arrays, label_table=backend.label_table)
+    assert_arrays_match_rebuild(backend)
+    twin = pickle.loads(pickle.dumps(backend))
     assert_matches_model(twin, model)
     assert twin.labels == backend.labels and twin.label_to_id == backend.label_to_id
 
@@ -111,13 +115,12 @@ def test_storage_matches_networkx_model(labels, initial, script):
 
 
 # ----------------------------------------------------------------------
-# 2. Built vs grown vs read back from published arrays
+# 2. Built vs grown vs handed to a worker process
 # ----------------------------------------------------------------------
 def reattached(graph: LabeledGraph) -> LabeledGraph:
-    """``graph`` read back from its own arrays — the shared-memory attach route."""
-    b = graph.backend
-    twin = CSRBackend.from_arrays(**b.to_arrays(), label_table=b.label_table)
-    return LabeledGraph.from_backend(twin, name=graph.name)
+    """``graph`` as a spawned pool worker serves it: unpickled, then wrapped
+    by the helper every worker goes through."""
+    return worker_graph(pickle.loads(pickle.dumps(graph)))
 
 
 def twins(graph: LabeledGraph):

@@ -1,10 +1,11 @@
 """Tests for :mod:`repro.service.multiworker` — the pre-forked worker front.
 
-Covers the full story on one machine: N workers attach the parent's
-published graph segments, answer correctly (bit-identical to a serial
+Covers the full story on one machine: N workers are forked with the
+parent's catalog graphs, answer correctly (bit-identical to a serial
 session) through the kernel-balanced shared port, and the parent's control
-server presents coherent merged /healthz and /metrics views. Skipped on
-platforms without SO_REUSEPORT or the fork start method.
+server presents coherent merged /healthz and /metrics views — with the
+parent's cache locks held across the fork, too. Skipped on platforms
+without SO_REUSEPORT or the fork start method.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ import pytest
 from repro.core.config import DSQLConfig
 from repro.core.dsql import DSQL
 from repro.exceptions import ConfigError
+from repro.observability.metrics import MetricsRegistry
 from repro.service import GraphCatalog, MultiWorkerServer, ServiceClient
+from tests.conftest import ProcessCensus, held_by_another_thread
 from tests.service.conftest import DEFAULT_K, tiny_graph, tiny_queries
 
 WORKERS = 2
@@ -110,7 +113,7 @@ class TestMergedViews:
         # Each worker counts its own requests; the merged view must hold
         # at least the queries just sent (plus health/metrics traffic).
         assert body["metrics"].get("service.requests", 0) >= len(queries)
-        assert body["shared_bytes"] > 0
+        assert sorted(body) == ["metrics", "per_worker", "role", "workers"]
 
     def test_control_unknown_endpoint_is_404(self, front):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -125,16 +128,55 @@ class TestValidation:
             MultiWorkerServer(catalog, workers=0)
 
 
+class TestNoInheritedLock:
+    def test_workers_start_and_answer_with_the_parents_cache_locks_held(self):
+        """Another parent thread holds every lock of the graph's cache (and
+        of a registry attached to it) across ``start()``: the forked workers
+        inherit those locks locked, so each must report ready and answer on
+        a cache it built itself."""
+        catalog = GraphCatalog(default_config=DSQLConfig(k=DEFAULT_K))
+        graph = tiny_graph()
+        catalog.add_graph("tiny", graph, source="fixture")
+        queries = tiny_queries(count=3, seed=7)
+        reference = DSQL(tiny_graph(), config=DSQLConfig(k=DEFAULT_K))
+        want = [[list(e) for e in reference.query(q).embeddings] for q in queries]
+        cache, registry = graph.index_cache(), MetricsRegistry()
+        cache.attach_metrics(registry)
+        locks = [cache._pool_lock, cache._adj_lock, cache.plan_cache._lock, registry._lock]
+        server = MultiWorkerServer(catalog, workers=WORKERS)
+        try:
+            with held_by_another_thread(locks):
+                server.start()
+                assert len(server.worker_info) == WORKERS
+                for info in server.worker_info:
+                    admin = ServiceClient(info["admin_url"], timeout=20.0)
+                    assert [admin.query("tiny", q)["embeddings"] for q in queries] == want
+        finally:
+            server.close()
+            cache.attach_metrics(None)
+
+
 @pytest.mark.slow
 class TestLifecycle:
     def test_close_drains_workers_and_frees_segments(self):
+        """A front owns its worker processes, their pipes and two sockets —
+        no segment: nothing appears under ``/dev/shm`` while it serves, and
+        after ``close()`` no child is left and, once the front (whose
+        ``Process`` handles keep a sentinel pipe each) is dropped, the fd
+        count is back."""
         catalog = GraphCatalog(default_config=DSQLConfig(k=DEFAULT_K))
         catalog.add_graph("tiny", tiny_graph(), source="fixture")
+        census = ProcessCensus()
         server = MultiWorkerServer(catalog, workers=WORKERS).start()
         client = ServiceClient(server.url, timeout=30.0)
         query = tiny_queries(count=1)[0]
         assert client.query("tiny", query)["graph"] == "tiny"
+        assert len(census.new_children()) == WORKERS and not census.new_shm()
         processes = list(server._processes)
         server.close()
         assert all(not process.is_alive() for process in processes)
+        assert [process.exitcode for process in processes] == [0] * WORKERS
+        assert not census.new_children() and not census.new_shm()
         server.close()  # idempotent
+        del server, processes
+        assert census.settled(), census.report()

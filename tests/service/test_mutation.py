@@ -11,6 +11,8 @@ half-applied one.
 
 from __future__ import annotations
 
+import os
+import signal
 import sys
 import threading
 import time
@@ -30,6 +32,8 @@ from repro.service import (
     ServiceServer,
 )
 from repro.service.client import ServiceClientError
+
+from tests.conftest import wait_until
 
 from .conftest import DEFAULT_K, tiny_graph, tiny_queries
 
@@ -210,9 +214,11 @@ class TestConcurrentReadersWriter:
 
 
 class TestPublicationIsARead:
-    """A ``strategy="process"`` batch publishes the graph under the entry's
-    *read* lock, beside in-flight point queries — so publishing a graph
-    with pending deltas must move nothing those queries can see."""
+    """A ``strategy="process"`` batch builds its pool and starts its workers
+    under the entry's *read* lock, beside in-flight point queries — so doing
+    that on a graph with pending deltas must move nothing those queries can
+    see, and the workers must not depend on any lock those queries hold at
+    the fork."""
 
     @staticmethod
     def _dirty_entry():
@@ -245,7 +251,7 @@ class TestPublicationIsARead:
             assert report.strategy == "process" and report.chunks_retried == 0
             assert [r.to_dict() for r in results] == self._rebuilt_answers(entry, queries)
             executor = next(iter(entry._executors.values()))
-            assert executor.pool.descriptor.delta_seq == 2
+            assert (executor.pool._sync_epoch, executor.pool._base_seq) == version
 
             # A later write reaches the same workers by replay.
             summary = entry.mutate([("remove_edge", u, v)], compaction_threshold=None)
@@ -254,6 +260,28 @@ class TestPublicationIsARead:
             assert report.chunks_retried == 0 and not executor.pool.stale
             assert graph.version == (version[0], 3)
             assert [r.to_dict() for r in results] == self._rebuilt_answers(entry, queries)
+        finally:
+            entry.close()
+
+    def test_worker_killed_between_batches_fails_no_later_batch(self):
+        """The entry caches its executors: a pool that broke while idle must
+        be replaced by the next batch, not fail it and every batch after."""
+        entry, _ = self._dirty_entry()
+        queries = tiny_queries(count=4, seed=35)
+        want = self._rebuilt_answers(entry, queries)
+        try:
+            _, report = entry.answer_batch(queries, strategy="process", jobs=2)
+            executor = next(iter(entry._executors.values()))
+            pool, first_pids = executor.pool, {pid for pid, _ in report.per_worker}
+            os.kill(min(first_pids), signal.SIGKILL)
+            assert wait_until(lambda: pool.broken)
+            for _ in range(2):
+                entry.session(entry.default_config)._query_cache.clear()
+                results, report = entry.answer_batch(queries, strategy="process", jobs=2)
+                assert [r.to_dict() for r in results] == want
+                assert report.chunks_retried == 0
+                assert report.per_worker and not {p for p, _ in report.per_worker} & first_pids
+            assert next(iter(entry._executors.values())) is executor
         finally:
             entry.close()
 

@@ -11,6 +11,7 @@ import re
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 from typing import List
 
@@ -137,8 +138,10 @@ def test_service_tests_collected_from_testpaths():
 
 
 def test_compile_gate_covers_shared_memory_modules():
+    """The two modules that start worker processes with a graph (the id is
+    from the shared-memory transport they once went through) stay under the
+    compile gate."""
     modules = [
-        REPO / "src" / "repro" / "graph" / "shared.py",
         REPO / "src" / "repro" / "parallel" / "pool.py",
         REPO / "src" / "repro" / "service" / "multiworker.py",
     ]
@@ -465,10 +468,11 @@ def test_localization_stays_in_one_place():
 
 
 # ----------------------------------------------------------------------
-# Fork guard: no resident array copy of the adjacency. CSR is the
-# publication format — spelled by ``CSRBackend.to_arrays`` /
-# ``from_arrays`` and ``graph/shared.py``, nowhere else in src/ — and the
-# storage holds exactly the views the engine reads.
+# Fork guard: one way for a graph to reach a worker process — it is started
+# with it (fork inherits, spawn pickles). The shared-memory transport, the
+# CSR publication format it shipped and the array base before that must not
+# grow back: the storage holds exactly the views the engine reads, nothing
+# under ``graph/`` imports numpy, and no segment is created anywhere.
 # ----------------------------------------------------------------------
 ARRAY_BASE_MARKERS = (
     "indptr",
@@ -480,50 +484,73 @@ ARRAY_BASE_MARKERS = (
     "searchsorted",
     "AttachedGraph",
 )
+SHARED_TRANSPORT_MARKERS = (
+    "shared_memory",
+    "resource_tracker",
+    "publish_graph",
+    "attach_graph",
+    "SharedGraphDescriptor",
+    "PublishedGraph",
+    "SHARED_FORMAT_VERSION",
+    "to_arrays",
+    "from_arrays",
+    "shared_state",
+    "SharedMemoryError",
+)
 STORAGE_SLOTS = sorted((
     "labels", "num_edges", "label_table", "label_to_id",
     "_n", "_rows", "_degrees", "_sets", "_label_id_list", "_delta_edges",
 ))
 
 
-def outside_the_format_pair(csr_text: str) -> str:
-    """``graph/csr.py`` with ``CSRBackend.to_arrays`` / ``from_arrays`` cut out."""
-    lines = csr_text.splitlines()
-    (cls,) = [
-        node for node in ast.parse(csr_text).body
-        if isinstance(node, ast.ClassDef) and node.name == "CSRBackend"
-    ]
-    pair = [
-        node for node in cls.body
-        if isinstance(node, ast.FunctionDef) and node.name in ("to_arrays", "from_arrays")
-    ]
-    assert len(pair) == 2
-    for node in pair:
-        lines[node.lineno - 1 : node.end_lineno] = [""] * (node.end_lineno - node.lineno + 1)
-    return "\n".join(lines)
+def numpy_importers(sources, prefix: str):
+    """Paths under ``prefix`` in ``{path: source}`` that import numpy."""
+    return sorted(
+        path for path, text in sources.items()
+        if path.startswith(prefix) and re.search(r"^\s*(import|from) numpy\b", text, re.M)
+    )
 
 
-def test_array_base_stays_deleted():
+def test_shared_memory_transport_stays_deleted():
     from repro.graph.csr import CSRBackend
+    from repro.parallel import WorkerPool
 
     package = REPO / "src" / "repro"
+    assert not (package / "graph" / "shared.py").exists()
     sources = {
         str(p.relative_to(package)): p.read_text(encoding="utf-8") for p in package.rglob("*.py")
     }
-    numpy_importers = sorted(
-        path for path, text in sources.items()
-        if path.startswith("graph/") and re.search(r"^\s*(import|from) numpy\b", text, re.M)
-    )
-    assert numpy_importers == ["graph/csr.py", "graph/shared.py"]
+    assert numpy_importers(sources, "graph/") == []
     assert sorted(CSRBackend.__slots__) == STORAGE_SLOTS
-    del sources["graph/shared.py"]
-    csr_text = sources["graph/csr.py"]
-    sources["graph/csr.py"] = outside_the_format_pair(csr_text)
     offenders = fork_offenders(ARRAY_BASE_MARKERS, sources=sources)
     assert not offenders, offenders
-    # The pass sees the array base pasted back into the constructor.
+    extra = [REPO / "DESIGN.md"]
+    extra += sorted(p for p in (REPO / ".claude").rglob("*") if p.is_file())
+    offenders = fork_offenders(SHARED_TRANSPORT_MARKERS, extra)
+    assert not offenders, offenders
+    # The one survivor, kept for the frozen benchmark harness: a property
+    # that says how much shared memory a pool holds. None.
+    survivor = inspect.getattr_static(WorkerPool, "shared_nbytes")
+    assert isinstance(survivor, property)
+    assert WorkerPool.__new__(WorkerPool).shared_nbytes == 0
+    (getter,) = ast.parse(textwrap.dedent(inspect.getsource(survivor.fget))).body
+    assert [ast.unparse(node) for node in getter.body[1:]] == ["return 0"]  # after the docstring
+    # The pass sees the transport pasted back into the pool ...
+    pool_text = sources["parallel/pool.py"]
+    anchor = "import multiprocessing\n"
+    assert pool_text.count(anchor) == 1
+    mutant = pool_text.replace(anchor, anchor + "from multiprocessing import shared_memory\n")
+    assert fork_offenders(SHARED_TRANSPORT_MARKERS, sources={"parallel/pool.py": mutant}) == [
+        "parallel/pool.py: 'shared_memory'"
+    ]
+    # ... and the array base pasted back into the storage's constructor.
+    csr_text = sources["graph/csr.py"]
     anchor = "        self.num_edges = len(pairs)\n"
     assert csr_text.count(anchor) == 1
-    mutant = csr_text.replace(anchor, anchor + "        self.indices = np.empty(0, dtype=np.int32)\n")
-    mutant_sources = {"graph/csr.py": outside_the_format_pair(mutant)}
-    assert fork_offenders(ARRAY_BASE_MARKERS, sources=mutant_sources) == ["graph/csr.py: 'indices'"]
+    mutant = csr_text.replace(
+        anchor, "import numpy as np\n" + anchor + "        self.indices = np.empty(0, dtype=np.int32)\n"
+    )
+    assert fork_offenders(ARRAY_BASE_MARKERS, sources={"graph/csr.py": mutant}) == [
+        "graph/csr.py: 'indices'"
+    ]
+    assert numpy_importers({"graph/csr.py": mutant}, "graph/") == ["graph/csr.py"]
