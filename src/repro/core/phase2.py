@@ -121,12 +121,13 @@ def run_phase2(
         # The V(T1) ⊆ V(T) premise only types when the tracker's elements
         # *are* vertices; otherwise the bound must hold unconditionally
         # (edge objective) or early termination is off (bound = None).
-        preserved = objective.vertex_elements and t1_cover <= tracker.cover_set()
+        preserved = objective.vertex_elements and tracker.covers_all(t1_cover)
         bound = objective.future_benefit_bound(level, preserved)
         if bound is None:
             return False
-        threshold = bound / (1.0 + alpha)
-        return all(tracker.loss(slot) >= threshold for slot in tracker.slots())
+        # Every loss clears the threshold iff the smallest does — which the
+        # tracker holds between swaps.
+        return tracker.min_loss_member()[1] >= bound / (1.0 + alpha)
 
     current_level = phase1.level
 

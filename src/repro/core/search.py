@@ -39,6 +39,7 @@ from repro.indexes.candidates import CandidateIndex
 from repro.isomorphism.backtrack import ConflictDirectedSearch, ExpansionMeter
 from repro.isomorphism.joinable import UNMATCHED
 from repro.isomorphism.match import Mapping
+from repro.kernels import joinable_kernel
 from repro.queries.qflist import NO_FATHER
 
 OnEmbedding = Callable[[Mapping], bool]
@@ -78,13 +79,26 @@ class LevelSearchEngine(ConflictDirectedSearch):
     query_id:
         Session-assigned id stamped onto this engine's trace events/hooks.
 
-    Candidate generation and the joinability test run through the
-    :mod:`repro.kernels` paths against ``candidates.plan`` (the view's
-    memoized ``N(father's match) ∩ candS(u)`` lists, bitset AND over
-    matched-neighbor adjacency masks). The kernels decide *how* a candidate
-    pool is computed, never which candidates are iterated or in what order,
-    so results — including budget/deadline trip points — do not depend on
-    the kernel chosen.
+    A frame pays for its candidates, not for itself. Its prologue is in
+    the frame: ``Rcand`` is one probe of the view's per-query memo of
+    ``N(father's match) ∩ candS(u)`` (:meth:`~repro.indexes.candidates.
+    CandidateIndex.localized` on a miss; the plan's pool without
+    localization), and the join constraint is decided from what the frame
+    knows when it is entered — the matched query neighbors localization
+    has *not* already joined (``Rcand ⊆ N(father's match)``, so the
+    father's edge holds by construction):
+
+    * none — injectivity is the whole test;
+    * one — membership in that vertex's neighbor set, fetched once;
+    * two or more — one mask fold per frame (:meth:`_fold_join`).
+
+    Every expansion is charged in place — count, compare with the meter's
+    trip point — and only :class:`~repro.isomorphism.backtrack.
+    ExpansionMeter` arms, probes and raises. The mechanism decides *how* a
+    candidate is tested, never which candidates are iterated or in what
+    order, so results — including budget/deadline trip points and the five
+    ``kernel_*`` counters, which count the compiled decision — do not
+    depend on it.
 
     A frame keeps nothing query-static: ``reSort``'s order and, per depth,
     the node, its father, whether it overlaps, its single-embedding cap and
@@ -120,12 +134,18 @@ class LevelSearchEngine(ConflictDirectedSearch):
         )
         self._plan = candidates.plan
         self._cache = candidates.cache
+        # What a frame's prologue reads, bound once: the plan's pools, the
+        # view's localized memo (probed in place; `localized` on a miss) and
+        # the storage's neighbor sets.
+        self._pools = self._plan.pools
+        self._memo = candidates._localized
+        self._localized = candidates.localized
+        self._neighbor_set = graph.neighbor_set
         # Twin-class partition for the compressed join test (per-graph state
         # owned by the index cache). The compressed branch changes the join
         # *mechanism*, never which candidates are iterated or charged.
         self._compressed = self._cache.compressed() if config.use_compression else None
         self.rng = random.Random(config.seed)
-        self._q = query.size
         # The two strategy switches a frame consults, read once.
         self._localize = config.localized_search
         self._cap_singles = config.single_embedding_mode
@@ -158,156 +178,150 @@ class LevelSearchEngine(ConflictDirectedSearch):
         self._on_embedding = on_embedding
         plan, query = self._plan, self.query
         for qovp in combinations(plan.qlist, level):
-            if any(not tcand[u] for u in qovp):
+            if not all(map(tcand.__getitem__, qovp)):
                 continue  # some overlap node has no cover-restricted candidate
             frames = plan.frames(query, qovp)
             self.order, self._frames = frames[0], frames[1:]
             self._reset_assignment()
-            stop, _carry = self._multi_frame(0)
+            root = self._multi_overlap if frames[1][2] else self._multi_anchor
+            stop, _carry = root(0)
             if stop:
                 return False
         return True
 
-    # ------------------------------------------------------------------
-    # Candidate generation (setCandidates, Section 5.1)
-    # ------------------------------------------------------------------
-    def _rcand(self, u: int, father: int, is_overlap: bool) -> Sequence[int]:
-        """``Rcand`` for node ``u``: localized, then overlap-restricted.
+    def _fold_join(self, backward: Tuple[int, ...], skip: int, rcand: Sequence[int]) -> Set[int]:
+        """The join constraint of a frame with two or more matched neighbors.
 
-        Localized: ``N(father's match) ∩ candS(u)`` from the per-query view
-        (:meth:`~repro.indexes.candidates.CandidateIndex.localized`: one set
-        intersection per distinct pair, a memo hit afterwards — either way
-        one ``kernel_merge``). The father precedes ``u`` in ``qfList``
-        order, so it is matched whenever this frame is reached. Ascending,
-        and possibly shared (the view's memo, the plan's pool): iterate it,
-        copy before reordering.
-        """
-        if father != NO_FATHER and self._localize:
-            self.stats.kernel_merge += 1
-            base = self.candidates.localized(u, self._assignment[father])
-        else:
-            self.stats.kernel_scan += 1
-            base = self._plan.pools[u]
-        if is_overlap:
-            allowed = self._tcand[u]
-            return [v for v in base if v in allowed]
-        return base
-
-    def _kernel_join_test(self, backward: Tuple[int, ...]) -> Callable[[int], object]:
-        """A per-frame joinability predicate ``v -> bool-ish``.
-
-        ``backward`` is the frame's compiled list of query neighbors matched
-        before it (static per depth: deeper assignments unwind before the
-        next candidate is tried), so the join constraint is folded **once
-        per frame** instead of per candidate, and the dispatch is on a
-        length known at compile time:
-
-        * zero matched neighbors — injectivity is the whole test;
-        * exactly one — a single ``has_edge`` probe (it beats a big-int bit
-          test);
-        * two or more — one mask AND per frame, then a single
-          ``(mask >> v) & 1`` probe per candidate.
+        ``skip`` is the father when localization already joined it
+        (:data:`NO_FATHER` otherwise). One neighbor left: its neighbor set.
+        Two or more: one mask AND per frame, probed once per member of
+        ``rcand`` — the joinable ones are returned. Rare (no tree query has
+        such a frame), so it is a call; the frames' other two cases are not.
         """
         assignment = self._assignment
-        used = self._used
-        stats = self.stats
-        if len(backward) >= 2:
-            comp = self._compressed
-            if comp is not None:
-                # Compressed join: fold the matched vertices' class join
-                # masks (num_classes bits instead of num_vertices) and test
-                # candidates by class id. Twin symmetry makes this exactly
-                # the vertex-mask predicate: for v outside `used` (so v
-                # differs from every matched vertex), edge(v, v2) holds iff
-                # their classes are adjacent — or, within one class, iff the
-                # class is a clique, which is precisely the self-bit of the
-                # class join mask.
-                stats.kernel_cbitset += 1
-                class_of = comp.class_of
-                join_mask = comp.class_join_mask
-                mask = -1
-                for u2 in backward:
-                    mask &= join_mask(class_of[assignment[u2]])
-                return lambda v: v not in used and (mask >> class_of[v]) & 1
-            stats.kernel_bitset += 1
-            adj_mask = self._cache.adjacency_mask
-            mask = -1
-            for u2 in backward:
-                mask &= adj_mask(assignment[u2])
-            return lambda v: v not in used and (mask >> v) & 1
-        stats.kernel_scalar += 1
-        if backward:
-            has_edge = self.graph.has_edge
-            v2 = assignment[backward[0]]
-            return lambda v: v not in used and has_edge(v, v2)
-        return lambda v: v not in used
+        matches = [assignment[w] for w in backward if w != skip]
+        comp = self._compressed
+        if comp is None:
+            self.stats.kernel_bitset += 1
+        else:
+            self.stats.kernel_cbitset += 1
+        if len(matches) == 1:
+            return self._neighbor_set(matches[0])
+        if comp is None:
+            mask = joinable_kernel(map(self._cache.adjacency_mask, matches))
+            return {v for v in rcand if (mask >> v) & 1}
+        # Compressed join: fold the matched vertices' class join masks
+        # (num_classes bits instead of num_vertices) and test candidates by
+        # class id. Twin symmetry makes this exactly the vertex-mask
+        # predicate wherever a frame asks it — for v outside `used` (so v
+        # differs from every matched vertex), edge(v, v2) holds iff their
+        # classes are adjacent — or, within one class, iff the class is a
+        # clique, which is precisely the self-bit of the class join mask.
+        class_of = comp.class_of
+        mask = joinable_kernel(comp.class_join_mask(class_of[v2]) for v2 in matches)
+        return {v for v in rcand if (mask >> class_of[v]) & 1}
 
     # ------------------------------------------------------------------
     # Multi-embedding frames (Q1iSearch)
     # ------------------------------------------------------------------
-    def _multi_frame(self, depth: int) -> Tuple[bool, Optional[Set[int]]]:
-        """Enumerate over the overlap prefix; returns ``(stop, carry)``.
+    def _multi_overlap(self, depth: int) -> Tuple[bool, Optional[Set[int]]]:
+        """An overlap node of the multi regime: recurse per candidate.
 
-        ``stop`` propagates a global stop requested by the acceptance
-        callback. ``carry`` propagates a conflict set upward when
+        Returns ``(stop, carry)``: ``stop`` propagates a global stop
+        requested by the acceptance callback, ``carry`` a conflict set when
         conflict-directed skipping abandons this frame.
         """
-        u, father, is_overlap, _cap, backward = self._frames[depth]
+        u, father, _overlap, _cap, backward = self._frames[depth]
         self._bad[depth + 1].clear()
-        if is_overlap:
-            return self._multi_overlap(depth, u, father, backward)
-        return self._multi_anchor(depth, u, father, backward)
-
-    def _multi_overlap(
-        self, depth: int, u: int, father: int, backward: Tuple[int, ...]
-    ) -> Tuple[bool, Optional[Set[int]]]:
-        """Overlap node inside the multi regime: recurse per candidate."""
         assignment, used = self._assignment, self._used
+        stats, meter = self.stats, self._meter
         bad = self._bad[depth]
-        rcand = self._rcand(u, father, is_overlap=True)
-        joinable = self._kernel_join_test(backward)
-        charge = self._meter.charge
+        # Rcand (setCandidates, Section 5.1): localized, then restricted to
+        # TcandS. `skip`: the neighbor whose edge localization implies.
+        skip = NO_FATHER
+        if father != NO_FATHER and self._localize:
+            stats.kernel_merge += 1
+            skip = father
+            rcand = self._memo[u].get(assignment[father])
+            if rcand is None:
+                rcand = self._localized(u, assignment[father])
+        else:
+            stats.kernel_scan += 1
+            rcand = self._pools[u]
+        rcand = list(filter(self._tcand[u].__contains__, rcand))
+        joined = None
+        if len(backward) >= 2:
+            joined = self._fold_join(backward, skip, rcand)
+        else:
+            stats.kernel_scalar += 1
+            if backward and skip == NO_FATHER:
+                joined = self._neighbor_set(assignment[backward[0]])
+        child = self._multi_overlap if self._frames[depth + 1][2] else self._multi_anchor
         for v in rcand:
-            charge()
+            stats.nodes_expanded = count = stats.nodes_expanded + 1
+            if count >= meter.trip:
+                meter.check()
             if v in bad:
-                self.stats.bad_vertex_skips += 1
+                stats.bad_vertex_skips += 1
                 continue
-            if not joinable(v):
+            if v in used or (joined is not None and v not in joined):
                 continue
             assignment[u] = v
             used.add(v)
-            stop, carry = self._multi_frame(depth + 1)
+            stop, carry = child(depth + 1)
             if stop:
                 return True, None
             if carry is not None:
-                skip = self._child_failed(depth, u, v, carry)
+                skip_u = self._child_failed(depth, u, v, carry)
                 assignment[u] = UNMATCHED
                 used.discard(v)
-                if skip:
+                if skip_u:
                     return False, carry
                 continue
             assignment[u] = UNMATCHED
             used.discard(v)
         return False, None
 
-    def _multi_anchor(
-        self, depth: int, u: int, father: int, backward: Tuple[int, ...]
-    ) -> Tuple[bool, Optional[Set[int]]]:
-        """The first non-overlap node: each candidate may seed one embedding."""
+    def _multi_anchor(self, depth: int) -> Tuple[bool, Optional[Set[int]]]:
+        """The first non-overlap node: each candidate may seed one embedding.
+
+        Returns ``(stop, carry)`` like :meth:`_multi_overlap`.
+        """
+        u, father, _overlap, _cap, backward = self._frames[depth]
+        self._bad[depth + 1].clear()
         assignment, used = self._assignment, self._used
+        stats, meter = self.stats, self._meter
         matched = self.matched
         bad = self._bad[depth]
-        rcand = self._rcand(u, father, is_overlap=False)
-        joinable = self._kernel_join_test(backward)
-        charge = self._meter.charge
+        # Prologue as in _multi_overlap, spelled here on purpose: a shared
+        # helper would be the per-frame call this layout removes.
+        skip = NO_FATHER
+        if father != NO_FATHER and self._localize:
+            stats.kernel_merge += 1
+            skip = father
+            rcand = self._memo[u].get(assignment[father])
+            if rcand is None:
+                rcand = self._localized(u, assignment[father])
+        else:
+            stats.kernel_scan += 1
+            rcand = self._pools[u]
+        joined = None
+        if len(backward) >= 2:
+            joined = self._fold_join(backward, skip, rcand)
+        else:
+            stats.kernel_scalar += 1
+            if backward and skip == NO_FATHER:
+                joined = self._neighbor_set(assignment[backward[0]])
         for v in rcand:
-            charge()
+            stats.nodes_expanded = count = stats.nodes_expanded + 1
+            if count >= meter.trip:
+                meter.check()
             if v in matched:
                 continue
             if v in bad:
-                self.stats.bad_vertex_skips += 1
+                stats.bad_vertex_skips += 1
                 continue
-            if not joinable(v):
+            if v in used or (joined is not None and v not in joined):
                 continue
             assignment[u] = v
             used.add(v)
@@ -322,10 +336,10 @@ class LevelSearchEngine(ConflictDirectedSearch):
                 if not keep:
                     return True, None
                 continue
-            skip = self._child_failed(depth, u, v, conflict)
+            skip_u = self._child_failed(depth, u, v, conflict)
             assignment[u] = UNMATCHED
             used.discard(v)
-            if skip:
+            if skip_u:
                 return False, conflict
         return False, None
 
@@ -351,34 +365,53 @@ class LevelSearchEngine(ConflictDirectedSearch):
             return None
         u, father, is_overlap, cap, backward = self._frames[depth]
         self._bad[depth + 1].clear()
-
-        rcand = self._rcand(u, father, is_overlap)
-        if not self._cap_singles:
-            cap = None
-        elif cap is not None:
+        assignment, used = self._assignment, self._used
+        stats, meter = self.stats, self._meter
+        matched = self.matched
+        bad = self._bad[depth]
+        # Prologue as in _multi_overlap, spelled here on purpose: a shared
+        # helper would be the per-frame call this layout removes.
+        skip = NO_FATHER
+        if father != NO_FATHER and self._localize:
+            stats.kernel_merge += 1
+            skip = father
+            rcand = self._memo[u].get(assignment[father])
+            if rcand is None:
+                rcand = self._localized(u, assignment[father])
+        else:
+            stats.kernel_scan += 1
+            rcand = self._pools[u]
+        if is_overlap:
+            rcand = list(filter(self._tcand[u].__contains__, rcand))
+        elif cap is not None and self._cap_singles:
             # Section 5.2 tries a random `cap` of them — on a copy: the list
             # may be the view's memo (or the plan's pool), read again by
             # every later frame with the same father match.
             rcand = list(rcand)
             self.rng.shuffle(rcand)
-
-        assignment, used = self._assignment, self._used
-        matched = self.matched
-        bad = self._bad[depth]
-        joinable = self._kernel_join_test(backward)
-        charge = self._meter.charge
+        else:
+            cap = None
+        joined = None
+        if len(backward) >= 2:
+            joined = self._fold_join(backward, skip, rcand)
+        else:
+            stats.kernel_scalar += 1
+            if backward and skip == NO_FATHER:
+                joined = self._neighbor_set(assignment[backward[0]])
         tried_valid = 0
         inherited: Set[int] = set()
         for v in rcand:
-            charge()
+            stats.nodes_expanded = count = stats.nodes_expanded + 1
+            if count >= meter.trip:
+                meter.check()
             if not is_overlap and v in matched:
                 continue
             mark = bad.get(v)
             if mark is not None:
-                self.stats.bad_vertex_skips += 1
+                stats.bad_vertex_skips += 1
                 inherited |= mark
                 continue
-            if not joinable(v):
+            if v in used or (joined is not None and v not in joined):
                 continue
             tried_valid += 1
             assignment[u] = v
@@ -386,10 +419,10 @@ class LevelSearchEngine(ConflictDirectedSearch):
             conflict = self._single_frame(depth + 1)
             if conflict is None:
                 return None
-            skip = self._child_failed(depth, u, v, conflict)
+            skip_u = self._child_failed(depth, u, v, conflict)
             assignment[u] = UNMATCHED
             used.discard(v)
-            if skip:
+            if skip_u:
                 return conflict
             # Conflict-directed backjumping soundness: a node that exhausts
             # its candidates must carry its children's conflicts upward too,
@@ -397,8 +430,6 @@ class LevelSearchEngine(ConflictDirectedSearch):
             # skipped and its alternatives never explored.
             inherited |= conflict
             if cap is not None and tried_valid >= cap:
-                self.stats.candidate_cap_hits += 1
+                stats.candidate_cap_hits += 1
                 break
-        failure = self._conflict_set(u) | inherited
-        failure.discard(u)
-        return failure
+        return self._conflict_set(u, depth, inherited)

@@ -35,7 +35,7 @@ one of them", but the caller could not say *which* member it was charging.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.coverage.objectives import VERTEX, Objective
 
@@ -212,6 +212,10 @@ class CoverageTracker:
     def cover_set(self) -> Set:
         """A copy of ``C(F)`` (an element set)."""
         return set(self._counts)
+
+    def covers_all(self, elems: AbstractSet) -> bool:
+        """Whether ``elems ⊆ C(F)``, probing each element; copies nothing."""
+        return self._counts.keys() >= elems
 
     def add(self, embedding: Iterable[int]) -> int:
         """Insert an embedding; returns its slot id."""

@@ -54,8 +54,10 @@ class CandidateIndex:
         backward lists and join kernels from it.
 
     A view serves one query against one graph version: the localized lists
-    it memoizes are not repaired by a mutation, so build a fresh view per
-    query (``DSQL.query`` does) rather than keeping one across writes.
+    it memoizes (``_localized[u][fv]`` — the level engine's frames probe the
+    dict in place and call :meth:`localized` on a miss) are not repaired by
+    a mutation, so build a fresh view per query (``DSQL.query`` does) rather
+    than keeping one across writes.
     """
 
     def __init__(
@@ -78,6 +80,10 @@ class CandidateIndex:
             use_degree_filter=use_degree_filter,
             use_signature_filter=use_signature_filter,
         )
+        # Both sides of a localized intersection, bound once per view: the
+        # storage's row sets and the plan's lazily built pool sets.
+        self._neighbor_set = graph.neighbor_set
+        self._pool_set = self.plan.pool_set
         self._localized: List[Dict[int, List[int]]] = [{} for _ in self.plan.pools]
 
     def candidates(self, u: int) -> Tuple[int, ...]:
@@ -118,9 +124,7 @@ class CandidateIndex:
         memo = self._localized[u]
         hit = memo.get(fv)
         if hit is None:
-            hit = memo[fv] = intersect_sets(
-                self.graph.neighbor_set(fv), self.plan.pool_set(u)
-            )
+            hit = memo[fv] = intersect_sets(self._neighbor_set(fv), self._pool_set(u))
         return hit
 
     def any_empty(self) -> bool:

@@ -245,9 +245,7 @@ class QSearchEngine(ConflictDirectedSearch):
         if yielded_any:
             self._carry = None
         elif directed:
-            failure = self._conflict_set(u) | inherited
-            failure.discard(u)
-            self._carry = failure
+            self._carry = self._conflict_set(u, depth, inherited)
 
 
 def enumerate_embeddings(

@@ -57,7 +57,8 @@ probed bit-by-bit."""
 SCALAR = "scalar"
 """Kernel kind: the seed per-neighbor ``has_edge`` probing (the fallback
 when too few query neighbors are matched to amortize a kernel: at most one
-probe per candidate in the level engine)."""
+set probe per candidate in the level engine, none where localization
+already joined the father)."""
 
 CBITSET = "cbitset"
 """Kernel kind: big-int AND over twin-**class** bitsets (compression-enabled

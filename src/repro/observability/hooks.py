@@ -17,8 +17,10 @@ Callback frequency (what you may do inside them):
   with positive benefit), accepted or not.
 * :meth:`on_deadline_tick` — once per deadline stride check, i.e. every
   :data:`~repro.isomorphism.backtrack.DEADLINE_CHECK_STRIDE` expansions while a
-  ``time_budget_ms`` is armed; this is the only hook on (a 1/stride
-  fraction of) the hot path, so it must stay cheap.
+  ``time_budget_ms`` is armed (the stride in force is the one the
+  :class:`~repro.isomorphism.backtrack.ExpansionMeter` read when it last
+  armed: on a search's first expansion and after every check); this is the
+  only hook on (a 1/stride fraction of) the hot path, so it must stay cheap.
 
 Hooks observe; they must not mutate engine state. Raising from a hook
 aborts the query with the raised exception (no swallowing), which makes

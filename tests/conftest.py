@@ -10,8 +10,10 @@ from __future__ import annotations
 import gc
 import os
 import random
+import sys
 import threading
 import time
+from collections import Counter
 from contextlib import ExitStack, contextmanager
 from functools import partial
 from itertools import combinations, permutations
@@ -20,6 +22,7 @@ from typing import FrozenSet, List, Sequence, Set, Tuple
 import numpy as np
 import pytest
 
+import repro
 from repro.datasets.examples import dbpedia_flavor, figure1, figure2, imdb_flavor
 from repro.graph.csr import CSRBackend
 from repro.graph.labeled_graph import LabeledGraph
@@ -248,6 +251,25 @@ class ProcessCensus:
             f"new /dev/shm {sorted(self.new_shm())}, new children "
             f"{sorted(self.new_children())}, fds {self.fds} -> {open_fds()}"
         )
+
+
+def profiled_calls(run):
+    """``(run(), Counter)`` of the Python-level calls made while ``run`` ran
+    whose code lives under ``src/repro``, keyed ``(file name, function
+    name)`` — counted with ``sys.setprofile``, so C-level calls are free."""
+    src = os.path.dirname(repro.__file__)
+    calls = Counter()
+
+    def hook(frame, event, _arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(src):
+            calls[os.path.basename(code.co_filename), code.co_name] += 1
+
+    sys.setprofile(hook)
+    try:
+        return run(), calls
+    finally:
+        sys.setprofile(None)
 
 
 def connected_query_from(graph: LabeledGraph, num_edges: int, seed: int) -> QueryGraph:

@@ -10,8 +10,10 @@ fails at the commit before the view and the table existed.
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import sys
+import types
 
 import pytest
 
@@ -21,12 +23,16 @@ import repro.indexes.plans as plans_module
 from repro.core.config import DSQLConfig
 from repro.core.dsql import DSQL
 from repro.core.phase1 import run_phase1
+from repro.core.search import LevelSearchEngine
 from repro.core.state import SearchStats
 from repro.datasets.registry import make_dataset
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
+from repro.graph.validation import validate_embedding
 from repro.indexes.candidates import CandidateIndex
 from repro.queries.generator import query_set
+
+from tests.conftest import profiled_calls
 
 CONFIG = DSQLConfig(k=40, node_budget=20_000)
 
@@ -194,3 +200,70 @@ def test_localized_memo_dies_with_its_query():
     fresh = DSQL(LabeledGraph(labels, edges + [(2, 7)]), DSQLConfig(k=5)).query(query)
     assert after.to_dict() == fresh.to_dict()
     assert after.stats == fresh.stats
+
+
+# ----------------------------------------------------------------------
+# What a frame costs the interpreter: calls, counted with sys.setprofile
+# ----------------------------------------------------------------------
+def frames_entered(results):
+    return sum(
+        r.stats.kernel_scalar + r.stats.kernel_bitset + r.stats.kernel_cbitset for r in results
+    )
+
+
+@pytest.mark.parametrize("objective", ["vertex", "weighted-vertex"])
+def test_a_frame_costs_its_candidates_not_itself(workload, objective):
+    """(f) ≤ 7 Python-level calls into ``src/repro`` per frame, warm — the
+    prologue, the join test and the charge are in the loop (12 before)."""
+    graph, queries = workload
+    config = dataclasses.replace(CONFIG, objective=objective, query_cache_size=0)
+    session = DSQL(graph, config)
+    warm = [session.query(query) for query in queries]
+    results, calls = profiled_calls(lambda: [session.query(query) for query in queries])
+    assert [r.to_dict() for r in results] == [r.to_dict() for r in warm]
+    frames = frames_entered(results)
+    assert frames > 3_000 and sum(r.stats.kernel_bitset for r in results) == 0  # tree queries
+    assert sum(calls.values()) / frames <= 7.0
+    # No frame runs code it had to build: no lambda, comprehension or
+    # generator of the engine's module is ever entered ...
+    built = {key: n for key, n in calls.items() if key[0] == "search.py" and key[1].startswith("<")}
+    assert not built
+    # ... because the three frame functions hold no nested code at all.
+    for frame_fn in (
+        LevelSearchEngine._multi_overlap, LevelSearchEngine._multi_anchor,
+        LevelSearchEngine._single_frame,
+    ):
+        assert not [c for c in frame_fn.__code__.co_consts if isinstance(c, types.CodeType)]
+    # An expansion is charged in place; the meter is entered at trip points only.
+    assert calls["backtrack.py", "charge"] == 0
+    assert calls["backtrack.py", "check"] <= 4 * len(queries)
+    # Localization already joined the father: no edge is probed on a tree.
+    assert calls["csr.py", "has_edge"] == 0
+    # The storage's sets are fetched on a memo miss and, once per engine,
+    # for the query's own CT(u, *) — never to test a candidate.
+    engines = 2 * sum(query.size for query in queries)
+    assert calls["csr.py", "neighbor_set"] <= calls["candidates.py", "localized"] + engines
+
+
+def test_without_localization_the_neighbor_set_decides(workload):
+    """(g) ``localized_search=False``: one matched neighbor, one set fetched
+    per frame, membership per candidate — and the same embeddings (no cap,
+    so no shuffle; no budget, since the unlocalized search expands 20x)."""
+    graph, queries = workload
+    answers = {}
+    for localized in (True, False):
+        config = dataclasses.replace(
+            CONFIG, localized_search=localized, single_embedding_mode=False,
+            node_budget=None, query_cache_size=0,
+        )
+        session = DSQL(graph, config)
+        results, calls = profiled_calls(lambda: [session.query(query) for query in queries])
+        answers[localized] = [(r.embeddings, r.coverage, r.level) for r in results]
+        assert calls["csr.py", "has_edge"] == 0
+        for query, result in zip(queries, results):
+            for embedding in result.embeddings:
+                validate_embedding(graph, query, embedding)
+        if not localized:
+            assert sum(r.stats.kernel_merge for r in results) == 0
+            assert 0 < calls["csr.py", "neighbor_set"] < frames_entered(results)
+    assert answers[True] == answers[False]

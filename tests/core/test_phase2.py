@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import pytest
 
+import repro.core.phase2 as phase2_module
 from repro.core.config import DSQLConfig
+from repro.core.dsql import DSQL
 from repro.core.phase1 import run_phase1
 from repro.core.phase2 import run_phase2
 from repro.core.state import SearchStats
+from repro.coverage.core import CoverageTracker
+from repro.coverage.objectives import make_objective
+from repro.datasets.registry import make_dataset
 from repro.graph.validation import embeddings_distinct, validate_embedding
 from repro.indexes.candidates import CandidateIndex
+from repro.queries.generator import query_set
 
 from tests.conftest import connected_query_from, random_labeled_graph
 
@@ -115,3 +121,77 @@ class TestEarlyTermination:
             threshold = (q - level) / (1 + config.alpha)
             for slot in tracker.slots():
                 assert tracker.loss(slot) >= threshold
+
+
+class OldRuleTracker(CoverageTracker):
+    """The two questions Lemma 4 asks, answered as ``run_phase2`` spelled
+    them before the tracker did: ``C(T)`` copied per call, all k losses
+    recomputed per call."""
+
+    def covers_all(self, elems):
+        return elems <= self.cover_set()
+
+    def min_loss_member(self):
+        slot = min(self.slots(), key=lambda s: (self.loss(s), s))
+        return slot, self.loss(slot)
+
+
+def direct_runs(objective_name, k, alpha):
+    """Phase 2 entered directly (no dispatcher gate) on the random battery."""
+    runs = []
+    for graph, query in cases():
+        config = DSQLConfig(k=k, alpha=alpha)
+        stats = SearchStats()
+        candidates = CandidateIndex(graph, query)
+        p1 = run_phase1(graph, query, config, candidates, stats)
+        if len(p1.state) == k:
+            objective = make_objective(objective_name, query=query, graph=graph)
+            p2 = run_phase2(graph, query, config, candidates, p1, stats, objective=objective)
+            runs.append((p2, stats))
+    return runs
+
+
+def session_runs(objective_name, k):
+    """``DSQL.query`` on a registry graph: phase 2 generates hundreds of
+    embeddings under ``edge`` and ``weighted-vertex``."""
+    graph = make_dataset("human", scale=1.0, seed=0)
+    session = DSQL(graph, DSQLConfig(k=k, node_budget=20_000, objective=objective_name))
+    results = [session.query(query) for query in query_set(graph, 5, 8, seed=3)]
+    return [(r.to_dict(), r.stats) for r in results if r.stats.phase2_ran]
+
+
+class TestTerminationAsksTheTracker:
+    """``termination_reached`` runs before every level and after every
+    generated embedding; it costs what changed (a swap), not what was asked."""
+
+    @pytest.mark.parametrize("objective_name", ["vertex", "edge", "weighted-vertex"])
+    def test_same_phase2_as_the_old_rule_for_a_count_of_swaps(self, objective_name, monkeypatch):
+        loss_calls = []
+        real_loss = CoverageTracker.loss
+
+        def counted_loss(self, slot):
+            loss_calls.append(slot)
+            return real_loss(self, slot)
+
+        monkeypatch.setattr(CoverageTracker, "loss", counted_loss)
+        for runs, k in (
+            (lambda: direct_runs(objective_name, 5, 0.0), 5),
+            (lambda: direct_runs(objective_name, 4, 1.0), 4),
+            (lambda: session_runs(objective_name, 40), 40),
+        ):
+            del loss_calls[:]
+            got = runs()
+            paid = len(loss_calls)
+            with monkeypatch.context() as patch:
+                patch.setattr(phase2_module, "CoverageTracker", OldRuleTracker)
+                want = runs()
+            assert got and got == want  # embeddings, coverage, flags, every SearchStats field
+            # One recompute of the minimum (k losses + the winner's) when the
+            # phase starts and one per swap — however many embeddings and
+            # levels asked the question in between.
+            recomputes = sum(stats.phase2_swaps + 1 for _answer, stats in got)
+            assert 0 < paid <= recomputes * (k + 1)
+        # The registry battery (the last one) asks far more often than it swaps.
+        generated = sum(stats.embeddings_generated_phase2 for _answer, stats in got)
+        if objective_name != "vertex":  # vertex terminates before it generates
+            assert generated > 4 * recomputes

@@ -12,14 +12,15 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.indexes.candidates import CandidateIndex
 from repro.isomorphism.joinable import UNMATCHED
+from repro.isomorphism.qsearch import enumerate_embeddings
 
 
-def engine_for(graph, query, config=None, matched=None):
+def engine_for(graph, query, config=None, matched=None, candidates=None):
     config = config or DSQLConfig(k=5)
     return LevelSearchEngine(
         graph,
         query,
-        CandidateIndex(graph, query),
+        candidates or CandidateIndex(graph, query),
         config,
         SearchStats(),
         matched if matched is not None else set(),
@@ -41,7 +42,7 @@ class TestConflictSet:
     def test_static_part_is_query_neighbors(self, setting):
         graph, query = setting
         engine = engine_for(graph, query)
-        conflicts = engine._conflict_set(1)
+        conflicts = engine._conflict_set(1, 0, set())
         assert {0, 2} <= conflicts
 
     def test_dynamic_part_catches_held_candidates(self, setting):
@@ -50,50 +51,110 @@ class TestConflictSet:
         # Node 2 wants a "c" vertex; assign node 0 a vertex that could never
         # be node 2's candidate (label a) -> no dynamic conflict beyond
         # static. Now hold v2 (a valid c-candidate) under node 0's slot by
-        # faking the assignment state:
+        # faking the assignment state (the assigned nodes are order[:depth]):
+        engine.order = (0, 1, 2)
         engine._assignment[0] = 2  # vertex v2 has label c
-        conflicts = engine._conflict_set(2)
+        conflicts = engine._conflict_set(2, 1, set())
         assert 0 in conflicts  # v2 passes node 2's filters -> dynamic conflict
+        engine._assignment[0] = 0  # v0 has label a
+        assert 0 not in engine._conflict_set(2, 1, set())
         engine._assignment[0] = UNMATCHED
+
+    def test_dynamic_part_is_the_full_filter_stack_whatever_the_pools_hold(self, setting):
+        """Pool membership answers CT(u, beta) only where the pools are the
+        full stack; a view with a filter off still asks ``full_check``."""
+        graph, query = setting
+        wide = CandidateIndex(graph, query, use_degree_filter=False, use_signature_filter=False)
+        engines = [engine_for(graph, query), engine_for(graph, query, candidates=wide)]
+        assert [e._pools_are_filters for e in engines] == [True, False]
+        for held in range(graph.num_vertices):
+            sets = []
+            for engine in engines:
+                engine.order = (0, 1, 2)
+                engine._assignment[0] = held
+                sets.append(engine._conflict_set(2, 1, set()))
+            assert sets[0] == sets[1], held
 
     def test_failure_set_excludes_self(self, setting):
         graph, query = setting
         engine = engine_for(graph, query)
-        conflicts = engine._conflict_set(1)
-        assert 1 not in conflicts
+        blamed = {1, 7}  # what failed children blamed: extended, not copied
+        conflicts = engine._conflict_set(1, 0, blamed)
+        assert conflicts is blamed
+        assert 1 not in conflicts and 7 in conflicts
+
+
+class Watched(list):
+    """A candidate list that counts how often a frame iterates it."""
+
+    iterated = 0
+
+    def __iter__(self):
+        self.iterated += 1
+        return super().__iter__()
+
+
+def enter(engine, query, prefix):
+    """Install the level-0 frames and assign ``prefix`` (vertices, in search
+    order) as a frame at depth ``len(prefix)`` would find them."""
+    frames = engine.candidates.plan.frames(query, ())
+    engine.order, engine._frames = frames[0], frames[1:]
+    for u, v in zip(engine.order, prefix):
+        engine._assignment[u] = v
+        engine._used.add(v)
+    return engine._frames
 
 
 class TestRcand:
+    """What a frame reads as ``Rcand`` (the prologue lives in the frame)."""
+
     def test_localized_uses_father_neighborhood(self, setting):
         graph, query = setting
         engine = engine_for(graph, query)
-        _order, root_frame, child_frame = engine.candidates.plan.frames(query, ())[:3]
-        root, (child, father) = root_frame[0], child_frame[:2]
+        view = engine.candidates
+        root = view.plan.frames(query, ())[1][0]
+        vf = view.candidates(root)[0]
+        _root_frame, (child, father, *_), *_ = enter(engine, query, [vf])
         assert father == root
-        # Assign the father of some non-root node and check Rcand shrinks.
-        vf = engine._assignment[root] = engine.candidates.candidates(root)[0]
-        rcand = engine._rcand(child, father, is_overlap=False)
-        assert rcand == [w for w in graph.neighbors(vf) if engine.candidates.is_candidate(child, w)]
-        assert rcand is engine.candidates.localized(child, vf)  # the view's memo, not a copy
-        assert engine.stats.kernel_merge == 1
-        engine._assignment[root] = UNMATCHED
+        # Rcand shrinks to N(father's match) ∩ candS(child) ...
+        expected = [w for w in graph.neighbors(vf) if view.is_candidate(child, w)]
+        assert view.localized(child, vf) == expected
+        # ... and the frame reads the view's memo in place, not a copy.
+        watched = view._localized[child][vf] = Watched(expected)
+        assert engine._single_frame(1) is None
+        assert watched.iterated == 1
+        assert engine._assignment[child] in expected
+        assert engine.stats.kernel_merge >= 1 and engine.stats.kernel_scan == 0
 
     def test_non_localized_returns_full_bucket(self, setting):
         graph, query = setting
         engine = engine_for(
             graph, query, DSQLConfig(k=5, localized_search=False)
         )
-        child, father = engine.candidates.plan.frames(query, ())[2][:2]
-        rcand = engine._rcand(child, father, is_overlap=False)
-        assert set(rcand) == set(engine.candidates.candidates(child))
-        assert engine.stats.kernel_scan == 1
+        order = engine.candidates.plan.frames(query, ())[0]
+        embedding = enumerate_embeddings(graph, query)[-1]
+        frames = enter(engine, query, [embedding[u] for u in order[:-1]])
+        last, father = frames[-1][:2]
+        pool = engine.candidates.candidates(last)
+        engine._pools = tuple(Watched(p) for p in engine._pools)
+        assert engine._single_frame(query.size - 1) is None
+        assert engine._pools[last].iterated == 1
+        assert engine.stats.kernel_scan == 1 and engine.stats.kernel_merge == 0
+        # The whole pool is walked in order; adjacency to the father's match
+        # (its neighbor set, probed per candidate) decides.
+        chosen = engine._assignment[last]
+        assert chosen == embedding[last]
+        assert graph.has_edge(chosen, engine._assignment[father])
+        assert engine.stats.nodes_expanded == pool.index(chosen) + 1 > 1
 
     def test_overlap_restricts_to_tcand(self, setting):
         graph, query = setting
         engine = engine_for(graph, query, DSQLConfig(k=5, localized_search=False))
-        engine._tcand = {u: {1} for u in range(query.size)}
-        rcand = engine._rcand(1, -1, is_overlap=True)
-        assert set(rcand) <= {1}
+        collected = []
+        tcand = {u: {1} for u in range(query.size)}
+        engine.run_level(1, tcand, lambda m: (collected.append(m), True)[1])
+        # Only node 1 (label b) has a candidate in {v1}; v3's branch is cut.
+        assert collected == [(0, 1, 2)]
 
 
 class TestBudget:

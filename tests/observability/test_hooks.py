@@ -18,6 +18,8 @@ from repro.observability import (
     get_default_instrumentation,
 )
 
+from tests.conftest import profiled_calls
+
 
 class RecordingHooks(ProfilingHooks):
     def __init__(self):
@@ -135,15 +137,25 @@ def test_no_hook_runs_per_expansion():
     """Instrumentation is free when off because no call site is per-expansion:
     on a ~23k-expansion 6-cycle with every callback counted and a deadline
     armed, calls are bounded by levels + embeddings + stride ticks. One call
-    inside ``_charge`` would add ``nodes_expanded`` to the left-hand side."""
+    inside ``charge`` would add ``nodes_expanded`` to the left-hand side.
+
+    And nothing else is per-expansion either: an expansion is charged in
+    place, so no function under ``src/repro`` — ``charge`` included — is
+    entered anywhere near once per expansion, and the meter's slow half runs
+    at stride boundaries only."""
     graph = make_dataset("yeast", scale=0.3, seed=0)
     a, b, c = (label for label, _ in Counter(graph.labels).most_common(3))
     cycle = QueryGraph([a, b, a, b, a, c], [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
     hooks = RecordingHooks()
     config = DSQLConfig(k=16, time_budget_ms=600_000.0)
     session = DSQL(graph, config=config, instrumentation=Instrumentation(hooks=hooks))
-    stats = session.query(cycle).stats
+    result, entered = profiled_calls(lambda: session.query(cycle))
+    stats = result.stats
     assert stats.nodes_expanded >= 10_000 and not stats.deadline_exhausted
+    assert max(entered.values()) < stats.nodes_expanded / 2
+    assert entered["backtrack.py", "charge"] == 0
+    # One arming per engine (two phases) beside the stride boundaries.
+    assert 0 < entered["backtrack.py", "check"] - len(hooks.ticks) <= 2
     calls = len(hooks.level_starts) + len(hooks.embeddings) + len(hooks.swaps) + len(hooks.ticks)
     assert len(hooks.ticks) == stats.nodes_expanded // search_mod.DEADLINE_CHECK_STRIDE
     assert calls <= (

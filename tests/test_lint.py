@@ -417,6 +417,75 @@ def test_engine_fork_stays_deleted():
 
 
 # ----------------------------------------------------------------------
+# Fork guard: a frame's prologue lives in the frame. The per-frame helper
+# calls (candidate hop, closure-building join test) must not grow back, the
+# level engine builds no function and probes no edge itself, and the budget
+# errors and the conflict rule keep their one home in ``backtrack.py``.
+# ----------------------------------------------------------------------
+FRAME_FORK_MARKERS = ("_rcand", "_kernel_join_test")
+
+
+def frame_offenders(text):
+    """What ``core/search.py`` must not contain: a ``lambda``, a ``def``
+    nested in a function, or the name ``has_edge``."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Lambda):
+            found.append(f"lambda:{node.lineno}")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [
+                f"nested def {inner.name}:{inner.lineno}"
+                for inner in ast.walk(node)
+                if inner is not node and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+    if "has_edge" in text:
+        found.append("has_edge")
+    return found
+
+
+def test_frame_prologue_stays_folded():
+    from repro.core.config import DSQLConfig
+
+    src = REPO / "src"
+    sources = {
+        str(p.relative_to(src)): p.read_text(encoding="utf-8") for p in src.rglob("*.py")
+    }
+    extra = [REPO / "DESIGN.md"]
+    extra += sorted(p for p in (REPO / ".claude").rglob("*") if p.is_file())
+    offenders = fork_offenders(FRAME_FORK_MARKERS, extra)
+    assert not offenders, offenders
+    search = sources["repro/core/search.py"]
+    assert not frame_offenders(search)
+    # One raise site per budget error and one conflict rule, all in backtrack.py.
+    backtrack = "repro/isomorphism/backtrack.py"
+    census = core_census(sources)
+    assert [s.split(":")[0] for s in census["BudgetExceeded"]] == [backtrack]
+    assert [s.split(":")[0] for s in census["DeadlineExceeded"]] == [backtrack]
+    for rule in ("def _conflict_set", "def _child_failed"):
+        assert [path for path, text in sources.items() if rule in text] == [backtrack], rule
+        assert sources[backtrack].count(rule) == 1
+    assert len(dataclasses.fields(DSQLConfig)) == 20
+    # The guard sees its mutants: a closure pasted back into a frame, a
+    # second raise site pasted beside the in-place charge.
+    closure = search.replace(
+        "        joined = None\n",
+        "        joined = None\n        joinable = lambda v: v not in used\n",
+        1,
+    )
+    assert frame_offenders(closure) and closure != search
+    second_raise = search.replace(
+        "                meter.check()\n",
+        "                raise BudgetExceeded('node budget exhausted')\n",
+        1,
+    )
+    assert second_raise != search
+    mutated = core_census({**sources, "repro/core/search.py": second_raise})
+    assert len(mutated["BudgetExceeded"]) == 2
+    nested = "def frame(self):\n    def joinable(v):\n        return self.graph.has_edge(v, 0)\n"
+    assert frame_offenders(nested) == ["nested def joinable:2", "has_edge"]
+
+
+# ----------------------------------------------------------------------
 # Fork guard: one implementation of Section 5.1. ``N(father's match) ∩
 # candS(u)`` is ``CandidateIndex.localized`` — a C-level set intersection,
 # memoized per query; no engine or baseline walks a neighbor row in the
