@@ -78,8 +78,9 @@ class StaleSegmentError(ReproError):
 
     A worker process holds its own copy of the graph at some
     ``(epoch, delta_seq)`` and catches up by replaying the parent's mutation
-    log. Across a compaction (a new epoch, the log gone), a gap in the log
-    or an op that does not re-apply, there is nothing left to replay: the
-    copy is stale, and this is raised instead of answering from it. The name
-    is from the shared-memory segments such copies once came out of.
+    log. Below the log's floor (a compaction dropped ops the copy never saw),
+    on another cache's epoch, a gap in the tail or an op that does not
+    re-apply, nothing is left to replay: the copy is stale, and this is raised
+    instead of answering from it. The name is from the shared-memory segments
+    such copies once came out of.
     """

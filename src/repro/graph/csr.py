@@ -283,8 +283,8 @@ class CSRBackend:
         """Reset :attr:`delta_size`: the storage half of a checkpoint.
 
         Rows, sets and degrees are already the live graph — there is
-        nothing to merge. What a compaction *means* (a new epoch, an empty
-        mutation log, worker pools to rebuild) lives in
+        nothing to merge. What a compaction *means* (an empty mutation log,
+        and with it a floor a lagging worker pool can fall below) lives in
         :meth:`LabeledGraph.compact() <repro.graph.labeled_graph.
         LabeledGraph.compact>`.
         """

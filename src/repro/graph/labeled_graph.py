@@ -27,9 +27,9 @@ the pinned index cache incrementally (only state derived from the touched
 1-hop neighborhoods is recomputed; see ``docs/mutation.md`` for the full
 contract). Bulk construction still goes through
 :class:`repro.graph.builder.GraphBuilder`. :meth:`~LabeledGraph.compact` is
-the logical checkpoint of that write stream (new cache epoch, empty mutation
-log), taken once :data:`DEFAULT_COMPACTION_THRESHOLD` edge deltas have
-accumulated; it moves no adjacency data.
+the logical checkpoint of that write stream — it empties the mutation log
+and nothing else — taken once :data:`DEFAULT_COMPACTION_THRESHOLD` edge
+deltas have accumulated; it moves no adjacency data.
 """
 
 from __future__ import annotations
@@ -56,10 +56,9 @@ Edge = Tuple[int, int]
 
 DEFAULT_COMPACTION_THRESHOLD = 4096
 """Edge deltas applied before :meth:`LabeledGraph.mutate` auto-compacts.
-Compaction bounds the mutation log that pool workers replay, at the price of
-a fresh cache epoch (compiled plans dropped, worker pools rebuilt), so it is
-deliberately infrequent; explicit :meth:`LabeledGraph.compact` is always
-available."""
+Compaction bounds the mutation log the writer keeps and pool workers replay;
+its only price is a rebuild of the worker pools built before the writes it
+drops. Explicit :meth:`LabeledGraph.compact` is always available."""
 
 
 class MutationSummary(NamedTuple):
@@ -175,9 +174,9 @@ class LabeledGraph:
         """The pinned cache's ``(epoch, delta_seq)``, or ``None`` pre-build.
 
         This is the logical version stamped onto session memo entries, plan
-        keys, and the sync header of every worker-pool chunk; delta
-        mutations bump ``delta_seq`` in place, compaction starts a fresh
-        epoch.
+        keys, and the sync header of every worker-pool chunk. The epoch is
+        fixed for the cache's life and an applied delta bumps ``delta_seq``,
+        so the pair changes exactly when the graph does.
         """
         if self._cache is None:
             return None
@@ -226,20 +225,22 @@ class LabeledGraph:
         or ``("remove_edge", u, v)``. The whole batch is validated before
         any op is applied, so a :class:`~repro.exceptions.GraphError`
         (malformed op, unhashable label, non-integer or out-of-range
-        endpoint, self-loop, ``compaction_threshold`` below 1) leaves the
-        graph untouched. Valid ops apply in order; no-ops (duplicate adds,
-        absent removes) are skipped without consuming a delta. After the
-        batch, if at least ``compaction_threshold`` edge deltas have
-        accumulated since the last compaction (``None`` disables), the graph
-        :meth:`compact`\\ s — the one point where worker pools and compiled
-        plans of the old epoch become stale.
+        endpoint, self-loop, ``compaction_threshold`` not an integer >= 1)
+        leaves the graph untouched. Valid ops apply in order; no-ops
+        (duplicate adds, absent removes) are skipped without consuming a
+        delta. After the batch, if at least ``compaction_threshold`` edge
+        deltas have accumulated since the last compaction (``None``
+        disables), the graph :meth:`compact`\\ s.
         """
         backend = self._backend
-        if compaction_threshold is not None and compaction_threshold < 1:
-            # The wire's rule (schemas: minimum=1): a threshold of 0 would
-            # compact on every call, an empty batch included.
+        if compaction_threshold is not None and (
+            type(compaction_threshold) is not int or compaction_threshold < 1
+        ):
+            # The wire's rule (schemas: an integer, minimum=1): 0 would compact
+            # on every call, an empty batch included; ``True`` is not a count.
             raise GraphError(
-                f"compaction_threshold must be >= 1 or None, got {compaction_threshold!r}"
+                f"compaction_threshold must be an integer >= 1 or None, "
+                f"got {compaction_threshold!r}"
             )
         batch = [tuple(op) for op in ops]
         # Validation pass: nothing below may raise once ops start applying,
@@ -280,18 +281,18 @@ class LabeledGraph:
         return MutationSummary(len(applied), compacted, self.version)
 
     def compact(self) -> None:
-        """Checkpoint the write stream: start a fresh cache epoch.
+        """Checkpoint the write stream: empty the mutation log.
 
-        Topology and every answer are unchanged, and no adjacency data
-        moves. The delta counter and the mutation log restart — which bounds
-        the tail pool workers replay — and with the log gone, worker pools
-        and compiled plans pinned to the old epoch become stale (workers
-        raise :class:`~repro.exceptions.StaleSegmentError` rather than guess
-        at ops they can no longer fetch).
+        Topology, every answer, :attr:`version`, compiled plans and session
+        memos are unchanged, and no adjacency data moves. The storage's
+        delta counter restarts and the log is dropped, which bounds the tail
+        pool workers replay; a worker pool built before a write the log no
+        longer holds is stale (:class:`~repro.exceptions.StaleSegmentError`,
+        not a guess at ops it cannot fetch), one built after the last is not.
         """
         self._backend.compact()
         if self._cache is not None:
-            self._cache.on_compaction()
+            self._cache.truncate_log()
 
     def replay(self, entries: Iterable[Tuple[int, Tuple]]) -> None:
         """Re-apply a mutation-log tail (``(seq, op)`` pairs) to this graph.

@@ -34,10 +34,11 @@ memo entries of its own label and an entry's tuple is rebuilt only when the
 vertex joined or left it. A write therefore touches O(dirty vertices x
 entries of their labels) memo words and leaves no scan for the next read.
 The pair ``(epoch, delta_seq)`` is the cache :attr:`version` that keys
-session memos and is a pool worker's place in the write stream; a compaction
-(:meth:`on_compaction`) starts a fresh epoch and clears the mutation log,
-which is what finally makes a worker pool stale. See ``docs/mutation.md``
-for the full contract.
+session memos and is a pool worker's place in the write stream: the epoch
+names this construction and ``delta_seq`` only counts up, so it changes
+exactly when the graph does. A checkpoint (:meth:`truncate_log`) only empties
+the mutation log; :meth:`ops_since` refuses a reader it passed, which is how
+a worker pool goes stale. See ``docs/mutation.md`` for the full contract.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ from collections import Counter, OrderedDict
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
+
+from repro.exceptions import StaleSegmentError
 
 Label = Hashable
 
@@ -184,12 +187,11 @@ class GraphIndexCache:
         self._adj_lock = threading.Lock()
 
         # Compiled query plans are keyed by (epoch, canonical query key,
-        # filter toggles); the epoch makes keys from different cache
-        # generations of the "same" graph distinguishable even if a plan
-        # cache instance were ever shared.
+        # filter toggles); the epoch names this construction — stamped here
+        # and nowhere else — so keys from two caches of the "same" graph stay
+        # distinguishable even if a plan cache instance were ever shared.
         self.epoch = next(_EPOCHS) if epoch is None else epoch
-        # Delta sequence within the epoch: bumped once per applied mutation,
-        # reset to 0 by compaction. (epoch, delta_seq) is the cache version.
+        # Bumped once per applied mutation, never reset; with the epoch, the version.
         self.delta_seq = delta_seq
         self._mutation_log: List[Tuple[int, Tuple]] = []
         # Late import: repro.indexes.plans reaches back through the
@@ -310,8 +312,8 @@ class GraphIndexCache:
 
         Compression-enabled plans and engines share one partition per graph:
         :meth:`apply_delta` repairs it in place (splitting only the dirtied
-        endpoints' classes), and compaction keeps it — topology is unchanged
-        — so the partition stays valid across the cache's whole life.
+        endpoints' classes), so the partition stays valid across the cache's
+        whole life.
         Guarded by ``_pool_lock``; creation is rare and the lock is never
         held while searching.
         """
@@ -475,11 +477,11 @@ class GraphIndexCache:
     def version(self) -> Tuple[int, int]:
         """The cache version ``(epoch, delta_seq)``.
 
-        ``delta_seq`` advances by one per applied mutation within an epoch;
-        a compaction starts a fresh epoch at ``delta_seq == 0``. Session
-        memos, plan keys, and worker-pool sync headers are stamped with
-        this pair, so post-mutation queries never replay pre-mutation
-        answers.
+        The epoch is this cache's construction; ``delta_seq`` advances by
+        one per applied mutation and by nothing else — a checkpoint
+        (:meth:`truncate_log`) leaves the pair as it is. Session memos, plan
+        keys, and worker-pool sync headers are stamped with it, so
+        post-mutation queries never replay pre-mutation answers.
         """
         return (self.epoch, self.delta_seq)
 
@@ -671,40 +673,40 @@ class GraphIndexCache:
             if rebuilt:
                 metrics.counter("cache.pool.rebuilt").inc(rebuilt)
 
+    @property
+    def log_floor(self) -> int:
+        """The sequence number just before the oldest logged op
+        (:attr:`delta_seq` when the log is empty): the lowest position a
+        reader can be caught up from."""
+        log = self._mutation_log
+        return log[0][0] - 1 if log else self.delta_seq
+
     def ops_since(self, seq: int) -> Tuple[Tuple[int, Tuple], ...]:
         """The ``(seq, op)`` mutation-log tail with sequence numbers > ``seq``.
 
         This is the catch-up payload shipped to pool workers whose graph
-        lags the parent's within the same epoch. Sequence numbers are
-        contiguous, so the tail for a reader at ``seq`` always starts at
-        ``seq + 1`` — a gap means the reader crossed a compaction and must
-        treat its copy as stale.
+        lags the parent's. Log entries are contiguous and end at
+        :attr:`delta_seq`: a caught-up reader gets ``()``, one at or above
+        :attr:`log_floor` the tail from ``seq + 1``, and one below the floor
+        — a checkpoint dropped ops it has not seen —
+        :class:`~repro.exceptions.StaleSegmentError`, never a clamped tail.
         """
-        log = self._mutation_log
-        if not log or seq >= log[-1][0]:
-            return ()
-        # Log seqs are contiguous ending at delta_seq: index arithmetic.
-        first = log[0][0]
-        start = max(0, seq + 1 - first)
-        return tuple(log[start:])
+        floor = self.log_floor
+        if seq < floor:
+            raise StaleSegmentError(
+                f"a reader at delta_seq {seq} is behind the mutation log, which "
+                f"was truncated up to {floor}: its copy must be rebuilt"
+            )
+        return tuple(self._mutation_log[seq - floor :])
 
-    def on_compaction(self) -> Tuple[int, int]:
-        """Start a fresh epoch: the cache half of a graph's checkpoint.
+    def truncate_log(self) -> None:
+        """Empty the mutation log: the cache half of a graph's checkpoint.
 
-        Topology is unchanged by compaction, so pools, signatures, degrees
-        and the label index all remain correct and are kept; what changes is
-        the *generation* that worker pools and plan keys are pinned to. The
-        epoch is re-stamped, ``delta_seq`` resets to 0, the mutation log is
-        cleared (bounding what workers replay, and making catch-up across
-        the checkpoint impossible — workers at the old epoch see
-        :class:`~repro.exceptions.StaleSegmentError`), and compiled plans
-        are dropped since their keys embed the old epoch.
+        Bounds what the writer keeps and pool workers replay. Topology is
+        unchanged, so :attr:`version`, plans and memos are too; only a
+        reader below the new :attr:`log_floor` notices.
         """
-        self.epoch = next(_EPOCHS)
-        self.delta_seq = 0
         self._mutation_log.clear()
-        self.plan_cache.clear()
-        return self.version
 
     # ------------------------------------------------------------------
     def memo_info(self) -> Dict[str, int]:

@@ -265,8 +265,10 @@ def plan_key(
     use_signature_filter: bool,
     use_compression: bool = False,
 ):
-    """The memo key: graph epoch + canonical query structure + toggles.
+    """The memo key: cache epoch + canonical query structure + toggles.
 
+    The epoch names the cache's construction and never changes under it:
+    what invalidates a plan is :meth:`PlanCache.evict_stale`.
     ``use_compression`` is part of the key because compressed and plain
     plans differ structurally (class pools, ``cbitset`` kernel choices) —
     one graph can serve both kinds of traffic without thrashing the cache.
@@ -514,7 +516,7 @@ class PlanCache:
         return plan
 
     def clear(self) -> None:
-        """Drop every memoized plan (used by the cold-path benchmarks)."""
+        """Drop every memoized plan (tests start cold with it; no write or checkpoint does)."""
         with self._lock:
             self._memo.clear()
             self._specs.clear()

@@ -38,7 +38,7 @@ two endpoints' neighborhoods, so those endpoints are **split** out of their
 classes into fresh singletons and every derived view (adjacency, join
 masks) is invalidated; untouched classes remain valid twin classes because
 their members' neighborhoods never changed. The partition only refines
-under mutation — re-merging is deferred to the next epoch rebuild.
+under mutation — re-merging is deferred to the next cache build.
 
 Exactness (same counts and same embedding sets as the plain engine) is
 asserted in the test suite; the win is on graphs with interchangeable

@@ -379,8 +379,8 @@ class BatchExecutor:
 
         pool = self._ensure_pool()
         if pool is not None and (pool.stale or pool.broken):
-            # Stale: a compaction started a fresh epoch the workers can
-            # never reach by replay. Broken: a worker died since the last
+            # Stale: a checkpoint dropped ops the workers have not seen and
+            # can no longer fetch. Broken: a worker died since the last
             # batch, and the executor underneath refuses every submission
             # from then on. Either way, start fresh workers before
             # dispatching.

@@ -37,12 +37,12 @@ after the version the pool was built at, never before it. Workers replay the
 part of the tail beyond their own version onto their graph (a private copy:
 copy-on-write pages under ``fork``, an unpickled object under ``spawn``)
 before answering, so worker results stay bit-identical to the parent's live
-topology without restarting per delta. A *compaction* in the parent clears
-the log and starts a fresh epoch the workers cannot reach by replay; the
-pool then reports :attr:`WorkerPool.stale` and submission raises
-:class:`~repro.exceptions.StaleSegmentError` — the executor's cue to discard
-the pool and start a fresh one — rather than ever serving answers from the
-old topology.
+topology without restarting per delta. A *compaction* in the parent empties
+the log: a pool built after the last write has nothing to fetch and carries
+on; one the truncation passed reports :attr:`WorkerPool.stale` and
+submission raises :class:`~repro.exceptions.StaleSegmentError` — the
+executor's cue to discard the pool and start a fresh one — rather than ever
+serving answers from the old topology.
 
 The pool prefers the ``fork`` start method (cheapest: a worker starts with
 the parent's pages); where fork is unavailable it falls back to ``spawn``,
@@ -142,8 +142,8 @@ def _apply_sync(graph: LabeledGraph, sync: SyncHeader) -> None:
     Replays the unseen suffix of the parent's mutation-log tail with
     :meth:`LabeledGraph.replay` (which delta-repairs the worker's own
     cache). The worker's graph is this process's private copy, written like
-    any other graph. An epoch change, a sequence gap or an op that does
-    not re-apply cleanly means the replay chain is severed: raise
+    any other graph. Another cache's epoch, a sequence gap or an op that
+    does not re-apply cleanly means the replay chain is severed: raise
     :class:`~repro.exceptions.StaleSegmentError` instead of answering from
     a stale view.
     """
@@ -152,7 +152,7 @@ def _apply_sync(graph: LabeledGraph, sync: SyncHeader) -> None:
     if epoch != have_epoch:
         raise StaleSegmentError(
             f"worker started at epoch {have_epoch} cannot reach epoch "
-            f"{epoch}: the parent graph compacted; the pool must be rebuilt"
+            f"{epoch}: the chunk is of another cache; the pool must be rebuilt"
         )
     try:
         graph.replay(entry for entry in tail if entry[0] > have_seq)
@@ -253,10 +253,10 @@ class WorkerPool:
             raise OSError("no usable multiprocessing start method")
         self.jobs = jobs
         self._graph = graph
-        # The graph's version now (any delta_seq — building a pool is a
+        # The graph's delta_seq now (any value — building a pool is a
         # read): no worker starts before this point, so chunk sync headers
         # ship the mutation log from here on.
-        self._sync_epoch, self._base_seq = graph.index_cache().version
+        self._base_seq = graph.index_cache().delta_seq
         self._executor = ProcessPoolExecutor(
             max_workers=jobs,
             mp_context=context,
@@ -274,32 +274,26 @@ class WorkerPool:
 
     @property
     def stale(self) -> bool:
-        """Whether the parent graph compacted since the pool was built.
+        """Whether a checkpoint dropped ops written since the pool was built.
 
-        A stale pool's workers can never catch up by replay (the mutation
-        log restarted with the new epoch); the owner should discard the
-        pool and build a fresh one, whose workers start at the new epoch.
+        A stale pool's workers can never catch up by replay (the tail they
+        need is below the log's floor); the owner should discard the pool
+        and build a fresh one, whose workers start at the current version.
         """
-        return self._graph.index_cache().epoch != self._sync_epoch
+        return self._base_seq < self._graph.index_cache().log_floor
 
     def submit(self, chunk: List[ChunkItem]) -> "Future[ChunkResult]":
         """Dispatch one chunk to the pool.
 
         Each chunk carries a sync header with the parent's current version
         and the mutation-log tail since the pool was built, so workers catch
-        up to live deltas before answering. Raises
-        :class:`~repro.exceptions.StaleSegmentError` when the parent
-        compacted since (see :attr:`stale`); the executor underneath raises
-        ``BrokenProcessPool`` once a worker has died and :class:`OSError`
-        when the OS refuses to start one.
+        up to live deltas before answering. ``ops_since`` raises
+        :class:`~repro.exceptions.StaleSegmentError` when the pool is
+        :attr:`stale`, before anything is pickled; the executor underneath
+        raises ``BrokenProcessPool`` once a worker has died and
+        :class:`OSError` when the OS refuses to start one.
         """
         cache = self._graph.index_cache()
-        if cache.epoch != self._sync_epoch:
-            raise StaleSegmentError(
-                f"the pool's workers are pinned to epoch {self._sync_epoch} but "
-                f"the parent is at epoch {cache.epoch}: compaction cut the "
-                "replay chain; rebuild the pool"
-            )
         sync: SyncHeader = (cache.epoch, cache.delta_seq, cache.ops_since(self._base_seq))
         return self._executor.submit(_run_chunk, (sync, chunk))
 

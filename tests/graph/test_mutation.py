@@ -4,8 +4,8 @@ The contract under test (docs/mutation.md): ``add_vertex`` / ``add_edge``
 / ``remove_edge`` mutate the live views in place, duplicate adds and
 absent removes are no-ops, malformed ops reject *before* anything is
 applied (a failed batch leaves the graph untouched), and ``compact()``
-checkpoints the write stream (delta counter reset, fresh epoch) without
-changing any observable topology or moving any adjacency data.
+checkpoints the write stream (delta counter reset, mutation log emptied)
+without changing the version, any observable topology or any adjacency data.
 """
 
 from __future__ import annotations
@@ -262,16 +262,20 @@ class TestCSROverlayAndCompaction:
         assert summary.compacted is True
         assert g.backend.delta_size == 0
 
-    @pytest.mark.parametrize("threshold", [0, -1, 0.5, False])
+    @pytest.mark.parametrize("threshold", [0, -1, 0.5, False, True, 1.5, "3"])
     def test_threshold_below_one_is_rejected_before_any_op(self, threshold):
+        """An integer >= 1 or ``None``, the wire's rule: ``True`` used to
+        compact as if 1, ``1.5`` was accepted, ``"3"`` escaped as TypeError."""
         g = small_graph()
         g.index_cache()
         g.add_edge(0, 2)
         version, plans = g.version, g.index_cache().plan_cache
+        log = g.index_cache().ops_since(0)
         for ops in ([], [("add_edge", 1, 3)]):
-            with pytest.raises(GraphError, match="compaction_threshold must be >= 1"):
+            with pytest.raises(GraphError, match="compaction_threshold must be"):
                 g.mutate(ops, compaction_threshold=threshold)
         assert g.version == version and not g.has_edge(1, 3)
+        assert g.index_cache().ops_since(0) == log and len(log) == 1
         assert g.backend.delta_size == 1 and g.index_cache().plan_cache is plans
         # None still disables, 1 still compacts on the first delta.
         assert g.mutate([], compaction_threshold=None) == (0, False, version)
@@ -294,9 +298,12 @@ class TestVersioning:
         g.add_edge(0, 2)
         g.remove_edge(0, 2)
         assert g.version == (epoch0, 2)
+        # The id keeps its name; the behaviour became: a compaction bumps
+        # nothing, and the next delta counts on from where the last stopped.
         g.compact()
-        epoch1, seq = g.version
-        assert epoch1 != epoch0 and seq == 0
+        assert g.version == (epoch0, 2) and cache.epoch == epoch0
+        g.add_edge(0, 2)
+        assert g.version == (epoch0, 3)
 
     def test_noop_does_not_consume_a_delta(self, storage):
         g = small_graph(storage)

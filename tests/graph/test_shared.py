@@ -327,7 +327,10 @@ class TestLifecycle:
         with WorkerPool(source_graph, config, jobs=1) as first:
             second = WorkerPool(source_graph, config, jobs=1)
             try:
-                assert first._sync_epoch == second._sync_epoch == source_graph.version[0]
+                # A worker refuses a chunk of another epoch, so both pools
+                # answering below is what shows the epoch is shared.
+                assert first._graph is second._graph is source_graph
+                assert first._base_seq == second._base_seq == source_graph.version[1]
                 pid_a, pairs_a, _ = first.submit(_chunk()).result(timeout=60)
                 pid_b, pairs_b, _ = second.submit(_chunk()).result(timeout=60)
                 assert pid_a != pid_b

@@ -372,15 +372,37 @@ class TestVersionAndLog:
         assert cache.ops_since(3) == ()
 
     def test_on_compaction_resets_log_and_epoch(self):
+        """The id keeps its name; what a checkpoint does became: the log is
+        empty, the epoch and ``delta_seq`` are not reset, the plans stay, and
+        a reader below the log's floor is refused instead of handed a
+        clamped tail."""
+        from repro.core.dsql import DSQL
+        from repro.exceptions import StaleSegmentError
+        from repro.graph.query_graph import QueryGraph
+
         g = small_graph()
         cache = g.index_cache()
         g.add_edge(0, 3)
-        epoch0 = cache.epoch
+        g.add_edge(1, 4)
+        DSQL(g, k=2).query(QueryGraph(["a", "b"], [(0, 1)]))
+        plans, size = cache.plan_cache, cache.plan_cache.info()["size"]
+        assert size > 0 and cache.log_floor == 0
+        version = cache.version
         g.compact()
-        assert cache.epoch != epoch0
-        assert cache.delta_seq == 0
-        assert cache.ops_since(0) == ()
-        assert cache.plan_cache.info()["size"] == 0
+        assert cache.version == version == (cache.epoch, 2)
+        assert cache._mutation_log == [] and cache.log_floor == 2
+        assert cache.plan_cache is plans and plans.info()["size"] == size
+        assert cache.ops_since(2) == ()
+        for behind in (0, 1):
+            with pytest.raises(StaleSegmentError, match="behind the mutation log"):
+                cache.ops_since(behind)
+        # At the floor the tail is whole again, and still refused below it.
+        g.remove_edge(0, 3)
+        assert cache.log_floor == 2
+        assert cache.ops_since(2) == ((3, ("remove_edge", 0, 3)),)
+        assert cache.ops_since(3) == ()
+        with pytest.raises(StaleSegmentError):
+            cache.ops_since(1)
 
     def test_memo_keys_change_with_version(self):
         from repro.core.config import DSQLConfig
@@ -394,5 +416,9 @@ class TestVersionAndLog:
         g.add_edge(0, 3)
         key1 = session.memo_key(q)
         assert key0 != key1
+        # Every applied delta changes the key; a checkpoint, which changes
+        # no answer, does not.
         g.compact()
+        assert session.memo_key(q) == key1
+        g.remove_edge(0, 3)
         assert session.memo_key(q) not in (key0, key1)

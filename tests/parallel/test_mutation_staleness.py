@@ -2,13 +2,15 @@
 
 Pool workers hold their own copy of the graph and may lag the parent by
 delta mutations (they catch up by replaying the ops tail shipped with each
-chunk) but can never survive a *compaction*: the parent's mutation log
-restarted, the worker's copy is of a dead epoch with no tail to replay,
-and the only acceptable outcome is
-:class:`~repro.exceptions.StaleSegmentError` — a wrong answer computed from
-the old topology is the one forbidden result. Building a pool is a read: it
-happens wherever in an epoch the graph stands and moves nothing. The
-catch-up cases run under both start methods (``TestEitherStartMethod``).
+chunk). A *compaction* empties the parent's mutation log and nothing else:
+a pool built after the last write has no tail to fetch and carries on with
+the same workers; a pool the truncation passed — a write sits between its
+build and the checkpoint — can no longer be caught up, and the only
+acceptable outcome is :class:`~repro.exceptions.StaleSegmentError` — a wrong
+answer computed from the old topology is the one forbidden result. Building
+a pool is a read: it happens at whatever ``delta_seq`` the graph stands and
+moves nothing. The catch-up and checkpoint cases run under both start
+methods (``TestEitherStartMethod``), inside a process census.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from repro.exceptions import StaleSegmentError
 from repro.graph.labeled_graph import LabeledGraph
 from repro.parallel import BatchExecutor, WorkerPool, worker_graph
 from repro.queries.generator import query_set
+from tests.conftest import ProcessCensus
 from tests.parallel.conftest import START_METHODS
 
 K = 4
@@ -64,6 +67,11 @@ def check_workers_replay_delta_tail():
         }
 
 
+def _rebuilt_answers(graph, queries, config):
+    rebuilt = LabeledGraph(list(graph.labels), list(graph.edges()))
+    return [r.to_dict() for r in DSQL(rebuilt, config=config).query_many(queries)]
+
+
 def check_process_batches_between_writes_move_nothing():
     """write → process batch → write → process batch: the pool is built
     on a dirty graph, the second write reaches its workers by replay."""
@@ -71,10 +79,6 @@ def check_process_batches_between_writes_move_nothing():
     config = DSQLConfig(k=K)
     session = DSQL(graph, config=config)
     session.query_many(queries)
-
-    def reference():
-        rebuilt = LabeledGraph(list(graph.labels), list(graph.edges()))
-        return [r.to_dict() for r in DSQL(rebuilt, config=config).query_many(queries)]
 
     epoch = graph.version[0]
     u, v = _absent_pair(graph)
@@ -85,10 +89,10 @@ def check_process_batches_between_writes_move_nothing():
         assert state[0] == (epoch, 2)
         first = executor.run(queries)
         pool = executor.pool
-        assert pool is not None and (pool._sync_epoch, pool._base_seq) == (epoch, 2)
+        assert pool is not None and (graph.version[0], pool._base_seq) == (epoch, 2)
         assert (graph.version, graph.backend.delta_size) == (state[0], state[2])
         assert plans.info()["size"] >= state[1] and graph.index_cache().plan_cache is plans
-        assert [r.to_dict() for r in first] == reference()
+        assert [r.to_dict() for r in first] == _rebuilt_answers(graph, queries, config)
         assert executor.last_report.chunks_retried == 0
 
         graph.mutate([("remove_edge", u, v)], compaction_threshold=None)
@@ -96,8 +100,69 @@ def check_process_batches_between_writes_move_nothing():
         second = executor.run(queries)
         assert executor.pool is pool and not pool.stale  # same workers, caught up by replay
         assert graph.version == (epoch, 3)
-        assert [r.to_dict() for r in second] == reference()
+        assert [r.to_dict() for r in second] == _rebuilt_answers(graph, queries, config)
         assert executor.last_report.chunks_retried == 0
+
+
+def check_caught_up_pool_survives_a_checkpoint():
+    """write → pool → compact → batch → write → batch, the same workers
+    throughout: the checkpoint changes no version and strands nothing."""
+    graph, queries = _workload()
+    config = DSQLConfig(k=K, query_cache_size=0)  # every batch reaches the pool
+    session = DSQL(graph, config=config)
+    u, v = _absent_pair(graph)
+    census = ProcessCensus()
+    with BatchExecutor(session, strategy="process", jobs=2) as executor:
+        graph.add_edge(u, v)  # the last write before the pool is built
+        executor.run(queries)
+        pool, workers = executor.pool, census.new_children()
+        assert {pid for pid, _ in executor.last_report.per_worker} <= workers
+        version = graph.version
+        graph.compact()
+        assert graph.version == version and not pool.stale
+        assert graph.index_cache().ops_since(pool._base_seq) == ()
+        after = executor.run(queries)
+        assert executor.pool is pool and not pool.stale
+        assert executor.last_report.chunks_retried == 0
+        assert workers <= census.new_children()  # nobody was replaced
+        assert [r.to_dict() for r in after] == _rebuilt_answers(graph, queries, config)
+        # The pool sits exactly at the floor: a later write is the whole tail.
+        graph.remove_edge(u, v)
+        assert graph.index_cache().ops_since(pool._base_seq) == (
+            (version[1] + 1, ("remove_edge", u, v)),
+        )
+        later = executor.run(queries)
+        assert executor.pool is pool and executor.last_report.chunks_retried == 0
+        assert [r.to_dict() for r in later] == _rebuilt_answers(graph, queries, config)
+    assert census.settled(), census.report()
+
+
+def check_pool_behind_the_checkpoint_is_rebuilt():
+    """pool → write → compact: the truncation passed the pool. It says so,
+    ``submit`` refuses in the parent before anything is pickled, and the
+    executor's pre-dispatch check replaces it without retrying a chunk."""
+    graph, queries = _workload()
+    config = DSQLConfig(k=K, query_cache_size=0)
+    session = DSQL(graph, config=config)
+    u, v = _absent_pair(graph)
+    census = ProcessCensus()
+    with BatchExecutor(session, strategy="process", jobs=2) as executor:
+        executor.run(queries)
+        pool = executor.pool
+        graph.add_edge(u, v)
+        assert not pool.stale  # a write alone is caught up by replay
+        graph.compact()
+        assert pool.stale and pool._base_seq < graph.index_cache().log_floor
+        shipped = []
+        pool._executor.submit = lambda *args: shipped.append(args)
+        with pytest.raises(StaleSegmentError, match="behind the mutation log"):
+            pool.submit(_chunk_of(session, queries))
+        assert shipped == []
+        results = executor.run(queries)
+        assert executor.pool is not pool and not executor.pool.stale
+        assert shipped == [] and executor.last_report.chunks_retried == 0
+        assert [r.to_dict() for r in results] == _rebuilt_answers(graph, queries, config)
+    assert census.settled(), census.report()
 
 
 class TestWorkerCatchUp:
@@ -122,7 +187,7 @@ class TestWorkerCatchUp:
         before = (graph.version, plans.info()["size"], graph.backend.delta_size)
         assert before[0][1] == 1 and before[1] > 0 and before[2] == 1
         with WorkerPool(graph, config, jobs=1) as pool:
-            assert (pool._sync_epoch, pool._base_seq) == before[0]
+            assert (graph.version[0], pool._base_seq) == before[0]
             _, pairs, _ = pool.submit(_chunk_of(session, queries)).result(timeout=120)
             assert (graph.version, plans.info()["size"], graph.backend.delta_size) == before
             assert graph.index_cache().plan_cache is plans
@@ -147,6 +212,12 @@ class TestEitherStartMethod:
 
     def test_process_batches_between_writes_move_nothing(self, start_method):
         check_process_batches_between_writes_move_nothing()
+
+    def test_caught_up_pool_survives_a_checkpoint(self, start_method):
+        check_caught_up_pool_survives_a_checkpoint()
+
+    def test_pool_behind_the_checkpoint_is_rebuilt(self, start_method):
+        check_pool_behind_the_checkpoint_is_rebuilt()
 
 
 class TestCompactionStaleness:

@@ -6,13 +6,15 @@ delta-repaired indexes, version-qualified memos, and surviving plans —
 must produce bit-identical :class:`DSQResult`\\ s to querying a graph
 *rebuilt from scratch* with the post-mutation topology. Runs across the
 registry datasets, both storage states (frozen base / overlay-resident),
-repeated mutation rounds, and across an explicit compaction (the epoch-bump
-path).
+repeated mutation rounds, and across an explicit compaction.
 
 The candidate-pool memo is repaired in place by every write, so a second
 property drives random add_vertex / add_edge / remove_edge / compact scripts
-with plans compiled between the steps and holds every memoized pool, and the
-pools of every plan compiled over them, to a cache built from scratch.
+with plans compiled between the steps and holds every memoized pool, the
+pools of every plan compiled over them, and the answers under all three
+objectives to a graph built from scratch. ``compact`` is a free op of those
+scripts: a checkpoint changes no version and strands no plan, memo entry or
+weight profile, and the version counts exactly the applied deltas.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from hypothesis import strategies as st
 
 from repro.core.config import DSQLConfig
 from repro.core.dsql import DSQL
+from repro.coverage.objectives import OBJECTIVE_NAMES
 from repro.datasets.registry import dataset_names, make_dataset
 from repro.graph.labeled_graph import LabeledGraph
-from repro.indexes.graph_cache import GraphIndexCache
 from repro.indexes.plans import compile_plan
 from repro.queries.generator import query_set
 from tests.conftest import STORAGE_STATES, in_storage_state
@@ -93,10 +95,11 @@ def test_mutate_equals_rebuild(dataset, storage):
     for got, want in zip(session.query_many(queries), reference.query_many(queries)):
         assert_results_identical(got, want)
 
-    # Cross the compaction boundary (fresh epoch, merged arrays) and the
-    # answers must still be bit-identical.
+    # A checkpoint is not a version: the answers are the memo's own.
     graph.compact()
+    assert graph.version == summary.version
     for got, want in zip(session.query_many(queries), reference.query_many(queries)):
+        assert got.from_cache
         assert_results_identical(got, want)
 
 
@@ -185,16 +188,34 @@ def valid_ops(graph: LabeledGraph, ops):
 def test_repaired_pool_memo_equals_fresh_scans(script):
     graph = banded_graph()
     cache = graph.index_cache()
+    configs = [DSQLConfig(k=3, objective=name) for name in OBJECTIVE_NAMES]
+    sessions = [DSQL(graph, config=config) for config in configs]
+    weighted = sessions[OBJECTIVE_NAMES.index("weighted-vertex")]
     for label in "abc":
         cache.candidate_pool(label)  # no plan asks for the unfiltered pools new vertices join
+    epoch, seq = graph.version
     for step, query_index in script:
-        compile_plan(BANDED_QUERIES[query_index], cache)  # warms the pools the step may move
+        query = BANDED_QUERIES[query_index]
+        compile_plan(query, cache)  # warms the pools the step may move
         if step == ("compact",):
+            for session in sessions:
+                session.query_many([query])
+            plans, size = cache.plan_cache, cache.plan_cache.info()["size"]
+            profile = weighted._weights()
             graph.compact()
+            # The checkpoint stranded nothing that was warm a line ago.
+            assert cache.plan_cache is plans and plans.info()["size"] == size
+            assert all(session.query_many([query])[0].from_cache for session in sessions)
+            assert weighted._weights() is profile
+            assert cache.ops_since(seq) == ()
         else:
             batch = [step] if isinstance(step, tuple) else step
-            graph.mutate(valid_ops(graph, batch), compaction_threshold=None)
-        fresh = GraphIndexCache(graph)
+            seq += graph.mutate(valid_ops(graph, batch), compaction_threshold=None).applied
+        # One epoch, and a delta_seq that counts the applied ops and nothing else.
+        assert graph.version == (epoch, seq)
+        twin = rebuilt_twin(graph)
+        fresh = twin.index_cache()
         assert_cache_equivalent(cache, fresh)
-        query = BANDED_QUERIES[query_index]
         assert compile_plan(query, cache).pools == compile_plan(query, fresh).pools
+        for session, config in zip(sessions, configs):
+            assert_results_identical(session.query(query), DSQL(twin, config=config).query(query))

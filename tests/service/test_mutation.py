@@ -107,11 +107,12 @@ class TestIngestEndpoint:
     def test_compaction_threshold_override(self, mutable_server):
         _, client, graph = mutable_server
         u, v = _absent_pair(graph)
+        epoch, seq = graph.version
         body = client.ingest(
             "tiny", [["add_edge", u, v]], compaction_threshold=1
         )
         assert body["compacted"] is True
-        assert body["version"][1] == 0  # fresh epoch starts at delta_seq 0
+        assert body["version"] == [epoch, seq + 1]  # the write counted, the checkpoint did not
         assert graph.backend.delta_size == 0
 
     def test_invalid_batch_is_atomic(self, mutable_server):
@@ -251,7 +252,7 @@ class TestPublicationIsARead:
             assert report.strategy == "process" and report.chunks_retried == 0
             assert [r.to_dict() for r in results] == self._rebuilt_answers(entry, queries)
             executor = next(iter(entry._executors.values()))
-            assert (executor.pool._sync_epoch, executor.pool._base_seq) == version
+            assert (graph.version[0], executor.pool._base_seq) == version
 
             # A later write reaches the same workers by replay.
             summary = entry.mutate([("remove_edge", u, v)], compaction_threshold=None)

@@ -623,3 +623,78 @@ def test_shared_memory_transport_stays_deleted():
         "graph/csr.py: 'indices'"
     ]
     assert numpy_importers({"graph/csr.py": mutant}, "graph/") == ["graph/csr.py"]
+
+
+# ----------------------------------------------------------------------
+# Fork guard: one version that only counts. A checkpoint trims the mutation
+# log and nothing else — the epoch is stamped where a cache is constructed,
+# ``delta_seq`` is never reset, and no path in ``src/`` flushes the plans.
+# ----------------------------------------------------------------------
+RESTAMP_MARKERS = ("on_compaction", "_sync_epoch")
+
+
+def restamp_census(sources):
+    """``{what: [path:function, ...]}`` over ``{path: source}``: every
+    assignment to an ``.epoch`` attribute, every ``next(_EPOCHS)``, every
+    ``.delta_seq`` assigned the constant 0, every ``plan_cache.clear()``."""
+    census = {"epoch =": [], "next(_EPOCHS)": [], "delta_seq = 0": [], "plan_cache.clear(": []}
+    for path, text in sources.items():
+        functions = [
+            n for n in ast.walk(ast.parse(text))
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for function in functions:
+            for node in ast.walk(function):
+                site = f"{path}:{function.name}"
+                if isinstance(node, ast.Call):
+                    call = ast.unparse(node)
+                    if call == "next(_EPOCHS)":
+                        census["next(_EPOCHS)"].append(site)
+                    elif call.endswith("plan_cache.clear()"):
+                        census["plan_cache.clear("].append(site)
+                    continue
+                if not isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                    continue
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in (t for tgt in targets for t in ast.walk(tgt)):
+                    attr = getattr(target, "attr", None)
+                    if attr == "epoch":
+                        census["epoch ="].append(site)
+                    elif attr == "delta_seq" and ast.unparse(node.value) == "0":
+                        census["delta_seq = 0"].append(site)
+    return census
+
+
+def test_epoch_is_stamped_once():
+    from repro.core.config import DSQLConfig
+    from repro.indexes.graph_cache import GraphIndexCache
+
+    package = REPO / "src" / "repro"
+    sources = {
+        str(p.relative_to(package)): p.read_text(encoding="utf-8") for p in package.rglob("*.py")
+    }
+    constructor = ["indexes/graph_cache.py:__init__"]
+    assert restamp_census(sources) == {
+        "epoch =": constructor, "next(_EPOCHS)": constructor,
+        "delta_seq = 0": [], "plan_cache.clear(": [],
+    }
+    assert not hasattr(GraphIndexCache, "on_compaction")
+    extra = [REPO / "DESIGN.md"]
+    extra += sorted(p for p in (REPO / ".claude").rglob("*") if p.is_file())
+    offenders = fork_offenders(RESTAMP_MARKERS, extra)
+    assert not offenders, offenders
+    assert len(dataclasses.fields(DSQLConfig)) == 20
+    # The census sees the re-stamp pasted back into the checkpoint.
+    cache_text = sources["indexes/graph_cache.py"]
+    anchor = "        self._mutation_log.clear()\n"
+    assert cache_text.count(anchor) == 1
+    mutant = cache_text.replace(
+        anchor,
+        anchor + "        self.epoch = next(_EPOCHS)\n        self.delta_seq = 0\n"
+        "        self.plan_cache.clear()\n",
+    )
+    checkpoint = "indexes/graph_cache.py:truncate_log"
+    assert restamp_census({"indexes/graph_cache.py": mutant}) == {
+        "epoch =": constructor + [checkpoint], "next(_EPOCHS)": constructor + [checkpoint],
+        "delta_seq = 0": [checkpoint], "plan_cache.clear(": [checkpoint],
+    }
