@@ -58,8 +58,10 @@ class DSQLConfig:
         The SWAPα parameter for Phase 2 (Inequality 2); the paper's analysis
         uses ``alpha = 1`` for the first (and usually only) pass.
     phase2_ratio_target:
-        Skip/stop Phase 2 once ``coverage / (k*q)`` reaches this value
-        (paper: 0.5, the asymptotic SWAPα bound).
+        Skip Phase 2 once ``coverage / objective.max_coverage(k)`` reaches
+        this value (paper: 0.5 of ``MAX = k*q``, the asymptotic SWAPα bound).
+        ``1.0`` asks for the swapping phase wherever Phase 1 is not already
+        provably optimal.
     exhaustive_level:
         Re-run each Phase-1 level until it adds nothing, restoring strict
         Lemma-1 maximality (see DESIGN.md). Slower; off by default as in the

@@ -10,7 +10,7 @@ Typical use::
 
 :class:`DSQL` is the reusable *session* form: it pins a data graph, its
 shared :class:`~repro.indexes.graph_cache.GraphIndexCache` (label inverted
-index, signature table, degree arrays, candidate-pool memo), and a
+index, signature table, degree table, candidate-pool memo), and a
 configuration, then answers many queries without recomputing any per-graph
 state. ``query_many`` additionally memoizes whole results for repeated
 queries behind a bounded LRU (``config.query_cache_size``); session-level
@@ -21,8 +21,9 @@ The phase dispatch follows Section 6.2 exactly:
 1. run DSQL-P1;
 2. if P1 exhausted all levels with ``|T| < k`` — **optimal**, stop;
 3. if the ``k`` embeddings are pairwise disjoint — **optimal**, stop;
-4. if ``|C(T)| / (kq)`` already meets the 0.5 target — good enough
-   (SWAPα cannot certify beyond 0.5), stop;
+4. if ``|C(T)| / MAX`` already meets the 0.5 target — good enough
+   (SWAPα cannot certify beyond 0.5), stop; ``MAX`` is ``kq`` in the paper
+   and ``objective.max_coverage(k)`` here;
 5. otherwise run DSQL-P2 (swapping with early termination).
 
 Every step is parameterized by ``config.objective`` (see
@@ -70,7 +71,7 @@ class DSQL:
     """A diversified subgraph query *session* bound to one data graph.
 
     Construction pins the graph's shared index cache (label inverted index,
-    neighborhood-signature table, degree arrays, candidate-pool memo) so
+    neighborhood-signature table, degree table, candidate-pool memo) so
     per-graph state is computed once and reused by every :meth:`query` /
     :meth:`query_many` call. Sessions are cheap to create for a graph whose
     cache is already warm; keep one around to answer a query stream.
@@ -115,16 +116,13 @@ class DSQL:
         self.graph = graph
         self.config = config
         self.index_cache = graph.index_cache()
-        # The weighted-vertex weight table is a per-graph artifact; build it
-        # once per graph *version* so per-query objective binding stays O(q)
-        # (degree-derived weights go stale under live mutation, so the
-        # profile is stamped with the cache version and lazily refreshed).
+        # A view of the graph's weights, not a copy: degree-derived weights
+        # read the cache's own degree list, so writes never stale it.
         self._weight_profile = (
             build_weight_profile(graph, config.vertex_weights)
             if config.objective == "weighted-vertex"
             else None
         )
-        self._weight_version = self.index_cache.version
         self.stats = SearchStats()
         self._query_cache: "OrderedDict[tuple, DSQResult]" = OrderedDict()
         if instrumentation is None:
@@ -166,17 +164,6 @@ class DSQL:
             " [deadline]" if result.stats.deadline_exhausted else "",
         )
         return result
-
-    def _weights(self):
-        """The weighted-vertex profile at the graph's current version.
-
-        Rebuilt lazily after a mutation: the profile may derive weights from
-        degrees, which change under live mutation.
-        """
-        if self._weight_profile is not None and self._weight_version != self.index_cache.version:
-            self._weight_profile = build_weight_profile(self.graph, self.config.vertex_weights)
-            self._weight_version = self.index_cache.version
-        return self._weight_profile
 
     def _plan(self, query: QueryGraph):
         """The compiled plan for ``query``, memoized in the graph's shared cache."""
@@ -235,7 +222,7 @@ class DSQL:
         k, q = config.k, query.size
         truncated = stats.budget_exhausted or stats.deadline_exhausted
         objective = make_objective(
-            config.objective, query=query, weight_profile=self._weights()
+            config.objective, query=query, weight_profile=self._weight_profile
         )
 
         optimal = False

@@ -24,11 +24,12 @@ Two Phase-1 fidelity points carry over:
 Both points generalize through the objective seam: benefit/loss are the
 objective's weighted element quantities, and the ``q - j`` future-benefit
 cap becomes :meth:`~repro.coverage.objectives.Objective.
-future_benefit_bound` (``q - j`` for vertex, ``(q - j) * w_max`` for
-weighted-vertex, the level-independent ``|E(Q)|`` for edge — and ``None``
-forfeits early termination entirely). *Generation* stays vertex-structured
-for every objective: levels, the ``matched`` set, and ``TcandS`` all count
-vertex overlap, exactly as Phase 1 does.
+future_benefit_bound` (``q - j`` for vertex, the ``q - j`` largest per-node
+maxima ``max w(candS(u))`` for weighted-vertex, the level-independent
+``|E(Q)|`` for edge — and ``None`` forfeits early termination entirely).
+*Generation* stays vertex-structured for every objective: levels, the
+``matched`` set, and ``TcandS`` all count vertex overlap, exactly as Phase 1
+does.
 """
 
 from __future__ import annotations
@@ -184,5 +185,11 @@ def run_phase2(
         pass
 
     out.embeddings = [slot_to_mapping[slot] for slot in tracker.slots()]
-    out.coverage = tracker.coverage
+    # A weighted running total carries each swap's rounding; the reported
+    # coverage is a function of the answer alone.
+    out.coverage = (
+        tracker.coverage
+        if objective.unit_weights
+        else objective.collection_coverage(out.embeddings)
+    )
     return out

@@ -35,8 +35,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 from repro.cost.calibration import CalibrationState, EwmaCalibration
 
 __all__ = [
@@ -170,11 +168,9 @@ def raw_cost_profile(plan, cache, frontier_cap: float = DEFAULT_FRONTIER_CAP) ->
             per_depth_frames=(0.0,) * depth,
         )
 
-    degree_array = cache.degree_array
+    degree_of = cache.degrees.__getitem__
     two_m = max(1.0, 2.0 * float(cache.graph.num_edges))
-    mean_deg = [
-        float(np.mean(degree_array[np.asarray(pool, dtype=np.int64)])) for pool in pools
-    ]
+    mean_deg = [sum(map(degree_of, pool)) / len(pool) for pool in pools]
 
     frames = 1.0
     charges = 0.0

@@ -41,6 +41,7 @@ Guarantee survival (the full table lives in ``docs/objectives.md``):
 
 from __future__ import annotations
 
+import math
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ConfigError
@@ -83,6 +84,7 @@ class Objective:
     vertex_elements: bool = True
     certifies_disjoint_optimal: bool = True
     certifies_exhausted_optimal: bool = True
+    _total = sum  # how a batch of weights is added up (``math.fsum`` over floats)
 
     def elements(self, embedding: Iterable[int]) -> ElementSet:
         """The coverage elements of one embedding, as a frozen set."""
@@ -96,8 +98,7 @@ class Objective:
         """Total weight of an element set (``len`` on unit weights)."""
         if self.unit_weights:
             return len(elems) if hasattr(elems, "__len__") else sum(1 for _ in elems)
-        weight = self.weight
-        return sum(weight(e) for e in elems)
+        return self._total(map(self.weight, elems))
 
     def collection_coverage(self, collection: Iterable[Iterable[int]]) -> Number:
         """``|C(F)|`` under this objective: measure of the element union."""
@@ -209,73 +210,108 @@ class WeightedVertexCoverage(Objective):
     explicitly (``DSQLConfig.vertex_weights``) or derived from the dataset
     as ``1 + degree(v)`` (hub vertices are worth more, a natural notion of
     "important" coverage that needs no side-channel data). Integer-valued
-    weights keep the arithmetic exact.
+    weights keep the arithmetic exact; under a float table every total is
+    one ``math.fsum``, so coverage is a function of the covered set alone.
+
+    Both dispatch-side bounds are read off the query's candidate pools
+    ``candS(u)`` (the tuples the compiled plan holds, fetched again from the
+    graph's pool memo): the label, degree and signature filters are
+    necessary conditions, so no embedding matches ``u`` outside ``candS(u)``.
     """
 
     name = "weighted-vertex"
     unit_weights = False
     certifies_disjoint_optimal = False
 
-    def __init__(self, profile: "WeightProfile", q: int) -> None:
-        self.profile = profile
-        self.q = q
-        self._weights = profile.weights
-        self._default = profile.default
+    def __init__(self, profile: "WeightProfile", query) -> None:
+        self.q = query.size
+        self.weight = profile.weight
+        self._total = profile.total
+        cache = profile.cache
+        masks = [cache.mask_for(query.neighborhood_signature(u)) for u in range(self.q)]
+        self._pools: List[Tuple[int, ...]] = [
+            () if mask is None else cache.candidate_pool(query.label(u), query.degree(u), mask)
+            for u, mask in enumerate(masks)
+        ]
+        self._maxima: Optional[List[Number]] = None  # per-node, heaviest first
 
     elements = staticmethod(VertexCoverage.elements)
 
-    def weight(self, elem: int) -> Number:
-        return self._weights.get(elem, self._default)
-
     def max_coverage(self, k: int) -> Number:
-        return k * self.profile.top_sum(self.q)
+        """The smaller of two ceilings on ``k`` embeddings' covered weight.
+
+        *Per node*: the embeddings put at most ``k`` distinct vertices at
+        query node ``u``, all from ``candS(u)``, so the ``k`` heaviest of
+        each pool bound the sum. *Per union*: they cover at most ``k * q``
+        distinct vertices of ``∪ candS(u)``, each counted once.
+        """
+        weight, total = self.weight, self._total
+        per_node: List[Number] = []
+        for pool in self._pools:
+            per_node += sorted(map(weight, pool), reverse=True)[:k]
+        union = set().union(*self._pools)
+        per_union = sorted(map(weight, union), reverse=True)[: k * self.q]
+        return min(total(per_node), total(per_union))
 
     def future_benefit_bound(
         self, level: int, snapshot_preserved: bool
     ) -> Optional[Number]:
+        """Lemma 4: an embedding generated at ``level`` adds at most
+        ``q - level`` fresh vertices, at distinct query nodes, each no
+        heavier than its node's heaviest candidate."""
         if not snapshot_preserved:
             return None
-        return (self.q - level) * self.profile.max_weight
+        if self._maxima is None:
+            self._maxima = sorted(
+                (max(map(self.weight, pool), default=0) for pool in self._pools),
+                reverse=True,
+            )
+        return self._total(self._maxima[: self.q - level])
 
 
 class WeightProfile:
-    """A graph's vertex-weight table, precomputed once per DSQL session.
+    """A graph's vertex weights: a view of the graph, not a table.
 
-    ``top_sum(q)`` — the sum of the ``q`` largest weights — is what bounds a
-    single embedding's coverage, so ``max_coverage(k) = k * top_sum(q)``.
+    Degree-derived weights read ``1 + cache.degrees[v]`` — the list a write
+    repairs in place — so one profile serves every version of its graph; an
+    explicit table is ``table.get(v, 1)``. ``total`` sums a batch of
+    weights: ``math.fsum`` when the table holds a float (exactly rounded,
+    so independent of order), plain ``sum`` otherwise (stays an ``int``).
     """
 
-    def __init__(self, weights: Dict[int, Number], default: Number, num_vertices: int) -> None:
-        self.weights = weights
-        self.default = default
-        full: List[Number] = [weights.get(v, default) for v in range(num_vertices)]
-        full.sort(reverse=True)
-        self._sorted_desc = full
-        self.max_weight = full[0] if full else default
-
-    def top_sum(self, q: int) -> Number:
-        return sum(self._sorted_desc[:q])
+    def __init__(self, graph, table: Optional[Dict[int, Number]] = None) -> None:
+        self.cache = graph.index_cache()
+        if table is None:
+            degrees = self.cache.degrees
+            self.weight = lambda v: 1 + degrees[v]
+        else:
+            get = table.get
+            self.weight = lambda v: get(v, 1)
+        self.total = (
+            math.fsum
+            if table and any(isinstance(w, float) for w in table.values())
+            else sum
+        )
 
 
 def build_weight_profile(graph, vertex_weights=None) -> WeightProfile:
-    """Build the weight table for ``graph``.
+    """The weight view of ``graph``.
 
     ``vertex_weights`` is ``DSQLConfig.vertex_weights`` — an iterable of
     ``(vertex, weight)`` pairs overriding the default weight 1. When absent,
     weights are derived from the dataset: ``1 + degree(v)``, all integers.
     """
-    if vertex_weights:
-        weights: Dict[int, Number] = {}
-        for v, w in vertex_weights:
-            if not 0 <= v < graph.num_vertices:
-                raise ConfigError(
-                    f"vertex_weights names vertex {v}, but the graph has "
-                    f"{graph.num_vertices} vertices"
-                )
-            weights[v] = w
-        return WeightProfile(weights, default=1, num_vertices=graph.num_vertices)
-    weights = {v: 1 + graph.degree(v) for v in range(graph.num_vertices)}
-    return WeightProfile(weights, default=1, num_vertices=graph.num_vertices)
+    if not vertex_weights:
+        return WeightProfile(graph)
+    table: Dict[int, Number] = {}
+    for v, w in vertex_weights:
+        if not 0 <= v < graph.num_vertices:
+            raise ConfigError(
+                f"vertex_weights names vertex {v}, but the graph has "
+                f"{graph.num_vertices} vertices"
+            )
+        table[v] = w
+    return WeightProfile(graph, table)
 
 
 def make_objective(
@@ -308,7 +344,7 @@ def make_objective(
                     "(or a prebuilt WeightProfile)"
                 )
             weight_profile = build_weight_profile(graph, vertex_weights)
-        return WeightedVertexCoverage(weight_profile, q=query.size)
+        return WeightedVertexCoverage(weight_profile, query)
     raise ConfigError(
         f"unknown objective {name!r}; choose from {sorted(OBJECTIVE_NAMES)}"
     )

@@ -13,8 +13,8 @@ session answering many queries against the same graph shares:
   (Python ints, so an arbitrary number of labels works); the frozenset
   view of the public API is derived from a mask on call, interned per mask;
 * the **degree and label-id tables**, copied from the storage backend and
-  repaired by deltas — ``degree_array`` is the one numpy array derived from
-  a graph that stays resident (the cost estimator fancy-indexes it);
+  repaired by deltas (plain lists: the cost estimator and the
+  ``weighted-vertex`` objective read ``degrees`` directly);
 * a bounded LRU **candidate-pool memo** keyed by
   ``(label_id, min_degree, signature_mask)`` — distinct query nodes with the
   same filter profile (and repeated queries) share one pool computation.
@@ -48,8 +48,6 @@ import threading
 from bisect import bisect_left
 from collections import Counter, OrderedDict
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
-
-import numpy as np
 
 from repro.exceptions import StaleSegmentError
 
@@ -88,7 +86,6 @@ class GraphIndexCache:
         "label_to_id",
         "label_ids",
         "degrees",
-        "degree_array",
         "label_index",
         "signature_masks",
         "candidate_memo_hits",
@@ -135,8 +132,6 @@ class GraphIndexCache:
         label_ids = backend.label_id_sequence()
         self.label_ids: List[int] = label_ids
         self.degrees: List[int] = backend.degree_sequence()
-        # Always this cache's own array, so deltas may write into it.
-        self.degree_array: np.ndarray = np.asarray(self.degrees, dtype=np.int64)
 
         # Label inverted index: label -> sorted tuple of vertices.
         buckets: List[List[int]] = [[] for _ in self.label_table]
@@ -292,7 +287,7 @@ class GraphIndexCache:
         if estimator is None:
             # Late import mirrors the PlanCache one above: repro.cost is a
             # leaf package, but keeping it off the module import path means
-            # plain index users never load numpy-adjacent estimator code.
+            # plain index users never load the estimator.
             from repro.cost.estimator import CostEstimator
 
             with self._pool_lock:
@@ -564,15 +559,6 @@ class GraphIndexCache:
                     moved.setdefault(lid, []).append((v, *before))
             degrees[v] = len(row)
             signature_masks[v] = m
-        if len(label_ids) > first_new:
-            # Growth needs the array re-materialized at the new length (a
-            # trailing add_vertex must extend it by its zero entry even when
-            # no edge op follows).
-            self.degree_array = np.asarray(self.degrees, dtype=np.int64)
-        elif dirty_vertices:
-            # Scatter the dirty entries in place: O(dirty) writes.
-            idx = list(dirty_vertices)
-            self.degree_array[idx] = [degrees[v] for v in idx]
 
         if moved:
             self._repair_pools(moved)

@@ -4,15 +4,19 @@ from __future__ import annotations
 
 import pytest
 
+import repro.core.dsql as dsql_module
 from repro.core.config import DSQLConfig
 from repro.core.dsql import DSQL, diversified_search
 from repro.coverage.bounds import overall_ratio_bound, phase1_ratio_bound
 from repro.coverage.exact import optimal_coverage
+from repro.coverage.objectives import build_weight_profile
+from repro.datasets.registry import make_dataset
 from repro.exceptions import ConfigError
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.graph.validation import embeddings_distinct, validate_embedding
 from repro.isomorphism.qsearch import enumerate_embeddings
+from repro.queries.generator import query_set
 
 from tests.conftest import connected_query_from, random_labeled_graph
 
@@ -179,6 +183,45 @@ class TestPhaseDispatch:
             ratio = r.coverage / (4 * query.size)
             if not r.optimal and ratio >= 0.5:
                 assert not r.stats.phase2_ran or r.stats.phase2_ran is False
+
+    def test_weighted_dispatch_is_held_to_the_vertex_one_by_counts(self):
+        """A ceiling read off ``candS(u)`` certifies a weighted answer about
+        where ``k * q`` certifies a vertex one. Against ``k`` times the ``q``
+        heaviest vertices of the graph no answer reached 0.5: phase 2 ran on
+        29 of these ops to ``vertex``'s 11, at 3.2x the expansions."""
+        graph = make_dataset("human", scale=1.0, seed=0)
+        queries = list(query_set(graph, 6, 40, seed=7))
+        phase2_ops, expansions = {}, {}
+        for name in ("vertex", "weighted-vertex"):
+            session = DSQL(graph, DSQLConfig(k=40, node_budget=20_000, objective=name))
+            stats = [session.query(query).stats for query in queries]
+            phase2_ops[name] = sum(s.phase2_ran for s in stats)
+            expansions[name] = sum(s.nodes_expanded for s in stats)
+        assert 0 < phase2_ops["weighted-vertex"] <= 1.25 * phase2_ops["vertex"]
+        assert expansions["weighted-vertex"] <= 1.5 * expansions["vertex"]
+
+    def test_weights_follow_writes_with_no_profile_rebuilt(self, monkeypatch):
+        built = []
+
+        def counted(graph, vertex_weights=None):
+            built.append(graph)
+            return build_weight_profile(graph, vertex_weights)
+
+        monkeypatch.setattr(dsql_module, "build_weight_profile", counted)
+        graph = random_labeled_graph(40, 2, 0.2, seed=1)
+        query = connected_query_from(graph, 2, seed=1)
+        session = DSQL(graph, DSQLConfig(k=4, objective="weighted-vertex"))
+        weight = session._weight_profile.weight
+        for step in range(20):
+            u, v = step, (step + 7) % graph.num_vertices
+            op = "remove_edge" if graph.has_edge(u, v) else "add_edge"
+            before = graph.version
+            assert graph.mutate([(op, u, v)]).applied == 1 and graph.version != before
+            assert all(weight(x) == 1 + graph.degree(x) for x in graph.vertices())
+            result = session.query(query)
+            twin = LabeledGraph(list(graph.labels), list(graph.edges()))
+            assert result.to_dict() == DSQL(twin, session.config).query(query).to_dict()
+        assert sum(g is graph for g in built) == 1  # the rest are the twins' sessions
 
     def test_run_phase2_false_never_runs(self):
         for seed in range(6):

@@ -153,9 +153,18 @@ def direct_runs(objective_name, k, alpha):
 
 def session_runs(objective_name, k):
     """``DSQL.query`` on a registry graph: phase 2 generates hundreds of
-    embeddings under ``edge`` and ``weighted-vertex``."""
+    embeddings under ``edge`` and ``weighted-vertex``. Against the weighted
+    ceiling read off ``candS`` phase 1 certifies every full answer of this
+    battery, so that objective asks for the swapping phase
+    (``phase2_ratio_target=1.0``)."""
     graph = make_dataset("human", scale=1.0, seed=0)
-    session = DSQL(graph, DSQLConfig(k=k, node_budget=20_000, objective=objective_name))
+    target = 1.0 if objective_name == "weighted-vertex" else 0.5
+    session = DSQL(
+        graph,
+        DSQLConfig(
+            k=k, node_budget=20_000, objective=objective_name, phase2_ratio_target=target
+        ),
+    )
     results = [session.query(query) for query in query_set(graph, 5, 8, seed=3)]
     return [(r.to_dict(), r.stats) for r in results if r.stats.phase2_ran]
 

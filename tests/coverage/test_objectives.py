@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.config import DSQLConfig
@@ -16,9 +18,11 @@ from repro.coverage.objectives import (
     make_objective,
 )
 from repro.datasets.paper_figures import objective_packs
+from repro.datasets.registry import make_dataset
 from repro.exceptions import ConfigError
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
+from repro.queries.generator import query_set
 
 
 @pytest.fixture()
@@ -148,18 +152,84 @@ class TestWeightedVertexCoverage:
     def test_max_coverage_is_top_q_sum(self, path_graph):
         query = QueryGraph(["a", "b"], [(0, 1)])
         obj = make_objective("weighted-vertex", query=query, graph=path_graph)
-        # Degree weights 2, 3, 3, 2 -> top-2 sum 6; k=4 -> 24.
-        assert obj.max_coverage(4) == 24
+        # Degree weights 2, 3, 3, 2; candS(a) = {0, 2}, candS(b) = {1, 3}.
+        # Per node: (3 + 2) + (3 + 2); per union: the 8 heaviest of 4 vertices.
+        # The graph-global ceiling this replaced said k * (3 + 3) = 24, more
+        # than the whole graph weighs.
+        assert obj.max_coverage(4) == 10
+        assert obj.max_coverage(4) <= sum(1 + path_graph.degree(v) for v in range(4))
+        # k = 1: one vertex per node (3 + 3) binds below the union's two heaviest.
+        assert obj.max_coverage(1) == 6
+
+    def test_per_union_ceiling_counts_a_vertex_once(self):
+        # Both query nodes draw on the same two-vertex pool: per node says
+        # 2 * (3 + 3), but the collection covers those two vertices once.
+        graph = LabeledGraph(["a", "a", "b", "b"], [(0, 1), (0, 2), (1, 3)])
+        query = QueryGraph(["a", "a"], [(0, 1)])
+        obj = make_objective("weighted-vertex", query=query, graph=graph)
+        assert obj.max_coverage(2) == 6
 
     def test_bound_needs_snapshot(self, path_graph):
         query = QueryGraph(["a", "b"], [(0, 1)])
         obj = make_objective("weighted-vertex", query=query, graph=path_graph)
         assert obj.future_benefit_bound(1, True) == (2 - 1) * 3
         assert obj.future_benefit_bound(1, False) is None
+        # Per-node maxima that differ: candS(a) = {0} (weight 2), candS(b) =
+        # {1} (weight 3), candS(c) = {2} (weight 4; 3 and 4 are there to give
+        # it that degree). The bound is the q - j largest maxima, not
+        # (q - j) * 4.
+        graph = LabeledGraph(
+            ["a", "b", "c", "c", "d"], [(0, 1), (1, 2), (2, 3), (2, 4)]
+        )
+        path = QueryGraph(["a", "b", "c"], [(0, 1), (1, 2)])
+        obj = make_objective("weighted-vertex", query=path, graph=graph)
+        assert [obj.future_benefit_bound(j, True) for j in range(3)] == [9, 7, 4]
+        assert obj.future_benefit_bound(0, False) is None
 
     def test_weight_table_validated(self, path_graph):
         with pytest.raises(ConfigError, match="vertex 99"):
             build_weight_profile(path_graph, [(99, 2.0)])
+
+
+@pytest.fixture(scope="module")
+def human():
+    return make_dataset("human", scale=1.0, seed=0)
+
+
+class TestWeightedCeilingOnARegistryGraph:
+    def test_float_coverage_is_a_function_of_the_answer(self, human):
+        """Under a float table the reported coverage used to be phase 2's
+        running total (``11.7`` vs ``11.699999999999998`` on 53 of these 90):
+        an ulp that a tight ceiling would read as ``ratio > 1``."""
+        rng = random.Random(0)
+        table = tuple(
+            (v, rng.choice((0.1, 0.2, 0.3, 0.7, 1.1, 2.3))) for v in human.vertices()
+        )
+        swapped = 0
+        for k in (5, 20, 40):
+            config = DSQLConfig(
+                k=k, node_budget=20_000, objective="weighted-vertex", vertex_weights=table
+            )
+            session = DSQL(human, config)
+            for query in query_set(human, 5, 30, seed=11):
+                result = session.query(query)
+                objective = make_objective(
+                    "weighted-vertex", query=query, graph=human, vertex_weights=table
+                )
+                assert result.coverage == objective.collection_coverage(result.embeddings)
+                assert result.coverage <= result.coverage_bound == objective.max_coverage(k)
+                swapped += bool(result.stats.phase2_swaps)
+        assert swapped  # the running total was in play
+
+    def test_ceiling_is_above_what_swapping_everywhere_reaches(self, human):
+        for k in (5, 40):
+            config = DSQLConfig(
+                k=k, node_budget=20_000, objective="weighted-vertex", phase2_ratio_target=1.0
+            )
+            session = DSQL(human, config)
+            for query in query_set(human, 6, 20, seed=7):
+                result = session.query(query)
+                assert result.coverage <= result.coverage_bound
 
 
 def _run(pack, objective):

@@ -108,7 +108,10 @@ class TestRoundTrip:
             assert all(type(w) is int for w in got.neighbors(v))
             assert all(type(w) is int for w in got.neighbor_set(v))
         assert all(type(i) is int for i in backend.label_id_sequence())
-        assert got.index_cache().degree_array.flags.owndata
+        degrees = got.index_cache().degrees
+        assert degrees == source_graph.degree_sequence()
+        assert degrees is not source_graph.index_cache().degrees
+        assert all(type(d) is int for d in degrees)
 
     def test_index_cache_preseeded_with_same_epoch(self, source_graph):
         """The helper's graph, by either route: a cache of its own at the

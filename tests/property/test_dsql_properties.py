@@ -7,6 +7,7 @@ reference implementations.
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations
 
@@ -28,15 +29,25 @@ OBJECTIVES = ("vertex", "edge", "weighted-vertex")
 CERTIFICATES = {"vertex": "disjoint exhausted", "edge": "disjoint", "weighted-vertex": "exhausted"}
 
 
-def strict(k, objective):
+FLOAT_WEIGHTS = (0.1, 0.2, 0.3, 0.7, 1.1, 2.3)
+
+
+def strict(k, objective, table=None):
     """No candidate cap, exhaustive levels: the paper's maximality argument holds."""
-    return DSQLConfig(k=k, objective=objective, exhaustive_level=True, single_embedding_mode=False)
+    return DSQLConfig(
+        k=k,
+        objective=objective,
+        exhaustive_level=True,
+        single_embedding_mode=False,
+        vertex_weights=table,
+    )
 
 
-def brute_force_optimum(graph, query, k, objective):
+def brute_force_optimum(graph, query, k, objective, table=None):
     """``(measure, best)`` in the objective's own units, without ``repro.coverage``:
     ``measure`` scores a collection of mappings, ``best`` is the optimum over every
-    <=k-subset of the distinct element sets (None when there are too many to try)."""
+    <=k-subset of the distinct element sets (None when there are too many to try).
+    ``table`` is a ``weighted-vertex`` float table (unlisted vertices weigh 1)."""
 
     def elements(mapping):
         if objective == "edge":
@@ -45,6 +56,8 @@ def brute_force_optimum(graph, query, k, objective):
 
     def measure(mappings):
         covered = frozenset().union(*map(elements, mappings))
+        if table is not None:
+            return math.fsum(table.get(v, 1) for v in covered)
         if objective == "weighted-vertex":  # no table given: 1 + degree(v)
             return sum(1 + graph.degree(v) for v in covered)
         return len(covered)
@@ -124,26 +137,57 @@ def test_nonempty_whenever_embeddings_exist(instance):
     assert bool(result.embeddings) == exists
 
 
-@settings(max_examples=40, deadline=None)
-@given(instances())
-def test_theorem4_bound_against_brute_force(instance):
+def union_of_candidate_pools(graph, query):
+    """``∪_u candS(u)`` spelled from the three filters of Section 3, without
+    ``repro.indexes``: label, degree, neighbourhood labels."""
+
+    def labels_around(g, x):
+        return {g.label(y) for y in g.neighbors(x)}
+
+    return {
+        v
+        for u in query.vertices()
+        for v in graph.vertices()
+        if graph.label(v) == query.label(u)
+        and graph.degree(v) >= query.degree(u)
+        and labels_around(query, u) <= labels_around(graph, v)
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(), st.integers(min_value=0, max_value=10_000))
+def test_theorem4_bound_against_brute_force(instance, table_seed):
     """DSQL (strict mode) coverage >= the documented fraction of the true optimum.
 
     ``vertex`` is held to the Theorem 4 constant; ``edge`` and
     ``weighted-vertex`` claim no constant, only ``coverage / coverage_bound``,
     which is a lower bound on the true ratio iff the bound is above the optimum.
+    The weighted ceiling (degree-derived weights, then a drawn float table) is
+    also held from above: never looser than ``k`` times the ``q`` heaviest
+    vertices of the graph, which it replaced, nor than all of ``∪ candS``.
     """
     graph, query, k = instance
-    for objective in OBJECTIVES:
-        measure, opt = brute_force_optimum(graph, query, k, objective)
+    rng = random.Random(table_seed)
+    drawn = {v: rng.choice(FLOAT_WEIGHTS) for v in graph.vertices() if rng.random() < 0.8}
+    for objective, table in [(name, None) for name in OBJECTIVES] + [("weighted-vertex", drawn)]:
+        measure, opt = brute_force_optimum(graph, query, k, objective, table)
         if not opt:
             continue
-        result = DSQL(graph, config=strict(k, objective)).query(query)
+        config = strict(k, objective, tuple(table.items()) if table else None)
+        result = DSQL(graph, config=config).query(query)
         assert result.coverage == measure(result.embeddings), objective
         if objective == "vertex":
             assert result.coverage >= overall_ratio_bound(k, query.size) * opt - 1e-9
         else:
             assert opt <= result.coverage_bound, objective
+            assert result.coverage <= result.coverage_bound, objective
+        if objective == "weighted-vertex":
+            weigh = (lambda v: 1 + graph.degree(v)) if table is None else (lambda v: table.get(v, 1))
+            heaviest = sorted(map(weigh, graph.vertices()), reverse=True)[: query.size]
+            assert result.coverage_bound <= math.fsum(heaviest * k)
+            assert result.coverage_bound <= math.fsum(
+                map(weigh, union_of_candidate_pools(graph, query))
+            )
         assert result.approx_ratio_lower_bound() * opt <= result.coverage + 1e-9, objective
 
 

@@ -191,6 +191,7 @@ def test_repaired_pool_memo_equals_fresh_scans(script):
     configs = [DSQLConfig(k=3, objective=name) for name in OBJECTIVE_NAMES]
     sessions = [DSQL(graph, config=config) for config in configs]
     weighted = sessions[OBJECTIVE_NAMES.index("weighted-vertex")]
+    profile = weighted._weight_profile  # a view of the graph: one for the session's life
     for label in "abc":
         cache.candidate_pool(label)  # no plan asks for the unfiltered pools new vertices join
     epoch, seq = graph.version
@@ -201,16 +202,18 @@ def test_repaired_pool_memo_equals_fresh_scans(script):
             for session in sessions:
                 session.query_many([query])
             plans, size = cache.plan_cache, cache.plan_cache.info()["size"]
-            profile = weighted._weights()
             graph.compact()
             # The checkpoint stranded nothing that was warm a line ago.
             assert cache.plan_cache is plans and plans.info()["size"] == size
             assert all(session.query_many([query])[0].from_cache for session in sessions)
-            assert weighted._weights() is profile
             assert cache.ops_since(seq) == ()
         else:
             batch = [step] if isinstance(step, tuple) else step
             seq += graph.mutate(valid_ops(graph, batch), compaction_threshold=None).applied
+        # Neither a checkpoint nor a write replaces the profile, and it reads
+        # the weights of the graph as it is now.
+        assert weighted._weight_profile is profile
+        assert all(profile.weight(v) == 1 + graph.degree(v) for v in graph.vertices())
         # One epoch, and a delta_seq that counts the applied ops and nothing else.
         assert graph.version == (epoch, seq)
         twin = rebuilt_twin(graph)

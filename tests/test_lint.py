@@ -254,6 +254,20 @@ def fork_offenders(markers, extra_paths=(), sources=None):
     ]
 
 
+def design_and_skill_files():
+    """What ``fork_offenders`` scans beyond its default trees: DESIGN.md and
+    every file under ``.claude/``."""
+    return [REPO / "DESIGN.md", *sorted(p for p in (REPO / ".claude").rglob("*") if p.is_file())]
+
+
+def package_sources():
+    """``{path relative to src/repro: source}`` for every module of the package."""
+    package = REPO / "src" / "repro"
+    return {
+        str(p.relative_to(package)): p.read_text(encoding="utf-8") for p in package.rglob("*.py")
+    }
+
+
 def test_plan_free_fork_stays_deleted():
     from repro.core.config import DSQLConfig
 
@@ -299,8 +313,7 @@ def test_backend_fork_stays_deleted():
         from_networkx,
     ):
         assert "backend" not in inspect.signature(fn).parameters, fn.__qualname__
-    extra = [REPO / "DESIGN.md"]
-    extra += sorted(p for p in (REPO / ".claude").rglob("*") if p.is_file())
+    extra = design_and_skill_files()
     offenders = fork_offenders(BACKEND_FORK_MARKERS, extra)
     assert not offenders, offenders
 
@@ -410,8 +423,7 @@ def test_engine_fork_stays_deleted():
     # The census sees a private budget check pasted back into a baseline.
     pasted = "def charge(spent, limit):\n    if spent > limit:\n        raise BudgetExceeded('x')\n"
     assert core_census({"com.py": pasted})["BudgetExceeded"] == ["com.py:3"]
-    extra = [REPO / "DESIGN.md"]
-    extra += sorted(p for p in (REPO / ".claude").rglob("*") if p.is_file())
+    extra = design_and_skill_files()
     offenders = fork_offenders(("OptimizedQSearchEngine", "isomorphism.optimized"), extra)
     assert not offenders, offenders
 
@@ -450,8 +462,7 @@ def test_frame_prologue_stays_folded():
     sources = {
         str(p.relative_to(src)): p.read_text(encoding="utf-8") for p in src.rglob("*.py")
     }
-    extra = [REPO / "DESIGN.md"]
-    extra += sorted(p for p in (REPO / ".claude").rglob("*") if p.is_file())
+    extra = design_and_skill_files()
     offenders = fork_offenders(FRAME_FORK_MARKERS, extra)
     assert not offenders, offenders
     search = sources["repro/core/search.py"]
@@ -586,15 +597,12 @@ def test_shared_memory_transport_stays_deleted():
 
     package = REPO / "src" / "repro"
     assert not (package / "graph" / "shared.py").exists()
-    sources = {
-        str(p.relative_to(package)): p.read_text(encoding="utf-8") for p in package.rglob("*.py")
-    }
+    sources = package_sources()
     assert numpy_importers(sources, "graph/") == []
     assert sorted(CSRBackend.__slots__) == STORAGE_SLOTS
     offenders = fork_offenders(ARRAY_BASE_MARKERS, sources=sources)
     assert not offenders, offenders
-    extra = [REPO / "DESIGN.md"]
-    extra += sorted(p for p in (REPO / ".claude").rglob("*") if p.is_file())
+    extra = design_and_skill_files()
     offenders = fork_offenders(SHARED_TRANSPORT_MARKERS, extra)
     assert not offenders, offenders
     # The one survivor, kept for the frozen benchmark harness: a property
@@ -669,18 +677,14 @@ def test_epoch_is_stamped_once():
     from repro.core.config import DSQLConfig
     from repro.indexes.graph_cache import GraphIndexCache
 
-    package = REPO / "src" / "repro"
-    sources = {
-        str(p.relative_to(package)): p.read_text(encoding="utf-8") for p in package.rglob("*.py")
-    }
+    sources = package_sources()
     constructor = ["indexes/graph_cache.py:__init__"]
     assert restamp_census(sources) == {
         "epoch =": constructor, "next(_EPOCHS)": constructor,
         "delta_seq = 0": [], "plan_cache.clear(": [],
     }
     assert not hasattr(GraphIndexCache, "on_compaction")
-    extra = [REPO / "DESIGN.md"]
-    extra += sorted(p for p in (REPO / ".claude").rglob("*") if p.is_file())
+    extra = design_and_skill_files()
     offenders = fork_offenders(RESTAMP_MARKERS, extra)
     assert not offenders, offenders
     assert len(dataclasses.fields(DSQLConfig)) == 20
@@ -698,3 +702,35 @@ def test_epoch_is_stamped_once():
         "epoch =": constructor + [checkpoint], "next(_EPOCHS)": constructor + [checkpoint],
         "delta_seq = 0": [checkpoint], "plan_cache.clear(": [checkpoint],
     }
+
+
+# ----------------------------------------------------------------------
+# Fork guard: the weighted ceiling is the query's. ``weighted-vertex`` reads
+# both of its bounds off ``candS(u)`` and its weights off the graph (the
+# cache's degree list, or the explicit table); the graph-global sorted weight
+# table, its per-version rebuild and the numpy twin of the degree list must
+# not grow back.
+# ----------------------------------------------------------------------
+GLOBAL_WEIGHT_TABLE_MARKERS = (
+    "top_sum", "_sorted_desc", "max_weight", "_weight_version", "degree_array",
+)
+
+
+def test_global_weight_table_stays_deleted():
+    from repro.core.config import DSQLConfig
+
+    sources = package_sources()
+    offenders = fork_offenders(GLOBAL_WEIGHT_TABLE_MARKERS, design_and_skill_files())
+    assert not offenders, offenders
+    assert numpy_importers(sources, "indexes/") == numpy_importers(sources, "cost/") == []
+    assert len(dataclasses.fields(DSQLConfig)) == 20
+    # The guard sees the graph-global ceiling pasted back over the new one.
+    text = sources["coverage/objectives.py"]
+    anchor = "        return min(total(per_node), total(per_union))\n"
+    assert text.count(anchor) == 1
+    mutant = text.replace(anchor, "        return k * self.profile.top_sum(self.q)\n")
+    assert fork_offenders(
+        GLOBAL_WEIGHT_TABLE_MARKERS, sources={"coverage/objectives.py": mutant}
+    ) == ["coverage/objectives.py: 'top_sum'"]
+    mutant = sources["cost/estimator.py"].replace("import math\n", "import math\nimport numpy as np\n")
+    assert numpy_importers({"cost/estimator.py": mutant}, "cost/") == ["cost/estimator.py"]
