@@ -14,7 +14,9 @@ index, signature table, degree table, candidate-pool memo), and a
 configuration, then answers many queries without recomputing any per-graph
 state. ``query_many`` additionally memoizes whole results for repeated
 queries behind a bounded LRU (``config.query_cache_size``); session-level
-hit/miss counters live on :attr:`DSQL.stats`.
+hit/miss counters live on :attr:`DSQL.stats`. The memo carries its own lock
+(held for a lookup or a store, never across a search), so one session
+answers point queries and batches from many threads at once.
 
 The phase dispatch follows Section 6.2 exactly:
 
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import threading
 import time
 from collections import OrderedDict
 from contextlib import nullcontext as _nullcontext
@@ -124,7 +127,10 @@ class DSQL:
             else None
         )
         self.stats = SearchStats()
+        # The result memo and its lock: every read and write of the dict is
+        # in _memo_answer / _memo_lacks, under the lock.
         self._query_cache: "OrderedDict[tuple, DSQResult]" = OrderedDict()
+        self._memo_lock = threading.Lock()
         if instrumentation is None:
             instrumentation = get_default_instrumentation()
         self.instrumentation = instrumentation
@@ -325,8 +331,7 @@ class DSQL:
         Qualifying the canonical key with the index cache's
         ``(epoch, delta_seq)`` version means a mutation never replays a
         pre-mutation answer — stale entries simply stop being addressable
-        and age out of the LRU. :class:`~repro.parallel.executor.
-        BatchExecutor` builds the identical key for its replay mirror.
+        and age out of the LRU.
         """
         return (self.index_cache.version, query.canonical_key())
 
@@ -358,39 +363,53 @@ class DSQL:
     def _memo_answer(self, key, compute) -> DSQResult:
         """One memo step of :meth:`query_many`: hit, or ``compute()`` + store.
 
-        Factored out so :class:`~repro.parallel.executor.BatchExecutor` can
-        replay a batch through the *identical* memo logic (with ``compute``
-        returning a result searched on a worker) — parallel runs then match
-        serial ``query_many`` by construction, counters included.
+        The one way into the memo, and thread-safe on its own: the lookup
+        (with its hit/miss count and LRU refresh) and the store each run
+        under the memo's lock, ``compute()`` runs outside it. Two threads
+        that miss the same key together both compute and both count a miss
+        — sound because the search is deterministic, so the two stores are
+        equal. :class:`~repro.parallel.executor.BatchExecutor` replays a
+        batch through this step with ``compute`` returning a result searched
+        on a worker, and the service answers point queries through it, so
+        both match serial ``query_many`` by construction, counters included.
         """
         cache = self._query_cache
         cap = self.config.query_cache_size
         stats = self.stats
         instr = self.instrumentation
-        if cap == 0:
-            stats.query_cache_misses += 1
+        with self._memo_lock:
+            result = cache.get(key) if cap != 0 else None
+            if result is None:
+                stats.query_cache_misses += 1
+            else:
+                stats.query_cache_hits += 1
+                cache.move_to_end(key)
+        if result is not None:
             if instr is not None:
-                instr.metrics.counter("cache.query.miss").inc()
-            return compute()
-        result = cache.get(key)
-        if result is None:
-            stats.query_cache_misses += 1
-            if instr is not None:
-                instr.metrics.counter("cache.query.miss").inc()
-                instr.point("memo.lookup", hit=False)
-            result = compute()
-            # The cached entry owns a private stats copy: the object
-            # returned to the caller shares nothing mutable with the memo.
-            cache[key] = replace(result, stats=result.stats.copy())
-            if cap is not None and len(cache) > cap:
-                cache.popitem(last=False)
-            return result
-        stats.query_cache_hits += 1
-        cache.move_to_end(key)
+                instr.metrics.counter("cache.query.hit").inc()
+                instr.point("memo.lookup", hit=True)
+            # Stored entries are never written to, so copying outside the
+            # lock is safe; the copy shares nothing mutable with the memo.
+            return replace(result, from_cache=True, stats=result.stats.copy())
         if instr is not None:
-            instr.metrics.counter("cache.query.hit").inc()
-            instr.point("memo.lookup", hit=True)
-        return replace(result, from_cache=True, stats=result.stats.copy())
+            instr.metrics.counter("cache.query.miss").inc()
+            if cap != 0:
+                instr.point("memo.lookup", hit=False)
+        result = compute()
+        if cap != 0:
+            stored = replace(result, stats=result.stats.copy())
+            with self._memo_lock:
+                cache[key] = stored
+                if cap is not None and len(cache) > cap:
+                    cache.popitem(last=False)
+        return result
+
+    def _memo_lacks(self, keys) -> list:
+        """Those of ``keys`` the memo does not hold right now, in order."""
+        if self.config.query_cache_size == 0:
+            return list(keys)
+        with self._memo_lock:
+            return [key for key in keys if key not in self._query_cache]
 
 
 def diversified_search(

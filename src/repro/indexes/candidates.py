@@ -32,20 +32,15 @@ class CandidateIndex:
     ----------
     graph, query:
         The data and query graphs.
-    use_degree_filter, use_signature_filter:
-        Individual filters can be disabled to study their pruning power
-        (the label filter is always on — without it nothing is a candidate
-        model of the paper's ``cand(u)``).
     cache:
         The per-graph :class:`GraphIndexCache` to resolve pools against;
         defaults to the graph's pinned cache.
     plan:
         The compiled :class:`~repro.indexes.plans.QueryPlan` for this
-        (graph, query, filters) triple. A caller that already holds it
+        (graph, query) pair. A caller that already holds it
         (``DSQL.query`` fetches it once per call) hands it in and is
         responsible for key consistency; otherwise it is fetched from the
-        cache's shared :class:`~repro.indexes.plans.PlanCache` under this
-        index's filter toggles.
+        cache's shared :class:`~repro.indexes.plans.PlanCache`.
 
     Attributes
     ----------
@@ -64,22 +59,13 @@ class CandidateIndex:
         self,
         graph: LabeledGraph,
         query: QueryGraph,
-        use_degree_filter: bool = True,
-        use_signature_filter: bool = True,
         cache: Optional[GraphIndexCache] = None,
         plan=None,
     ) -> None:
         self.graph = graph
         self.query = query
-        self.use_degree_filter = use_degree_filter
-        self.use_signature_filter = use_signature_filter
         self.cache = cache if cache is not None else graph.index_cache()
-        self.plan = plan or self.cache.plan_cache.get_or_compile(
-            query,
-            self.cache,
-            use_degree_filter=use_degree_filter,
-            use_signature_filter=use_signature_filter,
-        )
+        self.plan = plan or self.cache.plan_cache.get_or_compile(query, self.cache)
         # Both sides of a localized intersection, bound once per view: the
         # storage's row sets and the plan's lazily built pool sets.
         self._neighbor_set = graph.neighbor_set
@@ -131,36 +117,7 @@ class CandidateIndex:
         """Whether some query node has no candidates (query is unsatisfiable)."""
         return any(not pool for pool in self.plan.pools)
 
-    def full_check(self, u: int, v: int) -> bool:
-        """Complete filter predicate, independent of the materialized pools.
 
-        Used to build *dynamic conflict tables* (Section 5.3), where we must
-        ask "would ``v`` have been a valid candidate for ``u_i``?" even for
-        vertices currently excluded by matching state. Always applies the
-        full label + degree + signature stack regardless of the per-instance
-        filter toggles, matching the seed semantics.
-        """
-        label, qdeg, mask = self.plan.profiles[u]
-        if mask is None:
-            return False
-        c = self.cache
-        return (
-            c.graph.label(v) == label
-            and c.degrees[v] >= qdeg
-            and c.signature_masks[v] & mask == mask
-        )
-
-
-def build_candidate_index(
-    graph: LabeledGraph,
-    query: QueryGraph,
-    use_degree_filter: bool = True,
-    use_signature_filter: bool = True,
-) -> CandidateIndex:
+def build_candidate_index(graph: LabeledGraph, query: QueryGraph) -> CandidateIndex:
     """Convenience constructor mirroring the paper's pre-processing step."""
-    return CandidateIndex(
-        graph,
-        query,
-        use_degree_filter=use_degree_filter,
-        use_signature_filter=use_signature_filter,
-    )
+    return CandidateIndex(graph, query)

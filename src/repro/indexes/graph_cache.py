@@ -182,7 +182,7 @@ class GraphIndexCache:
         self._adj_lock = threading.Lock()
 
         # Compiled query plans are keyed by (epoch, canonical query key,
-        # filter toggles); the epoch names this construction — stamped here
+        # use_compression); the epoch names this construction — stamped here
         # and nowhere else — so keys from two caches of the "same" graph stay
         # distinguishable even if a plan cache instance were ever shared.
         self.epoch = next(_EPOCHS) if epoch is None else epoch

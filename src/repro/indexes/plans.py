@@ -1,12 +1,12 @@
 """Compiled query plans and the per-graph plan cache.
 
-TurboISO-family search orders are stable per ``(graph, query, filters)``:
+TurboISO-family search orders are stable per ``(graph, query)``:
 the selectivity ranking, the connectivity-aware search order, the per-depth
 matched-neighbor lists, and the filter profiles all depend only on inputs
 that do not change between repeated queries. :class:`QueryPlan` is that
 preprocessing, and the only route from a query to its candidates — every
 engine reads its pools, order and kernels; :class:`PlanCache` memoizes plans behind a bounded LRU keyed by
-``(graph epoch, query canonical key, filter toggles)`` and lives on the
+``(graph epoch, query canonical key, use_compression)`` and lives on the
 shared :class:`~repro.indexes.graph_cache.GraphIndexCache`, so DSQL
 sessions, the :class:`~repro.parallel.executor.BatchExecutor`, and the
 service catalog all share compiled plans exactly the way they already share
@@ -150,7 +150,7 @@ class QueryPlan:
         self._interned: Dict[tuple, tuple] = {}
 
     def pool(self, u: int) -> Tuple[int, ...]:
-        """``candS(u)`` under this plan's filter toggles (ascending)."""
+        """``candS(u)``: label + degree + signature filters (ascending)."""
         return self.pools[u]
 
     def pool_set(self, u: int) -> frozenset:
@@ -258,14 +258,8 @@ class QueryPlan:
         self._reset_lazies()
 
 
-def plan_key(
-    cache,
-    query,
-    use_degree_filter: bool,
-    use_signature_filter: bool,
-    use_compression: bool = False,
-):
-    """The memo key: cache epoch + canonical query structure + toggles.
+def plan_key(cache, query, use_compression: bool = False):
+    """The memo key: cache epoch + canonical query structure + the toggle.
 
     The epoch names the cache's construction and never changes under it:
     what invalidates a plan is :meth:`PlanCache.evict_stale`.
@@ -273,22 +267,10 @@ def plan_key(
     plans differ structurally (class pools, ``cbitset`` kernel choices) —
     one graph can serve both kinds of traffic without thrashing the cache.
     """
-    return (
-        cache.epoch,
-        query.canonical_key(),
-        use_degree_filter,
-        use_signature_filter,
-        use_compression,
-    )
+    return (cache.epoch, query.canonical_key(), use_compression)
 
 
-def compile_plan(
-    query,
-    cache,
-    use_degree_filter: bool = True,
-    use_signature_filter: bool = True,
-    use_compression: bool = False,
-) -> QueryPlan:
+def compile_plan(query, cache, use_compression: bool = False) -> QueryPlan:
     """Compile a :class:`QueryPlan` against a graph's index cache.
 
     This is the per-query preprocessing of Sections 4 and 5.1, done once:
@@ -320,14 +302,10 @@ def compile_plan(
         qdeg = query.degree(u)
         mask = cache.mask_for(query.neighborhood_signature(u))
         profiles.append((label, qdeg, mask))
-        if use_signature_filter and mask is None:
+        if mask is None:
             pool: Tuple[int, ...] = ()
         else:
-            pool = cache.candidate_pool(
-                label,
-                min_degree=qdeg if use_degree_filter else 0,
-                signature_mask=mask if use_signature_filter else 0,
-            )
+            pool = cache.candidate_pool(label, min_degree=qdeg, signature_mask=mask)
         pools.append(pool)
 
     qlist = selectivity_ranking(query, [len(pool) for pool in pools])
@@ -359,9 +337,7 @@ def compile_plan(
                 kernels.append(BITSET)
         else:
             kernels.append(MERGE)
-    key = plan_key(
-        cache, query, use_degree_filter, use_signature_filter, use_compression
-    )
+    key = plan_key(cache, query, use_compression)
     referenced: set = set()
     absent: set = set()
     for u in range(q):
@@ -449,14 +425,10 @@ class PlanCache:
     metrics registry as ``plan.cache.hits`` / ``plan.cache.misses``.
     """
 
-    __slots__ = ("_memo", "_specs", "_size", "_lock", "hits", "misses", "_metrics")
+    __slots__ = ("_memo", "_size", "_lock", "hits", "misses", "_metrics")
 
     def __init__(self, size: Optional[int] = DEFAULT_PLAN_CACHE_SIZE) -> None:
         self._memo: "OrderedDict[tuple, QueryPlan]" = OrderedDict()
-        # JSON-safe recompile specs per memoized key, pruned with evictions;
-        # dump_specs()/warm_from_specs() are the disk-backed warm-start
-        # surface (serve --plan-cache-file).
-        self._specs: Dict[tuple, dict] = {}
         self._size = size
         self._lock = threading.Lock()
         self.hits = 0
@@ -467,18 +439,9 @@ class PlanCache:
         """Mirror hits/misses into ``registry`` from now on (None detaches)."""
         self._metrics = registry
 
-    def get_or_compile(
-        self,
-        query,
-        cache,
-        use_degree_filter: bool = True,
-        use_signature_filter: bool = True,
-        use_compression: bool = False,
-    ) -> QueryPlan:
-        """The memoized plan for ``(cache, query, toggles)``, compiling on miss."""
-        key = plan_key(
-            cache, query, use_degree_filter, use_signature_filter, use_compression
-        )
+    def get_or_compile(self, query, cache, use_compression: bool = False) -> QueryPlan:
+        """The memoized plan for ``(cache, query, toggle)``, compiling on miss."""
+        key = plan_key(cache, query, use_compression)
         memo = self._memo
         metrics = self._metrics
         with self._lock:
@@ -492,34 +455,17 @@ class PlanCache:
             self.misses += 1
             if metrics is not None:
                 metrics.counter("plan.cache.misses").inc()
-        plan = compile_plan(
-            query,
-            cache,
-            use_degree_filter=use_degree_filter,
-            use_signature_filter=use_signature_filter,
-            use_compression=use_compression,
-        )
-        labels, edges = query.canonical_key()
-        spec = {
-            "labels": list(labels),
-            "edges": [list(e) for e in edges],
-            "use_degree_filter": use_degree_filter,
-            "use_signature_filter": use_signature_filter,
-            "use_compression": use_compression,
-        }
+        plan = compile_plan(query, cache, use_compression=use_compression)
         with self._lock:
             memo[key] = plan
-            self._specs[key] = spec
             if self._size is not None and len(memo) > self._size:
-                evicted, _ = memo.popitem(last=False)
-                self._specs.pop(evicted, None)
+                memo.popitem(last=False)
         return plan
 
     def clear(self) -> None:
         """Drop every memoized plan (tests start cold with it; no write or checkpoint does)."""
         with self._lock:
             self._memo.clear()
-            self._specs.clear()
 
     def evict_stale(self, dirty_lids, new_labels=()) -> int:
         """Delta eviction: drop only plans whose footprint intersects a delta.
@@ -544,7 +490,6 @@ class PlanCache:
             ]
             for key in stale:
                 del self._memo[key]
-                self._specs.pop(key, None)
         return len(stale)
 
     # ------------------------------------------------------------------
@@ -554,14 +499,23 @@ class PlanCache:
         """JSON-safe recompile specs for every currently memoized plan.
 
         Each spec carries the canonical query structure (labels + edges)
-        and the compile toggles — everything needed to rebuild the plan
-        against a fresh cache at startup. Specs follow LRU order (coldest
-        first), so a truncated warm pass still recompiles the hottest
-        plans last-in. Labels must round-trip through JSON; service graphs
-        use string labels, which do.
+        and the compile toggle — everything needed to rebuild the plan
+        against a fresh cache at startup, and exactly what the plan's memo
+        key (:func:`plan_key`) already holds, so the specs are read off the
+        keys. Specs follow LRU order (coldest first), so a truncated warm
+        pass still recompiles the hottest plans last-in. Labels must
+        round-trip through JSON; service graphs use string labels, which do.
         """
         with self._lock:
-            return [dict(self._specs[k]) for k in self._memo if k in self._specs]
+            keys = list(self._memo)
+        return [
+            {
+                "labels": list(labels),
+                "edges": [list(e) for e in edges],
+                "use_compression": use_compression,
+            }
+            for _epoch, (labels, edges), use_compression in keys
+        ]
 
     def warm_from_specs(self, specs, cache) -> int:
         """Recompile plans from :meth:`dump_specs` output against ``cache``.
@@ -573,6 +527,8 @@ class PlanCache:
         """
         from repro.graph.query_graph import QueryGraph
 
+        # Only the three fields dump_specs writes are read; an older file's
+        # two per-filter fields are ignored.
         warmed = 0
         for spec in specs:
             try:
@@ -581,11 +537,7 @@ class PlanCache:
                     [tuple(e) for e in spec["edges"]],
                 )
                 self.get_or_compile(
-                    query,
-                    cache,
-                    use_degree_filter=bool(spec.get("use_degree_filter", True)),
-                    use_signature_filter=bool(spec.get("use_signature_filter", True)),
-                    use_compression=bool(spec.get("use_compression", False)),
+                    query, cache, use_compression=bool(spec.get("use_compression", False))
                 )
                 warmed += 1
             except Exception:

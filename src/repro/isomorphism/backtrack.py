@@ -168,11 +168,8 @@ class ConflictDirectedSearch:
         # CT(u, *): the query's own neighbor sets, read, never copied.
         self._static_conflicts = [query.neighbor_set(u) for u in range(self._q)]
         # CT(u, beta) asks whether a vertex passes u's label + degree +
-        # signature filters. With both filter toggles on the plan's pools
-        # *are* that stack, so the question is one set probe.
-        self._pools_are_filters = (
-            candidates.use_degree_filter and candidates.use_signature_filter
-        )
+        # signature filters. The plan's pools *are* that stack, so the
+        # question is one set probe.
         self._pool_set = candidates.plan.pool_set
         self._reset_assignment()
 
@@ -198,16 +195,10 @@ class ConflictDirectedSearch:
         """
         inherited |= self._static_conflicts[u]
         assignment = self._assignment
-        if self._pools_are_filters:
-            pool = self._pool_set(u)
-            for u2 in self.order[:depth]:
-                if assignment[u2] in pool:
-                    inherited.add(u2)
-        else:
-            full_check = self.candidates.full_check
-            for u2 in self.order[:depth]:
-                if u2 not in inherited and full_check(u, assignment[u2]):
-                    inherited.add(u2)
+        pool = self._pool_set(u)
+        for u2 in self.order[:depth]:
+            if assignment[u2] in pool:
+                inherited.add(u2)
         inherited.discard(u)
         return inherited
 

@@ -26,12 +26,18 @@
 
 Whatever the strategy, ``run`` returns results **in input order and
 bit-identical to serial** ``session.query_many(queries)``: the parallel
-strategies search each distinct query structure on a worker, then replay the
-batch through the session's own memo logic (:meth:`DSQL._memo_answer`), so
-LRU contents, hit/miss counters and ``from_cache`` flags all evolve exactly
-as a serial run's would. Determinism of the underlying search (fixed seeds,
-sorted iteration everywhere) makes the worker-computed result equal to the
-one a serial run would have computed in place.
+strategies ask the session which distinct query structures its memo lacks,
+search those on a worker, then replay the batch in order through the
+session's own memo step (:meth:`DSQL._memo_answer`) — ``compute`` hands
+back the worker's result, or searches here when there is none — so LRU
+contents, hit/miss counters and ``from_cache`` flags all evolve exactly as
+a serial run's would, whatever else touches the memo beside the batch.
+Determinism of the underlying search (fixed seeds, sorted iteration
+everywhere) makes the worker-computed result equal to the one a serial run
+would have computed in place. A key the memo held when the batch was planned
+and evicted before its turn (more distinct keys than ``query_cache_size``
+arriving on a warm memo) is searched serially in the replay, as a failed
+chunk is; :attr:`ExecutorReport.searches` counts it.
 
 Failure handling degrades gracefully: a chunk whose worker crashes (e.g. a
 forked child OOM-killed, breaking the whole process pool) is re-run
@@ -54,11 +60,11 @@ from __future__ import annotations
 
 import logging
 import os
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.config import DSQLConfig
@@ -94,8 +100,9 @@ class ExecutorReport:
     """What one :meth:`BatchExecutor.run` call actually did.
 
     ``searches`` counts queries answered by running a search (distinct query
-    structures not already memoized); the remaining ``len(batch) - searches``
-    were replayed from the session memo. ``chunks_retried`` counts chunks
+    structures the memo lacked, on a worker or in the replay); the remaining
+    ``len(batch) - searches`` were replayed from the session memo.
+    ``chunks_retried`` counts chunks
     whose worker failed and which were re-run serially in the parent.
     ``per_worker`` holds ``(pid, searches)`` rows for process batches —
     which worker answered how many distinct queries — and is empty for the
@@ -245,10 +252,11 @@ class BatchExecutor:
 
         # Memo keys are version-qualified (graph (epoch, delta_seq) + query
         # canonical structure) via the session's own key builder, so the
-        # mirror, the worker results, and the replay all agree with what a
-        # serial query_many would have keyed — including across mutations.
+        # worker results and the replay agree with what a serial query_many
+        # would have keyed — including across mutations.
         keys = [session.memo_key(q) for q in queries]
-        need = self._plan_searches(keys, queries)
+        by_key = dict(zip(keys, queries))
+        need = {key: by_key[key] for key in session._memo_lacks(by_key)}
         logger.debug(
             "batch of %d: %d distinct searches over %d %s workers",
             len(queries),
@@ -257,18 +265,24 @@ class BatchExecutor:
             self.strategy,
         )
         fresh, chunks, retried = self._search_parallel(need)
+
+        def searched(key: Key) -> DSQResult:
+            # A worker's result, else a search here: the memo held the key
+            # when the batch was planned and lost it before its turn.
+            result = fresh.get(key)
+            if result is None:
+                result = fresh[key] = session.query(by_key[key])
+            return result
+
         # Replay the batch through the session's own memo step: LRU state,
         # hit/miss counters and from_cache flags evolve exactly as in a
-        # serial query_many, with compute() served by the worker results.
-        results = [
-            session._memo_answer(key, lambda key=key: fresh[key])
-            for key in keys
-        ]
+        # serial query_many.
+        results = [session._memo_answer(key, partial(searched, key)) for key in keys]
         self.last_report = ExecutorReport(
             strategy=self.strategy,
             jobs=self.jobs,
             batch=len(queries),
-            searches=len(need),
+            searches=len(fresh),
             chunks=chunks,
             chunks_retried=retried,
             per_worker=self._per_worker,
@@ -300,41 +314,6 @@ class BatchExecutor:
             chunks_retried=report.chunks_retried,
             per_worker=list(report.per_worker),
         )
-
-    # ------------------------------------------------------------------
-    def _plan_searches(
-        self, keys: List[Key], queries: List[QueryGraph]
-    ) -> Dict[Key, QueryGraph]:
-        """Distinct query structures a serial run would actually search.
-
-        Simulates the batch against a mirror of the current memo (with the
-        same LRU capacity) so keys that will be evicted mid-batch and
-        re-missed are still searched only once — the search is deterministic,
-        so one worker result serves every miss of that key.
-
-        The mirror must replicate :meth:`DSQL._memo_answer`'s LRU semantics
-        exactly, including the ``move_to_end`` on a hit: skipping hits
-        without refreshing their recency would evict in a different order
-        than the replay, predict a hit for a key the replay actually
-        misses, and die on ``fresh[key]``.
-        """
-        session = self.session
-        cap = session.config.query_cache_size
-        need: Dict[Key, QueryGraph] = {}
-        if cap == 0:
-            for key, query in zip(keys, queries):
-                need.setdefault(key, query)
-            return need
-        mirror: "OrderedDict[Key, None]" = OrderedDict.fromkeys(session._query_cache)
-        for key, query in zip(keys, queries):
-            if key in mirror:
-                mirror.move_to_end(key)
-                continue
-            need.setdefault(key, query)
-            mirror[key] = None
-            if cap is not None and len(mirror) > cap:
-                mirror.popitem(last=False)
-        return need
 
     # ------------------------------------------------------------------
     def _chunk(self, items: List) -> List[List]:

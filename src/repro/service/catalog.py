@@ -21,12 +21,16 @@ lives:
 Concurrency discipline: ``DSQL.query`` is thread-safe (worker-local search
 state over a lock-protected shared pool memo — the ``thread`` strategy of
 :class:`~repro.parallel.executor.BatchExecutor` relies on this already),
-but the ``query_many`` result memo is a bare ``OrderedDict``. The entry
-therefore owns a memo lock and uses the executor's replay trick: peek the
-memo under the lock, search *outside* the lock, then replay through
-``DSQL._memo_answer`` under the lock. Concurrent first requests for the
-same structure may both search (deterministic search makes both results
-identical), but the memo itself never sees an unsynchronized mutation.
+and the ``query_many`` result memo carries its own lock
+(``DSQL._memo_answer``: look up under it, search outside it, store under
+it), so the entry adds none: a point query and a batch on the same graph
+share only the read lock below and the memo's microsecond sections.
+Concurrent first requests for the same structure may both search
+(deterministic search makes both results identical). A batch gets a
+:class:`~repro.parallel.executor.BatchExecutor` for the call — a
+``process`` batch (Python API only; the wire refuses it) starts its workers
+and stops them before :meth:`CatalogEntry.answer_batch` returns; a caller
+that wants a warm pool holds a ``BatchExecutor`` itself.
 
 Live mutation discipline: every entry also owns a reader-writer lock.
 Queries run as readers (many at once); :meth:`CatalogEntry.mutate` is the
@@ -47,7 +51,7 @@ import time
 from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import DSQLConfig
 from repro.core.dsql import DSQL
@@ -68,21 +72,9 @@ from repro.service.schemas import ServiceError
 DEFAULT_SESSION_CACHE = 8
 """Per-entry cap on live non-default-config sessions (LRU evicted)."""
 
-DEFAULT_EXECUTOR_CACHE = 4
-"""Per-entry cap on live batch executors (LRU evicted, closed on eviction).
-
-Executors are cached so the ``process`` strategy's persistent
-:class:`~repro.parallel.pool.WorkerPool` — worker processes holding the
-graph and warm sessions — survives across ``/v1/batch`` requests
-instead of being rebuilt per request."""
-
 DEFAULT_WRITE_TIMEOUT_S = 10.0
 """How long a mutation waits for in-flight queries to drain before it
 gives up with 409 ``graph_compacting`` (callers should retry)."""
-
-
-def _never_computed() -> DSQResult:  # pragma: no cover - guarded by the memo peek
-    raise AssertionError("memo hit path must not compute")
 
 
 class _ReadWriteLock:
@@ -146,7 +138,6 @@ class CatalogEntry:
         instrumentation: Optional[Instrumentation] = None,
         source: str = "memory",
         max_sessions: int = DEFAULT_SESSION_CACHE,
-        max_executors: int = DEFAULT_EXECUTOR_CACHE,
     ) -> None:
         self.name = name
         self.graph = graph
@@ -158,19 +149,8 @@ class CatalogEntry:
         self.index_cache = graph.index_cache()
         self._rw = _ReadWriteLock()
         self._session_lock = threading.Lock()
-        self._memo_lock = threading.Lock()
-        self._executor_lock = threading.Lock()
         self._max_sessions = max_sessions
-        self._max_executors = max_executors
         self._sessions: "OrderedDict[DSQLConfig, DSQL]" = OrderedDict()
-        self._executors: "OrderedDict[Tuple, BatchExecutor]" = OrderedDict()
-        # Executors with a batch in flight (identity-keyed lease counts) and
-        # evicted executors whose close is deferred until their last lease
-        # is released — closing an executor another thread already fetched
-        # would make that thread rebuild a WorkerPool on a cache-unreachable
-        # executor whose segments only GC would reclaim.
-        self._executor_leases: Dict[BatchExecutor, int] = {}
-        self._executors_retired: Set[BatchExecutor] = set()
         self.default_session = DSQL(graph, config=default_config, instrumentation=instrumentation)
 
     # -- configuration / sessions --------------------------------------
@@ -261,13 +241,12 @@ class CatalogEntry:
     def answer(self, query: QueryGraph, config: Optional[DSQLConfig] = None) -> DSQResult:
         """Answer one query with full ``query_many`` memo semantics, thread-safely.
 
-        Hit path: serve from the memo under the lock. Miss path: search
-        outside the lock (concurrent queries proceed in parallel), then
-        replay through :meth:`DSQL._memo_answer` under the lock so LRU
-        state and hit/miss counters evolve exactly as a serial
-        ``query_many`` stream's would. If another thread populated the key
-        meanwhile, the replay simply becomes a hit — both threads hold
-        bit-identical results because the search is deterministic.
+        One step of the session's own memo (:meth:`DSQL._memo_answer`, which
+        locks itself): a hit is served from it, a miss searches outside its
+        lock — concurrent queries proceed in parallel — and stores the
+        answer. Two threads that miss the same structure together both
+        search and hold bit-identical results, because the search is
+        deterministic.
 
         The whole answer runs as a *reader*: a concurrent mutation waits
         for it to finish, and this query sees one consistent graph version
@@ -276,13 +255,9 @@ class CatalogEntry:
         session = self.session(config)
         self._rw.acquire_read()
         try:
-            key = session.memo_key(query)
-            with self._memo_lock:
-                if key in session._query_cache:
-                    return session._memo_answer(key, _never_computed)
-            fresh = session.query(query)
-            with self._memo_lock:
-                return session._memo_answer(key, lambda: fresh)
+            return session._memo_answer(
+                session.memo_key(query), lambda: session.query(query)
+            )
         finally:
             self._rw.release_read()
 
@@ -296,28 +271,16 @@ class CatalogEntry:
         """Answer a batch through :class:`~repro.parallel.executor.BatchExecutor`.
 
         Returns ``(results, report)`` with results bit-identical to serial
-        ``query_many`` (the executor's replay guarantee). The memo lock is
-        held for the whole run because the executor replays the batch
-        through the session memo internally; concurrent point queries on
-        this graph wait for the batch — admission control bounds how much
-        batch work can pile up.
-
-        Executors are cached per ``(config, strategy, jobs)`` so the
-        process strategy's worker pool (worker processes, their warm
-        sessions) persists across requests; a lease held for the duration
-        of the run keeps a concurrent LRU eviction from closing the
-        executor mid-batch.
+        ``query_many`` (the executor's replay guarantee). The executor lives
+        for this call: it holds nobody else's lock, so point queries and
+        other batches on this graph run beside it, and whatever a
+        ``process`` batch started is stopped before this returns.
         """
         session = self.session(config)
         self._rw.acquire_read()
         try:
-            executor = self._acquire_executor(session, strategy, jobs)
-            try:
-                with self._memo_lock:
-                    results = executor.run(list(queries))
-            finally:
-                self._release_executor(executor)
-            return results, executor.last_report
+            with BatchExecutor(session, strategy=strategy, jobs=jobs) as executor:
+                return executor.run(list(queries)), executor.last_report
         finally:
             self._rw.release_read()
 
@@ -354,91 +317,11 @@ class CatalogEntry:
         finally:
             self._rw.release_write()
 
-    def _acquire_executor(
-        self, session: DSQL, strategy: str, jobs: Optional[int]
-    ) -> BatchExecutor:
-        """The cached executor for this shape of batch request, leased.
-
-        If the session behind a cached executor was LRU-evicted and
-        recreated meanwhile, the stale executor is retired and replaced —
-        an executor must run against the live session or the memo replay
-        would split brains. The returned executor carries a lease (released
-        by :meth:`_release_executor`); evicting a leased executor defers
-        its close until the last lease drops, so a concurrent eviction can
-        never close an executor out from under a batch that already
-        fetched it.
-        """
-        key = (session.config, strategy, jobs)
-        with self._executor_lock:
-            executor = self._executors.get(key)
-            if executor is not None and executor.session is session:
-                self._executors.move_to_end(key)
-                evicted: List[BatchExecutor] = []
-            else:
-                evicted = []
-                stale = self._executors.pop(key, None)
-                if stale is not None:
-                    evicted.append(stale)
-                executor = BatchExecutor(session, strategy=strategy, jobs=jobs)
-                self._executors[key] = executor
-                if len(self._executors) > self._max_executors:
-                    evicted.append(self._executors.popitem(last=False)[1])
-            self._executor_leases[executor] = (
-                self._executor_leases.get(executor, 0) + 1
-            )
-            closable = self._retire_locked(evicted)
-        for old in closable:
-            old.close()
-        return executor
-
-    def _retire_locked(
-        self, evicted: List[BatchExecutor]
-    ) -> List[BatchExecutor]:
-        """Partition evicted executors (under ``_executor_lock``): executors
-        with live leases are parked for their last release to close; the
-        rest are returned for the caller to close outside the lock."""
-        closable: List[BatchExecutor] = []
-        for old in evicted:
-            if self._executor_leases.get(old, 0) > 0:
-                self._executors_retired.add(old)
-            else:
-                closable.append(old)
-        return closable
-
-    def _release_executor(self, executor: BatchExecutor) -> None:
-        """Drop one lease; the last lease on a retired executor closes it."""
-        close_now = False
-        with self._executor_lock:
-            remaining = self._executor_leases.get(executor, 0) - 1
-            if remaining > 0:
-                self._executor_leases[executor] = remaining
-            else:
-                self._executor_leases.pop(executor, None)
-                if executor in self._executors_retired:
-                    self._executors_retired.discard(executor)
-                    close_now = True
-        if close_now:
-            executor.close()
-
-    def close(self) -> None:
-        """Release every cached executor (and any worker pools they hold).
-
-        Executors with a batch in flight are retired instead of closed;
-        the batch's lease release performs the close."""
-        with self._executor_lock:
-            executors = list(self._executors.values())
-            self._executors = OrderedDict()
-            closable = self._retire_locked(executors)
-        for executor in closable:
-            executor.close()
-
     # -- introspection -------------------------------------------------
     def describe(self) -> Dict[str, object]:
         """Static + live facts about this entry (for ``/metrics``)."""
         with self._session_lock:
             extra_sessions = len(self._sessions)
-        with self._executor_lock:
-            executors = len(self._executors)
         return {
             "source": self.source,
             "vertices": self.graph.num_vertices,
@@ -446,7 +329,6 @@ class CatalogEntry:
             "version": list(self.index_cache.version),
             "labels": len(self.index_cache.label_table),
             "sessions": 1 + extra_sessions,
-            "executors": executors,
             "default_k": self.default_config.k,
             "plan_cache": self.index_cache.plan_cache.info(),
         }
@@ -589,7 +471,7 @@ class GraphCatalog:
 
         Plans themselves are graph-version-pinned and cheap to recompile;
         what is worth keeping across restarts is *which* plans the traffic
-        compiled — the canonical query structures plus compile toggles
+        compiled — the canonical query structures plus the compile toggle
         (:meth:`~repro.indexes.plans.PlanCache.dump_specs`). Returns the
         total number of specs written.
         """
@@ -634,11 +516,6 @@ class GraphCatalog:
                 cache = entry.index_cache
                 warmed += cache.plan_cache.warm_from_specs(specs, cache)
         return warmed
-
-    def close(self) -> None:
-        """Release every entry's cached executors (and their worker pools)."""
-        for entry in self._entries.values():
-            entry.close()
 
 
 def build_catalog(

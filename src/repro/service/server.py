@@ -3,10 +3,12 @@
 Two layers, deliberately separated:
 
 :class:`QueryService`
-    Transport-free request handling. ``handle_query`` / ``handle_batch``
-    take parsed JSON payloads and return response bodies; admission
-    control, draining, outcome metrics, and the per-request trace span all
-    live here, so the logic is directly unit-testable without a socket.
+    Transport-free request handling. ``handle_post`` resolves the route
+    once, probes the parsed JSON payload (parse, resolve the graph, price)
+    and hands the probe to ``handle_query`` / ``handle_batch`` /
+    ``handle_mutation``, which return response bodies; admission control,
+    draining, outcome metrics, and the per-request trace span all live
+    here, so the logic is directly unit-testable without a socket.
 :class:`ServiceServer`
     The stdlib ``http.server.ThreadingHTTPServer`` wrapper: one thread per
     connection, ``POST /v1/query`` / ``POST /v1/batch`` /
@@ -39,11 +41,13 @@ import socket
 import threading
 import time
 import urllib.parse
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
+from repro.core.config import DSQLConfig
 from repro.cost import DEFAULT_WORK_UNIT_RATE, CostEstimate
 from repro.coverage.objectives import OBJECTIVE_NAMES
 from repro.exceptions import ConfigError
@@ -53,7 +57,7 @@ from repro.service.admission import (
     ClientQuotas,
     build_admission_controller,
 )
-from repro.service.catalog import GraphCatalog
+from repro.service.catalog import CatalogEntry, GraphCatalog
 from repro.service.schemas import (
     ServiceError,
     mutation_to_json,
@@ -81,6 +85,9 @@ ANONYMOUS_CLIENT = "anonymous"
 DEFAULT_MUTATION_COST = 1.0
 """Nominal admission cost of a write: mutations serialize on the graph's
 writer lock anyway, so the gate only needs to count them, not price them."""
+
+_MUTATION_PARSERS = {"edges": parse_edge_mutation, "ingest": parse_ingest_request}
+"""Action suffix of ``POST /v1/graphs/{g}/<action>`` -> its body parser."""
 
 
 def _outcome(status: int) -> str:
@@ -121,6 +128,17 @@ def _actual_work_units(body: Dict[str, object]) -> Optional[int]:
     return None
 
 
+def _request_config(entry: CatalogEntry, request) -> DSQLConfig:
+    """The entry's config under a query / batch request's overrides."""
+    return entry.request_config(
+        k=request.k,
+        alpha=request.alpha,
+        time_budget_ms=request.time_budget_ms,
+        objective=request.objective,
+        use_compression=request.use_compression,
+    )
+
+
 def _query_key(query) -> str:
     """A short stable digest of the query's canonical structure.
 
@@ -133,21 +151,20 @@ def _query_key(query) -> str:
 class _Probe:
     """Everything the pre-admission cost probe learned about a request.
 
-    Built by :meth:`QueryService._probe_cost` *before* the admission gate
-    so the gate can price the request; the request/config/estimate carry
-    through to the handler so nothing is parsed or estimated twice. Query
-    and batch probes always carry an estimate; mutation probes carry only
-    the nominal ``cost``.
+    Built by the route's probe *before* the admission gate so the gate can
+    price the request; the catalog entry, the parsed request, its config and
+    its estimates carry through to the handler so nothing is resolved,
+    parsed or estimated twice. Query and batch probes carry one estimate per
+    query; mutation probes carry only the nominal ``cost``.
     """
 
-    cost: float = 1.0
-    graph: Optional[str] = None
-    query_key: Optional[str] = None
+    entry: CatalogEntry
+    request: object
+    cost: float = DEFAULT_MUTATION_COST
+    config: Optional[DSQLConfig] = None
+    estimates: Sequence[CostEstimate] = ()
     wire: Optional[Dict[str, object]] = None
-    request: Optional[object] = None
-    config: Optional[object] = None
-    estimate: Optional[CostEstimate] = None
-    estimates: Optional[List[CostEstimate]] = field(default=None)
+    query_key: Optional[str] = None
 
 
 class QueryService:
@@ -229,101 +246,96 @@ class QueryService:
         self.draining = False
         self._request_ids = itertools.count()
         self._started = time.monotonic()
-        self._post_handlers: Dict[str, Callable[[Dict[str, object]], Dict[str, object]]] = {
-            "/v1/query": self.handle_query,
-            "/v1/batch": self.handle_batch,
-        }
 
-    # -- pre-admission cost probe --------------------------------------
-    def _probe_cost(self, path: str, payload: Dict[str, object]) -> _Probe:
-        """Parse + price a request *before* the admission gate sees it.
+    # -- routing -------------------------------------------------------
+    def _route(self, path: str) -> Optional[Tuple[Callable, Callable]]:
+        """``(probe, handler)`` for a POST path — the one place it is resolved.
 
-        Estimation is deliberately pre-admission: it is a memoized fold
-        over the compiled plan (which answering needs anyway), and a gate
-        that cannot see a request's price cannot shed load by cost. Parse
-        and validation errors raise here — an invalid request must never
-        consume quota or budget.
+        ``probe(payload)`` parses and prices the request before any gate;
+        ``handler(payload, probe)`` answers it. Per-graph routes are
+        ``/v1/graphs/{g}/edges`` and ``/v1/graphs/{g}/ingest``: the graph
+        name is one percent-decodable path segment (names like ``dblp@0.05``
+        pass through verbatim); anything else is the caller's 404.
         """
         if path == "/v1/query":
-            request = parse_query_request(payload)
-            entry = self.catalog.get(request.graph)
-            config = entry.request_config(
-                k=request.k,
-                alpha=request.alpha,
-                time_budget_ms=request.time_budget_ms,
-                objective=request.objective,
-                use_compression=request.use_compression,
-            )
-            estimate = entry.estimate_cost(request.query, config)
-            return _Probe(
-                cost=estimate.work_units,
-                graph=request.graph,
-                query_key=_query_key(request.query),
-                wire=estimate.to_wire(),
-                request=request,
-                config=config,
-                estimate=estimate,
-            )
+            return self._probe_query, self.handle_query
         if path == "/v1/batch":
-            request = parse_batch_request(payload)
-            entry = self.catalog.get(request.graph)
-            config = entry.request_config(
-                k=request.k,
-                alpha=request.alpha,
-                time_budget_ms=request.time_budget_ms,
-                objective=request.objective,
-                use_compression=request.use_compression,
-            )
-            estimates = [entry.estimate_cost(q, config) for q in request.queries]
-            total = sum(e.work_units for e in estimates)
-            return _Probe(
-                cost=total,
-                graph=request.graph,
-                wire={"work_units": round(total, 3), "queries": len(estimates)},
-                request=request,
-                config=config,
-                estimates=estimates,
-            )
-        # Mutation routes: nominal count-style cost; the graph name is the
-        # path segment (already vetted by _match_graph_route).
+            return self._probe_batch, self.handle_batch
         parts = path.strip("/").split("/")
-        graph = (
-            urllib.parse.unquote(parts[2])
-            if len(parts) == 4 and parts[:2] == ["v1", "graphs"]
-            else None
+        if len(parts) == 4 and parts[:2] == ["v1", "graphs"] and parts[2]:
+            parse = _MUTATION_PARSERS.get(parts[3])
+            if parse is not None:
+                graph = urllib.parse.unquote(parts[2])
+                return partial(self._probe_mutation, parse, graph), self.handle_mutation
+        return None
+
+    # -- pre-admission cost probes -------------------------------------
+    # Parse + price a request *before* the admission gate sees it.
+    # Estimation is deliberately pre-admission: it is a memoized fold over
+    # the compiled plan (which answering needs anyway), and a gate that
+    # cannot see a request's price cannot shed load by cost. Parse and
+    # validation errors and unknown graphs raise here — an invalid request
+    # must never consume quota or budget, on a read route or a write route.
+    def _probe_query(self, payload: Dict[str, object]) -> _Probe:
+        request = parse_query_request(payload)
+        entry = self.catalog.get(request.graph)
+        config = _request_config(entry, request)
+        estimate = entry.estimate_cost(request.query, config)
+        return _Probe(
+            entry,
+            request,
+            cost=estimate.work_units,
+            config=config,
+            estimates=(estimate,),
+            wire=estimate.to_wire(),
+            query_key=_query_key(request.query),
         )
-        return _Probe(cost=DEFAULT_MUTATION_COST, graph=graph)
+
+    def _probe_batch(self, payload: Dict[str, object]) -> _Probe:
+        request = parse_batch_request(payload)
+        entry = self.catalog.get(request.graph)
+        config = _request_config(entry, request)
+        estimates = [entry.estimate_cost(q, config) for q in request.queries]
+        total = sum(e.work_units for e in estimates)
+        return _Probe(
+            entry,
+            request,
+            cost=total,
+            config=config,
+            estimates=estimates,
+            wire={"work_units": round(total, 3), "queries": len(estimates)},
+        )
+
+    def _probe_mutation(self, parse, graph: str, payload: Dict[str, object]) -> _Probe:
+        """A write's probe: nominal cost, but only for a well-formed batch
+        on a known graph of a deployment that takes writes. (An endpoint out
+        of range is only knowable under the write lock, and is charged.)"""
+        if not self.allow_mutations:
+            raise ServiceError(
+                501,
+                "mutation_unsupported",
+                "this deployment serves read-only graphs "
+                "(pre-forked workers cannot see each other's writes); "
+                "use the single-process server for mutations",
+            )
+        request = parse(graph, payload)
+        return _Probe(self.catalog.get(graph), request)
 
     # -- endpoint bodies -----------------------------------------------
-    def handle_query(
-        self, payload: Dict[str, object], probe: Optional[_Probe] = None
-    ) -> Dict[str, object]:
-        """``POST /v1/query``: one diversified top-k answer.
-
-        When called through :meth:`handle_post`, ``probe`` carries the
-        already-parsed request and its cost estimate; direct (test) calls
-        parse and estimate here instead.
-        """
-        if probe is None or probe.request is None:
-            probe = self._probe_cost("/v1/query", payload)
-        request, config, estimate = probe.request, probe.config, probe.estimate
-        entry = self.catalog.get(request.graph)
+    def handle_query(self, payload: Dict[str, object], probe: _Probe) -> Dict[str, object]:
+        """``POST /v1/query``: one diversified top-k answer."""
+        entry, request, config = probe.entry, probe.request, probe.config
         start = time.perf_counter()
         result = entry.answer(request.query, config)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        entry.observe_cost(estimate, result, config)
+        entry.observe_cost(probe.estimates[0], result, config)
         body = result_to_json(result, graph=request.graph, elapsed_ms=elapsed_ms)
-        body["estimated_cost"] = estimate.to_wire()
+        body["estimated_cost"] = probe.wire
         return body
 
-    def handle_batch(
-        self, payload: Dict[str, object], probe: Optional[_Probe] = None
-    ) -> Dict[str, object]:
+    def handle_batch(self, payload: Dict[str, object], probe: _Probe) -> Dict[str, object]:
         """``POST /v1/batch``: a query batch through the parallel executor."""
-        if probe is None or probe.request is None:
-            probe = self._probe_cost("/v1/batch", payload)
-        request, config = probe.request, probe.config
-        entry = self.catalog.get(request.graph)
+        entry, request, config = probe.entry, probe.request, probe.config
         start = time.perf_counter()
         results, report = entry.answer_batch(
             request.queries, config, strategy=request.strategy, jobs=request.jobs
@@ -348,28 +360,14 @@ class QueryService:
                 "per_worker": [list(row) for row in report.per_worker],
             },
         }
-        body["estimated_cost"] = dict(probe.wire)
+        body["estimated_cost"] = probe.wire
         return body
 
-    def handle_mutate_edge(self, graph: str, payload: Dict[str, object]) -> Dict[str, object]:
-        """``POST /v1/graphs/{g}/edges``: one edge add/remove."""
-        return self._apply_mutation(parse_edge_mutation(graph, payload))
-
-    def handle_ingest(self, graph: str, payload: Dict[str, object]) -> Dict[str, object]:
-        """``POST /v1/graphs/{g}/ingest``: a mutation batch as one write."""
-        return self._apply_mutation(parse_ingest_request(graph, payload))
-
-    def _apply_mutation(self, request) -> Dict[str, object]:
-        """Shared write path: gate, serialize through the entry, encode."""
-        if not self.allow_mutations:
-            raise ServiceError(
-                501,
-                "mutation_unsupported",
-                "this deployment serves read-only graphs "
-                "(pre-forked workers cannot see each other's writes); "
-                "use the single-process server for mutations",
-            )
-        entry = self.catalog.get(request.graph)
+    def handle_mutation(self, payload: Dict[str, object], probe: _Probe) -> Dict[str, object]:
+        """``POST /v1/graphs/{g}/edges`` (one edge add/remove) and
+        ``/v1/graphs/{g}/ingest`` (a batch as one write): serialize through
+        the entry, encode."""
+        entry, request = probe.entry, probe.request
         start = time.perf_counter()
         if request.compaction_threshold is not None:
             summary = entry.mutate(
@@ -413,25 +411,6 @@ class QueryService:
         return body
 
     # -- request lifecycle ---------------------------------------------
-    def _match_graph_route(
-        self, path: str
-    ) -> Optional[Callable[[Dict[str, object]], Dict[str, object]]]:
-        """Per-graph routes: ``/v1/graphs/{g}/edges`` and ``/v1/graphs/{g}/ingest``.
-
-        The graph name is one percent-decodable path segment (names like
-        ``dblp@0.05`` pass through verbatim); unknown action suffixes fall
-        through to the caller's 404.
-        """
-        parts = path.strip("/").split("/")
-        if len(parts) != 4 or parts[0] != "v1" or parts[1] != "graphs" or not parts[2]:
-            return None
-        graph = urllib.parse.unquote(parts[2])
-        if parts[3] == "edges":
-            return lambda payload, probe=None: self.handle_mutate_edge(graph, payload)
-        if parts[3] == "ingest":
-            return lambda payload, probe=None: self.handle_ingest(graph, payload)
-        return None
-
     def handle_post(
         self,
         path: str,
@@ -462,17 +441,16 @@ class QueryService:
             )
         started = time.monotonic()
         try:
-            handler = self._post_handlers.get(path)
-            if handler is None:
-                handler = self._match_graph_route(path)
-            if handler is None:
+            route = self._route(path)
+            if route is None:
                 raise ServiceError(404, "unknown_endpoint", f"no such endpoint: POST {path}")
+            probe_request, handler = route
             if self.draining:
                 raise ServiceError(
                     503, "draining", "server is draining; not accepting new requests"
                 )
             payload = read_payload()
-            probe = self._probe_cost(path, payload)
+            probe = probe_request(payload)
             if self.quotas is not None:
                 quota_client = client if client else ANONYMOUS_CLIENT
                 if not self.quotas.try_consume(quota_client, probe.cost):
@@ -536,7 +514,7 @@ class QueryService:
                 status=status,
                 latency_ms=(time.monotonic() - started) * 1000.0,
                 client=client,
-                graph=probe.graph if probe is not None else None,
+                graph=probe.request.graph if probe is not None else None,
                 query_key=probe.query_key if probe is not None else None,
                 estimated_work_units=estimated,
                 actual_work_units=_actual_work_units(body),
@@ -561,10 +539,8 @@ class QueryService:
         self.draining = True
 
     def close(self) -> None:
-        """Release catalog executors (and their worker pools), then
-        flush instrumentation (the trace sink, when one is attached) and
+        """Flush instrumentation (the trace sink, when one is attached) and
         the access log."""
-        self.catalog.close()
         self.instrumentation.close()
         if self.access_log is not None:
             self.access_log.close()

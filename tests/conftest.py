@@ -155,6 +155,20 @@ def assert_arrays_match_rebuild(backend: CSRBackend):
     return rows
 
 
+def passes_filter_stack(graph: LabeledGraph, query: QueryGraph, u: int, v: int) -> bool:
+    """Section 4's label + degree + neighborhood-signature filters for data
+    vertex ``v`` against query node ``u``, recomputed from the index cache's
+    ``degrees`` / ``signature_masks`` — what ``candS(u)`` membership must equal."""
+    cache = graph.index_cache()
+    mask = cache.mask_for(query.neighborhood_signature(u))
+    return (
+        mask is not None
+        and graph.label(v) == query.label(u)
+        and cache.degrees[v] >= query.degree(u)
+        and cache.signature_masks[v] & mask == mask
+    )
+
+
 # ----------------------------------------------------------------------
 # Process census: what a worker pool or a multi-worker front may leave behind
 # ----------------------------------------------------------------------

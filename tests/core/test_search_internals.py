@@ -14,13 +14,15 @@ from repro.indexes.candidates import CandidateIndex
 from repro.isomorphism.joinable import UNMATCHED
 from repro.isomorphism.qsearch import enumerate_embeddings
 
+from tests.conftest import passes_filter_stack
 
-def engine_for(graph, query, config=None, matched=None, candidates=None):
+
+def engine_for(graph, query, config=None, matched=None):
     config = config or DSQLConfig(k=5)
     return LevelSearchEngine(
         graph,
         query,
-        candidates or CandidateIndex(graph, query),
+        CandidateIndex(graph, query),
         config,
         SearchStats(),
         matched if matched is not None else set(),
@@ -61,19 +63,20 @@ class TestConflictSet:
         engine._assignment[0] = UNMATCHED
 
     def test_dynamic_part_is_the_full_filter_stack_whatever_the_pools_hold(self, setting):
-        """Pool membership answers CT(u, beta) only where the pools are the
-        full stack; a view with a filter off still asks ``full_check``."""
+        """Pool membership answers CT(u, beta) because the pools are the
+        full stack — there is no view with a filter off: a held vertex is
+        blamed exactly when it passes the failed node's label + degree +
+        signature filters, recomputed here from the cache's tables."""
         graph, query = setting
-        wide = CandidateIndex(graph, query, use_degree_filter=False, use_signature_filter=False)
-        engines = [engine_for(graph, query), engine_for(graph, query, candidates=wide)]
-        assert [e._pools_are_filters for e in engines] == [True, False]
-        for held in range(graph.num_vertices):
-            sets = []
-            for engine in engines:
-                engine.order = (0, 1, 2)
+        engine = engine_for(graph, query)
+        engine.order = (0, 1, 2)
+        for u in (1, 2):
+            static = set(query.neighbors(u))
+            for held in range(graph.num_vertices):
                 engine._assignment[0] = held
-                sets.append(engine._conflict_set(2, 1, set()))
-            assert sets[0] == sets[1], held
+                dynamic = {0} if passes_filter_stack(graph, query, u, held) else set()
+                assert engine._conflict_set(u, 1, set()) == (static | dynamic) - {u}, (u, held)
+        engine._assignment[0] = UNMATCHED
 
     def test_failure_set_excludes_self(self, setting):
         graph, query = setting

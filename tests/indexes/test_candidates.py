@@ -8,7 +8,7 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.indexes.candidates import CandidateIndex, build_candidate_index
 
-from tests.conftest import brute_force_embeddings
+from tests.conftest import brute_force_embeddings, passes_filter_stack
 
 
 @pytest.fixture()
@@ -30,11 +30,16 @@ class TestConstruction:
         assert set(idx.candidates(1)) == {1, 5}
 
     def test_label_only_when_filters_disabled(self, setting):
+        """There is no disabling them: the label filter alone would admit
+        v4 for node 1, and no view of the query holds it."""
         graph, query = setting
-        idx = CandidateIndex(
-            graph, query, use_degree_filter=False, use_signature_filter=False
-        )
-        assert set(idx.candidates(1)) == {1, 4, 5}
+        assert {v for v in range(graph.num_vertices) if graph.label(v) == "b"} == {1, 4, 5}
+        with pytest.raises(TypeError):
+            CandidateIndex(graph, query, use_degree_filter=False)
+        for u in range(query.size):
+            want = [v for v in range(graph.num_vertices) if passes_filter_stack(graph, query, u, v)]
+            assert list(CandidateIndex(graph, query).candidates(u)) == want
+        assert set(build_candidate_index(graph, query).candidates(1)) == {1, 5}
 
     def test_sizes(self, setting):
         graph, query = setting
@@ -73,14 +78,17 @@ class TestMembership:
         assert CandidateIndex(graph, query).any_empty()
 
     def test_full_check_independent_of_filter_toggles(self, setting):
+        """Membership *is* the full check: the pools are the label + degree
+        + signature stack, every vertex, every node."""
         graph, query = setting
-        idx = CandidateIndex(
-            graph, query, use_degree_filter=False, use_signature_filter=False
-        )
-        # v4 is a label-only candidate, but the full stack still rejects it.
-        assert idx.is_candidate(1, 4)
-        assert not idx.full_check(1, 4)
-        assert idx.full_check(1, 1)
+        idx = CandidateIndex(graph, query)
+        assert not hasattr(idx, "full_check")
+        # v4 carries node 1's label, and the full stack rejects it.
+        assert not idx.is_candidate(1, 4) and idx.is_candidate(1, 1)
+        for u in range(query.size):
+            for v in range(graph.num_vertices):
+                assert idx.is_candidate(u, v) == passes_filter_stack(graph, query, u, v), (u, v)
+                assert (v in idx.candidate_set(u)) == idx.is_candidate(u, v)
 
 
 class TestCompleteness:

@@ -71,9 +71,10 @@ def test_plan_cache_hits_and_misses(graph, queries):
 def test_plan_key_distinguishes_cache_epochs(graph, queries):
     c1, c2 = GraphIndexCache(graph), GraphIndexCache(graph)
     assert c1.epoch != c2.epoch
-    assert plan_key(c1, queries[0], True, True) != plan_key(c2, queries[0], True, True)
-    # Filter toggles are part of the key too.
-    assert plan_key(c1, queries[0], True, True) != plan_key(c1, queries[0], False, True)
+    assert plan_key(c1, queries[0]) != plan_key(c2, queries[0])
+    # The compression toggle is part of the key too — the only one left.
+    assert plan_key(c1, queries[0]) != plan_key(c1, queries[0], use_compression=True)
+    assert plan_key(c1, queries[0]) == (c1.epoch, queries[0].canonical_key(), False)
 
 
 def test_plan_cache_lru_eviction(graph, queries):
@@ -225,6 +226,31 @@ class TestPlanSpecs:
         specs = pc.dump_specs()
         assert len(specs) == 2
         assert {s["use_compression"] for s in specs} == {False, True}
+
+    def test_specs_are_the_memo_keys_spelled_as_json(self, graph, queries):
+        import json
+
+        cache = graph.index_cache()
+        pc = PlanCache()
+        pc.get_or_compile(queries[0], cache)
+        pc.get_or_compile(queries[1], cache, use_compression=True)
+        pc.get_or_compile(queries[0], cache)  # a hit refreshes recency: coldest first
+        want = [
+            {
+                "labels": list(query.labels),
+                "edges": [list(e) for e in query.edge_tuples()],
+                "use_compression": compressed,
+            }
+            for query, compressed in ((queries[1], True), (queries[0], False))
+        ]
+        assert json.dumps(pc.dump_specs(), sort_keys=True) == json.dumps(want, sort_keys=True)
+        assert PlanCache.__slots__ == ("_memo", "_size", "_lock", "hits", "misses", "_metrics")
+        # A file from before the per-filter toggles were deleted carries two
+        # more fields per spec; they are ignored and the same plans warm.
+        old = [dict(spec, use_degree_filter=True, use_signature_filter=False) for spec in want]
+        fresh_cache = GraphIndexCache(graph)
+        assert fresh_cache.plan_cache.warm_from_specs(old, fresh_cache) == 2
+        assert fresh_cache.plan_cache.dump_specs() == want
 
     def test_specs_pruned_with_lru_eviction(self, graph, queries):
         cache = graph.index_cache()

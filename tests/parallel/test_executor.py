@@ -86,15 +86,18 @@ class TestSerialReproducibility:
 
 
 class TestMemoMirrorLRU:
-    """_plan_searches must replicate _memo_answer's LRU semantics exactly."""
+    """The replay, not a mirror: ``run`` searches what the memo lacks on the
+    pool, then puts the batch through ``_memo_answer`` itself in order, so
+    the LRU evolves as a serial ``query_many``'s by construction. (The id is
+    from the hand-written mirror of that LRU this class once held exact.)"""
 
     def test_warm_memo_hit_refreshes_recency(self):
         # Memo warmed with [A, B] at capacity 2, then the batch [A, C, B]:
         # the replay's hit on A refreshes A's recency (move_to_end), so
-        # inserting C evicts B — B is a *miss* at replay time and must be
-        # planned as a search. A mirror that skips hits without reordering
-        # evicts A instead, predicts B as a hit, and the replay dies on
-        # fresh[B] (KeyError).
+        # inserting C evicts B — B, memoized when the batch was planned, is
+        # a *miss* at its turn and is searched there, in the replay. (The
+        # mirror had to predict that; one that skipped hits without
+        # reordering predicted B as a hit and died on fresh[B].)
         graph, _ = _workload("dblp")
         a, b, c = list(query_set(graph, 3, 3, seed=23))
         assert len({q.canonical_key() for q in (a, b, c)}) == 3
@@ -113,6 +116,44 @@ class TestMemoMirrorLRU:
         assert executor.last_report.searches == 2  # C fresh, B re-searched
         assert session.stats.query_cache_hits == ref_session.stats.query_cache_hits
         assert session.stats.query_cache_misses == ref_session.stats.query_cache_misses
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("cap, searches", [(0, 4), (2, 4), (None, 2)])
+    def test_run_is_serial_query_many_on_a_warm_memo(self, strategy, cap, searches):
+        """Results, ``from_cache``, counters *and final memo key order*, for
+        every cap and strategy, on a batch that does everything to a warm
+        [A, B] memo of two: A hits; C and D miss and evict B then A; B — a
+        hit when the batch was planned — misses at its turn and is searched
+        in the replay; C, evicted meanwhile, misses again and is served the
+        worker's result a second time; A misses like B."""
+        graph, _ = _workload("dblp")
+        a, b, c, d = list(query_set(graph, 3, 4, seed=23))
+        batch = [a, c, d, b, c, a]
+        config = DSQLConfig(k=K, query_cache_size=cap)
+
+        reference = DSQL(graph, config=config)
+        reference.query_many([a, b])
+        want = reference.query_many(batch)
+
+        session = DSQL(graph, config=config)
+        session.query_many([a, b])
+        with BatchExecutor(session, strategy=strategy, jobs=2) as executor:
+            results = executor.run(batch)
+            report = executor.last_report
+
+        assert [r.to_dict() for r in results] == [r.to_dict() for r in want]
+        assert [r.from_cache for r in results] == [r.from_cache for r in want]
+        assert session.stats.query_cache_hits == reference.stats.query_cache_hits
+        assert session.stats.query_cache_misses == reference.stats.query_cache_misses
+        assert list(session._query_cache) == list(reference._query_cache)
+        if cap == 2:
+            assert [r.from_cache for r in results] == [True] + [False] * 5
+            assert [key[1] for key in session._query_cache] == [c.canonical_key(), a.canonical_key()]
+        if strategy != "serial":
+            # Distinct structures searched once each: {C, D} on the pool plus
+            # {B, A} in the replay at cap 2; all four on the pool with the
+            # memo off; {C, D} alone when nothing is ever evicted.
+            assert (report.searches, report.chunks_retried) == (searches, 0)
 
 
 class TestDegradation:

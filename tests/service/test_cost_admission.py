@@ -414,6 +414,35 @@ class TestQuotaService:
         finally:
             service.close()
 
+    def test_invalid_write_never_consumes_quota(self):
+        # Two tokens, refilled over hours: a malformed batch and a write to
+        # an unknown graph are refused by the probe, before either gate, so
+        # the client's valid write still finds a full bucket.
+        service = _service(client_quota_rate=0.001, client_quota_burst=2)
+        try:
+            status, body, _ = service.handle_post(
+                "/v1/graphs/tiny/ingest", lambda: {"ops": "nope"}
+            )
+            assert (status, body["error"]["code"]) == (400, "invalid_mutation")
+            status, body, _ = service.handle_post(
+                "/v1/graphs/nosuch/edges", lambda: {"op": "add", "u": 0, "v": 1}
+            )
+            assert (status, body["error"]["code"]) == (404, "unknown_graph")
+            assert service.quotas.describe()["tracked_clients"] == 0
+            graph = service.catalog.get("tiny").graph
+            v = next(x for x in range(1, graph.num_vertices) if not graph.has_edge(0, x))
+            edge = {"op": "add", "u": 0, "v": v}
+            assert service.handle_post("/v1/graphs/tiny/edges", lambda: edge)[0] == 200
+            # An endpoint out of range is only knowable under the write
+            # lock: that mistake is charged (the last token), as documented.
+            far = {"op": "add", "u": 0, "v": 10**9}
+            status, body, _ = service.handle_post("/v1/graphs/tiny/edges", lambda: far)
+            assert (status, body["error"]["code"]) == (400, "invalid_mutation")
+            status, body, _ = service.handle_post("/v1/graphs/tiny/edges", lambda: edge)
+            assert (status, body["error"]["code"]) == (429, "quota_exceeded")
+        finally:
+            service.close()
+
     def test_healthz_reports_quotas(self):
         service = _service(client_quota_rate=2.0, client_quota_burst=50.0)
         try:

@@ -16,6 +16,7 @@ import signal
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.core.config import DSQLConfig
 from repro.core.dsql import DSQL
 from repro.datasets.registry import make_dataset
 from repro.graph.labeled_graph import LabeledGraph
+from repro.parallel import BatchExecutor
 from repro.queries.generator import query_set
 from repro.service import (
     GraphCatalog,
@@ -33,7 +35,7 @@ from repro.service import (
 )
 from repro.service.client import ServiceClientError
 
-from tests.conftest import wait_until
+from tests.conftest import ProcessCensus, wait_until
 
 from .conftest import DEFAULT_K, tiny_graph, tiny_queries
 
@@ -239,52 +241,70 @@ class TestPublicationIsARead:
     def test_process_batch_on_a_dirty_graph_moves_nothing(self):
         entry, (u, v) = self._dirty_entry()
         graph, queries = entry.graph, tiny_queries(count=4, seed=31)
-        try:
-            for query in tiny_queries(count=3, seed=32):
-                entry.answer(query)  # plans worth keeping
-            plans = graph.index_cache().plan_cache
-            version, size, deltas = graph.version, plans.info()["size"], graph.backend.delta_size
-            assert version[1] == 2 and size > 0 and deltas == 1
+        for query in tiny_queries(count=3, seed=32):
+            entry.answer(query)  # plans worth keeping
+        plans = graph.index_cache().plan_cache
+        version, size, deltas = graph.version, plans.info()["size"], graph.backend.delta_size
+        assert version[1] == 2 and size > 0 and deltas == 1
 
-            results, report = entry.answer_batch(queries, strategy="process", jobs=2)
-            assert (graph.version, graph.backend.delta_size) == (version, deltas)
-            assert graph.index_cache().plan_cache is plans and plans.info()["size"] >= size
-            assert report.strategy == "process" and report.chunks_retried == 0
+        results, report = entry.answer_batch(queries, strategy="process", jobs=2)
+        assert (graph.version, graph.backend.delta_size) == (version, deltas)
+        assert graph.index_cache().plan_cache is plans and plans.info()["size"] >= size
+        assert report.strategy == "process" and report.chunks_retried == 0
+        assert [r.to_dict() for r in results] == self._rebuilt_answers(entry, queries)
+
+        # A later write reaches the same workers by replay — for a caller
+        # that holds an executor across it; the entry's own batches each
+        # start workers at the version they find.
+        session = DSQL(graph, config=replace(entry.default_config, query_cache_size=0))
+        with BatchExecutor(session, strategy="process", jobs=2) as executor:
+            results = executor.run(queries)
             assert [r.to_dict() for r in results] == self._rebuilt_answers(entry, queries)
-            executor = next(iter(entry._executors.values()))
-            assert (graph.version[0], executor.pool._base_seq) == version
-
-            # A later write reaches the same workers by replay.
+            pool = executor.pool
+            assert (graph.version[0], pool._base_seq) == version
             summary = entry.mutate([("remove_edge", u, v)], compaction_threshold=None)
             assert summary == (1, False, (version[0], 3))
-            results, report = entry.answer_batch(queries, strategy="process", jobs=2)
-            assert report.chunks_retried == 0 and not executor.pool.stale
+            results = executor.run(queries)
+            assert executor.last_report.chunks_retried == 0
+            assert executor.pool is pool and not pool.stale
             assert graph.version == (version[0], 3)
             assert [r.to_dict() for r in results] == self._rebuilt_answers(entry, queries)
-        finally:
-            entry.close()
+        results, report = entry.answer_batch(queries, strategy="process", jobs=2)
+        assert report.chunks_retried == 0
+        assert [r.to_dict() for r in results] == self._rebuilt_answers(entry, queries)
 
     def test_worker_killed_between_batches_fails_no_later_batch(self):
-        """The entry caches its executors: a pool that broke while idle must
-        be replaced by the next batch, not fail it and every batch after."""
+        """Through the entry there is no "between batches": the workers of a
+        process batch are gone when ``answer_batch`` returns, and the next
+        batch starts its own. A caller that holds an executor across batches
+        has a pool that can break while idle; the next batch replaces it."""
         entry, _ = self._dirty_entry()
         queries = tiny_queries(count=4, seed=35)
         want = self._rebuilt_answers(entry, queries)
-        try:
-            _, report = entry.answer_batch(queries, strategy="process", jobs=2)
-            executor = next(iter(entry._executors.values()))
-            pool, first_pids = executor.pool, {pid for pid, _ in report.per_worker}
+        census = ProcessCensus()
+        seen = set()
+        for _ in range(2):
+            entry.session()._query_cache.clear()
+            results, report = entry.answer_batch(queries, strategy="process", jobs=2)
+            assert [r.to_dict() for r in results] == want and report.chunks_retried == 0
+            pids = {pid for pid, _ in report.per_worker}
+            assert pids and not pids & seen and not pids & census.new_children()
+            seen |= pids
+        assert census.settled(), census.report()
+
+        session = DSQL(entry.graph, config=replace(entry.default_config, query_cache_size=0))
+        with BatchExecutor(session, strategy="process", jobs=2) as executor:
+            executor.run(queries)
+            pool, first_pids = executor.pool, {pid for pid, _ in executor.last_report.per_worker}
             os.kill(min(first_pids), signal.SIGKILL)
             assert wait_until(lambda: pool.broken)
             for _ in range(2):
-                entry.session(entry.default_config)._query_cache.clear()
-                results, report = entry.answer_batch(queries, strategy="process", jobs=2)
+                results, report = executor.run(queries), executor.last_report
                 assert [r.to_dict() for r in results] == want
                 assert report.chunks_retried == 0
                 assert report.per_worker and not {p for p, _ in report.per_worker} & first_pids
-            assert next(iter(entry._executors.values())) is executor
-        finally:
-            entry.close()
+            assert executor.pool is not pool
+        assert census.settled(), census.report()
 
     def test_point_queries_beside_a_publishing_batch_see_one_version(self):
         entry, _ = self._dirty_entry()
@@ -325,7 +345,6 @@ class TestPublicationIsARead:
                 thread.join(timeout=60)
             sys.setswitchinterval(interval)
             alive = [thread.name for thread in threads if thread.is_alive()]
-            entry.close()
         assert not alive and not errors, (alive, errors)
         assert report.chunks_retried == 0
         assert [r.to_dict() for r in results] == self._rebuilt_answers(entry, batch)

@@ -734,3 +734,102 @@ def test_global_weight_table_stays_deleted():
     ) == ["coverage/objectives.py: 'top_sum'"]
     mutant = sources["cost/estimator.py"].replace("import math\n", "import math\nimport numpy as np\n")
     assert numpy_importers({"cost/estimator.py": mutant}, "cost/") == ["cost/estimator.py"]
+
+
+# ----------------------------------------------------------------------
+# Fork guard: the memo lock lives on the memo. ``DSQL`` guards its result
+# memo itself, so nothing outside ``core/dsql.py`` names the dict or its
+# lock, the catalog builds no lock beyond its read-write lock and the
+# session LRU's, and the state that worked around an entry-held memo lock
+# — the executor's LRU mirror, the memo peek, the executor cache with its
+# leases — must not grow back; nor the per-filter toggles and the per-plan
+# spec copies deleted with them.
+# ----------------------------------------------------------------------
+MEMO_WORKAROUND_MARKERS = (
+    "_plan_searches", "_never_computed", "_executor_leases", "_executors_retired",
+    "_acquire_executor", "_release_executor", "DEFAULT_EXECUTOR_CACHE", "max_executors",
+    "use_degree_filter", "use_signature_filter",
+    "._specs", '"_specs"',  # the attribute and its slot, not dump_specs / warm_from_specs
+)
+MEMO_PRIVATE_NAMES = ("_query_cache", "_memo_lock")
+
+
+def lock_constructions(text):
+    """``Class.target`` for every ``Lock()`` / ``RLock()`` built in ``text``
+    (``Class.?`` where the call is not the value of a plain assignment)."""
+    sites = []
+    for cls in (n for n in ast.walk(ast.parse(text)) if isinstance(n, ast.ClassDef)):
+        targets = {
+            id(node.value): ast.unparse(node.targets[0]).rsplit(".", 1)[-1]
+            for node in ast.walk(cls) if isinstance(node, ast.Assign)
+        }
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).rsplit(".", 1)[-1] in (
+                "Lock", "RLock",
+            ):
+                sites.append(f"{cls.name}.{targets.get(id(node), '?')}")
+    return sites
+
+
+def memo_lock_offenders(sources):
+    """Over ``{path relative to src/repro: source}``: modules other than
+    ``core/dsql.py`` naming the memo or its lock, and locks the catalog
+    builds outside ``_ReadWriteLock`` and ``_session_lock``."""
+    found = [
+        f"{path}: {name}"
+        for path, text in sorted(sources.items())
+        for name in MEMO_PRIVATE_NAMES
+        if path != "core/dsql.py" and name in text
+    ]
+    found += [
+        f"service/catalog.py: {site}"
+        for site in lock_constructions(sources["service/catalog.py"])
+        if not site.startswith("_ReadWriteLock.") and site != "CatalogEntry._session_lock"
+    ]
+    return found
+
+
+def test_memo_lock_lives_on_the_memo():
+    from repro.core.config import DSQLConfig
+    from repro.service.catalog import CatalogEntry, GraphCatalog
+
+    sources = package_sources()
+    offenders = fork_offenders(MEMO_WORKAROUND_MARKERS, design_and_skill_files())
+    assert not offenders, offenders
+    assert not memo_lock_offenders(sources)
+    assert all(name in sources["core/dsql.py"] for name in MEMO_PRIVATE_NAMES)
+    assert lock_constructions(sources["service/catalog.py"]) == ["CatalogEntry._session_lock"]
+    assert not hasattr(CatalogEntry, "close") and not hasattr(GraphCatalog, "close")
+    assert "max_executors" not in inspect.signature(CatalogEntry.__init__).parameters
+    assert len(dataclasses.fields(DSQLConfig)) == 20
+    # The guard sees the batch put back under an entry-held memo lock ...
+    catalog_text = sources["service/catalog.py"]
+    anchor = "                return executor.run(list(queries)), executor.last_report\n"
+    assert catalog_text.count(anchor) == 1
+    mutant = catalog_text.replace(
+        anchor,
+        "                with self._memo_lock:\n"
+        "                    results = executor.run(list(queries))\n"
+        "                return results, executor.last_report\n",
+    )
+    assert memo_lock_offenders({**sources, "service/catalog.py": mutant}) == [
+        "service/catalog.py: _memo_lock"
+    ]
+    # ... the lock itself built on the entry, and the executor walking the
+    # session's dict again.
+    anchor = "        self._session_lock = threading.Lock()\n"
+    assert catalog_text.count(anchor) == 1
+    mutant = catalog_text.replace(anchor, anchor + "        self._batch_lock = threading.Lock()\n")
+    assert memo_lock_offenders({**sources, "service/catalog.py": mutant}) == [
+        "service/catalog.py: CatalogEntry._batch_lock"
+    ]
+    executor_text = sources["parallel/executor.py"]
+    anchor = "session._memo_lacks(by_key)"
+    assert executor_text.count(anchor) == 1
+    mutant = executor_text.replace(anchor, "[k for k in by_key if k not in session._query_cache]")
+    assert memo_lock_offenders({**sources, "parallel/executor.py": mutant}) == [
+        "parallel/executor.py: _query_cache"
+    ]
+    assert fork_offenders(
+        MEMO_WORKAROUND_MARKERS, sources={"indexes/plans.py": "self._specs[key] = spec\n"}
+    ) == ["indexes/plans.py: '._specs'"]
