@@ -21,12 +21,14 @@ actually charges ``SearchStats.nodes_expanded``:
   candidate-pool mass.
 
 Everything the model reads — pool sizes, search order, backward tuples,
-the graph's degree array — is already on the compiled
+each pool's degree mass — is already on the compiled
 :class:`~repro.indexes.plans.QueryPlan` and its
-:class:`~repro.indexes.graph_cache.GraphIndexCache`; the ``k``-independent
-part is memoized on the plan (free after compile). One estimated charge is
-one **work unit**, the currency the service's work-unit admission
-controller and the per-client token buckets price requests in.
+:class:`~repro.indexes.graph_cache.GraphIndexCache` (which keeps the mass
+beside the pool, so none is walked here); the ``k``-independent part is
+memoized on the plan (free after compile, re-priced when ``2|E|`` moves).
+One estimated charge is one **work unit**, the currency the service's
+work-unit admission controller and the per-client token buckets price
+requests in.
 """
 
 from __future__ import annotations
@@ -152,6 +154,10 @@ def raw_cost_profile(plan, cache, frontier_cap: float = DEFAULT_FRONTIER_CAP) ->
     level-wise search cannot produce an embedding and terminates without
     charging meaningful work, and the admission layer must not tax such
     queries (estimate 0 ⇒ admit free).
+
+    A pool's mean degree is its degree mass over its size, and the mass is
+    the cache's (:meth:`GraphIndexCache.pool_degree_mass`, asked by filter
+    profile): pricing a plan reads one integer per pool and iterates none.
     """
     order = plan.order
     pools = plan.pools
@@ -168,9 +174,11 @@ def raw_cost_profile(plan, cache, frontier_cap: float = DEFAULT_FRONTIER_CAP) ->
             per_depth_frames=(0.0,) * depth,
         )
 
-    degree_of = cache.degrees.__getitem__
     two_m = max(1.0, 2.0 * float(cache.graph.num_edges))
-    mean_deg = [sum(map(degree_of, pool)) / len(pool) for pool in pools]
+    mass_of = cache.pool_degree_mass
+    mean_deg = [
+        mass_of(*profile, pool) / len(pool) for profile, pool in zip(plan.profiles, pools)
+    ]
 
     frames = 1.0
     charges = 0.0

@@ -15,7 +15,7 @@ vertices of the data graph are called **vertices**.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import FrozenSet, Iterable, Sequence, Tuple
 
 from repro.exceptions import InvalidQueryError, QueryError
 from repro.graph.labeled_graph import Edge, Label, LabeledGraph
@@ -64,6 +64,12 @@ class QueryGraph(LabeledGraph):
     def size(self) -> int:
         """``q = |V_Q|``, the number of query nodes."""
         return self.num_vertices
+
+    def neighborhood_signature(self, u: int) -> FrozenSet[Label]:
+        """``NS_Q(u)``: the labels adjacent to node ``u``, read off the
+        query's own rows — a handful of nodes needs no index cache to say
+        it (a compiled, estimated and answered query never builds one)."""
+        return frozenset(map(self.label, self.neighbors(u)))
 
     @classmethod
     def from_graph(cls, graph: LabeledGraph, name: str = "") -> "QueryGraph":

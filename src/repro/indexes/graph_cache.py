@@ -13,11 +13,14 @@ session answering many queries against the same graph shares:
   (Python ints, so an arbitrary number of labels works); the frozenset
   view of the public API is derived from a mask on call, interned per mask;
 * the **degree and label-id tables**, copied from the storage backend and
-  repaired by deltas (plain lists: the cost estimator and the
-  ``weighted-vertex`` objective read ``degrees`` directly);
+  repaired by deltas (plain lists: the ``weighted-vertex`` objective reads
+  ``degrees`` directly);
 * a bounded LRU **candidate-pool memo** keyed by
   ``(label_id, min_degree, signature_mask)`` — distinct query nodes with the
-  same filter profile (and repeated queries) share one pool computation.
+  same filter profile (and repeated queries) share one pool computation;
+* beside a memoized pool, once the cost estimator has asked, the pool's
+  **degree mass** (:meth:`GraphIndexCache.pool_degree_mass`): repaired and
+  dropped with the pool, so pricing a plan walks no pool.
 
 :class:`~repro.indexes.candidates.CandidateIndex` becomes a cheap per-query
 restriction over these pools instead of a per-query full scan.
@@ -31,7 +34,8 @@ intersect the dirty label set — everything else survives at the same logical
 *repaired*, not evicted: a pool is exactly the vertices of its label passing
 its degree and signature tests, so each dirty vertex is re-tested against the
 memo entries of its own label and an entry's tuple is rebuilt only when the
-vertex joined or left it. A write therefore touches O(dirty vertices x
+vertex joined or left it; the same loop moves an entry's degree mass by
+what the vertex's degree did. A write therefore touches O(dirty vertices x
 entries of their labels) memo words and leaves no scan for the next read.
 The pair ``(epoch, delta_seq)`` is the cache :attr:`version` that keys
 session memos and is a pool worker's place in the write stream: the epoch
@@ -70,6 +74,10 @@ _EPOCHS = itertools.count()
 
 class GraphIndexCache:
     """All per-graph filter state, computed once and shared.
+
+    Derived per-pool state lives with the pool and is repaired with it: a
+    memoized pool's degree mass (:meth:`pool_degree_mass`) sits beside its
+    entry under the same lock — nothing outside this class sums a pool.
 
     Parameters
     ----------
@@ -161,8 +169,9 @@ class GraphIndexCache:
         self._pool_memo: "OrderedDict[Tuple[int, int, int], Tuple[int, ...]]" = OrderedDict()
         self._pool_memo_size = candidate_memo_size
         # label id -> the memo keys of that label, so a delta walks only the
-        # entries its dirty vertices can join or leave.
-        self._pool_keys: Dict[int, Set[Tuple[int, int, int]]] = {}
+        # entries its dirty vertices can join or leave; each key maps to its
+        # pool's degree mass (None until pool_degree_mass is asked for it).
+        self._pool_keys: Dict[int, Dict[Tuple[int, int, int], Optional[int]]] = {}
         self.pool_entries_repaired = 0
         self.pool_entries_rebuilt = 0
         self.pool_entries_dropped = 0
@@ -411,11 +420,35 @@ class GraphIndexCache:
             pool = self._scan(lid, min_degree, signature_mask)
             if cap != 0:
                 memo[key] = pool
-                self._pool_keys.setdefault(lid, set()).add(key)
+                self._pool_keys.setdefault(lid, {})[key] = None
                 if cap is not None and len(memo) > cap:
                     oldest, _ = memo.popitem(last=False)
-                    self._pool_keys[oldest[0]].discard(oldest)
+                    self._pool_keys[oldest[0]].pop(oldest, None)
             return pool
+
+    def pool_degree_mass(
+        self, label: Label, min_degree: int, signature_mask: int, pool: Tuple[int, ...]
+    ) -> int:
+        """``sum(degrees[v] for v in pool)`` for a pool :meth:`candidate_pool`
+        returned under this profile (the cost model's mean pool degree).
+
+        While ``pool`` is the memo's own tuple the sum is kept beside it (in
+        the label's row of ``_pool_keys``): computed on first ask, moved by
+        :meth:`_repair_pools` with every write, dropped with its entry. Not
+        a pool-memo lookup (no hit, miss or LRU touch). Any other ``pool``
+        (entry evicted or rebuilt since, memo off) is summed here, once, and
+        nothing is kept.
+        """
+        lid = self.label_to_id.get(label)
+        key = (lid, min_degree, signature_mask)
+        with self._pool_lock:
+            kept = self._pool_memo.get(key) is pool
+            mass = self._pool_keys[lid][key] if kept else None
+            if mass is None:
+                mass = sum(map(self.degrees.__getitem__, pool))
+                if kept:
+                    self._pool_keys[lid][key] = mass
+        return mass
 
     def _scan(self, lid: int, min_degree: int, signature_mask: int) -> Tuple[int, ...]:
         base = self.label_index[self.label_table[lid]]
@@ -566,7 +599,9 @@ class GraphIndexCache:
             with self._adj_lock:
                 for v in dirty_vertices:
                     self._adj_masks.pop(v, None)
-        self.plan_cache.evict_stale(dirty_lids, new_labels)
+        self.plan_cache.evict_stale(
+            dirty_lids, new_labels, edges_changed=any(op[0] != "add_vertex" for op in ops)
+        )
         if self._compressed is not None:
             # Split repair: the dirtied endpoints leave their twin classes
             # as fresh singletons; everything else (and all class ids)
@@ -619,7 +654,8 @@ class GraphIndexCache:
         membership after from the new one, and an entry's tuple is rebuilt
         — copied out, each flipped vertex bisected in or out, copied back,
         still ascending — only when some vertex flipped. That is at most one
-        test per moved vertex and one O(pool) rebuild per entry.
+        test per moved vertex and one O(pool) rebuild per entry. A kept
+        degree mass (:meth:`pool_degree_mass`) moves in the same pass.
         """
         degrees = self.degrees
         masks = self.signature_masks
@@ -632,10 +668,21 @@ class GraphIndexCache:
                 flips: Dict[Tuple[int, int, int], List[Tuple[int, bool]]] = {}
                 for v, old_degree, old_mask in vertices:
                     degree, mask = degrees[v], masks[v]
-                    for _, min_degree, sig in keys:
-                        joins = degree >= min_degree and mask & sig == sig
-                        if joins != (old_degree >= min_degree and old_mask & sig == sig):
-                            flips.setdefault((lid, min_degree, sig), []).append((v, joins))
+                    for key, mass in keys.items():
+                        _, min_degree, sig = key
+                        if degree >= min_degree and mask & sig == sig:
+                            if old_degree >= min_degree and old_mask & sig == sig:
+                                # Still a member: no flip, but its degree moved.
+                                if mass is not None:
+                                    keys[key] = mass + degree - old_degree
+                            else:
+                                flips.setdefault(key, []).append((v, True))
+                                if mass is not None:
+                                    keys[key] = mass + degree
+                        elif old_degree >= min_degree and old_mask & sig == sig:
+                            flips.setdefault(key, []).append((v, False))
+                            if mass is not None:
+                                keys[key] = mass - old_degree
                 rebuilt += len(flips)
                 for key, changes in flips.items():
                     if key[1] == 0 and key[2] == 0:

@@ -420,7 +420,9 @@ class PlanCache:
     Mirrors the candidate-pool memo's concurrency pattern: lookups and
     stores are serialized under one lock, compilation happens outside it
     (two racing threads may both compile; the second store wins with an
-    equal plan). Plain :attr:`hits`/:attr:`misses` counters always count;
+    equal plan) and a plan is stored only if the graph's ``delta_seq`` is
+    what it was before the compile: none compiled across a write is held.
+    Plain :attr:`hits`/:attr:`misses` counters always count;
     :meth:`attach_metrics` additionally mirrors them into a session
     metrics registry as ``plan.cache.hits`` / ``plan.cache.misses``.
     """
@@ -442,6 +444,7 @@ class PlanCache:
     def get_or_compile(self, query, cache, use_compression: bool = False) -> QueryPlan:
         """The memoized plan for ``(cache, query, toggle)``, compiling on miss."""
         key = plan_key(cache, query, use_compression)
+        seq = cache.delta_seq
         memo = self._memo
         metrics = self._metrics
         with self._lock:
@@ -457,9 +460,12 @@ class PlanCache:
                 metrics.counter("plan.cache.misses").inc()
         plan = compile_plan(query, cache, use_compression=use_compression)
         with self._lock:
-            memo[key] = plan
-            if self._size is not None and len(memo) > self._size:
-                memo.popitem(last=False)
+            # A plan compiled across a write goes to its caller and nowhere
+            # else: evict_stale may already have run, and would never see it.
+            if cache.delta_seq == seq:
+                memo[key] = plan
+                if self._size is not None and len(memo) > self._size:
+                    memo.popitem(last=False)
         return plan
 
     def clear(self) -> None:
@@ -467,7 +473,7 @@ class PlanCache:
         with self._lock:
             self._memo.clear()
 
-    def evict_stale(self, dirty_lids, new_labels=()) -> int:
+    def evict_stale(self, dirty_lids, new_labels=(), edges_changed: bool = False) -> int:
         """Delta eviction: drop only plans whose footprint intersects a delta.
 
         A plan is stale iff its :attr:`QueryPlan.referenced_lids` intersect
@@ -475,8 +481,9 @@ class PlanCache:
         one of its :attr:`QueryPlan.absent_labels` appears in ``new_labels``
         (a pool pinned empty at compile time is empty no longer). Every
         other plan survives at the same epoch — this is what makes
-        invalidation delta-based instead of epoch-nuke. Returns the number
-        of evicted plans.
+        invalidation delta-based instead of epoch-nuke. With
+        ``edges_changed`` a survivor forgets its cost profile, whose ``2|E|``
+        moved, and is priced again. Returns the number of evicted plans.
         """
         dirty = frozenset(dirty_lids)
         added = frozenset(new_labels)
@@ -490,6 +497,9 @@ class PlanCache:
             ]
             for key in stale:
                 del self._memo[key]
+            if edges_changed:
+                for plan in self._memo.values():
+                    plan._cost_profile = None
         return len(stale)
 
     # ------------------------------------------------------------------

@@ -217,8 +217,17 @@ class CatalogEntry:
 
         Runs *before* admission by design: estimation is a memoized fold
         over the compiled plan, and the plan is needed to answer anyway.
+
+        The probe is a *reader*, as :meth:`answer` is: it compiles and
+        caches a plan, so a write waits for it. The lock is released on
+        return (also on a refusal), never held across admission's queue.
         """
-        return self.session(config).estimate(query)
+        session = self.session(config)
+        self._rw.acquire_read()
+        try:
+            return session.estimate(query)
+        finally:
+            self._rw.release_read()
 
     def observe_cost(
         self, estimate, result: DSQResult, config: Optional[DSQLConfig] = None

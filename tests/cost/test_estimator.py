@@ -8,6 +8,7 @@ and the plan-level profile memo must actually memoize.
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -21,9 +22,16 @@ from repro.cost import (
     raw_expansions,
 )
 from repro.datasets.registry import make_dataset
+from repro.coverage.objectives import OBJECTIVE_NAMES
 from repro.exceptions import ConfigError
+from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
+from repro.indexes.graph_cache import GraphIndexCache
+from repro.indexes.plans import compile_plan
 from repro.queries.generator import query_set
+from repro.service import GraphCatalog, QueryService
+from repro.service.schemas import query_graph_to_json
+from tests.indexes.test_delta_repair import kept_masses
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +127,100 @@ class TestEstimateShape:
         second = plan.cost_profile(builder)
         assert first is second
         assert len(calls) <= 1  # 0 when an earlier estimate already built it
+
+
+class TestColdPricing:
+    """What pricing a plan costs, held by counts: the pools' degree masses are
+    the cache's (``GraphIndexCache.pool_degree_mass``), a query says its own
+    signature, and a surviving plan is priced again after a write."""
+
+    def test_pricing_a_cold_plan_reads_no_degrees(self):
+        class CountingDegrees(list):
+            reads = 0
+
+            def __getitem__(self, index):
+                CountingDegrees.reads += 1
+                return super().__getitem__(index)
+
+        graph = make_dataset("dblp", scale=0.05, seed=0)
+        session = DSQL(graph, config=DSQLConfig(k=10))
+        cache = session.index_cache
+        cache.degrees = CountingDegrees(cache.degrees)
+        battery = list(query_set(graph, 4, 16, seed=5))
+        for query in battery:
+            session.estimate(query)
+        assert CountingDegrees.reads > 0 and kept_masses(cache)  # primed: summed once
+        rng = random.Random(1)
+        compiled = 0
+        for _ in range(20):
+            ops = []
+            while len(ops) < 8:
+                u, v = rng.sample(range(graph.num_vertices), 2)
+                if not graph.has_edge(u, v):
+                    ops.append(("add_edge", u, v))
+            graph.mutate(ops, compaction_threshold=None)
+            reads, info, plans = CountingDegrees.reads, cache.memo_info(), cache.plan_cache.misses
+            asked = 0
+            for query in battery:
+                before = cache.plan_cache.misses
+                session.estimate(query)
+                asked += query.size * (cache.plan_cache.misses - before)
+            # Every write stranded plans, and pricing their replacements
+            # walked no pool (the parent read each pool's every degree).
+            assert cache.plan_cache.misses > plans
+            assert CountingDegrees.reads == reads
+            # The compiles asked the pool memo for one pool per query node;
+            # the masses asked it nothing.
+            after = cache.memo_info()
+            assert after["hits"] + after["misses"] - info["hits"] - info["misses"] == asked
+            compiled += cache.plan_cache.misses - plans
+        assert compiled >= 20 and cache.memo_info()["dropped"] == 0
+        reference = DSQL(LabeledGraph(list(graph.labels), list(graph.edges())), DSQLConfig(k=10))
+        assert [session.estimate(q) for q in battery] == [reference.estimate(q) for q in battery]
+
+    def test_a_query_builds_no_index_cache(self, graph, monkeypatch):
+        built = []
+        init = GraphIndexCache.__init__
+
+        def counting_init(self, graph, *args, **kwargs):
+            built.append(graph)
+            init(self, graph, *args, **kwargs)
+
+        cache = graph.index_cache()
+        catalog = GraphCatalog(default_config=DSQLConfig(k=5))
+        catalog.add_graph("g", graph)
+        service = QueryService(catalog)
+        monkeypatch.setattr(GraphIndexCache, "__init__", counting_init)
+        query = _some_query(graph, seed=13)
+        compile_plan(query, cache)
+        assert query._cache is None  # the parent built one right here
+        for objective in OBJECTIVE_NAMES:
+            session = DSQL(graph, config=DSQLConfig(k=5, objective=objective))
+            session.estimate(query)
+            session.query(query)
+        payload = {"graph": "g", "query": query_graph_to_json(query)}
+        assert service.handle_post("/v1/query", lambda: payload)[0] == 200
+        service.close()
+        assert query._cache is None and built == []
+
+    def test_a_surviving_plan_is_priced_again_after_an_edge_write(self):
+        graph = LabeledGraph(list("ababcccc"), [(0, 1), (2, 3), (0, 3), (4, 5), (5, 6)])
+        session = DSQL(graph, config=DSQLConfig(k=2))
+        query = QueryGraph(["a", "b"], [(0, 1)])
+        assert session.estimate(query).per_depth == (1.0, 0.45)
+        plans = session.index_cache.plan_cache
+        plan = plans.get_or_compile(query, session.index_cache)
+        # Only label 'c' is dirtied: the a-b plan survives, and 2|E| moved under it.
+        graph.mutate([("add_edge", 6, 7), ("add_edge", 4, 7)], compaction_threshold=None)
+        assert plans.get_or_compile(query, session.index_cache) is plan
+        rebuilt = DSQL(LabeledGraph(list(graph.labels), list(graph.edges())), DSQLConfig(k=2))
+        assert session.estimate(query) == rebuilt.estimate(query)
+        assert session.estimate(query).per_depth == (1.0, 9 / 28)
+        # A vertex-only batch moves no 2|E|: the survivor keeps its profile.
+        profile = plan._cost_profile
+        graph.mutate([("add_vertex", "c")], compaction_threshold=None)
+        assert plans.get_or_compile(query, session.index_cache) is plan
+        assert plan._cost_profile is profile
 
 
 class TestEstimateApi:

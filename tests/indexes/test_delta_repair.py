@@ -49,18 +49,21 @@ def banded_graph(storage: str = "csr") -> LabeledGraph:
 
 
 def warm_pool_spread(cache: GraphIndexCache, labels=None) -> None:
-    """Memoize, for each label, min_degree 0-3 x {no mask, each single label bit}."""
+    """Memoize, for each label, min_degree 0-3 x {no mask, each single label bit},
+    and prime each entry's degree mass, so the writes that follow have one to repair."""
     bits = [0] + [1 << lid for lid in range(len(cache.label_table))]
     for label in labels or list(cache.label_table):
         for min_degree in range(4):
             for mask in bits:
-                cache.candidate_pool(label, min_degree, mask)
+                pool = cache.candidate_pool(label, min_degree, mask)
+                cache.pool_degree_mass(label, min_degree, mask, pool)
 
 
 def run_mutation_script(g: LabeledGraph) -> GraphIndexCache:
-    """120 seeded ops over a memo re-warmed every tenth; equivalence checked throughout."""
+    """120 seeded ops over a memo re-warmed every tenth; equivalence checked after each."""
     cache = g.index_cache()
     rng = random.Random(23)
+    masses_held = 0
     labels = ["a", "b", "c", "d"]
     for step in range(120):
         if step % 10 == 0:
@@ -80,8 +83,20 @@ def run_mutation_script(g: LabeledGraph) -> GraphIndexCache:
             u, v = rng.randrange(n), rng.randrange(n)
             if u != v:
                 g.remove_edge(u, v)
-    assert_cache_equivalent(cache, GraphIndexCache(g))
+        assert_cache_equivalent(cache, GraphIndexCache(g))
+        masses_held += len(kept_masses(cache))
+    assert masses_held  # or the mass assertions held nothing a write had touched
     return cache
+
+
+def kept_masses(cache: GraphIndexCache) -> dict:
+    """``{memo key: degree mass}`` for the entries whose mass has been asked for."""
+    return {
+        key: mass
+        for row in cache._pool_keys.values()
+        for key, mass in row.items()
+        if mass is not None
+    }
 
 
 def assert_cache_equivalent(repaired: GraphIndexCache, fresh: GraphIndexCache) -> None:
@@ -99,6 +114,11 @@ def assert_cache_equivalent(repaired: GraphIndexCache, fresh: GraphIndexCache) -
         assert all(a < b for a, b in zip(pool, pool[1:])), key
     indexed = [key for keys in repaired._pool_keys.values() for key in keys]
     assert sorted(indexed) == sorted(repaired._pool_memo)
+    # Every degree mass kept is its pool's, and none outlives its entry.
+    masses = kept_masses(repaired)
+    assert masses.keys() <= repaired._pool_memo.keys()
+    for key, mass in masses.items():
+        assert mass == sum(fresh.degrees[v] for v in repaired._pool_memo[key]), key
     # The storage the cache was repaired over is what a from-scratch
     # rebuild holds: rows, and the hash sets the localized search
     # intersects are the rows, as sets.
@@ -221,6 +241,39 @@ class TestPoolRepair:
         assert_cache_equivalent(cache, GraphIndexCache(g))
         cache.candidate_pool("c", 1)  # pops the oldest entry and its index row
         assert_cache_equivalent(cache, GraphIndexCache(g))
+
+    def test_masses_never_outlive_their_entries_at_the_lru_cap(self):
+        g = banded_graph()
+        cache = g._cache = GraphIndexCache(g, candidate_memo_size=4)
+        rng = random.Random(3)
+        for step in range(60):
+            label, min_degree = rng.choice("abc"), rng.randrange(4)
+            pool = cache.candidate_pool(label, min_degree)  # evicts the oldest of four
+            assert cache.pool_degree_mass(label, min_degree, 0, pool) == sum(map(g.degree, pool))
+            u, v = rng.sample(range(g.num_vertices), 2)
+            g.remove_edge(u, v) if g.has_edge(u, v) else g.add_edge(u, v)
+            assert len(cache._pool_memo) <= 4
+            assert_cache_equivalent(cache, GraphIndexCache(g))
+        assert kept_masses(cache)
+
+    def test_a_pool_that_is_not_the_memos_is_summed_and_nothing_is_kept(self):
+        g = self.star_graph()
+        cache = g.index_cache()
+        pool = cache.candidate_pool("a", 1)
+        before = cache.memo_info()
+        assert cache.pool_degree_mass("a", 1, 0, tuple(list(pool))) == 5  # equal, not the entry
+        assert not kept_masses(cache)
+        assert cache.pool_degree_mass("a", 1, 0, pool) == 5
+        assert kept_masses(cache) == {(cache.label_id("a"), 1, 0): 5}
+        g.add_edge(0, 26)  # vertex 0 stays a member; only its degree moves
+        assert cache.candidate_pool("a", 1) is pool
+        assert kept_masses(cache) == {(cache.label_id("a"), 1, 0): 6}
+        off = GraphIndexCache(g, candidate_memo_size=0)
+        assert off.pool_degree_mass("a", 1, 0, off.candidate_pool("a", 1)) == 6
+        assert not kept_masses(off)
+        # Asking for a mass is not a pool-memo lookup.
+        after = cache.memo_info()
+        assert (after["hits"], after["misses"]) == (before["hits"] + 1, before["misses"])
 
     def test_bulk_batch_drops_the_labels_entries(self):
         g = self.star_graph()

@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+import repro.indexes.plans as plans_mod
 from repro.core.config import DSQLConfig
 from repro.core.dsql import DSQL
 from repro.datasets.registry import make_dataset
@@ -111,6 +112,31 @@ def test_plan_cache_pickle_roundtrip(graph, queries):
     assert clone.info()["hits"] == pc.info()["hits"] + 1
     # Lazy cand-mask memo is rebuilt, not shipped.
     assert replayed.cand_mask(0) == mask
+
+
+class TestPlanCacheAcrossAWrite:
+    def test_plan_compiled_across_a_write_is_not_stored(self, monkeypatch):
+        """The cache's invariant does not lean on its callers' locking: a write
+        that lands between a compile and its store has already run
+        ``evict_stale``, so the pre-write plan must not go in behind it."""
+        graph = LabeledGraph(list("abab"), [(0, 1)])
+        cache = graph.index_cache()
+        query = QueryGraph(["a", "b"], [(0, 1)])
+
+        def compile_then_write(*args, **kwargs):
+            plan = compile_plan(*args, **kwargs)
+            graph.add_edge(2, 3)
+            return plan
+
+        monkeypatch.setattr(plans_mod, "compile_plan", compile_then_write)
+        size = cache.plan_cache.info()["size"]
+        stale = cache.plan_cache.get_or_compile(query, cache)
+        monkeypatch.undo()
+        assert stale.pools == ((0,), (1,))  # its caller gets it ...
+        assert cache.plan_cache.info()["size"] == size  # ... the cache does not
+        plan = cache.plan_cache.get_or_compile(query, cache)
+        assert plan.pools == ((0, 2), (1, 3)) == compile_plan(query, GraphIndexCache(graph)).pools
+        assert cache.plan_cache.get_or_compile(query, cache) is plan
 
 
 def test_plan_cache_clear(graph, queries):

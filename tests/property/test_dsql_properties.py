@@ -169,7 +169,10 @@ def test_theorem4_bound_against_brute_force(instance, table_seed):
     graph, query, k = instance
     rng = random.Random(table_seed)
     drawn = {v: rng.choice(FLOAT_WEIGHTS) for v in graph.vertices() if rng.random() < 0.8}
-    for objective, table in [(name, None) for name in OBJECTIVES] + [("weighted-vertex", drawn)]:
+    # An empty draw is no table at all (degree-derived weights, the arm above):
+    # the program and ``measure`` would otherwise read ``{}`` differently.
+    arms = [(name, None) for name in OBJECTIVES] + [("weighted-vertex", drawn)] * bool(drawn)
+    for objective, table in arms:
         measure, opt = brute_force_optimum(graph, query, k, objective, table)
         if not opt:
             continue

@@ -12,7 +12,9 @@ The candidate-pool memo is repaired in place by every write, so a second
 property drives random add_vertex / add_edge / remove_edge / compact scripts
 with plans compiled between the steps and holds every memoized pool, the
 pools of every plan compiled over them, and the answers under all three
-objectives to a graph built from scratch. ``compact`` is a free op of those
+objectives to a graph built from scratch — and, with the degree masses primed
+before the first write, every cost profile and estimate of the battery,
+float for float. ``compact`` is a free op of those
 scripts: a checkpoint changes no version and strands no plan, memo entry or
 weight profile, and the version counts exactly the applied deltas.
 """
@@ -27,13 +29,14 @@ from hypothesis import strategies as st
 
 from repro.core.config import DSQLConfig
 from repro.core.dsql import DSQL
+from repro.cost.estimator import raw_cost_profile
 from repro.coverage.objectives import OBJECTIVE_NAMES
 from repro.datasets.registry import dataset_names, make_dataset
 from repro.graph.labeled_graph import LabeledGraph
 from repro.indexes.plans import compile_plan
 from repro.queries.generator import query_set
 from tests.conftest import STORAGE_STATES, in_storage_state
-from tests.indexes.test_delta_repair import assert_cache_equivalent, banded_graph
+from tests.indexes.test_delta_repair import assert_cache_equivalent, banded_graph, kept_masses
 
 SCALE = 0.002
 OPS = 40
@@ -194,6 +197,8 @@ def test_repaired_pool_memo_equals_fresh_scans(script):
     profile = weighted._weight_profile  # a view of the graph: one for the session's life
     for label in "abc":
         cache.candidate_pool(label)  # no plan asks for the unfiltered pools new vertices join
+    for query in BANDED_QUERIES:
+        sessions[0].estimate(query)  # primes the degree masses the steps then repair
     epoch, seq = graph.version
     for step, query_index in script:
         query = BANDED_QUERIES[query_index]
@@ -220,5 +225,14 @@ def test_repaired_pool_memo_equals_fresh_scans(script):
         fresh = twin.index_cache()
         assert_cache_equivalent(cache, fresh)
         assert compile_plan(query, cache).pools == compile_plan(query, fresh).pools
+        # Priced off the repaired masses (and, for a surviving plan, re-priced
+        # after the write): float-exact with a graph that never saw a write.
+        rebuilt = DSQL(twin, config=configs[0])
+        for priced in BANDED_QUERIES:
+            assert raw_cost_profile(compile_plan(priced, cache), cache) == raw_cost_profile(
+                compile_plan(priced, fresh), fresh
+            )
+            assert sessions[0].estimate(priced) == rebuilt.estimate(priced)
         for session, config in zip(sessions, configs):
             assert_results_identical(session.query(query), DSQL(twin, config=config).query(query))
+    assert kept_masses(cache)

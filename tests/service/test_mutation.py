@@ -20,10 +20,13 @@ from dataclasses import replace
 
 import pytest
 
+import repro.indexes.plans as plans_mod
 from repro.core.config import DSQLConfig
 from repro.core.dsql import DSQL
 from repro.datasets.registry import make_dataset
 from repro.graph.labeled_graph import LabeledGraph
+from repro.graph.query_graph import QueryGraph
+from repro.indexes.graph_cache import GraphIndexCache
 from repro.parallel import BatchExecutor
 from repro.queries.generator import query_set
 from repro.service import (
@@ -34,6 +37,7 @@ from repro.service import (
     ServiceServer,
 )
 from repro.service.client import ServiceClientError
+from repro.service.schemas import query_graph_to_json
 
 from tests.conftest import ProcessCensus, wait_until
 
@@ -160,6 +164,140 @@ class TestWriteLock:
         )
         assert status == 501
         assert body["error"]["code"] == "mutation_unsupported"
+
+
+class TestProbeIsARead:
+    """The cost probe compiles and caches a plan, so it runs under the graph's
+    read lock like the answer it prices; before it did, a write landing inside
+    the probe's compile left the pre-write plan cached behind ``evict_stale``
+    and its answers memoized under the post-write version."""
+
+    @staticmethod
+    def _service():
+        catalog = GraphCatalog(default_config=DSQLConfig(k=2))
+        entry = catalog.add_graph("g", LabeledGraph(list("abab"), [(0, 1)]))
+        query = QueryGraph(["a", "b"], [(0, 1)])
+        return QueryService(catalog), entry, query
+
+    def test_a_write_waits_for_a_parked_probe_and_no_stale_plan_survives(self, monkeypatch):
+        service, entry, query = self._service()
+        read = {"graph": "g", "query": query_graph_to_json(query)}
+        write = {"ops": [["add_edge", 2, 3]]}
+        entered, release = threading.Event(), threading.Event()
+        compile_plan = plans_mod.compile_plan
+
+        def parked(*args, **kwargs):
+            plan = compile_plan(*args, **kwargs)  # the pre-write pools
+            if not entered.is_set():
+                entered.set()
+                assert release.wait(30)
+            return plan
+
+        monkeypatch.setattr(plans_mod, "compile_plan", parked)
+        answers = {}
+
+        def post(name, path, payload):
+            answers[name] = service.handle_post(path, lambda: payload)
+
+        reader = threading.Thread(target=post, args=("read", "/v1/query", read))
+        writer = threading.Thread(target=post, args=("write", "/v1/graphs/g/ingest", write))
+        reader.start()
+        assert entered.wait(30)
+        writer.start()
+        writer.join(0.2)
+        assert writer.is_alive() and "write" not in answers  # it waits for the probe
+        release.set()
+        reader.join(30)
+        writer.join(30)
+        assert not reader.is_alive() and not writer.is_alive()
+        monkeypatch.undo()
+        status, body, _ = answers["write"]
+        assert status == 200 and body["version"][1] == 1
+        rebuilt = LabeledGraph(list(entry.graph.labels), list(entry.graph.edges()))
+        want = [list(e) for e in DSQL(rebuilt, config=DSQLConfig(k=2)).query(query).embeddings]
+        assert want == [[0, 1], [2, 3]]
+        # The probe let the write in before the answer took the lock again:
+        # the racing read and every later one answer the post-write graph.
+        status, body, _ = answers["read"]
+        assert status == 200 and body["embeddings"] == want
+        status, body, _ = service.handle_post("/v1/query", lambda: read)
+        assert status == 200 and body["embeddings"] == want
+        cache = entry.index_cache
+        cached = cache.plan_cache.get_or_compile(query, cache)
+        assert cached.pools == compile_plan(query, GraphIndexCache(rebuilt)).pools
+        service.close()
+
+    def test_a_refused_probe_leaves_no_reader_behind(self, monkeypatch):
+        service, entry, query = self._service()
+        malformed = {"graph": "g", "query": {"labels": ["a", "b"], "edges": []}}
+        unknown = {"graph": "nosuch", "query": query_graph_to_json(query)}
+        assert service.handle_post("/v1/query", lambda: malformed)[0] == 400
+        assert service.handle_post("/v1/query", lambda: unknown)[0] == 404
+
+        def refuse(self, query):
+            raise ServiceError(400, "invalid_query", "refused inside the estimate")
+
+        monkeypatch.setattr(DSQL, "estimate", refuse)
+        read = {"graph": "g", "query": query_graph_to_json(query)}
+        assert service.handle_post("/v1/query", lambda: read)[0] == 400
+        monkeypatch.undo()
+        assert entry._rw._readers == 0
+        assert entry.mutate([("add_edge", 2, 3)], write_timeout_s=0.05).applied == 1
+        # And a probe's lock is gone before admission: it is never held
+        # across the queue wait.
+        assert service.handle_post("/v1/query", lambda: read)[0] == 200
+        assert entry._rw._readers == 0
+        service.close()
+
+
+    def test_probes_beside_a_writer_keep_every_mass_exact(self):
+        """Three probing threads share the pool memo's lock with each other and
+        take turns with a writer: every degree mass kept is still its pool's sum,
+        and every estimate a rebuilt graph's."""
+        from tests.indexes.test_delta_repair import assert_cache_equivalent, kept_masses
+
+        catalog = GraphCatalog(default_config=DSQLConfig(k=DEFAULT_K))
+        entry = catalog.add_graph("tiny", tiny_graph(), source="fixture")
+        graph, cache = entry.graph, entry.index_cache
+        battery = tiny_queries(count=8, seed=35)
+        stop, errors, probes = threading.Event(), [], [0, 0, 0]
+
+        def prober(tid):
+            try:
+                while not stop.is_set():
+                    entry.estimate_cost(battery[(probes[tid] + tid) % len(battery)])
+                    probes[tid] += 1
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append((tid, repr(exc)))
+
+        def writer():
+            try:
+                while not stop.is_set():
+                    u, v = _absent_pair(graph)
+                    entry.mutate([("add_edge", u, v)])
+                    time.sleep(0.005)
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(("writer", repr(exc)))
+
+        threads = [threading.Thread(target=prober, args=(t,)) for t in range(3)]
+        threads.append(threading.Thread(target=writer))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for thread in threads:
+                thread.start()
+            stop.wait(1.0)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not errors and not any(thread.is_alive() for thread in threads), errors
+        assert min(probes) > 0 and graph.version[1] > 3 and kept_masses(cache)
+        assert_cache_equivalent(cache, GraphIndexCache(graph))
+        rebuilt = DSQL(LabeledGraph(list(graph.labels), list(graph.edges())), entry.default_config)
+        assert [entry.estimate_cost(q) for q in battery] == [rebuilt.estimate(q) for q in battery]
+        assert entry._rw._readers == 0
 
 
 class TestConcurrentReadersWriter:

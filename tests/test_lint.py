@@ -833,3 +833,87 @@ def test_memo_lock_lives_on_the_memo():
     assert fork_offenders(
         MEMO_WORKAROUND_MARKERS, sources={"indexes/plans.py": "self._specs[key] = spec\n"}
     ) == ["indexes/plans.py: '._specs'"]
+
+
+# ----------------------------------------------------------------------
+# Fork guard: a pool is summed where it lives. The degree mass of a candidate
+# pool is the index cache's (kept beside the memo entry, repaired with it), so
+# nothing under ``cost/`` reads the degree list; the cost probe is a reader of
+# the graph it prices; a query says its own neighbourhood signature without
+# building an index cache for its handful of nodes.
+# ----------------------------------------------------------------------
+def functions_named(text, name):
+    return [
+        n for n in ast.walk(ast.parse(text))
+        if isinstance(n, ast.FunctionDef) and n.name == name
+    ]
+
+
+def pool_sum_offenders(sources):
+    """``path: what`` over ``{path: source}``: a ``degrees[...]`` /
+    ``degrees.__getitem__`` read under ``cost/``; ``estimate_cost`` in the
+    catalog not bracketed by ``acquire_read`` / ``release_read``;
+    ``QueryGraph.neighborhood_signature`` missing or calling ``index_cache``."""
+    offenders = []
+    for path, text in sources.items():
+        if not path.startswith("cost/"):
+            continue
+        for node in ast.walk(ast.parse(text)):
+            read = isinstance(node, ast.Subscript) or (
+                isinstance(node, ast.Attribute) and node.attr == "__getitem__"
+            )
+            if read and ast.unparse(node.value).endswith("degrees"):
+                offenders.append(f"{path}: reads {ast.unparse(node)}")
+
+    def calls(function):
+        return {
+            n.func.attr for n in ast.walk(function)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+        }
+
+    probes = functions_named(sources["service/catalog.py"], "estimate_cost")
+    if len(probes) != 1 or not {"acquire_read", "release_read"} <= calls(probes[0]):
+        offenders.append("service/catalog.py: estimate_cost is not a reader")
+    own = functions_named(sources["graph/query_graph.py"], "neighborhood_signature")
+    if len(own) != 1 or "index_cache" in calls(own[0]):
+        offenders.append("graph/query_graph.py: neighborhood_signature is not the query's own")
+    return offenders
+
+
+def test_a_pool_is_summed_where_it_lives():
+    from repro.core.config import DSQLConfig
+
+    sources = package_sources()
+    assert not pool_sum_offenders(sources)
+    assert len(dataclasses.fields(DSQLConfig)) == 20
+    # The guard sees the pool walk pasted back into the estimator ...
+    text = sources["cost/estimator.py"]
+    anchor = "    mass_of = cache.pool_degree_mass\n"
+    assert text.count(anchor) == 1
+    mutant = text.replace(
+        anchor,
+        anchor + "    degree_of = cache.degrees.__getitem__\n"
+        "    mean_deg = [sum(map(degree_of, pool)) / len(pool) for pool in pools]\n",
+    )
+    assert pool_sum_offenders({**sources, "cost/estimator.py": mutant}) == [
+        "cost/estimator.py: reads cache.degrees.__getitem__"
+    ]
+    mutant = text.replace(anchor, anchor + "    first = cache.degrees[pools[0][0]]\n")
+    assert pool_sum_offenders({**sources, "cost/estimator.py": mutant}) == [
+        "cost/estimator.py: reads cache.degrees[pools[0][0]]"
+    ]
+    # ... the probe pricing outside the read lock again ...
+    text = sources["service/catalog.py"]
+    start = text.index("        session = self.session(config)\n        self._rw.acquire_read()\n"
+                       "        try:\n            return session.estimate(query)\n")
+    end = text.index("    def observe_cost(")
+    mutant = text[:start] + "        return self.session(config).estimate(query)\n\n" + text[end:]
+    assert pool_sum_offenders({**sources, "service/catalog.py": mutant}) == [
+        "service/catalog.py: estimate_cost is not a reader"
+    ]
+    # ... and the query's own signature deleted (the inherited one builds a cache).
+    text = sources["graph/query_graph.py"]
+    start, end = text.index("    def neighborhood_signature("), text.index("    @classmethod\n")
+    assert pool_sum_offenders({**sources, "graph/query_graph.py": text[:start] + text[end:]}) == [
+        "graph/query_graph.py: neighborhood_signature is not the query's own"
+    ]
