@@ -21,8 +21,8 @@ Pieces (all stdlib; no web framework):
 * :class:`AccessLog` — opt-in JSONL per-request log with estimated vs
   actual work units (:mod:`repro.service.accesslog`);
 * :class:`QueryService` / :class:`ServiceServer` — request handling and
-  the ``ThreadingHTTPServer`` transport with graceful SIGTERM drain
-  (:mod:`repro.service.server`);
+  the ``HTTPServer`` transport (reused handler threads) with graceful
+  SIGTERM drain (:mod:`repro.service.server`);
 * :class:`MultiWorkerServer` — N pre-forked worker processes, each started
   with the catalog's graphs, behind one ``SO_REUSEPORT`` port, with merged
   ``/healthz`` + ``/metrics`` views (:mod:`repro.service.multiworker`);

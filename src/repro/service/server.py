@@ -10,8 +10,8 @@ Two layers, deliberately separated:
     draining, outcome metrics, and the per-request trace span all live
     here, so the logic is directly unit-testable without a socket.
 :class:`ServiceServer`
-    The stdlib ``http.server.ThreadingHTTPServer`` wrapper: one thread per
-    connection, ``POST /v1/query`` / ``POST /v1/batch`` /
+    The stdlib ``http.server.HTTPServer`` wrapper: each connection is
+    handed to a reused handler thread, ``POST /v1/query`` / ``POST /v1/batch`` /
     ``POST /v1/graphs/{g}/edges`` / ``POST /v1/graphs/{g}/ingest`` /
     ``GET /healthz`` / ``GET /metrics``, JSON in and out. HTTP/1.0
     semantics (connection closed after each response) keep the drain story
@@ -19,7 +19,7 @@ Two layers, deliberately separated:
 
 Graceful drain (``SIGTERM`` or :meth:`ServiceServer.close`): stop
 accepting new connections, let every in-flight request finish
-(``server_close`` joins the handler threads), then flush the trace sink.
+(``server_close`` waits out the handler executor), then flush the trace sink.
 The signal handler itself only *requests* the shutdown from a helper
 thread — calling ``shutdown()`` from the thread running ``serve_forever``
 (the main thread, under a signal) would deadlock.
@@ -41,9 +41,10 @@ import socket
 import threading
 import time
 import urllib.parse
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
@@ -59,6 +60,7 @@ from repro.service.admission import (
 )
 from repro.service.catalog import CatalogEntry, GraphCatalog
 from repro.service.schemas import (
+    MAX_BODY_BYTES,
     ServiceError,
     mutation_to_json,
     parse_batch_request,
@@ -288,7 +290,7 @@ class QueryService:
             config=config,
             estimates=(estimate,),
             wire=estimate.to_wire(),
-            query_key=_query_key(request.query),
+            query_key=_query_key(request.query) if self.access_log is not None else None,
         )
 
     def _probe_batch(self, payload: Dict[str, object]) -> _Probe:
@@ -549,19 +551,45 @@ class QueryService:
 # ----------------------------------------------------------------------
 # HTTP transport
 # ----------------------------------------------------------------------
-class _ServiceHTTPServer(ThreadingHTTPServer):
-    # block_on_close (inherited True) + an explicit server_close() is what
-    # makes drain wait for in-flight handler threads. That only works with
-    # non-daemon handler threads: ThreadingMixIn does not track daemon
-    # threads at all, so daemon_threads=True would turn the drain join into
-    # a no-op and let close() return with requests still executing. The
-    # handler's read timeout bounds how long a stuck client can delay it.
-    daemon_threads = False
+_MAX_HANDLER_THREADS = 256
+"""Not a knob: admission is what refuses load, so the ceiling sits far above
+what the gates let in (default 8 executing + 32 queued) plus the threads
+momentarily writing 429s; past it a connection waits, in accept order."""
+
+
+class _ServiceHTTPServer(HTTPServer):
+    """Accepts on the serve loop's thread, answers on reused handler threads.
+
+    The executor starts a thread only when none is idle and keeps it for the
+    server's life; ``server_close`` is the drain join — it returns once every
+    accepted connection is answered and every handler thread has exited. The
+    handler's read timeout bounds how long a stuck client can delay it.
+    """
+
     allow_reuse_address = True
     # SO_REUSEPORT lets N pre-forked workers bind the *same* port and have
     # the kernel load-balance incoming connections across them — the
     # multi-worker front (repro.service.multiworker) flips this on.
     reuse_port = False
+
+    def __init__(self, *args, **kwargs) -> None:
+        self._handlers = ThreadPoolExecutor(_MAX_HANDLER_THREADS, thread_name_prefix="repro-serve")
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address) -> None:
+        self._handlers.submit(self._serve_connection, request, client_address)
+
+    def _serve_connection(self, request, client_address) -> None:
+        try:
+            self.finish_request(request, client_address)
+        except Exception:
+            self.handle_error(request, client_address)
+        finally:
+            self.shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._handlers.shutdown(wait=True)
 
     def server_bind(self) -> None:
         if self.reuse_port:
@@ -582,7 +610,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     timeout = 30.0
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib signature
-        logger.debug("%s %s", self.address_string(), format % args)
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("%s %s", self.address_string(), format % args)
 
     # -- plumbing ------------------------------------------------------
     def _send_json(
@@ -598,13 +627,22 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.wfile.write(data)
 
     def _read_payload(self) -> Dict[str, object]:
-        length_text = self.headers.get("Content-Length")
+        # Judged from the declaration, body unread: ``read(-1)`` reads to EOF
+        # and an oversized body would be buffered whole before its 413.
         try:
-            length = int(length_text)
+            length = int(self.headers.get("Content-Length"))
         except (TypeError, ValueError):
+            length = -1
+        if length < 0:
             raise ServiceError(
-                400, "invalid_request", "POST requires a Content-Length header"
-            ) from None
+                400, "invalid_request", "POST requires a non-negative integer Content-Length"
+            )
+        if length > MAX_BODY_BYTES:
+            raise ServiceError(
+                413,
+                "request_too_large",
+                f"declared body of {length} bytes exceeds the {MAX_BODY_BYTES} byte limit",
+            )
         return parse_json_body(self.rfile.read(length))
 
     # -- methods -------------------------------------------------------
@@ -627,13 +665,14 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         path = self.path.split("?", 1)[0]
         start = time.monotonic()
         request_id = service.next_request_id()
+        client = self.headers.get(CLIENT_ID_HEADER)
         with service.instrumentation.span(
             "service.request", query_id=None, request_id=request_id, path=path
         ) as span:
             status, body, retry_after = service.handle_post(
                 path,
                 self._read_payload,
-                headers=dict(self.headers.items()),
+                headers=None if client is None else {CLIENT_ID_HEADER: client},
                 request_id=request_id,
             )
             span["status"] = status
@@ -733,7 +772,7 @@ class ServiceServer:
         self.service.begin_drain()
         if self._serving:
             self._http.shutdown()
-        # Joins in-flight handler threads (ThreadingMixIn.block_on_close).
+        # Returns once every handed-over connection has been answered.
         self._http.server_close()
         if self._thread is not None and self._thread is not threading.current_thread():
             self._thread.join()

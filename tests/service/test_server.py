@@ -5,6 +5,9 @@ from __future__ import annotations
 import http.client
 import json
 import signal
+import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -19,12 +22,19 @@ from repro.service import (
     ServiceClientError,
     ServiceServer,
 )
-from repro.service.schemas import parse_json_body, query_graph_to_json
+from repro.service.schemas import MAX_BODY_BYTES, parse_json_body, query_graph_to_json
 from tests.service.conftest import DEFAULT_K, tiny_graph, tiny_queries
 
 
 def _reference_session() -> DSQL:
     return DSQL(tiny_graph(), config=DSQLConfig(k=DEFAULT_K))
+
+
+def _tiny_server(service_cls=QueryService, **options):
+    """An unstarted server over a private catalog holding ``tiny``."""
+    catalog = GraphCatalog(default_config=DSQLConfig(k=DEFAULT_K))
+    catalog.add_graph("tiny", tiny_graph())
+    return ServiceServer(service_cls(catalog, **options), port=0)
 
 
 class TestQueryEndpoint:
@@ -211,14 +221,33 @@ class TestTypedErrors:
         finally:
             conn.close()
 
+    @pytest.mark.parametrize(
+        "declared, status, code",
+        [
+            ("-1", 400, "invalid_request"),
+            ("1.5", 400, "invalid_request"),
+            ("99999999999", 413, "request_too_large"),
+            (str(MAX_BODY_BYTES + 1), 413, "request_too_large"),
+        ],
+    )
+    def test_declared_length_judged_before_the_read(self, server, client, declared, status, code):
+        # No body follows and the socket stays open: the reply has to come
+        # from the declaration alone, within the socket's 1 s timeout.
+        head = f"POST /v1/query HTTP/1.0\r\nContent-Length: {declared}\r\n\r\n"
+        with socket.create_connection(server.address, timeout=1.0) as sock:
+            sock.sendall(head.encode("ascii"))
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert int(head.split()[1]) == status
+        assert json.loads(body)["error"]["code"] == code
+        assert client.metrics()["metrics"].get("service.requests.server_error", 0) == 0
+        assert client.query("tiny", tiny_queries(count=1)[0])["coverage"] >= 1
+
 
 def _single_slot_server(max_queue=0):
-    catalog = GraphCatalog(default_config=DSQLConfig(k=DEFAULT_K))
-    catalog.add_graph("tiny", tiny_graph())
-    service = QueryService(
-        catalog, max_in_flight=1, max_queue=max_queue, retry_after_s=2.5
-    )
-    return ServiceServer(service, port=0).start()
+    return _tiny_server(max_in_flight=1, max_queue=max_queue, retry_after_s=2.5).start()
 
 
 class TestAdmissionOverHTTP:
@@ -268,10 +297,7 @@ class _SlowService(QueryService):
 
 
 def _slow_server():
-    catalog = GraphCatalog(default_config=DSQLConfig(k=DEFAULT_K))
-    catalog.add_graph("tiny", tiny_graph())
-    service = _SlowService(catalog, max_in_flight=2, max_queue=2)
-    return ServiceServer(service, port=0).start()
+    return _tiny_server(_SlowService, max_in_flight=2, max_queue=2).start()
 
 
 class TestDrain:
@@ -351,3 +377,193 @@ class TestCompressionOverride:
         assert [r["embeddings"] for r in compressed["results"]] == [
             r["embeddings"] for r in base["results"]
         ]
+
+
+def _in_threads(count, target):
+    """Run ``target(slot)`` on ``count`` threads at once; returns them started."""
+    threads = [threading.Thread(target=target, args=(slot,), daemon=True) for slot in range(count)]
+    for thread in threads:
+        thread.start()
+    return threads
+
+
+def _joined(threads, timeout=30):
+    for thread in threads:
+        thread.join(timeout=timeout)
+    return not any(thread.is_alive() for thread in threads)
+
+
+def _wait_until(predicate, timeout=10):
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
+class _ParkedService(QueryService):
+    """A service whose search waits on an event, so load can be held still."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.release = threading.Event()
+        self.parked = []  # the handler thread of every search held here
+
+    def handle_query(self, payload, probe=None):
+        self.parked.append(threading.get_ident())
+        assert self.release.wait(timeout=30)
+        return super().handle_query(payload, probe)
+
+
+class TestConnectionThreads:
+    """A connection meets a handler thread that already exists."""
+
+    def test_sequential_requests_reuse_handler_threads(self):
+        server = _tiny_server()
+        # Thread objects, kept: the OS hands a dead thread's ident to the next.
+        handle_post, handlers = server.service.handle_post, []
+
+        def recording(*args, **kwargs):
+            handlers.append(threading.current_thread())
+            return handle_post(*args, **kwargs)
+
+        server.service.handle_post = recording
+        server.start()
+        try:
+            client = ServiceClient(server.url, timeout=10.0)
+            query = tiny_queries(count=1)[0]
+            for _ in range(50):
+                client.query("tiny", query)
+        finally:
+            server.close()
+        # Two, not one: the next connection can arrive while the previous
+        # thread is still closing its socket.
+        assert len(handlers) == 50 and len(set(handlers)) <= 2
+
+    def test_close_leaves_no_thread_behind(self):
+        before = threading.active_count()
+        server = _tiny_server(max_in_flight=16).start()
+        client = ServiceClient(server.url, timeout=30.0)
+        queries = tiny_queries(count=4, seed=61)
+        burst = _in_threads(16, lambda slot: client.query("tiny", queries[slot % 4]))
+        assert _joined(burst)
+        assert threading.active_count() > before  # the accept loop and idle handlers
+        server.close()
+        assert threading.active_count() == before
+
+    def test_two_servers_over_one_service_close_independently(self):
+        # The multi-worker shape: a front and an admin server share a service.
+        before = threading.active_count()
+        front = _tiny_server()
+        admin = ServiceServer(front.service, port=0).start()
+        front.start()
+        query = tiny_queries(count=1)[0]
+        for server in (front, admin):
+            assert ServiceClient(server.url, timeout=10.0).query("tiny", query)["coverage"] >= 1
+        front.close()
+        with pytest.raises(ServiceClientError) as info:
+            ServiceClient(front.url, timeout=2.0).healthz()
+        assert info.value.code == "unreachable"
+        assert ServiceClient(admin.url, timeout=10.0).healthz()["status"] == "draining"
+        admin.close()
+        assert threading.active_count() == before
+
+    def test_beyond_the_ceiling_a_connection_waits_and_a_drain_answers_it(self, monkeypatch):
+        monkeypatch.setattr("repro.service.server._MAX_HANDLER_THREADS", 1)
+        server = _tiny_server(_ParkedService).start()
+        service, query = server.service, tiny_queries(count=1)[0]
+        outcomes = {}
+
+        def send(slot):
+            try:
+                outcomes[slot] = ServiceClient(server.url, timeout=30.0).query("tiny", query)
+            except ServiceClientError as exc:
+                outcomes[slot] = (exc.status, exc.code)
+
+        first = _in_threads(1, send)
+        _wait_until(lambda: service.parked)
+        second = _in_threads(1, lambda _: send(1))  # accepted; no thread is free
+        time.sleep(0.2)
+        closer = threading.Thread(target=server.close, daemon=True)
+        closer.start()
+        time.sleep(0.2)
+        assert closer.is_alive() and not outcomes  # the drain waits; nothing is dropped
+        service.release.set()
+        assert _joined(first + second + [closer])
+        assert outcomes[0]["coverage"] >= 1
+        assert outcomes[1] == (503, "draining")  # picked up after the drain began
+        assert len(service.parked) == 1
+
+    def test_process_exits_without_waiting_after_close(self):
+        script = (
+            "from repro.service import ServiceClient\n"
+            "from tests.service.test_server import _tiny_server, tiny_queries\n"
+            "server = _tiny_server().start()\n"
+            "ServiceClient(server.url, timeout=10.0).query('tiny', tiny_queries(count=1)[0])\n"
+            "server.close()\n"
+            "print('closed', flush=True)\n"
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True
+        )
+        try:
+            assert process.stdout.readline().strip() == "closed"
+            assert process.wait(timeout=2) == 0
+        finally:
+            process.kill()
+            process.stdout.close()
+
+
+class TestOverloadIsAdmissionsDecision:
+    """Reused handler threads refuse nothing: below the ceiling every
+    connection gets one, and what is turned away is turned away by the gate."""
+
+    @pytest.mark.parametrize("mode, held", [("count", 4), ("cost", 12), ("off", 12)])
+    def test_twelve_at_once(self, mode, held):
+        server = _tiny_server(
+            _ParkedService, max_in_flight=2, max_queue=2, admission_mode=mode
+        ).start()
+        service, queries = server.service, tiny_queries(count=12, seed=62)
+        replies = []
+
+        def send(slot):
+            host, port = server.address
+            conn = http.client.HTTPConnection(host, port, timeout=30)
+            started = time.monotonic()
+            try:
+                body = json.dumps({"graph": "tiny", "query": query_graph_to_json(queries[slot])})
+                conn.request("POST", "/v1/query", body=body)
+                response = conn.getresponse()
+                payload = json.loads(response.read())
+                replies.append(
+                    (slot, response.status, payload, response.getheader("Retry-After"),
+                     time.monotonic() - started)
+                )
+            finally:
+                conn.close()
+
+        try:
+            senders = _in_threads(12, send)
+            searching = 2 if mode == "count" else 12  # the other two wait at the gate
+            _wait_until(
+                lambda: len(replies) >= 12 - held and len(service.parked) >= searching
+            )
+            time.sleep(0.2)  # anything else that was going to be refused has been
+            refused = list(replies)
+            assert len(refused) == 12 - held
+            assert len(set(service.parked)) == len(service.parked) == searching
+            for _, status, payload, retry_after, elapsed in refused:
+                assert (status, payload["error"]["code"]) == (429, "overloaded")
+                assert int(retry_after) >= 1 and elapsed < 1.0
+            if mode == "count":
+                assert (service.admission.in_flight, service.admission.waiting) == (2, 2)
+            service.release.set()
+            assert _joined(senders)
+        finally:
+            service.release.set()
+            server.close()
+        reference = _reference_session()
+        answered = [reply for reply in replies if reply[1] == 200]
+        assert len(answered) == held and len(replies) == 12
+        for slot, _, payload, _, _ in answered:
+            want = reference.query(queries[slot])
+            assert payload["embeddings"] == [list(e) for e in want.embeddings]
+            assert payload["coverage"] == want.coverage

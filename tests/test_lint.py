@@ -917,3 +917,88 @@ def test_a_pool_is_summed_where_it_lives():
     assert pool_sum_offenders({**sources, "graph/query_graph.py": text[:start] + text[end:]}) == [
         "graph/query_graph.py: neighborhood_signature is not the query's own"
     ]
+
+
+# ----------------------------------------------------------------------
+# Fork guard: a connection starts no thread. ``service/server.py`` hands a
+# connection to an executor's reused thread (the multi-worker control server,
+# a handful of requests per process lifetime, keeps its ThreadingHTTPServer:
+# the guard is scoped to this one module); nothing is computed for an access
+# log that is not there; a declared body length is judged before it is read.
+# ----------------------------------------------------------------------
+def transport_offenders(text):
+    """What in ``service/server.py`` would put a per-request thread, an
+    unconditional ``_query_key`` or an unchecked body read back."""
+    banned = ("ThreadingHTTPServer", "ThreadingMixIn")
+    offenders = [f"names {name}" for name in banned if name in text]
+    tree = ast.parse(text)
+    functions = {
+        n.name: n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    # Reachable by *mention* (a bare name or ``self.name``), not by call: the
+    # worker is passed to ``submit``.
+    reached, frontier = set(), ["process_request"]
+    while frontier:
+        name = frontier.pop()
+        if name in reached or name not in functions:
+            continue
+        reached.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("Thread"):
+                offenders.append(f"{name} constructs a thread")
+            if isinstance(node, ast.Name):
+                frontier.append(node.id)
+            elif isinstance(node, ast.Attribute) and ast.unparse(node.value) == "self":
+                frontier.append(node.attr)
+    guarded = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.If, ast.IfExp)) and "access_log" in ast.unparse(node.test)
+        for inner in ast.walk(node)
+    }
+    keyed = [
+        n for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and ast.unparse(n.func) == "_query_key"
+    ]
+    if len(keyed) != 1 or id(keyed[0]) not in guarded:
+        offenders.append("_query_key is not called once, under a test of access_log")
+    reader = functions["_read_payload"]
+    checks = [
+        n.lineno for n in ast.walk(reader)
+        if isinstance(n, ast.Compare) and "MAX_BODY_BYTES" in ast.unparse(n)
+    ]
+    reads = [
+        n.lineno for n in ast.walk(reader)
+        if isinstance(n, ast.Call) and ast.unparse(n.func).endswith("rfile.read")
+    ]
+    if not checks or not reads or min(reads) < min(checks):
+        offenders.append("_read_payload reads before comparing with MAX_BODY_BYTES")
+    return offenders
+
+
+def test_a_connection_starts_no_thread():
+    text = package_sources()["service/server.py"]
+    assert not transport_offenders(text)
+
+    def mutated(old, new):
+        assert text.count(old) == 1, old
+        return transport_offenders(text.replace(old, new))
+
+    # The guard sees the thread-per-connection base pasted back ...
+    assert mutated(
+        "class _ServiceHTTPServer(HTTPServer):", "class _ServiceHTTPServer(ThreadingHTTPServer):"
+    ) == ["names ThreadingHTTPServer"]
+    assert mutated(
+        "        self._handlers.submit(self._serve_connection, request, client_address)\n",
+        "        threading.Thread(target=self._serve_connection, args=(request,)).start()\n",
+    ) == ["process_request constructs a thread"]
+    # ... the digest computed for nobody ...
+    assert mutated(
+        "query_key=_query_key(request.query) if self.access_log is not None else None,",
+        "query_key=_query_key(request.query),",
+    ) == ["_query_key is not called once, under a test of access_log"]
+    # ... and the read moved above the check.
+    assert mutated(
+        "        if length > MAX_BODY_BYTES:\n",
+        "        raw = self.rfile.read(length)\n        if length > MAX_BODY_BYTES:\n",
+    ) == ["_read_payload reads before comparing with MAX_BODY_BYTES"]
