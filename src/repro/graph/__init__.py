@@ -1,7 +1,6 @@
 """Graph substrate: labeled graphs, query graphs, builders, I/O, statistics."""
 
 from repro.graph.builder import GraphBuilder, relabel
-from repro.graph.csr import CSRBackend
 from repro.graph.interop import (
     from_networkx,
     query_from_networkx,
@@ -31,7 +30,6 @@ from repro.graph.validation import (
 )
 
 __all__ = [
-    "CSRBackend",
     "Edge",
     "Label",
     "LabeledGraph",

@@ -1,10 +1,11 @@
 """Incremental construction of :class:`~repro.graph.labeled_graph.LabeledGraph`.
 
-:class:`GraphBuilder` is the single mutation surface of the graph substrate:
-generators and loaders accumulate vertices and edges here, then call
-:meth:`GraphBuilder.build` to obtain an immutable graph. Keeping mutation out
-of :class:`LabeledGraph` lets the search algorithms rely on stable adjacency,
-cached signatures, and a frozen label index.
+:class:`GraphBuilder` is an accumulator for generators: vertices and edges
+whose final number is not known up front, and labels that may still change
+(:meth:`GraphBuilder.set_label`), are collected here and handed to the
+:class:`LabeledGraph` constructor in one piece by :meth:`GraphBuilder.build`.
+The graph it returns is an ordinary one — it can be written to afterwards
+(``docs/mutation.md``).
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.exceptions import GraphError
-from repro.graph.csr import check_edge
-from repro.graph.labeled_graph import Label, LabeledGraph
+from repro.graph.labeled_graph import Label, LabeledGraph, check_edge
 
 
 class GraphBuilder:
@@ -79,8 +79,10 @@ class GraphBuilder:
         self._labels[v] = label
 
     def build(self, name: str = "") -> LabeledGraph:
-        """Freeze the accumulated structure into a :class:`LabeledGraph`."""
-        return LabeledGraph(list(self._labels), sorted(self._edges), name=name)
+        """The accumulated structure as a :class:`LabeledGraph`. Labels and
+        edges go to the constructor as they are: it copies the labels and
+        orders the rows itself."""
+        return LabeledGraph(self._labels, self._edges, name=name)
 
 
 def relabel(graph: LabeledGraph, labels: Iterable[Label], name: str = "") -> LabeledGraph:

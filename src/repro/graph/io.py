@@ -15,8 +15,8 @@ Two formats are supported:
 * **JSON** — a self-describing object with ``labels`` and ``edges`` arrays,
   convenient for checked-in fixtures.
 
-Both loaders validate vertex-id density and edge endpoints through
-:class:`~repro.graph.builder.GraphBuilder`.
+The edge-list parser checks vertex-id density itself; edge endpoints are
+validated where every edge is, in the :class:`LabeledGraph` constructor.
 """
 
 from __future__ import annotations

@@ -21,11 +21,30 @@ from repro.exceptions import InvalidQueryError, QueryError
 from repro.graph.labeled_graph import Edge, Label, LabeledGraph
 
 
+def _refuses(method: str):
+    """``QueryGraph.<method>``: raises instead of writing."""
+
+    def refuse(self, *args, **kwargs):
+        raise QueryError(
+            f"a query graph is a value: {method}() is not supported "
+            "(build a new QueryGraph instead)"
+        )
+
+    refuse.__name__ = method
+    return refuse
+
+
 class QueryGraph(LabeledGraph):
     """A connected, non-empty, vertex-labeled query graph.
 
     Parameters mirror :class:`LabeledGraph`. ``q = |Q|`` is exposed as
     :attr:`size` since the paper's bounds are stated in terms of ``q``.
+
+    A query is a value: the result memo and the plan cache key it by
+    :meth:`canonical_key`, and the connectivity checked at construction is
+    what the search order relies on, so the writers it would inherit
+    (``add_vertex`` / ``add_edge`` / ``remove_edge`` / ``mutate`` /
+    ``replay``) raise :class:`~repro.exceptions.QueryError`.
 
     Examples
     --------
@@ -60,6 +79,12 @@ class QueryGraph(LabeledGraph):
                 component=component,
             )
 
+    add_vertex = _refuses("add_vertex")
+    add_edge = _refuses("add_edge")
+    remove_edge = _refuses("remove_edge")
+    mutate = _refuses("mutate")
+    replay = _refuses("replay")
+
     @property
     def size(self) -> int:
         """``q = |V_Q|``, the number of query nodes."""
@@ -74,7 +99,7 @@ class QueryGraph(LabeledGraph):
     @classmethod
     def from_graph(cls, graph: LabeledGraph, name: str = "") -> "QueryGraph":
         """Promote a plain :class:`LabeledGraph` to a validated query graph."""
-        return cls(list(graph.labels), list(graph.edges()), name=name or graph.name)
+        return cls(graph.labels, graph.edges(), name=name or graph.name)
 
     def edge_tuples(self) -> Tuple[Edge, ...]:
         """All edges as a deterministic sorted tuple (useful as a cache key)."""
@@ -86,8 +111,9 @@ class QueryGraph(LabeledGraph):
         Two queries with the same node count, label table, and edge set get
         equal keys. This is *not* a canonical form under isomorphism; it is a
         cheap identity for caching candidate sets per query object. Memoized
-        (graphs are immutable): warm cache lookups — result memo and plan
-        cache — cost one dict probe, not an edge sort.
+        (a query cannot be written to, see the class docstring): warm cache
+        lookups — result memo and plan cache — cost one dict probe, not an
+        edge sort.
         """
         key = getattr(self, "_canonical_key", None)
         if key is None:

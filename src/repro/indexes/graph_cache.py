@@ -12,7 +12,7 @@ session answering many queries against the same graph shares:
 * the **neighborhood-signature table** — per-vertex label-id *bitmasks*
   (Python ints, so an arbitrary number of labels works); the frozenset
   view of the public API is derived from a mask on call, interned per mask;
-* the **degree and label-id tables**, copied from the storage backend and
+* the **degree and label-id tables**, copied from the graph and
   repaired by deltas (plain lists: the ``weighted-vertex`` objective reads
   ``degrees`` directly);
 * a bounded LRU **candidate-pool memo** keyed by
@@ -134,12 +134,11 @@ class GraphIndexCache:
         version is kept, so memo keys and replay positions agree across the
         two processes. Every lock and memo is this cache's own."""
         self.graph = graph
-        backend = graph.backend
-        self.label_table: List[Label] = backend.label_table
-        self.label_to_id: Dict[Label, int] = backend.label_to_id
-        label_ids = backend.label_id_sequence()
+        self.label_table: List[Label] = graph.label_table
+        self.label_to_id: Dict[Label, int] = graph.label_to_id
+        label_ids = graph.label_id_sequence()
         self.label_ids: List[int] = label_ids
-        self.degrees: List[int] = backend.degree_sequence()
+        self.degrees: List[int] = graph.degree_sequence()
 
         # Label inverted index: label -> sorted tuple of vertices.
         buckets: List[List[int]] = [[] for _ in self.label_table]
@@ -514,7 +513,7 @@ class GraphIndexCache:
         return (self.epoch, self.delta_seq)
 
     def apply_delta(self, ops: Iterable[Tuple]) -> Tuple[int, int]:
-        """Repair the cache after the backend applied ``ops``; returns the
+        """Repair the cache after the graph applied ``ops``; returns the
         new :attr:`version`.
 
         ``ops`` are normalized applied mutations, in application order:

@@ -3,9 +3,10 @@
 All kernels operate on the two per-graph adjacency encodings exposed by
 :class:`~repro.indexes.graph_cache.GraphIndexCache`:
 
-* **sorted adjacency slices** — the backend's ascending neighbor tuples
+* **sorted adjacency slices** — the graph's ascending neighbor tuples
   (:meth:`~repro.indexes.graph_cache.GraphIndexCache.adjacency_slice`), and
-  the same rows as hash sets (:meth:`~repro.graph.csr.CSRBackend.neighbor_set`);
+  the same rows as hash sets
+  (:meth:`~repro.graph.labeled_graph.LabeledGraph.neighbor_set`);
 * **neighbor bitsets** — Python big-int masks with bit ``v`` set per
   neighbor ``v`` (:meth:`~repro.indexes.graph_cache.GraphIndexCache.
   adjacency_mask`). Arbitrary-precision ints make the AND of two masks one
@@ -125,8 +126,8 @@ def intersect_sets(first: AbstractSet[int], *rest: AbstractSet[int]) -> List[int
     operand and probes the larger — ``min`` of the two sizes, never the long
     side — and sorts once at the end (results are a handful of vertices).
     With more than two sets, pass them smallest first so the running
-    intersection starts small. The sets are the storage's own
-    (:meth:`~repro.graph.csr.CSRBackend.neighbor_set`) and the plan's
+    intersection starts small. The sets are the graph's own
+    (:meth:`~repro.graph.labeled_graph.LabeledGraph.neighbor_set`) and the plan's
     memoized pool sets; nothing is built per call but the result.
     """
     for other in rest:

@@ -12,7 +12,7 @@ running concurrently clobbered each other), and cold per-worker caches.
   one pickle per worker under ``spawn``. There is no parent-side module
   global to race on, and a worker's state is scoped to its pool by
   construction;
-* the worker wraps the storage it was given in a graph of its own
+* the worker serves a shallow copy of the graph it was given
   (:func:`worker_graph`): the index cache, plan cache, estimator and
   instrumentation are **built in the worker**, at the parent's
   ``(epoch, delta_seq)``. Nothing that holds a lock is carried across: a
@@ -53,6 +53,7 @@ than inherited globals.
 from __future__ import annotations
 
 import atexit
+import copy
 import logging
 import multiprocessing
 import os
@@ -106,11 +107,12 @@ def worker_graph(graph: LabeledGraph) -> LabeledGraph:
     ``graph`` came with: the parent's version at the moment this process
     started. That cache is only read, never locked: under ``fork`` any of
     its locks may have been held by another parent thread at the fork and
-    would then stay locked forever in this process. The storage is adopted,
-    not copied, which is right in a process of its own and nowhere else.
+    would then stay locked forever in this process. The copy is shallow —
+    the twin's rows, sets and label tables are ``graph``'s own lists — which
+    is right in a process of its own and nowhere else.
     """
     seed = graph.index_cache()
-    twin = LabeledGraph.from_backend(graph.backend, name=graph.name)
+    twin = copy.copy(graph)
     twin._cache = GraphIndexCache(
         twin,
         signature_masks=seed.signature_masks,

@@ -7,6 +7,7 @@ against on small instances.
 
 from __future__ import annotations
 
+import builtins
 import gc
 import os
 import random
@@ -24,8 +25,7 @@ import pytest
 
 import repro
 from repro.datasets.examples import dbpedia_flavor, figure1, figure2, imdb_flavor
-from repro.graph.csr import CSRBackend
-from repro.graph.labeled_graph import LabeledGraph
+from repro.graph.labeled_graph import LabeledGraph, check_edge
 from repro.graph.query_graph import QueryGraph
 from repro.isomorphism.qsearch import QSearchEngine
 
@@ -109,10 +109,10 @@ def random_labeled_graph(
 
 
 STORAGE_STATES = ("csr", "set")
-"""The two routes to one graph inside the one storage class (``CSRBackend``).
+"""The two routes to one graph (``LabeledGraph`` holds its own storage).
 
-``csr`` — built: every edge handed to the constructor, which normalizes and
-sorts them in bulk. ``set`` — grown: the same graph from an edgeless start,
+``csr`` — built: every edge handed to the constructor, which checks each
+pair once and sorts the rows in bulk. ``set`` — grown: the same graph from an edgeless start,
 edge by edge through ``add_edge``'s in-place row and set updates. The two
 end in the same storage state (``tests/graph/test_csr.py`` pins it); the ids
 are those of the retired two-backend axis, so the ``set`` golden rows and
@@ -129,28 +129,52 @@ def build_graph(labels, edges=(), name: str = "", storage: str = "csr") -> Label
     return graph
 
 
+def normalize_edges(num_vertices: int, edges) -> List[Tuple[int, int]]:
+    """The reference the one-pass constructor is compared with: every pair
+    through ``check_edge``, then sorted unique ``(u, v)`` with ``u < v`` (the
+    pass ``src/`` ran before building rows, until the constructor folded it in)."""
+    seen = set()
+    for u, v in edges:
+        check_edge(num_vertices, u, v)
+        seen.add((u, v) if u < v else (v, u))
+    return sorted(seen)
+
+
+def counting(monkeypatch, module, name: str) -> List[tuple]:
+    """Wrap ``module.name`` (a module global, or a builtin shadowed there) so
+    every call's positional arguments are recorded; returns the list."""
+    real, calls = getattr(module, name, None) or getattr(builtins, name), []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy, raising=False)
+    return calls
+
+
 def in_storage_state(graph: LabeledGraph, storage: str) -> LabeledGraph:
     """A copy of ``graph`` made by the given route (see ``STORAGE_STATES``)."""
     return build_graph(list(graph.labels), graph.edges(), name=graph.name, storage=storage)
 
 
-def resident_arrays(backend: CSRBackend) -> List[str]:
-    """The storage slots holding a numpy array between calls (none, by design)."""
-    return [slot for slot in CSRBackend.__slots__ if isinstance(getattr(backend, slot), np.ndarray)]
+def resident_arrays(graph: LabeledGraph) -> List[str]:
+    """The graph's slots holding a numpy array between calls (none, by design)."""
+    return [slot for slot in LabeledGraph.__slots__ if isinstance(getattr(graph, slot), np.ndarray)]
 
 
-def assert_arrays_match_rebuild(backend: CSRBackend):
+def assert_arrays_match_rebuild(graph: LabeledGraph):
     """The live storage is what a from-scratch rebuild of its graph holds:
     same sorted rows, membership sets, degrees, label ids and edge count
     (the name is from the CSR arrays this once compared). Returns the rows."""
-    want = CSRBackend(list(backend.labels), backend.edges())
-    n = backend.num_vertices
-    assert (n, backend.num_edges) == (want.num_vertices, want.num_edges)
-    rows = [backend.neighbors(v) for v in range(n)]
+    want = LabeledGraph(list(graph.labels), graph.edges())
+    n = graph.num_vertices
+    assert (n, graph.num_edges) == (want.num_vertices, want.num_edges)
+    rows = [graph.neighbors(v) for v in range(n)]
     assert rows == [want.neighbors(v) for v in range(n)]
-    assert [backend.neighbor_set(v) for v in range(n)] == [set(row) for row in rows]
-    assert backend.degree_sequence() == want.degree_sequence() == [len(row) for row in rows]
-    assert backend.label_id_sequence() == want.label_id_sequence()
+    assert [graph.neighbor_set(v) for v in range(n)] == [set(row) for row in rows]
+    assert graph.degree_sequence() == want.degree_sequence() == [len(row) for row in rows]
+    assert graph.label_id_sequence() == want.label_id_sequence()
     assert all(type(w) is int for row in rows for w in row)
     return rows
 

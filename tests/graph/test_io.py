@@ -82,6 +82,16 @@ class TestJsonFormat:
             load_json(path)
 
 
+    @pytest.mark.parametrize("entry", ["[0, 1, 2]", "[0]", "5"])
+    def test_an_edge_entry_that_is_not_a_pair(self, entry, tmp_path):
+        """Was (defect seventeen): ``[0, 1, 2]`` / ``[0]`` escaped the
+        constructor as a bare ``ValueError``."""
+        path = tmp_path / "bad.json"
+        path.write_text('{"labels": ["a", "b", "c"], "edges": [[0, 1], %s]}' % entry)
+        with pytest.raises(GraphError, match="pairs|not a graph JSON"):
+            load_json(path)
+
+
 class TestLoadQuery:
     def test_load_query_edge_list(self, tmp_path):
         path = tmp_path / "q.lg"

@@ -16,9 +16,15 @@ import pytest
 
 from repro.exceptions import GraphError
 from repro.graph.builder import GraphBuilder
-from repro.graph.csr import normalize_edges
+import repro.graph.labeled_graph as graph_module
 from repro.graph.labeled_graph import LabeledGraph, MutationSummary
-from tests.conftest import STORAGE_STATES, assert_arrays_match_rebuild, build_graph
+from tests.conftest import (
+    STORAGE_STATES,
+    assert_arrays_match_rebuild,
+    build_graph,
+    counting,
+    normalize_edges,
+)
 
 
 def small_graph(storage: str = "csr") -> LabeledGraph:
@@ -48,7 +54,7 @@ class TestEdgeMutations:
         assert g.num_edges == 6
         assert g.neighbors(0) == (1, 2, 4)  # stays sorted
         assert g.degree(0) == 3 and g.degree(2) == 3
-        assert g.backend.degree_sequence()[0] == 3
+        assert g.degree_sequence()[0] == 3
 
     def test_duplicate_add_is_noop(self, storage):
         g = small_graph(storage)
@@ -94,12 +100,12 @@ class TestAddVertex:
 
     def test_label_interning_is_append_only(self, storage):
         g = small_graph(storage)
-        table_before = list(g.backend.label_table)
+        table_before = list(g.label_table)
         g.add_vertex("a")  # existing label: no table growth
-        assert list(g.backend.label_table) == table_before
+        assert list(g.label_table) == table_before
         g.add_vertex("z")  # new label appended, old ids untouched
-        assert g.backend.label_table[: len(table_before)] == table_before
-        assert g.backend.label_table[-1] == "z"
+        assert g.label_table[: len(table_before)] == table_before
+        assert g.label_table[-1] == "z"
 
 
 @pytest.mark.parametrize("storage", STORAGE_STATES)
@@ -158,14 +164,20 @@ class TestBatchMutate:
 
 
 class TestEndpointRule:
-    """One check (``csr.check_edge``) behind every way an edge arrives."""
+    """One check (``labeled_graph.check_edge``) behind every way an edge
+    arrives, run once per edge. Two ids keep the names of doors that are
+    gone: ``normalize_edges`` is the test-side reference the constructor is
+    compared with, ``backend.add_edge`` the one door that still takes input
+    from another process — ``replay``."""
 
     ENTRY_POINTS = {
         "constructor": lambda g, u, v: LabeledGraph(list(g.labels), [(0, 1), (u, v)]),
         "normalize_edges": lambda g, u, v: normalize_edges(g.num_vertices, [(u, v)]),
         "add_edge": lambda g, u, v: g.add_edge(u, v),
         "remove_edge": lambda g, u, v: g.remove_edge(u, v),
-        "backend.add_edge": lambda g, u, v: g.backend.add_edge(u, v),
+        "backend.add_edge": lambda g, u, v: g.replay(
+            [(g.index_cache().delta_seq + 1, ("add_edge", u, v))]
+        ),
         "mutate": lambda g, u, v: g.mutate([("add_edge", 0, 2), ("add_edge", u, v)]),
         "builder": lambda g, u, v: builder_of(g).add_edge(u, v),
     }
@@ -181,7 +193,7 @@ class TestEndpointRule:
         with pytest.raises(GraphError, match="must be integers"):
             self.ENTRY_POINTS[entry](g, *pair)
         assert_topology_equal(g, reference)
-        assert g.version == version and g.backend.delta_size == 0
+        assert g.version == version and g.delta_size == 0
         assert all(type(w) is int for v in g.vertices() for w in g.neighbors(v))
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
@@ -194,6 +206,25 @@ class TestEndpointRule:
         with pytest.raises(GraphError, match=r"self-loop \(3, 3\)"):
             self.ENTRY_POINTS[entry](g, 3, 3)
         assert_topology_equal(g, small_graph())
+
+    def test_a_batch_checks_each_edge_once(self, monkeypatch):
+        """``mutate`` validates the whole batch and then writes without
+        asking again (it asked twice per edge op while the storage behind it
+        re-checked); the single-op doors and ``replay`` ask once too."""
+        g = small_graph()
+        g.index_cache()
+        checks = counting(monkeypatch, graph_module, "check_edge")
+        ops = [("add_edge", 0, 2), ("add_vertex", "z"), ("remove_edge", 0, 1), ("add_edge", 5, 1),
+               ("add_edge", 0, 2), ("remove_edge", 1, 3)]  # the last two are no-ops
+        assert g.mutate(ops).applied == 4
+        # (vertex count in force, u, v): one call per edge op, in batch order
+        assert checks == [(5, 0, 2), (6, 0, 1), (6, 5, 1), (6, 0, 2), (6, 1, 3)]
+        del checks[:]
+        g.add_edge(1, 3), g.remove_edge(1, 3), g.remove_edge(1, 3)
+        assert len(checks) == 3
+        del checks[:]
+        g.replay([(g.index_cache().delta_seq + 1, ("add_edge", 1, 3))])
+        assert checks == [(6, 1, 3)] and g.has_edge(1, 3)
 
     def test_int_subclasses_still_pass(self):
         import enum
@@ -219,7 +250,7 @@ class TestCSROverlayAndCompaction:
         degrees live and one number behind — ``delta_size``, the edge ops
         applied since the last compaction."""
         g = small_graph()
-        b = g.backend
+        b = g
         assert b.delta_size == 0
         g.add_edge(0, 2)
         assert b.delta_size == 1
@@ -243,7 +274,7 @@ class TestCSROverlayAndCompaction:
         g.add_vertex("z")
         g.add_edge(5, 0)
         snapshot = LabeledGraph(list(g.labels), list(g.edges()))
-        b = g.backend
+        b = g
         before = assert_arrays_match_rebuild(b)
         assert b.delta_size > 0
         g.compact()
@@ -260,7 +291,7 @@ class TestCSROverlayAndCompaction:
         ops = [("add_vertex", "z")] + [("add_edge", 5, t) for t in range(4)]
         summary = g.mutate(ops, compaction_threshold=3)
         assert summary.compacted is True
-        assert g.backend.delta_size == 0
+        assert g.delta_size == 0
 
     @pytest.mark.parametrize("threshold", [0, -1, 0.5, False, True, 1.5, "3"])
     def test_threshold_below_one_is_rejected_before_any_op(self, threshold):
@@ -276,7 +307,7 @@ class TestCSROverlayAndCompaction:
                 g.mutate(ops, compaction_threshold=threshold)
         assert g.version == version and not g.has_edge(1, 3)
         assert g.index_cache().ops_since(0) == log and len(log) == 1
-        assert g.backend.delta_size == 1 and g.index_cache().plan_cache is plans
+        assert g.delta_size == 1 and g.index_cache().plan_cache is plans
         # None still disables, 1 still compacts on the first delta.
         assert g.mutate([], compaction_threshold=None) == (0, False, version)
         assert g.mutate([], compaction_threshold=1).compacted is True

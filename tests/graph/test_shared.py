@@ -28,7 +28,6 @@ import repro.parallel.pool as pool_mod
 from repro.core.config import DSQLConfig
 from repro.core.dsql import DSQL
 from repro.exceptions import ReproError, StaleSegmentError
-from repro.graph.csr import CSRBackend
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.parallel import WorkerPool, worker_graph
@@ -97,17 +96,18 @@ class TestRoundTrip:
 
     def test_arrays_are_views_not_copies(self, source_graph):
         """Was: the attached arrays alias the segments. There are no arrays:
-        a pickled graph is plain-``int`` rows and sets, and the helper adopts
-        the storage it is given (under ``fork`` the worker's inherited pages)
-        instead of copying it."""
-        assert worker_graph(source_graph).backend is source_graph.backend
+        a pickled graph is plain-``int`` rows and sets, and the helper's
+        shallow copy keeps the storage it is given (under ``fork`` the
+        worker's inherited pages) instead of copying it."""
+        served = worker_graph(source_graph)
+        assert served is not source_graph
+        assert served._rows is source_graph._rows and served._sets is source_graph._sets
         got = spawned(source_graph)
-        backend = got.backend
-        assert backend is not source_graph.backend and not resident_arrays(backend)
+        assert got._rows is not source_graph._rows and not resident_arrays(got)
         for v in got.vertices():
             assert all(type(w) is int for w in got.neighbors(v))
             assert all(type(w) is int for w in got.neighbor_set(v))
-        assert all(type(i) is int for i in backend.label_id_sequence())
+        assert all(type(i) is int for i in got.label_id_sequence())
         degrees = got.index_cache().degrees
         assert degrees == source_graph.degree_sequence()
         assert degrees is not source_graph.index_cache().degrees
@@ -182,14 +182,14 @@ class TestRoundTrip:
         )
         session.query_many(_queries())
         plans = source_graph.index_cache().plan_cache
-        before = (source_graph.version, plans.info(), source_graph.backend.delta_size)
+        before = (source_graph.version, plans.info(), source_graph.delta_size)
         assert before[0][1] == 3 and before[1]["size"] > 0 and before[2] == 2
         rebuilt = LabeledGraph(list(source_graph.labels), list(source_graph.edges()))
         want = _answers(rebuilt)
         with WorkerPool(source_graph, session.config, jobs=1) as pool:
             _, pairs, _ = pool.submit(_chunk()).result(timeout=60)
             assert [r.to_dict() for _, r in pairs] == want
-            assert (source_graph.version, plans.info(), source_graph.backend.delta_size) == before
+            assert (source_graph.version, plans.info(), source_graph.delta_size) == before
             assert source_graph.index_cache().plan_cache is plans
         got = spawned(source_graph)
         assert got.version == before[0]
@@ -261,7 +261,7 @@ class TestLifecycle:
         format to version — the storage crosses as the objects it is — and a
         spawned worker's exit leaves the parent's graph answering and no
         segment behind."""
-        assert not hasattr(CSRBackend, "to_arrays") and not hasattr(CSRBackend, "from_arrays")
+        assert not hasattr(LabeledGraph, "to_arrays") and not hasattr(LabeledGraph, "from_arrays")
         want = _answers(source_graph)
         before = ProcessCensus()
         answers, _ = _worker_exit("spawn", source_graph)
@@ -301,7 +301,7 @@ class TestLifecycle:
         are independent."""
         first = spawned(source_graph)
         second = spawned(source_graph)
-        assert first is not second and first.backend is not second.backend
+        assert first is not second and first._rows is not second._rows
         first.add_edge(0, 5)
         first.add_vertex("z")
         first.compact()

@@ -122,7 +122,7 @@ def assert_cache_equivalent(repaired: GraphIndexCache, fresh: GraphIndexCache) -
     # The storage the cache was repaired over is what a from-scratch
     # rebuild holds: rows, and the hash sets the localized search
     # intersects are the rows, as sets.
-    assert_arrays_match_rebuild(repaired.graph.backend)
+    assert_arrays_match_rebuild(repaired.graph)
 
 
 @pytest.mark.parametrize("storage", STORAGE_STATES)
@@ -311,7 +311,7 @@ class TestPoolRepair:
 @pytest.mark.parametrize(
     "churn, path", [(0.01, "dropped"), (8, "rebuilt")], ids=["churn-1pct", "ingest-8"]
 )
-def test_repair_reads_delta_sized_rows(churn, path):
+def test_repair_reads_delta_sized_rows(churn, path, monkeypatch):
     """A write reads the rows it touched, a rebuild reads them all.
 
     The dblp stand-in (9.5k vertices) with the pool memo a served graph has.
@@ -341,13 +341,14 @@ def test_repair_reads_delta_sized_rows(churn, path):
     before = cache.memo_info()
 
     rows = []
-    read_row = graph.neighbors
-    graph.neighbors = lambda v: rows.append(v) or read_row(v)
-    graph.mutate(script, compaction_threshold=None)
-    repair_rows = len(rows)
-    fresh = GraphIndexCache(graph)
-    rebuild_rows = len(rows) - repair_rows
-    graph.neighbors = read_row
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            LabeledGraph, "neighbors", lambda self, v: rows.append(v) or self._rows[v]
+        )
+        graph.mutate(script, compaction_threshold=None)
+        repair_rows = len(rows)
+        fresh = GraphIndexCache(graph)
+        rebuild_rows = len(rows) - repair_rows
 
     assert repair_rows <= len(dirty)
     assert rebuild_rows >= 5 * repair_rows

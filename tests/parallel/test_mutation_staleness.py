@@ -85,12 +85,12 @@ def check_process_batches_between_writes_move_nothing():
     with BatchExecutor(session, strategy="process", jobs=2) as executor:
         graph.mutate([("add_vertex", "zz"), ("add_edge", u, v)], compaction_threshold=None)
         plans = graph.index_cache().plan_cache
-        state = (graph.version, plans.info()["size"], graph.backend.delta_size)
+        state = (graph.version, plans.info()["size"], graph.delta_size)
         assert state[0] == (epoch, 2)
         first = executor.run(queries)
         pool = executor.pool
         assert pool is not None and (graph.version[0], pool._base_seq) == (epoch, 2)
-        assert (graph.version, graph.backend.delta_size) == (state[0], state[2])
+        assert (graph.version, graph.delta_size) == (state[0], state[2])
         assert plans.info()["size"] >= state[1] and graph.index_cache().plan_cache is plans
         assert [r.to_dict() for r in first] == _rebuilt_answers(graph, queries, config)
         assert executor.last_report.chunks_retried == 0
@@ -184,12 +184,12 @@ class TestWorkerCatchUp:
         graph.mutate([("add_edge", u, v)], compaction_threshold=None)
         session.query_many(queries)
         plans = graph.index_cache().plan_cache
-        before = (graph.version, plans.info()["size"], graph.backend.delta_size)
+        before = (graph.version, plans.info()["size"], graph.delta_size)
         assert before[0][1] == 1 and before[1] > 0 and before[2] == 1
         with WorkerPool(graph, config, jobs=1) as pool:
             assert (graph.version[0], pool._base_seq) == before[0]
             _, pairs, _ = pool.submit(_chunk_of(session, queries)).result(timeout=120)
-            assert (graph.version, plans.info()["size"], graph.backend.delta_size) == before
+            assert (graph.version, plans.info()["size"], graph.delta_size) == before
             assert graph.index_cache().plan_cache is plans
         rebuilt = DSQL(LabeledGraph(list(graph.labels), list(graph.edges())), config=config)
         assert [r.to_dict() for _, r in pairs] == [rebuilt.query(q).to_dict() for q in queries]

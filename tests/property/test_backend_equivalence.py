@@ -1,13 +1,14 @@
-"""One storage class, checked two ways.
+"""One graph object, checked two ways (the file and its ids are named after
+the storage classes this contract was first written for).
 
-1. **A second opinion** — :class:`~repro.graph.csr.CSRBackend` against a
-   ``networkx.Graph`` model under random build → mutate → compact scripts:
+1. **A second opinion** — :class:`~repro.graph.labeled_graph.LabeledGraph`
+   against a ``networkx.Graph`` model under random build → mutate → compact scripts:
    after every step the tuple/set views (≡ a from-scratch rebuild's) and
    the pickled copy a spawned worker would start with must all describe the
    model's graph.
 
-2. **How the graph got there changes nothing** — two ``CSRBackend``
-   instances holding the same graph by opposite routes (``csr``: built in
+2. **How the graph got there changes nothing** — two graphs holding the
+   same edges by opposite routes (``csr``: built in
    bulk; ``set``: grown edge by edge — see
    ``tests/conftest.py::STORAGE_STATES``), plus a third made from the first
    the way a spawned pool worker gets its graph (pickle, then
@@ -28,7 +29,6 @@ from hypothesis import strategies as st
 from repro.core.config import DSQLConfig
 from repro.core.dsql import DSQL
 from repro.datasets.registry import dataset_names, make_dataset
-from repro.graph.csr import CSRBackend
 from repro.graph.labeled_graph import LabeledGraph
 from repro.parallel import worker_graph
 from repro.queries.generator import query_set
@@ -38,30 +38,30 @@ from tests.property.test_plan_equivalence import instances
 
 
 # ----------------------------------------------------------------------
-# 1. CSRBackend vs a networkx model
+# 1. LabeledGraph vs a networkx model
 # ----------------------------------------------------------------------
-def assert_matches_model(backend: CSRBackend, model: nx.Graph) -> None:
+def assert_matches_model(graph: LabeledGraph, model: nx.Graph) -> None:
     n = model.number_of_nodes()
-    assert backend.num_vertices == n
-    assert backend.num_edges == model.number_of_edges()
-    assert list(backend.edges()) == sorted(tuple(sorted(e)) for e in model.edges())
-    assert backend.degree_sequence() == [model.degree(v) for v in range(n)]
+    assert graph.num_vertices == n
+    assert graph.num_edges == model.number_of_edges()
+    assert list(graph.edges()) == sorted(tuple(sorted(e)) for e in model.edges())
+    assert graph.degree_sequence() == [model.degree(v) for v in range(n)]
     for u in range(n):
         row = sorted(model[u])
-        assert list(backend.neighbors(u)) == row
-        assert backend.neighbor_set(u) == set(row)
-        assert backend.degree(u) == len(row)
+        assert list(graph.neighbors(u)) == row
+        assert graph.neighbor_set(u) == set(row)
+        assert graph.degree(u) == len(row)
         for v in range(n):
-            assert backend.has_edge(u, v) == model.has_edge(u, v)
+            assert graph.has_edge(u, v) == model.has_edge(u, v)
 
 
-def check_step(backend: CSRBackend, model: nx.Graph) -> None:
+def check_step(graph: LabeledGraph, model: nx.Graph) -> None:
     """The live views, and the round trip across a process boundary."""
-    assert_matches_model(backend, model)
-    assert_arrays_match_rebuild(backend)
-    twin = pickle.loads(pickle.dumps(backend))
+    assert_matches_model(graph, model)
+    assert_arrays_match_rebuild(graph)
+    twin = pickle.loads(pickle.dumps(graph))
     assert_matches_model(twin, model)
-    assert twin.labels == backend.labels and twin.label_to_id == backend.label_to_id
+    assert twin.labels == graph.labels and twin.label_to_id == graph.label_to_id
 
 
 vertex_pairs = st.tuples(st.integers(0, 40), st.integers(0, 40))
@@ -86,32 +86,32 @@ def test_storage_matches_networkx_model(labels, initial, script):
     n = len(labels)
     built = [pair(raw, n) for raw in initial]
     built = [(u, v) for u, v in built if u != v]
-    backend = CSRBackend(labels, built)
+    graph = LabeledGraph(labels, built)
     model = nx.Graph()
     model.add_nodes_from(range(n))
     model.add_edges_from(built)
-    check_step(backend, model)
+    check_step(graph, model)
     for kind, arg in script:
         n = model.number_of_nodes()
         if kind == "add_vertex":
-            assert backend.add_vertex(arg) == n
+            assert graph.add_vertex(arg) == n
             model.add_node(n)
-            assert backend.label(n) == arg
+            assert graph.label(n) == arg
         elif kind == "compact":
-            backend.compact()
-            assert backend.delta_size == 0
+            graph.compact()
+            assert graph.delta_size == 0
         else:
             u, v = pair(arg, n)
             if u == v:
                 continue
             if kind == "add_edge":
-                assert backend.add_edge(u, v) == (not model.has_edge(u, v))
+                assert graph.add_edge(u, v) == (not model.has_edge(u, v))
                 model.add_edge(u, v)
             else:
-                assert backend.remove_edge(u, v) == model.has_edge(u, v)
+                assert graph.remove_edge(u, v) == model.has_edge(u, v)
                 if model.has_edge(u, v):
                     model.remove_edge(u, v)
-        check_step(backend, model)
+        check_step(graph, model)
 
 
 # ----------------------------------------------------------------------

@@ -119,7 +119,7 @@ class TestIngestEndpoint:
         )
         assert body["compacted"] is True
         assert body["version"] == [epoch, seq + 1]  # the write counted, the checkpoint did not
-        assert graph.backend.delta_size == 0
+        assert graph.delta_size == 0
 
     def test_invalid_batch_is_atomic(self, mutable_server):
         _, client, graph = mutable_server
@@ -382,11 +382,11 @@ class TestPublicationIsARead:
         for query in tiny_queries(count=3, seed=32):
             entry.answer(query)  # plans worth keeping
         plans = graph.index_cache().plan_cache
-        version, size, deltas = graph.version, plans.info()["size"], graph.backend.delta_size
+        version, size, deltas = graph.version, plans.info()["size"], graph.delta_size
         assert version[1] == 2 and size > 0 and deltas == 1
 
         results, report = entry.answer_batch(queries, strategy="process", jobs=2)
-        assert (graph.version, graph.backend.delta_size) == (version, deltas)
+        assert (graph.version, graph.delta_size) == (version, deltas)
         assert graph.index_cache().plan_cache is plans and plans.info()["size"] >= size
         assert report.strategy == "process" and report.chunks_retried == 0
         assert [r.to_dict() for r in results] == self._rebuilt_answers(entry, queries)
@@ -487,4 +487,4 @@ class TestPublicationIsARead:
         assert report.chunks_retried == 0
         assert [r.to_dict() for r in results] == self._rebuilt_answers(entry, batch)
         assert len(seen) >= 3 and set(seen) == {(version, version, True)}
-        assert graph.version == version and graph.backend.delta_size == 1
+        assert graph.version == version and graph.delta_size == 1

@@ -264,6 +264,17 @@ class TestServeCommand:
         with pytest.raises(SystemExit):
             main(["serve", "--graph", "g=/no/such/file.txt"])
 
+    @pytest.mark.parametrize("entry", ["[0, 1, 2]", "[0]"])
+    def test_graph_file_with_a_non_pair_edge_is_a_usage_error(self, entry, tmp_path, capsys):
+        """Was (defect seventeen): a traceback out of ``for u, v in edges``,
+        where every other malformed file is a ``parser.error``."""
+        path = tmp_path / "bad.json"
+        path.write_text('{"labels": ["a", "b", "c"], "edges": [[0, 1], %s]}' % entry)
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--graph", f"g={path}"])
+        assert info.value.code == 2
+        assert "edges must be (u, v) pairs" in capsys.readouterr().err
+
     def test_bad_dataset_scale_rejected(self):
         with pytest.raises(SystemExit):
             main(["serve", "--dataset", "yeast@huge"])

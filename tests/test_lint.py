@@ -193,7 +193,6 @@ def test_compile_gate_covers_mutation_surface():
     gate (and exist — a rename must not silently drop the write path)."""
     modules = [
         REPO / "src" / "repro" / "graph" / "labeled_graph.py",
-        REPO / "src" / "repro" / "graph" / "csr.py",
         REPO / "src" / "repro" / "indexes" / "graph_cache.py",
         REPO / "src" / "repro" / "indexes" / "plans.py",
     ]
@@ -231,9 +230,6 @@ def test_docs_gate_covers_performance_doc():
 # Fork guard: compiled plans are the only engine path. The plan-free
 # fork, its two config knobs and its CLI flag must not grow back.
 # ----------------------------------------------------------------------
-FORK_MARKERS = ("use_plans", "no-plan-cache", "plan is None", "plan is not None")
-
-
 def fork_offenders(markers, extra_paths=(), sources=None):
     """``path: marker`` for every marker found in shipped code and docs — or,
     given ``sources`` (``{path: text}``), in exactly those texts."""
@@ -255,9 +251,12 @@ def fork_offenders(markers, extra_paths=(), sources=None):
 
 
 def design_and_skill_files():
-    """What ``fork_offenders`` scans beyond its default trees: DESIGN.md and
-    every file under ``.claude/``."""
-    return [REPO / "DESIGN.md", *sorted(p for p in (REPO / ".claude").rglob("*") if p.is_file())]
+    """What ``fork_offenders`` scans beyond its default trees: DESIGN.md,
+    EXPERIMENTS.md and every file under ``.claude/``."""
+    return [
+        REPO / "DESIGN.md", REPO / "EXPERIMENTS.md",
+        *sorted(p for p in (REPO / ".claude").rglob("*") if p.is_file()),
+    ]
 
 
 def package_sources():
@@ -268,40 +267,112 @@ def package_sources():
     }
 
 
+# ----------------------------------------------------------------------
+# The ``*_stays_deleted`` guards share one shape: names that must appear
+# nowhere in shipped code and docs (``fork_offenders``' trees, DESIGN.md,
+# EXPERIMENTS.md and ``.claude/``; tests, ROADMAP.md and CHANGES.md may
+# still tell the history), and a mutant — a line pasted back after an
+# anchor in a real module — that the scan must see. One row per guard
+# here; the comment block above each test says what the row protects, and
+# the test keeps whatever it checks beyond names.
+# ----------------------------------------------------------------------
+FUTURE_IMPORT = "from __future__ import annotations\n"
+STAYS_DELETED = {
+    # id: (names, module under src/repro, anchor, pasted after it, names the paste must trip)
+    "plan_free_fork": (
+        ("use_plans", "no-plan-cache", "plan is None", "plan is not None"),
+        "core/dsql.py", FUTURE_IMPORT,
+        "if plan is None and config.use_plans:\n", ("use_plans", "plan is None"),
+    ),
+    "backend_fork": (
+        (
+            "SetBackend", "make_backend", "default_backend",  # also catches set_default_backend
+            "with_backend", "backend_name", "REPRO_GRAPH_BACKEND", "--backend",
+        ),
+        "graph/labeled_graph.py", FUTURE_IMPORT,
+        "backend = make_backend(backend_name)\n", ("make_backend", "backend_name"),
+    ),
+    "evidence_fork": (
+        ("BENCH_",) + tuple(
+            "bench_" + name
+            for name in "backend_microbench join_kernels parallel_microbench service_load "
+            "multiworker objectives observability_overhead mutation cost compression".split()
+        ),
+        "cli.py", FUTURE_IMPORT, "SNAPSHOT = 'BENCH_mutation.json'\n", ("BENCH_",),
+    ),
+    "engine_fork": (
+        ("OptimizedQSearchEngine", "isomorphism.optimized"),
+        "isomorphism/qsearch.py", FUTURE_IMPORT,
+        "from repro.isomorphism.optimized import OptimizedQSearchEngine\n",
+        ("OptimizedQSearchEngine", "isomorphism.optimized"),
+    ),
+    "array_base": (
+        (
+            "indptr", "indices", "neighbors_array", "has_edges", "has_edge_searchsorted",
+            "touched_vertices", "searchsorted", "AttachedGraph",
+        ),
+        "graph/labeled_graph.py", "        self._sets = sets\n",
+        "import numpy as np\n        self.indices = np.empty(0, dtype=np.int32)\n", ("indices",),
+    ),
+    "shared_transport": (
+        (
+            "shared_memory", "resource_tracker", "publish_graph", "attach_graph",
+            "SharedGraphDescriptor", "PublishedGraph", "SHARED_FORMAT_VERSION", "to_arrays",
+            "from_arrays", "shared_state", "SharedMemoryError",
+        ),
+        "parallel/pool.py", "import multiprocessing\n",
+        "from multiprocessing import shared_memory\n", ("shared_memory",),
+    ),
+    "global_weight_table": (
+        ("top_sum", "_sorted_desc", "max_weight", "_weight_version", "degree_array"),
+        "coverage/objectives.py", "        return min(total(per_node), total(per_union))\n",
+        "        return k * self.profile.top_sum(self.q)\n", ("top_sum",),
+    ),
+    "storage_seam": (
+        (
+            "CSRBackend", "from_backend", "_backend", ".backend", "normalize_edges",
+            "_sorted_rows", "graph/csr.py", "graph.csr",
+        ),
+        "graph/labeled_graph.py", "        self._sets = sets\n",
+        "        self._backend = CSRBackend(labels, edges)\n", ("CSRBackend", "_backend"),
+    ),
+}
+
+
+def assert_stays_deleted(row: str) -> str:
+    """The row's names are gone from every shipped file, and pasting its
+    mutant back is seen; returns the mutated module text."""
+    names, path, anchor, pasted, tripped = STAYS_DELETED[row]
+    offenders = fork_offenders(names, design_and_skill_files())
+    assert not offenders, offenders
+    text = package_sources()[path]
+    assert text.count(anchor) == 1, (row, anchor)
+    mutant = text.replace(anchor, anchor + pasted)
+    assert fork_offenders(names, sources={path: mutant}) == [f"{path}: {n!r}" for n in tripped]
+    return mutant
+
+
 def test_plan_free_fork_stays_deleted():
     from repro.core.config import DSQLConfig
 
-    fields = {f.name for f in dataclasses.fields(DSQLConfig)}
-    assert not fields & {"use_plans", "plan_cache"}
-    offenders = fork_offenders(FORK_MARKERS)
-    assert not offenders, offenders
+    assert_stays_deleted("plan_free_fork")
+    assert not {f.name for f in dataclasses.fields(DSQLConfig)} & {"use_plans", "plan_cache"}
 
 
 # ----------------------------------------------------------------------
 # Fork guard: one graph storage class. The ``set`` backend and every way
 # of selecting a backend must not grow back.
 # ----------------------------------------------------------------------
-BACKEND_FORK_MARKERS = (
-    "SetBackend",
-    "make_backend",
-    "default_backend",  # also catches set_default_backend
-    "with_backend",
-    "backend_name",
-    "REPRO_GRAPH_BACKEND",
-    "--backend",
-)
-
-
 def test_backend_fork_stays_deleted():
     import repro.graph
     from repro.graph import GraphBuilder, LabeledGraph, QueryGraph
     from repro.graph.interop import from_networkx
     from repro.graph.io import load_edge_list, load_json, load_query
 
-    exported = set(repro.graph.__all__)
-    assert "CSRBackend" in exported
-    assert not exported & {
-        "SetBackend", "BACKEND_NAMES", "default_backend", "make_backend", "set_default_backend",
+    assert_stays_deleted("backend_fork")
+    assert not set(repro.graph.__all__) & {
+        "CSRBackend", "SetBackend", "BACKEND_NAMES", "default_backend", "make_backend",
+        "set_default_backend",
     }
     for fn in (
         LabeledGraph.__init__,
@@ -313,9 +384,6 @@ def test_backend_fork_stays_deleted():
         from_networkx,
     ):
         assert "backend" not in inspect.signature(fn).parameters, fn.__qualname__
-    extra = design_and_skill_files()
-    offenders = fork_offenders(BACKEND_FORK_MARKERS, extra)
-    assert not offenders, offenders
 
 
 # ----------------------------------------------------------------------
@@ -324,21 +392,13 @@ def test_backend_fork_stays_deleted():
 # snapshots they overwrote at the repository root must not grow back.
 # ----------------------------------------------------------------------
 PAPER_BENCHES = "appb1 appb2 fig6 fig7 fig8 fig9 sec5 sec72 table1 table2 table3 table4".split()
-EVIDENCE_FORK_MARKERS = ("BENCH_",) + tuple(
-    "bench_" + name
-    for name in "backend_microbench join_kernels parallel_microbench service_load multiworker "
-    "objectives observability_overhead mutation cost compression".split()
-)
 
 
 def test_evidence_fork_stays_deleted():
+    assert_stays_deleted("evidence_fork")
     assert not sorted(p.name for p in REPO.glob("BENCH_*"))
     benches = sorted(p.stem.split("_")[1] for p in (REPO / "benchmarks").glob("bench_*.py"))
     assert benches == PAPER_BENCHES
-    extra = [REPO / "DESIGN.md", REPO / "EXPERIMENTS.md"]
-    extra += sorted(p for p in (REPO / ".claude").rglob("*") if p.is_file())
-    offenders = fork_offenders(EVIDENCE_FORK_MARKERS, extra)
-    assert not offenders, offenders
 
 
 def test_evidence_ledger_names_resolve():
@@ -410,6 +470,7 @@ def core_census(sources):
 
 
 def test_engine_fork_stays_deleted():
+    assert_stays_deleted("engine_fork")
     src = REPO / "src"
     assert not (src / "repro" / "isomorphism" / "optimized.py").exists()
     sources = {
@@ -423,9 +484,6 @@ def test_engine_fork_stays_deleted():
     # The census sees a private budget check pasted back into a baseline.
     pasted = "def charge(spent, limit):\n    if spent > limit:\n        raise BudgetExceeded('x')\n"
     assert core_census({"com.py": pasted})["BudgetExceeded"] == ["com.py:3"]
-    extra = design_and_skill_files()
-    offenders = fork_offenders(("OptimizedQSearchEngine", "isomorphism.optimized"), extra)
-    assert not offenders, offenders
 
 
 # ----------------------------------------------------------------------
@@ -554,32 +612,9 @@ def test_localization_stays_in_one_place():
 # grow back: the storage holds exactly the views the engine reads, nothing
 # under ``graph/`` imports numpy, and no segment is created anywhere.
 # ----------------------------------------------------------------------
-ARRAY_BASE_MARKERS = (
-    "indptr",
-    "indices",
-    "neighbors_array",
-    "has_edges",
-    "has_edge_searchsorted",
-    "touched_vertices",
-    "searchsorted",
-    "AttachedGraph",
-)
-SHARED_TRANSPORT_MARKERS = (
-    "shared_memory",
-    "resource_tracker",
-    "publish_graph",
-    "attach_graph",
-    "SharedGraphDescriptor",
-    "PublishedGraph",
-    "SHARED_FORMAT_VERSION",
-    "to_arrays",
-    "from_arrays",
-    "shared_state",
-    "SharedMemoryError",
-)
 STORAGE_SLOTS = sorted((
     "labels", "num_edges", "label_table", "label_to_id",
-    "_n", "_rows", "_degrees", "_sets", "_label_id_list", "_delta_edges",
+    "_rows", "_degrees", "_sets", "_label_ids", "_delta_edges", "_cache", "name",
 ))
 
 
@@ -592,19 +627,19 @@ def numpy_importers(sources, prefix: str):
 
 
 def test_shared_memory_transport_stays_deleted():
-    from repro.graph.csr import CSRBackend
+    from repro.graph import LabeledGraph
     from repro.parallel import WorkerPool
 
-    package = REPO / "src" / "repro"
-    assert not (package / "graph" / "shared.py").exists()
-    sources = package_sources()
-    assert numpy_importers(sources, "graph/") == []
-    assert sorted(CSRBackend.__slots__) == STORAGE_SLOTS
-    offenders = fork_offenders(ARRAY_BASE_MARKERS, sources=sources)
-    assert not offenders, offenders
-    extra = design_and_skill_files()
-    offenders = fork_offenders(SHARED_TRANSPORT_MARKERS, extra)
-    assert not offenders, offenders
+    # The pass sees the transport pasted back into the pool, and the array
+    # base pasted back into the graph's constructor.
+    assert_stays_deleted("shared_transport")
+    mutant = assert_stays_deleted("array_base")
+    assert numpy_importers({"graph/labeled_graph.py": mutant}, "graph/") == [
+        "graph/labeled_graph.py"
+    ]
+    assert not (REPO / "src" / "repro" / "graph" / "shared.py").exists()
+    assert numpy_importers(package_sources(), "graph/") == []
+    assert sorted(LabeledGraph.__slots__) == STORAGE_SLOTS
     # The one survivor, kept for the frozen benchmark harness: a property
     # that says how much shared memory a pool holds. None.
     survivor = inspect.getattr_static(WorkerPool, "shared_nbytes")
@@ -612,25 +647,30 @@ def test_shared_memory_transport_stays_deleted():
     assert WorkerPool.__new__(WorkerPool).shared_nbytes == 0
     (getter,) = ast.parse(textwrap.dedent(inspect.getsource(survivor.fget))).body
     assert [ast.unparse(node) for node in getter.body[1:]] == ["return 0"]  # after the docstring
-    # The pass sees the transport pasted back into the pool ...
-    pool_text = sources["parallel/pool.py"]
-    anchor = "import multiprocessing\n"
-    assert pool_text.count(anchor) == 1
-    mutant = pool_text.replace(anchor, anchor + "from multiprocessing import shared_memory\n")
-    assert fork_offenders(SHARED_TRANSPORT_MARKERS, sources={"parallel/pool.py": mutant}) == [
-        "parallel/pool.py: 'shared_memory'"
-    ]
-    # ... and the array base pasted back into the storage's constructor.
-    csr_text = sources["graph/csr.py"]
-    anchor = "        self.num_edges = len(pairs)\n"
-    assert csr_text.count(anchor) == 1
-    mutant = csr_text.replace(
-        anchor, "import numpy as np\n" + anchor + "        self.indices = np.empty(0, dtype=np.int32)\n"
-    )
-    assert fork_offenders(ARRAY_BASE_MARKERS, sources={"graph/csr.py": mutant}) == [
-        "graph/csr.py: 'indices'"
-    ]
-    assert numpy_importers({"graph/csr.py": mutant}, "graph/") == ["graph/csr.py"]
+
+
+# ----------------------------------------------------------------------
+# Fork guard: a graph is one object. ``LabeledGraph`` holds its own rows,
+# sets, degrees and label tables and writes them itself; the storage class
+# behind it, the ways of wrapping or reaching one, and the normalize-then-
+# build passes of the old constructor must not grow back.
+# ----------------------------------------------------------------------
+def test_storage_seam_stays_deleted():
+    from repro.graph import LabeledGraph
+
+    assert_stays_deleted("storage_seam")
+    assert not (REPO / "src" / "repro" / "graph" / "csr.py").exists()
+    assert not [n for n in ("backend", "from_backend", "_adopt") if hasattr(LabeledGraph, n)]
+    # Every slot of a live graph is a plain container or scalar (or the
+    # pinned cache): no storage object, no per-instance bound method.
+    graph = LabeledGraph(["a", "b"], [(0, 1)], name="g")
+    graph.index_cache()
+    held = {slot: type(getattr(graph, slot)).__name__ for slot in LabeledGraph.__slots__}
+    assert set(held.values()) == {"list", "dict", "int", "str", "GraphIndexCache"}, held
+    for name in ("label", "neighbors", "neighbor_set", "degree", "has_edge", "edges",
+                 "degree_sequence", "label_id_sequence"):
+        assert inspect.isfunction(inspect.getattr_static(LabeledGraph, name)), name
+    assert isinstance(inspect.getattr_static(LabeledGraph, "delta_size"), property)
 
 
 # ----------------------------------------------------------------------
@@ -711,27 +751,14 @@ def test_epoch_is_stamped_once():
 # table, its per-version rebuild and the numpy twin of the degree list must
 # not grow back.
 # ----------------------------------------------------------------------
-GLOBAL_WEIGHT_TABLE_MARKERS = (
-    "top_sum", "_sorted_desc", "max_weight", "_weight_version", "degree_array",
-)
-
-
 def test_global_weight_table_stays_deleted():
     from repro.core.config import DSQLConfig
 
+    # The guard sees the graph-global ceiling pasted back beside the new one.
+    assert_stays_deleted("global_weight_table")
     sources = package_sources()
-    offenders = fork_offenders(GLOBAL_WEIGHT_TABLE_MARKERS, design_and_skill_files())
-    assert not offenders, offenders
     assert numpy_importers(sources, "indexes/") == numpy_importers(sources, "cost/") == []
     assert len(dataclasses.fields(DSQLConfig)) == 20
-    # The guard sees the graph-global ceiling pasted back over the new one.
-    text = sources["coverage/objectives.py"]
-    anchor = "        return min(total(per_node), total(per_union))\n"
-    assert text.count(anchor) == 1
-    mutant = text.replace(anchor, "        return k * self.profile.top_sum(self.q)\n")
-    assert fork_offenders(
-        GLOBAL_WEIGHT_TABLE_MARKERS, sources={"coverage/objectives.py": mutant}
-    ) == ["coverage/objectives.py: 'top_sum'"]
     mutant = sources["cost/estimator.py"].replace("import math\n", "import math\nimport numpy as np\n")
     assert numpy_importers({"cost/estimator.py": mutant}, "cost/") == ["cost/estimator.py"]
 
