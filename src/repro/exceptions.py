@@ -74,13 +74,12 @@ class DeadlineExceeded(BudgetExceeded):
 
 
 class StaleSegmentError(ReproError):
-    """Raised when a pool worker cannot reach the parent graph's version.
+    """Raised when a copy of the graph is at the wrong version.
 
-    A worker process holds its own copy of the graph at some
-    ``(epoch, delta_seq)`` and catches up by replaying the parent's mutation
-    log. Below the log's floor (a compaction dropped ops the copy never saw),
-    on another cache's epoch, a gap in the tail or an op that does not
-    re-apply, nothing is left to replay: the copy is stale, and this is raised
-    instead of answering from it. The name is from the shared-memory segments
-    such copies once came out of.
+    A worker pool serves the ``(epoch, delta_seq)`` its graph had when the
+    pool was built. After a write, the parent refuses to submit to the pool,
+    and a worker refuses a chunk sent for another version than its own
+    copy's: this is raised instead of answering from a topology the parent
+    no longer has. The name is from the shared-memory segments such copies
+    once came out of.
     """

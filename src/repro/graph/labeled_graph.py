@@ -38,11 +38,9 @@ batched :meth:`~LabeledGraph.mutate` update the rows, sets and degrees in
 place — so a graph that was built and a graph that was grown to the same
 edges are the same object state — and repair the pinned index cache
 incrementally (only state derived from the touched 1-hop neighborhoods is
-recomputed; see ``docs/mutation.md`` for the full contract).
-:meth:`~LabeledGraph.compact` is the logical checkpoint of that write stream
-— it empties the mutation log and nothing else — taken once
-:data:`DEFAULT_COMPACTION_THRESHOLD` edge deltas have accumulated; it moves
-no adjacency data.
+recomputed; see ``docs/mutation.md`` for the full contract). A graph keeps
+no history of its writes. :meth:`~LabeledGraph.compact` restarts
+:attr:`~LabeledGraph.delta_size` and does nothing else.
 """
 
 from __future__ import annotations
@@ -69,9 +67,10 @@ Edge = Tuple[int, int]
 
 DEFAULT_COMPACTION_THRESHOLD = 4096
 """Edge deltas applied before :meth:`LabeledGraph.mutate` auto-compacts.
-Compaction bounds the mutation log the writer keeps and pool workers replay;
-its only price is a rebuild of the worker pools built before the writes it
-drops. Explicit :meth:`LabeledGraph.compact` is always available."""
+Compaction restarts :attr:`LabeledGraph.delta_size` and has no other effect.
+The name is kept for the frozen benchmark harness, which sends a threshold
+and reads ``compacted``; ROADMAP.md deletes it once the harness stops
+pinning it."""
 
 
 def check_edge(num_vertices: int, u: int, v: int) -> None:
@@ -222,7 +221,7 @@ class LabeledGraph:
         """The pinned cache's ``(epoch, delta_seq)``, or ``None`` pre-build.
 
         This is the logical version stamped onto session memo entries, plan
-        keys, and the sync header of every worker-pool chunk. The epoch is
+        keys, worker pools and every chunk they are sent. The epoch is
         fixed for the cache's life and an applied delta bumps ``delta_seq``,
         so the pair changes exactly when the graph does.
         """
@@ -374,61 +373,15 @@ class LabeledGraph:
         return self._delta_edges
 
     def compact(self) -> None:
-        """Checkpoint the write stream: empty the mutation log.
+        """Restart :attr:`delta_size`; nothing else changes.
 
-        Topology, every answer, :attr:`version`, compiled plans and session
-        memos are unchanged, and no adjacency data moves: rows, sets and
-        degrees are already the live graph, so there is nothing to merge.
-        :attr:`delta_size` restarts and the log is dropped, which bounds the
-        tail pool workers replay; a worker pool built before a write the log
-        no longer holds is stale (:class:`~repro.exceptions.StaleSegmentError`,
-        not a guess at ops it cannot fetch), one built after the last is not.
+        Topology, every answer, :attr:`version`, compiled plans, session
+        memos and worker pools are untouched, and no data moves: rows, sets
+        and degrees are already the live graph. What is left of compaction
+        is its spelling, kept for the frozen benchmark harness (see
+        :data:`DEFAULT_COMPACTION_THRESHOLD`).
         """
         self._delta_edges = 0
-        if self._cache is not None:
-            self._cache.truncate_log()
-
-    def replay(self, entries: Iterable[Tuple[int, Tuple]]) -> None:
-        """Re-apply a mutation-log tail (``(seq, op)`` pairs) to this graph.
-
-        The worker catch-up path: a pool worker's graph replays the
-        parent's ops so its views and cache version converge on the
-        parent's. Ops must be contiguous, start right after this graph's
-        current ``delta_seq``, and re-apply cleanly; any skew raises
-        :class:`~repro.exceptions.GraphError`. The ops are written in order
-        — each checked first: they come from another process — and the
-        cache is repaired once for the whole tail, also when an op raises,
-        so cache and storage then agree on exactly the ops before it.
-        """
-        cache = self.index_cache()
-        applied: List[Tuple] = []
-        try:
-            for seq, op in entries:
-                have = cache.delta_seq + len(applied)
-                if seq != have + 1:
-                    raise GraphError(
-                        f"mutation replay gap: have delta_seq {have}, next op is {seq}"
-                    )
-                kind = op[0]
-                if kind == "add_vertex":
-                    if op[1] != len(self.labels):
-                        raise GraphError(
-                            f"replay skew: add_vertex would produce id "
-                            f"{len(self.labels)}, log says {op[1]}"
-                        )
-                    check_label(op[2])
-                    self._append_vertex(op[2])
-                elif kind in ("add_edge", "remove_edge"):
-                    check_edge(len(self.labels), op[1], op[2])
-                    if not self._write_edge(op[1], op[2], kind == "add_edge"):
-                        state = "present" if kind == "add_edge" else "absent"
-                        raise GraphError(f"replay skew: edge {op[1:]} already {state}")
-                else:
-                    raise GraphError(f"unknown mutation op kind {kind!r}")
-                applied.append(op)
-        finally:
-            if applied:
-                cache.apply_delta(applied)
 
     # ------------------------------------------------------------------
     # Basic accessors

@@ -43,8 +43,8 @@ class QueryGraph(LabeledGraph):
     A query is a value: the result memo and the plan cache key it by
     :meth:`canonical_key`, and the connectivity checked at construction is
     what the search order relies on, so the writers it would inherit
-    (``add_vertex`` / ``add_edge`` / ``remove_edge`` / ``mutate`` /
-    ``replay``) raise :class:`~repro.exceptions.QueryError`.
+    (``add_vertex`` / ``add_edge`` / ``remove_edge`` / ``mutate``) raise
+    :class:`~repro.exceptions.QueryError`.
 
     Examples
     --------
@@ -83,7 +83,6 @@ class QueryGraph(LabeledGraph):
     add_edge = _refuses("add_edge")
     remove_edge = _refuses("remove_edge")
     mutate = _refuses("mutate")
-    replay = _refuses("replay")
 
     @property
     def size(self) -> int:

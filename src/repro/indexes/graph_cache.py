@@ -38,11 +38,10 @@ vertex joined or left it; the same loop moves an entry's degree mass by
 what the vertex's degree did. A write therefore touches O(dirty vertices x
 entries of their labels) memo words and leaves no scan for the next read.
 The pair ``(epoch, delta_seq)`` is the cache :attr:`version` that keys
-session memos and is a pool worker's place in the write stream: the epoch
-names this construction and ``delta_seq`` only counts up, so it changes
-exactly when the graph does. A checkpoint (:meth:`truncate_log`) only empties
-the mutation log; :meth:`ops_since` refuses a reader it passed, which is how
-a worker pool goes stale. See ``docs/mutation.md`` for the full contract.
+session memos and names the graph a worker pool serves: the epoch names this
+construction and ``delta_seq`` only counts up, so it changes exactly when the
+graph does. The cache keeps no history of the writes. See
+``docs/mutation.md`` for the full contract.
 """
 
 from __future__ import annotations
@@ -52,8 +51,6 @@ import threading
 from bisect import bisect_left
 from collections import Counter, OrderedDict
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
-
-from repro.exceptions import StaleSegmentError
 
 Label = Hashable
 
@@ -101,7 +98,6 @@ class GraphIndexCache:
         "epoch",
         "delta_seq",
         "plan_cache",
-        "_mutation_log",
         "_mask_signatures",
         "_pool_memo",
         "_pool_memo_size",
@@ -131,7 +127,7 @@ class GraphIndexCache:
         in a worker process (:func:`repro.parallel.pool.worker_graph`) from
         the one its parent held: the signature table is copied instead of
         recomputed (skipping the O(|E|) neighbor sweep) and the parent's
-        version is kept, so memo keys and replay positions agree across the
+        version is kept, so memo keys and chunk versions agree across the
         two processes. Every lock and memo is this cache's own."""
         self.graph = graph
         self.label_table: List[Label] = graph.label_table
@@ -196,7 +192,6 @@ class GraphIndexCache:
         self.epoch = next(_EPOCHS) if epoch is None else epoch
         # Bumped once per applied mutation, never reset; with the epoch, the version.
         self.delta_seq = delta_seq
-        self._mutation_log: List[Tuple[int, Tuple]] = []
         # Late import: repro.indexes.plans reaches back through the
         # isomorphism package (for the search-order construction), which
         # imports this module — a top-level import here would cycle.
@@ -505,10 +500,10 @@ class GraphIndexCache:
         """The cache version ``(epoch, delta_seq)``.
 
         The epoch is this cache's construction; ``delta_seq`` advances by
-        one per applied mutation and by nothing else — a checkpoint
-        (:meth:`truncate_log`) leaves the pair as it is. Session memos, plan
-        keys, and worker-pool sync headers are stamped with it, so
-        post-mutation queries never replay pre-mutation answers.
+        one per applied mutation and by nothing else — a checkpoint leaves
+        the pair as it is. Session memos, plan keys, worker pools and their
+        chunks are stamped with it, so post-mutation queries never replay
+        pre-mutation answers.
         """
         return (self.epoch, self.delta_seq)
 
@@ -562,7 +557,6 @@ class GraphIndexCache:
             else:
                 raise ValueError(f"unknown mutation op {kind!r}")
             self.delta_seq += 1
-            self._mutation_log.append((self.delta_seq, op))
 
         # Local bindings keep the per-dirty-vertex loop tight: this path is
         # the whole point of delta repair. It reads one neighbour row per
@@ -704,41 +698,6 @@ class GraphIndexCache:
             metrics.counter("cache.pool.repaired").inc(repaired)
             if rebuilt:
                 metrics.counter("cache.pool.rebuilt").inc(rebuilt)
-
-    @property
-    def log_floor(self) -> int:
-        """The sequence number just before the oldest logged op
-        (:attr:`delta_seq` when the log is empty): the lowest position a
-        reader can be caught up from."""
-        log = self._mutation_log
-        return log[0][0] - 1 if log else self.delta_seq
-
-    def ops_since(self, seq: int) -> Tuple[Tuple[int, Tuple], ...]:
-        """The ``(seq, op)`` mutation-log tail with sequence numbers > ``seq``.
-
-        This is the catch-up payload shipped to pool workers whose graph
-        lags the parent's. Log entries are contiguous and end at
-        :attr:`delta_seq`: a caught-up reader gets ``()``, one at or above
-        :attr:`log_floor` the tail from ``seq + 1``, and one below the floor
-        — a checkpoint dropped ops it has not seen —
-        :class:`~repro.exceptions.StaleSegmentError`, never a clamped tail.
-        """
-        floor = self.log_floor
-        if seq < floor:
-            raise StaleSegmentError(
-                f"a reader at delta_seq {seq} is behind the mutation log, which "
-                f"was truncated up to {floor}: its copy must be rebuilt"
-            )
-        return tuple(self._mutation_log[seq - floor :])
-
-    def truncate_log(self) -> None:
-        """Empty the mutation log: the cache half of a graph's checkpoint.
-
-        Bounds what the writer keeps and pool workers replay. Topology is
-        unchanged, so :attr:`version`, plans and memos are too; only a
-        reader below the new :attr:`log_floor` notices.
-        """
-        self._mutation_log.clear()
 
     # ------------------------------------------------------------------
     def memo_info(self) -> Dict[str, int]:

@@ -15,14 +15,16 @@
     gracefully to roughly serial throughput.
 ``process``
     A persistent :class:`~repro.parallel.pool.WorkerPool`, created lazily on
-    the first process batch and **reused for every batch after it**. Each
-    worker is started with the graph (inherited under ``fork``, pickled once
-    under ``spawn``), builds its own index cache over it and keeps its DSQL
-    session — plan cache, candidate pools, adjacency bitsets — warm across
-    batches. Queries travel as plain ``(labels, edges)`` payloads; frozen
-    :class:`~repro.core.result.DSQResult` objects come back together with
-    each worker's counter snapshot, which is merged into the parent's
-    metrics registry so ``search.*``/``kernel.dispatch.*`` stay truthful.
+    the first process batch and **reused for every batch after it until the
+    graph is written to**; the first batch after a write starts fresh
+    workers. Each worker is started with the graph (inherited under
+    ``fork``, pickled once under ``spawn``), builds its own index cache over
+    it and keeps its DSQL session — plan cache, candidate pools, adjacency
+    bitsets — warm across batches. Queries travel as plain ``(labels,
+    edges)`` payloads; frozen :class:`~repro.core.result.DSQResult` objects
+    come back together with each worker's counter snapshot, which is merged
+    into the parent's metrics registry so ``search.*``/``kernel.dispatch.*``
+    stay truthful.
 
 Whatever the strategy, ``run`` returns results **in input order and
 bit-identical to serial** ``session.query_many(queries)``: the parallel
@@ -43,12 +45,13 @@ Failure handling degrades gracefully: a chunk whose worker crashes (e.g. a
 forked child OOM-killed, breaking the whole process pool) is re-run
 serially in the parent, the broken pool is discarded, and the next batch
 builds a fresh one — a batch always completes with full results. A pool
-found broken (or stale) *before* dispatch — a worker died between batches —
-is replaced first, and a submission the replacement still refuses goes down
-the same serial path. Wedges are bounded the same way crashes are: chunk
-waits carry a generous timeout (:attr:`BatchExecutor.pool_timeout_s`), and
-a pool that produces nothing inside it — every worker stuck — is killed and
-its chunks re-run serially. Platforms without a multiprocessing start
+found broken or stale *before* dispatch — a worker died between batches, or
+the graph was written to — is replaced first, and a submission the
+replacement still refuses goes down the same serial path, as does a chunk a
+worker refuses for being of another graph version than its copy. Wedges are
+bounded the same way crashes are: chunk waits carry a generous timeout
+(:attr:`BatchExecutor.pool_timeout_s`), and a pool that produces nothing
+inside it — every worker stuck — is killed and its chunks re-run serially. Platforms without a multiprocessing start
 method fall back to in-process execution (counted as retried chunks).
 
 Executors owning a process pool own worker processes; call
@@ -358,11 +361,10 @@ class BatchExecutor:
 
         pool = self._ensure_pool()
         if pool is not None and (pool.stale or pool.broken):
-            # Stale: a checkpoint dropped ops the workers have not seen and
-            # can no longer fetch. Broken: a worker died since the last
-            # batch, and the executor underneath refuses every submission
-            # from then on. Either way, start fresh workers before
-            # dispatching.
+            # Stale: the graph was written to since the workers started.
+            # Broken: a worker died since the last batch, and the executor
+            # underneath refuses every submission from then on. Either way,
+            # start fresh workers before dispatching.
             logger.info(
                 "worker pool is %s; rebuilding it", "stale" if pool.stale else "broken"
             )
@@ -402,7 +404,7 @@ class BatchExecutor:
                 futures.append((pool.submit(chunk), chunk))
             except (StaleSegmentError, BrokenProcessPool, OSError):
                 # The pool went stale or broke after the pre-dispatch check
-                # (a compaction or a worker death raced it), or the OS
+                # (a write or a worker death raced it), or the OS
                 # refused to start a worker. The chunk is intact in the
                 # parent; answer it serially.
                 logger.warning(
@@ -428,8 +430,9 @@ class BatchExecutor:
                 self._discard_pool()
                 continue
             except Exception:
-                # Worker (or the whole pool) died; the chunk is intact in
-                # the parent, so fall back to searching it here.
+                # Worker (or the whole pool) died, or its copy of the graph
+                # is at another version than the chunk; the chunk is intact
+                # in the parent, so fall back to searching it here.
                 logger.warning(
                     "worker chunk of %d queries failed; retrying serially",
                     len(chunk),

@@ -28,21 +28,16 @@ frozen :class:`~repro.core.result.DSQResult` objects come back — plus a
 per-chunk counter snapshot, so the parent can merge ``search.*`` /
 ``kernel.dispatch.*`` metrics that previously died with the worker.
 
-Live mutation rides along as a **catch-up protocol**: every chunk carries a
-sync header ``(epoch, target_seq, ops_tail)`` in the graph's version
-numbering, which parent and worker share. ``ProcessPoolExecutor`` starts its
-workers at the first ``submit`` (all of them under ``fork``, on demand under
-``spawn``), so a worker's graph is the parent's *as of that moment* — at or
-after the version the pool was built at, never before it. Workers replay the
-part of the tail beyond their own version onto their graph (a private copy:
-copy-on-write pages under ``fork``, an unpickled object under ``spawn``)
-before answering, so worker results stay bit-identical to the parent's live
-topology without restarting per delta. A *compaction* in the parent empties
-the log: a pool built after the last write has nothing to fetch and carries
-on; one the truncation passed reports :attr:`WorkerPool.stale` and
-submission raises :class:`~repro.exceptions.StaleSegmentError` — the
-executor's cue to discard the pool and start a fresh one — rather than ever
-serving answers from the old topology.
+A pool **serves one version**: the graph's ``(epoch, delta_seq)`` when it
+was built, which parent and worker share. A write in the parent makes the
+pool :attr:`~WorkerPool.stale` and :meth:`~WorkerPool.submit` raises
+:class:`~repro.exceptions.StaleSegmentError` before anything is pickled —
+the executor's cue to start fresh workers at the new version. Every chunk
+carries the pool's version, and a worker whose copy is at another one
+refuses it the same way: ``ProcessPoolExecutor`` starts its workers at the
+first ``submit`` (all of them under ``fork``, on demand under ``spawn``),
+so a write racing that start would otherwise reach a worker unannounced.
+No answer ever comes from a topology the parent no longer has.
 
 The pool prefers the ``fork`` start method (cheapest: a worker starts with
 the parent's pages); where fork is unavailable it falls back to ``spawn``,
@@ -64,7 +59,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.core.config import DSQLConfig
 from repro.core.result import DSQResult
-from repro.exceptions import GraphError, StaleSegmentError
+from repro.exceptions import StaleSegmentError
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.indexes.graph_cache import GraphIndexCache
@@ -77,12 +72,6 @@ ChunkResult = Tuple[int, List[Tuple[Key, DSQResult]], Dict[str, float]]
 """What one worker chunk returns: ``(worker pid, (key, result) pairs,
 non-zero counter snapshot for the chunk)``."""
 
-SyncHeader = Tuple[int, int, Tuple[Tuple[int, Tuple], ...]]
-"""Per-chunk mutation sync: the parent's ``graph.version`` as
-``(epoch, target_seq)`` plus ``ops_tail``, the parent mutation log's
-``(seq, op)`` entries since the pool was built. Workers replay only the
-entries beyond their own ``graph.version``."""
-
 _WORKER_SESSION = None
 """Child-process-only: the persistent instrumented ``DSQL`` session one worker
 keeps warm across batches, set by the pool initializer.
@@ -90,8 +79,6 @@ keeps warm across batches, set by the pool initializer.
 Unlike the old ``_FORK_SESSION`` hand-off this is never written in the
 parent: each worker process belongs to exactly one pool and receives its
 state through initargs, so concurrent pools cannot interleave writes.
-Mutation catch-up keeps no position of its own: the graph's ``version`` is
-the worker's place in the parent's numbering.
 """
 
 
@@ -138,47 +125,24 @@ def _init_worker(graph: LabeledGraph, config: DSQLConfig) -> None:
     )
 
 
-def _apply_sync(graph: LabeledGraph, sync: SyncHeader) -> None:
-    """Catch the worker's graph up to the parent's version.
+def _run_chunk(payload: Tuple[Tuple[int, int], List[ChunkItem]]) -> ChunkResult:
+    """Worker body: answer one chunk sent for this worker's graph version.
 
-    Replays the unseen suffix of the parent's mutation-log tail with
-    :meth:`LabeledGraph.replay` (which delta-repairs the worker's own
-    cache). The worker's graph is this process's private copy, written like
-    any other graph. Another cache's epoch, a sequence gap or an op that
-    does not re-apply cleanly means the replay chain is severed: raise
-    :class:`~repro.exceptions.StaleSegmentError` instead of answering from
-    a stale view.
-    """
-    epoch, target_seq, tail = sync
-    have_epoch, have_seq = graph.version
-    if epoch != have_epoch:
-        raise StaleSegmentError(
-            f"worker started at epoch {have_epoch} cannot reach epoch "
-            f"{epoch}: the chunk is of another cache; the pool must be rebuilt"
-        )
-    try:
-        graph.replay(entry for entry in tail if entry[0] > have_seq)
-    except GraphError as exc:
-        raise StaleSegmentError(f"mutation catch-up failed: {exc}") from exc
-    if graph.version[1] != target_seq:
-        raise StaleSegmentError(
-            f"mutation catch-up fell short: synced to {graph.version[1]}, "
-            f"parent is at {target_seq}"
-        )
-
-
-def _run_chunk(payload: Tuple[SyncHeader, List[ChunkItem]]) -> ChunkResult:
-    """Worker body: sync to the parent version, then answer one chunk.
-
-    The worker registry is reset per chunk so the returned snapshot holds
-    exactly this chunk's counters; the parent merges them into its own
-    registry, keeping process-strategy metrics truthful.
+    A chunk for any other ``(epoch, delta_seq)`` raises
+    :class:`~repro.exceptions.StaleSegmentError` instead of an answer from
+    the wrong topology. The worker registry is reset per chunk so the
+    returned snapshot holds exactly this chunk's counters; the parent merges
+    them into its own registry, keeping process-strategy metrics truthful.
     """
     session = _WORKER_SESSION
     if session is None:  # pragma: no cover - initializer failure surfaces first
         raise RuntimeError("worker pool initializer did not run")
-    sync, chunk = payload
-    _apply_sync(session.graph, sync)
+    version, chunk = payload
+    if version != session.graph.version:
+        raise StaleSegmentError(
+            f"a chunk for graph version {version} reached a worker whose copy "
+            f"is at {session.graph.version}"
+        )
     metrics = session.instrumentation.metrics
     metrics.reset()
     out = [
@@ -255,10 +219,9 @@ class WorkerPool:
             raise OSError("no usable multiprocessing start method")
         self.jobs = jobs
         self._graph = graph
-        # The graph's delta_seq now (any value — building a pool is a
-        # read): no worker starts before this point, so chunk sync headers
-        # ship the mutation log from here on.
-        self._base_seq = graph.index_cache().delta_seq
+        # The graph's version now (any value — building a pool is a read):
+        # the one version this pool's workers serve.
+        self.version = graph.index_cache().version
         self._executor = ProcessPoolExecutor(
             max_workers=jobs,
             mp_context=context,
@@ -276,28 +239,28 @@ class WorkerPool:
 
     @property
     def stale(self) -> bool:
-        """Whether a checkpoint dropped ops written since the pool was built.
+        """Whether the graph was written to since the pool was built.
 
-        A stale pool's workers can never catch up by replay (the tail they
-        need is below the log's floor); the owner should discard the pool
-        and build a fresh one, whose workers start at the current version.
+        A stale pool's workers serve a version the parent no longer has;
+        the owner should discard the pool and build a fresh one, whose
+        workers start at the current version.
         """
-        return self._base_seq < self._graph.index_cache().log_floor
+        return self._graph.version != self.version
 
     def submit(self, chunk: List[ChunkItem]) -> "Future[ChunkResult]":
-        """Dispatch one chunk to the pool.
+        """Dispatch one chunk to the pool, sent with the pool's version.
 
-        Each chunk carries a sync header with the parent's current version
-        and the mutation-log tail since the pool was built, so workers catch
-        up to live deltas before answering. ``ops_since`` raises
-        :class:`~repro.exceptions.StaleSegmentError` when the pool is
+        Raises :class:`~repro.exceptions.StaleSegmentError` when the pool is
         :attr:`stale`, before anything is pickled; the executor underneath
         raises ``BrokenProcessPool`` once a worker has died and
         :class:`OSError` when the OS refuses to start one.
         """
-        cache = self._graph.index_cache()
-        sync: SyncHeader = (cache.epoch, cache.delta_seq, cache.ops_since(self._base_seq))
-        return self._executor.submit(_run_chunk, (sync, chunk))
+        if self.stale:
+            raise StaleSegmentError(
+                f"the pool serves graph version {self.version}, the graph is at "
+                f"{self._graph.version}: its workers must be replaced"
+            )
+        return self._executor.submit(_run_chunk, (self.version, chunk))
 
     @property
     def broken(self) -> bool:

@@ -3,21 +3,24 @@
 The contract under test (docs/mutation.md): ``add_vertex`` / ``add_edge``
 / ``remove_edge`` mutate the live views in place, duplicate adds and
 absent removes are no-ops, malformed ops reject *before* anything is
-applied (a failed batch leaves the graph untouched), and ``compact()``
-checkpoints the write stream (delta counter reset, mutation log emptied)
-without changing the version, any observable topology or any adjacency data.
+applied (a failed batch leaves the graph untouched), a graph keeps no history
+of its writes, and ``compact()`` restarts the delta counter without changing
+the version, any observable topology or any adjacency data.
 """
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
 
+from repro.datasets.registry import make_dataset
 from repro.exceptions import GraphError
 from repro.graph.builder import GraphBuilder
 import repro.graph.labeled_graph as graph_module
 from repro.graph.labeled_graph import LabeledGraph, MutationSummary
+from repro.parallel import worker_graph
 from tests.conftest import (
     STORAGE_STATES,
     assert_arrays_match_rebuild,
@@ -167,17 +170,16 @@ class TestEndpointRule:
     """One check (``labeled_graph.check_edge``) behind every way an edge
     arrives, run once per edge. Two ids keep the names of doors that are
     gone: ``normalize_edges`` is the test-side reference the constructor is
-    compared with, ``backend.add_edge`` the one door that still takes input
-    from another process — ``replay``."""
+    compared with, ``backend.add_edge`` a worker's copy of the graph
+    (:func:`~repro.parallel.worker_graph`, which shares the storage it is
+    given), which refuses the same edges."""
 
     ENTRY_POINTS = {
         "constructor": lambda g, u, v: LabeledGraph(list(g.labels), [(0, 1), (u, v)]),
         "normalize_edges": lambda g, u, v: normalize_edges(g.num_vertices, [(u, v)]),
         "add_edge": lambda g, u, v: g.add_edge(u, v),
         "remove_edge": lambda g, u, v: g.remove_edge(u, v),
-        "backend.add_edge": lambda g, u, v: g.replay(
-            [(g.index_cache().delta_seq + 1, ("add_edge", u, v))]
-        ),
+        "backend.add_edge": lambda g, u, v: worker_graph(g).add_edge(u, v),
         "mutate": lambda g, u, v: g.mutate([("add_edge", 0, 2), ("add_edge", u, v)]),
         "builder": lambda g, u, v: builder_of(g).add_edge(u, v),
     }
@@ -210,7 +212,8 @@ class TestEndpointRule:
     def test_a_batch_checks_each_edge_once(self, monkeypatch):
         """``mutate`` validates the whole batch and then writes without
         asking again (it asked twice per edge op while the storage behind it
-        re-checked); the single-op doors and ``replay`` ask once too."""
+        re-checked); the single-op doors ask once too, on a worker's copy
+        as on the graph."""
         g = small_graph()
         g.index_cache()
         checks = counting(monkeypatch, graph_module, "check_edge")
@@ -223,8 +226,9 @@ class TestEndpointRule:
         g.add_edge(1, 3), g.remove_edge(1, 3), g.remove_edge(1, 3)
         assert len(checks) == 3
         del checks[:]
-        g.replay([(g.index_cache().delta_seq + 1, ("add_edge", 1, 3))])
-        assert checks == [(6, 1, 3)] and g.has_edge(1, 3)
+        copy = worker_graph(pickle.loads(pickle.dumps(g)))
+        assert copy.add_edge(1, 3)
+        assert checks == [(6, 1, 3)] and copy.has_edge(1, 3) and not g.has_edge(1, 3)
 
     def test_int_subclasses_still_pass(self):
         import enum
@@ -301,12 +305,10 @@ class TestCSROverlayAndCompaction:
         g.index_cache()
         g.add_edge(0, 2)
         version, plans = g.version, g.index_cache().plan_cache
-        log = g.index_cache().ops_since(0)
         for ops in ([], [("add_edge", 1, 3)]):
             with pytest.raises(GraphError, match="compaction_threshold must be"):
                 g.mutate(ops, compaction_threshold=threshold)
         assert g.version == version and not g.has_edge(1, 3)
-        assert g.index_cache().ops_since(0) == log and len(log) == 1
         assert g.delta_size == 1 and g.index_cache().plan_cache is plans
         # None still disables, 1 still compacts on the first delta.
         assert g.mutate([], compaction_threshold=None) == (0, False, version)
@@ -345,29 +347,10 @@ class TestVersioning:
 
 
 class TestReplay:
-    def test_replay_converges_twin_graph(self):
-        g = small_graph()
-        twin = small_graph()
-        cache = g.index_cache()
-        twin.index_cache()
-        g.mutate([("add_vertex", "z"), ("add_edge", 5, 0), ("remove_edge", 1, 2)])
-        twin.replay(cache.ops_since(0))
-        assert_topology_equal(g, twin)
-        # Epochs are globally unique per cache instance (the pool's sync
-        # protocol numbers workers in parent terms for exactly this
-        # reason); only the delta_seq converges.
-        assert twin.version[1] == g.version[1]
-
-    def test_replay_gap_raises(self):
-        g = small_graph()
-        cache = g.index_cache()
-        g.add_edge(0, 2)
-        g.add_edge(0, 3)
-        twin = small_graph()
-        twin.index_cache()
-        tail = cache.ops_since(1)  # starts at seq 2: a gap for the fresh twin
-        with pytest.raises(GraphError, match="gap"):
-            twin.replay(tail)
+    """There is no replay: a worker pool serves one version, so no copy of
+    a graph is ever caught up op by op. The ids keep their names and pin the
+    one way a batch of ops reaches a graph — ``mutate``: one cache repair
+    per batch, and a bad op anywhere leaves graph and cache untouched."""
 
     TAIL_OPS = [
         ("add_vertex", "z"),
@@ -378,55 +361,94 @@ class TestReplay:
         ("add_edge", 1, 3),
     ]
 
-    def published_tail(self):
+    def test_replay_converges_twin_graph(self):
+        """Two graphs given the same batch end in the same topology and
+        count the same deltas; each has its own epoch."""
+        g, twin = small_graph(), small_graph()
+        g.index_cache()
+        twin.index_cache()
+        for graph in (g, twin):
+            graph.mutate([("add_vertex", "z"), ("add_edge", 5, 0), ("remove_edge", 1, 2)])
+        assert_topology_equal(g, twin)
+        assert twin.version[1] == g.version[1] == 3 and twin.version[0] != g.version[0]
+
+    def test_replay_gap_raises(self):
+        """An op naming a vertex the batch adds only later is out of range
+        where it stands: the batch is refused and nothing is applied."""
         g = small_graph()
-        cache = g.index_cache()
-        g.mutate(self.TAIL_OPS, compaction_threshold=None)
-        return g, cache.ops_since(0)
+        g.index_cache()
+        version = g.version
+        with pytest.raises(GraphError, match="outside"):
+            g.mutate([("add_edge", 0, 2), ("add_edge", 5, 0), ("add_vertex", "z")])
+        assert_topology_equal(g, small_graph())
+        assert g.version == version and g.delta_size == 0
 
     def test_a_tail_in_one_call_equals_one_call_per_op(self, monkeypatch):
         from repro.indexes.graph_cache import GraphIndexCache
         from tests.indexes.test_delta_repair import assert_cache_equivalent, warm_pool_spread
 
-        g, tail = self.published_tail()
         whole, stepwise = small_graph(), small_graph()
-        for twin in (whole, stepwise):
-            warm_pool_spread(twin.index_cache())
+        for graph in (whole, stepwise):
+            warm_pool_spread(graph.index_cache())
         calls = []
         repair = GraphIndexCache.apply_delta
         with monkeypatch.context() as patch:
             patch.setattr(
                 GraphIndexCache, "apply_delta", lambda cache, ops: calls.append(1) or repair(cache, ops)
             )
-            whole.replay(tail)
+            whole.mutate(self.TAIL_OPS, compaction_threshold=None)
         assert calls == [1]  # one repair pass for the six ops
-        for entry in tail:
-            stepwise.replay([entry])
-        for twin in (whole, stepwise):
-            assert_topology_equal(g, twin)
-            assert twin.version[1] == g.version[1] == len(tail)
-            assert twin.index_cache().ops_since(0) == tail
-            assert_cache_equivalent(twin.index_cache(), GraphIndexCache(twin))
+        for op in self.TAIL_OPS:
+            stepwise.mutate([op], compaction_threshold=None)
+        assert_topology_equal(whole, stepwise)
+        for graph in (whole, stepwise):
+            assert graph.version[1] == len(self.TAIL_OPS)
+            assert_cache_equivalent(graph.index_cache(), GraphIndexCache(graph))
 
     @pytest.mark.parametrize("bad_at", [0, 2, 5])
     def test_a_bad_op_mid_tail_keeps_cache_and_backend_agreeing(self, bad_at):
         from repro.indexes.graph_cache import GraphIndexCache
         from tests.indexes.test_delta_repair import assert_cache_equivalent, warm_pool_spread
 
-        g, tail = self.published_tail()
-        seq, op = tail[bad_at]
+        kind = self.TAIL_OPS[bad_at][0]
         bad = {
-            "add_vertex": (seq, ("add_vertex", op[1] + 1, op[2])),  # id skew
-            "add_edge": (seq, ("add_edge", 0, 1)),  # already present
-            "remove_edge": (seq, ("remove_edge", 0, 2)),  # already absent
-        }[op[0]]
-        twin = small_graph()
-        warm_pool_spread(twin.index_cache())
-        with pytest.raises(GraphError, match="replay skew"):
-            twin.replay(tail[:bad_at] + (bad,) + tail[bad_at + 1 :])
-        assert twin.version[1] == bad_at
-        assert twin.index_cache().ops_since(0) == tail[:bad_at]
-        assert twin.num_vertices == len(twin.index_cache().label_ids)
-        assert_cache_equivalent(twin.index_cache(), GraphIndexCache(twin))
-        twin.replay(tail[bad_at:])  # the good tail still applies from there
-        assert_topology_equal(g, twin)
+            "add_vertex": ("add_vertex", ["x"]),  # unhashable label
+            "add_edge": ("add_edge", 0, 0),  # self-loop
+            "remove_edge": ("remove_edge", 0, 99),  # out of range
+        }[kind]
+        g = small_graph()
+        warm_pool_spread(g.index_cache())
+        version, memo = g.version, dict(g.index_cache()._pool_memo)
+        with pytest.raises(GraphError):
+            g.mutate(self.TAIL_OPS[:bad_at] + [bad] + self.TAIL_OPS[bad_at + 1 :])
+        assert_topology_equal(g, small_graph())
+        assert g.version == version and g.delta_size == 0
+        assert g.num_vertices == len(g.index_cache().label_ids)
+        assert dict(g.index_cache()._pool_memo) == memo
+        assert_cache_equivalent(g.index_cache(), GraphIndexCache(g))
+        g.mutate(self.TAIL_OPS)  # the good batch still applies
+        reference = small_graph()
+        reference.mutate(self.TAIL_OPS)
+        assert_topology_equal(g, reference)
+
+
+class TestHistory:
+    def test_a_written_graph_carries_no_history(self):
+        """A graph keeps no record of its writes: after 10 000 vertex ingests
+        (which never reach the compaction threshold, an edge count) and an
+        edge churn that restores the edges, it pickles — what a spawned
+        worker is started with — to the size of a rebuild of the same labels
+        and edges, bar a few counters."""
+        graph = make_dataset("dblp", scale=0.01, seed=0)
+        graph.index_cache()
+        labels = graph.label_table
+        for batch in range(20):
+            ops = [("add_vertex", labels[(batch + i) % len(labels)]) for i in range(500)]
+            assert not graph.mutate(ops).compacted
+        churn = list(graph.edges())[:100]
+        graph.mutate([("remove_edge", u, v) for u, v in churn])
+        assert not graph.mutate([("add_edge", u, v) for u, v in churn]).compacted
+        assert graph.delta_size == 200 and graph.version[1] == 10_200
+        rebuilt = LabeledGraph(list(graph.labels), list(graph.edges()), name=graph.name)
+        rebuilt.index_cache()
+        assert abs(len(pickle.dumps(graph)) - len(pickle.dumps(rebuilt))) <= 64

@@ -55,8 +55,13 @@ class TestAQueryIsAValue:
         key = q.canonical_key()
         (first,) = session.query_many([q])
         assert len(first.embeddings) == 2 and not first.from_cache
-        with pytest.raises(QueryError, match=rf"{method}\(\) is not supported"):
-            getattr(q, method)(*self.WRITES[method])
+        if method == "replay":
+            # Deleted from LabeledGraph with the worker catch-up: there is
+            # no such writer left to inherit or to refuse.
+            assert not hasattr(LabeledGraph, method) and not hasattr(q, method)
+        else:
+            with pytest.raises(QueryError, match=rf"{method}\(\) is not supported"):
+                getattr(q, method)(*self.WRITES[method])
         assert q.canonical_key() == key == (tuple(q.labels), q.edge_tuples())
         assert q.edge_tuples() == ((0, 1), (1, 2)) and q.is_connected() and q._cache is None
         (again,) = session.query_many([q])

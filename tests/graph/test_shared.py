@@ -132,7 +132,7 @@ class TestRoundTrip:
             assert got.plan_cache is not cache.plan_cache
             assert got.plan_cache._lock is not cache.plan_cache._lock
             assert got._cost_estimator is None and got._metrics is None
-            assert got._mutation_log == [] and not got._pool_memo
+            assert not got._pool_memo
 
     def test_pickle_ships_no_memo_a_read_can_touch(self, source_graph):
         """Under ``spawn`` a worker's start pickles the graph from the
@@ -239,15 +239,17 @@ class TestLifecycle:
         assert not source_graph.has_edge(0, 5)
         assert census.settled(), census.report()
 
-    def test_stale_epoch_raises(self, source_graph):
-        """A worker whose graph is of another epoch than the chunk's sync
-        header refuses to answer — the check the forged descriptor tripped."""
-        twin = worker_graph(source_graph)
-        epoch, seq = twin.version
-        pool_mod._apply_sync(twin, (epoch, seq, ()))
-        with pytest.raises(StaleSegmentError, match="cannot reach epoch"):
-            pool_mod._apply_sync(twin, (epoch + 1, seq, ()))
-        assert twin.version == (epoch, seq)
+    def test_stale_epoch_raises(self, source_graph, monkeypatch):
+        """A worker whose graph is of another epoch than the chunk's
+        version refuses to answer — the check the forged descriptor tripped."""
+        monkeypatch.setattr(pool_mod, "_WORKER_SESSION", None)
+        pool_mod._init_worker(pickle.loads(pickle.dumps(source_graph)), DSQLConfig(k=K))
+        epoch, seq = source_graph.version
+        _, pairs, _ = pool_mod._run_chunk(((epoch, seq), _chunk()))
+        assert [r.to_dict() for _, r in pairs] == _answers(source_graph)
+        with pytest.raises(StaleSegmentError, match="reached a worker whose copy"):
+            pool_mod._run_chunk(((epoch + 1, seq), _chunk()))
+        assert pool_mod._WORKER_SESSION.graph.version == (epoch, seq)
 
     def test_stale_is_a_shared_memory_error(self):
         """Was: ``StaleSegmentError`` subclasses the segment-lifecycle error.
@@ -333,7 +335,7 @@ class TestLifecycle:
                 # A worker refuses a chunk of another epoch, so both pools
                 # answering below is what shows the epoch is shared.
                 assert first._graph is second._graph is source_graph
-                assert first._base_seq == second._base_seq == source_graph.version[1]
+                assert first.version == second.version == source_graph.version
                 pid_a, pairs_a, _ = first.submit(_chunk()).result(timeout=60)
                 pid_b, pairs_b, _ = second.submit(_chunk()).result(timeout=60)
                 assert pid_a != pid_b

@@ -12,6 +12,7 @@ finds on the mutated graph.
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -412,24 +413,33 @@ class TestTargetedInvalidation:
 
 
 class TestVersionAndLog:
+    """There is no log: the cache counts applied ops in ``delta_seq`` and
+    keeps no history of them. The ids keep their names."""
+
     def test_ops_since_returns_contiguous_tail(self):
+        """Each applied op moves ``delta_seq`` by one and a no-op by
+        nothing; what the ops were is kept nowhere, so a graph written back
+        to where it started pickles to the size it had."""
         g = small_graph()
         cache = g.index_cache()
+        size = len(pickle.dumps(g))
         g.add_edge(0, 3)
         g.add_edge(1, 4)
+        g.add_edge(1, 4)  # a no-op
         g.remove_edge(0, 3)
-        tail = cache.ops_since(1)
-        assert [seq for seq, _ in tail] == [2, 3]
-        assert tail[0][1] == ("add_edge", 1, 4)
-        assert cache.ops_since(3) == ()
+        assert cache.version == (cache.epoch, 3)
+        for _ in range(50):
+            g.add_edge(0, 3)
+            g.remove_edge(0, 3)
+        g.remove_edge(1, 4)
+        assert cache.version == (cache.epoch, 104)
+        assert len(pickle.dumps(g)) - size <= 4  # two counters wider at most
 
     def test_on_compaction_resets_log_and_epoch(self):
-        """The id keeps its name; what a checkpoint does became: the log is
-        empty, the epoch and ``delta_seq`` are not reset, the plans stay, and
-        a reader below the log's floor is refused instead of handed a
-        clamped tail."""
+        """The id keeps its name; what a checkpoint does became: nothing but
+        ``delta_size`` restarting — the epoch and ``delta_seq`` are not
+        reset, the plans stay, and the next write counts on."""
         from repro.core.dsql import DSQL
-        from repro.exceptions import StaleSegmentError
         from repro.graph.query_graph import QueryGraph
 
         g = small_graph()
@@ -438,23 +448,13 @@ class TestVersionAndLog:
         g.add_edge(1, 4)
         DSQL(g, k=2).query(QueryGraph(["a", "b"], [(0, 1)]))
         plans, size = cache.plan_cache, cache.plan_cache.info()["size"]
-        assert size > 0 and cache.log_floor == 0
+        assert size > 0 and g.delta_size == 2
         version = cache.version
         g.compact()
-        assert cache.version == version == (cache.epoch, 2)
-        assert cache._mutation_log == [] and cache.log_floor == 2
+        assert cache.version == version == (cache.epoch, 2) and g.delta_size == 0
         assert cache.plan_cache is plans and plans.info()["size"] == size
-        assert cache.ops_since(2) == ()
-        for behind in (0, 1):
-            with pytest.raises(StaleSegmentError, match="behind the mutation log"):
-                cache.ops_since(behind)
-        # At the floor the tail is whole again, and still refused below it.
         g.remove_edge(0, 3)
-        assert cache.log_floor == 2
-        assert cache.ops_since(2) == ((3, ("remove_edge", 0, 3)),)
-        assert cache.ops_since(3) == ()
-        with pytest.raises(StaleSegmentError):
-            cache.ops_since(1)
+        assert cache.version == (cache.epoch, 3) and g.delta_size == 1
 
     def test_memo_keys_change_with_version(self):
         from repro.core.config import DSQLConfig

@@ -109,10 +109,10 @@ class TestWorkerPool:
         pool.close()  # idempotent
 
     def test_write_between_construction_and_first_submit(self):
-        """The fork happens at the first submit, not at construction: a
-        write in between is in the graph the workers start with, and the
-        chunk's sync header — whose tail begins at construction — replays
-        nothing twice."""
+        """The fork happens at the first submit, not at construction, but a
+        pool serves the version it was built at: a write in between makes
+        it stale before any worker starts, and the batch runs on a
+        replacement at the new version, retrying nothing."""
         graph, queries = _workload("dblp")
         config = DSQLConfig(k=K, query_cache_size=0)
         session = DSQL(graph, config=config)
@@ -121,9 +121,9 @@ class TestWorkerPool:
             u = 0
             v = next(x for x in range(1, graph.num_vertices) if not graph.has_edge(u, x))
             graph.mutate([("add_vertex", "zz"), ("add_edge", u, v)], compaction_threshold=None)
-            assert graph.version[1] == pool._base_seq + 2
+            assert graph.version[1] == pool.version[1] + 2 and pool.stale
             results = executor.run(queries)
-            assert executor.pool is pool
+            assert executor.pool is not pool and executor.pool.version == graph.version
             assert executor.last_report.chunks_retried == 0
             assert [r.to_dict() for r in results] == _rebuilt_answers(graph, config, queries)
 

@@ -336,6 +336,19 @@ STAYS_DELETED = {
         "graph/labeled_graph.py", "        self._sets = sets\n",
         "        self._backend = CSRBackend(labels, edges)\n", ("CSRBackend", "_backend"),
     ),
+    "restamp": (
+        ("on_compaction", "_sync_epoch"),
+        "indexes/graph_cache.py", "        self.delta_seq = delta_seq\n",
+        "        self._sync_epoch(epoch)\n", ("_sync_epoch",),
+    ),
+    "catch_up": (
+        (
+            "ops_since", "log_floor", "truncate_log", "_mutation_log", "def replay", ".replay(",
+            "_apply_sync", "SyncHeader", "_base_seq",
+        ),
+        "indexes/graph_cache.py", "            self.delta_seq += 1\n",
+        "            self._mutation_log.append((self.delta_seq, op))\n", ("_mutation_log",),
+    ),
 }
 
 
@@ -674,13 +687,11 @@ def test_storage_seam_stays_deleted():
 
 
 # ----------------------------------------------------------------------
-# Fork guard: one version that only counts. A checkpoint trims the mutation
-# log and nothing else — the epoch is stamped where a cache is constructed,
-# ``delta_seq`` is never reset, and no path in ``src/`` flushes the plans.
+# Fork guard: one version that only counts. A checkpoint restarts
+# ``delta_size`` and nothing else — the epoch is stamped where a cache is
+# constructed, ``delta_seq`` is never reset, and no path in ``src/`` flushes
+# the plans.
 # ----------------------------------------------------------------------
-RESTAMP_MARKERS = ("on_compaction", "_sync_epoch")
-
-
 def restamp_census(sources):
     """``{what: [path:function, ...]}`` over ``{path: source}``: every
     assignment to an ``.epoch`` attribute, every ``next(_EPOCHS)``, every
@@ -724,24 +735,43 @@ def test_epoch_is_stamped_once():
         "delta_seq = 0": [], "plan_cache.clear(": [],
     }
     assert not hasattr(GraphIndexCache, "on_compaction")
-    extra = design_and_skill_files()
-    offenders = fork_offenders(RESTAMP_MARKERS, extra)
-    assert not offenders, offenders
+    assert_stays_deleted("restamp")
     assert len(dataclasses.fields(DSQLConfig)) == 20
     # The census sees the re-stamp pasted back into the checkpoint.
-    cache_text = sources["indexes/graph_cache.py"]
-    anchor = "        self._mutation_log.clear()\n"
-    assert cache_text.count(anchor) == 1
-    mutant = cache_text.replace(
+    graph_text = sources["graph/labeled_graph.py"]
+    anchor = '        """\n        self._delta_edges = 0\n'
+    assert graph_text.count(anchor) == 1
+    mutant = graph_text.replace(
         anchor,
-        anchor + "        self.epoch = next(_EPOCHS)\n        self.delta_seq = 0\n"
-        "        self.plan_cache.clear()\n",
+        anchor + "        self._cache.epoch = next(_EPOCHS)\n        self._cache.delta_seq = 0\n"
+        "        self._cache.plan_cache.clear()\n",
     )
-    checkpoint = "indexes/graph_cache.py:truncate_log"
-    assert restamp_census({"indexes/graph_cache.py": mutant}) == {
-        "epoch =": constructor + [checkpoint], "next(_EPOCHS)": constructor + [checkpoint],
-        "delta_seq = 0": [checkpoint], "plan_cache.clear(": [checkpoint],
+    checkpoint = ["graph/labeled_graph.py:compact"]
+    assert restamp_census({"graph/labeled_graph.py": mutant}) == {
+        "epoch =": checkpoint, "next(_EPOCHS)": checkpoint,
+        "delta_seq = 0": checkpoint, "plan_cache.clear(": checkpoint,
     }
+
+
+# ----------------------------------------------------------------------
+# Fork guard: one way to bring a worker current — start it at the version
+# its pool serves. The mutation log, its floor and truncation, the per-chunk
+# catch-up tail and the graph's replay must not grow back, and a write
+# leaves no record of itself in the cache.
+# ----------------------------------------------------------------------
+def test_catch_up_stays_deleted():
+    from repro.graph import LabeledGraph
+    from repro.indexes.graph_cache import GraphIndexCache
+
+    assert_stays_deleted("catch_up")
+    assert not hasattr(LabeledGraph, "replay")
+    graph = LabeledGraph(["a", "b", "a"], [(0, 1)])
+    cache = graph.index_cache()
+    slots = set(cache.__getstate__())
+    graph.mutate([("add_edge", 1, 2), ("add_vertex", "b"), ("remove_edge", 0, 1)])
+    state = cache.__getstate__()
+    assert set(state) == slots <= set(GraphIndexCache.__slots__)
+    assert not [kind for kind in ("add_edge", "add_vertex", "remove_edge") if kind in repr(state)]
 
 
 # ----------------------------------------------------------------------
