@@ -1,17 +1,18 @@
-"""Comparing three ways to run exhaustive subgraph querying on one workload.
+"""Three ways to run the one exhaustive subgraph-querying engine.
 
-The library ships one Algorithm-1 backtracking engine and a class-level
-counter, mirroring the systems the paper builds on:
+The library ships one Algorithm-1 backtracking engine, `QSearchEngine`, and
+this script runs it three ways:
 
-* `QSearchEngine` as is — plain backtracking;
-* `QSearchEngine` with `conflict_backjumping` / `bad_vertex_skipping` on —
-  the Section 5.3/5.4 strategies applied to plain SQ, per the paper's
-  closing remark;
-* the BoostIso-style twin-compression counter — the [24] substrate the
-  paper generated its Table 2-4 embedding streams with.
+* as is — plain backtracking;
+* with `conflict_backjumping` / `bad_vertex_skipping` on — the Section
+  5.3/5.4 strategies applied to plain SQ, per the paper's closing remark;
+  they skip failed subtrees, so they can only save expansions;
+* over a plan compiled with `use_compression=True` — candidates are joined
+  through BoostIso-style [24] twin classes instead of vertices; the
+  candidates walked, and so the expansions, are the plain run's.
 
-This script runs all three on a twin-rich casting graph and on the paper's
-Example 6 fixture, showing identical answers at very different costs.
+It runs all three on a twin-rich casting graph and on the paper's Example 6
+fixture; the three counts agree on both.
 
 Run: ``python examples/engine_comparison.py``
 """
@@ -23,11 +24,8 @@ import time
 
 from repro.datasets import figure4
 from repro.graph import LabeledGraph, QueryGraph
-from repro.isomorphism import (
-    CompressedGraph,
-    QSearchEngine,
-    count_embeddings_compressed,
-)
+from repro.indexes.plans import compile_plan
+from repro.isomorphism import QSearchEngine
 
 
 def casting_graph(num_movies: int = 150, cast: int = 10, seed: int = 1) -> LabeledGraph:
@@ -46,31 +44,24 @@ def casting_graph(num_movies: int = 150, cast: int = 10, seed: int = 1) -> Label
 
 def compare(graph: LabeledGraph, query: QueryGraph, title: str) -> None:
     print(f"--- {title}: |V|={graph.num_vertices}, query {query.size} nodes")
-
-    start = time.perf_counter()
-    plain = QSearchEngine(graph, query, node_budget=500_000)
-    plain_count = sum(1 for _ in plain.embeddings())
-    plain_ms = (time.perf_counter() - start) * 1000
-
-    start = time.perf_counter()
-    opt = QSearchEngine(
-        graph, query, node_budget=500_000, conflict_backjumping=True, bad_vertex_skipping=True
-    )
-    opt_count = sum(1 for _ in opt.embeddings())
-    opt_ms = (time.perf_counter() - start) * 1000
-
-    start = time.perf_counter()
-    comp_count, complete = count_embeddings_compressed(graph, query)
-    comp_ms = (time.perf_counter() - start) * 1000
-    ratio = CompressedGraph(graph).compression_ratio()
-
-    print(f"  plain      : {plain_count:>8} embeddings  {plain_ms:8.1f} ms  "
-          f"({plain.nodes_expanded} expansions)")
-    print(f"  conflict   : {opt_count:>8} embeddings  {opt_ms:8.1f} ms  "
-          f"({opt.nodes_expanded} expansions, {opt.conflict_skips} skips)")
-    print(f"  compressed : {comp_count:>8} count       {comp_ms:8.1f} ms  "
-          f"(ratio {ratio:.2f}, complete={complete})")
-    assert plain_count == opt_count == comp_count
+    cache = graph.index_cache()
+    runs = {
+        "plain": {},
+        "conflict": {"conflict_backjumping": True, "bad_vertex_skipping": True},
+        "compressed": {"plan": compile_plan(query, cache, use_compression=True)},
+    }
+    counts = []
+    for name, options in runs.items():
+        start = time.perf_counter()
+        engine = QSearchEngine(graph, query, node_budget=500_000, **options)
+        count = sum(1 for _ in engine.embeddings())
+        ms = (time.perf_counter() - start) * 1000
+        print(f"  {name:<10} : {count:>8} embeddings  {ms:8.1f} ms  "
+              f"({engine.nodes_expanded} expansions, {engine.conflict_skips} skips)")
+        assert not engine.budget_exhausted
+        counts.append(count)
+    print(f"  twin classes: ratio {cache.compressed().compression_ratio():.2f}")
+    assert len(set(counts)) == 1
     print("  all three agree.\n")
 
 

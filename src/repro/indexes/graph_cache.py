@@ -270,12 +270,6 @@ class GraphIndexCache:
         if self._cost_estimator is not None:
             self._cost_estimator.attach_metrics(registry)
 
-    def _record_lazy_expansion(self) -> None:
-        """Mirror one lazy class-frame expansion into the attached registry."""
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.counter("compression.lazy_expansions").inc()
-
     # ------------------------------------------------------------------
     def cost_estimator(self):
         """The graph's shared :class:`~repro.cost.CostEstimator`.
@@ -330,10 +324,6 @@ class GraphIndexCache:
                         self._metrics.counter("compression.classes_built").inc(
                             compressed.num_classes
                         )
-                    # Resolves self._metrics per call so the partition
-                    # follows attach_metrics/detach like every other
-                    # cache-hosted counter.
-                    compressed.on_lazy_expansion = self._record_lazy_expansion
                     self._compressed = compressed
         return compressed
 

@@ -8,11 +8,7 @@ from repro.isomorphism.match import (
     matched_edges,
     vertex_set,
 )
-from repro.isomorphism.compression import (
-    CompressedGraph,
-    count_embeddings_compressed,
-    enumerate_embeddings_compressed,
-)
+from repro.isomorphism.compression import CompressedGraph
 from repro.isomorphism.qsearch import (
     QSearchEngine,
     connected_search_order,
@@ -34,8 +30,6 @@ __all__ = [
     "distinct_by_vertex_set",
     "QSearchEngine",
     "CompressedGraph",
-    "count_embeddings_compressed",
-    "enumerate_embeddings_compressed",
     "enumerate_embeddings_optimized",
     "connected_search_order",
     "enumerate_embeddings",

@@ -1,8 +1,8 @@
 """What every backtracking loop of the library shares.
 
 The paper has one backtracking framework (Algorithm 1); the search loops
-built on it — plain SQ, the level-wise DSQL engine, the twin-class search
-and the baselines' father-localized DFS — differ in which candidates they
+built on it — plain SQ, the level-wise DSQL engine and the baselines'
+father-localized DFS — differ in which candidates they
 walk, never in how an expansion is paid for or how a failed subtree is
 blamed. Those two decisions live here, once:
 

@@ -567,6 +567,11 @@ class _ServiceHTTPServer(HTTPServer):
     """
 
     allow_reuse_address = True
+    # The listen backlog. socketserver's default of 5 drops the SYNs of a
+    # burst the accept loop has not reached yet, and each dropped client
+    # waits out the kernel's 1 s retransmit, even for a request the gate
+    # would refuse at once.
+    request_queue_size = _MAX_HANDLER_THREADS
     # SO_REUSEPORT lets N pre-forked workers bind the *same* port and have
     # the kernel load-balance incoming connections across them — the
     # multi-worker front (repro.service.multiworker) flips this on.

@@ -1,4 +1,10 @@
-"""Tests for BoostIso-style twin compression (:mod:`repro.isomorphism.compression`)."""
+"""Tests for the twin-class partition (:mod:`repro.isomorphism.compression`).
+
+The partition is read by compiled plans (``use_compression=True``). Compression
+changes how a candidate is joined, never which candidates are walked: an
+engine over a compressed plan yields the plain engine's stream, in the same
+order and for the same number of expansions.
+"""
 
 from __future__ import annotations
 
@@ -8,14 +14,26 @@ from repro.datasets.paper_figures import figure4, figure5
 from repro.datasets.registry import make_dataset
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
-from repro.isomorphism.compression import (
-    CompressedGraph,
-    count_embeddings_compressed,
-    enumerate_embeddings_compressed,
-)
-from repro.isomorphism.qsearch import QSearchEngine, count_embeddings, enumerate_embeddings
+from repro.indexes.plans import compile_plan
+from repro.isomorphism.compression import CompressedGraph
+from repro.isomorphism.qsearch import QSearchEngine, enumerate_embeddings
 
 from tests.conftest import connected_query_from, random_labeled_graph
+
+
+def streams(graph, query):
+    """``(plain, compressed)``: the embeddings and expansion counts of
+    ``QSearchEngine`` over the default plan and over a compressed one."""
+    plan = compile_plan(query, graph.index_cache(), use_compression=True)
+    engines = (QSearchEngine(graph, query), QSearchEngine(graph, query, plan=plan))
+    return [(list(engine.embeddings()), engine.nodes_expanded) for engine in engines]
+
+
+def assert_same_stream(graph, query):
+    """The compressed plan's stream is the plain one; returns it."""
+    plain, compressed = streams(graph, query)
+    assert compressed == plain
+    return plain[0]
 
 
 class TestCompressedGraph:
@@ -74,14 +92,17 @@ class TestCountingExactness:
     def test_counts_match_plain_engine_random(self, seed):
         graph = random_labeled_graph(22, 3, 0.25, seed=seed)
         query = connected_query_from(graph, 3, seed=seed + 211)
-        plain, complete = count_embeddings(graph, query)
-        assert complete
-        assert count_embeddings_compressed(graph, query) == (plain, True)
+        assert_same_stream(graph, query)
 
     def test_counts_match_on_twin_heavy_fixtures(self):
-        for graph, query in (figure4(width=15), figure5(width=8, teasers=4)):
-            plain, _ = count_embeddings(graph, query)
-            assert count_embeddings_compressed(graph, query) == (plain, True)
+        # The paper's two fixtures, and a hub whose 40 leaves per label are
+        # one class each (the fixtures' fans are private, hence twin-free).
+        hub = LabeledGraph(["a"] + ["b"] * 40 + ["c"] * 40, [(0, v) for v in range(1, 81)])
+        assert hub.index_cache().compressed().num_classes == 3
+        star = QueryGraph(["a", "b", "b", "c"], [(0, 1), (0, 2), (0, 3)])
+        for graph, query in (figure4(width=15), figure5(width=8, teasers=4), (hub, star)):
+            assert assert_same_stream(graph, query)
+        assert len(assert_same_stream(hub, star)) == 40 * 39 * 40
 
     def test_same_class_query_nodes_need_clique(self):
         # Two same-label query nodes joined by an edge can only land in a
@@ -89,33 +110,32 @@ class TestCountingExactness:
         g_false = LabeledGraph(["a", "b", "b"], [(0, 1), (0, 2)])
         g_true = LabeledGraph(["a", "b", "b"], [(0, 1), (0, 2), (1, 2)])
         q = QueryGraph(["b", "b"], [(0, 1)])
-        assert count_embeddings_compressed(g_false, q) == (0, True)
-        assert count_embeddings_compressed(g_true, q) == (2, True)
+        assert assert_same_stream(g_false, q) == []
+        assert assert_same_stream(g_true, q) == [(1, 2), (2, 1)]
 
     def test_no_candidates(self):
         g = LabeledGraph(["a", "a"], [(0, 1)])
         q = QueryGraph(["z"])
-        assert count_embeddings_compressed(g, q) == (0, True)
+        assert streams(g, q) == [([], 0), ([], 0)]
 
 
 def test_class_level_count_fits_a_budget_the_plain_search_exceeds():
-    """Twin classes shrink the search by >= 1.5x, counted in expansions.
+    """On a twin-rich star, compression changes the join, not the work.
 
-    On the imdb stand-in (one-credit careers give popular works interchangeable
-    casts, ratio ~0.54) a star fan-out is counted exactly by the class search
-    inside two thirds of the vertex-level engine's expansions; singleton classes
-    would run out of budget. ``W1`` x ``L0`` is the weakest of the six work x
-    person stars (3.0x; the best is 5.1x).
+    The imdb stand-in (one-credit careers give popular works interchangeable
+    casts, ratio ~0.54) is where twin classes are largest; a star fan-out
+    over it is counted through a compressed plan in exactly the plain
+    engine's expansions.
     """
     graph = make_dataset("imdb", seed=0)  # bench scale
+    assert graph.index_cache().compressed().compression_ratio() < 0.6
     star = QueryGraph(["W1", "L0", "L0", "L0"], [(0, 1), (0, 2), (0, 3)])
-    plain = QSearchEngine(graph, star)
-    count = sum(1 for _ in plain.embeddings())
-    assert count > 300_000 and not plain.budget_exhausted
-    compressed = graph.index_cache().compressed()
-    assert count_embeddings_compressed(
-        graph, star, compressed=compressed, node_budget=int(plain.nodes_expanded / 1.5)
-    ) == (count, True)
+    plan = compile_plan(star, graph.index_cache(), use_compression=True)
+    counts = []
+    for engine in (QSearchEngine(graph, star), QSearchEngine(graph, star, plan=plan)):
+        counts.append((sum(1 for _ in engine.embeddings()), engine.nodes_expanded))
+        assert not engine.budget_exhausted
+    assert counts[0] == counts[1] and counts[0][0] > 300_000
 
 
 class TestEnumerationExactness:
@@ -123,23 +143,21 @@ class TestEnumerationExactness:
     def test_enumeration_matches_plain_engine(self, seed):
         graph = random_labeled_graph(20, 3, 0.25, seed=seed)
         query = connected_query_from(graph, 3, seed=seed + 97)
-        plain = set(enumerate_embeddings(graph, query))
-        compressed = enumerate_embeddings_compressed(graph, query)
-        assert set(compressed) == plain
-        assert len(compressed) == len(plain)
+        stream = assert_same_stream(graph, query)
+        assert stream == enumerate_embeddings(graph, query)
+        assert len(set(stream)) == len(stream)
 
     def test_limit(self):
         graph, query = figure4(width=10)
-        full = enumerate_embeddings_compressed(graph, query)
-        limited = enumerate_embeddings_compressed(graph, query, limit=1)
-        assert len(limited) == min(1, len(full))
+        full = assert_same_stream(graph, query)
+        plan = compile_plan(query, graph.index_cache(), use_compression=True)
+        first = next(QSearchEngine(graph, query, plan=plan).embeddings())
+        assert [first] == full[:1] == enumerate_embeddings(graph, query, limit=1)
 
     def test_reusable_compression(self):
+        # One partition per graph, shared by every compressed plan on it.
         graph = random_labeled_graph(20, 3, 0.25, seed=9)
-        compressed = CompressedGraph(graph)
-        q1 = connected_query_from(graph, 2, seed=1)
-        q2 = connected_query_from(graph, 3, seed=2)
-        for q in (q1, q2):
-            plain, _ = count_embeddings(graph, q)
-            count, complete = count_embeddings_compressed(graph, q, compressed=compressed)
-            assert complete and count == plain
+        partition = graph.index_cache().compressed()
+        for q in (connected_query_from(graph, 2, seed=1), connected_query_from(graph, 3, seed=2)):
+            assert_same_stream(graph, q)
+            assert graph.index_cache().compressed() is partition

@@ -1,32 +1,29 @@
-"""Direct unit tests for the compression expanders and split repair.
+"""The limit contract of ``enumerate_embeddings``, the join-mask identity the
+compressed join relies on, and split repair.
 
-``_expand`` carries a subtle contract: it returns ``True`` exactly when
-``out`` has been truncated at ``limit`` and the *caller's* loop over class
-assignments must stop. The limit check runs before each append, so
-``len(out)`` can never exceed ``limit``, a zero/negative limit yields
-nothing, and a pre-filled ``out`` at the limit is left untouched. These
-tests pin that contract at the function level (the property suite only
-sees it indirectly through result equality), plus the lazy expander's
-pay-per-pull accounting and :meth:`CompressedGraph.apply_delta` repair
-semantics.
+``enumerate_embeddings(limit=n)`` is the first ``n`` embeddings of the
+engine's full stream: ``limit <= 0`` returns ``[]`` and a limit at or past
+the total returns everything. ``CompressedGraph.class_join_mask`` answers
+"is ``v`` adjacent to ``a``" for every ``v != a`` with one bit test on
+``v``'s class — before and after :meth:`CompressedGraph.apply_delta` — which
+is what the level engine's compressed ``_fold_join`` reads in place of
+per-vertex adjacency masks.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import islice
 
 import pytest
 
+from repro.datasets.registry import make_dataset
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
-from repro.isomorphism.compression import (
-    CompressedGraph,
-    _expand,
-    count_embeddings_compressed,
-    enumerate_embeddings_compressed,
-    iter_embeddings_compressed,
-)
-from repro.isomorphism.qsearch import enumerate_embeddings
+from repro.indexes.plans import compile_plan
+from repro.isomorphism.compression import CompressedGraph
+from repro.isomorphism.qsearch import QSearchEngine, enumerate_embeddings
+from tests.property.test_compression_equivalence import casting_instance
 
 
 def hub_and_leaves(num_leaves: int = 3):
@@ -38,85 +35,74 @@ def hub_and_leaves(num_leaves: int = 3):
     return graph, comp
 
 
-def frame_for(comp, assignment):
-    """The (groups, assignment) pair ``enumerate_embeddings_compressed``
-    would hand to ``_expand`` for one class assignment."""
-    groups = {}
-    for u, cid in enumerate(assignment):
-        groups.setdefault(cid, []).append(u)
-    return groups, assignment
+def join_mask_offenders(graph, comp):
+    """Vertices ``a`` whose class join mask, expanded to the members of the
+    classes it sets (``a`` itself left out), is not ``N(a)``."""
+    offenders = []
+    for a in graph.vertices():
+        mask, members = comp.class_join_mask(comp.class_of[a]), set()
+        while mask:
+            low = mask & -mask
+            members.update(comp.classes[low.bit_length() - 1])
+            mask ^= low
+        members.discard(a)
+        if members != graph.neighbor_set(a):
+            offenders.append(a)
+    return offenders
 
 
 class TestExpandLimit:
-    def setup_method(self):
-        self.graph, self.comp = hub_and_leaves(3)
-        hub = self.comp.class_of[0]
-        leaf = self.comp.class_of[1]
-        # Query nodes 0 -> hub class, 1 -> leaf class: 1 * 3 = 3 embeddings.
-        self.frame = frame_for(self.comp, [hub, leaf])
+    """Hub plus three leaves, one edge: three embeddings."""
 
-    def expand(self, out, limit):
-        groups, assignment = self.frame
-        return _expand(groups, self.comp, assignment, out, limit)
+    def setup_method(self):
+        self.graph, _ = hub_and_leaves(3)
+        self.query = QueryGraph(["a", "b"], [(0, 1)])
+        self.full = list(QSearchEngine(self.graph, self.query).embeddings())
+        assert len(self.full) == 3
+
+    def expand(self, limit):
+        return enumerate_embeddings(self.graph, self.query, limit=limit)
 
     def test_no_limit_yields_all_and_reports_unlimited(self):
-        out = []
-        assert self.expand(out, None) is False
-        assert len(out) == 3
-        assert len(set(out)) == 3
+        assert self.expand(None) == self.full
+        assert len(set(self.full)) == 3
 
     def test_zero_limit_appends_nothing_and_reports_limited(self):
-        out = []
-        assert self.expand(out, 0) is True
-        assert out == []
+        assert self.expand(0) == []
 
     def test_negative_limit_appends_nothing_and_reports_limited(self):
-        out = []
-        assert self.expand(out, -2) is True
-        assert out == []
+        assert self.expand(-2) == []
 
     def test_mid_product_truncation_is_exact(self):
-        out = []
-        assert self.expand(out, 2) is True
-        assert len(out) == 2
+        assert self.expand(2) == self.full[:2]
 
     def test_limit_at_total_reports_limited(self):
-        # All 3 embeddings fit, and the stream is exactly full: the caller
-        # must stop — appending frame 2 would overshoot.
-        out = []
-        assert self.expand(out, 3) is True
-        assert len(out) == 3
+        assert self.expand(3) == self.full
 
     def test_limit_beyond_total_reports_unlimited(self):
-        out = []
-        assert self.expand(out, 5) is False
-        assert len(out) == 3
+        assert self.expand(5) == self.full
 
     def test_prefilled_out_at_limit_is_untouched(self):
-        # The caller accumulates across frames; a previous frame may already
-        # have filled the budget.
-        sentinel = [("sentinel",), ("sentinel",)]
-        out = list(sentinel)
-        assert self.expand(out, 2) is True
-        assert out == sentinel
+        # A stream abandoned at a limit leaves nothing behind: the same
+        # engine's next stream starts from the first embedding.
+        engine = QSearchEngine(self.graph, self.query)
+        assert list(islice(engine.embeddings(), 2)) == self.full[:2]
+        assert list(engine.embeddings()) == self.full
 
     def test_prefilled_out_below_limit_tops_up_exactly(self):
-        out = [("sentinel",)]
-        assert self.expand(out, 3) is True
-        assert len(out) == 3
-        assert out[0] == ("sentinel",)
+        # Raising the limit extends the answer; it never reorders it.
+        for smaller, larger in ((1, 2), (1, 3), (2, 3)):
+            assert self.expand(larger)[:smaller] == self.expand(smaller)
 
     def test_multi_node_class_draws_ordered_distinct_members(self):
-        # Two query nodes in the leaf class: ordered selections of distinct
-        # members, 3 * 2 = 6, never the same vertex twice.
-        leaf = self.comp.class_of[1]
-        hub = self.comp.class_of[0]
-        groups, assignment = frame_for(self.comp, [leaf, hub, leaf])
-        out = []
-        assert _expand(groups, self.comp, assignment, out, None) is False
-        assert len(out) == 6
-        assert all(m[0] != m[2] for m in out)
-        assert len(set(out)) == 6
+        # Two query nodes on the leaves: ordered pairs of distinct leaves,
+        # 3 * 2 = 6, never the same vertex twice, under any limit.
+        query = QueryGraph(["b", "a", "b"], [(0, 1), (1, 2)])
+        full = enumerate_embeddings(self.graph, query)
+        assert len(full) == len(set(full)) == 6
+        assert all(m[0] != m[2] for m in full)
+        for limit in range(7):
+            assert enumerate_embeddings(self.graph, query, limit=limit) == full[:limit]
 
 
 class TestEnumerateLimit:
@@ -125,43 +111,68 @@ class TestEnumerateLimit:
         self.query = QueryGraph(["b", "a", "b"], [(0, 1), (1, 2)])
 
     def test_limit_zero_and_negative_return_empty(self):
-        assert enumerate_embeddings_compressed(self.graph, self.query, limit=0) == []
-        assert enumerate_embeddings_compressed(self.graph, self.query, limit=-1) == []
+        assert enumerate_embeddings(self.graph, self.query, limit=0) == []
+        assert enumerate_embeddings(self.graph, self.query, limit=-1) == []
 
     def test_limit_truncates_to_exactly_limit(self):
-        full = enumerate_embeddings_compressed(self.graph, self.query)
+        full = enumerate_embeddings(self.graph, self.query)
         assert len(full) == 12  # 4 * 3 ordered leaf pairs
         for limit in (1, 5, 11, 12, 13, 50):
-            got = enumerate_embeddings_compressed(self.graph, self.query, limit=limit)
-            assert len(got) == min(limit, 12)
-            assert set(got) <= set(full)
+            assert enumerate_embeddings(self.graph, self.query, limit=limit) == full[:limit]
 
     def test_matches_plain_engine_set(self):
-        full = enumerate_embeddings_compressed(self.graph, self.query)
-        plain = enumerate_embeddings(self.graph, self.query)
-        assert set(full) == set(plain)
-        assert len(full) == len(plain)
+        full = enumerate_embeddings(self.graph, self.query)
+        plan = compile_plan(self.query, self.graph.index_cache(), use_compression=True)
+        assert list(QSearchEngine(self.graph, self.query, plan=plan).embeddings()) == full
+        assert len(set(full)) == len(full) == 12
+
+
+def teams(count: int = 15, size: int = 3) -> LabeledGraph:
+    """``count`` hubs, each with ``size`` mutually adjacent members: every
+    team's members are true twins, a clique class."""
+    labels, edges = [], []
+    for _ in range(count):
+        hub = len(labels)
+        members = range(hub + 1, hub + 1 + size)
+        labels += ["T"] + ["P"] * size
+        edges += [(hub, v) for v in members]
+        edges += [(v, w) for v in members for w in members if v < w]
+    return LabeledGraph(labels, edges)
+
+
+def twin_rich_stand_ins():
+    """The imdb stand-in (the registry's one twin-rich dataset), the
+    equivalence suite's casting graph and ``teams`` (the only one with clique
+    classes), each with its cached partition."""
+    graphs = [make_dataset("imdb", scale=0.002, seed=7), casting_instance()[0], teams()]
+    return [(graph, graph.index_cache().compressed()) for graph in graphs]
 
 
 class TestLazyExpansion:
+    """The identity ``_fold_join``'s compressed branch rests on: for every
+    ``v != a``, bit ``class_of[v]`` of ``class_join_mask(class_of[a])`` is set
+    iff ``v`` is adjacent to ``a``."""
+
     def test_counter_pays_per_pull(self):
-        graph, comp = hub_and_leaves(4)
-        query = QueryGraph(["b", "a", "b"], [(0, 1), (1, 2)])
-        stream = iter_embeddings_compressed(graph, query, compressed=comp)
-        assert comp.lazy_expansions == 0
-        first = list(islice(stream, 3))
-        assert len(first) == 3
-        assert comp.lazy_expansions == 3
-        rest = list(stream)
-        assert comp.lazy_expansions == 12
-        assert set(first) | set(rest) == set(enumerate_embeddings(graph, query))
+        # A partition as built.
+        for graph, comp in twin_rich_stand_ins():
+            assert comp.compression_ratio() < 0.6
+            assert not join_mask_offenders(graph, comp)
 
     def test_lazy_matches_eager(self):
-        graph, comp = hub_and_leaves(3)
-        query = QueryGraph(["a", "b"], [(0, 1)])
-        lazy = list(iter_embeddings_compressed(graph, query, compressed=comp))
-        eager = enumerate_embeddings_compressed(graph, query)
-        assert lazy == eager
+        # The same partition after split repairs: toggling edges between
+        # members of shared classes detaches both endpoints.
+        rng = random.Random(5)
+        for graph, comp in twin_rich_stand_ins():
+            shared = [members for members in comp.classes if len(members) > 1]
+            for members in rng.sample(shared, 12):
+                u, v = rng.sample(members, 2)
+                if graph.has_edge(u, v):
+                    graph.remove_edge(u, v)
+                else:
+                    graph.add_edge(u, v)
+            assert graph.index_cache().compressed() is comp and comp.split_repairs >= 12
+            assert not join_mask_offenders(graph, comp)
 
 
 class TestApplyDelta:
@@ -222,11 +233,8 @@ class TestApplyDelta:
         assert new_cid != leaf_cid
         assert new_cid not in comp.neighbors(comp.class_of[0])
         assert not (comp.class_join_mask(comp.class_of[0]) >> new_cid) & 1
-        # And results stay exact against the live topology.
-        query = QueryGraph(["a", "b"], [(0, 1)])
-        count, complete = count_embeddings_compressed(graph, query, compressed=comp)
-        assert complete
-        assert count == len(enumerate_embeddings(graph, query)) == 2
+        # And every rebuilt mask agrees with the live topology.
+        assert not join_mask_offenders(graph, comp)
 
     def test_empty_delta_is_noop(self):
         _, comp = hub_and_leaves(3)

@@ -434,9 +434,10 @@ class TestConnectionThreads:
                 client.query("tiny", query)
         finally:
             server.close()
-        # Two, not one: the next connection can arrive while the previous
-        # thread is still closing its socket.
-        assert len(handlers) == 50 and len(set(handlers)) <= 2
+        # Not one: a thread is idle again only after it has shut its socket,
+        # so on a loaded box the next connections can arrive while one or two
+        # are still closing. A thread per request would show fifty.
+        assert len(handlers) == 50 and len(set(handlers)) <= 5
 
     def test_close_leaves_no_thread_behind(self):
         before = threading.active_count()
@@ -567,3 +568,22 @@ class TestOverloadIsAdmissionsDecision:
             want = reference.query(queries[slot])
             assert payload["embeddings"] == [list(e) for e in want.embeddings]
             assert payload["coverage"] == want.coverage
+
+    def test_a_burst_waits_in_the_backlog(self):
+        # Bound and listening, accept loop not started: every connection of a
+        # burst must complete its handshake into the listen backlog. A short
+        # backlog drops the rest's SYNs, and each such client waits out the
+        # kernel's 1 s retransmit before it can even be refused.
+        server = _tiny_server()
+        connected = []
+        try:
+            for _ in range(48):
+                try:
+                    connected.append(socket.create_connection(server.address, timeout=0.3))
+                except OSError:
+                    break
+        finally:
+            for sock in connected:
+                sock.close()
+            server.close()
+        assert len(connected) == 48

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import importlib.util
 import inspect
 import json
 import py_compile
@@ -42,6 +43,42 @@ def test_sources_compile():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def import_offenders(sources):
+    """``path: module.name`` for every name a ``from repro... import`` in
+    ``{path: source}`` asks of a module that neither defines it nor has it
+    as a submodule."""
+    offenders = []
+    for path, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 0):
+                continue
+            if (node.module or "").split(".")[0] != "repro":
+                continue
+            module = importlib.import_module(node.module)
+            offenders += [
+                f"{path}: {node.module}.{alias.name}"
+                for alias in node.names
+                if alias.name != "*" and not hasattr(module, alias.name)
+                and importlib.util.find_spec(f"{node.module}.{alias.name}") is None
+            ]
+    return offenders
+
+
+def test_example_imports_resolve():
+    """Byte-compiling an example does not import it: a name deleted from the
+    package would leave its example broken, silently."""
+    examples = {
+        str(p.relative_to(REPO)): p.read_text(encoding="utf-8")
+        for p in sorted((REPO / "examples").glob("*.py"))
+    }
+    assert examples and not import_offenders(examples)
+    # The check sees a deleted name imported again.
+    stale = "from repro.isomorphism import QSearchEngine, count_embeddings_compressed\n"
+    assert import_offenders({"examples/engine_comparison.py": stale}) == [
+        "examples/engine_comparison.py: repro.isomorphism.count_embeddings_compressed"
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -349,6 +386,15 @@ STAYS_DELETED = {
         "indexes/graph_cache.py", "            self.delta_seq += 1\n",
         "            self._mutation_log.append((self.delta_seq, op))\n", ("_mutation_log",),
     ),
+    "class_search": (
+        (
+            "_ClassSearch", "count_embeddings_compressed", "iter_embeddings_compressed",
+            "enumerate_embeddings_compressed", "_iter_expansions", "lazy_expansions",
+            "on_lazy_expansion",
+        ),
+        "isomorphism/compression.py", "        self.split_repairs = 0\n",
+        "        self.lazy_expansions = 0\n", ("lazy_expansions",),
+    ),
 }
 
 
@@ -430,7 +476,7 @@ def test_evidence_ledger_names_resolve():
     ]
     rows = [row for row in rows if row[0].isdigit()]
     assert [int(row[0]) for row in rows] == list(range(1, 45))
-    assert sum(row[3] == "dropped" for row in rows) == 4
+    assert sum(row[3] == "dropped" for row in rows) == 7
     for number, _, _, now, where in rows:
         names = re.findall(r"`([^`]+)`", where)
         paths = [name for name in names if "/" in name]
@@ -772,6 +818,21 @@ def test_catch_up_stays_deleted():
     state = cache.__getstate__()
     assert set(state) == slots <= set(GraphIndexCache.__slots__)
     assert not [kind for kind in ("add_edge", "add_vertex", "remove_edge") if kind in repr(state)]
+
+
+# ----------------------------------------------------------------------
+# Fork guard: one search engine per job. The twin partition is what a
+# compressed plan reads; the class-level search beside it (its own order,
+# pools, budget meter and recursion), its three entry points, its two
+# expanders and their counter must not grow back.
+# ----------------------------------------------------------------------
+def test_class_search_stays_deleted():
+    from repro.isomorphism import compression
+
+    assert_stays_deleted("class_search")
+    # The eager expander's name is a substring of ``nodes_expanded``, so it is
+    # looked up rather than scanned for.
+    assert not hasattr(compression, "_expand")
 
 
 # ----------------------------------------------------------------------
