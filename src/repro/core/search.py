@@ -146,6 +146,7 @@ class LevelSearchEngine(ConflictDirectedSearch):
         # *mechanism*, never which candidates are iterated or charged.
         self._compressed = self._cache.compressed() if config.use_compression else None
         self.rng = random.Random(config.seed)
+        self._getrandbits = self.rng.getrandbits
         # The two strategy switches a frame consults, read once.
         self._localize = config.localized_search
         self._cap_singles = config.single_embedding_mode
@@ -386,9 +387,17 @@ class LevelSearchEngine(ConflictDirectedSearch):
         elif cap is not None and self._cap_singles:
             # Section 5.2 tries a random `cap` of them — on a copy: the list
             # may be the view's memo (or the plan's pool), read again by
-            # every later frame with the same father match.
+            # every later frame with the same father match. CPython's
+            # `self.rng.shuffle`, written out: same permutation and state
+            # after, without its two calls per element.
             rcand = list(rcand)
-            self.rng.shuffle(rcand)
+            getrandbits = self._getrandbits
+            for i in range(len(rcand) - 1, 0, -1):
+                k = (i + 1).bit_length()
+                j = getrandbits(k)
+                while j > i:
+                    j = getrandbits(k)
+                rcand[i], rcand[j] = rcand[j], rcand[i]
         else:
             cap = None
         joined = None

@@ -15,8 +15,7 @@ A graph is one object holding exactly what is read:
   Python ints, so downstream embeddings never carry numpy scalar types);
 * **membership sets**, one per vertex — what ``has_edge`` probes (O(1)
   expected; a binary search in a sorted row pays ~20x call overhead for a
-  single lookup) and the localized search of Section 5.1 intersects in C
-  (``neighbor_set(v)``);
+  single lookup) and the join test reads in C (``neighbor_set(v)``);
 * degrees, the raw label list and the label interning tables
   (``label_table`` / ``label_to_id``, first-appearance order: the id space
   the per-graph index cache keys its signature bitmasks by;

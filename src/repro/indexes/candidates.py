@@ -22,7 +22,6 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.indexes.graph_cache import GraphIndexCache
-from repro.kernels import intersect_sets
 
 
 class CandidateIndex:
@@ -66,9 +65,10 @@ class CandidateIndex:
         self.query = query
         self.cache = cache if cache is not None else graph.index_cache()
         self.plan = plan or self.cache.plan_cache.get_or_compile(query, self.cache)
-        # Both sides of a localized intersection, bound once per view: the
-        # storage's row sets and the plan's lazily built pool sets.
-        self._neighbor_set = graph.neighbor_set
+        # What a localized miss reads, bound once per view; a label the graph
+        # lacks gets id -1, which no vertex carries.
+        self._label_neighbors = self.cache.label_neighbors
+        self._lids = [self.cache.label_to_id.get(label, -1) for label, _, _ in self.plan.profiles]
         self._pool_set = self.plan.pool_set
         self._localized: List[Dict[int, List[int]]] = [{} for _ in self.plan.pools]
 
@@ -99,18 +99,20 @@ class CandidateIndex:
     def localized(self, u: int, fv: int) -> List[int]:
         """``N(fv) ∩ candS(u)`` ascending — Section 5.1's localized ``Rcand``.
 
-        ``fv`` is the vertex matched to ``u``'s father. One C-level
-        intersection of the storage's neighbor set with the plan's pool set
-        (``min`` of the two sizes), computed once per ``(u, fv)`` and
-        memoized on this view: while an anchor enumerates under a fixed
-        overlap prefix, every anchor candidate asks for the same hub rows
-        again. The list is shared — callers iterate it and must not reorder
-        it in place (the Section 5.2 shuffle works on a copy).
+        ``fv`` is the vertex matched to ``u``'s father. Pool members carry
+        ``u``'s label, so only ``fv``'s neighbors with it (:meth:`~repro.
+        indexes.graph_cache.GraphIndexCache.label_neighbors`) are filtered by
+        the plan's pool set, in C, once per ``(u, fv)`` and memoized on this
+        view: while an anchor enumerates under a fixed overlap prefix, every
+        anchor candidate asks for the same hub rows again. The list is shared
+        — callers iterate it and must not reorder it in place (the Section
+        5.2 shuffle works on a copy).
         """
         memo = self._localized[u]
         hit = memo.get(fv)
         if hit is None:
-            hit = memo[fv] = intersect_sets(self._neighbor_set(fv), self._pool_set(u))
+            run = self._label_neighbors(fv, self._lids[u])
+            hit = memo[fv] = list(filter(self._pool_set(u).__contains__, run))
         return hit
 
     def any_empty(self) -> bool:

@@ -20,15 +20,17 @@ session answering many queries against the same graph shares:
   same filter profile (and repeated queries) share one pool computation;
 * beside a memoized pool, once the cost estimator has asked, the pool's
   **degree mass** (:meth:`GraphIndexCache.pool_degree_mass`): repaired and
-  dropped with the pool, so pricing a plan walks no pool.
+  dropped with the pool, so pricing a plan walks no pool;
+* per asked vertex, its row **grouped by label** (:meth:`GraphIndexCache.
+  label_neighbors`), one label's run of which Section 5.1 localizes to.
 
 :class:`~repro.indexes.candidates.CandidateIndex` becomes a cheap per-query
 restriction over these pools instead of a per-query full scan.
 
 Live mutation support is *delta-based* rather than epoch-nuke:
 :meth:`GraphIndexCache.apply_delta` repairs only the state derived from the
-touched edges' 1-hop neighborhoods (the endpoints' degrees, signature masks
-and adjacency bitsets) and evicts only the compiled plans whose pools
+touched edges' 1-hop neighborhoods (the endpoints' degrees, signature masks,
+adjacency bitsets and grouped rows) and evicts only the compiled plans whose pools
 intersect the dirty label set — everything else survives at the same logical
 :attr:`epoch` with a bumped :attr:`delta_seq`. The candidate-pool memo is
 *repaired*, not evicted: a pool is exactly the vertices of its label passing
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter, OrderedDict
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
 
@@ -109,6 +111,7 @@ class GraphIndexCache:
         "_adj_masks",
         "_adj_memo_size",
         "_adj_lock",
+        "_grouped_rows",
         "_metrics",
         "_cost_estimator",
         "_compressed",
@@ -184,6 +187,8 @@ class GraphIndexCache:
         self._adj_masks: "OrderedDict[int, int]" = OrderedDict()
         self._adj_memo_size = DEFAULT_ADJACENCY_MEMO_SIZE
         self._adj_lock = threading.Lock()
+        # v -> its row grouped by label (see label_neighbors): no cap, one per vertex.
+        self._grouped_rows: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
 
         # Compiled query plans are keyed by (epoch, canonical query key,
         # use_compression); the epoch names this construction — stamped here
@@ -213,7 +218,7 @@ class GraphIndexCache:
     # so it is dropped the same way.
     def __getstate__(self) -> dict:
         # Every memo is dropped — candidate pools, mask signatures, compiled
-        # plans, adjacency bitsets: each is a pure cache that refills
+        # plans, adjacency bitsets, label-grouped rows: each is a pure cache that refills
         # lazily, shipping megabytes of masks to a worker is worse than
         # recomputing the few it touches, and they are the dicts a *read*
         # inserts into, so a query running beside the pickling (a process
@@ -231,6 +236,7 @@ class GraphIndexCache:
             "plan_cache",
             "_adj_lock",
             "_adj_masks",
+            "_grouped_rows",
             "_metrics",
             "_cost_estimator",
             "_compressed",
@@ -249,6 +255,7 @@ class GraphIndexCache:
         self.plan_cache = PlanCache()
         self._adj_lock = threading.Lock()
         self._adj_masks = OrderedDict()
+        self._grouped_rows = {}
         self._metrics = None
         self._cost_estimator = None
         self._compressed = None
@@ -482,6 +489,27 @@ class GraphIndexCache:
                 memo.popitem(last=False)
         return mask
 
+    def label_neighbors(self, v: int, lid: int) -> Tuple[int, ...]:
+        """The ascending neighbors of ``v`` whose label id is ``lid``.
+
+        On first ask ``v``'s row is stable-sorted by label id (each label's
+        run stays ascending) and kept beside its label ids, so a lookup is two
+        bisects and a slice. A write drops its endpoints' groupings, pickling
+        drops all, and one built across a write is returned but not kept.
+        """
+        grouped = self._grouped_rows.get(v)
+        if grouped is None:
+            seq = self.delta_seq
+            label_of = self.label_ids.__getitem__
+            row = tuple(sorted(self.graph.neighbors(v), key=label_of))
+            grouped = (tuple(map(label_of, row)), row)
+            with self._adj_lock:
+                if self.delta_seq == seq:
+                    self._grouped_rows[v] = grouped
+        lids, row = grouped
+        lo = bisect_left(lids, lid)
+        return row[lo : bisect_right(lids, lid, lo)]
+
     # ------------------------------------------------------------------
     # Live mutation: delta-based repair
     # ------------------------------------------------------------------
@@ -507,7 +535,7 @@ class GraphIndexCache:
         dirties only its two endpoints (adding or removing ``(u, v)``
         changes the neighbor multisets of ``u`` and ``v`` and nobody
         else's, so only ``NS(u)``/``NS(v)``, their degrees, their adjacency
-        bitsets, and the candidate pools of their labels can change) and a
+        bitsets and grouped rows, and the candidate pools of their labels can change) and a
         vertex op dirties only the new vertex. Candidate-pool memo entries
         are repaired in place (:meth:`_repair_pools`): entries of clean
         labels keep their tuple objects, entries of a dirty label change
@@ -578,10 +606,11 @@ class GraphIndexCache:
 
         if moved:
             self._repair_pools(moved)
-        if self._adj_masks:
-            with self._adj_lock:
-                for v in dirty_vertices:
-                    self._adj_masks.pop(v, None)
+        # After delta_seq moved, under the lock label_neighbors stores under.
+        with self._adj_lock:
+            for v in dirty_vertices:
+                self._adj_masks.pop(v, None)
+                self._grouped_rows.pop(v, None)
         self.plan_cache.evict_stale(
             dirty_lids, new_labels, edges_changed=any(op[0] != "add_vertex" for op in ops)
         )

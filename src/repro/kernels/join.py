@@ -48,8 +48,9 @@ query neighbor — nothing to intersect against)."""
 
 MERGE = "merge"
 """Kernel kind: adjacency intersected with the candidate pool, ascending
-(:func:`intersect_sets` over the storage's neighbor sets and the plan's pool
-set; :func:`intersect_sorted` is the sorted-sequence form of the same)."""
+(``expand_pool``: :func:`intersect_sets` over the storage's neighbor sets and
+the plan's pool set; a localized frame: the father's one-label run filtered
+by the pool set, :meth:`~repro.indexes.candidates.CandidateIndex.localized`)."""
 
 BITSET = "bitset"
 """Kernel kind: big-int AND of neighbor bitsets, members enumerated or

@@ -1,11 +1,13 @@
 """What a search frame costs, as counts (docs/performance.md § "What a frame costs").
 
 A localized frame reads ``N(father's match) ∩ candS(u)`` from the per-query
-view — one C-level set intersection per *distinct* ``(u, father's match)``,
-a memo hit afterwards — and everything query-static from the plan's
-per-Qovp frame table, compiled once per (plan, Qovp) and shared by every
-session. These tests hold that as counted work on a registry graph; each
-fails at the commit before the view and the table existed.
+view — per *distinct* ``(u, father's match)`` one C-level filter of the
+father's neighbors carrying ``u``'s label (the index cache's label-grouped
+row, built once per vertex and graph version), a memo hit afterwards — and
+everything query-static from the plan's per-Qovp frame table, compiled once
+per (plan, Qovp) and shared by every session. These tests hold that as
+counted work on a registry graph; each fails at the commit before the
+mechanism it counts existed.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import types
 import pytest
 
 import repro.core.dsql as dsql_module
-import repro.indexes.candidates as candidates_module
 import repro.indexes.plans as plans_module
 from repro.core.config import DSQLConfig
 from repro.core.dsql import DSQL
@@ -30,6 +31,7 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.graph.validation import validate_embedding
 from repro.indexes.candidates import CandidateIndex
+from repro.indexes.graph_cache import GraphIndexCache
 from repro.queries.generator import query_set
 
 from tests.conftest import profiled_calls
@@ -59,42 +61,56 @@ def views(monkeypatch):
 
 
 def test_localization_touches_each_row_once_per_query(workload, views, monkeypatch):
-    """(a) words touched ≤ Σ over distinct (u, fv) of min(|N(fv)|, |candS(u)|)."""
+    """(a) a miss walks the father's neighbors that carry ``u``'s label, and
+    nothing else: on this fixture about an eighth of the Σ over distinct
+    (u, fv) of min(|N(fv)|, |candS(u)|) a set intersection walked (5 548
+    words against 46 902), and each vertex's row is grouped once."""
     graph, queries = workload
-    touched = []  # per intersection: the side C walks
+    misses = []  # per localized miss: (fv, label id, words walked)
 
-    def counting_intersect(first, *rest):
-        touched.append(min(len(first), *map(len, rest)))
-        return real_intersect(first, *rest)
+    def counting_label_neighbors(self, v, lid):
+        run = real_label_neighbors(self, v, lid)
+        misses.append((v, lid, len(run)))
+        return run
 
-    real_intersect = candidates_module.intersect_sets
-    monkeypatch.setattr(candidates_module, "intersect_sets", counting_intersect)
+    real_label_neighbors = GraphIndexCache.label_neighbors
+    monkeypatch.setattr(GraphIndexCache, "label_neighbors", counting_label_neighbors)
     session = DSQL(graph, CONFIG)  # builds the graph's index cache (which reads every row)
-    # Any row read in the interpreter from here on. The queries are trees, so
-    # no frame has two matched neighbors and no adjacency bitmask is built.
-    rows_walked = []
+    # Any row read in the interpreter from here on, and who read it. The
+    # queries are trees, so no frame has two matched neighbors and no
+    # adjacency bitmask is built: only a grouping build may read a row.
+    rows_walked, grouped = [], []
     real_neighbors = graph.neighbors  # bound before the spy goes in
 
     def spied_neighbors(self, v):  # the class's method: queries read their rows too
         if self is graph:
-            rows_walked.append(v)
+            reader = sys._getframe(1).f_code.co_name
+            (grouped if reader == "label_neighbors" else rows_walked).append(v)
         return self._rows[v]
 
     monkeypatch.setattr(LabeledGraph, "neighbors", spied_neighbors)
 
-    frames = repeats = 0
+    frames = repeats = words = parent_words = 0
     for query in queries:
-        del touched[:]
+        del misses[:]
         result = session.query(query)
         view = views[-1]
         asked = {(u, fv) for u, memo in enumerate(view._localized) for fv in memo}
-        bound = sum(
+        lids = [graph.label_to_id[query.label(u)] for u in range(query.size)]
+        assert sorted(miss[:2] for miss in misses) == sorted((fv, lids[u]) for u, fv in asked)
+        for fv, lid, walked in misses:
+            label = graph.label_table[lid]
+            assert walked == sum(graph.label(w) == label for w in real_neighbors(fv))
+        words += sum(walked for _, _, walked in misses)
+        parent_words += sum(
             min(len(real_neighbors(fv)), len(view.candidates(u))) for u, fv in asked
         )
-        assert len(touched) == len(asked)
-        assert 0 < sum(touched) <= bound
         frames += result.stats.kernel_merge
         repeats += result.stats.kernel_merge - len(asked)
+    assert 0 < 8 * words <= parent_words
+    # One graph version: each vertex grouped at most once, and every grouping kept.
+    assert grouped and len(grouped) == len(set(grouped))
+    assert set(grouped) == set(graph.index_cache()._grouped_rows)
     assert not rows_walked
     # The memo is exercised: most localized frames re-ask a pair already computed.
     assert repeats > frames / 2

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.config import DSQLConfig
@@ -13,6 +15,7 @@ from repro.graph.query_graph import QueryGraph
 from repro.indexes.candidates import CandidateIndex
 from repro.isomorphism.joinable import UNMATCHED
 from repro.isomorphism.qsearch import enumerate_embeddings
+from repro.queries.qflist import NO_FATHER
 
 from tests.conftest import passes_filter_stack
 
@@ -158,6 +161,45 @@ class TestRcand:
         engine.run_level(1, tcand, lambda m: (collected.append(m), True)[1])
         # Only node 1 (label b) has a candidate in {v1}; v3's branch is cut.
         assert collected == [(0, 1, 2)]
+
+
+def shuffled_by_the_frame(n, seed):
+    """The order in which a capped single-embedding frame tries a hub's ``n``
+    candidate leaves, and its engine's ``Random`` state afterwards.
+
+    The hub (v0) is matched; the leaf's frame has it as father and a cap past
+    ``n``, and its child fails every candidate, so the frame tries them all
+    in the order the Section 5.2 shuffle left them."""
+    graph = LabeledGraph(["a"] + ["b"] * n, [(0, b) for b in range(1, n + 1)])
+    query = QueryGraph(["a", "b"], [(0, 1)])
+    config = DSQLConfig(k=5, seed=seed, conflict_skipping=False, bad_vertex_skipping=False)
+    engine = engine_for(graph, query, config)
+    engine.order = (0, 1)
+    engine._frames = ((0, NO_FATHER, False, None, ()), (1, 0, False, n + 1, (0,)))
+    engine._assignment[0] = 0
+    engine._used.add(0)
+    frame, tried = engine._single_frame, []
+
+    def failing_child(depth):
+        if depth == 2:
+            tried.append(engine._assignment[1])
+            return {0}
+        return frame(depth)
+
+    engine._single_frame = failing_child  # the frame recurses through the instance
+    assert engine._single_frame(1) == {0}
+    return tried, engine.rng.getstate()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 42, 2016])
+def test_the_frames_shuffle_is_the_stdlibs(seed):
+    """The frame writes CPython's ``Random.shuffle`` out in place: for every
+    length, the same permutation and the same generator state after — so a
+    change to the stdlib's shuffle fails here, not in 108 golden digests."""
+    for n in range(71):
+        want, rng = list(range(1, n + 1)), random.Random(seed)
+        rng.shuffle(want)
+        assert shuffled_by_the_frame(n, seed) == (want, rng.getstate()), n
 
 
 class TestBudget:

@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import pickle
 import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -100,6 +103,14 @@ def kept_masses(cache: GraphIndexCache) -> dict:
     }
 
 
+def regroup(graph: LabeledGraph, v: int) -> tuple:
+    """``(label ids, neighbors)`` of ``v``'s row ordered by (label id, vertex),
+    from the graph's own tables: what a kept grouping must be."""
+    lids = graph.label_id_sequence()
+    row = sorted(graph.neighbors(v), key=lambda w: (lids[w], w))
+    return tuple(lids[w] for w in row), tuple(row)
+
+
 def assert_cache_equivalent(repaired: GraphIndexCache, fresh: GraphIndexCache) -> None:
     assert repaired.label_index == fresh.label_index
     assert repaired.signature_masks == fresh.signature_masks
@@ -120,6 +131,9 @@ def assert_cache_equivalent(repaired: GraphIndexCache, fresh: GraphIndexCache) -
     assert masses.keys() <= repaired._pool_memo.keys()
     for key, mass in masses.items():
         assert mass == sum(fresh.degrees[v] for v in repaired._pool_memo[key]), key
+    # Every label-grouped row kept is the vertex's row as it is now.
+    for v, grouped in repaired._grouped_rows.items():
+        assert grouped == regroup(repaired.graph, v), v
     # The storage the cache was repaired over is what a from-scratch
     # rebuild holds: rows, and the hash sets the localized search
     # intersects are the rows, as sets.
@@ -410,6 +424,137 @@ class TestTargetedInvalidation:
         assert cache.evict_stale(frozenset(), {"zz"}) == 1
         assert set(cache._memo) == {"p2"}
         assert cache.evict_stale(frozenset(), ()) == 0
+
+
+class TestGroupedRows:
+    """The label-grouped rows behind ``label_neighbors``: one per asked
+    vertex, dropped for a write's endpoints, never pickled, never kept when
+    built across a write."""
+
+    @staticmethod
+    def warm(cache: GraphIndexCache, vertices) -> None:
+        for v in vertices:
+            cache.label_neighbors(v, 0)
+
+    def test_every_kept_grouping_is_a_fresh_regroup_after_every_batch(self):
+        g = banded_graph()
+        cache = g.index_cache()
+        rng = random.Random(31)
+        dropped = 0
+        for step in range(40):
+            self.warm(cache, rng.sample(range(g.num_vertices), g.num_vertices // 2))
+            batch = [("add_vertex", rng.choice("abcde"))] if step % 4 == 0 else []
+            n = g.num_vertices + len(batch)
+            for _ in range(rng.randrange(1, 6)):
+                u, v = rng.sample(range(n), 2)
+                batch.append((rng.choice(["add_edge", "remove_edge"]), u, v))
+            before = set(cache._grouped_rows)
+            g.mutate(batch, compaction_threshold=None)
+            dropped += len(before - set(cache._grouped_rows))
+            assert_cache_equivalent(cache, GraphIndexCache(g))
+            for v in rng.sample(range(g.num_vertices), 10):
+                for lid in range(len(cache.label_table)):
+                    want = tuple(w for w in g.neighbors(v) if cache.label_ids[w] == lid)
+                    assert cache.label_neighbors(v, lid) == want, (v, lid)
+        assert {"d", "e"} <= set(g.label_to_id) and dropped and cache._grouped_rows
+
+    def test_a_write_drops_its_endpoints_and_keeps_everything_else(self):
+        g = banded_graph()
+        cache = g.index_cache()
+        self.warm(cache, g.vertices())
+        held = dict(cache._grouped_rows)
+        assert len(held) == g.num_vertices
+        u = 0
+        v = next(v for v in g.vertices() if v != u and not g.has_edge(u, v))
+        g.add_edge(u, v)
+        assert set(held) - set(cache._grouped_rows) == {u, v}
+        assert all(cache._grouped_rows[w] is held[w] for w in cache._grouped_rows)
+        w = g.add_vertex("zz")
+        assert w not in cache._grouped_rows and len(cache._grouped_rows) == len(held) - 2
+        assert v in cache.label_neighbors(u, cache.label_ids[v])
+        assert_cache_equivalent(cache, GraphIndexCache(g))
+
+    def test_a_pickled_cache_carries_no_grouping(self):
+        g = banded_graph()
+        cache = g.index_cache()
+        size = len(pickle.dumps(cache))
+        self.warm(cache, g.vertices())
+        assert len(cache._grouped_rows) == g.num_vertices
+        assert len(pickle.dumps(cache)) == size
+        assert pickle.loads(pickle.dumps(cache))._grouped_rows == {}
+
+    def test_a_grouping_built_across_a_write_is_not_kept(self, monkeypatch):
+        """The parked-probe recipe: the build reads the row, parks, a write
+        lands on that row, the build finishes. Its caller gets the
+        pre-write run; the cache keeps nothing for the vertex."""
+        g = banded_graph()
+        cache = g.index_cache()
+        v = 0
+        x = next(w for w in g.vertices() if w != v and not g.has_edge(v, w))
+        lid = cache.label_ids[x]
+        entered, release = threading.Event(), threading.Event()
+
+        def parked(self, w):
+            row = self._rows[w]  # the pre-write row
+            if not entered.is_set():
+                entered.set()
+                assert release.wait(30)
+            return row
+
+        monkeypatch.setattr(LabeledGraph, "neighbors", parked)
+        got = {}
+        reader = threading.Thread(target=lambda: got.setdefault("run", cache.label_neighbors(v, lid)))
+        reader.start()
+        assert entered.wait(30)
+        g.add_edge(v, x)
+        release.set()
+        reader.join(30)
+        assert not reader.is_alive()
+        monkeypatch.undo()
+        assert x not in got["run"]
+        assert v not in cache._grouped_rows
+        assert x in cache.label_neighbors(v, lid)
+        assert_cache_equivalent(cache, GraphIndexCache(g))
+
+    def test_readers_beside_a_writer_keep_no_stale_grouping(self):
+        """Four readers grouping six hot rows while a writer toggles edges
+        among them, the interpreter switching threads every microsecond.
+        Between two writes every grouping held is its row as it is: one
+        stored across a write and missed by its repair would show there."""
+        g = banded_graph()
+        cache = g.index_cache()
+        deadline = time.monotonic() + 1.0
+        errors = []
+
+        def read(seed):
+            rng = random.Random(seed)
+            try:
+                while time.monotonic() < deadline:
+                    cache.label_neighbors(rng.randrange(6), rng.randrange(3))
+            except Exception as exc:  # reported below, not lost in the thread
+                errors.append(exc)
+
+        readers = [threading.Thread(target=read, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        stale, writes = [], 0
+        try:
+            for reader in readers:
+                reader.start()
+            rng = random.Random(8)
+            while time.monotonic() < deadline:
+                u, v = rng.sample(range(6), 2)
+                g.remove_edge(u, v) if g.has_edge(u, v) else g.add_edge(u, v)
+                writes += 1
+                held = dict(cache._grouped_rows)  # one C-level copy
+                stale += [w for w, grouped in held.items() if grouped != regroup(g, w)]
+            for reader in readers:
+                reader.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers) and not errors, errors
+        assert writes > 100 and cache._grouped_rows and not stale, stale
+        assert_cache_equivalent(cache, GraphIndexCache(g))
 
 
 class TestVersionAndLog:

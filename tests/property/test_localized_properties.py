@@ -2,12 +2,16 @@
 definitions.
 
 ``CandidateIndex.localized(u, fv)`` replaced a row walk in the level engine
-and the baselines with a C-level intersection of the storage's hash set and
-the plan's pool set; Section 5.1 defines it as the father's sorted neighbor
-row filtered by ``candS(u)``. The property holds the two equal for every
-father match the search could ask about, wherever the row lives: in the
-frozen arrays, in the mutation overlay after ``add_edge`` / ``remove_edge``
-/ ``add_vertex``, and in the arrays again after ``compact()``.
+and the baselines with a C-level filter of ``fv``'s neighbors carrying
+``u``'s label — the index cache's label-grouped row — by the plan's pool
+set; Section 5.1 defines it as the father's sorted neighbor row filtered by
+``candS(u)``. The property holds the two equal for every father match the
+search could ask about at three checkpoints: the graph as built; after a
+script of ``add_edge`` / ``remove_edge`` / ``add_vertex``, which rewrite the
+rows in place and drop the touched vertices' groupings; and after
+``compact()``, which only restarts ``delta_size``. After the script every
+touched vertex's grouping is also held to its row: for each label id,
+``cache.label_neighbors(v, lid)`` is the row's members carrying it.
 
 ``QueryPlan.frames(query, qovp)`` replaced a ``reSort`` per Qovp per level
 per query and the per-frame reads of its statistics; the second property
@@ -43,19 +47,31 @@ def assert_localized_is_the_row_filter(graph, query):
             assert view.localized(u, fv) is view.localized(u, fv)
 
 
+def assert_grouped_rows_are_the_rows(graph, vertices):
+    cache = graph.index_cache()
+    label_ids = graph.label_id_sequence()
+    for v in vertices:
+        for lid in range(len(graph.label_table)):
+            want = tuple(w for w in graph.neighbors(v) if label_ids[w] == lid)
+            assert cache.label_neighbors(v, lid) == want, (v, lid)
+
+
 @settings(max_examples=80, deadline=None)
 @given(sq_instances(), st.lists(script_steps, max_size=12))
 def test_localized_equals_row_filter_in_every_storage_state(instance, script):
     graph, query = instance
-    assert_localized_is_the_row_filter(graph, query)  # rows in the frozen arrays
+    assert_localized_is_the_row_filter(graph, query)  # as built
+    touched = set()
     for op in script:
         if op[0] == "add_vertex":
-            graph.add_vertex(op[1])
+            touched.add(graph.add_vertex(op[1]))
         elif op[1] != op[2] and max(op[1:]) < graph.num_vertices:
-            getattr(graph, op[0])(op[1], op[2])
-    assert_localized_is_the_row_filter(graph, query)  # touched rows in the overlay
+            if getattr(graph, op[0])(op[1], op[2]):
+                touched.update(op[1:])
+    assert_localized_is_the_row_filter(graph, query)  # rows rewritten, groupings dropped
+    assert_grouped_rows_are_the_rows(graph, touched)
     graph.compact()
-    assert_localized_is_the_row_filter(graph, query)  # merged back
+    assert_localized_is_the_row_filter(graph, query)  # a checkpoint changes nothing
 
 
 @settings(max_examples=80, deadline=None)

@@ -615,9 +615,11 @@ def test_frame_prologue_stays_folded():
 
 # ----------------------------------------------------------------------
 # Fork guard: one implementation of Section 5.1. ``N(father's match) ∩
-# candS(u)`` is ``CandidateIndex.localized`` — a C-level set intersection,
-# memoized per query; no engine or baseline walks a neighbor row in the
-# interpreter asking pool membership per element.
+# candS(u)`` is ``CandidateIndex.localized`` — the father's neighbors with
+# ``u``'s label (``GraphIndexCache.label_neighbors``, a label-grouped row
+# read by bisect and slice) filtered by the pool set in C, memoized per
+# query; no engine, baseline or index walks a neighbor row in the
+# interpreter asking membership per element.
 # ----------------------------------------------------------------------
 def row_walk_sites(sources):
     """``path:line`` over ``{path: source}`` of every loop or comprehension
@@ -640,12 +642,13 @@ def test_localization_stays_in_one_place():
     package = REPO / "src" / "repro"
     sources = {
         str(p.relative_to(package)): p.read_text(encoding="utf-8")
-        for tree in ("core", "baselines")
+        for tree in ("core", "baselines", "indexes")
         for p in (package / tree).rglob("*.py")
     }
-    assert len(sources) > 10
+    assert len(sources) > 15 and "indexes/graph_cache.py" in sources
     assert not row_walk_sites(sources)
-    # The pass sees both lines this guard replaced, pasted back.
+    # The pass sees both lines this guard replaced, pasted back, and the
+    # grouping regrown as a row walk with a membership test.
     engine_line = (
         "base = [w for w in self.graph.neighbors(self._assignment[father]) if w in pool]\n"
     )
@@ -657,6 +660,17 @@ def test_localization_stays_in_one_place():
     )
     assert row_walk_sites({"search.py": engine_line}) == ["search.py:1"]
     assert row_walk_sites({"com.py": baseline_loop}) == ["com.py:1"]
+    cache_text = sources["indexes/graph_cache.py"]
+    anchor = "        grouped = self._grouped_rows.get(v)\n"
+    walked = cache_text.replace(
+        anchor,
+        "        bucket = set(self.label_index[self.label_table[lid]])\n"
+        "        return tuple(w for w in self.graph.neighbors(v) if w in bucket)\n" + anchor,
+        1,
+    )
+    assert walked != cache_text
+    (site,) = row_walk_sites({"indexes/graph_cache.py": walked})
+    assert site.startswith("indexes/graph_cache.py:")
     # The sorted-list restriction nothing called stays deleted, and neither
     # memo (localized lists, frame table) grew a switch or a size.
     offenders = fork_offenders(("def restricted", ".restricted("))
