@@ -39,7 +39,7 @@ from repro.kernels import (
     intersect_sets,
     joinable_kernel,
 )
-from repro.queries.qflist import resort
+from repro.queries.qflist import order_statistics, resort_basis, resort_order
 
 DEFAULT_PLAN_CACHE_SIZE = 128
 """LRU cap on memoized plans per graph (each plan is a few tuples)."""
@@ -77,8 +77,9 @@ class QueryPlan:
         lossless re-encoding of the vertex pool at the compression ratio.
 
     Beside these the plan memoizes lazily built views (pool sets, bitsets,
-    the cost profile, the per-``Qovp`` frame table of :meth:`frames`); they
-    are dropped on pickling and rebuilt on demand.
+    the cost profile, the per-``Qovp`` frame table of :meth:`frames` and the
+    ``reSort`` basis it is compiled from); they are dropped on pickling and
+    rebuilt on demand.
     """
 
     __slots__ = (
@@ -98,6 +99,7 @@ class QueryPlan:
         "_cost_profile",
         "_frames",
         "_interned",
+        "_resort_basis",
     )
 
     def __init__(
@@ -138,6 +140,7 @@ class QueryPlan:
         "_cost_profile",
         "_frames",
         "_interned",
+        "_resort_basis",
     )
 
     def _reset_lazies(self) -> None:
@@ -148,6 +151,7 @@ class QueryPlan:
         self._cost_profile = None
         self._frames: Dict[int, tuple] = {}
         self._interned: Dict[tuple, tuple] = {}
+        self._resort_basis = None
 
     def pool(self, u: int) -> Tuple[int, ...]:
         """``candS(u)``: label + degree + signature filters (ascending)."""
@@ -219,6 +223,10 @@ class QueryPlan:
         ``d``. It depends on the query structure, ``qlist`` and ``qovp``
         only, never on a session's configuration.
 
+        One pass over plain lists: :func:`~repro.queries.qflist.resort_order`
+        over the plan's ``resort_basis`` (built on its first miss) and the
+        order's ``order_statistics``; ``neighborRm == 0`` is ``backward == N(u)``.
+
         ``query`` is any query with this plan's canonical key, ``qovp`` a
         combination of ``qlist``. An entry is one tuple of ``q + 1`` pointers
         keyed by the subset's bitmask — order and frame tuples are interned
@@ -231,21 +239,21 @@ class QueryPlan:
             key |= 1 << u
         entry = self._frames.get(key)
         if entry is None:
-            overlaps = frozenset(qovp)
-            qf = resort(query, self.qlist, overlaps)
-            pool = self._interned
-
-            def interned(value: tuple) -> tuple:
-                return pool.setdefault(value, value)
-
-            rows = [interned(tuple(qf.node_order()))]
-            for depth, e in enumerate(qf.entries):
-                u = e.node
-                overlap = u in overlaps
-                single = not overlap and qf.neighbor_rm[u] == 0
-                cap = qf.label_rm[u] + 1 if single else None
-                backward = tuple(w for w in query.neighbors(u) if qf.rank[w] < depth)
-                rows.append(interned((u, e.father, overlap, cap, interned(backward))))
+            basis = self._resort_basis
+            if basis is None:
+                basis = self._resort_basis = resort_basis(query, self.qlist)
+            order = resort_order(self.qlist, *basis, qovp)
+            position, label_rm = order_statistics(order, query.labels)
+            interned = self._interned.setdefault
+            nodes = tuple([u for u, _ in order])
+            rows = [interned(nodes, nodes)]
+            for depth, (u, father) in enumerate(order):
+                neighbors = query.neighbors(u)
+                backward = tuple([w for w in neighbors if position[w] < depth])
+                overlap = u in qovp
+                cap = label_rm[u] + 1 if not overlap and len(backward) == len(neighbors) else None
+                frame = (u, father, overlap, cap, interned(backward, backward))
+                rows.append(interned(frame, frame))
             entry = self._frames[key] = tuple(rows)
         return entry
 

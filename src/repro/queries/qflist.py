@@ -16,7 +16,7 @@ drive the single-embedding search mode:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Collection, Dict, List, NamedTuple, Sequence, Set, Tuple
 
 from repro.graph.query_graph import QueryGraph
 from repro.queries.ordering import rank_of
@@ -24,8 +24,7 @@ from repro.queries.ordering import rank_of
 NO_FATHER = -1
 
 
-@dataclass(frozen=True)
-class QFEntry:
+class QFEntry(NamedTuple):
     """One ``qfList`` element: a query node and its designated father.
 
     ``father`` is :data:`NO_FATHER` (-1) for the root entry.
@@ -57,9 +56,66 @@ class QFList:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def node_order(self) -> List[int]:
-        """Just the node ids, in search order."""
-        return [e.node for e in self.entries]
+
+def resort_basis(query: QueryGraph, qlist: Sequence[int]) -> Tuple[tuple, Tuple[bool, ...]]:
+    """What :func:`resort_order` reads of ``query`` ranked by ``qlist``: each
+    node's neighbors in rank order, and whether it has degree 1. Tuples of
+    atoms, which the cyclic collector stops tracking: a plan keeps its basis
+    for life, and tracked lists would push full collections of the graph."""
+    ranks = rank_of(qlist).__getitem__
+    by_rank = tuple(tuple(sorted(query.neighbors(u), key=ranks)) for u in range(query.size))
+    return by_rank, tuple(query.degree(u) == 1 for u in range(query.size))
+
+
+def resort_order(
+    qlist: Sequence[int], by_rank: Sequence[tuple], leaf: Sequence[bool], qovp: Collection[int]
+) -> List[Tuple[int, int]]:
+    """The ``reSort`` subroutine (Section 5.1): ``qfList`` as ``(node, father)`` pairs.
+
+    The root is the first node of ``qlist`` that belongs to ``qovp`` (the
+    overlap nodes, which are matched before the search starts), or simply the
+    first node of ``qlist`` when ``qovp`` is empty. From the root we expand
+    breadth-first: each unplaced neighbor of the current node gets the
+    current node as father. Neighbors in ``qovp`` are placed before other
+    neighbors (matched nodes deserve higher ranks), then by ``qlist`` rank:
+    ``by_rank`` (:func:`resort_basis`) is in rank order, so a stable partition.
+
+    Finally, entries whose node has degree 1 in ``Q`` (``leaf``) are shifted
+    to the end of the list; a degree-1 node's only neighbor is its father, so
+    the shift cannot orphan anyone, and deferring forced leaves lets the
+    conflict and single-embedding machinery cut the search earlier.
+    """
+    root = next((u for u in qlist if u in qovp), qlist[0])
+    order = [(root, NO_FATHER)]
+    placed = [False] * len(qlist)
+    placed[root] = True
+    for u, _ in order:  # the list grows while it is walked: breadth-first
+        rest = []
+        for w in by_rank[u]:
+            if not placed[w]:
+                placed[w] = True
+                if w in qovp:
+                    order.append((w, u))
+                else:
+                    rest.append((w, u))
+        order += rest
+    # The root must stay first even when it has degree 1 — its children's
+    # localization depends on the father being matched before them.
+    children = order[1:]
+    return order[:1] + [e for e in children if not leaf[e[0]]] + [e for e in children if leaf[e[0]]]
+
+
+def order_statistics(order: Sequence[Tuple[int, int]], labels) -> Tuple[List[int], List[int]]:
+    """``(rank, label_rm)`` by node of a :func:`resort_order`: its position,
+    and how many later nodes share its label, counted from the end."""
+    rank, label_rm = [0] * len(order), [0] * len(order)
+    later: Dict = {}
+    for r in range(len(order) - 1, -1, -1):
+        u = order[r][0]
+        rank[u] = r
+        label_rm[u] = later.get(labels[u], 0)
+        later[labels[u]] = label_rm[u] + 1
+    return rank, label_rm
 
 
 def resort(
@@ -67,66 +123,14 @@ def resort(
     qlist: Sequence[int],
     qovp: Set[int] = frozenset(),
 ) -> QFList:
-    """Build a :class:`QFList` per the ``reSort`` subroutine (Section 5.1).
-
-    The root is the first node of ``qlist`` that belongs to ``qovp`` (the
-    overlap nodes, which are matched before the search starts), or simply the
-    first node of ``qlist`` when ``qovp`` is empty. From the root we expand
-    breadth-first: each unplaced neighbor of the current node gets the
-    current node as father. Neighbors in ``qovp`` are placed before other
-    neighbors (matched nodes deserve higher ranks), then by ``qlist`` rank.
-
-    Finally, entries whose node has degree 1 in ``Q`` are shifted to the end
-    of the list; a degree-1 node's only neighbor is its father, so the shift
-    cannot orphan anyone, and deferring forced leaves lets the conflict and
-    single-embedding machinery cut the search earlier.
-    """
-    ranks = rank_of(qlist)
-    root = next((u for u in qlist if u in qovp), qlist[0])
-
-    entries: List[QFEntry] = [QFEntry(root, NO_FATHER)]
-    placed: Set[int] = {root}
-    cursor = 0
-    while len(entries) < query.size:
-        u = entries[cursor].node
-        neighbors = sorted(
-            (w for w in query.neighbors(u) if w not in placed),
-            key=lambda w: (w not in qovp, ranks[w], w),
-        )
-        for w in neighbors:
-            entries.append(QFEntry(w, u))
-            placed.add(w)
-        cursor += 1
-
-    # The root must stay first even when it has degree 1 — its children's
-    # localization depends on the father being matched before them.
-    trunk = [e for e in entries if e.father == NO_FATHER or query.degree(e.node) != 1]
-    leaves = [e for e in entries if e.father != NO_FATHER and query.degree(e.node) == 1]
-    ordered = tuple(trunk + leaves)
-
-    return _with_statistics(query, ordered)
-
-
-def _with_statistics(query: QueryGraph, entries: Tuple[QFEntry, ...]) -> QFList:
-    """Attach rank, labelRm and neighborRm tables to an entry order."""
-    q = query.size
-    rank = [0] * q
-    for r, entry in enumerate(entries):
-        rank[entry.node] = r
-
-    label_rm = [0] * q
-    neighbor_rm = [0] * q
-    for entry in entries:
-        u = entry.node
-        label_rm[u] = sum(
-            1
-            for other in range(q)
-            if rank[other] > rank[u] and query.label(other) == query.label(u)
-        )
-        neighbor_rm[u] = sum(1 for w in query.neighbors(u) if rank[w] > rank[u])
-
+    """Build a :class:`QFList` per the ``reSort`` subroutine (Section 5.1):
+    :func:`resort_order` with its :func:`order_statistics` and each node's
+    ``neighborRm``, read off its own neighbors."""
+    order = resort_order(qlist, *resort_basis(query, qlist), qovp)
+    rank, label_rm = order_statistics(order, query.labels)
+    neighbor_rm = [sum(rank[w] > rank[u] for w in query.neighbors(u)) for u in range(query.size)]
     return QFList(
-        entries=entries,
+        entries=tuple(QFEntry(u, father) for u, father in order),
         rank=tuple(rank),
         label_rm=tuple(label_rm),
         neighbor_rm=tuple(neighbor_rm),

@@ -33,6 +33,7 @@ from repro.graph.validation import validate_embedding
 from repro.indexes.candidates import CandidateIndex
 from repro.indexes.graph_cache import GraphIndexCache
 from repro.queries.generator import query_set
+from repro.queries.qflist import QFEntry, QFList, resort
 
 from tests.conftest import profiled_calls
 
@@ -117,27 +118,50 @@ def test_localization_touches_each_row_once_per_query(workload, views, monkeypat
 
 
 def test_resort_runs_once_per_plan_and_qovp(workload, monkeypatch):
-    """(b) a Qovp is compiled the first time any query of any session enters it."""
+    """(b) a Qovp is compiled the first time any query of any session enters
+    it: one ``resort_order`` per (plan, Qovp) over one ``resort_basis`` per
+    plan, and no ``QFList`` or ``QFEntry`` is built on the way."""
     graph, queries = workload
-    compiled = []
+    compiled, bases, built = [], [], []
 
-    def counting_resort(query, qlist, qovp):
-        compiled.append((query.canonical_key(), qovp))
-        return real_resort(query, qlist, qovp)
+    def counting_order(qlist, by_rank, leaf, qovp):
+        compiled.append((id(by_rank), qovp))  # a basis names its plan
+        return real_order(qlist, by_rank, leaf, qovp)
 
-    real_resort = plans_module.resort
-    monkeypatch.setattr(plans_module, "resort", counting_resort)
+    def counting_basis(query, qlist):
+        bases.append(query.canonical_key())
+        return real_basis(query, qlist)
+
+    def counting_init(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        real_init(self, *args, **kwargs)
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(cls.__name__)
+        return real_new(cls, *args, **kwargs)
+
+    real_order, real_basis = plans_module.resort_order, plans_module.resort_basis
+    real_init, real_new = QFList.__init__, QFEntry.__new__
+    monkeypatch.setattr(plans_module, "resort_order", counting_order)
+    monkeypatch.setattr(plans_module, "resort_basis", counting_basis)
+    monkeypatch.setattr(QFList, "__init__", counting_init)
+    monkeypatch.setattr(QFEntry, "__new__", counting_new)
 
     first = [DSQL(graph, CONFIG).query(query) for query in queries]
     assert any(r.stats.phase2_ran for r in first)  # phase 2 re-enters phase 1's Qovps
     assert len(compiled) == len(set(compiled)) > len(queries)
     cache = graph.index_cache()
-    entries = sum(len(cache.plan_cache.get_or_compile(q, cache)._frames) for q in queries)
-    assert len(compiled) == entries
+    plans = [cache.plan_cache.get_or_compile(q, cache) for q in queries]
+    assert len(compiled) == sum(len(plan._frames) for plan in plans)
+    assert len(bases) == len(set(bases)) == len({plan.key for plan in plans})
+    assert {by_rank for by_rank, _ in compiled} == {id(plan._resort_basis[0]) for plan in plans}
+    assert not built
+    resort(queries[0], plans[0].qlist)  # the spies see the baselines' route
+    assert built == ["QFEntry"] * queries[0].size + ["QFList"]
 
-    del compiled[:]
+    del compiled[:], bases[:], built[:]
     second = [DSQL(graph, CONFIG).query(query) for query in queries]  # warm plans
-    assert not compiled
+    assert not compiled and not bases and not built
     assert [r.to_dict() for r in second] == [r.to_dict() for r in first]
 
 
@@ -164,7 +188,8 @@ def test_memoized_lists_stay_ascending_and_reruns_identical(workload, views):
 
 
 def test_pickled_plan_drops_the_frame_table_and_answers_identically(workload):
-    """(d) the table is a lazy view like ``pool_set``: never shipped, rebuilt on use."""
+    """(d) the table and the ``reSort`` basis it is compiled from are lazy
+    views like ``pool_set``: never shipped, rebuilt on use, equal."""
     graph, queries = workload
     cache = graph.index_cache()
 
@@ -179,7 +204,9 @@ def test_pickled_plan_drops_the_frame_table_and_answers_identically(workload):
         want = phase1_through(plan, query)
         assert plan._frames and plan._interned
         clone = pickle.loads(pickle.dumps(plan))
-        assert clone._frames == {} and clone._interned == {}
+        assert clone._frames == {} and clone._interned == {} and clone._resort_basis is None
+        assert clone.frames(query, ()) == plan._frames[0]  # the empty Qovp's bitmask
+        assert clone._resort_basis == plan._resort_basis
         assert phase1_through(clone, query) == want
         assert clone._frames == plan._frames
 

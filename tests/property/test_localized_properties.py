@@ -84,7 +84,7 @@ def test_frames_equal_resort_and_the_rm_definitions(instance):
         for qovp in combinations(plan.qlist, level):
             qf = resort(query, list(plan.qlist), set(qovp))
             order, *frames = plan.frames(query, qovp)
-            assert list(order) == qf.node_order()
+            assert list(order) == [e.node for e in qf.entries]
             assert len(frames) == q
             for depth, (u, father, is_overlap, cap, backward) in enumerate(frames):
                 entry = qf.entries[depth]

@@ -73,7 +73,7 @@ class TestResortStructure:
 class TestRmStatistics:
     def test_label_rm_counts_later_same_labels(self, star_query):
         qf = resort(star_query, [0, 1, 2, 3, 4])
-        order = qf.node_order()
+        order = [e.node for e in qf.entries]
         for u in range(5):
             expected = sum(
                 1

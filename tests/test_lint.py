@@ -386,6 +386,11 @@ STAYS_DELETED = {
         "indexes/graph_cache.py", "            self.delta_seq += 1\n",
         "            self._mutation_log.append((self.delta_seq, op))\n", ("_mutation_log",),
     ),
+    "frame_prologue": (
+        ("_rcand", "_kernel_join_test"),
+        "core/search.py", "        self._on_embedding: Optional[OnEmbedding] = None\n",
+        "        self._rcand = self._kernel_join_test = None\n", ("_rcand", "_kernel_join_test"),
+    ),
     "class_search": (
         (
             "_ClassSearch", "count_embeddings_compressed", "iter_embeddings_compressed",
@@ -551,9 +556,6 @@ def test_engine_fork_stays_deleted():
 # level engine builds no function and probes no edge itself, and the budget
 # errors and the conflict rule keep their one home in ``backtrack.py``.
 # ----------------------------------------------------------------------
-FRAME_FORK_MARKERS = ("_rcand", "_kernel_join_test")
-
-
 def frame_offenders(text):
     """What ``core/search.py`` must not contain: a ``lambda``, a ``def``
     nested in a function, or the name ``has_edge``."""
@@ -579,9 +581,7 @@ def test_frame_prologue_stays_folded():
     sources = {
         str(p.relative_to(src)): p.read_text(encoding="utf-8") for p in src.rglob("*.py")
     }
-    extra = design_and_skill_files()
-    offenders = fork_offenders(FRAME_FORK_MARKERS, extra)
-    assert not offenders, offenders
+    assert_stays_deleted("frame_prologue")
     search = sources["repro/core/search.py"]
     assert not frame_offenders(search)
     # One raise site per budget error and one conflict rule, all in backtrack.py.
@@ -611,6 +611,60 @@ def test_frame_prologue_stays_folded():
     assert len(mutated["BudgetExceeded"]) == 2
     nested = "def frame(self):\n    def joinable(v):\n        return self.graph.has_edge(v, 0)\n"
     assert frame_offenders(nested) == ["nested def joinable:2", "has_edge"]
+
+
+# ----------------------------------------------------------------------
+# Fork guard: one reSort. The breadth-first walk that gives every query node
+# a father lives in ``queries/qflist.py``; the engine's frame table and the
+# baselines' ``QFList`` both read its order (``resort_order``), so a second
+# walk — the one ``QueryPlan.frames`` ran through ``resort`` and its
+# quadratic statistics — must not grow back.
+# ----------------------------------------------------------------------
+def father_walk_sites(sources):
+    """``path:line`` over ``{path: source}`` of every loop that grows the
+    list it walks by ``(child, father)`` pairs: an ``X.append(..)`` of a
+    two-element tuple or two-argument call inside a ``for`` / ``while``
+    whose header names ``X``."""
+    sites = []
+    for path, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, (ast.For, ast.While)):
+                continue
+            header = node.iter if isinstance(node, ast.For) else node.test
+            walked = {n.id for n in ast.walk(header) if isinstance(n, ast.Name)}
+            if any(
+                isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "append"
+                and ast.unparse(call.func.value) in walked and len(call.args) == 1
+                and len(getattr(call.args[0], "elts", getattr(call.args[0], "args", ()))) == 2
+                for call in ast.walk(node)
+            ):
+                sites.append(f"{path}:{node.lineno}")
+    return sites
+
+
+def test_resort_walks_in_one_place():
+    sources = package_sources()
+    (site,) = father_walk_sites(sources)
+    assert site.startswith("queries/qflist.py:")
+    assert "resort(" not in sources["indexes/plans.py"]
+    # The census sees the walk the frame table used to run through
+    # ``resort``, pasted back into the plan module.
+    text = sources["indexes/plans.py"]
+    anchor = "            order = resort_order(self.qlist, *basis, qovp)\n"
+    assert text.count(anchor) == 1
+    mutant = text.replace(
+        anchor,
+        anchor + "            entries = [QFEntry(order[0][0], NO_FATHER)]\n"
+        "            placed, cursor = {order[0][0]}, 0\n"
+        "            while len(entries) < query.size:\n"
+        "                u = entries[cursor].node\n"
+        "                for w in sorted(set(query.neighbors(u)) - placed):\n"
+        "                    entries.append(QFEntry(w, u))\n"
+        "                    placed.add(w)\n"
+        "                cursor += 1\n",
+    )
+    (pasted,) = father_walk_sites({"indexes/plans.py": mutant})
+    assert pasted.startswith("indexes/plans.py:")
 
 
 # ----------------------------------------------------------------------
