@@ -8,8 +8,8 @@ order); :class:`CandidateIndex` is the per-query *view* the search phases
 and baselines read it through:
 
 * ``candS[u]`` as an ordered tuple (iteration order is deterministic);
-* membership tests against the plan's memoized pool sets — built lazily,
-  once per cached plan;
+* membership tests against the pools' set views — built lazily, once per
+  memoized pool, and shared by every plan resolving to it;
 * the localized candidates of Section 5.1, ``N(v_father) ∩ candS(u)``
   (:meth:`CandidateIndex.localized`), memoized for the life of the view —
   one query against one graph version.
@@ -79,10 +79,10 @@ class CandidateIndex:
     def candidate_set(self, u: int) -> FrozenSet[int]:
         """``candS(u)`` as a set for O(1) membership tests.
 
-        The plan's memoized view: one build amortized across every session
-        and repeated query sharing the cached plan.
+        The pool's set view: built once per memoized pool and shared by
+        every plan, session and repeated query resolving to it.
         """
-        return self.plan.pool_set(u)
+        return self.plan.pool_set(u, self.cache)
 
     def size(self, u: int) -> int:
         """``|candS(u)|`` — the numerator of the qList selectivity score."""
@@ -94,7 +94,7 @@ class CandidateIndex:
 
     def is_candidate(self, u: int, v: int) -> bool:
         """Whether ``v`` is in ``candS(u)`` (the static filter view)."""
-        return v in self.plan.pool_set(u)
+        return v in self.plan.pool_set(u, self.cache)
 
     def localized(self, u: int, fv: int) -> List[int]:
         """``N(fv) ∩ candS(u)`` ascending — Section 5.1's localized ``Rcand``.
@@ -102,7 +102,7 @@ class CandidateIndex:
         ``fv`` is the vertex matched to ``u``'s father. Pool members carry
         ``u``'s label, so only ``fv``'s neighbors with it (:meth:`~repro.
         indexes.graph_cache.GraphIndexCache.label_neighbors`) are filtered by
-        the plan's pool set, in C, once per ``(u, fv)`` and memoized on this
+        the pool's set view, in C, once per ``(u, fv)`` and memoized on this
         view: while an anchor enumerates under a fixed overlap prefix, every
         anchor candidate asks for the same hub rows again. The list is shared
         — callers iterate it and must not reorder it in place (the Section
@@ -112,7 +112,7 @@ class CandidateIndex:
         hit = memo.get(fv)
         if hit is None:
             run = self._label_neighbors(fv, self._lids[u])
-            hit = memo[fv] = list(filter(self._pool_set(u).__contains__, run))
+            hit = memo[fv] = list(filter(self._pool_set(u, self.cache).__contains__, run))
         return hit
 
     def any_empty(self) -> bool:

@@ -18,9 +18,9 @@ session answering many queries against the same graph shares:
 * a bounded LRU **candidate-pool memo** keyed by
   ``(label_id, min_degree, signature_mask)`` — distinct query nodes with the
   same filter profile (and repeated queries) share one pool computation;
-* beside a memoized pool, once the cost estimator has asked, the pool's
-  **degree mass** (:meth:`GraphIndexCache.pool_degree_mass`): repaired and
-  dropped with the pool, so pricing a plan walks no pool;
+* beside a memoized pool, once asked, its **degree mass** and **set view**
+  (:meth:`GraphIndexCache.pool_degree_mass`, ``pool_view``): kept with it,
+  so pricing a plan walks no pool and a fresh plan builds no set;
 * per asked vertex, its row **grouped by label** (:meth:`GraphIndexCache.
   label_neighbors`), one label's run of which Section 5.1 localizes to.
 
@@ -75,8 +75,9 @@ class GraphIndexCache:
     """All per-graph filter state, computed once and shared.
 
     Derived per-pool state lives with the pool and is repaired with it: a
-    memoized pool's degree mass (:meth:`pool_degree_mass`) sits beside its
-    entry under the same lock — nothing outside this class sums a pool.
+    memoized pool's degree mass (:meth:`pool_degree_mass`) and set view
+    (:meth:`pool_view`) sit beside its entry under the same lock — nothing
+    outside this class sums a pool or builds a set of a pool it holds.
 
     Parameters
     ----------
@@ -104,6 +105,7 @@ class GraphIndexCache:
         "_pool_memo",
         "_pool_memo_size",
         "_pool_keys",
+        "_pool_views",
         "pool_entries_repaired",
         "pool_entries_rebuilt",
         "pool_entries_dropped",
@@ -170,6 +172,7 @@ class GraphIndexCache:
         # entries its dirty vertices can join or leave; each key maps to its
         # pool's degree mass (None until pool_degree_mass is asked for it).
         self._pool_keys: Dict[int, Dict[Tuple[int, int, int], Optional[int]]] = {}
+        self._pool_views: Dict[Tuple[int, int, int], FrozenSet[int]] = {}
         self.pool_entries_repaired = 0
         self.pool_entries_rebuilt = 0
         self.pool_entries_dropped = 0
@@ -217,8 +220,8 @@ class GraphIndexCache:
     # registry (which also holds locks) is session state, not graph state,
     # so it is dropped the same way.
     def __getstate__(self) -> dict:
-        # Every memo is dropped — candidate pools, mask signatures, compiled
-        # plans, adjacency bitsets, label-grouped rows: each is a pure cache that refills
+        # Every memo is dropped — candidate pools and their views, mask signatures,
+        # compiled plans, adjacency bitsets, label-grouped rows: each is a pure cache that refills
         # lazily, shipping megabytes of masks to a worker is worse than
         # recomputing the few it touches, and they are the dicts a *read*
         # inserts into, so a query running beside the pickling (a process
@@ -232,6 +235,7 @@ class GraphIndexCache:
             "_pool_lock",
             "_pool_memo",
             "_pool_keys",
+            "_pool_views",
             "_mask_signatures",
             "plan_cache",
             "_adj_lock",
@@ -251,6 +255,7 @@ class GraphIndexCache:
         self._pool_lock = threading.Lock()
         self._pool_memo = OrderedDict()
         self._pool_keys = {}
+        self._pool_views = {}
         self._mask_signatures = {}
         self.plan_cache = PlanCache()
         self._adj_lock = threading.Lock()
@@ -415,6 +420,7 @@ class GraphIndexCache:
                 if cap is not None and len(memo) > cap:
                     oldest, _ = memo.popitem(last=False)
                     self._pool_keys[oldest[0]].pop(oldest, None)
+                    self._pool_views.pop(oldest, None)
             return pool
 
     def pool_degree_mass(
@@ -440,6 +446,21 @@ class GraphIndexCache:
                 if kept:
                     self._pool_keys[lid][key] = mass
         return mass
+
+    def pool_view(self, label: Label, min_degree: int, signature_mask, pool) -> Optional[FrozenSet]:
+        """``frozenset(pool)``, built on first ask and kept beside the memo
+        entry while ``pool`` *is* the entry's tuple (the rule of
+        :meth:`pool_degree_mass`), so plans sharing a pool share one set;
+        dropped when the tuple is rebuilt or leaves the memo. ``None`` for
+        any other ``pool``: its caller builds its own and nothing is kept."""
+        key = (self.label_to_id.get(label), min_degree, signature_mask)
+        with self._pool_lock:
+            if self._pool_memo.get(key) is not pool:
+                return None
+            view = self._pool_views.get(key)
+            if view is None:
+                view = self._pool_views[key] = frozenset(pool)
+        return view
 
     def _scan(self, lid: int, min_degree: int, signature_mask: int) -> Tuple[int, ...]:
         base = self.label_index[self.label_table[lid]]
@@ -648,6 +669,7 @@ class GraphIndexCache:
                     continue
                 for key in keys:
                     del memo[key]
+                    self._pool_views.pop(key, None)
                 dropped += len(keys)
                 del self._pool_keys[lid]
         if dropped:
@@ -667,7 +689,7 @@ class GraphIndexCache:
         — copied out, each flipped vertex bisected in or out, copied back,
         still ascending — only when some vertex flipped. That is at most one
         test per moved vertex and one O(pool) rebuild per entry. A kept
-        degree mass (:meth:`pool_degree_mass`) moves in the same pass.
+        degree mass moves in the same pass; a rebuilt entry's view is dropped.
         """
         degrees = self.degrees
         masks = self.signature_masks
@@ -697,6 +719,7 @@ class GraphIndexCache:
                                 keys[key] = mass - old_degree
                 rebuilt += len(flips)
                 for key, changes in flips.items():
+                    self._pool_views.pop(key, None)
                     if key[1] == 0 and key[2] == 0:
                         # The unfiltered pool is the label bucket itself
                         # (see _scan); stay aliased to it.

@@ -76,10 +76,10 @@ class QueryPlan:
         class is in the pool iff all its members are — the class pool is a
         lossless re-encoding of the vertex pool at the compression ratio.
 
-    Beside these the plan memoizes lazily built views (pool sets, bitsets,
-    the cost profile, the per-``Qovp`` frame table of :meth:`frames` and the
-    ``reSort`` basis it is compiled from); they are dropped on pickling and
-    rebuilt on demand.
+    Beside these the plan memoizes lazily built views (references to the
+    pools' set views, bitsets, the cost profile, the per-``Qovp`` frame
+    table of :meth:`frames` and the ``reSort`` basis it is compiled from);
+    they are dropped on pickling and rebuilt on demand.
     """
 
     __slots__ = (
@@ -157,17 +157,18 @@ class QueryPlan:
         """``candS(u)``: label + degree + signature filters (ascending)."""
         return self.pools[u]
 
-    def pool_set(self, u: int) -> frozenset:
-        """Frozenset view of ``pool(u)``, built lazily and memoized.
-
-        The view lives on the plan — one build amortized across every
-        session and repeated query sharing the cached plan; it is what
-        :class:`CandidateIndex` answers membership from. Benign under
-        races (equal values; last store wins).
+    def pool_set(self, u: int, cache) -> frozenset:
+        """Frozenset view of ``pool(u)``, what membership is answered from:
+        a reference to the one ``cache`` keeps beside the pool's memo entry
+        (:meth:`~repro.indexes.graph_cache.GraphIndexCache.pool_view`), or a
+        private build once that entry is gone (evicted or rebuilt, memo off,
+        unpickled plan). Benign under races (equal values; last store wins).
         """
         view = self._pool_sets[u]
         if view is None:
-            view = frozenset(self.pools[u])
+            view = cache.pool_view(*self.profiles[u], self.pools[u])
+            if view is None:
+                view = frozenset(self.pools[u])
             self._pool_sets[u] = view
         return view
 
@@ -418,7 +419,7 @@ def expand_pool(plan: QueryPlan, depth: int, assignment, cache):
         return kind, members
     neighbor_set = cache.graph.neighbor_set
     sets = [neighbor_set(assignment[w]) for w in backward]
-    sets.append(plan.pool_set(u))
+    sets.append(plan.pool_set(u, cache))
     return kind, intersect_sets(*sorted(sets, key=len))
 
 

@@ -49,8 +49,8 @@ query neighbor — nothing to intersect against)."""
 MERGE = "merge"
 """Kernel kind: adjacency intersected with the candidate pool, ascending
 (``expand_pool``: :func:`intersect_sets` over the storage's neighbor sets and
-the plan's pool set; a localized frame: the father's one-label run filtered
-by the pool set, :meth:`~repro.indexes.candidates.CandidateIndex.localized`)."""
+the pool's set view; a localized frame: the father's one-label run filtered
+by the same view, :meth:`~repro.indexes.candidates.CandidateIndex.localized`)."""
 
 BITSET = "bitset"
 """Kernel kind: big-int AND of neighbor bitsets, members enumerated or
@@ -128,8 +128,8 @@ def intersect_sets(first: AbstractSet[int], *rest: AbstractSet[int]) -> List[int
     side — and sorts once at the end (results are a handful of vertices).
     With more than two sets, pass them smallest first so the running
     intersection starts small. The sets are the graph's own
-    (:meth:`~repro.graph.labeled_graph.LabeledGraph.neighbor_set`) and the plan's
-    memoized pool sets; nothing is built per call but the result.
+    (:meth:`~repro.graph.labeled_graph.LabeledGraph.neighbor_set`) and the pools'
+    set views, kept beside their memo entries; nothing is built per call.
     """
     for other in rest:
         first = first & other

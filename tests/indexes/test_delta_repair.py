@@ -22,6 +22,7 @@ import pytest
 
 from repro.datasets.registry import make_dataset
 from repro.graph.labeled_graph import LabeledGraph
+from repro.graph.query_graph import QueryGraph
 from repro.indexes.graph_cache import GraphIndexCache
 from repro.indexes.plans import compile_plan
 from repro.queries.generator import query_set
@@ -54,20 +55,22 @@ def banded_graph(storage: str = "csr") -> LabeledGraph:
 
 def warm_pool_spread(cache: GraphIndexCache, labels=None) -> None:
     """Memoize, for each label, min_degree 0-3 x {no mask, each single label bit},
-    and prime each entry's degree mass, so the writes that follow have one to repair."""
+    and prime each entry's degree mass and set view, so the writes that follow
+    have one of each to repair or drop."""
     bits = [0] + [1 << lid for lid in range(len(cache.label_table))]
     for label in labels or list(cache.label_table):
         for min_degree in range(4):
             for mask in bits:
                 pool = cache.candidate_pool(label, min_degree, mask)
                 cache.pool_degree_mass(label, min_degree, mask, pool)
+                cache.pool_view(label, min_degree, mask, pool)
 
 
 def run_mutation_script(g: LabeledGraph) -> GraphIndexCache:
     """120 seeded ops over a memo re-warmed every tenth; equivalence checked after each."""
     cache = g.index_cache()
     rng = random.Random(23)
-    masses_held = 0
+    masses_held = views_held = 0
     labels = ["a", "b", "c", "d"]
     for step in range(120):
         if step % 10 == 0:
@@ -89,7 +92,9 @@ def run_mutation_script(g: LabeledGraph) -> GraphIndexCache:
                 g.remove_edge(u, v)
         assert_cache_equivalent(cache, GraphIndexCache(g))
         masses_held += len(kept_masses(cache))
-    assert masses_held  # or the mass assertions held nothing a write had touched
+        views_held += len(cache._pool_views)
+    # Or the mass and view assertions held nothing a write had touched.
+    assert masses_held and views_held
     return cache
 
 
@@ -131,6 +136,10 @@ def assert_cache_equivalent(repaired: GraphIndexCache, fresh: GraphIndexCache) -
     assert masses.keys() <= repaired._pool_memo.keys()
     for key, mass in masses.items():
         assert mass == sum(fresh.degrees[v] for v in repaired._pool_memo[key]), key
+    # Every set view kept is its entry's tuple as a set, and none outlives its entry.
+    assert repaired._pool_views.keys() <= repaired._pool_memo.keys()
+    for key, view in repaired._pool_views.items():
+        assert view == frozenset(repaired._pool_memo[key]), key
     # Every label-grouped row kept is the vertex's row as it is now.
     for v, grouped in repaired._grouped_rows.items():
         assert grouped == regroup(repaired.graph, v), v
@@ -554,6 +563,132 @@ class TestGroupedRows:
             sys.setswitchinterval(interval)
         assert not any(reader.is_alive() for reader in readers) and not errors, errors
         assert writes > 100 and cache._grouped_rows and not stale, stale
+        assert_cache_equivalent(cache, GraphIndexCache(g))
+
+
+class TestPoolViews:
+    """The set views kept beside the pool memo's entries: one per asked
+    entry, dropped when its tuple is rebuilt or leaves the memo, never
+    pickled, never kept for a tuple the memo no longer holds."""
+
+    QUERIES = [
+        QueryGraph(["a", "b", "c"], [(0, 1), (1, 2)]),
+        QueryGraph(["a", "a", "b"], [(0, 1), (1, 2)]),
+        QueryGraph(["b", "c", "a", "c"], [(0, 1), (1, 2), (2, 3), (3, 0)]),
+    ]
+
+    @staticmethod
+    def ask(cache: GraphIndexCache, plan) -> list:
+        return [plan.pool_set(u, cache) for u in range(len(plan.pools))]
+
+    def test_every_kept_view_is_its_entrys_set_after_every_batch(self):
+        """Random batches over plans compiled at every version, at an LRU cap
+        that the plans' keys overflow: rebuilt, bulk-dropped and evicted entries
+        all pass through the equivalence check with views held."""
+        g = banded_graph()
+        cache = g._cache = GraphIndexCache(g, candidate_memo_size=6)
+        rng = random.Random(41)
+        held = 0
+        for step in range(60):
+            for query in self.QUERIES:
+                plan = compile_plan(query, cache)
+                assert self.ask(cache, plan) == [frozenset(pool) for pool in plan.pools]
+            warm_pool_spread(cache, labels=[rng.choice("abc")])  # evicts down to the cap
+            assert len(cache._pool_views) <= len(cache._pool_memo) <= 6
+            held += len(cache._pool_views)
+            batch = [("add_vertex", rng.choice("abc"))] if step % 5 == 0 else []
+            n = g.num_vertices + len(batch)
+            for _ in range(rng.randrange(1, 4) if step % 6 else 16):  # every sixth a bulk one
+                u, v = rng.sample(range(n), 2)
+                batch.append((rng.choice(["add_edge", "remove_edge"]), u, v))
+            g.mutate(batch, compaction_threshold=None)
+            assert_cache_equivalent(cache, GraphIndexCache(g))
+        info = cache.memo_info()
+        assert held and info["rebuilt"] and info["dropped"]
+
+    def test_a_view_from_a_replaced_tuple_is_returned_but_not_kept(self):
+        """A plan compiled before a write asks after it: the entry its pool came
+        from was rebuilt, so the plan gets its own pool's set and the cache keeps
+        nothing for it; the plan compiled after the write gets the kept view."""
+        g = TestPoolRepair.star_graph()
+        cache = g.index_cache()
+        query = QueryGraph(["a", "b"], [(0, 1)])
+        before = compile_plan(query, cache)
+        key = (cache.label_id("a"), 1, cache.mask_for(["b"]))
+        assert before.pools[0] == (0, 1)
+        g.add_edge(2, 30)  # vertex 2 joins the entry node 0 resolved to
+        assert cache._pool_memo[key] == (0, 1, 2) and key not in cache._pool_views
+        assert before.pool_set(0, cache) == frozenset({0, 1})
+        assert key not in cache._pool_views
+        after = compile_plan(query, cache)
+        view = after.pool_set(0, cache)
+        assert view == frozenset({0, 1, 2}) and cache._pool_views[key] is view
+        assert before.pool_set(0, cache) == frozenset({0, 1})  # the plan's own, still
+        assert_cache_equivalent(cache, GraphIndexCache(g))
+
+    def test_a_rebuild_drops_the_view_and_the_next_ask_builds_a_new_one(self):
+        g = TestPoolRepair.star_graph()
+        cache = g.index_cache()
+        pool = cache.candidate_pool("a", 3)
+        view = cache.pool_view("a", 3, 0, pool)
+        assert view == {1} and cache.pool_view("a", 3, 0, pool) is view
+        g.add_edge(0, 26)  # vertex 0 reaches degree 3
+        assert (cache.label_id("a"), 3, 0) not in cache._pool_views
+        assert cache.pool_view("a", 3, 0, pool) is None  # not the entry any more
+        assert cache.pool_view("a", 3, 0, cache.candidate_pool("a", 3)) == {0, 1}
+        assert_cache_equivalent(cache, GraphIndexCache(g))
+
+    def test_a_pickled_cache_carries_no_view(self):
+        g = banded_graph()
+        cache = g.index_cache()
+        warm_pool_spread(cache)
+        assert cache._pool_views
+        assert pickle.loads(pickle.dumps(cache))._pool_views == {}
+
+    def test_readers_beside_a_writer_keep_no_stale_view(self):
+        """Four readers compiling plans and asking their views while a writer
+        toggles edges, the interpreter switching threads every microsecond.
+        Plans compiled across a write hold tuples the memo has replaced; between
+        two writes every view held is its entry's set: one stored for a
+        replaced tuple, or left behind by a rebuild, would show there."""
+        g = banded_graph()
+        cache = g.index_cache()
+        deadline = time.monotonic() + 1.0
+        errors, asked = [], [0] * 4
+
+        def read(tid):
+            rng = random.Random(tid)
+            try:
+                while time.monotonic() < deadline:
+                    plan = compile_plan(rng.choice(self.QUERIES), cache)
+                    for view, pool in zip(self.ask(cache, plan), plan.pools):
+                        assert view == frozenset(pool)
+                    asked[tid] += 1
+            except Exception as exc:  # reported below, not lost in the thread
+                errors.append(exc)
+
+        readers = [threading.Thread(target=read, args=(tid,)) for tid in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        stale, writes = [], 0
+        try:
+            for reader in readers:
+                reader.start()
+            rng = random.Random(9)
+            while time.monotonic() < deadline:
+                u, v = rng.sample(range(12), 2)
+                g.remove_edge(u, v) if g.has_edge(u, v) else g.add_edge(u, v)
+                writes += 1
+                with cache._pool_lock:  # one snapshot of entries and views
+                    memo, views = dict(cache._pool_memo), dict(cache._pool_views)
+                stale += [key for key, view in views.items() if view != frozenset(memo.get(key, ()))]
+                stale += [key for key in views if key not in memo]
+            for reader in readers:
+                reader.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers) and not errors, errors
+        assert writes > 100 and min(asked) > 0 and cache._pool_views and not stale, stale
         assert_cache_equivalent(cache, GraphIndexCache(g))
 
 

@@ -9,11 +9,13 @@ import pytest
 import repro.indexes.plans as plans_mod
 from repro.core.config import DSQLConfig
 from repro.core.dsql import DSQL
+from repro.core.phase1 import run_phase1
+from repro.core.state import SearchStats
 from repro.datasets.registry import make_dataset
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.indexes.candidates import CandidateIndex
-from repro.indexes.graph_cache import GraphIndexCache
+from repro.indexes.graph_cache import DEFAULT_CANDIDATE_MEMO_SIZE, GraphIndexCache
 from repro.indexes.plans import PlanCache, compile_plan, plan_key
 from repro.isomorphism.qsearch import connected_search_order
 from repro.kernels import KERNEL_KINDS, SCAN
@@ -198,6 +200,122 @@ def test_restricted_accepts_sorted_and_unordered_input():
     # N(v3) ∩ candS(0) goes through the plan's pool set of node 0 alone.
     assert ci.localized(0, 3) == [0, 1, 2]
     assert ci.plan._pool_sets == [{0, 1, 2}, None]
+
+
+# ----------------------------------------------------------------------
+# A pool's set view lives beside its memo entry: one build per entry
+# ----------------------------------------------------------------------
+def counted_pool_builds(monkeypatch) -> list:
+    """Patch the two modules that may build a pool's frozenset; the returned
+    list gets one entry per frozenset built from a tuple (a pool) there."""
+    import repro.indexes.graph_cache as cache_mod
+
+    builds = []
+
+    def counting(iterable=()):
+        if type(iterable) is tuple:
+            builds.append(len(iterable))
+        return frozenset(iterable)
+
+    for module in (cache_mod, plans_mod):
+        monkeypatch.setattr(module, "frozenset", counting, raising=False)
+    return builds
+
+
+def stream_queries(graph, count):
+    """``count`` structurally distinct 4-edge queries: every one a fresh plan."""
+    seen = {}
+    for query in query_set(graph, 4, 4 * count, seed=29):
+        seen.setdefault(query.canonical_key(), query)
+    assert len(seen) >= count
+    return list(seen.values())[:count]
+
+
+def test_plans_sharing_a_pool_key_share_one_view():
+    graph = LabeledGraph(["A", "A", "B", "B"], [(0, 2), (1, 3), (0, 3)])
+    cache = graph.index_cache()
+    edge = compile_plan(QueryGraph(["A", "B"], [(0, 1)]), cache)
+    path = compile_plan(QueryGraph(["A", "B", "A"], [(0, 1), (1, 2)]), cache)
+    assert edge.profiles[0] == path.profiles[0] == path.profiles[2]
+    view = edge.pool_set(0, cache)
+    assert view == {0, 1} and path.pool_set(0, cache) is view and path.pool_set(2, cache) is view
+    assert path.pool_set(1, cache) is not edge.pool_set(1, cache)  # B of degree 2 vs 1
+    assert len(cache._pool_views) == 3
+
+
+def test_a_recompiled_plan_gets_back_the_same_view(graph, queries):
+    cache = GraphIndexCache(graph)
+    plans = PlanCache(size=1)
+    first = plans.get_or_compile(queries[0], cache)
+    views = [first.pool_set(u, cache) for u in range(queries[0].size)]
+    plans.get_or_compile(queries[1], cache)  # evicts the first plan
+    again = plans.get_or_compile(queries[0], cache)
+    assert again is not first and plans.info()["misses"] == 3
+    assert all(again.pool_set(u, cache) is view for u, view in enumerate(views))
+
+
+def test_a_second_pass_over_a_stream_builds_no_frozenset(monkeypatch):
+    """The ``engine_stream`` shape: 3x the plan cache's size in distinct
+    queries, so every op compiles a fresh plan. The first pass builds each
+    pool's view once; the second pass builds none."""
+    graph = make_dataset("dblp", scale=0.01, seed=7)
+    cache = graph.index_cache()
+    stream = stream_queries(graph, 3 * plans_mod.DEFAULT_PLAN_CACHE_SIZE)
+    session = DSQL(graph, DSQLConfig(k=4, node_budget=2_000))
+    builds = counted_pool_builds(monkeypatch)
+    for query in stream:
+        session.query(query)
+        assert len(cache._pool_views) <= len(cache._pool_memo)
+    assert cache._pool_memo and len(cache._pool_memo) < DEFAULT_CANDIDATE_MEMO_SIZE
+    assert len(builds) == len(cache._pool_views) > 0  # one build per memo entry asked
+    assert cache.plan_cache.info()["hits"] == 0
+    del builds[:]
+    for query in stream:
+        session.query(query)
+    assert builds == [] and cache.plan_cache.info()["hits"] == 0
+
+
+def test_kept_views_never_outnumber_the_memo(monkeypatch):
+    graph = make_dataset("dblp", scale=0.01, seed=7)
+    cache = graph._cache = GraphIndexCache(graph, candidate_memo_size=16)
+    session = DSQL(graph, DSQLConfig(k=4, node_budget=2_000))
+    builds = counted_pool_builds(monkeypatch)
+    for query in stream_queries(graph, 60):
+        session.query(query)
+        assert cache._pool_views.keys() <= cache._pool_memo.keys()
+        assert len(cache._pool_views) <= 16
+    assert len(builds) > len(cache._pool_views)  # evicted entries' views went with them
+
+
+def test_a_pickled_cache_and_plan_carry_no_views_and_answer_identically(graph, queries):
+    config = DSQLConfig(k=4, node_budget=200_000)
+    cache = graph.index_cache()
+    for query in queries:
+        DSQL(graph, config=config).query(query)
+    assert cache._pool_views
+    assert pickle.loads(pickle.dumps(cache))._pool_views == {}
+    clone_graph = pickle.loads(pickle.dumps(graph))
+    assert clone_graph.index_cache()._pool_views == {}
+    for query in queries:
+        want = DSQL(graph, config=config).query(query).to_dict()
+        assert DSQL(clone_graph, config=config).query(query).to_dict() == want
+        plan = cache.plan_cache.get_or_compile(query, cache)
+        clone = pickle.loads(pickle.dumps(plan))
+        assert clone._pool_sets == [None] * query.size
+        held = dict(cache._pool_views)
+        for u in range(query.size):
+            assert clone.pool_set(u, cache) == plan.pool_set(u, cache)
+            # The clone's pools are copies, not the memo's tuples: its views are its own.
+            assert clone.pool_set(u, cache) is not plan.pool_set(u, cache) or not plan.pools[u]
+        assert cache._pool_views == held
+
+        def phase1_through(p):
+            stats = SearchStats()
+            view = CandidateIndex(graph, query, cache=cache, plan=p)
+            out = run_phase1(graph, query, config, view, stats, plan=p)
+            return out.state.embeddings, out.level, out.exhausted, stats
+
+        assert phase1_through(clone) == phase1_through(plan)
 
 
 # ----------------------------------------------------------------------

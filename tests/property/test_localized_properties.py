@@ -40,7 +40,7 @@ def assert_localized_is_the_row_filter(graph, query):
     view = CandidateIndex(graph, query)
     plan = view.plan
     for u, father, *_ in plan.frames(query, ())[2:]:
-        pool = plan.pool_set(u)
+        pool = plan.pool_set(u, view.cache)
         for fv in plan.pools[father]:
             want = [w for w in graph.neighbors(fv) if w in pool]
             assert view.localized(u, fv) == want, (u, fv)

@@ -253,7 +253,8 @@ class TestProbeIsARead:
     def test_probes_beside_a_writer_keep_every_mass_exact(self):
         """Three probing threads share the pool memo's lock with each other and
         take turns with a writer: every degree mass kept is still its pool's sum,
-        and every estimate a rebuilt graph's."""
+        every set view kept its pool's set (the probers ask for those too,
+        outside the read lock), and every estimate a rebuilt graph's."""
         from tests.indexes.test_delta_repair import assert_cache_equivalent, kept_masses
 
         catalog = GraphCatalog(default_config=DSQLConfig(k=DEFAULT_K))
@@ -265,7 +266,11 @@ class TestProbeIsARead:
         def prober(tid):
             try:
                 while not stop.is_set():
-                    entry.estimate_cost(battery[(probes[tid] + tid) % len(battery)])
+                    query = battery[(probes[tid] + tid) % len(battery)]
+                    entry.estimate_cost(query)
+                    plan = cache.plan_cache.get_or_compile(query, cache)
+                    for u, pool in enumerate(plan.pools):
+                        assert plan.pool_set(u, cache) == frozenset(pool)
                     probes[tid] += 1
             except Exception as exc:  # pragma: no cover - surfaced below
                 errors.append((tid, repr(exc)))
@@ -294,6 +299,7 @@ class TestProbeIsARead:
             sys.setswitchinterval(interval)
         assert not errors and not any(thread.is_alive() for thread in threads), errors
         assert min(probes) > 0 and graph.version[1] > 3 and kept_masses(cache)
+        assert cache._pool_views
         assert_cache_equivalent(cache, GraphIndexCache(graph))
         rebuilt = DSQL(LabeledGraph(list(graph.labels), list(graph.edges())), entry.default_config)
         assert [entry.estimate_cost(q) for q in battery] == [rebuilt.estimate(q) for q in battery]

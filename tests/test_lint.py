@@ -1022,11 +1022,15 @@ def test_memo_lock_lives_on_the_memo():
 
 
 # ----------------------------------------------------------------------
-# Fork guard: a pool is summed where it lives. The degree mass of a candidate
-# pool is the index cache's (kept beside the memo entry, repaired with it), so
-# nothing under ``cost/`` reads the degree list; the cost probe is a reader of
-# the graph it prices; a query says its own neighbourhood signature without
-# building an index cache for its handful of nodes.
+# Fork guard: a pool is summed where it lives. The degree mass and the set
+# view of a candidate pool are the index cache's (kept beside the memo entry,
+# repaired or dropped with it), so nothing under ``cost/`` reads the degree
+# list, and a pool's frozenset is built once in ``indexes/graph_cache.py`` and
+# once in ``indexes/plans.py`` (the fallback for a pool the memo no longer
+# holds), never by a reader under ``core/``, ``isomorphism/`` or
+# ``indexes/candidates.py``; the cost probe is a reader of the graph it
+# prices; a query says its own neighbourhood signature without building an
+# index cache for its handful of nodes.
 # ----------------------------------------------------------------------
 def functions_named(text, name):
     return [
@@ -1035,13 +1039,36 @@ def functions_named(text, name):
     ]
 
 
+POOL_VIEW_HOMES = ("indexes/graph_cache.py", "indexes/plans.py")
+POOL_VIEW_READERS = ("core/", "isomorphism/", "indexes/candidates.py")
+
+
+def pool_view_builds(text):
+    """The ``frozenset(...)`` calls over a pool (an argument naming one)."""
+    return [
+        n for n in ast.walk(ast.parse(text))
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "frozenset"
+        and n.args and "pool" in ast.unparse(n.args[0])
+    ]
+
+
 def pool_sum_offenders(sources):
     """``path: what`` over ``{path: source}``: a ``degrees[...]`` /
-    ``degrees.__getitem__`` read under ``cost/``; ``estimate_cost`` in the
-    catalog not bracketed by ``acquire_read`` / ``release_read``;
-    ``QueryGraph.neighborhood_signature`` missing or calling ``index_cache``."""
+    ``degrees.__getitem__`` read under ``cost/``; a pool's ``frozenset``
+    built other than once in each of ``POOL_VIEW_HOMES`` (``path:line:`` for
+    one built by a reader); ``estimate_cost`` in the catalog not bracketed by
+    ``acquire_read`` / ``release_read``; ``QueryGraph.neighborhood_signature``
+    missing or calling ``index_cache``."""
     offenders = []
+    for path in POOL_VIEW_HOMES:
+        built = len(pool_view_builds(sources[path]))
+        if built != 1:
+            offenders.append(f"{path}: builds a pool's frozenset {built} times")
     for path, text in sources.items():
+        if path.startswith(POOL_VIEW_READERS):
+            offenders += [
+                f"{path}:{n.lineno}: builds {ast.unparse(n)}" for n in pool_view_builds(text)
+            ]
         if not path.startswith("cost/"):
             continue
         for node in ast.walk(ast.parse(text)):
@@ -1087,6 +1114,23 @@ def test_a_pool_is_summed_where_it_lives():
     mutant = text.replace(anchor, anchor + "    first = cache.degrees[pools[0][0]]\n")
     assert pool_sum_offenders({**sources, "cost/estimator.py": mutant}) == [
         "cost/estimator.py: reads cache.degrees[pools[0][0]]"
+    ]
+    # ... a reader building a pool's set of its own ...
+    text = sources["core/phase1.py"]
+    anchor = "    return {u: plan.pool_set(u, cache) & covered for u in range(q)}\n"
+    assert text.count(anchor) == 1
+    mutant = text.replace(anchor, "    return {u: frozenset(plan.pools[u]) & covered for u in range(q)}\n")
+    line = mutant[: mutant.index("frozenset(plan.pools[u])")].count("\n") + 1
+    assert pool_sum_offenders({**sources, "core/phase1.py": mutant}) == [
+        f"core/phase1.py:{line}: builds frozenset(plan.pools[u])"
+    ]
+    # ... and the plan building its own view again instead of taking the memo's.
+    text = sources["indexes/plans.py"]
+    anchor = "            view = cache.pool_view(*self.profiles[u], self.pools[u])\n"
+    assert text.count(anchor) == 1
+    mutant = text.replace(anchor, "            view = frozenset(self.pools[u])\n")
+    assert pool_sum_offenders({**sources, "indexes/plans.py": mutant}) == [
+        "indexes/plans.py: builds a pool's frozenset 2 times"
     ]
     # ... the probe pricing outside the read lock again ...
     text = sources["service/catalog.py"]
