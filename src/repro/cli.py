@@ -300,8 +300,8 @@ def _add_compression_flag(parser: argparse.ArgumentParser) -> None:
         "--compression",
         action="store_true",
         help="search over twin-class representatives (BoostIso-style "
-        "structural equivalence); bit-identical results, faster on "
-        "structurally redundant graphs (docs/performance.md)",
+        "structural equivalence); bit-identical results, and no measured "
+        "query shape is faster with it (docs/performance.md)",
     )
 
 
@@ -343,13 +343,15 @@ def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _setup_observability(args: argparse.Namespace) -> Optional[Instrumentation]:
+def _setup_observability(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> Optional[Instrumentation]:
     """Build and install instrumentation from ``--trace-out``/``--log-level``.
 
     Either flag switches instrumentation on (the per-query debug log lines
     only exist on the instrumented path). Returns ``None`` — and installs
     nothing — when both are absent, keeping the default run on the
-    zero-overhead path.
+    zero-overhead path. A trace path that cannot be opened is a usage error.
     """
     trace_out = getattr(args, "trace_out", None)
     log_level = getattr(args, "log_level", None)
@@ -357,7 +359,12 @@ def _setup_observability(args: argparse.Namespace) -> Optional[Instrumentation]:
         configure_logging(log_level.upper())
     if trace_out is None and log_level is None:
         return None
-    tracer = Tracer(JsonlSink(trace_out)) if trace_out is not None else None
+    tracer = None
+    if trace_out is not None:
+        try:
+            tracer = Tracer(JsonlSink(trace_out))
+        except OSError as exc:
+            parser.error(f"--trace-out: cannot open {trace_out}: {exc.strerror or exc}")
     instr = Instrumentation(tracer=tracer)
     set_default_instrumentation(instr)
     return instr
@@ -758,7 +765,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_schedule(args.scans)
     if args.command == "mutate":
         return _cmd_mutate(parser, args)
-    instr = _setup_observability(args)
+    instr = _setup_observability(parser, args)
     try:
         if args.command == "query":
             rc = _cmd_query(parser, args)

@@ -94,10 +94,10 @@ class DSQLConfig:
         compression`): class-level candidate pools, the ``cbitset`` join
         kernel over class ids, and the compressed per-frame join test in
         the level engine. Results are bit-identical with the toggle on or
-        off (pinned by ``tests/property/test_compression_equivalence.py``);
-        the win is on structurally redundant graphs and the cost is bounded
-        on redundancy-free ones by the per-depth
-        :data:`~repro.kernels.CBITSET_MAX_RATIO` gate. Off by default.
+        off (pinned by ``tests/property/test_compression_equivalence.py``).
+        No measured query shape is faster with it, not even the casting
+        star built to favour it (equal expansions, more time). Off by
+        default.
     seed:
         Seed for the random candidate retention of Section 5.2. Fixed by
         default so runs are reproducible; set ``None`` for entropy.

@@ -90,7 +90,7 @@ class DSQL:
     instrumentation:
         Optional :class:`~repro.observability.Instrumentation`. When omitted
         the process default (``set_default_instrumentation``) is consulted;
-        ``None`` (the usual case) disables all tracing/metrics/hooks at a
+        ``None`` (the usual case) disables all tracing and metrics at a
         cost of a few pointer checks per query.
 
     Attributes

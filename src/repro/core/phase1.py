@@ -83,9 +83,9 @@ def run_phase1(
     accepted embeddings immediately consume their vertices (Q1Search
     difference (3)). ``deadline`` is the query-wide monotonic timestamp
     derived from ``config.time_budget_ms`` (``None`` disables).
-    ``instrumentation`` brackets every level (``phase1.level`` spans, the
-    ``phase1.level_expansions`` histogram, ``on_level_start``) and reports
-    accepted embeddings through ``on_embedding_emitted``. ``plan`` is the
+    ``instrumentation`` brackets every level (``phase1.level`` spans, whose
+    ``added`` field counts the level's accepted embeddings, and the
+    ``phase1.level_expansions`` histogram). ``plan`` is the
     compiled :class:`~repro.indexes.plans.QueryPlan` that ``candidates``
     views — callers already holding it may hand it in, it is never a
     different plan — and supplies the selectivity ranking (``qList``) and
@@ -118,8 +118,6 @@ def run_phase1(
     def on_embedding(mapping: Mapping) -> bool:
         state.add(mapping)
         stats.record_added(current_level)
-        if instr is not None:
-            instr.embedding_emitted("phase1", current_level, mapping, query_id)
         return len(state) < config.k
 
     def close_level(level: int, start_ms: float, before_exp: int, before_n: int) -> None:

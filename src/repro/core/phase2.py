@@ -82,9 +82,9 @@ def run_phase2(
     vertex coverage, bound to this query's ``q``). ``plan`` is the plan
     ``candidates`` views, as in :func:`~repro.core.phase1.run_phase1`.
     ``instrumentation`` brackets every level (``phase2.level`` spans and the
-    ``phase2.level_expansions`` histogram) and reports every generated
-    embedding (``on_embedding_emitted``) and every SWAPα decision on a
-    positive-benefit candidate (``on_swap`` / ``phase2.swap_reject``).
+    ``phase2.level_expansions`` histogram) and counts every rejected SWAPα
+    decision on a positive-benefit candidate (``phase2.swap_reject``;
+    accepts are ``stats.phase2_swaps``, flushed as ``phase2.swap_accept``).
     """
     stats.phase2_ran = True
     q = query.size
@@ -134,8 +134,6 @@ def run_phase2(
 
     def on_embedding(mapping: Mapping) -> bool:
         stats.embeddings_generated_phase2 += 1
-        if instr is not None:
-            instr.embedding_emitted("phase2", current_level, mapping, query_id)
         b = tracker.benefit(mapping)
         if b > 0:
             slot, f_loss = tracker.min_loss_member()

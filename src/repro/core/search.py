@@ -73,11 +73,11 @@ class LevelSearchEngine(ConflictDirectedSearch):
     instrumentation:
         Optional :class:`~repro.observability.Instrumentation`. Only the
         :class:`~repro.isomorphism.backtrack.ExpansionMeter` touches it, on
-        its (rare) deadline-stride branch; level/embedding events are
+        its (rare) deadline-stride branch; level spans and swap counters are
         emitted by the calling phases, so the disabled path adds no
         per-expansion work.
     query_id:
-        Session-assigned id stamped onto this engine's trace events/hooks.
+        Session-assigned id the meter hands to ``deadline_tick``.
 
     A frame pays for its candidates, not for itself. Its prologue is in
     the frame: ``Rcand`` is one probe of the view's per-query memo of

@@ -606,27 +606,31 @@ class GraphIndexCache:
         signature_masks = self.signature_masks
         dirty_per_label = Counter(map(label_ids.__getitem__, dirty_vertices))
         dirty_lids = set(dirty_per_label)
-        repairable = self._repairable_labels(dirty_per_label)
-        # label id -> [(v, degree before, mask before)] for the vertices
-        # whose pool membership may have changed. A vertex added by this
-        # batch was in no pool, which a degree of -1 says to every
-        # ``degree >= min_degree`` test.
-        moved: Dict[int, List[Tuple[int, int, int]]] = {}
-        for v in dirty_vertices:
-            row = neighbors(v)
-            m = 0
-            for w in row:
-                m |= 1 << label_ids[w]
-            lid = label_ids[v]
-            if lid in repairable:
-                before = (degrees[v], signature_masks[v]) if v < first_new else (-1, 0)
-                if before != (len(row), m):
-                    moved.setdefault(lid, []).append((v, *before))
-            degrees[v] = len(row)
-            signature_masks[v] = m
-
-        if moved:
-            self._repair_pools(moved)
+        # One hold of the pool lock from choosing the labels to repair to the
+        # end of their repair: a scan (under the same lock) reads every
+        # degree and mask from before the batch, and its entry is repaired,
+        # or from after it.
+        with self._pool_lock:
+            repairable = self._repairable_labels(dirty_per_label)
+            # label id -> [(v, degree before, mask before)] for the vertices
+            # whose pool membership may have changed. A vertex added by this
+            # batch was in no pool, which a degree of -1 says to every
+            # ``degree >= min_degree`` test.
+            moved: Dict[int, List[Tuple[int, int, int]]] = {}
+            for v in dirty_vertices:
+                row = neighbors(v)
+                m = 0
+                for w in row:
+                    m |= 1 << label_ids[w]
+                lid = label_ids[v]
+                if lid in repairable:
+                    before = (degrees[v], signature_masks[v]) if v < first_new else (-1, 0)
+                    if before != (len(row), m):
+                        moved.setdefault(lid, []).append((v, *before))
+                degrees[v] = len(row)
+                signature_masks[v] = m
+            if moved:
+                self._repair_pools(moved)
         # After delta_seq moved, under the lock label_neighbors stores under.
         with self._adj_lock:
             for v in dirty_vertices:
@@ -654,24 +658,24 @@ class GraphIndexCache:
         vertices x entries) than one scan of its bucket, the entries are
         dropped and rescanned on demand. Decided before the vertices are
         repaired, so a bulk batch (or an empty memo) is not charged for
-        remembering what each vertex looked like before.
+        remembering what each vertex looked like before. Called under
+        ``_pool_lock``.
         """
         repairable: Set[int] = set()
         dropped = 0
-        with self._pool_lock:
-            memo = self._pool_memo
-            for lid, dirty in dirty_per_label.items():
-                keys = self._pool_keys.get(lid)
-                if not keys:
-                    continue
-                if dirty * len(keys) <= len(self.label_index[self.label_table[lid]]):
-                    repairable.add(lid)
-                    continue
-                for key in keys:
-                    del memo[key]
-                    self._pool_views.pop(key, None)
-                dropped += len(keys)
-                del self._pool_keys[lid]
+        memo = self._pool_memo
+        for lid, dirty in dirty_per_label.items():
+            keys = self._pool_keys.get(lid)
+            if not keys:
+                continue
+            if dirty * len(keys) <= len(self.label_index[self.label_table[lid]]):
+                repairable.add(lid)
+                continue
+            for key in keys:
+                del memo[key]
+                self._pool_views.pop(key, None)
+            dropped += len(keys)
+            del self._pool_keys[lid]
         if dropped:
             self.pool_entries_dropped += dropped
             if self._metrics is not None:
@@ -690,49 +694,49 @@ class GraphIndexCache:
         still ascending — only when some vertex flipped. That is at most one
         test per moved vertex and one O(pool) rebuild per entry. A kept
         degree mass moves in the same pass; a rebuilt entry's view is dropped.
+        Called under ``_pool_lock``.
         """
         degrees = self.degrees
         masks = self.signature_masks
         repaired = rebuilt = 0
-        with self._pool_lock:
-            memo = self._pool_memo
-            for lid, vertices in moved.items():
-                keys = self._pool_keys[lid]
-                repaired += len(keys)
-                flips: Dict[Tuple[int, int, int], List[Tuple[int, bool]]] = {}
-                for v, old_degree, old_mask in vertices:
-                    degree, mask = degrees[v], masks[v]
-                    for key, mass in keys.items():
-                        _, min_degree, sig = key
-                        if degree >= min_degree and mask & sig == sig:
-                            if old_degree >= min_degree and old_mask & sig == sig:
-                                # Still a member: no flip, but its degree moved.
-                                if mass is not None:
-                                    keys[key] = mass + degree - old_degree
-                            else:
-                                flips.setdefault(key, []).append((v, True))
-                                if mass is not None:
-                                    keys[key] = mass + degree
-                        elif old_degree >= min_degree and old_mask & sig == sig:
-                            flips.setdefault(key, []).append((v, False))
+        memo = self._pool_memo
+        for lid, vertices in moved.items():
+            keys = self._pool_keys[lid]
+            repaired += len(keys)
+            flips: Dict[Tuple[int, int, int], List[Tuple[int, bool]]] = {}
+            for v, old_degree, old_mask in vertices:
+                degree, mask = degrees[v], masks[v]
+                for key, mass in keys.items():
+                    _, min_degree, sig = key
+                    if degree >= min_degree and mask & sig == sig:
+                        if old_degree >= min_degree and old_mask & sig == sig:
+                            # Still a member: no flip, but its degree moved.
                             if mass is not None:
-                                keys[key] = mass - old_degree
-                rebuilt += len(flips)
-                for key, changes in flips.items():
-                    self._pool_views.pop(key, None)
-                    if key[1] == 0 and key[2] == 0:
-                        # The unfiltered pool is the label bucket itself
-                        # (see _scan); stay aliased to it.
-                        memo[key] = self.label_index[self.label_table[lid]]
-                        continue
-                    members = list(memo[key])
-                    for v, joins in changes:
-                        i = bisect_left(members, v)
-                        if joins:
-                            members.insert(i, v)
+                                keys[key] = mass + degree - old_degree
                         else:
-                            del members[i]
-                    memo[key] = tuple(members)
+                            flips.setdefault(key, []).append((v, True))
+                            if mass is not None:
+                                keys[key] = mass + degree
+                    elif old_degree >= min_degree and old_mask & sig == sig:
+                        flips.setdefault(key, []).append((v, False))
+                        if mass is not None:
+                            keys[key] = mass - old_degree
+            rebuilt += len(flips)
+            for key, changes in flips.items():
+                self._pool_views.pop(key, None)
+                if key[1] == 0 and key[2] == 0:
+                    # The unfiltered pool is the label bucket itself
+                    # (see _scan); stay aliased to it.
+                    memo[key] = self.label_index[self.label_table[lid]]
+                    continue
+                members = list(memo[key])
+                for v, joins in changes:
+                    i = bisect_left(members, v)
+                    if joins:
+                        members.insert(i, v)
+                    else:
+                        del members[i]
+                memo[key] = tuple(members)
         self.pool_entries_repaired += repaired
         self.pool_entries_rebuilt += rebuilt
         metrics = self._metrics

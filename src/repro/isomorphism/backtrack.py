@@ -36,8 +36,7 @@ bounding deadline overshoot to one stride's worth of work.
 meter arms — on its first charge and after every check — so a monkeypatch
 made before a search starts decides every probe of that search, and one made
 mid-search lands at the next trip point. Instrumentation surfaces it as the
-``deadline.check_stride`` gauge and the ``stride`` field of
-``on_deadline_tick`` / deadline trace events.
+``deadline.check_stride`` gauge.
 """
 
 

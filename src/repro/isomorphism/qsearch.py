@@ -102,9 +102,9 @@ class QSearchEngine(ConflictDirectedSearch):
         :attr:`conflict_skips`, :attr:`bad_vertex_skips` and
         :attr:`bad_vertices_marked` record the pruning.
     instrumentation, query_id:
-        Optional :class:`~repro.observability.Instrumentation`: emitted
-        embeddings are reported with phase ``"sq"``, and the counters and the
-        ``sq.enumerate`` span are flushed once when the generator closes.
+        Optional :class:`~repro.observability.Instrumentation`: the counters
+        (``sq.embeddings_emitted`` among them) and the ``sq.enumerate`` span
+        are flushed once when the generator closes.
     plan:
         The compiled :class:`~repro.indexes.plans.QueryPlan` to search with
         (e.g. a compression-enabled one); defaults to the plan
@@ -166,8 +166,6 @@ class QSearchEngine(ConflictDirectedSearch):
         try:
             for mapping in self._recurse(0):
                 emitted += 1
-                if instr is not None:
-                    instr.embedding_emitted("sq", -1, mapping, self.query_id)
                 yield mapping
         except BudgetExceeded:
             return

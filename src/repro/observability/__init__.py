@@ -1,4 +1,4 @@
-"""Observability: metrics registry, structured tracing, profiling hooks.
+"""Observability: metrics registry and structured tracing.
 
 The package gives every layer of the reproduction — both search engines,
 the :class:`~repro.core.dsql.DSQL` session, the per-graph
@@ -7,15 +7,13 @@ the :class:`~repro.core.dsql.DSQL` session, the per-graph
 what a query actually did:
 
 * :class:`MetricsRegistry` — counters/gauges/histograms (zero-dependency);
-* :class:`Tracer` — span/point events with a JSONL sink (``--trace-out``);
-* :class:`ProfilingHooks` — opt-in callbacks (``on_level_start``,
-  ``on_embedding_emitted``, ``on_swap``, ``on_deadline_tick``).
+* :class:`Tracer` — span/point events with a JSONL sink (``--trace-out``).
 
-:class:`Instrumentation` bundles the three. Engines take an optional
+:class:`Instrumentation` bundles the two. Engines take an optional
 instance and guard every touch with ``if instr is not None`` — **no
 instrumentation code runs on a per-expansion path**, so the disabled
-default costs nothing measurable (hook calls are bounded per level, not per
-expansion: ``tests/observability/test_hooks.py``).
+default costs nothing measurable (calls are bounded per level and per
+stride tick, not per expansion: ``tests/observability/test_hooks.py``).
 
 A process-wide default (:func:`set_default_instrumentation`) lets entry
 points like the CLI instrument every session created anywhere in the
@@ -30,7 +28,6 @@ import time
 from contextlib import contextmanager, nullcontext
 from typing import Iterator, Optional, Tuple
 
-from repro.observability.hooks import ProfilingHooks
 from repro.observability.metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -67,27 +64,25 @@ EXPANSION_BUCKETS: Tuple[float, ...] = (
 
 
 class Instrumentation:
-    """Bundle of (metrics, tracer, hooks) handed to engines.
+    """Bundle of (metrics, tracer) handed to engines.
 
-    Any part may be omitted: ``metrics`` defaults to a fresh
-    :class:`MetricsRegistry`; ``tracer``/``hooks`` default to ``None`` and
-    their call sites degrade to no-ops. The helper methods below are the
-    engines' entire surface, so the emission policy (which metric a level
-    writes, which fields a tick carries) lives here rather than being
-    scattered across the hot modules.
+    Either part may be omitted: ``metrics`` defaults to a fresh
+    :class:`MetricsRegistry`; ``tracer`` defaults to ``None`` and its call
+    sites degrade to no-ops. The helper methods below are the engines'
+    entire surface, so the emission policy (which metric a level writes,
+    which fields a tick carries) lives here rather than being scattered
+    across the hot modules.
     """
 
-    __slots__ = ("metrics", "tracer", "hooks")
+    __slots__ = ("metrics", "tracer")
 
     def __init__(
         self,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
-        hooks: Optional[ProfilingHooks] = None,
     ) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer
-        self.hooks = hooks
 
     # -- tracing ------------------------------------------------------
     def span(self, name: str, query_id: Optional[int] = None, **fields):
@@ -104,9 +99,7 @@ class Instrumentation:
     def level_start(
         self, phase: str, level: int, query_id: Optional[int] = None
     ) -> float:
-        """Fire ``on_level_start``; return the level's start time (ms)."""
-        if self.hooks is not None:
-            self.hooks.on_level_start(phase, level, query_id)
+        """Return the level's start time (ms), for :meth:`level_end`'s span."""
         return time.monotonic() * 1000.0
 
     def level_end(
@@ -132,13 +125,7 @@ class Instrumentation:
                 added=added,
             )
 
-    # -- embedding / swap events --------------------------------------
-    def embedding_emitted(
-        self, phase: str, level: int, embedding, query_id: Optional[int] = None
-    ) -> None:
-        if self.hooks is not None:
-            self.hooks.on_embedding_emitted(phase, level, embedding, query_id)
-
+    # -- swap decisions ------------------------------------------------
     def swap_decision(
         self,
         level: int,
@@ -147,8 +134,6 @@ class Instrumentation:
         accepted: bool,
         query_id: Optional[int] = None,
     ) -> None:
-        if self.hooks is not None:
-            self.hooks.on_swap(level, benefit, loss, accepted, query_id)
         if not accepted:
             # Accepts flush from SearchStats.phase2_swaps at query end.
             self.metrics.counter("phase2.swap_reject").inc()
@@ -162,8 +147,6 @@ class Instrumentation:
         query_id: Optional[int] = None,
     ) -> None:
         """One stride deadline check (both engines call this)."""
-        if self.hooks is not None:
-            self.hooks.on_deadline_tick(nodes_expanded, remaining_ms, stride, query_id)
         self.metrics.counter("deadline.ticks").inc()
         self.metrics.gauge("deadline.check_stride").set(stride)
 
@@ -214,7 +197,6 @@ __all__ = [
     "Tracer",
     "JsonlSink",
     "ListSink",
-    "ProfilingHooks",
     "Instrumentation",
     "TRACE_EVENT_SCHEMA",
     "DEFAULT_BUCKETS",

@@ -291,11 +291,12 @@ class ProcessCensus:
         )
 
 
-def profiled_calls(run):
+def profiled_calls(run, under: str = ""):
     """``(run(), Counter)`` of the Python-level calls made while ``run`` ran
-    whose code lives under ``src/repro``, keyed ``(file name, function
-    name)`` — counted with ``sys.setprofile``, so C-level calls are free."""
-    src = os.path.dirname(repro.__file__)
+    whose code lives under ``src/repro`` (or its subpackage ``under``), keyed
+    ``(file name, function name)`` — counted with ``sys.setprofile``, so
+    C-level calls are free."""
+    src = os.path.join(os.path.dirname(repro.__file__), under)
     calls = Counter()
 
     def hook(frame, event, _arg):

@@ -15,6 +15,7 @@ from repro.coverage.objectives import make_objective
 from repro.datasets.registry import make_dataset
 from repro.graph.validation import embeddings_distinct, validate_embedding
 from repro.indexes.candidates import CandidateIndex
+from repro.observability import Instrumentation
 from repro.queries.generator import query_set
 
 from tests.conftest import connected_query_from, random_labeled_graph
@@ -86,6 +87,32 @@ class TestSwapCriterion:
                 strict_total += p2a.swaps
                 loose_total += p2b.swaps
         assert loose_total >= strict_total
+
+    def test_alpha_zero_accepts_exactly_when_benefit_covers_loss(self):
+        """Inequality 2 at alpha = 0, decision by decision: a positive-benefit
+        candidate is swapped in iff ``B(h,T) >= L(f,T)``."""
+
+        class Decisions(Instrumentation):
+            def __init__(self):
+                super().__init__()
+                self.seen = []
+
+            def swap_decision(self, level, benefit, loss, accepted, query_id=None):
+                self.seen.append((benefit, loss, accepted))
+                super().swap_decision(level, benefit, loss, accepted, query_id)
+
+        graph = random_labeled_graph(30, 2, 0.2, seed=8)
+        query = connected_query_from(graph, 3, seed=15)
+        instr = Decisions()
+        config = DSQLConfig(k=6, alpha=0.0, phase2_ratio_target=1.0)
+        stats = DSQL(graph, config=config, instrumentation=instr).query(query).stats
+        assert {accepted for _, _, accepted in instr.seen} == {True, False}
+        for benefit, loss, accepted in instr.seen:
+            assert benefit > 0
+            assert accepted == (benefit >= loss)
+        assert sum(accepted for *_, accepted in instr.seen) == stats.phase2_swaps
+        rejects = len(instr.seen) - stats.phase2_swaps
+        assert instr.metrics.snapshot()["phase2.swap_reject"] == rejects
 
 
 class TestEarlyTermination:

@@ -691,6 +691,36 @@ class TestPoolViews:
         assert writes > 100 and min(asked) > 0 and cache._pool_views and not stale, stale
         assert_cache_equivalent(cache, GraphIndexCache(g))
 
+    def test_a_scan_inside_a_write_is_not_left_stale(self, monkeypatch):
+        """A reader's first scan of a profile, landing after the write chose
+        the labels to repair but before it moved a degree, must not store a
+        pool of pre-write degrees that no repair touches: the scan waits for
+        the write. The stress test above reaches this window only rarely; this
+        one starts a reader inside it."""
+        g = TestPoolRepair.star_graph()
+        cache = g.index_cache()
+        row = LabeledGraph.neighbors
+        readers, scanned = [], threading.Event()
+
+        def row_then_read(self, v):
+            # The write reads its first dirty row: labels chosen, no degree moved.
+            if not readers and sys._getframe(1).f_code.co_name == "apply_delta":
+                reader = threading.Thread(
+                    target=lambda: scanned.set() if cache.candidate_pool("a", 3) else None
+                )
+                reader.start()
+                readers.append(reader)
+                scanned.wait(0.2)  # the scan would land here, were the lock free
+            return row(self, v)
+
+        monkeypatch.setattr(LabeledGraph, "neighbors", row_then_read)
+        g.add_edge(0, 26)  # vertex 0 reaches degree 3
+        (reader,) = readers
+        reader.join(5)
+        assert not reader.is_alive() and scanned.is_set()
+        assert cache.candidate_pool("a", 3) == (0, 1)
+        assert_cache_equivalent(cache, GraphIndexCache(g))
+
 
 class TestVersionAndLog:
     """There is no log: the cache counts applied ops in ``delta_seq`` and

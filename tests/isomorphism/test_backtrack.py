@@ -24,7 +24,7 @@ from repro.core.state import SearchStats
 from repro.exceptions import BudgetExceeded, DeadlineExceeded
 from repro.indexes.candidates import CandidateIndex
 from repro.isomorphism.backtrack import ExpansionMeter
-from repro.observability import Instrumentation, ProfilingHooks
+from repro.observability import Instrumentation
 
 from tests.conftest import connected_query_from, random_labeled_graph
 
@@ -99,12 +99,16 @@ def test_meter_without_a_sink_counts_on_itself():
     assert not meter.deadline_exhausted
 
 
-class TickHooks(ProfilingHooks):
+class TickRecorder(Instrumentation):
+    """A registry that also records where each stride tick landed."""
+
     def __init__(self):
+        super().__init__()
         self.ticks = []
 
-    def on_deadline_tick(self, nodes_expanded, remaining_ms, stride, query_id=None):
+    def deadline_tick(self, nodes_expanded, remaining_ms, stride, query_id=None):
         self.ticks.append(nodes_expanded)
+        super().deadline_tick(nodes_expanded, remaining_ms, stride, query_id)
 
 
 @pytest.fixture()
@@ -125,11 +129,11 @@ def test_two_phases_tick_at_every_multiple_of_the_stride(swap_case, monkeypatch)
     run_phase1(graph, query, config, CandidateIndex(graph, query), handover)
     assert handover.nodes_expanded % stride
 
-    hooks = TickHooks()
-    session = DSQL(graph, config=config, instrumentation=Instrumentation(hooks=hooks))
+    instr = TickRecorder()
+    session = DSQL(graph, config=config, instrumentation=instr)
     stats = session.query(query).stats
     assert stats.phase2_ran and stats.nodes_expanded > handover.nodes_expanded + stride
-    assert hooks.ticks == list(range(stride, stats.nodes_expanded + 1, stride))
+    assert instr.ticks == list(range(stride, stats.nodes_expanded + 1, stride))
     assert session.instrumentation.metrics.snapshot()["deadline.ticks"] == (
         stats.nodes_expanded // stride
     )
@@ -139,11 +143,11 @@ def test_budget_wins_where_budget_and_stride_coincide(swap_case, monkeypatch):
     stride = 7
     monkeypatch.setattr(backtrack, "DEADLINE_CHECK_STRIDE", stride)
     graph, query = swap_case
-    hooks = TickHooks()
+    instr = TickRecorder()
     config = DSQLConfig(k=6, node_budget=2 * stride - 1, time_budget_ms=600_000.0)
-    session = DSQL(graph, config=config, instrumentation=Instrumentation(hooks=hooks))
+    session = DSQL(graph, config=config, instrumentation=instr)
     stats = session.query(query).stats
     # Expansion 14 is past the budget *and* on the stride: it raises, unprobed.
     assert stats.nodes_expanded == 2 * stride
     assert stats.budget_exhausted and not stats.deadline_exhausted
-    assert hooks.ticks == [stride]
+    assert instr.ticks == [stride]

@@ -153,6 +153,18 @@ class TestQueryCommand:
         )
         assert code == 0
 
+    def test_trace_out_that_cannot_be_opened_is_a_usage_error(self, tmp_path, capsys):
+        """A missing parent directory and a directory both exit 2 with a
+        one-line message naming the path, like every other bad path flag."""
+        for path in (tmp_path / "missing" / "t.jsonl", tmp_path):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["query", "--dataset", "yeast", "--scale", "0.2", "--queries", "1",
+                      "--trace-out", str(path)])
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert f"--trace-out: cannot open {path}: " in err
+            assert "Traceback" not in err
+
     def test_baseline_rejects_parallel_flags(self):
         with pytest.raises(SystemExit):
             main(

@@ -400,6 +400,14 @@ STAYS_DELETED = {
         "isomorphism/compression.py", "        self.split_repairs = 0\n",
         "        self.lazy_expansions = 0\n", ("lazy_expansions",),
     ),
+    "profiling_hooks": (
+        (
+            "ProfilingHooks", "observability.hooks", "on_level_start", "on_embedding_emitted",
+            "on_deadline_tick", "embedding_emitted", "self.hooks",
+        ),
+        "observability/__init__.py", "        self.tracer = tracer\n",
+        "        self.hooks = hooks\n", ("self.hooks",),
+    ),
 }
 
 
@@ -1232,3 +1240,115 @@ def test_a_connection_starts_no_thread():
         "        if length > MAX_BODY_BYTES:\n",
         "        raw = self.rfile.read(length)\n        if length > MAX_BODY_BYTES:\n",
     ) == ["_read_payload reads before comparing with MAX_BODY_BYTES"]
+
+
+# ----------------------------------------------------------------------
+# Fork guard: two observation channels in the engines. Every engine event is
+# a metric or a span of the ``Instrumentation`` bundle (a registry and an
+# optional tracer); the callback channel beside them — its base class, its
+# four callbacks, the per-embedding dispatch and the bundle's third slot —
+# must not grow back.
+# ----------------------------------------------------------------------
+def test_profiling_hooks_stay_deleted():
+    from repro.observability import Instrumentation
+
+    assert_stays_deleted("profiling_hooks")
+    assert not (REPO / "src" / "repro" / "observability" / "hooks.py").exists()
+    assert Instrumentation.__slots__ == ("metrics", "tracer")
+
+
+# ----------------------------------------------------------------------
+# Catalog guard: docs/observability.md's metric tables and the code agree.
+# Every name a table row gives is emitted by ``src/repro``, and every name
+# ``src/repro`` emits has a row. A name is emitted where a registry's
+# ``counter`` / ``gauge`` / ``histogram`` is called with it: a literal, the
+# ``SearchStats`` flush table, or an f-string family spelled out from the
+# values its placeholder takes.
+# ----------------------------------------------------------------------
+def metric_families():
+    """``{source of a non-literal name argument: the names it takes}``."""
+    from repro.coverage.objectives import OBJECTIVE_NAMES
+    from repro.kernels import KERNEL_KINDS
+    from repro.observability.metrics import _STATS_COUNTERS
+    from repro.service.server import _outcome
+
+    return {
+        "f'{phase}.level_expansions'": {"phase1.level_expansions", "phase2.level_expansions"},
+        "f'kernel.dispatch.{kind}'": {f"kernel.dispatch.{kind}" for kind in KERNEL_KINDS},
+        "f'objective.{self.config.objective}.queries'": {
+            f"objective.{name}.queries" for name in OBJECTIVE_NAMES
+        },
+        "f'objective.{self.config.objective}.swap_accept'": {
+            f"objective.{name}.swap_accept" for name in OBJECTIVE_NAMES
+        },
+        "f'service.requests.{_outcome(status)}'": {
+            f"service.requests.{_outcome(status)}" for status in (200, 400, 429, 500, 503)
+        },
+        "metric": {metric for _, metric in _STATS_COUNTERS},
+        "name": set(),  # merge_counters replays names emitted elsewhere
+    }
+
+
+def emitted_metric_names(sources, families):
+    """``(names, unknown)`` over ``{path: source}``: every metric name the
+    sources emit, and ``path: argument`` for a name argument that is neither
+    a literal nor a known family. ``self._metric("x")`` (the cost
+    estimator's per-graph suffix) emits ``x``."""
+    names, unknown = set(), []
+    for path, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if not (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("counter", "gauge", "histogram") and node.args
+            ):
+                continue
+            arg = node.args[0]
+            if isinstance(arg, ast.Call) and ast.unparse(arg.func) == "self._metric":
+                arg = arg.args[0]
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                names.add(arg.value)
+            elif ast.unparse(arg) in families:
+                names |= families[ast.unparse(arg)]
+            else:
+                unknown.append(f"{path}: {ast.unparse(arg)}")
+    return names, unknown
+
+
+def documented_metric_names(text):
+    """Every backticked name in the first cell of a table row under
+    "## Metric catalog", ``<name>`` spelled out over the objectives."""
+    from repro.coverage.objectives import OBJECTIVE_NAMES
+
+    section = text.split("## Metric catalog", 1)[1].split("\n## ", 1)[0]
+    names = set()
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        for name in re.findall(r"`([^`]+)`", line.split("|")[1]):
+            if "<name>" in name:
+                names |= {name.replace("<name>", objective) for objective in OBJECTIVE_NAMES}
+            else:
+                names.add(name)
+    return names
+
+
+def test_metric_catalog_matches_the_code():
+    doc = (REPO / "docs" / "observability.md").read_text(encoding="utf-8")
+    sources, families = package_sources(), metric_families()
+    emitted, unknown = emitted_metric_names(sources, families)
+    documented = documented_metric_names(doc)
+    assert not unknown, unknown
+    assert len(emitted) > 60
+    assert sorted(documented - emitted) == [], "a row no code emits"
+    assert sorted(emitted - documented) == [], "an emitted name with no row"
+    # The guard sees a row deleted from the doc ...
+    row = "| `service.mutations` |"
+    assert doc.count(row) == 1
+    cut = "\n".join(line for line in doc.splitlines() if not line.startswith(row))
+    assert sorted(emitted - documented_metric_names(cut)) == ["service.mutations"]
+    # ... a literal name pasted into the code ...
+    pasted = {**sources, "core/dsql.py": sources["core/dsql.py"] + "metrics.counter('x.y').inc()\n"}
+    assert emitted_metric_names(pasted, families)[0] - documented == {"x.y"}
+    # ... and a name built some new way.
+    pasted = {"core/dsql.py": "metrics.counter(f'cache.{kind}').inc()\n"}
+    assert emitted_metric_names(pasted, families)[1] == ["core/dsql.py: f'cache.{kind}'"]
