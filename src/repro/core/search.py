@@ -80,11 +80,12 @@ class LevelSearchEngine(ConflictDirectedSearch):
         Session-assigned id the meter hands to ``deadline_tick``.
 
     A frame pays for its candidates, not for itself. Its prologue is in
-    the frame: ``Rcand`` is one probe of the view's per-query memo of
-    ``N(father's match) ∩ candS(u)`` (:meth:`~repro.indexes.candidates.
-    CandidateIndex.localized` on a miss; the plan's pool without
-    localization), and the join constraint is decided from what the frame
-    knows when it is entered — the matched query neighbors localization
+    the frame: ``Rcand`` is one probe of the view's memo of
+    ``N(father's match) ∩ candS(u)`` — the plan's own from its second view
+    on (:meth:`~repro.indexes.plans.QueryPlan.localized_memo`;
+    :meth:`~repro.indexes.candidates.CandidateIndex.localized` on a miss;
+    the plan's pool without localization), and the join constraint is
+    decided from what the frame knows when it is entered — the matched query neighbors localization
     has *not* already joined (``Rcand ⊆ N(father's match)``, so the
     father's edge holds by construction):
 
@@ -385,9 +386,9 @@ class LevelSearchEngine(ConflictDirectedSearch):
         if is_overlap:
             rcand = list(filter(self._tcand[u].__contains__, rcand))
         elif cap is not None and self._cap_singles:
-            # Section 5.2 tries a random `cap` of them — on a copy: the list
-            # may be the view's memo (or the plan's pool), read again by
-            # every later frame with the same father match. CPython's
+            # Section 5.2 tries a random `cap` of them — on a copy: the tuple
+            # may be the memo's (or the plan's pool), read again by every
+            # later frame with the same father match. CPython's
             # `self.rng.shuffle`, written out: same permutation and state
             # after, without its two calls per element.
             rcand = list(rcand)

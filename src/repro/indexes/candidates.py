@@ -11,8 +11,10 @@ and baselines read it through:
 * membership tests against the pools' set views — built lazily, once per
   memoized pool, and shared by every plan resolving to it;
 * the localized candidates of Section 5.1, ``N(v_father) ∩ candS(u)``
-  (:meth:`CandidateIndex.localized`), memoized for the life of the view —
-  one query against one graph version.
+  (:meth:`CandidateIndex.localized`), memoized per ``(u, fv)``: privately
+  for a plan's first view, on the plan itself from its second view on
+  (:meth:`~repro.indexes.plans.QueryPlan.localized_memo`) — a plan serves
+  one graph version, because a write that could change a list evicts it.
 """
 
 from __future__ import annotations
@@ -47,11 +49,12 @@ class CandidateIndex:
         The plan this index views; engines take their search order,
         backward lists and join kernels from it.
 
-    A view serves one query against one graph version: the localized lists
-    it memoizes (``_localized[u][fv]`` — the level engine's frames probe the
-    dict in place and call :meth:`localized` on a miss) are not repaired by
-    a mutation, so build a fresh view per query (``DSQL.query`` does) rather
-    than keeping one across writes.
+    The localized lists (``_localized[u][fv]`` — the level engine's frames
+    probe the dict in place and call :meth:`localized` on a miss) are the
+    plan's :meth:`~repro.indexes.plans.QueryPlan.localized_memo`. No write
+    repairs them; one that could change a list evicts the plan from its
+    :class:`~repro.indexes.plans.PlanCache`. So fetch the plan per query
+    (``DSQL.query`` does) rather than keeping a plan or a view across writes.
     """
 
     def __init__(
@@ -70,7 +73,7 @@ class CandidateIndex:
         self._label_neighbors = self.cache.label_neighbors
         self._lids = [self.cache.label_to_id.get(label, -1) for label, _, _ in self.plan.profiles]
         self._pool_set = self.plan.pool_set
-        self._localized: List[Dict[int, List[int]]] = [{} for _ in self.plan.pools]
+        self._localized: List[Dict[int, Tuple[int, ...]]] = self.plan.localized_memo()
 
     def candidates(self, u: int) -> Tuple[int, ...]:
         """``candS(u)`` in deterministic (label-index) order."""
@@ -96,23 +99,24 @@ class CandidateIndex:
         """Whether ``v`` is in ``candS(u)`` (the static filter view)."""
         return v in self.plan.pool_set(u, self.cache)
 
-    def localized(self, u: int, fv: int) -> List[int]:
+    def localized(self, u: int, fv: int) -> Tuple[int, ...]:
         """``N(fv) ∩ candS(u)`` ascending — Section 5.1's localized ``Rcand``.
 
         ``fv`` is the vertex matched to ``u``'s father. Pool members carry
         ``u``'s label, so only ``fv``'s neighbors with it (:meth:`~repro.
         indexes.graph_cache.GraphIndexCache.label_neighbors`) are filtered by
-        the pool's set view, in C, once per ``(u, fv)`` and memoized on this
-        view: while an anchor enumerates under a fixed overlap prefix, every
-        anchor candidate asks for the same hub rows again. The list is shared
-        — callers iterate it and must not reorder it in place (the Section
-        5.2 shuffle works on a copy).
+        the pool's set view, in C, once per ``(u, fv)`` and memoized: while
+        an anchor enumerates under a fixed overlap prefix, every anchor
+        candidate asks for the same hub rows again, and a warm plan's later
+        queries ask for its earlier queries' rows. The tuple is shared — the
+        Section 5.2 shuffle works on a copy — and, holding only ints, leaves
+        the collector's lists.
         """
         memo = self._localized[u]
         hit = memo.get(fv)
         if hit is None:
             run = self._label_neighbors(fv, self._lids[u])
-            hit = memo[fv] = list(filter(self._pool_set(u, self.cache).__contains__, run))
+            hit = memo[fv] = tuple(filter(self._pool_set(u, self.cache).__contains__, run))
         return hit
 
     def any_empty(self) -> bool:

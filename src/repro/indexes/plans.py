@@ -78,8 +78,10 @@ class QueryPlan:
 
     Beside these the plan memoizes lazily built views (references to the
     pools' set views, bitsets, the cost profile, the per-``Qovp`` frame
-    table of :meth:`frames` and the ``reSort`` basis it is compiled from);
-    they are dropped on pickling and rebuilt on demand.
+    table of :meth:`frames` and the ``reSort`` basis it is compiled from,
+    and from its second view on the localized lists of
+    :meth:`localized_memo`); they are dropped on pickling and rebuilt on
+    demand.
     """
 
     __slots__ = (
@@ -100,6 +102,7 @@ class QueryPlan:
         "_frames",
         "_interned",
         "_resort_basis",
+        "_localized",
     )
 
     def __init__(
@@ -141,6 +144,7 @@ class QueryPlan:
         "_frames",
         "_interned",
         "_resort_basis",
+        "_localized",
     )
 
     def _reset_lazies(self) -> None:
@@ -152,6 +156,7 @@ class QueryPlan:
         self._frames: Dict[int, tuple] = {}
         self._interned: Dict[tuple, tuple] = {}
         self._resort_basis = None
+        self._localized = None  # None: never viewed; False: viewed once
 
     def pool(self, u: int) -> Tuple[int, ...]:
         """``candS(u)``: label + degree + signature filters (ascending)."""
@@ -257,6 +262,26 @@ class QueryPlan:
                 rows.append(interned(frame, frame))
             entry = self._frames[key] = tuple(rows)
         return entry
+
+    def localized_memo(self) -> List[Dict[int, Tuple[int, ...]]]:
+        """Per query node, the ``fv → N(fv) ∩ candS(u)`` memo a view fills
+        (:meth:`~repro.indexes.candidates.CandidateIndex.localized`).
+
+        A plan's first view gets a private memo; later views share the
+        plan's own, so a plan viewed once keeps nothing. An entry changes
+        only with a dirty vertex of ``u``'s label, which evicts the plan
+        (:meth:`PlanCache.evict_stale`; docs/mutation.md). Node ``u`` holds
+        at most one entry per member of its query neighbors' pools. Lazy
+        like :meth:`frames`: benign under races (equal tuples; last store
+        wins), dropped on pickling.
+        """
+        memo = self._localized
+        if memo is None:
+            self._localized = False
+            return [{} for _ in self.pools]
+        if memo is False:
+            memo = self._localized = [{} for _ in self.pools]
+        return memo
 
     def __getstate__(self):
         return {s: getattr(self, s) for s in self.__slots__ if s not in self._LAZIES}

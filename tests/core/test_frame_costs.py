@@ -1,11 +1,12 @@
 """What a search frame costs, as counts (docs/performance.md § "What a frame costs").
 
-A localized frame reads ``N(father's match) ∩ candS(u)`` from the per-query
-view — per *distinct* ``(u, father's match)`` one C-level filter of the
+A localized frame reads ``N(father's match) ∩ candS(u)`` from the view's
+memo — per *distinct* ``(u, father's match)`` one C-level filter of the
 father's neighbors carrying ``u``'s label (the index cache's label-grouped
-row, built once per vertex and graph version), a memo hit afterwards — and
-everything query-static from the plan's per-Qovp frame table, compiled once
-per (plan, Qovp) and shared by every session. These tests hold that as
+row, built once per vertex and graph version), a memo hit afterwards; the
+memo is private to a plan's first view and the plan's own from its second —
+and everything query-static from the plan's per-Qovp frame table, compiled
+once per (plan, Qovp) and shared by every session. These tests hold that as
 counted work on a registry graph; each fails at the commit before the
 mechanism it counts existed.
 """
@@ -234,7 +235,9 @@ def test_frame_table_entry_is_one_small_tuple_of_interned_pointers(workload):
 
 
 def test_localized_memo_dies_with_its_query():
-    """A write between two queries of one session: the second sees the new edge."""
+    """A write between two queries of one session evicts the warm plan and
+    the localized lists it owns: the second query sees the new edge through
+    a fresh plan, and a pickled warm plan arrives with no lists at all."""
     #  hub v0(a) - five b's (v1..v5); only v1 reaches a c (v6). Adding v2 - v7
     #  makes v2 a candidate and opens a second embedding through the hub's row.
     labels = ["a"] + ["b"] * 5 + ["c"] * 2
@@ -242,13 +245,51 @@ def test_localized_memo_dies_with_its_query():
     graph = LabeledGraph(labels, edges)
     query = QueryGraph(["a", "b", "c"], [(0, 1), (1, 2)])
     session = DSQL(graph, DSQLConfig(k=5))
-    assert session.query(query).embeddings == ((0, 1, 6),)
+    cache = graph.index_cache()
+    for _ in range(2):  # the second view adopts the plan's memo
+        assert session.query(query).embeddings == ((0, 1, 6),)
+    plan = cache.plan_cache.get_or_compile(query, cache)
+    owned = plan._localized
+    assert owned[1][0] == (1,)  # N(v0) ∩ candS(b) before the write
     graph.add_edge(2, 7)
+    assert cache.plan_cache.info()["size"] == 0  # the write dirtied b and c
     after = session.query(query)
     assert sorted(after.embeddings) == [(0, 1, 6), (0, 2, 7)]
     fresh = DSQL(LabeledGraph(labels, edges + [(2, 7)]), DSQLConfig(k=5)).query(query)
     assert after.to_dict() == fresh.to_dict()
     assert after.stats == fresh.stats
+    replan = cache.plan_cache.get_or_compile(query, cache)
+    assert replan is not plan and replan._localized is not owned
+    assert owned[1][0] == (1,)  # died with its plan, never repaired
+    session.query(query)
+    assert replan._localized[1][0] == (1, 2)
+    clone = pickle.loads(pickle.dumps(replan))
+    assert clone._localized is None
+    view = CandidateIndex(graph, query, cache=cache, plan=clone)
+    assert view.localized(1, 0) == (1, 2) and not clone._localized
+
+
+def test_a_warm_plan_keeps_its_localized_lists(workload):
+    """(h) a plan's first view leaves no lists on the plan — the stream path,
+    where no plan is viewed twice — and its second fills the plan's own, so
+    a third pass rebuilds none: ``localized`` and ``label_neighbors`` are
+    never entered, and the answers and counters are the first pass's."""
+    graph, queries = workload
+    session = DSQL(graph, dataclasses.replace(CONFIG, query_cache_size=0))
+    cache = graph.index_cache()
+    first = [session.query(query) for query in queries]
+    plans = [cache.plan_cache.get_or_compile(query, cache) for query in queries]
+    assert len({plan.key for plan in plans}) == len(queries)
+    assert not any(plan._localized for plan in plans)
+    second = [session.query(query) for query in queries]
+    assert all(any(plan._localized) for plan in plans)
+    third, calls = profiled_calls(lambda: [session.query(query) for query in queries])
+    assert calls["candidates.py", "localized"] == 0
+    assert calls["graph_cache.py", "label_neighbors"] == 0
+    assert sum(r.stats.kernel_merge for r in third) > 3_000
+    for run in (second, third):
+        assert [r.to_dict() for r in run] == [r.to_dict() for r in first]
+        assert [r.stats for r in run] == [r.stats for r in first]
 
 
 # ----------------------------------------------------------------------

@@ -123,7 +123,7 @@ class TestRcand:
         _root_frame, (child, father, *_), *_ = enter(engine, query, [vf])
         assert father == root
         # Rcand shrinks to N(father's match) ∩ candS(child) ...
-        expected = [w for w in graph.neighbors(vf) if view.is_candidate(child, w)]
+        expected = tuple(w for w in graph.neighbors(vf) if view.is_candidate(child, w))
         assert view.localized(child, vf) == expected
         # ... and the frame reads the view's memo in place, not a copy.
         watched = view._localized[child][vf] = Watched(expected)

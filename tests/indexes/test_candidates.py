@@ -65,8 +65,8 @@ class TestMembership:
         idx = CandidateIndex(graph, query)
         # candS(1) = {1, 5}, restricted to a father match's neighborhood:
         # N(v0) = {1, 5} keeps both, N(v3) = {4} keeps nothing.
-        assert idx.localized(1, 0) == [1, 5]
-        assert idx.localized(1, 3) == []
+        assert idx.localized(1, 0) == (1, 5)
+        assert idx.localized(1, 3) == ()
 
     def test_any_empty_false(self, setting):
         graph, query = setting

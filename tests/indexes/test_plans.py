@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import pickle
+import sys
+import threading
+import time
 
 import pytest
 
@@ -198,7 +201,7 @@ def test_restricted_accepts_sorted_and_unordered_input():
     ci = CandidateIndex(graph, query)
     assert ci.plan._pool_sets == [None, None]
     # N(v3) ∩ candS(0) goes through the plan's pool set of node 0 alone.
-    assert ci.localized(0, 3) == [0, 1, 2]
+    assert ci.localized(0, 3) == (0, 1, 2)
     assert ci.plan._pool_sets == [{0, 1, 2}, None]
 
 
@@ -316,6 +319,49 @@ def test_a_pickled_cache_and_plan_carry_no_views_and_answer_identically(graph, q
             return out.state.embeddings, out.level, out.exhausted, stats
 
         assert phase1_through(clone) == phase1_through(plan)
+
+
+def test_threads_filling_one_plans_lists_answer_as_one_thread():
+    """Four threads query the same cold plans at once, the interpreter
+    switching threads every microsecond, so they race to adopt and fill
+    each plan's localized lists: every answer is the serial one, and every
+    list a plan keeps is its row filter (racing stores are equal tuples)."""
+    source = make_dataset("yeast", scale=0.1, seed=0)
+    queries = list(query_set(source, 4, 4, seed=5))
+    config = DSQLConfig(k=10, query_cache_size=0)
+    want = [DSQL(source, config).query(query).to_dict() for query in queries]
+    graph = LabeledGraph(list(source.labels), list(source.edges()))
+    cache = graph.index_cache()
+    deadline = time.monotonic() + 1.0
+    answers, errors = [], []
+
+    def run():
+        session = DSQL(graph, config)
+        try:
+            while time.monotonic() < deadline:
+                answers.append([session.query(query).to_dict() for query in queries])
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and not errors, errors
+    assert len(answers) >= 8 and all(answer == want for answer in answers)
+    for query in queries:
+        plan = cache.plan_cache.get_or_compile(query, cache)
+        assert any(plan._localized)
+        for u, memo in enumerate(plan._localized):
+            pool = plan.pool_set(u, cache)
+            for fv, hit in memo.items():
+                assert hit == tuple(w for w in graph.neighbors(fv) if w in pool), (u, fv)
 
 
 # ----------------------------------------------------------------------

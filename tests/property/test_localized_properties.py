@@ -13,8 +13,14 @@ rows in place and drop the touched vertices' groupings; and after
 touched vertex's grouping is also held to its row: for each label id,
 ``cache.label_neighbors(v, lid)`` is the row's members carrying it.
 
+From a plan's second view on the lists live on the plan, and nothing
+repairs them: a write that could change one evicts the plan. A second
+property warms plans through the ``PlanCache`` and holds every list of
+every plan still cached to the row filter after each write of a script,
+and no cached plan to a label the write dirtied.
+
 ``QueryPlan.frames(query, qovp)`` replaced a ``reSort`` per Qovp per level
-per query and the per-frame reads of its statistics; the second property
+per query and the per-frame reads of its statistics; the third property
 holds every compiled frame to ``resort`` and the Section 5.2 definitions.
 """
 
@@ -25,6 +31,7 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graph.query_graph import QueryGraph
 from repro.indexes.candidates import CandidateIndex
 from repro.queries.qflist import resort
 from tests.property.test_qsearch_properties import sq_instances
@@ -42,7 +49,7 @@ def assert_localized_is_the_row_filter(graph, query):
     for u, father, *_ in plan.frames(query, ())[2:]:
         pool = plan.pool_set(u, view.cache)
         for fv in plan.pools[father]:
-            want = [w for w in graph.neighbors(fv) if w in pool]
+            want = tuple(w for w in graph.neighbors(fv) if w in pool)
             assert view.localized(u, fv) == want, (u, fv)
             assert view.localized(u, fv) is view.localized(u, fv)
 
@@ -72,6 +79,51 @@ def test_localized_equals_row_filter_in_every_storage_state(instance, script):
     assert_grouped_rows_are_the_rows(graph, touched)
     graph.compact()
     assert_localized_is_the_row_filter(graph, query)  # a checkpoint changes nothing
+
+
+def warm_plans(graph, queries):
+    """View each query's plan twice and ask every list a frame could (any
+    query neighbor may be the father), so every plan owns a filled memo."""
+    for query in queries:
+        CandidateIndex(graph, query)
+        view = CandidateIndex(graph, query)
+        plan = view.plan
+        assert plan._localized
+        for u in range(query.size):
+            for w in query.neighbors(u):
+                for fv in plan.pools[w]:
+                    view.localized(u, fv)
+
+
+def assert_cached_lists_are_the_row_filters(graph, dirty_lids):
+    cache = graph.index_cache()
+    for plan in list(cache.plan_cache._memo.values()):
+        assert not plan.referenced_lids & dirty_lids, plan.key
+        for u, memo in enumerate(plan._localized or ()):
+            pool = plan.pool_set(u, cache)
+            for fv, hit in memo.items():
+                assert hit == tuple(w for w in graph.neighbors(fv) if w in pool), (u, fv)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sq_instances(), st.lists(script_steps, max_size=12))
+def test_a_surviving_plans_lists_are_never_stale(instance, script):
+    graph, query = instance
+    # The query and its one-edge pieces: plans over fewer labels survive more writes.
+    queries = [query] + [
+        QueryGraph([query.label(a), query.label(b)], [(0, 1)]) for a, b in query.edges()
+    ]
+    warm_plans(graph, queries)
+    for op in script:
+        if op[0] == "add_vertex":
+            touched = [graph.add_vertex(op[1])]
+        elif op[1] != op[2] and max(op[1:]) < graph.num_vertices:
+            touched = list(op[1:]) if getattr(graph, op[0])(op[1], op[2]) else []
+        else:
+            continue
+        dirty = frozenset(graph.label_to_id[graph.label(v)] for v in touched)
+        assert_cached_lists_are_the_row_filters(graph, dirty)
+        warm_plans(graph, queries)
 
 
 @settings(max_examples=80, deadline=None)

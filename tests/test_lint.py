@@ -679,8 +679,8 @@ def test_resort_walks_in_one_place():
 # Fork guard: one implementation of Section 5.1. ``N(father's match) ∩
 # candS(u)`` is ``CandidateIndex.localized`` — the father's neighbors with
 # ``u``'s label (``GraphIndexCache.label_neighbors``, a label-grouped row
-# read by bisect and slice) filtered by the pool set in C, memoized per
-# query; no engine, baseline or index walks a neighbor row in the
+# read by bisect and slice) filtered by the pool set in C, memoized on the
+# view, and on the plan from its second view on; no engine, baseline or index walks a neighbor row in the
 # interpreter asking membership per element.
 # ----------------------------------------------------------------------
 def row_walk_sites(sources):
@@ -1289,17 +1289,18 @@ def metric_families():
     }
 
 
-def emitted_metric_names(sources, families):
-    """``(names, unknown)`` over ``{path: source}``: every metric name the
-    sources emit, and ``path: argument`` for a name argument that is neither
-    a literal nor a known family. ``self._metric("x")`` (the cost
-    estimator's per-graph suffix) emits ``x``."""
+def emitted_names(sources, families, calls=("counter", "gauge", "histogram")):
+    """``(names, unknown)`` over ``{path: source}``: every name the sources
+    pass first to a method in ``calls`` (metric instruments by default), and
+    ``path: argument`` for a name argument that is neither a literal nor a
+    known family. ``self._metric("x")`` (the cost estimator's per-graph
+    suffix) emits ``x``."""
     names, unknown = set(), []
     for path, text in sources.items():
         for node in ast.walk(ast.parse(text)):
             if not (
                 isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("counter", "gauge", "histogram") and node.args
+                and node.func.attr in calls and node.args
             ):
                 continue
             arg = node.args[0]
@@ -1314,12 +1315,13 @@ def emitted_metric_names(sources, families):
     return names, unknown
 
 
-def documented_metric_names(text):
+def documented_names(text, heading="## Metric catalog"):
     """Every backticked name in the first cell of a table row under
-    "## Metric catalog", ``<name>`` spelled out over the objectives."""
+    ``heading`` (to the next ``## ``), ``<name>`` spelled out over the
+    objectives."""
     from repro.coverage.objectives import OBJECTIVE_NAMES
 
-    section = text.split("## Metric catalog", 1)[1].split("\n## ", 1)[0]
+    section = text.split(heading, 1)[1].split("\n## ", 1)[0]
     names = set()
     for line in section.splitlines():
         if not line.startswith("| `"):
@@ -1335,8 +1337,8 @@ def documented_metric_names(text):
 def test_metric_catalog_matches_the_code():
     doc = (REPO / "docs" / "observability.md").read_text(encoding="utf-8")
     sources, families = package_sources(), metric_families()
-    emitted, unknown = emitted_metric_names(sources, families)
-    documented = documented_metric_names(doc)
+    emitted, unknown = emitted_names(sources, families)
+    documented = documented_names(doc)
     assert not unknown, unknown
     assert len(emitted) > 60
     assert sorted(documented - emitted) == [], "a row no code emits"
@@ -1345,10 +1347,47 @@ def test_metric_catalog_matches_the_code():
     row = "| `service.mutations` |"
     assert doc.count(row) == 1
     cut = "\n".join(line for line in doc.splitlines() if not line.startswith(row))
-    assert sorted(emitted - documented_metric_names(cut)) == ["service.mutations"]
+    assert sorted(emitted - documented_names(cut)) == ["service.mutations"]
     # ... a literal name pasted into the code ...
     pasted = {**sources, "core/dsql.py": sources["core/dsql.py"] + "metrics.counter('x.y').inc()\n"}
-    assert emitted_metric_names(pasted, families)[0] - documented == {"x.y"}
+    assert emitted_names(pasted, families)[0] - documented == {"x.y"}
     # ... and a name built some new way.
     pasted = {"core/dsql.py": "metrics.counter(f'cache.{kind}').inc()\n"}
-    assert emitted_metric_names(pasted, families)[1] == ["core/dsql.py: f'cache.{kind}'"]
+    assert emitted_names(pasted, families)[1] == ["core/dsql.py: f'cache.{kind}'"]
+
+
+# ----------------------------------------------------------------------
+# Catalog guard: docs/observability.md's event-name table and the code
+# agree. A span or point is emitted where ``span`` / ``point`` /
+# ``emit_span`` is called with its name: a literal, or the per-phase level
+# family. ``Instrumentation`` forwards its ``name`` argument to the tracer.
+# ----------------------------------------------------------------------
+EVENT_CALLS = ("span", "point", "emit_span")
+EVENT_FAMILIES = {
+    "f'{phase}.level'": {"phase1.level", "phase2.level"},
+    "name": set(),  # Instrumentation.span / point forward their argument
+}
+
+
+def test_span_catalog_matches_the_code():
+    doc = (REPO / "docs" / "observability.md").read_text(encoding="utf-8")
+    sources = package_sources()
+    emitted, unknown = emitted_names(sources, EVENT_FAMILIES, EVENT_CALLS)
+    documented = documented_names(doc, "### Event names")
+    assert not unknown, unknown
+    assert len(emitted) >= 11
+    assert sorted(documented - emitted) == [], "a row no code emits"
+    assert sorted(emitted - documented) == [], "an emitted name with no row"
+    # The guard sees a row deleted from the doc ...
+    row = "| `memo.lookup` |"
+    assert doc.count(row) == 1
+    cut = "\n".join(line for line in doc.splitlines() if not line.startswith(row))
+    assert sorted(emitted - documented_names(cut, "### Event names")) == ["memo.lookup"]
+    # ... a literal name pasted into the code ...
+    pasted = {**sources, "core/dsql.py": sources["core/dsql.py"] + "instr.span('x.y')\n"}
+    assert emitted_names(pasted, EVENT_FAMILIES, EVENT_CALLS)[0] - documented == {"x.y"}
+    # ... and a name built some new way.
+    pasted = {"core/dsql.py": "instr.point(f'stage.{kind}')\n"}
+    assert emitted_names(pasted, EVENT_FAMILIES, EVENT_CALLS)[1] == [
+        "core/dsql.py: f'stage.{kind}'"
+    ]
