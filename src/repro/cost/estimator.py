@@ -275,7 +275,7 @@ class CostEstimator:
         and the band are re-computed per call, so long-lived cached plans
         still see fresh calibration.
         """
-        profile = plan.cost_profile(self._build_profile)
+        profile = plan.cost_profile(self._build_profile, self._cache)
         raw = raw_expansions(profile, DEFAULT_K if k is None else k)
         calibration = self._calibration
         factor = calibration.factor

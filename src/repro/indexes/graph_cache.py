@@ -52,7 +52,10 @@ import itertools
 import threading
 from bisect import bisect_left, bisect_right
 from collections import Counter, OrderedDict
+from functools import partial
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
+
+from repro.kernels import bitset_of
 
 Label = Hashable
 
@@ -71,13 +74,23 @@ _EPOCHS = itertools.count()
 """Process-wide monotonic epoch source for :attr:`GraphIndexCache.epoch`."""
 
 
+def _plan_cache():
+    # Late import: repro.indexes.plans reaches back through the isomorphism
+    # package (for the search-order construction), which imports this
+    # module — a top-level import here would cycle.
+    from repro.indexes.plans import PlanCache
+
+    return PlanCache()
+
+
 class GraphIndexCache:
     """All per-graph filter state, computed once and shared.
 
     Derived per-pool state lives with the pool and is repaired with it: a
     memoized pool's degree mass (:meth:`pool_degree_mass`) and set view
     (:meth:`pool_view`) sit beside its entry under the same lock — nothing
-    outside this class sums a pool or builds a set of a pool it holds.
+    outside this class sums a pool or builds a set of a pool it holds. Every
+    other value built lazily from the graph is kept through :meth:`memoize`.
 
     Parameters
     ----------
@@ -88,6 +101,24 @@ class GraphIndexCache:
         unbounded; ``0`` disables memoization.
     """
 
+    # Derived state: slot, its empty value, the rule that keeps it true to
+    # the graph (docs/mutation.md § "What a mutation invalidates"). Each
+    # starts empty in __init__ and after unpickling, and pickling drops it:
+    # a worker refills what it touches, and these are the dicts a *read*
+    # inserts into, so a query beside the pickler changes nothing it walks.
+    _DERIVED = (
+        ("_lock", threading.Lock, "held by apply_delta from its bump to its last pop"),
+        ("_metrics", lambda: None, "session state, attached by an instrumented session"),
+        ("_mask_signatures", dict, "mask -> its labels: a function of the key alone"),
+        ("_pool_memo", OrderedDict, "LRU; repaired in place by apply_delta"),
+        ("_pool_keys", dict, "label id -> {key: degree mass}: moved and dropped with the entry"),
+        ("_pool_views", dict, "key -> frozenset, kept while the asked pool is the entry"),
+        ("_adj_masks", OrderedDict, "LRU; stored by memoize, popped for dirty vertices"),
+        ("_grouped_rows", dict, "stored by memoize, popped for dirty vertices"),
+        ("plan_cache", _plan_cache, "evict_stale by label; stored by memoize"),
+        ("_cost_estimator", lambda: None, "built once under _lock; calibration, no graph state"),
+        ("_compressed", lambda: None, "built once under _lock; split-repaired by apply_delta"),
+    )
     __slots__ = (
         "graph",
         "label_table",
@@ -100,24 +131,12 @@ class GraphIndexCache:
         "candidate_memo_misses",
         "epoch",
         "delta_seq",
-        "plan_cache",
-        "_mask_signatures",
-        "_pool_memo",
         "_pool_memo_size",
-        "_pool_keys",
-        "_pool_views",
         "pool_entries_repaired",
         "pool_entries_rebuilt",
         "pool_entries_dropped",
-        "_pool_lock",
-        "_adj_masks",
         "_adj_memo_size",
-        "_adj_lock",
-        "_grouped_rows",
-        "_metrics",
-        "_cost_estimator",
-        "_compressed",
-    )
+    ) + tuple(slot for slot, _, _ in _DERIVED)
 
     def __init__(
         self,
@@ -162,37 +181,14 @@ class GraphIndexCache:
                     m |= bit[label_ids[w]]
                 masks.append(m)
         self.signature_masks: List[int] = masks
-        # mask -> its frozenset view, filled by signature() on demand: no
-        # engine, plan or estimator path reads the frozenset form.
-        self._mask_signatures: Dict[int, FrozenSet[Label]] = {}
 
-        self._pool_memo: "OrderedDict[Tuple[int, int, int], Tuple[int, ...]]" = OrderedDict()
         self._pool_memo_size = candidate_memo_size
-        # label id -> the memo keys of that label, so a delta walks only the
-        # entries its dirty vertices can join or leave; each key maps to its
-        # pool's degree mass (None until pool_degree_mass is asked for it).
-        self._pool_keys: Dict[int, Dict[Tuple[int, int, int], Optional[int]]] = {}
-        self._pool_views: Dict[Tuple[int, int, int], FrozenSet[int]] = {}
+        self._adj_memo_size = DEFAULT_ADJACENCY_MEMO_SIZE
+        self.candidate_memo_hits = 0
+        self.candidate_memo_misses = 0
         self.pool_entries_repaired = 0
         self.pool_entries_rebuilt = 0
         self.pool_entries_dropped = 0
-        # Everything above is immutable after construction and safely shared
-        # across threads; the pool memo is the one mutable structure, so its
-        # get/move_to_end/evict sequences are serialized for the thread
-        # strategy of the parallel BatchExecutor. Uncontended acquisition is
-        # tens of nanoseconds against a pool scan's micro/milliseconds.
-        self._pool_lock = threading.Lock()
-        self.candidate_memo_hits = 0
-        self.candidate_memo_misses = 0
-        self._metrics = None
-
-        # Lazy per-vertex neighbor bitsets (big ints) for the join kernels.
-        self._adj_masks: "OrderedDict[int, int]" = OrderedDict()
-        self._adj_memo_size = DEFAULT_ADJACENCY_MEMO_SIZE
-        self._adj_lock = threading.Lock()
-        # v -> its row grouped by label (see label_neighbors): no cap, one per vertex.
-        self._grouped_rows: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
-
         # Compiled query plans are keyed by (epoch, canonical query key,
         # use_compression); the epoch names this construction — stamped here
         # and nowhere else — so keys from two caches of the "same" graph stay
@@ -200,70 +196,41 @@ class GraphIndexCache:
         self.epoch = next(_EPOCHS) if epoch is None else epoch
         # Bumped once per applied mutation, never reset; with the epoch, the version.
         self.delta_seq = delta_seq
-        # Late import: repro.indexes.plans reaches back through the
-        # isomorphism package (for the search-order construction), which
-        # imports this module — a top-level import here would cycle.
-        from repro.indexes.plans import PlanCache
+        self._start_derived()
 
-        self.plan_cache = PlanCache()
-        # The per-graph cost estimator is built lazily (see
-        # :meth:`cost_estimator`) so graphs that never estimate pay nothing.
-        self._cost_estimator = None
-        # Twin-class partition for compression-enabled plans, built lazily
-        # (see :meth:`compressed`) and repaired in-place by apply_delta.
-        self._compressed = None
+    def _start_derived(self) -> None:
+        for slot, empty, _ in self._DERIVED:
+            setattr(self, slot, empty())
 
-    # ------------------------------------------------------------------
-    # Pickling (what a spawned pool worker's graph arrives with): locks
-    # cannot cross process boundaries; a fresh lock is equivalent because a
-    # just-unpickled cache has no concurrent users yet. An attached metrics
-    # registry (which also holds locks) is session state, not graph state,
-    # so it is dropped the same way.
     def __getstate__(self) -> dict:
-        # Every memo is dropped — candidate pools and their views, mask signatures,
-        # compiled plans, adjacency bitsets, label-grouped rows: each is a pure cache that refills
-        # lazily, shipping megabytes of masks to a worker is worse than
-        # recomputing the few it touches, and they are the dicts a *read*
-        # inserts into, so a query running beside the pickling (a process
-        # batch starts its workers under the service's read lock) cannot
-        # change anything the pickler iterates.
-        # The cost estimator is dropped too (it holds a lock): calibration
-        # is session state that each process re-learns from its own traffic.
-        # The compressed twin partition is likewise dropped — it is a pure
-        # function of the graph and rebuilds lazily on first compressed plan.
-        skip = (
-            "_pool_lock",
-            "_pool_memo",
-            "_pool_keys",
-            "_pool_views",
-            "_mask_signatures",
-            "plan_cache",
-            "_adj_lock",
-            "_adj_masks",
-            "_grouped_rows",
-            "_metrics",
-            "_cost_estimator",
-            "_compressed",
-        )
-        return {s: getattr(self, s) for s in self.__slots__ if s not in skip}
+        derived = {slot for slot, _, _ in self._DERIVED}
+        return {s: getattr(self, s) for s in self.__slots__ if s not in derived}
 
     def __setstate__(self, state: dict) -> None:
-        from repro.indexes.plans import PlanCache
-
         for name, value in state.items():
             setattr(self, name, value)
-        self._pool_lock = threading.Lock()
-        self._pool_memo = OrderedDict()
-        self._pool_keys = {}
-        self._pool_views = {}
-        self._mask_signatures = {}
-        self.plan_cache = PlanCache()
-        self._adj_lock = threading.Lock()
-        self._adj_masks = OrderedDict()
-        self._grouped_rows = {}
-        self._metrics = None
-        self._cost_estimator = None
-        self._compressed = None
+        self._start_derived()
+
+    def memoize(self, build, store):
+        """``build()``, kept by ``store(value)`` only if no write began since
+        ``build`` started — the one step every lazily built value derived
+        from the graph is kept through.
+
+        The version is read before ``build`` reads its inputs, and checked
+        and stored, under ``_lock``, which :meth:`apply_delta` holds from its
+        ``delta_seq`` bump to its last pop. So a value is stored before a
+        write's pops (which then see it) or was built after the write; one
+        built across a write goes to its caller and nowhere else. Reading the
+        version under the lock too means no build starts inside a write: one
+        that would waits for the write to finish.
+        """
+        with self._lock:
+            seq = self.delta_seq
+        value = build()
+        with self._lock:
+            if self.delta_seq == seq:
+                store(value)
+        return value
 
     # ------------------------------------------------------------------
     def attach_metrics(self, registry) -> None:
@@ -289,7 +256,7 @@ class GraphIndexCache:
         Built on first use so that sessions which never estimate pay
         nothing; shared by every session/executor/service handler on this
         cache so they also share one calibration state (the point of
-        per-graph calibration). Guarded by ``_pool_lock`` — creation is
+        per-graph calibration). Guarded by ``_lock`` — creation is
         rare and the lock is never held while estimating.
         """
         estimator = self._cost_estimator
@@ -299,7 +266,7 @@ class GraphIndexCache:
             # plain index users never load the estimator.
             from repro.cost.estimator import CostEstimator
 
-            with self._pool_lock:
+            with self._lock:
                 estimator = self._cost_estimator
                 if estimator is None:
                     estimator = CostEstimator(self)
@@ -311,14 +278,13 @@ class GraphIndexCache:
     # ------------------------------------------------------------------
     def compressed(self):
         """The graph's twin-class partition (:class:`~repro.isomorphism.
-        compression.CompressedGraph`), built on first use and pinned to this
-        cache version.
+        compression.CompressedGraph`), built on first use.
 
         Compression-enabled plans and engines share one partition per graph:
         :meth:`apply_delta` repairs it in place (splitting only the dirtied
         endpoints' classes), so the partition stays valid across the cache's
         whole life.
-        Guarded by ``_pool_lock``; creation is rare and the lock is never
+        Guarded by ``_lock``; creation is rare and the lock is never
         held while searching.
         """
         compressed = self._compressed
@@ -328,7 +294,7 @@ class GraphIndexCache:
             # reaches back here.
             from repro.isomorphism.compression import CompressedGraph
 
-            with self._pool_lock:
+            with self._lock:
                 compressed = self._compressed
                 if compressed is None:
                     compressed = CompressedGraph(self.graph)
@@ -401,7 +367,7 @@ class GraphIndexCache:
         memo = self._pool_memo
         cap = self._pool_memo_size
         metrics = self._metrics
-        with self._pool_lock:
+        with self._lock:
             if cap != 0:
                 pool = memo.get(key)
                 if pool is not None:
@@ -438,7 +404,7 @@ class GraphIndexCache:
         """
         lid = self.label_to_id.get(label)
         key = (lid, min_degree, signature_mask)
-        with self._pool_lock:
+        with self._lock:
             kept = self._pool_memo.get(key) is pool
             mass = self._pool_keys[lid][key] if kept else None
             if mass is None:
@@ -454,7 +420,7 @@ class GraphIndexCache:
         dropped when the tuple is rebuilt or leaves the memo. ``None`` for
         any other ``pool``: its caller builds its own and nothing is kept."""
         key = (self.label_to_id.get(label), min_degree, signature_mask)
-        with self._pool_lock:
+        with self._lock:
             if self._pool_memo.get(key) is not pool:
                 return None
             view = self._pool_views.get(key)
@@ -496,40 +462,38 @@ class GraphIndexCache:
         the vertices currently matched near the root of a frame.
         """
         memo = self._adj_masks
-        with self._adj_lock:
+        with self._lock:
             mask = memo.get(v)
             if mask is not None:
                 memo.move_to_end(v)
                 return mask
-        mask = 0
-        for w in self.graph.neighbors(v):
-            mask |= 1 << w
-        with self._adj_lock:
-            memo[v] = mask
-            if len(memo) > self._adj_memo_size:
-                memo.popitem(last=False)
-        return mask
+        return self.memoize(lambda: bitset_of(self.graph.neighbors(v)), partial(self._keep_mask, v))
+
+    def _keep_mask(self, v: int, mask: int) -> None:
+        memo = self._adj_masks
+        memo[v] = mask
+        if len(memo) > self._adj_memo_size:
+            memo.popitem(last=False)
 
     def label_neighbors(self, v: int, lid: int) -> Tuple[int, ...]:
         """The ascending neighbors of ``v`` whose label id is ``lid``.
 
         On first ask ``v``'s row is stable-sorted by label id (each label's
         run stays ascending) and kept beside its label ids, so a lookup is two
-        bisects and a slice. A write drops its endpoints' groupings, pickling
-        drops all, and one built across a write is returned but not kept.
+        bisects and a slice. A write drops its endpoints' groupings.
         """
         grouped = self._grouped_rows.get(v)
         if grouped is None:
-            seq = self.delta_seq
-            label_of = self.label_ids.__getitem__
-            row = tuple(sorted(self.graph.neighbors(v), key=label_of))
-            grouped = (tuple(map(label_of, row)), row)
-            with self._adj_lock:
-                if self.delta_seq == seq:
-                    self._grouped_rows[v] = grouped
+            keep = partial(self._grouped_rows.__setitem__, v)
+            grouped = self.memoize(partial(self._group_row, v), keep)
         lids, row = grouped
         lo = bisect_left(lids, lid)
         return row[lo : bisect_right(lids, lid, lo)]
+
+    def _group_row(self, v: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        label_of = self.label_ids.__getitem__
+        row = tuple(sorted(self.graph.neighbors(v), key=label_of))
+        return tuple(map(label_of, row)), row
 
     # ------------------------------------------------------------------
     # Live mutation: delta-based repair
@@ -595,7 +559,6 @@ class GraphIndexCache:
                 dirty_vertices.add(op[2])
             else:
                 raise ValueError(f"unknown mutation op {kind!r}")
-            self.delta_seq += 1
 
         # Local bindings keep the per-dirty-vertex loop tight: this path is
         # the whole point of delta repair. It reads one neighbour row per
@@ -606,11 +569,14 @@ class GraphIndexCache:
         signature_masks = self.signature_masks
         dirty_per_label = Counter(map(label_ids.__getitem__, dirty_vertices))
         dirty_lids = set(dirty_per_label)
-        # One hold of the pool lock from choosing the labels to repair to the
-        # end of their repair: a scan (under the same lock) reads every
-        # degree and mask from before the batch, and its entry is repaired,
-        # or from after it.
-        with self._pool_lock:
+        # One hold of the lock from the delta_seq bump to the last pop: a
+        # scan reads every degree and mask from before the batch (and its
+        # entry is repaired) or from after it, and a memoized value is stored
+        # before the pops or built after the write (see memoize).
+        # Plans and cost profiles are stored through memoize too, so a plan
+        # or profile kept beside evict_stale below was built after the bump.
+        with self._lock:
+            self.delta_seq += len(ops)
             repairable = self._repairable_labels(dirty_per_label)
             # label id -> [(v, degree before, mask before)] for the vertices
             # whose pool membership may have changed. A vertex added by this
@@ -631,8 +597,6 @@ class GraphIndexCache:
                 signature_masks[v] = m
             if moved:
                 self._repair_pools(moved)
-        # After delta_seq moved, under the lock label_neighbors stores under.
-        with self._adj_lock:
             for v in dirty_vertices:
                 self._adj_masks.pop(v, None)
                 self._grouped_rows.pop(v, None)
@@ -659,7 +623,7 @@ class GraphIndexCache:
         dropped and rescanned on demand. Decided before the vertices are
         repaired, so a bulk batch (or an empty memo) is not charged for
         remembering what each vertex looked like before. Called under
-        ``_pool_lock``.
+        ``_lock``.
         """
         repairable: Set[int] = set()
         dropped = 0
@@ -694,7 +658,7 @@ class GraphIndexCache:
         still ascending — only when some vertex flipped. That is at most one
         test per moved vertex and one O(pool) rebuild per entry. A kept
         degree mass moves in the same pass; a rebuilt entry's view is dropped.
-        Called under ``_pool_lock``.
+        Called under ``_lock``.
         """
         degrees = self.degrees
         masks = self.signature_masks

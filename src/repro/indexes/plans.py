@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from functools import partial
 from heapq import merge as heapq_merge
 from typing import Dict, List, Optional, Tuple
 
@@ -76,14 +77,29 @@ class QueryPlan:
         class is in the pool iff all its members are — the class pool is a
         lossless re-encoding of the vertex pool at the compression ratio.
 
-    Beside these the plan memoizes lazily built views (references to the
-    pools' set views, bitsets, the cost profile, the per-``Qovp`` frame
-    table of :meth:`frames` and the ``reSort`` basis it is compiled from,
-    and from its second view on the localized lists of
-    :meth:`localized_memo`); they are dropped on pickling and rebuilt on
-    demand.
+    Beside these the plan memoizes the lazily built views of
+    :attr:`_LAZIES`: references to the pools' set views, bitsets, the cost
+    profile, the per-``Qovp`` frame table of :meth:`frames` and the
+    ``reSort`` basis it is compiled from, and from its second view on the
+    localized lists of :meth:`localized_memo`. Each is a function of the
+    plan (the cost profile also of ``2|E|``, so it is kept through
+    :meth:`~repro.indexes.graph_cache.GraphIndexCache.memoize`), dies with
+    the plan, and is dropped on pickling. They are benign under races: two
+    threads may both build one, their values are equal, and the last store
+    wins.
     """
 
+    # Lazy views: slot, then its empty value for a plan of n query nodes.
+    _LAZIES = (
+        ("_cand_masks", lambda n: [None] * n),
+        ("_pool_sets", lambda n: [None] * n),
+        ("_class_masks", lambda n: [None] * n),
+        ("_cost_profile", lambda n: None),
+        ("_frames", lambda n: {}),
+        ("_interned", lambda n: {}),
+        ("_resort_basis", lambda n: None),
+        ("_localized", lambda n: None),  # None: never viewed; False: viewed once
+    )
     __slots__ = (
         "key",
         "qlist",
@@ -95,15 +111,7 @@ class QueryPlan:
         "class_pools",
         "referenced_lids",
         "absent_labels",
-        "_cand_masks",
-        "_pool_sets",
-        "_class_masks",
-        "_cost_profile",
-        "_frames",
-        "_interned",
-        "_resort_basis",
-        "_localized",
-    )
+    ) + tuple(slot for slot, _ in _LAZIES)
 
     def __init__(
         self,
@@ -136,27 +144,11 @@ class QueryPlan:
         )
         self._reset_lazies()
 
-    _LAZIES = (
-        "_cand_masks",
-        "_pool_sets",
-        "_class_masks",
-        "_cost_profile",
-        "_frames",
-        "_interned",
-        "_resort_basis",
-        "_localized",
-    )
-
     def _reset_lazies(self) -> None:
         """Empty every lazily built view (construction and unpickling)."""
-        self._cand_masks: List[Optional[int]] = [None] * len(self.pools)
-        self._pool_sets: List[Optional[frozenset]] = [None] * len(self.pools)
-        self._class_masks: List[Optional[int]] = [None] * len(self.pools)
-        self._cost_profile = None
-        self._frames: Dict[int, tuple] = {}
-        self._interned: Dict[tuple, tuple] = {}
-        self._resort_basis = None
-        self._localized = None  # None: never viewed; False: viewed once
+        n = len(self.pools)
+        for slot, empty in self._LAZIES:
+            setattr(self, slot, empty(n))
 
     def pool(self, u: int) -> Tuple[int, ...]:
         """``candS(u)``: label + degree + signature filters (ascending)."""
@@ -167,7 +159,7 @@ class QueryPlan:
         a reference to the one ``cache`` keeps beside the pool's memo entry
         (:meth:`~repro.indexes.graph_cache.GraphIndexCache.pool_view`), or a
         private build once that entry is gone (evicted or rebuilt, memo off,
-        unpickled plan). Benign under races (equal values; last store wins).
+        unpickled plan).
         """
         view = self._pool_sets[u]
         if view is None:
@@ -178,11 +170,7 @@ class QueryPlan:
         return view
 
     def cand_mask(self, u: int) -> int:
-        """Bitset form of ``pool(u)``, built lazily and memoized.
-
-        Benign under races: two threads may both build the same mask; the
-        last store wins and both values are equal.
-        """
+        """Bitset form of ``pool(u)``, built lazily and memoized."""
         mask = self._cand_masks[u]
         if mask is None:
             mask = bitset_of(self.pools[u])
@@ -194,7 +182,6 @@ class QueryPlan:
 
         The compressed analogue of :meth:`cand_mask` — ``num_classes`` bits
         instead of ``num_vertices``. Only valid on compression-enabled plans.
-        Benign under races (equal values; last store wins).
         """
         mask = self._class_masks[u]
         if mask is None:
@@ -202,19 +189,19 @@ class QueryPlan:
             self._class_masks[u] = mask
         return mask
 
-    def cost_profile(self, builder):
+    def cost_profile(self, builder, cache):
         """Memoized cost profile for this plan (see :mod:`repro.cost`).
 
-        ``builder(plan)`` computes the profile on first call; the result
-        is cached on the plan so repeated estimates of a cached plan are
-        free. The profile depends only on immutable plan state, so the
-        benign-race pattern of the other lazies applies (equal values;
-        last store wins).
+        ``builder(plan)`` computes the profile on first call; it is kept on
+        the plan through ``cache``'s :meth:`~repro.indexes.graph_cache.
+        GraphIndexCache.memoize`, so repeated estimates of a cached plan are
+        free and a profile priced across a write (at the old ``2|E|``) is not
+        kept behind :meth:`PlanCache.evict_stale`'s reset.
         """
         profile = self._cost_profile
         if profile is None:
-            profile = builder(self)
-            self._cost_profile = profile
+            store = partial(setattr, self, "_cost_profile")
+            profile = cache.memoize(partial(builder, self), store)
         return profile
 
     def frames(self, query, qovp: Tuple[int, ...]) -> tuple:
@@ -237,8 +224,7 @@ class QueryPlan:
         combination of ``qlist``. An entry is one tuple of ``q + 1`` pointers
         keyed by the subset's bitmask — order and frame tuples are interned
         per plan, so subsets sharing a suffix share its frames — and at most
-        ``2^q`` exist. Lazy like :meth:`pool_set`: benign under races,
-        dropped on pickling.
+        ``2^q`` exist.
         """
         key = 0
         for u in qovp:
@@ -271,9 +257,7 @@ class QueryPlan:
         plan's own, so a plan viewed once keeps nothing. An entry changes
         only with a dirty vertex of ``u``'s label, which evicts the plan
         (:meth:`PlanCache.evict_stale`; docs/mutation.md). Node ``u`` holds
-        at most one entry per member of its query neighbors' pools. Lazy
-        like :meth:`frames`: benign under races (equal tuples; last store
-        wins), dropped on pickling.
+        at most one entry per member of its query neighbors' pools.
         """
         memo = self._localized
         if memo is None:
@@ -284,7 +268,8 @@ class QueryPlan:
         return memo
 
     def __getstate__(self):
-        return {s: getattr(self, s) for s in self.__slots__ if s not in self._LAZIES}
+        lazies = {slot for slot, _ in self._LAZIES}
+        return {s: getattr(self, s) for s in self.__slots__ if s not in lazies}
 
     def __setstate__(self, state):
         for name, value in state.items():
@@ -454,8 +439,9 @@ class PlanCache:
     Mirrors the candidate-pool memo's concurrency pattern: lookups and
     stores are serialized under one lock, compilation happens outside it
     (two racing threads may both compile; the second store wins with an
-    equal plan) and a plan is stored only if the graph's ``delta_seq`` is
-    what it was before the compile: none compiled across a write is held.
+    equal plan) and a plan is stored through the graph cache's
+    :meth:`~repro.indexes.graph_cache.GraphIndexCache.memoize`: none
+    compiled across a write is held.
     Plain :attr:`hits`/:attr:`misses` counters always count;
     :meth:`attach_metrics` additionally mirrors them into a session
     metrics registry as ``plan.cache.hits`` / ``plan.cache.misses``.
@@ -463,13 +449,16 @@ class PlanCache:
 
     __slots__ = ("_memo", "_size", "_lock", "hits", "misses", "_metrics")
 
+    # Not pickled: slot, then the empty value a copy starts with. Locks
+    # cannot cross process boundaries; an attached registry is session state.
+    _DERIVED = (("_lock", threading.Lock), ("_metrics", lambda: None))
+
     def __init__(self, size: Optional[int] = DEFAULT_PLAN_CACHE_SIZE) -> None:
         self._memo: "OrderedDict[tuple, QueryPlan]" = OrderedDict()
         self._size = size
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        self._metrics = None
+        self.__setstate__({})
 
     def attach_metrics(self, registry) -> None:
         """Mirror hits/misses into ``registry`` from now on (None detaches)."""
@@ -478,7 +467,6 @@ class PlanCache:
     def get_or_compile(self, query, cache, use_compression: bool = False) -> QueryPlan:
         """The memoized plan for ``(cache, query, toggle)``, compiling on miss."""
         key = plan_key(cache, query, use_compression)
-        seq = cache.delta_seq
         memo = self._memo
         metrics = self._metrics
         with self._lock:
@@ -492,15 +480,18 @@ class PlanCache:
             self.misses += 1
             if metrics is not None:
                 metrics.counter("plan.cache.misses").inc()
-        plan = compile_plan(query, cache, use_compression=use_compression)
+        # A plan compiled across a write goes to its caller and nowhere
+        # else: evict_stale may already have run, and would never see it.
+        return cache.memoize(
+            partial(compile_plan, query, cache, use_compression=use_compression),
+            partial(self._keep, key),
+        )
+
+    def _keep(self, key, plan: QueryPlan) -> None:
         with self._lock:
-            # A plan compiled across a write goes to its caller and nowhere
-            # else: evict_stale may already have run, and would never see it.
-            if cache.delta_seq == seq:
-                memo[key] = plan
-                if self._size is not None and len(memo) > self._size:
-                    memo.popitem(last=False)
-        return plan
+            self._memo[key] = plan
+            if self._size is not None and len(self._memo) > self._size:
+                self._memo.popitem(last=False)
 
     def clear(self) -> None:
         """Drop every memoized plan (tests start cold with it; no write or checkpoint does)."""
@@ -592,14 +583,12 @@ class PlanCache:
         """Hit/miss/size counters for the plan memo."""
         return {"hits": self.hits, "misses": self.misses, "size": len(self._memo)}
 
-    # Locks cannot cross process boundaries; an attached registry is
-    # session state. Same rules as GraphIndexCache.
     def __getstate__(self) -> dict:
-        skip = ("_lock", "_metrics")
-        return {s: getattr(self, s) for s in self.__slots__ if s not in skip}
+        derived = {slot for slot, _ in self._DERIVED}
+        return {s: getattr(self, s) for s in self.__slots__ if s not in derived}
 
     def __setstate__(self, state: dict) -> None:
         for name, value in state.items():
             setattr(self, name, value)
-        self._lock = threading.Lock()
-        self._metrics = None
+        for slot, empty in self._DERIVED:
+            setattr(self, slot, empty())

@@ -12,10 +12,11 @@ embedding. Two standard equivalence notions are used:
 :class:`CompressedGraph` partitions the data graph into twin classes. The
 partition backs the *compiled-plan hot path*
 (``DSQLConfig.use_compression``): :class:`~repro.indexes.graph_cache.
-GraphIndexCache` caches one ``CompressedGraph`` per ``(epoch, delta_seq)``,
-plans compile class-level candidate pools and the ``cbitset`` kernel over
-class ids (:mod:`repro.indexes.plans`), and the engines fold per-frame join
-masks over classes instead of vertices. Those masks live here:
+GraphIndexCache` keeps one ``CompressedGraph`` for its life, repaired in
+place by every write (below), plans compile class-level candidate pools and
+the ``cbitset`` kernel over class ids (:mod:`repro.indexes.plans`), and the
+engines fold per-frame join masks over classes instead of vertices. Those
+masks live here:
 :meth:`CompressedGraph.class_join_mask` encodes, for a class ``c``, every
 class whose members are adjacent to *all* members of ``c`` — by twin
 symmetry one bit test per candidate replaces the per-vertex adjacency mask

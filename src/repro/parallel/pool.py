@@ -99,12 +99,10 @@ def worker_graph(graph: LabeledGraph) -> LabeledGraph:
     is right in a process of its own and nowhere else.
     """
     seed = graph.index_cache()
+    epoch, delta_seq = seed.version
     twin = copy.copy(graph)
     twin._cache = GraphIndexCache(
-        twin,
-        signature_masks=seed.signature_masks,
-        epoch=seed.epoch,
-        delta_seq=seed.delta_seq,
+        twin, signature_masks=seed.signature_masks, epoch=epoch, delta_seq=delta_seq
     )
     return twin
 

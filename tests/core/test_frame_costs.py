@@ -87,7 +87,7 @@ def test_localization_touches_each_row_once_per_query(workload, views, monkeypat
     def spied_neighbors(self, v):  # the class's method: queries read their rows too
         if self is graph:
             reader = sys._getframe(1).f_code.co_name
-            (grouped if reader == "label_neighbors" else rows_walked).append(v)
+            (grouped if reader == "_group_row" else rows_walked).append(v)
         return self._rows[v]
 
     monkeypatch.setattr(LabeledGraph, "neighbors", spied_neighbors)

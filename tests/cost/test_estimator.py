@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import threading
 
 import pytest
 
@@ -123,8 +124,8 @@ class TestEstimateShape:
             calls.append(p)
             return raw_cost_profile(p, session.index_cache)
 
-        first = plan.cost_profile(builder)
-        second = plan.cost_profile(builder)
+        first = plan.cost_profile(builder, session.index_cache)
+        second = plan.cost_profile(builder, session.index_cache)
         assert first is second
         assert len(calls) <= 1  # 0 when an earlier estimate already built it
 
@@ -221,6 +222,42 @@ class TestColdPricing:
         graph.mutate([("add_vertex", "c")], compaction_threshold=None)
         assert plans.get_or_compile(query, session.index_cache) is plan
         assert plan._cost_profile is profile
+
+    def test_a_profile_priced_across_a_write_is_not_kept(self, monkeypatch):
+        """The parked-probe recipe on the plan's cost profile: pricing reads
+        ``2|E|``, parks in the first pool's degree mass, a ``c-c`` edge lands
+        (the ``a-b`` plan survives it and its profile is reset), pricing
+        finishes. Its caller gets the pre-write estimate; the plan keeps no
+        profile priced at the old ``2|E|``."""
+        graph = LabeledGraph(list("ababcccc"), [(0, 1), (2, 3), (0, 3), (4, 5), (5, 6)])
+        cache = graph.index_cache()
+        query = QueryGraph(["a", "b"], [(0, 1)])
+        plan = cache.plan_cache.get_or_compile(query, cache)
+        entered, release = threading.Event(), threading.Event()
+        mass = GraphIndexCache.pool_degree_mass
+
+        def parked(self, *args):
+            if not entered.is_set():
+                entered.set()
+                assert release.wait(30)
+            return mass(self, *args)
+
+        monkeypatch.setattr(GraphIndexCache, "pool_degree_mass", parked)
+        got = {}
+        estimator = cache.cost_estimator()
+        reader = threading.Thread(target=lambda: got.setdefault("est", estimator.estimate(plan)))
+        reader.start()
+        assert entered.wait(30)
+        graph.add_edge(6, 7)
+        release.set()
+        reader.join(30)
+        assert not reader.is_alive()
+        monkeypatch.undo()
+        assert got["est"].per_depth == (1.0, 0.45)  # priced at 2|E| = 10
+        assert cache.plan_cache.get_or_compile(query, cache) is plan
+        assert plan._cost_profile in (None, raw_cost_profile(plan, cache))
+        assert estimator.estimate(plan).per_depth == (1.0, 0.375)
+        assert plan._cost_profile == raw_cost_profile(plan, cache)
 
 
 class TestEstimateApi:

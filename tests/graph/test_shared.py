@@ -127,8 +127,7 @@ class TestRoundTrip:
             assert got.label_index == cache.label_index
             assert got.signature_masks == cache.signature_masks
             assert got.signature_masks is not cache.signature_masks
-            assert got._pool_lock is not cache._pool_lock
-            assert got._adj_lock is not cache._adj_lock
+            assert got._lock is not cache._lock
             assert got.plan_cache is not cache.plan_cache
             assert got.plan_cache._lock is not cache.plan_cache._lock
             assert got._cost_estimator is None and got._metrics is None
@@ -148,7 +147,8 @@ class TestRoundTrip:
         assert cache._pool_memo and cache._mask_signatures and cache._adj_masks
         assert cache.plan_cache.info()["size"] > 0
         state = cache.__getstate__()
-        read_mutated = {"_pool_memo", "_pool_keys", "_mask_signatures", "_adj_masks", "plan_cache"}
+        read_mutated = {slot for slot, _, _ in type(cache)._DERIVED}
+        assert {"_pool_memo", "_pool_views", "_adj_masks", "_grouped_rows"} <= read_mutated
         assert not read_mutated & set(state)
         got = pickle.loads(pickle.dumps(source_graph)).index_cache()
         assert got.version == cache.version and got.signature_masks == cache.signature_masks

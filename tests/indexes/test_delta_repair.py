@@ -20,6 +20,7 @@ import time
 
 import pytest
 
+from repro.cost.estimator import raw_cost_profile
 from repro.datasets.registry import make_dataset
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
@@ -140,9 +141,29 @@ def assert_cache_equivalent(repaired: GraphIndexCache, fresh: GraphIndexCache) -
     assert repaired._pool_views.keys() <= repaired._pool_memo.keys()
     for key, view in repaired._pool_views.items():
         assert view == frozenset(repaired._pool_memo[key]), key
-    # Every label-grouped row kept is the vertex's row as it is now.
+    # Every label-grouped row and adjacency bitset kept is the vertex's row as it is now.
     for v, grouped in repaired._grouped_rows.items():
         assert grouped == regroup(repaired.graph, v), v
+    for v, mask in repaired._adj_masks.items():
+        assert mask == sum(1 << w for w in repaired.graph.neighbors(v)), v
+    # Every interned signature is its mask's labels.
+    for mask, labels in repaired._mask_signatures.items():
+        assert labels == {lab for lid, lab in enumerate(fresh.label_table) if mask >> lid & 1}
+    # Every plan kept is what compiling its key finds now, and a kept cost
+    # profile is the plan's price now.
+    for key, plan in list(repaired.plan_cache._memo.items()):
+        _, (labels, edges), compressed = key
+        want = compile_plan(QueryGraph(list(labels), [tuple(e) for e in edges]), fresh, compressed)
+        assert plan.pools == want.pools, key
+        assert plan._cost_profile in (None, raw_cost_profile(plan, fresh)), key
+    # A kept twin partition is one of the graph as it is.
+    if repaired._compressed is not None:
+        graph = repaired.graph
+        for cid, members in enumerate(repaired._compressed.classes):
+            assert all(repaired._compressed.class_of[v] == cid for v in members), cid
+            for v, w in zip(members, members[1:]):
+                assert graph.label(v) == graph.label(w), (v, w)
+                assert graph.neighbor_set(v) - {w} == graph.neighbor_set(w) - {v}, (v, w)
     # The storage the cache was repaired over is what a from-scratch
     # rebuild holds: rows, and the hash sets the localized search
     # intersects are the rows, as sets.
@@ -414,6 +435,39 @@ class TestTargetedInvalidation:
         # Recomputed mask reflects the new edge.
         assert cache.adjacency_mask(0) == m0 | (1 << 2)
 
+    def test_a_mask_built_across_a_write_is_not_kept(self, monkeypatch):
+        """The parked-probe recipe on the bitset memo: the build reads the
+        row, parks, a write adds an edge to that row, the build finishes.
+        Its caller gets the pre-write mask; the cache keeps nothing for the
+        vertex, and the next ask sees the new edge."""
+        g = banded_graph()
+        cache = g.index_cache()
+        v = 0
+        x = next(w for w in g.vertices() if w != v and not g.has_edge(v, w))
+        entered, release = threading.Event(), threading.Event()
+
+        def parked(self, w):
+            row = self._rows[w]  # the pre-write row
+            if not entered.is_set():
+                entered.set()
+                assert release.wait(30)
+            return row
+
+        monkeypatch.setattr(LabeledGraph, "neighbors", parked)
+        got = {}
+        reader = threading.Thread(target=lambda: got.setdefault("mask", cache.adjacency_mask(v)))
+        reader.start()
+        assert entered.wait(30)
+        g.add_edge(v, x)
+        release.set()
+        reader.join(30)
+        assert not reader.is_alive()
+        monkeypatch.undo()
+        assert not got["mask"] >> x & 1
+        assert v not in cache._adj_masks
+        assert cache.adjacency_mask(v) >> x & 1
+        assert_cache_equivalent(cache, GraphIndexCache(g))
+
     def test_plan_cache_evicts_only_intersecting_plans(self):
         from repro.indexes.plans import PlanCache
 
@@ -679,7 +733,7 @@ class TestPoolViews:
                 u, v = rng.sample(range(12), 2)
                 g.remove_edge(u, v) if g.has_edge(u, v) else g.add_edge(u, v)
                 writes += 1
-                with cache._pool_lock:  # one snapshot of entries and views
+                with cache._lock:  # one snapshot of entries and views
                     memo, views = dict(cache._pool_memo), dict(cache._pool_views)
                 stale += [key for key, view in views.items() if view != frozenset(memo.get(key, ()))]
                 stale += [key for key in views if key not in memo]

@@ -6,9 +6,11 @@ import pickle
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 
+import repro.indexes.graph_cache as graph_cache_mod
 import repro.indexes.plans as plans_mod
 from repro.core.config import DSQLConfig
 from repro.core.dsql import DSQL
@@ -142,6 +144,46 @@ class TestPlanCacheAcrossAWrite:
         plan = cache.plan_cache.get_or_compile(query, cache)
         assert plan.pools == ((0, 2), (1, 3)) == compile_plan(query, GraphIndexCache(graph)).pools
         assert cache.plan_cache.get_or_compile(query, cache) is plan
+
+    def test_a_plan_compiled_inside_a_write_is_not_kept(self, monkeypatch):
+        """A compile that starts after a write moved the version, but before
+        it repaired the pools, reads the pre-write pools under the new
+        version, and its store would pass the version check after the write
+        evicted. The write holds the cache's lock from its bump, so the
+        compile waits for the write, and the plan kept is the post-write one."""
+        graph = LabeledGraph(list("abab"), [(0, 1)])
+        cache = graph.index_cache()
+        query = QueryGraph(["a", "b"], [(0, 1)])
+        compiled, written, readers = threading.Event(), threading.Event(), []
+
+        def compile_then_wait(*args, **kwargs):
+            plan = compile_plan(*args, **kwargs)
+            compiled.set()
+            assert written.wait(30)  # the store lands after the write returned
+            return plan
+
+        def counter_with_a_reader(*args):
+            # The write counts its dirty labels after writing the rows, before its repair.
+            if not readers:
+                reader = threading.Thread(
+                    target=cache.plan_cache.get_or_compile, args=(query, cache)
+                )
+                reader.start()
+                readers.append(reader)
+                compiled.wait(0.5)  # the compile would finish here, were it not held back
+            return Counter(*args)
+
+        monkeypatch.setattr(plans_mod, "compile_plan", compile_then_wait)
+        monkeypatch.setattr(graph_cache_mod, "Counter", counter_with_a_reader)
+        graph.add_edge(2, 3)
+        written.set()
+        (reader,) = readers
+        reader.join(30)
+        assert not reader.is_alive()
+        monkeypatch.undo()
+        want = compile_plan(query, GraphIndexCache(graph)).pools
+        assert want == ((0, 2), (1, 3))
+        assert cache.plan_cache.get_or_compile(query, cache).pools == want
 
 
 def test_plan_cache_clear(graph, queries):

@@ -298,7 +298,7 @@ class TestNoInheritedLock:
         cache.attach_metrics(registry)
         registry.counter("cache.pool.hit")
         locks = [
-            cache._pool_lock, cache._adj_lock, cache.plan_cache._lock,
+            cache._lock, cache.plan_cache._lock,
             registry._lock, registry.counter("cache.pool.hit")._lock,
         ]
         # A worker that did inherit a held lock wedges; the executor then

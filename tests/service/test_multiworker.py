@@ -142,7 +142,7 @@ class TestNoInheritedLock:
         want = [[list(e) for e in reference.query(q).embeddings] for q in queries]
         cache, registry = graph.index_cache(), MetricsRegistry()
         cache.attach_metrics(registry)
-        locks = [cache._pool_lock, cache._adj_lock, cache.plan_cache._lock, registry._lock]
+        locks = [cache._lock, cache.plan_cache._lock, registry._lock]
         server = MultiWorkerServer(catalog, workers=WORKERS)
         try:
             with held_by_another_thread(locks):

@@ -383,8 +383,13 @@ STAYS_DELETED = {
             "ops_since", "log_floor", "truncate_log", "_mutation_log", "def replay", ".replay(",
             "_apply_sync", "SyncHeader", "_base_seq",
         ),
-        "indexes/graph_cache.py", "            self.delta_seq += 1\n",
-        "            self._mutation_log.append((self.delta_seq, op))\n", ("_mutation_log",),
+        "indexes/graph_cache.py", "            self.delta_seq += len(ops)\n",
+        "            self._mutation_log.extend(ops)\n", ("_mutation_log",),
+    ),
+    "adj_lock": (
+        ("_adj_lock",),
+        "indexes/graph_cache.py", "        self._adj_memo_size = DEFAULT_ADJACENCY_MEMO_SIZE\n",
+        "        self._adj_lock = threading.Lock()\n", ("_adj_lock",),
     ),
     "frame_prologue": (
         ("_rcand", "_kernel_join_test"),
@@ -894,6 +899,131 @@ def test_catch_up_stays_deleted():
     state = cache.__getstate__()
     assert set(state) == slots <= set(GraphIndexCache.__slots__)
     assert not [kind for kind in ("add_edge", "add_vertex", "remove_edge") if kind in repr(state)]
+
+
+# ----------------------------------------------------------------------
+# Census guard: one rule for derived state. Every slot of the index cache, a
+# compiled plan and the plan cache is either pickled (named here) or declared
+# in its class's table of derived slots, which drives construction and
+# unpickling; every derived slot of the index cache names the check that
+# holds it to the graph; the cache builds one lock (the bitset memo's own is
+# gone); and only the cache reads ``.delta_seq`` — every other memo derived
+# from the graph is kept through ``GraphIndexCache.memoize``.
+# ----------------------------------------------------------------------
+PICKLED_SLOTS = {
+    "GraphIndexCache": (
+        "graph", "label_table", "label_to_id", "label_ids", "degrees", "label_index",
+        "signature_masks", "candidate_memo_hits", "candidate_memo_misses", "epoch", "delta_seq",
+        "_pool_memo_size", "pool_entries_repaired", "pool_entries_rebuilt",
+        "pool_entries_dropped", "_adj_memo_size",
+    ),
+    "QueryPlan": (
+        "key", "qlist", "order", "backward", "profiles", "pools", "kernels", "class_pools",
+        "referenced_lids", "absent_labels",
+    ),
+    "PlanCache": ("_memo", "_size", "hits", "misses"),
+}
+DERIVED_TABLES = {
+    "GraphIndexCache": ("indexes/graph_cache.py", "_DERIVED"),
+    "QueryPlan": ("indexes/plans.py", "_LAZIES"),
+    "PlanCache": ("indexes/plans.py", "_DERIVED"),
+}
+# Derived slot of the index cache -> (test file, the check in it that covers the slot).
+DERIVED_CHECKS = {
+    "_lock": ("tests/graph/test_shared.py", "assert got._lock is not cache._lock"),
+    "_metrics": ("tests/graph/test_shared.py", "got._metrics is None"),
+    "_mask_signatures": ("tests/indexes/test_delta_repair.py", "repaired._mask_signatures.items()"),
+    "_pool_memo": ("tests/indexes/test_delta_repair.py", "assert pool == fresh._scan(*key), key"),
+    "_pool_keys": ("tests/indexes/test_delta_repair.py", "masses = kept_masses(repaired)"),
+    "_pool_views": ("tests/indexes/test_delta_repair.py", "repaired._pool_views.items()"),
+    "_adj_masks": ("tests/indexes/test_delta_repair.py", "repaired._adj_masks.items()"),
+    "_grouped_rows": ("tests/indexes/test_delta_repair.py", "repaired._grouped_rows.items()"),
+    "plan_cache": ("tests/indexes/test_delta_repair.py", "repaired.plan_cache._memo.items()"),
+    "_cost_estimator": (
+        "tests/cost/test_estimator.py",
+        "assert session.estimate(query) == rebuilt.estimate(query)",
+    ),
+    "_compressed": ("tests/indexes/test_delta_repair.py", "repaired._compressed.classes"),
+}
+
+
+def slot_census(text, cls_name, table):
+    """``(slots, declared)`` of class ``cls_name`` in ``text``: the string
+    names written in its ``__slots__`` and the first field of each row of
+    its ``table``."""
+    cls = next(
+        n for n in ast.walk(ast.parse(text)) if isinstance(n, ast.ClassDef) and n.name == cls_name
+    )
+    found = {}
+    for node in cls.body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            found[node.targets[0].id] = node.value
+    slots = [
+        n.value for n in ast.walk(found["__slots__"])
+        if isinstance(n, ast.Constant) and isinstance(n.value, str)
+    ]
+    declared = [row.elts[0].value for row in found[table].elts]
+    return slots, declared
+
+
+def census_offenders(sources):
+    """Over ``{path: source}``: slots neither pickled nor declared, declared
+    index-cache slots with no check, and ``.delta_seq`` reads outside the cache."""
+    offenders = []
+    for cls_name, (path, table) in DERIVED_TABLES.items():
+        slots, declared = slot_census(sources[path], cls_name, table)
+        offenders += [
+            f"{cls_name}.{slot}: undeclared" for slot in slots
+            if slot not in PICKLED_SLOTS[cls_name] and slot not in declared
+        ]
+        if cls_name == "GraphIndexCache":
+            offenders += [
+                f"{cls_name}.{slot}: no check" for slot in declared if slot not in DERIVED_CHECKS
+            ]
+    for path, text in sorted(sources.items()):
+        if path != "indexes/graph_cache.py":
+            offenders += [
+                f"{path}:{n.lineno}: reads {ast.unparse(n)}" for n in ast.walk(ast.parse(text))
+                if isinstance(n, ast.Attribute) and n.attr == "delta_seq"
+                and isinstance(n.ctx, ast.Load)
+            ]
+    return offenders
+
+
+def test_every_derived_slot_is_declared():
+    import threading
+
+    from repro.indexes.graph_cache import GraphIndexCache
+    from repro.indexes.plans import PlanCache, QueryPlan
+
+    sources = package_sources()
+    assert not census_offenders(sources)
+    for cls in (GraphIndexCache, QueryPlan, PlanCache):
+        declared = [row[0] for row in getattr(cls, DERIVED_TABLES[cls.__name__][1])]
+        assert sorted(cls.__slots__) == sorted(PICKLED_SLOTS[cls.__name__] + tuple(declared))
+    assert set(DERIVED_CHECKS) == {slot for slot, _, _ in GraphIndexCache._DERIVED}
+    for path, check in DERIVED_CHECKS.values():
+        assert check in (REPO / path).read_text(encoding="utf-8"), (path, check)
+    locks = [slot for slot, empty, _ in GraphIndexCache._DERIVED if empty is threading.Lock]
+    assert locks == ["_lock"] and "Lock()" not in sources["indexes/graph_cache.py"]
+    assert_stays_deleted("adj_lock")
+    # The census sees a memo slot pasted into the cache with no row ...
+    text = sources["indexes/graph_cache.py"]
+    anchor = '        "_adj_memo_size",\n'
+    assert text.count(anchor) == 1
+    mutant = text.replace(anchor, anchor + '        "_plan_lists",\n')
+    assert census_offenders({**sources, "indexes/graph_cache.py": mutant}) == [
+        "GraphIndexCache._plan_lists: undeclared"
+    ]
+    # ... and a plan store that checks the version itself again.
+    text = sources["indexes/plans.py"]
+    anchor = "    def _keep(self, key, plan: QueryPlan) -> None:\n"
+    assert text.count(anchor) == 1
+    mutant = text.replace(anchor, anchor + "        assert cache.delta_seq == seq\n")
+    line = mutant[: mutant.index("cache.delta_seq == seq")].count("\n") + 1
+    assert census_offenders({**sources, "indexes/plans.py": mutant}) == [
+        f"indexes/plans.py:{line}: reads cache.delta_seq"
+    ]
 
 
 # ----------------------------------------------------------------------
