@@ -11,10 +11,10 @@ and baselines read it through:
 * membership tests against the pools' set views — built lazily, once per
   memoized pool, and shared by every plan resolving to it;
 * the localized candidates of Section 5.1, ``N(v_father) ∩ candS(u)``
-  (:meth:`CandidateIndex.localized`), memoized per ``(u, fv)``: privately
-  for a plan's first view, on the plan itself from its second view on
-  (:meth:`~repro.indexes.plans.QueryPlan.localized_memo`) — a plan serves
-  one graph version, because a write that could change a list evicts it.
+  (:meth:`CandidateIndex.localized`), memoized per ``(pool, fv)``: from a
+  pool's second ask on beside its memo entry (:meth:`~repro.indexes.
+  graph_cache.GraphIndexCache.pool_lists`), so they outlive the plans that
+  built them; a write drops every list of a dirty label.
 """
 
 from __future__ import annotations
@@ -51,10 +51,10 @@ class CandidateIndex:
 
     The localized lists (``_localized[u][fv]`` — the level engine's frames
     probe the dict in place and call :meth:`localized` on a miss) are the
-    plan's :meth:`~repro.indexes.plans.QueryPlan.localized_memo`. No write
-    repairs them; one that could change a list evicts the plan from its
-    :class:`~repro.indexes.plans.PlanCache`. So fetch the plan per query
-    (``DSQL.query`` does) rather than keeping a plan or a view across writes.
+    cache's :meth:`~repro.indexes.graph_cache.GraphIndexCache.pool_lists`
+    for ``u``'s pool. No write repairs them; one that could change a list
+    drops it, and the plan. So fetch the plan per query (``DSQL.query``
+    does) rather than keeping a plan or a view across writes.
     """
 
     def __init__(
@@ -73,7 +73,10 @@ class CandidateIndex:
         self._label_neighbors = self.cache.label_neighbors
         self._lids = [self.cache.label_to_id.get(label, -1) for label, _, _ in self.plan.profiles]
         self._pool_set = self.plan.pool_set
-        self._localized: List[Dict[int, Tuple[int, ...]]] = self.plan.localized_memo()
+        self._localized: List[Dict[int, Tuple[int, ...]]] = [
+            self.cache.pool_lists(*profile, pool)
+            for profile, pool in zip(self.plan.profiles, self.plan.pools)
+        ]
 
     def candidates(self, u: int) -> Tuple[int, ...]:
         """``candS(u)`` in deterministic (label-index) order."""
@@ -105,10 +108,10 @@ class CandidateIndex:
         ``fv`` is the vertex matched to ``u``'s father. Pool members carry
         ``u``'s label, so only ``fv``'s neighbors with it (:meth:`~repro.
         indexes.graph_cache.GraphIndexCache.label_neighbors`) are filtered by
-        the pool's set view, in C, once per ``(u, fv)`` and memoized: while
+        the pool's set view, in C, once per ``(pool, fv)`` and memoized: while
         an anchor enumerates under a fixed overlap prefix, every anchor
-        candidate asks for the same hub rows again, and a warm plan's later
-        queries ask for its earlier queries' rows. The tuple is shared — the
+        candidate asks for the same hub rows again, and every plan over the
+        pool asks for the rows earlier plans asked for. The tuple is shared — the
         Section 5.2 shuffle works on a copy — and, holding only ints, leaves
         the collector's lists.
         """

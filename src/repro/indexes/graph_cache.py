@@ -18,9 +18,10 @@ session answering many queries against the same graph shares:
 * a bounded LRU **candidate-pool memo** keyed by
   ``(label_id, min_degree, signature_mask)`` — distinct query nodes with the
   same filter profile (and repeated queries) share one pool computation;
-* beside a memoized pool, once asked, its **degree mass** and **set view**
-  (:meth:`GraphIndexCache.pool_degree_mass`, ``pool_view``): kept with it,
-  so pricing a plan walks no pool and a fresh plan builds no set;
+* beside a memoized pool, once asked, its **degree mass**, **set view** and
+  **localized lists** (:meth:`GraphIndexCache.pool_degree_mass`,
+  ``pool_view``, ``pool_lists``): kept with it, so pricing a plan walks no
+  pool, a fresh plan builds no set and refilters no row an earlier plan did;
 * per asked vertex, its row **grouped by label** (:meth:`GraphIndexCache.
   label_neighbors`), one label's run of which Section 5.1 localizes to.
 
@@ -87,9 +88,10 @@ class GraphIndexCache:
     """All per-graph filter state, computed once and shared.
 
     Derived per-pool state lives with the pool and is repaired with it: a
-    memoized pool's degree mass (:meth:`pool_degree_mass`) and set view
-    (:meth:`pool_view`) sit beside its entry under the same lock — nothing
-    outside this class sums a pool or builds a set of a pool it holds. Every
+    memoized pool's degree mass (:meth:`pool_degree_mass`), set view
+    (:meth:`pool_view`) and localized lists (:meth:`pool_lists`) sit beside
+    its entry under the same lock — nothing outside this class sums a pool,
+    builds a set of a pool it holds or keeps a list filtered by one. Every
     other value built lazily from the graph is kept through :meth:`memoize`.
 
     Parameters
@@ -113,6 +115,7 @@ class GraphIndexCache:
         ("_pool_memo", OrderedDict, "LRU; repaired in place by apply_delta"),
         ("_pool_keys", dict, "label id -> {key: degree mass}: moved and dropped with the entry"),
         ("_pool_views", dict, "key -> frozenset, kept while the asked pool is the entry"),
+        ("_pool_lists", dict, "key -> {fv: N(fv) ∩ pool} from its 2nd ask; dropped by label"),
         ("_adj_masks", OrderedDict, "LRU; stored by memoize, popped for dirty vertices"),
         ("_grouped_rows", dict, "stored by memoize, popped for dirty vertices"),
         ("plan_cache", _plan_cache, "evict_stale by label; stored by memoize"),
@@ -387,6 +390,7 @@ class GraphIndexCache:
                     oldest, _ = memo.popitem(last=False)
                     self._pool_keys[oldest[0]].pop(oldest, None)
                     self._pool_views.pop(oldest, None)
+                    self._pool_lists.pop(oldest, None)
             return pool
 
     def pool_degree_mass(
@@ -427,6 +431,22 @@ class GraphIndexCache:
             if view is None:
                 view = self._pool_views[key] = frozenset(pool)
         return view
+
+    def pool_lists(self, label: Label, min_degree: int, signature_mask, pool) -> Dict:
+        """The ``fv → N(fv) ∩ pool`` dict Section 5.1's localized lists fill,
+        kept beside the memo entry while ``pool`` *is* its tuple (the rule of
+        :meth:`pool_view`). The first ask since the entry's label was dirtied
+        gets a private dict and leaves an empty one that later asks share, so
+        a pool asked once between writes keeps nothing; any other ``pool``
+        gets a private dict. A write drops a dirty label's dicts (apply_delta)."""
+        key = (self.label_to_id.get(label), min_degree, signature_mask)
+        with self._lock:
+            if self._pool_memo.get(key) is pool:
+                lists = self._pool_lists.get(key)
+                if lists is not None:
+                    return lists
+                self._pool_lists[key] = {}
+        return {}
 
     def _scan(self, lid: int, min_degree: int, signature_mask: int) -> Tuple[int, ...]:
         base = self.label_index[self.label_table[lid]]
@@ -577,6 +597,10 @@ class GraphIndexCache:
         # or profile kept beside evict_stale below was built after the bump.
         with self._lock:
             self.delta_seq += len(ops)
+            # Only a dirty vertex of a pool's label changes one of its
+            # localized lists; this drop also covers a bulk-dropped entry.
+            for key in [key for key in self._pool_lists if key[0] in dirty_lids]:
+                del self._pool_lists[key]
             repairable = self._repairable_labels(dirty_per_label)
             # label id -> [(v, degree before, mask before)] for the vertices
             # whose pool membership may have changed. A vertex added by this

@@ -10,7 +10,9 @@ engine reads its pools, order and kernels; :class:`PlanCache` memoizes plans beh
 shared :class:`~repro.indexes.graph_cache.GraphIndexCache`, so DSQL
 sessions, the :class:`~repro.parallel.executor.BatchExecutor`, and the
 service catalog all share compiled plans exactly the way they already share
-candidate pools.
+candidate pools. A pool's set view and localized lists live beside its
+memo entry, not on a plan, so a plan compiled after an evicted one over the
+same pools rebuilds neither.
 
 The plan also records a **kernel choice per search depth** (see
 :mod:`repro.kernels` and ``docs/performance.md``): depths with no matched
@@ -79,9 +81,8 @@ class QueryPlan:
 
     Beside these the plan memoizes the lazily built views of
     :attr:`_LAZIES`: references to the pools' set views, bitsets, the cost
-    profile, the per-``Qovp`` frame table of :meth:`frames` and the
-    ``reSort`` basis it is compiled from, and from its second view on the
-    localized lists of :meth:`localized_memo`. Each is a function of the
+    profile, and the per-``Qovp`` frame table of :meth:`frames` and the
+    ``reSort`` basis it is compiled from. Each is a function of the
     plan (the cost profile also of ``2|E|``, so it is kept through
     :meth:`~repro.indexes.graph_cache.GraphIndexCache.memoize`), dies with
     the plan, and is dropped on pickling. They are benign under races: two
@@ -98,7 +99,6 @@ class QueryPlan:
         ("_frames", lambda n: {}),
         ("_interned", lambda n: {}),
         ("_resort_basis", lambda n: None),
-        ("_localized", lambda n: None),  # None: never viewed; False: viewed once
     )
     __slots__ = (
         "key",
@@ -248,24 +248,6 @@ class QueryPlan:
                 rows.append(interned(frame, frame))
             entry = self._frames[key] = tuple(rows)
         return entry
-
-    def localized_memo(self) -> List[Dict[int, Tuple[int, ...]]]:
-        """Per query node, the ``fv → N(fv) ∩ candS(u)`` memo a view fills
-        (:meth:`~repro.indexes.candidates.CandidateIndex.localized`).
-
-        A plan's first view gets a private memo; later views share the
-        plan's own, so a plan viewed once keeps nothing. An entry changes
-        only with a dirty vertex of ``u``'s label, which evicts the plan
-        (:meth:`PlanCache.evict_stale`; docs/mutation.md). Node ``u`` holds
-        at most one entry per member of its query neighbors' pools.
-        """
-        memo = self._localized
-        if memo is None:
-            self._localized = False
-            return [{} for _ in self.pools]
-        if memo is False:
-            memo = self._localized = [{} for _ in self.pools]
-        return memo
 
     def __getstate__(self):
         lazies = {slot for slot, _ in self._LAZIES}

@@ -1,12 +1,13 @@
 """What a search frame costs, as counts (docs/performance.md § "What a frame costs").
 
 A localized frame reads ``N(father's match) ∩ candS(u)`` from the view's
-memo — per *distinct* ``(u, father's match)`` one C-level filter of the
-father's neighbors carrying ``u``'s label (the index cache's label-grouped
-row, built once per vertex and graph version), a memo hit afterwards; the
-memo is private to a plan's first view and the plan's own from its second —
-and everything query-static from the plan's per-Qovp frame table, compiled
-once per (plan, Qovp) and shared by every session. These tests hold that as
+memo — per *distinct* ``(candS(u), father's match)`` one C-level filter of
+the father's neighbors carrying ``u``'s label (the index cache's
+label-grouped row, built once per vertex and graph version), a memo hit
+afterwards; from a pool's second ask on the memo lives beside its entry in
+the index cache, so later plans over the pool share it — and everything
+query-static from the plan's per-Qovp frame table, compiled once per (plan,
+Qovp) and shared by every session. These tests hold that as
 counted work on a registry graph; each fails at the commit before the
 mechanism it counts existed.
 """
@@ -65,18 +66,25 @@ def views(monkeypatch):
 def test_localization_touches_each_row_once_per_query(workload, views, monkeypatch):
     """(a) a miss walks the father's neighbors that carry ``u``'s label, and
     nothing else: on this fixture about an eighth of the Σ over distinct
-    (u, fv) of min(|N(fv)|, |candS(u)|) a set intersection walked (5 548
-    words against 46 902), and each vertex's row is grouped once."""
+    (pool, fv) of min(|N(fv)|, |candS(u)|) a set intersection walked, and
+    each vertex's row is grouped once."""
     graph, queries = workload
     misses = []  # per localized miss: (fv, label id, words walked)
+    built = []  # per localized miss: (u, fv, the memo it fills)
 
     def counting_label_neighbors(self, v, lid):
         run = real_label_neighbors(self, v, lid)
         misses.append((v, lid, len(run)))
         return run
 
+    def counting_localized(self, u, fv):
+        built.append((u, fv, self._localized[u]))
+        return real_localized(self, u, fv)
+
     real_label_neighbors = GraphIndexCache.label_neighbors
+    real_localized = CandidateIndex.localized
     monkeypatch.setattr(GraphIndexCache, "label_neighbors", counting_label_neighbors)
+    monkeypatch.setattr(CandidateIndex, "localized", counting_localized)
     session = DSQL(graph, CONFIG)  # builds the graph's index cache (which reads every row)
     # Any row read in the interpreter from here on, and who read it. The
     # queries are trees, so no frame has two matched neighbors and no
@@ -94,21 +102,22 @@ def test_localization_touches_each_row_once_per_query(workload, views, monkeypat
 
     frames = repeats = words = parent_words = 0
     for query in queries:
-        del misses[:]
+        del misses[:], built[:]
         result = session.query(query)
         view = views[-1]
-        asked = {(u, fv) for u, memo in enumerate(view._localized) for fv in memo}
         lids = [graph.label_to_id[query.label(u)] for u in range(query.size)]
-        assert sorted(miss[:2] for miss in misses) == sorted((fv, lids[u]) for u, fv in asked)
+        # The frames call `localized` on a memo miss only, and each miss walks one label run.
+        assert sorted(miss[:2] for miss in misses) == sorted((fv, lids[u]) for u, fv, _ in built)
+        assert len({(id(memo), fv) for _, fv, memo in built}) == len(built)
         for fv, lid, walked in misses:
             label = graph.label_table[lid]
             assert walked == sum(graph.label(w) == label for w in real_neighbors(fv))
         words += sum(walked for _, _, walked in misses)
         parent_words += sum(
-            min(len(real_neighbors(fv)), len(view.candidates(u))) for u, fv in asked
+            min(len(real_neighbors(fv)), len(view.candidates(u))) for u, fv, _ in built
         )
         frames += result.stats.kernel_merge
-        repeats += result.stats.kernel_merge - len(asked)
+        repeats += result.stats.kernel_merge - len(built)
     assert 0 < 8 * words <= parent_words
     # One graph version: each vertex grouped at most once, and every grouping kept.
     assert grouped and len(grouped) == len(set(grouped))
@@ -235,55 +244,70 @@ def test_frame_table_entry_is_one_small_tuple_of_interned_pointers(workload):
 
 
 def test_localized_memo_dies_with_its_query():
-    """A write between two queries of one session evicts the warm plan and
-    the localized lists it owns: the second query sees the new edge through
-    a fresh plan, and a pickled warm plan arrives with no lists at all."""
+    """The localized lists live beside the pool, not on the plan: a pool's
+    first ask keeps nothing and its second fills the pool's dict; a plan
+    compiled after its predecessor's eviction reads the lists that one
+    built; a write drops the lists of every pool of a label it dirtied (a
+    view holding them keeps its own copy, never repaired), so the next query
+    sees the new edge; a pickled plan's pools are not the memo's, so its
+    view fills lists of its own; and an entry leaving the memo takes its
+    lists along."""
     #  hub v0(a) - five b's (v1..v5); only v1 reaches a c (v6). Adding v2 - v7
     #  makes v2 a candidate and opens a second embedding through the hub's row.
     labels = ["a"] + ["b"] * 5 + ["c"] * 2
     edges = [(0, b) for b in range(1, 6)] + [(1, 6)]
     graph = LabeledGraph(labels, edges)
+    cache = graph._cache = GraphIndexCache(graph, candidate_memo_size=3)
     query = QueryGraph(["a", "b", "c"], [(0, 1), (1, 2)])
     session = DSQL(graph, DSQLConfig(k=5))
-    cache = graph.index_cache()
-    for _ in range(2):  # the second view adopts the plan's memo
-        assert session.query(query).embeddings == ((0, 1, 6),)
+    assert session.query(query).embeddings == ((0, 1, 6),)
     plan = cache.plan_cache.get_or_compile(query, cache)
-    owned = plan._localized
-    assert owned[1][0] == (1,)  # N(v0) ∩ candS(b) before the write
+    b_key = (cache.label_id("b"), *plan.profiles[1][1:])
+    owned = cache._pool_lists[b_key]
+    assert owned == {}  # the pool's first ask filled a private dict
+    assert session.query(query).embeddings == ((0, 1, 6),)
+    assert cache._pool_lists[b_key] is owned and owned[0] == (1,)  # N(v0) ∩ candS(b)
+    cache.plan_cache.clear()
+    assert session.query(query).embeddings == ((0, 1, 6),)
+    replan = cache.plan_cache.get_or_compile(query, cache)
+    assert replan is not plan and cache._pool_lists[b_key] is owned  # outlived its plan
     graph.add_edge(2, 7)
-    assert cache.plan_cache.info()["size"] == 0  # the write dirtied b and c
+    assert cache.plan_cache.info()["size"] == 0  # the write dirtied b and c ...
+    assert {key[0] for key in cache._pool_lists} <= {cache.label_id("a")}  # ... and their lists
+    assert owned[0] == (1,)  # dropped, never repaired
     after = session.query(query)
     assert sorted(after.embeddings) == [(0, 1, 6), (0, 2, 7)]
     fresh = DSQL(LabeledGraph(labels, edges + [(2, 7)]), DSQLConfig(k=5)).query(query)
     assert after.to_dict() == fresh.to_dict()
     assert after.stats == fresh.stats
-    replan = cache.plan_cache.get_or_compile(query, cache)
-    assert replan is not plan and replan._localized is not owned
-    assert owned[1][0] == (1,)  # died with its plan, never repaired
-    session.query(query)
-    assert replan._localized[1][0] == (1, 2)
-    clone = pickle.loads(pickle.dumps(replan))
-    assert clone._localized is None
+    assert cache._pool_lists[b_key] == {}  # the first ask since the write
+    assert session.query(query).to_dict() == after.to_dict()
+    assert cache._pool_lists[b_key][0] == (1, 2)
+    clone = pickle.loads(pickle.dumps(cache.plan_cache.get_or_compile(query, cache)))
     view = CandidateIndex(graph, query, cache=cache, plan=clone)
-    assert view.localized(1, 0) == (1, 2) and not clone._localized
+    assert view.localized(1, 0) == (1, 2) and view._localized[1] is not cache._pool_lists[b_key]
+    assert pickle.loads(pickle.dumps(graph)).index_cache()._pool_lists == {}
+    for label in "abc":  # three new profiles push the query's three out of the memo
+        cache.candidate_pool(label, 0, 0)
+    assert b_key not in cache._pool_memo and cache._pool_lists.keys() <= cache._pool_memo.keys()
 
 
 def test_a_warm_plan_keeps_its_localized_lists(workload):
-    """(h) a plan's first view leaves no lists on the plan — the stream path,
-    where no plan is viewed twice — and its second fills the plan's own, so
-    a third pass rebuilds none: ``localized`` and ``label_neighbors`` are
-    never entered, and the answers and counters are the first pass's."""
+    """(h) a plan compiled cold over pools earlier plans have asked twice —
+    the stream path, where every plan is evicted before its query recurs —
+    builds no localized list: ``localized`` and ``label_neighbors`` are never
+    entered, and the answers and counters are the first pass's."""
     graph, queries = workload
     session = DSQL(graph, dataclasses.replace(CONFIG, query_cache_size=0))
     cache = graph.index_cache()
     first = [session.query(query) for query in queries]
     plans = [cache.plan_cache.get_or_compile(query, cache) for query in queries]
     assert len({plan.key for plan in plans}) == len(queries)
-    assert not any(plan._localized for plan in plans)
-    second = [session.query(query) for query in queries]
-    assert all(any(plan._localized) for plan in plans)
+    cache.plan_cache.clear()
+    second = [session.query(query) for query in queries]  # each pool's second ask fills it
+    cache.plan_cache.clear()
     third, calls = profiled_calls(lambda: [session.query(query) for query in queries])
+    assert calls["plans.py", "compile_plan"] == len(queries)
     assert calls["candidates.py", "localized"] == 0
     assert calls["graph_cache.py", "label_neighbors"] == 0
     assert sum(r.stats.kernel_merge for r in third) > 3_000

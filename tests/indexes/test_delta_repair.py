@@ -24,6 +24,7 @@ from repro.cost.estimator import raw_cost_profile
 from repro.datasets.registry import make_dataset
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
+from repro.indexes.candidates import CandidateIndex
 from repro.indexes.graph_cache import GraphIndexCache
 from repro.indexes.plans import compile_plan
 from repro.queries.generator import query_set
@@ -56,22 +57,27 @@ def banded_graph(storage: str = "csr") -> LabeledGraph:
 
 def warm_pool_spread(cache: GraphIndexCache, labels=None) -> None:
     """Memoize, for each label, min_degree 0-3 x {no mask, each single label bit},
-    and prime each entry's degree mass and set view, so the writes that follow
-    have one of each to repair or drop."""
+    and prime each entry's degree mass, set view and localized lists (one per
+    vertex), so the writes that follow have one of each to repair or drop."""
     bits = [0] + [1 << lid for lid in range(len(cache.label_table))]
     for label in labels or list(cache.label_table):
         for min_degree in range(4):
             for mask in bits:
                 pool = cache.candidate_pool(label, min_degree, mask)
                 cache.pool_degree_mass(label, min_degree, mask, pool)
-                cache.pool_view(label, min_degree, mask, pool)
+                members = cache.pool_view(label, min_degree, mask, pool)
+                cache.pool_lists(label, min_degree, mask, pool)  # the first ask keeps nothing
+                lists = cache.pool_lists(label, min_degree, mask, pool)
+                for fv in range(len(cache.degrees)):
+                    run = cache.label_neighbors(fv, cache.label_id(label))
+                    lists[fv] = tuple(filter(members.__contains__, run))
 
 
 def run_mutation_script(g: LabeledGraph) -> GraphIndexCache:
     """120 seeded ops over a memo re-warmed every tenth; equivalence checked after each."""
     cache = g.index_cache()
     rng = random.Random(23)
-    masses_held = views_held = 0
+    masses_held = views_held = lists_held = 0
     labels = ["a", "b", "c", "d"]
     for step in range(120):
         if step % 10 == 0:
@@ -94,8 +100,9 @@ def run_mutation_script(g: LabeledGraph) -> GraphIndexCache:
         assert_cache_equivalent(cache, GraphIndexCache(g))
         masses_held += len(kept_masses(cache))
         views_held += len(cache._pool_views)
-    # Or the mass and view assertions held nothing a write had touched.
-    assert masses_held and views_held
+        lists_held += sum(map(len, cache._pool_lists.values()))
+    # Or the mass, view and list assertions held nothing a write had touched.
+    assert masses_held and views_held and lists_held
     return cache
 
 
@@ -141,6 +148,14 @@ def assert_cache_equivalent(repaired: GraphIndexCache, fresh: GraphIndexCache) -
     assert repaired._pool_views.keys() <= repaired._pool_memo.keys()
     for key, view in repaired._pool_views.items():
         assert view == frozenset(repaired._pool_memo[key]), key
+    # Every localized list kept is its father's run of the entry's label, as
+    # a fresh cache groups it, filtered by the entry; none outlives its entry.
+    assert repaired._pool_lists.keys() <= repaired._pool_memo.keys()
+    for key, lists in repaired._pool_lists.items():
+        members = frozenset(repaired._pool_memo[key])
+        for fv, hit in lists.items():
+            want = tuple(filter(members.__contains__, fresh.label_neighbors(fv, key[0])))
+            assert hit == want, (key, fv)
     # Every label-grouped row and adjacency bitset kept is the vertex's row as it is now.
     for v, grouped in repaired._grouped_rows.items():
         assert grouped == regroup(repaired.graph, v), v
@@ -623,7 +638,9 @@ class TestGroupedRows:
 class TestPoolViews:
     """The set views kept beside the pool memo's entries: one per asked
     entry, dropped when its tuple is rebuilt or leaves the memo, never
-    pickled, never kept for a tuple the memo no longer holds."""
+    pickled, never kept for a tuple the memo no longer holds. The localized
+    lists kept beside them follow the same rule and are also dropped for
+    every entry of a dirty label."""
 
     QUERIES = [
         QueryGraph(["a", "b", "c"], [(0, 1), (1, 2)]),
@@ -679,6 +696,24 @@ class TestPoolViews:
         assert view == frozenset({0, 1, 2}) and cache._pool_views[key] is view
         assert before.pool_set(0, cache) == frozenset({0, 1})  # the plan's own, still
         assert_cache_equivalent(cache, GraphIndexCache(g))
+
+    def test_lists_for_a_replaced_tuple_are_private(self):
+        """The same for localized lists: a plan compiled before the write asks
+        after it and gets a private dict each time, and the cache keeps no
+        dict for the entry until a plan over its new tuple asks twice."""
+        g = TestPoolRepair.star_graph()
+        cache = g.index_cache()
+        query = QueryGraph(["a", "b"], [(0, 1)])
+        before = compile_plan(query, cache)
+        key = (cache.label_id("a"), 1, cache.mask_for(["b"]))
+        g.add_edge(2, 30)  # vertex 2 joins the entry node 0 resolved to
+        for _ in range(2):
+            lists = cache.pool_lists(*before.profiles[0], before.pools[0])
+            assert lists == {} and key not in cache._pool_lists
+        after = compile_plan(query, cache)
+        first = cache.pool_lists(*after.profiles[0], after.pools[0])
+        assert first is not cache._pool_lists[key]  # the first ask keeps nothing
+        assert cache.pool_lists(*after.profiles[0], after.pools[0]) is cache._pool_lists[key]
 
     def test_a_rebuild_drops_the_view_and_the_next_ask_builds_a_new_one(self):
         g = TestPoolRepair.star_graph()
@@ -743,6 +778,63 @@ class TestPoolViews:
             sys.setswitchinterval(interval)
         assert not any(reader.is_alive() for reader in readers) and not errors, errors
         assert writes > 100 and min(asked) > 0 and cache._pool_views and not stale, stale
+        assert_cache_equivalent(cache, GraphIndexCache(g))
+
+    def test_readers_beside_a_writer_keep_no_stale_list(self):
+        """Four readers viewing freshly compiled plans and asking localized
+        lists of low fathers while a writer toggles edges among those
+        fathers, the interpreter switching threads every microsecond. Between
+        two writes every list kept is its father's row filtered by its entry:
+        one stored from a pre-write row into a dict the write did not drop
+        would show there."""
+        g = banded_graph()
+        cache = g.index_cache()
+        deadline = time.monotonic() + 1.0
+        errors, asked = [], [0] * 4
+
+        def read(tid):
+            rng = random.Random(tid)
+            try:
+                while time.monotonic() < deadline:
+                    query = rng.choice(self.QUERIES)
+                    plan = compile_plan(query, cache)
+                    view = CandidateIndex(g, query, cache=cache, plan=plan)
+                    for u, w in query.edges():
+                        for fv in plan.pools[w][:6]:
+                            view.localized(u, fv)
+                    asked[tid] += 1
+            except Exception as exc:  # reported below, not lost in the thread
+                errors.append(exc)
+
+        readers = [threading.Thread(target=read, args=(tid,)) for tid in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        stale, writes, held = [], 0, 0
+        try:
+            for reader in readers:
+                reader.start()
+            rng = random.Random(10)
+            while time.monotonic() < deadline:
+                u, v = rng.sample(range(18), 2)
+                g.remove_edge(u, v) if g.has_edge(u, v) else g.add_edge(u, v)
+                writes += 1
+                with cache._lock:  # one snapshot of entries and lists
+                    memo = dict(cache._pool_memo)
+                    kept = {key: dict(lists) for key, lists in cache._pool_lists.items()}
+                held += sum(map(len, kept.values()))
+                for key, lists in kept.items():
+                    members = set(memo.get(key, ()))
+                    stale += [
+                        (key, fv) for fv, hit in lists.items()
+                        if key not in memo
+                        or hit != tuple(filter(members.__contains__, g.neighbors(fv)))
+                    ]
+            for reader in readers:
+                reader.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers) and not errors, errors
+        assert writes > 100 and min(asked) > 0 and held and not stale, stale
         assert_cache_equivalent(cache, GraphIndexCache(g))
 
     def test_a_scan_inside_a_write_is_not_left_stale(self, monkeypatch):

@@ -364,28 +364,37 @@ def test_a_pickled_cache_and_plan_carry_no_views_and_answer_identically(graph, q
 
 
 def test_threads_filling_one_plans_lists_answer_as_one_thread():
-    """Four threads query the same cold plans at once, the interpreter
-    switching threads every microsecond, so they race to adopt and fill
-    each plan's localized lists: every answer is the serial one, and every
-    list a plan keeps is its row filter (racing stores are equal tuples)."""
+    """Two plans per query over the same memoized pools — the cached one and
+    a second compile — and four threads querying through them at once (two
+    per plan), the interpreter switching threads every microsecond, so they
+    race to fill each pool's one set of localized lists: every answer is the
+    serial one, both plans read one dict per pool, and every list the cache
+    keeps is its row filter (racing stores are equal tuples)."""
     source = make_dataset("yeast", scale=0.1, seed=0)
     queries = list(query_set(source, 4, 4, seed=5))
     config = DSQLConfig(k=10, query_cache_size=0)
     want = [DSQL(source, config).query(query).to_dict() for query in queries]
     graph = LabeledGraph(list(source.labels), list(source.edges()))
     cache = graph.index_cache()
+    cached = [cache.plan_cache.get_or_compile(query, cache) for query in queries]
+    second = {query.canonical_key(): compile_plan(query, cache) for query in queries}
+
+    class SecondPlan(DSQL):
+        def _plan(self, query):
+            return second[query.canonical_key()]
+
     deadline = time.monotonic() + 1.0
     answers, errors = [], []
 
-    def run():
-        session = DSQL(graph, config)
+    def run(session):
         try:
             while time.monotonic() < deadline:
                 answers.append([session.query(query).to_dict() for query in queries])
         except Exception as exc:  # reported below, not lost in the thread
             errors.append(exc)
 
-    threads = [threading.Thread(target=run) for _ in range(4)]
+    sessions = [DSQL(graph, config), SecondPlan(graph, config)] * 2
+    threads = [threading.Thread(target=run, args=(session,)) for session in sessions]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -397,13 +406,18 @@ def test_threads_filling_one_plans_lists_answer_as_one_thread():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads) and not errors, errors
     assert len(answers) >= 8 and all(answer == want for answer in answers)
-    for query in queries:
-        plan = cache.plan_cache.get_or_compile(query, cache)
-        assert any(plan._localized)
-        for u, memo in enumerate(plan._localized):
-            pool = plan.pool_set(u, cache)
-            for fv, hit in memo.items():
-                assert hit == tuple(w for w in graph.neighbors(fv) if w in pool), (u, fv)
+    for query, plan in zip(queries, cached):
+        assert cache.plan_cache.get_or_compile(query, cache) is plan
+        other = second[query.canonical_key()]
+        assert other is not plan
+        mine = CandidateIndex(graph, query, cache=cache, plan=plan)._localized
+        theirs = CandidateIndex(graph, query, cache=cache, plan=other)._localized
+        assert all(a is b for a, b in zip(mine, theirs)) and any(mine)
+    assert cache._pool_lists.keys() <= cache._pool_memo.keys()
+    for key, lists in cache._pool_lists.items():
+        pool = set(cache._pool_memo[key])
+        for fv, hit in lists.items():
+            assert hit == tuple(w for w in graph.neighbors(fv) if w in pool), (key, fv)
 
 
 # ----------------------------------------------------------------------

@@ -13,11 +13,12 @@ rows in place and drop the touched vertices' groupings; and after
 touched vertex's grouping is also held to its row: for each label id,
 ``cache.label_neighbors(v, lid)`` is the row's members carrying it.
 
-From a plan's second view on the lists live on the plan, and nothing
-repairs them: a write that could change one evicts the plan. A second
-property warms plans through the ``PlanCache`` and holds every list of
-every plan still cached to the row filter after each write of a script,
-and no cached plan to a label the write dirtied.
+From a pool's second ask on the lists live beside the pool memo's entry,
+shared by every plan over the pool, and nothing repairs them: a write drops every list of a label it
+dirtied, and evicts the plans over it. A second property warms plans
+through the ``PlanCache`` and holds every list the index cache keeps to the
+row filter after each write of a script, and no cached plan to a label the
+write dirtied.
 
 ``QueryPlan.frames(query, qovp)`` replaced a ``reSort`` per Qovp per level
 per query and the per-frame reads of its statistics; the third property
@@ -82,13 +83,13 @@ def test_localized_equals_row_filter_in_every_storage_state(instance, script):
 
 
 def warm_plans(graph, queries):
-    """View each query's plan twice and ask every list a frame could (any
-    query neighbor may be the father), so every plan owns a filled memo."""
+    """View each query's plan twice (a pool's first ask keeps nothing) and
+    ask every list a frame could (any query neighbor may be the father), so
+    every pool asked keeps a filled memo."""
     for query in queries:
         CandidateIndex(graph, query)
         view = CandidateIndex(graph, query)
         plan = view.plan
-        assert plan._localized
         for u in range(query.size):
             for w in query.neighbors(u):
                 for fv in plan.pools[w]:
@@ -99,10 +100,11 @@ def assert_cached_lists_are_the_row_filters(graph, dirty_lids):
     cache = graph.index_cache()
     for plan in list(cache.plan_cache._memo.values()):
         assert not plan.referenced_lids & dirty_lids, plan.key
-        for u, memo in enumerate(plan._localized or ()):
-            pool = plan.pool_set(u, cache)
-            for fv, hit in memo.items():
-                assert hit == tuple(w for w in graph.neighbors(fv) if w in pool), (u, fv)
+    assert cache._pool_lists.keys() <= cache._pool_memo.keys()
+    for key, lists in cache._pool_lists.items():
+        pool = set(cache._pool_memo[key])
+        for fv, hit in lists.items():
+            assert hit == tuple(w for w in graph.neighbors(fv) if w in pool), (key, fv)
 
 
 @settings(max_examples=80, deadline=None)

@@ -405,6 +405,12 @@ STAYS_DELETED = {
         "isomorphism/compression.py", "        self.split_repairs = 0\n",
         "        self.lazy_expansions = 0\n", ("lazy_expansions",),
     ),
+    "plan_localized_memo": (
+        ("localized_memo(", ".localized_memo", "plan._localized", "QueryPlan._localized"),
+        "indexes/plans.py",
+        "            entry = self._frames[key] = tuple(rows)\n        return entry\n",
+        "\n    def localized_memo(self):\n        return self._localized\n", ("localized_memo(",),
+    ),
     "profiling_hooks": (
         (
             "ProfilingHooks", "observability.hooks", "on_level_start", "on_embedding_emitted",
@@ -684,9 +690,10 @@ def test_resort_walks_in_one_place():
 # Fork guard: one implementation of Section 5.1. ``N(father's match) ∩
 # candS(u)`` is ``CandidateIndex.localized`` — the father's neighbors with
 # ``u``'s label (``GraphIndexCache.label_neighbors``, a label-grouped row
-# read by bisect and slice) filtered by the pool set in C, memoized on the
-# view, and on the plan from its second view on; no engine, baseline or index walks a neighbor row in the
-# interpreter asking membership per element.
+# read by bisect and slice) filtered by the pool set in C, memoized beside
+# the pool's memo entry (``GraphIndexCache.pool_lists``; the plan's memo of
+# them stays deleted); no engine, baseline or index walks a neighbor row in
+# the interpreter asking membership per element.
 # ----------------------------------------------------------------------
 def row_walk_sites(sources):
     """``path:line`` over ``{path: source}`` of every loop or comprehension
@@ -739,9 +746,11 @@ def test_localization_stays_in_one_place():
     (site,) = row_walk_sites({"indexes/graph_cache.py": walked})
     assert site.startswith("indexes/graph_cache.py:")
     # The sorted-list restriction nothing called stays deleted, and neither
-    # memo (localized lists, frame table) grew a switch or a size.
+    # memo (localized lists, frame table) grew a switch or a size. The lists
+    # live beside the pool, so the plan's memo of them stays deleted.
     offenders = fork_offenders(("def restricted", ".restricted("))
     assert not offenders, offenders
+    assert_stays_deleted("plan_localized_memo")
     assert len(dataclasses.fields(DSQLConfig)) == 20
 
 
@@ -936,6 +945,7 @@ DERIVED_CHECKS = {
     "_pool_memo": ("tests/indexes/test_delta_repair.py", "assert pool == fresh._scan(*key), key"),
     "_pool_keys": ("tests/indexes/test_delta_repair.py", "masses = kept_masses(repaired)"),
     "_pool_views": ("tests/indexes/test_delta_repair.py", "repaired._pool_views.items()"),
+    "_pool_lists": ("tests/indexes/test_delta_repair.py", "repaired._pool_lists.items()"),
     "_adj_masks": ("tests/indexes/test_delta_repair.py", "repaired._adj_masks.items()"),
     "_grouped_rows": ("tests/indexes/test_delta_repair.py", "repaired._grouped_rows.items()"),
     "plan_cache": ("tests/indexes/test_delta_repair.py", "repaired.plan_cache._memo.items()"),
