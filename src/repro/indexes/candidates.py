@@ -11,15 +11,15 @@ and baselines read it through:
 * membership tests against the pools' set views — built lazily, once per
   memoized pool, and shared by every plan resolving to it;
 * the localized candidates of Section 5.1, ``N(v_father) ∩ candS(u)``
-  (:meth:`CandidateIndex.localized`), memoized per ``(pool, fv)``: from a
-  pool's second ask on beside its memo entry (:meth:`~repro.indexes.
-  graph_cache.GraphIndexCache.pool_lists`), so they outlive the plans that
-  built them; a write drops every list of a dirty label.
+  (:meth:`CandidateIndex.localized`), memoized per ``(pool, fv)`` beside
+  the pool's memo entry (:meth:`~repro.indexes.graph_cache.GraphIndexCache.
+  pool_lists`), so they outlive the plans that built them and the writes
+  that do not change them; a write pops the lists it changed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
@@ -52,8 +52,10 @@ class CandidateIndex:
     The localized lists (``_localized[u][fv]`` — the level engine's frames
     probe the dict in place and call :meth:`localized` on a miss) are the
     cache's :meth:`~repro.indexes.graph_cache.GraphIndexCache.pool_lists`
-    for ``u``'s pool. No write repairs them; one that could change a list
-    drops it, and the plan. So fetch the plan per query (``DSQL.query``
+    for ``u``'s pool, handed over with the version they were read at; a
+    miss is kept only if no write began since (``keep_list``), as the view's
+    pools are its plan's at that version. No write repairs a list; one that
+    changes a list pops it. So fetch the plan per query (``DSQL.query``
     does) rather than keeping a plan or a view across writes.
     """
 
@@ -73,10 +75,8 @@ class CandidateIndex:
         self._label_neighbors = self.cache.label_neighbors
         self._lids = [self.cache.label_to_id.get(label, -1) for label, _, _ in self.plan.profiles]
         self._pool_set = self.plan.pool_set
-        self._localized: List[Dict[int, Tuple[int, ...]]] = [
-            self.cache.pool_lists(*profile, pool)
-            for profile, pool in zip(self.plan.profiles, self.plan.pools)
-        ]
+        self._keep_list = self.cache.keep_list
+        self._seq, self._localized = self.cache.pool_lists(self.plan.profiles, self.plan.pools)
 
     def candidates(self, u: int) -> Tuple[int, ...]:
         """``candS(u)`` in deterministic (label-index) order."""
@@ -119,7 +119,8 @@ class CandidateIndex:
         hit = memo.get(fv)
         if hit is None:
             run = self._label_neighbors(fv, self._lids[u])
-            hit = memo[fv] = tuple(filter(self._pool_set(u, self.cache).__contains__, run))
+            hit = tuple(filter(self._pool_set(u, self.cache).__contains__, run))
+            self._keep_list(self._seq, memo, fv, hit)
         return hit
 
     def any_empty(self) -> bool:

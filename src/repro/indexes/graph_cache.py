@@ -115,7 +115,7 @@ class GraphIndexCache:
         ("_pool_memo", OrderedDict, "LRU; repaired in place by apply_delta"),
         ("_pool_keys", dict, "label id -> {key: degree mass}: moved and dropped with the entry"),
         ("_pool_views", dict, "key -> frozenset, kept while the asked pool is the entry"),
-        ("_pool_lists", dict, "key -> {fv: N(fv) ∩ pool} from its 2nd ask; dropped by label"),
+        ("_pool_lists", dict, "key -> {fv: N(fv) ∩ pool}; apply_delta pops the lists it changed"),
         ("_adj_masks", OrderedDict, "LRU; stored by memoize, popped for dirty vertices"),
         ("_grouped_rows", dict, "stored by memoize, popped for dirty vertices"),
         ("plan_cache", _plan_cache, "evict_stale by label; stored by memoize"),
@@ -432,21 +432,30 @@ class GraphIndexCache:
                 view = self._pool_views[key] = frozenset(pool)
         return view
 
-    def pool_lists(self, label: Label, min_degree: int, signature_mask, pool) -> Dict:
-        """The ``fv → N(fv) ∩ pool`` dict Section 5.1's localized lists fill,
-        kept beside the memo entry while ``pool`` *is* its tuple (the rule of
-        :meth:`pool_view`). The first ask since the entry's label was dirtied
-        gets a private dict and leaves an empty one that later asks share, so
-        a pool asked once between writes keeps nothing; any other ``pool``
-        gets a private dict. A write drops a dirty label's dicts (apply_delta)."""
-        key = (self.label_to_id.get(label), min_degree, signature_mask)
+    def pool_lists(self, profiles, pools) -> Tuple[int, List[Dict]]:
+        """Per query node, the ``fv → N(fv) ∩ pool`` dict Section 5.1's
+        localized lists fill, and the version it was handed out at, read in
+        the same hold. While ``pool`` *is* the memo entry's tuple (the rule of
+        :meth:`pool_view`) that is the entry's own dict, shared from its first
+        ask; any other ``pool`` gets a private one. A write deletes exactly
+        the lists it changed (:meth:`_repair_pools`); a miss stores through
+        :meth:`keep_list`."""
+        lists = []
         with self._lock:
-            if self._pool_memo.get(key) is pool:
-                lists = self._pool_lists.get(key)
-                if lists is not None:
-                    return lists
-                self._pool_lists[key] = {}
-        return {}
+            for (label, min_degree, mask), pool in zip(profiles, pools):
+                key = (self.label_to_id.get(label), min_degree, mask)
+                kept = self._pool_memo.get(key) is pool
+                lists.append(self._pool_lists.setdefault(key, {}) if kept else {})
+            return self.delta_seq, lists
+
+    def keep_list(self, seq: int, lists: Dict, fv: int, members: Tuple[int, ...]) -> None:
+        """``lists[fv] = members`` unless a write began since :meth:`pool_lists`
+        read ``seq``: a view's pools are read with its dicts, so a list built
+        across a write goes to its caller and nowhere else (:meth:`memoize`'s
+        rule, with the version read per view rather than per list)."""
+        with self._lock:
+            if self.delta_seq == seq:
+                lists[fv] = members
 
     def _scan(self, lid: int, min_degree: int, signature_mask: int) -> Tuple[int, ...]:
         base = self.label_index[self.label_table[lid]]
@@ -544,14 +553,16 @@ class GraphIndexCache:
         vertex op dirties only the new vertex. Candidate-pool memo entries
         are repaired in place (:meth:`_repair_pools`): entries of clean
         labels keep their tuple objects, entries of a dirty label change
-        only where a dirty vertex joined or left them. Compiled plans are
-        evicted only when their label ids intersect the dirty set; every
-        other plan survives at the same epoch.
+        only where a dirty vertex joined or left them, and of their
+        localized lists only the ones the batch changed are popped.
+        Compiled plans are evicted only when their label ids intersect the
+        dirty set; every other plan survives at the same epoch.
         """
         # Materialized once: the op stream is also replayed into the twin
         # partition's split repair below, and callers may pass a generator.
         ops = [tuple(op) for op in ops]
-        dirty_vertices: set = set()
+        # Dirty vertex -> the other endpoints of its edge ops in the batch.
+        dirty: Dict[int, List[int]] = {}
         new_labels: set = set()
         first_new = len(self.label_ids)
         for op in ops:
@@ -573,10 +584,10 @@ class GraphIndexCache:
                 else:
                     # v is the largest id, so appending keeps the bucket sorted.
                     self.label_index[label] = bucket + (v,)
-                dirty_vertices.add(v)
+                dirty.setdefault(v, [])
             elif kind in ("add_edge", "remove_edge"):
-                dirty_vertices.add(op[1])
-                dirty_vertices.add(op[2])
+                dirty.setdefault(op[1], []).append(op[2])
+                dirty.setdefault(op[2], []).append(op[1])
             else:
                 raise ValueError(f"unknown mutation op {kind!r}")
 
@@ -587,8 +598,7 @@ class GraphIndexCache:
         neighbors = self.graph.neighbors
         degrees = self.degrees
         signature_masks = self.signature_masks
-        dirty_per_label = Counter(map(label_ids.__getitem__, dirty_vertices))
-        dirty_lids = set(dirty_per_label)
+        dirty_per_label = Counter(map(label_ids.__getitem__, dirty))
         # One hold of the lock from the delta_seq bump to the last pop: a
         # scan reads every degree and mask from before the batch (and its
         # entry is repaired) or from after it, and a memoized value is stored
@@ -597,17 +607,14 @@ class GraphIndexCache:
         # or profile kept beside evict_stale below was built after the bump.
         with self._lock:
             self.delta_seq += len(ops)
-            # Only a dirty vertex of a pool's label changes one of its
-            # localized lists; this drop also covers a bulk-dropped entry.
-            for key in [key for key in self._pool_lists if key[0] in dirty_lids]:
-                del self._pool_lists[key]
             repairable = self._repairable_labels(dirty_per_label)
-            # label id -> [(v, degree before, mask before)] for the vertices
-            # whose pool membership may have changed. A vertex added by this
-            # batch was in no pool, which a degree of -1 says to every
-            # ``degree >= min_degree`` test.
-            moved: Dict[int, List[Tuple[int, int, int]]] = {}
-            for v in dirty_vertices:
+            # label id -> [(v, degree before, mask before, row, partners)]: a
+            # dirty vertex of a repairable label is re-tested even if its
+            # degree and mask held, for the lists its changed edges touched.
+            # A vertex added by this batch was in no pool, which a degree of
+            # -1 says to every ``degree >= min_degree`` test.
+            tested: Dict[int, List[Tuple]] = {}
+            for v, partners in dirty.items():
                 row = neighbors(v)
                 m = 0
                 for w in row:
@@ -615,17 +622,20 @@ class GraphIndexCache:
                 lid = label_ids[v]
                 if lid in repairable:
                     before = (degrees[v], signature_masks[v]) if v < first_new else (-1, 0)
-                    if before != (len(row), m):
-                        moved.setdefault(lid, []).append((v, *before))
+                    tested.setdefault(lid, []).append((v, *before, row, partners))
                 degrees[v] = len(row)
                 signature_masks[v] = m
-            if moved:
-                self._repair_pools(moved)
-            for v in dirty_vertices:
+            if tested:
+                for key, fathers in self._repair_pools(tested).items():
+                    lists = self._pool_lists.get(key)
+                    if lists:
+                        for fv in fathers:
+                            lists.pop(fv, None)
+            for v in dirty:
                 self._adj_masks.pop(v, None)
                 self._grouped_rows.pop(v, None)
         self.plan_cache.evict_stale(
-            dirty_lids, new_labels, edges_changed=any(op[0] != "add_vertex" for op in ops)
+            dirty_per_label, new_labels, edges_changed=any(op[0] != "add_vertex" for op in ops)
         )
         if self._compressed is not None:
             # Split repair: the dirtied endpoints leave their twin classes
@@ -662,6 +672,7 @@ class GraphIndexCache:
             for key in keys:
                 del memo[key]
                 self._pool_views.pop(key, None)
+                self._pool_lists.pop(key, None)
             dropped += len(keys)
             del self._pool_keys[lid]
         if dropped:
@@ -670,45 +681,51 @@ class GraphIndexCache:
                 self._metrics.counter("cache.pool.dropped").inc(dropped)
         return repairable
 
-    def _repair_pools(self, moved: Dict[int, List[Tuple[int, int, int]]]) -> None:
-        """Re-test the moved vertices against the memo entries of their labels.
+    def _repair_pools(self, tested: Dict[int, List[Tuple]]) -> Dict[Tuple, List[int]]:
+        """Re-test the dirty vertices against the memo entries of their labels;
+        returns, per entry, the fathers ``fv`` whose localized list of it the
+        batch changed.
 
-        ``moved[lid]`` lists ``(v, degree before, mask before)``; degrees and
-        signature masks already hold the repaired values. A memo entry is by
-        invariant exactly the vertices of its label that pass its two tests,
-        so membership before the batch is decided from the old pair and
+        ``tested[lid]`` lists ``(v, degree before, mask before, row,
+        partners)``: ``row`` is ``v``'s neighbors now and ``partners`` the
+        other endpoints of its edge ops in the batch; degrees and signature
+        masks already hold the repaired values. A memo entry is by invariant
+        exactly the vertices of its label that pass its two tests, so
+        membership before the batch is decided from the old pair and
         membership after from the new one, and an entry's tuple is rebuilt
         — copied out, each flipped vertex bisected in or out, copied back,
         still ascending — only when some vertex flipped. That is at most one
-        test per moved vertex and one O(pool) rebuild per entry. A kept
+        test per dirty vertex and one O(pool) rebuild per entry. A kept
         degree mass moves in the same pass; a rebuilt entry's view is dropped.
-        Called under ``_lock``.
+        A list ``N(fv) ∩ pool`` changes only (a) by an edge ``(fv, v)`` whose
+        ``v`` is a member before or after, or (b) when a ``v`` next to ``fv``
+        before or after flips: the partners of a member, and the row and the
+        partners of a flipped vertex. Called under ``_lock``.
         """
         degrees = self.degrees
         masks = self.signature_masks
         repaired = rebuilt = 0
         memo = self._pool_memo
-        for lid, vertices in moved.items():
+        stale: Dict[Tuple[int, int, int], List[int]] = {}
+        for lid, vertices in tested.items():
             keys = self._pool_keys[lid]
             repaired += len(keys)
             flips: Dict[Tuple[int, int, int], List[Tuple[int, bool]]] = {}
-            for v, old_degree, old_mask in vertices:
+            for v, old_degree, old_mask, row, partners in vertices:
                 degree, mask = degrees[v], masks[v]
                 for key, mass in keys.items():
                     _, min_degree, sig = key
-                    if degree >= min_degree and mask & sig == sig:
-                        if old_degree >= min_degree and old_mask & sig == sig:
-                            # Still a member: no flip, but its degree moved.
-                            if mass is not None:
-                                keys[key] = mass + degree - old_degree
-                        else:
-                            flips.setdefault(key, []).append((v, True))
-                            if mass is not None:
-                                keys[key] = mass + degree
-                    elif old_degree >= min_degree and old_mask & sig == sig:
-                        flips.setdefault(key, []).append((v, False))
-                        if mass is not None:
-                            keys[key] = mass - old_degree
+                    was = old_degree >= min_degree and old_mask & sig == sig
+                    now = degree >= min_degree and mask & sig == sig
+                    if not (was or now):
+                        continue
+                    fathers = stale.setdefault(key, [])
+                    fathers += partners
+                    if was != now:
+                        flips.setdefault(key, []).append((v, now))
+                        fathers += row
+                    if mass is not None:
+                        keys[key] = mass + (degree if now else 0) - (old_degree if was else 0)
             rebuilt += len(flips)
             for key, changes in flips.items():
                 self._pool_views.pop(key, None)
@@ -732,6 +749,7 @@ class GraphIndexCache:
             metrics.counter("cache.pool.repaired").inc(repaired)
             if rebuilt:
                 metrics.counter("cache.pool.rebuilt").inc(rebuilt)
+        return stale
 
     # ------------------------------------------------------------------
     def memo_info(self) -> Dict[str, int]:

@@ -4,8 +4,8 @@ A localized frame reads ``N(father's match) ∩ candS(u)`` from the view's
 memo — per *distinct* ``(candS(u), father's match)`` one C-level filter of
 the father's neighbors carrying ``u``'s label (the index cache's
 label-grouped row, built once per vertex and graph version), a memo hit
-afterwards; from a pool's second ask on the memo lives beside its entry in
-the index cache, so later plans over the pool share it — and everything
+afterwards; the memo lives beside the pool's entry in the index cache from
+its first ask, so later plans over the pool share it — and everything
 query-static from the plan's per-Qovp frame table, compiled once per (plan,
 Qovp) and shared by every session. These tests hold that as
 counted work on a registry graph; each fails at the commit before the
@@ -245,13 +245,12 @@ def test_frame_table_entry_is_one_small_tuple_of_interned_pointers(workload):
 
 def test_localized_memo_dies_with_its_query():
     """The localized lists live beside the pool, not on the plan: a pool's
-    first ask keeps nothing and its second fills the pool's dict; a plan
-    compiled after its predecessor's eviction reads the lists that one
-    built; a write drops the lists of every pool of a label it dirtied (a
-    view holding them keeps its own copy, never repaired), so the next query
-    sees the new edge; a pickled plan's pools are not the memo's, so its
-    view fills lists of its own; and an entry leaving the memo takes its
-    lists along."""
+    first ask fills the pool's dict; a plan compiled after its predecessor's
+    eviction reads the lists that one built; a write that dirties the pool's
+    label but changes none of its lists keeps them all, and one that changes
+    a list drops that list and no other, so the next query sees the new
+    edge; a pickled plan's pools are not the memo's, so its view fills lists
+    of its own; and an entry leaving the memo takes its lists along."""
     #  hub v0(a) - five b's (v1..v5); only v1 reaches a c (v6). Adding v2 - v7
     #  makes v2 a candidate and opens a second embedding through the hub's row.
     labels = ["a"] + ["b"] * 5 + ["c"] * 2
@@ -264,25 +263,23 @@ def test_localized_memo_dies_with_its_query():
     plan = cache.plan_cache.get_or_compile(query, cache)
     b_key = (cache.label_id("b"), *plan.profiles[1][1:])
     owned = cache._pool_lists[b_key]
-    assert owned == {}  # the pool's first ask filled a private dict
-    assert session.query(query).embeddings == ((0, 1, 6),)
-    assert cache._pool_lists[b_key] is owned and owned[0] == (1,)  # N(v0) ∩ candS(b)
+    assert owned == {0: (1,), 6: (1,)}  # N(v0) and N(v6) ∩ candS(b), from the first ask
     cache.plan_cache.clear()
     assert session.query(query).embeddings == ((0, 1, 6),)
     replan = cache.plan_cache.get_or_compile(query, cache)
     assert replan is not plan and cache._pool_lists[b_key] is owned  # outlived its plan
-    graph.add_edge(2, 7)
-    assert cache.plan_cache.info()["size"] == 0  # the write dirtied b and c ...
-    assert {key[0] for key in cache._pool_lists} <= {cache.label_id("a")}  # ... and their lists
-    assert owned[0] == (1,)  # dropped, never repaired
+    graph.add_edge(3, 4)  # dirties b; v3 and v4 stay out of candS(b)
+    assert cache.plan_cache.info()["size"] == 0  # the plan goes ...
+    assert cache._pool_lists[b_key] is owned and owned == {0: (1,), 6: (1,)}  # ... its lists stay
+    graph.add_edge(2, 7)  # v2 joins candS(b): its neighbors' lists change
+    assert cache._pool_lists[b_key] is owned and owned == {6: (1,)}  # dropped, never repaired
     after = session.query(query)
     assert sorted(after.embeddings) == [(0, 1, 6), (0, 2, 7)]
-    fresh = DSQL(LabeledGraph(labels, edges + [(2, 7)]), DSQLConfig(k=5)).query(query)
+    fresh = DSQL(LabeledGraph(labels, edges + [(3, 4), (2, 7)]), DSQLConfig(k=5)).query(query)
     assert after.to_dict() == fresh.to_dict()
     assert after.stats == fresh.stats
-    assert cache._pool_lists[b_key] == {}  # the first ask since the write
+    assert owned[0] == (1, 2)  # a plan over the rebuilt entry refilled it
     assert session.query(query).to_dict() == after.to_dict()
-    assert cache._pool_lists[b_key][0] == (1, 2)
     clone = pickle.loads(pickle.dumps(cache.plan_cache.get_or_compile(query, cache)))
     view = CandidateIndex(graph, query, cache=cache, plan=clone)
     assert view.localized(1, 0) == (1, 2) and view._localized[1] is not cache._pool_lists[b_key]
@@ -293,7 +290,7 @@ def test_localized_memo_dies_with_its_query():
 
 
 def test_a_warm_plan_keeps_its_localized_lists(workload):
-    """(h) a plan compiled cold over pools earlier plans have asked twice —
+    """(h) a plan compiled cold over pools earlier plans have asked —
     the stream path, where every plan is evicted before its query recurs —
     builds no localized list: ``localized`` and ``label_neighbors`` are never
     entered, and the answers and counters are the first pass's."""
@@ -304,7 +301,7 @@ def test_a_warm_plan_keeps_its_localized_lists(workload):
     plans = [cache.plan_cache.get_or_compile(query, cache) for query in queries]
     assert len({plan.key for plan in plans}) == len(queries)
     cache.plan_cache.clear()
-    second = [session.query(query) for query in queries]  # each pool's second ask fills it
+    second = [session.query(query) for query in queries]
     cache.plan_cache.clear()
     third, calls = profiled_calls(lambda: [session.query(query) for query in queries])
     assert calls["plans.py", "compile_plan"] == len(queries)

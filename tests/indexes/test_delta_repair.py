@@ -66,8 +66,7 @@ def warm_pool_spread(cache: GraphIndexCache, labels=None) -> None:
                 pool = cache.candidate_pool(label, min_degree, mask)
                 cache.pool_degree_mass(label, min_degree, mask, pool)
                 members = cache.pool_view(label, min_degree, mask, pool)
-                cache.pool_lists(label, min_degree, mask, pool)  # the first ask keeps nothing
-                lists = cache.pool_lists(label, min_degree, mask, pool)
+                _, (lists,) = cache.pool_lists([(label, min_degree, mask)], [pool])
                 for fv in range(len(cache.degrees)):
                     run = cache.label_neighbors(fv, cache.label_id(label))
                     lists[fv] = tuple(filter(members.__contains__, run))
@@ -639,8 +638,8 @@ class TestPoolViews:
     """The set views kept beside the pool memo's entries: one per asked
     entry, dropped when its tuple is rebuilt or leaves the memo, never
     pickled, never kept for a tuple the memo no longer holds. The localized
-    lists kept beside them follow the same rule and are also dropped for
-    every entry of a dirty label."""
+    lists kept beside them follow the same rule, and a write pops exactly
+    the lists it changed."""
 
     QUERIES = [
         QueryGraph(["a", "b", "c"], [(0, 1), (1, 2)]),
@@ -699,21 +698,58 @@ class TestPoolViews:
 
     def test_lists_for_a_replaced_tuple_are_private(self):
         """The same for localized lists: a plan compiled before the write asks
-        after it and gets a private dict each time, and the cache keeps no
-        dict for the entry until a plan over its new tuple asks twice."""
+        after it and gets a private dict each time, while a plan over the
+        entry's new tuple shares the entry's dict from its first ask."""
         g = TestPoolRepair.star_graph()
         cache = g.index_cache()
         query = QueryGraph(["a", "b"], [(0, 1)])
         before = compile_plan(query, cache)
         key = (cache.label_id("a"), 1, cache.mask_for(["b"]))
+        _, (kept, _) = cache.pool_lists(before.profiles, before.pools)
+        assert cache._pool_lists[key] is kept  # the first ask keeps the dict
         g.add_edge(2, 30)  # vertex 2 joins the entry node 0 resolved to
+        assert cache._pool_memo[key] == (0, 1, 2) and cache._pool_lists[key] is kept
         for _ in range(2):
-            lists = cache.pool_lists(*before.profiles[0], before.pools[0])
-            assert lists == {} and key not in cache._pool_lists
+            _, (lists, _) = cache.pool_lists(before.profiles, before.pools)
+            assert lists == {} and lists is not kept
         after = compile_plan(query, cache)
-        first = cache.pool_lists(*after.profiles[0], after.pools[0])
-        assert first is not cache._pool_lists[key]  # the first ask keeps nothing
-        assert cache.pool_lists(*after.profiles[0], after.pools[0]) is cache._pool_lists[key]
+        assert cache.pool_lists(after.profiles, after.pools)[1][0] is kept
+
+    def test_a_view_parked_across_a_write_keeps_no_list(self, monkeypatch):
+        """A view is handed its dicts, then parked while a write flips a member
+        of its pool, then misses: its list is filtered by the pre-write pool,
+        so it is returned but not kept, although the entry's dict the view
+        holds survives the write. The version is the view's, read with its
+        dicts; read per miss, it would be the write's and the list kept."""
+        g = TestPoolRepair.star_graph()
+        cache = g.index_cache()
+        query = QueryGraph(["a", "b"], [(0, 1)])
+        plan = compile_plan(query, cache)
+        key = (cache.label_id("a"), 1, cache.mask_for(["b"]))
+        entered, release, views = threading.Event(), threading.Event(), []
+        pool_lists = GraphIndexCache.pool_lists
+
+        def parked(self, *args):
+            handed = pool_lists(self, *args)  # the pre-write version and dicts
+            entered.set()
+            assert release.wait(30)
+            return handed
+
+        monkeypatch.setattr(GraphIndexCache, "pool_lists", parked)
+        reader = threading.Thread(
+            target=lambda: views.append(CandidateIndex(g, query, cache=cache, plan=plan))
+        )
+        reader.start()
+        assert entered.wait(30)
+        g.add_edge(2, 30)  # vertex 2 joins the entry node 0 resolved to
+        release.set()
+        reader.join(30)
+        monkeypatch.undo()
+        (view,) = views
+        assert view.localized(0, 30) == ()  # N(30) ∩ the pre-write pool (0, 1)
+        assert cache._pool_lists[key] is view._localized[0] and 30 not in cache._pool_lists[key]
+        assert CandidateIndex(g, query, cache=cache).localized(0, 30) == (2,)
+        assert_cache_equivalent(cache, GraphIndexCache(g))
 
     def test_a_rebuild_drops_the_view_and_the_next_ask_builds_a_new_one(self):
         g = TestPoolRepair.star_graph()

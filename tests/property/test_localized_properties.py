@@ -13,12 +13,14 @@ rows in place and drop the touched vertices' groupings; and after
 touched vertex's grouping is also held to its row: for each label id,
 ``cache.label_neighbors(v, lid)`` is the row's members carrying it.
 
-From a pool's second ask on the lists live beside the pool memo's entry,
-shared by every plan over the pool, and nothing repairs them: a write drops every list of a label it
-dirtied, and evicts the plans over it. A second property warms plans
-through the ``PlanCache`` and holds every list the index cache keeps to the
-row filter after each write of a script, and no cached plan to a label the
-write dirtied.
+The lists live beside the pool memo's entry, shared by every plan over the
+pool from its first ask, and nothing repairs them: a write drops exactly the
+lists it changed, and evicts the plans over its dirty labels. A second
+property warms plans through the ``PlanCache`` and holds every list the
+index cache keeps to the row filter after each write of a script, and no
+cached plan to a label the write dirtied. Its script also rewires a vertex
+in one batch — one edge removed, one to a vertex of the same label added —
+so its degree and mask hold while two lists next to it change.
 
 ``QueryPlan.frames(query, qovp)`` replaced a ``reSort`` per Qovp per level
 per query and the per-frame reads of its statistics; the third property
@@ -82,12 +84,36 @@ def test_localized_equals_row_filter_in_every_storage_state(instance, script):
     assert_localized_is_the_row_filter(graph, query)  # a checkpoint changes nothing
 
 
+rewires = st.tuples(st.just("rewire"), st.integers(0, 16), st.integers(0, 16), st.integers(0, 16))
+
+
+def apply_write(graph, op):
+    """Apply one script step as one batch, its vertex ids taken modulo the
+    graph's size; returns the vertices it touched."""
+    if op[0] == "add_vertex":
+        return [graph.add_vertex(op[1])]
+    n = graph.num_vertices
+    if op[0] == "rewire":  # v trades neighbor a for a b of a's label
+        v, a, i = op[1] % n, op[2] % n, op[3]
+        if not graph.has_edge(v, a):
+            return []
+        peers = [
+            b for b in range(n)
+            if graph.label(b) == graph.label(a) and b != v and not graph.has_edge(v, b)
+        ]
+        if not peers:
+            return []
+        b = peers[i % len(peers)]
+        graph.mutate([("remove_edge", v, a), ("add_edge", v, b)], compaction_threshold=None)
+        return [v, a, b]
+    u, v = op[1] % n, op[2] % n
+    return [u, v] if u != v and getattr(graph, op[0])(u, v) else []
+
+
 def warm_plans(graph, queries):
-    """View each query's plan twice (a pool's first ask keeps nothing) and
-    ask every list a frame could (any query neighbor may be the father), so
-    every pool asked keeps a filled memo."""
+    """View each query's plan and ask every list a frame could (any query
+    neighbor may be the father), so every pool asked keeps a filled memo."""
     for query in queries:
-        CandidateIndex(graph, query)
         view = CandidateIndex(graph, query)
         plan = view.plan
         for u in range(query.size):
@@ -108,7 +134,7 @@ def assert_cached_lists_are_the_row_filters(graph, dirty_lids):
 
 
 @settings(max_examples=80, deadline=None)
-@given(sq_instances(), st.lists(script_steps, max_size=12))
+@given(sq_instances(), st.lists(st.one_of(script_steps, rewires), max_size=12))
 def test_a_surviving_plans_lists_are_never_stale(instance, script):
     graph, query = instance
     # The query and its one-edge pieces: plans over fewer labels survive more writes.
@@ -117,12 +143,7 @@ def test_a_surviving_plans_lists_are_never_stale(instance, script):
     ]
     warm_plans(graph, queries)
     for op in script:
-        if op[0] == "add_vertex":
-            touched = [graph.add_vertex(op[1])]
-        elif op[1] != op[2] and max(op[1:]) < graph.num_vertices:
-            touched = list(op[1:]) if getattr(graph, op[0])(op[1], op[2]) else []
-        else:
-            continue
+        touched = apply_write(graph, op)
         dirty = frozenset(graph.label_to_id[graph.label(v)] for v in touched)
         assert_cached_lists_are_the_row_filters(graph, dirty)
         warm_plans(graph, queries)

@@ -411,6 +411,13 @@ STAYS_DELETED = {
         "            entry = self._frames[key] = tuple(rows)\n        return entry\n",
         "\n    def localized_memo(self):\n        return self._localized\n", ("localized_memo(",),
     ),
+    "label_wide_list_drop": (
+        ("key[0] in dirty", "del self._pool_lists["),
+        "indexes/graph_cache.py", "            self.delta_seq += len(ops)\n",
+        "            for key in [key for key in self._pool_lists if key[0] in dirty_lids]:\n"
+        "                del self._pool_lists[key]\n",
+        ("key[0] in dirty", "del self._pool_lists["),
+    ),
     "profiling_hooks": (
         (
             "ProfilingHooks", "observability.hooks", "on_level_start", "on_embedding_emitted",
@@ -692,8 +699,9 @@ def test_resort_walks_in_one_place():
 # ``u``'s label (``GraphIndexCache.label_neighbors``, a label-grouped row
 # read by bisect and slice) filtered by the pool set in C, memoized beside
 # the pool's memo entry (``GraphIndexCache.pool_lists``; the plan's memo of
-# them stays deleted); no engine, baseline or index walks a neighbor row in
-# the interpreter asking membership per element.
+# them and a write's drop of a dirty label's lists stay deleted); no engine,
+# baseline or index walks a neighbor row in the interpreter asking
+# membership per element.
 # ----------------------------------------------------------------------
 def row_walk_sites(sources):
     """``path:line`` over ``{path: source}`` of every loop or comprehension
@@ -747,10 +755,13 @@ def test_localization_stays_in_one_place():
     assert site.startswith("indexes/graph_cache.py:")
     # The sorted-list restriction nothing called stays deleted, and neither
     # memo (localized lists, frame table) grew a switch or a size. The lists
-    # live beside the pool, so the plan's memo of them stays deleted.
+    # live beside the pool, so the plan's memo of them stays deleted, and a
+    # write pops the lists it changed, so the drop of a dirty label's lists
+    # stays deleted too.
     offenders = fork_offenders(("def restricted", ".restricted("))
     assert not offenders, offenders
     assert_stays_deleted("plan_localized_memo")
+    assert_stays_deleted("label_wide_list_drop")
     assert len(dataclasses.fields(DSQLConfig)) == 20
 
 
@@ -945,7 +956,10 @@ DERIVED_CHECKS = {
     "_pool_memo": ("tests/indexes/test_delta_repair.py", "assert pool == fresh._scan(*key), key"),
     "_pool_keys": ("tests/indexes/test_delta_repair.py", "masses = kept_masses(repaired)"),
     "_pool_views": ("tests/indexes/test_delta_repair.py", "repaired._pool_views.items()"),
-    "_pool_lists": ("tests/indexes/test_delta_repair.py", "repaired._pool_lists.items()"),
+    "_pool_lists": (
+        "tests/property/test_localized_properties.py",
+        "assert hit == tuple(w for w in graph.neighbors(fv) if w in pool), (key, fv)",
+    ),
     "_adj_masks": ("tests/indexes/test_delta_repair.py", "repaired._adj_masks.items()"),
     "_grouped_rows": ("tests/indexes/test_delta_repair.py", "repaired._grouped_rows.items()"),
     "plan_cache": ("tests/indexes/test_delta_repair.py", "repaired.plan_cache._memo.items()"),
