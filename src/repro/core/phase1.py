@@ -57,13 +57,13 @@ class Phase1Output:
     qlist: List[int]
 
 
-def tcand_snapshot(plan, covered: AbstractSet[int], q: int, cache) -> Dict[int, FrozenSet[int]]:
+def tcand_snapshot(plan, covered: AbstractSet[int], q: int) -> Dict[int, FrozenSet[int]]:
     """``TcandS[u] = candS(u) ∩ V(T)`` for every query node (Alg. 3 line 9).
 
-    Intersects against the pools' set views kept beside ``cache``'s memo
-    entries, building no set, at ``O(min(|pool|, |cover|))`` per node.
+    Intersects against the set views kept on the plan's pool entries,
+    building no set, at ``O(min(|pool|, |cover|))`` per node.
     """
-    return {u: plan.pool_set(u, cache) & covered for u in range(q)}
+    return {u: plan.pool_set(u) & covered for u in range(q)}
 
 
 def run_phase1(
@@ -140,7 +140,7 @@ def run_phase1(
             try:
                 while True:
                     before = len(state)
-                    tcand = tcand_snapshot(plan, state.covered, q, candidates.cache)
+                    tcand = tcand_snapshot(plan, state.covered, q)
                     keep = engine.run_level(level, tcand, on_embedding)
                     if not keep:
                         return Phase1Output(

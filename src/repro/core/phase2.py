@@ -112,7 +112,7 @@ def run_phase2(
         query_id=query_id,
     )
     # TcandS comes from T1 for the entire phase (Algorithm 5 line 5).
-    tcand = tcand_snapshot(plan or candidates.plan, t1_cover, q, candidates.cache)
+    tcand = tcand_snapshot(plan or candidates.plan, t1_cover, q)
 
     out = Phase2Output(
         embeddings=list(phase1.state.embeddings), coverage=tracker.coverage

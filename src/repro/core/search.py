@@ -81,8 +81,8 @@ class LevelSearchEngine(ConflictDirectedSearch):
 
     A frame pays for its candidates, not for itself. Its prologue is in
     the frame: ``Rcand`` is one probe of the view's memo of
-    ``N(father's match) ∩ candS(u)`` — kept beside the pool
-    (:meth:`~repro.indexes.graph_cache.GraphIndexCache.pool_lists`;
+    ``N(father's match) ∩ candS(u)`` — kept on the pool's entry
+    (:class:`~repro.indexes.graph_cache.PoolEntry`;
     :meth:`~repro.indexes.candidates.CandidateIndex.localized` on a miss;
     the plan's pool without localization), and the join constraint is
     decided from what the frame knows when it is entered — the matched query neighbors localization

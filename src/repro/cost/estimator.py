@@ -23,8 +23,8 @@ actually charges ``SearchStats.nodes_expanded``:
 Everything the model reads — pool sizes, search order, backward tuples,
 each pool's degree mass — is already on the compiled
 :class:`~repro.indexes.plans.QueryPlan` and its
-:class:`~repro.indexes.graph_cache.GraphIndexCache` (which keeps the mass
-beside the pool, so none is walked here); the ``k``-independent part is
+pool entries (:class:`~repro.indexes.graph_cache.PoolEntry`, which keep the
+mass, so no pool is walked here); the ``k``-independent part is
 memoized on the plan (free after compile, re-priced when ``2|E|`` moves).
 One estimated charge is one **work unit**, the currency the service's
 work-unit admission controller and the per-client token buckets price
@@ -156,8 +156,8 @@ def raw_cost_profile(plan, cache, frontier_cap: float = DEFAULT_FRONTIER_CAP) ->
     queries (estimate 0 ⇒ admit free).
 
     A pool's mean degree is its degree mass over its size, and the mass is
-    the cache's (:meth:`GraphIndexCache.pool_degree_mass`, asked by filter
-    profile): pricing a plan reads one integer per pool and iterates none.
+    kept on the pool's entry (:meth:`GraphIndexCache.degree_mass`): pricing
+    a plan reads one integer per pool and iterates none.
     """
     order = plan.order
     pools = plan.pools
@@ -175,10 +175,8 @@ def raw_cost_profile(plan, cache, frontier_cap: float = DEFAULT_FRONTIER_CAP) ->
         )
 
     two_m = max(1.0, 2.0 * float(cache.graph.num_edges))
-    mass_of = cache.pool_degree_mass
-    mean_deg = [
-        mass_of(*profile, pool) / len(pool) for profile, pool in zip(plan.profiles, pools)
-    ]
+    mass_of = cache.degree_mass
+    mean_deg = [mass_of(entry) / len(entry.members) for entry in plan.entries]
 
     frames = 1.0
     charges = 0.0

@@ -9,12 +9,12 @@ and baselines read it through:
 
 * ``candS[u]`` as an ordered tuple (iteration order is deterministic);
 * membership tests against the pools' set views — built lazily, once per
-  memoized pool, and shared by every plan resolving to it;
+  pool entry, and shared by every plan resolving to it;
 * the localized candidates of Section 5.1, ``N(v_father) ∩ candS(u)``
-  (:meth:`CandidateIndex.localized`), memoized per ``(pool, fv)`` beside
-  the pool's memo entry (:meth:`~repro.indexes.graph_cache.GraphIndexCache.
-  pool_lists`), so they outlive the plans that built them and the writes
-  that do not change them; a write pops the lists it changed.
+  (:meth:`CandidateIndex.localized`), memoized per ``(pool, fv)`` on the
+  pool's memo entry (:class:`~repro.indexes.graph_cache.PoolEntry`), so
+  they outlive the plans that built them and the writes that do not change
+  them; a write pops the lists it changed.
 """
 
 from __future__ import annotations
@@ -51,10 +51,11 @@ class CandidateIndex:
 
     The localized lists (``_localized[u][fv]`` — the level engine's frames
     probe the dict in place and call :meth:`localized` on a miss) are the
-    cache's :meth:`~repro.indexes.graph_cache.GraphIndexCache.pool_lists`
-    for ``u``'s pool, handed over with the version they were read at; a
-    miss is kept only if no write began since (``keep_list``), as the view's
-    pools are its plan's at that version. No write repairs a list; one that
+    dicts of the plan's pool entries (private ones for retired entries),
+    handed over by :meth:`~repro.indexes.graph_cache.GraphIndexCache.
+    entry_lists` with the version they were read at; a miss is kept only if
+    no write began since (``keep_list``), as the view's pools are its
+    plan's at that version. No write repairs a list; one that
     changes a list pops it. So fetch the plan per query (``DSQL.query``
     does) rather than keeping a plan or a view across writes.
     """
@@ -70,13 +71,10 @@ class CandidateIndex:
         self.query = query
         self.cache = cache if cache is not None else graph.index_cache()
         self.plan = plan or self.cache.plan_cache.get_or_compile(query, self.cache)
-        # What a localized miss reads, bound once per view; a label the graph
-        # lacks gets id -1, which no vertex carries.
-        self._label_neighbors = self.cache.label_neighbors
-        self._lids = [self.cache.label_to_id.get(label, -1) for label, _, _ in self.plan.profiles]
+        # What a localized miss reads, bound once per view.
         self._pool_set = self.plan.pool_set
         self._keep_list = self.cache.keep_list
-        self._seq, self._localized = self.cache.pool_lists(self.plan.profiles, self.plan.pools)
+        self._seq, self._localized = self.cache.entry_lists(self.plan.entries)
 
     def candidates(self, u: int) -> Tuple[int, ...]:
         """``candS(u)`` in deterministic (label-index) order."""
@@ -85,10 +83,10 @@ class CandidateIndex:
     def candidate_set(self, u: int) -> FrozenSet[int]:
         """``candS(u)`` as a set for O(1) membership tests.
 
-        The pool's set view: built once per memoized pool and shared by
+        The pool's set view: built once per pool entry and shared by
         every plan, session and repeated query resolving to it.
         """
-        return self.plan.pool_set(u, self.cache)
+        return self.plan.pool_set(u)
 
     def size(self, u: int) -> int:
         """``|candS(u)|`` — the numerator of the qList selectivity score."""
@@ -100,26 +98,23 @@ class CandidateIndex:
 
     def is_candidate(self, u: int, v: int) -> bool:
         """Whether ``v`` is in ``candS(u)`` (the static filter view)."""
-        return v in self.plan.pool_set(u, self.cache)
+        return v in self.plan.pool_set(u)
 
     def localized(self, u: int, fv: int) -> Tuple[int, ...]:
         """``N(fv) ∩ candS(u)`` ascending — Section 5.1's localized ``Rcand``.
 
-        ``fv`` is the vertex matched to ``u``'s father. Pool members carry
-        ``u``'s label, so only ``fv``'s neighbors with it (:meth:`~repro.
-        indexes.graph_cache.GraphIndexCache.label_neighbors`) are filtered by
+        ``fv`` is the vertex matched to ``u``'s father. Its row is filtered by
         the pool's set view, in C, once per ``(pool, fv)`` and memoized: while
         an anchor enumerates under a fixed overlap prefix, every anchor
         candidate asks for the same hub rows again, and every plan over the
-        pool asks for the rows earlier plans asked for. The tuple is shared — the
-        Section 5.2 shuffle works on a copy — and, holding only ints, leaves
-        the collector's lists.
+        pool asks for the rows earlier plans asked for. The tuple is shared —
+        the Section 5.2 shuffle works on a copy — and, holding only ints,
+        leaves the collector's lists.
         """
         memo = self._localized[u]
         hit = memo.get(fv)
         if hit is None:
-            run = self._label_neighbors(fv, self._lids[u])
-            hit = tuple(filter(self._pool_set(u, self.cache).__contains__, run))
+            hit = tuple(filter(self._pool_set(u).__contains__, self.graph.neighbors(fv)))
             self._keep_list(self._seq, memo, fv, hit)
         return hit
 

@@ -17,28 +17,27 @@ session answering many queries against the same graph shares:
   ``degrees`` directly);
 * a bounded LRU **candidate-pool memo** keyed by
   ``(label_id, min_degree, signature_mask)`` — distinct query nodes with the
-  same filter profile (and repeated queries) share one pool computation;
-* beside a memoized pool, once asked, its **degree mass**, **set view** and
-  **localized lists** (:meth:`GraphIndexCache.pool_degree_mass`,
-  ``pool_view``, ``pool_lists``): kept with it, so pricing a plan walks no
-  pool, a fresh plan builds no set and refilters no row an earlier plan did;
-* per asked vertex, its row **grouped by label** (:meth:`GraphIndexCache.
-  label_neighbors`), one label's run of which Section 5.1 localizes to.
+  same filter profile (and repeated queries) share one pool computation.
+  Each key maps to one :class:`PoolEntry`: the pool's members and, once
+  asked, its **degree mass**, **set view** and **localized lists**, so
+  pricing a plan walks no pool and a fresh plan builds no set and refilters
+  no row an earlier plan over the entry did.
 
 :class:`~repro.indexes.candidates.CandidateIndex` becomes a cheap per-query
 restriction over these pools instead of a per-query full scan.
 
 Live mutation support is *delta-based* rather than epoch-nuke:
 :meth:`GraphIndexCache.apply_delta` repairs only the state derived from the
-touched edges' 1-hop neighborhoods (the endpoints' degrees, signature masks,
-adjacency bitsets and grouped rows) and evicts only the compiled plans whose pools
+touched edges' 1-hop neighborhoods (the endpoints' degrees, signature masks
+and adjacency bitsets) and evicts only the compiled plans whose pools
 intersect the dirty label set — everything else survives at the same logical
 :attr:`epoch` with a bumped :attr:`delta_seq`. The candidate-pool memo is
 *repaired*, not evicted: a pool is exactly the vertices of its label passing
 its degree and signature tests, so each dirty vertex is re-tested against the
 memo entries of its own label and an entry's tuple is rebuilt only when the
 vertex joined or left it; the same loop moves an entry's degree mass by
-what the vertex's degree did. A write therefore touches O(dirty vertices x
+what the vertex's degree did. An entry leaving the memo is retired
+(:meth:`PoolEntry.retire`). A write therefore touches O(dirty vertices x
 entries of their labels) memo words and leaves no scan for the next read.
 The pair ``(epoch, delta_seq)`` is the cache :attr:`version` that keys
 session memos and names the graph a worker pool serves: the epoch names this
@@ -51,7 +50,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter, OrderedDict
 from functools import partial
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
@@ -84,15 +83,48 @@ def _plan_cache():
     return PlanCache()
 
 
+class PoolEntry:
+    """One candidate pool and what is derived from it.
+
+    ``members`` is the ascending pool tuple, never mutated. ``view`` is
+    ``frozenset(members)`` once asked (:meth:`set_view`), so every plan
+    holding the entry shares one set. ``mass`` (the members' degree sum, once
+    priced: :meth:`GraphIndexCache.degree_mass`) and ``lists`` (``fv →
+    N(fv) ∩ members``, Section 5.1's localized lists) are kept only while the
+    entry is the memo's: ``lists`` is a dict exactly then. An entry leaving
+    the memo — evicted, bulk-dropped, or replaced by a rebuilt tuple, which
+    inherits its mass and lists — is retired (:meth:`retire`) under the
+    cache's lock; it keeps its view, which depends on ``members`` alone. An
+    entry pickles as its members.
+    """
+
+    __slots__ = ("members", "mass", "view", "lists")
+
+    def __init__(self, members: Tuple[int, ...], mass: Optional[int] = None, lists=None):
+        self.members = members
+        self.mass = mass
+        self.view: Optional[FrozenSet[int]] = None
+        self.lists: Optional[Dict[int, Tuple[int, ...]]] = lists
+
+    def set_view(self) -> FrozenSet[int]:
+        """Build and keep the set view (two racing builds store equal sets)."""
+        view = self.view = frozenset(self.members)
+        return view
+
+    def retire(self) -> None:
+        self.mass = self.lists = None
+
+    def __reduce__(self):
+        return PoolEntry, (self.members,)
+
+
 class GraphIndexCache:
     """All per-graph filter state, computed once and shared.
 
-    Derived per-pool state lives with the pool and is repaired with it: a
-    memoized pool's degree mass (:meth:`pool_degree_mass`), set view
-    (:meth:`pool_view`) and localized lists (:meth:`pool_lists`) sit beside
-    its entry under the same lock — nothing outside this class sums a pool,
-    builds a set of a pool it holds or keeps a list filtered by one. Every
-    other value built lazily from the graph is kept through :meth:`memoize`.
+    Derived per-pool state lives on the pool's :class:`PoolEntry` and is
+    repaired with it under the cache's lock — nothing outside this class
+    sums a pool or keeps a list filtered by one. Every other value built
+    lazily from the graph is kept through :meth:`memoize`.
 
     Parameters
     ----------
@@ -112,12 +144,9 @@ class GraphIndexCache:
         ("_lock", threading.Lock, "held by apply_delta from its bump to its last pop"),
         ("_metrics", lambda: None, "session state, attached by an instrumented session"),
         ("_mask_signatures", dict, "mask -> its labels: a function of the key alone"),
-        ("_pool_memo", OrderedDict, "LRU; repaired in place by apply_delta"),
-        ("_pool_keys", dict, "label id -> {key: degree mass}: moved and dropped with the entry"),
-        ("_pool_views", dict, "key -> frozenset, kept while the asked pool is the entry"),
-        ("_pool_lists", dict, "key -> {fv: N(fv) ∩ pool}; apply_delta pops the lists it changed"),
+        ("_pool_memo", OrderedDict, "LRU key -> PoolEntry; repaired in place, retired on exit"),
+        ("_pool_keys", dict, "label id -> its memo keys: added and dropped with the entry"),
         ("_adj_masks", OrderedDict, "LRU; stored by memoize, popped for dirty vertices"),
-        ("_grouped_rows", dict, "stored by memoize, popped for dirty vertices"),
         ("plan_cache", _plan_cache, "evict_stale by label; stored by memoize"),
         ("_cost_estimator", lambda: None, "built once under _lock; calibration, no graph state"),
         ("_compressed", lambda: None, "built once under _lock; split-repaired by apply_delta"),
@@ -355,102 +384,80 @@ class GraphIndexCache:
     def candidate_pool(
         self, label: Label, min_degree: int = 0, signature_mask: int = 0
     ) -> Tuple[int, ...]:
-        """Sorted data vertices passing the per-graph filters.
+        """Sorted data vertices passing the per-graph filters: the members
+        of :meth:`pool_entry`."""
+        return self.pool_entry(label, min_degree, signature_mask).members
+
+    def pool_entry(self, label: Label, min_degree: int = 0, signature_mask: int = 0) -> PoolEntry:
+        """The :class:`PoolEntry` of the data vertices passing the filters.
 
         A vertex qualifies when it carries ``label``, has degree at least
         ``min_degree``, and its neighborhood-signature mask contains
-        ``signature_mask``. Results are memoized per filter profile with LRU
+        ``signature_mask``. Entries are memoized per filter profile with LRU
         eviction, so query nodes sharing a profile — across queries in a
-        session — share the scan.
+        session — share the scan and everything derived from it. With the
+        memo off, or for a label the graph lacks, the entry is never the
+        memo's and keeps no mass or lists.
         """
         lid = self.label_to_id.get(label)
         if lid is None:
-            return ()
+            return PoolEntry(())
         key = (lid, min_degree, signature_mask)
         memo = self._pool_memo
         cap = self._pool_memo_size
         metrics = self._metrics
         with self._lock:
             if cap != 0:
-                pool = memo.get(key)
-                if pool is not None:
+                entry = memo.get(key)
+                if entry is not None:
                     self.candidate_memo_hits += 1
                     if metrics is not None:
                         metrics.counter("cache.pool.hit").inc()
                     memo.move_to_end(key)
-                    return pool
+                    return entry
             self.candidate_memo_misses += 1
             if metrics is not None:
                 metrics.counter("cache.pool.miss").inc()
-            pool = self._scan(lid, min_degree, signature_mask)
-            if cap != 0:
-                memo[key] = pool
-                self._pool_keys.setdefault(lid, {})[key] = None
-                if cap is not None and len(memo) > cap:
-                    oldest, _ = memo.popitem(last=False)
-                    self._pool_keys[oldest[0]].pop(oldest, None)
-                    self._pool_views.pop(oldest, None)
-                    self._pool_lists.pop(oldest, None)
-            return pool
+            members = self._scan(lid, min_degree, signature_mask)
+            if cap == 0:
+                return PoolEntry(members)
+            entry = memo[key] = PoolEntry(members, lists={})
+            self._pool_keys.setdefault(lid, set()).add(key)
+            if cap is not None and len(memo) > cap:
+                oldest, evicted = memo.popitem(last=False)
+                self._pool_keys[oldest[0]].discard(oldest)
+                evicted.retire()
+            return entry
 
-    def pool_degree_mass(
-        self, label: Label, min_degree: int, signature_mask: int, pool: Tuple[int, ...]
-    ) -> int:
-        """``sum(degrees[v] for v in pool)`` for a pool :meth:`candidate_pool`
-        returned under this profile (the cost model's mean pool degree).
+    def degree_mass(self, entry: PoolEntry) -> int:
+        """``sum(degrees[v] for v in entry.members)``, the cost model's mean
+        pool degree times the pool's size.
 
-        While ``pool`` is the memo's own tuple the sum is kept beside it (in
-        the label's row of ``_pool_keys``): computed on first ask, moved by
-        :meth:`_repair_pools` with every write, dropped with its entry. Not
-        a pool-memo lookup (no hit, miss or LRU touch). Any other ``pool``
-        (entry evicted or rebuilt since, memo off) is summed here, once, and
-        nothing is kept.
+        Kept on the entry while it is the memo's: computed on first ask,
+        moved by :meth:`_repair_pools` with every write. A retired or
+        never-memoized entry is summed here, once, and keeps nothing. Not a
+        pool-memo lookup (no hit, miss or LRU touch).
         """
-        lid = self.label_to_id.get(label)
-        key = (lid, min_degree, signature_mask)
         with self._lock:
-            kept = self._pool_memo.get(key) is pool
-            mass = self._pool_keys[lid][key] if kept else None
+            mass = entry.mass
             if mass is None:
-                mass = sum(map(self.degrees.__getitem__, pool))
-                if kept:
-                    self._pool_keys[lid][key] = mass
+                mass = sum(map(self.degrees.__getitem__, entry.members))
+                if entry.lists is not None:
+                    entry.mass = mass
         return mass
 
-    def pool_view(self, label: Label, min_degree: int, signature_mask, pool) -> Optional[FrozenSet]:
-        """``frozenset(pool)``, built on first ask and kept beside the memo
-        entry while ``pool`` *is* the entry's tuple (the rule of
-        :meth:`pool_degree_mass`), so plans sharing a pool share one set;
-        dropped when the tuple is rebuilt or leaves the memo. ``None`` for
-        any other ``pool``: its caller builds its own and nothing is kept."""
-        key = (self.label_to_id.get(label), min_degree, signature_mask)
+    def entry_lists(self, entries) -> Tuple[int, List[Dict]]:
+        """Per entry, the ``fv → N(fv) ∩ members`` dict Section 5.1's
+        localized lists fill — the entry's own while it is the memo's, a
+        private one once retired — and the version they were handed out at,
+        read in the same hold. A write deletes exactly the lists it changed
+        (:meth:`_repair_pools`); a miss stores through :meth:`keep_list`."""
         with self._lock:
-            if self._pool_memo.get(key) is not pool:
-                return None
-            view = self._pool_views.get(key)
-            if view is None:
-                view = self._pool_views[key] = frozenset(pool)
-        return view
-
-    def pool_lists(self, profiles, pools) -> Tuple[int, List[Dict]]:
-        """Per query node, the ``fv → N(fv) ∩ pool`` dict Section 5.1's
-        localized lists fill, and the version it was handed out at, read in
-        the same hold. While ``pool`` *is* the memo entry's tuple (the rule of
-        :meth:`pool_view`) that is the entry's own dict, shared from its first
-        ask; any other ``pool`` gets a private one. A write deletes exactly
-        the lists it changed (:meth:`_repair_pools`); a miss stores through
-        :meth:`keep_list`."""
-        lists = []
-        with self._lock:
-            for (label, min_degree, mask), pool in zip(profiles, pools):
-                key = (self.label_to_id.get(label), min_degree, mask)
-                kept = self._pool_memo.get(key) is pool
-                lists.append(self._pool_lists.setdefault(key, {}) if kept else {})
-            return self.delta_seq, lists
+            return self.delta_seq, [{} if e.lists is None else e.lists for e in entries]
 
     def keep_list(self, seq: int, lists: Dict, fv: int, members: Tuple[int, ...]) -> None:
-        """``lists[fv] = members`` unless a write began since :meth:`pool_lists`
-        read ``seq``: a view's pools are read with its dicts, so a list built
+        """``lists[fv] = members`` unless a write began since :meth:`entry_lists`
+        read ``seq``: a view's entries are read with its dicts, so a list built
         across a write goes to its caller and nowhere else (:meth:`memoize`'s
         rule, with the version read per view rather than per list)."""
         with self._lock:
@@ -504,26 +511,6 @@ class GraphIndexCache:
         if len(memo) > self._adj_memo_size:
             memo.popitem(last=False)
 
-    def label_neighbors(self, v: int, lid: int) -> Tuple[int, ...]:
-        """The ascending neighbors of ``v`` whose label id is ``lid``.
-
-        On first ask ``v``'s row is stable-sorted by label id (each label's
-        run stays ascending) and kept beside its label ids, so a lookup is two
-        bisects and a slice. A write drops its endpoints' groupings.
-        """
-        grouped = self._grouped_rows.get(v)
-        if grouped is None:
-            keep = partial(self._grouped_rows.__setitem__, v)
-            grouped = self.memoize(partial(self._group_row, v), keep)
-        lids, row = grouped
-        lo = bisect_left(lids, lid)
-        return row[lo : bisect_right(lids, lid, lo)]
-
-    def _group_row(self, v: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        label_of = self.label_ids.__getitem__
-        row = tuple(sorted(self.graph.neighbors(v), key=label_of))
-        return tuple(map(label_of, row)), row
-
     # ------------------------------------------------------------------
     # Live mutation: delta-based repair
     # ------------------------------------------------------------------
@@ -549,7 +536,7 @@ class GraphIndexCache:
         dirties only its two endpoints (adding or removing ``(u, v)``
         changes the neighbor multisets of ``u`` and ``v`` and nobody
         else's, so only ``NS(u)``/``NS(v)``, their degrees, their adjacency
-        bitsets and grouped rows, and the candidate pools of their labels can change) and a
+        bitsets and the candidate pools of their labels can change) and a
         vertex op dirties only the new vertex. Candidate-pool memo entries
         are repaired in place (:meth:`_repair_pools`): entries of clean
         labels keep their tuple objects, entries of a dirty label change
@@ -626,14 +613,9 @@ class GraphIndexCache:
                 degrees[v] = len(row)
                 signature_masks[v] = m
             if tested:
-                for key, fathers in self._repair_pools(tested).items():
-                    lists = self._pool_lists.get(key)
-                    if lists:
-                        for fv in fathers:
-                            lists.pop(fv, None)
+                self._repair_pools(tested)
             for v in dirty:
                 self._adj_masks.pop(v, None)
-                self._grouped_rows.pop(v, None)
         self.plan_cache.evict_stale(
             dirty_per_label, new_labels, edges_changed=any(op[0] != "add_vertex" for op in ops)
         )
@@ -670,9 +652,7 @@ class GraphIndexCache:
                 repairable.add(lid)
                 continue
             for key in keys:
-                del memo[key]
-                self._pool_views.pop(key, None)
-                self._pool_lists.pop(key, None)
+                memo.pop(key).retire()
             dropped += len(keys)
             del self._pool_keys[lid]
         if dropped:
@@ -681,10 +661,8 @@ class GraphIndexCache:
                 self._metrics.counter("cache.pool.dropped").inc(dropped)
         return repairable
 
-    def _repair_pools(self, tested: Dict[int, List[Tuple]]) -> Dict[Tuple, List[int]]:
-        """Re-test the dirty vertices against the memo entries of their labels;
-        returns, per entry, the fathers ``fv`` whose localized list of it the
-        batch changed.
+    def _repair_pools(self, tested: Dict[int, List[Tuple]]) -> None:
+        """Re-test the dirty vertices against the memo entries of their labels.
 
         ``tested[lid]`` lists ``(v, degree before, mask before, row,
         partners)``: ``row`` is ``v``'s neighbors now and ``partners`` the
@@ -696,52 +674,57 @@ class GraphIndexCache:
         — copied out, each flipped vertex bisected in or out, copied back,
         still ascending — only when some vertex flipped. That is at most one
         test per dirty vertex and one O(pool) rebuild per entry. A kept
-        degree mass moves in the same pass; a rebuilt entry's view is dropped.
+        degree mass moves in the same pass; a rebuilt tuple gets a new entry,
+        which inherits the old one's mass and lists, and the old one retires.
         A list ``N(fv) ∩ pool`` changes only (a) by an edge ``(fv, v)`` whose
         ``v`` is a member before or after, or (b) when a ``v`` next to ``fv``
         before or after flips: the partners of a member, and the row and the
-        partners of a flipped vertex. Called under ``_lock``.
+        partners of a flipped vertex. Exactly those lists are popped. Called
+        under ``_lock``.
         """
         degrees = self.degrees
         masks = self.signature_masks
         repaired = rebuilt = 0
         memo = self._pool_memo
-        stale: Dict[Tuple[int, int, int], List[int]] = {}
         for lid, vertices in tested.items():
-            keys = self._pool_keys[lid]
-            repaired += len(keys)
+            entries = [(key, memo[key]) for key in self._pool_keys[lid]]
+            repaired += len(entries)
             flips: Dict[Tuple[int, int, int], List[Tuple[int, bool]]] = {}
             for v, old_degree, old_mask, row, partners in vertices:
                 degree, mask = degrees[v], masks[v]
-                for key, mass in keys.items():
+                for key, entry in entries:
                     _, min_degree, sig = key
                     was = old_degree >= min_degree and old_mask & sig == sig
                     now = degree >= min_degree and mask & sig == sig
                     if not (was or now):
                         continue
-                    fathers = stale.setdefault(key, [])
-                    fathers += partners
+                    fathers = partners
                     if was != now:
                         flips.setdefault(key, []).append((v, now))
-                        fathers += row
-                    if mass is not None:
-                        keys[key] = mass + (degree if now else 0) - (old_degree if was else 0)
+                        fathers = [*partners, *row]
+                    if entry.lists:
+                        for fv in fathers:
+                            entry.lists.pop(fv, None)
+                    if entry.mass is not None:
+                        entry.mass += (degree if now else 0) - (old_degree if was else 0)
             rebuilt += len(flips)
             for key, changes in flips.items():
-                self._pool_views.pop(key, None)
+                old = memo[key]
                 if key[1] == 0 and key[2] == 0:
                     # The unfiltered pool is the label bucket itself
                     # (see _scan); stay aliased to it.
-                    memo[key] = self.label_index[self.label_table[lid]]
-                    continue
-                members = list(memo[key])
-                for v, joins in changes:
-                    i = bisect_left(members, v)
-                    if joins:
-                        members.insert(i, v)
-                    else:
-                        del members[i]
-                memo[key] = tuple(members)
+                    members = self.label_index[self.label_table[lid]]
+                else:
+                    members = list(old.members)
+                    for v, joins in changes:
+                        i = bisect_left(members, v)
+                        if joins:
+                            members.insert(i, v)
+                        else:
+                            del members[i]
+                    members = tuple(members)
+                memo[key] = PoolEntry(members, old.mass, old.lists)
+                old.retire()
         self.pool_entries_repaired += repaired
         self.pool_entries_rebuilt += rebuilt
         metrics = self._metrics
@@ -749,7 +732,6 @@ class GraphIndexCache:
             metrics.counter("cache.pool.repaired").inc(repaired)
             if rebuilt:
                 metrics.counter("cache.pool.rebuilt").inc(rebuilt)
-        return stale
 
     # ------------------------------------------------------------------
     def memo_info(self) -> Dict[str, int]:

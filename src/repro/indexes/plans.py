@@ -10,9 +10,10 @@ engine reads its pools, order and kernels; :class:`PlanCache` memoizes plans beh
 shared :class:`~repro.indexes.graph_cache.GraphIndexCache`, so DSQL
 sessions, the :class:`~repro.parallel.executor.BatchExecutor`, and the
 service catalog all share compiled plans exactly the way they already share
-candidate pools. A pool's set view and localized lists live beside its
-memo entry, not on a plan, so a plan compiled after an evicted one over the
-same pools rebuilds neither.
+candidate pools. A plan holds its pools' memo entries
+(:class:`~repro.indexes.graph_cache.PoolEntry`), and a pool's set view and
+localized lists live on the entry, not on a plan, so a plan compiled after
+an evicted one over the same pools rebuilds neither.
 
 The plan also records a **kernel choice per search depth** (see
 :mod:`repro.kernels` and ``docs/performance.md``): depths with no matched
@@ -30,6 +31,7 @@ from functools import partial
 from heapq import merge as heapq_merge
 from typing import Dict, List, Optional, Tuple
 
+from repro.indexes.graph_cache import PoolEntry
 from repro.kernels import (
     BITSET,
     BITSET_MIN_POOL,
@@ -66,8 +68,13 @@ class QueryPlan:
         Per query node, the full filter profile ``(label, query_degree,
         signature_mask)`` — ``mask is None`` when the query needs a label
         absent from the graph.
+    entries:
+        Per query node, the :class:`~repro.indexes.graph_cache.PoolEntry`
+        its pool resolved to: the memo's own at compile time, so plans over
+        one filter profile share its set view and localized lists.
     pools:
-        Per query node, the resolved candidate pool (ascending tuple).
+        Per query node, the resolved candidate pool (ascending tuple): the
+        members of ``entries[u]``.
     kernels:
         Per search depth, the chosen expansion kernel kind
         (:data:`~repro.kernels.SCAN` / :data:`~repro.kernels.MERGE` /
@@ -80,9 +87,8 @@ class QueryPlan:
         lossless re-encoding of the vertex pool at the compression ratio.
 
     Beside these the plan memoizes the lazily built views of
-    :attr:`_LAZIES`: references to the pools' set views, bitsets, the cost
-    profile, and the per-``Qovp`` frame table of :meth:`frames` and the
-    ``reSort`` basis it is compiled from. Each is a function of the
+    :attr:`_LAZIES`: bitsets, the cost profile, and the per-``Qovp`` frame
+    table of :meth:`frames` and the ``reSort`` basis it is compiled from. Each is a function of the
     plan (the cost profile also of ``2|E|``, so it is kept through
     :meth:`~repro.indexes.graph_cache.GraphIndexCache.memoize`), dies with
     the plan, and is dropped on pickling. They are benign under races: two
@@ -93,7 +99,6 @@ class QueryPlan:
     # Lazy views: slot, then its empty value for a plan of n query nodes.
     _LAZIES = (
         ("_cand_masks", lambda n: [None] * n),
-        ("_pool_sets", lambda n: [None] * n),
         ("_class_masks", lambda n: [None] * n),
         ("_cost_profile", lambda n: None),
         ("_frames", lambda n: {}),
@@ -106,6 +111,7 @@ class QueryPlan:
         "order",
         "backward",
         "profiles",
+        "entries",
         "pools",
         "kernels",
         "class_pools",
@@ -120,7 +126,7 @@ class QueryPlan:
         order,
         backward,
         profiles,
-        pools,
+        entries,
         kernels,
         referenced_lids=frozenset(),
         absent_labels=frozenset(),
@@ -131,7 +137,8 @@ class QueryPlan:
         self.order: Tuple[int, ...] = tuple(order)
         self.backward: Tuple[Tuple[int, ...], ...] = tuple(tuple(b) for b in backward)
         self.profiles = tuple(profiles)
-        self.pools: Tuple[Tuple[int, ...], ...] = tuple(pools)
+        self.entries: Tuple[PoolEntry, ...] = tuple(entries)
+        self.pools: Tuple[Tuple[int, ...], ...] = tuple(e.members for e in self.entries)
         self.kernels: Tuple[str, ...] = tuple(kernels)
         # Staleness footprint for delta-based eviction: the graph label ids
         # this plan's pools were scanned from, and the query labels that had
@@ -154,20 +161,12 @@ class QueryPlan:
         """``candS(u)``: label + degree + signature filters (ascending)."""
         return self.pools[u]
 
-    def pool_set(self, u: int, cache) -> frozenset:
+    def pool_set(self, u: int) -> frozenset:
         """Frozenset view of ``pool(u)``, what membership is answered from:
-        a reference to the one ``cache`` keeps beside the pool's memo entry
-        (:meth:`~repro.indexes.graph_cache.GraphIndexCache.pool_view`), or a
-        private build once that entry is gone (evicted or rebuilt, memo off,
-        unpickled plan).
-        """
-        view = self._pool_sets[u]
-        if view is None:
-            view = cache.pool_view(*self.profiles[u], self.pools[u])
-            if view is None:
-                view = frozenset(self.pools[u])
-            self._pool_sets[u] = view
-        return view
+        its entry's, built on the entry's first ask."""
+        entry = self.entries[u]
+        view = entry.view
+        return entry.set_view() if view is None else view
 
     def cand_mask(self, u: int) -> int:
         """Bitset form of ``pool(u)``, built lazily and memoized."""
@@ -297,17 +296,14 @@ def compile_plan(query, cache, use_compression: bool = False) -> QueryPlan:
 
     q = query.size
     profiles = []
-    pools: List[Tuple[int, ...]] = []
+    entries: List[PoolEntry] = []
     for u in range(q):
         label = query.label(u)
         qdeg = query.degree(u)
         mask = cache.mask_for(query.neighborhood_signature(u))
         profiles.append((label, qdeg, mask))
-        if mask is None:
-            pool: Tuple[int, ...] = ()
-        else:
-            pool = cache.candidate_pool(label, min_degree=qdeg, signature_mask=mask)
-        pools.append(pool)
+        entries.append(PoolEntry(()) if mask is None else cache.pool_entry(label, qdeg, mask))
+    pools = [entry.members for entry in entries]
 
     qlist = selectivity_ranking(query, [len(pool) for pool in pools])
     order = connected_search_order(query, qlist)
@@ -354,7 +350,7 @@ def compile_plan(query, cache, use_compression: bool = False) -> QueryPlan:
         order,
         backward,
         profiles,
-        pools,
+        entries,
         kernels,
         referenced_lids=referenced,
         absent_labels=absent,
@@ -411,7 +407,7 @@ def expand_pool(plan: QueryPlan, depth: int, assignment, cache):
         return kind, members
     neighbor_set = cache.graph.neighbor_set
     sets = [neighbor_set(assignment[w]) for w in backward]
-    sets.append(plan.pool_set(u, cache))
+    sets.append(plan.pool_set(u))
     return kind, intersect_sets(*sorted(sets, key=len))
 
 

@@ -170,7 +170,6 @@ class ConflictDirectedSearch:
         # signature filters. The plan's pools *are* that stack, so the
         # question is one set probe.
         self._pool_set = candidates.plan.pool_set
-        self._cache = candidates.cache
         self._reset_assignment()
 
     def _reset_assignment(self) -> None:
@@ -195,7 +194,7 @@ class ConflictDirectedSearch:
         """
         inherited |= self._static_conflicts[u]
         assignment = self._assignment
-        pool = self._pool_set(u, self._cache)
+        pool = self._pool_set(u)
         for u2 in self.order[:depth]:
             if assignment[u2] in pool:
                 inherited.add(u2)

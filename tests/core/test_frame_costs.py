@@ -2,10 +2,9 @@
 
 A localized frame reads ``N(father's match) ∩ candS(u)`` from the view's
 memo — per *distinct* ``(candS(u), father's match)`` one C-level filter of
-the father's neighbors carrying ``u``'s label (the index cache's
-label-grouped row, built once per vertex and graph version), a memo hit
-afterwards; the memo lives beside the pool's entry in the index cache from
-its first ask, so later plans over the pool share it — and everything
+the father's row, a memo hit afterwards; the memo lives on the pool's memo
+entry in the index cache from its first ask, so later plans over the pool
+share it — and everything
 query-static from the plan's per-Qovp frame table, compiled once per (plan,
 Qovp) and shared by every session. These tests hold that as
 counted work on a registry graph; each fails at the commit before the
@@ -64,65 +63,43 @@ def views(monkeypatch):
 
 
 def test_localization_touches_each_row_once_per_query(workload, views, monkeypatch):
-    """(a) a miss walks the father's neighbors that carry ``u``'s label, and
-    nothing else: on this fixture about an eighth of the Σ over distinct
-    (pool, fv) of min(|N(fv)|, |candS(u)|) a set intersection walked, and
-    each vertex's row is grouped once."""
+    """(a) a miss reads its father's row once, filtered in C, and nothing
+    else reads a row: every row read in the interpreter is a localized
+    miss's, and each ``(pool, fv)`` pair misses at most once per query."""
     graph, queries = workload
-    misses = []  # per localized miss: (fv, label id, words walked)
     built = []  # per localized miss: (u, fv, the memo it fills)
-
-    def counting_label_neighbors(self, v, lid):
-        run = real_label_neighbors(self, v, lid)
-        misses.append((v, lid, len(run)))
-        return run
 
     def counting_localized(self, u, fv):
         built.append((u, fv, self._localized[u]))
         return real_localized(self, u, fv)
 
-    real_label_neighbors = GraphIndexCache.label_neighbors
     real_localized = CandidateIndex.localized
-    monkeypatch.setattr(GraphIndexCache, "label_neighbors", counting_label_neighbors)
     monkeypatch.setattr(CandidateIndex, "localized", counting_localized)
     session = DSQL(graph, CONFIG)  # builds the graph's index cache (which reads every row)
     # Any row read in the interpreter from here on, and who read it. The
     # queries are trees, so no frame has two matched neighbors and no
-    # adjacency bitmask is built: only a grouping build may read a row.
-    rows_walked, grouped = [], []
-    real_neighbors = graph.neighbors  # bound before the spy goes in
+    # adjacency bitmask is built: only a localized miss may read a row.
+    rows_walked, missed = [], []
 
     def spied_neighbors(self, v):  # the class's method: queries read their rows too
         if self is graph:
             reader = sys._getframe(1).f_code.co_name
-            (grouped if reader == "_group_row" else rows_walked).append(v)
+            (missed if reader == "localized" else rows_walked).append(v)
         return self._rows[v]
 
     monkeypatch.setattr(LabeledGraph, "neighbors", spied_neighbors)
 
-    frames = repeats = words = parent_words = 0
+    frames = repeats = misses = 0
     for query in queries:
-        del misses[:], built[:]
+        del built[:], missed[:]
         result = session.query(query)
-        view = views[-1]
-        lids = [graph.label_to_id[query.label(u)] for u in range(query.size)]
-        # The frames call `localized` on a memo miss only, and each miss walks one label run.
-        assert sorted(miss[:2] for miss in misses) == sorted((fv, lids[u]) for u, fv, _ in built)
+        # The frames call `localized` on a memo miss only; each miss reads one row, its father's.
+        assert missed == [fv for _, fv, _ in built]
         assert len({(id(memo), fv) for _, fv, memo in built}) == len(built)
-        for fv, lid, walked in misses:
-            label = graph.label_table[lid]
-            assert walked == sum(graph.label(w) == label for w in real_neighbors(fv))
-        words += sum(walked for _, _, walked in misses)
-        parent_words += sum(
-            min(len(real_neighbors(fv)), len(view.candidates(u))) for u, fv, _ in built
-        )
+        misses += len(built)
         frames += result.stats.kernel_merge
         repeats += result.stats.kernel_merge - len(built)
-    assert 0 < 8 * words <= parent_words
-    # One graph version: each vertex grouped at most once, and every grouping kept.
-    assert grouped and len(grouped) == len(set(grouped))
-    assert set(grouped) == set(graph.index_cache()._grouped_rows)
-    assert not rows_walked
+    assert misses and not rows_walked
     # The memo is exercised: most localized frames re-ask a pair already computed.
     assert repeats > frames / 2
 
@@ -244,7 +221,7 @@ def test_frame_table_entry_is_one_small_tuple_of_interned_pointers(workload):
 
 
 def test_localized_memo_dies_with_its_query():
-    """The localized lists live beside the pool, not on the plan: a pool's
+    """The localized lists live on the pool's entry, not on the plan: a pool's
     first ask fills the pool's dict; a plan compiled after its predecessor's
     eviction reads the lists that one built; a write that dirties the pool's
     label but changes none of its lists keeps them all, and one that changes
@@ -262,17 +239,17 @@ def test_localized_memo_dies_with_its_query():
     assert session.query(query).embeddings == ((0, 1, 6),)
     plan = cache.plan_cache.get_or_compile(query, cache)
     b_key = (cache.label_id("b"), *plan.profiles[1][1:])
-    owned = cache._pool_lists[b_key]
+    owned = cache._pool_memo[b_key].lists
     assert owned == {0: (1,), 6: (1,)}  # N(v0) and N(v6) ∩ candS(b), from the first ask
     cache.plan_cache.clear()
     assert session.query(query).embeddings == ((0, 1, 6),)
     replan = cache.plan_cache.get_or_compile(query, cache)
-    assert replan is not plan and cache._pool_lists[b_key] is owned  # outlived its plan
+    assert replan is not plan and cache._pool_memo[b_key].lists is owned  # outlived its plan
     graph.add_edge(3, 4)  # dirties b; v3 and v4 stay out of candS(b)
     assert cache.plan_cache.info()["size"] == 0  # the plan goes ...
-    assert cache._pool_lists[b_key] is owned and owned == {0: (1,), 6: (1,)}  # ... its lists stay
+    assert cache._pool_memo[b_key].lists is owned and owned == {0: (1,), 6: (1,)}  # ... lists stay
     graph.add_edge(2, 7)  # v2 joins candS(b): its neighbors' lists change
-    assert cache._pool_lists[b_key] is owned and owned == {6: (1,)}  # dropped, never repaired
+    assert cache._pool_memo[b_key].lists is owned and owned == {6: (1,)}  # dropped, not repaired
     after = session.query(query)
     assert sorted(after.embeddings) == [(0, 1, 6), (0, 2, 7)]
     fresh = DSQL(LabeledGraph(labels, edges + [(3, 4), (2, 7)]), DSQLConfig(k=5)).query(query)
@@ -282,18 +259,19 @@ def test_localized_memo_dies_with_its_query():
     assert session.query(query).to_dict() == after.to_dict()
     clone = pickle.loads(pickle.dumps(cache.plan_cache.get_or_compile(query, cache)))
     view = CandidateIndex(graph, query, cache=cache, plan=clone)
-    assert view.localized(1, 0) == (1, 2) and view._localized[1] is not cache._pool_lists[b_key]
-    assert pickle.loads(pickle.dumps(graph)).index_cache()._pool_lists == {}
+    entry = cache._pool_memo[b_key]
+    assert view.localized(1, 0) == (1, 2) and view._localized[1] is not entry.lists
+    assert pickle.loads(pickle.dumps(graph)).index_cache()._pool_memo == {}
     for label in "abc":  # three new profiles push the query's three out of the memo
         cache.candidate_pool(label, 0, 0)
-    assert b_key not in cache._pool_memo and cache._pool_lists.keys() <= cache._pool_memo.keys()
+    assert b_key not in cache._pool_memo and entry.lists is None
 
 
 def test_a_warm_plan_keeps_its_localized_lists(workload):
     """(h) a plan compiled cold over pools earlier plans have asked —
     the stream path, where every plan is evicted before its query recurs —
-    builds no localized list: ``localized`` and ``label_neighbors`` are never
-    entered, and the answers and counters are the first pass's."""
+    builds no localized list: ``localized`` is never entered, so no row is
+    read, and the answers and counters are the first pass's."""
     graph, queries = workload
     session = DSQL(graph, dataclasses.replace(CONFIG, query_cache_size=0))
     cache = graph.index_cache()
@@ -306,7 +284,6 @@ def test_a_warm_plan_keeps_its_localized_lists(workload):
     third, calls = profiled_calls(lambda: [session.query(query) for query in queries])
     assert calls["plans.py", "compile_plan"] == len(queries)
     assert calls["candidates.py", "localized"] == 0
-    assert calls["graph_cache.py", "label_neighbors"] == 0
     assert sum(r.stats.kernel_merge for r in third) > 3_000
     for run in (second, third):
         assert [r.to_dict() for r in run] == [r.to_dict() for r in first]

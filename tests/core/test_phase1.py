@@ -140,6 +140,6 @@ class TestTcandSnapshot:
         graph = LabeledGraph(["a", "a", "b"], [(0, 2), (1, 2)])
         query = QueryGraph(["a", "b"], [(0, 1)])
         idx = CandidateIndex(graph, query)
-        snap = tcand_snapshot(idx.plan, {0, 2}, query.size, idx.cache)
+        snap = tcand_snapshot(idx.plan, {0, 2}, query.size)
         assert snap[0] == {0}
         assert snap[1] == {2}

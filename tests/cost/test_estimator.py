@@ -132,7 +132,7 @@ class TestEstimateShape:
 
 class TestColdPricing:
     """What pricing a plan costs, held by counts: the pools' degree masses are
-    the cache's (``GraphIndexCache.pool_degree_mass``), a query says its own
+    kept on their entries (``GraphIndexCache.degree_mass``), a query says its own
     signature, and a surviving plan is priced again after a write."""
 
     def test_pricing_a_cold_plan_reads_no_degrees(self):
@@ -234,7 +234,7 @@ class TestColdPricing:
         query = QueryGraph(["a", "b"], [(0, 1)])
         plan = cache.plan_cache.get_or_compile(query, cache)
         entered, release = threading.Event(), threading.Event()
-        mass = GraphIndexCache.pool_degree_mass
+        mass = GraphIndexCache.degree_mass
 
         def parked(self, *args):
             if not entered.is_set():
@@ -242,7 +242,7 @@ class TestColdPricing:
                 assert release.wait(30)
             return mass(self, *args)
 
-        monkeypatch.setattr(GraphIndexCache, "pool_degree_mass", parked)
+        monkeypatch.setattr(GraphIndexCache, "degree_mass", parked)
         got = {}
         estimator = cache.cost_estimator()
         reader = threading.Thread(target=lambda: got.setdefault("est", estimator.estimate(plan)))

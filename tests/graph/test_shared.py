@@ -148,7 +148,7 @@ class TestRoundTrip:
         assert cache.plan_cache.info()["size"] > 0
         state = cache.__getstate__()
         read_mutated = {slot for slot, _, _ in type(cache)._DERIVED}
-        assert {"_pool_memo", "_pool_views", "_adj_masks", "_grouped_rows"} <= read_mutated
+        assert {"_pool_memo", "_pool_keys", "_adj_masks", "_mask_signatures"} <= read_mutated
         assert not read_mutated & set(state)
         got = pickle.loads(pickle.dumps(source_graph)).index_cache()
         assert got.version == cache.version and got.signature_masks == cache.signature_masks

@@ -25,7 +25,7 @@ from repro.datasets.registry import make_dataset
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.indexes.candidates import CandidateIndex
-from repro.indexes.graph_cache import GraphIndexCache
+from repro.indexes.graph_cache import GraphIndexCache, PoolEntry
 from repro.indexes.plans import compile_plan
 from repro.queries.generator import query_set
 from tests.conftest import STORAGE_STATES, assert_arrays_match_rebuild, build_graph
@@ -63,13 +63,18 @@ def warm_pool_spread(cache: GraphIndexCache, labels=None) -> None:
     for label in labels or list(cache.label_table):
         for min_degree in range(4):
             for mask in bits:
-                pool = cache.candidate_pool(label, min_degree, mask)
-                cache.pool_degree_mass(label, min_degree, mask, pool)
-                members = cache.pool_view(label, min_degree, mask, pool)
-                _, (lists,) = cache.pool_lists([(label, min_degree, mask)], [pool])
+                entry = cache.pool_entry(label, min_degree, mask)
+                cache.degree_mass(entry)
+                members = entry.set_view()
+                _, (lists,) = cache.entry_lists([entry])
                 for fv in range(len(cache.degrees)):
-                    run = cache.label_neighbors(fv, cache.label_id(label))
-                    lists[fv] = tuple(filter(members.__contains__, run))
+                    lists[fv] = row_filter(cache.graph, fv, members)
+
+
+def row_filter(graph: LabeledGraph, fv: int, members) -> tuple:
+    """``N(fv) ∩ members`` in row order: what a kept localized list must be."""
+    members = set(members)
+    return tuple(w for w in graph.neighbors(fv) if w in members)
 
 
 def run_mutation_script(g: LabeledGraph) -> GraphIndexCache:
@@ -84,6 +89,7 @@ def run_mutation_script(g: LabeledGraph) -> GraphIndexCache:
             # the bit of 'd' included once the script has introduced it.
             warm_pool_spread(cache, labels=["a", "b"] if step else None)
             assert_cache_equivalent(cache, GraphIndexCache(g))
+        held = list(cache._pool_memo.values())
         r = rng.random()
         n = g.num_vertices
         if r < 0.15:
@@ -96,10 +102,11 @@ def run_mutation_script(g: LabeledGraph) -> GraphIndexCache:
             u, v = rng.randrange(n), rng.randrange(n)
             if u != v:
                 g.remove_edge(u, v)
-        assert_cache_equivalent(cache, GraphIndexCache(g))
-        masses_held += len(kept_masses(cache))
-        views_held += len(cache._pool_views)
-        lists_held += sum(map(len, cache._pool_lists.values()))
+        assert_cache_equivalent(cache, GraphIndexCache(g), held)
+        entries = list(cache._pool_memo.values())
+        masses_held += sum(entry.mass is not None for entry in entries)
+        views_held += sum(entry.view is not None for entry in entries)
+        lists_held += sum(len(entry.lists) for entry in entries)
     # Or the mass, view and list assertions held nothing a write had touched.
     assert masses_held and views_held and lists_held
     return cache
@@ -107,23 +114,12 @@ def run_mutation_script(g: LabeledGraph) -> GraphIndexCache:
 
 def kept_masses(cache: GraphIndexCache) -> dict:
     """``{memo key: degree mass}`` for the entries whose mass has been asked for."""
-    return {
-        key: mass
-        for row in cache._pool_keys.values()
-        for key, mass in row.items()
-        if mass is not None
-    }
+    return {key: entry.mass for key, entry in cache._pool_memo.items() if entry.mass is not None}
 
 
-def regroup(graph: LabeledGraph, v: int) -> tuple:
-    """``(label ids, neighbors)`` of ``v``'s row ordered by (label id, vertex),
-    from the graph's own tables: what a kept grouping must be."""
-    lids = graph.label_id_sequence()
-    row = sorted(graph.neighbors(v), key=lambda w: (lids[w], w))
-    return tuple(lids[w] for w in row), tuple(row)
-
-
-def assert_cache_equivalent(repaired: GraphIndexCache, fresh: GraphIndexCache) -> None:
+def assert_cache_equivalent(repaired: GraphIndexCache, fresh: GraphIndexCache, held=()) -> None:
+    """``repaired`` answers as ``fresh`` does, and of the entries its plans
+    and ``held`` hold, every one the memo no longer holds is retired."""
     assert repaired.label_index == fresh.label_index
     assert repaired.signature_masks == fresh.signature_masks
     assert [repaired.signature(v) for v in range(len(fresh.degrees))] == [
@@ -132,32 +128,29 @@ def assert_cache_equivalent(repaired: GraphIndexCache, fresh: GraphIndexCache) -
     assert repaired.degrees == fresh.degrees == repaired.graph.degree_sequence()
     assert repaired.label_table == fresh.label_table
     assert repaired.label_to_id == fresh.label_to_id
-    # Every memoized pool is exactly what a scan of its key finds now.
-    for key, pool in repaired._pool_memo.items():
-        assert pool == fresh._scan(*key), key
-        assert all(a < b for a, b in zip(pool, pool[1:])), key
+    # Every memoized entry holds exactly what a scan of its key finds now,
+    # and what it keeps is derived from those members as the graph is now:
+    # a kept degree mass, a built set view, and every localized list.
+    for key, entry in repaired._pool_memo.items():
+        members = entry.members
+        assert members == fresh._scan(*key), key
+        assert all(a < b for a, b in zip(members, members[1:])), key
+        if entry.mass is not None:
+            assert entry.mass == sum(fresh.degrees[v] for v in members), key
+        if entry.view is not None:
+            assert entry.view == frozenset(members), key
+        for fv, hit in entry.lists.items():
+            assert hit == row_filter(fresh.graph, fv, members), (key, fv)
     indexed = [key for keys in repaired._pool_keys.values() for key in keys]
     assert sorted(indexed) == sorted(repaired._pool_memo)
-    # Every degree mass kept is its pool's, and none outlives its entry.
-    masses = kept_masses(repaired)
-    assert masses.keys() <= repaired._pool_memo.keys()
-    for key, mass in masses.items():
-        assert mass == sum(fresh.degrees[v] for v in repaired._pool_memo[key]), key
-    # Every set view kept is its entry's tuple as a set, and none outlives its entry.
-    assert repaired._pool_views.keys() <= repaired._pool_memo.keys()
-    for key, view in repaired._pool_views.items():
-        assert view == frozenset(repaired._pool_memo[key]), key
-    # Every localized list kept is its father's run of the entry's label, as
-    # a fresh cache groups it, filtered by the entry; none outlives its entry.
-    assert repaired._pool_lists.keys() <= repaired._pool_memo.keys()
-    for key, lists in repaired._pool_lists.items():
-        members = frozenset(repaired._pool_memo[key])
-        for fv, hit in lists.items():
-            want = tuple(filter(members.__contains__, fresh.label_neighbors(fv, key[0])))
-            assert hit == want, (key, fv)
-    # Every label-grouped row and adjacency bitset kept is the vertex's row as it is now.
-    for v, grouped in repaired._grouped_rows.items():
-        assert grouped == regroup(repaired.graph, v), v
+    # No entry outside the memo keeps a mass or lists; it may keep its view.
+    live = {id(entry) for entry in repaired._pool_memo.values()}
+    planned = [e for plan in list(repaired.plan_cache._memo.values()) for e in plan.entries]
+    for entry in [*planned, *held]:
+        if id(entry) not in live:
+            assert entry.mass is None and entry.lists is None, entry.members
+            assert entry.view in (None, frozenset(entry.members)), entry.members
+    # Every adjacency bitset kept is the vertex's row as it is now.
     for v, mask in repaired._adj_masks.items():
         assert mask == sum(1 << w for w in repaired.graph.neighbors(v)), v
     # Every interned signature is its mask's labels.
@@ -169,7 +162,7 @@ def assert_cache_equivalent(repaired: GraphIndexCache, fresh: GraphIndexCache) -
         _, (labels, edges), compressed = key
         want = compile_plan(QueryGraph(list(labels), [tuple(e) for e in edges]), fresh, compressed)
         assert plan.pools == want.pools, key
-        assert plan._cost_profile in (None, raw_cost_profile(plan, fresh)), key
+        assert plan._cost_profile in (None, raw_cost_profile(want, fresh)), key
     # A kept twin partition is one of the graph as it is.
     if repaired._compressed is not None:
         graph = repaired.graph
@@ -236,7 +229,7 @@ class TestPoolRepair:
         with_degree = cache.candidate_pool("a", 1)
         assert unfiltered is cache.label_index["a"]
         v = g.add_vertex("a")
-        assert cache._pool_memo[(cache.label_id("a"), 0, 0)] is cache.label_index["a"]
+        assert cache._pool_memo[(cache.label_id("a"), 0, 0)].members is cache.label_index["a"]
         assert cache.candidate_pool("a")[-1] == v
         assert cache.candidate_pool("a", 1) is with_degree
         assert_cache_equivalent(cache, GraphIndexCache(g))
@@ -257,9 +250,9 @@ class TestPoolRepair:
         assert cache.candidate_pool("a", 3) == (1,)
         before = cache.memo_info()["rebuilt"]
         g.add_edge(0, 26)
-        assert cache._pool_memo[(cache.label_id("a"), 3, 0)] == (0, 1)
+        assert cache._pool_memo[(cache.label_id("a"), 3, 0)].members == (0, 1)
         g.remove_edge(0, 26)
-        assert cache._pool_memo[(cache.label_id("a"), 3, 0)] == (1,)
+        assert cache._pool_memo[(cache.label_id("a"), 3, 0)].members == (1,)
         assert cache.memo_info()["rebuilt"] == before + 2
         assert_cache_equivalent(cache, GraphIndexCache(g))
 
@@ -272,7 +265,7 @@ class TestPoolRepair:
         g.remove_edge(1, 49)  # vertex 1 keeps a 'c' neighbour: nothing flips
         assert cache.candidate_pool("a", 0, mask_c) is pool
         g.remove_edge(0, 48)  # vertex 0 loses its only one
-        assert cache._pool_memo[(cache.label_id("a"), 0, mask_c)] == (1,)
+        assert cache._pool_memo[(cache.label_id("a"), 0, mask_c)].members == (1,)
         assert_cache_equivalent(cache, GraphIndexCache(g))
 
     def test_add_then_remove_in_one_batch_rebuilds_nothing(self):
@@ -307,8 +300,8 @@ class TestPoolRepair:
         rng = random.Random(3)
         for step in range(60):
             label, min_degree = rng.choice("abc"), rng.randrange(4)
-            pool = cache.candidate_pool(label, min_degree)  # evicts the oldest of four
-            assert cache.pool_degree_mass(label, min_degree, 0, pool) == sum(map(g.degree, pool))
+            entry = cache.pool_entry(label, min_degree)  # evicts the oldest of four
+            assert cache.degree_mass(entry) == sum(map(g.degree, entry.members))
             u, v = rng.sample(range(g.num_vertices), 2)
             g.remove_edge(u, v) if g.has_edge(u, v) else g.add_edge(u, v)
             assert len(cache._pool_memo) <= 4
@@ -318,17 +311,18 @@ class TestPoolRepair:
     def test_a_pool_that_is_not_the_memos_is_summed_and_nothing_is_kept(self):
         g = self.star_graph()
         cache = g.index_cache()
-        pool = cache.candidate_pool("a", 1)
+        entry = cache.pool_entry("a", 1)
         before = cache.memo_info()
-        assert cache.pool_degree_mass("a", 1, 0, tuple(list(pool))) == 5  # equal, not the entry
+        twin = PoolEntry(tuple(list(entry.members)))  # equal members, never the memo's
+        assert cache.degree_mass(twin) == 5 and twin.mass is None
         assert not kept_masses(cache)
-        assert cache.pool_degree_mass("a", 1, 0, pool) == 5
+        assert cache.degree_mass(entry) == 5
         assert kept_masses(cache) == {(cache.label_id("a"), 1, 0): 5}
         g.add_edge(0, 26)  # vertex 0 stays a member; only its degree moves
-        assert cache.candidate_pool("a", 1) is pool
+        assert cache.pool_entry("a", 1) is entry
         assert kept_masses(cache) == {(cache.label_id("a"), 1, 0): 6}
         off = GraphIndexCache(g, candidate_memo_size=0)
-        assert off.pool_degree_mass("a", 1, 0, off.candidate_pool("a", 1)) == 6
+        assert off.degree_mass(off.pool_entry("a", 1)) == 6
         assert not kept_masses(off)
         # Asking for a mass is not a pool-memo lookup.
         after = cache.memo_info()
@@ -434,8 +428,8 @@ class TestTargetedInvalidation:
         assert cache.candidate_pool("c", 1) is pool_c
         fresh = GraphIndexCache(g)
         for key in keys:
-            assert cache._pool_memo[key] == fresh._scan(*key)
-        assert cache._pool_memo[(cache.label_id("b"), 3, 0)] == (2,)
+            assert cache._pool_memo[key].members == fresh._scan(*key)
+        assert cache._pool_memo[(cache.label_id("b"), 3, 0)].members == (2,)
 
     def test_adjacency_masks_evict_only_touched_vertices(self):
         g = small_graph()
@@ -504,71 +498,104 @@ class TestTargetedInvalidation:
 
 
 class TestGroupedRows:
-    """The label-grouped rows behind ``label_neighbors``: one per asked
-    vertex, dropped for a write's endpoints, never pickled, never kept when
-    built across a write."""
+    """A localized miss filters the father's whole row by the pool's set
+    view (the label-grouped rows it once read are gone). These ids pin the
+    miss path: every list kept is the row filter after every batch, a write
+    pops the lists it changed and keeps every other, pickling carries no
+    entry state, a list built across a write is not kept, and readers
+    beside a writer keep no stale list."""
+
+    QUERIES = [
+        QueryGraph(["a", "b", "c"], [(0, 1), (1, 2)]),
+        QueryGraph(["b", "a"], [(0, 1)]),
+    ]
 
     @staticmethod
-    def warm(cache: GraphIndexCache, vertices) -> None:
-        for v in vertices:
-            cache.label_neighbors(v, 0)
+    def miss(graph, cache, plan, query, fathers) -> None:
+        """A fresh view over ``plan`` asks every list a frame could, for ``fathers``."""
+        view = CandidateIndex(graph, query, cache=cache, plan=plan)
+        for u in range(query.size):
+            for fv in fathers:
+                assert view.localized(u, fv) == row_filter(graph, fv, plan.pools[u]), (u, fv)
 
     def test_every_kept_grouping_is_a_fresh_regroup_after_every_batch(self):
         g = banded_graph()
         cache = g.index_cache()
         rng = random.Random(31)
-        dropped = 0
+        dropped = held = 0
         for step in range(40):
-            self.warm(cache, rng.sample(range(g.num_vertices), g.num_vertices // 2))
+            fathers = rng.sample(range(g.num_vertices), g.num_vertices // 2)
+            for query in self.QUERIES:
+                self.miss(g, cache, compile_plan(query, cache), query, fathers)
             batch = [("add_vertex", rng.choice("abcde"))] if step % 4 == 0 else []
             n = g.num_vertices + len(batch)
             for _ in range(rng.randrange(1, 6)):
                 u, v = rng.sample(range(n), 2)
                 batch.append((rng.choice(["add_edge", "remove_edge"]), u, v))
-            before = set(cache._grouped_rows)
+            before = sum(len(entry.lists) for entry in cache._pool_memo.values())
             g.mutate(batch, compaction_threshold=None)
-            dropped += len(before - set(cache._grouped_rows))
+            after = sum(len(entry.lists) for entry in cache._pool_memo.values())
+            dropped += before - after
+            held += after
             assert_cache_equivalent(cache, GraphIndexCache(g))
-            for v in rng.sample(range(g.num_vertices), 10):
-                for lid in range(len(cache.label_table)):
-                    want = tuple(w for w in g.neighbors(v) if cache.label_ids[w] == lid)
-                    assert cache.label_neighbors(v, lid) == want, (v, lid)
-        assert {"d", "e"} <= set(g.label_to_id) and dropped and cache._grouped_rows
+        assert {"d", "e"} <= set(g.label_to_id) and dropped and held
 
     def test_a_write_drops_its_endpoints_and_keeps_everything_else(self):
         g = banded_graph()
         cache = g.index_cache()
-        self.warm(cache, g.vertices())
-        held = dict(cache._grouped_rows)
-        assert len(held) == g.num_vertices
+        warm_pool_spread(cache)
+        held = {key: dict(entry.lists) for key, entry in cache._pool_memo.items()}
         u = 0
         v = next(v for v in g.vertices() if v != u and not g.has_edge(u, v))
         g.add_edge(u, v)
-        assert set(held) - set(cache._grouped_rows) == {u, v}
-        assert all(cache._grouped_rows[w] is held[w] for w in cache._grouped_rows)
-        w = g.add_vertex("zz")
-        assert w not in cache._grouped_rows and len(cache._grouped_rows) == len(held) - 2
-        assert v in cache.label_neighbors(u, cache.label_ids[v])
+        near = {u, v, *g.neighbors(u), *g.neighbors(v)}
+        popped = []
+        for key, lists in held.items():
+            kept = cache._pool_memo[key].lists
+            for fv, hit in lists.items():
+                if fv in kept:
+                    assert kept[fv] is hit, (key, fv)
+                else:
+                    popped.append(fv)
+        assert popped and set(popped) <= near
+        assert len(popped) < sum(map(len, held.values())) / 10
+        assert_cache_equivalent(cache, GraphIndexCache(g))
+        lists = {key: dict(entry.lists) for key, entry in cache._pool_memo.items()}
+        g.add_vertex("zz")  # an isolated vertex of a new label changes no list
+        assert {key: entry.lists for key, entry in cache._pool_memo.items()} == lists
         assert_cache_equivalent(cache, GraphIndexCache(g))
 
     def test_a_pickled_cache_carries_no_grouping(self):
+        """An entry pickles as its members: neither a cache nor a plan grows
+        on the wire when its entries keep views, masses and lists."""
         g = banded_graph()
         cache = g.index_cache()
-        size = len(pickle.dumps(cache))
-        self.warm(cache, g.vertices())
-        assert len(cache._grouped_rows) == g.num_vertices
-        assert len(pickle.dumps(cache)) == size
-        assert pickle.loads(pickle.dumps(cache))._grouped_rows == {}
+        plan = compile_plan(self.QUERIES[0], cache)
+        sizes = len(pickle.dumps(cache)), len(pickle.dumps(plan))
+        warm_pool_spread(cache)
+        for entry in plan.entries:
+            cache.degree_mass(entry)
+            entry.set_view()
+            entry.lists.update((fv, row_filter(g, fv, entry.members)) for fv in g.vertices())
+        assert (len(pickle.dumps(cache)), len(pickle.dumps(plan))) == sizes
+        clone = pickle.loads(pickle.dumps(plan))
+        assert clone.pools == plan.pools
+        for entry in clone.entries:
+            assert (entry.view, entry.mass, entry.lists) == (None, None, None)
+        assert pickle.loads(pickle.dumps(cache))._pool_memo == {}
 
     def test_a_grouping_built_across_a_write_is_not_kept(self, monkeypatch):
-        """The parked-probe recipe: the build reads the row, parks, a write
-        lands on that row, the build finishes. Its caller gets the
-        pre-write run; the cache keeps nothing for the vertex."""
+        """The parked-probe recipe on ``CandidateIndex.localized``: a miss
+        reads the father's row, parks, a write adds an edge to that row from
+        a member of the pool, the miss finishes. Its caller gets the
+        pre-write list; the entry keeps nothing for the father, and the
+        next view's miss sees the new edge."""
         g = banded_graph()
         cache = g.index_cache()
-        v = 0
-        x = next(w for w in g.vertices() if w != v and not g.has_edge(v, w))
-        lid = cache.label_ids[x]
+        query = self.QUERIES[1]  # node 0 'b', node 1 'a'
+        plan = compile_plan(query, cache)
+        fv = 0
+        x = next(w for w in plan.pools[0] if not g.has_edge(fv, w))
         entered, release = threading.Event(), threading.Event()
 
         def parked(self, w):
@@ -580,41 +607,50 @@ class TestGroupedRows:
 
         monkeypatch.setattr(LabeledGraph, "neighbors", parked)
         got = {}
-        reader = threading.Thread(target=lambda: got.setdefault("run", cache.label_neighbors(v, lid)))
+        view = CandidateIndex(g, query, cache=cache, plan=plan)
+        reader = threading.Thread(target=lambda: got.setdefault("list", view.localized(0, fv)))
         reader.start()
         assert entered.wait(30)
-        g.add_edge(v, x)
+        g.add_edge(fv, x)  # x stays a member: the entry survives, its list for fv changed
         release.set()
         reader.join(30)
         assert not reader.is_alive()
         monkeypatch.undo()
-        assert x not in got["run"]
-        assert v not in cache._grouped_rows
-        assert x in cache.label_neighbors(v, lid)
+        entry = cache._pool_memo[(cache.label_id("b"), *plan.profiles[0][1:])]
+        assert entry is plan.entries[0] and view._localized[0] is entry.lists
+        assert x not in got["list"] and fv not in entry.lists
+        assert x in CandidateIndex(g, query, cache=cache).localized(0, fv)
         assert_cache_equivalent(cache, GraphIndexCache(g))
 
     def test_readers_beside_a_writer_keep_no_stale_grouping(self):
-        """Four readers grouping six hot rows while a writer toggles edges
-        among them, the interpreter switching threads every microsecond.
-        Between two writes every grouping held is its row as it is: one
-        stored across a write and missed by its repair would show there."""
+        """Four readers holding their plans across writes — so their entries
+        are retired under them — and viewing them afresh to ask lists of six
+        hot fathers while a writer toggles edges among those fathers, the
+        interpreter switching threads every microsecond. A view over a
+        retired entry fills a private dict; between two writes every list the
+        memo keeps is its row filter, and no retired entry keeps one."""
         g = banded_graph()
         cache = g.index_cache()
+        plans = [(query, compile_plan(query, cache)) for query in self.QUERIES]
         deadline = time.monotonic() + 1.0
-        errors = []
+        errors, asked = [], [0] * 4
 
-        def read(seed):
-            rng = random.Random(seed)
+        def read(tid):
+            rng = random.Random(tid)
             try:
                 while time.monotonic() < deadline:
-                    cache.label_neighbors(rng.randrange(6), rng.randrange(3))
+                    query, plan = rng.choice(plans)
+                    view = CandidateIndex(g, query, cache=cache, plan=plan)
+                    for u in range(query.size):
+                        view.localized(u, rng.randrange(6))
+                    asked[tid] += 1
             except Exception as exc:  # reported below, not lost in the thread
                 errors.append(exc)
 
-        readers = [threading.Thread(target=read, args=(seed,)) for seed in range(4)]
+        readers = [threading.Thread(target=read, args=(tid,)) for tid in range(4)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
-        stale, writes = [], 0
+        stale, writes, held = [], 0, 0
         try:
             for reader in readers:
                 reader.start()
@@ -623,23 +659,33 @@ class TestGroupedRows:
                 u, v = rng.sample(range(6), 2)
                 g.remove_edge(u, v) if g.has_edge(u, v) else g.add_edge(u, v)
                 writes += 1
-                held = dict(cache._grouped_rows)  # one C-level copy
-                stale += [w for w, grouped in held.items() if grouped != regroup(g, w)]
+                with cache._lock:  # one snapshot of entries and lists
+                    memo = {key: (e.members, dict(e.lists)) for key, e in cache._pool_memo.items()}
+                    live = {id(e) for e in cache._pool_memo.values()}
+                    stale += [
+                        e.members for _, plan in plans for e in plan.entries
+                        if id(e) not in live and e.lists is not None
+                    ]
+                held += sum(len(lists) for _, lists in memo.values())
+                stale += [
+                    (key, fv) for key, (members, lists) in memo.items()
+                    for fv, hit in lists.items() if hit != row_filter(g, fv, members)
+                ]
             for reader in readers:
                 reader.join(30)
         finally:
             sys.setswitchinterval(interval)
         assert not any(reader.is_alive() for reader in readers) and not errors, errors
-        assert writes > 100 and cache._grouped_rows and not stale, stale
-        assert_cache_equivalent(cache, GraphIndexCache(g))
+        assert writes > 100 and min(asked) > 0 and held and not stale, stale
+        assert_cache_equivalent(cache, GraphIndexCache(g), [e for _, p in plans for e in p.entries])
 
 
 class TestPoolViews:
-    """The set views kept beside the pool memo's entries: one per asked
-    entry, dropped when its tuple is rebuilt or leaves the memo, never
-    pickled, never kept for a tuple the memo no longer holds. The localized
-    lists kept beside them follow the same rule, and a write pops exactly
-    the lists it changed."""
+    """The set views kept on the pool memo's entries: one per entry, built on
+    its first ask and shared by every plan over it; a rebuilt tuple gets a
+    new entry, a retired entry keeps its view and nothing else, and no entry
+    state is pickled. The localized lists kept on the entries follow the
+    retire rule, and a write pops exactly the lists it changed."""
 
     QUERIES = [
         QueryGraph(["a", "b", "c"], [(0, 1), (1, 2)]),
@@ -648,8 +694,8 @@ class TestPoolViews:
     ]
 
     @staticmethod
-    def ask(cache: GraphIndexCache, plan) -> list:
-        return [plan.pool_set(u, cache) for u in range(len(plan.pools))]
+    def ask(plan) -> list:
+        return [plan.pool_set(u) for u in range(len(plan.pools))]
 
     def test_every_kept_view_is_its_entrys_set_after_every_batch(self):
         """Random batches over plans compiled at every version, at an LRU cap
@@ -660,66 +706,68 @@ class TestPoolViews:
         rng = random.Random(41)
         held = 0
         for step in range(60):
-            for query in self.QUERIES:
-                plan = compile_plan(query, cache)
-                assert self.ask(cache, plan) == [frozenset(pool) for pool in plan.pools]
+            plans = [compile_plan(query, cache) for query in self.QUERIES]
+            for plan in plans:
+                assert self.ask(plan) == [frozenset(pool) for pool in plan.pools]
             warm_pool_spread(cache, labels=[rng.choice("abc")])  # evicts down to the cap
-            assert len(cache._pool_views) <= len(cache._pool_memo) <= 6
-            held += len(cache._pool_views)
+            assert len(cache._pool_memo) <= 6
+            held += sum(entry.view is not None for entry in cache._pool_memo.values())
             batch = [("add_vertex", rng.choice("abc"))] if step % 5 == 0 else []
             n = g.num_vertices + len(batch)
             for _ in range(rng.randrange(1, 4) if step % 6 else 16):  # every sixth a bulk one
                 u, v = rng.sample(range(n), 2)
                 batch.append((rng.choice(["add_edge", "remove_edge"]), u, v))
             g.mutate(batch, compaction_threshold=None)
-            assert_cache_equivalent(cache, GraphIndexCache(g))
+            planned = [entry for plan in plans for entry in plan.entries]
+            assert_cache_equivalent(cache, GraphIndexCache(g), planned)
         info = cache.memo_info()
         assert held and info["rebuilt"] and info["dropped"]
 
     def test_a_view_from_a_replaced_tuple_is_returned_but_not_kept(self):
         """A plan compiled before a write asks after it: the entry its pool came
-        from was rebuilt, so the plan gets its own pool's set and the cache keeps
-        nothing for it; the plan compiled after the write gets the kept view."""
+        from was rebuilt, so the plan gets the retired entry's set of its own
+        pool and the memo's new entry builds nothing for it; the plan compiled
+        after the write gets the new entry's view."""
         g = TestPoolRepair.star_graph()
         cache = g.index_cache()
         query = QueryGraph(["a", "b"], [(0, 1)])
         before = compile_plan(query, cache)
         key = (cache.label_id("a"), 1, cache.mask_for(["b"]))
-        assert before.pools[0] == (0, 1)
+        assert before.pools[0] == (0, 1) and before.entries[0] is cache._pool_memo[key]
         g.add_edge(2, 30)  # vertex 2 joins the entry node 0 resolved to
-        assert cache._pool_memo[key] == (0, 1, 2) and key not in cache._pool_views
-        assert before.pool_set(0, cache) == frozenset({0, 1})
-        assert key not in cache._pool_views
+        entry = cache._pool_memo[key]
+        assert entry.members == (0, 1, 2) and entry is not before.entries[0]
+        assert before.pool_set(0) == frozenset({0, 1}) and entry.view is None
         after = compile_plan(query, cache)
-        view = after.pool_set(0, cache)
-        assert view == frozenset({0, 1, 2}) and cache._pool_views[key] is view
-        assert before.pool_set(0, cache) == frozenset({0, 1})  # the plan's own, still
-        assert_cache_equivalent(cache, GraphIndexCache(g))
+        view = after.pool_set(0)
+        assert view == frozenset({0, 1, 2}) and entry.view is view
+        assert before.pool_set(0) == frozenset({0, 1})  # the retired entry's, still
+        assert_cache_equivalent(cache, GraphIndexCache(g), before.entries)
 
     def test_lists_for_a_replaced_tuple_are_private(self):
-        """The same for localized lists: a plan compiled before the write asks
-        after it and gets a private dict each time, while a plan over the
-        entry's new tuple shares the entry's dict from its first ask."""
+        """The same for localized lists: a plan compiled before the write views
+        it after and gets a private dict each time, while a plan over the
+        rebuilt entry shares the dict the old entry handed it."""
         g = TestPoolRepair.star_graph()
         cache = g.index_cache()
         query = QueryGraph(["a", "b"], [(0, 1)])
         before = compile_plan(query, cache)
         key = (cache.label_id("a"), 1, cache.mask_for(["b"]))
-        _, (kept, _) = cache.pool_lists(before.profiles, before.pools)
-        assert cache._pool_lists[key] is kept  # the first ask keeps the dict
+        _, (kept, _) = cache.entry_lists(before.entries)
+        assert cache._pool_memo[key].lists is kept  # the entry's own dict
         g.add_edge(2, 30)  # vertex 2 joins the entry node 0 resolved to
-        assert cache._pool_memo[key] == (0, 1, 2) and cache._pool_lists[key] is kept
+        assert cache._pool_memo[key].members == (0, 1, 2) and cache._pool_memo[key].lists is kept
         for _ in range(2):
-            _, (lists, _) = cache.pool_lists(before.profiles, before.pools)
+            _, (lists, _) = cache.entry_lists(before.entries)
             assert lists == {} and lists is not kept
         after = compile_plan(query, cache)
-        assert cache.pool_lists(after.profiles, after.pools)[1][0] is kept
+        assert cache.entry_lists(after.entries)[1][0] is kept
 
     def test_a_view_parked_across_a_write_keeps_no_list(self, monkeypatch):
         """A view is handed its dicts, then parked while a write flips a member
         of its pool, then misses: its list is filtered by the pre-write pool,
-        so it is returned but not kept, although the entry's dict the view
-        holds survives the write. The version is the view's, read with its
+        so it is returned but not kept, although the dict the view holds
+        passed to the rebuilt entry. The version is the view's, read with its
         dicts; read per miss, it would be the write's and the list kept."""
         g = TestPoolRepair.star_graph()
         cache = g.index_cache()
@@ -727,15 +775,15 @@ class TestPoolViews:
         plan = compile_plan(query, cache)
         key = (cache.label_id("a"), 1, cache.mask_for(["b"]))
         entered, release, views = threading.Event(), threading.Event(), []
-        pool_lists = GraphIndexCache.pool_lists
+        entry_lists = GraphIndexCache.entry_lists
 
         def parked(self, *args):
-            handed = pool_lists(self, *args)  # the pre-write version and dicts
+            handed = entry_lists(self, *args)  # the pre-write version and dicts
             entered.set()
             assert release.wait(30)
             return handed
 
-        monkeypatch.setattr(GraphIndexCache, "pool_lists", parked)
+        monkeypatch.setattr(GraphIndexCache, "entry_lists", parked)
         reader = threading.Thread(
             target=lambda: views.append(CandidateIndex(g, query, cache=cache, plan=plan))
         )
@@ -747,35 +795,42 @@ class TestPoolViews:
         monkeypatch.undo()
         (view,) = views
         assert view.localized(0, 30) == ()  # N(30) ∩ the pre-write pool (0, 1)
-        assert cache._pool_lists[key] is view._localized[0] and 30 not in cache._pool_lists[key]
+        lists = cache._pool_memo[key].lists
+        assert lists is view._localized[0] and 30 not in lists
         assert CandidateIndex(g, query, cache=cache).localized(0, 30) == (2,)
-        assert_cache_equivalent(cache, GraphIndexCache(g))
+        assert_cache_equivalent(cache, GraphIndexCache(g), plan.entries)
 
     def test_a_rebuild_drops_the_view_and_the_next_ask_builds_a_new_one(self):
         g = TestPoolRepair.star_graph()
         cache = g.index_cache()
-        pool = cache.candidate_pool("a", 3)
-        view = cache.pool_view("a", 3, 0, pool)
-        assert view == {1} and cache.pool_view("a", 3, 0, pool) is view
+        entry = cache.pool_entry("a", 3)
+        view = entry.set_view()
+        assert view == {1} and cache.pool_entry("a", 3).view is view
         g.add_edge(0, 26)  # vertex 0 reaches degree 3
-        assert (cache.label_id("a"), 3, 0) not in cache._pool_views
-        assert cache.pool_view("a", 3, 0, pool) is None  # not the entry any more
-        assert cache.pool_view("a", 3, 0, cache.candidate_pool("a", 3)) == {0, 1}
-        assert_cache_equivalent(cache, GraphIndexCache(g))
+        rebuilt = cache.pool_entry("a", 3)
+        assert rebuilt is not entry and rebuilt.view is None
+        assert entry.view is view and entry.mass is None and entry.lists is None
+        assert rebuilt.set_view() == {0, 1} and rebuilt.view == {0, 1}
+        assert_cache_equivalent(cache, GraphIndexCache(g), [entry])
 
     def test_a_pickled_cache_carries_no_view(self):
         g = banded_graph()
         cache = g.index_cache()
         warm_pool_spread(cache)
-        assert cache._pool_views
-        assert pickle.loads(pickle.dumps(cache))._pool_views == {}
+        entry = next(iter(cache._pool_memo.values()))
+        assert entry.view is not None and entry.mass is not None and entry.lists
+        clone = pickle.loads(pickle.dumps(entry))
+        assert clone.members == entry.members and len(pickle.dumps(entry)) == len(
+            pickle.dumps(PoolEntry(entry.members))
+        )
+        assert (clone.view, clone.mass, clone.lists) == (None, None, None)
+        assert pickle.loads(pickle.dumps(cache))._pool_memo == {}
 
     def test_readers_beside_a_writer_keep_no_stale_view(self):
         """Four readers compiling plans and asking their views while a writer
         toggles edges, the interpreter switching threads every microsecond.
-        Plans compiled across a write hold tuples the memo has replaced; between
-        two writes every view held is its entry's set: one stored for a
-        replaced tuple, or left behind by a rebuild, would show there."""
+        Plans compiled across a write hold entries the memo has retired;
+        between two writes every view the memo holds is its entry's set."""
         g = banded_graph()
         cache = g.index_cache()
         deadline = time.monotonic() + 1.0
@@ -786,7 +841,7 @@ class TestPoolViews:
             try:
                 while time.monotonic() < deadline:
                     plan = compile_plan(rng.choice(self.QUERIES), cache)
-                    for view, pool in zip(self.ask(cache, plan), plan.pools):
+                    for view, pool in zip(self.ask(plan), plan.pools):
                         assert view == frozenset(pool)
                     asked[tid] += 1
             except Exception as exc:  # reported below, not lost in the thread
@@ -795,7 +850,7 @@ class TestPoolViews:
         readers = [threading.Thread(target=read, args=(tid,)) for tid in range(4)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
-        stale, writes = [], 0
+        stale, writes, views = [], 0, 0
         try:
             for reader in readers:
                 reader.start()
@@ -805,15 +860,18 @@ class TestPoolViews:
                 g.remove_edge(u, v) if g.has_edge(u, v) else g.add_edge(u, v)
                 writes += 1
                 with cache._lock:  # one snapshot of entries and views
-                    memo, views = dict(cache._pool_memo), dict(cache._pool_views)
-                stale += [key for key, view in views.items() if view != frozenset(memo.get(key, ()))]
-                stale += [key for key in views if key not in memo]
+                    memo = {key: (e.members, e.view) for key, e in cache._pool_memo.items()}
+                views += sum(view is not None for _, view in memo.values())
+                stale += [
+                    key for key, (members, view) in memo.items()
+                    if view is not None and view != frozenset(members)
+                ]
             for reader in readers:
                 reader.join(30)
         finally:
             sys.setswitchinterval(interval)
         assert not any(reader.is_alive() for reader in readers) and not errors, errors
-        assert writes > 100 and min(asked) > 0 and cache._pool_views and not stale, stale
+        assert writes > 100 and min(asked) > 0 and views and not stale, stale
         assert_cache_equivalent(cache, GraphIndexCache(g))
 
     def test_readers_beside_a_writer_keep_no_stale_list(self):
@@ -855,16 +913,12 @@ class TestPoolViews:
                 g.remove_edge(u, v) if g.has_edge(u, v) else g.add_edge(u, v)
                 writes += 1
                 with cache._lock:  # one snapshot of entries and lists
-                    memo = dict(cache._pool_memo)
-                    kept = {key: dict(lists) for key, lists in cache._pool_lists.items()}
-                held += sum(map(len, kept.values()))
-                for key, lists in kept.items():
-                    members = set(memo.get(key, ()))
-                    stale += [
-                        (key, fv) for fv, hit in lists.items()
-                        if key not in memo
-                        or hit != tuple(filter(members.__contains__, g.neighbors(fv)))
-                    ]
+                    kept = {key: (e.members, dict(e.lists)) for key, e in cache._pool_memo.items()}
+                held += sum(len(lists) for _, lists in kept.values())
+                stale += [
+                    (key, fv) for key, (members, lists) in kept.items()
+                    for fv, hit in lists.items() if hit != row_filter(g, fv, members)
+                ]
             for reader in readers:
                 reader.join(30)
         finally:
@@ -903,6 +957,35 @@ class TestPoolViews:
         assert cache.candidate_pool("a", 3) == (0, 1)
         assert_cache_equivalent(cache, GraphIndexCache(g))
 
+
+    @pytest.mark.parametrize("exit", ["evicted", "dropped", "rebuilt"])
+    def test_an_entry_leaving_the_memo_keeps_no_mass_and_no_lists(self, exit):
+        """Each of the three ways out of the memo retires the entry: after
+        it, a view handed the old entry gets a private dict, and the cost
+        model sums the old entry's mass afresh — here after a later write
+        moved a member's degree, which a mass left on it would miss."""
+        g = TestPoolRepair.star_graph()
+        cache = g._cache = GraphIndexCache(g, candidate_memo_size=2 if exit == "evicted" else None)
+        query = QueryGraph(["a", "b"], [(0, 1)])
+        plan = compile_plan(query, cache)
+        old = plan.entries[0]
+        CandidateIndex(g, query, cache=cache, plan=plan).localized(0, 24)
+        assert cache.degree_mass(old) == 5 and old.lists == {24: (0,)}
+        if exit == "evicted":
+            cache.candidate_pool("c", 0)
+            cache.candidate_pool("c", 1)  # both of the plan's entries go
+        elif exit == "dropped":
+            warm_pool_spread(cache, labels=["a"])  # 16 'a' entries
+            g.mutate([("add_edge", 2, 3), ("add_edge", 4, 5)], compaction_threshold=None)
+        else:
+            g.add_edge(2, 30)  # vertex 2 joins the pool
+        assert old is not cache._pool_memo.get((cache.label_id("a"), 1, cache.mask_for(["b"])))
+        g.add_edge(0, 31)  # vertex 0's degree moves to 3
+        first, second = (CandidateIndex(g, query, cache=cache, plan=plan) for _ in range(2))
+        assert first._localized[0] == {} and first._localized[0] is not second._localized[0]
+        assert cache.degree_mass(old) == g.degree(0) + g.degree(1) == 6
+        assert old.mass is None and old.lists is None
+        assert_cache_equivalent(cache, GraphIndexCache(g), plan.entries)
 
 class TestVersionAndLog:
     """There is no log: the cache counts applied ops in ``delta_seq`` and

@@ -209,17 +209,17 @@ def test_session_shares_plan_cache_through_index_cache(graph, queries):
 
 
 # ----------------------------------------------------------------------
-# Candidate set views live on the plan, never per query
+# Candidate set views live on the plan's pool entries, never per query
 # ----------------------------------------------------------------------
 def test_candidate_index_construction_builds_no_sets(graph, queries):
     cache = GraphIndexCache(graph)
     ci = CandidateIndex(graph, queries[0], cache=cache)
-    assert ci.plan._pool_sets == [None] * queries[0].size
+    assert [entry.view for entry in ci.plan.entries] == [None] * queries[0].size
     view = ci.candidate_set(0)
-    assert view == set(ci.candidates(0))
+    assert view == set(ci.candidates(0)) and ci.plan.entries[0].view is view
     assert ci.is_candidate(0, ci.candidates(0)[0])
-    # Memoized on the cached plan: a second index over the same query
-    # shares the very same set object.
+    # Kept on the pool's entry: a second index over the same query shares
+    # the very same set object.
     assert CandidateIndex(graph, queries[0], cache=cache).candidate_set(0) is view
 
 
@@ -230,25 +230,25 @@ def test_plan_driven_query_materializes_no_set_views(graph, queries):
     for query in queries:
         DSQL(graph, config=config).query(query)
     plans = [plan_cache.get_or_compile(q, graph.index_cache()) for q in queries]
-    views = [list(plan._pool_sets) for plan in plans]
+    views = [[entry.view for entry in plan.entries] for plan in plans]
     for query in queries:
         DSQL(graph, config=config).query(query)
     for plan, before in zip(plans, views):
-        assert all(a is b for a, b in zip(plan._pool_sets, before))
+        assert all(entry.view is view for entry, view in zip(plan.entries, before))
 
 
 def test_restricted_accepts_sorted_and_unordered_input():
     graph = LabeledGraph(["A", "A", "A", "B"], [(0, 3), (1, 3), (2, 3)])
     query = QueryGraph(["A", "B"], [(0, 1)])
     ci = CandidateIndex(graph, query)
-    assert ci.plan._pool_sets == [None, None]
-    # N(v3) ∩ candS(0) goes through the plan's pool set of node 0 alone.
+    assert [entry.view for entry in ci.plan.entries] == [None, None]
+    # N(v3) ∩ candS(0) goes through the pool set of node 0 alone.
     assert ci.localized(0, 3) == (0, 1, 2)
-    assert ci.plan._pool_sets == [{0, 1, 2}, None]
+    assert [entry.view for entry in ci.plan.entries] == [{0, 1, 2}, None]
 
 
 # ----------------------------------------------------------------------
-# A pool's set view lives beside its memo entry: one build per entry
+# A pool's set view lives on its memo entry: one build per entry
 # ----------------------------------------------------------------------
 def counted_pool_builds(monkeypatch) -> list:
     """Patch the two modules that may build a pool's frozenset; the returned
@@ -282,21 +282,22 @@ def test_plans_sharing_a_pool_key_share_one_view():
     edge = compile_plan(QueryGraph(["A", "B"], [(0, 1)]), cache)
     path = compile_plan(QueryGraph(["A", "B", "A"], [(0, 1), (1, 2)]), cache)
     assert edge.profiles[0] == path.profiles[0] == path.profiles[2]
-    view = edge.pool_set(0, cache)
-    assert view == {0, 1} and path.pool_set(0, cache) is view and path.pool_set(2, cache) is view
-    assert path.pool_set(1, cache) is not edge.pool_set(1, cache)  # B of degree 2 vs 1
-    assert len(cache._pool_views) == 3
+    assert edge.entries[0] is path.entries[0] is path.entries[2]
+    view = edge.pool_set(0)
+    assert view == {0, 1} and path.pool_set(0) is view and path.pool_set(2) is view
+    assert path.pool_set(1) is not edge.pool_set(1)  # B of degree 2 vs 1
+    assert sum(entry.view is not None for entry in cache._pool_memo.values()) == 3
 
 
 def test_a_recompiled_plan_gets_back_the_same_view(graph, queries):
     cache = GraphIndexCache(graph)
     plans = PlanCache(size=1)
     first = plans.get_or_compile(queries[0], cache)
-    views = [first.pool_set(u, cache) for u in range(queries[0].size)]
+    views = [first.pool_set(u) for u in range(queries[0].size)]
     plans.get_or_compile(queries[1], cache)  # evicts the first plan
     again = plans.get_or_compile(queries[0], cache)
     assert again is not first and plans.info()["misses"] == 3
-    assert all(again.pool_set(u, cache) is view for u, view in enumerate(views))
+    assert all(again.pool_set(u) is view for u, view in enumerate(views))
 
 
 def test_a_second_pass_over_a_stream_builds_no_frozenset(monkeypatch):
@@ -310,9 +311,9 @@ def test_a_second_pass_over_a_stream_builds_no_frozenset(monkeypatch):
     builds = counted_pool_builds(monkeypatch)
     for query in stream:
         session.query(query)
-        assert len(cache._pool_views) <= len(cache._pool_memo)
     assert cache._pool_memo and len(cache._pool_memo) < DEFAULT_CANDIDATE_MEMO_SIZE
-    assert len(builds) == len(cache._pool_views) > 0  # one build per memo entry asked
+    views = sum(entry.view is not None for entry in cache._pool_memo.values())
+    assert len(builds) == views > 0  # one build per memo entry asked
     assert cache.plan_cache.info()["hits"] == 0
     del builds[:]
     for query in stream:
@@ -327,9 +328,9 @@ def test_kept_views_never_outnumber_the_memo(monkeypatch):
     builds = counted_pool_builds(monkeypatch)
     for query in stream_queries(graph, 60):
         session.query(query)
-        assert cache._pool_views.keys() <= cache._pool_memo.keys()
-        assert len(cache._pool_views) <= 16
-    assert len(builds) > len(cache._pool_views)  # evicted entries' views went with them
+        assert len(cache._pool_memo) <= 16
+    views = sum(entry.view is not None for entry in cache._pool_memo.values())
+    assert len(builds) > views  # evicted entries' views went with them
 
 
 def test_a_pickled_cache_and_plan_carry_no_views_and_answer_identically(graph, queries):
@@ -337,22 +338,25 @@ def test_a_pickled_cache_and_plan_carry_no_views_and_answer_identically(graph, q
     cache = graph.index_cache()
     for query in queries:
         DSQL(graph, config=config).query(query)
-    assert cache._pool_views
-    assert pickle.loads(pickle.dumps(cache))._pool_views == {}
+    assert any(entry.view is not None for entry in cache._pool_memo.values())
+    assert pickle.loads(pickle.dumps(cache))._pool_memo == {}
     clone_graph = pickle.loads(pickle.dumps(graph))
-    assert clone_graph.index_cache()._pool_views == {}
+    assert clone_graph.index_cache()._pool_memo == {}
     for query in queries:
         want = DSQL(graph, config=config).query(query).to_dict()
         assert DSQL(clone_graph, config=config).query(query).to_dict() == want
         plan = cache.plan_cache.get_or_compile(query, cache)
-        clone = pickle.loads(pickle.dumps(plan))
-        assert clone._pool_sets == [None] * query.size
-        held = dict(cache._pool_views)
         for u in range(query.size):
-            assert clone.pool_set(u, cache) == plan.pool_set(u, cache)
-            # The clone's pools are copies, not the memo's tuples: its views are its own.
-            assert clone.pool_set(u, cache) is not plan.pool_set(u, cache) or not plan.pools[u]
-        assert cache._pool_views == held
+            plan.pool_set(u)
+        # An entry pickles as its members: no view, mass or lists go along.
+        clone = pickle.loads(pickle.dumps(plan))
+        for entry, mine in zip(clone.entries, plan.entries):
+            assert entry.members == mine.members and mine.view is not None
+            assert (entry.view, entry.mass, entry.lists) == (None, None, None)
+        for u in range(query.size):
+            assert clone.pool_set(u) == plan.pool_set(u)
+            # The clone's entries are copies, not the memo's: its views are its own.
+            assert clone.pool_set(u) is not plan.pool_set(u) or not plan.pools[u]
 
         def phase1_through(p):
             stats = SearchStats()
@@ -413,10 +417,9 @@ def test_threads_filling_one_plans_lists_answer_as_one_thread():
         mine = CandidateIndex(graph, query, cache=cache, plan=plan)._localized
         theirs = CandidateIndex(graph, query, cache=cache, plan=other)._localized
         assert all(a is b for a, b in zip(mine, theirs)) and any(mine)
-    assert cache._pool_lists.keys() <= cache._pool_memo.keys()
-    for key, lists in cache._pool_lists.items():
-        pool = set(cache._pool_memo[key])
-        for fv, hit in lists.items():
+    for key, entry in cache._pool_memo.items():
+        pool = set(entry.members)
+        for fv, hit in entry.lists.items():
             assert hit == tuple(w for w in graph.neighbors(fv) if w in pool), (key, fv)
 
 

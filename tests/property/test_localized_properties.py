@@ -2,18 +2,14 @@
 definitions.
 
 ``CandidateIndex.localized(u, fv)`` replaced a row walk in the level engine
-and the baselines with a C-level filter of ``fv``'s neighbors carrying
-``u``'s label — the index cache's label-grouped row — by the plan's pool
+and the baselines with a C-level filter of ``fv``'s row by the plan's pool
 set; Section 5.1 defines it as the father's sorted neighbor row filtered by
 ``candS(u)``. The property holds the two equal for every father match the
 search could ask about at three checkpoints: the graph as built; after a
 script of ``add_edge`` / ``remove_edge`` / ``add_vertex``, which rewrite the
-rows in place and drop the touched vertices' groupings; and after
-``compact()``, which only restarts ``delta_size``. After the script every
-touched vertex's grouping is also held to its row: for each label id,
-``cache.label_neighbors(v, lid)`` is the row's members carrying it.
+rows in place; and after ``compact()``, which only restarts ``delta_size``.
 
-The lists live beside the pool memo's entry, shared by every plan over the
+The lists live on the pool memo's entry, shared by every plan over the
 pool from its first ask, and nothing repairs them: a write drops exactly the
 lists it changed, and evicts the plans over its dirty labels. A second
 property warms plans through the ``PlanCache`` and holds every list the
@@ -50,20 +46,11 @@ def assert_localized_is_the_row_filter(graph, query):
     view = CandidateIndex(graph, query)
     plan = view.plan
     for u, father, *_ in plan.frames(query, ())[2:]:
-        pool = plan.pool_set(u, view.cache)
+        pool = plan.pool_set(u)
         for fv in plan.pools[father]:
             want = tuple(w for w in graph.neighbors(fv) if w in pool)
             assert view.localized(u, fv) == want, (u, fv)
             assert view.localized(u, fv) is view.localized(u, fv)
-
-
-def assert_grouped_rows_are_the_rows(graph, vertices):
-    cache = graph.index_cache()
-    label_ids = graph.label_id_sequence()
-    for v in vertices:
-        for lid in range(len(graph.label_table)):
-            want = tuple(w for w in graph.neighbors(v) if label_ids[w] == lid)
-            assert cache.label_neighbors(v, lid) == want, (v, lid)
 
 
 @settings(max_examples=80, deadline=None)
@@ -71,15 +58,12 @@ def assert_grouped_rows_are_the_rows(graph, vertices):
 def test_localized_equals_row_filter_in_every_storage_state(instance, script):
     graph, query = instance
     assert_localized_is_the_row_filter(graph, query)  # as built
-    touched = set()
     for op in script:
         if op[0] == "add_vertex":
-            touched.add(graph.add_vertex(op[1]))
+            graph.add_vertex(op[1])
         elif op[1] != op[2] and max(op[1:]) < graph.num_vertices:
-            if getattr(graph, op[0])(op[1], op[2]):
-                touched.update(op[1:])
-    assert_localized_is_the_row_filter(graph, query)  # rows rewritten, groupings dropped
-    assert_grouped_rows_are_the_rows(graph, touched)
+            getattr(graph, op[0])(op[1], op[2])
+    assert_localized_is_the_row_filter(graph, query)  # rows rewritten
     graph.compact()
     assert_localized_is_the_row_filter(graph, query)  # a checkpoint changes nothing
 
@@ -126,10 +110,9 @@ def assert_cached_lists_are_the_row_filters(graph, dirty_lids):
     cache = graph.index_cache()
     for plan in list(cache.plan_cache._memo.values()):
         assert not plan.referenced_lids & dirty_lids, plan.key
-    assert cache._pool_lists.keys() <= cache._pool_memo.keys()
-    for key, lists in cache._pool_lists.items():
-        pool = set(cache._pool_memo[key])
-        for fv, hit in lists.items():
+    for key, entry in cache._pool_memo.items():
+        pool = set(entry.members)
+        for fv, hit in entry.lists.items():
             assert hit == tuple(w for w in graph.neighbors(fv) if w in pool), (key, fv)
 
 

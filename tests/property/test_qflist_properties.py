@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.query_graph import QueryGraph
+from repro.indexes.graph_cache import PoolEntry
 from repro.indexes.plans import QueryPlan
 from repro.queries.ordering import rank_of
 from repro.queries.qflist import NO_FATHER, QFEntry, QFList, resort, validate_qflist
@@ -211,7 +212,7 @@ def shaped_queries(draw):
 @given(shaped_queries())
 def test_resort_and_frames_equal_the_reference_on_every_qovp(case):
     query, qlist = case
-    plan = QueryPlan(None, qlist, (), (), (), [()] * query.size, ())
+    plan = QueryPlan(None, qlist, (), (), (), [PoolEntry(())] * query.size, ())
     for level in range(query.size + 1):
         for qovp in combinations(qlist, level):
             want = reference_resort(query, qlist, set(qovp))

@@ -270,7 +270,7 @@ class TestProbeIsARead:
                     entry.estimate_cost(query)
                     plan = cache.plan_cache.get_or_compile(query, cache)
                     for u, pool in enumerate(plan.pools):
-                        assert plan.pool_set(u, cache) == frozenset(pool)
+                        assert plan.pool_set(u) == frozenset(pool)
                     probes[tid] += 1
             except Exception as exc:  # pragma: no cover - surfaced below
                 errors.append((tid, repr(exc)))
@@ -299,7 +299,7 @@ class TestProbeIsARead:
             sys.setswitchinterval(interval)
         assert not errors and not any(thread.is_alive() for thread in threads), errors
         assert min(probes) > 0 and graph.version[1] > 3 and kept_masses(cache)
-        assert cache._pool_views
+        assert any(entry.view is not None for entry in cache._pool_memo.values())
         assert_cache_equivalent(cache, GraphIndexCache(graph))
         rebuilt = DSQL(LabeledGraph(list(graph.labels), list(graph.edges())), entry.default_config)
         assert [entry.estimate_cost(q) for q in battery] == [rebuilt.estimate(q) for q in battery]

@@ -412,11 +412,36 @@ STAYS_DELETED = {
         "\n    def localized_memo(self):\n        return self._localized\n", ("localized_memo(",),
     ),
     "label_wide_list_drop": (
-        ("key[0] in dirty", "del self._pool_lists["),
+        ("key[0] in dirty", ".lists.clear()"),
         "indexes/graph_cache.py", "            self.delta_seq += len(ops)\n",
-        "            for key in [key for key in self._pool_lists if key[0] in dirty_lids]:\n"
-        "                del self._pool_lists[key]\n",
-        ("key[0] in dirty", "del self._pool_lists["),
+        "            for key in [key for key in self._pool_memo if key[0] in dirty_per_label]:\n"
+        "                self._pool_memo[key].lists.clear()\n",
+        ("key[0] in dirty", ".lists.clear()"),
+    ),
+    # A pool's view, mass and lists live on its entry: the key-rebuilding
+    # accessors, the memos beside the entry and the plan's references to
+    # the views stay deleted, and so do the label-grouped rows a miss read.
+    "pool_view": (
+        ("pool_view(", "_pool_views", "_pool_sets"),
+        "indexes/plans.py", "        view = entry.view\n",
+        "        view = view or cache.pool_view(*self.profiles[u], self.pools[u])\n",
+        ("pool_view(",),
+    ),
+    "pool_degree_mass": (
+        ("pool_degree_mass",),
+        "cost/estimator.py", "    mass_of = cache.degree_mass\n",
+        "    mass_of = cache.pool_degree_mass\n", ("pool_degree_mass",),
+    ),
+    "pool_lists": (
+        ("_pool_lists", "pool_lists("),
+        "indexes/graph_cache.py", "            entry = memo[key] = PoolEntry(members, lists={})\n",
+        "            self._pool_lists[key] = entry.lists\n", ("_pool_lists",),
+    ),
+    "label_grouping": (
+        ("label_neighbors", "_grouped_rows", "_group_row"),
+        "indexes/candidates.py", "        if hit is None:\n",
+        "            run = self.cache.label_neighbors(fv, self.cache.label_ids[u])\n",
+        ("label_neighbors",),
     ),
     "profiling_hooks": (
         (
@@ -695,11 +720,10 @@ def test_resort_walks_in_one_place():
 
 # ----------------------------------------------------------------------
 # Fork guard: one implementation of Section 5.1. ``N(father's match) ∩
-# candS(u)`` is ``CandidateIndex.localized`` — the father's neighbors with
-# ``u``'s label (``GraphIndexCache.label_neighbors``, a label-grouped row
-# read by bisect and slice) filtered by the pool set in C, memoized beside
-# the pool's memo entry (``GraphIndexCache.pool_lists``; the plan's memo of
-# them and a write's drop of a dirty label's lists stay deleted); no engine,
+# candS(u)`` is ``CandidateIndex.localized`` — the father's row filtered by
+# the pool set in C, memoized on the pool's memo entry (the plan's memo of
+# them, the memo beside the entry, the label-grouped rows a miss once read
+# and a write's drop of a dirty label's lists stay deleted); no engine,
 # baseline or index walks a neighbor row in the interpreter asking
 # membership per element.
 # ----------------------------------------------------------------------
@@ -730,7 +754,7 @@ def test_localization_stays_in_one_place():
     assert len(sources) > 15 and "indexes/graph_cache.py" in sources
     assert not row_walk_sites(sources)
     # The pass sees both lines this guard replaced, pasted back, and the
-    # grouping regrown as a row walk with a membership test.
+    # miss regrown as a row walk with a membership test.
     engine_line = (
         "base = [w for w in self.graph.neighbors(self._assignment[father]) if w in pool]\n"
     )
@@ -742,17 +766,14 @@ def test_localization_stays_in_one_place():
     )
     assert row_walk_sites({"search.py": engine_line}) == ["search.py:1"]
     assert row_walk_sites({"com.py": baseline_loop}) == ["com.py:1"]
-    cache_text = sources["indexes/graph_cache.py"]
-    anchor = "        grouped = self._grouped_rows.get(v)\n"
-    walked = cache_text.replace(
-        anchor,
-        "        bucket = set(self.label_index[self.label_table[lid]])\n"
-        "        return tuple(w for w in self.graph.neighbors(v) if w in bucket)\n" + anchor,
-        1,
+    view_text = sources["indexes/candidates.py"]
+    anchor = "filter(self._pool_set(u).__contains__, self.graph.neighbors(fv))"
+    assert view_text.count(anchor) == 1
+    walked = view_text.replace(
+        anchor, "w for w in self.graph.neighbors(fv) if w in self._pool_set(u)"
     )
-    assert walked != cache_text
-    (site,) = row_walk_sites({"indexes/graph_cache.py": walked})
-    assert site.startswith("indexes/graph_cache.py:")
+    (site,) = row_walk_sites({"indexes/candidates.py": walked})
+    assert site.startswith("indexes/candidates.py:")
     # The sorted-list restriction nothing called stays deleted, and neither
     # memo (localized lists, frame table) grew a switch or a size. The lists
     # live beside the pool, so the plan's memo of them stays deleted, and a
@@ -762,6 +783,8 @@ def test_localization_stays_in_one_place():
     assert not offenders, offenders
     assert_stays_deleted("plan_localized_memo")
     assert_stays_deleted("label_wide_list_drop")
+    assert_stays_deleted("pool_lists")
+    assert_stays_deleted("label_grouping")
     assert len(dataclasses.fields(DSQLConfig)) == 20
 
 
@@ -938,8 +961,8 @@ PICKLED_SLOTS = {
         "pool_entries_dropped", "_adj_memo_size",
     ),
     "QueryPlan": (
-        "key", "qlist", "order", "backward", "profiles", "pools", "kernels", "class_pools",
-        "referenced_lids", "absent_labels",
+        "key", "qlist", "order", "backward", "profiles", "entries", "pools", "kernels",
+        "class_pools", "referenced_lids", "absent_labels",
     ),
     "PlanCache": ("_memo", "_size", "hits", "misses"),
 }
@@ -953,15 +976,14 @@ DERIVED_CHECKS = {
     "_lock": ("tests/graph/test_shared.py", "assert got._lock is not cache._lock"),
     "_metrics": ("tests/graph/test_shared.py", "got._metrics is None"),
     "_mask_signatures": ("tests/indexes/test_delta_repair.py", "repaired._mask_signatures.items()"),
-    "_pool_memo": ("tests/indexes/test_delta_repair.py", "assert pool == fresh._scan(*key), key"),
-    "_pool_keys": ("tests/indexes/test_delta_repair.py", "masses = kept_masses(repaired)"),
-    "_pool_views": ("tests/indexes/test_delta_repair.py", "repaired._pool_views.items()"),
-    "_pool_lists": (
-        "tests/property/test_localized_properties.py",
-        "assert hit == tuple(w for w in graph.neighbors(fv) if w in pool), (key, fv)",
+    "_pool_memo": (
+        "tests/indexes/test_delta_repair.py", "assert members == fresh._scan(*key), key",
+    ),
+    "_pool_keys": (
+        "tests/indexes/test_delta_repair.py",
+        "assert sorted(indexed) == sorted(repaired._pool_memo)",
     ),
     "_adj_masks": ("tests/indexes/test_delta_repair.py", "repaired._adj_masks.items()"),
-    "_grouped_rows": ("tests/indexes/test_delta_repair.py", "repaired._grouped_rows.items()"),
     "plan_cache": ("tests/indexes/test_delta_repair.py", "repaired.plan_cache._memo.items()"),
     "_cost_estimator": (
         "tests/cost/test_estimator.py",
@@ -1185,14 +1207,14 @@ def test_memo_lock_lives_on_the_memo():
 
 # ----------------------------------------------------------------------
 # Fork guard: a pool is summed where it lives. The degree mass and the set
-# view of a candidate pool are the index cache's (kept beside the memo entry,
-# repaired or dropped with it), so nothing under ``cost/`` reads the degree
-# list, and a pool's frozenset is built once in ``indexes/graph_cache.py`` and
-# once in ``indexes/plans.py`` (the fallback for a pool the memo no longer
-# holds), never by a reader under ``core/``, ``isomorphism/`` or
-# ``indexes/candidates.py``; the cost probe is a reader of the graph it
-# prices; a query says its own neighbourhood signature without building an
-# index cache for its handful of nodes.
+# view of a candidate pool live on its memo entry (``PoolEntry``, repaired
+# or retired with it; the key-rebuilding accessors and the plan's references
+# to the views stay deleted), so nothing under ``cost/`` reads the degree
+# list, and a pool's frozenset is built once, in ``indexes/graph_cache.py``
+# (``PoolEntry.set_view``), never by a reader under ``core/``,
+# ``isomorphism/`` or ``indexes/`` beside it; the cost probe is a reader of
+# the graph it prices; a query says its own neighbourhood signature without
+# building an index cache for its handful of nodes.
 # ----------------------------------------------------------------------
 def functions_named(text, name):
     return [
@@ -1201,16 +1223,16 @@ def functions_named(text, name):
     ]
 
 
-POOL_VIEW_HOMES = ("indexes/graph_cache.py", "indexes/plans.py")
-POOL_VIEW_READERS = ("core/", "isomorphism/", "indexes/candidates.py")
+POOL_VIEW_HOMES = ("indexes/graph_cache.py",)
+POOL_VIEW_READERS = ("core/", "isomorphism/", "indexes/candidates.py", "indexes/plans.py")
 
 
 def pool_view_builds(text):
-    """The ``frozenset(...)`` calls over a pool (an argument naming one)."""
+    """The ``frozenset(...)`` calls over a pool (an argument naming one or its members)."""
     return [
         n for n in ast.walk(ast.parse(text))
         if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "frozenset"
-        and n.args and "pool" in ast.unparse(n.args[0])
+        and n.args and any(word in ast.unparse(n.args[0]) for word in ("pool", "members"))
     ]
 
 
@@ -1261,9 +1283,11 @@ def test_a_pool_is_summed_where_it_lives():
     sources = package_sources()
     assert not pool_sum_offenders(sources)
     assert len(dataclasses.fields(DSQLConfig)) == 20
+    assert_stays_deleted("pool_view")
+    assert_stays_deleted("pool_degree_mass")
     # The guard sees the pool walk pasted back into the estimator ...
     text = sources["cost/estimator.py"]
-    anchor = "    mass_of = cache.pool_degree_mass\n"
+    anchor = "    mass_of = cache.degree_mass\n"
     assert text.count(anchor) == 1
     mutant = text.replace(
         anchor,
@@ -1279,20 +1303,33 @@ def test_a_pool_is_summed_where_it_lives():
     ]
     # ... a reader building a pool's set of its own ...
     text = sources["core/phase1.py"]
-    anchor = "    return {u: plan.pool_set(u, cache) & covered for u in range(q)}\n"
+    anchor = "    return {u: plan.pool_set(u) & covered for u in range(q)}\n"
     assert text.count(anchor) == 1
     mutant = text.replace(anchor, "    return {u: frozenset(plan.pools[u]) & covered for u in range(q)}\n")
     line = mutant[: mutant.index("frozenset(plan.pools[u])")].count("\n") + 1
     assert pool_sum_offenders({**sources, "core/phase1.py": mutant}) == [
         f"core/phase1.py:{line}: builds frozenset(plan.pools[u])"
     ]
-    # ... and the plan building its own view again instead of taking the memo's.
+    # ... the plan building its own view again instead of taking the entry's ...
     text = sources["indexes/plans.py"]
-    anchor = "            view = cache.pool_view(*self.profiles[u], self.pools[u])\n"
+    anchor = "        return entry.set_view() if view is None else view\n"
     assert text.count(anchor) == 1
-    mutant = text.replace(anchor, "            view = frozenset(self.pools[u])\n")
+    mutant = text.replace(
+        anchor, "        return frozenset(self.pools[u]) if view is None else view\n"
+    )
+    line = mutant[: mutant.index("frozenset(self.pools[u])")].count("\n") + 1
     assert pool_sum_offenders({**sources, "indexes/plans.py": mutant}) == [
-        "indexes/plans.py: builds a pool's frozenset 2 times"
+        f"indexes/plans.py:{line}: builds frozenset(self.pools[u])"
+    ]
+    # ... the entry building a second set of its members ...
+    text = sources["indexes/graph_cache.py"]
+    anchor = "        view = self.view = frozenset(self.members)\n"
+    assert text.count(anchor) == 1
+    mutant = text.replace(
+        anchor, anchor + "        self.lists = {v: frozenset(self.members) for v in ()}\n"
+    )
+    assert pool_sum_offenders({**sources, "indexes/graph_cache.py": mutant}) == [
+        "indexes/graph_cache.py: builds a pool's frozenset 2 times"
     ]
     # ... the probe pricing outside the read lock again ...
     text = sources["service/catalog.py"]
