@@ -14,58 +14,30 @@ from __future__ import annotations
 
 import pytest
 
-from common import (
-    bench_graph,
-    bench_queries,
-    com_adapter,
-    dsql_config,
-    emit,
-    queries_per_point,
-    run_dsql_batch,
-    run_solver_batch,
-)
+from common import bench_graph, bench_queries, emit, queries_per_point
+from repro.core.config import DSQLConfig
+from repro.experiments import paper
 from repro.experiments.report import render_series
 from repro.experiments.workloads import (
     DEFAULT_K,
     DEFAULT_QUERY_EDGES,
+    FIG6_DATASETS,
     K_GRID,
     QUERY_SIZE_GRID,
 )
 
-DATASETS = ["wordnet", "epinion", "dblp", "youtube", "dbpedia", "imdb"]
-
 
 def sweep_k(name: str):
-    graph = bench_graph(name)
     queries = bench_queries(name, DEFAULT_QUERY_EDGES, queries_per_point(5))
-    series = {"DSQL cov": [], "COM cov": [], "MAX": [], "DSQL ms": [], "COM ms": []}
-    for k in K_GRID:
-        dsql = run_dsql_batch(graph, queries, dsql_config(k))
-        com = run_solver_batch(graph, queries, com_adapter(k), k, "COM")
-        series["DSQL cov"].append(dsql.mean_coverage)
-        series["COM cov"].append(com.mean_coverage)
-        series["MAX"].append(dsql.mean_max)
-        series["DSQL ms"].append(dsql.mean_millis)
-        series["COM ms"].append(com.mean_millis)
-    return series
+    return paper.sweep_k(bench_graph(name), queries, K_GRID)
 
 
 def sweep_query_size(name: str):
-    graph = bench_graph(name)
-    series = {"DSQL cov": [], "COM cov": [], "MAX": [], "DSQL ms": [], "COM ms": []}
-    for z in QUERY_SIZE_GRID:
-        queries = bench_queries(name, z, queries_per_point(4))
-        dsql = run_dsql_batch(graph, queries, dsql_config(DEFAULT_K))
-        com = run_solver_batch(graph, queries, com_adapter(DEFAULT_K), DEFAULT_K, "COM")
-        series["DSQL cov"].append(dsql.mean_coverage)
-        series["COM cov"].append(com.mean_coverage)
-        series["MAX"].append(dsql.mean_max)
-        series["DSQL ms"].append(dsql.mean_millis)
-        series["COM ms"].append(com.mean_millis)
-    return series
+    batches = {z: bench_queries(name, z, queries_per_point(4)) for z in QUERY_SIZE_GRID}
+    return paper.sweep_query_size(bench_graph(name), batches, DEFAULT_K)
 
 
-@pytest.mark.parametrize("name", DATASETS)
+@pytest.mark.parametrize("name", FIG6_DATASETS)
 def test_fig6_vary_k(benchmark, name):
     series = benchmark.pedantic(sweep_k, args=(name,), rounds=1, iterations=1)
     emit(f"fig6_{name}_vary_k", render_series("k", K_GRID, series))
@@ -97,5 +69,5 @@ def test_fig6_single_query_kernel(benchmark):
 
     graph = bench_graph("dblp")
     query = bench_queries("dblp", DEFAULT_QUERY_EDGES, 1)[0]
-    solver = DSQL(graph, config=dsql_config(DEFAULT_K))
+    solver = DSQL(graph, config=DSQLConfig(k=DEFAULT_K, node_budget=paper.DEFAULT_BUDGET))
     benchmark(lambda: solver.query(query))

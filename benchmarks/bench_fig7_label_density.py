@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import pytest
 
-from common import bench_graph, dsql_config, emit, queries_per_point, run_dsql_batch
+from common import bench_graph, emit, queries_per_point
+from repro.core.config import DSQLConfig
 from repro.datasets.labels import relabel_to_density
+from repro.experiments import paper
 from repro.experiments.report import render_series
 from repro.experiments.workloads import DEFAULT_K, LABEL_DENSITY_GRID
 from repro.graph.builder import relabel
@@ -35,6 +37,7 @@ def sweep(name: str):
     ratio = PAPER_REFERENCE_V[name] / base.num_vertices
     series = {"coverage": [], "MAX": [], "ratio": [], "ms": []}
     labels_used = []
+    config = DSQLConfig(k=DEFAULT_K, node_budget=paper.DEFAULT_BUDGET)
     for density in LABEL_DENSITY_GRID:
         scaled_density = density * ratio
         graph = relabel(
@@ -42,7 +45,7 @@ def sweep(name: str):
         )
         labels_used.append(len(graph.label_set()))
         queries = query_set(graph, 5, queries_per_point(5), seed=23)
-        summary = run_dsql_batch(graph, queries, dsql_config(DEFAULT_K))
+        summary = paper.run_dsql(graph, queries, config)
         series["coverage"].append(summary.mean_coverage)
         series["MAX"].append(summary.mean_max)
         series["ratio"].append(summary.mean_ratio)

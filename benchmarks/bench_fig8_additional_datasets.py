@@ -9,49 +9,23 @@ from __future__ import annotations
 
 import pytest
 
-from common import (
-    bench_graph,
-    bench_queries,
-    com_adapter,
-    dsql_config,
-    emit,
-    queries_per_point,
-    run_dsql_batch,
-    run_solver_batch,
-)
+from common import bench_graph, bench_queries, emit, queries_per_point
 from repro.core.config import DSQLConfig
+from repro.experiments import paper
 from repro.experiments.report import render_series
-from repro.experiments.workloads import DEFAULT_K, DEFAULT_QUERY_EDGES, K_GRID
-
-DATASETS = ["yeast", "human", "uspatent"]
+from repro.experiments.workloads import DEFAULT_K, DEFAULT_QUERY_EDGES, FIG8_DATASETS, K_GRID
 
 
 def dsqlh_config(k: int) -> DSQLConfig:
-    return DSQLConfig.dsqlh(k, node_budget=300_000)
+    return DSQLConfig.dsqlh(k, node_budget=paper.DEFAULT_BUDGET)
 
 
 def sweep_k(name: str):
-    graph = bench_graph(name)
     queries = bench_queries(name, DEFAULT_QUERY_EDGES, queries_per_point(5))
-    series = {
-        "DSQL cov": [], "DSQLh cov": [], "COM cov": [], "MAX": [],
-        "DSQL ms": [], "DSQLh ms": [], "COM ms": [],
-    }
-    for k in K_GRID:
-        dsql = run_dsql_batch(graph, queries, dsql_config(k))
-        dsqlh = run_dsql_batch(graph, queries, dsqlh_config(k), label="DSQLh")
-        com = run_solver_batch(graph, queries, com_adapter(k), k, "COM")
-        series["DSQL cov"].append(dsql.mean_coverage)
-        series["DSQLh cov"].append(dsqlh.mean_coverage)
-        series["COM cov"].append(com.mean_coverage)
-        series["MAX"].append(dsql.mean_max)
-        series["DSQL ms"].append(dsql.mean_millis)
-        series["DSQLh ms"].append(dsqlh.mean_millis)
-        series["COM ms"].append(com.mean_millis)
-    return series
+    return paper.sweep_k(bench_graph(name), queries, K_GRID, solvers={"DSQLh": dsqlh_config})
 
 
-@pytest.mark.parametrize("name", DATASETS)
+@pytest.mark.parametrize("name", FIG8_DATASETS)
 def test_fig8_vary_k(benchmark, name):
     series = benchmark.pedantic(sweep_k, args=(name,), rounds=1, iterations=1)
     emit(f"fig8_{name}_vary_k", render_series("k", K_GRID, series))
@@ -70,8 +44,9 @@ def test_fig8_dsqlh_speedup_on_dense_graph(benchmark):
     queries = bench_queries("human", DEFAULT_QUERY_EDGES, queries_per_point(5))
 
     def run_pair():
-        dsql = run_dsql_batch(graph, queries, dsql_config(DEFAULT_K))
-        dsqlh = run_dsql_batch(graph, queries, dsqlh_config(DEFAULT_K), label="DSQLh")
+        config = DSQLConfig(k=DEFAULT_K, node_budget=paper.DEFAULT_BUDGET)
+        dsql = paper.run_dsql(graph, queries, config)
+        dsqlh = paper.run_dsql(graph, queries, dsqlh_config(DEFAULT_K), label="DSQLh")
         return dsql, dsqlh
 
     dsql, dsqlh = benchmark.pedantic(run_pair, rounds=1, iterations=1)

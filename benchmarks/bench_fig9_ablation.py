@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-from common import bench_graph, bench_queries, emit, queries_per_point, run_dsql_batch
-from repro.core.config import VARIANTS, variant_config
+from common import bench_graph, bench_queries, emit, queries_per_point
+from repro.core.config import variant_config
+from repro.experiments import paper
 from repro.experiments.report import render_series
 from repro.experiments.workloads import DEFAULT_K, DEFAULT_QUERY_EDGES, FIG9_DATASETS
 
@@ -19,16 +20,12 @@ VARIANT_ORDER = ["DSQL0", "DSQL1", "DSQL2", "DSQL3", "DSQL", "DSQLh"]
 
 
 def sweep(name: str):
-    graph = bench_graph(name)
     queries = bench_queries(name, DEFAULT_QUERY_EDGES, queries_per_point(5))
-    ms, cov, expanded = {}, {}, {}
-    for variant in VARIANT_ORDER:
-        config = variant_config(variant, DEFAULT_K, node_budget=400_000)
-        summary = run_dsql_batch(graph, queries, config, label=variant)
-        ms[variant] = summary.mean_millis
-        cov[variant] = summary.mean_coverage
-        expanded[variant] = summary.mean_embeddings
-    return ms, cov
+    out = paper.ablation(bench_graph(name), queries, DEFAULT_K, variants=VARIANT_ORDER)
+    return (
+        {v: summary.mean_millis for v, summary in out.items()},
+        {v: summary.mean_coverage for v, summary in out.items()},
+    )
 
 
 @pytest.mark.parametrize("name", FIG9_DATASETS)

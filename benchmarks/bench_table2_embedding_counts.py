@@ -11,47 +11,21 @@ lower bounds (the paper's "-" rows).
 
 from __future__ import annotations
 
-import statistics
-import time
-
-import pytest
-
 from common import bench_graph, bench_queries, emit, queries_per_point
+from repro.experiments import paper
 from repro.experiments.report import render_table
 from repro.experiments.workloads import DEFAULT_QUERY_EDGES
-from repro.isomorphism.qsearch import count_embeddings
 
 DATASETS = ["yeast", "epinion", "dblp", "youtube"]
-COUNT_BUDGET = 400_000
-
-
-def run_dataset(name: str):
-    graph = bench_graph(name)
-    queries = bench_queries(name, DEFAULT_QUERY_EDGES, queries_per_point(6))
-    counts, times, complete = [], [], 0
-    for query in queries:
-        start = time.perf_counter()
-        count, finished = count_embeddings(graph, query, node_budget=COUNT_BUDGET)
-        times.append(time.perf_counter() - start)
-        counts.append(count)
-        complete += finished
-    return {
-        "avg": statistics.fmean(counts),
-        "worst": max(counts),
-        "time": statistics.fmean(times),
-        "complete": complete,
-        "total": len(queries),
-    }
 
 
 def build_table():
     rows = []
     for name in DATASETS:
-        r = run_dataset(name)
-        flag = "" if r["complete"] == r["total"] else f" (>= , {r['total'] - r['complete']} capped)"
-        rows.append(
-            [name, f"{r['avg']:.1f}{flag}", r["worst"], f"{r['time'] * 1000:.1f}"]
-        )
+        queries = bench_queries(name, DEFAULT_QUERY_EDGES, queries_per_point(6))
+        r = paper.table2_counts(bench_graph(name), queries, dataset=name)
+        flag = "" if r.completed == r.total else f" (>= , {r.total - r.completed} capped)"
+        rows.append([name, f"{r.average:.1f}{flag}", r.worst, f"{r.mean_seconds * 1000:.1f}"])
     return rows
 
 
@@ -69,4 +43,4 @@ def test_table2_single_query_count(benchmark):
     """Timed kernel: one exhaustive count on the DBLP stand-in."""
     graph = bench_graph("dblp")
     query = bench_queries("dblp", DEFAULT_QUERY_EDGES, 1)[0]
-    benchmark(lambda: count_embeddings(graph, query, node_budget=COUNT_BUDGET))
+    benchmark(lambda: paper.table2_counts(graph, (query,)))

@@ -9,39 +9,23 @@ the gap explicit (the paper splits this across Tables 3 and Figure 6).
 
 from __future__ import annotations
 
-from common import (
-    bench_graph,
-    bench_queries,
-    dsql_config,
-    emit,
-    queries_per_point,
-    run_dsql_batch,
-    run_solver_batch,
-)
-from repro.baselines.firstk import first_k_baseline
+from common import bench_graph, bench_queries, emit, queries_per_point
+from repro.core.config import DSQLConfig
+from repro.experiments import paper
 from repro.experiments.report import render_table
 from repro.experiments.workloads import DEFAULT_K, DEFAULT_QUERY_EDGES
 
 DATASETS = ["yeast", "epinion", "dblp", "youtube"]
 
 
-def firstk_adapter(k: int):
-    def solve(graph, query):
-        r = first_k_baseline(graph, query, k, node_budget=200_000)
-        return r.coverage, len(r.embeddings), False
-
-    return solve
-
-
 def build_rows():
     rows = []
+    config = DSQLConfig(k=DEFAULT_K, node_budget=paper.DEFAULT_BUDGET)
     for name in DATASETS:
         graph = bench_graph(name)
         queries = bench_queries(name, DEFAULT_QUERY_EDGES, queries_per_point(6))
-        firstk = run_solver_batch(
-            graph, queries, firstk_adapter(DEFAULT_K), DEFAULT_K, "firstk"
-        )
-        dsql = run_dsql_batch(graph, queries, dsql_config(DEFAULT_K))
+        firstk = paper.table3_firstk(graph, queries, DEFAULT_K)
+        dsql = paper.run_dsql(graph, queries, config)
         rows.append(
             [
                 name,

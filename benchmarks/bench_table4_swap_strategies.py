@@ -10,13 +10,9 @@ pipelines at a fraction of the total time.
 
 from __future__ import annotations
 
-import statistics
-import time
-
-from common import bench_graph, bench_queries, dsql_config, emit, queries_per_point
-from repro.baselines.enumerate_then_cover import STRATEGIES, generate_all, select_top_k
-from repro.core.dsql import DSQL
-from repro.coverage.core import coverage as coverage_of
+from common import bench_graph, bench_queries, emit, queries_per_point
+from repro.baselines.enumerate_then_cover import STRATEGIES
+from repro.experiments import paper
 from repro.experiments.report import render_table
 from repro.experiments.workloads import DEFAULT_K, DEFAULT_QUERY_EDGES
 
@@ -24,39 +20,16 @@ GENERATION_BUDGET = 60_000
 
 
 def build_rows():
-    graph = bench_graph("dblp")
     queries = bench_queries("dblp", DEFAULT_QUERY_EDGES, queries_per_point(5))
-
-    per_strategy = {s: {"cov": [], "ms": []} for s in STRATEGIES}
-    gen_times, dsql_cov, dsql_ms = [], [], []
-
-    solver = DSQL(graph, config=dsql_config(DEFAULT_K))
-    for query in queries:
-        start = time.perf_counter()
-        embeddings = generate_all(graph, query, node_budget=GENERATION_BUDGET)
-        gen_times.append(time.perf_counter() - start)
-        for strategy in STRATEGIES:
-            start = time.perf_counter()
-            members = select_top_k(embeddings, DEFAULT_K, strategy)
-            per_strategy[strategy]["ms"].append((time.perf_counter() - start) * 1000)
-            per_strategy[strategy]["cov"].append(coverage_of(members))
-        start = time.perf_counter()
-        result = solver.query(query)
-        dsql_ms.append((time.perf_counter() - start) * 1000)
-        dsql_cov.append(result.coverage)
-
-    t = statistics.fmean(gen_times) * 1000
-    rows = []
-    for strategy in STRATEGIES:
-        rows.append(
-            [
-                strategy,
-                f"{statistics.fmean(per_strategy[strategy]['ms']):.2f}+t",
-                f"{statistics.fmean(per_strategy[strategy]['cov']):.1f}",
-            ]
-        )
-    rows.append(["DSQL", f"{statistics.fmean(dsql_ms):.2f}", f"{statistics.fmean(dsql_cov):.1f}"])
-    return rows, t
+    result = paper.table4_strategies(
+        bench_graph("dblp"), queries, DEFAULT_K, generation_budget=GENERATION_BUDGET
+    )
+    rows = [
+        [o.strategy, f"{o.mean_millis:.2f}" + ("+t" if o.includes_generation else ""),
+         f"{o.mean_coverage:.1f}"]
+        for o in result.outcomes
+    ]
+    return rows, result.generation_millis
 
 
 def test_table4_swap_strategies(benchmark):

@@ -6,6 +6,9 @@ log) *and* written to ``benchmarks/out/<name>.txt`` so a full
 ``pytest benchmarks/ --benchmark-only`` run leaves the whole set of
 paper-style artifacts on disk.
 
+The numbers come from :mod:`repro.experiments.paper`, which times every
+query batch; a bench script chooses its inputs, renders and asserts shapes.
+
 Environment knobs (see :mod:`repro.experiments.workloads`):
 
 * ``REPRO_QUERIES`` — queries per configuration (default: small batches);
@@ -15,23 +18,14 @@ Environment knobs (see :mod:`repro.experiments.workloads`):
 from __future__ import annotations
 
 import functools
-import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.config import DSQLConfig
-from repro.core.dsql import DSQL
 from repro.datasets.registry import get_profile, make_dataset
-from repro.experiments.measurement import BatchSummary, QueryRecord
 from repro.experiments.workloads import batch_size, bench_scale_override
 from repro.graph.labeled_graph import LabeledGraph
-from repro.graph.query_graph import QueryGraph
 from repro.queries.generator import query_set
 
 OUT_DIR = Path(__file__).parent / "out"
-
-DEFAULT_NODE_BUDGET = 300_000
-"""Per-query search budget for benchmark runs (keeps tail queries bounded)."""
 
 
 def emit(name: str, text: str) -> None:
@@ -53,79 +47,6 @@ def bench_graph(name: str, seed: int = 0) -> LabeledGraph:
 def bench_queries(name: str, num_edges: int, count: int, seed: int = 0):
     """A cached query batch on the named dataset's bench graph."""
     return tuple(query_set(bench_graph(name), num_edges, count, seed=seed))
-
-
-def dsql_config(k: int, **overrides) -> DSQLConfig:
-    """The default benchmark DSQL configuration (budgeted)."""
-    overrides.setdefault("node_budget", DEFAULT_NODE_BUDGET)
-    return DSQLConfig(k=k, **overrides)
-
-
-def run_dsql_batch(
-    graph: LabeledGraph,
-    queries: Sequence[QueryGraph],
-    config: DSQLConfig,
-    label: str = "DSQL",
-) -> BatchSummary:
-    """Run DSQL over a batch, returning the measured summary.
-
-    The per-graph index cache is prewarmed before timing starts, so the
-    figures measure query latency rather than one-off index construction.
-    """
-    graph.index_cache()
-    solver = DSQL(graph, config=config)
-    summary = BatchSummary(label=label)
-    for query in queries:
-        start = time.perf_counter()
-        result = solver.query(query)
-        elapsed = time.perf_counter() - start
-        summary.add(
-            QueryRecord(
-                seconds=elapsed,
-                coverage=result.coverage,
-                max_value=result.max_value(),
-                num_embeddings=len(result),
-                optimal=result.optimal,
-                budget_exhausted=result.stats.budget_exhausted,
-            )
-        )
-    return summary
-
-
-def run_solver_batch(
-    graph: LabeledGraph,
-    queries: Sequence[QueryGraph],
-    solve: Callable,
-    k: int,
-    label: str,
-) -> BatchSummary:
-    """Run an arbitrary ``solve(graph, query) -> (coverage, n, budget)``."""
-    summary = BatchSummary(label=label)
-    for query in queries:
-        start = time.perf_counter()
-        coverage, num, budget_hit = solve(graph, query)
-        elapsed = time.perf_counter() - start
-        summary.add(
-            QueryRecord(
-                seconds=elapsed,
-                coverage=coverage,
-                max_value=k * query.size,
-                num_embeddings=num,
-                budget_exhausted=budget_hit,
-            )
-        )
-    return summary
-
-
-def com_adapter(k: int, node_budget: int = DEFAULT_NODE_BUDGET) -> Callable:
-    """COM as a ``run_solver_batch`` solve function."""
-    from repro.baselines.com import com_search
-
-    def solve(graph, query):
-        r = com_search(graph, query, k, node_budget=node_budget)
-        return r.coverage, len(r.embeddings), r.budget_exhausted
-
-    return solve
 
 
 def queries_per_point(default: int = 6) -> int:

@@ -1,12 +1,15 @@
 """Programmatic runners for every experiment in the paper's evaluation.
 
 Each function regenerates the data behind one table or figure and returns
-plain dictionaries/lists, so the same implementation serves the benchmark
-suite (which renders and asserts shapes), the CLI ``experiment`` command,
-and ad-hoc notebook use.
+its numbers as plain records, dictionaries or lists, so one implementation
+serves the benchmark suite (whose ``bench_*`` scripts only choose inputs,
+render and assert shapes), the CLI ``experiment`` command, and ad-hoc
+notebook use. Every :class:`~repro.experiments.measurement.BatchSummary`
+here comes from :func:`~repro.experiments.runner.run_batch`.
 
-All runners take explicit graphs/batches where practical; the ``*_default``
-helpers build the paper-configured workloads from the dataset registry.
+All runners take explicit graphs and query batches; the caller chooses
+them (the figure benches read their dataset panels from
+:mod:`repro.experiments.workloads`).
 """
 
 from __future__ import annotations
@@ -16,13 +19,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.baselines.com import com_search
 from repro.baselines.enumerate_then_cover import STRATEGIES, generate_all, select_top_k
-from repro.baselines.firstk import first_k_baseline
 from repro.core.config import DSQLConfig, variant_config
 from repro.core.dsql import DSQL
 from repro.coverage.core import coverage as coverage_of
-from repro.experiments.measurement import BatchSummary, QueryRecord
+from repro.experiments.measurement import BatchSummary
+from repro.experiments.runner import com_solver, dsql_solver, first_k_solver, run_batch
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.isomorphism.qsearch import count_embeddings
@@ -40,22 +42,7 @@ def run_dsql(
     label: str = "DSQL",
 ) -> BatchSummary:
     """Timed DSQL batch with Section 7.3 MAX bookkeeping."""
-    solver = DSQL(graph, config=config)
-    summary = BatchSummary(label=label)
-    for query in queries:
-        start = time.perf_counter()
-        result = solver.query(query)
-        summary.add(
-            QueryRecord(
-                seconds=time.perf_counter() - start,
-                coverage=result.coverage,
-                max_value=result.max_value(),
-                num_embeddings=len(result),
-                optimal=result.optimal,
-                budget_exhausted=result.stats.budget_exhausted,
-            )
-        )
-    return summary
+    return run_batch(graph, queries, dsql_solver(config), label=label)
 
 
 def run_com(
@@ -65,20 +52,7 @@ def run_com(
     node_budget: int = DEFAULT_BUDGET,
 ) -> BatchSummary:
     """Timed COM batch."""
-    summary = BatchSummary(label="COM")
-    for query in queries:
-        start = time.perf_counter()
-        result = com_search(graph, query, k, node_budget=node_budget)
-        summary.add(
-            QueryRecord(
-                seconds=time.perf_counter() - start,
-                coverage=result.coverage,
-                max_value=k * query.size,
-                num_embeddings=len(result.embeddings),
-                budget_exhausted=result.budget_exhausted,
-            )
-        )
-    return summary
+    return run_batch(graph, queries, com_solver(k, node_budget=node_budget), label="COM")
 
 
 # ----------------------------------------------------------------------
@@ -130,19 +104,7 @@ def table3_firstk(
     node_budget: int = 200_000,
 ) -> BatchSummary:
     """First-k coverage/ratio batch (the Table-3 strawman)."""
-    summary = BatchSummary(label="first-k")
-    for query in queries:
-        start = time.perf_counter()
-        result = first_k_baseline(graph, query, k, node_budget=node_budget)
-        summary.add(
-            QueryRecord(
-                seconds=time.perf_counter() - start,
-                coverage=result.coverage,
-                max_value=k * query.size,
-                num_embeddings=len(result.embeddings),
-            )
-        )
-    return summary
+    return run_batch(graph, queries, first_k_solver(k, node_budget=node_budget), label="first-k")
 
 
 # ----------------------------------------------------------------------
@@ -226,11 +188,36 @@ def table4_strategies(
 # ----------------------------------------------------------------------
 # Figures 6 / 8 — DSQL vs COM sweeps
 # ----------------------------------------------------------------------
+def _series(
+    graph: LabeledGraph,
+    points: Sequence[Tuple[int, Sequence[QueryGraph]]],
+    extra: Dict[str, Callable[[int], DSQLConfig]],
+    node_budget: int,
+) -> Dict[str, List[float]]:
+    """DSQL, each ``extra`` solver, then COM at every ``(k, queries)`` point:
+    ``"<label> cov"`` series, ``"MAX"``, then ``"<label> ms"`` series, with
+    each extra solver's series right after DSQL's."""
+    labels = ["DSQL", *extra, "COM"]
+    series: Dict[str, List[float]] = {f"{label} cov": [] for label in labels}
+    series["MAX"] = []
+    series.update({f"{label} ms": [] for label in labels})
+    for k, queries in points:
+        runs = {"DSQL": run_dsql(graph, queries, DSQLConfig(k=k, node_budget=node_budget))}
+        for label, factory in extra.items():
+            runs[label] = run_dsql(graph, queries, factory(k), label=label)
+        runs["COM"] = run_com(graph, queries, k, node_budget=node_budget)
+        series["MAX"].append(runs["DSQL"].mean_max)
+        for label, summary in runs.items():
+            series[f"{label} cov"].append(summary.mean_coverage)
+            series[f"{label} ms"].append(summary.mean_millis)
+    return series
+
+
 def sweep_k(
     graph: LabeledGraph,
     queries: Sequence[QueryGraph],
     k_values: Sequence[int],
-    solvers: Optional[Dict[str, Callable[[int], Callable]]] = None,
+    solvers: Optional[Dict[str, Callable[[int], DSQLConfig]]] = None,
     node_budget: int = DEFAULT_BUDGET,
 ) -> Dict[str, List[float]]:
     """Coverage/runtime series over ``k`` for DSQL, COM and optionally more.
@@ -239,25 +226,7 @@ def sweep_k(
     Figure 8's DSQLh line). Returns per-series value lists aligned with
     ``k_values``; keys: ``"<label> cov"``, ``"<label> ms"``, plus ``"MAX"``.
     """
-    extra = solvers or {}
-    series: Dict[str, List[float]] = {"DSQL cov": [], "COM cov": [], "MAX": [],
-                                      "DSQL ms": [], "COM ms": []}
-    for label in extra:
-        series[f"{label} cov"] = []
-        series[f"{label} ms"] = []
-    for k in k_values:
-        dsql = run_dsql(graph, queries, DSQLConfig(k=k, node_budget=node_budget))
-        com = run_com(graph, queries, k, node_budget=node_budget)
-        series["DSQL cov"].append(dsql.mean_coverage)
-        series["COM cov"].append(com.mean_coverage)
-        series["MAX"].append(dsql.mean_max)
-        series["DSQL ms"].append(dsql.mean_millis)
-        series["COM ms"].append(com.mean_millis)
-        for label, factory in extra.items():
-            summary = run_dsql(graph, queries, factory(k), label=label)
-            series[f"{label} cov"].append(summary.mean_coverage)
-            series[f"{label} ms"].append(summary.mean_millis)
-    return series
+    return _series(graph, [(k, queries) for k in k_values], solvers or {}, node_budget)
 
 
 def sweep_query_size(
@@ -270,18 +239,7 @@ def sweep_query_size(
 
     ``batches`` maps query-edge-count to its query batch (ascending keys).
     """
-    series: Dict[str, List[float]] = {"DSQL cov": [], "COM cov": [], "MAX": [],
-                                      "DSQL ms": [], "COM ms": []}
-    for size in sorted(batches):
-        queries = batches[size]
-        dsql = run_dsql(graph, queries, DSQLConfig(k=k, node_budget=node_budget))
-        com = run_com(graph, queries, k, node_budget=node_budget)
-        series["DSQL cov"].append(dsql.mean_coverage)
-        series["COM cov"].append(com.mean_coverage)
-        series["MAX"].append(dsql.mean_max)
-        series["DSQL ms"].append(dsql.mean_millis)
-        series["COM ms"].append(com.mean_millis)
-    return series
+    return _series(graph, [(k, batches[size]) for size in sorted(batches)], {}, node_budget)
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,8 @@ from repro.graph.query_graph import QueryGraph
 
 @dataclass(frozen=True)
 class SolverOutcome:
-    """Normalized solver output for measurement.
+    """Normalized solver output for measurement: a :class:`QueryRecord`'s
+    fields but ``seconds``, which :func:`run_batch` adds.
 
     ``metrics`` is a :meth:`~repro.core.state.SearchStats.snapshot` when the
     solver exposes per-query counters (DSQL does); baselines leave it
@@ -60,18 +61,23 @@ def dsql_solver(config: DSQLConfig) -> Solver:
         if entry is None or entry[0] is not graph:
             entry = (graph, DSQL(graph, config=config))
             sessions[id(graph)] = entry
-        result = entry[1].query(query)
-        return SolverOutcome(
-            coverage=result.coverage,
-            max_value=result.max_value(),
-            num_embeddings=len(result),
-            optimal=result.optimal,
-            budget_exhausted=result.stats.budget_exhausted,
-            deadline_exhausted=result.stats.deadline_exhausted,
-            metrics=result.stats.snapshot(),
-        )
+        return _dsql_outcome(entry[1].query(query))
 
     return solve
+
+
+def _dsql_outcome(result) -> SolverOutcome:
+    """A :class:`~repro.core.result.DSQResult` as a solver outcome."""
+    return SolverOutcome(
+        coverage=result.coverage,
+        max_value=result.max_value(),
+        num_embeddings=len(result),
+        optimal=result.optimal,
+        budget_exhausted=result.stats.budget_exhausted,
+        deadline_exhausted=result.stats.deadline_exhausted,
+        from_cache=result.from_cache,
+        metrics=result.stats.snapshot(),
+    )
 
 
 def com_solver(
@@ -127,25 +133,17 @@ def run_batch(
     solver: Solver,
     label: str = "",
 ) -> BatchSummary:
-    """Run ``solver`` over a query batch, timing each query individually."""
+    """Run ``solver`` over a query batch, timing each query individually.
+
+    The graph's index cache is built before timing starts, so the records
+    measure queries rather than one-off index construction.
+    """
+    graph.index_cache()
     summary = BatchSummary(label=label)
     for query in queries:
         start = time.perf_counter()
         outcome = solver(graph, query)
-        elapsed = time.perf_counter() - start
-        summary.add(
-            QueryRecord(
-                seconds=elapsed,
-                coverage=outcome.coverage,
-                max_value=outcome.max_value,
-                num_embeddings=outcome.num_embeddings,
-                optimal=outcome.optimal,
-                budget_exhausted=outcome.budget_exhausted,
-                deadline_exhausted=outcome.deadline_exhausted,
-                from_cache=outcome.from_cache,
-                metrics=outcome.metrics,
-            )
-        )
+        summary.add(QueryRecord(time.perf_counter() - start, **vars(outcome)))
     return summary
 
 
@@ -173,27 +171,13 @@ def run_executor_batch(
     with BatchExecutor(
         graph, config=config, strategy=strategy, jobs=jobs, chunk_size=chunk_size
     ) as executor:
-        graph.index_cache()  # prewarm, matching run_batch's timing discipline
+        graph.index_cache()  # built before timing, as in run_batch
         start = time.perf_counter()
         results = executor.run(queries)
         elapsed = time.perf_counter() - start
     per_query = elapsed / len(queries) if queries else 0.0
-    summary = BatchSummary(label=label)
-    for result in results:
-        summary.add(
-            QueryRecord(
-                seconds=per_query,
-                coverage=result.coverage,
-                max_value=result.max_value(),
-                num_embeddings=len(result),
-                optimal=result.optimal,
-                budget_exhausted=result.stats.budget_exhausted,
-                deadline_exhausted=result.stats.deadline_exhausted,
-                from_cache=result.from_cache,
-                metrics=result.stats.snapshot(),
-            )
-        )
-    return summary
+    records = [QueryRecord(per_query, **vars(_dsql_outcome(r))) for r in results]
+    return BatchSummary(label=label, records=records)
 
 
 def compare_solvers(

@@ -10,7 +10,6 @@ set it to 1000 to run the paper-size batches.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from typing import List
 
 DEFAULT_K = 40
@@ -55,23 +54,10 @@ def bench_scale_override() -> float:
     return value
 
 
-@dataclass(frozen=True)
-class ExperimentGrid:
-    """One experiment's parameter grid (used by the CLI and benches)."""
-
-    datasets: List[str]
-    k_values: List[int] = field(default_factory=lambda: list(K_GRID))
-    query_sizes: List[int] = field(default_factory=lambda: list(QUERY_SIZE_GRID))
-    default_k: int = DEFAULT_K
-    default_query_edges: int = DEFAULT_QUERY_EDGES
-
-
-FIG6_GRID = ExperimentGrid(
-    datasets=["wordnet", "epinion", "dblp", "youtube", "dbpedia", "imdb"]
-)
+FIG6_DATASETS = ["wordnet", "epinion", "dblp", "youtube", "dbpedia", "imdb"]
 """Figure 6's dataset panel."""
 
-FIG8_GRID = ExperimentGrid(datasets=["yeast", "human", "uspatent"])
+FIG8_DATASETS = ["yeast", "human", "uspatent"]
 """Figure 8's dataset panel."""
 
 FIG9_DATASETS = ["youtube", "human"]

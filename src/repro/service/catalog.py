@@ -495,9 +495,11 @@ class GraphCatalog:
                 table[name] = specs
                 total += len(specs)
         payload = {"version": 1, "graphs": table}
-        Path(path).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        # Write-then-rename: a failed write leaves the previous file whole.
+        target = Path(path)
+        tmp = target.with_name(target.name + ".tmp")
+        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        tmp.replace(target)
         return total
 
     def load_plan_cache(self, path) -> int:

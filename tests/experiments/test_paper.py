@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.baselines.com import com_search
 from repro.baselines.enumerate_then_cover import STRATEGIES
+from repro.baselines.firstk import first_k_baseline
 from repro.core.config import DSQLConfig
+from repro.core.dsql import DSQL
+from repro.experiments.measurement import QueryRecord
 from repro.experiments.paper import (
+    DEFAULT_BUDGET,
     ablation,
     run_com,
     run_dsql,
@@ -38,6 +45,60 @@ class TestBatchRunners:
         graph, queries = setting
         summary = run_com(graph, queries, 5)
         assert len(summary) == 4
+
+
+def answers(summary):
+    """Every field of every record but ``seconds``."""
+    names = [f.name for f in dataclasses.fields(QueryRecord) if f.name != "seconds"]
+    return [{name: getattr(r, name) for name in names} for r in summary.records]
+
+
+class TestOneTimedLoop:
+    """``run_dsql``, ``run_com`` and ``table3_firstk`` record exactly what
+    the solvers answer, under the same budgets."""
+
+    @pytest.mark.parametrize("budget", [None, 5])
+    def test_records_are_the_solvers_answers(self, setting, budget):
+        graph, queries = setting
+        k = 5
+        passed = {} if budget is None else {"node_budget": budget}
+        config = DSQLConfig(k=k, node_budget=budget or DEFAULT_BUDGET)
+        session = DSQL(graph, config=config)
+        dsql = [session.query(q) for q in queries]
+        com = [com_search(graph, q, k, node_budget=budget or DEFAULT_BUDGET) for q in queries]
+        firstk = [first_k_baseline(graph, q, k, node_budget=budget or 200_000) for q in queries]
+        baseline = dict(optimal=False, deadline_exhausted=False, from_cache=False, metrics=None)
+        want = [
+            [
+                dict(
+                    coverage=r.coverage, max_value=r.max_value(), num_embeddings=len(r),
+                    optimal=r.optimal, budget_exhausted=r.stats.budget_exhausted,
+                    deadline_exhausted=r.stats.deadline_exhausted, from_cache=r.from_cache,
+                    metrics=r.stats.snapshot(),
+                )
+                for r in dsql
+            ],
+            [
+                dict(baseline, coverage=r.coverage, max_value=k * q.size,
+                     num_embeddings=len(r.embeddings), budget_exhausted=r.budget_exhausted)
+                for q, r in zip(queries, com)
+            ],
+            [
+                dict(baseline, coverage=r.coverage, max_value=k * q.size,
+                     num_embeddings=len(r.embeddings), budget_exhausted=False)
+                for q, r in zip(queries, firstk)
+            ],
+        ]
+        got = [
+            run_dsql(graph, queries, config),
+            run_com(graph, queries, k, **passed),
+            table3_firstk(graph, queries, k, **passed),
+        ]
+        assert [answers(summary) for summary in got] == want
+        if budget is not None:  # the tight budget binds, so it was passed through
+            assert all(r.stats.budget_exhausted for r in dsql)
+            assert all(r.budget_exhausted for r in com)
+            assert all(len(r.embeddings) < k for r in firstk)
 
 
 class TestTableRunners:
@@ -82,7 +143,10 @@ class TestSweeps:
             [3],
             solvers={"DSQLh": lambda k: DSQLConfig.dsqlh(k, node_budget=100_000)},
         )
-        assert "DSQLh cov" in series and len(series["DSQLh cov"]) == 1
+        assert list(series) == [
+            "DSQL cov", "DSQLh cov", "COM cov", "MAX", "DSQL ms", "DSQLh ms", "COM ms",
+        ]
+        assert all(len(values) == 1 for values in series.values())
 
     def test_sweep_query_size(self, setting):
         graph, _ = setting

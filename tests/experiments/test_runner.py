@@ -66,6 +66,19 @@ class TestRunBatch:
         assert summary.label == "dsql"
         assert all(r.seconds >= 0 for r in summary.records)
 
+    def test_index_cache_is_built_before_the_first_solver_call(self):
+        graph = random_labeled_graph(30, 3, 0.15, seed=5)
+        queries = [connected_query_from(graph, 2, seed=s) for s in range(2)]
+        assert graph.version is None  # no index cache yet
+        built = []
+
+        def solver(g, query):
+            built.append(g.version is not None)
+            return SolverOutcome(coverage=0, max_value=1, num_embeddings=0)
+
+        run_batch(graph, queries, solver)
+        assert built == [True, True]
+
     def test_compare_solvers(self, setting):
         graph, queries = setting
         out = compare_solvers(

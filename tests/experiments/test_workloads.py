@@ -7,8 +7,9 @@ import pytest
 from repro.experiments.workloads import (
     DEFAULT_K,
     DEFAULT_QUERY_EDGES,
-    FIG6_GRID,
-    FIG8_GRID,
+    FIG6_DATASETS,
+    FIG8_DATASETS,
+    FIG9_DATASETS,
     K_GRID,
     LABEL_DENSITY_GRID,
     QUERY_SIZE_GRID,
@@ -33,8 +34,9 @@ class TestPaperGrids:
         assert LABEL_DENSITY_GRID[-1] == pytest.approx(0.2e-3)
 
     def test_figure_panels(self):
-        assert "dblp" in FIG6_GRID.datasets
-        assert FIG8_GRID.datasets == ["yeast", "human", "uspatent"]
+        assert FIG6_DATASETS == ["wordnet", "epinion", "dblp", "youtube", "dbpedia", "imdb"]
+        assert FIG8_DATASETS == ["yeast", "human", "uspatent"]
+        assert FIG9_DATASETS == ["youtube", "human"]
 
 
 class TestEnvOverrides:

@@ -545,6 +545,44 @@ class TestPlanCachePersistence:
         want = {"version": 1, "graphs": {"tiny": specs}}
         assert path.read_text(encoding="utf-8") == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
+    def test_a_failed_save_leaves_the_previous_file_whole(self, tmp_path, monkeypatch):
+        """A write that dies after its file is opened (a kill, a full disk)
+        must not leave the warm file truncated: it still warms every plan."""
+        import errno
+        import pathlib
+
+        catalog, _ = self._warm_catalog()
+        path = tmp_path / "plans.json"
+        saved = catalog.save_plan_cache(path)
+        before = path.read_bytes()
+        real_open = pathlib.Path.open
+
+        class FullDisk:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def open_then_fail(self, mode="r", *args, **kwargs):
+            handle = real_open(self, mode, *args, **kwargs)
+            return FullDisk(handle) if "w" in mode else handle
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pathlib.Path, "open", open_then_fail)
+            with pytest.raises(OSError):
+                catalog.save_plan_cache(path)
+        assert path.read_bytes() == before
+        cold = GraphCatalog(default_config=DSQLConfig(k=DEFAULT_K))
+        cold.add_graph("tiny", tiny_graph())
+        assert cold.load_plan_cache(path) == saved
+
     def test_missing_and_corrupt_files_warm_zero(self, tmp_path):
         catalog = GraphCatalog(default_config=DSQLConfig(k=DEFAULT_K))
         catalog.add_graph("tiny", tiny_graph())

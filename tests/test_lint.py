@@ -45,6 +45,21 @@ def test_sources_compile():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_bench_modules_import():
+    """Every ``benchmarks/*.py`` imports (its names resolve) without
+    running a bench function, so a stale helper import fails here and not
+    at the next paper run."""
+    modules = sorted(p.stem for p in (REPO / "benchmarks").glob("*.py"))
+    script = (
+        "import importlib, sys\n"
+        f"sys.path[:0] = [{str(REPO / 'benchmarks')!r}, {str(REPO / 'src')!r}]\n"
+        f"for name in {modules!r}:\n"
+        "    importlib.import_module(name)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def import_offenders(sources):
     """``path: module.name`` for every name a ``from repro... import`` in
     ``{path: source}`` asks of a module that neither defines it nor has it
@@ -443,6 +458,16 @@ STAYS_DELETED = {
         "            run = self.cache.label_neighbors(fv, self.cache.label_ids[u])\n",
         ("label_neighbors",),
     ),
+    # Each paper table is computed once, in repro.experiments: the bench
+    # suite's batch loops and adapters and the unread grid class stay deleted.
+    "bench_copies": (
+        (
+            "run_dsql_batch", "run_solver_batch", "com_adapter", "firstk_adapter",
+            "ExperimentGrid", "FIG6_GRID", "FIG8_GRID",
+        ),
+        "experiments/workloads.py", 'FIG8_DATASETS = ["yeast", "human", "uspatent"]\n',
+        "FIG8_GRID = ExperimentGrid(datasets=FIG8_DATASETS)\n", ("ExperimentGrid", "FIG8_GRID"),
+    ),
     "profiling_hooks": (
         (
             "ProfilingHooks", "observability.hooks", "on_level_start", "on_embedding_emitted",
@@ -514,6 +539,31 @@ def test_evidence_fork_stays_deleted():
     assert not sorted(p.name for p in REPO.glob("BENCH_*"))
     benches = sorted(p.stem.split("_")[1] for p in (REPO / "benchmarks").glob("bench_*.py"))
     assert benches == PAPER_BENCHES
+
+
+# ----------------------------------------------------------------------
+# Fork guard: one implementation of the paper's evaluation. Numbers,
+# timing and records come from repro.experiments; a bench script chooses
+# inputs, renders and asserts shapes (SNIPPETS.md 2: run scripts apart
+# from evaluation).
+# ----------------------------------------------------------------------
+BENCH_TIMING = ("perf_counter", "QueryRecord", "BatchSummary(")
+
+
+def test_bench_copies_stay_deleted():
+    assert_stays_deleted("bench_copies")
+
+
+def test_bench_scripts_time_nothing():
+    scripts = {
+        p.name: p.read_text(encoding="utf-8")
+        for p in sorted((REPO / "benchmarks").glob("bench_*.py"))
+    }
+    assert fork_offenders(BENCH_TIMING, sources=scripts) == []
+    name, anchor = "bench_table2_embedding_counts.py", "    for name in DATASETS:\n"
+    assert scripts[name].count(anchor) == 1
+    mutant = scripts[name].replace(anchor, "    start = time.perf_counter()\n" + anchor)
+    assert fork_offenders(BENCH_TIMING, sources={name: mutant}) == [f"{name}: 'perf_counter'"]
 
 
 def test_evidence_ledger_names_resolve():
