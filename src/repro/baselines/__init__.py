@@ -3,10 +3,7 @@
 from repro.baselines.com import COMResult, com_search
 from repro.baselines.enumerate_then_cover import (
     STRATEGIES,
-    PipelineResult,
     generate_all,
-    run_all_strategies,
-    run_pipeline,
     select_top_k,
 )
 from repro.baselines.firstk import FirstKResult, first_k_baseline
@@ -19,10 +16,7 @@ __all__ = [
     "first_k_baseline",
     "RandomStartResult",
     "random_start_search",
-    "PipelineResult",
     "STRATEGIES",
     "generate_all",
     "select_top_k",
-    "run_pipeline",
-    "run_all_strategies",
 ]

@@ -2,23 +2,22 @@
 
 The paper's Table 4 compares DSQL against the two-stage approach: generate
 *all* embeddings with a subgraph-querying engine, then run a maximum
-k-coverage algorithm (GreedyDSQ or a streaming SWAP) over them. The
-generation step dominates — that is the point of the table — so this module
-reports the two stages' times separately, like the paper's ``X + t`` rows.
+k-coverage algorithm (GreedyDSQ or a streaming SWAP) over them. This module
+holds the two stages, :func:`generate_all` and :func:`select_top_k`; the
+Table 4 loop that times them apart, like the paper's ``X + t`` rows, is
+:func:`repro.experiments.paper.table4_strategies`.
 
-Every pipeline accepts an optional :class:`~repro.coverage.objectives.
-Objective`; selection then optimizes that objective's weighted element
-coverage instead of distinct vertices, and ``members`` holds the selected
-embeddings' *element* sets (vertex sets under the default).
+Selection accepts an optional :class:`~repro.coverage.objectives.
+Objective`; it then optimizes that objective's weighted element coverage
+instead of distinct vertices, and returns the selected embeddings'
+*element* sets (vertex sets under the default).
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.coverage.core import EmbeddingSet, coverage as coverage_of
+from repro.coverage.core import EmbeddingSet
 from repro.coverage.greedy import greedy_max_coverage
 from repro.coverage.objectives import Objective
 from repro.coverage.swap import Swap0, Swap1, Swap2, SwapA, SwapAlpha, swap_stream
@@ -30,26 +29,6 @@ from repro.isomorphism.qsearch import enumerate_embeddings
 
 STRATEGIES = ("SWAP0", "SWAP1", "SWAP2", "SWAP_A", "SWAPalpha", "Greedy")
 """Selection strategies accepted by :func:`select_top_k`."""
-
-
-@dataclass
-class PipelineResult:
-    """Outcome of one enumerate-then-cover pipeline run."""
-
-    strategy: str
-    members: List[EmbeddingSet]
-    coverage: int
-    generation_seconds: float
-    selection_seconds: float
-    num_embeddings: int
-    k: int
-    q: int
-    max_coverage: Optional[int] = None
-
-    def approx_ratio_lower_bound(self) -> float:
-        """``|C(A)| / MAX`` (``MAX = kq`` for the default vertex objective)."""
-        max_cov = self.max_coverage if self.max_coverage is not None else self.k * self.q
-        return self.coverage / max_cov if max_cov else 1.0
 
 
 def generate_all(
@@ -94,74 +73,3 @@ def select_top_k(
             f"unknown strategy {strategy!r}; choose from {STRATEGIES}"
         ) from None
     return swap_stream(embeddings, k, condition, objective=objective).members
-
-
-def run_pipeline(
-    graph: LabeledGraph,
-    query: QueryGraph,
-    k: int,
-    strategy: str,
-    node_budget: Optional[int] = None,
-    embeddings: Optional[Sequence[Mapping]] = None,
-    generation_seconds: float = 0.0,
-    objective: Optional[Objective] = None,
-) -> PipelineResult:
-    """Run both stages; pass pre-generated ``embeddings`` to share stage 1.
-
-    Sharing stage 1 across strategies reproduces the Table 4 setting where
-    one generation run (time ``t``) feeds every selection algorithm.
-    """
-    if embeddings is None:
-        start = time.perf_counter()
-        embeddings = generate_all(graph, query, node_budget=node_budget)
-        generation_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    members = select_top_k(embeddings, k, strategy, objective=objective)
-    selection_seconds = time.perf_counter() - start
-
-    if objective is None:
-        cov, max_cov = coverage_of(members), None
-    else:
-        # Members are already element sets, so the union measures directly.
-        union: set = set()
-        for elems in members:
-            union.update(elems)
-        cov, max_cov = objective.measure(union), objective.max_coverage(k)
-
-    return PipelineResult(
-        strategy=strategy,
-        members=members,
-        coverage=cov,
-        generation_seconds=generation_seconds,
-        selection_seconds=selection_seconds,
-        num_embeddings=len(embeddings),
-        k=k,
-        q=query.size,
-        max_coverage=max_cov,
-    )
-
-
-def run_all_strategies(
-    graph: LabeledGraph,
-    query: QueryGraph,
-    k: int,
-    node_budget: Optional[int] = None,
-    objective: Optional[Objective] = None,
-) -> Dict[str, PipelineResult]:
-    """Table-4 helper: one shared generation, every selection strategy."""
-    start = time.perf_counter()
-    embeddings = generate_all(graph, query, node_budget=node_budget)
-    generation_seconds = time.perf_counter() - start
-    return {
-        strategy: run_pipeline(
-            graph,
-            query,
-            k,
-            strategy,
-            embeddings=embeddings,
-            generation_seconds=generation_seconds,
-            objective=objective,
-        )
-        for strategy in STRATEGIES
-    }

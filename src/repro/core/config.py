@@ -16,7 +16,7 @@ the Appendix B.4 ablation (Figure 9) can be reproduced:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.coverage.objectives import OBJECTIVE_NAMES
@@ -284,10 +284,6 @@ class DSQLConfig:
     def dsqlh(cls, k: int, **overrides) -> "DSQLConfig":
         """DSQLh: all strategies plus the relaxed bad-vertex rule."""
         return cls(k=k, relaxed_bad_vertices=True, **overrides)
-
-    def with_k(self, k: int) -> "DSQLConfig":
-        """This configuration with a different ``k``."""
-        return replace(self, k=k)
 
 
 VARIANTS: Dict[str, staticmethod] = {

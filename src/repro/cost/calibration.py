@@ -195,6 +195,10 @@ def load_calibration(path: Union[str, Path]) -> Optional[Dict[str, CalibrationSt
         return None
     table: Dict[str, CalibrationState] = {}
     for name, data in graphs.items():
-        if isinstance(data, dict):
+        if not isinstance(data, dict):
+            continue
+        try:
             table[str(name)] = CalibrationState.from_dict(data)
+        except (ValueError, TypeError, OverflowError):
+            continue  # a field that does not parse: skipped like a non-dict entry
     return table

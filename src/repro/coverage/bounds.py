@@ -80,24 +80,10 @@ def greedy_ratio_bound() -> float:
 def coverage_upper_bound(k: int, q: int) -> int:
     """``|C(OPT)| <= k * q`` — the MAX fallback of Section 7.3.
 
-    This is the *vertex*-objective bound; :func:`objective_coverage_bound`
-    generalizes it to any :class:`~repro.coverage.objectives.Objective`.
+    This is the *vertex*-objective bound; an
+    :class:`~repro.coverage.objectives.Objective` states its own as
+    ``max_coverage(k)``.
     """
     if k < 1 or q < 1:
         raise ConfigError(f"k and q must be >= 1, got k={k}, q={q}")
     return k * q
-
-
-def objective_coverage_bound(objective, k: int):
-    """``MAX`` for an arbitrary bound objective: ``objective.max_coverage(k)``.
-
-    Theorem-survival note: the Theorem 3 Phase-1 ratio
-    (:func:`phase1_ratio_bound`) and the Theorem 4/6 constants
-    (:func:`overall_ratio_bound`) are proven for unit-weight vertex
-    coverage; under other objectives the returned bound is still a valid
-    ``MAX`` denominator, but those ratio guarantees do not transfer
-    (see ``docs/objectives.md`` for the per-objective table).
-    """
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    return objective.max_coverage(k)

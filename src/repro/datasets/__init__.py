@@ -5,7 +5,6 @@ from repro.datasets.paper_figures import figure3, figure4, figure5
 from repro.datasets.labels import (
     label_names,
     relabel_to_density,
-    skewed_labels,
     uniform_labels,
     zipf_labels,
 )
@@ -19,7 +18,6 @@ from repro.datasets.registry import (
 from repro.datasets.synthetic import (
     bipartite_affiliation_graph,
     configuration_graph,
-    erdos_renyi_graph,
     lognormal_graph,
     power_law_graph,
 )
@@ -35,7 +33,6 @@ __all__ = [
     "label_names",
     "uniform_labels",
     "zipf_labels",
-    "skewed_labels",
     "relabel_to_density",
     "PROFILES",
     "DatasetProfile",
@@ -46,5 +43,4 @@ __all__ = [
     "power_law_graph",
     "lognormal_graph",
     "bipartite_affiliation_graph",
-    "erdos_renyi_graph",
 ]

@@ -3,9 +3,10 @@
 The paper labels four of its datasets synthetically ("we have assigned a
 label for each vertex from a synthetic label set of sizes 100, 50, 50, and
 100, respectively, with a uniform random distribution") and notes IMDB's
-real labels are highly skewed (90% of vertices under 3 labels). Both schemes
-are reproduced here, plus a Zipf scheme for moderately skewed catalogs like
-USpatent's 388 patent classes.
+real labels are highly skewed (90% of vertices under 3 labels). The uniform
+scheme is here, plus a Zipf scheme for moderately skewed catalogs like
+USpatent's 388 patent classes; the registry builds IMDB's skew from uniform
+labels over the two partitions of its affiliation graph.
 
 Labels are strings ``"L0" .. "L{m-1}"`` by default so they cannot collide
 with integer vertex ids in logs and fixtures.
@@ -14,7 +15,7 @@ with integer vertex ids in logs and fixtures.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -53,34 +54,6 @@ def zipf_labels(
     rng = np.random.default_rng(seed)
     weights = np.arange(1, num_labels + 1, dtype=float) ** (-exponent)
     weights /= weights.sum()
-    names = label_names(num_labels, prefix)
-    draws = rng.choice(num_labels, size=num_vertices, p=weights)
-    return [names[i] for i in draws]
-
-
-def skewed_labels(
-    num_vertices: int,
-    num_labels: int,
-    top_fraction: float = 0.9,
-    top_count: int = 3,
-    seed: Optional[int] = None,
-    prefix: str = "L",
-) -> List[str]:
-    """IMDB-style skew: ``top_fraction`` of vertices in ``top_count`` labels.
-
-    The remaining mass is spread uniformly over the other labels (IMDB's
-    movie-genre/rank labels).
-    """
-    if not 0.0 < top_fraction < 1.0:
-        raise DatasetError(f"top_fraction must be in (0, 1), got {top_fraction}")
-    if not 0 < top_count < num_labels:
-        raise DatasetError(
-            f"top_count must be in (0, num_labels), got {top_count} of {num_labels}"
-        )
-    rng = np.random.default_rng(seed)
-    weights = np.empty(num_labels, dtype=float)
-    weights[:top_count] = top_fraction / top_count
-    weights[top_count:] = (1.0 - top_fraction) / (num_labels - top_count)
     names = label_names(num_labels, prefix)
     draws = rng.choice(num_labels, size=num_vertices, p=weights)
     return [names[i] for i in draws]

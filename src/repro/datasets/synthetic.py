@@ -153,27 +153,3 @@ def bipartite_affiliation_graph(
         w = int(rng.choice(num_works, p=work_weights))
         edges.add((p, num_people + w))
     return total, sorted(edges)
-
-
-def erdos_renyi_graph(
-    num_vertices: int,
-    avg_degree: float,
-    seed: Optional[int] = None,
-) -> List[Edge]:
-    """G(n, m) uniform random graph with ``m = avg_degree * n / 2`` edges."""
-    if num_vertices < 2:
-        raise DatasetError(f"need >= 2 vertices, got {num_vertices}")
-    target_edges = int(avg_degree * num_vertices / 2)
-    max_edges = num_vertices * (num_vertices - 1) // 2
-    if target_edges > max_edges:
-        raise DatasetError(
-            f"requested {target_edges} edges exceeds the simple-graph maximum {max_edges}"
-        )
-    rng = random.Random(seed)
-    edges: set[Edge] = set()
-    while len(edges) < target_edges:
-        u = rng.randrange(num_vertices)
-        v = rng.randrange(num_vertices)
-        if u != v:
-            edges.add((u, v) if u < v else (v, u))
-    return sorted(edges)

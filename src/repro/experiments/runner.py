@@ -178,15 +178,3 @@ def run_executor_batch(
     per_query = elapsed / len(queries) if queries else 0.0
     records = [QueryRecord(per_query, **vars(_dsql_outcome(r))) for r in results]
     return BatchSummary(label=label, records=records)
-
-
-def compare_solvers(
-    graph: LabeledGraph,
-    queries: List[QueryGraph],
-    solvers: dict,
-) -> dict:
-    """Run several named solvers over the same batch; returns name->summary."""
-    return {
-        name: run_batch(graph, queries, solver, label=name)
-        for name, solver in solvers.items()
-    }

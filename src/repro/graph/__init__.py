@@ -1,12 +1,6 @@
 """Graph substrate: labeled graphs, query graphs, builders, I/O, statistics."""
 
 from repro.graph.builder import GraphBuilder, relabel
-from repro.graph.interop import (
-    from_networkx,
-    query_from_networkx,
-    to_networkx,
-    translate_embedding,
-)
 from repro.graph.labeled_graph import (
     DEFAULT_COMPACTION_THRESHOLD,
     Edge,
@@ -38,10 +32,6 @@ __all__ = [
     "QueryGraph",
     "GraphBuilder",
     "relabel",
-    "from_networkx",
-    "query_from_networkx",
-    "to_networkx",
-    "translate_embedding",
     "GraphStatistics",
     "compute_statistics",
     "degree_histogram",

@@ -1,27 +1,14 @@
 """Filtering indexes: label index, degree/NS filters, candidate sets."""
 
-from repro.indexes.candidates import CandidateIndex, build_candidate_index
+from repro.indexes.candidates import CandidateIndex
 from repro.indexes.graph_cache import GraphIndexCache
 from repro.indexes.plans import PlanCache, QueryPlan, compile_plan, expand_pool
-from repro.indexes.signature import (
-    passes_all_filters,
-    passes_degree_filter,
-    passes_label_filter,
-    passes_signature_filter,
-    query_signature,
-)
 
 __all__ = [
     "CandidateIndex",
     "GraphIndexCache",
     "PlanCache",
     "QueryPlan",
-    "build_candidate_index",
     "compile_plan",
     "expand_pool",
-    "passes_all_filters",
-    "passes_degree_filter",
-    "passes_label_filter",
-    "passes_signature_filter",
-    "query_signature",
 ]

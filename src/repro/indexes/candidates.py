@@ -121,8 +121,3 @@ class CandidateIndex:
     def any_empty(self) -> bool:
         """Whether some query node has no candidates (query is unsatisfiable)."""
         return any(not pool for pool in self.plan.pools)
-
-
-def build_candidate_index(graph: LabeledGraph, query: QueryGraph) -> CandidateIndex:
-    """Convenience constructor mirroring the paper's pre-processing step."""
-    return CandidateIndex(graph, query)

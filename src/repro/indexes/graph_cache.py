@@ -338,11 +338,6 @@ class GraphIndexCache:
         return compressed
 
     # ------------------------------------------------------------------
-    @classmethod
-    def for_graph(cls, graph) -> "GraphIndexCache":
-        """The graph's pinned cache (building it on first use)."""
-        return graph.index_cache()
-
     def label_id(self, label: Label) -> Optional[int]:
         """Interned id for ``label``, or ``None`` if absent from the graph."""
         return self.label_to_id.get(label)

@@ -2,54 +2,20 @@
 
 Throughout the library an **embedding** is a plain ``tuple`` ``m`` with
 ``m[u]`` = the data vertex matched to query node ``u``. Tuples keep the hot
-search loops allocation-light and hashable; richer views (vertex sets, the
-induced subgraph) are derived on demand here.
+search loops allocation-light and hashable; an objective's ``elements``
+derives the view it scores (the vertex set, or the matched data edges).
 
 The paper overloads "embedding" to also mean the matched *vertex set*, since
-diversity only depends on which vertices are covered; :func:`vertex_set` and
-:func:`distinct_by_vertex_set` implement that view.
+diversity only depends on which vertices are covered;
+:func:`distinct_by_vertex_set` keeps one embedding per vertex set.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator, List, Sequence, Tuple
-
-from repro.graph.labeled_graph import Edge, LabeledGraph
-from repro.graph.query_graph import QueryGraph
+from typing import FrozenSet, Iterable, Iterator, Tuple
 
 Mapping = Tuple[int, ...]
 """An embedding: ``mapping[u]`` is the data vertex matched to query node ``u``."""
-
-
-def vertex_set(mapping: Sequence[int]) -> FrozenSet[int]:
-    """The set of data vertices used by an embedding."""
-    return frozenset(mapping)
-
-
-def matched_edges(query: QueryGraph, mapping: Sequence[int]) -> List[Edge]:
-    """The data edges witnessing each query edge, normalized ``(min, max)``."""
-    edges = []
-    for u1, u2 in query.edges():
-        a, b = mapping[u1], mapping[u2]
-        edges.append((a, b) if a < b else (b, a))
-    return sorted(edges)
-
-
-def induced_match_subgraph(
-    graph: LabeledGraph,
-    query: QueryGraph,
-    mapping: Sequence[int],
-) -> LabeledGraph:
-    """The matched subgraph ``G'`` (Section 2): matched vertices + edges.
-
-    Note this is the *match* subgraph — only edges that witness query edges —
-    not the induced subgraph on the matched vertices.
-    """
-    vs = sorted(set(mapping))
-    remap = {v: i for i, v in enumerate(vs)}
-    labels = [graph.label(v) for v in vs]
-    edges = {(remap[a], remap[b]) for a, b in matched_edges(query, mapping)}
-    return LabeledGraph(labels, sorted(edges))
 
 
 def distinct_by_vertex_set(mappings: Iterable[Mapping]) -> Iterator[Mapping]:

@@ -268,29 +268,6 @@ def enumerate_embeddings(
     return list(islice(stream, None if limit is None else max(limit, 0)))
 
 
-def enumerate_embeddings_optimized(
-    graph: LabeledGraph,
-    query: QueryGraph,
-    limit: Optional[int] = None,
-    node_budget: Optional[int] = None,
-    time_budget_ms: Optional[float] = None,
-) -> List[Mapping]:
-    """``enumerate_embeddings`` with both Section 5.3/5.4 switches on.
-
-    Same embeddings in the same order, fewer expansions where subtrees fail.
-    ``limit <= 0`` returns ``[]``.
-    """
-    engine = QSearchEngine(
-        graph,
-        query,
-        node_budget=node_budget,
-        time_budget_ms=time_budget_ms,
-        conflict_backjumping=True,
-        bad_vertex_skipping=True,
-    )
-    return list(islice(engine.embeddings(), None if limit is None else max(limit, 0)))
-
-
 def count_embeddings(
     graph: LabeledGraph,
     query: QueryGraph,
@@ -304,23 +281,3 @@ def count_embeddings(
     engine = QSearchEngine(graph, query, node_budget=node_budget)
     count = sum(1 for _ in engine.embeddings())
     return count, not engine.budget_exhausted
-
-
-def first_k_embeddings(
-    graph: LabeledGraph,
-    query: QueryGraph,
-    k: int,
-    node_budget: Optional[int] = None,
-) -> List[Mapping]:
-    """The first ``k`` embeddings in engine order (the Table 3 baseline).
-
-    Existing SQ systems stop after ~1000 matches; their results are "highly
-    overlapping and not very representative" — this function exists to
-    measure exactly that effect.
-    """
-    return enumerate_embeddings(graph, query, limit=k, node_budget=node_budget)
-
-
-def has_embedding(graph: LabeledGraph, query: QueryGraph) -> bool:
-    """Whether at least one embedding exists."""
-    return bool(enumerate_embeddings(graph, query, limit=1))

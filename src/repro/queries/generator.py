@@ -13,7 +13,7 @@ count ``z = |E_Q|`` (1..10, default 5).
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.exceptions import DatasetError
 from repro.graph.labeled_graph import LabeledGraph
@@ -133,19 +133,3 @@ def query_set(
     """
     rng = random.Random(seed)
     return [random_query(graph, num_edges, rng) for _ in range(count)]
-
-
-def iter_query_sets(
-    graph: LabeledGraph,
-    sizes: List[int],
-    count: int,
-    seed: Optional[int] = None,
-) -> Iterator[Tuple[int, List[QueryGraph]]]:
-    """Yield ``(size, batch)`` pairs across several query sizes.
-
-    Derives a distinct but deterministic seed per size so batches do not
-    alias each other when ``seed`` is fixed.
-    """
-    for size in sizes:
-        sub_seed = None if seed is None else seed * 1_000_003 + size
-        yield size, query_set(graph, size, count, seed=sub_seed)

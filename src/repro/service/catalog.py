@@ -515,10 +515,10 @@ class GraphCatalog:
 
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
-            table = payload.get("graphs", {})
-            if not isinstance(table, dict):
-                return 0
         except (OSError, ValueError):
+            return 0
+        table = payload.get("graphs") if isinstance(payload, dict) else None
+        if not isinstance(table, dict):
             return 0
         warmed = 0
         for name, entry in self._entries.items():

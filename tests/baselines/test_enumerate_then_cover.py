@@ -7,12 +7,11 @@ import pytest
 from repro.baselines.enumerate_then_cover import (
     STRATEGIES,
     generate_all,
-    run_all_strategies,
-    run_pipeline,
     select_top_k,
 )
 from repro.coverage.core import coverage
 from repro.exceptions import ConfigError
+from repro.experiments.paper import table4_strategies
 
 from tests.conftest import (
     brute_force_distinct_vertex_sets,
@@ -59,19 +58,24 @@ class TestSelectTopK:
 
 
 class TestPipeline:
+    """The Table 4 loop over both stages is ``paper.table4_strategies``."""
+
     def test_run_pipeline_fields(self, setting):
         graph, query = setting
-        result = run_pipeline(graph, query, 4, "SWAPalpha")
-        assert result.strategy == "SWAPalpha"
-        assert result.coverage == coverage(result.members)
-        assert result.generation_seconds >= 0
-        assert result.num_embeddings >= len(result.members)
+        result = table4_strategies(graph, [query], 4)
+        members = select_top_k(generate_all(graph, query), 4, "SWAPalpha")
+        assert result.coverage_of("SWAPalpha") == coverage(members)
+        assert result.generation_millis >= 0
+        outcome = next(o for o in result.outcomes if o.strategy == "SWAPalpha")
+        assert outcome.includes_generation and outcome.mean_millis >= 0
 
     def test_shared_generation(self, setting):
+        """One generation per query feeds every strategy: each strategy's
+        coverage is its selection over that one stream."""
         graph, query = setting
-        results = run_all_strategies(graph, query, 4)
-        assert set(results) == set(STRATEGIES)
-        gens = {r.generation_seconds for r in results.values()}
-        assert len(gens) == 1  # one shared stage-1 timing
-        nums = {r.num_embeddings for r in results.values()}
-        assert len(nums) == 1
+        result = table4_strategies(graph, [query], 4)
+        assert [o.strategy for o in result.outcomes] == [*STRATEGIES, "DSQL"]
+        embeddings = generate_all(graph, query, node_budget=150_000)
+        for strategy in STRATEGIES:
+            want = coverage(select_top_k(embeddings, 4, strategy))
+            assert result.coverage_of(strategy) == want, strategy

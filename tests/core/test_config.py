@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import VARIANTS, DSQLConfig, variant_config
@@ -96,6 +98,10 @@ class TestVariants:
         assert c.seed == 9
 
     def test_with_k(self):
+        """A config with another ``k`` is ``dataclasses.replace``, which
+        validates the copy as construction does."""
         c = DSQLConfig(k=3, alpha=0.5)
-        c2 = c.with_k(8)
+        c2 = replace(c, k=8)
         assert c2.k == 8 and c2.alpha == 0.5 and c.k == 3
+        with pytest.raises(ConfigError):
+            replace(c, k=0)

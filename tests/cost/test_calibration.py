@@ -144,14 +144,24 @@ class TestTablePersistence:
         assert load_calibration(path) is None
 
     def test_non_dict_entries_skipped(self, tmp_path):
+        """A non-dict entry, or one whose fields do not parse, is skipped;
+        the rest of the table still loads."""
         path = tmp_path / "mixed.json"
-        path.write_text(
-            '{"version": 1, "graphs": {"ok": {"observations": 3}, "bad": 7}}',
-            encoding="utf-8",
-        )
-        table = load_calibration(path)
-        assert set(table) == {"ok"}
-        assert table["ok"].observations == 3
+        for bad in (
+            "7",
+            '{"log_bias": "x"}',
+            '{"log_bias": null}',
+            '{"abs_log_err": [1]}',
+            '{"observations": "3.5"}',
+            '{"observations": 1e400}',
+        ):
+            path.write_text(
+                f'{{"version": 1, "graphs": {{"ok": {{"observations": 3}}, "bad": {bad}}}}}',
+                encoding="utf-8",
+            )
+            table = load_calibration(path)
+            assert set(table) == {"ok"}, bad
+            assert table["ok"].observations == 3
 
 
 class TestEstimatorCalibrationFlow:

@@ -9,10 +9,10 @@ import pytest
 from repro.datasets.labels import (
     label_names,
     relabel_to_density,
-    skewed_labels,
     uniform_labels,
     zipf_labels,
 )
+from repro.datasets.registry import get_profile, make_dataset
 from repro.exceptions import DatasetError
 
 
@@ -60,17 +60,20 @@ class TestZipf:
 
 
 class TestSkewed:
+    """IMDB's skew (90% of vertices under 3 labels) is built by the
+    registry: uniform labels over each partition of the two-mode graph."""
+
     def test_top_fraction_respected(self):
-        labels = skewed_labels(10000, 20, top_fraction=0.9, top_count=3, seed=1)
-        counts = Counter(labels)
+        graph = make_dataset("imdb", scale=0.002, seed=1)
+        counts = Counter(graph.labels)
         top = sum(counts.get(f"L{i}", 0) for i in range(3))
-        assert 0.85 <= top / 10000 <= 0.95
+        assert 0.85 <= top / graph.num_vertices <= 0.95
+        assert len(counts) > 3
 
     def test_parameter_validation(self):
+        assert get_profile("imdb").label_scheme == "skewed"
         with pytest.raises(DatasetError):
-            skewed_labels(10, 5, top_fraction=1.5)
-        with pytest.raises(DatasetError):
-            skewed_labels(10, 5, top_count=5)
+            make_dataset("imdb", scale=0)
 
 
 class TestDensity:

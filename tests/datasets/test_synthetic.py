@@ -7,7 +7,6 @@ import pytest
 from repro.datasets.synthetic import (
     bipartite_affiliation_graph,
     configuration_graph,
-    erdos_renyi_graph,
     lognormal_graph,
     power_law_graph,
 )
@@ -86,10 +85,17 @@ class TestBipartite:
 
 
 class TestErdosRenyi:
+    """A near-uniform random graph is a constant degree sequence through
+    the configuration model."""
+
     def test_edge_count(self):
-        edges = erdos_renyi_graph(200, 6.0, seed=1)
-        assert len(edges) == 600
+        edges = configuration_graph([6] * 200, seed=1)
+        assert 0.9 * 600 <= len(edges) <= 600
+        assert avg_degree(200, edges) == pytest.approx(6.0, rel=0.1)
 
     def test_too_dense_rejected(self):
-        with pytest.raises(DatasetError):
-            erdos_renyi_graph(4, 100.0)
+        # Not rejected: a sequence denser than any simple graph on its
+        # vertices keeps each pair once and drops every self-loop.
+        edges = configuration_graph([12] * 5, seed=2)
+        assert len(set(edges)) == len(edges) <= 10
+        assert all(u < v < 5 for u, v in edges)

@@ -8,7 +8,6 @@ from repro.core.config import DSQLConfig
 from repro.experiments.runner import (
     SolverOutcome,
     com_solver,
-    compare_solvers,
     dsql_solver,
     first_k_solver,
     random_start_solver,
@@ -80,27 +79,19 @@ class TestRunBatch:
         assert built == [True, True]
 
     def test_compare_solvers(self, setting):
+        """Solvers compare over one batch by one ``run_batch`` each."""
         graph, queries = setting
-        out = compare_solvers(
-            graph,
-            queries,
-            {"DSQL": dsql_solver(DSQLConfig(k=3)), "COM": com_solver(3)},
-        )
-        assert set(out) == {"DSQL", "COM"}
+        solvers = {"DSQL": dsql_solver(DSQLConfig(k=3)), "COM": com_solver(3)}
+        out = {name: run_batch(graph, queries, s, label=name) for name, s in solvers.items()}
+        assert [s.label for s in out.values()] == ["DSQL", "COM"]
         assert all(len(s) == len(queries) for s in out.values())
 
     def test_dsql_dominates_baselines_in_coverage(self, setting):
         """The paper's headline: DSQL coverage >= the baselines' coverage."""
         graph, queries = setting
-        out = compare_solvers(
-            graph,
-            queries,
-            {
-                "DSQL": dsql_solver(DSQLConfig(k=5)),
-                "FIRSTK": first_k_solver(5),
-            },
-        )
-        assert out["DSQL"].mean_coverage >= out["FIRSTK"].mean_coverage - 1e-9
+        dsql = run_batch(graph, queries, dsql_solver(DSQLConfig(k=5)), label="DSQL")
+        firstk = run_batch(graph, queries, first_k_solver(5), label="FIRSTK")
+        assert dsql.mean_coverage >= firstk.mean_coverage - 1e-9
 
 
 class TestRunExecutorBatch:

@@ -1,118 +1,123 @@
-"""Unit tests for :mod:`repro.graph.interop` (networkx bridge)."""
+"""What a caller with graph data held elsewhere (a networkx graph, a dict of
+keyed nodes) uses now that the networkx bridge is gone: keyed nodes go
+through :class:`GraphBuilder`, whose dense ids the caller keeps beside its
+own keys, and files through :mod:`repro.graph.io`. Each test keeps the name
+of the converter case it replaced and pins the constructor behaviour that
+took its place."""
 
 from __future__ import annotations
 
-import networkx as nx
 import pytest
 
-from repro.exceptions import GraphError
-from repro.graph.interop import (
-    from_networkx,
-    query_from_networkx,
-    to_networkx,
-    translate_embedding,
-)
+from repro.exceptions import GraphError, QueryError
+from repro.graph.builder import GraphBuilder, relabel
+from repro.graph.io import dump_edge_list, dump_json, load_edge_list, load_json
 from repro.graph.labeled_graph import LabeledGraph
+from repro.graph.query_graph import QueryGraph
+
+PEOPLE = {"alice": "a", "bob": "b", "carol": "b"}
+KNOWS = [("alice", "bob"), ("bob", "carol")]
 
 
-def sample_nx():
-    g = nx.Graph()
-    g.add_node("alice", label="a")
-    g.add_node("bob", label="b")
-    g.add_node("carol", label="b")
-    g.add_edge("alice", "bob")
-    g.add_edge("bob", "carol")
-    return g
+def build_keyed(nodes, edges):
+    """``(graph, key_to_id)`` from ``{key: label}`` and key pairs, ids in
+    insertion order."""
+    builder = GraphBuilder()
+    key_to_id = {key: builder.add_vertex(label) for key, label in nodes.items()}
+    builder.add_edges((key_to_id[a], key_to_id[b]) for a, b in edges)
+    return builder.build(), key_to_id
 
 
 class TestFromNetworkx:
     def test_basic_conversion(self):
-        graph, node_to_id = from_networkx(sample_nx())
-        assert graph.num_vertices == 3
-        assert graph.num_edges == 2
-        assert graph.label(node_to_id["alice"]) == "a"
-        assert graph.has_edge(node_to_id["alice"], node_to_id["bob"])
+        graph, key_to_id = build_keyed(PEOPLE, KNOWS)
+        assert key_to_id == {"alice": 0, "bob": 1, "carol": 2}
+        assert (graph.num_vertices, graph.num_edges) == (3, 2)
+        assert graph.label(key_to_id["alice"]) == "a"
+        assert graph.has_edge(key_to_id["alice"], key_to_id["bob"])
 
-    def test_missing_label_raises(self):
-        g = nx.Graph()
-        g.add_node(1)
-        with pytest.raises(GraphError, match="no 'label' attribute"):
-            from_networkx(g)
+    def test_missing_label_raises(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text('{"edges": [[0, 1]]}', encoding="utf-8")
+        with pytest.raises(GraphError, match="not a graph JSON object"):
+            load_json(path)
 
     def test_default_label(self):
-        g = nx.Graph()
-        g.add_node(1)
-        graph, _ = from_networkx(g, default_label="x")
-        assert graph.label(0) == "x"
+        graph = LabeledGraph(["x", "x"], [(0, 1)])
+        assert list(relabel(graph, ["y", "z"]).labels) == ["y", "z"]
+        with pytest.raises(GraphError, match="label table has 1 entries"):
+            relabel(graph, ["y"])
 
     def test_custom_attribute(self):
-        g = nx.Graph()
-        g.add_node(1, kind="z")
-        graph, _ = from_networkx(g, label_attribute="kind")
-        assert graph.label(0) == "z"
+        # A label is any hashable value, so a caller's attribute maps through.
+        graph = LabeledGraph([7, ("genre", 3)], [(0, 1)])
+        assert graph.label(1) == ("genre", 3)
+        assert graph.vertices_with_label(7) == (0,)
 
-    def test_directed_rejected(self):
-        with pytest.raises(GraphError, match="undirected"):
-            from_networkx(nx.DiGraph())
+    def test_directed_rejected(self, tmp_path):
+        # A file written from a directed source may list both orientations:
+        # they load as one undirected edge, and the header counts it once.
+        body = "v 0 a\nv 1 b\ne 0 1\ne 1 0\n"
+        (tmp_path / "one.lg").write_text("t 2 1\n" + body, encoding="utf-8")
+        graph = load_edge_list(tmp_path / "one.lg")
+        assert graph.num_edges == 1 and graph.has_edge(1, 0)
+        (tmp_path / "two.lg").write_text("t 2 2\n" + body, encoding="utf-8")
+        with pytest.raises(GraphError, match="declares 2 edges, found 1"):
+            load_edge_list(tmp_path / "two.lg")
 
-    def test_self_loop_dropped_or_strict(self):
-        g = nx.Graph()
-        g.add_node(1, label="a")
-        g.add_edge(1, 1)
-        graph, _ = from_networkx(g)
-        assert graph.num_edges == 0
-        with pytest.raises(GraphError, match="self-loop"):
-            from_networkx(g, strict=True)
+    def test_self_loop_dropped_or_strict(self, tmp_path):
+        # Strict: a self-loop in a file fails the load in either format, and
+        # a builder that rejected one keeps the edges it had.
+        (tmp_path / "g.lg").write_text("v 0 a\ne 0 0\n", encoding="utf-8")
+        (tmp_path / "g.json").write_text('{"labels": ["a"], "edges": [[0, 0]]}', encoding="utf-8")
+        for load in (load_edge_list, load_json):
+            with pytest.raises(GraphError, match="self-loop"):
+                load(tmp_path / f"g.{'lg' if load is load_edge_list else 'json'}")
+        builder = GraphBuilder()
+        a, b = builder.add_vertex("a"), builder.add_vertex("b")
+        builder.add_edge(a, b)
+        with pytest.raises(GraphError):
+            builder.add_edge(b, b)
+        assert list(builder.build().edges()) == [(0, 1)]
 
 
 class TestQueryFromNetworkx:
     def test_valid_query(self):
-        query, _ = query_from_networkx(sample_nx())
-        assert query.size == 3
+        graph, _ = build_keyed(PEOPLE, KNOWS)
+        assert QueryGraph.from_graph(graph).size == 3
 
     def test_disconnected_rejected(self):
-        g = nx.Graph()
-        g.add_node(1, label="a")
-        g.add_node(2, label="b")
-        from repro.exceptions import QueryError
-
+        graph, _ = build_keyed({1: "a", 2: "b"}, [])
         with pytest.raises(QueryError):
-            query_from_networkx(g)
+            QueryGraph.from_graph(graph)
 
 
 class TestToNetworkx:
-    def test_roundtrip(self):
-        original = LabeledGraph(["a", "b", "b"], [(0, 1), (1, 2)], name="g")
-        nxg = to_networkx(original)
-        back, node_to_id = from_networkx(nxg)
-        assert list(back.labels) == list(original.labels)
-        assert set(back.edges()) == set(original.edges())
+    def test_roundtrip(self, tmp_path):
+        # A caller's integer labels survive JSON as integers; the edge-list
+        # format reads every label back as a string.
+        original = LabeledGraph([7, 3, 7], [(0, 1), (1, 2)], name="g")
+        dump_json(original, tmp_path / "g.json")
+        dump_edge_list(original, tmp_path / "g.lg")
+        assert list(load_json(tmp_path / "g.json").labels) == [7, 3, 7]
+        assert list(load_edge_list(tmp_path / "g.lg").labels) == ["7", "3", "7"]
 
-    def test_label_attribute(self):
-        nxg = to_networkx(LabeledGraph(["z"]), label_attribute="kind")
-        assert nxg.nodes[0]["kind"] == "z"
+    def test_label_attribute(self, tmp_path):
+        dump_edge_list(LabeledGraph(["z", "y"], [(0, 1)]), tmp_path / "g.lg")
+        back = load_edge_list(tmp_path / "g.lg")
+        assert list(back.labels) == ["z", "y"] and back.has_edge(0, 1)
 
 
 class TestEndToEnd:
     def test_diversified_search_through_networkx(self):
-        """A networkx user's full path: convert, query, translate back."""
+        """A caller's full path from keyed data: build, query, map back."""
         from repro import diversified_search
 
-        g = nx.Graph()
-        people = [("pm1", "a"), ("pm2", "a"), ("dev1", "b"), ("dev2", "b")]
-        for node, label in people:
-            g.add_node(node, label=label)
-        g.add_edge("pm1", "dev1")
-        g.add_edge("pm2", "dev2")
-
-        q = nx.Graph()
-        q.add_node("boss", label="a")
-        q.add_node("worker", label="b")
-        q.add_edge("boss", "worker")
-
-        graph, gmap = from_networkx(g)
-        query, _ = query_from_networkx(q)
+        team = {"pm1": "a", "pm2": "a", "dev1": "b", "dev2": "b"}
+        graph, key_to_id = build_keyed(team, [("pm1", "dev1"), ("pm2", "dev2")])
+        query = QueryGraph(["a", "b"], [(0, 1)])
         result = diversified_search(graph, query, k=2)
         assert result.coverage == 4
-        names = {translate_embedding(emb, gmap) for emb in result.embeddings}
+        keys = list(key_to_id)  # ids are insertion order
+        names = {tuple(keys[v] for v in emb) for emb in result.embeddings}
         assert names == {("pm1", "dev1"), ("pm2", "dev2")}

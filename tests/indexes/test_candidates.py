@@ -6,7 +6,7 @@ import pytest
 
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
-from repro.indexes.candidates import CandidateIndex, build_candidate_index
+from repro.indexes.candidates import CandidateIndex
 
 from tests.conftest import brute_force_embeddings, passes_filter_stack
 
@@ -39,7 +39,7 @@ class TestConstruction:
         for u in range(query.size):
             want = [v for v in range(graph.num_vertices) if passes_filter_stack(graph, query, u, v)]
             assert list(CandidateIndex(graph, query).candidates(u)) == want
-        assert set(build_candidate_index(graph, query).candidates(1)) == {1, 5}
+        assert set(CandidateIndex(graph, query).candidates(1)) == {1, 5}
 
     def test_sizes(self, setting):
         graph, query = setting
@@ -48,9 +48,12 @@ class TestConstruction:
         assert idx.sizes() == [idx.size(u) for u in range(query.size)]
 
     def test_build_helper(self, setting):
+        """``CandidateIndex(graph, query)`` is the constructor: it views the
+        plan the graph's shared plan cache compiles."""
         graph, query = setting
-        idx = build_candidate_index(graph, query)
-        assert isinstance(idx, CandidateIndex)
+        idx = CandidateIndex(graph, query)
+        assert idx.cache is graph.index_cache()
+        assert idx.plan is graph.index_cache().plan_cache.get_or_compile(query, idx.cache)
 
 
 class TestMembership:

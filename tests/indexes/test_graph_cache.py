@@ -24,7 +24,6 @@ def cache(graph):
 
 def test_cache_is_pinned(graph):
     assert graph.index_cache() is graph.index_cache()
-    assert GraphIndexCache.for_graph(graph) is graph.index_cache()
 
 
 def test_label_index(cache):

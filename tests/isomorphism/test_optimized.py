@@ -5,11 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets.paper_figures import figure4, figure5
-from repro.isomorphism.qsearch import (
-    QSearchEngine,
-    enumerate_embeddings,
-    enumerate_embeddings_optimized,
-)
+from repro.isomorphism.qsearch import QSearchEngine, enumerate_embeddings
 
 from tests.conftest import (
     brute_force_embeddings,
@@ -24,7 +20,7 @@ class TestExactness:
     def test_matches_brute_force(self, seed):
         graph = random_labeled_graph(20, 3, 0.25, seed=seed)
         query = connected_query_from(graph, 3, seed=seed + 101)
-        got = set(enumerate_embeddings_optimized(graph, query))
+        got = set(optimized_engine(graph, query).embeddings())
         assert got == set(brute_force_embeddings(graph, query))
 
     @pytest.mark.parametrize("seed", range(6))
@@ -32,27 +28,29 @@ class TestExactness:
         graph = random_labeled_graph(25, 2, 0.2, seed=seed)
         query = connected_query_from(graph, 4, seed=seed + 53)
         plain = set(enumerate_embeddings(graph, query))
-        optimized = set(enumerate_embeddings_optimized(graph, query))
+        optimized = set(optimized_engine(graph, query).embeddings())
         assert plain == optimized
 
     def test_exact_on_adversarial_fixtures(self):
         for graph, query in (figure4(width=25), figure5(width=12, teasers=6)):
             plain = set(enumerate_embeddings(graph, query))
-            optimized = set(enumerate_embeddings_optimized(graph, query))
+            optimized = set(optimized_engine(graph, query).embeddings())
             assert plain == optimized
 
     def test_limit(self):
+        """Same embeddings in the same order: the plain engine's limited
+        enumeration is a prefix of the optimized stream."""
         graph = random_labeled_graph(25, 2, 0.25, seed=3)
         query = connected_query_from(graph, 2, seed=3)
-        full = enumerate_embeddings_optimized(graph, query)
-        assert enumerate_embeddings_optimized(graph, query, limit=2) == full[:2]
+        full = list(optimized_engine(graph, query).embeddings())
+        assert enumerate_embeddings(graph, query, limit=2) == full[:2]
 
     @pytest.mark.parametrize("limit", [0, -1])
     def test_non_positive_limit_returns_nothing(self, limit):
         graph = random_labeled_graph(25, 2, 0.25, seed=3)
         query = connected_query_from(graph, 2, seed=3)
-        assert enumerate_embeddings_optimized(graph, query)
-        assert enumerate_embeddings_optimized(graph, query, limit=limit) == []
+        assert list(optimized_engine(graph, query).embeddings())
+        assert enumerate_embeddings(graph, query, limit=limit) == []
 
 
 class TestPruningPower:

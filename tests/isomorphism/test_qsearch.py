@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.firstk import first_k_baseline
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.indexes.candidates import CandidateIndex
@@ -16,8 +17,6 @@ from repro.isomorphism.qsearch import (
     connected_search_order,
     count_embeddings,
     enumerate_embeddings,
-    first_k_embeddings,
-    has_embedding,
 )
 from repro.queries.ordering import selectivity_order
 
@@ -98,14 +97,15 @@ class TestLimitsAndBudgets:
         query = connected_query_from(graph, 2, seed=3)
         assert enumerate_embeddings(graph, query)  # the instance has embeddings
         assert enumerate_embeddings(graph, query, limit=limit) == []
-        assert first_k_embeddings(graph, query, limit) == []
+        assert first_k_baseline(graph, query, limit).embeddings == []
 
     def test_first_k(self):
+        """Table 3's first k: the engine's first k distinct vertex sets."""
         graph = random_labeled_graph(20, 2, 0.3, seed=2)
         query = connected_query_from(graph, 2, seed=3)
-        k = first_k_embeddings(graph, query, 5)
+        k = first_k_baseline(graph, query, 5).embeddings
         assert len(k) <= 5
-        assert k == enumerate_embeddings(graph, query, limit=5)
+        assert k == enumerate_embeddings(graph, query, limit=5, distinct_vertex_sets=True)
 
     def test_budget_truncates(self):
         graph = random_labeled_graph(30, 2, 0.4, seed=5)
@@ -131,8 +131,8 @@ class TestLimitsAndBudgets:
 
     def test_has_embedding(self):
         graph = LabeledGraph(["a", "b"], [(0, 1)])
-        assert has_embedding(graph, QueryGraph(["a", "b"], [(0, 1)]))
-        assert not has_embedding(graph, QueryGraph(["a", "a"], [(0, 1)]))
+        assert enumerate_embeddings(graph, QueryGraph(["a", "b"], [(0, 1)]), limit=1)
+        assert not enumerate_embeddings(graph, QueryGraph(["a", "a"], [(0, 1)]), limit=1)
 
 
 class TestEmbeddingValidity:

@@ -8,7 +8,7 @@ import pytest
 
 from repro.exceptions import DatasetError
 from repro.graph.labeled_graph import LabeledGraph
-from repro.queries.generator import iter_query_sets, query_set, random_query
+from repro.queries.generator import query_set, random_query
 
 from tests.conftest import random_labeled_graph
 
@@ -72,13 +72,17 @@ class TestQuerySet:
         assert [q.canonical_key() for q in a] == [q.canonical_key() for q in b]
 
     def test_iter_query_sets_sizes(self, graph):
-        batches = dict(iter_query_sets(graph, [1, 2, 3], 4, seed=0))
-        assert set(batches) == {1, 2, 3}
+        """A sweep over query sizes is one ``query_set`` per size."""
+        batches = {size: query_set(graph, size, 4, seed=0) for size in (1, 2, 3)}
         for size, batch in batches.items():
+            assert len(batch) == 4
             assert all(q.num_edges == size for q in batch)
 
     def test_iter_query_sets_distinct_per_size(self, graph):
-        batches = dict(iter_query_sets(graph, [2, 3], 3, seed=5))
-        keys2 = {q.canonical_key() for q in batches[2]}
-        keys3 = {q.canonical_key() for q in batches[3]}
-        assert keys2 != keys3
+        """At every size a batch is consecutive draws from one seeded
+        stream, not one query repeated."""
+        for size in (2, 3):
+            rng = random.Random(5)
+            draws = [random_query(graph, size, rng).canonical_key() for _ in range(6)]
+            assert [q.canonical_key() for q in query_set(graph, size, 6, seed=5)] == draws
+            assert len(set(draws)) > 1

@@ -493,6 +493,28 @@ class TestBatchHoldsNobody:
         assert threading.active_count() == threads_before
 
 
+class TestCalibrationPersistence:
+    """serve --calibration-file: per-graph calibration out on drain, back at boot."""
+
+    def test_save_then_load_on_a_fresh_catalog(self, tmp_path):
+        catalog = GraphCatalog(default_config=DSQLConfig(k=DEFAULT_K))
+        entry = catalog.add_graph("tiny", tiny_graph())
+        catalog.add_graph("idle", tiny_graph())
+        for query in tiny_queries(count=3, seed=21):
+            entry.observe_cost(entry.estimate_cost(query), entry.answer(query))
+        state = entry.index_cache.cost_estimator().snapshot()
+        assert state.observations == 3
+        path = tmp_path / "calibration.json"
+        assert catalog.save_calibration(path) == ["tiny"]  # "idle" observed nothing
+
+        fresh = GraphCatalog(default_config=DSQLConfig(k=DEFAULT_K))
+        fresh_entry = fresh.add_graph("tiny", tiny_graph())
+        fresh.add_graph("other", tiny_graph())
+        assert fresh.load_calibration(path) == ["tiny"]
+        assert fresh_entry.index_cache.cost_estimator().snapshot() == state
+        assert fresh.load_calibration(tmp_path / "absent.json") == []
+
+
 class TestPlanCachePersistence:
     """serve --plan-cache-file: specs out on drain, eager recompile at boot."""
 
@@ -590,8 +612,9 @@ class TestPlanCachePersistence:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
         assert catalog.load_plan_cache(bad) == 0
-        bad.write_text('{"graphs": []}', encoding="utf-8")
-        assert catalog.load_plan_cache(bad) == 0
+        for body in ('{"graphs": []}', "[]", "null", '"x"'):  # valid JSON, wrong shape
+            bad.write_text(body, encoding="utf-8")
+            assert catalog.load_plan_cache(bad) == 0, body
 
     def test_unknown_graphs_in_file_are_skipped(self, tmp_path):
         catalog, _ = self._warm_catalog()

@@ -21,6 +21,7 @@ from dataclasses import replace
 import pytest
 
 import repro.indexes.plans as plans_mod
+from repro.cli import main
 from repro.core.config import DSQLConfig
 from repro.core.dsql import DSQL
 from repro.datasets.registry import make_dataset
@@ -96,6 +97,56 @@ class TestEdgeEndpoint:
         with pytest.raises(ServiceClientError) as exc:
             client._call("POST", "/v1/graphs/tiny/frobnicate", {})
         assert exc.value.status == 404 and exc.value.code == "unknown_endpoint"
+
+
+class TestMutateCommand:
+    """``repro-dsql mutate`` against an in-process server."""
+
+    def test_edge_flag_applies_one_op(self, mutable_server, capsys):
+        srv, _, graph = mutable_server
+        u, v = _absent_pair(graph)
+        argv = ["mutate", "--url", srv.url, "--graph", "tiny", "--edge", str(u), str(v)]
+        assert main(argv) == 0
+        assert graph.has_edge(u, v)
+        assert main([*argv, "--op", "remove"]) == 0
+        assert not graph.has_edge(u, v)
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(", version=")[0] for line in lines] == [
+            "tiny: applied 1 op(s), compacted=False"
+        ] * 2
+
+    def test_ops_file_is_one_batch(self, mutable_server, tmp_path, capsys):
+        srv, _, graph = mutable_server
+        n = graph.num_vertices
+        ops = tmp_path / "ops.json"
+        ops.write_text(f'[["add_vertex", "Z9"], ["add_edge", {n}, 0]]', encoding="utf-8")
+        argv = ["mutate", "--url", srv.url, "--graph", "tiny", "--ops-file", str(ops)]
+        assert main([*argv, "--compaction-threshold", "1"]) == 0
+        assert graph.num_vertices == n + 1 and graph.has_edge(n, 0)
+        assert capsys.readouterr().out.startswith("tiny: applied 2 op(s), compacted=True")
+
+    def test_exactly_one_of_edge_and_ops_file(self, tmp_path, capsys):
+        ops = tmp_path / "ops.json"
+        ops.write_text("[]", encoding="utf-8")
+        for extra in ([], ["--edge", "0", "1", "--ops-file", str(ops)]):
+            with pytest.raises(SystemExit) as info:
+                main(["mutate", "--url", "http://127.0.0.1:9", "--graph", "tiny", *extra])
+            assert info.value.code == 2
+            assert "exactly one of --edge U V or --ops-file PATH" in capsys.readouterr().err
+
+    def test_missing_ops_file_is_a_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        with pytest.raises(SystemExit) as info:
+            main(["mutate", "--url", "http://127.0.0.1:9", "--graph", "tiny",
+                  "--ops-file", str(missing)])
+        assert info.value.code == 2
+        assert f"ops file not found: {missing}" in capsys.readouterr().err
+
+    def test_a_refused_mutation_exits_one(self, mutable_server, capsys):
+        srv, _, _ = mutable_server
+        argv = ["mutate", "--url", srv.url, "--graph", "nope", "--edge", "0", "1"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("mutation failed:")
 
 
 class TestIngestEndpoint:

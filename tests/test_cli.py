@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -233,6 +235,34 @@ class TestExperimentCommand:
             main(["experiment", "table2", "--dataset", "yeast", "--jobs", "2"])
         with pytest.raises(SystemExit):
             main(["experiment", "fig9", "--dataset", "yeast", "--time-budget-ms", "5"])
+
+
+class TestEstimateCommand:
+    def test_execute_pairs_estimates_with_actuals(self, capsys):
+        argv = ["estimate", "--dataset", "yeast", "--scale", "0.1", "--queries", "3",
+                "--edges", "3", "--k", "5"]
+        assert main([*argv, "--execute"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(line for line in lines if "est units" in line)
+        for column in ("query", "lower", "upper", "actual", "log err", "ms"):
+            assert column in header
+        rows = [line.split() for line in lines if re.match(r"q\d+ ", line)]
+        assert [row[0] for row in rows] == ["q0", "q1", "q2"]
+        assert all(len(row) == 7 and int(row[4]) > 0 for row in rows)  # actual expansions
+        assert any(
+            line.startswith("calibration: factor ") and line.endswith(", 3 observation(s)")
+            for line in lines
+        )
+        assert lines[-1].startswith("mean abs log error: ")
+        assert "measured rate: " in lines[-1] and "work units/ms" in lines[-1]
+
+    def test_without_execute_only_estimates(self, capsys):
+        argv = ["estimate", "--dataset", "yeast", "--scale", "0.1", "--queries", "2",
+                "--edges", "3", "--k", "5"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "actual" not in out and "measured rate" not in out
+        assert "0 observation(s)" in out
 
 
 class TestVersionFlag:

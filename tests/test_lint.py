@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import importlib.metadata
 import importlib.util
 import inspect
 import json
+import pkgutil
 import py_compile
 import re
 import shutil
@@ -476,6 +478,23 @@ STAYS_DELETED = {
         "observability/__init__.py", "        self.tracer = tracer\n",
         "        self.hooks = hooks\n", ("self.hooks",),
     ),
+    # What no product path entered: the networkx bridge, the frozenset
+    # filter stack, second spellings of the Table 3 and Table 4 loops, thin
+    # wrappers over a call their callers already make, and two generators
+    # no dataset was built with.
+    "test_only_surface": (
+        (
+            "networkx", "passes_all_filters", "query_signature", "indexes.signature",
+            "run_pipeline", "run_all_strategies", "PipelineResult", "first_k_embeddings",
+            "enumerate_embeddings_optimized", "has_embedding", "compare_solvers",
+            "iter_query_sets", "objective_coverage_bound", "build_candidate_index",
+            "erdos_renyi_graph", "skewed_labels", "induced_match_subgraph", "matched_edges",
+        ),
+        "isomorphism/qsearch.py", "    return count, not engine.budget_exhausted\n",
+        "\n\ndef first_k_embeddings(graph, query, k):\n"
+        "    return enumerate_embeddings(graph, query, limit=k)\n",
+        ("first_k_embeddings",),
+    ),
 }
 
 
@@ -506,7 +525,6 @@ def test_plan_free_fork_stays_deleted():
 def test_backend_fork_stays_deleted():
     import repro.graph
     from repro.graph import GraphBuilder, LabeledGraph, QueryGraph
-    from repro.graph.interop import from_networkx
     from repro.graph.io import load_edge_list, load_json, load_query
 
     assert_stays_deleted("backend_fork")
@@ -521,7 +539,6 @@ def test_backend_fork_stays_deleted():
         load_edge_list,
         load_json,
         load_query,
-        from_networkx,
     ):
         assert "backend" not in inspect.signature(fn).parameters, fn.__qualname__
 
@@ -1496,6 +1513,114 @@ def test_profiling_hooks_stay_deleted():
     assert_stays_deleted("profiling_hooks")
     assert not (REPO / "src" / "repro" / "observability" / "hooks.py").exists()
     assert Instrumentation.__slots__ == ("metrics", "tracer")
+
+
+def test_test_only_surface_stays_deleted():
+    import repro
+
+    assert_stays_deleted("test_only_surface")
+    for module in ("graph/interop.py", "indexes/signature.py"):
+        assert not (REPO / "src" / "repro" / module).exists(), module
+    names = STAYS_DELETED["test_only_surface"][0]
+    exported = {
+        name
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if info.ispkg
+        for name in importlib.import_module(info.name).__all__
+    }
+    assert not exported & set(names)
+
+
+# ----------------------------------------------------------------------
+# Dependency guard: ``import repro`` needs only what pyproject.toml's
+# ``[project] dependencies`` declares. The AST lint reads every import in
+# ``src/``; the import test blocks every other installed package and
+# imports every module.
+# ----------------------------------------------------------------------
+def normalized(distribution: str) -> str:
+    return re.sub(r"[-_.]+", "-", distribution).lower()
+
+
+def declared_distributions():
+    """Normalized distribution names under ``[project] dependencies``, read
+    with a regex: ``tomllib`` is 3.11+ and ``requires-python`` is 3.10."""
+    text = (REPO / "pyproject.toml").read_text(encoding="utf-8")
+    array = re.search(r'^dependencies\s*=\s*\[((?:\s*"[^"]*"\s*,?)*)\s*\]', text, re.M)
+    assert array, "pyproject.toml has no [project] dependencies array of strings"
+    return {
+        normalized(re.split(r"[\s<>=!~;\[(]", dep, maxsplit=1)[0])
+        for dep in re.findall(r'"([^"]*)"', array.group(1))
+    }
+
+
+def installed_modules():
+    """``(declared, undeclared)``: the top-level modules of installed
+    distributions, split by whether ``dependencies`` lists a distribution
+    providing them (stdlib names and ``repro`` itself left out)."""
+    declared, skipped = declared_distributions(), sys.stdlib_module_names | {"repro"}
+    split = (set(), set())
+    for module, dists in importlib.metadata.packages_distributions().items():
+        if module.isidentifier() and module not in skipped:
+            split[not any(normalized(d) in declared for d in dists)].add(module)
+    return split
+
+
+def undeclared_imports(sources, declared_modules):
+    """``path:line: module`` over ``{path: source}`` for every import, at
+    module level or inside a function, of a top-level module that is neither
+    stdlib, ``repro``, nor in ``declared_modules``."""
+    allowed = set(sys.stdlib_module_names) | {"repro"} | set(declared_modules)
+    found = []
+    for path, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            found += [
+                f"{path}:{node.lineno}: {m}" for m in modules if m.split(".")[0] not in allowed
+            ]
+    return found
+
+
+def test_src_imports_only_declared_packages():
+    modules = installed_modules()[0]
+    assert "numpy" in modules
+    sources = package_sources()
+    assert undeclared_imports(sources, modules) == []
+    # The lint sees an undeclared import pasted into a function body.
+    text = sources["core/dsql.py"] + "\n\ndef _plot():\n    import networkx as nx\n"
+    line = len(text.splitlines())
+    assert undeclared_imports({"core/dsql.py": text}, modules) == [f"core/dsql.py:{line}: networkx"]
+
+
+def test_every_module_imports_with_undeclared_packages_blocked():
+    """In a fresh interpreter where every installed package that
+    ``dependencies`` does not list is blocked, every ``repro.*`` module
+    imports."""
+    blocked = sorted(installed_modules()[1])
+    assert "pytest" in blocked
+    script = (
+        "import importlib, pkgutil, sys\n"
+        f"for name in {blocked!r}:\n"
+        "    sys.modules[name] = None\n"
+        f"sys.path.insert(0, {str(REPO / 'src')!r})\n"
+        "import repro\n"
+        "names = [m.name for m in pkgutil.walk_packages(repro.__path__, 'repro.')]\n"
+        "for name in names:\n"
+        "    importlib.import_module(name)\n"
+        "print(' '.join(names))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    src = REPO / "src"
+    files = {
+        ".".join(p.relative_to(src).with_suffix("").parts).removesuffix(".__init__")
+        for p in (src / "repro").rglob("*.py")
+    }
+    assert sorted(proc.stdout.split()) == sorted(files - {"repro"})
 
 
 # ----------------------------------------------------------------------
