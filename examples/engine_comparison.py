@@ -1,18 +1,15 @@
-"""Three ways to run the one exhaustive subgraph-querying engine.
+"""Two ways to run the one exhaustive subgraph-querying engine.
 
 The library ships one Algorithm-1 backtracking engine, `QSearchEngine`, and
-this script runs it three ways:
+this script runs it two ways:
 
 * as is — plain backtracking;
 * with `conflict_backjumping` / `bad_vertex_skipping` on — the Section
   5.3/5.4 strategies applied to plain SQ, per the paper's closing remark;
-  they skip failed subtrees, so they can only save expansions;
-* over a plan compiled with `use_compression=True` — candidates are joined
-  through BoostIso-style [24] twin classes instead of vertices; the
-  candidates walked, and so the expansions, are the plain run's.
+  they skip failed subtrees, so they can only save expansions.
 
-It runs all three on a twin-rich casting graph and on the paper's Example 6
-fixture; the three counts agree on both.
+It runs both on a casting graph and on the paper's Example 6 fixture; the
+two counts agree on both.
 
 Run: ``python examples/engine_comparison.py``
 """
@@ -24,7 +21,6 @@ import time
 
 from repro.datasets import figure4
 from repro.graph import LabeledGraph, QueryGraph
-from repro.indexes.plans import compile_plan
 from repro.isomorphism import QSearchEngine
 
 
@@ -44,11 +40,9 @@ def casting_graph(num_movies: int = 150, cast: int = 10, seed: int = 1) -> Label
 
 def compare(graph: LabeledGraph, query: QueryGraph, title: str) -> None:
     print(f"--- {title}: |V|={graph.num_vertices}, query {query.size} nodes")
-    cache = graph.index_cache()
     runs = {
         "plain": {},
         "conflict": {"conflict_backjumping": True, "bad_vertex_skipping": True},
-        "compressed": {"plan": compile_plan(query, cache, use_compression=True)},
     }
     counts = []
     for name, options in runs.items():
@@ -60,9 +54,8 @@ def compare(graph: LabeledGraph, query: QueryGraph, title: str) -> None:
               f"({engine.nodes_expanded} expansions, {engine.conflict_skips} skips)")
         assert not engine.budget_exhausted
         counts.append(count)
-    print(f"  twin classes: ratio {cache.compressed().compression_ratio():.2f}")
     assert len(set(counts)) == 1
-    print("  all three agree.\n")
+    print("  both agree.\n")
 
 
 def main() -> None:
@@ -71,7 +64,7 @@ def main() -> None:
         ["Genre1", "Actor", "Actor", "Actress"],
         [(0, 1), (0, 2), (0, 3)],
     )
-    compare(graph, query, "twin-rich casting graph")
+    compare(graph, query, "casting graph")
 
     graph4, query4 = figure4(width=120)
     compare(graph4, query4, "Example 6 adversarial fixture")

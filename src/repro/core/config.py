@@ -34,11 +34,9 @@ class DSQLConfig:
     Parameters
     ----------
     k:
-        Maximum number of embeddings to return (the "top-k").
-    localized_search:
-        Section 5.1 — restrict each node's candidates to the neighborhood of
-        its ``qfList`` father's matched vertex. Off = the plain Algorithm 3
-        search over full candidate buckets (much slower; kept for testing).
+        Maximum number of embeddings to return (the "top-k"). Section 5.1's
+        localized search is not a setting: every node with a ``qfList``
+        father draws its candidates from the father's match's neighborhood.
     single_embedding_mode:
         Section 5.2 — in single-embedding search, nodes with
         ``neighborRm == 0`` try at most ``labelRm + 1`` joinable candidates.
@@ -89,12 +87,12 @@ class DSQLConfig:
         (keyed by :meth:`QueryGraph.canonical_key`). ``None`` means
         unbounded, ``0`` disables memoization.
     use_compression:
-        Compile plans against the graph's twin-class partition (BoostIso
-        [24]-style structural equivalence — see :mod:`repro.isomorphism.
-        compression`): class-level candidate pools, the ``cbitset`` join
-        kernel over class ids, and the compressed per-frame join test in
-        the level engine. Results are bit-identical with the toggle on or
-        off (pinned by ``tests/property/test_compression_equivalence.py``).
+        Join against the graph's twin-class partition (BoostIso [24]-style
+        structural equivalence — see :mod:`repro.isomorphism.compression`):
+        the level engine's frames with two or more matched neighbors test
+        candidates on the twin-class join masks. Results are bit-identical
+        with the toggle on or off (pinned by
+        ``tests/property/test_compression_equivalence.py``).
         No measured query shape is faster with it, not even the casting
         star built to favour it (equal expansions, more time). Off by
         default.
@@ -110,8 +108,8 @@ class DSQLConfig:
         catalog and the ``query_many`` memo (which is per-session, hence
         per-config) never mix results across objectives. The
         :class:`~repro.indexes.plans.PlanCache` key deliberately excludes
-        the objective: plans encode *generation* mechanics (search order,
-        join kernels), which are objective-independent.
+        the objective: plans encode *generation* mechanics (pools, search
+        order), which are objective-independent.
     vertex_weights:
         Optional ``(vertex, weight)`` pairs for ``objective=
         "weighted-vertex"``; unlisted vertices weigh 1. ``None`` (default)
@@ -134,7 +132,6 @@ class DSQLConfig:
     """
 
     k: int
-    localized_search: bool = True
     single_embedding_mode: bool = True
     conflict_skipping: bool = True
     bad_vertex_skipping: bool = True

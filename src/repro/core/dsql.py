@@ -173,9 +173,7 @@ class DSQL:
 
     def _plan(self, query: QueryGraph):
         """The compiled plan for ``query``, memoized in the graph's shared cache."""
-        return self.index_cache.plan_cache.get_or_compile(
-            query, self.index_cache, use_compression=self.config.use_compression
-        )
+        return self.index_cache.plan_cache.get_or_compile(query, self.index_cache)
 
     def _query_impl(
         self, query: QueryGraph, instr: Optional[Instrumentation], query_id: Optional[int]

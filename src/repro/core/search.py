@@ -84,14 +84,16 @@ class LevelSearchEngine(ConflictDirectedSearch):
     ``N(father's match) ∩ candS(u)`` — kept on the pool's entry
     (:class:`~repro.indexes.graph_cache.PoolEntry`;
     :meth:`~repro.indexes.candidates.CandidateIndex.localized` on a miss;
-    the plan's pool without localization), and the join constraint is
-    decided from what the frame knows when it is entered — the matched query neighbors localization
-    has *not* already joined (``Rcand ⊆ N(father's match)``, so the
-    father's edge holds by construction):
+    the plan's pool at the root, which has no father), and the join
+    constraint is decided from what the frame knows when it is entered —
+    the matched query neighbors localization has *not* already joined
+    (``Rcand ⊆ N(father's match)``, so the father's edge holds by
+    construction):
 
     * none — injectivity is the whole test;
     * one — membership in that vertex's neighbor set, fetched once;
-    * two or more — one mask fold per frame (:meth:`_fold_join`).
+    * two or more — one intersection of their neighbor sets per frame
+      (:meth:`_fold_join`).
 
     Every expansion is charged in place — count, compare with the meter's
     trip point — and only :class:`~repro.isomorphism.backtrack.
@@ -148,8 +150,7 @@ class LevelSearchEngine(ConflictDirectedSearch):
         self._compressed = self._cache.compressed() if config.use_compression else None
         self.rng = random.Random(config.seed)
         self._getrandbits = self.rng.getrandbits
-        # The two strategy switches a frame consults, read once.
-        self._localize = config.localized_search
+        # The strategy switch a frame consults, read once.
         self._cap_singles = config.single_embedding_mode
         # Per-Qovp state, installed by run_level.
         self.order: Tuple[int, ...] = ()
@@ -194,11 +195,11 @@ class LevelSearchEngine(ConflictDirectedSearch):
     def _fold_join(self, backward: Tuple[int, ...], skip: int, rcand: Sequence[int]) -> Set[int]:
         """The join constraint of a frame with two or more matched neighbors.
 
-        ``skip`` is the father when localization already joined it
-        (:data:`NO_FATHER` otherwise). One neighbor left: its neighbor set.
-        Two or more: one mask AND per frame, probed once per member of
-        ``rcand`` — the joinable ones are returned. Rare (no tree query has
-        such a frame), so it is a call; the frames' other two cases are not.
+        ``skip`` is the father, whose edge localization already joined
+        (:data:`NO_FATHER` at the root). One neighbor left: its neighbor set.
+        Two or more: the members of ``rcand`` in every one of their
+        neighbor sets. Rare (no tree query has such a frame), so it is a
+        call; the frames' other two cases are not.
         """
         assignment = self._assignment
         matches = [assignment[w] for w in backward if w != skip]
@@ -210,12 +211,11 @@ class LevelSearchEngine(ConflictDirectedSearch):
         if len(matches) == 1:
             return self._neighbor_set(matches[0])
         if comp is None:
-            mask = joinable_kernel(map(self._cache.adjacency_mask, matches))
-            return {v for v in rcand if (mask >> v) & 1}
+            return set(rcand).intersection(*map(self._neighbor_set, matches))
         # Compressed join: fold the matched vertices' class join masks
-        # (num_classes bits instead of num_vertices) and test candidates by
-        # class id. Twin symmetry makes this exactly the vertex-mask
-        # predicate wherever a frame asks it — for v outside `used` (so v
+        # (num_classes bits) and test candidates by class id. Twin symmetry
+        # makes this exactly the neighbor-set predicate above wherever a
+        # frame asks it — for v outside `used` (so v
         # differs from every matched vertex), edge(v, v2) holds iff their
         # classes are adjacent — or, within one class, iff the class is a
         # clique, which is precisely the self-bit of the class join mask.
@@ -241,7 +241,7 @@ class LevelSearchEngine(ConflictDirectedSearch):
         # Rcand (setCandidates, Section 5.1): localized, then restricted to
         # TcandS. `skip`: the neighbor whose edge localization implies.
         skip = NO_FATHER
-        if father != NO_FATHER and self._localize:
+        if father != NO_FATHER:
             stats.kernel_merge += 1
             skip = father
             rcand = self._memo[u].get(assignment[father])
@@ -298,7 +298,7 @@ class LevelSearchEngine(ConflictDirectedSearch):
         # Prologue as in _multi_overlap, spelled here on purpose: a shared
         # helper would be the per-frame call this layout removes.
         skip = NO_FATHER
-        if father != NO_FATHER and self._localize:
+        if father != NO_FATHER:
             stats.kernel_merge += 1
             skip = father
             rcand = self._memo[u].get(assignment[father])
@@ -374,7 +374,7 @@ class LevelSearchEngine(ConflictDirectedSearch):
         # Prologue as in _multi_overlap, spelled here on purpose: a shared
         # helper would be the per-frame call this layout removes.
         skip = NO_FATHER
-        if father != NO_FATHER and self._localize:
+        if father != NO_FATHER:
             stats.kernel_merge += 1
             skip = father
             rcand = self._memo[u].get(assignment[father])

@@ -1,14 +1,8 @@
-"""Filtering indexes: label index, degree/NS filters, candidate sets."""
+"""Filtering indexes: label index, degree/NS filters, candidate sets.
+
+Plans and the index cache are imported by module path
+(:mod:`repro.indexes.plans`, :mod:`repro.indexes.graph_cache`)."""
 
 from repro.indexes.candidates import CandidateIndex
-from repro.indexes.graph_cache import GraphIndexCache
-from repro.indexes.plans import PlanCache, QueryPlan, compile_plan, expand_pool
 
-__all__ = [
-    "CandidateIndex",
-    "GraphIndexCache",
-    "PlanCache",
-    "QueryPlan",
-    "compile_plan",
-    "expand_pool",
-]
+__all__ = ["CandidateIndex"]

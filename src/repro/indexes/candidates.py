@@ -46,8 +46,8 @@ class CandidateIndex:
     Attributes
     ----------
     plan:
-        The plan this index views; engines take their search order,
-        backward lists and join kernels from it.
+        The plan this index views; engines take their search order and
+        backward lists from it.
 
     The localized lists (``_localized[u][fv]`` — the level engine's frames
     probe the dict in place and call :meth:`localized` on a miss) are the

@@ -28,8 +28,8 @@ restriction over these pools instead of a per-query full scan.
 
 Live mutation support is *delta-based* rather than epoch-nuke:
 :meth:`GraphIndexCache.apply_delta` repairs only the state derived from the
-touched edges' 1-hop neighborhoods (the endpoints' degrees, signature masks
-and adjacency bitsets) and evicts only the compiled plans whose pools
+touched edges' 1-hop neighborhoods (the endpoints' degrees and signature
+masks) and evicts only the compiled plans whose pools
 intersect the dirty label set — everything else survives at the same logical
 :attr:`epoch` with a bumped :attr:`delta_seq`. The candidate-pool memo is
 *repaired*, not evicted: a pool is exactly the vertices of its label passing
@@ -52,7 +52,6 @@ import itertools
 import threading
 from bisect import bisect_left
 from collections import Counter, OrderedDict
-from functools import partial
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.kernels import bitset_of
@@ -60,15 +59,6 @@ from repro.kernels import bitset_of
 Label = Hashable
 
 DEFAULT_CANDIDATE_MEMO_SIZE = 2048
-
-DEFAULT_ADJACENCY_MEMO_SIZE = 4096
-"""Cap on memoized per-vertex neighbor bitsets (LRU eviction).
-
-A mask costs O(num_vertices / 8) bytes, so materializing one per vertex
-would be quadratic in graph size; in practice only the vertices matched to
-query nodes near the search root ever need a mask, and they repeat heavily
-across frames and queries.
-"""
 
 _EPOCHS = itertools.count()
 """Process-wide monotonic epoch source for :attr:`GraphIndexCache.epoch`."""
@@ -146,7 +136,6 @@ class GraphIndexCache:
         ("_mask_signatures", dict, "mask -> its labels: a function of the key alone"),
         ("_pool_memo", OrderedDict, "LRU key -> PoolEntry; repaired in place, retired on exit"),
         ("_pool_keys", dict, "label id -> its memo keys: added and dropped with the entry"),
-        ("_adj_masks", OrderedDict, "LRU; stored by memoize, popped for dirty vertices"),
         ("plan_cache", _plan_cache, "evict_stale by label; stored by memoize"),
         ("_cost_estimator", lambda: None, "built once under _lock; calibration, no graph state"),
         ("_compressed", lambda: None, "built once under _lock; split-repaired by apply_delta"),
@@ -167,7 +156,6 @@ class GraphIndexCache:
         "pool_entries_repaired",
         "pool_entries_rebuilt",
         "pool_entries_dropped",
-        "_adj_memo_size",
     ) + tuple(slot for slot, _, _ in _DERIVED)
 
     def __init__(
@@ -215,14 +203,13 @@ class GraphIndexCache:
         self.signature_masks: List[int] = masks
 
         self._pool_memo_size = candidate_memo_size
-        self._adj_memo_size = DEFAULT_ADJACENCY_MEMO_SIZE
         self.candidate_memo_hits = 0
         self.candidate_memo_misses = 0
         self.pool_entries_repaired = 0
         self.pool_entries_rebuilt = 0
         self.pool_entries_dropped = 0
-        # Compiled query plans are keyed by (epoch, canonical query key,
-        # use_compression); the epoch names this construction — stamped here
+        # Compiled query plans are keyed by (epoch, canonical query key);
+        # the epoch names this construction — stamped here
         # and nowhere else — so keys from two caches of the "same" graph stay
         # distinguishable even if a plan cache instance were ever shared.
         self.epoch = next(_EPOCHS) if epoch is None else epoch
@@ -474,7 +461,7 @@ class GraphIndexCache:
         return base
 
     # ------------------------------------------------------------------
-    # Adjacency views for the join kernels
+    # Adjacency views
     # ------------------------------------------------------------------
     def adjacency_slice(self, v: int) -> Tuple[int, ...]:
         """The sorted adjacency row of ``v`` (ascending vertex ids).
@@ -487,24 +474,10 @@ class GraphIndexCache:
     def adjacency_mask(self, v: int) -> int:
         """The neighbor bitset of ``v``: bit ``w`` set iff ``(v, w)`` is an edge.
 
-        Built lazily per vertex and memoized behind a bounded LRU
-        (:data:`DEFAULT_ADJACENCY_MEMO_SIZE`): a mask is O(|V|/8) bytes, so
-        the full table would be quadratic, while the search only ever masks
-        the vertices currently matched near the root of a frame.
+        Built on every call (perfbench's kernel probe reads it; no engine
+        does).
         """
-        memo = self._adj_masks
-        with self._lock:
-            mask = memo.get(v)
-            if mask is not None:
-                memo.move_to_end(v)
-                return mask
-        return self.memoize(lambda: bitset_of(self.graph.neighbors(v)), partial(self._keep_mask, v))
-
-    def _keep_mask(self, v: int, mask: int) -> None:
-        memo = self._adj_masks
-        memo[v] = mask
-        if len(memo) > self._adj_memo_size:
-            memo.popitem(last=False)
+        return bitset_of(self.graph.neighbors(v))
 
     # ------------------------------------------------------------------
     # Live mutation: delta-based repair
@@ -530,8 +503,8 @@ class GraphIndexCache:
         ``("remove_edge", u, v)``. Repair is strictly local — an edge op
         dirties only its two endpoints (adding or removing ``(u, v)``
         changes the neighbor multisets of ``u`` and ``v`` and nobody
-        else's, so only ``NS(u)``/``NS(v)``, their degrees, their adjacency
-        bitsets and the candidate pools of their labels can change) and a
+        else's, so only ``NS(u)``/``NS(v)``, their degrees and the candidate
+        pools of their labels can change) and a
         vertex op dirties only the new vertex. Candidate-pool memo entries
         are repaired in place (:meth:`_repair_pools`): entries of clean
         labels keep their tuple objects, entries of a dirty label change
@@ -609,8 +582,6 @@ class GraphIndexCache:
                 signature_masks[v] = m
             if tested:
                 self._repair_pools(tested)
-            for v in dirty:
-                self._adj_masks.pop(v, None)
         self.plan_cache.evict_stale(
             dirty_per_label, new_labels, edges_changed=any(op[0] != "add_vertex" for op in ops)
         )

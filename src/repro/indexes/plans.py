@@ -5,8 +5,8 @@ the selectivity ranking, the connectivity-aware search order, the per-depth
 matched-neighbor lists, and the filter profiles all depend only on inputs
 that do not change between repeated queries. :class:`QueryPlan` is that
 preprocessing, and the only route from a query to its candidates — every
-engine reads its pools, order and kernels; :class:`PlanCache` memoizes plans behind a bounded LRU keyed by
-``(graph epoch, query canonical key, use_compression)`` and lives on the
+engine reads its pools and order; :class:`PlanCache` memoizes plans behind a bounded LRU keyed by
+``(graph epoch, query canonical key)`` and lives on the
 shared :class:`~repro.indexes.graph_cache.GraphIndexCache`, so DSQL
 sessions, the :class:`~repro.parallel.executor.BatchExecutor`, and the
 service catalog all share compiled plans exactly the way they already share
@@ -15,12 +15,8 @@ candidate pools. A plan holds its pools' memo entries
 localized lists live on the entry, not on a plan, so a plan compiled after
 an evicted one over the same pools rebuilds neither.
 
-The plan also records a **kernel choice per search depth** (see
-:mod:`repro.kernels` and ``docs/performance.md``): depths with no matched
-backward neighbor scan their pool; depths with one use the merge kernel
-(the anchors' neighbor sets intersected with the pool set); depths with two
-or more matched neighbors and a pool large enough to amortize the mask work
-use the bitset kernel.
+A plan chooses no join mechanism: past the root every depth joins on its
+matched neighbors' sets (:func:`expand_pool`, see :mod:`repro.kernels`).
 """
 
 from __future__ import annotations
@@ -28,22 +24,10 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from functools import partial
-from heapq import merge as heapq_merge
 from typing import Dict, List, Optional, Tuple
 
 from repro.indexes.graph_cache import PoolEntry
-from repro.kernels import (
-    BITSET,
-    BITSET_MIN_POOL,
-    CBITSET,
-    CBITSET_MAX_RATIO,
-    MERGE,
-    SCAN,
-    bitset_members,
-    bitset_of,
-    intersect_sets,
-    joinable_kernel,
-)
+from repro.kernels import bitset_of, intersect_sets
 from repro.queries.qflist import order_statistics, resort_basis, resort_order
 
 DEFAULT_PLAN_CACHE_SIZE = 128
@@ -75,19 +59,9 @@ class QueryPlan:
     pools:
         Per query node, the resolved candidate pool (ascending tuple): the
         members of ``entries[u]``.
-    kernels:
-        Per search depth, the chosen expansion kernel kind
-        (:data:`~repro.kernels.SCAN` / :data:`~repro.kernels.MERGE` /
-        :data:`~repro.kernels.BITSET` / :data:`~repro.kernels.CBITSET`).
-    class_pools:
-        Compression-enabled plans only (else ``None``): per query node, the
-        ascending twin-class ids covering ``pools[u]``. Twin classes are
-        filter-uniform (members share label, degree, and signature), so a
-        class is in the pool iff all its members are — the class pool is a
-        lossless re-encoding of the vertex pool at the compression ratio.
 
     Beside these the plan memoizes the lazily built views of
-    :attr:`_LAZIES`: bitsets, the cost profile, and the per-``Qovp`` frame
+    :attr:`_LAZIES`: the cost profile, and the per-``Qovp`` frame
     table of :meth:`frames` and the ``reSort`` basis it is compiled from. Each is a function of the
     plan (the cost profile also of ``2|E|``, so it is kept through
     :meth:`~repro.indexes.graph_cache.GraphIndexCache.memoize`), dies with
@@ -98,8 +72,6 @@ class QueryPlan:
 
     # Lazy views: slot, then its empty value for a plan of n query nodes.
     _LAZIES = (
-        ("_cand_masks", lambda n: [None] * n),
-        ("_class_masks", lambda n: [None] * n),
         ("_cost_profile", lambda n: None),
         ("_frames", lambda n: {}),
         ("_interned", lambda n: {}),
@@ -113,8 +85,6 @@ class QueryPlan:
         "profiles",
         "entries",
         "pools",
-        "kernels",
-        "class_pools",
         "referenced_lids",
         "absent_labels",
     ) + tuple(slot for slot, _ in _LAZIES)
@@ -127,10 +97,8 @@ class QueryPlan:
         backward,
         profiles,
         entries,
-        kernels,
         referenced_lids=frozenset(),
         absent_labels=frozenset(),
-        class_pools=None,
     ):
         self.key = key
         self.qlist: Tuple[int, ...] = tuple(qlist)
@@ -139,16 +107,12 @@ class QueryPlan:
         self.profiles = tuple(profiles)
         self.entries: Tuple[PoolEntry, ...] = tuple(entries)
         self.pools: Tuple[Tuple[int, ...], ...] = tuple(e.members for e in self.entries)
-        self.kernels: Tuple[str, ...] = tuple(kernels)
         # Staleness footprint for delta-based eviction: the graph label ids
         # this plan's pools were scanned from, and the query labels that had
         # no graph id at compile time (their pools are pinned empty until
         # such a label first appears).
         self.referenced_lids: frozenset = frozenset(referenced_lids)
         self.absent_labels: frozenset = frozenset(absent_labels)
-        self.class_pools: Optional[Tuple[Tuple[int, ...], ...]] = (
-            None if class_pools is None else tuple(tuple(cp) for cp in class_pools)
-        )
         self._reset_lazies()
 
     def _reset_lazies(self) -> None:
@@ -169,24 +133,9 @@ class QueryPlan:
         return entry.set_view() if view is None else view
 
     def cand_mask(self, u: int) -> int:
-        """Bitset form of ``pool(u)``, built lazily and memoized."""
-        mask = self._cand_masks[u]
-        if mask is None:
-            mask = bitset_of(self.pools[u])
-            self._cand_masks[u] = mask
-        return mask
-
-    def class_mask(self, u: int) -> int:
-        """Bitset over twin-class ids of ``class_pools[u]``, lazy + memoized.
-
-        The compressed analogue of :meth:`cand_mask` — ``num_classes`` bits
-        instead of ``num_vertices``. Only valid on compression-enabled plans.
-        """
-        mask = self._class_masks[u]
-        if mask is None:
-            mask = bitset_of(self.class_pools[u])
-            self._class_masks[u] = mask
-        return mask
+        """Bitset form of ``pool(u)``, built on every call (perfbench's
+        kernel probe reads it; no engine does)."""
+        return bitset_of(self.pools[u])
 
     def cost_profile(self, builder, cache):
         """Memoized cost profile for this plan (see :mod:`repro.cost`).
@@ -258,36 +207,26 @@ class QueryPlan:
         self._reset_lazies()
 
 
-def plan_key(cache, query, use_compression: bool = False):
-    """The memo key: cache epoch + canonical query structure + the toggle.
+def plan_key(cache, query):
+    """The memo key: cache epoch + canonical query structure.
 
     The epoch names the cache's construction and never changes under it:
-    what invalidates a plan is :meth:`PlanCache.evict_stale`.
-    ``use_compression`` is part of the key because compressed and plain
-    plans differ structurally (class pools, ``cbitset`` kernel choices) —
-    one graph can serve both kinds of traffic without thrashing the cache.
+    what invalidates a plan is :meth:`PlanCache.evict_stale`. No session
+    setting is part of the key — a plan depends on the graph and the query
+    alone, so plain and compressed sessions share it.
     """
-    return (cache.epoch, query.canonical_key(), use_compression)
+    return (cache.epoch, query.canonical_key())
 
 
-def compile_plan(query, cache, use_compression: bool = False) -> QueryPlan:
+def compile_plan(query, cache) -> QueryPlan:
     """Compile a :class:`QueryPlan` against a graph's index cache.
 
     This is the per-query preprocessing of Sections 4 and 5.1, done once:
-    the filter profiles and candidate pools, the selectivity ranking, the
-    connectivity-aware search order with its per-depth backward lists, and
-    a join kernel per depth. Every engine reads these off the plan. Raises
+    the filter profiles and candidate pools, the selectivity ranking and
+    the connectivity-aware search order with its per-depth backward lists.
+    Every engine reads these off the plan. Raises
     :class:`~repro.exceptions.InvalidQueryError` on disconnected queries
     (via the search-order construction).
-
-    With ``use_compression`` the plan additionally carries the twin-class
-    re-encoding of every pool (:attr:`QueryPlan.class_pools`) and upgrades
-    :data:`~repro.kernels.BITSET` depths whose pool compresses below
-    :data:`~repro.kernels.CBITSET_MAX_RATIO` to the class-level
-    :data:`~repro.kernels.CBITSET` kernel. Vertex pools, order, and
-    tie-breaks are untouched — the compressed plan emits byte-equal
-    candidate lists, which is the equivalence contract
-    (``tests/property/test_compression_equivalence.py``).
     """
     # Late import: the isomorphism package imports repro.indexes.candidates,
     # which imports graph_cache, which lazily imports this module.
@@ -311,30 +250,7 @@ def compile_plan(query, cache, use_compression: bool = False) -> QueryPlan:
     backward = [
         tuple(w for w in query.neighbors(u) if position[w] < position[u]) for u in order
     ]
-    class_pools: Optional[List[Tuple[int, ...]]] = None
-    if use_compression:
-        class_of = cache.compressed().class_of
-        class_pools = [
-            tuple(sorted({class_of[v] for v in pool})) for pool in pools
-        ]
-    kernels = []
-    for depth, u in enumerate(order):
-        if not backward[depth]:
-            kernels.append(SCAN)
-        elif len(backward[depth]) >= 2 and len(pools[u]) >= BITSET_MIN_POOL:
-            # Upgrade to the class-level kernel only where the pool actually
-            # compresses — near ratio 1.0 the class fold plus member merge
-            # costs more than the plain vertex AND.
-            if (
-                class_pools is not None
-                and len(class_pools[u]) <= CBITSET_MAX_RATIO * len(pools[u])
-            ):
-                kernels.append(CBITSET)
-            else:
-                kernels.append(BITSET)
-        else:
-            kernels.append(MERGE)
-    key = plan_key(cache, query, use_compression)
+    key = plan_key(cache, query)
     referenced: set = set()
     absent: set = set()
     for u in range(q):
@@ -351,64 +267,28 @@ def compile_plan(query, cache, use_compression: bool = False) -> QueryPlan:
         backward,
         profiles,
         entries,
-        kernels,
         referenced_lids=referenced,
         absent_labels=absent,
-        class_pools=class_pools,
     )
 
 
 def expand_pool(plan: QueryPlan, depth: int, assignment, cache):
-    """Candidate pool at ``depth`` via the plan's chosen kernel.
+    """The candidates of the node at search ``depth``, ascending.
 
-    Returns ``(kind, pool)`` where ``pool`` is the ascending candidate list:
-    ``sorted(∩ backward-neighbor rows)`` filtered by candidate membership,
-    whichever kernel computes it. ``assignment`` maps query nodes
-    to matched data vertices; every backward neighbor at ``depth`` must
-    already be assigned.
+    At the root its whole pool; at every other depth the backward
+    neighbors' matched vertices' neighbor sets intersected with the pool's
+    set view, smallest set first. ``assignment`` maps query nodes to
+    matched data vertices; every backward neighbor at ``depth`` must
+    already be assigned (the search order is connected, so past the root
+    there is at least one).
     """
     u = plan.order[depth]
-    kind = plan.kernels[depth]
-    if kind == SCAN:
-        return kind, list(plan.pool(u))
-    backward = plan.backward[depth]
-    if kind == BITSET:
-        mask = joinable_kernel(cache.adjacency_mask(assignment[w]) for w in backward)
-        return kind, bitset_members(mask & plan.cand_mask(u))
-    if kind == CBITSET:
-        # Class-level join: fold the anchors' class join masks at
-        # num_classes bits, AND the class pool, then expand admitted
-        # classes to their ascending members. Twin symmetry makes the
-        # result byte-equal to the BITSET path — with one correction:
-        # a vertex adjacency mask never carries its own bit, but a
-        # multi-member clique class's join mask does, so a backward
-        # anchor can be re-admitted via its own class and must be
-        # filtered back out.
-        comp = cache.compressed()
-        class_of = comp.class_of
-        mask = -1
-        anchors = []
-        for w in backward:
-            a = assignment[w]
-            anchors.append(a)
-            mask &= comp.class_join_mask(class_of[a])
-            if not mask:
-                return kind, []
-        mask &= plan.class_mask(u)
-        cids = bitset_members(mask)
-        classes = comp.classes
-        if len(cids) == 1:
-            members: List[int] = list(classes[cids[0]])
-        else:
-            members = list(heapq_merge(*(classes[cid] for cid in cids)))
-        if any((mask >> class_of[a]) & 1 for a in anchors):
-            drop = set(anchors)
-            members = [v for v in members if v not in drop]
-        return kind, members
+    if not depth:
+        return plan.pools[u]
     neighbor_set = cache.graph.neighbor_set
-    sets = [neighbor_set(assignment[w]) for w in backward]
+    sets = [neighbor_set(assignment[w]) for w in plan.backward[depth]]
     sets.append(plan.pool_set(u))
-    return kind, intersect_sets(*sorted(sets, key=len))
+    return intersect_sets(*sorted(sets, key=len))
 
 
 class PlanCache:
@@ -442,9 +322,12 @@ class PlanCache:
         """Mirror hits/misses into ``registry`` from now on (None detaches)."""
         self._metrics = registry
 
-    def get_or_compile(self, query, cache, use_compression: bool = False) -> QueryPlan:
-        """The memoized plan for ``(cache, query, toggle)``, compiling on miss."""
-        key = plan_key(cache, query, use_compression)
+    def get_or_compile(self, query, cache, use_compression=None) -> QueryPlan:
+        """The memoized plan for ``(cache, query)``, compiling on miss.
+
+        ``use_compression`` is accepted and ignored: a plan does not depend
+        on it, and perfbench's walk still passes it."""
+        key = plan_key(cache, query)
         memo = self._memo
         metrics = self._metrics
         with self._lock:
@@ -461,7 +344,7 @@ class PlanCache:
         # A plan compiled across a write goes to its caller and nowhere
         # else: evict_stale may already have run, and would never see it.
         return cache.memoize(
-            partial(compile_plan, query, cache, use_compression=use_compression),
+            partial(compile_plan, query, cache),
             partial(self._keep, key),
         )
 
@@ -512,8 +395,8 @@ class PlanCache:
         """JSON-safe recompile specs for every currently memoized plan.
 
         Each spec carries the canonical query structure (labels + edges)
-        and the compile toggle — everything needed to rebuild the plan
-        against a fresh cache at startup, and exactly what the plan's memo
+        — everything needed to rebuild the plan against a fresh cache at
+        startup, and exactly what the plan's memo
         key (:func:`plan_key`) already holds, so the specs are read off the
         keys. Specs follow LRU order (coldest first), so a truncated warm
         pass still recompiles the hottest plans last-in. Labels must
@@ -522,12 +405,8 @@ class PlanCache:
         with self._lock:
             keys = list(self._memo)
         return [
-            {
-                "labels": list(labels),
-                "edges": [list(e) for e in edges],
-                "use_compression": use_compression,
-            }
-            for _epoch, (labels, edges), use_compression in keys
+            {"labels": list(labels), "edges": [list(e) for e in edges]}
+            for _epoch, (labels, edges) in keys
         ]
 
     def warm_from_specs(self, specs, cache) -> int:
@@ -540,8 +419,8 @@ class PlanCache:
         """
         from repro.graph.query_graph import QueryGraph
 
-        # Only the three fields dump_specs writes are read; an older file's
-        # two per-filter fields are ignored.
+        # Only the two fields dump_specs writes are read; an older file's
+        # toggle and per-filter fields are ignored.
         warmed = 0
         for spec in specs:
             try:
@@ -549,9 +428,7 @@ class PlanCache:
                     list(spec["labels"]),
                     [tuple(e) for e in spec["edges"]],
                 )
-                self.get_or_compile(
-                    query, cache, use_compression=bool(spec.get("use_compression", False))
-                )
+                self.get_or_compile(query, cache)
                 warmed += 1
             except Exception:
                 continue

@@ -10,17 +10,15 @@ embedding. Two standard equivalence notions are used:
   ``N(v) ∪ {v} == N(w) ∪ {w}`` (the twins form a clique).
 
 :class:`CompressedGraph` partitions the data graph into twin classes. The
-partition backs the *compiled-plan hot path*
+partition backs the level engine's compressed join
 (``DSQLConfig.use_compression``): :class:`~repro.indexes.graph_cache.
 GraphIndexCache` keeps one ``CompressedGraph`` for its life, repaired in
-place by every write (below), plans compile class-level candidate pools and
-the ``cbitset`` kernel over class ids (:mod:`repro.indexes.plans`), and the
-engines fold per-frame join masks over classes instead of vertices. Those
-masks live here:
+place by every write (below), and a frame with two or more matched
+neighbors folds their classes' join masks instead of intersecting their
+neighbor sets. Those masks live here:
 :meth:`CompressedGraph.class_join_mask` encodes, for a class ``c``, every
 class whose members are adjacent to *all* members of ``c`` — by twin
-symmetry one bit test per candidate replaces the per-vertex adjacency mask
-at ``num_classes`` bits instead of ``num_vertices``.
+symmetry one bit test per candidate on ``num_classes`` bits.
 
 Live mutation keeps the partition honest without rebuilds
 (:meth:`CompressedGraph.apply_delta`): an edge delta changes exactly its
@@ -161,10 +159,8 @@ class CompressedGraph:
 
         Bit ``c`` is set iff a data vertex of class ``c`` can sit next to a
         matched vertex of class ``cid``: the adjacent classes, plus the
-        self-bit for multi-member cliques. This is the compressed analogue
-        of :meth:`~repro.indexes.graph_cache.GraphIndexCache.
-        adjacency_mask` — ``num_classes`` bits instead of ``num_vertices``,
-        and one mask shared by every member of the class.
+        self-bit for multi-member cliques: ``num_classes`` bits, one mask
+        shared by every member of the class.
         """
         mask = self._join_masks.get(cid)
         if mask is None:

@@ -40,7 +40,7 @@ from repro.indexes.plans import expand_pool
 from repro.isomorphism.backtrack import ConflictDirectedSearch, ExpansionMeter
 from repro.isomorphism.joinable import UNMATCHED
 from repro.isomorphism.match import Mapping, distinct_by_vertex_set
-from repro.kernels import KERNEL_KINDS
+from repro.kernels import KERNEL_KINDS, MERGE, SCAN
 
 
 def connected_search_order(query: QueryGraph, qlist: Sequence[int]) -> List[int]:
@@ -106,12 +106,11 @@ class QSearchEngine(ConflictDirectedSearch):
         (``sq.embeddings_emitted`` among them) and the ``sq.enumerate`` span
         are flushed once when the generator closes.
     plan:
-        The compiled :class:`~repro.indexes.plans.QueryPlan` to search with
-        (e.g. a compression-enabled one); defaults to the plan
-        ``candidates`` views. It supplies the search order and drives
-        candidate expansion through the :mod:`repro.kernels` paths — the
-        enumerated stream is the same whichever kernels it picked.
-        Per-kind dispatch counts accumulate in :attr:`kernel_dispatch`.
+        The compiled :class:`~repro.indexes.plans.QueryPlan` to search with;
+        defaults to the plan ``candidates`` views. It supplies the search
+        order; :func:`~repro.indexes.plans.expand_pool` joins each depth on
+        it. Per-kind dispatch counts accumulate in :attr:`kernel_dispatch`:
+        ``scan`` at the root, ``merge`` everywhere else.
     """
 
     def __init__(
@@ -210,8 +209,8 @@ class QSearchEngine(ConflictDirectedSearch):
         yielded_any = False
         inherited: Set[int] = set()
 
-        kind, pool = expand_pool(self._plan, depth, assignment, self.candidates.cache)
-        self.kernel_dispatch[kind] += 1
+        pool = expand_pool(self._plan, depth, assignment, self.candidates.cache)
+        self.kernel_dispatch[MERGE if depth else SCAN] += 1
         for v in pool:
             charge()
             mark = bad.get(v)

@@ -1,27 +1,21 @@
 """Join kernels for the enumeration hot path.
 
-Every embedding the engines emit is paid for in two inner loops: the
-per-candidate ``has_edge`` probe loop of the joinable test and the
-per-level list/set intersections that build candidate pools (``Rcand``,
-``TcandS``). This package rewrites both as *adjacency intersections* —
-the formulation of the paper's localized search (Section 5.1) — with three
-kernels that all emit vertices in ascending id order, so swapping them in
-for the scalar paths changes nothing observable (the bit-identity contract
-pinned by ``tests/property/test_plan_equivalence.py``).
+Every embedding the engines emit is paid for in the per-depth
+intersections that build candidate lists (``Rcand``, ``TcandS``). Both
+engines compute them by one rule — the formulation of the paper's localized
+search (Section 5.1): a matched query neighbor's constraint is its neighbor
+set, intersected with the candidate pool in ascending vertex order
+(:func:`intersect_sets`). The five ``kernel.dispatch.*`` kinds name where a
+frame or depth joined, not a choice among mechanisms.
 
-See ``docs/performance.md`` for the selection heuristic; the measured costs
-are perfbench's ``kernels.*.ns_per_elem`` and ``kernels.dispatch.*_per_op``.
+See ``docs/performance.md``; the measured costs are perfbench's
+``kernels.*.ns_per_elem`` and ``kernels.dispatch.*_per_op``.
 """
 
 from repro.kernels.join import (
-    BITSET,
-    BITSET_MIN_POOL,
-    CBITSET,
-    CBITSET_MAX_RATIO,
     GALLOP_RATIO,
     KERNEL_KINDS,
     MERGE,
-    SCALAR,
     SCAN,
     bitset_and_members,
     bitset_members,
@@ -32,14 +26,9 @@ from repro.kernels.join import (
 )
 
 __all__ = [
-    "BITSET",
-    "BITSET_MIN_POOL",
-    "CBITSET",
-    "CBITSET_MAX_RATIO",
     "GALLOP_RATIO",
     "KERNEL_KINDS",
     "MERGE",
-    "SCALAR",
     "SCAN",
     "bitset_and_members",
     "bitset_members",

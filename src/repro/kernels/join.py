@@ -1,21 +1,16 @@
-"""The three join kernels and their selection constants.
+"""The one join rule, and the kernel kinds the dispatch counters report.
 
-All kernels operate on the two per-graph adjacency encodings exposed by
-:class:`~repro.indexes.graph_cache.GraphIndexCache`:
+Both engines join a query node on Section 5.1's rule: a matched query
+neighbor's constraint is its data vertex's neighbor set
+(:meth:`~repro.graph.labeled_graph.LabeledGraph.neighbor_set`), intersected
+with the node's candidate pool (its set view). :func:`intersect_sets` is
+that intersection, ascending — the order of label buckets, adjacency rows
+and candidate pools — so every engine emits candidates in one order.
 
-* **sorted adjacency slices** — the graph's ascending neighbor tuples
-  (:meth:`~repro.indexes.graph_cache.GraphIndexCache.adjacency_slice`), and
-  the same rows as hash sets
-  (:meth:`~repro.graph.labeled_graph.LabeledGraph.neighbor_set`);
-* **neighbor bitsets** — Python big-int masks with bit ``v`` set per
-  neighbor ``v`` (:meth:`~repro.indexes.graph_cache.GraphIndexCache.
-  adjacency_mask`). Arbitrary-precision ints make the AND of two masks one
-  C-level word sweep regardless of vertex count.
-
-Every kernel returns vertices in **ascending id order** — exactly the order
-the scalar paths produce (label buckets, CSR rows, and candidate pools are
-all sorted) — which is what makes them drop-in replacements under the
-bit-identity contract.
+Beside it, :func:`joinable_kernel` folds the twin-class join masks of a
+compressed level-engine frame (:mod:`repro.isomorphism.compression`), and
+:func:`bitset_and_members` and :func:`intersect_sorted` are what
+perfbench's ``kernels.*.ns_per_elem`` probes time; no engine calls those two.
 """
 
 from __future__ import annotations
@@ -33,51 +28,29 @@ because CPython's set probes are cheaper than Python-level binary search
 bookkeeping.
 """
 
-BITSET_MIN_POOL = 64
-"""Minimum candidate-pool size for a compiled plan to pick the bitset
-kernel for a search depth.
-
-Below this the fixed cost of ANDing the neighbor bitsets is not amortized and
-merge (or a scan) is cheaper. Were it wrong, perfbench's ``engine_heavy`` would
-show it: ``kernels.dispatch.bitset_per_op`` and ``core.expansions_per_ms``.
-"""
-
 SCAN = "scan"
-"""Kernel kind: iterate a full candidate pool (depths with no matched
-query neighbor — nothing to intersect against)."""
+"""Kernel kind: a depth or frame with no matched query neighbor iterates
+its whole candidate pool."""
 
 MERGE = "merge"
-"""Kernel kind: adjacency intersected with the candidate pool, ascending
-(``expand_pool``: :func:`intersect_sets` over the storage's neighbor sets and
-the pool's set view; a localized frame: the father's one-label run filtered
-by the same view, :meth:`~repro.indexes.candidates.CandidateIndex.localized`)."""
+"""Kernel kind: a pool intersected with matched neighbors' sets
+(``expand_pool`` past the root: :func:`intersect_sets` over the neighbor
+sets and the pool's set view; a localized level-engine frame: the father's
+row filtered by the same view,
+:meth:`~repro.indexes.candidates.CandidateIndex.localized`)."""
 
 BITSET = "bitset"
-"""Kernel kind: big-int AND of neighbor bitsets, members enumerated or
-probed bit-by-bit."""
+"""Kernel kind: a level-engine frame with two or more matched query
+neighbors, joined on their neighbor sets."""
 
 SCALAR = "scalar"
-"""Kernel kind: the seed per-neighbor ``has_edge`` probing (the fallback
-when too few query neighbors are matched to amortize a kernel: at most one
-set probe per candidate in the level engine, none where localization
-already joined the father)."""
+"""Kernel kind: a level-engine frame with fewer than two matched query
+neighbors — at most one set probe per candidate, none where localization
+already joined the father."""
 
 CBITSET = "cbitset"
-"""Kernel kind: big-int AND over twin-**class** bitsets (compression-enabled
-plans only). The join constraint is folded at ``num_classes`` bits instead
-of ``num_vertices`` and admitted classes expand to their sorted members, so
-the per-frame mask work shrinks by the compression ratio while the emitted
-vertex list stays byte-equal to :data:`BITSET`'s."""
-
-CBITSET_MAX_RATIO = 0.75
-"""Maximum ``num_classes(pool) / len(pool)`` for a compression-enabled plan
-to upgrade a :data:`BITSET` depth to :data:`CBITSET`.
-
-Near 1.0 the pool has almost no twins, so folding class masks plus the
-member-merge costs more than the plain vertex-bitset AND; the cutoff keeps
-compiled plans on :data:`BITSET` for low-redundancy graphs. Were it too high,
-``kernels.dispatch.cbitset_per_op`` would turn non-zero on twin-free graphs.
-"""
+"""Kernel kind: a :data:`BITSET` frame of a compressed session, joined on
+the matched vertices' twin-class join masks (:func:`joinable_kernel`)."""
 
 KERNEL_KINDS = (SCAN, MERGE, BITSET, SCALAR, CBITSET)
 """Every kernel kind, as reported by the ``kernel.dispatch.*`` counters."""

@@ -19,8 +19,8 @@
     graph is written to**; the first batch after a write starts fresh
     workers. Each worker is started with the graph (inherited under
     ``fork``, pickled once under ``spawn``), builds its own index cache over
-    it and keeps its DSQL session — plan cache, candidate pools, adjacency
-    bitsets — warm across batches. Queries travel as plain ``(labels,
+    it and keeps its DSQL session — plan cache, candidate pools — warm
+    across batches. Queries travel as plain ``(labels,
     edges)`` payloads; frozen :class:`~repro.core.result.DSQResult` objects
     come back together with each worker's counter snapshot, which is merged
     into the parent's metrics registry so ``search.*``/``kernel.dispatch.*``

@@ -20,8 +20,8 @@ running concurrently clobbered each other), and cold per-worker caches.
   query inside ``candidate_pool`` beside a process batch is enough — and a
   child that waits on one never wakes;
 * each worker keeps a **persistent DSQL session** (and with it the
-  per-graph plan cache, candidate-pool memo, and adjacency bitsets) warm
-  across every batch the pool ever runs.
+  per-graph plan cache and candidate-pool memo) warm across every batch
+  the pool ever runs.
 
 Queries still travel to workers as plain ``(labels, edges)`` payloads and
 frozen :class:`~repro.core.result.DSQResult` objects come back — plus a

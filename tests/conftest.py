@@ -153,6 +153,40 @@ def counting(monkeypatch, module, name: str) -> List[tuple]:
     return calls
 
 
+class _WalkedPool(list):
+    """A plan pool that records each walk as ``(node, root of the order the
+    engine is searching)``."""
+
+    def __init__(self, engine, node: int, members, walks: list) -> None:
+        super().__init__(members)
+        self.engine, self.node, self.walks = engine, node, walks
+
+    def __iter__(self):
+        self.walks.append((self.node, self.engine.order[0]))
+        return super().__iter__()
+
+
+def pool_walks(monkeypatch) -> List[Tuple[int, int]]:
+    """Make every level engine the phases build record its walks of a whole
+    candidate pool; returns the ``(node, root)`` list. A frame with a father
+    reads its localized list instead, so every walk is a root's."""
+    import repro.core.phase1 as phase1_module
+    import repro.core.phase2 as phase2_module
+
+    walks: List[Tuple[int, int]] = []
+
+    class Recording(phase1_module.LevelSearchEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._pools = tuple(
+                _WalkedPool(self, u, pool, walks) for u, pool in enumerate(self._pools)
+            )
+
+    for module in (phase1_module, phase2_module):
+        monkeypatch.setattr(module, "LevelSearchEngine", Recording)
+    return walks
+
+
 def in_storage_state(graph: LabeledGraph, storage: str) -> LabeledGraph:
     """A copy of ``graph`` made by the given route (see ``STORAGE_STATES``)."""
     return build_graph(list(graph.labels), graph.edges(), name=graph.name, storage=storage)

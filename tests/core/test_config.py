@@ -48,7 +48,7 @@ class TestValidation:
 
     def test_defaults_are_full_dsql(self):
         c = DSQLConfig(k=3)
-        assert c.localized_search
+        assert not hasattr(c, "localized_search")  # Section 5.1 always runs
         assert c.single_embedding_mode
         assert c.conflict_skipping
         assert c.bad_vertex_skipping
@@ -59,7 +59,7 @@ class TestValidation:
 class TestVariants:
     def test_dsql0_flags(self):
         c = DSQLConfig.dsql0(5)
-        assert c.localized_search
+        assert not hasattr(c, "localized_search")
         assert not (c.single_embedding_mode or c.conflict_skipping or c.bad_vertex_skipping)
 
     def test_dsql1_flags(self):

@@ -36,7 +36,7 @@ from repro.indexes.graph_cache import GraphIndexCache
 from repro.queries.generator import query_set
 from repro.queries.qflist import QFEntry, QFList, resort
 
-from tests.conftest import profiled_calls
+from tests.conftest import pool_walks, profiled_calls
 
 CONFIG = DSQLConfig(k=40, node_budget=20_000)
 
@@ -333,25 +333,27 @@ def test_a_frame_costs_its_candidates_not_itself(workload, objective):
     assert calls["labeled_graph.py", "neighbor_set"] <= calls["candidates.py", "localized"] + engines
 
 
-def test_without_localization_the_neighbor_set_decides(workload):
-    """(g) ``localized_search=False``: one matched neighbor, one set fetched
-    per frame, membership per candidate — and the same embeddings (no cap,
-    so no shuffle; no budget, since the unlocalized search expands 20x)."""
+def test_without_localization_the_neighbor_set_decides(workload, monkeypatch):
+    """(g) Localization is not a setting: every frame with a father reads its
+    localized list, so only a root frame walks its pool — once per scan
+    frame — and no neighbor set is fetched to test a tree frame's candidates
+    (no cap, so no shuffle; no budget)."""
     graph, queries = workload
-    answers = {}
-    for localized in (True, False):
-        config = dataclasses.replace(
-            CONFIG, localized_search=localized, single_embedding_mode=False,
-            node_budget=None, query_cache_size=0,
-        )
-        session = DSQL(graph, config)
-        results, calls = profiled_calls(lambda: [session.query(query) for query in queries])
-        answers[localized] = [(r.embeddings, r.coverage, r.level) for r in results]
-        assert calls["labeled_graph.py", "has_edge"] == 0
-        for query, result in zip(queries, results):
-            for embedding in result.embeddings:
-                validate_embedding(graph, query, embedding)
-        if not localized:
-            assert sum(r.stats.kernel_merge for r in results) == 0
-            assert 0 < calls["labeled_graph.py", "neighbor_set"] < frames_entered(results)
-    assert answers[True] == answers[False]
+    config = dataclasses.replace(
+        CONFIG, single_embedding_mode=False, node_budget=None, query_cache_size=0
+    )
+    session = DSQL(graph, config)
+    warm = [session.query(query) for query in queries]
+    walks = pool_walks(monkeypatch)
+    results, calls = profiled_calls(lambda: [session.query(query) for query in queries])
+    assert [r.to_dict() for r in results] == [r.to_dict() for r in warm]
+    assert calls["labeled_graph.py", "has_edge"] == 0
+    for query, result in zip(queries, results):
+        for embedding in result.embeddings:
+            validate_embedding(graph, query, embedding)
+    assert all(node == root for node, root in walks)
+    assert len(walks) == sum(r.stats.kernel_scan for r in results) > 0
+    merges = sum(r.stats.kernel_merge for r in results)
+    assert merges == frames_entered(results) - len(walks) > len(walks)
+    engines = 2 * sum(query.size for query in queries)
+    assert calls["labeled_graph.py", "neighbor_set"] <= engines

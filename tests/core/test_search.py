@@ -16,7 +16,7 @@ from repro.core.state import SearchStats
 from repro.graph.validation import validate_embedding
 from repro.indexes.candidates import CandidateIndex
 
-from tests.conftest import connected_query_from, random_labeled_graph
+from tests.conftest import connected_query_from, pool_walks, random_labeled_graph
 
 
 def collect(graph, query, config):
@@ -95,14 +95,17 @@ class TestStrategyCounters:
 
 
 class TestLocalizedSearchToggle:
-    def test_non_localized_matches_localized_results(self):
+    def test_non_localized_matches_localized_results(self, monkeypatch):
+        """Localization is not a setting: in every run, only the root of
+        the order being searched walks its whole pool; every frame with a
+        father reads ``N(father's match) ∩ candS(u)``."""
+        with pytest.raises(TypeError):
+            DSQLConfig.dsql0(5, localized_search=False)
+        walks = pool_walks(monkeypatch)
         for seed in range(6):
             graph = random_labeled_graph(25, 3, 0.2, seed=seed)
             query = connected_query_from(graph, 3, seed=seed + 41)
-            loc, _ = collect(graph, query, DSQLConfig.dsql0(5))
-            non, _ = collect(
-                graph, query, DSQLConfig.dsql0(5, localized_search=False)
-            )
-            # Same coverage is required; the exact embedding choice may vary
-            # because candidate iteration order differs.
-            assert loc.coverage == non.coverage, seed
+            del walks[:]
+            state, stats = collect(graph, query, DSQLConfig.dsql0(5))
+            assert state.embeddings and stats.kernel_merge > 0, seed
+            assert walks and all(node == root for node, root in walks), seed

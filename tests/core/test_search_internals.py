@@ -133,10 +133,10 @@ class TestRcand:
         assert engine.stats.kernel_merge >= 1 and engine.stats.kernel_scan == 0
 
     def test_non_localized_returns_full_bucket(self, setting):
+        """No frame with a father walks its full bucket: localization is
+        not a setting, so the last frame reads the father's localized list."""
         graph, query = setting
-        engine = engine_for(
-            graph, query, DSQLConfig(k=5, localized_search=False)
-        )
+        engine = engine_for(graph, query)
         order = engine.candidates.plan.frames(query, ())[0]
         embedding = enumerate_embeddings(graph, query)[-1]
         frames = enter(engine, query, [embedding[u] for u in order[:-1]])
@@ -144,23 +144,29 @@ class TestRcand:
         pool = engine.candidates.candidates(last)
         engine._pools = tuple(Watched(p) for p in engine._pools)
         assert engine._single_frame(query.size - 1) is None
-        assert engine._pools[last].iterated == 1
-        assert engine.stats.kernel_scan == 1 and engine.stats.kernel_merge == 0
-        # The whole pool is walked in order; adjacency to the father's match
-        # (its neighbor set, probed per candidate) decides.
+        assert engine._pools[last].iterated == 0
+        assert engine.stats.kernel_scan == 0 and engine.stats.kernel_merge == 1
+        # Only the father's neighbors in the pool are walked, in order.
         chosen = engine._assignment[last]
-        assert chosen == embedding[last]
-        assert graph.has_edge(chosen, engine._assignment[father])
-        assert engine.stats.nodes_expanded == pool.index(chosen) + 1 > 1
+        localized = engine.candidates.localized(last, engine._assignment[father])
+        assert chosen == embedding[last] and len(localized) < len(pool)
+        assert engine.stats.nodes_expanded == localized.index(chosen) + 1
 
     def test_overlap_restricts_to_tcand(self, setting):
         graph, query = setting
-        engine = engine_for(graph, query, DSQLConfig(k=5, localized_search=False))
+        engine = engine_for(graph, query)
+        engine._pools = tuple(Watched(p) for p in engine._pools)
         collected = []
         tcand = {u: {1} for u in range(query.size)}
         engine.run_level(1, tcand, lambda m: (collected.append(m), True)[1])
         # Only node 1 (label b) has a candidate in {v1}; v3's branch is cut.
         assert collected == [(0, 1, 2)]
+        # Every frame with a father localized: each Qovp walked its root's
+        # pool once and no other.
+        roots = [engine.candidates.plan.frames(query, (u,))[0][0] for u in range(query.size)]
+        assert [pool.iterated for pool in engine._pools] == [
+            roots.count(u) for u in range(query.size)
+        ]
 
 
 def shuffled_by_the_frame(n, seed):

@@ -143,17 +143,16 @@ class TestRoundTrip:
         session.query_many(_queries())
         cache = source_graph.index_cache()
         cache.signature(0)
-        cache.adjacency_mask(0)
-        assert cache._pool_memo and cache._mask_signatures and cache._adj_masks
+        assert cache._pool_memo and cache._mask_signatures
         assert cache.plan_cache.info()["size"] > 0
         state = cache.__getstate__()
         read_mutated = {slot for slot, _, _ in type(cache)._DERIVED}
-        assert {"_pool_memo", "_pool_keys", "_adj_masks", "_mask_signatures"} <= read_mutated
+        assert {"_pool_memo", "_pool_keys", "_mask_signatures"} <= read_mutated
         assert not read_mutated & set(state)
         got = pickle.loads(pickle.dumps(source_graph)).index_cache()
         assert got.version == cache.version and got.signature_masks == cache.signature_masks
         assert not got._pool_memo and not got._pool_keys and not got._mask_signatures
-        assert not got._adj_masks and got.plan_cache.info()["size"] == 0
+        assert got.plan_cache.info()["size"] == 0
         assert _answers(got.graph) == _answers(source_graph)
 
     def test_nbytes_accounts_for_arrays(self, source_graph):

@@ -21,9 +21,9 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.indexes.candidates import CandidateIndex
 from repro.indexes.graph_cache import DEFAULT_CANDIDATE_MEMO_SIZE, GraphIndexCache
-from repro.indexes.plans import PlanCache, compile_plan, plan_key
+from repro.indexes.plans import PlanCache, QueryPlan, compile_plan, plan_key
 from repro.isomorphism.qsearch import connected_search_order
-from repro.kernels import KERNEL_KINDS, SCAN
+from repro.indexes.plans import expand_pool
 from repro.observability.metrics import MetricsRegistry
 from repro.queries.generator import query_set
 from repro.queries.ordering import selectivity_order, selectivity_scores
@@ -60,9 +60,10 @@ def test_compile_plan_matches_seed_preprocessing(graph, queries):
             assert sorted(plan.backward[depth]) == sorted(
                 w for w in query.neighbors(u) if position[w] < position[u]
             )
-            assert plan.kernels[depth] in KERNEL_KINDS
-        # The root depth has no matched neighbor: always a pool scan.
-        assert plan.kernels[0] == SCAN
+        # The plan keeps no per-depth join choice: the root depth has no
+        # matched neighbor and expands to its whole pool.
+        assert not plan.backward[0] and not hasattr(plan, "kernels")
+        assert expand_pool(plan, 0, [None] * query.size, cache) == plan.pools[plan.order[0]]
 
 
 def test_plan_cache_hits_and_misses(graph, queries):
@@ -80,9 +81,9 @@ def test_plan_key_distinguishes_cache_epochs(graph, queries):
     c1, c2 = GraphIndexCache(graph), GraphIndexCache(graph)
     assert c1.epoch != c2.epoch
     assert plan_key(c1, queries[0]) != plan_key(c2, queries[0])
-    # The compression toggle is part of the key too — the only one left.
-    assert plan_key(c1, queries[0]) != plan_key(c1, queries[0], use_compression=True)
-    assert plan_key(c1, queries[0]) == (c1.epoch, queries[0].canonical_key(), False)
+    # No session setting is part of the key: a plan depends on the graph
+    # and the query alone.
+    assert plan_key(c1, queries[0]) == (c1.epoch, queries[0].canonical_key())
 
 
 def test_plan_cache_lru_eviction(graph, queries):
@@ -117,7 +118,8 @@ def test_plan_cache_pickle_roundtrip(graph, queries):
     replayed = clone.get_or_compile(queries[0], cache)
     assert replayed.key == plan.key
     assert clone.info()["hits"] == pc.info()["hits"] + 1
-    # Lazy cand-mask memo is rebuilt, not shipped.
+    # The cand mask is no memo: built from the pool on every call.
+    assert "_cand_masks" not in QueryPlan.__slots__
     assert replayed.cand_mask(0) == mask
 
 
@@ -446,7 +448,7 @@ class TestPlanSpecs:
             assert fresh.hits == hits + 1
             assert list(plan.order) == list(original.order)
             assert [list(p) for p in plan.pools] == [list(p) for p in original.pools]
-            assert list(plan.kernels) == list(original.kernels)
+            assert plan.backward == original.backward
 
     def test_specs_are_json_safe(self, graph, queries):
         import json
@@ -454,27 +456,24 @@ class TestPlanSpecs:
         cache = graph.index_cache()
         pc = PlanCache()
         for q in queries:
-            pc.get_or_compile(q, cache, use_compression=True)
+            pc.get_or_compile(q, cache)
         specs = json.loads(json.dumps(pc.dump_specs()))
         fresh_cache = GraphIndexCache(graph)
         warmed = fresh_cache.plan_cache.warm_from_specs(specs, fresh_cache)
         assert warmed == len(queries)
-        # The compression toggle survived the round trip: warmed plans carry
-        # class pools.
-        plan = fresh_cache.plan_cache.get_or_compile(
-            queries[0], fresh_cache, use_compression=True
-        )
+        # A warmed plan answers a compressed session too: plans carry no toggle.
+        fresh_cache.plan_cache.get_or_compile(queries[0], fresh_cache, use_compression=True)
         assert fresh_cache.plan_cache.info()["hits"] == 1
-        assert plan.class_pools is not None
 
     def test_specs_track_toggles_separately(self, graph, queries):
         cache = graph.index_cache()
         pc = PlanCache()
-        pc.get_or_compile(queries[0], cache)
-        pc.get_or_compile(queries[0], cache, use_compression=True)
+        plain = pc.get_or_compile(queries[0], cache)
+        # A compressed session asks for the same plan: one spec, no toggle.
+        assert pc.get_or_compile(queries[0], cache, use_compression=True) is plain
         specs = pc.dump_specs()
-        assert len(specs) == 2
-        assert {s["use_compression"] for s in specs} == {False, True}
+        assert len(specs) == 1
+        assert set(specs[0]) == {"labels", "edges"}
 
     def test_specs_are_the_memo_keys_spelled_as_json(self, graph, queries):
         import json
@@ -482,21 +481,21 @@ class TestPlanSpecs:
         cache = graph.index_cache()
         pc = PlanCache()
         pc.get_or_compile(queries[0], cache)
-        pc.get_or_compile(queries[1], cache, use_compression=True)
+        pc.get_or_compile(queries[1], cache)
         pc.get_or_compile(queries[0], cache)  # a hit refreshes recency: coldest first
         want = [
-            {
-                "labels": list(query.labels),
-                "edges": [list(e) for e in query.edge_tuples()],
-                "use_compression": compressed,
-            }
-            for query, compressed in ((queries[1], True), (queries[0], False))
+            {"labels": list(query.labels), "edges": [list(e) for e in query.edge_tuples()]}
+            for query in (queries[1], queries[0])
         ]
         assert json.dumps(pc.dump_specs(), sort_keys=True) == json.dumps(want, sort_keys=True)
         assert PlanCache.__slots__ == ("_memo", "_size", "_lock", "hits", "misses", "_metrics")
-        # A file from before the per-filter toggles were deleted carries two
-        # more fields per spec; they are ignored and the same plans warm.
-        old = [dict(spec, use_degree_filter=True, use_signature_filter=False) for spec in want]
+        # A file from before the per-filter toggles and the compression
+        # toggle left the plan carries three more fields per spec; they are
+        # ignored and the same plans warm.
+        old = [
+            dict(spec, use_degree_filter=True, use_signature_filter=False, use_compression=True)
+            for spec in want
+        ]
         fresh_cache = GraphIndexCache(graph)
         assert fresh_cache.plan_cache.warm_from_specs(old, fresh_cache) == 2
         assert fresh_cache.plan_cache.dump_specs() == want

@@ -1,15 +1,18 @@
 """Tests for the twin-class partition (:mod:`repro.isomorphism.compression`).
 
-The partition is read by compiled plans (``use_compression=True``). Compression
-changes how a candidate is joined, never which candidates are walked: an
-engine over a compressed plan yields the plain engine's stream, in the same
-order and for the same number of expansions.
+The partition is read by the level engine's compressed join
+(``use_compression=True``); a compiled plan does not depend on it. The
+exactness tests below hand ``QSearchEngine`` a freshly compiled plan, not
+the memo's: it yields the default engine's stream, in the same order and
+for the same number of expansions.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.config import DSQLConfig
+from repro.core.dsql import DSQL
 from repro.datasets.paper_figures import figure4, figure5
 from repro.datasets.registry import make_dataset
 from repro.graph.labeled_graph import LabeledGraph
@@ -22,18 +25,18 @@ from tests.conftest import connected_query_from, random_labeled_graph
 
 
 def streams(graph, query):
-    """``(plain, compressed)``: the embeddings and expansion counts of
-    ``QSearchEngine`` over the default plan and over a compressed one."""
-    plan = compile_plan(query, graph.index_cache(), use_compression=True)
+    """``(default, handed)``: the embeddings and expansion counts of
+    ``QSearchEngine`` over the memoized plan and over a fresh compile."""
+    plan = compile_plan(query, graph.index_cache())
     engines = (QSearchEngine(graph, query), QSearchEngine(graph, query, plan=plan))
     return [(list(engine.embeddings()), engine.nodes_expanded) for engine in engines]
 
 
 def assert_same_stream(graph, query):
-    """The compressed plan's stream is the plain one; returns it."""
-    plain, compressed = streams(graph, query)
-    assert compressed == plain
-    return plain[0]
+    """The handed plan's stream is the default one; returns it."""
+    default, handed = streams(graph, query)
+    assert handed == default
+    return default[0]
 
 
 class TestCompressedGraph:
@@ -120,17 +123,17 @@ class TestCountingExactness:
 
 
 def test_class_level_count_fits_a_budget_the_plain_search_exceeds():
-    """On a twin-rich star, compression changes the join, not the work.
+    """On a twin-rich star, a handed plan counts exactly what the default does.
 
     The imdb stand-in (one-credit careers give popular works interchangeable
     casts, ratio ~0.54) is where twin classes are largest; a star fan-out
-    over it is counted through a compressed plan in exactly the plain
-    engine's expansions.
+    over it is counted through a freshly compiled plan in exactly the
+    default engine's expansions.
     """
     graph = make_dataset("imdb", seed=0)  # bench scale
     assert graph.index_cache().compressed().compression_ratio() < 0.6
     star = QueryGraph(["W1", "L0", "L0", "L0"], [(0, 1), (0, 2), (0, 3)])
-    plan = compile_plan(star, graph.index_cache(), use_compression=True)
+    plan = compile_plan(star, graph.index_cache())
     counts = []
     for engine in (QSearchEngine(graph, star), QSearchEngine(graph, star, plan=plan)):
         counts.append((sum(1 for _ in engine.embeddings()), engine.nodes_expanded))
@@ -150,14 +153,15 @@ class TestEnumerationExactness:
     def test_limit(self):
         graph, query = figure4(width=10)
         full = assert_same_stream(graph, query)
-        plan = compile_plan(query, graph.index_cache(), use_compression=True)
+        plan = compile_plan(query, graph.index_cache())
         first = next(QSearchEngine(graph, query, plan=plan).embeddings())
         assert [first] == full[:1] == enumerate_embeddings(graph, query, limit=1)
 
     def test_reusable_compression(self):
-        # One partition per graph, shared by every compressed plan on it.
+        # One partition per graph, shared by every compressed session on it.
         graph = random_labeled_graph(20, 3, 0.25, seed=9)
         partition = graph.index_cache().compressed()
         for q in (connected_query_from(graph, 2, seed=1), connected_query_from(graph, 3, seed=2)):
             assert_same_stream(graph, q)
+            DSQL(graph, DSQLConfig(k=3, use_compression=True)).query(q)
             assert graph.index_cache().compressed() is partition

@@ -122,7 +122,7 @@ class TestEnumerateLimit:
 
     def test_matches_plain_engine_set(self):
         full = enumerate_embeddings(self.graph, self.query)
-        plan = compile_plan(self.query, self.graph.index_cache(), use_compression=True)
+        plan = compile_plan(self.query, self.graph.index_cache())
         assert list(QSearchEngine(self.graph, self.query, plan=plan).embeddings()) == full
         assert len(set(full)) == len(full) == 12
 

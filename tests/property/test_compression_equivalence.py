@@ -1,13 +1,13 @@
 """Compression on vs off: every engine must be result-*identical*.
 
 The twin-class integration (``DSQLConfig.use_compression``) is a pure
-mechanism change: the class-level join masks and
-the ``cbitset`` expansion kernel may change *how* candidate pools and join
-tests are computed, but never which candidates are iterated, in what order,
-or when budget charges fire. These tests pin that contract — DSQL end to
-end across every registry dataset in both storage states, both SQ engine
-families, all objectives, random hypothesis instances, and across mutation
-batches (split-repaired partition ≡ rebuilt-from-scratch graph).
+mechanism change: the class-level join masks of the level engine's frames
+may change *how* a join test is computed, but never which candidates are
+iterated, in what order, or when budget charges fire. A plan does not
+depend on the toggle, so the SQ engines see none of it. These tests pin
+that contract — DSQL end to end across every registry dataset in both
+storage states, all objectives, random hypothesis instances, and across
+mutation batches (split-repaired partition ≡ rebuilt-from-scratch graph).
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ from repro.datasets.registry import dataset_names, make_dataset
 from repro.exceptions import DatasetError
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
-from repro.indexes.plans import compile_plan
 from repro.isomorphism.qsearch import QSearchEngine
-from repro.kernels import CBITSET
 from repro.queries.generator import query_set
 from tests.conftest import STORAGE_STATES, in_storage_state, optimized_engine
 from tests.property.test_mutation_equivalence import (
@@ -73,15 +71,14 @@ def test_compression_identical_across_objectives(objective):
 
 
 # ----------------------------------------------------------------------
-# Pinned twin-rich instance: the cbitset kernel must actually fire.
+# Pinned twin-rich instance: the compressed join must actually fire.
 # ----------------------------------------------------------------------
 def casting_instance():
     """An affiliation graph with heavy twin redundancy and a 4-cycle query.
 
     Groups of actors attached to the same pair of movies are false twins;
-    the ``A`` pool is large enough for the bitset threshold and compresses
-    ~3x, so a compression-enabled plan must upgrade the cycle-closing depth
-    to ``cbitset``.
+    the ``A`` pool compresses ~3x, and the cycle-closing depth has two
+    matched neighbors, so a compressed session joins it on class masks.
     """
     rng = random.Random(7)
     labels = []
@@ -105,16 +102,16 @@ def test_cbitset_kernel_fires_and_stays_identical():
     cache = graph.index_cache()
     assert cache.compressed().compression_ratio() < 0.6
 
-    plan = compile_plan(query, cache, use_compression=True)
-    assert CBITSET in plan.kernels
+    plan = cache.plan_cache.get_or_compile(query, cache, use_compression=True)
+    assert plan is cache.plan_cache.get_or_compile(query, cache)
 
-    # SQ engines: stream-for-stream identical, with cbitset dispatched.
+    # SQ engines: one plan, so one stream; no depth joins on class masks.
     for engine_cls in (QSearchEngine, optimized_engine):
         plain = list(engine_cls(graph, query).embeddings())
         planned_engine = engine_cls(graph, query, plan=plan)
         planned = list(planned_engine.embeddings())
         assert planned == plain
-        assert planned_engine.kernel_dispatch[CBITSET] > 0
+        assert planned_engine.kernel_dispatch["cbitset"] == 0
 
     # DSQL end to end: identical results, compressed join frames counted.
     config = DSQLConfig(k=4, node_budget=500_000)
@@ -127,7 +124,9 @@ def test_cbitset_kernel_fires_and_stays_identical():
 
 
 def test_low_redundancy_plan_keeps_vertex_bitset():
-    """Without twins the ratio gate must refuse the class kernel."""
+    """Without twins the toggle changes nothing either: the compressed
+    session joins on class masks exactly the frames the plain one joins on
+    neighbor sets."""
     rng = random.Random(99)
     n = 120
     labels = ["X"] * n
@@ -136,14 +135,14 @@ def test_low_redundancy_plan_keeps_vertex_bitset():
     cache = graph.index_cache()
     assert cache.compressed().compression_ratio() > 0.9
     query = QueryGraph(["X", "X", "X"], [(0, 1), (1, 2), (2, 0)])
-    plan = compile_plan(query, cache, use_compression=True)
-    assert CBITSET not in plan.kernels
     # The toggle must still be safe end to end on a graph it cannot help.
     config = DSQLConfig(k=4, node_budget=200_000)
     r_off = DSQL(graph, config=config).query(query)
     r_on = DSQL(graph, config=replace(config, **COMP_ON)).query(query)
     assert_results_identical(r_on, r_off)
     assert_stats_parity(r_on, r_off)
+    assert r_on.stats.kernel_cbitset == r_off.stats.kernel_bitset > 0
+    assert r_on.stats.kernel_bitset == r_off.stats.kernel_cbitset == 0
 
 
 # ----------------------------------------------------------------------

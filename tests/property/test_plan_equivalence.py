@@ -11,8 +11,9 @@ the *ordered* embedding stream, ``nodes_expanded``, the budget flag, and
 (folded in by PR 17; the key suffixes keep both names) — over every registry dataset × backend
 (``csr``/``set`` — since PR 14 the two storage states of the one class, see
 ``tests/conftest.py::STORAGE_STATES``) × 3 queries, plus one pinned instance
-per join-kernel regime (``bitset``, ``cbitset``, the gallop side of
-``merge``). The single remaining path must
+per join-kernel regime plans once chose (``bitset``, ``cbitset``, the
+gallop side of ``merge``; a plan chooses none now, and every depth past the
+root joins on its matched neighbors' sets). The single remaining path must
 reproduce each digest stream-for-stream, and — independently of any frozen
 data — the embedding *set* of ``brute_force_embeddings``.
 
@@ -40,7 +41,7 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.indexes.plans import compile_plan
 from repro.isomorphism.qsearch import QSearchEngine
-from repro.kernels import BITSET, CBITSET, GALLOP_RATIO, MERGE
+from repro.kernels import GALLOP_RATIO, MERGE, SCAN
 from repro.queries.generator import query_set
 from tests.conftest import (
     STORAGE_STATES,
@@ -184,14 +185,22 @@ def test_sq_engines_identical_with_plan(engine_name):
 # ----------------------------------------------------------------------
 # One pinned instance per join-kernel regime.
 # ----------------------------------------------------------------------
+def joined_kinds(engine):
+    """The kernel kinds an SQ engine dispatched at least once."""
+    return {kind for kind, count in engine.kernel_dispatch.items() if count}
+
+
 def test_bitset_kernel_fires_and_stays_identical():
+    """The depth the bitset kernel once served (two matched neighbors, a
+    large pool) joins on both neighbor sets and reproduces its stream."""
     graph, query = dense_instance()
     plan = compile_plan(query, graph.index_cache())
-    assert BITSET in plan.kernels  # the triangle's last node has 2 backward
+    assert len(plan.backward[2]) == 2  # the triangle's last node has 2 backward
+    assert len(plan.pool(plan.order[2])) >= 64  # the deleted gate's threshold
     for engine_cls in SQ_ENGINES.values():
         engine = engine_cls(graph, query, node_budget=SQ_BUDGET)
         assert_matches_golden("dense-bitset", engine)
-        assert engine.kernel_dispatch[BITSET] > 0
+        assert joined_kinds(engine) == {SCAN, MERGE}
     assert sorted(QSearchEngine(graph, query).embeddings()) == sorted(
         brute_force_embeddings(graph, query)
     )
@@ -200,13 +209,16 @@ def test_bitset_kernel_fires_and_stays_identical():
 
 
 def test_cbitset_kernel_reproduces_plan_free_stream():
+    """The twin-rich instance the class kernel once served: a compressed
+    session's plan is the plain one, and it reproduces the stream."""
     graph, query = casting_instance()
-    plan = compile_plan(query, graph.index_cache(), use_compression=True)
-    assert CBITSET in plan.kernels
+    cache = graph.index_cache()
+    plan = cache.plan_cache.get_or_compile(query, cache)
+    assert cache.plan_cache.get_or_compile(query, cache, use_compression=True) is plan
     for engine_cls in SQ_ENGINES.values():
         engine = engine_cls(graph, query, node_budget=SQ_BUDGET, plan=plan)
         assert_matches_golden("twins-cbitset", engine)
-        assert engine.kernel_dispatch[CBITSET] > 0
+        assert joined_kinds(engine) == {SCAN, MERGE}
         assert_matches_golden(
             "twins-cbitset", engine_cls(graph, query, node_budget=SQ_BUDGET)
         )
@@ -218,7 +230,7 @@ def test_merge_kernel_gallop_regime_reproduces_plan_free_stream():
     plan = compile_plan(query, cache)
     hub_row = cache.adjacency_slice(SKEW_HUB)
     merge_pools = [
-        len(plan.pool(u)) for u, kind in zip(plan.order, plan.kernels) if kind == MERGE
+        len(plan.pool(u)) for u, backward in zip(plan.order, plan.backward) if backward
     ]
     assert SKEW_HUB in plan.pool(plan.order[0])  # the search roots at the hub
     # One MERGE depth on each side of the intersect_sorted crossover.

@@ -554,15 +554,11 @@ class TestPlanCachePersistence:
         assert payload["version"] == 1
         assert set(payload["graphs"]) == {"tiny"}
         for spec in payload["graphs"]["tiny"]:
-            assert {"labels", "edges", "use_compression"} == set(spec)
+            assert {"labels", "edges"} == set(spec)
         # Byte for byte: the specs are the plan cache's keys, coldest first.
         specs = [
-            {
-                "labels": list(labels),
-                "edges": [list(e) for e in edges],
-                "use_compression": compressed,
-            }
-            for _, (labels, edges), compressed in entry.index_cache.plan_cache._memo
+            {"labels": list(labels), "edges": [list(e) for e in edges]}
+            for _, (labels, edges) in entry.index_cache.plan_cache._memo
         ]
         want = {"version": 1, "graphs": {"tiny": specs}}
         assert path.read_text(encoding="utf-8") == json.dumps(want, indent=2, sort_keys=True) + "\n"

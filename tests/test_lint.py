@@ -405,7 +405,7 @@ STAYS_DELETED = {
     ),
     "adj_lock": (
         ("_adj_lock",),
-        "indexes/graph_cache.py", "        self._adj_memo_size = DEFAULT_ADJACENCY_MEMO_SIZE\n",
+        "indexes/graph_cache.py", "        self._pool_memo_size = candidate_memo_size\n",
         "        self._adj_lock = threading.Lock()\n", ("_adj_lock",),
     ),
     "frame_prologue": (
@@ -494,6 +494,17 @@ STAYS_DELETED = {
         "\n\ndef first_k_embeddings(graph, query, k):\n"
         "    return enumerate_embeddings(graph, query, limit=k)\n",
         ("first_k_embeddings",),
+    ),
+    # One join rule: a plan chooses no kernel per depth, so its kernel
+    # table, the class pools, both gates, the adjacency-mask memo and the
+    # switch that turned localization off stay deleted.
+    "kernel_gates": (
+        (
+            "BITSET_MIN_POOL", "CBITSET_MAX_RATIO", "class_pools", "class_mask", "_adj_masks",
+            "DEFAULT_ADJACENCY_MEMO_SIZE", ".kernels[", "localized_search",
+        ),
+        "indexes/plans.py", "    u = plan.order[depth]\n",
+        "    kind = plan.kernels[depth]\n", (".kernels[",),
     ),
 }
 
@@ -710,7 +721,7 @@ def test_frame_prologue_stays_folded():
     for rule in ("def _conflict_set", "def _child_failed"):
         assert [path for path, text in sources.items() if rule in text] == [backtrack], rule
         assert sources[backtrack].count(rule) == 1
-    assert len(dataclasses.fields(DSQLConfig)) == 20
+    assert len(dataclasses.fields(DSQLConfig)) == 19
     # The guard sees its mutants: a closure pasted back into a frame, a
     # second raise site pasted beside the in-place charge.
     closure = search.replace(
@@ -852,7 +863,7 @@ def test_localization_stays_in_one_place():
     assert_stays_deleted("label_wide_list_drop")
     assert_stays_deleted("pool_lists")
     assert_stays_deleted("label_grouping")
-    assert len(dataclasses.fields(DSQLConfig)) == 20
+    assert len(dataclasses.fields(DSQLConfig)) == 19
 
 
 # ----------------------------------------------------------------------
@@ -973,7 +984,7 @@ def test_epoch_is_stamped_once():
     }
     assert not hasattr(GraphIndexCache, "on_compaction")
     assert_stays_deleted("restamp")
-    assert len(dataclasses.fields(DSQLConfig)) == 20
+    assert len(dataclasses.fields(DSQLConfig)) == 19
     # The census sees the re-stamp pasted back into the checkpoint.
     graph_text = sources["graph/labeled_graph.py"]
     anchor = '        """\n        self._delta_edges = 0\n'
@@ -1016,8 +1027,8 @@ def test_catch_up_stays_deleted():
 # compiled plan and the plan cache is either pickled (named here) or declared
 # in its class's table of derived slots, which drives construction and
 # unpickling; every derived slot of the index cache names the check that
-# holds it to the graph; the cache builds one lock (the bitset memo's own is
-# gone); and only the cache reads ``.delta_seq`` — every other memo derived
+# holds it to the graph; the cache builds one lock (the bitset memo and its
+# own lock are gone); and only the cache reads ``.delta_seq`` — every other memo derived
 # from the graph is kept through ``GraphIndexCache.memoize``.
 # ----------------------------------------------------------------------
 PICKLED_SLOTS = {
@@ -1025,11 +1036,11 @@ PICKLED_SLOTS = {
         "graph", "label_table", "label_to_id", "label_ids", "degrees", "label_index",
         "signature_masks", "candidate_memo_hits", "candidate_memo_misses", "epoch", "delta_seq",
         "_pool_memo_size", "pool_entries_repaired", "pool_entries_rebuilt",
-        "pool_entries_dropped", "_adj_memo_size",
+        "pool_entries_dropped",
     ),
     "QueryPlan": (
-        "key", "qlist", "order", "backward", "profiles", "entries", "pools", "kernels",
-        "class_pools", "referenced_lids", "absent_labels",
+        "key", "qlist", "order", "backward", "profiles", "entries", "pools",
+        "referenced_lids", "absent_labels",
     ),
     "PlanCache": ("_memo", "_size", "hits", "misses"),
 }
@@ -1050,7 +1061,6 @@ DERIVED_CHECKS = {
         "tests/indexes/test_delta_repair.py",
         "assert sorted(indexed) == sorted(repaired._pool_memo)",
     ),
-    "_adj_masks": ("tests/indexes/test_delta_repair.py", "repaired._adj_masks.items()"),
     "plan_cache": ("tests/indexes/test_delta_repair.py", "repaired.plan_cache._memo.items()"),
     "_cost_estimator": (
         "tests/cost/test_estimator.py",
@@ -1122,7 +1132,7 @@ def test_every_derived_slot_is_declared():
     assert_stays_deleted("adj_lock")
     # The census sees a memo slot pasted into the cache with no row ...
     text = sources["indexes/graph_cache.py"]
-    anchor = '        "_adj_memo_size",\n'
+    anchor = '        "pool_entries_dropped",\n'
     assert text.count(anchor) == 1
     mutant = text.replace(anchor, anchor + '        "_plan_lists",\n')
     assert census_offenders({**sources, "indexes/graph_cache.py": mutant}) == [
@@ -1168,7 +1178,7 @@ def test_global_weight_table_stays_deleted():
     assert_stays_deleted("global_weight_table")
     sources = package_sources()
     assert numpy_importers(sources, "indexes/") == numpy_importers(sources, "cost/") == []
-    assert len(dataclasses.fields(DSQLConfig)) == 20
+    assert len(dataclasses.fields(DSQLConfig)) == 19
     mutant = sources["cost/estimator.py"].replace("import math\n", "import math\nimport numpy as np\n")
     assert numpy_importers({"cost/estimator.py": mutant}, "cost/") == ["cost/estimator.py"]
 
@@ -1238,7 +1248,7 @@ def test_memo_lock_lives_on_the_memo():
     assert lock_constructions(sources["service/catalog.py"]) == ["CatalogEntry._session_lock"]
     assert not hasattr(CatalogEntry, "close") and not hasattr(GraphCatalog, "close")
     assert "max_executors" not in inspect.signature(CatalogEntry.__init__).parameters
-    assert len(dataclasses.fields(DSQLConfig)) == 20
+    assert len(dataclasses.fields(DSQLConfig)) == 19
     # The guard sees the batch put back under an entry-held memo lock ...
     catalog_text = sources["service/catalog.py"]
     anchor = "                return executor.run(list(queries)), executor.last_report\n"
@@ -1349,7 +1359,7 @@ def test_a_pool_is_summed_where_it_lives():
 
     sources = package_sources()
     assert not pool_sum_offenders(sources)
-    assert len(dataclasses.fields(DSQLConfig)) == 20
+    assert len(dataclasses.fields(DSQLConfig)) == 19
     assert_stays_deleted("pool_view")
     assert_stays_deleted("pool_degree_mass")
     # The guard sees the pool walk pasted back into the estimator ...
@@ -1756,4 +1766,164 @@ def test_span_catalog_matches_the_code():
     pasted = {"core/dsql.py": "instr.point(f'stage.{kind}')\n"}
     assert emitted_names(pasted, EVENT_FAMILIES, EVENT_CALLS)[1] == [
         "core/dsql.py: f'stage.{kind}'"
+    ]
+
+
+# ----------------------------------------------------------------------
+# Fork guard: one join rule. Both engines join a matched neighbor on its
+# neighbor set; the per-depth kernel table, the class pools, the bitset and
+# class-bitset gates, the adjacency-mask memo and ``localized_search`` stay
+# deleted.
+# ----------------------------------------------------------------------
+def test_kernel_gates_stay_deleted():
+    from repro.core.config import DSQLConfig
+    from repro.indexes.plans import QueryPlan
+
+    assert_stays_deleted("kernel_gates")
+    assert not {"kernels", "class_pools", "_cand_masks", "_class_masks"} & set(QueryPlan.__slots__)
+    assert "localized_search" not in {f.name for f in dataclasses.fields(DSQLConfig)}
+
+
+# ----------------------------------------------------------------------
+# Harness-only names: perfbench's harness (``perfbench/harness/layers.py``)
+# imports or calls these, so they stay until it stops; nothing in ``src/``
+# may. One row per name: how a use looks in the AST, and a mutant — a line
+# pasted after an anchor in a real module — that the check must see.
+# ----------------------------------------------------------------------
+HARNESS_ONLY = {
+    # row: (kind of use, names, module under src/repro, anchor, pasted after it)
+    "QueryPlan.cand_mask": (
+        "attribute", ("cand_mask",),
+        "indexes/plans.py", "    u = plan.order[depth]\n", "    mask = plan.cand_mask(u)\n",
+    ),
+    "GraphIndexCache.adjacency_mask": (
+        "attribute", ("adjacency_mask",),
+        "core/search.py", "        matches = [assignment[w] for w in backward if w != skip]\n",
+        "        masks = [self._cache.adjacency_mask(v) for v in matches]\n",
+    ),
+    "GraphIndexCache.adjacency_slice": (
+        "attribute", ("adjacency_slice",),
+        "isomorphism/qsearch.py", "        u = self.order[depth]\n",
+        "        row = self.candidates.cache.adjacency_slice(u)\n",
+    ),
+    "bitset_and_members": (
+        "name", ("bitset_and_members",),
+        "indexes/plans.py", "from repro.kernels import bitset_of, intersect_sets\n",
+        "from repro.kernels import bitset_and_members\n",
+    ),
+    "intersect_sorted/GALLOP_RATIO": (
+        "name", ("intersect_sorted", "GALLOP_RATIO"),
+        "isomorphism/qsearch.py", "from repro.kernels import KERNEL_KINDS, MERGE, SCAN\n",
+        "from repro.kernels.join import GALLOP_RATIO\n",
+    ),
+    "get_or_compile(use_compression=)": (
+        "keyword", ("use_compression",),
+        "core/dsql.py",
+        "        return self.index_cache.plan_cache.get_or_compile(query, self.index_cache)\n",
+        "        self.index_cache.plan_cache.get_or_compile(query, self.index_cache,"
+        " use_compression=True)\n",
+    ),
+}
+
+
+def harness_only_uses(sources):
+    """``path:line: row`` over ``{path under src/repro: source}`` for every use
+    of a :data:`HARNESS_ONLY` name: an attribute read, a name read or
+    imported outside ``kernels/`` (its home), or a keyword passed to
+    ``get_or_compile``."""
+    found = []
+    for path, text in sorted(sources.items()):
+        for node in ast.walk(ast.parse(text)):
+            for row, (kind, names, *_mutant) in HARNESS_ONLY.items():
+                if kind == "attribute":
+                    used = isinstance(node, ast.Attribute) and node.attr in names
+                elif kind == "name":
+                    used = not path.startswith("kernels/") and (
+                        (isinstance(node, ast.Name) and node.id in names)
+                        or (isinstance(node, ast.alias) and node.name in names)
+                    )
+                else:
+                    used = (
+                        isinstance(node, ast.Call)
+                        and getattr(node.func, "attr", None) == "get_or_compile"
+                        and any(kw.arg in names for kw in node.keywords)
+                    )
+                if used:
+                    found.append(f"{path}:{getattr(node, 'lineno', '?')}: {row}")
+    return found
+
+
+def test_harness_only_names_have_no_caller_in_src():
+    sources = package_sources()
+    assert harness_only_uses(sources) == []
+    harness = (REPO / "perfbench" / "harness" / "layers.py").read_text(encoding="utf-8")
+    for row, (_kind, names, path, anchor, pasted) in HARNESS_ONLY.items():
+        assert any(name in harness for name in names), row  # still read there
+        text = sources[path]
+        assert text.count(anchor) == 1, (row, anchor)
+        mutant = text.replace(anchor, anchor + pasted)
+        line = mutant[: mutant.index(pasted)].count("\n") + 1
+        assert harness_only_uses({path: mutant}) == [f"{path}:{line}: {row}"], row
+
+
+# ----------------------------------------------------------------------
+# Doc symbols: every dotted ``repro.…`` symbol in a backtick span of the
+# README, DESIGN.md, EXPERIMENTS.md and ``docs/*.md`` resolves by import
+# (a module, then attributes; a dataclass field counts). ``a.b/c`` names
+# ``a.b`` and ``a.c``.
+# ----------------------------------------------------------------------
+DOC_SYMBOL = re.compile(r"(?<![\w./-])(repro(?:\.[A-Za-z_]\w*)+)((?:/[A-Za-z_]\w*)*)")
+
+
+def resolves(dotted: str) -> bool:
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            if hasattr(obj, name):
+                obj = getattr(obj, name)
+            elif dataclasses.is_dataclass(obj) and name in {f.name for f in dataclasses.fields(obj)}:
+                obj = None
+            else:
+                return False
+        return True
+    return False
+
+
+def doc_symbol_offenders(sources):
+    """``path:line: symbol`` over ``{path: markdown}`` for every backticked
+    ``repro.…`` symbol that does not resolve."""
+    found = []
+    for path, text in sources.items():
+        for number, line in enumerate(text.splitlines(), 1):
+            for span in re.findall(r"`([^`\n]+)`", line):
+                for dotted, siblings in DOC_SYMBOL.findall(span):
+                    parent = dotted.rsplit(".", 1)[0]
+                    for symbol in [dotted] + [f"{parent}.{s}" for s in siblings.split("/")[1:]]:
+                        if not resolves(symbol):
+                            found.append(f"{path}:{number}: {symbol}")
+    return found
+
+
+def test_doc_symbols_resolve():
+    docs = [REPO / "README.md", REPO / "DESIGN.md", REPO / "EXPERIMENTS.md"]
+    docs += sorted((REPO / "docs").glob("*.md"))
+    sources = {str(p.relative_to(REPO)): p.read_text(encoding="utf-8") for p in docs}
+    assert doc_symbol_offenders(sources) == []
+    # The check reads dataclass fields and slash-joined siblings ...
+    mapping = sources["docs/paper_mapping.md"]
+    assert "`repro.queries.qflist.QFList.label_rm/neighbor_rm`" in mapping
+    # ... and sees one symbol renamed.
+    symbol = "repro.queries.qflist.resort_order"
+    assert f"`{symbol}`" in mapping
+    renamed = mapping.replace(f"`{symbol}`", f"`{symbol}s`", 1)
+    line = mapping[: mapping.index(f"`{symbol}`")].count("\n") + 1
+    assert doc_symbol_offenders({"docs/paper_mapping.md": renamed}) == [
+        f"docs/paper_mapping.md:{line}: {symbol}s"
+    ]
+    assert doc_symbol_offenders({"x.md": "`repro.queries.qflist.QFList.label_rm/neighbour_rm`"}) == [
+        "x.md:1: repro.queries.qflist.QFList.neighbour_rm"
     ]
