@@ -90,7 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     q.add_argument("--no-phase2", action="store_true", help="disable DSQL-P2")
     _add_objective_flag(q)
-    _add_compression_flag(q)
     _add_executor_flags(q)
     _add_observability_flags(q)
 
@@ -210,7 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     v.add_argument("--seed", type=int, default=0, help="seed for dataset stand-in builds")
     _add_objective_flag(v, help_extra=" (requests may override per call)")
-    _add_compression_flag(v)
     _add_observability_flags(v)
 
     m = sub.add_parser(
@@ -279,7 +277,6 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--queries", type=int, default=10)
     e.add_argument("--seed", type=int, default=0)
     _add_objective_flag(e)
-    _add_compression_flag(e)
     _add_executor_flags(e)
     _add_observability_flags(e)
     return parser
@@ -292,16 +289,6 @@ def _add_objective_flag(parser: argparse.ArgumentParser, help_extra: str = "") -
         default="vertex",
         help="diversity objective (docs/objectives.md); 'vertex' is the paper's"
         + help_extra,
-    )
-
-
-def _add_compression_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--compression",
-        action="store_true",
-        help="search over twin-class representatives (BoostIso-style "
-        "structural equivalence); bit-identical results, and no measured "
-        "query shape is faster with it (docs/performance.md)",
     )
 
 
@@ -395,7 +382,6 @@ def _cmd_query(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
             args.k,
             run_phase2=not args.no_phase2,
             time_budget_ms=args.time_budget_ms,
-            use_compression=args.compression,
             objective=args.objective,
         )
         summary = run_executor_batch(
@@ -512,7 +498,6 @@ def _cmd_serve(
     config = DSQLConfig(
         k=args.k,
         time_budget_ms=args.time_budget_ms,
-        use_compression=args.compression,
         objective=args.objective,
         auto_time_budget=args.auto_time_budget,
         **config_kwargs,
@@ -722,7 +707,6 @@ def _cmd_experiment(parser: argparse.ArgumentParser, args: argparse.Namespace) -
         config = DSQLConfig(
             k=args.k,
             time_budget_ms=args.time_budget_ms,
-            use_compression=args.compression,
             objective=args.objective,
         )
         dsql = run_executor_batch(

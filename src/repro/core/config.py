@@ -86,16 +86,6 @@ class DSQLConfig:
         LRU cap on the :meth:`repro.core.dsql.DSQL.query_many` result memo
         (keyed by :meth:`QueryGraph.canonical_key`). ``None`` means
         unbounded, ``0`` disables memoization.
-    use_compression:
-        Join against the graph's twin-class partition (BoostIso [24]-style
-        structural equivalence — see :mod:`repro.isomorphism.compression`):
-        the level engine's frames with two or more matched neighbors test
-        candidates on the twin-class join masks. Results are bit-identical
-        with the toggle on or off (pinned by
-        ``tests/property/test_compression_equivalence.py``).
-        No measured query shape is faster with it, not even the casting
-        star built to favour it (equal expansions, more time). Off by
-        default.
     seed:
         Seed for the random candidate retention of Section 5.2. Fixed by
         default so runs are reproducible; set ``None`` for entropy.
@@ -144,12 +134,15 @@ class DSQLConfig:
     time_budget_ms: Optional[float] = None
     validate_results: bool = False
     query_cache_size: Optional[int] = 128
-    use_compression: bool = False
     seed: Optional[int] = 0
     objective: str = "vertex"
     vertex_weights: Optional[Tuple[Tuple[int, float], ...]] = None
     auto_time_budget: bool = False
     work_unit_rate: float = 200.0
+
+    # Not a field: perfbench harness 1.0 reads it and passes it on to
+    # ``PlanCache.get_or_compile``, which ignores it.
+    use_compression = False
 
     def __post_init__(self) -> None:
         if self.k < 1:

@@ -35,7 +35,7 @@ does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional
+from typing import FrozenSet, List, Optional
 
 from repro.core.config import DSQLConfig
 from repro.core.phase1 import Phase1Output, tcand_snapshot
@@ -95,10 +95,8 @@ def run_phase2(
     instr = instrumentation
 
     tracker = CoverageTracker(objective=objective)
-    slot_to_mapping: Dict[int, Mapping] = {}
     for mapping in phase1.state.embeddings:
-        slot = tracker.add(mapping)
-        slot_to_mapping[slot] = mapping
+        tracker.add(mapping)
 
     engine = LevelSearchEngine(
         graph,
@@ -140,9 +138,7 @@ def run_phase2(
             accepted = b >= (1.0 + alpha) * f_loss
             if accepted:
                 tracker.remove(slot)
-                del slot_to_mapping[slot]
-                new_slot = tracker.add(mapping)
-                slot_to_mapping[new_slot] = mapping
+                tracker.add(mapping)
                 stats.phase2_swaps += 1
                 out.swaps += 1
             if instr is not None:
@@ -182,7 +178,7 @@ def run_phase2(
     except BudgetExceeded:
         pass
 
-    out.embeddings = [slot_to_mapping[slot] for slot in tracker.slots()]
+    out.embeddings = tracker.member_embeddings()
     # A weighted running total carries each swap's rounding; the reported
     # coverage is a function of the answer alone.
     out.coverage = (

@@ -39,7 +39,6 @@ from repro.indexes.candidates import CandidateIndex
 from repro.isomorphism.backtrack import ConflictDirectedSearch, ExpansionMeter
 from repro.isomorphism.joinable import UNMATCHED
 from repro.isomorphism.match import Mapping
-from repro.kernels import joinable_kernel
 from repro.queries.qflist import NO_FATHER
 
 OnEmbedding = Callable[[Mapping], bool]
@@ -90,10 +89,11 @@ class LevelSearchEngine(ConflictDirectedSearch):
     (``Rcand ⊆ N(father's match)``, so the father's edge holds by
     construction):
 
-    * none — injectivity is the whole test;
-    * one — membership in that vertex's neighbor set, fetched once;
+    * none — injectivity is the whole test (``scalar``);
+    * one — membership in that vertex's neighbor set, fetched once
+      (``scalar``);
     * two or more — one intersection of their neighbor sets per frame
-      (:meth:`_fold_join`).
+      (:meth:`_fold_join`, ``bitset``).
 
     Every expansion is charged in place — count, compare with the meter's
     trip point — and only :class:`~repro.isomorphism.backtrack.
@@ -105,7 +105,7 @@ class LevelSearchEngine(ConflictDirectedSearch):
 
     A frame keeps nothing query-static: ``reSort``'s order and, per depth,
     the node, its father, whether it overlaps, its single-embedding cap and
-    its matched query neighbors come compiled from
+    its matched query neighbors other than the father come compiled from
     :meth:`~repro.indexes.plans.QueryPlan.frames`, once per (plan, Qovp).
     """
 
@@ -136,7 +136,6 @@ class LevelSearchEngine(ConflictDirectedSearch):
             stats, config.node_budget, deadline, instrumentation, query_id
         )
         self._plan = candidates.plan
-        self._cache = candidates.cache
         # What a frame's prologue reads, bound once: the plan's pools, the
         # view's localized memo (probed in place; `localized` on a miss) and
         # the storage's neighbor sets.
@@ -144,10 +143,6 @@ class LevelSearchEngine(ConflictDirectedSearch):
         self._memo = candidates._localized
         self._localized = candidates.localized
         self._neighbor_set = graph.neighbor_set
-        # Twin-class partition for the compressed join test (per-graph state
-        # owned by the index cache). The compressed branch changes the join
-        # *mechanism*, never which candidates are iterated or charged.
-        self._compressed = self._cache.compressed() if config.use_compression else None
         self.rng = random.Random(config.seed)
         self._getrandbits = self.rng.getrandbits
         # The strategy switch a frame consults, read once.
@@ -192,36 +187,15 @@ class LevelSearchEngine(ConflictDirectedSearch):
                 return False
         return True
 
-    def _fold_join(self, backward: Tuple[int, ...], skip: int, rcand: Sequence[int]) -> Set[int]:
-        """The join constraint of a frame with two or more matched neighbors.
-
-        ``skip`` is the father, whose edge localization already joined
-        (:data:`NO_FATHER` at the root). One neighbor left: its neighbor set.
-        Two or more: the members of ``rcand`` in every one of their
-        neighbor sets. Rare (no tree query has such a frame), so it is a
-        call; the frames' other two cases are not.
+    def _fold_join(self, backward: Tuple[int, ...], rcand: Sequence[int]) -> Set[int]:
+        """The join constraint of a frame with two or more matched neighbors
+        besides its father: the members of ``rcand`` in every one of their
+        neighbor sets. Rare (no tree query, triangle or cycle has such a
+        frame), so it is a call; the frames' other two cases are not.
         """
-        assignment = self._assignment
-        matches = [assignment[w] for w in backward if w != skip]
-        comp = self._compressed
-        if comp is None:
-            self.stats.kernel_bitset += 1
-        else:
-            self.stats.kernel_cbitset += 1
-        if len(matches) == 1:
-            return self._neighbor_set(matches[0])
-        if comp is None:
-            return set(rcand).intersection(*map(self._neighbor_set, matches))
-        # Compressed join: fold the matched vertices' class join masks
-        # (num_classes bits) and test candidates by class id. Twin symmetry
-        # makes this exactly the neighbor-set predicate above wherever a
-        # frame asks it — for v outside `used` (so v
-        # differs from every matched vertex), edge(v, v2) holds iff their
-        # classes are adjacent — or, within one class, iff the class is a
-        # clique, which is precisely the self-bit of the class join mask.
-        class_of = comp.class_of
-        mask = joinable_kernel(comp.class_join_mask(class_of[v2]) for v2 in matches)
-        return {v for v in rcand if (mask >> class_of[v]) & 1}
+        self.stats.kernel_bitset += 1
+        assignment, neighbor_set = self._assignment, self._neighbor_set
+        return set(rcand).intersection(*map(neighbor_set, map(assignment.__getitem__, backward)))
 
     # ------------------------------------------------------------------
     # Multi-embedding frames (Q1iSearch)
@@ -239,11 +213,9 @@ class LevelSearchEngine(ConflictDirectedSearch):
         stats, meter = self.stats, self._meter
         bad = self._bad[depth]
         # Rcand (setCandidates, Section 5.1): localized, then restricted to
-        # TcandS. `skip`: the neighbor whose edge localization implies.
-        skip = NO_FATHER
+        # TcandS. `backward` leaves the father out: localization joined it.
         if father != NO_FATHER:
             stats.kernel_merge += 1
-            skip = father
             rcand = self._memo[u].get(assignment[father])
             if rcand is None:
                 rcand = self._localized(u, assignment[father])
@@ -253,10 +225,10 @@ class LevelSearchEngine(ConflictDirectedSearch):
         rcand = list(filter(self._tcand[u].__contains__, rcand))
         joined = None
         if len(backward) >= 2:
-            joined = self._fold_join(backward, skip, rcand)
+            joined = self._fold_join(backward, rcand)
         else:
             stats.kernel_scalar += 1
-            if backward and skip == NO_FATHER:
+            if backward:
                 joined = self._neighbor_set(assignment[backward[0]])
         child = self._multi_overlap if self._frames[depth + 1][2] else self._multi_anchor
         for v in rcand:
@@ -297,10 +269,8 @@ class LevelSearchEngine(ConflictDirectedSearch):
         bad = self._bad[depth]
         # Prologue as in _multi_overlap, spelled here on purpose: a shared
         # helper would be the per-frame call this layout removes.
-        skip = NO_FATHER
         if father != NO_FATHER:
             stats.kernel_merge += 1
-            skip = father
             rcand = self._memo[u].get(assignment[father])
             if rcand is None:
                 rcand = self._localized(u, assignment[father])
@@ -309,10 +279,10 @@ class LevelSearchEngine(ConflictDirectedSearch):
             rcand = self._pools[u]
         joined = None
         if len(backward) >= 2:
-            joined = self._fold_join(backward, skip, rcand)
+            joined = self._fold_join(backward, rcand)
         else:
             stats.kernel_scalar += 1
-            if backward and skip == NO_FATHER:
+            if backward:
                 joined = self._neighbor_set(assignment[backward[0]])
         for v in rcand:
             stats.nodes_expanded = count = stats.nodes_expanded + 1
@@ -373,10 +343,8 @@ class LevelSearchEngine(ConflictDirectedSearch):
         bad = self._bad[depth]
         # Prologue as in _multi_overlap, spelled here on purpose: a shared
         # helper would be the per-frame call this layout removes.
-        skip = NO_FATHER
         if father != NO_FATHER:
             stats.kernel_merge += 1
-            skip = father
             rcand = self._memo[u].get(assignment[father])
             if rcand is None:
                 rcand = self._localized(u, assignment[father])
@@ -403,10 +371,10 @@ class LevelSearchEngine(ConflictDirectedSearch):
             cap = None
         joined = None
         if len(backward) >= 2:
-            joined = self._fold_join(backward, skip, rcand)
+            joined = self._fold_join(backward, rcand)
         else:
             stats.kernel_scalar += 1
-            if backward and skip == NO_FATHER:
+            if backward:
                 joined = self._neighbor_set(assignment[backward[0]])
         tried_valid = 0
         inherited: Set[int] = set()

@@ -37,7 +37,7 @@ class SearchStats:
     kernel_merge: int = 0
     kernel_bitset: int = 0
     kernel_scalar: int = 0
-    kernel_cbitset: int = 0
+    kernel_cbitset: int = 0  # always 0; perfbench harness 1.0 reads every kind
     per_level_added: Dict[int, int] = field(default_factory=dict)
 
     def record_added(self, level: int) -> None:

@@ -138,7 +138,6 @@ class GraphIndexCache:
         ("_pool_keys", dict, "label id -> its memo keys: added and dropped with the entry"),
         ("plan_cache", _plan_cache, "evict_stale by label; stored by memoize"),
         ("_cost_estimator", lambda: None, "built once under _lock; calibration, no graph state"),
-        ("_compressed", lambda: None, "built once under _lock; split-repaired by apply_delta"),
     )
     __slots__ = (
         "graph",
@@ -293,36 +292,6 @@ class GraphIndexCache:
                         estimator.attach_metrics(self._metrics)
                     self._cost_estimator = estimator
         return estimator
-
-    # ------------------------------------------------------------------
-    def compressed(self):
-        """The graph's twin-class partition (:class:`~repro.isomorphism.
-        compression.CompressedGraph`), built on first use.
-
-        Compression-enabled plans and engines share one partition per graph:
-        :meth:`apply_delta` repairs it in place (splitting only the dirtied
-        endpoints' classes), so the partition stays valid across the cache's
-        whole life.
-        Guarded by ``_lock``; creation is rare and the lock is never
-        held while searching.
-        """
-        compressed = self._compressed
-        if compressed is None:
-            # Late import mirrors PlanCache/CostEstimator above: the
-            # compression module imports the isomorphism package, which
-            # reaches back here.
-            from repro.isomorphism.compression import CompressedGraph
-
-            with self._lock:
-                compressed = self._compressed
-                if compressed is None:
-                    compressed = CompressedGraph(self.graph)
-                    if self._metrics is not None:
-                        self._metrics.counter("compression.classes_built").inc(
-                            compressed.num_classes
-                        )
-                    self._compressed = compressed
-        return compressed
 
     # ------------------------------------------------------------------
     def label_id(self, label: Label) -> Optional[int]:
@@ -513,8 +482,8 @@ class GraphIndexCache:
         Compiled plans are evicted only when their label ids intersect the
         dirty set; every other plan survives at the same epoch.
         """
-        # Materialized once: the op stream is also replayed into the twin
-        # partition's split repair below, and callers may pass a generator.
+        # Materialized once: the op stream is read again by evict_stale's
+        # edges_changed below, and callers may pass a generator.
         ops = [tuple(op) for op in ops]
         # Dirty vertex -> the other endpoints of its edge ops in the batch.
         dirty: Dict[int, List[int]] = {}
@@ -585,13 +554,6 @@ class GraphIndexCache:
         self.plan_cache.evict_stale(
             dirty_per_label, new_labels, edges_changed=any(op[0] != "add_vertex" for op in ops)
         )
-        if self._compressed is not None:
-            # Split repair: the dirtied endpoints leave their twin classes
-            # as fresh singletons; everything else (and all class ids)
-            # survives. See CompressedGraph.apply_delta for the argument.
-            splits = self._compressed.apply_delta(ops)
-            if splits and self._metrics is not None:
-                self._metrics.counter("compression.split_repairs").inc(splits)
         return self.version
 
     def _repairable_labels(self, dirty_per_label: Dict[int, int]) -> Set[int]:

@@ -161,12 +161,13 @@ class QueryPlan:
         father, is_overlap, cap, backward)`` — ``cap`` the Section 5.2 bound
         ``labelRm + 1`` (``None`` for overlap nodes and ``neighborRm > 0``),
         ``backward`` the query neighbors of ``node`` matched before depth
-        ``d``. It depends on the query structure, ``qlist`` and ``qovp``
-        only, never on a session's configuration.
+        ``d`` other than ``father``, whose edge localization already joins.
+        It depends on the query structure, ``qlist`` and ``qovp`` only,
+        never on a session's configuration.
 
         One pass over plain lists: :func:`~repro.queries.qflist.resort_order`
         over the plan's ``resort_basis`` (built on its first miss) and the
-        order's ``order_statistics``; ``neighborRm == 0`` is ``backward == N(u)``.
+        order's ``order_statistics``; ``neighborRm == 0`` is every neighbor matched.
 
         ``query`` is any query with this plan's canonical key, ``qovp`` a
         combination of ``qlist``. An entry is one tuple of ``q + 1`` pointers
@@ -189,9 +190,10 @@ class QueryPlan:
             rows = [interned(nodes, nodes)]
             for depth, (u, father) in enumerate(order):
                 neighbors = query.neighbors(u)
-                backward = tuple([w for w in neighbors if position[w] < depth])
+                matched = [w for w in neighbors if position[w] < depth]
+                backward = tuple([w for w in matched if w != father])
                 overlap = u in qovp
-                cap = label_rm[u] + 1 if not overlap and len(backward) == len(neighbors) else None
+                cap = label_rm[u] + 1 if not overlap and len(matched) == len(neighbors) else None
                 frame = (u, father, overlap, cap, interned(backward, backward))
                 rows.append(interned(frame, frame))
             entry = self._frames[key] = tuple(rows)
@@ -213,7 +215,7 @@ def plan_key(cache, query):
     The epoch names the cache's construction and never changes under it:
     what invalidates a plan is :meth:`PlanCache.evict_stale`. No session
     setting is part of the key — a plan depends on the graph and the query
-    alone, so plain and compressed sessions share it.
+    alone.
     """
     return (cache.epoch, query.canonical_key())
 

@@ -2,7 +2,6 @@
 
 from repro.isomorphism.joinable import UNMATCHED, is_joinable, joinable_ignoring_injectivity
 from repro.isomorphism.match import Mapping, distinct_by_vertex_set
-from repro.isomorphism.compression import CompressedGraph
 from repro.isomorphism.qsearch import (
     QSearchEngine,
     connected_search_order,
@@ -17,7 +16,6 @@ __all__ = [
     "Mapping",
     "distinct_by_vertex_set",
     "QSearchEngine",
-    "CompressedGraph",
     "connected_search_order",
     "enumerate_embeddings",
     "count_embeddings",

@@ -22,7 +22,6 @@ from repro.kernels.join import (
     bitset_of,
     intersect_sets,
     intersect_sorted,
-    joinable_kernel,
 )
 
 __all__ = [
@@ -35,5 +34,4 @@ __all__ = [
     "bitset_of",
     "intersect_sets",
     "intersect_sorted",
-    "joinable_kernel",
 ]

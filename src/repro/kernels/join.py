@@ -7,10 +7,8 @@ with the node's candidate pool (its set view). :func:`intersect_sets` is
 that intersection, ascending — the order of label buckets, adjacency rows
 and candidate pools — so every engine emits candidates in one order.
 
-Beside it, :func:`joinable_kernel` folds the twin-class join masks of a
-compressed level-engine frame (:mod:`repro.isomorphism.compression`), and
 :func:`bitset_and_members` and :func:`intersect_sorted` are what
-perfbench's ``kernels.*.ns_per_elem`` probes time; no engine calls those two.
+perfbench's ``kernels.*.ns_per_elem`` probes time; no engine calls them.
 """
 
 from __future__ import annotations
@@ -41,16 +39,15 @@ row filtered by the same view,
 
 BITSET = "bitset"
 """Kernel kind: a level-engine frame with two or more matched query
-neighbors, joined on their neighbor sets."""
+neighbors besides its father, joined on their neighbor sets."""
 
 SCALAR = "scalar"
-"""Kernel kind: a level-engine frame with fewer than two matched query
-neighbors — at most one set probe per candidate, none where localization
-already joined the father."""
+"""Kernel kind: a level-engine frame with at most one matched query
+neighbor besides its father — at most one set probe per candidate."""
 
 CBITSET = "cbitset"
-"""Kernel kind: a :data:`BITSET` frame of a compressed session, joined on
-the matched vertices' twin-class join masks (:func:`joinable_kernel`)."""
+"""Kernel kind that never dispatches: ``SearchStats.kernel_cbitset`` is
+always 0 and is kept because perfbench harness 1.0 reads every kind."""
 
 KERNEL_KINDS = (SCAN, MERGE, BITSET, SCALAR, CBITSET)
 """Every kernel kind, as reported by the ``kernel.dispatch.*`` counters."""
@@ -142,19 +139,3 @@ def bitset_and_members(*masks: int) -> List[int]:
         if not mask:
             return []
     return bitset_members(mask)
-
-
-def joinable_kernel(masks: Sequence[int]) -> int:
-    """AND of adjacency bitsets — the combined join constraint.
-
-    Bit ``v`` of the result is set iff ``v`` is adjacent to *every* vertex
-    whose mask was passed, so one precomputed result per search frame
-    replaces the per-candidate ``has_edge`` loop: the per-candidate test
-    collapses to ``mask >> v & 1``. An empty ``masks`` returns ``-1``
-    (all-ones, the AND identity) — callers dispatch that case to the plain
-    injectivity check instead of probing an unbounded mask.
-    """
-    out = -1
-    for m in masks:
-        out &= m
-    return out

@@ -279,8 +279,6 @@ _STATS_COUNTERS: Tuple[Tuple[str, str], ...] = (
     ("kernel_merge", "kernel.dispatch.merge"),
     ("kernel_bitset", "kernel.dispatch.bitset"),
     ("kernel_scalar", "kernel.dispatch.scalar"),
-    ("kernel_cbitset", "kernel.dispatch.cbitset"),
-    ("kernel_cbitset", "compression.class_frames"),
 )
 """``SearchStats`` field -> metric name (see docs/observability.md)."""
 

@@ -170,7 +170,8 @@ class CatalogEntry:
         Weighted-vertex requests use degree-derived weights: per-vertex
         weight tables never cross the wire, and the default config's
         ``vertex_weights`` (if any) is dropped when the objective changes
-        away from ``weighted-vertex``.
+        away from ``weighted-vertex``. ``use_compression`` is accepted and
+        ignored: perfbench harness 1.0 still passes it.
         """
         overrides: Dict[str, object] = {}
         if k is not None:
@@ -183,8 +184,6 @@ class CatalogEntry:
             overrides["objective"] = objective
             if objective != "weighted-vertex":
                 overrides["vertex_weights"] = None
-        if use_compression is not None:
-            overrides["use_compression"] = use_compression
         if not overrides:
             return self.default_config
         try:

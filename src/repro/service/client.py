@@ -85,7 +85,6 @@ class ServiceClient:
         alpha: Optional[float] = None,
         time_budget_ms: Optional[float] = None,
         objective: Optional[str] = None,
-        use_compression: Optional[bool] = None,
     ) -> Dict[str, object]:
         """``POST /v1/query``; returns the response body (raises on non-200)."""
         payload: Dict[str, object] = {"graph": graph, "query": _encode_query(query)}
@@ -97,8 +96,6 @@ class ServiceClient:
             payload["time_budget_ms"] = time_budget_ms
         if objective is not None:
             payload["objective"] = objective
-        if use_compression is not None:
-            payload["use_compression"] = use_compression
         return self._call("POST", "/v1/query", payload)
 
     def batch(
@@ -111,7 +108,6 @@ class ServiceClient:
         strategy: Optional[str] = None,
         jobs: Optional[int] = None,
         objective: Optional[str] = None,
-        use_compression: Optional[bool] = None,
     ) -> Dict[str, object]:
         """``POST /v1/batch``; returns the batch body with ``results`` in order."""
         payload: Dict[str, object] = {
@@ -130,8 +126,6 @@ class ServiceClient:
             payload["jobs"] = jobs
         if objective is not None:
             payload["objective"] = objective
-        if use_compression is not None:
-            payload["use_compression"] = use_compression
         return self._call("POST", "/v1/batch", payload)
 
     def mutate_edge(self, graph: str, op: str, u: int, v: int) -> Dict[str, object]:

@@ -102,7 +102,10 @@ class QueryRequest:
     alpha: Optional[float] = None
     time_budget_ms: Optional[float] = None
     objective: Optional[str] = None
-    use_compression: Optional[bool] = None
+
+    # Not a field: perfbench harness 1.0 reads it and passes it on to
+    # ``CatalogEntry.request_config``, which ignores it.
+    use_compression = None
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,6 @@ class BatchRequest:
     strategy: str = "serial"
     jobs: Optional[int] = None
     objective: Optional[str] = None
-    use_compression: Optional[bool] = None
 
 
 # ----------------------------------------------------------------------
@@ -172,15 +174,6 @@ def _optional_number(payload: Dict[str, object], name: str, positive: bool) -> O
     if not positive and value < 0:
         raise ServiceError(400, "invalid_request", f"{name!r} must be >= 0, got {value}")
     return float(value)
-
-
-def _optional_bool(payload: Dict[str, object], name: str) -> Optional[bool]:
-    value = payload.get(name)
-    if value is None:
-        return None
-    if not isinstance(value, bool):
-        raise ServiceError(400, "invalid_request", f"{name!r} must be a boolean")
-    return value
 
 
 def _optional_objective(payload: Dict[str, object]) -> Optional[str]:
@@ -282,7 +275,6 @@ _QUERY_FIELDS = (
     "alpha",
     "time_budget_ms",
     "objective",
-    "use_compression",
 )
 _BATCH_FIELDS = (
     "graph",
@@ -293,7 +285,6 @@ _BATCH_FIELDS = (
     "strategy",
     "jobs",
     "objective",
-    "use_compression",
 )
 
 
@@ -307,7 +298,6 @@ def parse_query_request(payload: Dict[str, object]) -> QueryRequest:
         alpha=_optional_number(payload, "alpha", positive=False),
         time_budget_ms=_optional_number(payload, "time_budget_ms", positive=True),
         objective=_optional_objective(payload),
-        use_compression=_optional_bool(payload, "use_compression"),
     )
 
 
@@ -343,7 +333,6 @@ def parse_batch_request(payload: Dict[str, object]) -> BatchRequest:
         strategy=strategy,
         jobs=_optional_int(payload, "jobs", minimum=1),
         objective=_optional_objective(payload),
-        use_compression=_optional_bool(payload, "use_compression"),
     )
 
 

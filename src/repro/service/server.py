@@ -137,7 +137,6 @@ def _request_config(entry: CatalogEntry, request) -> DSQLConfig:
         alpha=request.alpha,
         time_budget_ms=request.time_budget_ms,
         objective=request.objective,
-        use_compression=request.use_compression,
     )
 
 

@@ -461,7 +461,7 @@ class TestPlanSpecs:
         fresh_cache = GraphIndexCache(graph)
         warmed = fresh_cache.plan_cache.warm_from_specs(specs, fresh_cache)
         assert warmed == len(queries)
-        # A warmed plan answers a compressed session too: plans carry no toggle.
+        # A warmed plan answers harness 1.0's ignored keyword too: plans carry no toggle.
         fresh_cache.plan_cache.get_or_compile(queries[0], fresh_cache, use_compression=True)
         assert fresh_cache.plan_cache.info()["hits"] == 1
 
@@ -469,7 +469,7 @@ class TestPlanSpecs:
         cache = graph.index_cache()
         pc = PlanCache()
         plain = pc.get_or_compile(queries[0], cache)
-        # A compressed session asks for the same plan: one spec, no toggle.
+        # Harness 1.0's ignored keyword asks for the same plan: one spec, no toggle.
         assert pc.get_or_compile(queries[0], cache, use_compression=True) is plain
         specs = pc.dump_specs()
         assert len(specs) == 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -53,12 +54,30 @@ def test_walk_query_equals_dsql_query(harness, objective):
         assert dataclasses.asdict(walked.stats) == dataclasses.asdict(real.stats)
 
 
+def tree_state(path: Path) -> dict:
+    """``{relative path: (size, mtime)}`` of every file under ``path``."""
+    return {
+        str(f.relative_to(path)): (f.stat().st_size, f.stat().st_mtime_ns)
+        for f in path.rglob("*") if f.is_file()
+    } if path.is_dir() else {}
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("workload", ["engine_stream", "service_mixed"])
-def test_perfbench_smoke_trace_runs(workload):
+def test_perfbench_smoke_trace_runs(workload, tmp_path):
+    # Run a copy of the frozen tree beside this checkout's program, so the
+    # run writes its out/ files under tmp_path and none into the checkout.
+    shutil.copytree(
+        PERFBENCH, tmp_path / "perfbench", ignore=shutil.ignore_patterns("out", "__pycache__")
+    )
+    (tmp_path / "src").symlink_to(ROOT / "src")
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
+    before = tree_state(PERFBENCH)
     done = subprocess.run(
-        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
+        [sys.executable, str(tmp_path / "perfbench" / "run.py"), "--workload", workload,
          "--smoke", "--trace", "1"],
-        cwd=ROOT, capture_output=True, text=True, timeout=600,
+        cwd=tmp_path, capture_output=True, text=True, timeout=600,
     )
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    assert (tmp_path / "perfbench" / "out" / f"{workload}_trace.json").is_file()
+    assert tree_state(PERFBENCH) == before

@@ -1,13 +1,16 @@
-"""Tests for the twin-class partition (:mod:`repro.isomorphism.compression`).
+"""Twin-rich graphs through the one join: what the twin-class tests became.
 
-The partition is read by the level engine's compressed join
-(``use_compression=True``); a compiled plan does not depend on it. The
-exactness tests below hand ``QSearchEngine`` a freshly compiled plan, not
-the memo's: it yields the default engine's stream, in the same order and
-for the same number of expansions.
+The twin-class partition (BoostIso [24]-style structural equivalence) was a
+second join mechanism with bit-identical results and no measured win, and
+it is deleted. Each partition test below now pins what the engines do on
+the same twin structure; the exactness tests hand ``QSearchEngine`` a
+freshly compiled plan, not the memo's: it yields the default engine's
+stream, in the same order and for the same number of expansions.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -17,8 +20,8 @@ from repro.datasets.paper_figures import figure4, figure5
 from repro.datasets.registry import make_dataset
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
+from repro.indexes.graph_cache import GraphIndexCache
 from repro.indexes.plans import compile_plan
-from repro.isomorphism.compression import CompressedGraph
 from repro.isomorphism.qsearch import QSearchEngine, enumerate_embeddings
 
 from tests.conftest import connected_query_from, random_labeled_graph
@@ -39,55 +42,66 @@ def assert_same_stream(graph, query):
     return default[0]
 
 
+def open_twin_ratio(graph) -> float:
+    """Distinct ``(label, neighbor set)`` pairs per vertex: below 1 where
+    vertices are interchangeable."""
+    return len({(graph.label(v), frozenset(graph.neighbor_set(v))) for v in graph.vertices()}) / (
+        graph.num_vertices
+    )
+
+
 class TestCompressedGraph:
     def test_false_twins_grouped(self):
-        # v1 and v2 both attach only to v0: identical open neighborhoods.
+        # v1 and v2 both attach only to v0: each is its own answer.
         g = LabeledGraph(["a", "b", "b"], [(0, 1), (0, 2)])
-        c = CompressedGraph(g)
-        assert c.class_of[1] == c.class_of[2]
-        assert not c.clique[c.class_of[1]]
+        assert assert_same_stream(g, QueryGraph(["a", "b"], [(0, 1)])) == [(0, 1), (0, 2)]
 
     def test_true_twins_grouped_as_clique(self):
-        # v1, v2 adjacent to each other and both to v0: closed twins.
+        # v1, v2 adjacent to each other and both to v0: a triangle, both ways.
         g = LabeledGraph(["a", "b", "b"], [(0, 1), (0, 2), (1, 2)])
-        c = CompressedGraph(g)
-        assert c.class_of[1] == c.class_of[2]
-        assert c.clique[c.class_of[1]]
+        q = QueryGraph(["a", "b", "b"], [(0, 1), (0, 2), (1, 2)])
+        assert assert_same_stream(g, q) == [(0, 1, 2), (0, 2, 1)]
 
     def test_labels_respected(self):
         g = LabeledGraph(["a", "b", "c"], [(0, 1), (0, 2)])
-        c = CompressedGraph(g)
-        assert c.class_of[1] != c.class_of[2]
+        assert assert_same_stream(g, QueryGraph(["a", "b"], [(0, 1)])) == [(0, 1)]
+        assert assert_same_stream(g, QueryGraph(["a", "c"], [(0, 1)])) == [(0, 2)]
 
     def test_partition_covers_all_vertices(self):
+        # One single-node query per label: every vertex answers exactly one.
         g = random_labeled_graph(30, 3, 0.2, seed=1)
-        c = CompressedGraph(g)
-        seen = sorted(v for members in c.classes for v in members)
+        seen = sorted(
+            m[0] for label in set(g.labels) for m in assert_same_stream(g, QueryGraph([label]))
+        )
         assert seen == list(g.vertices())
 
     def test_class_adjacency_consistent(self):
+        # Every edge answers the one-edge query over its endpoints' labels.
         g = random_labeled_graph(25, 3, 0.25, seed=2)
-        c = CompressedGraph(g)
         for u, v in g.edges():
-            cu, cv = c.class_of[u], c.class_of[v]
-            if cu != cv:
-                assert cv in c.neighbors(cu)
+            stream = assert_same_stream(g, QueryGraph([g.label(u), g.label(v)], [(0, 1)]))
+            assert (u, v) in stream and (v, u) in enumerate_embeddings(
+                g, QueryGraph([g.label(v), g.label(u)], [(0, 1)])
+            )
 
     def test_twin_heavy_graphs_compress_hard(self):
-        # A hub with 50 interchangeable leaves per label: 102 vertices
-        # collapse to 3 classes. (figure4's fans carry *private* leaves, so
-        # they are deliberately twin-free — compression is orthogonal to
-        # the §5 skipping strategies.)
+        # A hub with 50 interchangeable leaves per label (102 vertices, 3
+        # (label, neighbor set) pairs): the star counts 50 * 50 in order.
         labels = ["a"] + ["b"] * 50 + ["c"] * 50
-        edges = [(0, v) for v in range(1, 101)]
-        c = CompressedGraph(LabeledGraph(labels, edges))
-        assert c.num_classes == 3
-        assert c.compression_ratio() < 0.05
+        g = LabeledGraph(labels, [(0, v) for v in range(1, 101)])
+        assert open_twin_ratio(g) < 0.05
+        stream = assert_same_stream(g, QueryGraph(["b", "a", "c"], [(0, 1), (1, 2)]))
+        assert len(stream) == 2500 and stream == sorted(stream)
 
     def test_compression_ratio_bounds(self):
+        # The toggle is a class constant harness 1.0 reads, not a setting.
         g = random_labeled_graph(20, 3, 0.3, seed=3)
-        c = CompressedGraph(g)
-        assert 0 < c.compression_ratio() <= 1.0
+        assert DSQLConfig.use_compression is False
+        assert "use_compression" not in {f.name for f in dataclasses.fields(DSQLConfig)}
+        with pytest.raises(TypeError):
+            DSQLConfig(k=3, use_compression=True)
+        query = connected_query_from(g, 2, seed=5)
+        assert DSQL(g, DSQLConfig(k=3)).query(query).embeddings
 
 
 class TestCountingExactness:
@@ -101,7 +115,7 @@ class TestCountingExactness:
         # The paper's two fixtures, and a hub whose 40 leaves per label are
         # one class each (the fixtures' fans are private, hence twin-free).
         hub = LabeledGraph(["a"] + ["b"] * 40 + ["c"] * 40, [(0, v) for v in range(1, 81)])
-        assert hub.index_cache().compressed().num_classes == 3
+        assert open_twin_ratio(hub) == 3 / 81
         star = QueryGraph(["a", "b", "b", "c"], [(0, 1), (0, 2), (0, 3)])
         for graph, query in (figure4(width=15), figure5(width=8, teasers=4), (hub, star)):
             assert assert_same_stream(graph, query)
@@ -126,12 +140,12 @@ def test_class_level_count_fits_a_budget_the_plain_search_exceeds():
     """On a twin-rich star, a handed plan counts exactly what the default does.
 
     The imdb stand-in (one-credit careers give popular works interchangeable
-    casts, ratio ~0.54) is where twin classes are largest; a star fan-out
-    over it is counted through a freshly compiled plan in exactly the
-    default engine's expansions.
+    casts) is where twins are most common; a star fan-out over it is counted
+    through a freshly compiled plan in exactly the default engine's
+    expansions, inside one budget.
     """
     graph = make_dataset("imdb", seed=0)  # bench scale
-    assert graph.index_cache().compressed().compression_ratio() < 0.6
+    assert open_twin_ratio(graph) < 0.6
     star = QueryGraph(["W1", "L0", "L0", "L0"], [(0, 1), (0, 2), (0, 3)])
     plan = compile_plan(star, graph.index_cache())
     counts = []
@@ -158,10 +172,13 @@ class TestEnumerationExactness:
         assert [first] == full[:1] == enumerate_embeddings(graph, query, limit=1)
 
     def test_reusable_compression(self):
-        # One partition per graph, shared by every compressed session on it.
+        # A session keeps no per-graph twin state: the cache holds its
+        # declared slots only, and a second session answers as the first.
         graph = random_labeled_graph(20, 3, 0.25, seed=9)
-        partition = graph.index_cache().compressed()
+        cache = graph.index_cache()
         for q in (connected_query_from(graph, 2, seed=1), connected_query_from(graph, 3, seed=2)):
             assert_same_stream(graph, q)
-            DSQL(graph, DSQLConfig(k=3, use_compression=True)).query(q)
-            assert graph.index_cache().compressed() is partition
+            first = DSQL(graph, DSQLConfig(k=3)).query(q)
+            assert DSQL(graph, DSQLConfig(k=3)).query(q).to_dict() == first.to_dict()
+        assert graph.index_cache() is cache and not hasattr(cache, "compressed")
+        assert "_compressed" not in GraphIndexCache.__slots__

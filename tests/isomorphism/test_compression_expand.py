@@ -1,13 +1,13 @@
-"""The limit contract of ``enumerate_embeddings``, the join-mask identity the
-compressed join relies on, and split repair.
+"""The limit contract of ``enumerate_embeddings``, and what the twin-class
+partition's join identity and split repair became.
 
 ``enumerate_embeddings(limit=n)`` is the first ``n`` embeddings of the
 engine's full stream: ``limit <= 0`` returns ``[]`` and a limit at or past
-the total returns everything. ``CompressedGraph.class_join_mask`` answers
-"is ``v`` adjacent to ``a``" for every ``v != a`` with one bit test on
-``v``'s class — before and after :meth:`CompressedGraph.apply_delta` — which
-is what the level engine's compressed ``_fold_join`` reads in place of
-per-vertex adjacency masks.
+the total returns everything. The level engine joins a frame on its matched
+vertices' neighbor sets, which answer "is ``v`` adjacent to ``a``" for
+interchangeable (twin) vertices as for any other, and a write repairs the
+graph's index cache in place (:meth:`GraphIndexCache.apply_delta`); both
+are checked here on the twin-rich fixtures the partition was tested on.
 """
 
 from __future__ import annotations
@@ -18,44 +18,48 @@ from itertools import islice
 import pytest
 
 from repro.datasets.registry import make_dataset
+from repro.exceptions import GraphError
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
+from repro.indexes.graph_cache import GraphIndexCache
 from repro.indexes.plans import compile_plan
-from repro.isomorphism.compression import CompressedGraph
 from repro.isomorphism.qsearch import QSearchEngine, enumerate_embeddings
+from tests.indexes.test_delta_repair import assert_cache_equivalent
+from tests.isomorphism.test_compression import open_twin_ratio
 from tests.property.test_compression_equivalence import casting_instance
 
 
-def hub_and_leaves(num_leaves: int = 3):
+def hub_and_leaves(num_leaves: int = 3) -> LabeledGraph:
     """One ``a`` hub, ``num_leaves`` interchangeable ``b`` leaves."""
     labels = ["a"] + ["b"] * num_leaves
     edges = [(0, v) for v in range(1, num_leaves + 1)]
-    graph = LabeledGraph(labels, edges)
-    comp = CompressedGraph(graph)
-    return graph, comp
+    return LabeledGraph(labels, edges)
 
 
-def join_mask_offenders(graph, comp):
-    """Vertices ``a`` whose class join mask, expanded to the members of the
-    classes it sets (``a`` itself left out), is not ``N(a)``."""
+def join_offenders(graph, rng, pairs: int = 300):
+    """Sampled vertex pairs ``(a, b)`` whose neighbor-set intersection — the
+    level engine's two-set join — is not the vertices adjacent to both."""
+    n = graph.num_vertices
     offenders = []
-    for a in graph.vertices():
-        mask, members = comp.class_join_mask(comp.class_of[a]), set()
-        while mask:
-            low = mask & -mask
-            members.update(comp.classes[low.bit_length() - 1])
-            mask ^= low
-        members.discard(a)
-        if members != graph.neighbor_set(a):
-            offenders.append(a)
+    for _ in range(pairs):
+        a, b = rng.randrange(n), rng.randrange(n)
+        joined = set(graph.vertices()).intersection(graph.neighbor_set(a), graph.neighbor_set(b))
+        want = {v for v in graph.vertices() if graph.has_edge(v, a) and graph.has_edge(v, b)}
+        if joined != want:
+            offenders.append((a, b))
     return offenders
+
+
+def assert_repaired(graph):
+    """The graph's cache, repaired in place, answers as a fresh build does."""
+    assert_cache_equivalent(graph.index_cache(), GraphIndexCache(graph))
 
 
 class TestExpandLimit:
     """Hub plus three leaves, one edge: three embeddings."""
 
     def setup_method(self):
-        self.graph, _ = hub_and_leaves(3)
+        self.graph = hub_and_leaves(3)
         self.query = QueryGraph(["a", "b"], [(0, 1)])
         self.full = list(QSearchEngine(self.graph, self.query).embeddings())
         assert len(self.full) == 3
@@ -107,7 +111,7 @@ class TestExpandLimit:
 
 class TestEnumerateLimit:
     def setup_method(self):
-        self.graph, _ = hub_and_leaves(4)
+        self.graph = hub_and_leaves(4)
         self.query = QueryGraph(["b", "a", "b"], [(0, 1), (1, 2)])
 
     def test_limit_zero_and_negative_return_empty(self):
@@ -142,102 +146,110 @@ def teams(count: int = 15, size: int = 3) -> LabeledGraph:
 
 def twin_rich_stand_ins():
     """The imdb stand-in (the registry's one twin-rich dataset), the
-    equivalence suite's casting graph and ``teams`` (the only one with clique
-    classes), each with its cached partition."""
-    graphs = [make_dataset("imdb", scale=0.002, seed=7), casting_instance()[0], teams()]
-    return [(graph, graph.index_cache().compressed()) for graph in graphs]
+    equivalence suite's casting graph and ``teams`` (clique twins)."""
+    return [make_dataset("imdb", scale=0.002, seed=7), casting_instance()[0], teams()]
 
 
 class TestLazyExpansion:
-    """The identity ``_fold_join``'s compressed branch rests on: for every
-    ``v != a``, bit ``class_of[v]`` of ``class_join_mask(class_of[a])`` is set
-    iff ``v`` is adjacent to ``a``."""
+    """The identity the compressed join rested on is the plain join's: a
+    neighbor-set intersection is adjacency to every matched vertex, twins
+    included, as built and after writes between twins."""
 
     def test_counter_pays_per_pull(self):
-        # A partition as built.
-        for graph, comp in twin_rich_stand_ins():
-            assert comp.compression_ratio() < 0.6
-            assert not join_mask_offenders(graph, comp)
+        # As built.
+        rng = random.Random(3)
+        for graph in twin_rich_stand_ins()[:2]:
+            assert open_twin_ratio(graph) < 0.6
+            assert not join_offenders(graph, rng)
 
     def test_lazy_matches_eager(self):
-        # The same partition after split repairs: toggling edges between
-        # members of shared classes detaches both endpoints.
+        # After toggling edges between interchangeable vertices: the join
+        # still reads adjacency, and the cache is repaired, not rebuilt.
         rng = random.Random(5)
-        for graph, comp in twin_rich_stand_ins():
-            shared = [members for members in comp.classes if len(members) > 1]
-            for members in rng.sample(shared, 12):
+        for graph in twin_rich_stand_ins():
+            cache = graph.index_cache()
+            compile_plan(QueryGraph([graph.label(0)]), cache)  # warm a pool
+            groups = {}  # open twins share N(v), clique twins N(v) | {v}
+            for v in graph.vertices():
+                row = graph.neighbor_set(v)
+                for key in (frozenset(row), frozenset(row | {v})):
+                    groups.setdefault((graph.label(v), key), []).append(v)
+            shared = [members for members in groups.values() if len(members) > 1]
+            for members in rng.sample(shared, min(12, len(shared))):
                 u, v = rng.sample(members, 2)
                 if graph.has_edge(u, v):
                     graph.remove_edge(u, v)
                 else:
                     graph.add_edge(u, v)
-            assert graph.index_cache().compressed() is comp and comp.split_repairs >= 12
-            assert not join_mask_offenders(graph, comp)
+            assert graph.index_cache() is cache and cache.delta_seq >= 1
+            assert not join_offenders(graph, rng)
+            assert_repaired(graph)
 
 
 class TestApplyDelta:
+    """A write to the hub fixture is repaired in the graph's index cache."""
+
     def test_add_vertex_appends_singleton(self):
-        graph, comp = hub_and_leaves(3)
+        graph = hub_and_leaves(3)
+        graph.index_cache()
         n = graph.num_vertices
-        assert comp.apply_delta([("add_vertex", n, "b")]) == 0
-        assert comp.classes[-1] == (n,)
-        assert comp.class_of[n] == comp.num_classes - 1
-        assert not comp.clique[-1]
+        assert graph.add_vertex("b") == n
+        # The new leaf is a candidate, but joins no hub until an edge lands.
+        assert enumerate_embeddings(graph, QueryGraph(["b"])) == [(v,) for v in range(1, n + 1)]
+        assert len(enumerate_embeddings(graph, QueryGraph(["a", "b"], [(0, 1)]))) == 3
+        assert_repaired(graph)
 
     def test_add_vertex_out_of_order_raises(self):
-        graph, comp = hub_and_leaves(3)
-        with pytest.raises(ValueError):
-            comp.apply_delta([("add_vertex", graph.num_vertices + 1, "b")])
+        # A batch is validated whole: an edge to a vertex the batch has not
+        # added yet leaves the graph and its cache untouched.
+        graph = hub_and_leaves(3)
+        version = graph.index_cache().version
+        with pytest.raises(GraphError):
+            graph.mutate([("add_edge", 0, graph.num_vertices), ("add_vertex", "b")])
+        assert graph.num_vertices == 4 and graph.index_cache().version == version
 
     def test_unknown_op_raises(self):
-        _, comp = hub_and_leaves(3)
-        with pytest.raises(ValueError):
-            comp.apply_delta([("recolor", 0, "z")])
+        graph = hub_and_leaves(3)
+        version = graph.index_cache().version
+        with pytest.raises(GraphError):
+            graph.mutate([("recolor", 0, "z")])
+        assert graph.index_cache().version == version
 
     def test_edge_delta_splits_both_shared_endpoints(self):
-        graph, comp = hub_and_leaves(4)
-        leaf_cid = comp.class_of[1]
-        assert comp.size(leaf_cid) == 4
-        before_classes = comp.num_classes
+        # Two leaves joined by an edge are no longer interchangeable with
+        # the others: a leaf pair now has one edge to match.
+        graph = hub_and_leaves(4)
+        pair = QueryGraph(["b", "b"], [(0, 1)])
+        assert enumerate_embeddings(graph, pair) == []
         assert graph.add_edge(1, 2)
-        splits = comp.apply_delta([("add_edge", 1, 2)])
-        assert splits == 2
-        assert comp.split_repairs == 2
-        # Old class shrank in place; ids are append-only stable.
-        assert comp.classes[leaf_cid] == (3, 4)
-        assert comp.num_classes == before_classes + 2
-        assert comp.class_of[1] != comp.class_of[2] != leaf_cid
-        assert comp.classes[comp.class_of[1]] == (1,)
-        assert comp.classes[comp.class_of[2]] == (2,)
+        assert enumerate_embeddings(graph, pair) == [(1, 2), (2, 1)]
+        triangle = QueryGraph(["a", "b", "b"], [(0, 1), (1, 2), (0, 2)])
+        assert enumerate_embeddings(graph, triangle) == [(0, 1, 2), (0, 2, 1)]
+        assert_repaired(graph)
 
     def test_singleton_endpoint_counts_no_split(self):
-        graph, comp = hub_and_leaves(2)
-        hub_cid = comp.class_of[0]
-        assert comp.size(hub_cid) == 1
+        graph = hub_and_leaves(2)
+        star = QueryGraph(["a", "b"], [(0, 1)])
+        assert enumerate_embeddings(graph, star) == [(0, 1), (0, 2)]
         assert graph.remove_edge(0, 1)
-        splits = comp.apply_delta([("remove_edge", 0, 1)])
-        # Leaf 1 splits out of the leaf pair; the hub was already alone.
-        assert splits == 1
+        # Leaf 1 leaves the hub's answers; the hub keeps leaf 2.
+        assert enumerate_embeddings(graph, star) == [(0, 2)]
+        assert_repaired(graph)
 
     def test_memoized_views_are_invalidated(self):
-        graph, comp = hub_and_leaves(3)
-        hub_cid = comp.class_of[0]
-        leaf_cid = comp.class_of[1]
-        # Memoize pre-delta views.
-        assert leaf_cid in comp.neighbors(hub_cid)
-        assert (comp.class_join_mask(hub_cid) >> leaf_cid) & 1
+        graph = hub_and_leaves(3)
+        query = QueryGraph(["b", "a", "b"], [(0, 1), (1, 2)])
+        # Memoize pools, views and the hub's localized list.
+        assert len(enumerate_embeddings(graph, query)) == 6
         assert graph.remove_edge(0, 1)
-        comp.apply_delta([("remove_edge", 0, 1)])
-        # Vertex 1 sits alone in a new class that the hub no longer joins.
-        new_cid = comp.class_of[1]
-        assert new_cid != leaf_cid
-        assert new_cid not in comp.neighbors(comp.class_of[0])
-        assert not (comp.class_join_mask(comp.class_of[0]) >> new_cid) & 1
-        # And every rebuilt mask agrees with the live topology.
-        assert not join_mask_offenders(graph, comp)
+        # Vertex 1 is in no answer now, and every kept list agrees.
+        assert enumerate_embeddings(graph, query) == [(2, 0, 3), (3, 0, 2)]
+        assert_repaired(graph)
 
     def test_empty_delta_is_noop(self):
-        _, comp = hub_and_leaves(3)
-        comp.neighbors(comp.class_of[0])
-        assert comp.apply_delta([]) == 0
-        assert comp._adjacency  # memo untouched: nothing was dirtied
+        graph = hub_and_leaves(3)
+        cache = graph.index_cache()
+        compile_plan(QueryGraph(["a", "b"], [(0, 1)]), cache)
+        memo, version = dict(cache._pool_memo), cache.version
+        assert graph.mutate([]).applied == 0
+        assert cache.version == version and dict(cache._pool_memo) == memo

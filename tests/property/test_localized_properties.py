@@ -151,6 +151,6 @@ def test_frames_equal_resort_and_the_rm_definitions(instance):
                 capped = not is_overlap and qf.neighbor_rm[u] == 0
                 assert cap == (qf.label_rm[u] + 1 if capped else None)
                 assert backward == tuple(
-                    w for w in query.neighbors(u) if w in order[:depth]
+                    w for w in query.neighbors(u) if w in order[:depth] and w != father
                 )
             assert plan.frames(query, qovp) is plan.frames(query, tuple(reversed(qovp)))

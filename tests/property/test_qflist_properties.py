@@ -173,7 +173,8 @@ def reference_rows(query: QueryGraph, qf: QFList, qovp) -> tuple:
         overlap = u in qovp
         single = not overlap and qf.neighbor_rm[u] == 0
         cap = qf.label_rm[u] + 1 if single else None
-        backward = tuple(w for w in query.neighbors(u) if qf.rank[w] < depth)
+        # The father's edge is localization's, so it is not a join.
+        backward = tuple(w for w in query.neighbors(u) if qf.rank[w] < depth and w != e.father)
         rows.append((u, e.father, overlap, cap, backward))
     return tuple(rows)
 

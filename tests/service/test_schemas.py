@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -19,6 +20,7 @@ from repro.service import (
     query_graph_to_json,
     result_to_json,
 )
+from repro.service.schemas import BatchRequest, QueryRequest
 
 TRIANGLE = {"labels": ["A", "B", "C"], "edges": [[0, 1], [1, 2], [2, 0]]}
 
@@ -264,30 +266,35 @@ class TestResultEnvelope:
 
 
 class TestUseCompressionField:
+    """The wire field is gone: a body that carries it gets the 400 any
+    unknown field gets; a parsed request reads the harness-only constant."""
+
     def test_defaults_to_none_on_both_requests(self):
+        # Harness 1.0 reads it off a query request; a batch has none.
         assert parse_query_request(_query_payload()).use_compression is None
-        assert parse_batch_request(_batch_payload()).use_compression is None
+        assert not hasattr(parse_batch_request(_batch_payload()), "use_compression")
+        assert "use_compression" not in {f.name for f in dataclasses.fields(QueryRequest)}
+        assert "use_compression" not in {f.name for f in dataclasses.fields(BatchRequest)}
 
     @pytest.mark.parametrize("value", [True, False])
     def test_round_trips_on_both_requests(self, value):
-        assert (
-            parse_query_request(_query_payload(use_compression=value)).use_compression
-            is value
-        )
-        assert (
-            parse_batch_request(_batch_payload(use_compression=value)).use_compression
-            is value
-        )
+        for parse, payload in (
+            (parse_query_request, _query_payload), (parse_batch_request, _batch_payload),
+        ):
+            with pytest.raises(ServiceError) as info:
+                parse(payload(use_compression=value))
+            assert (info.value.status, info.value.code) == (400, "unknown_field")
+            assert "use_compression" in info.value.message
 
     def test_explicit_null_means_absent(self):
-        assert (
-            parse_query_request(_query_payload(use_compression=None)).use_compression
-            is None
-        )
+        # Even null: the field is unknown, not optional.
+        with pytest.raises(ServiceError) as info:
+            parse_query_request(_query_payload(use_compression=None))
+        assert (info.value.status, info.value.code) == (400, "unknown_field")
 
     @pytest.mark.parametrize("bad", ["true", 1, 0])
     def test_non_bool_is_typed_400(self, bad):
         with pytest.raises(ServiceError) as info:
             parse_query_request(_query_payload(use_compression=bad))
-        assert (info.value.status, info.value.code) == (400, "invalid_request")
+        assert (info.value.status, info.value.code) == (400, "unknown_field")
         assert "use_compression" in info.value.message

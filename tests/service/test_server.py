@@ -359,22 +359,31 @@ class TestDrain:
 
 
 class TestCompressionOverride:
-    """``use_compression`` over the wire: identical answers, distinct session."""
+    """``use_compression`` over the wire is an unknown field: the 400 any
+    unknown field gets, and the session answers as before it was sent."""
 
     def test_query_identical_with_compression(self, client):
         query = tiny_queries(count=1, seed=31)[0]
         base = client.query("tiny", query)
-        compressed = client.query("tiny", query, use_compression=True)
-        assert compressed["embeddings"] == base["embeddings"]
-        assert compressed["coverage"] == base["coverage"]
-        # Distinct override config -> distinct session and memo.
-        assert not compressed["from_cache"]
+        body = {"graph": "tiny", "query": query_graph_to_json(query), "use_compression": True}
+        with pytest.raises(ServiceClientError) as info:
+            client._call("POST", "/v1/query", body)
+        assert (info.value.status, info.value.code) == (400, "unknown_field")
+        again = client.query("tiny", query)
+        assert again["embeddings"] == base["embeddings"] and again["from_cache"]
 
     def test_batch_identical_with_compression(self, client):
         queries = tiny_queries(count=3, seed=32)
         base = client.batch("tiny", queries)
-        compressed = client.batch("tiny", queries, use_compression=True)
-        assert [r["embeddings"] for r in compressed["results"]] == [
+        body = {
+            "graph": "tiny",
+            "queries": [query_graph_to_json(q) for q in queries],
+            "use_compression": False,
+        }
+        with pytest.raises(ServiceClientError) as info:
+            client._call("POST", "/v1/batch", body)
+        assert (info.value.status, info.value.code) == (400, "unknown_field")
+        assert [r["embeddings"] for r in client.batch("tiny", queries)["results"]] == [
             r["embeddings"] for r in base["results"]
         ]
 

@@ -343,20 +343,13 @@ class TestServePlanCacheFile:
         assert info.value.code != 0
 
     def test_compression_flag_parses_on_query(self, capsys):
-        code = main(
-            [
-                "query",
-                "--dataset",
-                "yeast",
-                "--scale",
-                "0.2",
-                "--queries",
-                "2",
-                "--k",
-                "3",
-                "--compression",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "coverage" in out
+        # The flag is gone from query, serve and experiment: a usage error.
+        for argv in (
+            ["query", "--dataset", "yeast", "--scale", "0.2", "--queries", "2", "--k", "3"],
+            ["serve", "--dataset", "yeast@0.02"],
+            ["experiment", "table3", "--dataset", "yeast"],
+        ):
+            with pytest.raises(SystemExit) as info:
+                main(argv + ["--compression"])
+            assert info.value.code == 2
+            assert "--compression" in capsys.readouterr().err

@@ -257,10 +257,10 @@ def test_compile_gate_covers_mutation_surface():
 
 
 def test_compile_gate_covers_compression_surface():
-    """The twin-compression PR's load-bearing modules stay under the
-    compile gate."""
+    """The twin-compression PR's modules that stay are under the compile
+    gate; its own module is gone (``STAYS_DELETED["twin_compression"]``)."""
+    assert not (REPO / "src" / "repro" / "isomorphism" / "compression.py").exists()
     modules = [
-        REPO / "src" / "repro" / "isomorphism" / "compression.py",
         REPO / "src" / "repro" / "kernels" / "join.py",
         REPO / "src" / "repro" / "indexes" / "plans.py",
         REPO / "src" / "repro" / "indexes" / "graph_cache.py",
@@ -419,7 +419,7 @@ STAYS_DELETED = {
             "enumerate_embeddings_compressed", "_iter_expansions", "lazy_expansions",
             "on_lazy_expansion",
         ),
-        "isomorphism/compression.py", "        self.split_repairs = 0\n",
+        "isomorphism/qsearch.py", "        self._carry: Optional[Set[int]] = None\n",
         "        self.lazy_expansions = 0\n", ("lazy_expansions",),
     ),
     "plan_localized_memo": (
@@ -505,6 +505,19 @@ STAYS_DELETED = {
         ),
         "indexes/plans.py", "    u = plan.order[depth]\n",
         "    kind = plan.kernels[depth]\n", (".kernels[",),
+    ),
+    # One join mechanism: the twin-class partition, its cache slot and split
+    # repair, the compressed join and its fold, the CLI flag and the metric
+    # that counted class frames stay deleted (the names perfbench harness
+    # 1.0 reads are HARNESS_ONLY rows).
+    "twin_compression": (
+        (
+            "CompressedGraph", "isomorphism.compression", "compressed()", "_compressed",
+            "class_join_mask", "joinable_kernel", "--compression", "compression.class_frames",
+        ),
+        "indexes/graph_cache.py", "        return estimator\n",
+        "        self._compressed = CompressedGraph(self.graph)\n",
+        ("CompressedGraph", "_compressed"),
     ),
 }
 
@@ -721,7 +734,7 @@ def test_frame_prologue_stays_folded():
     for rule in ("def _conflict_set", "def _child_failed"):
         assert [path for path, text in sources.items() if rule in text] == [backtrack], rule
         assert sources[backtrack].count(rule) == 1
-    assert len(dataclasses.fields(DSQLConfig)) == 19
+    assert len(dataclasses.fields(DSQLConfig)) == 18
     # The guard sees its mutants: a closure pasted back into a frame, a
     # second raise site pasted beside the in-place charge.
     closure = search.replace(
@@ -863,7 +876,7 @@ def test_localization_stays_in_one_place():
     assert_stays_deleted("label_wide_list_drop")
     assert_stays_deleted("pool_lists")
     assert_stays_deleted("label_grouping")
-    assert len(dataclasses.fields(DSQLConfig)) == 19
+    assert len(dataclasses.fields(DSQLConfig)) == 18
 
 
 # ----------------------------------------------------------------------
@@ -984,7 +997,7 @@ def test_epoch_is_stamped_once():
     }
     assert not hasattr(GraphIndexCache, "on_compaction")
     assert_stays_deleted("restamp")
-    assert len(dataclasses.fields(DSQLConfig)) == 19
+    assert len(dataclasses.fields(DSQLConfig)) == 18
     # The census sees the re-stamp pasted back into the checkpoint.
     graph_text = sources["graph/labeled_graph.py"]
     anchor = '        """\n        self._delta_edges = 0\n'
@@ -1066,7 +1079,6 @@ DERIVED_CHECKS = {
         "tests/cost/test_estimator.py",
         "assert session.estimate(query) == rebuilt.estimate(query)",
     ),
-    "_compressed": ("tests/indexes/test_delta_repair.py", "repaired._compressed.classes"),
 }
 
 
@@ -1150,18 +1162,16 @@ def test_every_derived_slot_is_declared():
 
 
 # ----------------------------------------------------------------------
-# Fork guard: one search engine per job. The twin partition is what a
-# compressed plan reads; the class-level search beside it (its own order,
-# pools, budget meter and recursion), its three entry points, its two
-# expanders and their counter must not grow back.
+# Fork guard: one search engine per job. The class-level search (its own
+# order, pools, budget meter and recursion), its three entry points, its
+# two expanders and their counter must not grow back; neither may the
+# module that held them (``STAYS_DELETED["twin_compression"]``).
 # ----------------------------------------------------------------------
 def test_class_search_stays_deleted():
-    from repro.isomorphism import compression
-
     assert_stays_deleted("class_search")
-    # The eager expander's name is a substring of ``nodes_expanded``, so it is
-    # looked up rather than scanned for.
-    assert not hasattr(compression, "_expand")
+    # The eager expander's name is a substring of ``nodes_expanded``, so its
+    # module is looked up rather than scanned for.
+    assert importlib.util.find_spec("repro.isomorphism.compression") is None
 
 
 # ----------------------------------------------------------------------
@@ -1178,7 +1188,7 @@ def test_global_weight_table_stays_deleted():
     assert_stays_deleted("global_weight_table")
     sources = package_sources()
     assert numpy_importers(sources, "indexes/") == numpy_importers(sources, "cost/") == []
-    assert len(dataclasses.fields(DSQLConfig)) == 19
+    assert len(dataclasses.fields(DSQLConfig)) == 18
     mutant = sources["cost/estimator.py"].replace("import math\n", "import math\nimport numpy as np\n")
     assert numpy_importers({"cost/estimator.py": mutant}, "cost/") == ["cost/estimator.py"]
 
@@ -1248,7 +1258,7 @@ def test_memo_lock_lives_on_the_memo():
     assert lock_constructions(sources["service/catalog.py"]) == ["CatalogEntry._session_lock"]
     assert not hasattr(CatalogEntry, "close") and not hasattr(GraphCatalog, "close")
     assert "max_executors" not in inspect.signature(CatalogEntry.__init__).parameters
-    assert len(dataclasses.fields(DSQLConfig)) == 19
+    assert len(dataclasses.fields(DSQLConfig)) == 18
     # The guard sees the batch put back under an entry-held memo lock ...
     catalog_text = sources["service/catalog.py"]
     anchor = "                return executor.run(list(queries)), executor.last_report\n"
@@ -1359,7 +1369,7 @@ def test_a_pool_is_summed_where_it_lives():
 
     sources = package_sources()
     assert not pool_sum_offenders(sources)
-    assert len(dataclasses.fields(DSQLConfig)) == 19
+    assert len(dataclasses.fields(DSQLConfig)) == 18
     assert_stays_deleted("pool_view")
     assert_stays_deleted("pool_degree_mass")
     # The guard sees the pool walk pasted back into the estimator ...
@@ -1785,71 +1795,133 @@ def test_kernel_gates_stay_deleted():
 
 
 # ----------------------------------------------------------------------
+# Fork guard: one join mechanism. Both engines join on neighbor sets; the
+# twin-class partition and everything that built, repaired, read or
+# counted it stay deleted. What harness 1.0 reads is a HARNESS_ONLY shim.
+# ----------------------------------------------------------------------
+def test_twin_compression_stays_deleted():
+    import repro.isomorphism
+    import repro.kernels
+    from repro.core.config import DSQLConfig
+    from repro.indexes.graph_cache import GraphIndexCache
+
+    assert_stays_deleted("twin_compression")
+    assert importlib.util.find_spec("repro.isomorphism.compression") is None
+    assert "CompressedGraph" not in repro.isomorphism.__all__
+    assert "joinable_kernel" not in repro.kernels.__all__
+    assert not hasattr(GraphIndexCache, "compressed")
+    assert "use_compression" not in {f.name for f in dataclasses.fields(DSQLConfig)}
+
+
+# ----------------------------------------------------------------------
 # Harness-only names: perfbench's harness (``perfbench/harness/layers.py``)
-# imports or calls these, so they stay until it stops; nothing in ``src/``
-# may. One row per name: how a use looks in the AST, and a mutant — a line
-# pasted after an anchor in a real module — that the check must see.
+# imports, reads or passes these, so they stay until it stops; nothing in
+# ``src/`` may, outside the row's home. One row per name: how a use looks in
+# the AST, and a mutant — a line pasted after an anchor in a real module —
+# that the check must see.
 # ----------------------------------------------------------------------
 HARNESS_ONLY = {
-    # row: (kind of use, names, module under src/repro, anchor, pasted after it)
+    # row: (kind of use, names, home, module under src/repro, anchor, pasted after it)
     "QueryPlan.cand_mask": (
-        "attribute", ("cand_mask",),
+        "attribute", ("cand_mask",), (),
         "indexes/plans.py", "    u = plan.order[depth]\n", "    mask = plan.cand_mask(u)\n",
     ),
     "GraphIndexCache.adjacency_mask": (
-        "attribute", ("adjacency_mask",),
-        "core/search.py", "        matches = [assignment[w] for w in backward if w != skip]\n",
-        "        masks = [self._cache.adjacency_mask(v) for v in matches]\n",
+        "attribute", ("adjacency_mask",), (),
+        "core/search.py", "        self.stats.kernel_bitset += 1\n",
+        "        masks = [self.graph.index_cache().adjacency_mask(v) for v in rcand]\n",
     ),
     "GraphIndexCache.adjacency_slice": (
-        "attribute", ("adjacency_slice",),
+        "attribute", ("adjacency_slice",), (),
         "isomorphism/qsearch.py", "        u = self.order[depth]\n",
         "        row = self.candidates.cache.adjacency_slice(u)\n",
     ),
     "bitset_and_members": (
-        "name", ("bitset_and_members",),
+        "name", ("bitset_and_members",), ("kernels/",),
         "indexes/plans.py", "from repro.kernels import bitset_of, intersect_sets\n",
         "from repro.kernels import bitset_and_members\n",
     ),
     "intersect_sorted/GALLOP_RATIO": (
-        "name", ("intersect_sorted", "GALLOP_RATIO"),
+        "name", ("intersect_sorted", "GALLOP_RATIO"), ("kernels/",),
         "isomorphism/qsearch.py", "from repro.kernels import KERNEL_KINDS, MERGE, SCAN\n",
         "from repro.kernels.join import GALLOP_RATIO\n",
     ),
     "get_or_compile(use_compression=)": (
-        "keyword", ("use_compression",),
+        "keyword", ("get_or_compile(use_compression=)",), (),
         "core/dsql.py",
         "        return self.index_cache.plan_cache.get_or_compile(query, self.index_cache)\n",
         "        self.index_cache.plan_cache.get_or_compile(query, self.index_cache,"
         " use_compression=True)\n",
     ),
+    # A class constant ``False``: no field, so no session can set it.
+    "DSQLConfig.use_compression": (
+        "attribute", ("config.use_compression",), (),
+        "core/search.py", "        self._cap_singles = config.single_embedding_mode\n",
+        "        self._twins = config.use_compression\n",
+    ),
+    # A class constant ``None``: no wire field carries it.
+    "QueryRequest.use_compression": (
+        "attribute", ("request.use_compression",), (),
+        "service/server.py",
+        '    """The entry\'s config under a query / batch request\'s overrides."""\n',
+        "    assert request.use_compression is None\n",
+    ),
+    "request_config(use_compression=)": (
+        "keyword", ("request_config(use_compression=)",), (),
+        "service/server.py", "        objective=request.objective,\n",
+        "        use_compression=False,\n",
+    ),
+    # The kind stays in KERNEL_KINDS and the counter in SearchStats, always 0.
+    "cbitset/kernel_cbitset": (
+        "name", ("CBITSET", "kernel_cbitset"), ("kernels/", "core/state.py"),
+        "core/search.py", "        self.stats.kernel_bitset += 1\n",
+        "        self.stats.kernel_cbitset += 1\n",
+    ),
 }
+
+
+# How the harness reads a row whose names it never spells out: every kind,
+# by ``KERNEL_KINDS`` and ``SearchStats.kernel_<kind>``.
+HARNESS_READS = {"cbitset/kernel_cbitset": ("for kind in KERNEL_KINDS", 'f"kernel_{kind}"')}
+
+
+def harness_only_use(node, kind, names):
+    """The line at which AST ``node`` uses one of a row's ``names``, else
+    ``None``: an attribute read (``owner.attr`` names the owner's spelling,
+    as the harness writes it), a name read, imported or an attribute of that
+    name, or a keyword passed to a call (``callee(keyword=)``)."""
+    if kind == "attribute":
+        if isinstance(node, ast.Attribute):
+            owner = ast.unparse(node.value).rsplit(".", 1)[-1]
+            for spelled, _, attr in (name.rpartition(".") for name in names):
+                if node.attr == attr and owner.endswith(spelled):
+                    return node.lineno
+    elif kind == "name":
+        if (
+            (isinstance(node, ast.Name) and node.id in names)
+            or (isinstance(node, ast.alias) and node.name in names)
+            or (isinstance(node, ast.Attribute) and node.attr in names)
+        ):
+            return node.lineno
+    elif isinstance(node, ast.Call):
+        for callee, keyword in (name[:-2].split("(") for name in names):
+            if getattr(node.func, "attr", None) == callee:
+                for kw in node.keywords:
+                    if kw.arg == keyword:
+                        return kw.lineno
+    return None
 
 
 def harness_only_uses(sources):
     """``path:line: row`` over ``{path under src/repro: source}`` for every use
-    of a :data:`HARNESS_ONLY` name: an attribute read, a name read or
-    imported outside ``kernels/`` (its home), or a keyword passed to
-    ``get_or_compile``."""
+    of a :data:`HARNESS_ONLY` name outside its row's home."""
     found = []
     for path, text in sorted(sources.items()):
         for node in ast.walk(ast.parse(text)):
-            for row, (kind, names, *_mutant) in HARNESS_ONLY.items():
-                if kind == "attribute":
-                    used = isinstance(node, ast.Attribute) and node.attr in names
-                elif kind == "name":
-                    used = not path.startswith("kernels/") and (
-                        (isinstance(node, ast.Name) and node.id in names)
-                        or (isinstance(node, ast.alias) and node.name in names)
-                    )
-                else:
-                    used = (
-                        isinstance(node, ast.Call)
-                        and getattr(node.func, "attr", None) == "get_or_compile"
-                        and any(kw.arg in names for kw in node.keywords)
-                    )
-                if used:
-                    found.append(f"{path}:{getattr(node, 'lineno', '?')}: {row}")
+            for row, (kind, names, home, *_mutant) in HARNESS_ONLY.items():
+                line = None if path.startswith(home) else harness_only_use(node, kind, names)
+                if line is not None:
+                    found.append(f"{path}:{line}: {row}")
     return found
 
 
@@ -1857,8 +1929,12 @@ def test_harness_only_names_have_no_caller_in_src():
     sources = package_sources()
     assert harness_only_uses(sources) == []
     harness = (REPO / "perfbench" / "harness" / "layers.py").read_text(encoding="utf-8")
-    for row, (_kind, names, path, anchor, pasted) in HARNESS_ONLY.items():
-        assert any(name in harness for name in names), row  # still read there
+    for row, (kind, names, _home, path, anchor, pasted) in HARNESS_ONLY.items():
+        # Still read there: the name, the callee and the keyword, or how the
+        # harness spells the read.
+        spellings = [name[:-2].split("(") if kind == "keyword" else [name] for name in names]
+        spellings += [HARNESS_READS[row]] if row in HARNESS_READS else []
+        assert any(all(part in harness for part in parts) for parts in spellings), row
         text = sources[path]
         assert text.count(anchor) == 1, (row, anchor)
         mutant = text.replace(anchor, anchor + pasted)
