@@ -38,8 +38,18 @@ def test_fig8_vary_k(benchmark, name):
         assert dh >= 0.4 * d, name
 
 
+def expansions(summary) -> int:
+    """Search nodes a batch expanded, summed over its queries."""
+    return sum(record.metrics["nodes_expanded"] for record in summary.records)
+
+
 def test_fig8_dsqlh_speedup_on_dense_graph(benchmark):
-    """On the dense Human stand-in DSQLh must not be slower than DSQL."""
+    """On the dense Human stand-in DSQLh must not do more search than DSQL.
+
+    The relaxation's speedup, counted: DSQLh expands no more nodes over the
+    batch than DSQL does. Wall time is only reported, since it also
+    measures whatever else the machine is running.
+    """
     graph = bench_graph("human")
     queries = bench_queries("human", DEFAULT_QUERY_EDGES, queries_per_point(5))
 
@@ -55,4 +65,4 @@ def test_fig8_dsqlh_speedup_on_dense_graph(benchmark):
         f"DSQL : {dsql.mean_millis:.2f} ms, cov {dsql.mean_coverage:.1f}\n"
         f"DSQLh: {dsqlh.mean_millis:.2f} ms, cov {dsqlh.mean_coverage:.1f}",
     )
-    assert dsqlh.mean_millis <= dsql.mean_millis * 1.5
+    assert expansions(dsqlh) <= expansions(dsql)

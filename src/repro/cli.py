@@ -240,13 +240,6 @@ def _build_parser() -> argparse.ArgumentParser:
         '(["add_vertex", label] / ["add_edge", u, v] / ["remove_edge", u, v]) '
         "sent as one batch via POST /v1/graphs/{g}/ingest",
     )
-    m.add_argument(
-        "--compaction-threshold",
-        type=int,
-        default=None,
-        metavar="N",
-        help="override the server's delta-count compaction trigger for this batch",
-    )
 
     c = sub.add_parser(
         "estimate", help="print per-query cost estimates (docs/cost.md)"
@@ -512,9 +505,6 @@ def _cmd_serve(
     }
     if args.work_unit_budget is not None:
         service_options["work_unit_budget"] = args.work_unit_budget
-    if args.work_unit_rate is not None:
-        # The drain rate behind cost-mode Retry-After hints, in units/s.
-        service_options["drain_rate"] = args.work_unit_rate * 1000.0
     try:
         catalog, lines = build_catalog(
             datasets=args.dataset,
@@ -601,20 +591,14 @@ def _cmd_mutate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
                 parser.error(f"{path} is not valid JSON: {exc}")
             if not isinstance(ops, list):
                 parser.error(f"{path} must hold a JSON list of ops")
-            body = client.ingest(
-                args.graph, ops, compaction_threshold=args.compaction_threshold
-            )
+            body = client.ingest(args.graph, ops)
     except ServiceClientError as exc:
         hint = ""
         if exc.status == 409 and exc.retry_after_s is not None:
             hint = f" (retry after {exc.retry_after_s:g}s)"
         print(f"mutation failed: {exc}{hint}", file=sys.stderr)
         return 1
-    version = body.get("version")
-    print(
-        f"{args.graph}: applied {body.get('applied')} op(s), "
-        f"compacted={body.get('compacted')}, version={version}"
-    )
+    print(f"{args.graph}: applied {body.get('applied')} op(s), version={body.get('version')}")
     return 0
 
 

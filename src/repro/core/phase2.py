@@ -34,7 +34,7 @@ does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, List, Optional
 
 from repro.core.config import DSQLConfig

@@ -15,7 +15,7 @@ four of the paper's datasets carried synthetic uniform labels to begin with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.datasets import labels as label_schemes
 from repro.datasets import synthetic

@@ -2,7 +2,6 @@
 
 from repro.graph.builder import GraphBuilder, relabel
 from repro.graph.labeled_graph import (
-    DEFAULT_COMPACTION_THRESHOLD,
     Edge,
     Label,
     LabeledGraph,
@@ -28,7 +27,6 @@ __all__ = [
     "Label",
     "LabeledGraph",
     "MutationSummary",
-    "DEFAULT_COMPACTION_THRESHOLD",
     "QueryGraph",
     "GraphBuilder",
     "relabel",

@@ -38,8 +38,8 @@ place — so a graph that was built and a graph that was grown to the same
 edges are the same object state — and repair the pinned index cache
 incrementally (only state derived from the touched 1-hop neighborhoods is
 recomputed; see ``docs/mutation.md`` for the full contract). A graph keeps
-no history of its writes. :meth:`~LabeledGraph.compact` restarts
-:attr:`~LabeledGraph.delta_size` and does nothing else.
+no history of its writes: what records one is the pinned cache's
+``(epoch, delta_seq)`` :attr:`~LabeledGraph.version`.
 """
 
 from __future__ import annotations
@@ -63,14 +63,6 @@ from repro.exceptions import GraphError
 
 Label = Hashable
 Edge = Tuple[int, int]
-
-DEFAULT_COMPACTION_THRESHOLD = 4096
-"""Edge deltas applied before :meth:`LabeledGraph.mutate` auto-compacts.
-Compaction restarts :attr:`LabeledGraph.delta_size` and has no other effect.
-The name is kept for the frozen benchmark harness, which sends a threshold
-and reads ``compacted``; ROADMAP.md deletes it once the harness stops
-pinning it."""
-
 
 def check_edge(num_vertices: int, u: int, v: int) -> None:
     """The endpoint rule of a simple graph, for every way an edge arrives.
@@ -106,12 +98,13 @@ class MutationSummary(NamedTuple):
     applied: int
     """Mutations that changed the graph (duplicate adds/absent removes skip)."""
 
-    compacted: bool
-    """Whether the batch tripped the compaction threshold."""
-
     version: Optional[Tuple[int, int]]
     """The index cache's ``(epoch, delta_seq)`` after the batch (``None``
     when no cache has been built yet)."""
+
+    # Not a field: perfbench harness 1.0 reads it. A graph has no
+    # compaction step, so no batch ever ends in one.
+    compacted = False
 
 
 class LabeledGraph:
@@ -145,7 +138,7 @@ class LabeledGraph:
     label_table, label_to_id:
         The interning tables (first-appearance order). Interning is
         append-only: a label id never changes once assigned, across
-        mutations and compactions alike.
+        mutations.
     num_edges:
         Undirected edge count ``|E|``.
     """
@@ -159,7 +152,6 @@ class LabeledGraph:
         "_rows",
         "_sets",
         "_degrees",
-        "_delta_edges",
         "_cache",
         "name",
     )
@@ -195,7 +187,6 @@ class LabeledGraph:
         self._rows: List[Tuple[int, ...]] = [tuple(sorted(s)) for s in sets]
         self._degrees: List[int] = [len(row) for row in self._rows]
         self.num_edges = sum(self._degrees) // 2
-        self._delta_edges = 0
         self._cache = None
         self.name = name
 
@@ -285,7 +276,7 @@ class LabeledGraph:
 
     def _write_edge(self, u: int, v: int, present: bool) -> bool:
         """Make edge ``(u, v)`` present or absent in both rows, both sets and
-        both degrees; returns ``False`` (and counts no delta) if it already was."""
+        both degrees; returns ``False`` if it already was."""
         sets = self._sets
         if (v in sets[u]) == present:
             return False
@@ -302,13 +293,12 @@ class LabeledGraph:
                 sets[a].discard(b)
                 degrees[a] -= 1
         self.num_edges += 1 if present else -1
-        self._delta_edges += 1
         return True
 
     def mutate(
         self,
         ops: Iterable[Tuple],
-        compaction_threshold: Optional[int] = DEFAULT_COMPACTION_THRESHOLD,
+        compaction_threshold: Optional[int] = None,
     ) -> MutationSummary:
         """Apply a batch of mutation ops with one cache-repair pass.
 
@@ -316,22 +306,11 @@ class LabeledGraph:
         or ``("remove_edge", u, v)``. The whole batch is validated before
         any op is applied, so a :class:`~repro.exceptions.GraphError`
         (malformed op, unhashable label, non-integer or out-of-range
-        endpoint, self-loop, ``compaction_threshold`` not an integer >= 1)
-        leaves the graph untouched. Valid ops apply in order; no-ops
-        (duplicate adds, absent removes) are skipped without consuming a
-        delta. After the batch, if at least ``compaction_threshold`` edge
-        deltas have accumulated since the last compaction (``None``
-        disables), the graph :meth:`compact`\\ s.
+        endpoint, self-loop) leaves the graph untouched. Valid ops apply in
+        order; no-ops (duplicate adds, absent removes) are skipped and bump
+        no version. ``compaction_threshold`` is accepted and ignored:
+        perfbench harness 1.0 still passes it.
         """
-        if compaction_threshold is not None and (
-            type(compaction_threshold) is not int or compaction_threshold < 1
-        ):
-            # The wire's rule (schemas: an integer, minimum=1): 0 would compact
-            # on every call, an empty batch included; ``True`` is not a count.
-            raise GraphError(
-                f"compaction_threshold must be an integer >= 1 or None, "
-                f"got {compaction_threshold!r}"
-            )
         batch = [tuple(op) for op in ops]
         # Validation pass: nothing below may raise once ops start applying,
         # or the pinned cache would diverge from a half-mutated graph.
@@ -359,28 +338,7 @@ class LabeledGraph:
                 applied.append(op)
         if applied and self._cache is not None:
             self._cache.apply_delta(applied)
-        compacted = False
-        if compaction_threshold is not None and self._delta_edges >= compaction_threshold:
-            self.compact()
-            compacted = True
-        return MutationSummary(len(applied), compacted, self.version)
-
-    @property
-    def delta_size(self) -> int:
-        """Edge mutations applied since the last :meth:`compact` (or the
-        build) — all the bookkeeping a write leaves behind."""
-        return self._delta_edges
-
-    def compact(self) -> None:
-        """Restart :attr:`delta_size`; nothing else changes.
-
-        Topology, every answer, :attr:`version`, compiled plans, session
-        memos and worker pools are untouched, and no data moves: rows, sets
-        and degrees are already the live graph. What is left of compaction
-        is its spelling, kept for the frozen benchmark harness (see
-        :data:`DEFAULT_COMPACTION_THRESHOLD`).
-        """
-        self._delta_edges = 0
+        return MutationSummary(len(applied), self.version)
 
     # ------------------------------------------------------------------
     # Basic accessors

@@ -46,6 +46,7 @@ import time
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
+from repro.cost import DEFAULT_WORK_UNIT_RATE
 from repro.exceptions import ConfigError
 
 ADMISSION_MODES = ("count", "cost", "off")
@@ -228,7 +229,7 @@ class WorkUnitAdmissionController:
         self,
         work_unit_budget: float = DEFAULT_WORK_UNIT_BUDGET,
         max_in_flight: int = 64,
-        drain_rate: float = 200_000.0,
+        drain_rate: float = DEFAULT_WORK_UNIT_RATE * 1000.0,
         metrics=None,
     ) -> None:
         if work_unit_budget <= 0:
@@ -368,17 +369,21 @@ def build_admission_controller(
     max_in_flight: int,
     max_queue: int,
     work_unit_budget: float = DEFAULT_WORK_UNIT_BUDGET,
-    drain_rate: float = 200_000.0,
+    work_unit_rate: float = DEFAULT_WORK_UNIT_RATE,
     metrics=None,
 ):
-    """Factory behind ``serve --admission=count|cost|off``."""
+    """Factory behind ``serve --admission=count|cost|off``.
+
+    ``work_unit_rate`` is :attr:`~repro.core.config.DSQLConfig.work_unit_rate`
+    (units per millisecond); the cost mode drains its backlog at that rate.
+    """
     if mode == "count":
         return AdmissionController(max_in_flight, max_queue, metrics=metrics)
     if mode == "cost":
         return WorkUnitAdmissionController(
             work_unit_budget=work_unit_budget,
             max_in_flight=max(max_in_flight, 1) * 8,
-            drain_rate=drain_rate,
+            drain_rate=work_unit_rate * 1000.0,
             metrics=metrics,
         )
     if mode == "off":

@@ -41,7 +41,7 @@ and readers admitted afterwards see the post-mutation graph at its new
 mutation: memo keys are version-qualified (``DSQL.memo_key``), so entries
 computed against a prior version simply stop being reachable and age out
 of the LRU. A writer that cannot drain the readers within its timeout
-surfaces as HTTP 409 ``graph_compacting`` with a ``Retry-After`` hint.
+surfaces as HTTP 409 ``graph_busy`` with a ``Retry-After`` hint.
 """
 
 from __future__ import annotations
@@ -59,11 +59,7 @@ from repro.core.result import DSQResult
 from repro.datasets.registry import make_dataset
 from repro.exceptions import ConfigError, DatasetError, GraphError
 from repro.graph.io import load_edge_list, load_json
-from repro.graph.labeled_graph import (
-    DEFAULT_COMPACTION_THRESHOLD,
-    LabeledGraph,
-    MutationSummary,
-)
+from repro.graph.labeled_graph import LabeledGraph, MutationSummary
 from repro.graph.query_graph import QueryGraph
 from repro.observability import Instrumentation
 from repro.parallel.executor import BatchExecutor
@@ -74,7 +70,7 @@ DEFAULT_SESSION_CACHE = 8
 
 DEFAULT_WRITE_TIMEOUT_S = 10.0
 """How long a mutation waits for in-flight queries to drain before it
-gives up with 409 ``graph_compacting`` (callers should retry)."""
+gives up with 409 ``graph_busy`` (callers should retry)."""
 
 
 class _ReadWriteLock:
@@ -296,7 +292,7 @@ class CatalogEntry:
     def mutate(
         self,
         ops: Sequence[Tuple],
-        compaction_threshold: Optional[int] = DEFAULT_COMPACTION_THRESHOLD,
+        compaction_threshold: Optional[int] = None,
         write_timeout_s: Optional[float] = DEFAULT_WRITE_TIMEOUT_S,
     ) -> MutationSummary:
         """Apply a mutation batch as the graph's single writer.
@@ -304,22 +300,23 @@ class CatalogEntry:
         Waits (bounded by ``write_timeout_s``) for in-flight queries —
         they finish against the pre-mutation view — then applies the batch
         via :meth:`LabeledGraph.mutate` with exclusive access. Failure
-        modes are typed: a drain timeout is 409 ``graph_compacting`` (the
+        modes are typed: a drain timeout is 409 ``graph_busy`` (the
         standard back-off signal, with ``Retry-After``); a malformed batch
         is 400 ``invalid_mutation`` and, because the batch pre-validates,
-        leaves the graph untouched.
+        leaves the graph untouched. ``compaction_threshold`` is accepted
+        and ignored: perfbench harness 1.0 still passes it.
         """
         if not self._rw.acquire_write(write_timeout_s):
             raise ServiceError(
                 409,
-                "graph_compacting",
+                "graph_busy",
                 f"graph {self.name!r} is busy (queries or a mutation in flight); "
                 f"could not acquire the write lock within {write_timeout_s:g}s",
                 retry_after_s=1.0,
             )
         try:
             try:
-                return self.graph.mutate(ops, compaction_threshold=compaction_threshold)
+                return self.graph.mutate(ops)
             except GraphError as exc:
                 raise ServiceError(400, "invalid_mutation", str(exc)) from None
         finally:

@@ -131,27 +131,20 @@ class ServiceClient:
     def mutate_edge(self, graph: str, op: str, u: int, v: int) -> Dict[str, object]:
         """``POST /v1/graphs/{graph}/edges``: one edge ``"add"``/``"remove"``.
 
-        Returns ``{"applied", "compacted", "version", ...}``; a busy graph
+        Returns ``{"applied", "version", ...}``; a busy graph
         surfaces as :class:`ServiceClientError` with status 409 and
         ``retry_after_s`` set, a read-only deployment as status 501.
         """
         path = f"/v1/graphs/{urllib.parse.quote(graph, safe='')}/edges"
         return self._call("POST", path, {"op": op, "u": u, "v": v})
 
-    def ingest(
-        self,
-        graph: str,
-        ops: Iterable[Sequence[object]],
-        compaction_threshold: Optional[int] = None,
-    ) -> Dict[str, object]:
+    def ingest(self, graph: str, ops: Iterable[Sequence[object]]) -> Dict[str, object]:
         """``POST /v1/graphs/{graph}/ingest``: a mutation batch as one write.
 
         ``ops`` entries are ``["add_vertex", label]``, ``["add_edge", u, v]``
         or ``["remove_edge", u, v]``, applied in order.
         """
-        payload: Dict[str, object] = {"ops": [list(op) for op in ops]}
-        if compaction_threshold is not None:
-            payload["compaction_threshold"] = compaction_threshold
+        payload = {"ops": [list(op) for op in ops]}
         path = f"/v1/graphs/{urllib.parse.quote(graph, safe='')}/ingest"
         return self._call("POST", path, payload)
 

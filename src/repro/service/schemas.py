@@ -115,7 +115,10 @@ class MutationRequest:
 
     graph: str
     ops: Tuple[Tuple, ...]
-    compaction_threshold: Optional[int] = None
+
+    # Not a field: perfbench harness 1.0 reads it and passes it on to
+    # ``CatalogEntry.mutate``, which ignores it.
+    compaction_threshold = None
 
 
 @dataclass(frozen=True)
@@ -376,9 +379,9 @@ def parse_ingest_request(graph: str, payload: Dict[str, object]) -> MutationRequ
 
     ``ops`` is a list of ``["add_vertex", label]``, ``["add_edge", u, v]``
     or ``["remove_edge", u, v]`` entries, applied in order as *one* write
-    (single cache-repair pass, single lock acquisition). The optional
-    ``compaction_threshold`` overrides the server's delta-count trigger
-    for this batch only.
+    (single cache-repair pass, single lock acquisition). An optional
+    ``compaction_threshold`` (an integer >= 1) is checked and dropped:
+    perfbench harness 1.0 still sends it, and nothing reads it.
     """
     _reject_unknown(payload, _INGEST_FIELDS, "ingest request")
     raw_ops = payload.get("ops")
@@ -417,11 +420,8 @@ def parse_ingest_request(graph: str, payload: Dict[str, object]) -> MutationRequ
                     f"ops[{i}] must be ['{kind}', u, v] with non-negative vertex ids",
                 )
             ops.append((kind, raw[1], raw[2]))
-    return MutationRequest(
-        graph=graph,
-        ops=tuple(ops),
-        compaction_threshold=_optional_int(payload, "compaction_threshold", minimum=1),
-    )
+    _optional_int(payload, "compaction_threshold", minimum=1)
+    return MutationRequest(graph=graph, ops=tuple(ops))
 
 
 # ----------------------------------------------------------------------
@@ -452,13 +452,13 @@ def mutation_to_json(
     """Encode a :class:`~repro.graph.labeled_graph.MutationSummary` response.
 
     ``version`` is the graph's post-batch ``[epoch, delta_seq]`` — the same
-    pair stamped on memo entries and worker-pool sync headers, so a
-    client can correlate a mutation with subsequent answers and metrics.
+    pair stamped on memo entries and sent with every worker-pool chunk, so
+    a client can correlate a mutation with subsequent answers and metrics.
     """
     body: Dict[str, object] = {
         "graph": graph,
         "applied": summary.applied,
-        "compacted": summary.compacted,
+        "compacted": False,  # perfbench harness 1.0 reads the key
         "version": list(summary.version) if summary.version is not None else None,
     }
     if elapsed_ms is not None:

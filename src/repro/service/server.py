@@ -49,7 +49,7 @@ from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro.core.config import DSQLConfig
-from repro.cost import DEFAULT_WORK_UNIT_RATE, CostEstimate
+from repro.cost import CostEstimate
 from repro.coverage.objectives import OBJECTIVE_NAMES
 from repro.exceptions import ConfigError
 from repro.service.accesslog import AccessLog
@@ -76,9 +76,6 @@ logger = logging.getLogger("repro.service")
 DEFAULT_MAX_IN_FLIGHT = 8
 DEFAULT_MAX_QUEUE = 32
 DEFAULT_RETRY_AFTER_S = 1.0
-DEFAULT_DRAIN_RATE = DEFAULT_WORK_UNIT_RATE * 1000.0
-"""Assumed engine throughput in work units per *second*, used by the
-cost-aware controller to turn a backlog into a ``Retry-After`` hint."""
 
 CLIENT_ID_HEADER = "X-Client-Id"
 ANONYMOUS_CLIENT = "anonymous"
@@ -192,10 +189,10 @@ class QueryService:
         ``"count"`` (default, bounded concurrency + queue), ``"cost"``
         (work-unit budget priced by the :mod:`repro.cost` estimator), or
         ``"off"`` (no gate; for the admission-invariance tests).
-    work_unit_budget, drain_rate:
-        Cost-mode knobs: the global budget of estimated work units in
-        flight, and the assumed drain throughput (units/second) behind
-        ``Retry-After`` hints.
+    work_unit_budget:
+        The cost mode's global budget of estimated work units in flight.
+        Its ``Retry-After`` hints drain that backlog at the catalog
+        default config's ``work_unit_rate``.
     client_quota_rate, client_quota_burst:
         When ``client_quota_rate`` is set, every client (the
         ``X-Client-Id`` header) gets a token bucket of work units refilled
@@ -216,7 +213,6 @@ class QueryService:
         allow_mutations: bool = True,
         admission_mode: str = "count",
         work_unit_budget: float = DEFAULT_WORK_UNIT_BUDGET,
-        drain_rate: float = DEFAULT_DRAIN_RATE,
         client_quota_rate: Optional[float] = None,
         client_quota_burst: Optional[float] = None,
         access_log: Optional[Union[str, Path, AccessLog]] = None,
@@ -229,7 +225,7 @@ class QueryService:
             max_in_flight,
             max_queue,
             work_unit_budget=work_unit_budget,
-            drain_rate=drain_rate,
+            work_unit_rate=catalog.default_config.work_unit_rate,
             metrics=self.instrumentation.metrics,
         )
         self.quotas = (
@@ -370,17 +366,9 @@ class QueryService:
         the entry, encode."""
         entry, request = probe.entry, probe.request
         start = time.perf_counter()
-        if request.compaction_threshold is not None:
-            summary = entry.mutate(
-                request.ops, compaction_threshold=request.compaction_threshold
-            )
-        else:
-            summary = entry.mutate(request.ops)
+        summary = entry.mutate(request.ops)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        metrics = self.instrumentation.metrics
-        metrics.counter("service.mutations").inc()
-        if summary.compacted:
-            metrics.counter("service.mutations.compactions").inc()
+        self.instrumentation.metrics.counter("service.mutations").inc()
         return mutation_to_json(summary, graph=request.graph, elapsed_ms=elapsed_ms)
 
     def healthz(self) -> Tuple[int, Dict[str, object]]:

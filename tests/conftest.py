@@ -17,7 +17,7 @@ import time
 from collections import Counter
 from contextlib import ExitStack, contextmanager
 from functools import partial
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import FrozenSet, List, Sequence, Set, Tuple
 
 import numpy as np

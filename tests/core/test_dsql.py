@@ -13,7 +13,6 @@ from repro.coverage.objectives import build_weight_profile
 from repro.datasets.registry import make_dataset
 from repro.exceptions import ConfigError
 from repro.graph.labeled_graph import LabeledGraph
-from repro.graph.query_graph import QueryGraph
 from repro.graph.validation import embeddings_distinct, validate_embedding
 from repro.isomorphism.qsearch import enumerate_embeddings
 from repro.queries.generator import query_set

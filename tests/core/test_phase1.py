@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.config import DSQLConfig
 from repro.core.phase1 import run_phase1, tcand_snapshot
 from repro.core.state import SearchStats

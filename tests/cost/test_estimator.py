@@ -159,7 +159,7 @@ class TestColdPricing:
                 u, v = rng.sample(range(graph.num_vertices), 2)
                 if not graph.has_edge(u, v):
                     ops.append(("add_edge", u, v))
-            graph.mutate(ops, compaction_threshold=None)
+            graph.mutate(ops)
             reads, info, plans = CountingDegrees.reads, cache.memo_info(), cache.plan_cache.misses
             asked = 0
             for query in battery:
@@ -212,14 +212,14 @@ class TestColdPricing:
         plans = session.index_cache.plan_cache
         plan = plans.get_or_compile(query, session.index_cache)
         # Only label 'c' is dirtied: the a-b plan survives, and 2|E| moved under it.
-        graph.mutate([("add_edge", 6, 7), ("add_edge", 4, 7)], compaction_threshold=None)
+        graph.mutate([("add_edge", 6, 7), ("add_edge", 4, 7)])
         assert plans.get_or_compile(query, session.index_cache) is plan
         rebuilt = DSQL(LabeledGraph(list(graph.labels), list(graph.edges())), DSQLConfig(k=2))
         assert session.estimate(query) == rebuilt.estimate(query)
         assert session.estimate(query).per_depth == (1.0, 9 / 28)
         # A vertex-only batch moves no 2|E|: the survivor keeps its profile.
         profile = plan._cost_profile
-        graph.mutate([("add_vertex", "c")], compaction_threshold=None)
+        graph.mutate([("add_vertex", "c")])
         assert plans.get_or_compile(query, session.index_cache) is plan
         assert plan._cost_profile is profile
 

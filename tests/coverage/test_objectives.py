@@ -12,8 +12,6 @@ from repro.coverage.objectives import (
     OBJECTIVE_NAMES,
     VERTEX,
     EdgeCoverage,
-    VertexCoverage,
-    WeightedVertexCoverage,
     build_weight_profile,
     make_objective,
 )

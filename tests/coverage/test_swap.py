@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.coverage.core import CoverageTracker, coverage
+from repro.coverage.core import CoverageTracker
 from repro.coverage.swap import (
     Swap0,
     Swap1,

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.datasets.examples import dbpedia_flavor, figure1, figure2, imdb_flavor
+from repro.datasets.examples import imdb_flavor
 from repro.graph.validation import is_valid_embedding
 
 from tests.conftest import brute_force_distinct_vertex_sets, brute_force_embeddings

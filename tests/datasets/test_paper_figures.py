@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.datasets.paper_figures import figure3, figure4, figure5
 from repro.indexes.candidates import CandidateIndex
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets.registry import (
-    PROFILES,
     dataset_names,
     get_profile,
     make_dataset,

@@ -83,7 +83,7 @@ def test_one_pass_build_equals_the_normalized_reference(instance):
     built = LabeledGraph(labels, edges)
     assert storage_state(built) == storage_state(LabeledGraph(labels, reference))
     assert list(built.edges()) == reference and built.num_edges == len(reference)
-    assert built.delta_size == 0
+    assert built.version is None  # a build is no write
     assert_arrays_match_rebuild(built)
 
 
@@ -180,8 +180,8 @@ def test_label_interning(graph):
 # the storage used to keep; each docstring says what the behaviour became.
 # ----------------------------------------------------------------------
 def storage_state(b: LabeledGraph):
-    """Everything a graph holds, read off its own slots — except
-    ``delta_size``, the pinned cache and the display name."""
+    """Everything a graph holds, read off its own slots — except the
+    pinned cache and the display name."""
     return (
         len(b.labels),
         b.num_edges,
@@ -245,7 +245,8 @@ def test_storage_states_are_the_two_extremes():
     built = build_graph(LABELS, EDGES, storage="csr")
     grown = build_graph(LABELS, EDGES, storage="set")
     assert storage_state(grown) == storage_state(built)
-    assert (built.delta_size, grown.delta_size) == (0, built.num_edges)
+    # The writes that grew one leave no record: both caches start at seq 0.
+    assert built.index_cache().version[1] == grown.index_cache().version[1] == 0
     assert assert_arrays_match_rebuild(grown) == assert_arrays_match_rebuild(built)
 
 
@@ -260,7 +261,7 @@ def test_csr_arrays_consistent():
     assert b.degree_sequence() == [2, 3, 2, 2, 1]
     assert [b.label_table[i] for i in b.label_id_sequence()] == LABELS
     twin = pickled(b)
-    assert storage_state(twin) == storage_state(b) and twin.delta_size == b.delta_size
+    assert storage_state(twin) == storage_state(b) and twin.version == b.version
     assert_arrays_match_rebuild(twin)
     assert all(type(w) is int for v in range(5) for w in twin.neighbor_set(v))
 
@@ -308,26 +309,22 @@ def test_empty_graph():
 
 
 # ----------------------------------------------------------------------
-# Compaction moves no adjacency data: after any script the storage equals
-# a rebuild's, before and after compact()
+# Writes splice rows in place: after any script the storage equals a
+# rebuild's (the ids are named after the compaction step that once did it)
 # ----------------------------------------------------------------------
 RING = 8
 RING_LABELS = list("abcdabcd")
 RING_EDGES = [(v, (v + 1) % RING) for v in range(RING)] + [(0, 4), (2, 6)]
 
 
-def compact_and_check(graph: LabeledGraph) -> None:
-    """The live storage is a from-scratch rebuild of its graph,
-    ``compact()`` changes nothing but ``delta_size``, and a pickled copy —
-    what a spawned worker starts with — is in the same storage state."""
+def check_against_rebuild(graph: LabeledGraph) -> None:
+    """The live storage is a from-scratch rebuild of its graph, and a
+    pickled copy — what a spawned worker starts with — is in the same
+    storage state at the same version."""
     before = storage_state(graph)
-    rows = assert_arrays_match_rebuild(graph)
-    graph.compact()
-    assert graph.delta_size == 0
-    assert storage_state(graph) == before
-    assert assert_arrays_match_rebuild(graph) == rows
+    assert_arrays_match_rebuild(graph)
     copied = pickled(graph)
-    assert storage_state(copied) == before and copied.delta_size == 0
+    assert storage_state(copied) == before and copied.version == graph.version
     assert_arrays_match_rebuild(copied)
 
 
@@ -403,30 +400,31 @@ def _touch_everything(b):
     ],
 )
 def test_compact_splices_every_row_into_place(mutate):
-    """Was: compaction splices overlay rows into fresh arrays. Now: after
-    the script the storage ≡ a rebuild and ``compact()`` only resets
-    ``delta_size`` — at every point of a write / compact / write sequence."""
+    """Was: compaction splices overlay rows into fresh arrays. Now every
+    write splices its rows in place: the storage ≡ a rebuild after the
+    script, after a check that reads it twice, and after the script again."""
     b = LabeledGraph(RING_LABELS, RING_EDGES)
+    b.index_cache()
     mutate(b)
-    compact_and_check(b)
-    compact_and_check(b)  # twice in a row: idempotent
-    mutate(b)  # and writes after a checkpoint behave like writes before it
-    compact_and_check(b)
+    check_against_rebuild(b)
+    check_against_rebuild(b)  # twice in a row: a check is a read
+    mutate(b)  # and a second run of the script behaves like the first
+    check_against_rebuild(b)
 
 
 def test_compact_from_an_edgeless_base():
-    """A graph grown edge by edge pickles and checkpoints like a built one."""
+    """A graph grown edge by edge pickles like a built one."""
     b = build_graph(RING_LABELS, RING_EDGES, storage="set")
-    assert b.delta_size == len(RING_EDGES)
-    compact_and_check(b)
+    assert b.num_edges == len(RING_EDGES)
+    check_against_rebuild(b)
     assert storage_state(b) == storage_state(LabeledGraph(RING_LABELS, RING_EDGES))
 
 
 def test_compact_after_attach_leaves_the_shared_arrays_alone():
     """There are no shared arrays: a spawned worker's graph (pickle, then
-    ``worker_graph``) is a copy of its own. Mutating and compacting it
-    touches only that copy — the source, and a second worker's copy made
-    afterwards, still hold the graph as it was."""
+    ``worker_graph``) is a copy of its own. Mutating it touches only that
+    copy — the source, and a second worker's copy made afterwards, still
+    hold the graph as it was."""
     source = LabeledGraph(RING_LABELS, RING_EDGES)
     source.index_cache()
     want = storage_state(source)
@@ -434,7 +432,7 @@ def test_compact_after_attach_leaves_the_shared_arrays_alone():
     assert first.version == source.version
     _touch_adjacent(first)
     _add_connected_vertices(first)
-    compact_and_check(first)
+    check_against_rebuild(first)
     assert storage_state(first) != want
     second = worker_graph(pickle.loads(pickle.dumps(source)))
     assert storage_state(second) == want == storage_state(source)

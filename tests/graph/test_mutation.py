@@ -3,9 +3,8 @@
 The contract under test (docs/mutation.md): ``add_vertex`` / ``add_edge``
 / ``remove_edge`` mutate the live views in place, duplicate adds and
 absent removes are no-ops, malformed ops reject *before* anything is
-applied (a failed batch leaves the graph untouched), a graph keeps no history
-of its writes, and ``compact()`` restarts the delta counter without changing
-the version, any observable topology or any adjacency data.
+applied (a failed batch leaves the graph untouched), and a graph keeps no
+history of its writes: the ``(epoch, delta_seq)`` version is their only record.
 """
 
 from __future__ import annotations
@@ -195,7 +194,7 @@ class TestEndpointRule:
         with pytest.raises(GraphError, match="must be integers"):
             self.ENTRY_POINTS[entry](g, *pair)
         assert_topology_equal(g, reference)
-        assert g.version == version and g.delta_size == 0
+        assert g.version == version
         assert all(type(w) is int for v in g.vertices() for w in g.neighbors(v))
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
@@ -249,26 +248,30 @@ def builder_of(graph: LabeledGraph) -> GraphBuilder:
 
 
 class TestCSROverlayAndCompaction:
+    """There is no overlay and no compaction: a write leaves rows, sets and
+    degrees live and its only record is the version. The ids keep the names
+    of the overlay and of the compaction step that once reset it."""
+
     def test_overlay_tracks_touched_and_delta(self):
-        """There is no overlay to track: a write leaves rows, sets and
-        degrees live and one number behind — ``delta_size``, the edge ops
-        applied since the last compaction."""
+        """A write leaves rows, sets and degrees live and one number behind:
+        ``delta_seq``, the ops applied since the cache was built."""
         g = small_graph()
-        b = g
-        assert b.delta_size == 0
+        epoch = g.index_cache().epoch
         g.add_edge(0, 2)
-        assert b.delta_size == 1
-        assert b.neighbors(0) == (1, 2, 4) and b.neighbor_set(2) == {0, 1, 3}
+        assert g.version == (epoch, 1)
+        assert g.neighbors(0) == (1, 2, 4) and g.neighbor_set(2) == {0, 1, 3}
         assert g.add_edge(0, 2) is False and g.remove_edge(1, 3) is False
-        assert b.delta_size == 1  # no-ops consume no delta
+        assert g.version == (epoch, 1)  # no-ops consume no delta
         g.add_vertex("z")
-        assert b.delta_size == 1  # the threshold counts edge ops
+        assert g.version == (epoch, 2)  # a vertex is a delta too
         g.remove_edge(0, 2)
-        assert b.delta_size == 2  # a restored row is still two deltas
-        assert_arrays_match_rebuild(b)
+        assert g.version == (epoch, 3)  # a restored row is still two deltas
+        assert_arrays_match_rebuild(g)
 
     def test_compact_restores_pure_arrays(self):
+        """Nothing to restore: after any script the rows are a rebuild's."""
         g = small_graph()
+        g.index_cache()
         rng = random.Random(5)
         for _ in range(30):
             u, v = rng.randrange(5), rng.randrange(5)
@@ -278,41 +281,39 @@ class TestCSROverlayAndCompaction:
         g.add_vertex("z")
         g.add_edge(5, 0)
         snapshot = LabeledGraph(list(g.labels), list(g.edges()))
-        b = g
-        before = assert_arrays_match_rebuild(b)
-        assert b.delta_size > 0
-        g.compact()
-        # Nothing to restore: the rows were a rebuild's before the
-        # compaction and are the same ones after it.
-        assert b.delta_size == 0
-        after = assert_arrays_match_rebuild(b)
-        assert after == before and len(after) == g.num_vertices
-        assert sum(map(len, after)) == 2 * g.num_edges
+        assert g.version[1] > 0
+        rows = assert_arrays_match_rebuild(g)
+        assert len(rows) == g.num_vertices and sum(map(len, rows)) == 2 * g.num_edges
         assert_topology_equal(g, snapshot)
 
     def test_mutate_auto_compacts_at_threshold(self):
-        g = small_graph()
+        """A threshold is accepted and ignored: the batch applies as one
+        without it would, and no batch ends in a compaction."""
+        g, twin = small_graph(), small_graph()
         ops = [("add_vertex", "z")] + [("add_edge", 5, t) for t in range(4)]
         summary = g.mutate(ops, compaction_threshold=3)
-        assert summary.compacted is True
-        assert g.delta_size == 0
+        assert summary == twin.mutate(ops) == (5, None)
+        assert summary.compacted is False
+        assert_topology_equal(g, twin)
 
     @pytest.mark.parametrize("threshold", [0, -1, 0.5, False, True, 1.5, "3"])
     def test_threshold_below_one_is_rejected_before_any_op(self, threshold):
-        """An integer >= 1 or ``None``, the wire's rule: ``True`` used to
-        compact as if 1, ``1.5`` was accepted, ``"3"`` escaped as TypeError."""
+        """The wire still refuses a threshold that is not an integer >= 1
+        (``True`` once compacted as if 1, ``1.5`` was accepted, ``"3"``
+        escaped as TypeError), before any op; the graph ignores whatever
+        it is passed."""
+        from repro.service.schemas import ServiceError, parse_ingest_request
+
+        with pytest.raises(ServiceError) as exc:
+            parse_ingest_request("g", {"ops": [["add_edge", 1, 3]], "compaction_threshold": threshold})
+        assert exc.value.status == 400 and "compaction_threshold" in exc.value.message
         g = small_graph()
         g.index_cache()
         g.add_edge(0, 2)
-        version, plans = g.version, g.index_cache().plan_cache
-        for ops in ([], [("add_edge", 1, 3)]):
-            with pytest.raises(GraphError, match="compaction_threshold must be"):
-                g.mutate(ops, compaction_threshold=threshold)
-        assert g.version == version and not g.has_edge(1, 3)
-        assert g.delta_size == 1 and g.index_cache().plan_cache is plans
-        # None still disables, 1 still compacts on the first delta.
-        assert g.mutate([], compaction_threshold=None) == (0, False, version)
-        assert g.mutate([], compaction_threshold=1).compacted is True
+        (epoch, seq), plans = g.version, g.index_cache().plan_cache
+        assert g.mutate([], compaction_threshold=threshold) == (0, (epoch, seq))
+        assert g.mutate([("add_edge", 1, 3)], compaction_threshold=threshold) == (1, (epoch, seq + 1))
+        assert g.index_cache().plan_cache is plans
 
 
 @pytest.mark.parametrize("storage", STORAGE_STATES)
@@ -331,12 +332,12 @@ class TestVersioning:
         g.add_edge(0, 2)
         g.remove_edge(0, 2)
         assert g.version == (epoch0, 2)
-        # The id keeps its name; the behaviour became: a compaction bumps
-        # nothing, and the next delta counts on from where the last stopped.
-        g.compact()
-        assert g.version == (epoch0, 2) and cache.epoch == epoch0
+        # The id keeps its name; the behaviour became: there is no
+        # compaction, the epoch is fixed for the cache's life, and every
+        # delta counts on from where the last stopped.
+        assert not hasattr(g, "compact")
         g.add_edge(0, 2)
-        assert g.version == (epoch0, 3)
+        assert g.version == (epoch0, 3) and cache.epoch == epoch0
 
     def test_noop_does_not_consume_a_delta(self, storage):
         g = small_graph(storage)
@@ -381,7 +382,7 @@ class TestReplay:
         with pytest.raises(GraphError, match="outside"):
             g.mutate([("add_edge", 0, 2), ("add_edge", 5, 0), ("add_vertex", "z")])
         assert_topology_equal(g, small_graph())
-        assert g.version == version and g.delta_size == 0
+        assert g.version == version
 
     def test_a_tail_in_one_call_equals_one_call_per_op(self, monkeypatch):
         from repro.indexes.graph_cache import GraphIndexCache
@@ -396,10 +397,10 @@ class TestReplay:
             patch.setattr(
                 GraphIndexCache, "apply_delta", lambda cache, ops: calls.append(1) or repair(cache, ops)
             )
-            whole.mutate(self.TAIL_OPS, compaction_threshold=None)
+            whole.mutate(self.TAIL_OPS)
         assert calls == [1]  # one repair pass for the six ops
         for op in self.TAIL_OPS:
-            stepwise.mutate([op], compaction_threshold=None)
+            stepwise.mutate([op])
         assert_topology_equal(whole, stepwise)
         for graph in (whole, stepwise):
             assert graph.version[1] == len(self.TAIL_OPS)
@@ -422,7 +423,7 @@ class TestReplay:
         with pytest.raises(GraphError):
             g.mutate(self.TAIL_OPS[:bad_at] + [bad] + self.TAIL_OPS[bad_at + 1 :])
         assert_topology_equal(g, small_graph())
-        assert g.version == version and g.delta_size == 0
+        assert g.version == version
         assert g.num_vertices == len(g.index_cache().label_ids)
         assert dict(g.index_cache()._pool_memo) == memo
         assert_cache_equivalent(g.index_cache(), GraphIndexCache(g))
@@ -435,8 +436,7 @@ class TestReplay:
 class TestHistory:
     def test_a_written_graph_carries_no_history(self):
         """A graph keeps no record of its writes: after 10 000 vertex ingests
-        (which never reach the compaction threshold, an edge count) and an
-        edge churn that restores the edges, it pickles — what a spawned
+        and an edge churn that restores the edges, it pickles — what a spawned
         worker is started with — to the size of a rebuild of the same labels
         and edges, bar a few counters."""
         graph = make_dataset("dblp", scale=0.01, seed=0)
@@ -444,11 +444,11 @@ class TestHistory:
         labels = graph.label_table
         for batch in range(20):
             ops = [("add_vertex", labels[(batch + i) % len(labels)]) for i in range(500)]
-            assert not graph.mutate(ops).compacted
+            assert graph.mutate(ops).applied == 500
         churn = list(graph.edges())[:100]
         graph.mutate([("remove_edge", u, v) for u, v in churn])
-        assert not graph.mutate([("add_edge", u, v) for u, v in churn]).compacted
-        assert graph.delta_size == 200 and graph.version[1] == 10_200
+        assert graph.mutate([("add_edge", u, v) for u, v in churn]).applied == 100
+        assert graph.version[1] == 10_200
         rebuilt = LabeledGraph(list(graph.labels), list(graph.edges()), name=graph.name)
         rebuilt.index_cache()
         assert abs(len(pickle.dumps(graph)) - len(pickle.dumps(rebuilt))) <= 64

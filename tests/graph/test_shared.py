@@ -171,24 +171,21 @@ class TestRoundTrip:
 
     def test_publishing_is_a_read(self, source_graph):
         """Building a pool on a graph with pending deltas, and answering on
-        it, is a read: version, plan cache and delta counter untouched, and
+        it, is a read: version, plan cache and edge count untouched, and
         a worker's graph is the live topology at exactly that version."""
         session = DSQL(source_graph, k=K)
         session.query_many(_queries())
-        source_graph.mutate(
-            [("add_vertex", "a"), ("add_edge", 10, 4), ("remove_edge", 0, 9)],
-            compaction_threshold=None,
-        )
+        source_graph.mutate([("add_vertex", "a"), ("add_edge", 10, 4), ("remove_edge", 0, 9)])
         session.query_many(_queries())
         plans = source_graph.index_cache().plan_cache
-        before = (source_graph.version, plans.info(), source_graph.delta_size)
-        assert before[0][1] == 3 and before[1]["size"] > 0 and before[2] == 2
+        before = (source_graph.version, plans.info(), source_graph.num_edges)
+        assert before[0][1] == 3 and before[1]["size"] > 0
         rebuilt = LabeledGraph(list(source_graph.labels), list(source_graph.edges()))
         want = _answers(rebuilt)
         with WorkerPool(source_graph, session.config, jobs=1) as pool:
             _, pairs, _ = pool.submit(_chunk()).result(timeout=60)
             assert [r.to_dict() for _, r in pairs] == want
-            assert (source_graph.version, plans.info(), source_graph.delta_size) == before
+            assert (source_graph.version, plans.info(), source_graph.num_edges) == before
             assert source_graph.index_cache().plan_cache is plans
         got = spawned(source_graph)
         assert got.version == before[0]
@@ -203,7 +200,6 @@ def _serve_and_scribble(graph: LabeledGraph, conn) -> None:
     answers = _answers(twin)
     twin.add_edge(0, 5)
     twin.add_vertex("z")
-    twin.compact()
     conn.send((answers, twin.num_edges))
     conn.close()
 
@@ -305,7 +301,6 @@ class TestLifecycle:
         assert first is not second and first._rows is not second._rows
         first.add_edge(0, 5)
         first.add_vertex("z")
-        first.compact()
         assert not second.has_edge(0, 5) and not source_graph.has_edge(0, 5)
         assert second.num_vertices == source_graph.num_vertices
         assert second.version == source_graph.version != first.version

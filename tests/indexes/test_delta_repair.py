@@ -263,7 +263,7 @@ class TestPoolRepair:
         warm_pool_spread(cache, labels=["a", "b"])
         pools = dict(cache._pool_memo)
         before = cache.memo_info()
-        g.mutate([("add_edge", 2, 30), ("remove_edge", 2, 30)], compaction_threshold=None)
+        g.mutate([("add_edge", 2, 30), ("remove_edge", 2, 30)])
         assert all(cache._pool_memo[key] is pool for key, pool in pools.items())
         after = cache.memo_info()
         assert (after["rebuilt"], after["dropped"]) == (before["rebuilt"], before["dropped"])
@@ -324,7 +324,7 @@ class TestPoolRepair:
         lid_a, lid_c = cache.label_id("a"), cache.label_id("c")
         c_pools = {k: p for k, p in cache._pool_memo.items() if k[0] == lid_c}
         # Four 'a' endpoints x 16 'a' entries > the 24-vertex 'a' bucket.
-        g.mutate([("add_edge", 2, 3), ("add_edge", 4, 5)], compaction_threshold=None)
+        g.mutate([("add_edge", 2, 3), ("add_edge", 4, 5)])
         assert all(k[0] != lid_a for k in cache._pool_memo)
         assert lid_a not in cache._pool_keys
         assert all(cache._pool_memo[k] is p for k, p in c_pools.items())
@@ -342,7 +342,7 @@ class TestPoolRepair:
         cache.candidate_pool("a", 3)
         g.add_edge(0, 26)
         warm_pool_spread(cache, labels=["a"])
-        g.mutate([("add_edge", 2, 3), ("add_edge", 4, 5)], compaction_threshold=None)
+        g.mutate([("add_edge", 2, 3), ("add_edge", 4, 5)])
         info = cache.memo_info()
         snapshot = registry.snapshot()
         for name in ("repaired", "rebuilt", "dropped"):
@@ -387,7 +387,7 @@ def test_repair_reads_delta_sized_rows(churn, path, monkeypatch):
         patch.setattr(
             LabeledGraph, "neighbors", lambda self, v: rows.append(v) or self._rows[v]
         )
-        graph.mutate(script, compaction_threshold=None)
+        graph.mutate(script)
         repair_rows = len(rows)
         fresh = GraphIndexCache(graph)
         rebuild_rows = len(rows) - repair_rows
@@ -522,7 +522,7 @@ class TestGroupedRows:
                 u, v = rng.sample(range(n), 2)
                 batch.append((rng.choice(["add_edge", "remove_edge"]), u, v))
             before = sum(len(entry.lists) for entry in cache._pool_memo.values())
-            g.mutate(batch, compaction_threshold=None)
+            g.mutate(batch)
             after = sum(len(entry.lists) for entry in cache._pool_memo.values())
             dropped += before - after
             held += after
@@ -706,7 +706,7 @@ class TestPoolViews:
             for _ in range(rng.randrange(1, 4) if step % 6 else 16):  # every sixth a bulk one
                 u, v = rng.sample(range(n), 2)
                 batch.append((rng.choice(["add_edge", "remove_edge"]), u, v))
-            g.mutate(batch, compaction_threshold=None)
+            g.mutate(batch)
             planned = [entry for plan in plans for entry in plan.entries]
             assert_cache_equivalent(cache, GraphIndexCache(g), planned)
         info = cache.memo_info()
@@ -965,7 +965,7 @@ class TestPoolViews:
             cache.candidate_pool("c", 1)  # both of the plan's entries go
         elif exit == "dropped":
             warm_pool_spread(cache, labels=["a"])  # 16 'a' entries
-            g.mutate([("add_edge", 2, 3), ("add_edge", 4, 5)], compaction_threshold=None)
+            g.mutate([("add_edge", 2, 3), ("add_edge", 4, 5)])
         else:
             g.add_edge(2, 30)  # vertex 2 joins the pool
         assert old is not cache._pool_memo.get((cache.label_id("a"), 1, cache.mask_for(["b"])))
@@ -1000,9 +1000,9 @@ class TestVersionAndLog:
         assert len(pickle.dumps(g)) - size <= 4  # two counters wider at most
 
     def test_on_compaction_resets_log_and_epoch(self):
-        """The id keeps its name; what a checkpoint does became: nothing but
-        ``delta_size`` restarting — the epoch and ``delta_seq`` are not
-        reset, the plans stay, and the next write counts on."""
+        """The id keeps its name; there is no checkpoint any more. Nothing
+        resets the log or the epoch: a batch that applies nothing leaves the
+        version and the plans as they were, and the next write counts on."""
         from repro.core.dsql import DSQL
         from repro.graph.query_graph import QueryGraph
 
@@ -1012,13 +1012,13 @@ class TestVersionAndLog:
         g.add_edge(1, 4)
         DSQL(g, k=2).query(QueryGraph(["a", "b"], [(0, 1)]))
         plans, size = cache.plan_cache, cache.plan_cache.info()["size"]
-        assert size > 0 and g.delta_size == 2
+        assert size > 0
         version = cache.version
-        g.compact()
-        assert cache.version == version == (cache.epoch, 2) and g.delta_size == 0
+        assert g.mutate([("add_edge", 0, 3), ("remove_edge", 0, 4)]).applied == 0
+        assert cache.version == version == (cache.epoch, 2)
         assert cache.plan_cache is plans and plans.info()["size"] == size
         g.remove_edge(0, 3)
-        assert cache.version == (cache.epoch, 3) and g.delta_size == 1
+        assert cache.version == (cache.epoch, 3)
 
     def test_memo_keys_change_with_version(self):
         from repro.core.config import DSQLConfig
@@ -1032,9 +1032,9 @@ class TestVersionAndLog:
         g.add_edge(0, 3)
         key1 = session.memo_key(q)
         assert key0 != key1
-        # Every applied delta changes the key; a checkpoint, which changes
-        # no answer, does not.
-        g.compact()
+        # Every applied delta changes the key; a batch that applies
+        # nothing, and so changes no answer, does not.
+        g.mutate([("add_edge", 0, 3)])
         assert session.memo_key(q) == key1
         g.remove_edge(0, 3)
         assert session.memo_key(q) not in (key0, key1)

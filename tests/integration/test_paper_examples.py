@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro import DSQLConfig, diversified_search
 from repro.baselines import com_search, first_k_baseline
 from repro.core.dsql import DSQL

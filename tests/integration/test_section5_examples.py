@@ -11,8 +11,6 @@ conflicts include it (so only §5.4 bad-vertex marks help).
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.config import DSQLConfig
 from repro.core.phase1 import run_phase1
 from repro.core.state import SearchStats

@@ -6,7 +6,6 @@ import threading
 
 import pytest
 
-from repro.core.config import DSQLConfig
 from repro.core.dsql import DSQL
 from repro.observability import Instrumentation
 from repro.observability.metrics import (

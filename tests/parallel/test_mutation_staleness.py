@@ -7,14 +7,15 @@ the new version. A worker refuses a chunk sent for any other version than
 its own copy's, and the executor answers that chunk serially. The only
 acceptable outcomes are a right answer or
 :class:`~repro.exceptions.StaleSegmentError` — a wrong answer computed from
-the old topology is the one forbidden result. ``compact()`` is not a write:
-it stales nothing. Building a pool is a read: it happens at whatever
-``delta_seq`` the graph stands and moves nothing. The write and checkpoint
-cases run under both start methods (``TestEitherStartMethod``), inside a
-process census.
+the old topology is the one forbidden result. A batch that applies nothing
+is not a write: it stales nothing. Building a pool is a read: it happens at
+whatever ``delta_seq`` the graph stands and moves nothing. The write and
+no-op cases run under both start methods (``TestEitherStartMethod``), inside
+a process census.
 
-Ids named after the catch-up protocol that was deleted (workers replaying
-the parent's mutation log) keep their names and pin what the behaviour
+Ids named after the catch-up protocol and the compaction step that were
+deleted (workers replaying the parent's mutation log; a checkpoint that
+restarted a delta counter) keep their names and pin what the behaviour
 became.
 """
 
@@ -116,14 +117,14 @@ def check_process_batches_between_writes_move_nothing():
     u, v = _absent_pair(graph)
     census = ProcessCensus()
     with BatchExecutor(session, strategy="process", jobs=2) as executor:
-        graph.mutate([("add_vertex", "zz"), ("add_edge", u, v)], compaction_threshold=None)
+        graph.mutate([("add_vertex", "zz"), ("add_edge", u, v)])
         plans = graph.index_cache().plan_cache
-        state = (graph.version, plans.info()["size"], graph.delta_size)
+        state = (graph.version, plans.info()["size"], graph.num_edges)
         assert state[0] == (epoch, 2)
         first = executor.run(queries)
         pool = executor.pool
         assert pool is not None and pool.version == (epoch, 2)
-        assert (graph.version, graph.delta_size) == (state[0], state[2])
+        assert (graph.version, graph.num_edges) == (state[0], state[2])
         assert plans.info()["size"] >= state[1] and graph.index_cache().plan_cache is plans
         assert [r.to_dict() for r in first] == _rebuilt_answers(graph, queries, config)
         assert executor.last_report.chunks_retried == 0
@@ -135,7 +136,7 @@ def check_process_batches_between_writes_move_nothing():
         assert _workers(executor) <= old and _processes(pool) == old
         assert [r.to_dict() for r in again] == [r.to_dict() for r in first]
 
-        graph.mutate([("remove_edge", u, v)], compaction_threshold=None)
+        graph.mutate([("remove_edge", u, v)])
         assert graph.version == (epoch, 3) and pool.stale
         second = executor.run(queries)
         assert executor.pool is not pool and executor.pool.version == (epoch, 3)
@@ -151,7 +152,8 @@ def check_process_batches_between_writes_move_nothing():
 
 
 def check_caught_up_pool_survives_a_checkpoint():
-    """write → pool → compact → batch → write → batch: the checkpoint
+    """write → pool → no-op batch → batch → write → batch: a batch that
+    applies nothing (what the checkpoint became once compaction went)
     changes no version and stales nothing — the same workers answer after
     it — and the write after it starts fresh ones."""
     graph, queries = _workload()
@@ -166,7 +168,7 @@ def check_caught_up_pool_survives_a_checkpoint():
         workers = _processes(pool)
         assert _workers(executor) <= workers <= census.new_children()
         version = graph.version
-        graph.compact()
+        assert graph.mutate([("add_edge", u, v)]).applied == 0
         assert graph.version == version == pool.version and not pool.stale
         after = executor.run(queries)
         assert executor.pool is pool and not pool.stale
@@ -183,10 +185,10 @@ def check_caught_up_pool_survives_a_checkpoint():
 
 
 def check_pool_behind_the_checkpoint_is_rebuilt():
-    """pool → write → compact: the write staled the pool, the checkpoint
-    neither caused that nor cures it. ``submit`` refuses in the parent
-    before anything is pickled, and the executor's pre-dispatch check
-    replaces the pool without retrying a chunk."""
+    """pool → write → no-op batch: the write staled the pool, a batch that
+    applies nothing neither caused that nor cures it. ``submit`` refuses in
+    the parent before anything is pickled, and the executor's pre-dispatch
+    check replaces the pool without retrying a chunk."""
     graph, queries = _workload()
     config = DSQLConfig(k=K, query_cache_size=0)
     session = DSQL(graph, config=config)
@@ -197,7 +199,7 @@ def check_pool_behind_the_checkpoint_is_rebuilt():
         pool = executor.pool
         graph.add_edge(u, v)
         assert pool.stale  # the write alone
-        graph.compact()
+        assert graph.mutate([("add_edge", u, v)]).applied == 0
         assert pool.stale and pool.version != graph.version
         shipped = _refusing_submit(pool)
         with pytest.raises(StaleSegmentError, match="must be replaced"):
@@ -219,22 +221,22 @@ class TestWorkerCatchUp:
     def test_publish_compacts_dirty_overlay(self):
         """The opposite of its name (id kept): building a pool on a graph
         with pending deltas is a read. Version, plan-cache object and size,
-        and delta counter are left as found, the pool serves the version at
+        and edge count are left as found, the pool serves the version at
         ``delta_seq > 0``, and its workers answer on the live topology at
         exactly that version."""
         graph, queries = _workload()
         config = DSQLConfig(k=K)
         session = DSQL(graph, config=config)
         u, v = _absent_pair(graph)
-        graph.mutate([("add_edge", u, v)], compaction_threshold=None)
+        graph.mutate([("add_edge", u, v)])
         session.query_many(queries)
         plans = graph.index_cache().plan_cache
-        before = (graph.version, plans.info()["size"], graph.delta_size)
-        assert before[0][1] == 1 and before[1] > 0 and before[2] == 1
+        before = (graph.version, plans.info()["size"], graph.num_edges)
+        assert before[0][1] == 1 and before[1] > 0
         with WorkerPool(graph, config, jobs=1) as pool:
             assert pool.version == before[0]
             _, pairs, _ = pool.submit(_chunk_of(session, queries)).result(timeout=120)
-            assert (graph.version, plans.info()["size"], graph.delta_size) == before
+            assert (graph.version, plans.info()["size"], graph.num_edges) == before
             assert graph.index_cache().plan_cache is plans
         rebuilt = DSQL(LabeledGraph(list(graph.labels), list(graph.edges())), config=config)
         assert [r.to_dict() for _, r in pairs] == [rebuilt.query(q).to_dict() for q in queries]
@@ -267,6 +269,8 @@ class TestEitherStartMethod:
 
 class TestCompactionStaleness:
     def test_pool_goes_stale_on_compaction(self):
+        """There is no compaction: the write before it is what stales the
+        pool (id kept)."""
         graph, queries = _workload()
         config = DSQLConfig(k=K)
         session = DSQL(graph, config=config)
@@ -275,7 +279,6 @@ class TestCompactionStaleness:
             assert pool.stale is False
             u, v = _absent_pair(graph)
             graph.add_edge(u, v)
-            graph.compact()
             assert pool.stale is True
             with pytest.raises(StaleSegmentError):
                 pool.submit(_chunk_of(session, queries))
@@ -324,10 +327,9 @@ class TestCompactionStaleness:
             executor.run(queries)
             u, v = _absent_pair(graph)
             graph.add_edge(u, v)
-            graph.compact()
             # The executor notices the stale pool and starts fresh workers —
             # answers must match a from-scratch session, with no retries
-            # leaking a pre-compaction result.
+            # leaking a result from before the write.
             results = executor.run(queries)
             rebuilt = LabeledGraph(list(graph.labels), list(graph.edges()))
             reference = DSQL(rebuilt, config=config)

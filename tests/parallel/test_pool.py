@@ -120,7 +120,7 @@ class TestWorkerPool:
             pool = executor._ensure_pool()
             u = 0
             v = next(x for x in range(1, graph.num_vertices) if not graph.has_edge(u, x))
-            graph.mutate([("add_vertex", "zz"), ("add_edge", u, v)], compaction_threshold=None)
+            graph.mutate([("add_vertex", "zz"), ("add_edge", u, v)])
             assert graph.version[1] == pool.version[1] + 2 and pool.stale
             results = executor.run(queries)
             assert executor.pool is not pool and executor.pool.version == graph.version

@@ -6,17 +6,17 @@ delta-repaired indexes, version-qualified memos, and surviving plans —
 must produce bit-identical :class:`DSQResult`\\ s to querying a graph
 *rebuilt from scratch* with the post-mutation topology. Runs across the
 registry datasets, both storage states (frozen base / overlay-resident),
-repeated mutation rounds, and across an explicit compaction.
+repeated mutation rounds, and across a batch that applies nothing.
 
 The candidate-pool memo is repaired in place by every write, so a second
-property drives random add_vertex / add_edge / remove_edge / compact scripts
+property drives random add_vertex / add_edge / remove_edge / no-op scripts
 with plans compiled between the steps and holds every memoized pool, the
 pools of every plan compiled over them, and the answers under all three
 objectives to a graph built from scratch — and, with the degree masses primed
 before the first write, every cost profile and estimate of the battery,
-float for float. ``compact`` is a free op of those
-scripts: it changes no version, plan, memo entry or weight profile, and the
-version counts exactly the applied deltas.
+float for float. A batch of no-ops is a free step of those scripts: it
+changes no version, plan, memo entry or weight profile, and the version
+counts exactly the applied deltas.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def test_mutate_equals_rebuild(dataset, storage):
     session.query_many(queries)
 
     ops = mutation_script(graph, random.Random(29))
-    summary = graph.mutate(ops, compaction_threshold=None)
+    summary = graph.mutate(ops)
     assert summary.applied > 0
     assert summary.version == graph.version
 
@@ -98,8 +98,8 @@ def test_mutate_equals_rebuild(dataset, storage):
     for got, want in zip(session.query_many(queries), reference.query_many(queries)):
         assert_results_identical(got, want)
 
-    # A checkpoint is not a version: the answers are the memo's own.
-    graph.compact()
+    # A batch that applies nothing is not a version: the answers are the memo's own.
+    assert graph.mutate([("add_edge", u, v) for u, v in list(graph.edges())[:5]]).applied == 0
     assert graph.version == summary.version
     for got, want in zip(session.query_many(queries), reference.query_many(queries)):
         assert got.from_cache
@@ -115,7 +115,7 @@ def test_mutate_equals_rebuild_over_rounds():
 
     for round_seed in (1, 2, 3):
         ops = mutation_script(graph, random.Random(round_seed), count=25)
-        graph.mutate(ops, compaction_threshold=None)
+        graph.mutate(ops)
         reference = DSQL(rebuilt_twin(graph), config=config)
         for got, want in zip(session.query_many(queries), reference.query_many(queries)):
             assert_results_identical(got, want)
@@ -171,7 +171,7 @@ script_steps = st.one_of(
     st.tuples(st.just("add_edge"), vertex_ids, vertex_ids),
     st.tuples(st.just("remove_edge"), vertex_ids, vertex_ids),
     st.tuples(st.just("add_vertex"), st.sampled_from("abcd")),
-    st.tuples(st.just("compact")),
+    st.tuples(st.just("noop")),
     # Several edge ops as one batch: one repair pass, sometimes a bulk one.
     st.lists(
         st.tuples(st.sampled_from(["add_edge", "remove_edge"]), vertex_ids, vertex_ids),
@@ -203,19 +203,20 @@ def test_repaired_pool_memo_equals_fresh_scans(script):
     for step, query_index in script:
         query = BANDED_QUERIES[query_index]
         compile_plan(query, cache)  # warms the pools the step may move
-        if step == ("compact",):
+        if step == ("noop",):
             for session in sessions:
                 session.query_many([query])
             plans, size = cache.plan_cache, cache.plan_cache.info()["size"]
-            graph.compact()
-            # The checkpoint changed nothing that was warm a line ago.
+            present = [("add_edge", u, v) for u, v in list(graph.edges())[:3]]
+            assert graph.mutate(present).applied == 0
+            # The batch of no-ops changed nothing that was warm a line ago.
             assert graph.version == (epoch, seq) and weighted._weight_profile is profile
             assert cache.plan_cache is plans and plans.info()["size"] == size
             assert all(session.query_many([query])[0].from_cache for session in sessions)
         else:
             batch = [step] if isinstance(step, tuple) else step
-            seq += graph.mutate(valid_ops(graph, batch), compaction_threshold=None).applied
-        # Neither a checkpoint nor a write replaces the profile, and it reads
+            seq += graph.mutate(valid_ops(graph, batch)).applied
+        # Neither a no-op batch nor a write replaces the profile, and it reads
         # the weights of the graph as it is now.
         assert weighted._weight_profile is profile
         assert all(profile.weight(v) == 1 + graph.degree(v) for v in graph.vertices())

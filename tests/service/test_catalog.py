@@ -432,7 +432,7 @@ class TestBatchHoldsNobody:
             while not stop.is_set():
                 u, v = toggled[i % 3]
                 op = "remove_edge" if graph.has_edge(u, v) else "add_edge"
-                entry.mutate([(op, u, v)], compaction_threshold=3)
+                entry.mutate([(op, u, v)])
                 i += 1
                 time.sleep(0.01)
 

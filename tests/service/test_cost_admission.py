@@ -21,6 +21,7 @@ import itertools
 import random
 import threading
 from collections import Counter
+from typing import Optional
 
 import pytest
 
@@ -276,8 +277,8 @@ class TestClientQuotas:
 # ----------------------------------------------------------------------
 # Transport-free end-to-end: QueryService.handle_post with gates active.
 # ----------------------------------------------------------------------
-def _service(**kwargs) -> QueryService:
-    catalog = GraphCatalog(default_config=DSQLConfig(k=DEFAULT_K))
+def _service(config: Optional[DSQLConfig] = None, **kwargs) -> QueryService:
+    catalog = GraphCatalog(default_config=config or DSQLConfig(k=DEFAULT_K))
     catalog.add_graph("tiny", tiny_graph())
     return QueryService(catalog, **kwargs)
 
@@ -311,10 +312,10 @@ class TestCostModeService:
     def test_saturated_cost_gate_answers_429_overloaded(self):
         # Tiny budget, occupied out-of-band: the next priced request
         # cannot fit and must be shed with a drain-scaled Retry-After.
-        service = _service(
-            admission_mode="cost", work_unit_budget=1.0, drain_rate=10.0
-        )
+        config = DSQLConfig(k=DEFAULT_K, work_unit_rate=0.01)
+        service = _service(config, admission_mode="cost", work_unit_budget=1.0)
         try:
+            assert service.admission.drain_rate == 10.0  # the config's rate, per second
             blocker = service.admission.try_admit(1.0)
             assert blocker is not None
             status, body, retry_after = service.handle_post(

@@ -2,7 +2,7 @@
 
 Covers the wire contract (``POST /v1/graphs/{g}/edges`` and
 ``/v1/graphs/{g}/ingest``), the typed failure modes (400
-``invalid_mutation``, 404, 409 ``graph_compacting``, 501
+``invalid_mutation``, 404, 409 ``graph_busy``, 501
 ``mutation_unsupported``), and the concurrency keystone: queries racing a
 mutation always see either the full pre-mutation graph or the full
 post-mutation graph — bit-identical to a rebuilt reference — never a
@@ -24,7 +24,6 @@ import repro.indexes.plans as plans_mod
 from repro.cli import main
 from repro.core.config import DSQLConfig
 from repro.core.dsql import DSQL
-from repro.datasets.registry import make_dataset
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.indexes.graph_cache import GraphIndexCache
@@ -112,7 +111,7 @@ class TestMutateCommand:
         assert not graph.has_edge(u, v)
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(", version=")[0] for line in lines] == [
-            "tiny: applied 1 op(s), compacted=False"
+            "tiny: applied 1 op(s)"
         ] * 2
 
     def test_ops_file_is_one_batch(self, mutable_server, tmp_path, capsys):
@@ -121,9 +120,12 @@ class TestMutateCommand:
         ops = tmp_path / "ops.json"
         ops.write_text(f'[["add_vertex", "Z9"], ["add_edge", {n}, 0]]', encoding="utf-8")
         argv = ["mutate", "--url", srv.url, "--graph", "tiny", "--ops-file", str(ops)]
-        assert main([*argv, "--compaction-threshold", "1"]) == 0
+        assert main(argv) == 0
         assert graph.num_vertices == n + 1 and graph.has_edge(n, 0)
-        assert capsys.readouterr().out.startswith("tiny: applied 2 op(s), compacted=True")
+        assert capsys.readouterr().out.startswith("tiny: applied 2 op(s), version=")
+        with pytest.raises(SystemExit) as info:  # the compaction flag is gone
+            main([*argv, "--compaction-threshold", "1"])
+        assert info.value.code == 2
 
     def test_exactly_one_of_edge_and_ops_file(self, tmp_path, capsys):
         ops = tmp_path / "ops.json"
@@ -162,15 +164,19 @@ class TestIngestEndpoint:
         assert graph.label(n) == "Z9" and graph.degree(n) == 0
 
     def test_compaction_threshold_override(self, mutable_server):
+        """The body's ``compaction_threshold`` is checked and ignored: a
+        valid one changes nothing about the write, an invalid one is a 400
+        before any op."""
         _, client, graph = mutable_server
         u, v = _absent_pair(graph)
         epoch, seq = graph.version
-        body = client.ingest(
-            "tiny", [["add_edge", u, v]], compaction_threshold=1
-        )
-        assert body["compacted"] is True
-        assert body["version"] == [epoch, seq + 1]  # the write counted, the checkpoint did not
-        assert graph.delta_size == 0
+        path = "/v1/graphs/tiny/ingest"
+        body = client._call("POST", path, {"ops": [["add_edge", u, v]], "compaction_threshold": 1})
+        assert (body["applied"], body["compacted"]) == (1, False)
+        assert body["version"] == [epoch, seq + 1] == list(graph.version)
+        with pytest.raises(ServiceClientError) as exc:
+            client._call("POST", path, {"ops": [["remove_edge", u, v]], "compaction_threshold": 0})
+        assert exc.value.status == 400 and graph.has_edge(u, v)
 
     def test_invalid_batch_is_atomic(self, mutable_server):
         _, client, graph = mutable_server
@@ -198,7 +204,7 @@ class TestWriteLock:
             with pytest.raises(ServiceError) as exc:
                 entry.mutate([("add_edge", 0, 1)], write_timeout_s=0.05)
             assert exc.value.status == 409
-            assert exc.value.code == "graph_compacting"
+            assert exc.value.code == "graph_busy"
             assert exc.value.retry_after_s is not None
         finally:
             entry._rw.release_read()
@@ -423,7 +429,7 @@ class TestPublicationIsARead:
         catalog = GraphCatalog(default_config=DSQLConfig(k=DEFAULT_K))
         entry = catalog.add_graph("tiny", tiny_graph(), source="fixture")
         u, v = _absent_pair(entry.graph)
-        entry.mutate([("add_edge", u, v), ("add_vertex", "Z9")], compaction_threshold=None)
+        entry.mutate([("add_edge", u, v), ("add_vertex", "Z9")])
         return entry, (u, v)
 
     @staticmethod
@@ -439,11 +445,11 @@ class TestPublicationIsARead:
         for query in tiny_queries(count=3, seed=32):
             entry.answer(query)  # plans worth keeping
         plans = graph.index_cache().plan_cache
-        version, size, deltas = graph.version, plans.info()["size"], graph.delta_size
-        assert version[1] == 2 and size > 0 and deltas == 1
+        version, size, edges = graph.version, plans.info()["size"], graph.num_edges
+        assert version[1] == 2 and size > 0
 
         results, report = entry.answer_batch(queries, strategy="process", jobs=2)
-        assert (graph.version, graph.delta_size) == (version, deltas)
+        assert (graph.version, graph.num_edges) == (version, edges)
         assert graph.index_cache().plan_cache is plans and plans.info()["size"] >= size
         assert report.strategy == "process" and report.chunks_retried == 0
         assert [r.to_dict() for r in results] == self._rebuilt_answers(entry, queries)
@@ -457,8 +463,8 @@ class TestPublicationIsARead:
             assert [r.to_dict() for r in results] == self._rebuilt_answers(entry, queries)
             pool = executor.pool
             assert pool.version == version
-            summary = entry.mutate([("remove_edge", u, v)], compaction_threshold=None)
-            assert summary == (1, False, (version[0], 3))
+            summary = entry.mutate([("remove_edge", u, v)])
+            assert summary == (1, (version[0], 3))
             results = executor.run(queries)
             assert executor.last_report.chunks_retried == 0
             assert executor.pool is not pool and not executor.pool.stale
@@ -506,7 +512,7 @@ class TestPublicationIsARead:
         graph = entry.graph
         batch = tiny_queries(count=4, seed=33)
         points = tiny_queries(count=24, seed=34)
-        version = graph.version
+        version, edges = graph.version, graph.num_edges
         plans = graph.index_cache().plan_cache
         seen, errors = [], []
         started, done = threading.Barrier(4), threading.Event()
@@ -544,4 +550,4 @@ class TestPublicationIsARead:
         assert report.chunks_retried == 0
         assert [r.to_dict() for r in results] == self._rebuilt_answers(entry, batch)
         assert len(seen) >= 3 and set(seen) == {(version, version, True)}
-        assert graph.version == version and graph.delta_size == 1
+        assert graph.version == version and graph.num_edges == edges

@@ -34,6 +34,73 @@ def test_ruff_clean():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+# ----------------------------------------------------------------------
+# Unused imports, with the stdlib alone (ruff may not be installed): every
+# name an import binds in a module of ``LINTED_TREES`` is read somewhere in
+# that module, re-exported by its ``__all__`` or named by a quoted
+# annotation.
+# ----------------------------------------------------------------------
+LINTED_TREES = ("src", "tests", "benchmarks", "examples")
+
+
+def quoted_annotation_names(tree) -> set:
+    """Names read inside the string annotations of ``tree``."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            every = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            annotations += [arg.annotation for arg in every if arg is not None]
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    names = set()
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parsed = ast.parse(node.value, mode="eval")
+                names |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    return names
+
+
+def unused_imports(text: str) -> List[str]:
+    """``line: name`` for every name an import in ``text`` binds and the
+    module never uses."""
+    tree = ast.parse(text)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(a.asname or a.name.split(".")[0], node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(a.asname or a.name, node.lineno) for a in node.names if a.name != "*"]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= quoted_annotation_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and "__all__" in [ast.unparse(t) for t in node.targets]:
+            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return [f"{line}: {name}" for name, line in bound if name not in used]
+
+
+def test_no_unused_imports():
+    offenders = [
+        f"{path.relative_to(REPO)}:{hit}"
+        for tree in LINTED_TREES
+        for path in sorted((REPO / tree).rglob("*.py"))
+        for hit in unused_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+    # The scan sees an import pasted into a real module, and counts a name
+    # as used when ``__all__`` or a quoted annotation is its only reader.
+    text = (REPO / "src" / "repro" / "core" / "phase2.py").read_text(encoding="utf-8")
+    line = text[: text.index(FUTURE_IMPORT)].count("\n") + 2
+    pasted = "from itertools import chain\n"
+    assert unused_imports(text.replace(FUTURE_IMPORT, FUTURE_IMPORT + pasted)) == [
+        f"{line}: chain"
+    ]
+    for reader in ('__all__ = ["chain"]\n', 'def f(x: "chain") -> None:\n    pass\n'):
+        assert unused_imports(pasted + reader) == []
+
+
 def test_sources_compile():
     """Cheap always-on stand-in for the lint gate: every file byte-compiles."""
     files = [str(p) for p in (REPO / "src").rglob("*.py")]
@@ -519,6 +586,20 @@ STAYS_DELETED = {
         "        self._compressed = CompressedGraph(self.graph)\n",
         ("CompressedGraph", "_compressed"),
     ),
+    # A write is its delta: the counter a compaction restarted, the
+    # checkpoint, its default threshold, the metric that counted it and the
+    # client and CLI spellings of the threshold stay deleted (what harness
+    # 1.0 still sends or reads is a HARNESS_ONLY shim).
+    "compaction": (
+        (
+            "compact()", "def compact(", ".delta_size", "def delta_size", "_delta_edges",
+            "DEFAULT_COMPACTION_THRESHOLD", "service.mutations.compactions",
+            "--compaction-threshold", "args.compaction_threshold",
+            'payload["compaction_threshold"]',
+        ),
+        "graph/labeled_graph.py", "        self.num_edges += 1 if present else -1\n",
+        "        self._delta_edges += 1\n", ("_delta_edges",),
+    ),
 }
 
 
@@ -888,7 +969,7 @@ def test_localization_stays_in_one_place():
 # ----------------------------------------------------------------------
 STORAGE_SLOTS = sorted((
     "labels", "num_edges", "label_table", "label_to_id",
-    "_rows", "_degrees", "_sets", "_label_ids", "_delta_edges", "_cache", "name",
+    "_rows", "_degrees", "_sets", "_label_ids", "_cache", "name",
 ))
 
 
@@ -944,14 +1025,13 @@ def test_storage_seam_stays_deleted():
     for name in ("label", "neighbors", "neighbor_set", "degree", "has_edge", "edges",
                  "degree_sequence", "label_id_sequence"):
         assert inspect.isfunction(inspect.getattr_static(LabeledGraph, name)), name
-    assert isinstance(inspect.getattr_static(LabeledGraph, "delta_size"), property)
+    assert isinstance(inspect.getattr_static(LabeledGraph, "version"), property)
 
 
 # ----------------------------------------------------------------------
-# Fork guard: one version that only counts. A checkpoint restarts
-# ``delta_size`` and nothing else — the epoch is stamped where a cache is
-# constructed, ``delta_seq`` is never reset, and no path in ``src/`` flushes
-# the plans.
+# Fork guard: one version that only counts. There is no checkpoint: the
+# epoch is stamped where a cache is constructed, ``delta_seq`` is never
+# reset, and no path in ``src/`` flushes the plans.
 # ----------------------------------------------------------------------
 def restamp_census(sources):
     """``{what: [path:function, ...]}`` over ``{path: source}``: every
@@ -998,19 +1078,19 @@ def test_epoch_is_stamped_once():
     assert not hasattr(GraphIndexCache, "on_compaction")
     assert_stays_deleted("restamp")
     assert len(dataclasses.fields(DSQLConfig)) == 18
-    # The census sees the re-stamp pasted back into the checkpoint.
+    # The census sees the re-stamp pasted into a batched write.
     graph_text = sources["graph/labeled_graph.py"]
-    anchor = '        """\n        self._delta_edges = 0\n'
+    anchor = "            self._cache.apply_delta(applied)\n"
     assert graph_text.count(anchor) == 1
     mutant = graph_text.replace(
         anchor,
-        anchor + "        self._cache.epoch = next(_EPOCHS)\n        self._cache.delta_seq = 0\n"
-        "        self._cache.plan_cache.clear()\n",
+        anchor + "            self._cache.epoch = next(_EPOCHS)\n"
+        "            self._cache.delta_seq = 0\n            self._cache.plan_cache.clear()\n",
     )
-    checkpoint = ["graph/labeled_graph.py:compact"]
+    writer = ["graph/labeled_graph.py:mutate"]
     assert restamp_census({"graph/labeled_graph.py": mutant}) == {
-        "epoch =": checkpoint, "next(_EPOCHS)": checkpoint,
-        "delta_seq = 0": checkpoint, "plan_cache.clear(": checkpoint,
+        "epoch =": writer, "next(_EPOCHS)": writer,
+        "delta_seq = 0": writer, "plan_cache.clear(": writer,
     }
 
 
@@ -1814,9 +1894,27 @@ def test_twin_compression_stays_deleted():
 
 
 # ----------------------------------------------------------------------
-# Harness-only names: perfbench's harness (``perfbench/harness/layers.py``)
-# imports, reads or passes these, so they stay until it stops; nothing in
-# ``src/`` may, outside the row's home. One row per name: how a use looks in
+# Fork guard: a write is its delta. The graph's only record of one is the
+# ``(epoch, delta_seq)`` version; the compaction counter, the checkpoint,
+# the threshold's default and every spelling of it outside the shims
+# harness 1.0 reads stay deleted.
+# ----------------------------------------------------------------------
+def test_compaction_stays_deleted():
+    import repro.graph
+    from repro.graph import LabeledGraph, MutationSummary
+    from repro.service.client import ServiceClient
+
+    assert_stays_deleted("compaction")
+    assert not [n for n in ("compact", "delta_size") if hasattr(LabeledGraph, n)]
+    assert "DEFAULT_COMPACTION_THRESHOLD" not in repro.graph.__all__
+    assert MutationSummary._fields == ("applied", "version")
+    assert "compaction_threshold" not in inspect.signature(ServiceClient.ingest).parameters
+
+
+# ----------------------------------------------------------------------
+# Harness-only names: perfbench's harness (``perfbench/harness/layers.py``,
+# ``workloads.py`` and ``inputs.py``) imports, reads, passes or sends these,
+# so they stay until it stops; nothing in ``src/`` may, outside the row's home. One row per name: how a use looks in
 # the AST, and a mutant — a line pasted after an anchor in a real module —
 # that the check must see.
 # ----------------------------------------------------------------------
@@ -1877,6 +1975,36 @@ HARNESS_ONLY = {
         "core/search.py", "        self.stats.kernel_bitset += 1\n",
         "        self.stats.kernel_cbitset += 1\n",
     ),
+    # Accepted and ignored by ``LabeledGraph.mutate`` and ``CatalogEntry.mutate``.
+    "mutate(compaction_threshold=)": (
+        "keyword", ("mutate(compaction_threshold=)",), (),
+        "service/server.py", "        summary = entry.mutate(request.ops)\n",
+        "        summary = entry.mutate(request.ops, compaction_threshold=1)\n",
+    ),
+    # A class constant ``None``: no field, so no request carries one.
+    "MutationRequest.compaction_threshold": (
+        "attribute", ("request.compaction_threshold",), (),
+        "service/server.py", "        entry, request = probe.entry, probe.request\n",
+        "        threshold = request.compaction_threshold\n",
+    ),
+    # The ingest body's field: checked (an integer >= 1, or absent) and dropped.
+    "ingest compaction_threshold": (
+        "string", ("compaction_threshold",), ("service/schemas.py",),
+        "service/server.py", "        entry, request = probe.entry, probe.request\n",
+        '        threshold = payload.get("compaction_threshold")\n',
+    ),
+    # A class constant ``False``: no field, so no batch reports one.
+    "MutationSummary.compacted": (
+        "attribute", ("summary.compacted",), (),
+        "service/schemas.py", '        "applied": summary.applied,\n',
+        '        "compacted": summary.compacted,\n',
+    ),
+    # The response's key, always ``false``.
+    "response compacted": (
+        "string", ("compacted",), ("service/schemas.py",),
+        "cli.py", "            body = client.ingest(args.graph, ops)\n",
+        '            compacted = body.get("compacted")\n',
+    ),
 }
 
 
@@ -1889,7 +2017,8 @@ def harness_only_use(node, kind, names):
     """The line at which AST ``node`` uses one of a row's ``names``, else
     ``None``: an attribute read (``owner.attr`` names the owner's spelling,
     as the harness writes it), a name read, imported or an attribute of that
-    name, or a keyword passed to a call (``callee(keyword=)``)."""
+    name, a keyword passed to a call (``callee(keyword=)``), or a string
+    constant (a wire key)."""
     if kind == "attribute":
         if isinstance(node, ast.Attribute):
             owner = ast.unparse(node.value).rsplit(".", 1)[-1]
@@ -1902,6 +2031,9 @@ def harness_only_use(node, kind, names):
             or (isinstance(node, ast.alias) and node.name in names)
             or (isinstance(node, ast.Attribute) and node.attr in names)
         ):
+            return node.lineno
+    elif kind == "string":
+        if isinstance(node, ast.Constant) and node.value in names:
             return node.lineno
     elif isinstance(node, ast.Call):
         for callee, keyword in (name[:-2].split("(") for name in names):
@@ -1928,7 +2060,10 @@ def harness_only_uses(sources):
 def test_harness_only_names_have_no_caller_in_src():
     sources = package_sources()
     assert harness_only_uses(sources) == []
-    harness = (REPO / "perfbench" / "harness" / "layers.py").read_text(encoding="utf-8")
+    harness = "".join(
+        (REPO / "perfbench" / "harness" / f"{module}.py").read_text(encoding="utf-8")
+        for module in ("layers", "workloads", "inputs")
+    )
     for row, (kind, names, _home, path, anchor, pasted) in HARNESS_ONLY.items():
         # Still read there: the name, the callee and the keyword, or how the
         # harness spells the read.
