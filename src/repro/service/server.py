@@ -10,12 +10,13 @@ Two layers, deliberately separated:
     draining, outcome metrics, and the per-request trace span all live
     here, so the logic is directly unit-testable without a socket.
 :class:`ServiceServer`
-    The stdlib ``http.server.HTTPServer`` wrapper: each connection is
-    handed to a reused handler thread, ``POST /v1/query`` / ``POST /v1/batch`` /
-    ``POST /v1/graphs/{g}/edges`` / ``POST /v1/graphs/{g}/ingest`` /
-    ``GET /healthz`` / ``GET /metrics``, JSON in and out. HTTP/1.0
-    semantics (connection closed after each response) keep the drain story
-    simple — no idle keep-alive connections to wait out.
+    The transport: the stdlib's ``http.server.HTTPServer`` accept loop hands
+    each connection to a reused handler thread, which reads the request head
+    by hand and sends the reply with one ``sendall``. ``POST /v1/query`` /
+    ``POST /v1/batch`` / ``POST /v1/graphs/{g}/edges`` /
+    ``POST /v1/graphs/{g}/ingest`` / ``GET /healthz`` / ``GET /metrics``, JSON
+    in and out. HTTP/1.0 semantics (connection closed after each response)
+    keep the drain story simple — no idle keep-alive connections to wait out.
 
 Graceful drain (``SIGTERM`` or :meth:`ServiceServer.close`): stop
 accepting new connections, let every in-flight request finish
@@ -31,20 +32,24 @@ Request outcomes land in the ``service.*`` metrics (see
 
 from __future__ import annotations
 
+import email.utils
 import hashlib
 import itertools
 import json
 import logging
 import math
+import re
 import signal
 import socket
+import sys
 import threading
 import time
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http import HTTPStatus
+from http.server import HTTPServer
 from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
@@ -543,6 +548,25 @@ _MAX_HANDLER_THREADS = 256
 what the gates let in (default 8 executing + 32 queued) plus the threads
 momentarily writing 429s; past it a connection waits, in accept order."""
 
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+"""A request head is bounded as the stdlib's ``http.client`` bounds one: no
+line longer than 64 KiB and at most 100 header lines; past either, 431."""
+_RECV_BYTES = 65536
+_HEAD_END = re.compile(rb"\n\r?\n")
+_TOKEN = re.compile(r"[-!#$%&'*+.^_`|~0-9A-Za-z]+")
+_CLIENT_ID_KEY = CLIENT_ID_HEADER.lower()
+_SERVER = f"repro-service Python/{sys.version.split()[0]}"
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+
+
+def _head_too_large() -> ServiceError:
+    return ServiceError(
+        431,
+        "head_too_large",
+        f"request head over {_MAX_HEADERS} header lines or a line over {_MAX_LINE} bytes",
+    )
+
 
 class _ServiceHTTPServer(HTTPServer):
     """Accepts on the serve loop's thread, answers on reused handler threads.
@@ -592,50 +616,152 @@ class _ServiceHTTPServer(HTTPServer):
         logger.warning("error handling connection from %s", client_address, exc_info=True)
 
 
-class _ServiceHandler(BaseHTTPRequestHandler):
-    """One HTTP connection; ``service`` is bound on a per-server subclass."""
+class _ServiceHandler:
+    """One HTTP/1.0 exchange on an accepted socket; ``service`` is bound on a
+    per-server subclass.
+
+    Called as socketserver calls a handler, ``(request, client_address,
+    server)``, and done when the constructor returns: read the head by hand,
+    answer through ``do_GET`` / ``do_POST``, send the whole reply with one
+    ``sendall``. The accept loop's worker closes the socket.
+    """
 
     service: QueryService
-    server_version = "repro-service"
-    # Bound the read of a request so a silent client cannot pin a handler
-    # thread forever (which would also stall the drain join).
+    # The whole request must arrive within this, so a silent or trickling
+    # client cannot pin a handler thread (which would also stall the drain
+    # join) for longer.
     timeout = 30.0
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib signature
-        if logger.isEnabledFor(logging.DEBUG):
-            logger.debug("%s %s", self.address_string(), format % args)
+    def __init__(self, request: socket.socket, client_address, server) -> None:
+        self.connection = request
+        self.client_address = client_address
+        self.deadline = time.monotonic() + self.timeout
+        self.command = self.path = ""
+        try:
+            self.early_body = self._read_head()
+        except ServiceError as exc:  # refused from the head: no route was reached
+            self._send_json(exc.status, exc.to_body())
+            return
+        except OSError as exc:  # timed out or reset before the head ended: nobody to answer
+            logger.debug("%s dropped before its request head ended: %r", client_address, exc)
+            return
+        if self.command == "GET":
+            self.do_GET()
+        elif self.command == "POST":
+            self.do_POST()
 
     # -- plumbing ------------------------------------------------------
+    def _recv(self, size: int) -> bytes:
+        left = self.deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("request not received within the read timeout")
+        self.connection.settimeout(left)
+        return self.connection.recv(size)
+
+    def _read_head(self) -> bytes:
+        """Read and split the request head; return the body bytes that came
+        with it. Sets ``command``, ``path`` and ``headers`` (lower-cased
+        names, first occurrence wins); leaves ``command`` empty when the
+        client sent nothing at all."""
+        data = bytearray()
+        lines, line_start = 1, 0
+        while True:
+            chunk = self._recv(_RECV_BYTES)
+            if not chunk:
+                if data:
+                    raise ServiceError(
+                        400, "invalid_request", "connection closed inside the request head"
+                    )
+                return b""
+            seen = len(data)
+            data += chunk
+            end = _HEAD_END.search(data, max(0, seen - 2))
+            if end is not None:
+                break
+            newline = chunk.rfind(b"\n")
+            if newline >= 0:
+                lines += chunk.count(b"\n")
+                line_start = seen + newline + 1
+            if lines > _MAX_HEADERS + 1 or len(data) - line_start > _MAX_LINE:
+                raise _head_too_large()
+        fields = [line.rstrip("\r") for line in data[: end.start()].decode("latin-1").split("\n")]
+        if len(fields) > _MAX_HEADERS + 1 or max(map(len, fields)) > _MAX_LINE:
+            raise _head_too_large()
+        words = fields[0].split(" ")
+        if len(words) != 3 or not _TOKEN.fullmatch(words[0]) or not words[1] or words[2] not in (
+            "HTTP/1.0", "HTTP/1.1",
+        ):
+            raise ServiceError(
+                400, "invalid_request", f"malformed request line {fields[0][:80]!r}"
+            )
+        headers: Dict[str, str] = {}
+        for field in fields[1:]:
+            name, colon, value = field.partition(":")
+            if not colon or not _TOKEN.fullmatch(name):
+                raise ServiceError(400, "invalid_request", f"malformed header line {field[:80]!r}")
+            headers.setdefault(name.lower(), value.strip(" \t"))
+        self.path, self.headers = words[1], headers
+        if words[0] not in ("GET", "POST"):
+            raise ServiceError(
+                501, "unsupported_method", f"method {words[0]!r} is not served; use GET or POST"
+            )
+        self.command = words[0]
+        return bytes(data[end.end():])
+
     def _send_json(
         self, status: int, body: Dict[str, object], retry_after: Optional[float] = None
     ) -> None:
         data = json.dumps(body, sort_keys=True).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
+        head = (
+            f"HTTP/1.0 {status} {_REASONS[status]}\r\nServer: {_SERVER}\r\n"
+            f"Date: {email.utils.formatdate(usegmt=True)}\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n"
+        )
         if retry_after is not None:
-            self.send_header("Retry-After", str(max(1, math.ceil(retry_after))))
-        self.end_headers()
-        self.wfile.write(data)
+            head += f"Retry-After: {max(1, math.ceil(retry_after))}\r\n"
+        self.connection.sendall((head + "\r\n").encode("latin-1") + data)
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("%s \"%s %s\" %d", self.client_address[0], self.command, self.path, status)
 
     def _read_payload(self) -> Dict[str, object]:
-        # Judged from the declaration, body unread: ``read(-1)`` reads to EOF
-        # and an oversized body would be buffered whole before its 413.
-        try:
-            length = int(self.headers.get("Content-Length"))
-        except (TypeError, ValueError):
-            length = -1
-        if length < 0:
+        # Judged from the declaration before anything more is read: an
+        # oversized body is neither buffered nor waited for. The bytes that
+        # came with the head count toward it.
+        declared = self.headers.get("content-length", "")
+        if not (declared.isascii() and declared.isdigit()):
             raise ServiceError(
                 400, "invalid_request", "POST requires a non-negative integer Content-Length"
             )
+        try:
+            length = int(declared)
+        except ValueError:  # more digits than int() converts: far past any limit
+            length = MAX_BODY_BYTES + 1
         if length > MAX_BODY_BYTES:
             raise ServiceError(
                 413,
                 "request_too_large",
-                f"declared body of {length} bytes exceeds the {MAX_BODY_BYTES} byte limit",
+                f"declared body of {declared} bytes exceeds the {MAX_BODY_BYTES} byte limit",
             )
-        return parse_json_body(self.rfile.read(length))
+        body = self.early_body
+        if len(body) < length:
+            parts, have = [body], len(body)
+            try:
+                while have < length:
+                    chunk = self._recv(min(length - have, _RECV_BYTES))
+                    if not chunk:
+                        raise ServiceError(
+                            400,
+                            "invalid_request",
+                            f"connection closed after {have} of {length} declared body bytes",
+                        )
+                    parts.append(chunk)
+                    have += len(chunk)
+            except TimeoutError:
+                raise ServiceError(
+                    408, "request_timeout", f"request body not received within {self.timeout:g}s"
+                ) from None
+            body = b"".join(parts)
+        return parse_json_body(body[:length])
 
     # -- methods -------------------------------------------------------
     def do_GET(self) -> None:
@@ -657,7 +783,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         path = self.path.split("?", 1)[0]
         start = time.monotonic()
         request_id = service.next_request_id()
-        client = self.headers.get(CLIENT_ID_HEADER)
+        client = self.headers.get(_CLIENT_ID_KEY)
         with service.instrumentation.span(
             "service.request", query_id=None, request_id=request_id, path=path
         ) as span:

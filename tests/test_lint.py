@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import builtins
 import dataclasses
 import importlib.metadata
 import importlib.util
@@ -99,6 +100,120 @@ def test_no_unused_imports():
     ]
     for reader in ('__all__ = ["chain"]\n', 'def f(x: "chain") -> None:\n    pass\n'):
         assert unused_imports(pasted + reader) == []
+
+
+# ----------------------------------------------------------------------
+# Undefined names, with the stdlib alone (ruff's F821): every name a module
+# of ``LINTED_TREES`` reads — in code, in an annotation, or inside a quoted
+# one — is bound at module level (an import, def, class or assignment), in
+# an enclosing class or function, or is a builtin. Under ``from __future__
+# import annotations`` nothing evaluates an annotation, so a missing import
+# read only there would otherwise never fail.
+# ----------------------------------------------------------------------
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+MODULE_ATTRIBUTES = {
+    "__file__", "__name__", "__doc__", "__spec__", "__loader__", "__package__", "__path__",
+    "__builtins__", "__annotations__",
+}
+
+
+def scope_bindings(scope) -> set:
+    """Names bound directly in ``scope`` (a module, def, lambda or class);
+    a comprehension's targets count as its enclosing scope's."""
+    names = set()
+    if not isinstance(scope, (ast.Module, ast.ClassDef)):
+        args = scope.args
+        every = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        names |= {arg.arg for arg in every if arg is not None}
+    stack = [scope.body] if isinstance(scope, ast.Lambda) else list(scope.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, SCOPES):
+            names |= {getattr(node, "name", "")}  # a nested scope binds its name, no more
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            names |= set(node.names)
+        elif isinstance(node, (ast.ExceptHandler, ast.MatchAs, ast.MatchStar)) and node.name:
+            names.add(node.name)
+        elif isinstance(node, ast.MatchMapping) and node.rest:
+            names.add(node.rest)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def undefined_names(text: str) -> List[str]:
+    """``line: name`` for every name ``text`` reads that nothing binds."""
+    tree = ast.parse(text)
+    module = scope_bindings(tree) | {
+        name for node in ast.walk(tree) if isinstance(node, ast.Global) for name in node.names
+    }
+    known = set(dir(builtins)) | MODULE_ATTRIBUTES
+    found = []
+
+    def resolve(name, line, chain):
+        if name not in known and not any(name in scope for scope in chain):
+            found.append(f"{line}: {name}")
+
+    def visit(node, chain, annotation=False):
+        if isinstance(node, SCOPES):
+            # Decorators, defaults and bases are read in the enclosing scope.
+            outer = list(getattr(node, "decorator_list", []))
+            if isinstance(node, ast.ClassDef):
+                outer += node.bases + [keyword.value for keyword in node.keywords]
+            else:
+                outer += node.args.defaults + [d for d in node.args.kw_defaults if d]
+            for child in outer:
+                visit(child, chain)
+            inner = chain + [scope_bindings(node)]
+            if not isinstance(node, ast.ClassDef):
+                args = node.args
+                every = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+                hints = [arg.annotation for arg in every if arg is not None]
+                for hint in [*hints, getattr(node, "returns", None)]:
+                    if hint is not None:
+                        visit(hint, inner, annotation=True)
+            for child in [node.body] if isinstance(node, ast.Lambda) else node.body:
+                visit(child, inner)
+        elif isinstance(node, ast.AnnAssign):
+            visit(node.annotation, chain, annotation=True)
+            for child in (node.target, node.value):
+                if child is not None:
+                    visit(child, chain)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            resolve(node.id, node.lineno, chain)
+        elif annotation and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for name in ast.walk(ast.parse(node.value, mode="eval")):
+                if isinstance(name, ast.Name):
+                    resolve(name.id, node.lineno, chain)
+        else:
+            for child in ast.iter_child_nodes(node):
+                visit(child, chain, annotation)
+
+    visit(tree, [module])
+    return found
+
+
+def test_no_undefined_names():
+    offenders = [
+        f"{path.relative_to(REPO)}:{hit}"
+        for tree in LINTED_TREES
+        for path in sorted((REPO / tree).rglob("*.py"))
+        for hit in undefined_names(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+    # The scan sees an import deleted from a module whose only reader of the
+    # name is an annotation, and reads quoted annotations and class scopes.
+    text = (REPO / "tests" / "service" / "test_cost_admission.py").read_text(encoding="utf-8")
+    anchor = "from typing import Optional\n"
+    assert text.count(anchor) == 1
+    line = text[: text.index("def _service(config: Optional[")].count("\n")  # one line fewer
+    assert undefined_names(text.replace(anchor, "")) == [f"{line}: Optional"]
+    assert undefined_names('def f(x: "List[int]") -> None:\n    pass\n') == ["1: List"]
+    assert undefined_names("class A:\n    B = 1\n    C = B\n") == []
 
 
 def test_sources_compile():
@@ -255,6 +370,7 @@ def test_service_tests_collected_from_testpaths():
         "test_mutation.py",
         "test_schemas.py",
         "test_server.py",
+        "test_wire.py",
     ]
 
 
@@ -1339,37 +1455,7 @@ def test_memo_lock_lives_on_the_memo():
     assert not hasattr(CatalogEntry, "close") and not hasattr(GraphCatalog, "close")
     assert "max_executors" not in inspect.signature(CatalogEntry.__init__).parameters
     assert len(dataclasses.fields(DSQLConfig)) == 18
-    # The guard sees the batch put back under an entry-held memo lock ...
-    catalog_text = sources["service/catalog.py"]
-    anchor = "                return executor.run(list(queries)), executor.last_report\n"
-    assert catalog_text.count(anchor) == 1
-    mutant = catalog_text.replace(
-        anchor,
-        "                with self._memo_lock:\n"
-        "                    results = executor.run(list(queries))\n"
-        "                return results, executor.last_report\n",
-    )
-    assert memo_lock_offenders({**sources, "service/catalog.py": mutant}) == [
-        "service/catalog.py: _memo_lock"
-    ]
-    # ... the lock itself built on the entry, and the executor walking the
-    # session's dict again.
-    anchor = "        self._session_lock = threading.Lock()\n"
-    assert catalog_text.count(anchor) == 1
-    mutant = catalog_text.replace(anchor, anchor + "        self._batch_lock = threading.Lock()\n")
-    assert memo_lock_offenders({**sources, "service/catalog.py": mutant}) == [
-        "service/catalog.py: CatalogEntry._batch_lock"
-    ]
-    executor_text = sources["parallel/executor.py"]
-    anchor = "session._memo_lacks(by_key)"
-    assert executor_text.count(anchor) == 1
-    mutant = executor_text.replace(anchor, "[k for k in by_key if k not in session._query_cache]")
-    assert memo_lock_offenders({**sources, "parallel/executor.py": mutant}) == [
-        "parallel/executor.py: _query_cache"
-    ]
-    assert fork_offenders(
-        MEMO_WORKAROUND_MARKERS, sources={"indexes/plans.py": "self._specs[key] = spec\n"}
-    ) == ["indexes/plans.py: '._specs'"]
+    # Its mutants are rows of GUARD_MUTANTS.
 
 
 # ----------------------------------------------------------------------
@@ -1565,7 +1651,7 @@ def transport_offenders(text):
     ]
     reads = [
         n.lineno for n in ast.walk(reader)
-        if isinstance(n, ast.Call) and ast.unparse(n.func).endswith("rfile.read")
+        if isinstance(n, ast.Call) and ast.unparse(n.func).endswith(("recv", "recv_into"))
     ]
     if not checks or not reads or min(reads) < min(checks):
         offenders.append("_read_payload reads before comparing with MAX_BODY_BYTES")
@@ -1573,31 +1659,134 @@ def transport_offenders(text):
 
 
 def test_a_connection_starts_no_thread():
-    text = package_sources()["service/server.py"]
-    assert not transport_offenders(text)
+    # Its mutants are rows of GUARD_MUTANTS.
+    assert not transport_offenders(package_sources()["service/server.py"])
 
-    def mutated(old, new):
-        assert text.count(old) == 1, old
-        return transport_offenders(text.replace(old, new))
 
-    # The guard sees the thread-per-connection base pasted back ...
-    assert mutated(
-        "class _ServiceHTTPServer(HTTPServer):", "class _ServiceHTTPServer(ThreadingHTTPServer):"
-    ) == ["names ThreadingHTTPServer"]
-    assert mutated(
+# ----------------------------------------------------------------------
+# Every error the service raises has a row in docs/service.md's status
+# table: the table is the wire contract, and a new code that skips it is
+# an answer no client was told about.
+# ----------------------------------------------------------------------
+def service_status_rows():
+    """``{(status, code)}`` of the table under docs/service.md's "Errors"."""
+    text = (REPO / "docs" / "service.md").read_text(encoding="utf-8")
+    section = text[text.index("\n## Errors\n"):]
+    section = section[: section.index("\n## ", 1)]
+    return {
+        (int(status), code)
+        for status, codes in re.findall(r"^\| (\d{3}) \| ([^|]*) \|", section, re.M)
+        for code in re.findall(r"`([a-z_]+)`", codes)
+    }
+
+
+def unlisted_service_errors(sources, rows):
+    """``path:line: status code`` over ``{path: source}`` for every
+    ``ServiceError(<int>, "<str>", ...)`` whose pair is not in ``rows``."""
+    found = []
+    for path, text in sorted(sources.items()):
+        for node in ast.walk(ast.parse(text)):
+            if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "ServiceError"):
+                continue
+            status, code = (getattr(arg, "value", None) for arg in node.args[:2])
+            if isinstance(status, int) and isinstance(code, str) and (status, code) not in rows:
+                found.append(f"{path}:{node.lineno}: {status} {code}")
+    return found
+
+
+def test_every_service_error_has_a_status_row():
+    sources = {p: t for p, t in package_sources().items() if p.startswith("service/")}
+    rows = service_status_rows()
+    assert {(431, "head_too_large"), (501, "unsupported_method"), (500, "internal")} <= rows
+    assert unlisted_service_errors(sources, rows) == []
+    # The scan sees a pasted raise of a code the table does not list.
+    text = sources["service/server.py"]
+    anchor = "            probe_request, handler = route\n"
+    assert text.count(anchor) == 1
+    pasted = '            raise ServiceError(418, "teapot", "short and stout")\n'
+    line = text[: text.index(anchor)].count("\n") + 2
+    mutant = {**sources, "service/server.py": text.replace(anchor, anchor + pasted)}
+    assert unlisted_service_errors(mutant, rows) == [f"service/server.py:{line}: 418 teapot"]
+
+
+# ----------------------------------------------------------------------
+# The guards' mutants, one table: each row is an edit of a real module that
+# its guard must see, and only that.
+# ----------------------------------------------------------------------
+GUARDS = {
+    "transport": lambda sources: transport_offenders(sources["service/server.py"]),
+    "memo_lock": lambda sources: memo_lock_offenders(sources)
+    + fork_offenders(MEMO_WORKAROUND_MARKERS, sources=sources),
+}
+GUARD_MUTANTS = {
+    # id: (guard, module under src/repro, anchor, its replacement, what the guard reports)
+    # The thread-per-connection base pasted back ...
+    "threading_server": (
+        "transport", "service/server.py",
+        "class _ServiceHTTPServer(HTTPServer):", "class _ServiceHTTPServer(ThreadingHTTPServer):",
+        ["names ThreadingHTTPServer"],
+    ),
+    "thread_per_connection": (
+        "transport", "service/server.py",
         "        self._handlers.submit(self._serve_connection, request, client_address)\n",
         "        threading.Thread(target=self._serve_connection, args=(request,)).start()\n",
-    ) == ["process_request constructs a thread"]
+        ["process_request constructs a thread"],
+    ),
     # ... the digest computed for nobody ...
-    assert mutated(
+    "query_key_for_nobody": (
+        "transport", "service/server.py",
         "query_key=_query_key(request.query) if self.access_log is not None else None,",
         "query_key=_query_key(request.query),",
-    ) == ["_query_key is not called once, under a test of access_log"]
-    # ... and the read moved above the check.
-    assert mutated(
+        ["_query_key is not called once, under a test of access_log"],
+    ),
+    # ... and the socket read moved above the declared-length check.
+    "read_before_check": (
+        "transport", "service/server.py",
         "        if length > MAX_BODY_BYTES:\n",
-        "        raw = self.rfile.read(length)\n        if length > MAX_BODY_BYTES:\n",
-    ) == ["_read_payload reads before comparing with MAX_BODY_BYTES"]
+        "        early = self._recv(length)\n        if length > MAX_BODY_BYTES:\n",
+        ["_read_payload reads before comparing with MAX_BODY_BYTES"],
+    ),
+    # The batch put back under an entry-held memo lock ...
+    "batch_under_memo_lock": (
+        "memo_lock", "service/catalog.py",
+        "                return executor.run(list(queries)), executor.last_report\n",
+        "                with self._memo_lock:\n"
+        "                    results = executor.run(list(queries))\n"
+        "                return results, executor.last_report\n",
+        ["service/catalog.py: _memo_lock"],
+    ),
+    # ... the lock itself built on the entry ...
+    "entry_batch_lock": (
+        "memo_lock", "service/catalog.py",
+        "        self._session_lock = threading.Lock()\n",
+        "        self._session_lock = threading.Lock()\n"
+        "        self._batch_lock = threading.Lock()\n",
+        ["service/catalog.py: CatalogEntry._batch_lock"],
+    ),
+    # ... the executor walking the session's dict again ...
+    "executor_reads_memo": (
+        "memo_lock", "parallel/executor.py",
+        "session._memo_lacks(by_key)",
+        "[k for k in by_key if k not in session._query_cache]",
+        ["parallel/executor.py: _query_cache"],
+    ),
+    # ... and the plan cache's spec table back.
+    "plan_specs": (
+        "memo_lock", "indexes/plans.py",
+        FUTURE_IMPORT, FUTURE_IMPORT + "self._specs[key] = spec\n",
+        ["indexes/plans.py: '._specs'"],
+    ),
+}
+
+
+@pytest.mark.parametrize("row", sorted(GUARD_MUTANTS))
+def test_a_guard_fails_on_its_mutant(row):
+    guard, path, anchor, replacement, reported = GUARD_MUTANTS[row]
+    sources = package_sources()
+    assert GUARDS[guard](sources) == []
+    assert sources[path].count(anchor) == 1, anchor
+    mutant = {**sources, path: sources[path].replace(anchor, replacement)}
+    assert GUARDS[guard](mutant) == reported
 
 
 # ----------------------------------------------------------------------
