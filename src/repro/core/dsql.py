@@ -358,19 +358,10 @@ class DSQL:
             )
         return results
 
-    def _memo_answer(self, key, compute) -> DSQResult:
-        """One memo step of :meth:`query_many`: hit, or ``compute()`` + store.
-
-        The one way into the memo, and thread-safe on its own: the lookup
-        (with its hit/miss count and LRU refresh) and the store each run
-        under the memo's lock, ``compute()`` runs outside it. Two threads
-        that miss the same key together both compute and both count a miss
-        — sound because the search is deterministic, so the two stores are
-        equal. :class:`~repro.parallel.executor.BatchExecutor` replays a
-        batch through this step with ``compute`` returning a result searched
-        on a worker, and the service answers point queries through it, so
-        both match serial ``query_many`` by construction, counters included.
-        """
+    def _memo_lookup(self, key) -> Optional[DSQResult]:
+        """The lookup half of :meth:`_memo_answer`: the memo's own stored
+        result for ``key`` (never write to it) or ``None``, counted as a hit
+        or a miss, the LRU refreshed and ``memo.lookup`` emitted."""
         cache = self._query_cache
         cap = self.config.query_cache_size
         stats = self.stats
@@ -382,21 +373,43 @@ class DSQL:
             else:
                 stats.query_cache_hits += 1
                 cache.move_to_end(key)
-        if result is not None:
-            if instr is not None:
+        if instr is not None:
+            if result is not None:
                 instr.metrics.counter("cache.query.hit").inc()
                 instr.point("memo.lookup", hit=True)
+            else:
+                instr.metrics.counter("cache.query.miss").inc()
+                if cap != 0:
+                    instr.point("memo.lookup", hit=False)
+        return result
+
+    def _memo_answer(self, key, compute, hit=None):
+        """One memo step of :meth:`query_many`: hit, or ``compute()`` + store.
+
+        The one way into the memo, and thread-safe on its own: the lookup
+        (:meth:`_memo_lookup`) and the store each run under the memo's lock,
+        ``compute()`` runs outside it. Two threads that miss the same key
+        together both compute and both count a miss — sound because the
+        search is deterministic, so the two stores are equal.
+        :class:`~repro.parallel.executor.BatchExecutor` replays a batch
+        through this step with ``compute`` returning a result searched on a
+        worker, and the service answers point queries through it, so both
+        match serial ``query_many`` by construction, counters included. A
+        hit returns ``hit(stored)`` if ``hit`` is given, else a copy.
+        """
+        result = self._memo_lookup(key)
+        if result is not None:
+            if hit is not None:
+                return hit(result)
             # Stored entries are never written to, so copying outside the
             # lock is safe; the copy shares nothing mutable with the memo.
             return replace(result, from_cache=True, stats=result.stats.copy())
-        if instr is not None:
-            instr.metrics.counter("cache.query.miss").inc()
-            if cap != 0:
-                instr.point("memo.lookup", hit=False)
         result = compute()
+        cap = self.config.query_cache_size
         if cap != 0:
             stored = replace(result, stats=result.stats.copy())
             with self._memo_lock:
+                cache = self._query_cache
                 cache[key] = stored
                 if cap is not None and len(cache) > cap:
                     cache.popitem(last=False)

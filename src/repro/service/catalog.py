@@ -193,7 +193,7 @@ class CatalogEntry:
         The default-config session is pinned outside the LRU so a burst of
         exotic configurations can never evict the steady-state fast path.
         """
-        if config is None or config == self.default_config:
+        if config is None or config is self.default_config or config == self.default_config:
             return self.default_session
         with self._session_lock:
             session = self._sessions.get(config)
@@ -242,7 +242,7 @@ class CatalogEntry:
         self.index_cache.cost_estimator().observe(estimate, result.stats.nodes_expanded)
 
     # -- answering -----------------------------------------------------
-    def answer(self, query: QueryGraph, config: Optional[DSQLConfig] = None) -> DSQResult:
+    def answer(self, query: QueryGraph, config: Optional[DSQLConfig] = None, hit=None):
         """Answer one query with full ``query_many`` memo semantics, thread-safely.
 
         One step of the session's own memo (:meth:`DSQL._memo_answer`, which
@@ -254,13 +254,15 @@ class CatalogEntry:
 
         The whole answer runs as a *reader*: a concurrent mutation waits
         for it to finish, and this query sees one consistent graph version
-        end to end (the memo key is stamped with that version).
+        end to end (the memo key is stamped with that version). ``hit``, if
+        given, turns a memo hit's stored result into the answer instead of
+        the usual copy (the service's warm record replies from it).
         """
         session = self.session(config)
         self._rw.acquire_read()
         try:
             return session._memo_answer(
-                session.memo_key(query), lambda: session.query(query)
+                session.memo_key(query), lambda: session.query(query), hit
             )
         finally:
             self._rw.release_read()

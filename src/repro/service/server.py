@@ -46,14 +46,15 @@ import threading
 import time
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 from http import HTTPStatus
 from http.server import HTTPServer
 from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro.core.config import DSQLConfig
+from repro.core.result import DSQResult
 from repro.cost import CostEstimate
 from repro.coverage.objectives import OBJECTIVE_NAMES
 from repro.exceptions import ConfigError
@@ -66,6 +67,7 @@ from repro.service.admission import (
 from repro.service.catalog import CatalogEntry, GraphCatalog
 from repro.service.schemas import (
     MAX_BODY_BYTES,
+    QueryRequest,
     ServiceError,
     mutation_to_json,
     parse_batch_request,
@@ -102,7 +104,7 @@ def _outcome(status: int) -> str:
         return "rejected"
     if status == 503:
         return "draining"
-    if status < 500:
+    if status < 500 or status == 501:  # 501: a surface this deployment lacks, not a bug
         return "client_error"
     return "server_error"
 
@@ -150,6 +152,42 @@ def _query_key(query) -> str:
     return hashlib.sha1(repr(query.canonical_key()).encode("utf-8")).hexdigest()[:16]
 
 
+_SORTED_JSON = json.JSONEncoder(sort_keys=True)
+"""``json.dumps(obj, sort_keys=True)`` without an encoder built per call: every
+reply body, and a ``/v1/query`` payload's warm-record key (the text keeps
+``1``, ``1.0`` and ``true`` apart, so two payloads share a key only if they
+validate alike)."""
+
+
+@dataclass
+class _WarmRecord:
+    """What a repeated ``/v1/query`` payload reuses instead of re-parsing.
+
+    The validated request (so one shared, immutable ``QueryGraph``), its
+    catalog entry and config, and the graph version it was made at (a
+    record whose entry's version moved is retired). ``reply`` is the memo's
+    stored result and the body built from it, replaced as one pair so a
+    reader never matches one result with another's body. It holds no plan.
+    """
+
+    entry: CatalogEntry
+    request: QueryRequest
+    config: DSQLConfig
+    version: Tuple[int, int]
+    reply: Optional[Tuple[DSQResult, Dict[str, object]]] = None
+
+    def body(self, stored: DSQResult) -> Dict[str, object]:
+        """A memo hit's reply: a fresh dict, nothing mutable shared with the record."""
+        reply = self.reply
+        if reply is None or reply[0] is not stored:
+            built = result_to_json(replace(stored, from_cache=True), graph=self.request.graph)
+            reply = self.reply = (stored, built)
+        body = dict(reply[1])
+        body["embeddings"] = [list(e) for e in body["embeddings"]]
+        body["stats"] = dict(body["stats"])
+        return body
+
+
 @dataclass
 class _Probe:
     """Everything the pre-admission cost probe learned about a request.
@@ -168,6 +206,7 @@ class _Probe:
     estimates: Sequence[CostEstimate] = ()
     wire: Optional[Dict[str, object]] = None
     query_key: Optional[str] = None
+    warm: Optional[_WarmRecord] = None
 
 
 class QueryService:
@@ -246,6 +285,10 @@ class QueryService:
         # tags each pre-forked worker so /healthz and /metrics are attributable.
         self.identity = dict(identity or {})
         self.draining = False
+        # Payload text -> warm record, capped by query_cache_size (no request
+        # overrides it). Stores and retirements hold the lock; a lookup is a get.
+        self._warm: Dict[str, _WarmRecord] = {}
+        self._warm_lock = threading.Lock()
         self._request_ids = itertools.count()
         self._started = time.monotonic()
 
@@ -279,9 +322,19 @@ class QueryService:
     # validation errors and unknown graphs raise here — an invalid request
     # must never consume quota or budget, on a read route or a write route.
     def _probe_query(self, payload: Dict[str, object]) -> _Probe:
-        request = parse_query_request(payload)
-        entry = self.catalog.get(request.graph)
-        config = _request_config(entry, request)
+        try:
+            text = _SORTED_JSON.encode(payload)
+        except (TypeError, ValueError):  # an in-process payload JSON cannot hold
+            text = None
+        record = self._warm.get(text)
+        if record is None or record.version != record.entry.index_cache.version:
+            request = parse_query_request(payload)
+            entry = self.catalog.get(request.graph)
+            config = _request_config(entry, request)
+            record = _WarmRecord(entry, request, config, entry.index_cache.version)
+            self._keep(text, record)
+        entry, request, config = record.entry, record.request, record.config
+        # Priced afresh: the plan-cache and cost.estimates counts move as cold.
         estimate = entry.estimate_cost(request.query, config)
         return _Probe(
             entry,
@@ -291,7 +344,27 @@ class QueryService:
             estimates=(estimate,),
             wire=estimate.to_wire(),
             query_key=_query_key(request.query) if self.access_log is not None else None,
+            warm=record,
         )
+
+    def _keep(self, text: Optional[str], record: _WarmRecord) -> None:
+        cap = self.catalog.default_config.query_cache_size
+        if text is None or cap == 0:
+            return
+        with self._warm_lock:
+            warm = self._warm
+            if text not in warm and cap is not None and len(warm) >= cap:
+                del warm[next(iter(warm))]
+            warm[text] = record
+
+    def _retire_stale(self) -> None:
+        """Drop every warm record whose entry's version moved (after a write)."""
+        with self._warm_lock:
+            self._warm = {
+                text: record
+                for text, record in self._warm.items()
+                if record.version == record.entry.index_cache.version
+            }
 
     def _probe_batch(self, payload: Dict[str, object]) -> _Probe:
         request = parse_batch_request(payload)
@@ -325,15 +398,18 @@ class QueryService:
 
     # -- endpoint bodies -----------------------------------------------
     def handle_query(self, payload: Dict[str, object], probe: _Probe) -> Dict[str, object]:
-        """``POST /v1/query``: one diversified top-k answer."""
+        """``POST /v1/query``: one diversified top-k answer; a memo hit (keyed
+        under the read lock, at the current version) replies from the record."""
         entry, request, config = probe.entry, probe.request, probe.config
         start = time.perf_counter()
-        result = entry.answer(request.query, config)
+        answer = entry.answer(request.query, config, probe.warm.body)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        entry.observe_cost(probe.estimates[0], result, config)
-        body = result_to_json(result, graph=request.graph, elapsed_ms=elapsed_ms)
-        body["estimated_cost"] = probe.wire
-        return body
+        if not isinstance(answer, dict):  # a miss: this search's own result
+            entry.observe_cost(probe.estimates[0], answer, config)
+            answer = result_to_json(answer, graph=request.graph)
+        answer["elapsed_ms"] = elapsed_ms
+        answer["estimated_cost"] = probe.wire
+        return answer
 
     def handle_batch(self, payload: Dict[str, object], probe: _Probe) -> Dict[str, object]:
         """``POST /v1/batch``: a query batch through the parallel executor."""
@@ -373,6 +449,7 @@ class QueryService:
         start = time.perf_counter()
         summary = entry.mutate(request.ops)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
+        self._retire_stale()
         self.instrumentation.metrics.counter("service.mutations").inc()
         return mutation_to_json(summary, graph=request.graph, elapsed_ms=elapsed_ms)
 
@@ -560,6 +637,12 @@ _SERVER = f"repro-service Python/{sys.version.split()[0]}"
 _REASONS = {status.value: status.phrase for status in HTTPStatus}
 
 
+@lru_cache(maxsize=2)
+def _http_date(second: int) -> str:
+    """The ``Date`` header: formatted once a second, not once a reply."""
+    return email.utils.formatdate(second, usegmt=True)
+
+
 def _head_too_large() -> ServiceError:
     return ServiceError(
         431,
@@ -711,10 +794,10 @@ class _ServiceHandler:
     def _send_json(
         self, status: int, body: Dict[str, object], retry_after: Optional[float] = None
     ) -> None:
-        data = json.dumps(body, sort_keys=True).encode("utf-8")
+        data = _SORTED_JSON.encode(body).encode("utf-8")
         head = (
             f"HTTP/1.0 {status} {_REASONS[status]}\r\nServer: {_SERVER}\r\n"
-            f"Date: {email.utils.formatdate(usegmt=True)}\r\n"
+            f"Date: {_http_date(int(time.time()))}\r\n"
             f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n"
         )
         if retry_after is not None:

@@ -222,6 +222,23 @@ class TestWriteLock:
         assert status == 501
         assert body["error"]["code"] == "mutation_unsupported"
 
+    def test_a_read_only_refusal_over_http_counts_as_a_client_error(self):
+        # A 501 here is a surface the deployment lacks, not a server bug.
+        catalog = GraphCatalog(default_config=DSQLConfig(k=DEFAULT_K))
+        catalog.add_graph("tiny", tiny_graph(), source="fixture")
+        service = QueryService(catalog, allow_mutations=False)
+        counter = service.instrumentation.metrics.counter
+        server = ServiceServer(service, port=0).start()
+        try:
+            before = counter("service.requests.client_error").value
+            with pytest.raises(ServiceClientError) as exc:
+                ServiceClient(server.url, timeout=30.0).ingest("tiny", [["add_vertex", "zz"]])
+            assert (exc.value.status, exc.value.code) == (501, "mutation_unsupported")
+            assert counter("service.requests.server_error").value == 0
+            assert counter("service.requests.client_error").value == before + 1
+        finally:
+            server.close()
+
 
 class TestProbeIsARead:
     """The cost probe compiles and caches a plan, so it runs under the graph's

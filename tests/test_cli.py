@@ -283,7 +283,7 @@ class TestVersionFlag:
 
         root = Path(__file__).resolve().parents[1]
         proc = subprocess.run(
-            [sys.executable, "-m", "repro", "--version"],
+            [sys.executable, "-B", "-m", "repro", "--version"],  # -B: no bytecode under src/
             capture_output=True,
             text=True,
             env={"PYTHONPATH": str(root / "src"), "PATH": ""},
