@@ -14,7 +14,7 @@ the confidence band reported with every estimate — a freshly built (or
 badly mispredicting) calibration yields a wide band, a converged one a
 tight band.
 
-State is three floats + a counter per graph, so the whole table
+State is two floats + a counter per graph, so the whole table
 serializes to a tiny JSON document that the service catalog can persist
 across restarts (``save_calibration`` / ``load_calibration``).
 """
@@ -54,13 +54,30 @@ _INITIAL_ABS_LOG_ERR = math.log(8.0) / _BAND_SCALE
 _LOG_OFFSET = 1.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class CalibrationState:
-    """Plain serializable snapshot of one graph's calibration."""
+    """One graph's calibration, as an immutable value.
+
+    :class:`EwmaCalibration` replaces its state on every change and never
+    writes to one, so a reader that reads the current object once sees a
+    factor, band and count from the same moment, and an unchanged object
+    means an unchanged calibration.
+    """
 
     log_bias: float = 0.0
     abs_log_err: float = _INITIAL_ABS_LOG_ERR
     observations: int = 0
+
+    @property
+    def factor(self) -> float:
+        """Multiplicative correction applied to raw estimates."""
+        return math.exp(self.log_bias)
+
+    @property
+    def band(self) -> float:
+        """Multiplicative half-width of the confidence band (>= 1)."""
+        raw = math.exp(_BAND_SCALE * self.abs_log_err)
+        return min(_BAND_MAX, max(_BAND_MIN, raw))
 
     def to_dict(self) -> Dict[str, float]:
         return {
@@ -71,21 +88,23 @@ class CalibrationState:
 
     @classmethod
     def from_dict(cls, data: Dict[str, float]) -> "CalibrationState":
-        state = cls()
-        state.log_bias = float(data.get("log_bias", 0.0))
-        state.abs_log_err = float(data.get("abs_log_err", _INITIAL_ABS_LOG_ERR))
-        state.observations = int(data.get("observations", 0))
-        if not math.isfinite(state.log_bias):
-            state.log_bias = 0.0
-        if not math.isfinite(state.abs_log_err) or state.abs_log_err < 0:
-            state.abs_log_err = _INITIAL_ABS_LOG_ERR
-        if state.observations < 0:
-            state.observations = 0
-        return state
+        log_bias = float(data.get("log_bias", 0.0))
+        abs_log_err = float(data.get("abs_log_err", _INITIAL_ABS_LOG_ERR))
+        observations = int(data.get("observations", 0))
+        if not math.isfinite(log_bias):
+            log_bias = 0.0
+        if not math.isfinite(abs_log_err) or abs_log_err < 0:
+            abs_log_err = _INITIAL_ABS_LOG_ERR
+        return cls(log_bias, abs_log_err, max(0, observations))
 
 
 class EwmaCalibration:
-    """Thread-safe EWMA over the log estimation error of one graph."""
+    """Thread-safe EWMA over the log estimation error of one graph.
+
+    Writers (:meth:`observe`, :meth:`restore`) serialize on a lock and
+    replace the :class:`CalibrationState`; readers take no lock and read
+    the current one (:meth:`snapshot`) once.
+    """
 
     __slots__ = ("_alpha", "_state", "_lock")
 
@@ -99,23 +118,16 @@ class EwmaCalibration:
     @property
     def factor(self) -> float:
         """Multiplicative correction applied to raw estimates."""
-        with self._lock:
-            return math.exp(self._state.log_bias)
+        return self._state.factor
 
     @property
     def band(self) -> float:
         """Multiplicative half-width of the confidence band (>= 1)."""
-        with self._lock:
-            return self._band_locked()
+        return self._state.band
 
     @property
     def observations(self) -> int:
-        with self._lock:
-            return self._state.observations
-
-    def _band_locked(self) -> float:
-        raw = math.exp(_BAND_SCALE * self._state.abs_log_err)
-        return min(_BAND_MAX, max(_BAND_MIN, raw))
+        return self._state.observations
 
     def observe(self, raw_estimate: float, actual: float) -> float:
         """Fold one (raw estimate, actual work) pair into the average.
@@ -133,29 +145,24 @@ class EwmaCalibration:
             state = self._state
             a = self._alpha
             if state.observations == 0:
-                state.log_bias = err
-                state.abs_log_err = abs(err)
+                self._state = CalibrationState(err, abs(err), 1)
             else:
-                state.log_bias = (1.0 - a) * state.log_bias + a * err
-                state.abs_log_err = (1.0 - a) * state.abs_log_err + a * abs(err)
-            state.observations += 1
+                self._state = CalibrationState(
+                    (1.0 - a) * state.log_bias + a * err,
+                    (1.0 - a) * state.abs_log_err + a * abs(err),
+                    state.observations + 1,
+                )
         return err
 
     def snapshot(self) -> CalibrationState:
-        with self._lock:
-            return CalibrationState(
-                log_bias=self._state.log_bias,
-                abs_log_err=self._state.abs_log_err,
-                observations=self._state.observations,
-            )
+        """The current state: one object, never written to."""
+        return self._state
 
     def restore(self, state: CalibrationState) -> None:
+        """Replace the state with a copy of ``state`` (a new object even when
+        equal, so whatever was priced at the old one is priced again)."""
         with self._lock:
-            self._state = CalibrationState(
-                log_bias=state.log_bias,
-                abs_log_err=state.abs_log_err,
-                observations=state.observations,
-            )
+            self._state = CalibrationState(state.log_bias, state.abs_log_err, state.observations)
 
 
 # ----------------------------------------------------------------------

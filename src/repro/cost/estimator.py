@@ -275,9 +275,9 @@ class CostEstimator:
         """
         profile = plan.cost_profile(self._build_profile, self._cache)
         raw = raw_expansions(profile, DEFAULT_K if k is None else k)
-        calibration = self._calibration
-        factor = calibration.factor
-        band = calibration.band
+        state = self._calibration.snapshot()  # read once: factor, band and count agree
+        factor = state.factor
+        band = state.band
         point = raw * factor
         estimate = CostEstimate(
             work_units=point,
@@ -287,7 +287,7 @@ class CostEstimator:
             k=DEFAULT_K if k is None else int(k),
             per_depth=profile.per_depth_frames,
             calibration_factor=factor,
-            observations=calibration.observations,
+            observations=state.observations,
         )
         metrics = self._metrics
         if metrics is not None:
@@ -340,7 +340,7 @@ class CostEstimator:
         return {
             "calibration_factor": math.exp(state.log_bias),
             "observations": state.observations,
-            "band": self._calibration.band,
+            "band": state.band,
         }
 
 

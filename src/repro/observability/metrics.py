@@ -192,28 +192,31 @@ class MetricsRegistry:
         self._instruments: Dict[str, object] = {}
         self._lock = threading.Lock()
 
-    def _get(self, name: str, kind: type, factory) -> object:
-        with self._lock:
-            instrument = self._instruments.get(name)
-            if instrument is None:
-                instrument = self._instruments[name] = factory()
-            elif not isinstance(instrument, kind):
-                raise TypeError(
-                    f"metric {name!r} is a {type(instrument).__name__}, "
-                    f"not a {kind.__name__}"
-                )
-            return instrument
+    def _get(self, name: str, kind: type, *args) -> object:
+        # A lookup is one dict read; only a creation takes the lock, and
+        # re-checks under it so racing first uses build one instrument.
+        instrument = self._instruments.get(name)
+        if instrument is None:
+            with self._lock:
+                instrument = self._instruments.get(name)
+                if instrument is None:
+                    instrument = self._instruments[name] = kind(name, *args)
+        if not isinstance(instrument, kind):
+            raise TypeError(
+                f"metric {name!r} is a {type(instrument).__name__}, not a {kind.__name__}"
+            )
+        return instrument
 
     def counter(self, name: str) -> Counter:
-        return self._get(name, Counter, lambda: Counter(name))
+        return self._get(name, Counter)
 
     def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge, lambda: Gauge(name))
+        return self._get(name, Gauge)
 
     def histogram(
         self, name: str, buckets: Sequence[Number] = DEFAULT_BUCKETS
     ) -> Histogram:
-        return self._get(name, Histogram, lambda: Histogram(name, buckets))
+        return self._get(name, Histogram, buckets)
 
     def names(self) -> List[str]:
         with self._lock:

@@ -100,15 +100,21 @@ class AdmissionController:
         self._in_flight = 0
         self._waiting = 0
         self._rejected = 0
-        self._metrics = metrics
+        # Bound once: acquire and release publish without a registry lookup.
+        self._gauges = (
+            None
+            if metrics is None
+            else (metrics.gauge("service.in_flight"), metrics.gauge("service.queue_depth"))
+        )
 
     # -- gauges --------------------------------------------------------
     def _publish(self) -> None:
         # Called with the lock held; gauge writes are cheap and lock-free
         # from this side (each gauge has its own lock).
-        if self._metrics is not None:
-            self._metrics.gauge("service.in_flight").set(self._in_flight)
-            self._metrics.gauge("service.queue_depth").set(self._waiting)
+        if self._gauges is not None:
+            in_flight, queue_depth = self._gauges
+            in_flight.set(self._in_flight)
+            queue_depth.set(self._waiting)
 
     # -- the gate ------------------------------------------------------
     def acquire(self, timeout: Optional[float] = None) -> bool:

@@ -55,7 +55,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro.core.config import DSQLConfig
 from repro.core.result import DSQResult
-from repro.cost import CostEstimate
+from repro.cost import CalibrationState, CostEstimate
 from repro.coverage.objectives import OBJECTIVE_NAMES
 from repro.exceptions import ConfigError
 from repro.service.accesslog import AccessLog
@@ -159,32 +159,58 @@ reply body, and a ``/v1/query`` payload's warm-record key (the text keeps
 validate alike)."""
 
 
+class _EncodedReply(dict):
+    """A warm hit's reply body, carrying the bytes it encodes to."""
+
+    __slots__ = ("encoded",)
+
+
 @dataclass
 class _WarmRecord:
     """What a repeated ``/v1/query`` payload reuses instead of re-parsing.
 
     The validated request (so one shared, immutable ``QueryGraph``), its
     catalog entry and config, and the graph version it was made at (a
-    record whose entry's version moved is retired). ``reply`` is the memo's
-    stored result and the body built from it, replaced as one pair so a
-    reader never matches one result with another's body. It holds no plan.
+    record whose entry's version moved is retired). ``price`` is the
+    calibration state the query was last priced at, with that estimate and
+    its wire form: reused while the state is the same object. ``reply`` is
+    the memo's stored result and the wire dict, with the body built from
+    them and its sorted-JSON text split around ``elapsed_ms``, replaced as
+    one value so a reader never matches one result with another's body or
+    bytes. It holds no plan.
     """
 
     entry: CatalogEntry
     request: QueryRequest
     config: DSQLConfig
     version: Tuple[int, int]
-    reply: Optional[Tuple[DSQResult, Dict[str, object]]] = None
+    price: Optional[Tuple[CalibrationState, CostEstimate, Dict[str, object]]] = None
+    reply: Optional[Tuple[DSQResult, Dict[str, object], Dict[str, object], bytes, bytes]] = None
 
-    def body(self, stored: DSQResult) -> Dict[str, object]:
-        """A memo hit's reply: a fresh dict, nothing mutable shared with the record."""
+    def kept_reply(self, stored: DSQResult, wire: Dict[str, object]):
+        """The kept reply for a memo hit on ``stored`` priced at ``wire``."""
         reply = self.reply
-        if reply is None or reply[0] is not stored:
+        if reply is None or reply[0] is not stored or reply[1] is not wire:
             built = result_to_json(replace(stored, from_cache=True), graph=self.request.graph)
-            reply = self.reply = (stored, built)
-        body = dict(reply[1])
-        body["embeddings"] = [list(e) for e in body["embeddings"]]
-        body["stats"] = dict(body["stats"])
+            built["estimated_cost"] = wire
+            below = {key: value for key, value in built.items() if key < "elapsed_ms"}
+            above = {key: value for key, value in built.items() if key > "elapsed_ms"}
+            head = _SORTED_JSON.encode(below)[:-1] + (", " if below else "") + '"elapsed_ms": '
+            tail = (", " + _SORTED_JSON.encode(above)[1:]) if above else "}"
+            reply = self.reply = (stored, wire, built, head.encode(), tail.encode())
+        return reply
+
+    @staticmethod
+    def body(reply, elapsed_ms: float) -> _EncodedReply:
+        """A hit's reply: a fresh dict, nothing mutable shared with the
+        record, carrying its bytes (``repr`` is how JSON writes a float)."""
+        built, head, tail = reply[2:]
+        body = _EncodedReply(built)
+        body["embeddings"] = [list(e) for e in built["embeddings"]]
+        body["stats"] = dict(built["stats"])
+        body["estimated_cost"] = dict(built["estimated_cost"])
+        body["elapsed_ms"] = elapsed_ms
+        body.encoded = head + repr(elapsed_ms).encode() + tail
         return body
 
 
@@ -334,15 +360,20 @@ class QueryService:
             record = _WarmRecord(entry, request, config, entry.index_cache.version)
             self._keep(text, record)
         entry, request, config = record.entry, record.request, record.config
-        # Priced afresh: the plan-cache and cost.estimates counts move as cold.
-        estimate = entry.estimate_cost(request.query, config)
+        # Priced once per calibration state: the state is read before the
+        # estimate, so a change landing between them only prices again.
+        state = entry.index_cache.cost_estimator().snapshot()
+        price = record.price
+        if price is None or price[0] is not state:
+            estimate = entry.estimate_cost(request.query, config)
+            price = record.price = (state, estimate, estimate.to_wire())
         return _Probe(
             entry,
             request,
-            cost=estimate.work_units,
+            cost=price[1].work_units,
             config=config,
-            estimates=(estimate,),
-            wire=estimate.to_wire(),
+            estimates=(price[1],),
+            wire=price[2],
             query_key=_query_key(request.query) if self.access_log is not None else None,
             warm=record,
         )
@@ -400,15 +431,17 @@ class QueryService:
     def handle_query(self, payload: Dict[str, object], probe: _Probe) -> Dict[str, object]:
         """``POST /v1/query``: one diversified top-k answer; a memo hit (keyed
         under the read lock, at the current version) replies from the record."""
-        entry, request, config = probe.entry, probe.request, probe.config
+        entry, request, config, record, wire = (
+            probe.entry, probe.request, probe.config, probe.warm, probe.wire
+        )
         start = time.perf_counter()
-        answer = entry.answer(request.query, config, probe.warm.body)
+        answer = entry.answer(request.query, config, lambda stored: record.kept_reply(stored, wire))
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        if not isinstance(answer, dict):  # a miss: this search's own result
-            entry.observe_cost(probe.estimates[0], answer, config)
-            answer = result_to_json(answer, graph=request.graph)
-        answer["elapsed_ms"] = elapsed_ms
-        answer["estimated_cost"] = probe.wire
+        if isinstance(answer, tuple):  # a hit: the record's reply
+            return record.body(answer, elapsed_ms)
+        entry.observe_cost(probe.estimates[0], answer, config)
+        answer = result_to_json(answer, graph=request.graph, elapsed_ms=elapsed_ms)
+        answer["estimated_cost"] = dict(wire)
         return answer
 
     def handle_batch(self, payload: Dict[str, object], probe: _Probe) -> Dict[str, object]:
@@ -794,7 +827,10 @@ class _ServiceHandler:
     def _send_json(
         self, status: int, body: Dict[str, object], retry_after: Optional[float] = None
     ) -> None:
-        data = _SORTED_JSON.encode(body).encode("utf-8")
+        if isinstance(body, _EncodedReply):
+            data = body.encoded
+        else:
+            data = _SORTED_JSON.encode(body).encode("utf-8")
         head = (
             f"HTTP/1.0 {status} {_REASONS[status]}\r\nServer: {_SERVER}\r\n"
             f"Date: {_http_date(int(time.time()))}\r\n"

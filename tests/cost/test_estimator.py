@@ -18,6 +18,7 @@ from repro.core.dsql import DSQL
 from repro.cost import (
     DEFAULT_AUTO_BUDGET_FLOOR_MS,
     CostEstimate,
+    EwmaCalibration,
     derive_time_budget_ms,
     raw_cost_profile,
     raw_expansions,
@@ -267,6 +268,50 @@ class TestEstimateApi:
         a = DSQL(graph, config=DSQLConfig(k=5))
         b = DSQL(graph, config=DSQLConfig(k=7))
         assert a.index_cache.cost_estimator() is b.index_cache.cost_estimator()
+
+    def test_an_estimate_reads_one_calibration_state(self):
+        """An ``observe`` landing while ``estimate`` reads the calibration
+        must not mix two states into one estimate: one is hooked in right
+        after the estimator's first read of its calibration."""
+        graph = LabeledGraph(list("ababcccc"), [(0, 1), (2, 3), (0, 3), (4, 5), (5, 6)])
+        cache = graph.index_cache()
+        plan = cache.plan_cache.get_or_compile(QueryGraph(["a", "b"], [(0, 1)]), cache)
+
+        class ObservedMidRead(EwmaCalibration):
+            def __getattribute__(self, name):
+                value = super().__getattribute__(name)
+                if not name.startswith("_") and object.__getattribute__(self, "_armed"):
+                    self._armed = False
+                    self.observe(10.0, 5000.0)
+                return value
+
+        calibration = ObservedMidRead()
+        calibration._armed = False
+        calibration.observe(10.0, 40.0)
+        states = [calibration.snapshot()]
+        calibration._armed = True
+        estimator = cache.cost_estimator()
+        estimator._calibration = calibration
+        estimate = estimator.estimate(plan, k=2)
+        assert not calibration._armed  # the observe landed inside estimate
+        states.append(calibration.snapshot())
+
+        def read(state):
+            reader = EwmaCalibration()
+            reader.restore(state)
+            return reader.factor, reader.band, reader.observations
+
+        (f0, b0, n0), (f1, b1, n1) = map(read, states)
+        assert f0 != f1 and b0 != b1 and n0 != n1
+        matching = [
+            (factor, band, observations)
+            for factor, band, observations in map(read, states)
+            if estimate.calibration_factor == factor
+            and estimate.observations == observations
+            and estimate.lower == pytest.approx(estimate.work_units / band)
+            and estimate.upper == pytest.approx(estimate.work_units * band)
+        ]
+        assert estimate.work_units > 0 and len(matching) == 1
 
 
 class TestAutoBudget:

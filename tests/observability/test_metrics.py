@@ -165,6 +165,48 @@ class TestThreadSafety:
         assert hist.count == threads * per_thread
         assert hist.bucket_counts()[1] == threads * per_thread
 
+    def test_a_racing_first_use_builds_one_instrument(self, monkeypatch):
+        """Eight threads ask for the same new names at once. An instrument
+        that is slow to build widens the window between the lock-free miss
+        and the creation, so a creation that did not re-check under the lock
+        would hand out two."""
+        import time
+
+        import repro.observability.metrics as metrics_mod
+
+        def slow(kind):
+            def build(self, *args):
+                time.sleep(0.005)
+                kind.__init__(self, *args)
+
+            return type(f"Slow{kind.__name__}", (kind,), {"__slots__": (), "__init__": build})
+
+        for kind in (Counter, Gauge, Histogram):
+            monkeypatch.setattr(metrics_mod, kind.__name__, slow(kind))
+        reg = MetricsRegistry()
+        threads, names = 8, [f"m{i}" for i in range(6)]
+        barrier = threading.Barrier(threads)
+        seen = [[] for _ in range(threads)]
+
+        def work(row):
+            barrier.wait()
+            for name in names:
+                row.append(reg.counter(f"c.{name}"))
+                row.append(reg.gauge(f"g.{name}"))
+                row.append(reg.histogram(f"h.{name}", (1, 2)))
+
+        pool = [threading.Thread(target=work, args=(row,)) for row in seen]
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join()
+        for column in zip(*seen):
+            assert len({id(instrument) for instrument in column}) == 1
+        assert len(reg.names()) == 3 * len(names)
+        reg.gauge("x")
+        with pytest.raises(TypeError):
+            reg.counter("x")
+
     def test_thread_strategy_batch_flushes_consistently(self, imdb_small):
         from repro.parallel.executor import BatchExecutor
 

@@ -1,5 +1,6 @@
 """The warm record: a repeated ``/v1/query`` payload skips its parse, the memo
-copy and the reply build, and answers exactly as a cold read does.
+copy, the reply build and, while the calibration holds, its pricing and its
+reply encoding, and answers exactly as a cold read does.
 
 A record is keyed by the payload's canonical text and retired when its
 graph's version moves; the memo key is still taken under the read lock at the
@@ -13,6 +14,7 @@ import random
 import sys
 import threading
 import time
+import types
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.core.config import DSQLConfig
 from repro.graph.labeled_graph import LabeledGraph
 from repro.service import GraphCatalog, QueryService, read_access_log
 from repro.service.schemas import query_graph_to_json, result_to_json
+from repro.service.server import _SORTED_JSON, _EncodedReply, _ServiceHandler
 
 from .conftest import DEFAULT_K, tiny_graph, tiny_queries
 
@@ -174,8 +177,14 @@ class TestAWarmReadAnswersAsAColdOne:
         # observe, encode.
         cold = GraphCatalog(default_config=DSQLConfig(k=DEFAULT_K))
         entry = cold.add_graph("tiny", tiny_graph())
+        # A record is priced on its first probe and again on its first probe
+        # after the calibration changed, which every cold search does.
+        changes, priced_at, prices = 0, {}, 0
         for i in script:
+            if priced_at.get(i) != changes:
+                priced_at[i], prices = changes, prices + 1
             status, body, _ = _post(service, QUERY, _payload(queries[i]))
+            changes += not body["from_cache"]
             estimate = entry.estimate_cost(queries[i])
             result = entry.answer(queries[i])
             entry.observe_cost(estimate, result)
@@ -183,8 +192,9 @@ class TestAWarmReadAnswersAsAColdOne:
             want["estimated_cost"] = estimate.to_wire()
             assert status == 200 and _masked(body) == _masked(want)
         hits = len(script) - 64
-        implied = (64, hits, 64, 64 + hits, len(script))
-        assert _counts(service.catalog) == implied == _counts(cold)
+        assert 64 < prices < len(script)
+        assert _counts(service.catalog) == (64, hits, 64, prices, prices)
+        assert _counts(cold) == (64, hits, 64, 64 + hits, len(script))
         service.close()
 
     def test_a_returned_body_shares_nothing_with_the_next_reply(self):
@@ -196,6 +206,7 @@ class TestAWarmReadAnswersAsAColdOne:
         body["embeddings"][0][0] = -1
         body["embeddings"].append([7])
         body["stats"]["nodes_expanded"] = -1
+        body["estimated_cost"]["work_units"] = -1
         _, again, _ = _post(service, QUERY, read)
         assert again["from_cache"] is True and _masked(again) == want
         service.close()
@@ -233,6 +244,63 @@ class TestAWarmReadAnswersAsAColdOne:
         varying = ("ts_ms", "request_id", "latency_ms", "estimated_work_units")
         assert _masked(warm, *varying) == _masked(cold, *varying)
         assert warm["query_key"] is not None and warm["actual_work_units"] is not None
+
+
+def _sent(body):
+    """The body bytes ``_send_json`` puts on the wire for ``body``."""
+    sent = []
+    handler = types.SimpleNamespace(
+        connection=types.SimpleNamespace(sendall=sent.append),
+        client_address=("127.0.0.1", 0),
+        command="POST",
+        path=QUERY,
+    )
+    _ServiceHandler._send_json(handler, 200, body)
+    (data,) = sent
+    return data.split(b"\r\n\r\n", 1)[1]
+
+
+class TestAWarmHitKeepsItsPriceAndBytes:
+    def test_kept_prices_and_bytes_equal_fresh_ones_across_every_change(self):
+        """Cold reads move the calibration, a write moves the version and a
+        restore replaces the calibration state with an equal one: every
+        probe's estimate equals a fresh one, every reply's bytes equal the
+        encoder's, and a record prices again only after its state changed."""
+        service = _service()
+        entry = service.catalog.get("tiny")
+        estimates = service.instrumentation.metrics.counter("cost.estimates")
+        queries = _distinct_queries(4)
+
+        def read(query):
+            payload = _payload(query)
+            fresh = entry.estimate_cost(query)
+            before = estimates.value
+            status, body, _ = _post(service, QUERY, payload)
+            priced = estimates.value - before
+            _, kept, wire = service._warm[_SORTED_JSON.encode(payload)].price
+            assert status == 200 and kept == fresh
+            assert wire == fresh.to_wire() == body["estimated_cost"]
+            assert _sent(body) == _SORTED_JSON.encode(body).encode()
+            assert isinstance(body, _EncodedReply) is body["from_cache"]
+            return body["from_cache"], priced
+
+        def each(hit, priced):
+            return [(hit, priced)] * len(queries)
+
+        assert [read(q) for q in queries] == each(False, 1)
+        assert [read(q) for q in queries] == each(True, 1)  # each cold read observed
+        assert [read(q) for q in queries] == each(True, 0)
+        calibration = entry.index_cache.cost_estimator().calibration
+        observations = calibration.observations
+        calibration.restore(calibration.snapshot())
+        assert calibration.observations == observations
+        assert [read(q) for q in queries] == each(True, 1)
+        assert [read(q) for q in queries] == each(True, 0)
+        assert _post(service, WRITE, {"ops": [["add_vertex", "zz"]]})[0] == 200
+        assert [read(q) for q in queries] == each(False, 1)
+        assert [read(q) for q in queries] == each(True, 1)
+        assert [read(q) for q in queries] == each(True, 0)
+        service.close()
 
 
 def test_readers_racing_over_a_small_record_table_get_the_serial_answers():

@@ -1664,6 +1664,59 @@ def test_a_connection_starts_no_thread():
 
 
 # ----------------------------------------------------------------------
+# Fork guard: a warm hit's price and bytes are kept, never patched. Only
+# ``_WarmRecord`` writes a reply's pre-encoded bytes (``.encoded``) and only
+# ``_send_json`` reads them, so no other step can send bytes that are not
+# the body's; and ``EwmaCalibration.observe`` replaces its state instead of
+# writing to it, so a price stamped with a state object stays that state's.
+# ----------------------------------------------------------------------
+def kept_price_offenders(sources):
+    """``path: function writes|reads .encoded`` outside the two allowed
+    places, and ``cost/calibration.py: observe assigns X`` for every
+    attribute ``observe`` writes on anything but ``self``."""
+    offenders = []
+    for path, text in sorted(sources.items()):
+        tree = ast.parse(text)
+        owner = {}  # id(node) -> innermost enclosing class or function
+        for scope in ast.walk(tree):
+            if isinstance(scope, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(scope):
+                    owner.setdefault(id(node), []).append(scope.name)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and node.attr == "encoded"):
+                continue
+            scopes = owner.get(id(node), ["<module>"])
+            if isinstance(node.ctx, ast.Store) and "_WarmRecord" not in scopes:
+                offenders.append(f"{path}: {scopes[-1]} writes .encoded")
+            elif isinstance(node.ctx, ast.Load) and "_send_json" not in scopes:
+                offenders.append(f"{path}: {scopes[-1]} reads .encoded")
+    calibration = ast.parse(sources["cost/calibration.py"])
+    (observe,) = [
+        node
+        for cls in ast.walk(calibration)
+        if isinstance(cls, ast.ClassDef) and cls.name == "EwmaCalibration"
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "observe"
+    ]
+    for node in ast.walk(observe):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            if not (isinstance(node.value, ast.Name) and node.value.id == "self"):
+                offenders.append(f"cost/calibration.py: observe assigns {ast.unparse(node)}")
+        elif isinstance(node, ast.Call) and "setattr" in ast.unparse(node.func):
+            offenders.append(f"cost/calibration.py: observe calls {ast.unparse(node.func)}")
+    return offenders
+
+
+def test_a_warm_hits_price_and_bytes_are_kept_not_patched():
+    # Its mutants are rows of GUARD_MUTANTS.
+    from repro.cost import CalibrationState
+
+    assert kept_price_offenders(package_sources()) == []
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        CalibrationState().observations = 1
+
+
+# ----------------------------------------------------------------------
 # Every error the service raises has a row in docs/service.md's status
 # table: the table is the wire contract, and a new code that skips it is
 # an answer no client was told about.
@@ -1717,6 +1770,7 @@ GUARDS = {
     "transport": lambda sources: transport_offenders(sources["service/server.py"]),
     "memo_lock": lambda sources: memo_lock_offenders(sources)
     + fork_offenders(MEMO_WORKAROUND_MARKERS, sources=sources),
+    "kept_price": kept_price_offenders,
 }
 GUARD_MUTANTS = {
     # id: (guard, module under src/repro, anchor, its replacement, what the guard reports)
@@ -1775,6 +1829,32 @@ GUARD_MUTANTS = {
         "memo_lock", "indexes/plans.py",
         FUTURE_IMPORT, FUTURE_IMPORT + "self._specs[key] = spec\n",
         ["indexes/plans.py: '._specs'"],
+    ),
+    # A miss given bytes of its own ...
+    "bytes_written_outside_the_record": (
+        "kept_price", "service/server.py",
+        '        answer["estimated_cost"] = dict(wire)\n',
+        '        answer["estimated_cost"] = dict(wire)\n'
+        "        answer = _EncodedReply(answer)\n"
+        "        answer.encoded = _SORTED_JSON.encode(answer).encode()\n",
+        ["service/server.py: handle_query writes .encoded"],
+    ),
+    # ... a hit's bytes read before they are sent ...
+    "bytes_read_outside_the_send": (
+        "kept_price", "service/server.py",
+        "            return record.body(answer, elapsed_ms)\n",
+        "            body = record.body(answer, elapsed_ms)\n"
+        '            logger.debug("%d reply bytes", len(body.encoded))\n'
+        "            return body\n",
+        ["service/server.py: handle_query reads .encoded"],
+    ),
+    # ... and a calibration state written in place under a kept price.
+    "calibration_written_in_place": (
+        "kept_price", "cost/calibration.py",
+        "                self._state = CalibrationState(err, abs(err), 1)\n",
+        "                state.observations += 1\n"
+        "                self._state = CalibrationState(err, abs(err), 1)\n",
+        ["cost/calibration.py: observe assigns state.observations"],
     ),
 }
 
