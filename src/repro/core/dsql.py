@@ -137,8 +137,14 @@ class DSQL:
         # itertools.count.__next__ is atomic under the GIL, so thread-strategy
         # workers draw distinct ids without extra locking.
         self._query_ids = itertools.count()
+        # The memo's (hit, miss) counters, bound once: a lookup reads no registry.
+        self._memo_counters = None
         if instrumentation is not None:
-            self.index_cache.attach_metrics(instrumentation.metrics)
+            metrics = instrumentation.metrics
+            self.index_cache.attach_metrics(metrics)
+            self._memo_counters = (
+                metrics.counter("cache.query.hit"), metrics.counter("cache.query.miss")
+            )
 
     def query(self, query: QueryGraph) -> DSQResult:
         """Answer one diversified top-k query."""
@@ -374,11 +380,12 @@ class DSQL:
                 stats.query_cache_hits += 1
                 cache.move_to_end(key)
         if instr is not None:
+            hits, misses = self._memo_counters
             if result is not None:
-                instr.metrics.counter("cache.query.hit").inc()
+                hits.inc()
                 instr.point("memo.lookup", hit=True)
             else:
-                instr.metrics.counter("cache.query.miss").inc()
+                misses.inc()
                 if cap != 0:
                     instr.point("memo.lookup", hit=False)
         return result

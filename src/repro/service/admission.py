@@ -48,6 +48,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.cost import DEFAULT_WORK_UNIT_RATE
 from repro.exceptions import ConfigError
+from repro.observability.metrics import MetricsRegistry
 
 ADMISSION_MODES = ("count", "cost", "off")
 
@@ -100,21 +101,18 @@ class AdmissionController:
         self._in_flight = 0
         self._waiting = 0
         self._rejected = 0
-        # Bound once: acquire and release publish without a registry lookup.
-        self._gauges = (
-            None
-            if metrics is None
-            else (metrics.gauge("service.in_flight"), metrics.gauge("service.queue_depth"))
-        )
+        # Bound once, in a registry of its own when given none: acquire and
+        # release publish without a registry lookup or a test.
+        metrics = metrics or MetricsRegistry()
+        self._gauges = (metrics.gauge("service.in_flight"), metrics.gauge("service.queue_depth"))
 
     # -- gauges --------------------------------------------------------
     def _publish(self) -> None:
         # Called with the lock held; gauge writes are cheap and lock-free
         # from this side (each gauge has its own lock).
-        if self._gauges is not None:
-            in_flight, queue_depth = self._gauges
-            in_flight.set(self._in_flight)
-            queue_depth.set(self._waiting)
+        in_flight, queue_depth = self._gauges
+        in_flight.set(self._in_flight)
+        queue_depth.set(self._waiting)
 
     # -- the gate ------------------------------------------------------
     def acquire(self, timeout: Optional[float] = None) -> bool:
@@ -253,14 +251,15 @@ class WorkUnitAdmissionController:
         self._units_in_flight = 0.0
         self._in_flight = 0
         self._rejected = 0
-        self._metrics = metrics
+        metrics = metrics or MetricsRegistry()  # bound once, as AdmissionController's
+        self._gauges = (
+            metrics.gauge("service.in_flight"), metrics.gauge("service.work_units_in_flight")
+        )
 
     def _publish(self) -> None:
-        if self._metrics is not None:
-            self._metrics.gauge("service.in_flight").set(self._in_flight)
-            self._metrics.gauge("service.work_units_in_flight").set(
-                self._units_in_flight
-            )
+        in_flight, units = self._gauges
+        in_flight.set(self._in_flight)
+        units.set(self._units_in_flight)
 
     def try_admit(
         self, cost: float = 1.0, timeout: Optional[float] = None
@@ -336,7 +335,7 @@ class NullAdmissionController:
     mode = "off"
 
     def __init__(self, metrics=None) -> None:
-        self._metrics = metrics
+        self._gauge = (metrics or MetricsRegistry()).gauge("service.in_flight")
         self._in_flight = 0
         self._lock = threading.Lock()
 
@@ -345,15 +344,13 @@ class NullAdmissionController:
     ) -> Optional[AdmissionTicket]:
         with self._lock:
             self._in_flight += 1
-            if self._metrics is not None:
-                self._metrics.gauge("service.in_flight").set(self._in_flight)
+            self._gauge.set(self._in_flight)
         return AdmissionTicket(max(0.0, float(cost)))
 
     def release(self, ticket: AdmissionTicket) -> None:
         with self._lock:
             self._in_flight = max(0, self._in_flight - 1)
-            if self._metrics is not None:
-                self._metrics.gauge("service.in_flight").set(self._in_flight)
+            self._gauge.set(self._in_flight)
 
     def retry_after_hint(self, base_s: float, cost: float = 0.0) -> float:
         return base_s

@@ -21,10 +21,11 @@ import json
 import urllib.error
 import urllib.parse
 import urllib.request
-from typing import Dict, Iterable, Optional, Sequence, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ReproError
 from repro.graph.labeled_graph import LabeledGraph
+from repro.service.schemas import BATCH_SPEC, EDGE_SPEC, INGEST_SPEC, QUERY_SPEC, FieldSpec
 from repro.service.schemas import query_graph_to_json
 
 QueryLike = Union[LabeledGraph, Dict[str, object]]
@@ -58,6 +59,16 @@ def _encode_query(query: QueryLike) -> Dict[str, object]:
     return dict(query)
 
 
+def _payload(spec: Tuple[FieldSpec, ...], arguments: Dict[str, object]) -> Dict[str, object]:
+    """A request body: each field a bundled client sends, from the method's
+    argument of the same name, unless that argument is ``None``."""
+    return {
+        field.name: arguments[field.name]
+        for field in spec
+        if field.client and arguments[field.name] is not None
+    }
+
+
 class ServiceClient:
     """Minimal blocking client over :mod:`urllib.request`.
 
@@ -87,16 +98,8 @@ class ServiceClient:
         objective: Optional[str] = None,
     ) -> Dict[str, object]:
         """``POST /v1/query``; returns the response body (raises on non-200)."""
-        payload: Dict[str, object] = {"graph": graph, "query": _encode_query(query)}
-        if k is not None:
-            payload["k"] = k
-        if alpha is not None:
-            payload["alpha"] = alpha
-        if time_budget_ms is not None:
-            payload["time_budget_ms"] = time_budget_ms
-        if objective is not None:
-            payload["objective"] = objective
-        return self._call("POST", "/v1/query", payload)
+        query = _encode_query(query)
+        return self._call("POST", "/v1/query", _payload(QUERY_SPEC, locals()))
 
     def batch(
         self,
@@ -110,23 +113,8 @@ class ServiceClient:
         objective: Optional[str] = None,
     ) -> Dict[str, object]:
         """``POST /v1/batch``; returns the batch body with ``results`` in order."""
-        payload: Dict[str, object] = {
-            "graph": graph,
-            "queries": [_encode_query(q) for q in queries],
-        }
-        if k is not None:
-            payload["k"] = k
-        if alpha is not None:
-            payload["alpha"] = alpha
-        if time_budget_ms is not None:
-            payload["time_budget_ms"] = time_budget_ms
-        if strategy is not None:
-            payload["strategy"] = strategy
-        if jobs is not None:
-            payload["jobs"] = jobs
-        if objective is not None:
-            payload["objective"] = objective
-        return self._call("POST", "/v1/batch", payload)
+        queries = [_encode_query(q) for q in queries]
+        return self._call("POST", "/v1/batch", _payload(BATCH_SPEC, locals()))
 
     def mutate_edge(self, graph: str, op: str, u: int, v: int) -> Dict[str, object]:
         """``POST /v1/graphs/{graph}/edges``: one edge ``"add"``/``"remove"``.
@@ -136,7 +124,7 @@ class ServiceClient:
         ``retry_after_s`` set, a read-only deployment as status 501.
         """
         path = f"/v1/graphs/{urllib.parse.quote(graph, safe='')}/edges"
-        return self._call("POST", path, {"op": op, "u": u, "v": v})
+        return self._call("POST", path, _payload(EDGE_SPEC, locals()))
 
     def ingest(self, graph: str, ops: Iterable[Sequence[object]]) -> Dict[str, object]:
         """``POST /v1/graphs/{graph}/ingest``: a mutation batch as one write.
@@ -144,9 +132,9 @@ class ServiceClient:
         ``ops`` entries are ``["add_vertex", label]``, ``["add_edge", u, v]``
         or ``["remove_edge", u, v]``, applied in order.
         """
-        payload = {"ops": [list(op) for op in ops]}
+        ops = [list(op) for op in ops]
         path = f"/v1/graphs/{urllib.parse.quote(graph, safe='')}/ingest"
-        return self._call("POST", path, payload)
+        return self._call("POST", path, _payload(INGEST_SPEC, locals()))
 
     def healthz(self) -> Dict[str, object]:
         """``GET /healthz``; returns the body even for 503 (draining)."""
@@ -184,7 +172,9 @@ class ServiceClient:
                 body = {}
             if exc.code in pass_through_statuses and body:
                 return body
-            error = body.get("error", {}) if isinstance(body, dict) else {}
+            error = body.get("error") if isinstance(body, dict) else None
+            if not isinstance(error, dict):  # outside input: not this service's error shape
+                error = {}
             retry_after = exc.headers.get("Retry-After")
             raise ServiceClientError(
                 exc.code,

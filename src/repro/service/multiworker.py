@@ -54,6 +54,7 @@ from repro.observability import Instrumentation
 from repro.observability.metrics import merge_snapshots
 from repro.parallel.pool import worker_graph
 from repro.service.catalog import GraphCatalog
+from repro.service.schemas import ServiceError
 from repro.service.server import (
     DEFAULT_MAX_IN_FLIGHT,
     DEFAULT_MAX_QUEUE,
@@ -160,8 +161,8 @@ class _ControlHandler(BaseHTTPRequestHandler):
         elif path == "/metrics":
             status, body = 200, self.front.merged_metrics()
         else:
-            status = 404
-            body = {"error": "unknown_endpoint", "message": f"no such endpoint: GET {path}"}
+            error = ServiceError(404, "unknown_endpoint", f"no such endpoint: GET {path}")
+            status, body = error.status, error.to_body()
         data = json.dumps(body, sort_keys=True).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")

@@ -12,7 +12,9 @@ layer (:mod:`repro.service.server`), the client
   unknown fields are rejected (a typoed ``"tiem_budget_ms"`` must fail
   loudly, not silently fall back to the default).
 * ``parse_edge_mutation`` / ``parse_ingest_request`` — validators for the
-  write surface, ``POST /v1/graphs/{g}/edges`` and ``/v1/graphs/{g}/ingest``;
+  write surface, ``POST /v1/graphs/{g}/edges`` and ``/v1/graphs/{g}/ingest``.
+  All four parsers run from one :class:`FieldSpec` table per endpoint
+  (``QUERY_SPEC``, ``BATCH_SPEC``, ``EDGE_SPEC``, ``INGEST_SPEC``);
   ``mutation_to_json`` encodes the resulting
   :class:`~repro.graph.labeled_graph.MutationSummary`.
 * ``query_graph_from_json`` / ``query_graph_to_json`` — the round-trippable
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.coverage.objectives import OBJECTIVE_NAMES
 from repro.exceptions import GraphError, QueryError, ReproError
@@ -136,10 +138,10 @@ class BatchRequest:
 
 
 # ----------------------------------------------------------------------
-# Field-level validation helpers
+# Body / query-graph codecs
 # ----------------------------------------------------------------------
-def _reject_unknown(payload: Dict[str, object], allowed: Tuple[str, ...], where: str) -> None:
-    unknown = sorted(set(payload) - set(allowed))
+def _reject_unknown(payload: Dict[str, object], allowed: Iterable[str], where: str) -> None:
+    unknown = sorted(set(payload).difference(allowed))
     if unknown:
         raise ServiceError(
             400,
@@ -148,59 +150,6 @@ def _reject_unknown(payload: Dict[str, object], allowed: Tuple[str, ...], where:
         )
 
 
-def _require_str(payload: Dict[str, object], name: str) -> str:
-    value = payload.get(name)
-    if not isinstance(value, str) or not value:
-        raise ServiceError(400, "invalid_request", f"{name!r} must be a non-empty string")
-    return value
-
-
-def _optional_int(payload: Dict[str, object], name: str, minimum: int) -> Optional[int]:
-    value = payload.get(name)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ServiceError(400, "invalid_request", f"{name!r} must be an integer")
-    if value < minimum:
-        raise ServiceError(400, "invalid_request", f"{name!r} must be >= {minimum}, got {value}")
-    return value
-
-
-def _optional_number(payload: Dict[str, object], name: str, positive: bool) -> Optional[float]:
-    value = payload.get(name)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ServiceError(400, "invalid_request", f"{name!r} must be a number")
-    if positive and value <= 0:
-        raise ServiceError(400, "invalid_request", f"{name!r} must be positive, got {value}")
-    if not positive and value < 0:
-        raise ServiceError(400, "invalid_request", f"{name!r} must be >= 0, got {value}")
-    return float(value)
-
-
-def _optional_objective(payload: Dict[str, object]) -> Optional[str]:
-    """Validate the ``objective`` field against the registry (typed 400).
-
-    Weighted-vertex requests use the server-side *degree-derived* weights
-    (``1 + degree(v)``): explicit per-vertex weight tables do not cross the
-    wire — they are graph-sized, and the catalog owns the graphs.
-    """
-    value = payload.get("objective")
-    if value is None:
-        return None
-    if not isinstance(value, str) or value not in OBJECTIVE_NAMES:
-        raise ServiceError(
-            400,
-            "invalid_objective",
-            f"'objective' must be one of {sorted(OBJECTIVE_NAMES)}, got {value!r}",
-        )
-    return value
-
-
-# ----------------------------------------------------------------------
-# Body / query-graph codecs
-# ----------------------------------------------------------------------
 def _reject_constant(token: str) -> None:
     """``NaN`` / ``Infinity`` are not JSON, and no comparison rejects a NaN."""
     raise ValueError(f"non-finite number {token}")
@@ -269,91 +218,190 @@ def query_graph_from_json(obj: object, where: str = "query") -> QueryGraph:
 
 
 # ----------------------------------------------------------------------
-# Request parsers
+# Request fields: one table per endpoint, one row per body field
 # ----------------------------------------------------------------------
-_QUERY_FIELDS = (
-    "graph",
-    "query",
-    "k",
-    "alpha",
-    "time_budget_ms",
-    "objective",
+@dataclass(frozen=True)
+class FieldSpec:
+    """One body field of one endpoint, declared once.
+
+    A parser checks the rows in order (so row order is the order in which an
+    endpoint reports errors) with the checker :data:`_CHECKERS` holds for
+    ``kind``, against ``bound`` (a minimum, a length limit or the accepted
+    values), raising ``code``. An absent field takes ``default``, and so
+    does a ``null`` where the default is ``null``; a ``required`` field is
+    checked either way. ``config`` is the ``DSQLConfig`` field the value
+    overrides; ``client`` is whether ``ServiceClient`` sends the field.
+    """
+
+    name: str
+    kind: str
+    code: str = "invalid_request"
+    bound: object = None
+    required: bool = False
+    default: object = None
+    config: Optional[str] = None
+    client: bool = True
+    hint: str = ""
+
+    def refuse(self, what: str) -> ServiceError:
+        return ServiceError(400, self.code, f"{self.name!r} {what}")
+
+
+def _check_str(field: FieldSpec, value: object) -> str:
+    if not isinstance(value, str) or not value:
+        raise field.refuse("must be a non-empty string")
+    return value
+
+
+def _check_int(field: FieldSpec, value: object) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise field.refuse("must be an integer")
+    if value < field.bound:
+        raise field.refuse(f"must be >= {field.bound}, got {value}")
+    return value
+
+
+def _check_number(field: FieldSpec, value: object) -> float:
+    """A ``number`` is at least its bound, a ``positive`` one above it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise field.refuse("must be a number")
+    if field.kind == "positive" and value <= field.bound:
+        raise field.refuse(f"must be positive, got {value}")
+    if value < field.bound:
+        raise field.refuse(f"must be >= {field.bound}, got {value}")
+    return float(value)
+
+
+def _check_choice(field: FieldSpec, value: object) -> str:
+    if not isinstance(value, str) or value not in field.bound:
+        raise field.refuse(f"must be one of {list(field.bound)}, got {value!r}{field.hint}")
+    return value
+
+
+def _check_vertex(field: FieldSpec, value: object) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < field.bound:
+        raise field.refuse("must be a non-negative vertex id")
+    return value
+
+
+def _check_list(field: FieldSpec, value: object) -> list:
+    if not isinstance(value, list) or not value:
+        raise field.refuse("must be a non-empty list")
+    if len(value) > field.bound:
+        raise field.refuse(f"has {len(value)} entries; the limit is {field.bound}")
+    return value
+
+
+def _check_queries(field: FieldSpec, value: object) -> Tuple[QueryGraph, ...]:
+    return tuple(
+        query_graph_from_json(q, where=f"queries[{i}]")
+        for i, q in enumerate(_check_list(field, value))
+    )
+
+
+def _check_ops(field: FieldSpec, value: object) -> Tuple[Tuple, ...]:
+    """Each op is ``["add_vertex", label]``, ``["add_edge", u, v]`` or
+    ``["remove_edge", u, v]``."""
+    ops = []
+    for i, raw in enumerate(_check_list(field, value)):
+        kind = raw[0] if isinstance(raw, (list, tuple)) and raw else None
+        if kind == "add_vertex":
+            shape = "['add_vertex', label] with a non-empty string label"
+            valid = len(raw) == 2 and isinstance(raw[1], str) and raw[1] != ""
+        elif kind in MUTATION_OP_KINDS:
+            shape = f"['{kind}', u, v] with non-negative vertex ids"
+            valid = len(raw) == 3 and not any(
+                isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in raw[1:]
+            )
+        else:
+            shape = f"a list starting with one of {list(MUTATION_OP_KINDS)}"
+            valid = False
+        if not valid:
+            raise ServiceError(400, field.code, f"ops[{i}] must be {shape}")
+        ops.append(tuple(raw))
+    return tuple(ops)
+
+
+_CHECKERS = {
+    "str": _check_str,
+    "query": lambda field, value: query_graph_from_json(value, where=field.name),
+    "queries": _check_queries,
+    "int": _check_int,
+    "number": _check_number,
+    "positive": _check_number,
+    "choice": _check_choice,
+    "vertex": _check_vertex,
+    "ops": _check_ops,
+}
+
+# The tables. Weighted-vertex requests use the server-side degree-derived
+# weights (``1 + degree(v)``): per-vertex weight tables never cross the wire,
+# being graph-sized, and the catalog owns the graphs.
+_GRAPH = FieldSpec("graph", "str", required=True)
+_OVERRIDES = (
+    FieldSpec("k", "int", bound=1, config="k"),
+    FieldSpec("alpha", "number", bound=0, config="alpha"),
+    FieldSpec("time_budget_ms", "positive", bound=0, config="time_budget_ms"),
 )
-_BATCH_FIELDS = (
-    "graph",
-    "queries",
-    "k",
-    "alpha",
-    "time_budget_ms",
-    "strategy",
-    "jobs",
-    "objective",
+_OBJECTIVE = FieldSpec(
+    "objective", "choice", "invalid_objective", bound=tuple(sorted(OBJECTIVE_NAMES)),
+    config="objective",
 )
+QUERY_SPEC = (
+    _GRAPH, FieldSpec("query", "query", "invalid_query", required=True), *_OVERRIDES, _OBJECTIVE
+)
+BATCH_SPEC = (
+    FieldSpec("queries", "queries", bound=MAX_BATCH_QUERIES, required=True),
+    FieldSpec(
+        "strategy", "choice", bound=BATCH_STRATEGIES, default="serial",
+        hint=" (the fork-based 'process' strategy is not offered by the service)",
+    ),
+    _GRAPH,
+    *_OVERRIDES,
+    FieldSpec("jobs", "int", bound=1),
+    _OBJECTIVE,
+)
+# The mutation bodies: the graph is named by the request path.
+EDGE_SPEC = (
+    FieldSpec("op", "choice", "invalid_mutation", bound=("add", "remove"), required=True),
+    FieldSpec("u", "vertex", "invalid_mutation", bound=0, required=True),
+    FieldSpec("v", "vertex", "invalid_mutation", bound=0, required=True),
+)
+INGEST_SPEC = (
+    FieldSpec("ops", "ops", "invalid_mutation", bound=MAX_INGEST_OPS, required=True),
+    # Checked and dropped: perfbench harness 1.0 still sends it; nothing reads it.
+    FieldSpec("compaction_threshold", "int", bound=1, client=False),
+)
+
+
+def _parse(
+    payload: Dict[str, object], spec: Tuple[FieldSpec, ...], where: str
+) -> Dict[str, object]:
+    """``{field name: parsed value}`` of a body checked against ``spec``."""
+    _reject_unknown(payload, [field.name for field in spec], where)
+    values = {}
+    for field in spec:
+        value = payload.get(field.name, field.default)
+        if field.required or value is not field.default:
+            value = _CHECKERS[field.kind](field, value)
+        values[field.name] = value
+    return values
+
+
+def config_overrides(request, spec: Tuple[FieldSpec, ...]) -> Dict[str, object]:
+    """A parsed read's ``DSQLConfig`` overrides, as keywords of
+    :meth:`~repro.service.catalog.CatalogEntry.request_config`."""
+    return {field.config: getattr(request, field.name) for field in spec if field.config}
 
 
 def parse_query_request(payload: Dict[str, object]) -> QueryRequest:
     """Validate a ``POST /v1/query`` body (see ``docs/service.md``)."""
-    _reject_unknown(payload, _QUERY_FIELDS, "query request")
-    return QueryRequest(
-        graph=_require_str(payload, "graph"),
-        query=query_graph_from_json(payload.get("query")),
-        k=_optional_int(payload, "k", minimum=1),
-        alpha=_optional_number(payload, "alpha", positive=False),
-        time_budget_ms=_optional_number(payload, "time_budget_ms", positive=True),
-        objective=_optional_objective(payload),
-    )
+    return QueryRequest(**_parse(payload, QUERY_SPEC, "query request"))
 
 
 def parse_batch_request(payload: Dict[str, object]) -> BatchRequest:
     """Validate a ``POST /v1/batch`` body (see ``docs/service.md``)."""
-    _reject_unknown(payload, _BATCH_FIELDS, "batch request")
-    raw_queries = payload.get("queries")
-    if not isinstance(raw_queries, list) or not raw_queries:
-        raise ServiceError(400, "invalid_request", "'queries' must be a non-empty list")
-    if len(raw_queries) > MAX_BATCH_QUERIES:
-        raise ServiceError(
-            400,
-            "invalid_request",
-            f"'queries' has {len(raw_queries)} entries; the limit is {MAX_BATCH_QUERIES}",
-        )
-    queries = tuple(
-        query_graph_from_json(q, where=f"queries[{i}]") for i, q in enumerate(raw_queries)
-    )
-    strategy = payload.get("strategy", "serial")
-    if strategy not in BATCH_STRATEGIES:
-        raise ServiceError(
-            400,
-            "invalid_request",
-            f"'strategy' must be one of {list(BATCH_STRATEGIES)}, got {strategy!r} "
-            "(the fork-based 'process' strategy is not offered by the service)",
-        )
-    return BatchRequest(
-        graph=_require_str(payload, "graph"),
-        queries=queries,
-        k=_optional_int(payload, "k", minimum=1),
-        alpha=_optional_number(payload, "alpha", positive=False),
-        time_budget_ms=_optional_number(payload, "time_budget_ms", positive=True),
-        strategy=strategy,
-        jobs=_optional_int(payload, "jobs", minimum=1),
-        objective=_optional_objective(payload),
-    )
-
-
-# ----------------------------------------------------------------------
-# Mutation parsers
-# ----------------------------------------------------------------------
-_EDGE_FIELDS = ("op", "u", "v")
-_INGEST_FIELDS = ("ops", "compaction_threshold")
-_EDGE_OPS = {"add": "add_edge", "remove": "remove_edge"}
-
-
-def _require_vertex(payload: Dict[str, object], name: str) -> int:
-    value = payload.get(name)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ServiceError(
-            400, "invalid_mutation", f"{name!r} must be a non-negative vertex id"
-        )
-    return value
+    return BatchRequest(**_parse(payload, BATCH_SPEC, "batch request"))
 
 
 def parse_edge_mutation(graph: str, payload: Dict[str, object]) -> MutationRequest:
@@ -363,65 +411,14 @@ def parse_edge_mutation(graph: str, payload: Dict[str, object]) -> MutationReque
     checks are the graph's own (they depend on live vertex count) and
     surface as 400 ``invalid_mutation`` from the catalog.
     """
-    _reject_unknown(payload, _EDGE_FIELDS, "edge mutation")
-    op = payload.get("op")
-    if op not in _EDGE_OPS:
-        raise ServiceError(
-            400, "invalid_mutation", f"'op' must be one of {sorted(_EDGE_OPS)}, got {op!r}"
-        )
-    u = _require_vertex(payload, "u")
-    v = _require_vertex(payload, "v")
-    return MutationRequest(graph=graph, ops=((_EDGE_OPS[op], u, v),))
+    values = _parse(payload, EDGE_SPEC, "edge mutation")
+    return MutationRequest(graph, ((f"{values['op']}_edge", values["u"], values["v"]),))
 
 
 def parse_ingest_request(graph: str, payload: Dict[str, object]) -> MutationRequest:
-    """Validate a ``POST /v1/graphs/{g}/ingest`` body: a mutation batch.
-
-    ``ops`` is a list of ``["add_vertex", label]``, ``["add_edge", u, v]``
-    or ``["remove_edge", u, v]`` entries, applied in order as *one* write
-    (single cache-repair pass, single lock acquisition). An optional
-    ``compaction_threshold`` (an integer >= 1) is checked and dropped:
-    perfbench harness 1.0 still sends it, and nothing reads it.
-    """
-    _reject_unknown(payload, _INGEST_FIELDS, "ingest request")
-    raw_ops = payload.get("ops")
-    if not isinstance(raw_ops, list) or not raw_ops:
-        raise ServiceError(400, "invalid_mutation", "'ops' must be a non-empty list")
-    if len(raw_ops) > MAX_INGEST_OPS:
-        raise ServiceError(
-            400,
-            "invalid_mutation",
-            f"'ops' has {len(raw_ops)} entries; the limit is {MAX_INGEST_OPS}",
-        )
-    ops = []
-    for i, raw in enumerate(raw_ops):
-        if not isinstance(raw, (list, tuple)) or not raw or raw[0] not in MUTATION_OP_KINDS:
-            raise ServiceError(
-                400,
-                "invalid_mutation",
-                f"ops[{i}] must be a list starting with one of {list(MUTATION_OP_KINDS)}",
-            )
-        kind = raw[0]
-        if kind == "add_vertex":
-            if len(raw) != 2 or not isinstance(raw[1], str) or not raw[1]:
-                raise ServiceError(
-                    400,
-                    "invalid_mutation",
-                    f"ops[{i}] must be ['add_vertex', label] with a non-empty string label",
-                )
-            ops.append(("add_vertex", raw[1]))
-        else:
-            if len(raw) != 3 or any(
-                isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in raw[1:]
-            ):
-                raise ServiceError(
-                    400,
-                    "invalid_mutation",
-                    f"ops[{i}] must be ['{kind}', u, v] with non-negative vertex ids",
-                )
-            ops.append((kind, raw[1], raw[2]))
-    _optional_int(payload, "compaction_threshold", minimum=1)
-    return MutationRequest(graph=graph, ops=tuple(ops))
+    """Validate a ``POST /v1/graphs/{g}/ingest`` body: a mutation batch,
+    applied in order as *one* write (one cache-repair pass, one lock hold)."""
+    return MutationRequest(graph, _parse(payload, INGEST_SPEC, "ingest request")["ops"])
 
 
 # ----------------------------------------------------------------------

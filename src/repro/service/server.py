@@ -66,9 +66,12 @@ from repro.service.admission import (
 )
 from repro.service.catalog import CatalogEntry, GraphCatalog
 from repro.service.schemas import (
+    BATCH_SPEC,
     MAX_BODY_BYTES,
+    QUERY_SPEC,
     QueryRequest,
     ServiceError,
+    config_overrides,
     mutation_to_json,
     parse_batch_request,
     parse_edge_mutation,
@@ -94,6 +97,9 @@ writer lock anyway, so the gate only needs to count them, not price them."""
 
 _MUTATION_PARSERS = {"edges": parse_edge_mutation, "ingest": parse_ingest_request}
 """Action suffix of ``POST /v1/graphs/{g}/<action>`` -> its body parser."""
+
+
+_OUTCOMES = ("ok", "rejected", "draining", "client_error", "server_error")
 
 
 def _outcome(status: int) -> str:
@@ -132,16 +138,6 @@ def _actual_work_units(body: Dict[str, object]) -> Optional[int]:
         if seen:
             return total
     return None
-
-
-def _request_config(entry: CatalogEntry, request) -> DSQLConfig:
-    """The entry's config under a query / batch request's overrides."""
-    return entry.request_config(
-        k=request.k,
-        alpha=request.alpha,
-        time_budget_ms=request.time_budget_ms,
-        objective=request.objective,
-    )
 
 
 def _query_key(query) -> str:
@@ -317,6 +313,13 @@ class QueryService:
         self._warm_lock = threading.Lock()
         self._request_ids = itertools.count()
         self._started = time.monotonic()
+        # What observe_request counts, bound once: a request does no registry read.
+        metrics = self.instrumentation.metrics
+        self._requests = metrics.counter("service.requests")
+        self._outcomes = {
+            outcome: metrics.counter(f"service.requests.{outcome}") for outcome in _OUTCOMES
+        }
+        self._latency = metrics.histogram("service.latency_ms")
 
     # -- routing -------------------------------------------------------
     def _route(self, path: str) -> Optional[Tuple[Callable, Callable]]:
@@ -356,7 +359,7 @@ class QueryService:
         if record is None or record.version != record.entry.index_cache.version:
             request = parse_query_request(payload)
             entry = self.catalog.get(request.graph)
-            config = _request_config(entry, request)
+            config = entry.request_config(**config_overrides(request, QUERY_SPEC))
             record = _WarmRecord(entry, request, config, entry.index_cache.version)
             self._keep(text, record)
         entry, request, config = record.entry, record.request, record.config
@@ -400,7 +403,7 @@ class QueryService:
     def _probe_batch(self, payload: Dict[str, object]) -> _Probe:
         request = parse_batch_request(payload)
         entry = self.catalog.get(request.graph)
-        config = _request_config(entry, request)
+        config = entry.request_config(**config_overrides(request, BATCH_SPEC))
         estimates = [entry.estimate_cost(q, config) for q in request.queries]
         total = sum(e.work_units for e in estimates)
         return _Probe(
@@ -628,11 +631,10 @@ class QueryService:
 
     def observe_request(self, method: str, path: str, status: int, elapsed_ms: float) -> None:
         """Outcome counters for every request; latency histogram for /v1/*."""
-        metrics = self.instrumentation.metrics
-        metrics.counter("service.requests").inc()
-        metrics.counter(f"service.requests.{_outcome(status)}").inc()
+        self._requests.inc()
+        self._outcomes[_outcome(status)].inc()
         if path.startswith("/v1/"):
-            metrics.histogram("service.latency_ms").observe(elapsed_ms)
+            self._latency.observe(elapsed_ms)
 
     def next_request_id(self) -> int:
         return next(self._request_ids)

@@ -22,7 +22,7 @@ from repro.core.config import DSQLConfig
 from repro.core.dsql import DSQL
 from repro.exceptions import ConfigError
 from repro.observability.metrics import MetricsRegistry
-from repro.service import GraphCatalog, MultiWorkerServer, ServiceClient
+from repro.service import GraphCatalog, MultiWorkerServer, ServiceClient, ServiceClientError
 from tests.conftest import ProcessCensus, held_by_another_thread
 from tests.service.conftest import DEFAULT_K, tiny_graph, tiny_queries
 
@@ -119,6 +119,15 @@ class TestMergedViews:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(f"{front.control_url}/nope")
         assert excinfo.value.code == 404
+        # The service's one error shape, as every other reply has it.
+        assert json.loads(excinfo.value.read()) == {
+            "error": {"code": "unknown_endpoint", "message": "no such endpoint: GET /nope"}
+        }
+
+    def test_the_client_reads_a_control_404_as_a_typed_error(self, front):
+        with pytest.raises(ServiceClientError) as excinfo:
+            ServiceClient(front.control_url)._call("GET", "/nope", None)
+        assert (excinfo.value.status, excinfo.value.code) == (404, "unknown_endpoint")
 
 
 class TestValidation:

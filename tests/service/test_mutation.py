@@ -97,6 +97,17 @@ class TestEdgeEndpoint:
             client._call("POST", "/v1/graphs/tiny/frobnicate", {})
         assert exc.value.status == 404 and exc.value.code == "unknown_endpoint"
 
+    @pytest.mark.parametrize("op", [["add"], {"add": 1}], ids=["list", "object"])
+    def test_an_unhashable_edge_op_is_a_400_not_a_500(self, mutable_server, op):
+        server, client, graph = mutable_server
+        version = graph.version
+        with pytest.raises(ServiceClientError) as exc:
+            client._call("POST", "/v1/graphs/tiny/edges", {"op": op, "u": 0, "v": 1})
+        assert (exc.value.status, exc.value.code) == (400, "invalid_mutation")
+        assert graph.version == version
+        metrics = server.service.instrumentation.metrics.snapshot()
+        assert metrics.get("service.requests.server_error", 0) == 0
+
 
 class TestMutateCommand:
     """``repro-dsql mutate`` against an in-process server."""

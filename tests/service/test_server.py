@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import http.client
+import http.server
 import json
 import signal
 import socket
@@ -180,6 +181,37 @@ class TestTypedErrors:
         with pytest.raises(ServiceClientError) as info:
             client._call("GET", "/nope", None)
         assert info.value.status == 404
+
+    @pytest.mark.parametrize(
+        "body",
+        [{"error": "unknown_endpoint", "message": "no"}, {"error": [1]}, [1, 2], {"error": None}],
+        ids=["string", "list", "array", "null"],
+    )
+    def test_an_error_value_that_is_not_an_object_is_an_http_error(self, body):
+        """Another server's error body is outside input: the client raises
+        its typed error for any shape, never an ``AttributeError``."""
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_GET(self):
+                data = json.dumps(body).encode()
+                self.send_response(404)
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+
+            def log_message(self, *args):
+                pass
+
+        stub = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=stub.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with pytest.raises(ServiceClientError) as info:
+                ServiceClient(f"http://127.0.0.1:{stub.server_port}").healthz()
+        finally:
+            stub.shutdown()
+            stub.server_close()
+        assert (info.value.status, info.value.code) == (404, "http_error")
 
     def test_invalid_objective_400_on_query(self, client):
         query = tiny_queries(count=1)[0]

@@ -20,7 +20,14 @@ import pytest
 
 from repro.core.config import DSQLConfig
 from repro.graph.labeled_graph import LabeledGraph
-from repro.service import GraphCatalog, QueryService, read_access_log
+from repro.observability.metrics import MetricsRegistry
+from repro.service import (
+    GraphCatalog,
+    QueryService,
+    ServiceClient,
+    ServiceServer,
+    read_access_log,
+)
 from repro.service.schemas import query_graph_to_json, result_to_json
 from repro.service.server import _SORTED_JSON, _EncodedReply, _ServiceHandler
 
@@ -340,3 +347,26 @@ def test_readers_racing_over_a_small_record_table_get_the_serial_answers():
     stats = service.catalog.get("tiny").default_session.stats
     assert stats.query_cache_hits + stats.query_cache_misses == len(answered)
     service.close()
+
+
+class TestAWarmRequestReadsNoRegistry:
+    @pytest.mark.parametrize("mode", ["count", "cost", "off"])
+    def test_no_metric_is_looked_up_by_name_on_a_warm_http_request(self, mode, monkeypatch):
+        """Every instrument a warm request touches (outcome counters, latency,
+        the admission gauges of each mode, the memo's hit counter) is bound
+        once, so the request makes no registry lookup at all."""
+        service = _service(admission_mode=mode)
+        server = ServiceServer(service, port=0).start()
+        try:
+            client, query = ServiceClient(server.url, timeout=30.0), tiny_queries(count=1)[0]
+            client.query("tiny", query)  # cold: searches, and moves the calibration
+            client.query("tiny", query)  # warm: prices once under the new calibration
+            lookups, lookup = [], MetricsRegistry._get
+            monkeypatch.setattr(
+                MetricsRegistry, "_get",
+                lambda registry, name, *rest: lookups.append(name) or lookup(registry, name, *rest),
+            )
+            assert client.query("tiny", query)["from_cache"]
+            assert lookups == []
+        finally:
+            server.close()

@@ -8,6 +8,11 @@ that every reply is one well-formed HTTP/1.0 response whose status and error
 code are a row of docs/service.md's status table, that nothing answers 500,
 and that a refused request leaves the admission gate and the client quotas
 as it found them.
+
+The body fuzz is generated from the ``FieldSpec`` tables: every row of every
+endpoint is sent in range, at its bound, just past it, type-confused, null,
+duplicated and beside an unknown name, and each reply must be the 200 or the
+400 code the row names.
 """
 
 from __future__ import annotations
@@ -28,7 +33,14 @@ from hypothesis import strategies as st
 import repro.service.server as server_mod
 from repro.core.config import DSQLConfig
 from repro.service import GraphCatalog, QueryService, ServiceServer
-from repro.service.schemas import MAX_BODY_BYTES, query_graph_to_json
+from repro.service.schemas import (
+    BATCH_SPEC,
+    EDGE_SPEC,
+    INGEST_SPEC,
+    MAX_BODY_BYTES,
+    QUERY_SPEC,
+    query_graph_to_json,
+)
 from tests.service.conftest import DEFAULT_K, tiny_graph, tiny_queries
 from tests.test_lint import service_status_rows
 
@@ -380,3 +392,157 @@ def test_each_reply_is_one_sendall_with_the_parents_head():
         assert reply.startswith(f"HTTP/1.0 {status} {HTTPStatus(status).phrase}\r\n".encode())
     assert json.loads(parse_reply(replies["memo hit"])[2])["from_cache"] is True
     assert dict(parse_reply(replies["429"])[1])["Retry-After"] == "3"
+
+
+# ----------------------------------------------------------------------
+# Bodies, generated from the FieldSpec tables
+# ----------------------------------------------------------------------
+FUZZ_GRAPH = tiny_graph()
+U, V = next((u, v) for u, v in sorted(FUZZ_GRAPH.edges()) if min(u, v) > 0)
+FUZZ_QUERIES = [query_graph_to_json(q) for q in tiny_queries(count=3, seed=91)]
+FUZZ_OPS = [["add_edge", U, V], ["remove_edge", U, V], ["add_vertex", "L"]]
+FUZZ_ENDPOINTS = {
+    # path: (its table, a valid body)
+    "/v1/query": (QUERY_SPEC, {"graph": "tiny", "query": FUZZ_QUERIES[0]}),
+    "/v1/batch": (BATCH_SPEC, {"graph": "tiny", "queries": FUZZ_QUERIES[:1]}),
+    "/v1/graphs/tiny/edges": (EDGE_SPEC, {"op": "add", "u": U, "v": V}),
+    "/v1/graphs/tiny/ingest": (INGEST_SPEC, {"ops": FUZZ_OPS[:1]}),
+}
+FUZZ_ROWS = [(path, field) for path, (spec, _) in FUZZ_ENDPOINTS.items() for field in spec]
+FUZZ_IDS = [f"{path.rsplit('/', 1)[1]}.{field.name}" for path, field in FUZZ_ROWS]
+
+
+def in_range(field, other):
+    """Values a row accepts (``other``: the body's other vertex id)."""
+    kind, bound = field.kind, field.bound
+    return {
+        "str": lambda: st.just("tiny"),
+        "query": lambda: st.sampled_from(FUZZ_QUERIES),
+        "queries": lambda: st.lists(st.sampled_from(FUZZ_QUERIES), min_size=1, max_size=3),
+        "ops": lambda: st.lists(st.sampled_from(FUZZ_OPS), min_size=1, max_size=3),
+        "int": lambda: st.integers(bound, bound + 40),
+        "number": lambda: st.floats(bound, 1e6) | st.integers(bound, 100),
+        "positive": lambda: st.floats(bound, 1e4, exclude_min=True) | st.integers(bound + 1, 99),
+        "choice": lambda: st.sampled_from(bound),
+        "vertex": lambda: st.integers(bound, FUZZ_GRAPH.num_vertices - 1).filter(
+            lambda u: u != other
+        ),
+    }[kind]()
+
+
+# A list at its bound is a 4 096-query batch or a 100 000-op ingest (≈ 0.35 s
+# each): the fuzz leaves those to test_a_list_at_its_bound_is_accepted.
+LONG_LISTS = ("queries", "ops")
+LONG_LIST_ROWS = [(path, field) for path, field in FUZZ_ROWS if field.kind in LONG_LISTS]
+
+
+def at_bound(field):
+    """The value on the row's bound that it still accepts (``None``: no bound)."""
+    if field.kind in LONG_LISTS:
+        return (FUZZ_QUERIES if field.kind == "queries" else FUZZ_OPS)[:1] * field.bound
+    return {"int": field.bound, "vertex": field.bound, "number": field.bound}.get(
+        field.kind, 5e-324 if field.kind == "positive" else None
+    )
+
+
+PAST_BOUND = {
+    "int": lambda f: [f.bound - 1], "vertex": lambda f: [f.bound - 1],
+    "number": lambda f: [f.bound - 1e-9, -1], "positive": lambda f: [f.bound, 0.0, -1],
+    "queries": lambda f: [[], [0] * (f.bound + 1)], "ops": lambda f: [[], [0] * (f.bound + 1)],
+    "str": lambda f: [""], "query": lambda f: [{"labels": []}], "choice": lambda f: ["nope"],
+}
+CONFUSED = {
+    "int": [True, False, 2.0, 1.5, "3"], "vertex": [True, 1.0, "1"],
+    "number": [True, "1.5", [1]], "positive": [False, "1.5", {}],
+    "str": [1, True, ["tiny"]], "choice": [1, True, ["vertex"], {"a": 1}],
+    "query": ["x", [1], 3], "queries": [{"a": 1}, "x", 3], "ops": [{"a": 1}, "x", 3],
+}
+
+
+@st.composite
+def field_bodies(draw, path, field):
+    """``([(name, value)], expected (status, code))``: the endpoint's valid body
+    with one row's value in range, at its bound, just past it, type-confused
+    or null, or sent twice (the last one counts), or an unknown name beside it."""
+    base = FUZZ_ENDPOINTS[path][1]
+    other = {"u": base.get("v"), "v": base.get("u")}.get(field.name)
+    shape = draw(st.sampled_from(["in range", "at bound", "past bound", "confused", "null"]))
+    if shape == "at bound" and field.kind not in LONG_LISTS and at_bound(field) is not None:
+        value, valid = at_bound(field), True
+    elif shape == "past bound":
+        value, valid = draw(st.sampled_from(PAST_BOUND[field.kind](field))), False
+    elif shape == "confused":
+        value, valid = draw(st.sampled_from(CONFUSED[field.kind])), False
+    elif shape == "null":
+        value, valid = None, not field.required and field.default is None
+    else:
+        value, valid = draw(in_range(field, other)), True
+    pairs = [(name, v) for name, v in base.items() if name != field.name]
+    twist = draw(st.sampled_from([None, None, "duplicated", "unknown"]))
+    if twist == "duplicated":  # an earlier copy; the decoder keeps the last one
+        first = draw(st.sampled_from(CONFUSED[field.kind] + [None]))
+        pairs.insert(draw(st.integers(0, len(pairs))), (field.name, first))
+        pairs.append((field.name, value))
+    else:
+        pairs.insert(draw(st.integers(0, len(pairs))), (field.name, value))
+    if twist == "unknown":
+        pairs.append(("tiem_budget_ms", 1))
+        return pairs, (400, "unknown_field")
+    return pairs, (200, None) if valid else (400, field.code)
+
+
+@pytest.fixture(scope="module")
+def body_server():
+    server = ServiceServer(_wire_service(client_quota_rate=1e6), port=0).start()
+    yield server
+    server.close()
+
+
+@pytest.mark.parametrize("path,field", FUZZ_ROWS, ids=FUZZ_IDS)
+@settings(
+    max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_every_field_answers_as_its_row_says(body_server, path, field, data):
+    pairs, expected = data.draw(field_bodies(path, field))
+    assert send_body(body_server, path, pairs) == expected
+
+
+@pytest.mark.parametrize("path,field", LONG_LIST_ROWS)
+def test_a_list_at_its_bound_is_accepted(body_server, path, field):
+    pairs = {**FUZZ_ENDPOINTS[path][1], field.name: at_bound(field)}.items()
+    assert send_body(body_server, path, list(pairs)) == (200, None)
+
+
+def send_body(server, path, pairs):
+    """``(status, error code)`` of ``pairs`` sent as one JSON body (a name may
+    repeat); a refused body must leave admission, the client's quota bucket
+    and ``service.mutations`` as it found them."""
+    service, metrics = server.service, server.service.instrumentation.metrics
+    body = ("{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs) + "}").encode()
+    head = f"POST {path} HTTP/1.1\r\nX-Client-Id: fuzz\r\nContent-Length: {len(body)}\r\n\r\n"
+    buckets, writes = dict(service.quotas._buckets), metrics.counter("service.mutations").value
+    status, _, reply = parse_reply(exchange(server.address, [head.encode() + body]))
+    code = error_code(status, reply)
+    assert code is None or (status, code) in STATUS_ROWS, reply[:300]
+    if status != 200:
+        assert occupancy(service) == (0, 0)
+        assert dict(service.quotas._buckets) == buckets
+        assert metrics.counter("service.mutations").value == writes
+    return status, code
+
+
+@pytest.mark.parametrize("outcome", ["accepted", "refused"])
+def test_the_body_fuzz_reaches_both_outcomes_on_every_row(outcome):
+    """Each row's generator yields a body the row accepts and one it refuses
+    with its own code."""
+    for path, field in FUZZ_ROWS:
+        want = (200, None) if outcome == "accepted" else (400, field.code)
+        case = find(
+            field_bodies(path, field),
+            lambda case: case[1] == want,
+            settings=settings(
+                max_examples=500, database=None, phases=[Phase.generate], derandomize=True
+            ),
+        )
+        assert case[1] == want

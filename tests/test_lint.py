@@ -716,6 +716,17 @@ STAYS_DELETED = {
         "graph/labeled_graph.py", "        self.num_edges += 1 if present else -1\n",
         "        self._delta_edges += 1\n", ("_delta_edges",),
     ),
+    # One declaration per wire field: the name tuples, the per-kind
+    # optional checkers and the server's override shim stay deleted (the
+    # FieldSpec tables hold all of it).
+    "wire_field_lists": (
+        (
+            "_QUERY_FIELDS", "_BATCH_FIELDS", "_EDGE_FIELDS", "_INGEST_FIELDS", "_optional_int",
+            "_optional_number", "_optional_objective", "_request_config",
+        ),
+        "service/schemas.py", '_GRAPH = FieldSpec("graph", "str", required=True)\n',
+        "_QUERY_FIELDS = tuple(field.name for field in QUERY_SPEC)\n", ("_QUERY_FIELDS",),
+    ),
 }
 
 
@@ -730,6 +741,15 @@ def assert_stays_deleted(row: str) -> str:
     mutant = text.replace(anchor, anchor + pasted)
     assert fork_offenders(names, sources={path: mutant}) == [f"{path}: {n!r}" for n in tripped]
     return mutant
+
+
+def test_wire_field_lists_stay_deleted():
+    import repro.service.schemas as schemas
+    import repro.service.server as server
+
+    assert_stays_deleted("wire_field_lists")
+    assert not hasattr(server, "_request_config")
+    assert not [n for n in STAYS_DELETED["wire_field_lists"][0] if hasattr(schemas, n)]
 
 
 def test_plan_free_fork_stays_deleted():
@@ -1763,6 +1783,133 @@ def test_every_service_error_has_a_status_row():
 
 
 # ----------------------------------------------------------------------
+# One declaration per wire field: an endpoint's ``FieldSpec`` rows in
+# service/schemas.py are its body fields. Its docs/service.md table (name
+# and Type cell, in check order), its ``ServiceClient`` method's keywords,
+# its request dataclass and ``CatalogEntry.request_config``'s keywords must
+# say the same, or one of them grew a field the others lack.
+# ----------------------------------------------------------------------
+WIRE_ENDPOINTS = {
+    # table: (docs/service.md heading, ServiceClient method, path parameters, request class)
+    "QUERY_SPEC": ("POST /v1/query", "query", (), "QueryRequest"),
+    "BATCH_SPEC": ("POST /v1/batch", "batch", (), "BatchRequest"),
+    "EDGE_SPEC": ("POST /v1/graphs/{graph}/edges", "mutate_edge", ("graph",), None),
+    "INGEST_SPEC": ("POST /v1/graphs/{graph}/ingest", "ingest", ("graph",), None),
+}
+DOC_TYPES = {
+    "str": "str", "query": "object", "queries": "list ≤ {bound}", "ops": "list ≤ {bound}",
+    "int": "int ≥ {bound}", "vertex": "int ≥ {bound}", "number": "number ≥ {bound}",
+    "positive": "number > {bound}",
+}
+
+
+def doc_type(field) -> str:
+    """The Type cell docs/service.md gives a ``FieldSpec`` row."""
+    if field.kind == "choice":
+        cell = "one of " + ", ".join(f"`{choice}`" for choice in field.bound)
+    else:
+        cell = DOC_TYPES.get(field.kind, f"? {field.kind}").format(bound=field.bound)
+    if field.required:
+        cell += ", required"
+    if field.default is not None:
+        cell += f", default `{field.default}`"
+    return cell
+
+
+def doc_field_rows(text, heading):
+    """``[(name, Type cell)]`` of the field table under ``### `heading` ``."""
+    section = text.split(f"\n### `{heading}`\n", 1)[1].split("\n#", 1)[0]
+    return re.findall(r"^\| `(\w+)` \| ([^|]+?) \|", section, re.M)
+
+
+def method_keywords(text, cls, method):
+    """The parameter names of ``cls.method`` in source ``text``, ``self`` excluded."""
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == method:
+                    return [a.arg for a in item.args.args[1:] + item.args.kwonlyargs]
+    return []
+
+
+def module_from_source(text, name):
+    """``text`` run as a fresh module (in ``sys.modules`` only while it runs)."""
+    module = type(sys)(name)
+    sys.modules[name] = module
+    try:
+        exec(compile(text, name, "exec"), module.__dict__)
+    finally:
+        del sys.modules[name]
+    return module
+
+
+def wire_field_offenders(sources):
+    """Every disagreement with the ``FieldSpec`` tables of ``sources``'
+    service/schemas.py (``{path under src/repro: source}``)."""
+    from repro.core.config import DSQLConfig
+
+    schemas = module_from_source(sources["service/schemas.py"], "schemas_under_lint")
+    docs = (REPO / "docs" / "service.md").read_text(encoding="utf-8")
+    config_fields = {field.name for field in dataclasses.fields(DSQLConfig)}
+    found, overridden = [], set()
+    for table, (heading, method, path_params, request) in WIRE_ENDPOINTS.items():
+        spec = getattr(schemas, table)
+        names = [field.name for field in spec]
+        documented = dict(doc_field_rows(docs, heading))
+        for field in spec:
+            if field.name not in documented:
+                found.append(f"{heading}: {field.name!r} has no docs/service.md row")
+            elif documented[field.name] != doc_type(field):
+                found.append(
+                    f"{heading}: docs/service.md types {field.name!r} as "
+                    f"{documented[field.name]!r}, its row as {doc_type(field)!r}"
+                )
+            if field.config is not None:
+                overridden.add(field.config)
+                if field.config not in config_fields:
+                    found.append(f"{table}: {field.name!r} overrides DSQLConfig.{field.config}")
+        found += [
+            f"{heading}: docs/service.md documents {n!r}" for n in documented if n not in names
+        ]
+        if [n for n in documented if n in names] != [n for n in names if n in documented]:
+            found.append(f"{heading}: docs/service.md lists the fields out of check order")
+        sent = {field.name for field in spec if field.client}
+        taken = set(method_keywords(sources["service/client.py"], "ServiceClient", method))
+        taken -= set(path_params)
+        found += [f"ServiceClient.{method} does not take {n!r}" for n in sorted(sent - taken)]
+        found += [
+            f"ServiceClient.{method} takes {n!r}, sent by no row" for n in sorted(taken - sent)
+        ]
+        if request is not None:
+            fields = {field.name for field in dataclasses.fields(getattr(schemas, request))}
+            found += [f"{request} has no field {n!r}" for n in names if n not in fields]
+            found += [f"{request}.{n} is no row" for n in sorted(fields - set(names))]
+    keywords = method_keywords(sources["service/catalog.py"], "CatalogEntry", "request_config")
+    keywords = set(keywords) - {"use_compression"}  # a HARNESS_ONLY row
+    found += [f"CatalogEntry.request_config lacks {n!r}" for n in sorted(overridden - keywords)]
+    found += [
+        f"CatalogEntry.request_config takes {n!r}, overridden by no row"
+        for n in sorted(keywords - overridden)
+    ]
+    return found
+
+
+def test_wire_fields_are_declared_once():
+    from repro.service import schemas
+
+    assert wire_field_offenders(package_sources()) == []
+    docs = (REPO / "docs" / "service.md").read_text(encoding="utf-8")
+    for table, (heading, *_rest) in WIRE_ENDPOINTS.items():
+        assert len(doc_field_rows(docs, heading)) == len(getattr(schemas, table)) > 0
+    # The ingest threshold is checked, then dropped; no bundled client sends it.
+    (threshold,) = [f for f in schemas.INGEST_SPEC if f.name == "compaction_threshold"]
+    assert (threshold.kind, threshold.bound, threshold.client) == ("int", 1, False)
+    assert {f.kind for spec in WIRE_ENDPOINTS for f in getattr(schemas, spec)} == set(
+        schemas._CHECKERS
+    )
+
+
+# ----------------------------------------------------------------------
 # The guards' mutants, one table: each row is an edit of a real module that
 # its guard must see, and only that.
 # ----------------------------------------------------------------------
@@ -1771,6 +1918,7 @@ GUARDS = {
     "memo_lock": lambda sources: memo_lock_offenders(sources)
     + fork_offenders(MEMO_WORKAROUND_MARKERS, sources=sources),
     "kept_price": kept_price_offenders,
+    "wire_fields": wire_field_offenders,
 }
 GUARD_MUTANTS = {
     # id: (guard, module under src/repro, anchor, its replacement, what the guard reports)
@@ -1855,6 +2003,32 @@ GUARD_MUTANTS = {
         "                state.observations += 1\n"
         "                self._state = CalibrationState(err, abs(err), 1)\n",
         ["cost/calibration.py: observe assigns state.observations"],
+    ),
+    # A field added in one place only: a row no doc, client or request has ...
+    "field_in_the_table_only": (
+        "wire_fields", "service/schemas.py",
+        '    FieldSpec("jobs", "int", bound=1),\n',
+        '    FieldSpec("jobs", "int", bound=1),\n    FieldSpec("seed", "int", bound=0),\n',
+        [
+            "POST /v1/batch: 'seed' has no docs/service.md row",
+            "ServiceClient.batch does not take 'seed'",
+            "BatchRequest has no field 'seed'",
+        ],
+    ),
+    # ... a client keyword no row sends ...
+    "field_in_the_client_only": (
+        "wire_fields", "service/client.py",
+        "        jobs: Optional[int] = None,\n",
+        "        jobs: Optional[int] = None,\n        seed: Optional[int] = None,\n",
+        ["ServiceClient.batch takes 'seed', sent by no row"],
+    ),
+    # ... and an override no row carries.
+    "override_in_the_catalog_only": (
+        "wire_fields", "service/catalog.py",
+        "        time_budget_ms: Optional[float] = None,\n",
+        "        time_budget_ms: Optional[float] = None,\n"
+        "        node_budget: Optional[int] = None,\n",
+        ["CatalogEntry.request_config takes 'node_budget', overridden by no row"],
     ),
 }
 
@@ -2005,7 +2179,7 @@ def metric_families():
     from repro.coverage.objectives import OBJECTIVE_NAMES
     from repro.kernels import KERNEL_KINDS
     from repro.observability.metrics import _STATS_COUNTERS
-    from repro.service.server import _outcome
+    from repro.service.server import _OUTCOMES
 
     return {
         "f'{phase}.level_expansions'": {"phase1.level_expansions", "phase2.level_expansions"},
@@ -2016,9 +2190,7 @@ def metric_families():
         "f'objective.{self.config.objective}.swap_accept'": {
             f"objective.{name}.swap_accept" for name in OBJECTIVE_NAMES
         },
-        "f'service.requests.{_outcome(status)}'": {
-            f"service.requests.{_outcome(status)}" for status in (200, 400, 429, 500, 503)
-        },
+        "f'service.requests.{outcome}'": {f"service.requests.{outcome}" for outcome in _OUTCOMES},
         "metric": {metric for _, metric in _STATS_COUNTERS},
         "name": set(),  # merge_counters replays names emitted elsewhere
     }
@@ -2229,14 +2401,14 @@ HARNESS_ONLY = {
     # A class constant ``None``: no wire field carries it.
     "QueryRequest.use_compression": (
         "attribute", ("request.use_compression",), (),
-        "service/server.py",
-        '    """The entry\'s config under a query / batch request\'s overrides."""\n',
-        "    assert request.use_compression is None\n",
+        "service/server.py", "            entry = self.catalog.get(request.graph)\n",
+        "            assert request.use_compression is None\n",
     ),
     "request_config(use_compression=)": (
         "keyword", ("request_config(use_compression=)",), (),
-        "service/server.py", "        objective=request.objective,\n",
-        "        use_compression=False,\n",
+        "service/server.py",
+        "        config = entry.request_config(**config_overrides(request, BATCH_SPEC))\n",
+        "        config = entry.request_config(use_compression=False)\n",
     ),
     # The kind stays in KERNEL_KINDS and the counter in SearchStats, always 0.
     "cbitset/kernel_cbitset": (
