@@ -191,11 +191,16 @@ class LevelSearchEngine(ConflictDirectedSearch):
         """The join constraint of a frame with two or more matched neighbors
         besides its father: the members of ``rcand`` in every one of their
         neighbor sets. Rare (no tree query, triangle or cycle has such a
-        frame), so it is a call; the frames' other two cases are not.
+        frame), so it is a call; the frames' other two cases are not. Each
+        step is a neighbor key view ``&`` a ``set``, which walks the smaller
+        side (``set.intersection`` would walk every key view whole).
         """
         self.stats.kernel_bitset += 1
         assignment, neighbor_set = self._assignment, self._neighbor_set
-        return set(rcand).intersection(*map(neighbor_set, map(assignment.__getitem__, backward)))
+        joined = set(rcand)
+        for w in backward:
+            joined = neighbor_set(assignment[w]) & joined
+        return joined
 
     # ------------------------------------------------------------------
     # Multi-embedding frames (Q1iSearch)

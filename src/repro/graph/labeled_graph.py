@@ -13,9 +13,13 @@ A graph is one object holding exactly what is read:
 * **sorted neighbor tuples**, one per vertex — what index builds, the search
   order and every deterministic iteration walk (``neighbors(v)``: plain
   Python ints, so downstream embeddings never carry numpy scalar types);
-* **membership sets**, one per vertex — what ``has_edge`` probes (O(1)
-  expected; a binary search in a sorted row pays ~20x call overhead for a
-  single lookup) and the join test reads in C (``neighbor_set(v)``);
+* **membership dicts**, one per vertex, mapping each neighbor to ``None``
+  — what ``has_edge`` probes (O(1) expected; a binary search in a sorted
+  row pays ~20x call overhead for a single lookup) and the join test reads
+  in C through their key views (``neighbor_set(v)``). A dict, not a set:
+  CPython's cyclic collector never tracks a dict holding only ints and
+  ``None``, so the adjacency adds no object to a collection's walk, and a
+  dict is about a third smaller than a set of the same members;
 * degrees, the raw label list and the label interning tables
   (``label_table`` / ``label_to_id``, first-appearance order: the id space
   the per-graph index cache keys its signature bitmasks by;
@@ -33,7 +37,7 @@ and shared by all queries against it.
 
 Graphs support **live mutation**: :meth:`LabeledGraph.add_vertex`,
 :meth:`~LabeledGraph.add_edge`, :meth:`~LabeledGraph.remove_edge`, and the
-batched :meth:`~LabeledGraph.mutate` update the rows, sets and degrees in
+batched :meth:`~LabeledGraph.mutate` update the rows, dicts and degrees in
 place — so a graph that was built and a graph that was grown to the same
 edges are the same object state — and repair the pinned index cache
 incrementally (only state derived from the touched 1-hop neighborhoods is
@@ -51,6 +55,7 @@ from typing import (
     Hashable,
     Iterable,
     Iterator,
+    KeysView,
     List,
     NamedTuple,
     Optional,
@@ -172,15 +177,15 @@ class LabeledGraph:
         to_id = self.label_to_id = {label: i for i, label in enumerate(self.label_table)}
         self._label_ids: List[int] = [to_id[label] for label in self.labels]
         # One pass over the edges: each pair is checked as it lands in the
-        # two membership sets, where duplicates in either orientation
-        # collapse; the sorted rows are read off the sets.
+        # two membership dicts, where duplicates in either orientation
+        # collapse; the sorted rows are read off the dicts.
         n = len(self.labels)
-        sets: List[Set[int]] = [set() for _ in range(n)]
+        sets: List[Dict[int, None]] = [{} for _ in range(n)]
         try:
             for u, v in edges:
                 check_edge(n, u, v)
-                sets[u].add(v)
-                sets[v].add(u)
+                sets[u][v] = None
+                sets[v][u] = None
         except (TypeError, ValueError) as exc:  # an entry that does not unpack
             raise GraphError(f"edges must be (u, v) pairs: {exc}") from None
         self._sets = sets
@@ -270,13 +275,13 @@ class LabeledGraph:
             self.label_table.append(label)
         self._label_ids.append(lid)
         self._rows.append(())
-        self._sets.append(set())
+        self._sets.append({})
         self._degrees.append(0)
         return v
 
     def _write_edge(self, u: int, v: int, present: bool) -> bool:
-        """Make edge ``(u, v)`` present or absent in both rows, both sets and
-        both degrees; returns ``False`` if it already was."""
+        """Make edge ``(u, v)`` present or absent in both rows, both dicts
+        and both degrees; returns ``False`` if it already was."""
         sets = self._sets
         if (v in sets[u]) == present:
             return False
@@ -286,11 +291,11 @@ class LabeledGraph:
             i = bisect_left(row, b)
             if present:
                 rows[a] = row[:i] + (b,) + row[i:]
-                sets[a].add(b)
+                sets[a][b] = None
                 degrees[a] += 1
             else:
                 rows[a] = row[:i] + row[i + 1 :]
-                sets[a].discard(b)
+                del sets[a][b]
                 degrees[a] -= 1
         self.num_edges += 1 if present else -1
         return True
@@ -370,21 +375,25 @@ class LabeledGraph:
         """Sorted neighbor tuple of ``v`` (plain Python ints)."""
         return self._rows[v]
 
-    def neighbor_set(self, v: int) -> Set[int]:
-        """The neighbors of ``v`` as the graph's own hash set (read-only).
+    def neighbor_set(self, v: int) -> KeysView[int]:
+        """The neighbors of ``v``: a live, read-only key view of the dict
+        ``has_edge`` probes (``in``, ``len``, iteration, ``==`` with a set).
 
-        What ``has_edge`` probes, handed out whole so a caller can intersect
-        it with another set in C — ``O(min)`` of the two sizes — instead of
-        walking the row in the interpreter. Mutations update it in place.
+        Handed out so a caller can join it in C instead of walking the row
+        in the interpreter. ``view & s`` is ``O(min)`` of the two sizes only
+        when ``s`` is a ``set`` or another key view: against a ``frozenset``,
+        and as the argument of ``set.intersection``, CPython walks the other
+        side whole — fold from a ``set`` (:func:`~repro.kernels.join.
+        intersect_sets`). Mutations show through the view in place.
         """
-        return self._sets[v]
+        return self._sets[v].keys()
 
     def degree(self, v: int) -> int:
         """Number of neighbors of ``v``."""
         return self._degrees[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        """O(1) expected scalar probe (per-vertex hash set)."""
+        """O(1) expected scalar probe (per-vertex membership dict)."""
         return v in self._sets[u]
 
     def __contains__(self, v: object) -> bool:

@@ -164,8 +164,9 @@ class ConflictDirectedSearch:
         self.bad_vertex_skipping = bad_vertex_skipping
         self.relaxed_bad_vertices = relaxed_bad_vertices
         self._q = query.size
-        # CT(u, *): the query's own neighbor sets, read, never copied.
-        self._static_conflicts = [query.neighbor_set(u) for u in range(self._q)]
+        # CT(u, *): the query's own neighbors, copied once into sets, which
+        # `|=` takes in C (a key view is not a set to it).
+        self._static_conflicts = [set(query.neighbor_set(u)) for u in range(self._q)]
         # CT(u, beta) asks whether a vertex passes u's label + degree +
         # signature filters. The plan's pools *are* that stack, so the
         # question is one set probe.

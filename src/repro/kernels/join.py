@@ -93,17 +93,21 @@ def intersect_sorted(a: Sequence[int], b: Sequence[int]) -> List[int]:
 def intersect_sets(first: AbstractSet[int], *rest: AbstractSet[int]) -> List[int]:
     """Ascending members common to every given set.
 
-    Folds left to right, each step one C-level ``&`` that walks the smaller
-    operand and probes the larger — ``min`` of the two sizes, never the long
-    side — and sorts once at the end (results are a handful of vertices).
-    With more than two sets, pass them smallest first so the running
-    intersection starts small. The sets are the graph's own
-    (:meth:`~repro.graph.labeled_graph.LabeledGraph.neighbor_set`) and the pools'
-    set views, kept beside their memo entries; nothing is built per call.
+    Folds left to right from a ``set`` copy of ``first``, each step one
+    C-level ``&`` that walks the smaller operand and probes the larger —
+    ``min`` of the two sizes, never the long side — and sorts once at the
+    end (results are a handful of vertices). Pass the operands smallest
+    first, so the copy and the running intersection start small. They are
+    the graph's neighbor key views
+    (:meth:`~repro.graph.labeled_graph.LabeledGraph.neighbor_set`) and the
+    pools' frozenset views, kept beside their memo entries. The copy keeps
+    every step ``O(min)``: a key view ``&`` a frozenset walks the frozenset
+    whole, a ``set`` ``&`` either walks the smaller side.
     """
+    joined = set(first)
     for other in rest:
-        first = first & other
-    return sorted(first)
+        joined = joined & other
+    return sorted(joined)
 
 
 def bitset_of(vertices: Iterable[int]) -> int:

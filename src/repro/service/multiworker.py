@@ -180,7 +180,8 @@ class _ControlHTTPServer(ThreadingHTTPServer):
 
 
 def _fetch_json(url: str) -> Tuple[Optional[int], Dict[str, object]]:
-    """GET a worker admin endpoint; errors become a reportable body."""
+    """GET a worker admin endpoint; errors become a reportable body, in the
+    service's one error shape (:meth:`ServiceError.to_body`)."""
     try:
         with urllib.request.urlopen(url, timeout=_FETCH_TIMEOUT_S) as response:
             return response.status, json.loads(response.read().decode("utf-8"))
@@ -188,9 +189,10 @@ def _fetch_json(url: str) -> Tuple[Optional[int], Dict[str, object]]:
         try:
             return exc.code, json.loads(exc.read().decode("utf-8"))
         except Exception:  # pragma: no cover - malformed error body
-            return exc.code, {"error": "bad_response", "message": str(exc)}
+            return exc.code, ServiceError(502, "bad_response", str(exc)).to_body()
     except Exception as exc:
-        return None, {"error": "unreachable", "message": f"{type(exc).__name__}: {exc}"}
+        message = f"{type(exc).__name__}: {exc}"
+        return None, ServiceError(502, "unreachable", message).to_body()
 
 
 class MultiWorkerServer:

@@ -313,9 +313,11 @@ class QueryService:
         self._warm_lock = threading.Lock()
         self._request_ids = itertools.count()
         self._started = time.monotonic()
-        # What observe_request counts, bound once: a request does no registry read.
+        # What a request counts, bound once: a request does no registry read.
         metrics = self.instrumentation.metrics
         self._requests = metrics.counter("service.requests")
+        self._mutations = metrics.counter("service.mutations")
+        self._quota_rejections = metrics.counter("service.quota_rejections")
         self._outcomes = {
             outcome: metrics.counter(f"service.requests.{outcome}") for outcome in _OUTCOMES
         }
@@ -486,7 +488,7 @@ class QueryService:
         summary = entry.mutate(request.ops)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         self._retire_stale()
-        self.instrumentation.metrics.counter("service.mutations").inc()
+        self._mutations.inc()
         return mutation_to_json(summary, graph=request.graph, elapsed_ms=elapsed_ms)
 
     def healthz(self) -> Tuple[int, Dict[str, object]]:
@@ -561,9 +563,7 @@ class QueryService:
             if self.quotas is not None:
                 quota_client = client if client else ANONYMOUS_CLIENT
                 if not self.quotas.try_consume(quota_client, probe.cost):
-                    self.instrumentation.metrics.counter(
-                        "service.quota_rejections"
-                    ).inc()
+                    self._quota_rejections.inc()
                     raise ServiceError(
                         429,
                         "quota_exceeded",
@@ -782,7 +782,7 @@ class _ServiceHandler:
         names, first occurrence wins); leaves ``command`` empty when the
         client sent nothing at all."""
         data = bytearray()
-        lines, line_start = 1, 0
+        lines, line_start = 0, 0  # complete lines so far, where the last one began
         while True:
             chunk = self._recv(_RECV_BYTES)
             if not chunk:

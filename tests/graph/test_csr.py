@@ -111,7 +111,8 @@ def test_the_constructor_checks_each_edge_once(monkeypatch):
 
 def test_builder_sorts_no_edge_collection(monkeypatch):
     """``GraphBuilder.build`` hands its edge set over as it is: the only
-    ``sorted`` calls of a build are the constructor's, one per vertex row."""
+    ``sorted`` calls of a build are the constructor's, one per vertex row,
+    each over that vertex's membership dict."""
     builder = GraphBuilder()
     builder.add_vertices(LABELS)
     builder.add_edges(EDGES)
@@ -120,7 +121,8 @@ def test_builder_sorts_no_edge_collection(monkeypatch):
     built = builder.build()
     assert in_builder == []
     assert len(in_constructor) == len(LABELS)
-    assert all(type(args[0]) is set and args[0] is not builder._edges for args in in_constructor)
+    assert [args[0] for args in in_constructor] == [dict.fromkeys(row) for row in built._rows]
+    assert all(type(args[0]) is dict for args in in_constructor)
     assert storage_state(built) == storage_state(LabeledGraph(LABELS, EDGES))
 
 
@@ -268,14 +270,15 @@ def test_csr_arrays_consistent():
 
 def test_csr_neighbors_array_zero_copy():
     """Was: ``neighbors_array(v)`` is a view of the array base. The view the
-    engine reads without a copy is now ``neighbor_set(v)``: the storage's
-    own object, following writes in place."""
+    engine reads without a copy is now ``neighbor_set(v)``: a key view of
+    the storage's own membership dict, so a view held across writes sees
+    them — no copy was made."""
     b = LabeledGraph(LABELS, EDGES)
     row = b.neighbor_set(1)
-    assert row is b.neighbor_set(1) and row == {0, 2, 3}
+    assert type(row) is type({}.keys()) and row == {0, 2, 3}
     b.add_edge(1, 4)
     b.remove_edge(1, 0)
-    assert row is b.neighbor_set(1) and row == {2, 3, 4}
+    assert row == b.neighbor_set(1) == {2, 3, 4}
     assert b.neighbors(1) == (2, 3, 4)
 
 

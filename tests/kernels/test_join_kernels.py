@@ -104,6 +104,27 @@ def test_joinable_kernel_folds_and(members):
     assert intersect_sets(*sets) == bitset_and_members(*map(bitset_of, sets))
 
 
+class CountingPool(frozenset):
+    """A pool's frozenset view that counts the times it is walked."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def test_intersect_sets_never_walks_a_big_pool():
+    """A neighbor key view ``&`` a frozenset walks the frozenset whole, so
+    the fold must start from a ``set`` copy of its first (smallest) operand:
+    a ``set`` ``&`` either operand walks the smaller side."""
+    graph = LabeledGraph(["a"] * 5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4)])
+    pool = CountingPool(range(100_000))
+    assert intersect_sets(graph.neighbor_set(0), pool) == [1, 2, 3]
+    assert intersect_sets(graph.neighbor_set(0), graph.neighbor_set(1), pool) == [2]
+    assert pool.walks == 0
+
+
 def _random_graph(rng: random.Random, n: int = 60, p: float = 0.15) -> LabeledGraph:
     labels = [f"L{rng.randrange(3)}" for _ in range(n)]
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]

@@ -124,6 +124,24 @@ class TestMergedViews:
             "error": {"code": "unknown_endpoint", "message": "no such endpoint: GET /nope"}
         }
 
+    def test_an_unreachable_worker_is_reported_in_the_one_error_shape(self):
+        """A worker the merged views cannot read is a ``per_worker`` row
+        whose ``error`` is ``ServiceError.to_body()``'s object, as every
+        other error body is, not a bare string."""
+        with socket.socket() as probe:  # a port nothing listens on once closed
+            probe.bind(("127.0.0.1", 0))
+            dead = f"http://127.0.0.1:{probe.getsockname()[1]}"
+        unstarted = MultiWorkerServer(GraphCatalog(), workers=1)
+        unstarted.worker_info.append({"worker": 0, "admin_url": dead})
+        status, health = unstarted.merged_healthz()
+        for body in (health, unstarted.merged_metrics()):
+            (row,) = body["per_worker"]
+            assert (row["worker"], row["reachable"]) == (0, False)
+            assert sorted(row["error"]) == ["code", "message"]
+            assert row["error"]["code"] == "unreachable"
+            assert row["error"]["message"].startswith("URLError: ")
+        assert status == 503 and health["healthy_workers"] == 0
+
     def test_the_client_reads_a_control_404_as_a_typed_error(self, front):
         with pytest.raises(ServiceClientError) as excinfo:
             ServiceClient(front.control_url)._call("GET", "/nope", None)

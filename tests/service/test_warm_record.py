@@ -25,6 +25,7 @@ from repro.service import (
     GraphCatalog,
     QueryService,
     ServiceClient,
+    ServiceClientError,
     ServiceServer,
     read_access_log,
 )
@@ -354,19 +355,32 @@ class TestAWarmRequestReadsNoRegistry:
     def test_no_metric_is_looked_up_by_name_on_a_warm_http_request(self, mode, monkeypatch):
         """Every instrument a warm request touches (outcome counters, latency,
         the admission gauges of each mode, the memo's hit counter) is bound
-        once, so the request makes no registry lookup at all."""
-        service = _service(admission_mode=mode)
+        once, so the request makes no registry lookup at all — and neither
+        does a quota refusal or a write."""
+        # A quota so small that a client's first request runs into debt and
+        # its second is refused; each client below is a fresh, full bucket.
+        service = _service(admission_mode=mode, client_quota_rate=1e-6)
         server = ServiceServer(service, port=0).start()
         try:
-            client, query = ServiceClient(server.url, timeout=30.0), tiny_queries(count=1)[0]
-            client.query("tiny", query)  # cold: searches, and moves the calibration
-            client.query("tiny", query)  # warm: prices once under the new calibration
+            query = tiny_queries(count=1)[0]
+            for name in ("cold", "warm"):
+                # cold: searches, and moves the calibration; warm: prices
+                # once under the new calibration.
+                ServiceClient(server.url, timeout=30.0, client_id=name).query("tiny", query)
             lookups, lookup = [], MetricsRegistry._get
             monkeypatch.setattr(
                 MetricsRegistry, "_get",
                 lambda registry, name, *rest: lookups.append(name) or lookup(registry, name, *rest),
             )
+            client = ServiceClient(server.url, timeout=30.0, client_id="spied")
             assert client.query("tiny", query)["from_cache"]
+            with pytest.raises(ServiceClientError) as refused:
+                client.query("tiny", query)
+            assert refused.value.code == "quota_exceeded"
+            writer = ServiceClient(server.url, timeout=30.0, client_id="writer")
+            assert writer.ingest("tiny", [["add_vertex", "zz"]])["applied"] == 1
             assert lookups == []
+            counts = service.metrics_snapshot()["metrics"]
+            assert counts["service.quota_rejections"] == counts["service.mutations"] == 1
         finally:
             server.close()

@@ -45,6 +45,7 @@ from tests.service.conftest import DEFAULT_K, tiny_graph, tiny_queries
 from tests.test_lint import service_status_rows
 
 STATUS_ROWS = service_status_rows()
+MAX_HEADER_LINES = server_mod._MAX_HEADERS
 
 STATUS_LINE = re.compile(rb"HTTP/1\.0 (\d{3}) [A-Za-z -]+")
 REPLY_HEADERS = ["Server", "Date", "Content-Type", "Content-Length"]
@@ -214,7 +215,7 @@ def cases(draw) -> Case:
     if oversized == "line":
         fields.append("X-Long: " + "a" * 65536)
     elif oversized == "count":
-        fields += [f"X-Many-{i}: x" for i in range(101)]
+        fields += [f"X-Many-{i}: x" for i in range(MAX_HEADER_LINES + 1)]
     line = sep.join(w for w in (method, target, version) if w)
     head = (eol.join([line, *fields]) + eol + eol).encode("latin-1")
     expected = expected_status(
@@ -237,8 +238,24 @@ def deliveries(draw, case: Case) -> Tuple[List[bytes], float, Optional[int]]:
         return trickled + [data[case.head_length:]], 0.0, case.expected
     if mode == "truncate":
         cut = draw(st.integers(0, case.head_length - 1))
-        return [data[:cut]], 0.0, None if cut == 0 else 400
+        # A cut past the header-line limit is refused as the lines arrive,
+        # before the server can see the close.
+        over = data[:cut].count(b"\n") > MAX_HEADER_LINES + 1
+        return [data[:cut]], 0.0, None if cut == 0 else 431 if over else 400
     return [data], 0.0, case.expected
+
+
+def test_a_head_at_the_line_limit_is_served_however_it_is_cut(wire_server):
+    """Exactly ``MAX_HEADER_LINES`` header lines is a legal head, also when
+    a segment ends right after the last of them: only a line past the
+    limit is refused."""
+    lines = ["GET /healthz HTTP/1.1"] + [f"X-Many-{i}: x" for i in range(MAX_HEADER_LINES)]
+    head = "\r\n".join(lines).encode("latin-1") + b"\r\n"
+    status, _, _ = parse_reply(exchange(wire_server.address, [head, b"\r\n"], 0.05))
+    assert status == 200
+    head += b"X-Many-past: x\r\n"
+    status, _, body = parse_reply(exchange(wire_server.address, [head, b"\r\n"], 0.05))
+    assert (status, error_code(status, body)) == (431, "head_too_large")
 
 
 def occupancy(service: QueryService):

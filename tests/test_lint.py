@@ -1910,6 +1910,47 @@ def test_wire_fields_are_declared_once():
 
 
 # ----------------------------------------------------------------------
+# Fork guard: the data graph stays out of the cyclic collector, and every
+# join over it walks the smaller side. The storage writers build no set (a
+# set per vertex is a tracked object; a dict of ints to ``None`` is not),
+# and no ``.intersection(`` takes a neighbor key view, which CPython then
+# walks whole.
+# ----------------------------------------------------------------------
+STORAGE_WRITERS = ("__init__", "_append_vertex", "_write_edge")
+
+
+def collector_offenders(sources):
+    """``graph/labeled_graph.py: W builds a set`` for each storage writer
+    that does, and ``path: .intersection( over neighbor_set`` for each such
+    call in the package."""
+    offenders = []
+    for node in ast.walk(ast.parse(sources["graph/labeled_graph.py"])):
+        if isinstance(node, ast.FunctionDef) and node.name in STORAGE_WRITERS:
+            if any(
+                isinstance(sub, (ast.Set, ast.SetComp))
+                or isinstance(sub, ast.Call) and ast.unparse(sub.func) in ("set", "frozenset")
+                for sub in ast.walk(node)
+            ):
+                offenders.append(f"graph/labeled_graph.py: {node.name} builds a set")
+    for path, text in sorted(sources.items()):
+        for node in ast.walk(ast.parse(text)):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "intersection"
+                and any("neighbor_set" in ast.unparse(arg) for arg in node.args)
+            ):
+                offenders.append(f"{path}: .intersection( over neighbor_set")
+    return offenders
+
+
+def test_the_graph_stays_out_of_the_collector():
+    # Its mutants are rows of GUARD_MUTANTS; tests/graph/test_collector.py
+    # checks the same at run time.
+    assert collector_offenders(package_sources()) == []
+
+
+# ----------------------------------------------------------------------
 # The guards' mutants, one table: each row is an edit of a real module that
 # its guard must see, and only that.
 # ----------------------------------------------------------------------
@@ -1919,6 +1960,7 @@ GUARDS = {
     + fork_offenders(MEMO_WORKAROUND_MARKERS, sources=sources),
     "kept_price": kept_price_offenders,
     "wire_fields": wire_field_offenders,
+    "collector": collector_offenders,
 }
 GUARD_MUTANTS = {
     # id: (guard, module under src/repro, anchor, its replacement, what the guard reports)
@@ -2029,6 +2071,23 @@ GUARD_MUTANTS = {
         "        time_budget_ms: Optional[float] = None,\n"
         "        node_budget: Optional[int] = None,\n",
         ["CatalogEntry.request_config takes 'node_budget', overridden by no row"],
+    ),
+    # A set per vertex put back where a vertex is appended ...
+    "membership_set": (
+        "collector", "graph/labeled_graph.py",
+        "        self._sets.append({})\n", "        self._sets.append(set())\n",
+        ["graph/labeled_graph.py: _append_vertex builds a set"],
+    ),
+    # ... and the fold that walks every neighbor view whole.
+    "intersection_over_views": (
+        "collector", "core/search.py",
+        "        joined = set(rcand)\n"
+        "        for w in backward:\n"
+        "            joined = neighbor_set(assignment[w]) & joined\n"
+        "        return joined\n",
+        "        return set(rcand).intersection("
+        "*map(neighbor_set, map(assignment.__getitem__, backward)))\n",
+        ["core/search.py: .intersection( over neighbor_set"],
     ),
 }
 
