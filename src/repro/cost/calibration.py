@@ -171,16 +171,23 @@ class EwmaCalibration:
 _TABLE_VERSION = 1
 
 
-def save_calibration(path: Union[str, Path], table: Dict[str, CalibrationState]) -> None:
-    """Write a calibration table atomically (write-then-rename)."""
+def write_atomically(path: Union[str, Path], text: str) -> None:
+    """Write ``text`` to ``path`` then rename it into place: a failed write
+    leaves the previous file whole. Both warm files (this table and the
+    catalog's plan specs) are written through it."""
     target = Path(path)
+    tmp = target.with_name(target.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    tmp.replace(target)
+
+
+def save_calibration(path: Union[str, Path], table: Dict[str, CalibrationState]) -> None:
+    """Write a calibration table atomically (:func:`write_atomically`)."""
     payload = {
         "version": _TABLE_VERSION,
         "graphs": {name: state.to_dict() for name, state in sorted(table.items())},
     }
-    tmp = target.with_name(target.name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
-    tmp.replace(target)
+    write_atomically(path, json.dumps(payload, indent=1) + "\n")
 
 
 def load_calibration(path: Union[str, Path]) -> Optional[Dict[str, CalibrationState]]:

@@ -46,6 +46,7 @@ surfaces as HTTP 409 ``graph_busy`` with a ``Retry-After`` hint.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from collections import OrderedDict
@@ -56,6 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.config import DSQLConfig
 from repro.core.dsql import DSQL
 from repro.core.result import DSQResult
+from repro.cost.calibration import write_atomically
 from repro.datasets.registry import make_dataset
 from repro.exceptions import ConfigError, DatasetError, GraphError
 from repro.graph.io import load_edge_list, load_json
@@ -482,9 +484,6 @@ class GraphCatalog:
         (:meth:`~repro.indexes.plans.PlanCache.dump_specs`). Returns the
         total number of specs written.
         """
-        import json
-        from pathlib import Path
-
         table = {}
         total = 0
         for name in self.names():
@@ -493,11 +492,7 @@ class GraphCatalog:
                 table[name] = specs
                 total += len(specs)
         payload = {"version": 1, "graphs": table}
-        # Write-then-rename: a failed write leaves the previous file whole.
-        target = Path(path)
-        tmp = target.with_name(target.name + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        tmp.replace(target)
+        write_atomically(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return total
 
     def load_plan_cache(self, path) -> int:
@@ -508,9 +503,6 @@ class GraphCatalog:
         never a startup dependency. Returns the number of plans warmed
         (the ``plan_cache.warmed=N`` startup line).
         """
-        import json
-        from pathlib import Path
-
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, ValueError):

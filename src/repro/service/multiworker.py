@@ -45,7 +45,6 @@ import socket
 import threading
 import urllib.error
 import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import ConfigError
@@ -144,39 +143,24 @@ def _worker_main(
 # ----------------------------------------------------------------------
 # Parent control server
 # ----------------------------------------------------------------------
-class _ControlHandler(BaseHTTPRequestHandler):
-    """Merged-view endpoints on the parent; ``front`` bound per server."""
+class _ControlService(QueryService):
+    """The merged views on the service's own transport: ``GET /healthz`` and
+    ``GET /metrics`` fan out to the workers, and there is no POST route, so
+    everything else is the one JSON error shape. Its own empty catalog holds
+    its request counters apart from the workers' and the parent's."""
 
-    front: "MultiWorkerServer"
-    server_version = "repro-service-control"
-    timeout = 30.0
+    def __init__(self, front: "MultiWorkerServer") -> None:
+        super().__init__(GraphCatalog())
+        self.front = front
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib signature
-        logger.debug("%s %s", self.address_string(), format % args)
+    def _route(self, path: str) -> None:
+        return None
 
-    def do_GET(self) -> None:
-        path = self.path.split("?", 1)[0]
-        if path == "/healthz":
-            status, body = self.front.merged_healthz()
-        elif path == "/metrics":
-            status, body = 200, self.front.merged_metrics()
-        else:
-            error = ServiceError(404, "unknown_endpoint", f"no such endpoint: GET {path}")
-            status, body = error.status, error.to_body()
-        data = json.dumps(body, sort_keys=True).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+    def healthz(self) -> Tuple[int, Dict[str, object]]:
+        return self.front.merged_healthz()
 
-
-class _ControlHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def handle_error(self, request, client_address):  # pragma: no cover - client aborts
-        logger.warning("control: error handling %s", client_address, exc_info=True)
+    def metrics_snapshot(self) -> Dict[str, object]:
+        return self.front.merged_metrics()
 
 
 def _fetch_json(url: str) -> Tuple[Optional[int], Dict[str, object]]:
@@ -253,7 +237,7 @@ class MultiWorkerServer:
         self._processes: List = []
         self._pipes: List = []
         self.worker_info: List[Dict[str, object]] = []
-        self._control: Optional[_ControlHTTPServer] = None
+        self._control: Optional[ServiceServer] = None
         self._started = False
         self._close_lock = threading.Lock()
         self._closed = False
@@ -267,8 +251,7 @@ class MultiWorkerServer:
     @property
     def control_url(self) -> str:
         """The parent's merged /healthz + /metrics URL."""
-        host, port = self._control.server_address[:2]
-        return f"http://{host}:{port}"
+        return self._control.url
 
     # -- startup -------------------------------------------------------
     def start(self) -> "MultiWorkerServer":
@@ -325,13 +308,7 @@ class MultiWorkerServer:
             logger.info("worker %d ready: pid=%s admin=%s",
                         index, info["pid"], info["admin_url"])
 
-        handler = type("BoundControlHandler", (_ControlHandler,), {"front": self})
-        self._control = _ControlHTTPServer((self.host, 0), handler)
-        self._control_thread = threading.Thread(
-            target=self._control.serve_forever, kwargs={"poll_interval": 0.1},
-            name="repro-service-control", daemon=True,
-        )
-        self._control_thread.start()
+        self._control = ServiceServer(_ControlService(self), host=self.host, port=0).start()
         self._started = True
         return self
 
@@ -422,8 +399,7 @@ class MultiWorkerServer:
             except OSError:  # pragma: no cover - already closed
                 pass
         if self._control is not None:
-            self._control.shutdown()
-            self._control.server_close()
+            self._control.close()
         if self._placeholder is not None:
             self._placeholder.close()
             self._placeholder = None

@@ -227,10 +227,10 @@ class FieldSpec:
     A parser checks the rows in order (so row order is the order in which an
     endpoint reports errors) with the checker :data:`_CHECKERS` holds for
     ``kind``, against ``bound`` (a minimum, a length limit or the accepted
-    values), raising ``code``. An absent field takes ``default``, and so
-    does a ``null`` where the default is ``null``; a ``required`` field is
-    checked either way. ``config`` is the ``DSQLConfig`` field the value
-    overrides; ``client`` is whether ``ServiceClient`` sends the field.
+    values), raising ``code``. An optional field that is absent or ``null``
+    takes ``default``; a ``required`` field is checked either way.
+    ``config`` is the ``DSQLConfig`` field the value overrides; ``client``
+    is whether ``ServiceClient`` sends the field.
     """
 
     name: str
@@ -381,8 +381,10 @@ def _parse(
     _reject_unknown(payload, [field.name for field in spec], where)
     values = {}
     for field in spec:
-        value = payload.get(field.name, field.default)
-        if field.required or value is not field.default:
+        value = payload.get(field.name)
+        if value is None and not field.required:
+            value = field.default
+        else:
             value = _CHECKERS[field.kind](field, value)
         values[field.name] = value
     return values

@@ -8,8 +8,10 @@ against on small instances.
 from __future__ import annotations
 
 import builtins
+import errno
 import gc
 import os
+import pathlib
 import random
 import sys
 import threading
@@ -225,6 +227,35 @@ def passes_filter_stack(graph: LabeledGraph, query: QueryGraph, u: int, v: int) 
         and cache.degrees[v] >= query.degree(u)
         and cache.signature_masks[v] & mask == mask
     )
+
+
+@contextmanager
+def disk_full_on_write(monkeypatch):
+    """Within the block, a file opened for writing through ``pathlib`` opens,
+    then fails its first write with ``ENOSPC`` — a write that dies after its
+    file is opened (a kill, a full disk)."""
+    real_open = pathlib.Path.open
+
+    class FullDisk:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.handle.close()
+
+        def write(self, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def open_then_fail(self, mode="r", *args, **kwargs):
+        handle = real_open(self, mode, *args, **kwargs)
+        return FullDisk(handle) if "w" in mode else handle
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pathlib.Path, "open", open_then_fail)
+        yield
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ from repro.cost import (
     load_calibration,
     save_calibration,
 )
+from tests.conftest import disk_full_on_write
 
 
 def _estimate(raw: float, factor: float = 1.0, band: float = 8.0) -> CostEstimate:
@@ -129,6 +130,20 @@ class TestTablePersistence:
         assert table["yeast"].log_bias == pytest.approx(cal.snapshot().log_bias)
         assert table["yeast"].observations == 1
         assert table["human"].observations == 0
+
+    def test_a_failed_save_leaves_the_previous_file_whole(self, tmp_path, monkeypatch):
+        """A write that dies after its file is opened (a kill, a full disk)
+        must not leave the table truncated: it still loads whole."""
+        path = tmp_path / "calibration.json"
+        cal = EwmaCalibration()
+        cal.observe(100.0, 321.0)
+        save_calibration(path, {"yeast": cal.snapshot()})
+        before = path.read_bytes()
+        with disk_full_on_write(monkeypatch):
+            with pytest.raises(OSError):
+                save_calibration(path, {"human": CalibrationState()})
+        assert path.read_bytes() == before
+        assert load_calibration(path) == {"yeast": cal.snapshot()}
 
     def test_missing_file_returns_none(self, tmp_path):
         assert load_calibration(tmp_path / "nope.json") is None

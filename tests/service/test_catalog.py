@@ -25,7 +25,7 @@ from repro.service import GraphCatalog, QueryService, ServiceError, build_catalo
 from repro.service.accesslog import read_access_log
 from repro.service.catalog import CatalogEntry
 from repro.service.schemas import query_graph_to_json
-from tests.conftest import ProcessCensus
+from tests.conftest import ProcessCensus, disk_full_on_write
 from tests.indexes.test_delta_repair import assert_cache_equivalent
 from tests.parallel.test_pool import _raising_init
 from tests.service.conftest import DEFAULT_K, tiny_graph, tiny_queries
@@ -566,34 +566,11 @@ class TestPlanCachePersistence:
     def test_a_failed_save_leaves_the_previous_file_whole(self, tmp_path, monkeypatch):
         """A write that dies after its file is opened (a kill, a full disk)
         must not leave the warm file truncated: it still warms every plan."""
-        import errno
-        import pathlib
-
         catalog, _ = self._warm_catalog()
         path = tmp_path / "plans.json"
         saved = catalog.save_plan_cache(path)
         before = path.read_bytes()
-        real_open = pathlib.Path.open
-
-        class FullDisk:
-            def __init__(self, handle):
-                self.handle = handle
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                self.handle.close()
-
-            def write(self, data):
-                raise OSError(errno.ENOSPC, "No space left on device")
-
-        def open_then_fail(self, mode="r", *args, **kwargs):
-            handle = real_open(self, mode, *args, **kwargs)
-            return FullDisk(handle) if "w" in mode else handle
-
-        with monkeypatch.context() as patch:
-            patch.setattr(pathlib.Path, "open", open_then_fail)
+        with disk_full_on_write(monkeypatch):
             with pytest.raises(OSError):
                 catalog.save_plan_cache(path)
         assert path.read_bytes() == before

@@ -14,6 +14,7 @@ import json
 import multiprocessing
 import socket
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -25,6 +26,7 @@ from repro.observability.metrics import MetricsRegistry
 from repro.service import GraphCatalog, MultiWorkerServer, ServiceClient, ServiceClientError
 from tests.conftest import ProcessCensus, held_by_another_thread
 from tests.service.conftest import DEFAULT_K, tiny_graph, tiny_queries
+from tests.service.test_wire import error_code, exchange, parse_reply
 
 WORKERS = 2
 
@@ -123,6 +125,18 @@ class TestMergedViews:
         assert json.loads(excinfo.value.read()) == {
             "error": {"code": "unknown_endpoint", "message": "no such endpoint: GET /nope"}
         }
+
+    def test_a_post_and_a_malformed_request_get_the_one_error_shape(self, front):
+        """The control plane answers on the service's own transport: a POST
+        (it has no POST route) and a request line that does not parse are
+        JSON error bodies, as every other reply is."""
+        url = urllib.parse.urlsplit(front.control_url)
+        for request, expected in (
+            (b"POST /v1/query HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}", (404, "unknown_endpoint")),
+            (b"HELLO\r\n\r\n", (400, "invalid_request")),
+        ):
+            status, _, body = parse_reply(exchange((url.hostname, url.port), [request]))
+            assert (status, error_code(status, body)) == expected
 
     def test_an_unreachable_worker_is_reported_in_the_one_error_shape(self):
         """A worker the merged views cannot read is a ``per_worker`` row

@@ -191,6 +191,12 @@ class TestParseBatchRequest:
         assert req.jobs is None
         assert len(req.queries) == 1
 
+    def test_a_null_strategy_takes_the_default(self):
+        """``null`` means absent on every optional field, ``strategy``
+        (the one field with a non-null default) included."""
+        req = parse_batch_request(_batch_payload(strategy=None, jobs=None))
+        assert (req.strategy, req.jobs) == ("serial", None)
+
     def test_thread_strategy_allowed(self):
         req = parse_batch_request(_batch_payload(strategy="thread", jobs=2))
         assert (req.strategy, req.jobs) == ("thread", 2)

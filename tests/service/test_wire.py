@@ -491,7 +491,7 @@ def field_bodies(draw, path, field):
     elif shape == "confused":
         value, valid = draw(st.sampled_from(CONFUSED[field.kind])), False
     elif shape == "null":
-        value, valid = None, not field.required and field.default is None
+        value, valid = None, not field.required
     else:
         value, valid = draw(in_range(field, other)), True
     pairs = [(name, v) for name, v in base.items() if name != field.name]

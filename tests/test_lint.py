@@ -1,10 +1,18 @@
-"""Lint gates: ruff over the source tree, plus a docs-snippet compile check."""
+"""Lint gates: ruff over the source tree, the stdlib's ``ast`` in its place,
+the docs gates, and the guards that keep deleted code deleted.
+
+Every file is read, and every module parsed and walked, once a run (the
+source index below). Every mutant a guard must see is a row of one of three
+tables — ``STAYS_DELETED``, ``HARNESS_ONLY`` or ``GUARD_MUTANTS`` — and
+``tests/tools/guard_kills.py`` pastes each row into a scratch copy of the
+tree to show that its guard's test fails there."""
 
 from __future__ import annotations
 
 import ast
 import builtins
 import dataclasses
+import functools
 import importlib.metadata
 import importlib.util
 import inspect
@@ -17,11 +25,102 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
-from typing import List
+from typing import Dict, List, Tuple
 
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "repro"
+FUTURE_IMPORT = "from __future__ import annotations\n"
+
+
+# ----------------------------------------------------------------------
+# The source index: a file is read once, a module parsed and walked once.
+# Trees are cached by source text, so a mutant (a new text) is parsed fresh
+# and a real module never twice; no lint may change a cached tree.
+# ----------------------------------------------------------------------
+CACHES = []
+
+
+def cached(function):
+    """``function`` memoized until this module's tests end."""
+    CACHES.append(functools.lru_cache(maxsize=None)(function))
+    return CACHES[-1]
+
+
+@pytest.fixture(scope="module", autouse=True)
+def release_the_index():
+    """The index serves this module; the rest of a run does not hold it."""
+    yield
+    for cache in CACHES:
+        cache.cache_clear()
+
+
+@cached
+def read(path: Path) -> str:
+    return path.read_text(encoding="utf-8")
+
+
+@cached
+def files(tree: str, pattern: str = "*.py") -> Tuple[Path, ...]:
+    """Every file matching ``pattern`` under ``REPO / tree``, sorted."""
+    return tuple(sorted((REPO / tree).rglob(pattern)))
+
+
+@cached
+def walked(text: str) -> Tuple[ast.AST, ...]:
+    """Every node of ``text``'s tree in ``ast.walk`` order, the module first."""
+    return tuple(ast.walk(ast.parse(text)))
+
+
+def nodes(text: str, *types) -> List[ast.AST]:
+    """``text``'s nodes of the given types, in ``ast.walk`` order."""
+    return [node for node in walked(text) if isinstance(node, types)]
+
+
+def texts(*trees: str, pattern: str = "*.py") -> Dict[str, str]:
+    """``{path from the repository root: text}`` for the files of ``trees``."""
+    return {str(p.relative_to(REPO)): read(p) for tree in trees for p in files(tree, pattern)}
+
+
+def under(sources: Dict[str, str], prefix: str) -> Dict[str, str]:
+    return {path: text for path, text in sources.items() if path.startswith(prefix)}
+
+
+def package(sources: Dict[str, str]) -> Dict[str, str]:
+    """The package's modules among ``{path from the root: text}``, keyed by
+    their path under src/repro."""
+    prefix = "src/repro/"
+    return {path.removeprefix(prefix): text for path, text in under(sources, prefix).items()}
+
+
+def package_sources() -> Dict[str, str]:
+    """``{path relative to src/repro: source}`` for every module of the package."""
+    return package(texts("src/repro"))
+
+
+LINTED_TREES = ("src", "tests", "benchmarks", "examples")
+ROOT_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+
+
+def guard_sources() -> Dict[str, str]:
+    """What the guards read, keyed by path from the root: every module of
+    ``LINTED_TREES``, every doc under docs/ and the ``ROOT_DOCS``."""
+    roots = {name: read(REPO / name) for name in ROOT_DOCS}
+    return {**texts(*LINTED_TREES), **texts("docs", pattern="*.md"), **roots}
+
+
+def line_of(text: str, needle: str) -> int:
+    """The line of ``needle``'s first occurrence in ``text``."""
+    return text[: text.index(needle)].count("\n") + 1
+
+
+def homed(sites: List[str], home: str) -> List[str]:
+    """Of ``path:...`` ``sites`` that must be one site in ``home``: the sites
+    elsewhere, and ``home`` itself unless it holds exactly one."""
+    at_home = [site for site in sites if site.startswith(home + ":")]
+    stray = [site for site in sites if site not in at_home]
+    return stray + ([] if len(at_home) == 1 else [f"{home}: {len(at_home)} sites"])
 
 
 @pytest.mark.skipif(shutil.which("ruff") is None, reason="ruff not installed")
@@ -41,20 +140,26 @@ def test_ruff_clean():
 # that module, re-exported by its ``__all__`` or named by a quoted
 # annotation.
 # ----------------------------------------------------------------------
-LINTED_TREES = ("src", "tests", "benchmarks", "examples")
+def per_file(sources: Dict[str, str], lint) -> List[str]:
+    """``path:hit`` for every hit of ``lint`` over the Python files of ``sources``."""
+    return [
+        f"{path}:{hit}" for path, text in sources.items() if path.endswith(".py")
+        for hit in lint(text)
+    ]
 
 
-def quoted_annotation_names(tree) -> set:
-    """Names read inside the string annotations of ``tree``."""
-    annotations = []
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            args = node.args
-            every = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
-            annotations += [arg.annotation for arg in every if arg is not None]
-            annotations.append(node.returns)
-        elif isinstance(node, ast.AnnAssign):
-            annotations.append(node.annotation)
+def parameters(function) -> list:
+    """Every parameter of a def or lambda, ``*args`` and ``**kwargs`` included."""
+    args = function.args
+    every = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+    return [arg for arg in every if arg is not None]
+
+
+def quoted_annotation_names(text) -> set:
+    """Names read inside the string annotations of ``text``."""
+    annotations = [node.annotation for node in nodes(text, ast.AnnAssign)]
+    for node in nodes(text, ast.FunctionDef, ast.AsyncFunctionDef):
+        annotations += [arg.annotation for arg in parameters(node)] + [node.returns]
     names = set()
     for annotation in filter(None, annotations):
         for node in ast.walk(annotation):
@@ -64,42 +169,29 @@ def quoted_annotation_names(tree) -> set:
     return names
 
 
-def unused_imports(text: str) -> List[str]:
+@cached
+def unused_imports(text: str) -> Tuple[str, ...]:
     """``line: name`` for every name an import in ``text`` binds and the
     module never uses."""
-    tree = ast.parse(text)
     bound = []
-    for node in ast.walk(tree):
+    for node in nodes(text, ast.Import, ast.ImportFrom):
         if isinstance(node, ast.Import):
             bound += [(a.asname or a.name.split(".")[0], node.lineno) for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        elif node.module != "__future__":
             bound += [(a.asname or a.name, node.lineno) for a in node.names if a.name != "*"]
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    used |= quoted_annotation_names(tree)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and "__all__" in [ast.unparse(t) for t in node.targets]:
+    used = {node.id for node in nodes(text, ast.Name)} | quoted_annotation_names(text)
+    for node in nodes(text, ast.Assign):
+        if "__all__" in [ast.unparse(t) for t in node.targets]:
             used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
-    return [f"{line}: {name}" for name, line in bound if name not in used]
+    return tuple(f"{line}: {name}" for name, line in bound if name not in used)
 
 
 def test_no_unused_imports():
-    offenders = [
-        f"{path.relative_to(REPO)}:{hit}"
-        for tree in LINTED_TREES
-        for path in sorted((REPO / tree).rglob("*.py"))
-        for hit in unused_imports(path.read_text(encoding="utf-8"))
-    ]
-    assert offenders == []
-    # The scan sees an import pasted into a real module, and counts a name
-    # as used when ``__all__`` or a quoted annotation is its only reader.
-    text = (REPO / "src" / "repro" / "core" / "phase2.py").read_text(encoding="utf-8")
-    line = text[: text.index(FUTURE_IMPORT)].count("\n") + 2
-    pasted = "from itertools import chain\n"
-    assert unused_imports(text.replace(FUTURE_IMPORT, FUTURE_IMPORT + pasted)) == [
-        f"{line}: chain"
-    ]
+    assert per_file(texts(*LINTED_TREES), unused_imports) == []
+    # A name counts as used when ``__all__`` or a quoted annotation is its
+    # only reader. The scan's mutant is a row of GUARD_MUTANTS.
     for reader in ('__all__ = ["chain"]\n', 'def f(x: "chain") -> None:\n    pass\n'):
-        assert unused_imports(pasted + reader) == []
+        assert unused_imports("from itertools import chain\n" + reader) == ()
 
 
 # ----------------------------------------------------------------------
@@ -122,9 +214,7 @@ def scope_bindings(scope) -> set:
     a comprehension's targets count as its enclosing scope's."""
     names = set()
     if not isinstance(scope, (ast.Module, ast.ClassDef)):
-        args = scope.args
-        every = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
-        names |= {arg.arg for arg in every if arg is not None}
+        names |= {arg.arg for arg in parameters(scope)}
     stack = [scope.body] if isinstance(scope, ast.Lambda) else list(scope.body)
     while stack:
         node = stack.pop()
@@ -145,12 +235,12 @@ def scope_bindings(scope) -> set:
     return names
 
 
-def undefined_names(text: str) -> List[str]:
+@cached
+def undefined_names(text: str) -> Tuple[str, ...]:
     """``line: name`` for every name ``text`` reads that nothing binds."""
-    tree = ast.parse(text)
-    module = scope_bindings(tree) | {
-        name for node in ast.walk(tree) if isinstance(node, ast.Global) for name in node.names
-    }
+    tree = walked(text)[0]
+    module = scope_bindings(tree)
+    module |= {name for node in nodes(text, ast.Global) for name in node.names}
     known = set(dir(builtins)) | MODULE_ATTRIBUTES
     found = []
 
@@ -170,9 +260,7 @@ def undefined_names(text: str) -> List[str]:
                 visit(child, chain)
             inner = chain + [scope_bindings(node)]
             if not isinstance(node, ast.ClassDef):
-                args = node.args
-                every = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
-                hints = [arg.annotation for arg in every if arg is not None]
+                hints = [arg.annotation for arg in parameters(node)]
                 for hint in [*hints, getattr(node, "returns", None)]:
                     if hint is not None:
                         visit(hint, inner, annotation=True)
@@ -194,26 +282,15 @@ def undefined_names(text: str) -> List[str]:
                 visit(child, chain, annotation)
 
     visit(tree, [module])
-    return found
+    return tuple(found)
 
 
 def test_no_undefined_names():
-    offenders = [
-        f"{path.relative_to(REPO)}:{hit}"
-        for tree in LINTED_TREES
-        for path in sorted((REPO / tree).rglob("*.py"))
-        for hit in undefined_names(path.read_text(encoding="utf-8"))
-    ]
-    assert offenders == []
-    # The scan sees an import deleted from a module whose only reader of the
-    # name is an annotation, and reads quoted annotations and class scopes.
-    text = (REPO / "tests" / "service" / "test_cost_admission.py").read_text(encoding="utf-8")
-    anchor = "from typing import Optional\n"
-    assert text.count(anchor) == 1
-    line = text[: text.index("def _service(config: Optional[")].count("\n")  # one line fewer
-    assert undefined_names(text.replace(anchor, "")) == [f"{line}: Optional"]
-    assert undefined_names('def f(x: "List[int]") -> None:\n    pass\n') == ["1: List"]
-    assert undefined_names("class A:\n    B = 1\n    C = B\n") == []
+    assert per_file(texts(*LINTED_TREES), undefined_names) == []
+    # The scan reads quoted annotations and class scopes. Its mutant is a
+    # row of GUARD_MUTANTS.
+    assert undefined_names('def f(x: "List[int]") -> None:\n    pass\n') == ("1: List",)
+    assert undefined_names("class A:\n    B = 1\n    C = B\n") == ()
 
 
 def test_sources_compile():
@@ -222,9 +299,9 @@ def test_sources_compile():
     In-process, so no bytecode is written: ``python -m py_compile`` writes
     ``__pycache__`` even under ``PYTHONDONTWRITEBYTECODE``, and a checkout
     holding bytecode imports faster than one that does not."""
-    files = [*(REPO / "src").rglob("*.py"), *(REPO / "benchmarks").glob("*.py")]
-    files += (REPO / "examples").glob("*.py")
-    for path in files:
+    paths = [*(REPO / "src").rglob("*.py"), *(REPO / "benchmarks").glob("*.py")]
+    paths += (REPO / "examples").glob("*.py")
+    for path in paths:
         compile(path.read_bytes(), str(path), "exec", dont_inherit=True)
 
 
@@ -249,10 +326,8 @@ def import_offenders(sources):
     as a submodule."""
     offenders = []
     for path, text in sources.items():
-        for node in ast.walk(ast.parse(text)):
-            if not (isinstance(node, ast.ImportFrom) and node.level == 0):
-                continue
-            if (node.module or "").split(".")[0] != "repro":
+        for node in nodes(text, ast.ImportFrom):
+            if node.level or (node.module or "").split(".")[0] != "repro":
                 continue
             module = importlib.import_module(node.module)
             offenders += [
@@ -267,16 +342,8 @@ def import_offenders(sources):
 def test_example_imports_resolve():
     """Byte-compiling an example does not import it: a name deleted from the
     package would leave its example broken, silently."""
-    examples = {
-        str(p.relative_to(REPO)): p.read_text(encoding="utf-8")
-        for p in sorted((REPO / "examples").glob("*.py"))
-    }
+    examples = texts("examples")
     assert examples and not import_offenders(examples)
-    # The check sees a deleted name imported again.
-    stale = "from repro.isomorphism import QSearchEngine, count_embeddings_compressed\n"
-    assert import_offenders({"examples/engine_comparison.py": stale}) == [
-        "examples/engine_comparison.py: repro.isomorphism.count_embeddings_compressed"
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -307,7 +374,7 @@ def extract_python_blocks(text: str) -> List[str]:
 
 @pytest.mark.parametrize("doc", DOC_FILES, ids=lambda p: p.name)
 def test_doc_python_snippets_compile(doc: Path, tmp_path: Path):
-    blocks = extract_python_blocks(doc.read_text(encoding="utf-8"))
+    blocks = extract_python_blocks(read(doc))
     for i, block in enumerate(blocks):
         snippet = tmp_path / f"{doc.stem}_{i}.py"
         snippet.write_text(block + "\n", encoding="utf-8")
@@ -321,39 +388,44 @@ def test_doc_python_snippets_compile(doc: Path, tmp_path: Path):
 
 # ----------------------------------------------------------------------
 # Gate-coverage guards: the globs above are recursive/implicit, so a
-# rename could silently drop a tree from the gates. Pin the trees the
-# service PR added.
+# rename could silently drop a tree from the gates. Each pins what one PR
+# added: its modules, and its doc with a python block for the gate to see.
 # ----------------------------------------------------------------------
+def assert_compile_gated(*modules: str, tree: str = "", names=()):
+    """Every module of ``src/repro/<tree>`` (which holds ``names``) and every
+    module named (under src/repro) exists and is under the compile gate."""
+    members = sorted((PACKAGE / tree).rglob("*.py")) if tree else []
+    assert members or not tree, f"{tree} package missing from src/repro"
+    assert set(names) <= {p.name for p in members}
+    gated = set(files("src"))
+    for module in [*members, *(PACKAGE / m for m in modules)]:
+        assert module.exists(), f"{module} missing"
+        assert module in gated
+
+
+def assert_docs_gated(name: str):
+    doc = REPO / "docs" / name
+    assert doc.exists(), f"docs/{name} missing"
+    assert doc in DOC_FILES
+    # The doc must actually exercise the gate: at least one python block.
+    assert extract_python_blocks(read(doc))
+
+
 def test_compile_gate_covers_service_package():
-    service_files = sorted((REPO / "src" / "repro" / "service").rglob("*.py"))
-    assert service_files, "service package missing from src/repro"
-    names = {p.name for p in service_files}
-    assert {"admission.py", "catalog.py", "client.py", "schemas.py", "server.py"} <= names
-    gated = {str(p) for p in (REPO / "src").rglob("*.py")}
-    assert all(str(p) in gated for p in service_files)
+    service = {"admission.py", "catalog.py", "client.py", "schemas.py", "server.py"}
+    assert_compile_gated(tree="service", names=service)
 
 
 def test_docs_gate_covers_service_doc():
-    service_doc = REPO / "docs" / "service.md"
-    assert service_doc.exists(), "docs/service.md missing"
-    assert service_doc in DOC_FILES
-    # The doc must actually exercise the gate: at least one python block.
-    assert extract_python_blocks(service_doc.read_text(encoding="utf-8"))
+    assert_docs_gated("service.md")
 
 
 def test_compile_gate_covers_objectives_module():
-    objectives = REPO / "src" / "repro" / "coverage" / "objectives.py"
-    assert objectives.exists(), "coverage/objectives.py missing"
-    gated = {str(p) for p in (REPO / "src").rglob("*.py")}
-    assert str(objectives) in gated
+    assert_compile_gated("coverage/objectives.py")
 
 
 def test_docs_gate_covers_objectives_doc():
-    objectives_doc = REPO / "docs" / "objectives.md"
-    assert objectives_doc.exists(), "docs/objectives.md missing"
-    assert objectives_doc in DOC_FILES
-    # The doc must actually exercise the gate: at least one python block.
-    assert extract_python_blocks(objectives_doc.read_text(encoding="utf-8"))
+    assert_docs_gated("objectives.md")
 
 
 def test_service_tests_collected_from_testpaths():
@@ -378,89 +450,45 @@ def test_compile_gate_covers_shared_memory_modules():
     """The two modules that start worker processes with a graph (the id is
     from the shared-memory transport they once went through) stay under the
     compile gate."""
-    modules = [
-        REPO / "src" / "repro" / "parallel" / "pool.py",
-        REPO / "src" / "repro" / "service" / "multiworker.py",
-    ]
-    gated = {str(p) for p in (REPO / "src").rglob("*.py")}
-    for module in modules:
-        assert module.exists(), f"{module} missing"
-        assert str(module) in gated
+    assert_compile_gated("parallel/pool.py", "service/multiworker.py")
 
 
 def test_docs_gate_covers_parallel_doc():
-    parallel_doc = REPO / "docs" / "parallel.md"
-    assert parallel_doc.exists(), "docs/parallel.md missing"
-    assert parallel_doc in DOC_FILES
-    # The doc must actually exercise the gate: at least one python block.
-    assert extract_python_blocks(parallel_doc.read_text(encoding="utf-8"))
+    assert_docs_gated("parallel.md")
 
 
 def test_docs_gate_covers_mutation_doc():
-    mutation_doc = REPO / "docs" / "mutation.md"
-    assert mutation_doc.exists(), "docs/mutation.md missing"
-    assert mutation_doc in DOC_FILES
     # The mutation contract ships runnable examples; the gate must see them.
-    assert extract_python_blocks(mutation_doc.read_text(encoding="utf-8"))
+    assert_docs_gated("mutation.md")
 
 
 def test_compile_gate_covers_cost_package():
     """The cost-estimation PR's tree stays under the compile gate."""
-    cost_files = sorted((REPO / "src" / "repro" / "cost").rglob("*.py"))
-    assert cost_files, "cost package missing from src/repro"
-    names = {p.name for p in cost_files}
-    assert {"__init__.py", "calibration.py", "estimator.py"} <= names
-    gated = {str(p) for p in (REPO / "src").rglob("*.py")}
-    assert all(str(p) in gated for p in cost_files)
-    accesslog = REPO / "src" / "repro" / "service" / "accesslog.py"
-    assert accesslog.exists(), "service/accesslog.py missing"
-    assert str(accesslog) in gated
+    cost = {"__init__.py", "calibration.py", "estimator.py"}
+    assert_compile_gated("service/accesslog.py", tree="cost", names=cost)
 
 
 def test_docs_gate_covers_cost_doc():
-    cost_doc = REPO / "docs" / "cost.md"
-    assert cost_doc.exists(), "docs/cost.md missing"
-    assert cost_doc in DOC_FILES
-    # The doc must actually exercise the gate: at least one python block.
-    assert extract_python_blocks(cost_doc.read_text(encoding="utf-8"))
+    assert_docs_gated("cost.md")
 
 
 def test_compile_gate_covers_mutation_surface():
     """The live-mutation PR's load-bearing modules stay under the compile
     gate (and exist — a rename must not silently drop the write path)."""
-    modules = [
-        REPO / "src" / "repro" / "graph" / "labeled_graph.py",
-        REPO / "src" / "repro" / "indexes" / "graph_cache.py",
-        REPO / "src" / "repro" / "indexes" / "plans.py",
-    ]
-    gated = {str(p) for p in (REPO / "src").rglob("*.py")}
-    for module in modules:
-        assert module.exists(), f"{module} missing"
-        assert str(module) in gated
+    assert_compile_gated("graph/labeled_graph.py", "indexes/graph_cache.py", "indexes/plans.py")
 
 
 def test_compile_gate_covers_compression_surface():
     """The twin-compression PR's modules that stay are under the compile
     gate; its own module is gone (``STAYS_DELETED["twin_compression"]``)."""
-    assert not (REPO / "src" / "repro" / "isomorphism" / "compression.py").exists()
-    modules = [
-        REPO / "src" / "repro" / "kernels" / "join.py",
-        REPO / "src" / "repro" / "indexes" / "plans.py",
-        REPO / "src" / "repro" / "indexes" / "graph_cache.py",
-        REPO / "src" / "repro" / "datasets" / "synthetic.py",
-    ]
-    gated = {str(p) for p in (REPO / "src").rglob("*.py")}
-    for module in modules:
-        assert module.exists(), f"{module} missing"
-        assert str(module) in gated
+    assert not (PACKAGE / "isomorphism" / "compression.py").exists()
+    assert_compile_gated(
+        "kernels/join.py", "indexes/plans.py", "indexes/graph_cache.py", "datasets/synthetic.py"
+    )
 
 
 def test_docs_gate_covers_performance_doc():
-    performance_doc = REPO / "docs" / "performance.md"
-    assert performance_doc.exists(), "docs/performance.md missing"
-    assert performance_doc in DOC_FILES
-    # The doc must actually exercise the gate: at least one python block.
-    assert extract_python_blocks(performance_doc.read_text(encoding="utf-8"))
+    assert_docs_gated("performance.md")
 
 
 # ----------------------------------------------------------------------
@@ -468,17 +496,13 @@ def test_docs_gate_covers_performance_doc():
 # fork, its two config knobs and its CLI flag must not grow back.
 # ----------------------------------------------------------------------
 def fork_offenders(markers, extra_paths=(), sources=None):
-    """``path: marker`` for every marker found in shipped code and docs — or,
-    given ``sources`` (``{path: text}``), in exactly those texts."""
+    """``path: marker`` for every marker found in shipped code and docs
+    (README.md, src/, docs/, benchmarks/, examples/ and ``extra_paths``) —
+    or, given ``sources`` (``{path: text}``), in exactly those texts."""
     if sources is None:
-        scanned = [REPO / "README.md", *extra_paths]
-        for tree, pattern in (
-            ("src", "*.py"), ("docs", "*.md"), ("benchmarks", "*.py"), ("examples", "*.py"),
-        ):
-            scanned += sorted((REPO / tree).rglob(pattern))
-        sources = {
-            str(path.relative_to(REPO)): path.read_text(encoding="utf-8") for path in scanned
-        }
+        sources = {"README.md": read(REPO / "README.md"), **texts("src", "benchmarks", "examples")}
+        sources.update(texts("docs", pattern="*.md"))
+        sources.update((str(path.relative_to(REPO)), read(path)) for path in extra_paths)
     return [
         f"{path}: {marker!r}"
         for path, text in sources.items()
@@ -496,14 +520,6 @@ def design_and_skill_files():
     ]
 
 
-def package_sources():
-    """``{path relative to src/repro: source}`` for every module of the package."""
-    package = REPO / "src" / "repro"
-    return {
-        str(p.relative_to(package)): p.read_text(encoding="utf-8") for p in package.rglob("*.py")
-    }
-
-
 # ----------------------------------------------------------------------
 # The ``*_stays_deleted`` guards share one shape: names that must appear
 # nowhere in shipped code and docs (``fork_offenders``' trees, DESIGN.md,
@@ -513,7 +529,6 @@ def package_sources():
 # here; the comment block above each test says what the row protects, and
 # the test keeps whatever it checks beyond names.
 # ----------------------------------------------------------------------
-FUTURE_IMPORT = "from __future__ import annotations\n"
 STAYS_DELETED = {
     # id: (names, module under src/repro, anchor, pasted after it, names the paste must trip)
     "plan_free_fork": (
@@ -727,20 +742,28 @@ STAYS_DELETED = {
         "service/schemas.py", '_GRAPH = FieldSpec("graph", "str", required=True)\n',
         "_QUERY_FIELDS = tuple(field.name for field in QUERY_SPEC)\n", ("_QUERY_FIELDS",),
     ),
+    # One HTTP transport: the multi-worker control plane is a ServiceServer
+    # over a QueryService, so its stdlib handler and threading server stay
+    # deleted.
+    "control_plane": (
+        ("_ControlHandler", "_ControlHTTPServer", "BoundControlHandler"),
+        "service/multiworker.py", "# Parent control server\n",
+        "class _ControlHTTPServer(ThreadingHTTPServer):\n    daemon_threads = True\n",
+        ("_ControlHTTPServer",),
+    ),
 }
 
 
-def assert_stays_deleted(row: str) -> str:
+def assert_stays_deleted(row: str) -> None:
     """The row's names are gone from every shipped file, and pasting its
-    mutant back is seen; returns the mutated module text."""
+    mutant back is seen."""
     names, path, anchor, pasted, tripped = STAYS_DELETED[row]
     offenders = fork_offenders(names, design_and_skill_files())
     assert not offenders, offenders
-    text = package_sources()[path]
+    text = read(PACKAGE / path)
     assert text.count(anchor) == 1, (row, anchor)
     mutant = text.replace(anchor, anchor + pasted)
     assert fork_offenders(names, sources={path: mutant}) == [f"{path}: {n!r}" for n in tripped]
-    return mutant
 
 
 def test_wire_field_lists_stay_deleted():
@@ -808,30 +831,27 @@ def test_evidence_fork_stays_deleted():
 BENCH_TIMING = ("perf_counter", "QueryRecord", "BatchSummary(")
 
 
+def bench_timing_offenders(sources):
+    return fork_offenders(BENCH_TIMING, sources=under(sources, "benchmarks/bench_"))
+
+
 def test_bench_copies_stay_deleted():
     assert_stays_deleted("bench_copies")
 
 
 def test_bench_scripts_time_nothing():
-    scripts = {
-        p.name: p.read_text(encoding="utf-8")
-        for p in sorted((REPO / "benchmarks").glob("bench_*.py"))
-    }
-    assert fork_offenders(BENCH_TIMING, sources=scripts) == []
-    name, anchor = "bench_table2_embedding_counts.py", "    for name in DATASETS:\n"
-    assert scripts[name].count(anchor) == 1
-    mutant = scripts[name].replace(anchor, "    start = time.perf_counter()\n" + anchor)
-    assert fork_offenders(BENCH_TIMING, sources={name: mutant}) == [f"{name}: 'perf_counter'"]
+    # Its mutant is a row of GUARD_MUTANTS.
+    assert bench_timing_offenders(texts("benchmarks")) == []
 
 
 def test_evidence_ledger_names_resolve():
     """docs/performance.md, "Where the evidence lives": every backticked name
     in a row's last cell is a ``BENCHMARK.json`` metric or workload, or a
     path (``file`` or ``file::Class::test``) that exists and defines it."""
-    spec = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    spec = json.loads(read(REPO / "BENCHMARK.json"))
     known = {m["name"] for kind in ("end_to_end", "per_layer") for m in spec[kind]}
     known |= {w["name"] for w in spec["workloads"]}
-    text = (REPO / "docs" / "performance.md").read_text(encoding="utf-8")
+    text = read(REPO / "docs" / "performance.md")
     section = text.split("## Where the evidence lives", 1)[1].split("\n## ", 1)[0]
     rows = [
         [cell.strip() for cell in line.strip("|").split("|")]
@@ -849,8 +869,7 @@ def test_evidence_ledger_names_resolve():
         for path, *parts in (name.split("::") for name in paths):
             assert (REPO / path).is_file(), (number, path)
             if parts:
-                tree = ast.parse((REPO / path).read_text(encoding="utf-8"))
-                defined = {getattr(node, "name", None) for node in ast.walk(tree)}
+                defined = {getattr(node, "name", None) for node in walked(read(REPO / path))}
                 assert set(parts) <= defined, (number, path, parts)
         if now == "carried":
             assert len(names) > len(paths), number
@@ -865,6 +884,13 @@ def test_evidence_ledger_names_resolve():
 # not grow back, and src/ pays for an expansion, probes the deadline and
 # spells the scalar join loop in exactly one place each.
 # ----------------------------------------------------------------------
+LOOPS = (ast.For, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+CORE_HOMES = {
+    "BudgetExceeded": "isomorphism/backtrack.py", "DeadlineExceeded": "isomorphism/backtrack.py",
+    "probe loop": "isomorphism/joinable.py",
+}
+
+
 def loop_iters(node) -> str:
     """Source of what a ``for`` loop or comprehension iterates ('' for any other node)."""
     iters = [node.iter] if isinstance(node, ast.For) else [
@@ -877,13 +903,13 @@ def core_census(sources):
     """``{what: [path:line, ...]}`` over ``{path: source}``: every raise of
     the two budget errors, and every loop over ``query.neighbors(..)`` whose
     body probes ``has_edge``."""
-    census = {"BudgetExceeded": [], "DeadlineExceeded": [], "probe loop": []}
+    census = {what: [] for what in CORE_HOMES}
     for path, text in sources.items():
-        for node in ast.walk(ast.parse(text)):
-            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
-                name = getattr(node.exc.func, "id", None)
-                if name in census:
-                    census[name].append(f"{path}:{node.lineno}")
+        for node in nodes(text, ast.Raise):
+            name = getattr(getattr(node.exc, "func", None), "id", None)
+            if isinstance(node.exc, ast.Call) and name in census:
+                census[name].append(f"{path}:{node.lineno}")
+        for node in nodes(text, *LOOPS):
             if "query.neighbors(" in loop_iters(node) and any(
                 getattr(n, "id", getattr(n, "attr", None)) == "has_edge"
                 for n in ast.walk(node)
@@ -892,21 +918,22 @@ def core_census(sources):
     return census
 
 
+def core_offenders(sources):
+    """``core_census`` sites of the package outside their one home (``CORE_HOMES``)."""
+    census = core_census(package(sources))
+    return [
+        f"{site}: {what}" for what, home in CORE_HOMES.items() for site in homed(census[what], home)
+    ]
+
+
 def test_engine_fork_stays_deleted():
     assert_stays_deleted("engine_fork")
-    src = REPO / "src"
-    assert not (src / "repro" / "isomorphism" / "optimized.py").exists()
-    sources = {
-        str(p.relative_to(src)): p.read_text(encoding="utf-8") for p in src.rglob("*.py")
-    }
+    assert not (PACKAGE / "isomorphism" / "optimized.py").exists()
+    sources = package_sources()
     engines = re.findall(r"^class (\w*SearchEngine)\b", "\n".join(sources.values()), re.M)
     assert sorted(engines) == ["LevelSearchEngine", "QSearchEngine"]
-    census = {what: [s.split(":")[0] for s in sites] for what, sites in core_census(sources).items()}
-    meter, joinable = ["repro/isomorphism/backtrack.py"], ["repro/isomorphism/joinable.py"]
-    assert census == {"BudgetExceeded": meter, "DeadlineExceeded": meter, "probe loop": joinable}
-    # The census sees a private budget check pasted back into a baseline.
-    pasted = "def charge(spent, limit):\n    if spent > limit:\n        raise BudgetExceeded('x')\n"
-    assert core_census({"com.py": pasted})["BudgetExceeded"] == ["com.py:3"]
+    # Its mutant is a row of GUARD_MUTANTS.
+    assert core_offenders(guard_sources()) == []
 
 
 # ----------------------------------------------------------------------
@@ -915,14 +942,14 @@ def test_engine_fork_stays_deleted():
 # level engine builds no function and probes no edge itself, and the budget
 # errors and the conflict rule keep their one home in ``backtrack.py``.
 # ----------------------------------------------------------------------
-def frame_offenders(text):
-    """What ``core/search.py`` must not contain: a ``lambda``, a ``def``
-    nested in a function, or the name ``has_edge``."""
-    found = []
-    for node in ast.walk(ast.parse(text)):
+def frame_offenders(sources):
+    """What ``core/search.py`` must not contain — a ``lambda``, a ``def``
+    nested in a function, or the name ``has_edge`` — and ``core_offenders``."""
+    text, found = sources["src/repro/core/search.py"], []
+    for node in nodes(text, ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef):
         if isinstance(node, ast.Lambda):
             found.append(f"lambda:{node.lineno}")
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        else:
             found += [
                 f"nested def {inner.name}:{inner.lineno}"
                 for inner in ast.walk(node)
@@ -930,46 +957,22 @@ def frame_offenders(text):
             ]
     if "has_edge" in text:
         found.append("has_edge")
-    return found
+    return found + core_offenders(sources)
 
 
 def test_frame_prologue_stays_folded():
     from repro.core.config import DSQLConfig
 
-    src = REPO / "src"
-    sources = {
-        str(p.relative_to(src)): p.read_text(encoding="utf-8") for p in src.rglob("*.py")
-    }
+    sources = package_sources()
     assert_stays_deleted("frame_prologue")
-    search = sources["repro/core/search.py"]
-    assert not frame_offenders(search)
-    # One raise site per budget error and one conflict rule, all in backtrack.py.
-    backtrack = "repro/isomorphism/backtrack.py"
-    census = core_census(sources)
-    assert [s.split(":")[0] for s in census["BudgetExceeded"]] == [backtrack]
-    assert [s.split(":")[0] for s in census["DeadlineExceeded"]] == [backtrack]
+    # One raise site per budget error (``core_offenders``) and one conflict
+    # rule, all in backtrack.py. Its mutants are rows of GUARD_MUTANTS.
+    assert not frame_offenders(guard_sources())
+    backtrack = "isomorphism/backtrack.py"
     for rule in ("def _conflict_set", "def _child_failed"):
         assert [path for path, text in sources.items() if rule in text] == [backtrack], rule
         assert sources[backtrack].count(rule) == 1
     assert len(dataclasses.fields(DSQLConfig)) == 18
-    # The guard sees its mutants: a closure pasted back into a frame, a
-    # second raise site pasted beside the in-place charge.
-    closure = search.replace(
-        "        joined = None\n",
-        "        joined = None\n        joinable = lambda v: v not in used\n",
-        1,
-    )
-    assert frame_offenders(closure) and closure != search
-    second_raise = search.replace(
-        "                meter.check()\n",
-        "                raise BudgetExceeded('node budget exhausted')\n",
-        1,
-    )
-    assert second_raise != search
-    mutated = core_census({**sources, "repro/core/search.py": second_raise})
-    assert len(mutated["BudgetExceeded"]) == 2
-    nested = "def frame(self):\n    def joinable(v):\n        return self.graph.has_edge(v, 0)\n"
-    assert frame_offenders(nested) == ["nested def joinable:2", "has_edge"]
 
 
 # ----------------------------------------------------------------------
@@ -986,14 +989,12 @@ def father_walk_sites(sources):
     whose header names ``X``."""
     sites = []
     for path, text in sources.items():
-        for node in ast.walk(ast.parse(text)):
-            if not isinstance(node, (ast.For, ast.While)):
-                continue
+        for node in nodes(text, ast.For, ast.While):
             header = node.iter if isinstance(node, ast.For) else node.test
-            walked = {n.id for n in ast.walk(header) if isinstance(n, ast.Name)}
+            walked_names = {n.id for n in ast.walk(header) if isinstance(n, ast.Name)}
             if any(
                 isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "append"
-                and ast.unparse(call.func.value) in walked and len(call.args) == 1
+                and ast.unparse(call.func.value) in walked_names and len(call.args) == 1
                 and len(getattr(call.args[0], "elts", getattr(call.args[0], "args", ()))) == 2
                 for call in ast.walk(node)
             ):
@@ -1006,24 +1007,7 @@ def test_resort_walks_in_one_place():
     (site,) = father_walk_sites(sources)
     assert site.startswith("queries/qflist.py:")
     assert "resort(" not in sources["indexes/plans.py"]
-    # The census sees the walk the frame table used to run through
-    # ``resort``, pasted back into the plan module.
-    text = sources["indexes/plans.py"]
-    anchor = "            order = resort_order(self.qlist, *basis, qovp)\n"
-    assert text.count(anchor) == 1
-    mutant = text.replace(
-        anchor,
-        anchor + "            entries = [QFEntry(order[0][0], NO_FATHER)]\n"
-        "            placed, cursor = {order[0][0]}, 0\n"
-        "            while len(entries) < query.size:\n"
-        "                u = entries[cursor].node\n"
-        "                for w in sorted(set(query.neighbors(u)) - placed):\n"
-        "                    entries.append(QFEntry(w, u))\n"
-        "                    placed.add(w)\n"
-        "                cursor += 1\n",
-    )
-    (pasted,) = father_walk_sites({"indexes/plans.py": mutant})
-    assert pasted.startswith("indexes/plans.py:")
+    # Its mutant is a row of GUARD_MUTANTS.
 
 
 # ----------------------------------------------------------------------
@@ -1039,49 +1023,30 @@ def row_walk_sites(sources):
     """``path:line`` over ``{path: source}`` of every loop or comprehension
     that iterates ``graph.neighbors(..)`` and tests membership (``in`` /
     ``not in`` / ``is_candidate``) inside it."""
-    sites = []
-    for path, text in sources.items():
-        for node in ast.walk(ast.parse(text)):
-            if "graph.neighbors(" in loop_iters(node) and any(
-                isinstance(n, (ast.In, ast.NotIn)) or getattr(n, "attr", None) == "is_candidate"
-                for n in ast.walk(node)
-            ):
-                sites.append(f"{path}:{node.lineno}")
-    return sites
+    return [
+        f"{path}:{node.lineno}"
+        for path, text in sources.items()
+        for node in nodes(text, *LOOPS)
+        if "graph.neighbors(" in loop_iters(node) and any(
+            isinstance(n, (ast.In, ast.NotIn)) or getattr(n, "attr", None) == "is_candidate"
+            for n in ast.walk(node)
+        )
+    ]
+
+
+def localization_sources(sources):
+    """The package modules the localization guard reads: core/, baselines/, indexes/."""
+    trees = ("core/", "baselines/", "indexes/")
+    return {path: text for path, text in package(sources).items() if path.startswith(trees)}
 
 
 def test_localization_stays_in_one_place():
     from repro.core.config import DSQLConfig
 
-    package = REPO / "src" / "repro"
-    sources = {
-        str(p.relative_to(package)): p.read_text(encoding="utf-8")
-        for tree in ("core", "baselines", "indexes")
-        for p in (package / tree).rglob("*.py")
-    }
+    sources = localization_sources(texts("src/repro"))
     assert len(sources) > 15 and "indexes/graph_cache.py" in sources
+    # Its mutants are rows of GUARD_MUTANTS.
     assert not row_walk_sites(sources)
-    # The pass sees both lines this guard replaced, pasted back, and the
-    # miss regrown as a row walk with a membership test.
-    engine_line = (
-        "base = [w for w in self.graph.neighbors(self._assignment[father]) if w in pool]\n"
-    )
-    baseline_loop = (
-        "for v in graph.neighbors(assignment[entry.father]):\n"
-        "    if not candidates.is_candidate(u, v):\n"
-        "        continue\n"
-        "    charge()\n"
-    )
-    assert row_walk_sites({"search.py": engine_line}) == ["search.py:1"]
-    assert row_walk_sites({"com.py": baseline_loop}) == ["com.py:1"]
-    view_text = sources["indexes/candidates.py"]
-    anchor = "filter(self._pool_set(u).__contains__, self.graph.neighbors(fv))"
-    assert view_text.count(anchor) == 1
-    walked = view_text.replace(
-        anchor, "w for w in self.graph.neighbors(fv) if w in self._pool_set(u)"
-    )
-    (site,) = row_walk_sites({"indexes/candidates.py": walked})
-    assert site.startswith("indexes/candidates.py:")
     # The sorted-list restriction nothing called stays deleted, and neither
     # memo (localized lists, frame table) grew a switch or a size. The lists
     # live beside the pool, so the plan's memo of them stays deleted, and a
@@ -1109,11 +1074,11 @@ STORAGE_SLOTS = sorted((
 ))
 
 
-def numpy_importers(sources, prefix: str):
-    """Paths under ``prefix`` in ``{path: source}`` that import numpy."""
+def numpy_importers(sources, *prefixes: str):
+    """Modules of the package under any of ``prefixes`` that import numpy."""
     return sorted(
-        path for path, text in sources.items()
-        if path.startswith(prefix) and re.search(r"^\s*(import|from) numpy\b", text, re.M)
+        path for path, text in package(sources).items()
+        if path.startswith(prefixes) and re.search(r"^\s*(import|from) numpy\b", text, re.M)
     )
 
 
@@ -1122,14 +1087,12 @@ def test_shared_memory_transport_stays_deleted():
     from repro.parallel import WorkerPool
 
     # The pass sees the transport pasted back into the pool, and the array
-    # base pasted back into the graph's constructor.
+    # base pasted back into the graph's constructor (its numpy import is a
+    # row of GUARD_MUTANTS).
     assert_stays_deleted("shared_transport")
-    mutant = assert_stays_deleted("array_base")
-    assert numpy_importers({"graph/labeled_graph.py": mutant}, "graph/") == [
-        "graph/labeled_graph.py"
-    ]
-    assert not (REPO / "src" / "repro" / "graph" / "shared.py").exists()
-    assert numpy_importers(package_sources(), "graph/") == []
+    assert_stays_deleted("array_base")
+    assert not (PACKAGE / "graph" / "shared.py").exists()
+    assert numpy_importers(guard_sources(), "graph/") == []
     assert sorted(LabeledGraph.__slots__) == STORAGE_SLOTS
     # The one survivor, kept for the frozen benchmark harness: a property
     # that says how much shared memory a pool holds. None.
@@ -1150,7 +1113,7 @@ def test_storage_seam_stays_deleted():
     from repro.graph import LabeledGraph
 
     assert_stays_deleted("storage_seam")
-    assert not (REPO / "src" / "repro" / "graph" / "csr.py").exists()
+    assert not (PACKAGE / "graph" / "csr.py").exists()
     assert not [n for n in ("backend", "from_backend", "_adopt") if hasattr(LabeledGraph, n)]
     # Every slot of a live graph is a plain container or scalar (or the
     # pinned cache): no storage object, no per-instance bound method.
@@ -1169,65 +1132,67 @@ def test_storage_seam_stays_deleted():
 # epoch is stamped where a cache is constructed, ``delta_seq`` is never
 # reset, and no path in ``src/`` flushes the plans.
 # ----------------------------------------------------------------------
+CONSTRUCTOR = ["indexes/graph_cache.py:__init__"]
+STAMPED_IN_THE_CONSTRUCTOR = {
+    "epoch =": CONSTRUCTOR, "next(_EPOCHS)": CONSTRUCTOR,
+    "delta_seq = 0": [], "plan_cache.clear(": [],
+}
+
+
+@cached
+def restamp_sites(text) -> Tuple[Tuple[str, str], ...]:
+    """``(what, function)`` for every site of ``restamp_census`` in ``text``."""
+    sites = []
+    for function in nodes(text, ast.FunctionDef, ast.AsyncFunctionDef):
+        for node in ast.walk(function):
+            if isinstance(node, ast.Call):
+                call = ast.unparse(node)
+                if call == "next(_EPOCHS)":
+                    sites.append(("next(_EPOCHS)", function.name))
+                elif call.endswith("plan_cache.clear()"):
+                    sites.append(("plan_cache.clear(", function.name))
+                continue
+            if not isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in (t for tgt in targets for t in ast.walk(tgt)):
+                attr = getattr(target, "attr", None)
+                if attr == "epoch":
+                    sites.append(("epoch =", function.name))
+                elif attr == "delta_seq" and ast.unparse(node.value) == "0":
+                    sites.append(("delta_seq = 0", function.name))
+    return tuple(sites)
+
+
 def restamp_census(sources):
     """``{what: [path:function, ...]}`` over ``{path: source}``: every
     assignment to an ``.epoch`` attribute, every ``next(_EPOCHS)``, every
     ``.delta_seq`` assigned the constant 0, every ``plan_cache.clear()``."""
-    census = {"epoch =": [], "next(_EPOCHS)": [], "delta_seq = 0": [], "plan_cache.clear(": []}
+    census = {what: [] for what in STAMPED_IN_THE_CONSTRUCTOR}
     for path, text in sources.items():
-        functions = [
-            n for n in ast.walk(ast.parse(text))
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-        for function in functions:
-            for node in ast.walk(function):
-                site = f"{path}:{function.name}"
-                if isinstance(node, ast.Call):
-                    call = ast.unparse(node)
-                    if call == "next(_EPOCHS)":
-                        census["next(_EPOCHS)"].append(site)
-                    elif call.endswith("plan_cache.clear()"):
-                        census["plan_cache.clear("].append(site)
-                    continue
-                if not isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                    continue
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                for target in (t for tgt in targets for t in ast.walk(tgt)):
-                    attr = getattr(target, "attr", None)
-                    if attr == "epoch":
-                        census["epoch ="].append(site)
-                    elif attr == "delta_seq" and ast.unparse(node.value) == "0":
-                        census["delta_seq = 0"].append(site)
+        for what, function in restamp_sites(text):
+            census[what].append(f"{path}:{function}")
     return census
+
+
+def restamp_offenders(sources):
+    """``what: [sites]`` for each census row of the package off its one home."""
+    census = restamp_census(sources)
+    return [
+        f"{what}: {census[what]}"
+        for what, home in STAMPED_IN_THE_CONSTRUCTOR.items() if census[what] != home
+    ]
 
 
 def test_epoch_is_stamped_once():
     from repro.core.config import DSQLConfig
     from repro.indexes.graph_cache import GraphIndexCache
 
-    sources = package_sources()
-    constructor = ["indexes/graph_cache.py:__init__"]
-    assert restamp_census(sources) == {
-        "epoch =": constructor, "next(_EPOCHS)": constructor,
-        "delta_seq = 0": [], "plan_cache.clear(": [],
-    }
+    # Its mutant is a row of GUARD_MUTANTS.
+    assert restamp_census(package_sources()) == STAMPED_IN_THE_CONSTRUCTOR
     assert not hasattr(GraphIndexCache, "on_compaction")
     assert_stays_deleted("restamp")
     assert len(dataclasses.fields(DSQLConfig)) == 18
-    # The census sees the re-stamp pasted into a batched write.
-    graph_text = sources["graph/labeled_graph.py"]
-    anchor = "            self._cache.apply_delta(applied)\n"
-    assert graph_text.count(anchor) == 1
-    mutant = graph_text.replace(
-        anchor,
-        anchor + "            self._cache.epoch = next(_EPOCHS)\n"
-        "            self._cache.delta_seq = 0\n            self._cache.plan_cache.clear()\n",
-    )
-    writer = ["graph/labeled_graph.py:mutate"]
-    assert restamp_census({"graph/labeled_graph.py": mutant}) == {
-        "epoch =": writer, "next(_EPOCHS)": writer,
-        "delta_seq = 0": writer, "plan_cache.clear(": writer,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -1298,15 +1263,17 @@ DERIVED_CHECKS = {
 }
 
 
+def class_named(text, name):
+    (cls,) = [n for n in nodes(text, ast.ClassDef) if n.name == name]
+    return cls
+
+
 def slot_census(text, cls_name, table):
     """``(slots, declared)`` of class ``cls_name`` in ``text``: the string
     names written in its ``__slots__`` and the first field of each row of
     its ``table``."""
-    cls = next(
-        n for n in ast.walk(ast.parse(text)) if isinstance(n, ast.ClassDef) and n.name == cls_name
-    )
     found = {}
-    for node in cls.body:
+    for node in class_named(text, cls_name).body:
         if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
             found[node.targets[0].id] = node.value
     slots = [
@@ -1334,9 +1301,8 @@ def census_offenders(sources):
     for path, text in sorted(sources.items()):
         if path != "indexes/graph_cache.py":
             offenders += [
-                f"{path}:{n.lineno}: reads {ast.unparse(n)}" for n in ast.walk(ast.parse(text))
-                if isinstance(n, ast.Attribute) and n.attr == "delta_seq"
-                and isinstance(n.ctx, ast.Load)
+                f"{path}:{n.lineno}: reads {ast.unparse(n)}" for n in nodes(text, ast.Attribute)
+                if n.attr == "delta_seq" and isinstance(n.ctx, ast.Load)
             ]
     return offenders
 
@@ -1348,33 +1314,17 @@ def test_every_derived_slot_is_declared():
     from repro.indexes.plans import PlanCache, QueryPlan
 
     sources = package_sources()
+    # Its mutants are rows of GUARD_MUTANTS.
     assert not census_offenders(sources)
     for cls in (GraphIndexCache, QueryPlan, PlanCache):
         declared = [row[0] for row in getattr(cls, DERIVED_TABLES[cls.__name__][1])]
         assert sorted(cls.__slots__) == sorted(PICKLED_SLOTS[cls.__name__] + tuple(declared))
     assert set(DERIVED_CHECKS) == {slot for slot, _, _ in GraphIndexCache._DERIVED}
     for path, check in DERIVED_CHECKS.values():
-        assert check in (REPO / path).read_text(encoding="utf-8"), (path, check)
+        assert check in read(REPO / path), (path, check)
     locks = [slot for slot, empty, _ in GraphIndexCache._DERIVED if empty is threading.Lock]
     assert locks == ["_lock"] and "Lock()" not in sources["indexes/graph_cache.py"]
     assert_stays_deleted("adj_lock")
-    # The census sees a memo slot pasted into the cache with no row ...
-    text = sources["indexes/graph_cache.py"]
-    anchor = '        "pool_entries_dropped",\n'
-    assert text.count(anchor) == 1
-    mutant = text.replace(anchor, anchor + '        "_plan_lists",\n')
-    assert census_offenders({**sources, "indexes/graph_cache.py": mutant}) == [
-        "GraphIndexCache._plan_lists: undeclared"
-    ]
-    # ... and a plan store that checks the version itself again.
-    text = sources["indexes/plans.py"]
-    anchor = "    def _keep(self, key, plan: QueryPlan) -> None:\n"
-    assert text.count(anchor) == 1
-    mutant = text.replace(anchor, anchor + "        assert cache.delta_seq == seq\n")
-    line = mutant[: mutant.index("cache.delta_seq == seq")].count("\n") + 1
-    assert census_offenders({**sources, "indexes/plans.py": mutant}) == [
-        f"indexes/plans.py:{line}: reads cache.delta_seq"
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -1400,13 +1350,12 @@ def test_class_search_stays_deleted():
 def test_global_weight_table_stays_deleted():
     from repro.core.config import DSQLConfig
 
-    # The guard sees the graph-global ceiling pasted back beside the new one.
+    # The guard sees the graph-global ceiling pasted back beside the new one
+    # (and, as a row of GUARD_MUTANTS, numpy imported for it).
     assert_stays_deleted("global_weight_table")
-    sources = package_sources()
+    sources = guard_sources()
     assert numpy_importers(sources, "indexes/") == numpy_importers(sources, "cost/") == []
     assert len(dataclasses.fields(DSQLConfig)) == 18
-    mutant = sources["cost/estimator.py"].replace("import math\n", "import math\nimport numpy as np\n")
-    assert numpy_importers({"cost/estimator.py": mutant}, "cost/") == ["cost/estimator.py"]
 
 
 # ----------------------------------------------------------------------
@@ -1431,7 +1380,7 @@ def lock_constructions(text):
     """``Class.target`` for every ``Lock()`` / ``RLock()`` built in ``text``
     (``Class.?`` where the call is not the value of a plain assignment)."""
     sites = []
-    for cls in (n for n in ast.walk(ast.parse(text)) if isinstance(n, ast.ClassDef)):
+    for cls in nodes(text, ast.ClassDef):
         targets = {
             id(node.value): ast.unparse(node.targets[0]).rsplit(".", 1)[-1]
             for node in ast.walk(cls) if isinstance(node, ast.Assign)
@@ -1445,9 +1394,10 @@ def lock_constructions(text):
 
 
 def memo_lock_offenders(sources):
-    """Over ``{path relative to src/repro: source}``: modules other than
-    ``core/dsql.py`` naming the memo or its lock, and locks the catalog
-    builds outside ``_ReadWriteLock`` and ``_session_lock``."""
+    """Over the package: modules other than ``core/dsql.py`` naming the memo
+    or its lock, locks the catalog builds outside ``_ReadWriteLock`` and
+    ``_session_lock``, and the workaround markers."""
+    sources = package(sources)
     found = [
         f"{path}: {name}"
         for path, text in sorted(sources.items())
@@ -1459,7 +1409,7 @@ def memo_lock_offenders(sources):
         for site in lock_constructions(sources["service/catalog.py"])
         if not site.startswith("_ReadWriteLock.") and site != "CatalogEntry._session_lock"
     ]
-    return found
+    return found + fork_offenders(MEMO_WORKAROUND_MARKERS, sources=sources)
 
 
 def test_memo_lock_lives_on_the_memo():
@@ -1469,7 +1419,7 @@ def test_memo_lock_lives_on_the_memo():
     sources = package_sources()
     offenders = fork_offenders(MEMO_WORKAROUND_MARKERS, design_and_skill_files())
     assert not offenders, offenders
-    assert not memo_lock_offenders(sources)
+    assert not memo_lock_offenders(guard_sources())
     assert all(name in sources["core/dsql.py"] for name in MEMO_PRIVATE_NAMES)
     assert lock_constructions(sources["service/catalog.py"]) == ["CatalogEntry._session_lock"]
     assert not hasattr(CatalogEntry, "close") and not hasattr(GraphCatalog, "close")
@@ -1490,10 +1440,15 @@ def test_memo_lock_lives_on_the_memo():
 # building an index cache for its handful of nodes.
 # ----------------------------------------------------------------------
 def functions_named(text, name):
-    return [
-        n for n in ast.walk(ast.parse(text))
-        if isinstance(n, ast.FunctionDef) and n.name == name
-    ]
+    return [n for n in nodes(text, ast.FunctionDef) if n.name == name]
+
+
+def attribute_calls(node) -> set:
+    """The attribute names called anywhere under ``node`` (``x.f()`` -> ``f``)."""
+    return {
+        n.func.attr for n in ast.walk(node)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+    }
 
 
 POOL_VIEW_HOMES = ("indexes/graph_cache.py",)
@@ -1503,8 +1458,8 @@ POOL_VIEW_READERS = ("core/", "isomorphism/", "indexes/candidates.py", "indexes/
 def pool_view_builds(text):
     """The ``frozenset(...)`` calls over a pool (an argument naming one or its members)."""
     return [
-        n for n in ast.walk(ast.parse(text))
-        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "frozenset"
+        n for n in nodes(text, ast.Call)
+        if isinstance(n.func, ast.Name) and n.func.id == "frozenset"
         and n.args and any(word in ast.unparse(n.args[0]) for word in ("pool", "members"))
     ]
 
@@ -1516,7 +1471,7 @@ def pool_sum_offenders(sources):
     one built by a reader); ``estimate_cost`` in the catalog not bracketed by
     ``acquire_read`` / ``release_read``; ``QueryGraph.neighborhood_signature``
     missing or calling ``index_cache``."""
-    offenders = []
+    sources, offenders = package(sources), []
     for path in POOL_VIEW_HOMES:
         built = len(pool_view_builds(sources[path]))
         if built != 1:
@@ -1526,26 +1481,18 @@ def pool_sum_offenders(sources):
             offenders += [
                 f"{path}:{n.lineno}: builds {ast.unparse(n)}" for n in pool_view_builds(text)
             ]
-        if not path.startswith("cost/"):
-            continue
-        for node in ast.walk(ast.parse(text)):
-            read = isinstance(node, ast.Subscript) or (
-                isinstance(node, ast.Attribute) and node.attr == "__getitem__"
-            )
-            if read and ast.unparse(node.value).endswith("degrees"):
-                offenders.append(f"{path}: reads {ast.unparse(node)}")
-
-    def calls(function):
-        return {
-            n.func.attr for n in ast.walk(function)
-            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
-        }
-
+        if path.startswith("cost/"):
+            offenders += [
+                f"{path}: reads {ast.unparse(node)}"
+                for node in nodes(text, ast.Subscript, ast.Attribute)
+                if (isinstance(node, ast.Subscript) or node.attr == "__getitem__")
+                and ast.unparse(node.value).endswith("degrees")
+            ]
     probes = functions_named(sources["service/catalog.py"], "estimate_cost")
-    if len(probes) != 1 or not {"acquire_read", "release_read"} <= calls(probes[0]):
+    if len(probes) != 1 or not {"acquire_read", "release_read"} <= attribute_calls(probes[0]):
         offenders.append("service/catalog.py: estimate_cost is not a reader")
     own = functions_named(sources["graph/query_graph.py"], "neighborhood_signature")
-    if len(own) != 1 or "index_cache" in calls(own[0]):
+    if len(own) != 1 or "index_cache" in attribute_calls(own[0]):
         offenders.append("graph/query_graph.py: neighborhood_signature is not the query's own")
     return offenders
 
@@ -1553,90 +1500,27 @@ def pool_sum_offenders(sources):
 def test_a_pool_is_summed_where_it_lives():
     from repro.core.config import DSQLConfig
 
-    sources = package_sources()
-    assert not pool_sum_offenders(sources)
+    # Its mutants are rows of GUARD_MUTANTS.
+    assert not pool_sum_offenders(guard_sources())
     assert len(dataclasses.fields(DSQLConfig)) == 18
     assert_stays_deleted("pool_view")
     assert_stays_deleted("pool_degree_mass")
-    # The guard sees the pool walk pasted back into the estimator ...
-    text = sources["cost/estimator.py"]
-    anchor = "    mass_of = cache.degree_mass\n"
-    assert text.count(anchor) == 1
-    mutant = text.replace(
-        anchor,
-        anchor + "    degree_of = cache.degrees.__getitem__\n"
-        "    mean_deg = [sum(map(degree_of, pool)) / len(pool) for pool in pools]\n",
-    )
-    assert pool_sum_offenders({**sources, "cost/estimator.py": mutant}) == [
-        "cost/estimator.py: reads cache.degrees.__getitem__"
-    ]
-    mutant = text.replace(anchor, anchor + "    first = cache.degrees[pools[0][0]]\n")
-    assert pool_sum_offenders({**sources, "cost/estimator.py": mutant}) == [
-        "cost/estimator.py: reads cache.degrees[pools[0][0]]"
-    ]
-    # ... a reader building a pool's set of its own ...
-    text = sources["core/phase1.py"]
-    anchor = "    return {u: plan.pool_set(u) & covered for u in range(q)}\n"
-    assert text.count(anchor) == 1
-    mutant = text.replace(anchor, "    return {u: frozenset(plan.pools[u]) & covered for u in range(q)}\n")
-    line = mutant[: mutant.index("frozenset(plan.pools[u])")].count("\n") + 1
-    assert pool_sum_offenders({**sources, "core/phase1.py": mutant}) == [
-        f"core/phase1.py:{line}: builds frozenset(plan.pools[u])"
-    ]
-    # ... the plan building its own view again instead of taking the entry's ...
-    text = sources["indexes/plans.py"]
-    anchor = "        return entry.set_view() if view is None else view\n"
-    assert text.count(anchor) == 1
-    mutant = text.replace(
-        anchor, "        return frozenset(self.pools[u]) if view is None else view\n"
-    )
-    line = mutant[: mutant.index("frozenset(self.pools[u])")].count("\n") + 1
-    assert pool_sum_offenders({**sources, "indexes/plans.py": mutant}) == [
-        f"indexes/plans.py:{line}: builds frozenset(self.pools[u])"
-    ]
-    # ... the entry building a second set of its members ...
-    text = sources["indexes/graph_cache.py"]
-    anchor = "        view = self.view = frozenset(self.members)\n"
-    assert text.count(anchor) == 1
-    mutant = text.replace(
-        anchor, anchor + "        self.lists = {v: frozenset(self.members) for v in ()}\n"
-    )
-    assert pool_sum_offenders({**sources, "indexes/graph_cache.py": mutant}) == [
-        "indexes/graph_cache.py: builds a pool's frozenset 2 times"
-    ]
-    # ... the probe pricing outside the read lock again ...
-    text = sources["service/catalog.py"]
-    start = text.index("        session = self.session(config)\n        self._rw.acquire_read()\n"
-                       "        try:\n            return session.estimate(query)\n")
-    end = text.index("    def observe_cost(")
-    mutant = text[:start] + "        return self.session(config).estimate(query)\n\n" + text[end:]
-    assert pool_sum_offenders({**sources, "service/catalog.py": mutant}) == [
-        "service/catalog.py: estimate_cost is not a reader"
-    ]
-    # ... and the query's own signature deleted (the inherited one builds a cache).
-    text = sources["graph/query_graph.py"]
-    start, end = text.index("    def neighborhood_signature("), text.index("    @classmethod\n")
-    assert pool_sum_offenders({**sources, "graph/query_graph.py": text[:start] + text[end:]}) == [
-        "graph/query_graph.py: neighborhood_signature is not the query's own"
-    ]
 
 
 # ----------------------------------------------------------------------
 # Fork guard: a connection starts no thread. ``service/server.py`` hands a
-# connection to an executor's reused thread (the multi-worker control server,
-# a handful of requests per process lifetime, keeps its ThreadingHTTPServer:
-# the guard is scoped to this one module); nothing is computed for an access
-# log that is not there; a declared body length is judged before it is read.
+# connection to an executor's reused thread, and so does the multi-worker
+# control plane, which is a ``ServiceServer`` too (its stdlib handler and
+# threading server stay deleted); nothing is computed for an access log
+# that is not there; a declared body length is judged before it is read.
 # ----------------------------------------------------------------------
-def transport_offenders(text):
+def transport_offenders(sources):
     """What in ``service/server.py`` would put a per-request thread, an
     unconditional ``_query_key`` or an unchecked body read back."""
+    text = sources["src/repro/service/server.py"]
     banned = ("ThreadingHTTPServer", "ThreadingMixIn")
     offenders = [f"names {name}" for name in banned if name in text]
-    tree = ast.parse(text)
-    functions = {
-        n.name: n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
+    functions = {n.name: n for n in nodes(text, ast.FunctionDef, ast.AsyncFunctionDef)}
     # Reachable by *mention* (a bare name or ``self.name``), not by call: the
     # worker is passed to ``submit``.
     reached, frontier = set(), ["process_request"]
@@ -1654,14 +1538,10 @@ def transport_offenders(text):
                 frontier.append(node.attr)
     guarded = {
         id(inner)
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.If, ast.IfExp)) and "access_log" in ast.unparse(node.test)
+        for node in nodes(text, ast.If, ast.IfExp) if "access_log" in ast.unparse(node.test)
         for inner in ast.walk(node)
     }
-    keyed = [
-        n for n in ast.walk(tree)
-        if isinstance(n, ast.Call) and ast.unparse(n.func) == "_query_key"
-    ]
+    keyed = [n for n in nodes(text, ast.Call) if ast.unparse(n.func) == "_query_key"]
     if len(keyed) != 1 or id(keyed[0]) not in guarded:
         offenders.append("_query_key is not called once, under a test of access_log")
     reader = functions["_read_payload"]
@@ -1680,7 +1560,8 @@ def transport_offenders(text):
 
 def test_a_connection_starts_no_thread():
     # Its mutants are rows of GUARD_MUTANTS.
-    assert not transport_offenders(package_sources()["service/server.py"])
+    assert not transport_offenders(guard_sources())
+    assert_stays_deleted("control_plane")
 
 
 # ----------------------------------------------------------------------
@@ -1694,30 +1575,25 @@ def kept_price_offenders(sources):
     """``path: function writes|reads .encoded`` outside the two allowed
     places, and ``cost/calibration.py: observe assigns X`` for every
     attribute ``observe`` writes on anything but ``self``."""
-    offenders = []
+    sources, offenders = package(sources), []
     for path, text in sorted(sources.items()):
-        tree = ast.parse(text)
+        if "encoded" not in text:  # no such attribute, so nothing to place
+            continue
         owner = {}  # id(node) -> innermost enclosing class or function
-        for scope in ast.walk(tree):
-            if isinstance(scope, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                for node in ast.walk(scope):
-                    owner.setdefault(id(node), []).append(scope.name)
-        for node in ast.walk(tree):
-            if not (isinstance(node, ast.Attribute) and node.attr == "encoded"):
+        for scope in nodes(text, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef):
+            for node in ast.walk(scope):
+                owner.setdefault(id(node), []).append(scope.name)
+        for node in nodes(text, ast.Attribute):
+            if node.attr != "encoded":
                 continue
             scopes = owner.get(id(node), ["<module>"])
             if isinstance(node.ctx, ast.Store) and "_WarmRecord" not in scopes:
                 offenders.append(f"{path}: {scopes[-1]} writes .encoded")
             elif isinstance(node.ctx, ast.Load) and "_send_json" not in scopes:
                 offenders.append(f"{path}: {scopes[-1]} reads .encoded")
-    calibration = ast.parse(sources["cost/calibration.py"])
-    (observe,) = [
-        node
-        for cls in ast.walk(calibration)
-        if isinstance(cls, ast.ClassDef) and cls.name == "EwmaCalibration"
-        for node in cls.body
-        if isinstance(node, ast.FunctionDef) and node.name == "observe"
-    ]
+    calibration = sources["cost/calibration.py"]
+    (observe,) = [n for n in class_named(calibration, "EwmaCalibration").body
+                  if isinstance(n, ast.FunctionDef) and n.name == "observe"]
     for node in ast.walk(observe):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
             if not (isinstance(node.value, ast.Name) and node.value.id == "self"):
@@ -1731,7 +1607,7 @@ def test_a_warm_hits_price_and_bytes_are_kept_not_patched():
     # Its mutants are rows of GUARD_MUTANTS.
     from repro.cost import CalibrationState
 
-    assert kept_price_offenders(package_sources()) == []
+    assert kept_price_offenders(guard_sources()) == []
     with pytest.raises(dataclasses.FrozenInstanceError):
         CalibrationState().observations = 1
 
@@ -1741,9 +1617,10 @@ def test_a_warm_hits_price_and_bytes_are_kept_not_patched():
 # table: the table is the wire contract, and a new code that skips it is
 # an answer no client was told about.
 # ----------------------------------------------------------------------
-def service_status_rows():
-    """``{(status, code)}`` of the table under docs/service.md's "Errors"."""
-    text = (REPO / "docs" / "service.md").read_text(encoding="utf-8")
+def service_status_rows(text: str = "") -> set:
+    """``{(status, code)}`` of the table under docs/service.md's "Errors"
+    (or under that heading of ``text``)."""
+    text = text or read(REPO / "docs" / "service.md")
     section = text[text.index("\n## Errors\n"):]
     section = section[: section.index("\n## ", 1)]
     return {
@@ -1758,8 +1635,8 @@ def unlisted_service_errors(sources, rows):
     ``ServiceError(<int>, "<str>", ...)`` whose pair is not in ``rows``."""
     found = []
     for path, text in sorted(sources.items()):
-        for node in ast.walk(ast.parse(text)):
-            if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "ServiceError"):
+        for node in nodes(text, ast.Call):
+            if ast.unparse(node.func) != "ServiceError":
                 continue
             status, code = (getattr(arg, "value", None) for arg in node.args[:2])
             if isinstance(status, int) and isinstance(code, str) and (status, code) not in rows:
@@ -1767,19 +1644,16 @@ def unlisted_service_errors(sources, rows):
     return found
 
 
+def status_row_offenders(sources):
+    rows = service_status_rows(sources["docs/service.md"])
+    return unlisted_service_errors(under(package(sources), "service/"), rows)
+
+
 def test_every_service_error_has_a_status_row():
-    sources = {p: t for p, t in package_sources().items() if p.startswith("service/")}
     rows = service_status_rows()
     assert {(431, "head_too_large"), (501, "unsupported_method"), (500, "internal")} <= rows
-    assert unlisted_service_errors(sources, rows) == []
-    # The scan sees a pasted raise of a code the table does not list.
-    text = sources["service/server.py"]
-    anchor = "            probe_request, handler = route\n"
-    assert text.count(anchor) == 1
-    pasted = '            raise ServiceError(418, "teapot", "short and stout")\n'
-    line = text[: text.index(anchor)].count("\n") + 2
-    mutant = {**sources, "service/server.py": text.replace(anchor, anchor + pasted)}
-    assert unlisted_service_errors(mutant, rows) == [f"service/server.py:{line}: 418 teapot"]
+    # Its mutant is a row of GUARD_MUTANTS.
+    assert status_row_offenders(guard_sources()) == []
 
 
 # ----------------------------------------------------------------------
@@ -1824,11 +1698,9 @@ def doc_field_rows(text, heading):
 
 def method_keywords(text, cls, method):
     """The parameter names of ``cls.method`` in source ``text``, ``self`` excluded."""
-    for node in ast.walk(ast.parse(text)):
-        if isinstance(node, ast.ClassDef) and node.name == cls:
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) and item.name == method:
-                    return [a.arg for a in item.args.args[1:] + item.args.kwonlyargs]
+    for item in class_named(text, cls).body:
+        if isinstance(item, ast.FunctionDef) and item.name == method:
+            return [a.arg for a in item.args.args[1:] + item.args.kwonlyargs]
     return []
 
 
@@ -1845,11 +1717,12 @@ def module_from_source(text, name):
 
 def wire_field_offenders(sources):
     """Every disagreement with the ``FieldSpec`` tables of ``sources``'
-    service/schemas.py (``{path under src/repro: source}``)."""
+    service/schemas.py (``{path from the root: text}``)."""
     from repro.core.config import DSQLConfig
 
-    schemas = module_from_source(sources["service/schemas.py"], "schemas_under_lint")
-    docs = (REPO / "docs" / "service.md").read_text(encoding="utf-8")
+    service = package(sources)
+    schemas = module_from_source(service["service/schemas.py"], "schemas_under_lint")
+    docs = sources["docs/service.md"]
     config_fields = {field.name for field in dataclasses.fields(DSQLConfig)}
     found, overridden = [], set()
     for table, (heading, method, path_params, request) in WIRE_ENDPOINTS.items():
@@ -1874,7 +1747,7 @@ def wire_field_offenders(sources):
         if [n for n in documented if n in names] != [n for n in names if n in documented]:
             found.append(f"{heading}: docs/service.md lists the fields out of check order")
         sent = {field.name for field in spec if field.client}
-        taken = set(method_keywords(sources["service/client.py"], "ServiceClient", method))
+        taken = set(method_keywords(service["service/client.py"], "ServiceClient", method))
         taken -= set(path_params)
         found += [f"ServiceClient.{method} does not take {n!r}" for n in sorted(sent - taken)]
         found += [
@@ -1884,7 +1757,7 @@ def wire_field_offenders(sources):
             fields = {field.name for field in dataclasses.fields(getattr(schemas, request))}
             found += [f"{request} has no field {n!r}" for n in names if n not in fields]
             found += [f"{request}.{n} is no row" for n in sorted(fields - set(names))]
-    keywords = method_keywords(sources["service/catalog.py"], "CatalogEntry", "request_config")
+    keywords = method_keywords(service["service/catalog.py"], "CatalogEntry", "request_config")
     keywords = set(keywords) - {"use_compression"}  # a HARNESS_ONLY row
     found += [f"CatalogEntry.request_config lacks {n!r}" for n in sorted(overridden - keywords)]
     found += [
@@ -1897,8 +1770,8 @@ def wire_field_offenders(sources):
 def test_wire_fields_are_declared_once():
     from repro.service import schemas
 
-    assert wire_field_offenders(package_sources()) == []
-    docs = (REPO / "docs" / "service.md").read_text(encoding="utf-8")
+    assert wire_field_offenders(guard_sources()) == []
+    docs = read(REPO / "docs" / "service.md")
     for table, (heading, *_rest) in WIRE_ENDPOINTS.items():
         assert len(doc_field_rows(docs, heading)) == len(getattr(schemas, table)) > 0
     # The ingest threshold is checked, then dropped; no bundled client sends it.
@@ -1923,183 +1796,27 @@ def collector_offenders(sources):
     """``graph/labeled_graph.py: W builds a set`` for each storage writer
     that does, and ``path: .intersection( over neighbor_set`` for each such
     call in the package."""
-    offenders = []
-    for node in ast.walk(ast.parse(sources["graph/labeled_graph.py"])):
-        if isinstance(node, ast.FunctionDef) and node.name in STORAGE_WRITERS:
-            if any(
-                isinstance(sub, (ast.Set, ast.SetComp))
-                or isinstance(sub, ast.Call) and ast.unparse(sub.func) in ("set", "frozenset")
-                for sub in ast.walk(node)
-            ):
-                offenders.append(f"graph/labeled_graph.py: {node.name} builds a set")
+    sources, offenders = package(sources), []
+    for node in nodes(sources["graph/labeled_graph.py"], ast.FunctionDef):
+        if node.name in STORAGE_WRITERS and any(
+            isinstance(sub, (ast.Set, ast.SetComp))
+            or isinstance(sub, ast.Call) and ast.unparse(sub.func) in ("set", "frozenset")
+            for sub in ast.walk(node)
+        ):
+            offenders.append(f"graph/labeled_graph.py: {node.name} builds a set")
     for path, text in sorted(sources.items()):
-        for node in ast.walk(ast.parse(text)):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "intersection"
-                and any("neighbor_set" in ast.unparse(arg) for arg in node.args)
-            ):
-                offenders.append(f"{path}: .intersection( over neighbor_set")
+        offenders += [
+            f"{path}: .intersection( over neighbor_set" for node in nodes(text, ast.Call)
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "intersection"
+            and any("neighbor_set" in ast.unparse(arg) for arg in node.args)
+        ]
     return offenders
 
 
 def test_the_graph_stays_out_of_the_collector():
     # Its mutants are rows of GUARD_MUTANTS; tests/graph/test_collector.py
     # checks the same at run time.
-    assert collector_offenders(package_sources()) == []
-
-
-# ----------------------------------------------------------------------
-# The guards' mutants, one table: each row is an edit of a real module that
-# its guard must see, and only that.
-# ----------------------------------------------------------------------
-GUARDS = {
-    "transport": lambda sources: transport_offenders(sources["service/server.py"]),
-    "memo_lock": lambda sources: memo_lock_offenders(sources)
-    + fork_offenders(MEMO_WORKAROUND_MARKERS, sources=sources),
-    "kept_price": kept_price_offenders,
-    "wire_fields": wire_field_offenders,
-    "collector": collector_offenders,
-}
-GUARD_MUTANTS = {
-    # id: (guard, module under src/repro, anchor, its replacement, what the guard reports)
-    # The thread-per-connection base pasted back ...
-    "threading_server": (
-        "transport", "service/server.py",
-        "class _ServiceHTTPServer(HTTPServer):", "class _ServiceHTTPServer(ThreadingHTTPServer):",
-        ["names ThreadingHTTPServer"],
-    ),
-    "thread_per_connection": (
-        "transport", "service/server.py",
-        "        self._handlers.submit(self._serve_connection, request, client_address)\n",
-        "        threading.Thread(target=self._serve_connection, args=(request,)).start()\n",
-        ["process_request constructs a thread"],
-    ),
-    # ... the digest computed for nobody ...
-    "query_key_for_nobody": (
-        "transport", "service/server.py",
-        "query_key=_query_key(request.query) if self.access_log is not None else None,",
-        "query_key=_query_key(request.query),",
-        ["_query_key is not called once, under a test of access_log"],
-    ),
-    # ... and the socket read moved above the declared-length check.
-    "read_before_check": (
-        "transport", "service/server.py",
-        "        if length > MAX_BODY_BYTES:\n",
-        "        early = self._recv(length)\n        if length > MAX_BODY_BYTES:\n",
-        ["_read_payload reads before comparing with MAX_BODY_BYTES"],
-    ),
-    # The batch put back under an entry-held memo lock ...
-    "batch_under_memo_lock": (
-        "memo_lock", "service/catalog.py",
-        "                return executor.run(list(queries)), executor.last_report\n",
-        "                with self._memo_lock:\n"
-        "                    results = executor.run(list(queries))\n"
-        "                return results, executor.last_report\n",
-        ["service/catalog.py: _memo_lock"],
-    ),
-    # ... the lock itself built on the entry ...
-    "entry_batch_lock": (
-        "memo_lock", "service/catalog.py",
-        "        self._session_lock = threading.Lock()\n",
-        "        self._session_lock = threading.Lock()\n"
-        "        self._batch_lock = threading.Lock()\n",
-        ["service/catalog.py: CatalogEntry._batch_lock"],
-    ),
-    # ... the executor walking the session's dict again ...
-    "executor_reads_memo": (
-        "memo_lock", "parallel/executor.py",
-        "session._memo_lacks(by_key)",
-        "[k for k in by_key if k not in session._query_cache]",
-        ["parallel/executor.py: _query_cache"],
-    ),
-    # ... and the plan cache's spec table back.
-    "plan_specs": (
-        "memo_lock", "indexes/plans.py",
-        FUTURE_IMPORT, FUTURE_IMPORT + "self._specs[key] = spec\n",
-        ["indexes/plans.py: '._specs'"],
-    ),
-    # A miss given bytes of its own ...
-    "bytes_written_outside_the_record": (
-        "kept_price", "service/server.py",
-        '        answer["estimated_cost"] = dict(wire)\n',
-        '        answer["estimated_cost"] = dict(wire)\n'
-        "        answer = _EncodedReply(answer)\n"
-        "        answer.encoded = _SORTED_JSON.encode(answer).encode()\n",
-        ["service/server.py: handle_query writes .encoded"],
-    ),
-    # ... a hit's bytes read before they are sent ...
-    "bytes_read_outside_the_send": (
-        "kept_price", "service/server.py",
-        "            return record.body(answer, elapsed_ms)\n",
-        "            body = record.body(answer, elapsed_ms)\n"
-        '            logger.debug("%d reply bytes", len(body.encoded))\n'
-        "            return body\n",
-        ["service/server.py: handle_query reads .encoded"],
-    ),
-    # ... and a calibration state written in place under a kept price.
-    "calibration_written_in_place": (
-        "kept_price", "cost/calibration.py",
-        "                self._state = CalibrationState(err, abs(err), 1)\n",
-        "                state.observations += 1\n"
-        "                self._state = CalibrationState(err, abs(err), 1)\n",
-        ["cost/calibration.py: observe assigns state.observations"],
-    ),
-    # A field added in one place only: a row no doc, client or request has ...
-    "field_in_the_table_only": (
-        "wire_fields", "service/schemas.py",
-        '    FieldSpec("jobs", "int", bound=1),\n',
-        '    FieldSpec("jobs", "int", bound=1),\n    FieldSpec("seed", "int", bound=0),\n',
-        [
-            "POST /v1/batch: 'seed' has no docs/service.md row",
-            "ServiceClient.batch does not take 'seed'",
-            "BatchRequest has no field 'seed'",
-        ],
-    ),
-    # ... a client keyword no row sends ...
-    "field_in_the_client_only": (
-        "wire_fields", "service/client.py",
-        "        jobs: Optional[int] = None,\n",
-        "        jobs: Optional[int] = None,\n        seed: Optional[int] = None,\n",
-        ["ServiceClient.batch takes 'seed', sent by no row"],
-    ),
-    # ... and an override no row carries.
-    "override_in_the_catalog_only": (
-        "wire_fields", "service/catalog.py",
-        "        time_budget_ms: Optional[float] = None,\n",
-        "        time_budget_ms: Optional[float] = None,\n"
-        "        node_budget: Optional[int] = None,\n",
-        ["CatalogEntry.request_config takes 'node_budget', overridden by no row"],
-    ),
-    # A set per vertex put back where a vertex is appended ...
-    "membership_set": (
-        "collector", "graph/labeled_graph.py",
-        "        self._sets.append({})\n", "        self._sets.append(set())\n",
-        ["graph/labeled_graph.py: _append_vertex builds a set"],
-    ),
-    # ... and the fold that walks every neighbor view whole.
-    "intersection_over_views": (
-        "collector", "core/search.py",
-        "        joined = set(rcand)\n"
-        "        for w in backward:\n"
-        "            joined = neighbor_set(assignment[w]) & joined\n"
-        "        return joined\n",
-        "        return set(rcand).intersection("
-        "*map(neighbor_set, map(assignment.__getitem__, backward)))\n",
-        ["core/search.py: .intersection( over neighbor_set"],
-    ),
-}
-
-
-@pytest.mark.parametrize("row", sorted(GUARD_MUTANTS))
-def test_a_guard_fails_on_its_mutant(row):
-    guard, path, anchor, replacement, reported = GUARD_MUTANTS[row]
-    sources = package_sources()
-    assert GUARDS[guard](sources) == []
-    assert sources[path].count(anchor) == 1, anchor
-    mutant = {**sources, path: sources[path].replace(anchor, replacement)}
-    assert GUARDS[guard](mutant) == reported
+    assert collector_offenders(guard_sources()) == []
 
 
 # ----------------------------------------------------------------------
@@ -2113,7 +1830,7 @@ def test_profiling_hooks_stay_deleted():
     from repro.observability import Instrumentation
 
     assert_stays_deleted("profiling_hooks")
-    assert not (REPO / "src" / "repro" / "observability" / "hooks.py").exists()
+    assert not (PACKAGE / "observability" / "hooks.py").exists()
     assert Instrumentation.__slots__ == ("metrics", "tracer")
 
 
@@ -2122,7 +1839,7 @@ def test_test_only_surface_stays_deleted():
 
     assert_stays_deleted("test_only_surface")
     for module in ("graph/interop.py", "indexes/signature.py"):
-        assert not (REPO / "src" / "repro" / module).exists(), module
+        assert not (PACKAGE / module).exists(), module
     names = STAYS_DELETED["test_only_surface"][0]
     exported = {
         name
@@ -2146,7 +1863,7 @@ def normalized(distribution: str) -> str:
 def declared_distributions():
     """Normalized distribution names under ``[project] dependencies``, read
     with a regex: ``tomllib`` is 3.11+ and ``requires-python`` is 3.10."""
-    text = (REPO / "pyproject.toml").read_text(encoding="utf-8")
+    text = read(REPO / "pyproject.toml")
     array = re.search(r'^dependencies\s*=\s*\[((?:\s*"[^"]*"\s*,?)*)\s*\]', text, re.M)
     assert array, "pyproject.toml has no [project] dependencies array of strings"
     return {
@@ -2155,6 +1872,7 @@ def declared_distributions():
     }
 
 
+@cached
 def installed_modules():
     """``(declared, undeclared)``: the top-level modules of installed
     distributions, split by whether ``dependencies`` lists a distribution
@@ -2167,20 +1885,18 @@ def installed_modules():
     return split
 
 
-def undeclared_imports(sources, declared_modules):
-    """``path:line: module`` over ``{path: source}`` for every import, at
-    module level or inside a function, of a top-level module that is neither
-    stdlib, ``repro``, nor in ``declared_modules``."""
-    allowed = set(sys.stdlib_module_names) | {"repro"} | set(declared_modules)
+def undeclared_imports(sources):
+    """``path:line: module`` over the package for every import, at module
+    level or inside a function, of a top-level module that is neither
+    stdlib, ``repro``, nor provided by a declared distribution."""
+    allowed = set(sys.stdlib_module_names) | {"repro"} | installed_modules()[0]
     found = []
-    for path, text in sources.items():
-        for node in ast.walk(ast.parse(text)):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                modules = [node.module]
-            else:
+    for path, text in package(sources).items():
+        for node in nodes(text, ast.Import, ast.ImportFrom):
+            if isinstance(node, ast.ImportFrom) and node.level:
                 continue
+            imported = isinstance(node, ast.Import)
+            modules = [alias.name for alias in node.names] if imported else [node.module]
             found += [
                 f"{path}:{node.lineno}: {m}" for m in modules if m.split(".")[0] not in allowed
             ]
@@ -2190,12 +1906,8 @@ def undeclared_imports(sources, declared_modules):
 def test_src_imports_only_declared_packages():
     modules = installed_modules()[0]
     assert "numpy" in modules
-    sources = package_sources()
-    assert undeclared_imports(sources, modules) == []
-    # The lint sees an undeclared import pasted into a function body.
-    text = sources["core/dsql.py"] + "\n\ndef _plot():\n    import networkx as nx\n"
-    line = len(text.splitlines())
-    assert undeclared_imports({"core/dsql.py": text}, modules) == [f"core/dsql.py:{line}: networkx"]
+    # Its mutant is a row of GUARD_MUTANTS.
+    assert undeclared_imports(guard_sources()) == []
 
 
 def test_every_module_imports_with_undeclared_packages_blocked():
@@ -2226,13 +1938,23 @@ def test_every_module_imports_with_undeclared_packages_blocked():
 
 
 # ----------------------------------------------------------------------
-# Catalog guard: docs/observability.md's metric tables and the code agree.
-# Every name a table row gives is emitted by ``src/repro``, and every name
-# ``src/repro`` emits has a row. A name is emitted where a registry's
-# ``counter`` / ``gauge`` / ``histogram`` is called with it: a literal, the
-# ``SearchStats`` flush table, or an f-string family spelled out from the
-# values its placeholder takes.
+# Catalog guards: docs/observability.md's metric tables and event-name
+# table agree with the code. Every name a row gives is emitted by
+# ``src/repro``, and every name ``src/repro`` emits has a row. A metric is
+# emitted where a registry's ``counter`` / ``gauge`` / ``histogram`` is
+# called with it, a span or point where ``span`` / ``point`` / ``emit_span``
+# is: with a literal, from a table (``SearchStats``' flush table) or as an
+# f-string family spelled out from the values its placeholder takes.
+# ``Instrumentation`` forwards its ``name`` argument to the tracer.
 # ----------------------------------------------------------------------
+METRIC_CALLS = ("counter", "gauge", "histogram")
+EVENT_CALLS = ("span", "point", "emit_span")
+EVENT_FAMILIES = {
+    "f'{phase}.level'": {"phase1.level", "phase2.level"},
+    "name": set(),  # Instrumentation.span / point forward their argument
+}
+
+
 def metric_families():
     """``{source of a non-literal name argument: the names it takes}``."""
     from repro.coverage.objectives import OBJECTIVE_NAMES
@@ -2255,7 +1977,7 @@ def metric_families():
     }
 
 
-def emitted_names(sources, families, calls=("counter", "gauge", "histogram")):
+def emitted_names(sources, families, calls=METRIC_CALLS):
     """``(names, unknown)`` over ``{path: source}``: every name the sources
     pass first to a method in ``calls`` (metric instruments by default), and
     ``path: argument`` for a name argument that is neither a literal nor a
@@ -2263,11 +1985,8 @@ def emitted_names(sources, families, calls=("counter", "gauge", "histogram")):
     suffix) emits ``x``."""
     names, unknown = set(), []
     for path, text in sources.items():
-        for node in ast.walk(ast.parse(text)):
-            if not (
-                isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr in calls and node.args
-            ):
+        for node in nodes(text, ast.Call):
+            if not (isinstance(node.func, ast.Attribute) and node.func.attr in calls and node.args):
                 continue
             arg = node.args[0]
             if isinstance(arg, ast.Call) and ast.unparse(arg.func) == "self._metric":
@@ -2300,63 +2019,36 @@ def documented_names(text, heading="## Metric catalog"):
     return names
 
 
+def catalog_offenders(sources, heading, families, calls):
+    """Over ``{path from the root: text}``: every name argument the package
+    builds some new way, every row under ``heading`` of docs/observability.md
+    that no code emits, and every emitted name with no row."""
+    emitted, unknown = emitted_names(package(sources), families, calls)
+    documented = documented_names(sources["docs/observability.md"], heading)
+    return (
+        unknown + [f"a row no code emits: {name}" for name in sorted(documented - emitted)]
+        + [f"an emitted name with no row: {name}" for name in sorted(emitted - documented)]
+    )
+
+
+def metric_offenders(sources):
+    return catalog_offenders(sources, "## Metric catalog", metric_families(), METRIC_CALLS)
+
+
+def span_offenders(sources):
+    return catalog_offenders(sources, "### Event names", EVENT_FAMILIES, EVENT_CALLS)
+
+
 def test_metric_catalog_matches_the_code():
-    doc = (REPO / "docs" / "observability.md").read_text(encoding="utf-8")
-    sources, families = package_sources(), metric_families()
-    emitted, unknown = emitted_names(sources, families)
-    documented = documented_names(doc)
-    assert not unknown, unknown
-    assert len(emitted) > 60
-    assert sorted(documented - emitted) == [], "a row no code emits"
-    assert sorted(emitted - documented) == [], "an emitted name with no row"
-    # The guard sees a row deleted from the doc ...
-    row = "| `service.mutations` |"
-    assert doc.count(row) == 1
-    cut = "\n".join(line for line in doc.splitlines() if not line.startswith(row))
-    assert sorted(emitted - documented_names(cut)) == ["service.mutations"]
-    # ... a literal name pasted into the code ...
-    pasted = {**sources, "core/dsql.py": sources["core/dsql.py"] + "metrics.counter('x.y').inc()\n"}
-    assert emitted_names(pasted, families)[0] - documented == {"x.y"}
-    # ... and a name built some new way.
-    pasted = {"core/dsql.py": "metrics.counter(f'cache.{kind}').inc()\n"}
-    assert emitted_names(pasted, families)[1] == ["core/dsql.py: f'cache.{kind}'"]
-
-
-# ----------------------------------------------------------------------
-# Catalog guard: docs/observability.md's event-name table and the code
-# agree. A span or point is emitted where ``span`` / ``point`` /
-# ``emit_span`` is called with its name: a literal, or the per-phase level
-# family. ``Instrumentation`` forwards its ``name`` argument to the tracer.
-# ----------------------------------------------------------------------
-EVENT_CALLS = ("span", "point", "emit_span")
-EVENT_FAMILIES = {
-    "f'{phase}.level'": {"phase1.level", "phase2.level"},
-    "name": set(),  # Instrumentation.span / point forward their argument
-}
+    # Its mutants are rows of GUARD_MUTANTS.
+    assert len(emitted_names(package_sources(), metric_families())[0]) > 60
+    assert metric_offenders(guard_sources()) == []
 
 
 def test_span_catalog_matches_the_code():
-    doc = (REPO / "docs" / "observability.md").read_text(encoding="utf-8")
-    sources = package_sources()
-    emitted, unknown = emitted_names(sources, EVENT_FAMILIES, EVENT_CALLS)
-    documented = documented_names(doc, "### Event names")
-    assert not unknown, unknown
-    assert len(emitted) >= 11
-    assert sorted(documented - emitted) == [], "a row no code emits"
-    assert sorted(emitted - documented) == [], "an emitted name with no row"
-    # The guard sees a row deleted from the doc ...
-    row = "| `memo.lookup` |"
-    assert doc.count(row) == 1
-    cut = "\n".join(line for line in doc.splitlines() if not line.startswith(row))
-    assert sorted(emitted - documented_names(cut, "### Event names")) == ["memo.lookup"]
-    # ... a literal name pasted into the code ...
-    pasted = {**sources, "core/dsql.py": sources["core/dsql.py"] + "instr.span('x.y')\n"}
-    assert emitted_names(pasted, EVENT_FAMILIES, EVENT_CALLS)[0] - documented == {"x.y"}
-    # ... and a name built some new way.
-    pasted = {"core/dsql.py": "instr.point(f'stage.{kind}')\n"}
-    assert emitted_names(pasted, EVENT_FAMILIES, EVENT_CALLS)[1] == [
-        "core/dsql.py: f'stage.{kind}'"
-    ]
+    # Its mutants are rows of GUARD_MUTANTS.
+    assert len(emitted_names(package_sources(), EVENT_FAMILIES, EVENT_CALLS)[0]) >= 11
+    assert span_offenders(guard_sources()) == []
 
 
 # ----------------------------------------------------------------------
@@ -2414,9 +2106,9 @@ def test_compaction_stays_deleted():
 # ----------------------------------------------------------------------
 # Harness-only names: perfbench's harness (``perfbench/harness/layers.py``,
 # ``workloads.py`` and ``inputs.py``) imports, reads, passes or sends these,
-# so they stay until it stops; nothing in ``src/`` may, outside the row's home. One row per name: how a use looks in
-# the AST, and a mutant — a line pasted after an anchor in a real module —
-# that the check must see.
+# so they stay until it stops; nothing in ``src/`` may, outside the row's
+# home. One row per name: how a use looks in the AST, and a mutant — a line
+# pasted after an anchor in a real module — that the check must see.
 # ----------------------------------------------------------------------
 HARNESS_ONLY = {
     # row: (kind of use, names, home, module under src/repro, anchor, pasted after it)
@@ -2511,6 +2203,11 @@ HARNESS_ONLY = {
 # How the harness reads a row whose names it never spells out: every kind,
 # by ``KERNEL_KINDS`` and ``SearchStats.kernel_<kind>``.
 HARNESS_READS = {"cbitset/kernel_cbitset": ("for kind in KERNEL_KINDS", 'f"kernel_{kind}"')}
+# The nodes a use of each kind can be.
+HARNESS_USE_NODES = {
+    "attribute": (ast.Attribute,), "name": (ast.Name, ast.alias, ast.Attribute),
+    "string": (ast.Constant,), "keyword": (ast.Call,),
+}
 
 
 def harness_only_use(node, kind, names):
@@ -2549,11 +2246,11 @@ def harness_only_uses(sources):
     of a :data:`HARNESS_ONLY` name outside its row's home."""
     found = []
     for path, text in sorted(sources.items()):
-        for node in ast.walk(ast.parse(text)):
-            for row, (kind, names, home, *_mutant) in HARNESS_ONLY.items():
-                line = None if path.startswith(home) else harness_only_use(node, kind, names)
-                if line is not None:
-                    found.append(f"{path}:{line}: {row}")
+        for row, (kind, names, home, *_mutant) in HARNESS_ONLY.items():
+            if not path.startswith(home):
+                uses = nodes(text, *HARNESS_USE_NODES[kind])
+                lines = [harness_only_use(node, kind, names) for node in uses]
+                found += [f"{path}:{line}: {row}" for line in lines if line is not None]
     return found
 
 
@@ -2561,7 +2258,7 @@ def test_harness_only_names_have_no_caller_in_src():
     sources = package_sources()
     assert harness_only_uses(sources) == []
     harness = "".join(
-        (REPO / "perfbench" / "harness" / f"{module}.py").read_text(encoding="utf-8")
+        read(REPO / "perfbench" / "harness" / f"{module}.py")
         for module in ("layers", "workloads", "inputs")
     )
     for row, (kind, names, _home, path, anchor, pasted) in HARNESS_ONLY.items():
@@ -2573,7 +2270,7 @@ def test_harness_only_names_have_no_caller_in_src():
         text = sources[path]
         assert text.count(anchor) == 1, (row, anchor)
         mutant = text.replace(anchor, anchor + pasted)
-        line = mutant[: mutant.index(pasted)].count("\n") + 1
+        line = line_of(mutant, pasted)
         assert harness_only_uses({path: mutant}) == [f"{path}:{line}: {row}"], row
 
 
@@ -2586,6 +2283,7 @@ def test_harness_only_names_have_no_caller_in_src():
 DOC_SYMBOL = re.compile(r"(?<![\w./-])(repro(?:\.[A-Za-z_]\w*)+)((?:/[A-Za-z_]\w*)*)")
 
 
+@cached
 def resolves(dotted: str) -> bool:
     parts = dotted.split(".")
     for cut in range(len(parts), 0, -1):
@@ -2605,11 +2303,12 @@ def resolves(dotted: str) -> bool:
 
 
 def doc_symbol_offenders(sources):
-    """``path:line: symbol`` over ``{path: markdown}`` for every backticked
-    ``repro.…`` symbol that does not resolve."""
+    """``path:line: symbol`` over the markdown of ``{path: text}`` for every
+    backticked ``repro.…`` symbol that does not resolve."""
     found = []
     for path, text in sources.items():
-        for number, line in enumerate(text.splitlines(), 1):
+        lines = text.splitlines() if path.endswith(".md") else []
+        for number, line in enumerate(lines, 1):
             for span in re.findall(r"`([^`\n]+)`", line):
                 for dotted, siblings in DOC_SYMBOL.findall(span):
                     parent = dotted.rsplit(".", 1)[0]
@@ -2620,21 +2319,434 @@ def doc_symbol_offenders(sources):
 
 
 def test_doc_symbols_resolve():
-    docs = [REPO / "README.md", REPO / "DESIGN.md", REPO / "EXPERIMENTS.md"]
-    docs += sorted((REPO / "docs").glob("*.md"))
-    sources = {str(p.relative_to(REPO)): p.read_text(encoding="utf-8") for p in docs}
+    sources = guard_sources()  # README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md
     assert doc_symbol_offenders(sources) == []
-    # The check reads dataclass fields and slash-joined siblings ...
-    mapping = sources["docs/paper_mapping.md"]
-    assert "`repro.queries.qflist.QFList.label_rm/neighbor_rm`" in mapping
-    # ... and sees one symbol renamed.
-    symbol = "repro.queries.qflist.resort_order"
-    assert f"`{symbol}`" in mapping
-    renamed = mapping.replace(f"`{symbol}`", f"`{symbol}s`", 1)
-    line = mapping[: mapping.index(f"`{symbol}`")].count("\n") + 1
-    assert doc_symbol_offenders({"docs/paper_mapping.md": renamed}) == [
-        f"docs/paper_mapping.md:{line}: {symbol}s"
-    ]
-    assert doc_symbol_offenders({"x.md": "`repro.queries.qflist.QFList.label_rm/neighbour_rm`"}) == [
+    # The check reads dataclass fields and slash-joined siblings. Its
+    # mutant is a row of GUARD_MUTANTS.
+    assert "`repro.queries.qflist.QFList.label_rm/neighbor_rm`" in sources["docs/paper_mapping.md"]
+    misspelled = "`repro.queries.qflist.QFList.label_rm/neighbour_rm`"
+    assert doc_symbol_offenders({"x.md": misspelled}) == [
         "x.md:1: repro.queries.qflist.QFList.neighbour_rm"
     ]
+
+
+# ----------------------------------------------------------------------
+# The guards' mutants, one table: each row is an edit of a real file that
+# its guard must see, and only that. A guard reads ``guard_sources()`` — every
+# linted module and every doc, keyed by its path from the repository root —
+# and names the test that runs it on the real tree; ``{line}`` in a report is
+# the line of the row's needle in the mutant (by default the first line the
+# replacement adds).
+# ----------------------------------------------------------------------
+GUARDS = {
+    # guard: (the test that runs it on the real tree, its check)
+    "imports": ("test_no_unused_imports", lambda s: per_file(s, unused_imports)),
+    "names": ("test_no_undefined_names", lambda s: per_file(s, undefined_names)),
+    "examples": ("test_example_imports_resolve", lambda s: import_offenders(under(s, "examples/"))),
+    "bench_timing": ("test_bench_scripts_time_nothing", bench_timing_offenders),
+    "engines": ("test_engine_fork_stays_deleted", core_offenders),
+    "frame": ("test_frame_prologue_stays_folded", frame_offenders),
+    "resort": (
+        "test_resort_walks_in_one_place",
+        lambda s: homed(father_walk_sites(package(s)), "queries/qflist.py"),
+    ),
+    "localization": (
+        "test_localization_stays_in_one_place", lambda s: row_walk_sites(localization_sources(s)),
+    ),
+    "graph_numpy": (
+        "test_shared_memory_transport_stays_deleted", lambda s: numpy_importers(s, "graph/"),
+    ),
+    "weights_numpy": (
+        "test_global_weight_table_stays_deleted", lambda s: numpy_importers(s, "indexes/", "cost/"),
+    ),
+    "restamp": ("test_epoch_is_stamped_once", lambda s: restamp_offenders(package(s))),
+    "derived": ("test_every_derived_slot_is_declared", lambda s: census_offenders(package(s))),
+    "memo_lock": ("test_memo_lock_lives_on_the_memo", memo_lock_offenders),
+    "pool_sum": ("test_a_pool_is_summed_where_it_lives", pool_sum_offenders),
+    "transport": ("test_a_connection_starts_no_thread", transport_offenders),
+    "kept_price": ("test_a_warm_hits_price_and_bytes_are_kept_not_patched", kept_price_offenders),
+    "status_rows": ("test_every_service_error_has_a_status_row", status_row_offenders),
+    "wire_fields": ("test_wire_fields_are_declared_once", wire_field_offenders),
+    "collector": ("test_the_graph_stays_out_of_the_collector", collector_offenders),
+    "declared": ("test_src_imports_only_declared_packages", undeclared_imports),
+    "metrics": ("test_metric_catalog_matches_the_code", metric_offenders),
+    "spans": ("test_span_catalog_matches_the_code", span_offenders),
+    "doc_symbols": ("test_doc_symbols_resolve", doc_symbol_offenders),
+}
+DSQL_END = "    return DSQL(graph, config=config).query(query)\n"
+GUARD_MUTANTS = {
+    # id: (guard, file, anchor, its replacement, what the guard reports[, needle])
+    # An import pasted into a real module and read nowhere ...
+    "unused_import": (
+        "imports", "src/repro/core/phase2.py",
+        FUTURE_IMPORT, FUTURE_IMPORT + "from itertools import chain\n",
+        ["src/repro/core/phase2.py:{line}: chain"],
+    ),
+    # ... and one deleted where an annotation is the name's only reader.
+    "import_read_by_an_annotation": (
+        "names", "tests/service/test_cost_admission.py", "from typing import Optional\n", "",
+        ["tests/service/test_cost_admission.py:{line}: Optional"], "def _service(config: Optional[",
+    ),
+    # A deleted name imported again by an example.
+    "stale_example_import": (
+        "examples", "examples/engine_comparison.py",
+        "from repro.isomorphism import QSearchEngine\n",
+        "from repro.isomorphism import QSearchEngine, count_embeddings_compressed\n",
+        ["examples/engine_comparison.py: repro.isomorphism.count_embeddings_compressed"],
+    ),
+    # A paper bench timing itself again.
+    "bench_timing": (
+        "bench_timing", "benchmarks/bench_table2_embedding_counts.py",
+        "    for name in DATASETS:\n",
+        "    start = time.perf_counter()\n    for name in DATASETS:\n",
+        ["benchmarks/bench_table2_embedding_counts.py: 'perf_counter'"],
+    ),
+    # A private budget check pasted back into a baseline.
+    "budget_check_in_a_baseline": (
+        "engines", "src/repro/baselines/com.py", "\n\ndef region_embeddings(\n",
+        "\n\ndef charge(spent, limit):\n    if spent > limit:\n        raise BudgetExceeded('x')\n"
+        "\n\ndef region_embeddings(\n",
+        ["baselines/com.py:{line}: BudgetExceeded"], "raise BudgetExceeded('x')",
+    ),
+    # A closure pasted back into a frame ...
+    "closure_in_a_frame": (
+        "frame", "src/repro/core/search.py",
+        "        rcand = list(filter(self._tcand[u].__contains__, rcand))\n        joined = None\n",
+        "        rcand = list(filter(self._tcand[u].__contains__, rcand))\n        joined = None\n"
+        "        joinable = lambda v: v not in used\n",
+        ["lambda:{line}"],
+    ),
+    # ... a nested join test that probes edges ...
+    "nested_def_in_a_frame": (
+        "frame", "src/repro/core/search.py", "        tried_valid = 0\n",
+        "        tried_valid = 0\n\n        def joinable(v):\n"
+        "            return self.graph.has_edge(v, 0)\n\n",
+        ["nested def joinable:{line}", "has_edge"],
+    ),
+    # ... and a second raise site beside the in-place charge.
+    "second_raise_in_a_frame": (
+        "frame", "src/repro/core/search.py",
+        "                meter.check()\n            if v in bad:\n",
+        "                raise BudgetExceeded('node budget exhausted')\n            if v in bad:\n",
+        ["core/search.py:{line}: BudgetExceeded"],
+    ),
+    # The walk the frame table used to run through ``resort``, in the plan module.
+    "second_father_walk": (
+        "resort", "src/repro/indexes/plans.py",
+        "            order = resort_order(self.qlist, *basis, qovp)\n",
+        "            order = resort_order(self.qlist, *basis, qovp)\n"
+        "            entries = [QFEntry(order[0][0], NO_FATHER)]\n"
+        "            placed, cursor = {order[0][0]}, 0\n"
+        "            while len(entries) < query.size:\n"
+        "                u = entries[cursor].node\n"
+        "                for w in sorted(set(query.neighbors(u)) - placed):\n"
+        "                    entries.append(QFEntry(w, u))\n"
+        "                    placed.add(w)\n"
+        "                cursor += 1\n",
+        ["indexes/plans.py:{line}"], "while len(entries)",
+    ),
+    # Both lines the localization guard replaced, pasted back: the engine's ...
+    "engine_walks_a_row": (
+        "localization", "src/repro/core/search.py", "        tried_valid = 0\n",
+        "        tried_valid = 0\n"
+        "        base = [w for w in self.graph.neighbors(self._assignment[father]) if w in pool]\n",
+        ["core/search.py:{line}"],
+    ),
+    # ... and the baseline's; and the miss regrown as a row walk.
+    "baseline_walks_a_row": (
+        "localization", "src/repro/baselines/com.py",
+        "        for v in candidates.localized(u, assignment[entry.father]):\n"
+        "            charge()\n",
+        "        for v in graph.neighbors(assignment[entry.father]):\n"
+        "            if not candidates.is_candidate(u, v):\n                continue\n"
+        "            charge()\n",
+        ["baselines/com.py:{line}"],
+    ),
+    "miss_walks_the_row": (
+        "localization", "src/repro/indexes/candidates.py",
+        "filter(self._pool_set(u).__contains__, self.graph.neighbors(fv))",
+        "w for w in self.graph.neighbors(fv) if w in self._pool_set(u)",
+        ["indexes/candidates.py:{line}"],
+    ),
+    # numpy imported for the array base (``STAYS_DELETED["array_base"]``'s
+    # paste) and for a graph-global weight table.
+    "array_base_imports_numpy": (
+        "graph_numpy", "src/repro/graph/labeled_graph.py", "        self._sets = sets\n",
+        "        self._sets = sets\nimport numpy as np\n"
+        "        self.indices = np.empty(0, dtype=np.int32)\n",
+        ["graph/labeled_graph.py"],
+    ),
+    "estimator_imports_numpy": (
+        "weights_numpy", "src/repro/cost/estimator.py",
+        "import math\n", "import math\nimport numpy as np\n", ["cost/estimator.py"],
+    ),
+    # The re-stamp pasted into a batched write.
+    "restamp_in_a_write": (
+        "restamp", "src/repro/graph/labeled_graph.py",
+        "            self._cache.apply_delta(applied)\n",
+        "            self._cache.apply_delta(applied)\n"
+        "            self._cache.epoch = next(_EPOCHS)\n"
+        "            self._cache.delta_seq = 0\n            self._cache.plan_cache.clear()\n",
+        [
+            "epoch =: ['graph/labeled_graph.py:mutate', 'indexes/graph_cache.py:__init__']",
+            "next(_EPOCHS): ['graph/labeled_graph.py:mutate', 'indexes/graph_cache.py:__init__']",
+            "delta_seq = 0: ['graph/labeled_graph.py:mutate']",
+            "plan_cache.clear(: ['graph/labeled_graph.py:mutate']",
+        ],
+    ),
+    # A memo slot pasted into the cache with no row ...
+    "undeclared_slot": (
+        "derived", "src/repro/indexes/graph_cache.py",
+        '        "pool_entries_dropped",\n',
+        '        "pool_entries_dropped",\n        "_plan_lists",\n',
+        ["GraphIndexCache._plan_lists: undeclared"],
+    ),
+    # ... and a plan store that checks the version itself again.
+    "plan_store_reads_delta_seq": (
+        "derived", "src/repro/indexes/plans.py",
+        "    def _keep(self, key, plan: QueryPlan) -> None:\n",
+        "    def _keep(self, key, plan: QueryPlan) -> None:\n"
+        "        assert cache.delta_seq == seq\n",
+        ["indexes/plans.py:{line}: reads cache.delta_seq"],
+    ),
+    # The batch put back under an entry-held memo lock ...
+    "batch_under_memo_lock": (
+        "memo_lock", "src/repro/service/catalog.py",
+        "                return executor.run(list(queries)), executor.last_report\n",
+        "                with self._memo_lock:\n"
+        "                    results = executor.run(list(queries))\n"
+        "                return results, executor.last_report\n",
+        ["service/catalog.py: _memo_lock"],
+    ),
+    # ... the lock itself built on the entry ...
+    "entry_batch_lock": (
+        "memo_lock", "src/repro/service/catalog.py",
+        "        self._session_lock = threading.Lock()\n",
+        "        self._session_lock = threading.Lock()\n"
+        "        self._batch_lock = threading.Lock()\n",
+        ["service/catalog.py: CatalogEntry._batch_lock"],
+    ),
+    # ... the executor walking the session's dict again ...
+    "executor_reads_memo": (
+        "memo_lock", "src/repro/parallel/executor.py",
+        "session._memo_lacks(by_key)",
+        "[k for k in by_key if k not in session._query_cache]",
+        ["parallel/executor.py: _query_cache"],
+    ),
+    # ... and the plan cache's spec table back.
+    "plan_specs": (
+        "memo_lock", "src/repro/indexes/plans.py",
+        FUTURE_IMPORT, FUTURE_IMPORT + "self._specs[key] = spec\n",
+        ["indexes/plans.py: '._specs'"],
+    ),
+    # The pool walk pasted back into the estimator, as a bound reader ...
+    "estimator_walks_a_pool": (
+        "pool_sum", "src/repro/cost/estimator.py", "    mass_of = cache.degree_mass\n",
+        "    mass_of = cache.degree_mass\n    degree_of = cache.degrees.__getitem__\n"
+        "    mean_deg = [sum(map(degree_of, pool)) / len(pool) for pool in pools]\n",
+        ["cost/estimator.py: reads cache.degrees.__getitem__"],
+    ),
+    # ... or as an index ...
+    "estimator_indexes_a_degree": (
+        "pool_sum", "src/repro/cost/estimator.py", "    mass_of = cache.degree_mass\n",
+        "    mass_of = cache.degree_mass\n    first = cache.degrees[pools[0][0]]\n",
+        ["cost/estimator.py: reads cache.degrees[pools[0][0]]"],
+    ),
+    # ... a reader building a pool's set of its own ...
+    "reader_builds_a_pool_set": (
+        "pool_sum", "src/repro/core/phase1.py",
+        "    return {u: plan.pool_set(u) & covered for u in range(q)}\n",
+        "    return {u: frozenset(plan.pools[u]) & covered for u in range(q)}\n",
+        ["core/phase1.py:{line}: builds frozenset(plan.pools[u])"],
+    ),
+    # ... the plan building its own view again instead of taking the entry's ...
+    "plan_builds_its_own_view": (
+        "pool_sum", "src/repro/indexes/plans.py",
+        "        return entry.set_view() if view is None else view\n",
+        "        return frozenset(self.pools[u]) if view is None else view\n",
+        ["indexes/plans.py:{line}: builds frozenset(self.pools[u])"],
+    ),
+    # ... the entry building a second set of its members ...
+    "entry_builds_a_second_set": (
+        "pool_sum", "src/repro/indexes/graph_cache.py",
+        "        view = self.view = frozenset(self.members)\n",
+        "        view = self.view = frozenset(self.members)\n"
+        "        self.lists = {v: frozenset(self.members) for v in ()}\n",
+        ["indexes/graph_cache.py: builds a pool's frozenset 2 times"],
+    ),
+    # ... the probe pricing outside the read lock again ...
+    "probe_outside_the_read_lock": (
+        "pool_sum", "src/repro/service/catalog.py",
+        "        session = self.session(config)\n        self._rw.acquire_read()\n"
+        "        try:\n            return session.estimate(query)\n"
+        "        finally:\n            self._rw.release_read()\n",
+        "        return self.session(config).estimate(query)\n",
+        ["service/catalog.py: estimate_cost is not a reader"],
+    ),
+    # ... and the query's own signature gone (the inherited one builds a cache).
+    "query_signature_inherited": (
+        "pool_sum", "src/repro/graph/query_graph.py",
+        "    def neighborhood_signature(", "    def labels_around(",
+        ["graph/query_graph.py: neighborhood_signature is not the query's own"],
+    ),
+    # The thread-per-connection base pasted back ...
+    "threading_server": (
+        "transport", "src/repro/service/server.py",
+        "class _ServiceHTTPServer(HTTPServer):", "class _ServiceHTTPServer(ThreadingHTTPServer):",
+        ["names ThreadingHTTPServer"],
+    ),
+    "thread_per_connection": (
+        "transport", "src/repro/service/server.py",
+        "        self._handlers.submit(self._serve_connection, request, client_address)\n",
+        "        threading.Thread(target=self._serve_connection, args=(request,)).start()\n",
+        ["process_request constructs a thread"],
+    ),
+    # ... the digest computed for nobody ...
+    "query_key_for_nobody": (
+        "transport", "src/repro/service/server.py",
+        "query_key=_query_key(request.query) if self.access_log is not None else None,",
+        "query_key=_query_key(request.query),",
+        ["_query_key is not called once, under a test of access_log"],
+    ),
+    # ... and the socket read moved above the declared-length check.
+    "read_before_check": (
+        "transport", "src/repro/service/server.py",
+        "        if length > MAX_BODY_BYTES:\n",
+        "        early = self._recv(length)\n        if length > MAX_BODY_BYTES:\n",
+        ["_read_payload reads before comparing with MAX_BODY_BYTES"],
+    ),
+    # A miss given bytes of its own ...
+    "bytes_written_outside_the_record": (
+        "kept_price", "src/repro/service/server.py",
+        '        answer["estimated_cost"] = dict(wire)\n',
+        '        answer["estimated_cost"] = dict(wire)\n'
+        "        answer = _EncodedReply(answer)\n"
+        "        answer.encoded = _SORTED_JSON.encode(answer).encode()\n",
+        ["service/server.py: handle_query writes .encoded"],
+    ),
+    # ... a hit's bytes read before they are sent ...
+    "bytes_read_outside_the_send": (
+        "kept_price", "src/repro/service/server.py",
+        "            return record.body(answer, elapsed_ms)\n",
+        "            body = record.body(answer, elapsed_ms)\n"
+        '            logger.debug("%d reply bytes", len(body.encoded))\n'
+        "            return body\n",
+        ["service/server.py: handle_query reads .encoded"],
+    ),
+    # ... and a calibration state written in place under a kept price.
+    "calibration_written_in_place": (
+        "kept_price", "src/repro/cost/calibration.py",
+        "                self._state = CalibrationState(err, abs(err), 1)\n",
+        "                state.observations += 1\n"
+        "                self._state = CalibrationState(err, abs(err), 1)\n",
+        ["cost/calibration.py: observe assigns state.observations"],
+    ),
+    # A raise of a code docs/service.md's status table does not list.
+    "unlisted_error": (
+        "status_rows", "src/repro/service/server.py",
+        "            probe_request, handler = route\n",
+        "            probe_request, handler = route\n"
+        '            raise ServiceError(418, "teapot", "short and stout")\n',
+        ["service/server.py:{line}: 418 teapot"],
+    ),
+    # A field added in one place only: a row no doc, client or request has ...
+    "field_in_the_table_only": (
+        "wire_fields", "src/repro/service/schemas.py",
+        '    FieldSpec("jobs", "int", bound=1),\n',
+        '    FieldSpec("jobs", "int", bound=1),\n    FieldSpec("seed", "int", bound=0),\n',
+        [
+            "POST /v1/batch: 'seed' has no docs/service.md row",
+            "ServiceClient.batch does not take 'seed'",
+            "BatchRequest has no field 'seed'",
+        ],
+    ),
+    # ... a client keyword no row sends ...
+    "field_in_the_client_only": (
+        "wire_fields", "src/repro/service/client.py",
+        "        jobs: Optional[int] = None,\n",
+        "        jobs: Optional[int] = None,\n        seed: Optional[int] = None,\n",
+        ["ServiceClient.batch takes 'seed', sent by no row"],
+    ),
+    # ... and an override no row carries.
+    "override_in_the_catalog_only": (
+        "wire_fields", "src/repro/service/catalog.py",
+        "        time_budget_ms: Optional[float] = None,\n",
+        "        time_budget_ms: Optional[float] = None,\n"
+        "        node_budget: Optional[int] = None,\n",
+        ["CatalogEntry.request_config takes 'node_budget', overridden by no row"],
+    ),
+    # A set per vertex put back where a vertex is appended ...
+    "membership_set": (
+        "collector", "src/repro/graph/labeled_graph.py",
+        "        self._sets.append({})\n", "        self._sets.append(set())\n",
+        ["graph/labeled_graph.py: _append_vertex builds a set"],
+    ),
+    # ... and the fold that walks every neighbor view whole.
+    "intersection_over_views": (
+        "collector", "src/repro/core/search.py",
+        "        joined = set(rcand)\n"
+        "        for w in backward:\n"
+        "            joined = neighbor_set(assignment[w]) & joined\n"
+        "        return joined\n",
+        "        return set(rcand).intersection("
+        "*map(neighbor_set, map(assignment.__getitem__, backward)))\n",
+        ["core/search.py: .intersection( over neighbor_set"],
+    ),
+    # An undeclared import pasted into a function body.
+    "undeclared_import": (
+        "declared", "src/repro/core/dsql.py", DSQL_END,
+        DSQL_END + "\n\ndef _plot():\n    import networkx as nx\n",
+        ["core/dsql.py:{line}: networkx"], "import networkx",
+    ),
+    # A metric row deleted from the doc, a literal name pasted into the
+    # code, and a name built some new way ...
+    "metric_row_deleted": (
+        "metrics", "docs/observability.md",
+        "| `service.mutations` | writes applied through `/v1/graphs/{g}/edges` and "
+        "`/v1/graphs/{g}/ingest` |\n", "",
+        ["an emitted name with no row: service.mutations"],
+    ),
+    "metric_pasted": (
+        "metrics", "src/repro/core/dsql.py", DSQL_END, DSQL_END + "metrics.counter('x.y').inc()\n",
+        ["an emitted name with no row: x.y"],
+    ),
+    "metric_built_some_new_way": (
+        "metrics", "src/repro/core/dsql.py",
+        DSQL_END, DSQL_END + "metrics.counter(f'cache.{kind}').inc()\n",
+        ["core/dsql.py: f'cache.{kind}'"],
+    ),
+    # ... and the same three for the event names.
+    "span_row_deleted": (
+        "spans", "docs/observability.md",
+        "| `memo.lookup` | point | `DSQL._memo_answer` (result memo on) | `hit` |\n", "",
+        ["an emitted name with no row: memo.lookup"],
+    ),
+    "span_pasted": (
+        "spans", "src/repro/core/dsql.py", DSQL_END, DSQL_END + "instr.span('x.y')\n",
+        ["an emitted name with no row: x.y"],
+    ),
+    "span_built_some_new_way": (
+        "spans", "src/repro/core/dsql.py", DSQL_END, DSQL_END + "instr.point(f'stage.{kind}')\n",
+        ["core/dsql.py: f'stage.{kind}'"],
+    ),
+    # A symbol renamed in the docs and not in the code.
+    "renamed_doc_symbol": (
+        "doc_symbols", "docs/paper_mapping.md",
+        "`repro.queries.qflist.resort_order`", "`repro.queries.qflist.resort_orders`",
+        ["docs/paper_mapping.md:{line}: repro.queries.qflist.resort_orders"],
+    ),
+}
+
+
+@pytest.mark.parametrize("row", sorted(GUARD_MUTANTS))
+def test_a_guard_fails_on_its_mutant(row):
+    guard, path, anchor, replacement, reported, *needle = GUARD_MUTANTS[row]
+    test, check = GUARDS[guard]
+    assert callable(globals().get(test)), test
+    sources = guard_sources()
+    assert check(sources) == []
+    assert sources[path].count(anchor) == 1, anchor
+    mutant = sources[path].replace(anchor, replacement)
+    added = [line for line in replacement.splitlines() if line.strip() not in anchor]
+    line = str(line_of(mutant, (needle or added)[0])) if "{line}" in str(reported) else ""
+    assert check({**sources, path: mutant}) == [r.replace("{line}", line) for r in reported]
