@@ -205,12 +205,12 @@ class LevelSearchEngine(ConflictDirectedSearch):
     # ------------------------------------------------------------------
     # Multi-embedding frames (Q1iSearch)
     # ------------------------------------------------------------------
-    def _multi_overlap(self, depth: int) -> Tuple[bool, Optional[Set[int]]]:
+    def _multi_overlap(self, depth: int) -> Tuple[bool, Optional[int]]:
         """An overlap node of the multi regime: recurse per candidate.
 
         Returns ``(stop, carry)``: ``stop`` propagates a global stop
-        requested by the acceptance callback, ``carry`` a conflict set when
-        conflict-directed skipping abandons this frame.
+        requested by the acceptance callback, ``carry`` a conflict bitmask
+        when conflict-directed skipping abandons this frame.
         """
         u, father, _overlap, _cap, backward = self._frames[depth]
         self._bad[depth + 1].clear()
@@ -219,15 +219,16 @@ class LevelSearchEngine(ConflictDirectedSearch):
         bad = self._bad[depth]
         # Rcand (setCandidates, Section 5.1): localized, then restricted to
         # TcandS. `backward` leaves the father out: localization joined it.
+        # At the root, sorted(TcandS) is the ascending pool filtered: TcandS ⊆ candS(u).
         if father != NO_FATHER:
             stats.kernel_merge += 1
             rcand = self._memo[u].get(assignment[father])
             if rcand is None:
                 rcand = self._localized(u, assignment[father])
+            rcand = list(filter(self._tcand[u].__contains__, rcand))
         else:
             stats.kernel_scan += 1
-            rcand = self._pools[u]
-        rcand = list(filter(self._tcand[u].__contains__, rcand))
+            rcand = sorted(self._tcand[u])
         joined = None
         if len(backward) >= 2:
             joined = self._fold_join(backward, rcand)
@@ -261,7 +262,7 @@ class LevelSearchEngine(ConflictDirectedSearch):
             used.discard(v)
         return False, None
 
-    def _multi_anchor(self, depth: int) -> Tuple[bool, Optional[Set[int]]]:
+    def _multi_anchor(self, depth: int) -> Tuple[bool, Optional[int]]:
         """The first non-overlap node: each candidate may seed one embedding.
 
         Returns ``(stop, carry)`` like :meth:`_multi_overlap`.
@@ -272,6 +273,7 @@ class LevelSearchEngine(ConflictDirectedSearch):
         stats, meter = self.stats, self._meter
         matched = self.matched
         bad = self._bad[depth]
+        last = depth + 1 == self._q
         # Prologue as in _multi_overlap, spelled here on purpose: a shared
         # helper would be the per-frame call this layout removes.
         if father != NO_FATHER:
@@ -302,7 +304,8 @@ class LevelSearchEngine(ConflictDirectedSearch):
                 continue
             assignment[u] = v
             used.add(v)
-            conflict = self._single_frame(depth + 1)
+            # A frame at depth q would only say "complete": answered here.
+            conflict = None if last else self._single_frame(depth + 1)
             if conflict is None:
                 embedding = tuple(assignment)
                 self._clear_suffix(depth + 1)
@@ -332,20 +335,20 @@ class LevelSearchEngine(ConflictDirectedSearch):
     # ------------------------------------------------------------------
     # Single-embedding frames (QSearchD, Section 5.2)
     # ------------------------------------------------------------------
-    def _single_frame(self, depth: int) -> Optional[Set[int]]:
-        """Complete one embedding; ``None`` on success, conflict set on failure.
+    def _single_frame(self, depth: int) -> Optional[int]:
+        """Complete one embedding; ``None`` on success, conflict bitmask on failure.
 
         On success the suffix assignments are left in place for the caller to
         read; on failure everything at or below ``depth`` is unassigned.
+        ``depth < q``: a caller answers a complete assignment itself.
         """
-        if depth == self._q:
-            return None
         u, father, is_overlap, cap, backward = self._frames[depth]
         self._bad[depth + 1].clear()
         assignment, used = self._assignment, self._used
         stats, meter = self.stats, self._meter
         matched = self.matched
         bad = self._bad[depth]
+        last = depth + 1 == self._q
         # Prologue as in _multi_overlap, spelled here on purpose: a shared
         # helper would be the per-frame call this layout removes.
         if father != NO_FATHER:
@@ -358,12 +361,14 @@ class LevelSearchEngine(ConflictDirectedSearch):
             rcand = self._pools[u]
         if is_overlap:
             rcand = list(filter(self._tcand[u].__contains__, rcand))
-        elif cap is not None and self._cap_singles:
+        elif cap is None or not self._cap_singles:
+            cap = None
+        elif len(rcand) > 1:
             # Section 5.2 tries a random `cap` of them — on a copy: the tuple
             # may be the memo's (or the plan's pool), read again by every
             # later frame with the same father match. CPython's
             # `self.rng.shuffle`, written out: same permutation and state
-            # after, without its two calls per element.
+            # after (no draw for one), without its two calls per element.
             rcand = list(rcand)
             getrandbits = self._getrandbits
             for i in range(len(rcand) - 1, 0, -1):
@@ -372,8 +377,6 @@ class LevelSearchEngine(ConflictDirectedSearch):
                 while j > i:
                     j = getrandbits(k)
                 rcand[i], rcand[j] = rcand[j], rcand[i]
-        else:
-            cap = None
         joined = None
         if len(backward) >= 2:
             joined = self._fold_join(backward, rcand)
@@ -382,7 +385,7 @@ class LevelSearchEngine(ConflictDirectedSearch):
             if backward:
                 joined = self._neighbor_set(assignment[backward[0]])
         tried_valid = 0
-        inherited: Set[int] = set()
+        inherited = 0
         for v in rcand:
             stats.nodes_expanded = count = stats.nodes_expanded + 1
             if count >= meter.trip:
@@ -399,6 +402,8 @@ class LevelSearchEngine(ConflictDirectedSearch):
             tried_valid += 1
             assignment[u] = v
             used.add(v)
+            if last:
+                return None
             conflict = self._single_frame(depth + 1)
             if conflict is None:
                 return None
@@ -415,4 +420,4 @@ class LevelSearchEngine(ConflictDirectedSearch):
             if cap is not None and tried_valid >= cap:
                 stats.candidate_cap_hits += 1
                 break
-        return self._conflict_set(u, depth, inherited)
+        return self._conflict_set(u, inherited)

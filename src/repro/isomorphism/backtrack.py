@@ -163,13 +163,18 @@ class ConflictDirectedSearch:
         self.conflict_backjumping = conflict_backjumping
         self.bad_vertex_skipping = bad_vertex_skipping
         self.relaxed_bad_vertices = relaxed_bad_vertices
-        self._q = query.size
-        # CT(u, *): the query's own neighbors, copied once into sets, which
-        # `|=` takes in C (a key view is not a set to it).
-        self._static_conflicts = [set(query.neighbor_set(u)) for u in range(self._q)]
+        self._q = q = query.size
+        # Conflict sets are query-node bitmasks (bit w: node w). CT(u, *): u's neighbors.
+        self._static_conflicts = [sum(1 << w for w in query.neighbor_set(u)) for u in range(q)]
         # CT(u, beta) asks whether a vertex passes u's label + degree +
         # signature filters. The plan's pools *are* that stack, so the
-        # question is one set probe.
+        # question is one set probe. A pool holds only vertices labelled
+        # label(u) and an unassigned node reads UNMATCHED, which no pool
+        # holds, so only the other nodes of u's label can answer yes.
+        labels = query.labels
+        self._same_label = [
+            tuple(w for w in range(q) if w != u and labels[w] == labels[u]) for u in range(q)
+        ]
         self._pool_set = candidates.plan.pool_set
         self._reset_assignment()
 
@@ -181,41 +186,42 @@ class ConflictDirectedSearch:
         # vertex is a failure whose reasons must still propagate upward,
         # otherwise ancestors compute understated conflict sets and prune
         # subtrees that a changed ancestor assignment would have revived.
-        self._bad: List[Dict[int, Set[int]]] = [{} for _ in range(q + 1)]
+        self._bad: List[Dict[int, int]] = [{} for _ in range(q + 1)]
 
-    def _conflict_set(self, u: int, depth: int, inherited: Set[int]) -> Set[int]:
-        """The failure set of node ``u`` exhausted at ``depth``: ``CT(u, *) ∪
-        CT(u, beta)`` added to ``inherited`` (what ``u``'s failed children
-        and skipped bad vertices blamed), minus ``u`` itself.
+    def _conflict_set(self, u: int, inherited: int) -> int:
+        """The failure set of node ``u`` exhausted, as a query-node bitmask:
+        ``CT(u, *) ∪ CT(u, beta)`` added to ``inherited`` (what ``u``'s failed
+        children and skipped bad vertices blamed), minus ``u`` itself.
 
         Static part: query neighbors of ``u``. Dynamic part: assigned nodes
-        — ``order[:depth]`` — whose matched vertex would pass ``u``'s
-        label/degree/signature filters (it may be exactly the vertex ``u``
-        needed). Extends and returns ``inherited``; the caller is done with it.
+        whose matched vertex would pass ``u``'s label/degree/signature
+        filters (it may be exactly the vertex ``u`` needed) — probed only
+        among the nodes sharing ``u``'s label, the only ones that can.
         """
-        inherited |= self._static_conflicts[u]
-        assignment = self._assignment
-        pool = self._pool_set(u)
-        for u2 in self.order[:depth]:
-            if assignment[u2] in pool:
-                inherited.add(u2)
-        inherited.discard(u)
-        return inherited
+        conflict = inherited | self._static_conflicts[u]
+        same = self._same_label[u]
+        if same:
+            assignment, pool = self._assignment, self._pool_set(u)
+            for w in same:
+                if assignment[w] in pool:
+                    conflict |= 1 << w
+        return conflict & ~(1 << u)
 
-    def _child_failed(self, depth: int, u: int, v: int, conflict: Set[int]) -> bool:
+    def _child_failed(self, depth: int, u: int, v: int, conflict: int) -> bool:
         """Bookkeeping for a failed subtree under ``u -> v``; ``True`` to
         backjump past ``u``.
 
         Implements the Section 5.3 skip test and the Section 5.4 bad-vertex
-        marking (with the Appendix B.3 relaxation when configured).
+        marking (with the Appendix B.3 relaxation when configured). The mark
+        keeps ``conflict`` itself: an int, so nothing can change it later.
         """
-        if self.conflict_backjumping and u not in conflict:
+        if self.conflict_backjumping and not conflict >> u & 1:
             self._counts.conflict_skips += 1
             return True
         if self.bad_vertex_skipping and (
             self.relaxed_bad_vertices
-            or (depth > 0 and self.order[depth - 1] not in conflict)
+            or (depth > 0 and not conflict >> self.order[depth - 1] & 1)
         ):
-            self._bad[depth][v] = set(conflict)
+            self._bad[depth][v] = conflict
             self._counts.bad_vertices_marked += 1
         return False

@@ -152,7 +152,7 @@ class QSearchEngine(ConflictDirectedSearch):
         self._plan = plan or self.candidates.plan
         self.kernel_dispatch: Dict[str, int] = dict.fromkeys(KERNEL_KINDS, 0)
         self.order = list(self._plan.order)
-        self._carry: Optional[Set[int]] = None
+        self._carry: Optional[int] = None
 
     def embeddings(self) -> Iterator[Mapping]:
         """Yield every embedding of the query; stops cleanly on budget."""
@@ -207,7 +207,7 @@ class QSearchEngine(ConflictDirectedSearch):
         # With both switches off nobody reads a conflict set: build none.
         directed = self.conflict_backjumping or self.bad_vertex_skipping
         yielded_any = False
-        inherited: Set[int] = set()
+        inherited = 0
 
         pool = expand_pool(self._plan, depth, assignment, self.candidates.cache)
         self.kernel_dispatch[MERGE if depth else SCAN] += 1
@@ -242,7 +242,7 @@ class QSearchEngine(ConflictDirectedSearch):
         if yielded_any:
             self._carry = None
         elif directed:
-            self._carry = self._conflict_set(u, depth, inherited)
+            self._carry = self._conflict_set(u, inherited)
 
 
 def enumerate_embeddings(

@@ -118,10 +118,12 @@ def _outcome(status: int) -> str:
 def _actual_work_units(body: Dict[str, object]) -> Optional[int]:
     """Pull the engine's actual charge count out of a response body.
 
-    ``/v1/query`` bodies carry ``stats.nodes_expanded``; ``/v1/batch``
-    bodies carry one stats block per result (summed here). Error bodies
-    yield ``None`` — no search ran.
+    ``/v1/query`` bodies carry ``stats.nodes_expanded`` (an HTTP warm hit's
+    stored result does); ``/v1/batch`` bodies carry one stats block per
+    result (summed here). Error bodies yield ``None`` — no search ran.
     """
+    if isinstance(body, _EncodedReply):
+        return body.reply[0].stats.nodes_expanded
     if not isinstance(body, dict):
         return None
     stats = body.get("stats")
@@ -155,10 +157,11 @@ reply body, and a ``/v1/query`` payload's warm-record key (the text keeps
 validate alike)."""
 
 
-class _EncodedReply(dict):
-    """A warm hit's reply body, carrying the bytes it encodes to."""
+class _EncodedReply:
+    """A warm hit as the HTTP path sends it: the record's kept reply and the
+    bytes it encodes to, with no body built or copied."""
 
-    __slots__ = ("encoded",)
+    __slots__ = ("reply", "elapsed_ms", "encoded")
 
 
 @dataclass
@@ -197,16 +200,23 @@ class _WarmRecord:
         return reply
 
     @staticmethod
-    def body(reply, elapsed_ms: float) -> _EncodedReply:
-        """A hit's reply: a fresh dict, nothing mutable shared with the
-        record, carrying its bytes (``repr`` is how JSON writes a float)."""
-        built, head, tail = reply[2:]
-        body = _EncodedReply(built)
+    def hit(reply, elapsed_ms: float) -> _EncodedReply:
+        """A hit's reply as sent: its bytes (``repr`` is how JSON writes a float)."""
+        hit = _EncodedReply()
+        hit.reply, hit.elapsed_ms = reply, elapsed_ms
+        hit.encoded = reply[3] + repr(elapsed_ms).encode() + reply[4]
+        return hit
+
+    @staticmethod
+    def body(hit: _EncodedReply) -> Dict[str, object]:
+        """A hit's reply body for an in-process caller: a fresh dict, nothing
+        mutable shared with the record."""
+        built = hit.reply[2]
+        body = dict(built)
         body["embeddings"] = [list(e) for e in built["embeddings"]]
         body["stats"] = dict(built["stats"])
         body["estimated_cost"] = dict(built["estimated_cost"])
-        body["elapsed_ms"] = elapsed_ms
-        body.encoded = head + repr(elapsed_ms).encode() + tail
+        body["elapsed_ms"] = hit.elapsed_ms
         return body
 
 
@@ -443,7 +453,7 @@ class QueryService:
         answer = entry.answer(request.query, config, lambda stored: record.kept_reply(stored, wire))
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         if isinstance(answer, tuple):  # a hit: the record's reply
-            return record.body(answer, elapsed_ms)
+            return record.hit(answer, elapsed_ms)
         entry.observe_cost(probe.estimates[0], answer, config)
         answer = result_to_json(answer, graph=request.graph, elapsed_ms=elapsed_ms)
         answer["estimated_cost"] = dict(wire)
@@ -538,7 +548,23 @@ class QueryService:
         unknown endpoint (404), draining (503), shed load (429 with
         ``Retry-After``), parse/validation errors (400/404/413), and any
         unexpected exception (500, logged with traceback, opaque body).
+
+        A warm hit's body is built here, fresh, for an in-process caller; the
+        HTTP handler calls :meth:`_serve_post` and sends the hit's kept bytes.
         """
+        status, body, retry_after = self._serve_post(path, read_payload, headers, request_id)
+        if isinstance(body, _EncodedReply):
+            body = _WarmRecord.body(body)
+        return status, body, retry_after
+
+    def _serve_post(
+        self,
+        path: str,
+        read_payload: Callable[[], Dict[str, object]],
+        headers: Optional[Dict[str, str]],
+        request_id: Optional[int],
+    ) -> Tuple[int, object, Optional[float]]:
+        """:meth:`handle_post`, with a warm hit left as its kept reply."""
         retry_after = None
         probe: Optional[_Probe] = None
         client = None
@@ -908,7 +934,7 @@ class _ServiceHandler:
         with service.instrumentation.span(
             "service.request", query_id=None, request_id=request_id, path=path
         ) as span:
-            status, body, retry_after = service.handle_post(
+            status, body, retry_after = service._serve_post(
                 path,
                 self._read_payload,
                 headers=None if client is None else {CLIENT_ID_HEADER: client},

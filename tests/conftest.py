@@ -20,7 +20,7 @@ from collections import Counter
 from contextlib import ExitStack, contextmanager
 from functools import partial
 from itertools import combinations
-from typing import FrozenSet, List, Sequence, Set, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 import pytest
@@ -168,10 +168,26 @@ class _WalkedPool(list):
         return super().__iter__()
 
 
-def pool_walks(monkeypatch) -> List[Tuple[int, int]]:
+class _WalkedCover(frozenset):
+    """A ``TcandS`` cover set that records each walk as :class:`_WalkedPool`
+    does; a membership probe is not a walk."""
+
+    def __new__(cls, engine, node: int, members, walks: list):
+        cover = super().__new__(cls, members)
+        cover.engine, cover.node, cover.walks = engine, node, walks
+        return cover
+
+    def __iter__(self):
+        self.walks.append((self.node, self.engine.order[0]))
+        return super().__iter__()
+
+
+def pool_walks(monkeypatch, covers: Optional[list] = None) -> List[Tuple[int, int]]:
     """Make every level engine the phases build record its walks of a whole
     candidate pool; returns the ``(node, root)`` list. A frame with a father
-    reads its localized list instead, so every walk is a root's."""
+    reads its localized list instead, so every walk is a root's. With
+    ``covers``, each walk of a ``TcandS`` cover set is recorded there alike
+    (an overlap root walks its cover set, not its pool)."""
     import repro.core.phase1 as phase1_module
     import repro.core.phase2 as phase2_module
 
@@ -183,6 +199,11 @@ def pool_walks(monkeypatch) -> List[Tuple[int, int]]:
             self._pools = tuple(
                 _WalkedPool(self, u, pool, walks) for u, pool in enumerate(self._pools)
             )
+
+        def run_level(self, level, tcand, on_embedding):
+            if covers is not None:
+                tcand = {u: _WalkedCover(self, u, tcand[u], covers) for u in tcand}
+            return super().run_level(level, tcand, on_embedding)
 
     for module in (phase1_module, phase2_module):
         monkeypatch.setattr(module, "LevelSearchEngine", Recording)

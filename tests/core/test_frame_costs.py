@@ -17,6 +17,7 @@ import dataclasses
 import pickle
 import sys
 import types
+from collections import Counter
 
 import pytest
 
@@ -335,25 +336,73 @@ def test_a_frame_costs_its_candidates_not_itself(workload, objective):
 
 def test_without_localization_the_neighbor_set_decides(workload, monkeypatch):
     """(g) Localization is not a setting: every frame with a father reads its
-    localized list, so only a root frame walks its pool — once per scan
-    frame — and no neighbor set is fetched to test a tree frame's candidates
-    (no cap, so no shuffle; no budget)."""
+    localized list, so only a root frame walks a whole set — a non-overlap
+    root its pool, an overlap root only its cover set ``TcandS`` (sorted,
+    never its pool filtered), one walk per scan frame — and no neighbor set
+    is fetched to test a tree frame's candidates (no cap, so no shuffle; no
+    budget)."""
     graph, queries = workload
     config = dataclasses.replace(
         CONFIG, single_embedding_mode=False, node_budget=None, query_cache_size=0
     )
     session = DSQL(graph, config)
     warm = [session.query(query) for query in queries]
-    walks = pool_walks(monkeypatch)
+    covers = []
+    walks = pool_walks(monkeypatch, covers)
     results, calls = profiled_calls(lambda: [session.query(query) for query in queries])
     assert [r.to_dict() for r in results] == [r.to_dict() for r in warm]
     assert calls["labeled_graph.py", "has_edge"] == 0
     for query, result in zip(queries, results):
         for embedding in result.embeddings:
             validate_embedding(graph, query, embedding)
-    assert all(node == root for node, root in walks)
-    assert len(walks) == sum(r.stats.kernel_scan for r in results) > 0
+    assert all(node == root for node, root in walks + covers)
+    assert walks and covers
+    assert len(walks) + len(covers) == sum(r.stats.kernel_scan for r in results)
     merges = sum(r.stats.kernel_merge for r in results)
-    assert merges == frames_entered(results) - len(walks) > len(walks)
+    assert merges == frames_entered(results) - len(walks) - len(covers) > len(walks)
     engines = 2 * sum(query.size for query in queries)
     assert calls["labeled_graph.py", "neighbor_set"] <= engines
+
+
+def test_a_query_of_distinct_labels_probes_no_pool_for_a_conflict(workload, monkeypatch):
+    """(i) ``CT(u, beta)`` probes only the nodes sharing ``u``'s label: a pool
+    holds only its label's vertices and an unassigned node reads
+    ``UNMATCHED``, which no pool holds. So a query whose labels are all
+    distinct builds every conflict set without one ``pool_set`` call, and a
+    query that repeats a label makes some."""
+    graph, queries = workload
+    callers = Counter()
+
+    def spied_pool_set(self, u):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return real_pool_set(self, u)
+
+    real_pool_set = plans_module.QueryPlan.pool_set
+    monkeypatch.setattr(plans_module.QueryPlan, "pool_set", spied_pool_set)
+    distinct = [query for query in queries if len(set(query.labels)) == query.size]
+    repeated = [query for query in queries if len(set(query.labels)) < query.size]
+    assert len(distinct) == 6 and len(repeated) == 2
+    session = DSQL(graph, dataclasses.replace(CONFIG, query_cache_size=0))
+    _, calls = profiled_calls(lambda: [session.query(query) for query in distinct])
+    assert calls["backtrack.py", "_conflict_set"] > 100
+    assert callers["_conflict_set"] == 0
+    _, calls = profiled_calls(lambda: [session.query(query) for query in repeated])
+    assert 0 < callers["_conflict_set"] <= calls["backtrack.py", "_conflict_set"]
+
+
+def test_no_single_frame_is_entered_at_depth_q(workload, monkeypatch):
+    """(j) A frame at depth ``q`` would only report a complete assignment, so
+    its caller answers that in place: every single-embedding frame entered
+    is below depth ``q``, and the last node's frames are entered."""
+    graph, queries = workload
+    below_q = Counter()
+
+    def spied_single_frame(self, depth):
+        below_q[self._q - depth] += 1
+        return real_single_frame(self, depth)
+
+    real_single_frame = LevelSearchEngine._single_frame
+    monkeypatch.setattr(LevelSearchEngine, "_single_frame", spied_single_frame)
+    results = [DSQL(graph, CONFIG).query(query) for query in queries]
+    assert all(result.embeddings for result in results)
+    assert below_q[1] > 100 and min(below_q) == 1

@@ -43,51 +43,68 @@ def setting():
     return graph, query
 
 
+def nodes(mask):
+    """The query nodes a conflict-set bitmask names."""
+    return {w for w in range(mask.bit_length()) if mask >> w & 1}
+
+
+@pytest.fixture()
+def repeated():
+    """The data graph of ``setting`` plus v5(b), whose only neighbor is v4(c),
+    and the path query b - a - b: its nodes 0 and 2 share a label."""
+    graph = LabeledGraph(
+        ["a", "b", "c", "b", "c", "b"], [(0, 1), (1, 2), (0, 3), (3, 4), (4, 5)]
+    )
+    query = QueryGraph(["b", "a", "b"], [(0, 1), (1, 2)])
+    return graph, query
+
+
 class TestConflictSet:
+    """The conflict set is a bitmask over query nodes: bit ``w`` is node ``w``."""
+
     def test_static_part_is_query_neighbors(self, setting):
         graph, query = setting
         engine = engine_for(graph, query)
-        conflicts = engine._conflict_set(1, 0, set())
-        assert {0, 2} <= conflicts
+        assert engine._static_conflicts == [0b010, 0b101, 0b010]
+        assert nodes(engine._conflict_set(1, 0)) == {0, 2}
 
-    def test_dynamic_part_catches_held_candidates(self, setting):
-        graph, query = setting
+    def test_dynamic_part_catches_held_candidates(self, repeated):
+        graph, query = repeated
         engine = engine_for(graph, query)
-        # Node 2 wants a "c" vertex; assign node 0 a vertex that could never
-        # be node 2's candidate (label a) -> no dynamic conflict beyond
-        # static. Now hold v2 (a valid c-candidate) under node 0's slot by
-        # faking the assignment state (the assigned nodes are order[:depth]):
-        engine.order = (0, 1, 2)
-        engine._assignment[0] = 2  # vertex v2 has label c
-        conflicts = engine._conflict_set(2, 1, set())
-        assert 0 in conflicts  # v2 passes node 2's filters -> dynamic conflict
-        engine._assignment[0] = 0  # v0 has label a
-        assert 0 not in engine._conflict_set(2, 1, set())
-        engine._assignment[0] = UNMATCHED
+        # Node 2 wants a "b" vertex with an "a" neighbor. Node 0 shares its
+        # label, so a vertex held under node 0 may be the one node 2 needed.
+        engine._assignment[0] = 1  # v1(b), next to v0(a): a candidate of node 2
+        assert nodes(engine._conflict_set(2, 0)) == {0, 1}
+        engine._assignment[0] = 5  # v5(b) has no "a" neighbor: no candidate
+        assert nodes(engine._conflict_set(2, 0)) == {1}
+        engine._assignment[0] = UNMATCHED  # an unassigned node is in no pool
+        assert nodes(engine._conflict_set(2, 0)) == {1}
 
-    def test_dynamic_part_is_the_full_filter_stack_whatever_the_pools_hold(self, setting):
+    def test_dynamic_part_is_the_full_filter_stack_whatever_the_pools_hold(self, repeated):
         """Pool membership answers CT(u, beta) because the pools are the
         full stack — there is no view with a filter off: a held vertex is
         blamed exactly when it passes the failed node's label + degree +
-        signature filters, recomputed here from the cache's tables."""
-        graph, query = setting
+        signature filters, recomputed here from the cache's tables. Only a
+        node of ``u``'s label can hold such a vertex, so only those are
+        probed: node 1 (label a) holding any vertex is never blamed."""
+        graph, query = repeated
         engine = engine_for(graph, query)
-        engine.order = (0, 1, 2)
-        for u in (1, 2):
+        assert engine._same_label == [(2,), (), (0,)]
+        for u, other in ((0, 2), (2, 0)):
             static = set(query.neighbors(u))
             for held in range(graph.num_vertices):
-                engine._assignment[0] = held
-                dynamic = {0} if passes_filter_stack(graph, query, u, held) else set()
-                assert engine._conflict_set(u, 1, set()) == (static | dynamic) - {u}, (u, held)
-        engine._assignment[0] = UNMATCHED
+                engine._assignment[other] = held
+                dynamic = {other} if passes_filter_stack(graph, query, u, held) else set()
+                assert nodes(engine._conflict_set(u, 0)) == (static | dynamic) - {u}, (u, held)
+            engine._assignment[other] = UNMATCHED
+        assert any(passes_filter_stack(graph, query, 2, held) for held in range(6))
+        assert not passes_filter_stack(graph, query, 2, 5)
 
     def test_failure_set_excludes_self(self, setting):
         graph, query = setting
         engine = engine_for(graph, query)
-        blamed = {1, 7}  # what failed children blamed: extended, not copied
-        conflicts = engine._conflict_set(1, 0, blamed)
-        assert conflicts is blamed
-        assert 1 not in conflicts and 7 in conflicts
+        blamed = 1 << 1 | 1 << 7  # what failed children blamed
+        assert nodes(engine._conflict_set(1, blamed)) == {0, 2, 7}
 
 
 class Watched(list):
@@ -161,12 +178,25 @@ class TestRcand:
         engine.run_level(1, tcand, lambda m: (collected.append(m), True)[1])
         # Only node 1 (label b) has a candidate in {v1}; v3's branch is cut.
         assert collected == [(0, 1, 2)]
-        # Every frame with a father localized: each Qovp walked its root's
-        # pool once and no other.
+        # Every frame with a father localized, and every Qovp's root is its
+        # overlap node, which walks its cover set, not its pool: no pool is
+        # walked, and each Qovp's root still counts one scan.
         roots = [engine.candidates.plan.frames(query, (u,))[0][0] for u in range(query.size)]
-        assert [pool.iterated for pool in engine._pools] == [
-            roots.count(u) for u in range(query.size)
-        ]
+        assert roots == [0, 1, 2]
+        assert [pool.iterated for pool in engine._pools] == [0] * query.size
+        assert engine.stats.kernel_scan == query.size
+
+
+class Probed(set):
+    """An injectivity set that records every vertex probed and holds them all."""
+
+    def __init__(self):
+        super().__init__()
+        self.probed = []
+
+    def __contains__(self, v):
+        self.probed.append(v)
+        return True
 
 
 def shuffled_by_the_frame(n, seed):
@@ -174,8 +204,10 @@ def shuffled_by_the_frame(n, seed):
     candidate leaves, and its engine's ``Random`` state afterwards.
 
     The hub (v0) is matched; the leaf's frame has it as father and a cap past
-    ``n``, and its child fails every candidate, so the frame tries them all
-    in the order the Section 5.2 shuffle left them."""
+    ``n``. The leaf is the query's last node, so the frame enters no child:
+    every leaf reads as used, and the frame probes them all in the order the
+    Section 5.2 shuffle left them, then fails blaming the hub's node (a
+    query-node bitmask)."""
     graph = LabeledGraph(["a"] + ["b"] * n, [(0, b) for b in range(1, n + 1)])
     query = QueryGraph(["a", "b"], [(0, 1)])
     config = DSQLConfig(k=5, seed=seed, conflict_skipping=False, bad_vertex_skipping=False)
@@ -183,18 +215,9 @@ def shuffled_by_the_frame(n, seed):
     engine.order = (0, 1)
     engine._frames = ((0, NO_FATHER, False, None, ()), (1, 0, False, n + 1, (0,)))
     engine._assignment[0] = 0
-    engine._used.add(0)
-    frame, tried = engine._single_frame, []
-
-    def failing_child(depth):
-        if depth == 2:
-            tried.append(engine._assignment[1])
-            return {0}
-        return frame(depth)
-
-    engine._single_frame = failing_child  # the frame recurses through the instance
-    assert engine._single_frame(1) == {0}
-    return tried, engine.rng.getstate()
+    engine._used = Probed()
+    assert engine._single_frame(1) == 1 << 0
+    return engine._used.probed, engine.rng.getstate()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2016])

@@ -203,8 +203,8 @@ def dispatch_counts(kinds):
 def test_every_kernel_kind_dispatches():
     """A kind no count run reaches names nothing; ``cbitset`` is the one
     exception, kept at 0 because perfbench harness 1.0 reads every kind
-    (``tests/test_lint.py::HARNESS_ONLY``)."""
-    from tests.test_lint import HARNESS_ONLY
+    (``tests/guard_tables.py::HARNESS_ONLY``)."""
+    from tests.guard_tables import HARNESS_ONLY
 
     assert "cbitset/kernel_cbitset" in HARNESS_ONLY
     counts = dispatch_counts(KERNEL_KINDS + ("phantom",))

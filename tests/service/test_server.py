@@ -460,13 +460,14 @@ class TestConnectionThreads:
     def test_sequential_requests_reuse_handler_threads(self):
         server = _tiny_server()
         # Thread objects, kept: the OS hands a dead thread's ident to the next.
-        handle_post, handlers = server.service.handle_post, []
+        # `_serve_post` is what the HTTP handler calls (`handle_post` for it).
+        serve_post, handlers = server.service._serve_post, []
 
         def recording(*args, **kwargs):
             handlers.append(threading.current_thread())
-            return handle_post(*args, **kwargs)
+            return serve_post(*args, **kwargs)
 
-        server.service.handle_post = recording
+        server.service._serve_post = recording
         server.start()
         try:
             client = ServiceClient(server.url, timeout=10.0)

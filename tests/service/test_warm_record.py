@@ -30,7 +30,7 @@ from repro.service import (
     read_access_log,
 )
 from repro.service.schemas import query_graph_to_json, result_to_json
-from repro.service.server import _SORTED_JSON, _EncodedReply, _ServiceHandler
+from repro.service.server import _SORTED_JSON, _EncodedReply, _ServiceHandler, _WarmRecord
 
 from .conftest import DEFAULT_K, tiny_graph, tiny_queries
 
@@ -254,6 +254,33 @@ class TestAWarmReadAnswersAsAColdOne:
         assert warm["query_key"] is not None and warm["actual_work_units"] is not None
 
 
+class TestAnHttpHitCopiesNothing:
+    def test_the_kept_bytes_go_out_and_the_log_reads_the_stored_count(self, tmp_path, monkeypatch):
+        """Over HTTP a warm hit is sent as its kept bytes: no body is built
+        for it (``_WarmRecord.body`` is not entered, so nothing is copied),
+        and the access log reads ``nodes_expanded`` off the stored result.
+        An in-process caller still gets a fresh body, with the same fields
+        and the same count."""
+        built, body = [], _WarmRecord.body
+        monkeypatch.setattr(_WarmRecord, "body", lambda hit: built.append(hit) or body(hit))
+        log = tmp_path / "access.jsonl"
+        service = _service(access_log=log)
+        server = ServiceServer(service, port=0).start()
+        query = _query_with_answers()
+        try:
+            client = ServiceClient(server.url, timeout=30.0)
+            replies = [client.query("tiny", query) for _ in range(3)]
+            assert [reply["from_cache"] for reply in replies] == [False, True, True]
+            assert built == []
+            status, fresh, _ = _post(service, QUERY, _payload(query))
+            assert status == 200 and fresh["from_cache"] and len(built) == 1
+        finally:
+            server.close()  # closes the service, and its access log
+        assert _masked(fresh) == _masked(replies[1]) == _masked(replies[2])
+        count = fresh["stats"]["nodes_expanded"]
+        assert [line["actual_work_units"] for line in read_access_log(log)] == [count] * 4
+
+
 def _sent(body):
     """The body bytes ``_send_json`` puts on the wire for ``body``."""
     sent = []
@@ -283,13 +310,15 @@ class TestAWarmHitKeepsItsPriceAndBytes:
             payload = _payload(query)
             fresh = entry.estimate_cost(query)
             before = estimates.value
-            status, body, _ = _post(service, QUERY, payload)
+            # What the HTTP handler sends, and the body an in-process caller gets.
+            status, sent, _ = service._serve_post(QUERY, lambda: payload, None, None)
+            body = _WarmRecord.body(sent) if isinstance(sent, _EncodedReply) else sent
             priced = estimates.value - before
             _, kept, wire = service._warm[_SORTED_JSON.encode(payload)].price
             assert status == 200 and kept == fresh
             assert wire == fresh.to_wire() == body["estimated_cost"]
-            assert _sent(body) == _SORTED_JSON.encode(body).encode()
-            assert isinstance(body, _EncodedReply) is body["from_cache"]
+            assert _sent(sent) == _SORTED_JSON.encode(body).encode()
+            assert isinstance(sent, _EncodedReply) is body["from_cache"]
             return body["from_cache"], priced
 
         def each(hit, priced):

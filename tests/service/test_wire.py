@@ -42,7 +42,7 @@ from repro.service.schemas import (
     query_graph_to_json,
 )
 from tests.service.conftest import DEFAULT_K, tiny_graph, tiny_queries
-from tests.test_lint import service_status_rows
+from tests.guard_tables import service_status_rows
 
 STATUS_ROWS = service_status_rows()
 MAX_HEADER_LINES = server_mod._MAX_HEADERS

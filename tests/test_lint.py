@@ -3,9 +3,10 @@ the docs gates, and the guards that keep deleted code deleted.
 
 Every file is read, and every module parsed and walked, once a run (the
 source index below). Every mutant a guard must see is a row of one of three
-tables — ``STAYS_DELETED``, ``HARNESS_ONLY`` or ``GUARD_MUTANTS`` — and
-``tests/tools/guard_kills.py`` pastes each row into a scratch copy of the
-tree to show that its guard's test fails there."""
+tables — ``STAYS_DELETED``, ``HARNESS_ONLY`` (in ``tests/guard_tables.py``)
+or ``GUARD_MUTANTS`` — and a count pin's mutant is a row of
+``COUNT_MUTANTS``; ``tests/tools/guard_kills.py`` pastes each row into a
+scratch copy of the tree to show that its test fails there."""
 
 from __future__ import annotations
 
@@ -28,6 +29,8 @@ from pathlib import Path
 from typing import Dict, List, Tuple
 
 import pytest
+
+from tests.guard_tables import HARNESS_ONLY, service_status_rows
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "repro"
@@ -617,7 +620,7 @@ STAYS_DELETED = {
             "enumerate_embeddings_compressed", "_iter_expansions", "lazy_expansions",
             "on_lazy_expansion",
         ),
-        "isomorphism/qsearch.py", "        self._carry: Optional[Set[int]] = None\n",
+        "isomorphism/qsearch.py", "        self._carry: Optional[int] = None\n",
         "        self.lazy_expansions = 0\n", ("lazy_expansions",),
     ),
     "plan_localized_memo": (
@@ -1617,19 +1620,6 @@ def test_a_warm_hits_price_and_bytes_are_kept_not_patched():
 # table: the table is the wire contract, and a new code that skips it is
 # an answer no client was told about.
 # ----------------------------------------------------------------------
-def service_status_rows(text: str = "") -> set:
-    """``{(status, code)}`` of the table under docs/service.md's "Errors"
-    (or under that heading of ``text``)."""
-    text = text or read(REPO / "docs" / "service.md")
-    section = text[text.index("\n## Errors\n"):]
-    section = section[: section.index("\n## ", 1)]
-    return {
-        (int(status), code)
-        for status, codes in re.findall(r"^\| (\d{3}) \| ([^|]*) \|", section, re.M)
-        for code in re.findall(r"`([a-z_]+)`", codes)
-    }
-
-
 def unlisted_service_errors(sources, rows):
     """``path:line: status code`` over ``{path: source}`` for every
     ``ServiceError(<int>, "<str>", ...)`` whose pair is not in ``rows``."""
@@ -2104,102 +2094,10 @@ def test_compaction_stays_deleted():
 
 
 # ----------------------------------------------------------------------
-# Harness-only names: perfbench's harness (``perfbench/harness/layers.py``,
-# ``workloads.py`` and ``inputs.py``) imports, reads, passes or sends these,
-# so they stay until it stops; nothing in ``src/`` may, outside the row's
-# home. One row per name: how a use looks in the AST, and a mutant — a line
-# pasted after an anchor in a real module — that the check must see.
+# Harness-only names: the rows of ``HARNESS_ONLY`` (tests/guard_tables.py)
+# are what perfbench's harness still reads; nothing in ``src/`` may use one
+# outside its row's home, and each row's mutant must be seen.
 # ----------------------------------------------------------------------
-HARNESS_ONLY = {
-    # row: (kind of use, names, home, module under src/repro, anchor, pasted after it)
-    "QueryPlan.cand_mask": (
-        "attribute", ("cand_mask",), (),
-        "indexes/plans.py", "    u = plan.order[depth]\n", "    mask = plan.cand_mask(u)\n",
-    ),
-    "GraphIndexCache.adjacency_mask": (
-        "attribute", ("adjacency_mask",), (),
-        "core/search.py", "        self.stats.kernel_bitset += 1\n",
-        "        masks = [self.graph.index_cache().adjacency_mask(v) for v in rcand]\n",
-    ),
-    "GraphIndexCache.adjacency_slice": (
-        "attribute", ("adjacency_slice",), (),
-        "isomorphism/qsearch.py", "        u = self.order[depth]\n",
-        "        row = self.candidates.cache.adjacency_slice(u)\n",
-    ),
-    "bitset_and_members": (
-        "name", ("bitset_and_members",), ("kernels/",),
-        "indexes/plans.py", "from repro.kernels import bitset_of, intersect_sets\n",
-        "from repro.kernels import bitset_and_members\n",
-    ),
-    "intersect_sorted/GALLOP_RATIO": (
-        "name", ("intersect_sorted", "GALLOP_RATIO"), ("kernels/",),
-        "isomorphism/qsearch.py", "from repro.kernels import KERNEL_KINDS, MERGE, SCAN\n",
-        "from repro.kernels.join import GALLOP_RATIO\n",
-    ),
-    "get_or_compile(use_compression=)": (
-        "keyword", ("get_or_compile(use_compression=)",), (),
-        "core/dsql.py",
-        "        return self.index_cache.plan_cache.get_or_compile(query, self.index_cache)\n",
-        "        self.index_cache.plan_cache.get_or_compile(query, self.index_cache,"
-        " use_compression=True)\n",
-    ),
-    # A class constant ``False``: no field, so no session can set it.
-    "DSQLConfig.use_compression": (
-        "attribute", ("config.use_compression",), (),
-        "core/search.py", "        self._cap_singles = config.single_embedding_mode\n",
-        "        self._twins = config.use_compression\n",
-    ),
-    # A class constant ``None``: no wire field carries it.
-    "QueryRequest.use_compression": (
-        "attribute", ("request.use_compression",), (),
-        "service/server.py", "            entry = self.catalog.get(request.graph)\n",
-        "            assert request.use_compression is None\n",
-    ),
-    "request_config(use_compression=)": (
-        "keyword", ("request_config(use_compression=)",), (),
-        "service/server.py",
-        "        config = entry.request_config(**config_overrides(request, BATCH_SPEC))\n",
-        "        config = entry.request_config(use_compression=False)\n",
-    ),
-    # The kind stays in KERNEL_KINDS and the counter in SearchStats, always 0.
-    "cbitset/kernel_cbitset": (
-        "name", ("CBITSET", "kernel_cbitset"), ("kernels/", "core/state.py"),
-        "core/search.py", "        self.stats.kernel_bitset += 1\n",
-        "        self.stats.kernel_cbitset += 1\n",
-    ),
-    # Accepted and ignored by ``LabeledGraph.mutate`` and ``CatalogEntry.mutate``.
-    "mutate(compaction_threshold=)": (
-        "keyword", ("mutate(compaction_threshold=)",), (),
-        "service/server.py", "        summary = entry.mutate(request.ops)\n",
-        "        summary = entry.mutate(request.ops, compaction_threshold=1)\n",
-    ),
-    # A class constant ``None``: no field, so no request carries one.
-    "MutationRequest.compaction_threshold": (
-        "attribute", ("request.compaction_threshold",), (),
-        "service/server.py", "        entry, request = probe.entry, probe.request\n",
-        "        threshold = request.compaction_threshold\n",
-    ),
-    # The ingest body's field: checked (an integer >= 1, or absent) and dropped.
-    "ingest compaction_threshold": (
-        "string", ("compaction_threshold",), ("service/schemas.py",),
-        "service/server.py", "        entry, request = probe.entry, probe.request\n",
-        '        threshold = payload.get("compaction_threshold")\n',
-    ),
-    # A class constant ``False``: no field, so no batch reports one.
-    "MutationSummary.compacted": (
-        "attribute", ("summary.compacted",), (),
-        "service/schemas.py", '        "applied": summary.applied,\n',
-        '        "compacted": summary.compacted,\n',
-    ),
-    # The response's key, always ``false``.
-    "response compacted": (
-        "string", ("compacted",), ("service/schemas.py",),
-        "cli.py", "            body = client.ingest(args.graph, ops)\n",
-        '            compacted = body.get("compacted")\n',
-    ),
-}
-
-
 # How the harness reads a row whose names it never spells out: every kind,
 # by ``KERNEL_KINDS`` and ``SearchStats.kernel_<kind>``.
 HARNESS_READS = {"cbitset/kernel_cbitset": ("for kind in KERNEL_KINDS", 'f"kernel_{kind}"')}
@@ -2331,6 +2229,28 @@ def test_doc_symbols_resolve():
 
 
 # ----------------------------------------------------------------------
+# No test imports the lint module: a table or reader another test shares
+# with the guards lives in tests/guard_tables.py, so collecting that test
+# does not import the guard layer and a guard's edit cannot break it.
+# ----------------------------------------------------------------------
+def lint_importers(sources):
+    """``path:line: module`` over ``{path: source}`` for every import of
+    ``test_lint`` by a module under ``tests/``."""
+    found = []
+    for path, text in sorted(under(sources, "tests/").items()):
+        for node in nodes(text, ast.Import, ast.ImportFrom):
+            base = getattr(node, "module", None) or ""
+            names = [base] + [f"{base}.{alias.name}".lstrip(".") for alias in node.names]
+            found += [f"{path}:{node.lineno}: {n}" for n in names if n.endswith("test_lint")][:1]
+    return found
+
+
+def test_no_test_imports_the_lint_module():
+    # Its mutant is a row of GUARD_MUTANTS.
+    assert lint_importers(guard_sources()) == []
+
+
+# ----------------------------------------------------------------------
 # The guards' mutants, one table: each row is an edit of a real file that
 # its guard must see, and only that. A guard reads ``guard_sources()`` — every
 # linted module and every doc, keyed by its path from the repository root —
@@ -2372,6 +2292,7 @@ GUARDS = {
     "metrics": ("test_metric_catalog_matches_the_code", metric_offenders),
     "spans": ("test_span_catalog_matches_the_code", span_offenders),
     "doc_symbols": ("test_doc_symbols_resolve", doc_symbol_offenders),
+    "lint_imports": ("test_no_test_imports_the_lint_module", lint_importers),
 }
 DSQL_END = "    return DSQL(graph, config=config).query(query)\n"
 GUARD_MUTANTS = {
@@ -2411,8 +2332,8 @@ GUARD_MUTANTS = {
     # A closure pasted back into a frame ...
     "closure_in_a_frame": (
         "frame", "src/repro/core/search.py",
-        "        rcand = list(filter(self._tcand[u].__contains__, rcand))\n        joined = None\n",
-        "        rcand = list(filter(self._tcand[u].__contains__, rcand))\n        joined = None\n"
+        "            rcand = sorted(self._tcand[u])\n        joined = None\n",
+        "            rcand = sorted(self._tcand[u])\n        joined = None\n"
         "        joinable = lambda v: v not in used\n",
         ["lambda:{line}"],
     ),
@@ -2627,8 +2548,8 @@ GUARD_MUTANTS = {
     # ... a hit's bytes read before they are sent ...
     "bytes_read_outside_the_send": (
         "kept_price", "src/repro/service/server.py",
-        "            return record.body(answer, elapsed_ms)\n",
-        "            body = record.body(answer, elapsed_ms)\n"
+        "            return record.hit(answer, elapsed_ms)\n",
+        "            body = record.hit(answer, elapsed_ms)\n"
         '            logger.debug("%d reply bytes", len(body.encoded))\n'
         "            return body\n",
         ["service/server.py: handle_query reads .encoded"],
@@ -2729,6 +2650,13 @@ GUARD_MUTANTS = {
         "spans", "src/repro/core/dsql.py", DSQL_END, DSQL_END + "instr.point(f'stage.{kind}')\n",
         ["core/dsql.py: f'stage.{kind}'"],
     ),
+    # A test taking a shared table from the lint module again.
+    "test_imports_the_lint_module": (
+        "lint_imports", "tests/kernels/test_join_kernels.py",
+        "    from tests.guard_tables import HARNESS_ONLY\n",
+        "    from tests.test_lint import HARNESS_ONLY\n",
+        ["tests/kernels/test_join_kernels.py:{line}: tests.test_lint"],
+    ),
     # A symbol renamed in the docs and not in the code.
     "renamed_doc_symbol": (
         "doc_symbols", "docs/paper_mapping.md",
@@ -2750,3 +2678,49 @@ def test_a_guard_fails_on_its_mutant(row):
     added = [line for line in replacement.splitlines() if line.strip() not in anchor]
     line = str(line_of(mutant, (needle or added)[0])) if "{line}" in str(reported) else ""
     assert check({**sources, path: mutant}) == [r.replace("{line}", line) for r in reported]
+
+
+# ----------------------------------------------------------------------
+# Count pins' mutants: an edit of a real module that keeps every answer and
+# moves a count that a runtime test pins. No lint can see one, so this
+# table holds each anchor to its module here, and ``tests/tools/
+# guard_kills.py`` pastes each row into a copy of the tree and runs the
+# row's test there.
+# ----------------------------------------------------------------------
+SINGLE_FRAME_PROLOGUE = (
+    "        u, father, is_overlap, cap, backward = self._frames[depth]\n"
+    "        self._bad[depth + 1].clear()\n"
+    "        assignment, used = self._assignment, self._used\n"
+    "        stats, meter = self.stats, self._meter\n"
+    "        matched = self.matched\n"
+    "        bad = self._bad[depth]\n"
+)
+COUNT_MUTANTS = {
+    # id: (test, file, anchor, its replacement)
+    # CT(u, beta) probing every node again, whatever its label ...
+    "conflict_probes_every_label": (
+        "tests/core/test_frame_costs.py::"
+        "test_a_query_of_distinct_labels_probes_no_pool_for_a_conflict",
+        "src/repro/isomorphism/backtrack.py",
+        "            tuple(w for w in range(q) if w != u and labels[w] == labels[u])"
+        " for u in range(q)\n",
+        "            tuple(w for w in range(q) if w != u) for u in range(q)\n",
+    ),
+    # ... and a single-embedding frame entered at depth q to say "complete".
+    "frame_entered_at_depth_q": (
+        "tests/core/test_frame_costs.py::test_no_single_frame_is_entered_at_depth_q",
+        "src/repro/core/search.py",
+        SINGLE_FRAME_PROLOGUE + "        last = depth + 1 == self._q\n",
+        "        if depth == self._q:\n            return None\n"
+        + SINGLE_FRAME_PROLOGUE + "        last = False\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("row", sorted(COUNT_MUTANTS))
+def test_a_count_pin_has_its_mutant(row):
+    test, path, anchor, replacement = COUNT_MUTANTS[row]
+    module, name = test.split("::")
+    assert f"\ndef {name}(" in read(REPO / module)
+    assert read(REPO / path).count(anchor) == 1, anchor
+    assert replacement != anchor

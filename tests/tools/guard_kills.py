@@ -6,9 +6,11 @@ Usage::
     python tests/tools/guard_kills.py [TREE]
 
 The mutants are the rows of this checkout's ``STAYS_DELETED``,
-``HARNESS_ONLY`` and ``GUARD_MUTANTS``. TREE (default: this checkout) is the
-tree they are pasted into, one at a time, in a copy made in a fresh
-temporary directory; pointing it at another checkout (a parent commit, say)
+``GUARD_MUTANTS`` and ``COUNT_MUTANTS`` (``tests/test_lint.py``) and
+``HARNESS_ONLY`` (``tests/guard_tables.py``); a ``COUNT_MUTANTS`` row names
+its own test, any other row a test of ``tests/test_lint.py``. TREE (default:
+this checkout) is the tree they are pasted into, one at a time, in a copy
+made in a fresh temporary directory; pointing it at another checkout (a parent commit, say)
 runs the same (test, mutant) pairs against that checkout's tests. Each
 guarding test must first pass on the unmutated copy. A row whose anchor the
 tree lacks is reported ``absent``. One line per pair:
@@ -33,6 +35,8 @@ HARNESS_TEST = "test_harness_only_names_have_no_caller_in_src"
 
 
 def load_lint(root: Path):
+    if str(root) not in sys.path:
+        sys.path.insert(0, str(root))  # the lint module imports tests.guard_tables
     spec = importlib.util.spec_from_file_location("lint_tables", root / "tests" / "test_lint.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -53,20 +57,25 @@ def stays_deleted_tests(root: Path) -> dict:
 def mutants(root: Path):
     """``(test, label, file from the root, anchor, replacement)`` per table row."""
     lint, owners = load_lint(root), stays_deleted_tests(root)
+    from tests.guard_tables import HARNESS_ONLY
+
     for row, (_names, path, anchor, pasted, _tripped) in lint.STAYS_DELETED.items():
         yield owners[row], f"STAYS_DELETED[{row}]", f"src/repro/{path}", anchor, anchor + pasted
-    for row, (_kind, _names, _home, path, anchor, pasted) in lint.HARNESS_ONLY.items():
+    for row, (_kind, _names, _home, path, anchor, pasted) in HARNESS_ONLY.items():
         yield HARNESS_TEST, f"HARNESS_ONLY[{row}]", f"src/repro/{path}", anchor, anchor + pasted
     for row, (guard, path, anchor, replacement, *_reported) in lint.GUARD_MUTANTS.items():
         yield lint.GUARDS[guard][0], f"GUARD_MUTANTS[{row}]", path, anchor, replacement
+    for row, (test, path, anchor, replacement) in lint.COUNT_MUTANTS.items():
+        yield test, f"COUNT_MUTANTS[{row}]", path, anchor, replacement
 
 
 def fails(copy: Path, test: str) -> bool:
-    """Whether ``tests/test_lint.py::test`` fails in ``copy``."""
+    """Whether ``test`` (a node id, or a test of ``tests/test_lint.py``) fails in ``copy``."""
     env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
     proc = subprocess.run(
-        command + [f"tests/test_lint.py::{test}"], cwd=copy, env=env, capture_output=True
+        command + [test if "::" in test else f"tests/test_lint.py::{test}"],
+        cwd=copy, env=env, capture_output=True,
     )
     return proc.returncode != 0
 
