@@ -10,20 +10,18 @@ Two layers, deliberately separated:
     draining, outcome metrics, and the per-request trace span all live
     here, so the logic is directly unit-testable without a socket.
 :class:`ServiceServer`
-    The transport: the stdlib's ``http.server.HTTPServer`` accept loop hands
-    each connection to a reused handler thread, which reads the request head
-    by hand and sends the reply with one ``sendall``. ``POST /v1/query`` /
+    The transport: reused handler threads accept their own connections on
+    the listening socket, read the request head by hand and send the reply
+    with one ``sendall``. ``POST /v1/query`` /
     ``POST /v1/batch`` / ``POST /v1/graphs/{g}/edges`` /
     ``POST /v1/graphs/{g}/ingest`` / ``GET /healthz`` / ``GET /metrics``, JSON
     in and out. HTTP/1.0 semantics (connection closed after each response)
     keep the drain story simple — no idle keep-alive connections to wait out.
 
-Graceful drain (``SIGTERM`` or :meth:`ServiceServer.close`): stop
-accepting new connections, let every in-flight request finish
-(``server_close`` waits out the handler executor), then flush the trace sink.
-The signal handler itself only *requests* the shutdown from a helper
-thread — calling ``shutdown()`` from the thread running ``serve_forever``
-(the main thread, under a signal) would deadlock.
+Graceful drain (``SIGTERM`` or :meth:`ServiceServer.close`): answer every
+in-flight request and every connection still waiting in the backlog, let
+each handler thread exit, then flush the trace sink. The signal handler
+itself only *requests* the drain, which runs on a helper thread.
 
 Request outcomes land in the ``service.*`` metrics (see
 ``docs/observability.md``); with a tracer attached every request emits one
@@ -45,13 +43,11 @@ import sys
 import threading
 import time
 import urllib.parse
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from http import HTTPStatus
-from http.server import HTTPServer
 from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import DSQLConfig
 from repro.core.result import DSQResult
@@ -712,62 +708,14 @@ def _head_too_large() -> ServiceError:
     )
 
 
-class _ServiceHTTPServer(HTTPServer):
-    """Accepts on the serve loop's thread, answers on reused handler threads.
-
-    The executor starts a thread only when none is idle and keeps it for the
-    server's life; ``server_close`` is the drain join — it returns once every
-    accepted connection is answered and every handler thread has exited. The
-    handler's read timeout bounds how long a stuck client can delay it.
-    """
-
-    allow_reuse_address = True
-    # The listen backlog. socketserver's default of 5 drops the SYNs of a
-    # burst the accept loop has not reached yet, and each dropped client
-    # waits out the kernel's 1 s retransmit, even for a request the gate
-    # would refuse at once.
-    request_queue_size = _MAX_HANDLER_THREADS
-    # SO_REUSEPORT lets N pre-forked workers bind the *same* port and have
-    # the kernel load-balance incoming connections across them — the
-    # multi-worker front (repro.service.multiworker) flips this on.
-    reuse_port = False
-
-    def __init__(self, *args, **kwargs) -> None:
-        self._handlers = ThreadPoolExecutor(_MAX_HANDLER_THREADS, thread_name_prefix="repro-serve")
-        super().__init__(*args, **kwargs)
-
-    def process_request(self, request, client_address) -> None:
-        self._handlers.submit(self._serve_connection, request, client_address)
-
-    def _serve_connection(self, request, client_address) -> None:
-        try:
-            self.finish_request(request, client_address)
-        except Exception:
-            self.handle_error(request, client_address)
-        finally:
-            self.shutdown_request(request)
-
-    def server_close(self) -> None:
-        super().server_close()
-        self._handlers.shutdown(wait=True)
-
-    def server_bind(self) -> None:
-        if self.reuse_port:
-            self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        super().server_bind()
-
-    def handle_error(self, request, client_address):  # pragma: no cover - client aborts
-        logger.warning("error handling connection from %s", client_address, exc_info=True)
-
-
 class _ServiceHandler:
     """One HTTP/1.0 exchange on an accepted socket; ``service`` is bound on a
     per-server subclass.
 
-    Called as socketserver calls a handler, ``(request, client_address,
-    server)``, and done when the constructor returns: read the head by hand,
-    answer through ``do_GET`` / ``do_POST``, send the whole reply with one
-    ``sendall``. The accept loop's worker closes the socket.
+    Called with ``(request, client_address)`` by the thread that accepted
+    the socket, and done when the constructor returns: read the head by
+    hand, answer through ``do_GET`` / ``do_POST``, send the whole reply with
+    one ``sendall``. That thread closes the socket.
     """
 
     service: QueryService
@@ -776,7 +724,7 @@ class _ServiceHandler:
     # join) for longer.
     timeout = 30.0
 
-    def __init__(self, request: socket.socket, client_address, server) -> None:
+    def __init__(self, request: socket.socket, client_address) -> None:
         self.connection = request
         self.client_address = client_address
         self.deadline = time.monotonic() + self.timeout
@@ -947,7 +895,7 @@ class _ServiceHandler:
 
 
 class ServiceServer:
-    """Owns the listening socket, the serve loop, and the drain sequence.
+    """Owns the listening socket, the handler threads, and the drain sequence.
 
     Usage (in-process, e.g. tests and the load benchmark)::
 
@@ -972,23 +920,26 @@ class ServiceServer:
         if reuse_port and not hasattr(socket, "SO_REUSEPORT"):
             raise ConfigError("SO_REUSEPORT is not available on this platform")
         self.service = service
-        handler = type("BoundServiceHandler", (_ServiceHandler,), {"service": service})
-        server_cls = type(
-            "BoundServiceHTTPServer", (_ServiceHTTPServer,), {"reuse_port": reuse_port}
+        self._handler = type("BoundServiceHandler", (_ServiceHandler,), {"service": service})
+        # A connection waits for a thread in the backlog: socketserver's 5
+        # drops a burst's SYNs, and each dropped client waits out the kernel's
+        # 1 s retransmit. SO_REUSEPORT lets the pre-forked workers of
+        # repro.service.multiworker share one port.
+        self._listener = socket.create_server(
+            (host, port), backlog=_MAX_HANDLER_THREADS, reuse_port=reuse_port
         )
-        self._http = server_cls((host, port), handler)
-        self._thread: Optional[threading.Thread] = None
-        self._serving = False
-        self._close_lock = threading.Lock()
-        self._closing = False
+        self._address = self._listener.getsockname()[:2]
+        self._state = threading.Condition()
+        self._idle = 0  # handler threads in accept(), or on their way back to it
+        self._draining = False
+        self._threads: List[threading.Thread] = []
         self._closed = threading.Event()
 
     # -- addresses -----------------------------------------------------
     @property
     def address(self) -> Tuple[str, int]:
         """The bound ``(host, port)`` — port is the real one when 0 was asked."""
-        host, port = self._http.server_address[:2]
-        return str(host), int(port)
+        return self._address
 
     @property
     def url(self) -> str:
@@ -997,50 +948,95 @@ class ServiceServer:
 
     # -- serving -------------------------------------------------------
     def serve_forever(self) -> None:
-        """Run the accept loop in the calling thread until the drain starts."""
-        self._serving = True
-        self._http.serve_forever(poll_interval=0.1)
+        """Serve on handler threads; return once a drain has completed."""
+        self.start()
+        self._closed.wait()
 
     def start(self) -> "ServiceServer":
-        """Run the accept loop on a background thread (in-process serving)."""
-        self._serving = True
-        self._thread = threading.Thread(
-            target=self._http.serve_forever, kwargs={"poll_interval": 0.1},
-            name="repro-service", daemon=True,
-        )
-        self._thread.start()
+        """Start the first handler thread (in-process serving)."""
+        with self._state:
+            self._add_thread()
         return self
+
+    def _add_thread(self) -> None:
+        """Start one handler thread; called with ``_state`` held."""
+        self._idle += 1
+        thread = threading.Thread(
+            target=self._accept_loop, name=f"repro-serve_{len(self._threads)}", daemon=True
+        )
+        self._threads.append(thread)
+        thread.start()
+
+    def _accept_loop(self) -> None:
+        """A handler thread: accept a connection, answer it, accept again. A
+        thread that takes the last idle slot starts one more first; past the
+        ceiling a connection waits in the backlog, in accept order."""
+        listener, state = self._listener, self._state
+        while True:
+            try:
+                request, client_address = listener.accept()
+            except OSError:  # draining and the backlog is empty, or the client left
+                request = None
+            with state:
+                self._idle -= 1
+                if self._draining:
+                    state.notify_all()
+                    if request is None:
+                        return
+                elif request is None:
+                    self._idle += 1
+                    continue
+                elif not self._idle and len(self._threads) < _MAX_HANDLER_THREADS:
+                    self._add_thread()
+            try:
+                self._handler(request, client_address)
+            except Exception:  # pragma: no cover - client aborts
+                logger.warning("error handling connection from %s", client_address, exc_info=True)
+            finally:
+                try:
+                    request.shutdown(socket.SHUT_WR)
+                except OSError:  # the client is already gone
+                    pass
+                request.close()
+            with state:
+                self._idle += 1
 
     # -- drain ----------------------------------------------------------
     def request_shutdown(self) -> None:
-        """Signal-safe drain trigger: runs :meth:`close` on a helper thread.
-
-        Needed because a signal handler executes on the main thread — the
-        very thread blocked in ``serve_forever`` — and ``shutdown()`` would
-        deadlock waiting for itself.
-        """
+        """Signal-safe drain trigger: runs :meth:`close` on a helper thread,
+        not inside the handler, which interrupts whatever the main thread
+        was doing."""
         threading.Thread(target=self.close, name="repro-service-drain", daemon=True).start()
 
     def close(self) -> None:
-        """Graceful drain: stop accepting, finish in-flight, flush traces.
-
-        Idempotent and thread-safe; late callers block until the first
-        drain completes.
-        """
-        with self._close_lock:
-            first = not self._closing
-            self._closing = True
+        """Graceful drain: answer every accepted or waiting connection
+        (in-flight ones run to completion, new ones get 503), let every
+        handler thread exit, flush traces. Idempotent and thread-safe; late
+        callers block until the first drain completes."""
+        with self._state:
+            first, self._draining = not self._draining, True  # no thread starts from here
         if not first:
             self._closed.wait()
             return
         logger.info("drain: stopping accept loop")
         self.service.begin_drain()
-        if self._serving:
-            self._http.shutdown()
-        # Returns once every handed-over connection has been answered.
-        self._http.server_close()
-        if self._thread is not None and self._thread is not threading.current_thread():
-            self._thread.join()
+        # Now an accept() returns at once, and one that finds the backlog
+        # empty ends its thread. A thread already asleep in accept() sleeps
+        # through that flag and through close(), and shutdown() of a
+        # listening socket would reset its backlog: a connection wakes it.
+        # Another thread (or, under SO_REUSEPORT, another process) may take
+        # the poke, so poke until none sleeps.
+        self._listener.setblocking(False)
+        with self._state:
+            while self._idle:
+                try:
+                    socket.create_connection(self._address, timeout=1.0).close()
+                except OSError:  # pragma: no cover - a full backlog; poke again
+                    pass
+                self._state.wait(0.05)  # an accept() returning notifies
+        for thread in self._threads:
+            thread.join()
+        self._listener.close()
         self.service.close()
         logger.info("drain: complete")
         self._closed.set()

@@ -555,6 +555,62 @@ class TestConnectionThreads:
             process.stdout.close()
 
 
+def _running(server):
+    return sum(thread.is_alive() for thread in server._threads)
+
+
+def test_a_drain_wakes_the_acceptors_and_answers_the_backlog(monkeypatch):
+    # A thread asleep in accept() sleeps through a non-blocking flag and
+    # through close(): unless the drain wakes it, close() never returns.
+    monkeypatch.setattr("repro.service.server._MAX_HANDLER_THREADS", 3)
+    before = threading.active_count()
+    server = _tiny_server(_ParkedService).start()
+    service, query = server.service, tiny_queries(count=1)[0]
+    outcomes = {}
+
+    def send(slot):
+        try:
+            outcomes[slot] = ServiceClient(server.url, timeout=30.0).query("tiny", query)
+        except ServiceClientError as exc:
+            outcomes[slot] = (exc.status, exc.code)
+
+    try:
+        # Three searches hold the ceiling's three threads; two more
+        # connections wait in the backlog, and no fourth thread starts.
+        first = _in_threads(3, send)
+        _wait_until(lambda: len(service.parked) == 3)
+        backlog = [threading.Thread(target=send, args=(slot,), daemon=True) for slot in (3, 4)]
+        for thread in backlog:
+            thread.start()
+        time.sleep(0.2)
+        assert len(service.parked) == 3 and not outcomes
+        service.release.set()
+        assert _joined(first + backlog)
+        assert all(outcomes[slot]["coverage"] >= 1 for slot in range(5))
+        # Now all three are idle in accept(). Hold two of them again and
+        # drain: the third must be woken and exit at once.
+        _wait_until(lambda: server._idle == 3)
+        service.release.clear()
+        held = [threading.Thread(target=send, args=(slot,), daemon=True) for slot in (5, 6)]
+        for thread in held:
+            thread.start()
+        _wait_until(lambda: len(service.parked) == 7)
+        closer = threading.Thread(target=server.close, daemon=True)
+        closer.start()
+        _wait_until(lambda: _running(server) == 2)
+        assert _running(server) == 2
+        late = _in_threads(1, lambda _: send(7))  # waits in the backlog for a held thread
+        time.sleep(0.2)
+        assert closer.is_alive() and 7 not in outcomes
+        service.release.set()
+        assert _joined(held + late + [closer], timeout=10)
+    finally:
+        service.release.set()
+    assert outcomes[5]["coverage"] >= 1 and outcomes[6]["coverage"] >= 1
+    assert outcomes[7] == (503, "draining")
+    assert threading.active_count() == before
+
+
 class TestOverloadIsAdmissionsDecision:
     """Reused handler threads refuse nothing: below the ceiling every
     connection gets one, and what is turned away is turned away by the gate."""

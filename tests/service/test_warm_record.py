@@ -379,6 +379,36 @@ def test_readers_racing_over_a_small_record_table_get_the_serial_answers():
     service.close()
 
 
+def test_a_retire_walks_the_table_under_the_lock():
+    """``_keep`` inserting while ``_retire_stale`` walks the table: the walk's
+    first version read starts the insert and gives it 0.5 s to land. Under
+    the lock it lands after the walk, in the new table; without it, it lands
+    inside the walk, which raises ``dictionary changed size during
+    iteration``."""
+    service = _service()
+    inserts = []
+
+    class VersionRead:
+        @property
+        def version(self):
+            if not inserts:
+                inserts.append(threading.Thread(target=service._keep, args=("new", record)))
+                inserts[0].start()
+                deadline = time.monotonic() + 0.5
+                while "new" not in service._warm and time.monotonic() < deadline:
+                    time.sleep(0.005)
+            return 1
+
+    entry = types.SimpleNamespace(index_cache=VersionRead())
+    record = types.SimpleNamespace(version=1, entry=entry)
+    service._warm = {"old": record}
+    service._retire_stale()
+    inserts[0].join(10)
+    assert not inserts[0].is_alive()
+    assert list(service._warm) == ["old", "new"]
+    service.close()
+
+
 class TestAWarmRequestReadsNoRegistry:
     @pytest.mark.parametrize("mode", ["count", "cost", "off"])
     def test_no_metric_is_looked_up_by_name_on_a_warm_http_request(self, mode, monkeypatch):

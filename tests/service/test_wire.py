@@ -374,7 +374,7 @@ def test_each_reply_is_one_sendall_with_the_parents_head():
     service = _wire_service(max_in_flight=1, max_queue=0, retry_after_s=2.5)
     server = ServiceServer(service, port=0)
     sends: List[int] = []
-    handler = server._http.RequestHandlerClass
+    handler = server._handler
     init = handler.__init__
     handler.__init__ = lambda self, request, *rest: init(
         self, _CountingSocket(request, sends), *rest

@@ -533,7 +533,8 @@ def design_and_skill_files():
 # the test keeps whatever it checks beyond names.
 # ----------------------------------------------------------------------
 STAYS_DELETED = {
-    # id: (names, module under src/repro, anchor, pasted after it, names the paste must trip)
+    # id: (names, module under src/repro, anchor, pasted after it, names the paste
+    #      must trip[, "module only": the names are banned from that module alone])
     "plan_free_fork": (
         ("use_plans", "no-plan-cache", "plan is None", "plan is not None"),
         "core/dsql.py", FUTURE_IMPORT,
@@ -754,16 +755,29 @@ STAYS_DELETED = {
         "class _ControlHTTPServer(ThreadingHTTPServer):\n    daemon_threads = True\n",
         ("_ControlHTTPServer",),
     ),
+    # The serve loop that accepted on one thread and handed each connection
+    # to an executor's. Banned from its module alone: thread batches still
+    # run on a ThreadPoolExecutor (parallel/executor.py), and
+    # docs/performance.md tells the loop's history.
+    "serve_loop": (
+        ("ThreadPoolExecutor", "_handle_request_noblock", "process_request", "poll_interval"),
+        "service/server.py", "import urllib.parse\n",
+        "from concurrent.futures import ThreadPoolExecutor\n", ("ThreadPoolExecutor",),
+        "module only",
+    ),
 }
 
 
 def assert_stays_deleted(row: str) -> None:
-    """The row's names are gone from every shipped file, and pasting its
-    mutant back is seen."""
-    names, path, anchor, pasted, tripped = STAYS_DELETED[row]
-    offenders = fork_offenders(names, design_and_skill_files())
-    assert not offenders, offenders
+    """The row's names are gone from every shipped file (or from its module,
+    for a row marked so), and pasting its mutant back is seen."""
+    names, path, anchor, pasted, tripped, *module_only = STAYS_DELETED[row]
     text = read(PACKAGE / path)
+    if module_only:
+        offenders = fork_offenders(names, sources={path: text})
+    else:
+        offenders = fork_offenders(names, design_and_skill_files())
+    assert not offenders, offenders
     assert text.count(anchor) == 1, (row, anchor)
     mutant = text.replace(anchor, anchor + pasted)
     assert fork_offenders(names, sources={path: mutant}) == [f"{path}: {n!r}" for n in tripped]
@@ -1511,12 +1525,17 @@ def test_a_pool_is_summed_where_it_lives():
 
 
 # ----------------------------------------------------------------------
-# Fork guard: a connection starts no thread. ``service/server.py`` hands a
-# connection to an executor's reused thread, and so does the multi-worker
-# control plane, which is a ``ServiceServer`` too (its stdlib handler and
-# threading server stay deleted); nothing is computed for an access log
-# that is not there; a declared body length is judged before it is read.
+# Fork guard: a connection starts no thread. In ``service/server.py`` a
+# reused handler thread accepts a connection and answers it, and so does
+# the multi-worker control plane, which is a ``ServiceServer`` too (its
+# stdlib handler and threading server stay deleted, as does the serve loop
+# that handed connections to an executor); nothing is computed for an
+# access log that is not there; a declared body length is judged before it
+# is read.
 # ----------------------------------------------------------------------
+TRANSPORT_ROOT = "_accept_loop"
+
+
 def transport_offenders(sources):
     """What in ``service/server.py`` would put a per-request thread, an
     unconditional ``_query_key`` or an unchecked body read back."""
@@ -1524,15 +1543,28 @@ def transport_offenders(sources):
     banned = ("ThreadingHTTPServer", "ThreadingMixIn")
     offenders = [f"names {name}" for name in banned if name in text]
     functions = {n.name: n for n in nodes(text, ast.FunctionDef, ast.AsyncFunctionDef)}
-    # Reachable by *mention* (a bare name or ``self.name``), not by call: the
-    # worker is passed to ``submit``.
-    reached, frontier = set(), ["process_request"]
+    if TRANSPORT_ROOT not in functions:
+        offenders.append(f"no {TRANSPORT_ROOT} to walk from")
+    # The growth step, the one place the loop may start a thread: the body of
+    # its test of "no idle thread and below the ceiling".
+    growth = {
+        id(inner)
+        for node in nodes(text, ast.If)
+        if all(name in ast.unparse(node.test) for name in ("_idle", "_MAX_HANDLER_THREADS"))
+        for statement in node.body
+        for inner in ast.walk(statement)
+    }
+    # Reachable by *mention* (a bare name or ``self.name``), not by call: a
+    # thread's target is passed, not called.
+    reached, frontier = set(), [TRANSPORT_ROOT]
     while frontier:
         name = frontier.pop()
         if name in reached or name not in functions:
             continue
         reached.add(name)
         for node in ast.walk(functions[name]):
+            if id(node) in growth:
+                continue
             if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("Thread"):
                 offenders.append(f"{name} constructs a thread")
             if isinstance(node, ast.Name):
@@ -1565,6 +1597,7 @@ def test_a_connection_starts_no_thread():
     # Its mutants are rows of GUARD_MUTANTS.
     assert not transport_offenders(guard_sources())
     assert_stays_deleted("control_plane")
+    assert_stays_deleted("serve_loop")
 
 
 # ----------------------------------------------------------------------
@@ -2510,17 +2543,33 @@ GUARD_MUTANTS = {
         "    def neighborhood_signature(", "    def labels_around(",
         ["graph/query_graph.py: neighborhood_signature is not the query's own"],
     ),
-    # The thread-per-connection base pasted back ...
+    # The thread-per-connection server pasted back ...
     "threading_server": (
         "transport", "src/repro/service/server.py",
-        "class _ServiceHTTPServer(HTTPServer):", "class _ServiceHTTPServer(ThreadingHTTPServer):",
+        "        self._listener = socket.create_server(\n",
+        "        self._listener = ThreadingHTTPServer(\n",
         ["names ThreadingHTTPServer"],
     ),
+    # ... an accepted connection answered on a thread of its own ...
     "thread_per_connection": (
         "transport", "src/repro/service/server.py",
-        "        self._handlers.submit(self._serve_connection, request, client_address)\n",
-        "        threading.Thread(target=self._serve_connection, args=(request,)).start()\n",
-        ["process_request constructs a thread"],
+        "                self._handler(request, client_address)\n",
+        "                threading.Thread(target=self._handler, args=(request, client_address))"
+        ".start()\n",
+        [f"{TRANSPORT_ROOT} constructs a thread"],
+    ),
+    # ... a thread started on every accept, idle ones or not ...
+    "growth_beside_idle_threads": (
+        "transport", "src/repro/service/server.py",
+        "                elif not self._idle and len(self._threads) < _MAX_HANDLER_THREADS:\n",
+        "                elif len(self._threads) < _MAX_HANDLER_THREADS:\n",
+        ["_add_thread constructs a thread"],
+    ),
+    # ... the accept loop renamed, which would leave the walk nothing to check ...
+    "transport_root_renamed": (
+        "transport", "src/repro/service/server.py",
+        "    def _accept_loop(self) -> None:\n", "    def _serve_connections(self) -> None:\n",
+        [f"no {TRANSPORT_ROOT} to walk from"],
     ),
     # ... the digest computed for nobody ...
     "query_key_for_nobody": (
@@ -2682,10 +2731,10 @@ def test_a_guard_fails_on_its_mutant(row):
 
 # ----------------------------------------------------------------------
 # Count pins' mutants: an edit of a real module that keeps every answer and
-# moves a count that a runtime test pins. No lint can see one, so this
-# table holds each anchor to its module here, and ``tests/tools/
-# guard_kills.py`` pastes each row into a copy of the tree and runs the
-# row's test there.
+# moves a count that a runtime test pins — or drops a lock that a runtime
+# test holds open a window under. No lint can see one, so this table holds
+# each anchor to its module here, and ``tests/tools/guard_kills.py`` pastes
+# each row into a copy of the tree and runs the row's test there.
 # ----------------------------------------------------------------------
 SINGLE_FRAME_PROLOGUE = (
     "        u, father, is_overlap, cap, backward = self._frames[depth]\n"
@@ -2713,6 +2762,30 @@ COUNT_MUTANTS = {
         SINGLE_FRAME_PROLOGUE + "        last = depth + 1 == self._q\n",
         "        if depth == self._q:\n            return None\n"
         + SINGLE_FRAME_PROLOGUE + "        last = False\n",
+    ),
+    # A drain that never wakes the threads asleep in accept().
+    "drain_wakes_nobody": (
+        "tests/service/test_server.py::test_a_drain_wakes_the_acceptors_and_answers_the_backlog",
+        "src/repro/service/server.py",
+        "            while self._idle:\n",
+        "            while False:\n",
+    ),
+    # A dropped lock: a retire walking the warm table while ``_keep``
+    # inserts into it.
+    "warm_retire_unlocked": (
+        "tests/service/test_warm_record.py::test_a_retire_walks_the_table_under_the_lock",
+        "src/repro/service/server.py",
+        "        with self._warm_lock:\n"
+        "            self._warm = {\n"
+        "                text: record\n"
+        "                for text, record in self._warm.items()\n"
+        "                if record.version == record.entry.index_cache.version\n"
+        "            }\n",
+        "        self._warm = {\n"
+        "            text: record\n"
+        "            for text, record in self._warm.items()\n"
+        "            if record.version == record.entry.index_cache.version\n"
+        "        }\n",
     ),
 }
 

@@ -59,7 +59,7 @@ def mutants(root: Path):
     lint, owners = load_lint(root), stays_deleted_tests(root)
     from tests.guard_tables import HARNESS_ONLY
 
-    for row, (_names, path, anchor, pasted, _tripped) in lint.STAYS_DELETED.items():
+    for row, (_names, path, anchor, pasted, _tripped, *_scope) in lint.STAYS_DELETED.items():
         yield owners[row], f"STAYS_DELETED[{row}]", f"src/repro/{path}", anchor, anchor + pasted
     for row, (_kind, _names, _home, path, anchor, pasted) in HARNESS_ONLY.items():
         yield HARNESS_TEST, f"HARNESS_ONLY[{row}]", f"src/repro/{path}", anchor, anchor + pasted
