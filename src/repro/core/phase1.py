@@ -60,10 +60,20 @@ class Phase1Output:
 def tcand_snapshot(plan, covered: AbstractSet[int], q: int) -> Dict[int, FrozenSet[int]]:
     """``TcandS[u] = candS(u) ∩ V(T)`` for every query node (Alg. 3 line 9).
 
-    Intersects against the set views kept on the plan's pool entries,
-    building no set, at ``O(min(|pool|, |cover|))`` per node.
+    Intersects against the set views kept on the plan's pool entries, at
+    ``O(min(|pool|, |cover|))`` per node; an entry asked for the first
+    time builds its view (:meth:`~repro.indexes.plans.QueryPlan.pool_set`).
     """
     return {u: plan.pool_set(u) & covered for u in range(q)}
+
+
+def level_snapshot(
+    plan, covered: AbstractSet[int], q: int, level: int
+) -> Dict[int, FrozenSet[int]]:
+    """The ``TcandS`` level ``level`` reads: :func:`tcand_snapshot` from
+    level 1 on, and ``{}`` at level 0, whose only ``Qovp`` is empty — no
+    overlap node reads it, so no pool's set view is asked for."""
+    return tcand_snapshot(plan, covered, q) if level else {}
 
 
 def run_phase1(
@@ -140,7 +150,7 @@ def run_phase1(
             try:
                 while True:
                     before = len(state)
-                    tcand = tcand_snapshot(plan, state.covered, q)
+                    tcand = level_snapshot(plan, state.covered, q, level)
                     keep = engine.run_level(level, tcand, on_embedding)
                     if not keep:
                         return Phase1Output(

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, List, Optional
 
 from repro.core.config import DSQLConfig
-from repro.core.phase1 import Phase1Output, tcand_snapshot
+from repro.core.phase1 import Phase1Output, level_snapshot
 from repro.core.search import LevelSearchEngine
 from repro.core.state import SearchStats
 from repro.coverage.core import CoverageTracker
@@ -109,8 +109,9 @@ def run_phase2(
         instrumentation=instrumentation,
         query_id=query_id,
     )
-    # TcandS comes from T1 for the entire phase (Algorithm 5 line 5).
-    tcand = tcand_snapshot(plan or candidates.plan, t1_cover, q)
+    # TcandS comes from T1 for the entire phase (Algorithm 5 line 5), taken
+    # at the phase's first level that reads it.
+    tcand = {}
 
     out = Phase2Output(
         embeddings=list(phase1.state.embeddings), coverage=tracker.coverage
@@ -161,6 +162,7 @@ def run_phase2(
             if instr is not None:
                 level_start_ms = instr.level_start("phase2", level, query_id)
                 level_exp = stats.nodes_expanded
+            tcand = tcand or level_snapshot(plan or candidates.plan, t1_cover, q, level)
             try:
                 keep = engine.run_level(level, tcand, on_embedding)
             finally:

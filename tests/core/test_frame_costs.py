@@ -406,3 +406,52 @@ def test_no_single_frame_is_entered_at_depth_q(workload, monkeypatch):
     results = [DSQL(graph, CONFIG).query(query) for query in queries]
     assert all(result.embeddings for result in results)
     assert below_q[1] > 100 and min(below_q) == 1
+
+
+def test_a_level_zero_search_asks_no_pool_for_a_snapshot(workload, monkeypatch):
+    """(k) ``TcandS`` (Alg. 3 line 9) is read by a level's overlap nodes only,
+    and level 0 has none. So, from a fresh index cache where no pool entry
+    has a set view yet, a search that stays at level 0 asks no pool for a
+    snapshot: its views are built by the first real membership question (a
+    localized list or a conflict set). Phase 1 takes one snapshot per sweep
+    of a level ≥ 1, and Phase 2 takes T1's once, at its first level ≥ 1."""
+    graph, queries = workload
+    snapshots, askers, sweeps = Counter(), Counter(), []
+
+    def spied_pool_set(self, u):
+        callers = {sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name}
+        if "tcand_snapshot" in callers:
+            snapshots[u] += 1
+        else:
+            askers[sys._getframe(1).f_code.co_name] += 1
+        return real_pool_set(self, u)
+
+    def spied_run_level(self, level, tcand, on_embedding):
+        sweeps.append((self, level))
+        return real_run_level(self, level, tcand, on_embedding)
+
+    real_pool_set, real_run_level = plans_module.QueryPlan.pool_set, LevelSearchEngine.run_level
+    monkeypatch.setattr(plans_module.QueryPlan, "pool_set", spied_pool_set)
+    monkeypatch.setattr(LevelSearchEngine, "run_level", spied_run_level)
+    level_zero = phase2_only = deeper = 0
+    for objective in ("vertex", "weighted-vertex"):
+        config = dataclasses.replace(CONFIG, k=2, objective=objective, query_cache_size=0)
+        session = DSQL(graph, config)
+        for query in queries:
+            snapshots.clear()
+            askers.clear()
+            del sweeps[:]
+            result = session.query(query)
+            phase1 = [level for engine, level in sweeps if engine is sweeps[0][0]]
+            phase2 = [level for engine, level in sweeps if engine is not sweeps[0][0]]
+            taken = sum(level > 0 for level in phase1) + any(level > 0 for level in phase2)
+            assert sum(snapshots.values()) == taken * query.size
+            if max(phase1 + phase2) == 0:
+                assert result.level == 0 and not snapshots
+                assert set(askers) <= {"localized", "_conflict_set"}
+                level_zero += 1
+            elif max(phase1) == 0:
+                phase2_only += 1
+            else:
+                deeper += 1
+    assert level_zero >= 6 and phase2_only and deeper

@@ -2763,6 +2763,13 @@ COUNT_MUTANTS = {
         "        if depth == self._q:\n            return None\n"
         + SINGLE_FRAME_PROLOGUE + "        last = False\n",
     ),
+    # A cover snapshot taken again for level 0, which no overlap node reads.
+    "level_zero_snapshot": (
+        "tests/core/test_frame_costs.py::test_a_level_zero_search_asks_no_pool_for_a_snapshot",
+        "src/repro/core/phase1.py",
+        "    return tcand_snapshot(plan, covered, q) if level else {}\n",
+        "    return tcand_snapshot(plan, covered, q)\n",
+    ),
     # A drain that never wakes the threads asleep in accept().
     "drain_wakes_nobody": (
         "tests/service/test_server.py::test_a_drain_wakes_the_acceptors_and_answers_the_backlog",
