@@ -41,13 +41,10 @@ from repro.cost.calibration import (
 )
 from repro.cost.estimator import (
     DEFAULT_AUTO_BUDGET_FLOOR_MS,
-    DEFAULT_AUTO_BUDGET_HEADROOM,
-    DEFAULT_FRONTIER_CAP,
     DEFAULT_K,
     DEFAULT_WORK_UNIT_RATE,
     CostEstimate,
     CostEstimator,
-    CostProfile,
     derive_time_budget_ms,
     raw_cost_profile,
     raw_expansions,
@@ -56,7 +53,6 @@ from repro.cost.estimator import (
 __all__ = [
     "CostEstimate",
     "CostEstimator",
-    "CostProfile",
     "CalibrationState",
     "EwmaCalibration",
     "raw_cost_profile",
@@ -65,8 +61,6 @@ __all__ = [
     "save_calibration",
     "load_calibration",
     "DEFAULT_K",
-    "DEFAULT_FRONTIER_CAP",
     "DEFAULT_WORK_UNIT_RATE",
     "DEFAULT_AUTO_BUDGET_FLOOR_MS",
-    "DEFAULT_AUTO_BUDGET_HEADROOM",
 ]

@@ -42,15 +42,12 @@ from repro.cost.calibration import CalibrationState, EwmaCalibration
 __all__ = [
     "CostEstimate",
     "CostEstimator",
-    "CostProfile",
     "raw_cost_profile",
     "raw_expansions",
     "derive_time_budget_ms",
     "DEFAULT_K",
-    "DEFAULT_FRONTIER_CAP",
     "DEFAULT_WORK_UNIT_RATE",
     "DEFAULT_AUTO_BUDGET_FLOOR_MS",
-    "DEFAULT_AUTO_BUDGET_HEADROOM",
 ]
 
 DEFAULT_K = 40
@@ -147,7 +144,7 @@ class CostEstimate:
         }
 
 
-def raw_cost_profile(plan, cache, frontier_cap: float = DEFAULT_FRONTIER_CAP) -> CostProfile:
+def raw_cost_profile(plan, cache) -> CostProfile:
     """The ``k``-independent cost profile of a compiled plan.
 
     If any candidate pool is empty the profile is marked ``empty``: the
@@ -197,7 +194,7 @@ def raw_cost_profile(plan, cache, frontier_cap: float = DEFAULT_FRONTIER_CAP) ->
             survive *= min(1.0, mean_deg[u] * mean_deg[w] / two_m)
         branch = row * survive
         charges += frames * row
-        frames = min(frames * branch, frontier_cap)
+        frames = min(frames * branch, DEFAULT_FRONTIER_CAP)
         embeddings = min(embeddings * branch, _EMBEDDING_CAP)
         per_depth.append(frames)
 
@@ -255,12 +252,11 @@ class CostEstimator:
     sharing the graph also shares the calibration state.
     """
 
-    __slots__ = ("_cache", "_calibration", "_frontier_cap", "_metrics", "_metrics_name")
+    __slots__ = ("_cache", "_calibration", "_metrics", "_metrics_name")
 
-    def __init__(self, cache, frontier_cap: float = DEFAULT_FRONTIER_CAP) -> None:
+    def __init__(self, cache) -> None:
         self._cache = cache
         self._calibration = EwmaCalibration()
-        self._frontier_cap = frontier_cap
         self._metrics = None
         self._metrics_name: Optional[str] = None
 
@@ -295,7 +291,7 @@ class CostEstimator:
         return estimate
 
     def _build_profile(self, plan) -> CostProfile:
-        return raw_cost_profile(plan, self._cache, self._frontier_cap)
+        return raw_cost_profile(plan, self._cache)
 
     # -- calibration ---------------------------------------------------
     def observe(self, estimate: CostEstimate, actual_expansions: float) -> None:
@@ -347,8 +343,6 @@ class CostEstimator:
 def derive_time_budget_ms(
     estimate: CostEstimate,
     work_unit_rate: float,
-    floor_ms: float = DEFAULT_AUTO_BUDGET_FLOOR_MS,
-    headroom: float = DEFAULT_AUTO_BUDGET_HEADROOM,
 ) -> float:
     """Auto-derived deadline for one query, in milliseconds.
 
@@ -361,4 +355,4 @@ def derive_time_budget_ms(
     if work_unit_rate <= 0:
         raise ValueError(f"work_unit_rate must be positive, got {work_unit_rate}")
     upper = max(estimate.upper, estimate.work_units)
-    return max(float(floor_ms), headroom * upper / work_unit_rate)
+    return max(DEFAULT_AUTO_BUDGET_FLOOR_MS, DEFAULT_AUTO_BUDGET_HEADROOM * upper / work_unit_rate)

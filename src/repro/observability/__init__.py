@@ -29,7 +29,6 @@ from contextlib import contextmanager, nullcontext
 from typing import Iterator, Optional, Tuple
 
 from repro.observability.metrics import (
-    DEFAULT_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -199,8 +198,6 @@ __all__ = [
     "ListSink",
     "Instrumentation",
     "TRACE_EVENT_SCHEMA",
-    "DEFAULT_BUCKETS",
-    "EXPANSION_BUCKETS",
     "validate_event",
     "read_jsonl",
     "configure_logging",

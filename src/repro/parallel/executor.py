@@ -474,6 +474,5 @@ class BatchExecutor:
 __all__ = [
     "STRATEGIES",
     "BatchExecutor",
-    "ExecutorReport",
     "default_jobs",
 ]

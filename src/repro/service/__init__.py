@@ -57,7 +57,6 @@ Endpoints, JSON schemas, and admission-control knobs are documented in
 
 from repro.service.accesslog import AccessLog, read_access_log
 from repro.service.admission import (
-    ADMISSION_MODES,
     AdmissionController,
     ClientQuotas,
     NullAdmissionController,
@@ -74,7 +73,6 @@ from repro.service.schemas import (
     ServiceError,
     mutation_to_json,
     parse_batch_request,
-    parse_edge_mutation,
     parse_ingest_request,
     parse_json_body,
     parse_query_request,
@@ -86,7 +84,6 @@ from repro.service.multiworker import MultiWorkerServer
 from repro.service.server import QueryService, ServiceServer
 
 __all__ = [
-    "ADMISSION_MODES",
     "AccessLog",
     "AdmissionController",
     "ClientQuotas",
@@ -109,7 +106,6 @@ __all__ = [
     "BATCH_STRATEGIES",
     "parse_query_request",
     "parse_batch_request",
-    "parse_edge_mutation",
     "parse_ingest_request",
     "mutation_to_json",
     "parse_json_body",
