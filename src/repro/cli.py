@@ -298,7 +298,7 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
         "--jobs",
         type=int,
         default=None,
-        help="worker count for thread/process strategies (default: available CPUs)",
+        help="worker count for the process strategy (default: available CPUs)",
     )
     parser.add_argument(
         "--time-budget-ms",

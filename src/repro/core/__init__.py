@@ -2,8 +2,8 @@
 
 from repro.core.config import VARIANTS, DSQLConfig, variant_config
 from repro.core.dsql import DSQL, diversified_search
-from repro.core.phase1 import Phase1Output, run_phase1, tcand_snapshot
-from repro.core.phase2 import Phase2Output, run_phase2
+from repro.core.phase1 import run_phase1, tcand_snapshot
+from repro.core.phase2 import run_phase2
 from repro.core.result import DSQResult
 from repro.core.search import LevelSearchEngine
 from repro.core.state import SearchStats, SolutionState
@@ -18,8 +18,6 @@ __all__ = [
     "SearchStats",
     "SolutionState",
     "LevelSearchEngine",
-    "Phase1Output",
-    "Phase2Output",
     "run_phase1",
     "run_phase2",
     "tcand_snapshot",

@@ -9,8 +9,6 @@ from repro.datasets.labels import (
     zipf_labels,
 )
 from repro.datasets.registry import (
-    PROFILES,
-    DatasetProfile,
     dataset_names,
     get_profile,
     make_dataset,
@@ -34,8 +32,6 @@ __all__ = [
     "uniform_labels",
     "zipf_labels",
     "relabel_to_density",
-    "PROFILES",
-    "DatasetProfile",
     "dataset_names",
     "get_profile",
     "make_dataset",

@@ -9,9 +9,6 @@ from repro.experiments.report import (
     summary_row,
 )
 from repro.experiments.paper import (
-    EmbeddingCountRow,
-    StrategyOutcome,
-    Table4Result,
     ablation,
     run_com,
     run_dsql,
@@ -22,7 +19,6 @@ from repro.experiments.paper import (
     table4_strategies,
 )
 from repro.experiments.runner import (
-    Solver,
     SolverOutcome,
     com_solver,
     dsql_solver,
@@ -45,9 +41,6 @@ from repro.experiments.workloads import (
 
 __all__ = [
     "QueryRecord",
-    "EmbeddingCountRow",
-    "StrategyOutcome",
-    "Table4Result",
     "run_dsql",
     "run_com",
     "table2_counts",
@@ -62,7 +55,6 @@ __all__ = [
     "render_summaries",
     "summary_row",
     "SUMMARY_HEADERS",
-    "Solver",
     "SolverOutcome",
     "run_batch",
     "dsql_solver",

@@ -9,7 +9,6 @@ from repro.graph.labeled_graph import (
 )
 from repro.graph.query_graph import QueryGraph
 from repro.graph.statistics import (
-    GraphStatistics,
     compute_statistics,
     degree_histogram,
     label_histogram,
@@ -30,7 +29,6 @@ __all__ = [
     "QueryGraph",
     "GraphBuilder",
     "relabel",
-    "GraphStatistics",
     "compute_statistics",
     "degree_histogram",
     "label_histogram",

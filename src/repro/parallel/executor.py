@@ -1,18 +1,13 @@
 """Batch executor: fan a query stream out over a worker pool.
 
 :class:`BatchExecutor` answers a batch of queries against one
-:class:`~repro.core.dsql.DSQL` session using one of three strategies:
+:class:`~repro.core.dsql.DSQL` session using one of two strategies:
 
 ``serial``
-    Exactly ``session.query_many`` — the reference semantics.
-``thread``
-    A :class:`~concurrent.futures.ThreadPoolExecutor` sharing the session
-    directly. Every worker reads the same pinned
-    :class:`~repro.indexes.graph_cache.GraphIndexCache` (whose candidate-pool
-    memo is internally locked); per-query search state is worker-local.
-    Useful when the workload is I/O-interleaved; the search itself is pure
-    Python and holds the GIL, so on search-bound batches it degrades
-    gracefully to roughly serial throughput.
+    Exactly ``session.query_many`` — the reference semantics. The search is
+    pure Python and holds the GIL, so threads cannot run it in parallel (a
+    two-thread pool answered batches 1.2-1.3x slower than this path, and
+    was removed; see docs/performance.md).
 ``process``
     A persistent :class:`~repro.parallel.pool.WorkerPool`, created lazily on
     the first process batch and **reused for every batch after it until the
@@ -27,8 +22,8 @@
     stay truthful.
 
 Whatever the strategy, ``run`` returns results **in input order and
-bit-identical to serial** ``session.query_many(queries)``: the parallel
-strategies ask the session which distinct query structures its memo lacks,
+bit-identical to serial** ``session.query_many(queries)``: a process batch
+asks the session which distinct query structures its memo lacks,
 search those on a worker, then replay the batch in order through the
 session's own memo step (:meth:`DSQL._memo_answer`) — ``compute`` hands
 back the worker's result, or searches here when there is none — so LRU
@@ -51,24 +46,24 @@ replacement still refuses goes down the same serial path, as does a chunk a
 worker refuses for being of another graph version than its copy. Wedges are
 bounded the same way crashes are: chunk waits carry a generous timeout
 (:attr:`BatchExecutor.pool_timeout_s`), and a pool that produces nothing
-inside it — every worker stuck — is killed and its chunks re-run serially. Platforms without a multiprocessing start
-method fall back to in-process execution (counted as retried chunks).
+inside it — every worker stuck — is killed and its chunks re-run
+serially. Platforms without a multiprocessing start method fall back to
+in-process execution (counted as retried chunks).
 
 Executors owning a process pool own worker processes; call
 :meth:`BatchExecutor.close` (or use the executor as a context manager) when
-done. Serial/thread executors hold nothing and need no teardown.
+done. Serial executors hold nothing and need no teardown.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.config import DSQLConfig
 from repro.core.dsql import DSQL
@@ -78,8 +73,12 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.parallel.pool import WorkerPool
 
-STRATEGIES = ("serial", "thread", "process")
+STRATEGIES = ("serial", "process")
 """Supported execution strategies, in escalating-isolation order."""
+
+# Accepted for the frozen perfbench harness, whose parallel probe still
+# passes it: the removed thread strategy, now an alias of serial.
+_SERIAL_ALIAS = "thread"
 
 logger = logging.getLogger("repro.parallel")
 
@@ -109,7 +108,7 @@ class ExecutorReport:
     whose worker failed and which were re-run serially in the parent.
     ``per_worker`` holds ``(pid, searches)`` rows for process batches —
     which worker answered how many distinct queries — and is empty for the
-    serial and thread strategies.
+    serial strategy.
     """
 
     strategy: str
@@ -122,7 +121,7 @@ class ExecutorReport:
 
 
 class BatchExecutor:
-    """Answer query batches over a thread/process pool, serially reproducible.
+    """Answer query batches, serially or over a process pool, reproducibly.
 
     Parameters
     ----------
@@ -156,6 +155,8 @@ class BatchExecutor:
         jobs: Optional[int] = None,
         chunk_size: Optional[int] = None,
     ) -> None:
+        if strategy == _SERIAL_ALIAS:
+            strategy = "serial"
         if strategy not in STRATEGIES:
             raise ConfigError(
                 f"unknown strategy {strategy!r}; choose from {list(STRATEGIES)}"
@@ -336,17 +337,8 @@ class BatchExecutor:
         # expensive one-off index build is shared rather than raced/duplicated
         # (pool workers start from its signature table).
         session.graph.index_cache()
-        if self.strategy == "thread":
-            items = list(need.items())
-            chunks = self._chunk(items)
-
-            def run_chunk(chunk):
-                return [(key, session.query(query)) for key, query in chunk]
-
-            return self._dispatch_threads(chunks, run_chunk)
-
-        # process strategy: ship (labels, edges) payloads to the persistent
-        # pool, whose workers hold warm sessions over their own copies.
+        # Ship (labels, edges) payloads to the persistent pool, whose
+        # workers hold warm sessions over their own copies.
         items = [
             (key, list(query.labels), list(query.edges()))
             for key, query in need.items()
@@ -446,29 +438,6 @@ class BatchExecutor:
                 instr.metrics.merge_counters(counters)
         self._per_worker = tuple(sorted(per_worker.items()))
         return results, failed
-
-    def _dispatch_threads(
-        self, chunks: List[List], worker: Callable
-    ) -> Tuple[Dict[Key, DSQResult], int, int]:
-        """Submit chunks to a thread pool, re-running failed chunks serially."""
-        results: Dict[Key, DSQResult] = {}
-        failed: List[List] = []
-        workers = min(self.jobs, len(chunks))
-        with ThreadPoolExecutor(workers) as tp:
-            futures = [(tp.submit(worker, chunk), chunk) for chunk in chunks]
-            for future, chunk in futures:
-                try:
-                    results.update(future.result())
-                except Exception:
-                    logger.warning(
-                        "worker chunk of %d queries failed; retrying serially",
-                        len(chunk),
-                        exc_info=True,
-                    )
-                    failed.append(chunk)
-        for chunk in failed:
-            results.update(worker(chunk))
-        return results, len(chunks), len(failed)
 
 
 __all__ = [

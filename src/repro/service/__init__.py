@@ -66,7 +66,6 @@ from repro.service.admission import (
 from repro.service.catalog import CatalogEntry, GraphCatalog, build_catalog
 from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.schemas import (
-    BATCH_STRATEGIES,
     BatchRequest,
     MutationRequest,
     QueryRequest,
@@ -103,7 +102,6 @@ __all__ = [
     "QueryRequest",
     "BatchRequest",
     "MutationRequest",
-    "BATCH_STRATEGIES",
     "parse_query_request",
     "parse_batch_request",
     "parse_ingest_request",

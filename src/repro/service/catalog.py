@@ -19,18 +19,17 @@ lives:
   (``"name=path"``, edge-list or JSON format).
 
 Concurrency discipline: ``DSQL.query`` is thread-safe (worker-local search
-state over a lock-protected shared pool memo — the ``thread`` strategy of
-:class:`~repro.parallel.executor.BatchExecutor` relies on this already),
-and the ``query_many`` result memo carries its own lock
-(``DSQL._memo_answer``: look up under it, search outside it, store under
-it), so the entry adds none: a point query and a batch on the same graph
-share only the read lock below and the memo's microsecond sections.
-Concurrent first requests for the same structure may both search
-(deterministic search makes both results identical). A batch gets a
-:class:`~repro.parallel.executor.BatchExecutor` for the call — a
-``process`` batch (Python API only; the wire refuses it) starts its workers
-and stops them before :meth:`CatalogEntry.answer_batch` returns; a caller
-that wants a warm pool holds a ``BatchExecutor`` itself.
+state over a lock-protected shared pool memo), and the ``query_many``
+result memo carries its own lock (``DSQL._memo_answer``: look up under it,
+search outside it, store under it), so the entry adds none: a point query
+and a batch on the same graph share only the read lock below and the
+memo's microsecond sections. Concurrent first requests for the same
+structure may both search (deterministic search makes both results
+identical). A batch gets a :class:`~repro.parallel.executor.BatchExecutor`
+for the call — a ``process`` batch (Python API only; the wire sends serial
+batches) starts its workers and stops them before
+:meth:`CatalogEntry.answer_batch` returns; a caller that wants a warm pool
+holds a ``BatchExecutor`` itself.
 
 Live mutation discipline: every entry also owns a reader-writer lock.
 Queries run as readers (many at once); :meth:`CatalogEntry.mutate` is the

@@ -108,8 +108,6 @@ class ServiceClient:
         k: Optional[int] = None,
         alpha: Optional[float] = None,
         time_budget_ms: Optional[float] = None,
-        strategy: Optional[str] = None,
-        jobs: Optional[int] = None,
         objective: Optional[str] = None,
     ) -> Dict[str, object]:
         """``POST /v1/batch``; returns the batch body with ``results`` in order."""

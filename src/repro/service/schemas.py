@@ -54,15 +54,6 @@ MAX_INGEST_OPS = 100_000
 MUTATION_OP_KINDS = ("add_vertex", "add_edge", "remove_edge")
 """Op kinds accepted by the ingest endpoint, in wire order."""
 
-BATCH_STRATEGIES = ("serial", "thread")
-"""Batch strategies the service accepts.
-
-The ``process`` strategy of :class:`~repro.parallel.executor.BatchExecutor`
-is deliberately excluded: forking from a multi-threaded HTTP server can
-deadlock in the children (only the forking thread survives the fork while
-locks keep their state), so the service offers the fork-free subset.
-"""
-
 
 class ServiceError(ReproError):
     """A request failure with an HTTP status and a stable error code.
@@ -132,8 +123,6 @@ class BatchRequest:
     k: Optional[int] = None
     alpha: Optional[float] = None
     time_budget_ms: Optional[float] = None
-    strategy: str = "serial"
-    jobs: Optional[int] = None
     objective: Optional[str] = None
 
 
@@ -228,7 +217,7 @@ class FieldSpec:
     endpoint reports errors) with the checker :data:`_CHECKERS` holds for
     ``kind``, against ``bound`` (a minimum, a length limit or the accepted
     values), raising ``code``. An optional field that is absent or ``null``
-    takes ``default``; a ``required`` field is checked either way.
+    is ``None``; a ``required`` field is checked either way.
     ``config`` is the ``DSQLConfig`` field the value overrides; ``client``
     is whether ``ServiceClient`` sends the field.
     """
@@ -238,10 +227,8 @@ class FieldSpec:
     code: str = "invalid_request"
     bound: object = None
     required: bool = False
-    default: object = None
     config: Optional[str] = None
     client: bool = True
-    hint: str = ""
 
     def refuse(self, what: str) -> ServiceError:
         return ServiceError(400, self.code, f"{self.name!r} {what}")
@@ -274,7 +261,7 @@ def _check_number(field: FieldSpec, value: object) -> float:
 
 def _check_choice(field: FieldSpec, value: object) -> str:
     if not isinstance(value, str) or value not in field.bound:
-        raise field.refuse(f"must be one of {list(field.bound)}, got {value!r}{field.hint}")
+        raise field.refuse(f"must be one of {list(field.bound)}, got {value!r}")
     return value
 
 
@@ -352,13 +339,8 @@ QUERY_SPEC = (
 )
 BATCH_SPEC = (
     FieldSpec("queries", "queries", bound=MAX_BATCH_QUERIES, required=True),
-    FieldSpec(
-        "strategy", "choice", bound=BATCH_STRATEGIES, default="serial",
-        hint=" (the fork-based 'process' strategy is not offered by the service)",
-    ),
     _GRAPH,
     *_OVERRIDES,
-    FieldSpec("jobs", "int", bound=1),
     _OBJECTIVE,
 )
 # The mutation bodies: the graph is named by the request path.
@@ -382,9 +364,7 @@ def _parse(
     values = {}
     for field in spec:
         value = payload.get(field.name)
-        if value is None and not field.required:
-            value = field.default
-        else:
+        if value is not None or field.required:
             value = _CHECKERS[field.kind](field, value)
         values[field.name] = value
     return values

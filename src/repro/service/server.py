@@ -334,10 +334,11 @@ class QueryService:
         """``(probe, handler)`` for a POST path — the one place it is resolved.
 
         ``probe(payload)`` parses and prices the request before any gate;
-        ``handler(payload, probe)`` answers it. Per-graph routes are
-        ``/v1/graphs/{g}/edges`` and ``/v1/graphs/{g}/ingest``: the graph
-        name is one percent-decodable path segment (names like ``dblp@0.05``
-        pass through verbatim); anything else is the caller's 404.
+        ``handler(probe)`` answers it from the probe alone (the probe holds
+        the parsed request). Per-graph routes are ``/v1/graphs/{g}/edges``
+        and ``/v1/graphs/{g}/ingest``: the graph name is one
+        percent-decodable path segment (names like ``dblp@0.05`` pass
+        through verbatim); anything else is the caller's 404.
         """
         if path == "/v1/query":
             return self._probe_query, self.handle_query
@@ -439,7 +440,7 @@ class QueryService:
         return _Probe(self.catalog.get(graph), request)
 
     # -- endpoint bodies -----------------------------------------------
-    def handle_query(self, payload: Dict[str, object], probe: _Probe) -> Dict[str, object]:
+    def handle_query(self, probe: _Probe) -> Dict[str, object]:
         """``POST /v1/query``: one diversified top-k answer; a memo hit (keyed
         under the read lock, at the current version) replies from the record."""
         entry, request, config, record, wire = (
@@ -455,13 +456,11 @@ class QueryService:
         answer["estimated_cost"] = dict(wire)
         return answer
 
-    def handle_batch(self, payload: Dict[str, object], probe: _Probe) -> Dict[str, object]:
-        """``POST /v1/batch``: a query batch through the parallel executor."""
+    def handle_batch(self, probe: _Probe) -> Dict[str, object]:
+        """``POST /v1/batch``: a query batch, answered serially in input order."""
         entry, request, config = probe.entry, probe.request, probe.config
         start = time.perf_counter()
-        results, report = entry.answer_batch(
-            request.queries, config, strategy=request.strategy, jobs=request.jobs
-        )
+        results, report = entry.answer_batch(request.queries, config)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         for estimate, result in zip(probe.estimates, results):
             entry.observe_cost(estimate, result, config)
@@ -485,7 +484,7 @@ class QueryService:
         body["estimated_cost"] = probe.wire
         return body
 
-    def handle_mutation(self, payload: Dict[str, object], probe: _Probe) -> Dict[str, object]:
+    def handle_mutation(self, probe: _Probe) -> Dict[str, object]:
         """``POST /v1/graphs/{g}/edges`` (one edge add/remove) and
         ``/v1/graphs/{g}/ingest`` (a batch as one write): serialize through
         the entry, encode."""
@@ -608,7 +607,7 @@ class QueryService:
                     ),
                 )
             try:
-                body, status = handler(payload, probe), 200
+                body, status = handler(probe), 200
             finally:
                 self.admission.release(ticket)
         except ServiceError as exc:

@@ -331,7 +331,8 @@ def test_a_frame_costs_its_candidates_not_itself(workload, objective):
     # The storage's sets are fetched on a memo miss and, once per engine,
     # for the query's own CT(u, *) — never to test a candidate.
     engines = 2 * sum(query.size for query in queries)
-    assert calls["labeled_graph.py", "neighbor_set"] <= calls["candidates.py", "localized"] + engines
+    fetched = calls["labeled_graph.py", "neighbor_set"]
+    assert fetched <= calls["candidates.py", "localized"] + engines
 
 
 def test_without_localization_the_neighbor_set_decides(workload, monkeypatch):

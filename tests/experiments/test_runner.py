@@ -97,6 +97,7 @@ class TestRunBatch:
 class TestRunExecutorBatch:
     @pytest.mark.parametrize("strategy", ["serial", "thread"])
     def test_matches_run_batch_measurements(self, setting, strategy):
+        """``thread`` is the benchmark harness's alias of serial."""
         graph, queries = setting
         config = DSQLConfig(k=3)
         serial = run_batch(graph, queries, dsql_solver(config), label="serial")
@@ -115,7 +116,7 @@ class TestRunExecutorBatch:
     def test_memo_marks_duplicates(self, setting):
         graph, queries = setting
         summary = run_executor_batch(
-            graph, queries + queries, DSQLConfig(k=3), strategy="thread", jobs=2
+            graph, queries + queries, DSQLConfig(k=3), strategy="process", jobs=2
         )
         assert summary.cache_hits == len(queries)
 

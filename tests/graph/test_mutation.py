@@ -305,14 +305,17 @@ class TestCSROverlayAndCompaction:
         from repro.service.schemas import ServiceError, parse_ingest_request
 
         with pytest.raises(ServiceError) as exc:
-            parse_ingest_request("g", {"ops": [["add_edge", 1, 3]], "compaction_threshold": threshold})
+            parse_ingest_request(
+                "g", {"ops": [["add_edge", 1, 3]], "compaction_threshold": threshold}
+            )
         assert exc.value.status == 400 and "compaction_threshold" in exc.value.message
         g = small_graph()
         g.index_cache()
         g.add_edge(0, 2)
         (epoch, seq), plans = g.version, g.index_cache().plan_cache
         assert g.mutate([], compaction_threshold=threshold) == (0, (epoch, seq))
-        assert g.mutate([("add_edge", 1, 3)], compaction_threshold=threshold) == (1, (epoch, seq + 1))
+        summary = g.mutate([("add_edge", 1, 3)], compaction_threshold=threshold)
+        assert summary == (1, (epoch, seq + 1))
         assert g.index_cache().plan_cache is plans
 
 
@@ -395,7 +398,9 @@ class TestReplay:
         repair = GraphIndexCache.apply_delta
         with monkeypatch.context() as patch:
             patch.setattr(
-                GraphIndexCache, "apply_delta", lambda cache, ops: calls.append(1) or repair(cache, ops)
+                GraphIndexCache,
+                "apply_delta",
+                lambda cache, ops: calls.append(1) or repair(cache, ops),
             )
             whole.mutate(self.TAIL_OPS)
         assert calls == [1]  # one repair pass for the six ops

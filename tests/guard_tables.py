@@ -123,6 +123,14 @@ HARNESS_ONLY = {
         "src/repro/cli.py", "            body = client.ingest(args.graph, ops)\n",
         '            compacted = body.get("compacted")\n', ["cli.py:{line}: response compacted"],
     ),
+    # The removed thread batch strategy, accepted as an alias of serial.
+    "BatchExecutor thread alias": (
+        "string", ("thread",), ("parallel/executor.py",), "harness",
+        "src/repro/service/server.py",
+        "        results, report = entry.answer_batch(request.queries, config)\n",
+        '        entry.answer_batch(request.queries, config, strategy="thread")\n',
+        ["service/server.py:{line}: BatchExecutor thread alias"],
+    ),
 }
 
 

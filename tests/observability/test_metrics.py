@@ -208,6 +208,7 @@ class TestThreadSafety:
             reg.counter("x")
 
     def test_thread_strategy_batch_flushes_consistently(self, imdb_small):
+        """``thread``, the benchmark harness's alias, flushes a serial batch."""
         from repro.parallel.executor import BatchExecutor
 
         graph, query = imdb_small
@@ -216,6 +217,7 @@ class TestThreadSafety:
         executor = BatchExecutor(session, strategy="thread", jobs=2)
         results = executor.run([query] * 6)
         assert len(results) == 6
+        assert executor.last_report.strategy == "serial"
         snap = instr.metrics.snapshot()
         assert snap["executor.queries"] == 6
         # One distinct structure: one real search, five memo replays.

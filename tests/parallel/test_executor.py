@@ -53,8 +53,10 @@ class TestSerialReproducibility:
     @pytest.mark.parametrize("dataset", dataset_names())
     @pytest.mark.parametrize("strategy", ["serial", "thread"])
     def test_matches_serial(self, dataset, strategy):
+        """``thread`` is the benchmark harness's alias: it runs the serial path."""
         graph, queries = _workload(dataset)
-        _assert_matches_serial(graph, queries, strategy)
+        executor = _assert_matches_serial(graph, queries, strategy)
+        assert executor.strategy == executor.last_report.strategy == "serial"
 
     @pytest.mark.slow
     @pytest.mark.parametrize("dataset", dataset_names())
@@ -73,12 +75,12 @@ class TestSerialReproducibility:
 
     def test_small_chunks(self):
         graph, queries = _workload("dblp")
-        executor = _assert_matches_serial(graph, queries, "thread", chunk_size=1)
+        executor = _assert_matches_serial(graph, queries, "process", chunk_size=1)
         assert executor.last_report.chunks == executor.last_report.searches
 
     def test_reports_memo_replay(self):
         graph, queries = _workload("dblp")
-        executor = _assert_matches_serial(graph, queries, "thread")
+        executor = _assert_matches_serial(graph, queries, "process")
         report = executor.last_report
         assert report.batch == len(queries)
         # The duplicated tail must be served by replay, not re-searched.
@@ -109,7 +111,7 @@ class TestMemoMirrorLRU:
 
         session = DSQL(graph, config=DSQLConfig(k=K, query_cache_size=2))
         session.query_many([a, b])  # warm the memo: LRU order [A, B]
-        with BatchExecutor(session, strategy="thread", jobs=2) as executor:
+        with BatchExecutor(session, strategy="process", jobs=2) as executor:
             results = executor.run(batch)
 
         assert [r.to_dict() for r in results] == ref_dicts
@@ -117,7 +119,7 @@ class TestMemoMirrorLRU:
         assert session.stats.query_cache_hits == ref_session.stats.query_cache_hits
         assert session.stats.query_cache_misses == ref_session.stats.query_cache_misses
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("strategy", ["serial", "thread", "process"])
     @pytest.mark.parametrize("cap, searches", [(0, 4), (2, 4), (None, 2)])
     def test_run_is_serial_query_many_on_a_warm_memo(self, strategy, cap, searches):
         """Results, ``from_cache``, counters *and final memo key order*, for
@@ -125,7 +127,8 @@ class TestMemoMirrorLRU:
         [A, B] memo of two: A hits; C and D miss and evict B then A; B — a
         hit when the batch was planned — misses at its turn and is searched
         in the replay; C, evicted meanwhile, misses again and is served the
-        worker's result a second time; A misses like B."""
+        worker's result a second time; A misses like B. ``thread``, the
+        benchmark harness's alias, is the serial path."""
         graph, _ = _workload("dblp")
         a, b, c, d = list(query_set(graph, 3, 4, seed=23))
         batch = [a, c, d, b, c, a]
@@ -146,10 +149,12 @@ class TestMemoMirrorLRU:
         assert session.stats.query_cache_hits == reference.stats.query_cache_hits
         assert session.stats.query_cache_misses == reference.stats.query_cache_misses
         assert list(session._query_cache) == list(reference._query_cache)
+        assert report.strategy == ("process" if strategy == "process" else "serial")
         if cap == 2:
             assert [r.from_cache for r in results] == [True] + [False] * 5
-            assert [key[1] for key in session._query_cache] == [c.canonical_key(), a.canonical_key()]
-        if strategy != "serial":
+            memo_keys = [key[1] for key in session._query_cache]
+            assert memo_keys == [c.canonical_key(), a.canonical_key()]
+        if strategy == "process":
             # Distinct structures searched once each: {C, D} on the pool plus
             # {B, A} in the replay at cap 2; all four on the pool with the
             # memo off; {C, D} alone when nothing is ever evicted.
@@ -199,7 +204,7 @@ class TestValidation:
             BatchExecutor(session, config=DSQLConfig(k=K))
 
     def test_strategies_constant(self):
-        assert STRATEGIES == ("serial", "thread", "process")
+        assert STRATEGIES == ("serial", "process")
 
 
 class TestDeadlineThroughExecutor:
@@ -209,8 +214,8 @@ class TestDeadlineThroughExecutor:
         monkeypatch.setattr(search_mod, "DEADLINE_CHECK_STRIDE", 1)
         graph, queries = _workload("dblp")
         config = DSQLConfig(k=K, time_budget_ms=1e-6, validate_results=True)
-        executor = BatchExecutor(graph, config=config, strategy="thread", jobs=2)
-        results = executor.run(queries)
+        with BatchExecutor(graph, config=config, strategy="process", jobs=2) as executor:
+            results = executor.run(queries)
         assert len(results) == len(queries)
         assert any(r.stats.deadline_exhausted for r in results)
         assert all(not r.stats.budget_exhausted for r in results)

@@ -185,7 +185,9 @@ def test_theorem4_bound_against_brute_force(instance, table_seed):
             assert opt <= result.coverage_bound, objective
             assert result.coverage <= result.coverage_bound, objective
         if objective == "weighted-vertex":
-            weigh = (lambda v: 1 + graph.degree(v)) if table is None else (lambda v: table.get(v, 1))
+            weigh = (
+                (lambda v: 1 + graph.degree(v)) if table is None else (lambda v: table.get(v, 1))
+            )
             heaviest = sorted(map(weigh, graph.vertices()), reverse=True)[: query.size]
             assert result.coverage_bound <= math.fsum(heaviest * k)
             assert result.coverage_bound <= math.fsum(

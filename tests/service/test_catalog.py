@@ -160,11 +160,11 @@ class TestAnswering:
 
     def test_answer_batch_matches_query_many(self, entry):
         queries = tiny_queries(count=4, seed=9)
-        results, report = entry.answer_batch(queries, strategy="thread", jobs=2)
+        results, report = entry.answer_batch(queries)
         reference = DSQL(tiny_graph(), config=entry.default_config)
         expected = reference.query_many(queries)
         assert [r.embeddings for r in results] == [r.embeddings for r in expected]
-        assert report.strategy == "thread"
+        assert report.strategy == "serial"
         assert report.batch == len(queries)
 
 
@@ -234,12 +234,12 @@ class TestExecutorLeases:
         built = _recorded_executors(monkeypatch)
         queries = tiny_queries(count=3, seed=11)
         _, first = entry.answer_batch(queries, strategy="serial", jobs=1)
-        _, second = entry.answer_batch(queries, strategy="thread", jobs=2)
-        _, third = entry.answer_batch(queries, strategy="thread", jobs=2)
+        _, second = entry.answer_batch(queries, strategy="process", jobs=2)
+        _, third = entry.answer_batch(queries, strategy="process", jobs=2)
         assert [e.events for e in built] == [["run", "close"]] * 3
         assert len({id(e) for e in built}) == 3 and {e.session for e in built} == {entry.session()}
         assert [(r.strategy, r.searches) for r in (first, second, third)] == [
-            ("serial", 3), ("thread", 0), ("thread", 0),
+            ("serial", 3), ("process", 0), ("process", 0),
         ]
         held = [v for v in vars(entry).values() if isinstance(v, (BatchExecutor, dict, set))]
         assert held == [entry._sessions]  # the per-config session LRU, nothing else
@@ -260,7 +260,7 @@ class TestExecutorLeases:
         assert not hasattr(entry, "close") and not hasattr(catalog, "close")
         wire = [query_graph_to_json(q) for q in tiny_queries(count=3, seed=12)]
         point = {"graph": "tiny", "query": wire[0]}
-        batch = {"graph": "tiny", "queries": wire, "strategy": "thread", "jobs": 2}
+        batch = {"graph": "tiny", "queries": wire}
         assert service.handle_post("/v1/query", lambda: point)[0] == 200
         status, body, _ = service.handle_post("/v1/batch", lambda: batch)
         assert (status, body["cache_hits"], body["executor"]["searches"]) == (200, 1, 2)
@@ -281,7 +281,8 @@ class TestExecutorLeases:
         with an initializer that fails in every worker."""
         entry = _fresh_entry(query_cache_size=0)
         queries = tiny_queries(count=4, seed=13)
-        want = [r.to_dict() for r in DSQL(tiny_graph(), config=entry.default_config).query_many(queries)]
+        reference = DSQL(tiny_graph(), config=entry.default_config)
+        want = [r.to_dict() for r in reference.query_many(queries)]
         census = ProcessCensus()
 
         results, report = entry.answer_batch(queries, strategy="process", jobs=2)
@@ -329,7 +330,7 @@ class TestExecutorLeases:
 
         threads = [
             threading.Thread(target=run_shape, args=shape)
-            for shape in (("serial", 1), ("thread", 2))
+            for shape in (("serial", 1), ("process", 2))
         ]
         for thread in threads:
             thread.start()
@@ -356,12 +357,12 @@ class TestBatchHoldsNobody:
         out = {}
 
         def parked_batch():
-            out["first"] = entry.answer_batch(queries, strategy="thread", jobs=2)
+            out["first"] = entry.answer_batch(queries, strategy="process", jobs=2)
 
         def beside():
             out["hit"] = entry.answer(warm)
             out["miss"] = entry.answer(cold)
-            out["second"] = entry.answer_batch(rest, strategy="thread", jobs=2)
+            out["second"] = entry.answer_batch(rest, strategy="process", jobs=2)
 
         first, other = threading.Thread(target=parked_batch), threading.Thread(target=beside)
         first.start()
@@ -392,7 +393,7 @@ class TestBatchHoldsNobody:
 
     def test_readers_batches_and_a_writer_interleave(self):
         """Four readers on a two-entry memo (so evictions happen), a serial
-        and a thread batch loop whose batches carry more distinct keys than
+        and a process batch loop whose batches carry more distinct keys than
         the cap, and one writer, ~2 s under a 0.1 ms switch interval. Every
         answer equals a from-scratch reference at a version it was answered
         at, every answer handed out is one hit or one miss, the repaired
@@ -447,7 +448,7 @@ class TestBatchHoldsNobody:
             return threading.Thread(target=run)
 
         threads = [guarded(reader, tid) for tid in range(4)]
-        threads += [guarded(batcher, "serial"), guarded(batcher, "thread"), guarded(writer)]
+        threads += [guarded(batcher, "serial"), guarded(batcher, "process"), guarded(writer)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-4)
         try:

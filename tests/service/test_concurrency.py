@@ -72,7 +72,7 @@ class TestConcurrentDeterminism:
 
         def batch_worker():
             client = ServiceClient(server.url, timeout=60.0)
-            batch_bodies.append(client.batch("tiny", queries, strategy="thread"))
+            batch_bodies.append(client.batch("tiny", queries))
 
         batcher = threading.Thread(target=batch_worker, daemon=True)
         batcher.start()

@@ -79,7 +79,7 @@ class TestAnswers:
     def test_batch_matches_serial_query_many(self, client):
         queries = tiny_queries(count=5, seed=3)
         reference = DSQL(tiny_graph(), config=DSQLConfig(k=DEFAULT_K)).query_many(queries)
-        body = client.batch("tiny", queries, strategy="serial")
+        body = client.batch("tiny", queries)
         assert body["count"] == len(queries)
         got = [r["embeddings"] for r in body["results"]]
         assert got == [[list(e) for e in r.embeddings] for r in reference]

@@ -11,7 +11,6 @@ from repro.core.result import DSQResult
 from repro.core.state import SearchStats
 from repro.graph.query_graph import QueryGraph
 from repro.service import (
-    BATCH_STRATEGIES,
     ServiceError,
     parse_batch_request,
     parse_json_body,
@@ -184,29 +183,34 @@ class TestParseQueryRequest:
         assert (info.value.status, info.value.code) == (400, "invalid_request")
 
 
+def _assert_unknown_field(payload, name):
+    with pytest.raises(ServiceError) as info:
+        parse_batch_request(payload)
+    assert (info.value.status, info.value.code) == (400, "unknown_field")
+    assert repr(name) in info.value.message
+
+
 class TestParseBatchRequest:
     def test_defaults(self):
         req = parse_batch_request(_batch_payload())
-        assert req.strategy == "serial"
-        assert req.jobs is None
+        assert (req.k, req.alpha, req.time_budget_ms, req.objective) == (None,) * 4
         assert len(req.queries) == 1
 
     def test_a_null_strategy_takes_the_default(self):
-        """``null`` means absent on every optional field, ``strategy``
-        (the one field with a non-null default) included."""
-        req = parse_batch_request(_batch_payload(strategy=None, jobs=None))
-        assert (req.strategy, req.jobs) == ("serial", None)
+        """``null`` means absent on every *known* optional field; it does
+        not make an unknown key absent, and ``strategy`` is unknown."""
+        req = parse_batch_request(_batch_payload(k=None, objective=None))
+        assert (req.k, req.objective) == (None, None)
+        _assert_unknown_field(_batch_payload(strategy=None), "strategy")
 
     def test_thread_strategy_allowed(self):
-        req = parse_batch_request(_batch_payload(strategy="thread", jobs=2))
-        assert (req.strategy, req.jobs) == ("thread", 2)
+        """The batch strategy is not a wire field: a body naming one — or
+        ``jobs`` — is refused like any other unknown key."""
+        _assert_unknown_field(_batch_payload(strategy="thread"), "strategy")
+        _assert_unknown_field(_batch_payload(jobs=2), "jobs")
 
     def test_process_strategy_refused(self):
-        assert "process" not in BATCH_STRATEGIES
-        with pytest.raises(ServiceError) as info:
-            parse_batch_request(_batch_payload(strategy="process"))
-        assert info.value.code == "invalid_request"
-        assert "process" in info.value.message
+        _assert_unknown_field(_batch_payload(strategy="process"), "strategy")
 
     def test_empty_queries_rejected(self):
         with pytest.raises(ServiceError):

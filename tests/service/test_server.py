@@ -92,13 +92,13 @@ class TestQueryEndpoint:
 class TestBatchEndpoint:
     def test_batch_matches_serial_query_many(self, client):
         queries = tiny_queries(count=4, seed=31)
-        body = client.batch("tiny", queries, strategy="thread", jobs=2)
+        body = client.batch("tiny", queries)
         expected = _reference_session().query_many(queries)
         assert body["count"] == len(queries)
         got = [r["embeddings"] for r in body["results"]]
         want = [[list(e) for e in r.embeddings] for r in expected]
         assert got == want
-        assert body["executor"]["strategy"] == "thread"
+        assert (body["executor"]["strategy"], body["executor"]["jobs"]) == ("serial", 1)
         assert body["executor"]["batch"] == len(queries)
 
     def test_batch_counts_memo_hits(self, client):
@@ -227,10 +227,13 @@ class TestTypedErrors:
         assert (info.value.status, info.value.code) == (400, "invalid_objective")
 
     def test_process_strategy_rejected(self, client):
-        queries = tiny_queries(count=1)
-        with pytest.raises(ServiceClientError) as info:
-            client.batch("tiny", queries, strategy="process")
-        assert (info.value.status, info.value.code) == (400, "invalid_request")
+        """No batch strategy crosses the wire: ``strategy`` and ``jobs``
+        are unknown fields, whatever their value."""
+        queries = [query_graph_to_json(q) for q in tiny_queries(count=1)]
+        for extra in ({"strategy": "process"}, {"strategy": "serial"}, {"jobs": 2}):
+            with pytest.raises(ServiceClientError) as info:
+                client._call("POST", "/v1/batch", {"graph": "tiny", "queries": queries, **extra})
+            assert (info.value.status, info.value.code) == (400, "unknown_field")
 
     def test_post_without_content_length_400(self, server):
         host, port = server.address
@@ -322,10 +325,10 @@ class _SlowService(QueryService):
         self.entered = threading.Event()
         self.hold_s = 0.3
 
-    def handle_query(self, payload, probe=None):
+    def handle_query(self, probe):
         self.entered.set()
         time.sleep(self.hold_s)
-        return super().handle_query(payload, probe)
+        return super().handle_query(probe)
 
 
 def _slow_server():
@@ -448,10 +451,10 @@ class _ParkedService(QueryService):
         self.release = threading.Event()
         self.parked = []  # the handler thread of every search held here
 
-    def handle_query(self, payload, probe=None):
+    def handle_query(self, probe):
         self.parked.append(threading.get_ident())
         assert self.release.wait(timeout=30)
-        return super().handle_query(payload, probe)
+        return super().handle_query(probe)
 
 
 class TestConnectionThreads:

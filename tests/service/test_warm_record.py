@@ -347,7 +347,9 @@ def test_readers_racing_over_a_small_record_table_get_the_serial_answers():
     queries = _distinct_queries(8)
     service = _service(DSQLConfig(k=DEFAULT_K, query_cache_size=3))
     reference = GraphCatalog(default_config=DSQLConfig(k=DEFAULT_K)).add_graph("tiny", tiny_graph())
-    want = [_masked(result_to_json(reference.answer(q), graph="tiny"), "from_cache") for q in queries]
+    want = [
+        _masked(result_to_json(reference.answer(q), graph="tiny"), "from_cache") for q in queries
+    ]
     failures, answered = [], []
 
     def reader(seed):

@@ -122,7 +122,7 @@ class TestQueryCommand:
         code = main(
             ["query", "--dataset", "yeast", "--scale", "0.2",
              "--queries", "3", "--edges", "3", "--k", "5",
-             "--strategy", "thread", "--jobs", "2"]
+             "--strategy", "process", "--jobs", "2"]
         )
         assert code == 0
         assert "DSQL" in capsys.readouterr().out
@@ -171,7 +171,7 @@ class TestQueryCommand:
         with pytest.raises(SystemExit):
             main(
                 ["query", "--dataset", "yeast", "--solver", "COM",
-                 "--strategy", "thread"]
+                 "--strategy", "process"]
             )
         with pytest.raises(SystemExit):
             main(
@@ -227,7 +227,7 @@ class TestExperimentCommand:
             main(["experiment", "table99"])
 
     def test_table3_accepts_executor_flags(self, capsys):
-        out = self._run("table3", capsys, extra=["--strategy", "thread", "--jobs", "2"])
+        out = self._run("table3", capsys, extra=["--strategy", "process", "--jobs", "2"])
         assert "DSQL" in out
 
     def test_other_experiments_reject_executor_flags(self):

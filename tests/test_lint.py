@@ -230,12 +230,16 @@ FORBIDDEN = {
     )),
     "control_plane": ("*", ("_ControlHandler", "_ControlHTTPServer", "BoundControlHandler")),
     "threading_server": ("src/repro/service/server.py", ("ThreadingHTTPServer", "ThreadingMixIn")),
-    # Banned from its module alone: thread batches still run on a
-    # ThreadPoolExecutor (parallel/executor.py), and docs/performance.md
-    # tells the serve loop's history.
+    # Banned from its module alone: docs/performance.md tells the serve
+    # loop's history.
     "serve_loop": ("src/repro/service/server.py", (
-        "ThreadPoolExecutor", "_handle_request_noblock", "process_request", "poll_interval",
+        "_handle_request_noblock", "process_request", "poll_interval",
     )),
+    # No thread pool in the package, for connections or for batches: the
+    # search holds the GIL (docs/performance.md keeps the measurement).
+    "thread_pool": ("src/*", ("ThreadPoolExecutor",)),
+    # The thread batch strategy and the wire's list of batch strategies.
+    "thread_strategy": ("*", ("_dispatch_threads", "BATCH_STRATEGIES")),
     "memo_workarounds": ("*", (
         "_plan_searches", "_never_computed", "_executor_leases", "_executors_retired",
         "_acquire_executor", "_release_executor", "DEFAULT_EXECUTOR_CACHE", "max_executors",
@@ -263,6 +267,7 @@ def forbidden(sources, *rows) -> List[str]:
 # ----------------------------------------------------------------------
 LABELED = "src/repro/graph/labeled_graph.py"
 CACHE = "src/repro/indexes/graph_cache.py"
+EXECUTOR = "src/repro/parallel/executor.py"
 STAYS_DELETED = {
     # row: (test, file, anchor, pasted after it, the names the paste trips)
     "backend_fork": (
@@ -334,8 +339,15 @@ STAYS_DELETED = {
     ),
     "serve_loop": (
         "test_a_connection_starts_no_thread", "src/repro/service/server.py",
-        "import urllib.parse\n", "from concurrent.futures import ThreadPoolExecutor\n",
-        ("ThreadPoolExecutor",),
+        "import urllib.parse\n", "poll_interval = 0.5\n", ("poll_interval",),
+    ),
+    "thread_pool": (
+        "test_thread_strategy_stays_deleted", EXECUTOR, "import os\n",
+        "from concurrent.futures import ThreadPoolExecutor\n", ("ThreadPoolExecutor",),
+    ),
+    "thread_strategy": (
+        "test_thread_strategy_stays_deleted", EXECUTOR, "        self._per_worker = ()\n",
+        "        self._dispatch_threads = None\n", ("_dispatch_threads",),
     ),
 }
 
@@ -604,6 +616,28 @@ def test_ruff_clean():
         text=True,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+# ----------------------------------------------------------------------
+# Line width, with the stdlib alone (ruff may not be installed): no line of
+# a module of ``LINTED_TREES`` is wider than the ``line-length`` that
+# pyproject.toml gives ruff.
+# ----------------------------------------------------------------------
+LINE_LENGTH = int(re.search(r"^line-length = (\d+)$", read(REPO / "pyproject.toml"), re.M)[1])
+
+
+def wide_lines(sources: Dict[str, str]) -> List[str]:
+    return [
+        f"{path}:{number}: {len(line)} columns"
+        for path, text in sources.items()
+        if path.endswith(".py") and path.split("/", 1)[0] in LINTED_TREES
+        for number, line in enumerate(text.splitlines(), 1)
+        if len(line) > LINE_LENGTH
+    ]
+
+
+def test_lines_fit_the_ruff_width():
+    assert wide_lines(guard_sources()) == []
 
 
 # ----------------------------------------------------------------------
@@ -1360,8 +1394,19 @@ def transport_offenders(sources):
 
 
 def test_a_connection_starts_no_thread():
-    assert not offenders("transport", "control_plane")
+    assert not offenders("transport", "control_plane", "thread_pool")
     assert_stays_deleted("serve_loop")
+
+
+# ----------------------------------------------------------------------
+# Fork guard: one in-process batch path. A thread pool answered batches
+# slower than serial (the search holds the GIL), and the wire's ``strategy``
+# and ``jobs`` fields only picked it; all of them stay deleted. The string
+# ``"thread"`` itself is a HARNESS_ONLY alias of serial.
+# ----------------------------------------------------------------------
+def test_thread_strategy_stays_deleted():
+    assert_stays_deleted("thread_strategy")
+    assert_stays_deleted("thread_pool")
 
 
 # ----------------------------------------------------------------------
@@ -1434,8 +1479,6 @@ def doc_type(field) -> str:
         cell = DOC_TYPES.get(field.kind, f"? {field.kind}").format(bound=field.bound)
     if field.required:
         cell += ", required"
-    if field.default is not None:
-        cell += f", default `{field.default}`"
     return cell
 
 
@@ -1873,7 +1916,9 @@ def resolves(dotted: str) -> bool:
         for name in parts[cut:]:
             if hasattr(obj, name):
                 obj = getattr(obj, name)
-            elif dataclasses.is_dataclass(obj) and name in {f.name for f in dataclasses.fields(obj)}:
+            elif dataclasses.is_dataclass(obj) and name in {
+                f.name for f in dataclasses.fields(obj)
+            }:
                 obj = None
             else:
                 return False
@@ -1925,6 +1970,7 @@ def test_no_test_imports_the_lint_module():
 # ----------------------------------------------------------------------
 GUARDS = {
     # guard: (the test that runs it on the real tree, its parts)
+    "width": ("test_lines_fit_the_ruff_width", wide_lines),
     "imports": ("test_no_unused_imports", lambda s: per_file(s, unused_imports)),
     "names": ("test_no_undefined_names", lambda s: per_file(s, undefined_names)),
     "examples": ("test_example_imports_resolve", lambda s: import_offenders(under(s, "examples/"))),
@@ -1978,6 +2024,11 @@ CATALOG, SERVER = "src/repro/service/catalog.py", "src/repro/service/server.py"
 DSQL_END = "    return DSQL(graph, config=config).query(query)\n"
 GUARD_MUTANTS = {
     # id: (guard, file, anchor, pasted after it, what the guard reports)
+    # A line one column wider than ruff's limit.
+    "line_over_the_width": (
+        "width", "src/repro/core/phase2.py", FUTURE_IMPORT, "#" + "-" * 100 + "\n",
+        ["src/repro/core/phase2.py:{line}: 101 columns"],
+    ),
     # An import pasted into a real module and read nowhere ...
     "unused_import": (
         "imports", "src/repro/core/phase2.py", FUTURE_IMPORT, "from itertools import chain\n",
@@ -2211,14 +2262,15 @@ GUARD_MUTANTS = {
     ),
     # A field added in one place only: a row no doc, client or request has ...
     "field_in_the_table_only": (
-        "wire_fields", "src/repro/service/schemas.py", '    FieldSpec("jobs", "int", bound=1),\n',
+        "wire_fields", "src/repro/service/schemas.py",
+        '    FieldSpec("queries", "queries", bound=MAX_BATCH_QUERIES, required=True),\n',
         '    FieldSpec("seed", "int", bound=0),\n',
         ["POST /v1/batch: 'seed' has no docs/service.md row",
          "ServiceClient.batch does not take 'seed'", "BatchRequest has no field 'seed'"],
     ),
     # ... a client keyword no row sends ...
     "field_in_the_client_only": (
-        "wire_fields", "src/repro/service/client.py", "        jobs: Optional[int] = None,\n",
+        "wire_fields", "src/repro/service/client.py", "        queries: Iterable[QueryLike],\n",
         "        seed: Optional[int] = None,\n",
         ["ServiceClient.batch takes 'seed', sent by no row"],
     ),
