@@ -27,9 +27,9 @@ def main() -> None:
 
     # A truncated stream keeps GreedyDSQ and the exact solver interactive;
     # the relative ordering of the strategies is unaffected.
-    embeddings = generate_all(graph, query, node_budget=20_000)
+    embeddings, complete = generate_all(graph, query, node_budget=20_000)
     print(f"stream: {len(embeddings)} distinct embeddings of a "
-          f"{query.size}-node query; k = {k}\n")
+          f"{query.size}-node query{'' if complete else ' (truncated)'}; k = {k}\n")
     if not embeddings:
         print("query has no matches on this seed; re-run with another seed")
         return

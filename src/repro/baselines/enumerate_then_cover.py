@@ -15,7 +15,7 @@ instead of distinct vertices, and returns the selected embeddings'
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.coverage.core import EmbeddingSet
 from repro.coverage.greedy import greedy_max_coverage
@@ -24,8 +24,8 @@ from repro.coverage.swap import Swap0, Swap1, Swap2, SwapA, SwapAlpha, swap_stre
 from repro.exceptions import ConfigError
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
-from repro.isomorphism.match import Mapping
-from repro.isomorphism.qsearch import enumerate_embeddings
+from repro.isomorphism.match import Mapping, distinct_by_vertex_set
+from repro.isomorphism.qsearch import QSearchEngine
 
 STRATEGIES = ("SWAP0", "SWAP1", "SWAP2", "SWAP_A", "SWAPalpha", "Greedy")
 """Selection strategies accepted by :func:`select_top_k`."""
@@ -35,11 +35,16 @@ def generate_all(
     graph: LabeledGraph,
     query: QueryGraph,
     node_budget: Optional[int] = None,
-) -> List[Mapping]:
-    """Stage 1: every distinct-vertex-set embedding (the feeding stream)."""
-    return enumerate_embeddings(
-        graph, query, distinct_vertex_sets=True, node_budget=node_budget
-    )
+) -> Tuple[List[Mapping], bool]:
+    """Stage 1: ``(stream, complete)`` — every distinct-vertex-set embedding
+    (the feeding stream), and whether enumeration finished.
+
+    ``complete`` is ``False`` when ``node_budget`` tripped: the stream is then
+    a prefix, and Table 4's premise (all embeddings first) does not hold.
+    """
+    engine = QSearchEngine(graph, query, node_budget=node_budget)
+    stream = list(distinct_by_vertex_set(engine.embeddings()))
+    return stream, not engine.budget_exhausted
 
 
 def select_top_k(

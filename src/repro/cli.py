@@ -713,6 +713,8 @@ def _cmd_experiment(parser: argparse.ArgumentParser, args: argparse.Namespace) -
         ]
         print(render_table(["strategy", "ms", "coverage"], rows))
         print(f"(t = {result.generation_millis:.1f} ms generation)")
+        if result.truncated:
+            print(f"note: generation truncated on {result.truncated} of {len(queries)} queries")
     elif args.name == "fig6k":
         ks = [10, 20, 30, 40, 50]
         series = paper.sweep_k(graph, queries, ks)

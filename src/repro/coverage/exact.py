@@ -1,27 +1,38 @@
-"""Exact maximum k-coverage by branch and bound.
+"""Exact maximum k-coverage by branch and bound over int bitmasks.
 
 The paper can only *lower-bound* approximation ratios by ``|C(A)| / (kq)``
 because the optimum is unknown on its datasets. On small instances we can do
 better: this module computes the true optimum over an explicit embedding
-set, enabling tests (and small-scale experiments) that measure real ratios
-against Theorems 3, 4 and 6.
+set, so tests can measure real ratios against Theorems 3, 4 and 6. A caller
+that wants a ratio divides a solution's coverage by ``optimal_coverage(...)[0]``.
 
-The solver is depth-first branch and bound: at every node it re-scores the
-remaining sets by marginal gain, branches on the best one, and prunes with
-the "current coverage + sum of the ``slots_left`` largest gains" upper
-bound (exact on the no-overlap relaxation). Exponential in the worst case —
-callers guard instance sizes, and both an input-size and a search-node
-limit turn hopeless instances into explicit errors instead of hangs.
+Each distinct element set becomes an ``int`` mask, one bit per element. A
+mask's weight is its popcount under unit weights, and otherwise the
+objective's own total over the per-bit weights, so the optimum returned
+equals ``objective.collection_coverage(OPT)`` exactly, floats included.
 
-Both entry points accept an :class:`~repro.coverage.objectives.Objective`:
-the search then runs over the objective's (weighted) element sets. The
-bound stays exact for any non-negative weights, and subset domination stays
-sound (a subset's weighted gain never exceeds its superset's).
+The search is depth first and best-gain-first: at every node it re-scores
+the remaining sets by marginal gain and takes them in that order. Its first
+descent is therefore greedy, the incumbent every later branch must beat. A
+branch is cut when its bound, the lesser of
+
+* the covered weight plus the ``slots_left`` largest gains, and
+* the weight of the covered set united with every set left,
+
+cannot beat the incumbent (the second is the greedy-coverage argument of
+TED, arXiv 2212.07612, and of arXiv 1809.02434). At the root this bound is
+the *ceiling* ``min(sum of the k largest set weights, weight of the
+union)``, so when greedy reaches the ceiling the search ends without a
+second branch. Exponential in the worst case: an input-size and a
+search-node limit turn hopeless instances into explicit errors instead of
+hangs.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import compress
+from operator import itemgetter
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.coverage.core import EmbeddingSet, as_vertex_set
 from repro.coverage.objectives import Objective
@@ -48,149 +59,55 @@ def optimal_coverage(
     """
     if k < 1:
         return 0, []
-    weight = None
-    if objective is not None and not objective.unit_weights:
-        weight = objective.weight
     project = as_vertex_set if objective is None else objective.elements
-
-    def measure_of(elems: Iterable) -> int:
-        if weight is None:
-            return len(elems) if hasattr(elems, "__len__") else sum(1 for _ in elems)
-        return sum(weight(e) for e in elems)
-
-    # Deduplicate by element set and drop dominated embeddings (subsets of
-    # another embedding can never be strictly needed when a superset fits).
-    unique: List[EmbeddingSet] = []
-    seen: Set[EmbeddingSet] = set()
-    for emb in embeddings:
-        s = project(emb)
-        if s not in seen:
-            seen.add(s)
-            unique.append(s)
-    unique = _drop_dominated(unique)
-    if len(unique) > max_embeddings:
+    sets = list(dict.fromkeys(map(project, embeddings)))
+    if len(sets) > max_embeddings:
         raise ConfigError(
-            f"exact solver given {len(unique)} embeddings (> {max_embeddings}); "
+            f"exact solver given {len(sets)} embeddings (> {max_embeddings}); "
             "raise max_embeddings to force it"
         )
+    position: dict = {}
+    masks = [sum(1 << position.setdefault(e, len(position)) for e in s) for s in sets]
+    if objective is None or objective.unit_weights:
+        weigh, total = int.bit_count, sum
+    else:
+        weights, total = list(map(objective.weight, position)), objective._total
 
-    # Greedy seed: a strong incumbent makes the bound bite immediately.
-    incumbent = _greedy_seed(unique, k, weight)
-    best_cover = measure_of(set().union(*incumbent)) if incumbent else 0
-    best_sel: List[EmbeddingSet] = list(incumbent)
-    nodes_visited = 0
+        def weigh(mask: int):
+            return total(compress(weights, map("1".__eq__, bin(mask)[:1:-1])))
 
-    def gain_of(emb: EmbeddingSet, covered: Set) -> int:
-        if weight is None:
-            return sum(1 for e in emb if e not in covered)
-        return sum(weight(e) for e in emb if e not in covered)
+    best, best_masks, nodes = weigh(0), [], 0
 
-    def dfs(pool: List[EmbeddingSet], covered: Set, covered_w, chosen: List[EmbeddingSet]) -> None:
-        """Branch on the highest-gain remaining set with live gain bounds.
-
-        Re-evaluating gains at every node is O(n*q) but collapses the node
-        count: the bound ``covered weight + sum of top slots_left gains`` is
-        exact on the relaxation where sets may overlap arbitrarily.
-        """
-        nonlocal best_cover, best_sel, nodes_visited
-        nodes_visited += 1
-        if nodes_visited > max_nodes:
-            raise ConfigError(
-                f"exact max-coverage search exceeded {max_nodes} nodes; "
-                "the instance is too hard for an exact answer"
-            )
-        if covered_w > best_cover:
-            best_cover = covered_w
-            best_sel = list(chosen)
-        slots_left = k - len(chosen)
-        if slots_left == 0:
+    def search(pool: List[int], covered: int, picked: List[int]) -> None:
+        nonlocal best, best_masks, nodes
+        covered_w = weigh(covered)
+        if covered_w > best:
+            best, best_masks = covered_w, list(picked)
+        slots = k - len(picked)
+        if not slots:
             return
         scored = sorted(
-            ((gain_of(emb, covered), emb) for emb in pool),
-            key=lambda t: -t[0],
+            ((weigh(m & ~covered), m) for m in pool), key=itemgetter(0), reverse=True
         )
-        scored = [(g, emb) for g, emb in scored if g > 0]
-        if not scored:
-            return
-        if covered_w + sum(g for g, _ in scored[:slots_left]) <= best_cover:
-            return
-        gain, emb = scored[0]
-        rest = [e for _, e in scored[1:]]
-        # Branch 1: take the best set.
-        added = [e for e in emb if e not in covered]
-        covered.update(added)
-        chosen.append(emb)
-        dfs(rest, covered, covered_w + gain, chosen)
-        chosen.pop()
-        covered.difference_update(added)
-        # Branch 2: exclude it entirely.
-        dfs(rest, covered, covered_w, chosen)
+        while scored and scored[-1][0] <= 0:
+            scored.pop()
+        reach = [covered] * (len(scored) + 1)  # reach[i]: covered | every set from i on
+        for i in range(len(scored) - 1, -1, -1):
+            reach[i] = reach[i + 1] | scored[i][1]
+        for i, (_, mask) in enumerate(scored):
+            nodes += 1
+            if nodes > max_nodes:
+                raise ConfigError(
+                    f"exact max-coverage search exceeded {max_nodes} nodes; "
+                    "the instance is too hard for an exact answer"
+                )
+            top = [gain for gain, _ in scored[i : i + slots]]
+            if min(total([covered_w, *top]), weigh(reach[i])) <= best:
+                return  # gains and reach only shrink further along
+            picked.append(mask)
+            search([m for _, m in scored[i + 1 :]], covered | mask, picked)
+            picked.pop()
 
-    dfs(unique, set(), 0, [])
-    return best_cover, best_sel
-
-
-def _greedy_seed(
-    pool: Sequence[EmbeddingSet], k: int, weight
-) -> List[EmbeddingSet]:
-    """Greedy incumbent over element sets (ties toward earliest, as [Feige])."""
-    chosen: List[EmbeddingSet] = []
-    covered: Set = set()
-    remaining = list(range(len(pool)))
-    while remaining and len(chosen) < k:
-        best_index, best_gain = -1, 0
-        for idx in remaining:
-            if weight is None:
-                gain = sum(1 for e in pool[idx] if e not in covered)
-            else:
-                gain = sum(weight(e) for e in pool[idx] if e not in covered)
-            if gain > best_gain:
-                best_gain, best_index = gain, idx
-        if best_index < 0:
-            break
-        chosen.append(pool[best_index])
-        covered.update(pool[best_index])
-        remaining.remove(best_index)
-    return chosen
-
-
-def _drop_dominated(embeddings: List[EmbeddingSet]) -> List[EmbeddingSet]:
-    """Remove embeddings that are strict subsets of another embedding.
-
-    Safe for maximum coverage under any non-negative weights: any solution
-    using a dominated set is at most as good with the dominating set
-    substituted (duplicates were removed upstream, so substitution never
-    collides).
-    """
-    by_size = sorted(embeddings, key=len, reverse=True)
-    kept: List[EmbeddingSet] = []
-    for emb in by_size:
-        if not any(emb < other for other in kept):
-            kept.append(emb)
-    return kept
-
-
-def exact_ratio(
-    solution: Sequence[Iterable[int]],
-    embeddings: Sequence[Iterable[int]],
-    k: int,
-    max_embeddings: int = _DEFAULT_MAX_EMBEDDINGS,
-    objective: Optional[Objective] = None,
-) -> float:
-    """True approximation ratio of ``solution`` against the exact optimum.
-
-    Returns 1.0 when the optimum covers nothing (then any solution is
-    trivially optimal).
-    """
-    opt_cover, _ = optimal_coverage(
-        embeddings, k, max_embeddings=max_embeddings, objective=objective
-    )
-    if opt_cover == 0:
-        return 1.0
-    if objective is None:
-        achieved = (
-            len(set().union(*(set(e) for e in solution))) if solution else 0
-        )
-    else:
-        achieved = objective.collection_coverage(solution)
-    return achieved / opt_cover
+    search(masks, 0, [])
+    by_mask = dict(zip(masks, sets))
+    return best, [by_mask[m] for m in best_masks]

@@ -122,10 +122,13 @@ class StrategyOutcome:
 
 @dataclass
 class Table4Result:
-    """All Table-4 columns for one dataset/batch."""
+    """All Table-4 columns for one dataset/batch; ``truncated`` counts the
+    queries whose generation stopped at the budget (their stream is a
+    prefix, so the pipelines saw only part of the embeddings)."""
 
     outcomes: List[StrategyOutcome] = field(default_factory=list)
     generation_millis: float = 0.0
+    truncated: int = 0
 
     def coverage_of(self, strategy: str) -> float:
         for o in self.outcomes:
@@ -144,6 +147,7 @@ def table4_strategies(
     """Shared-generation pipeline for all strategies plus DSQL."""
     per = {s: {"cov": [], "ms": []} for s in STRATEGIES}
     gen_times: List[float] = []
+    truncated = 0
     dsql_cov: List[float] = []
     dsql_ms: List[float] = []
     solver = DSQL(
@@ -151,8 +155,9 @@ def table4_strategies(
     )
     for query in queries:
         start = time.perf_counter()
-        embeddings = generate_all(graph, query, node_budget=generation_budget)
+        embeddings, complete = generate_all(graph, query, node_budget=generation_budget)
         gen_times.append(time.perf_counter() - start)
+        truncated += not complete
         for strategy in STRATEGIES:
             start = time.perf_counter()
             members = select_top_k(embeddings, k, strategy)
@@ -181,7 +186,9 @@ def table4_strategies(
         )
     )
     return Table4Result(
-        outcomes=outcomes, generation_millis=statistics.fmean(gen_times) * 1000
+        outcomes=outcomes,
+        generation_millis=statistics.fmean(gen_times) * 1000,
+        truncated=truncated,
     )
 
 

@@ -30,14 +30,22 @@ def setting():
 class TestGenerateAll:
     def test_matches_brute_force(self, setting):
         graph, query = setting
-        got = {frozenset(m) for m in generate_all(graph, query)}
-        assert got == brute_force_distinct_vertex_sets(graph, query)
+        stream, complete = generate_all(graph, query)
+        assert complete
+        assert {frozenset(m) for m in stream} == brute_force_distinct_vertex_sets(graph, query)
+
+    def test_a_tripped_budget_is_reported(self, setting):
+        graph, query = setting
+        full, _ = generate_all(graph, query)
+        prefix, complete = generate_all(graph, query, node_budget=2)
+        assert not complete
+        assert len(prefix) < len(full)
 
 
 class TestSelectTopK:
     def test_every_strategy_runs(self, setting):
         graph, query = setting
-        embeddings = generate_all(graph, query)
+        embeddings, _ = generate_all(graph, query)
         for strategy in STRATEGIES:
             members = select_top_k(embeddings, 4, strategy)
             assert len(members) <= 4
@@ -49,7 +57,7 @@ class TestSelectTopK:
     def test_greedy_at_least_swaps(self, setting):
         """Greedy's (1-1/e) guarantee should beat/match 0.25-swaps here."""
         graph, query = setting
-        embeddings = generate_all(graph, query)
+        embeddings, _ = generate_all(graph, query)
         if not embeddings:
             pytest.skip("no embeddings on this seed")
         greedy_cov = coverage(select_top_k(embeddings, 4, "Greedy"))
@@ -63,9 +71,11 @@ class TestPipeline:
     def test_run_pipeline_fields(self, setting):
         graph, query = setting
         result = table4_strategies(graph, [query], 4)
-        members = select_top_k(generate_all(graph, query), 4, "SWAPalpha")
+        members = select_top_k(generate_all(graph, query)[0], 4, "SWAPalpha")
         assert result.coverage_of("SWAPalpha") == coverage(members)
         assert result.generation_millis >= 0
+        assert result.truncated == 0
+        assert table4_strategies(graph, [query, query], 4, generation_budget=2).truncated == 2
         outcome = next(o for o in result.outcomes if o.strategy == "SWAPalpha")
         assert outcome.includes_generation and outcome.mean_millis >= 0
 
@@ -75,7 +85,7 @@ class TestPipeline:
         graph, query = setting
         result = table4_strategies(graph, [query], 4)
         assert [o.strategy for o in result.outcomes] == [*STRATEGIES, "DSQL"]
-        embeddings = generate_all(graph, query, node_budget=150_000)
+        embeddings, _ = generate_all(graph, query, node_budget=150_000)
         for strategy in STRATEGIES:
             want = coverage(select_top_k(embeddings, 4, strategy))
             assert result.coverage_of(strategy) == want, strategy

@@ -240,6 +240,10 @@ FORBIDDEN = {
     "thread_pool": ("src/*", ("ThreadPoolExecutor",)),
     # The thread batch strategy and the wire's list of batch strategies.
     "thread_strategy": ("*", ("_dispatch_threads", "BATCH_STRATEGIES")),
+    # A ratio helper no caller used, and the quadratic subset filter the
+    # exact solver's bitmask bounds do without.
+    "exact_ratio": ("*", ("exact_ratio",)),
+    "drop_dominated": ("*", ("_drop_dominated",)),
     "memo_workarounds": ("*", (
         "_plan_searches", "_never_computed", "_executor_leases", "_executors_retired",
         "_acquire_executor", "_release_executor", "DEFAULT_EXECUTOR_CACHE", "max_executors",
@@ -268,6 +272,7 @@ def forbidden(sources, *rows) -> List[str]:
 LABELED = "src/repro/graph/labeled_graph.py"
 CACHE = "src/repro/indexes/graph_cache.py"
 EXECUTOR = "src/repro/parallel/executor.py"
+EXACT = "src/repro/coverage/exact.py"
 STAYS_DELETED = {
     # row: (test, file, anchor, pasted after it, the names the paste trips)
     "backend_fork": (
@@ -348,6 +353,18 @@ STAYS_DELETED = {
     "thread_strategy": (
         "test_thread_strategy_stays_deleted", EXECUTOR, "        self._per_worker = ()\n",
         "        self._dispatch_threads = None\n", ("_dispatch_threads",),
+    ),
+    "exact_ratio": (
+        "test_exact_solver_helpers_stay_deleted", EXACT,
+        "    return best, [by_mask[m] for m in best_masks]\n",
+        "\n\ndef exact_ratio(solution, embeddings, k):\n"
+        "    return len(set().union(*solution)) / optimal_coverage(embeddings, k)[0]\n",
+        ("exact_ratio",),
+    ),
+    "drop_dominated": (
+        "test_exact_solver_helpers_stay_deleted", EXACT,
+        "    sets = list(dict.fromkeys(map(project, embeddings)))\n",
+        "    sets = _drop_dominated(sets)\n", ("_drop_dominated",),
     ),
 }
 
@@ -1407,6 +1424,17 @@ def test_a_connection_starts_no_thread():
 def test_thread_strategy_stays_deleted():
     assert_stays_deleted("thread_strategy")
     assert_stays_deleted("thread_pool")
+
+
+# ----------------------------------------------------------------------
+# Fork guard: the exact solver has one entry point. A true ratio is the
+# caller's division by ``optimal_coverage(...)[0]``, and the bitmask
+# search's ceiling and union bound leave the quadratic filter that dropped
+# subsets of other sets nothing to do.
+# ----------------------------------------------------------------------
+def test_exact_solver_helpers_stay_deleted():
+    assert_stays_deleted("exact_ratio")
+    assert_stays_deleted("drop_dominated")
 
 
 # ----------------------------------------------------------------------
